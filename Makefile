@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke bench-alloc bench-vector bench-dist check
+.PHONY: all build vet lint lint-self lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke bench-alloc bench-vector check
 
 all: check
 
@@ -115,12 +115,6 @@ bench-alloc:
 # default batch path, ns/op and allocs/op per workload.
 bench-vector:
 	$(GO) run ./cmd/benchpar -sf 0.1 -workers 4 -iters 3 -vector BENCH_vector.json
-
-# Distributed scale-out benchmark at SF 0.1: the scan/agg/join workloads on
-# a sharded fleet at 1, 2 and 4 shards against the single-node baseline,
-# ns/op per workload per shard count.
-bench-dist:
-	$(GO) run ./cmd/benchpar -sf 0.1 -workers 4 -iters 3 -dist BENCH_dist.json
 
 # Everything CI runs.
 check: build vet lint lint-self lint-hot lint-selftest race chaos chaos-recovery chaos-dist

@@ -8,16 +8,10 @@
 //	benchpar -sf 0.02 -workers 4 -iters 5 -hotpath BENCH_hotpath.json \
 //	    -hotpath-before old_hotpath.json
 //	benchpar -sf 0.1 -workers 4 -iters 3 -vector BENCH_vector.json
-//	benchpar -sf 0.1 -workers 4 -iters 3 -dist BENCH_dist.json
 //
 // -vector writes the row-vs-vectorized executor comparison: every workload
 // through the classic row path (engine.WithRowExec) and the default batch
 // path at the same parallelism, with ns/op, allocs/op, and bytes/op.
-//
-// -dist writes the scale-out comparison: every workload on a sharded
-// coordinator/worker fleet at 1, 2 and 4 shards against the same query
-// pinned local (engine.WithLocalOnly) on the same engine, so the measured
-// delta is exactly the exchange.
 //
 // -hotpath writes the allocation-focused report (ns/op, allocs/op,
 // bytes/op per workload); -hotpath-before embeds a previously captured
@@ -46,23 +40,7 @@ func main() {
 	hotpath := flag.String("hotpath", "", "write allocation (hotpath) JSON report here")
 	hotBefore := flag.String("hotpath-before", "", "embed this prior hotpath report as the before half")
 	vector := flag.String("vector", "", "write the row-vs-vectorized executor JSON report here")
-	distOut := flag.String("dist", "", "write the sharded scale-out JSON report here")
 	flag.Parse()
-
-	if *distOut != "" {
-		rep, err := bench.RunDistBench(*sf, 2015, *workers, *iters, []int{1, 2, 4})
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSON(*distOut, rep); err != nil {
-			fatal(err)
-		}
-		for _, r := range rep.Results {
-			fmt.Printf("%-6s shards=%d %10.2fms local  %10.2fms dist  ratio %.2fx  %d rows\n",
-				r.Workload, r.Shards, r.LocalMS, r.DistMS, r.Speedup, r.Rows)
-		}
-		return
-	}
 
 	dir, err := os.MkdirTemp("", "benchpar")
 	if err != nil {

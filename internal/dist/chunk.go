@@ -4,209 +4,38 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"hana/internal/exec"
 	"hana/internal/value"
 )
 
 // Chunk is one exchange unit streamed from a worker back to the
-// coordinator: the surviving rows of one scan morsel in columnar
-// (value.Batch) form with their global scan sequences, one morsel's join
-// output, or a whole fragment's aggregate partial. Chunks arrive in local
-// sequence order within a worker's stream; the coordinator's k-way merge
-// across shard streams restores the exact single-node order.
+// coordinator: the surviving rows of one scan morsel with their global scan
+// sequences, a slice of a join fragment's output, or a whole fragment's
+// aggregate partial. Chunks arrive in local sequence order within a worker's
+// stream; the coordinator's k-way merge across shard streams restores the
+// exact single-node order.
 type Chunk struct {
 	Shard  int
 	Worker int
 	// Seqs holds the global scan sequence of every row, ascending. For
 	// join chunks the sequence is the probe row's, repeated per match.
 	Seqs []int64
-	// Batch carries scan output in columnar form (in-process transports
-	// hand it over without boxing; the wire codec materializes).
-	Batch *value.Batch
-	// Rows carries join output, or decoded scan rows after a wire
-	// round-trip. At most one of Batch/Rows is set.
+	// Rows carries scan or join output, aligned with Seqs. Scan rows are
+	// the shard copy's own: immutable, shared with every other reader.
 	Rows []value.Row
-	// Partial carries an aggregate fragment's group table (no rows ship).
-	Partial *Partial
+	// Partial carries an aggregate fragment's group table (no rows ship):
+	// exec's accumulator as it stands, each group's First rewritten to the
+	// smallest global scan sequence that contributed, so merged groups sort
+	// by it into the serial first-seen group order.
+	Partial *exec.AggPartial
 	// Scanned counts the snapshot-visible rows the morsel examined before
 	// filtering (executor statistics).
 	Scanned int64
 }
 
-// RowsOf materializes the chunk's rows, decoding the batch on first use.
-func (c *Chunk) RowsOf() []value.Row {
-	if c.Batch != nil {
-		c.Rows, c.Batch = c.Batch.MaterializeRows(), nil
-	}
-	return c.Rows
-}
+const chunkWireVersion = 2
 
-// Partial is the exact-mergeable aggregate state of one fragment: one entry
-// per group in the shard's first-seen order.
-type Partial struct {
-	Groups []PartialGroup
-}
-
-// PartialGroup is one group's key and per-aggregate states. MinSeq is the
-// smallest global scan sequence that contributed — merged groups sort by it
-// to reproduce the serial first-seen group order.
-type PartialGroup struct {
-	MinSeq int64
-	Key    value.Row
-	States []AggState
-}
-
-// AggState is one aggregate's mergeable accumulator, restricted to the
-// exactly-mergeable subset the planner ships: COUNT, MIN, MAX and
-// integer-only SUM. DISTINCT states carry the value set instead; every
-// shipped DISTINCT aggregate is order-insensitive (set count, integer sum,
-// min/max), so set union loses nothing.
-type AggState struct {
-	Count    int64
-	SumI     int64
-	HasVal   bool
-	Min, Max value.Value
-	// Distinct is the observed value set in local first-seen order; nil for
-	// non-distinct states (IsDistinct tells an empty set from none).
-	IsDistinct bool
-	Distinct   []value.Value
-	seen       map[value.Value]bool
-}
-
-// newAggState mirrors exec's accumulator initialization.
-func newAggState(distinct bool) AggState {
-	s := AggState{Min: value.Null, Max: value.Null, IsDistinct: distinct}
-	if distinct {
-		s.seen = map[value.Value]bool{}
-	}
-	return s
-}
-
-// add folds one non-COUNT(*) argument value into the state, replicating
-// exec's aggState.add for the shipped subset.
-func (s *AggState) add(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	if s.IsDistinct {
-		if s.seen[v] {
-			return
-		}
-		s.seen[v] = true
-		s.Distinct = append(s.Distinct, v)
-		return
-	}
-	s.HasVal = true
-	s.Count++
-	if v.K == value.KindInt {
-		s.SumI += v.I
-	}
-	if s.Min.IsNull() || value.Compare(v, s.Min) < 0 {
-		s.Min = v
-	}
-	if s.Max.IsNull() || value.Compare(v, s.Max) > 0 {
-		s.Max = v
-	}
-}
-
-// merge folds another state for the same group into s. DISTINCT states
-// union their value sets; plain states add their counters.
-func (s *AggState) merge(o AggState) {
-	if s.IsDistinct {
-		if s.seen == nil {
-			s.seen = map[value.Value]bool{}
-			for _, v := range s.Distinct {
-				s.seen[v] = true
-			}
-		}
-		for _, v := range o.Distinct {
-			if !s.seen[v] {
-				s.seen[v] = true
-				s.Distinct = append(s.Distinct, v)
-			}
-		}
-		return
-	}
-	s.HasVal = s.HasVal || o.HasVal
-	s.Count += o.Count
-	s.SumI += o.SumI
-	if !o.Min.IsNull() && (s.Min.IsNull() || value.Compare(o.Min, s.Min) < 0) {
-		s.Min = o.Min
-	}
-	if !o.Max.IsNull() && (s.Max.IsNull() || value.Compare(o.Max, s.Max) > 0) {
-		s.Max = o.Max
-	}
-}
-
-// result finalizes the state for one shipped aggregate function, matching
-// exec's aggState.result on the eligible subset bit for bit.
-func (s *AggState) result(fn string) (value.Value, error) {
-	if s.IsDistinct {
-		switch fn {
-		case "COUNT":
-			return value.NewInt(int64(len(s.Distinct))), nil
-		case "SUM":
-			if len(s.Distinct) == 0 {
-				return value.Null, nil
-			}
-			var sum int64
-			for _, v := range s.Distinct {
-				sum += v.I
-			}
-			return value.NewInt(sum), nil
-		case "MIN", "MAX":
-			out := value.Null
-			for _, v := range s.Distinct {
-				if out.IsNull() || (fn == "MIN" && value.Compare(v, out) < 0) || (fn == "MAX" && value.Compare(v, out) > 0) {
-					out = v
-				}
-			}
-			return out, nil
-		}
-		return value.Null, fmt.Errorf("aggregate %s(DISTINCT) is not distributable", fn)
-	}
-	switch fn {
-	case "COUNT":
-		return value.NewInt(s.Count), nil
-	case "SUM":
-		if !s.HasVal {
-			return value.Null, nil
-		}
-		return value.NewInt(s.SumI), nil
-	case "MIN":
-		return s.Min, nil
-	case "MAX":
-		return s.Max, nil
-	}
-	return value.Null, fmt.Errorf("aggregate %s is not distributable", fn)
-}
-
-// Result finalizes the state for one shipped aggregate function; the
-// coordinator-side planner calls it on merged groups. It matches exec's
-// accumulator finalization on the eligible subset bit for bit.
-func (s *AggState) Result(fn string) (value.Value, error) { return s.result(fn) }
-
-// EmptyAggResult is the aggregate's value over zero input rows (SQL's
-// global group on an empty table): COUNT → 0, SUM/MIN/MAX → NULL.
-func EmptyAggResult(fn string, distinct bool) (value.Value, error) {
-	s := newAggState(distinct)
-	return s.result(fn)
-}
-
-// DistributableAgg reports whether a shipped aggregate function is in the
-// exact-mergeable subset (the planner additionally requires SUM arguments
-// to be integer-typed).
-func DistributableAgg(fn string) bool {
-	switch fn {
-	case "COUNT", "SUM", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-const chunkWireVersion = 1
-
-// Encode renders the chunk in the wire format; batches materialize (a
-// network transport ships rows, not vector pointers).
+// Encode renders the chunk in the wire format.
 func (c *Chunk) Encode() []byte {
 	buf := []byte{chunkWireVersion}
 	buf = binary.AppendUvarint(buf, uint64(c.Shard))
@@ -216,33 +45,34 @@ func (c *Chunk) Encode() []byte {
 	for _, s := range c.Seqs {
 		buf = binary.AppendVarint(buf, s)
 	}
-	rows := c.RowsOf()
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, r := range rows {
+	buf = binary.AppendUvarint(buf, uint64(len(c.Rows)))
+	for _, r := range c.Rows {
 		buf = value.AppendRow(buf, r)
 	}
-	if c.Partial != nil {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(c.Partial.Groups)))
-		for _, g := range c.Partial.Groups {
-			buf = binary.AppendVarint(buf, g.MinSeq)
-			buf = value.AppendRow(buf, g.Key)
-			buf = binary.AppendUvarint(buf, uint64(len(g.States)))
-			for _, st := range g.States {
-				buf = binary.AppendVarint(buf, st.Count)
-				buf = binary.AppendVarint(buf, st.SumI)
-				buf = appendBool(buf, st.HasVal)
-				buf = value.AppendValue(buf, st.Min)
-				buf = value.AppendValue(buf, st.Max)
-				buf = appendBool(buf, st.IsDistinct)
-				buf = binary.AppendUvarint(buf, uint64(len(st.Distinct)))
-				for _, v := range st.Distinct {
-					buf = value.AppendValue(buf, v)
-				}
+	if c.Partial == nil {
+		return append(buf, 0)
+	}
+	buf = append(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Partial.Groups)))
+	for _, g := range c.Partial.Groups {
+		buf = binary.AppendVarint(buf, g.First)
+		buf = value.AppendRow(buf, g.Key)
+		buf = binary.AppendUvarint(buf, uint64(len(g.States)))
+		for _, st := range g.States {
+			buf = binary.AppendVarint(buf, st.Count)
+			buf = value.AppendValue(buf, value.NewDouble(st.Sum))
+			buf = binary.AppendVarint(buf, st.SumI)
+			buf = appendBool(buf, st.IntOnly)
+			buf = value.AppendValue(buf, st.Min)
+			buf = value.AppendValue(buf, st.Max)
+			buf = value.AppendValue(buf, value.NewDouble(st.SumSq))
+			buf = appendBool(buf, st.HasVal)
+			buf = appendBool(buf, st.Distinct)
+			buf = binary.AppendUvarint(buf, uint64(len(st.Order)))
+			for _, v := range st.Order {
+				buf = value.AppendValue(buf, v)
 			}
 		}
-	} else {
-		buf = append(buf, 0)
 	}
 	return buf
 }
@@ -266,32 +96,39 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 		c.Rows = append(c.Rows, d.row())
 	}
 	if d.bool() {
-		p := &Partial{}
+		c.Partial = exec.NewAggPartial()
 		ng := int(d.uvarint())
 		for i := 0; i < ng && d.err == nil; i++ {
-			g := PartialGroup{MinSeq: d.varint(), Key: d.row()}
+			g := &exec.AggGroup{First: d.varint(), Key: d.row()}
 			nst := int(d.uvarint())
 			for j := 0; j < nst && d.err == nil; j++ {
-				st := AggState{
-					Count:  d.varint(),
-					SumI:   d.varint(),
-					HasVal: d.bool(),
-					Min:    d.value(),
-					Max:    d.value(),
+				st := &exec.AggState{
+					Count:    d.varint(),
+					Sum:      d.value().F,
+					SumI:     d.varint(),
+					IntOnly:  d.bool(),
+					Min:      d.value(),
+					Max:      d.value(),
+					SumSq:    d.value().F,
+					HasVal:   d.bool(),
+					Distinct: d.bool(),
 				}
-				st.IsDistinct = d.bool()
 				nd := int(d.uvarint())
 				for k := 0; k < nd && d.err == nil; k++ {
-					st.Distinct = append(st.Distinct, d.value())
+					st.Order = append(st.Order, d.value())
 				}
 				g.States = append(g.States, st)
 			}
-			p.Groups = append(p.Groups, g)
+			c.Partial.Append(g)
 		}
-		c.Partial = p
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("chunk decode: %w", d.err)
+	}
+	// The merge walks Rows by the Seqs cursor: a chunk that disagrees with
+	// itself must not get that far.
+	if len(c.Seqs) != len(c.Rows) {
+		return nil, fmt.Errorf("chunk decode: %d sequences for %d rows", len(c.Seqs), len(c.Rows))
 	}
 	return c, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"hana/internal/exec"
 	"hana/internal/fed"
 	"hana/internal/value"
 )
@@ -30,9 +31,10 @@ type GatherResult struct {
 	// aggregate fragments.
 	Rows []value.Row
 	Seqs []int64
-	// Partial is the merged aggregate state, groups sorted by MinSeq (the
-	// serial first-seen group order). Set only for aggregate fragments.
-	Partial *Partial
+	// Partial is the merged aggregate state, groups sorted by First (their
+	// smallest contributing sequence: the serial first-seen group order).
+	// Set only for aggregate fragments.
+	Partial *exec.AggPartial
 	// Scanned totals the snapshot-visible rows examined across shards.
 	Scanned int64
 	// Fragments counts worker attempts; Failovers counts replica
@@ -131,8 +133,7 @@ func mergeStreams(perShard [][]*Chunk) ([]value.Row, []int64) {
 	for _, chunks := range perShard {
 		cur := &cursor{}
 		for _, ch := range chunks {
-			rows := ch.RowsOf()
-			cur.rows = append(cur.rows, rows...)
+			cur.rows = append(cur.rows, ch.Rows...)
 			cur.seqs = append(cur.seqs, ch.Seqs...)
 		}
 		total += len(cur.rows)
@@ -165,67 +166,19 @@ func mergeStreams(perShard [][]*Chunk) ([]value.Row, []int64) {
 	return rows, seqs
 }
 
-// mergePartials unions the shards' aggregate partials: states for the same
-// group key merge (exact for the shipped subset), and the merged groups
-// sort by their minimum contributing sequence — the order the serial
-// aggregate would have first seen each group.
-func mergePartials(perShard [][]*Chunk) *Partial {
-	total := 0
+// mergePartials unions the shards' aggregate partials with exec's own
+// state merge (exact for the shipped subset), then sorts the merged groups
+// by their minimum contributing sequence — the order the serial aggregate
+// would have first seen each group.
+func mergePartials(perShard [][]*Chunk) *exec.AggPartial {
+	merged := exec.NewAggPartial()
 	for _, chunks := range perShard {
 		for _, ch := range chunks {
 			if ch.Partial != nil {
-				total += len(ch.Partial.Groups)
+				merged.Merge(ch.Partial)
 			}
 		}
 	}
-	table := map[uint64][]*PartialGroup{}
-	order := make([]*PartialGroup, 0, total)
-	var ords []int
-	for _, chunks := range perShard {
-		for _, ch := range chunks {
-			if ch.Partial == nil {
-				continue
-			}
-			for gi := range ch.Partial.Groups {
-				g := &ch.Partial.Groups[gi]
-				if ords == nil {
-					ords = ordinals(len(g.Key))
-				}
-				h := g.Key.Hash(ords)
-				var dst *PartialGroup
-				for _, cand := range table[h] {
-					if cand.Key.EqualAt(g.Key, ords, ords) {
-						dst = cand
-						break
-					}
-				}
-				if dst == nil {
-					cp := PartialGroup{MinSeq: g.MinSeq, Key: g.Key, States: g.States}
-					order = append(order, &cp)
-					table[h] = append(table[h], &cp)
-					continue
-				}
-				if g.MinSeq < dst.MinSeq {
-					dst.MinSeq = g.MinSeq
-				}
-				for i := range dst.States {
-					dst.States[i].merge(g.States[i])
-				}
-			}
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].MinSeq < order[j].MinSeq })
-	p := &Partial{Groups: make([]PartialGroup, len(order))}
-	for i, g := range order {
-		p.Groups[i] = *g
-	}
-	return p
-}
-
-func ordinals(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	sort.SliceStable(merged.Groups, func(i, j int) bool { return merged.Groups[i].First < merged.Groups[j].First })
+	return merged
 }

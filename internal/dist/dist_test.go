@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hana/internal/exec"
 	"hana/internal/faults"
 	"hana/internal/fed"
 	"hana/internal/value"
@@ -165,9 +167,9 @@ func TestGatherAggregatePartials(t *testing.T) {
 		t.Fatalf("got %+v, want 7 groups", res.Partial)
 	}
 	for gi, g := range res.Partial.Groups {
-		// Groups sorted by MinSeq = first-seen order: group key gi at seq gi.
-		if g.Key[0].I != int64(gi) || g.MinSeq != int64(gi) {
-			t.Fatalf("group %d: key %v minseq %d", gi, g.Key, g.MinSeq)
+		// Groups sorted by First = first-seen order: group key gi at seq gi.
+		if g.Key[0].I != int64(gi) || g.First != int64(gi) {
+			t.Fatalf("group %d: key %v first %d", gi, g.Key, g.First)
 		}
 		var count, sum int64
 		minA, maxA := int64(-1), int64(-1)
@@ -180,7 +182,7 @@ func TestGatherAggregatePartials(t *testing.T) {
 			maxA = a
 		}
 		check := func(i int, fn string, want value.Value) {
-			got, err := g.States[i].result(fn)
+			got, err := g.States[i].Result(fn)
 			if err != nil {
 				t.Fatalf("group %d state %d: %v", gi, i, err)
 			}
@@ -336,43 +338,60 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 }
 
 func TestChunkWireRoundTrip(t *testing.T) {
-	st := newAggState(false)
-	st.add(value.NewInt(5))
-	st.add(value.NewInt(9))
-	dst := newAggState(true)
-	dst.add(value.NewString("a"))
-	dst.add(value.NewString("a"))
-	dst.add(value.NewString("b"))
+	// Every accumulator field set to a value its zero would not reproduce.
+	plain := &exec.AggState{Count: 2, Sum: 14.5, SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: 115.25, HasVal: true}
+	distinct := &exec.AggState{Count: 2, Min: value.NewString("a"), Max: value.NewString("b"), HasVal: true,
+		Distinct: true, Order: []value.Value{value.NewString("a"), value.NewString("b")}}
+	p := exec.NewAggPartial()
+	p.Append(&exec.AggGroup{First: 3, Key: value.Row{value.NewString("g"), value.Null}, States: []*exec.AggState{plain, distinct}})
 	ch := &Chunk{
 		Shard: 1, Worker: 2, Scanned: 77,
-		Seqs: []int64{3, 9},
-		Rows: []value.Row{intRow(1, 2), intRow(3, 4)},
-		Partial: &Partial{Groups: []PartialGroup{
-			{MinSeq: 3, Key: value.Row{value.NewString("g")}, States: []AggState{st, dst}},
-		}},
+		Seqs:    []int64{3, 9},
+		Rows:    []value.Row{intRow(1, 2), intRow(3, 4)},
+		Partial: p,
 	}
 	got, err := DecodeChunk(ch.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Shard != 1 || got.Worker != 2 || got.Scanned != 77 || !reflect.DeepEqual(got.Seqs, ch.Seqs) || !reflect.DeepEqual(got.Rows, ch.Rows) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	if !reflect.DeepEqual(got, ch) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ch)
 	}
-	g := got.Partial.Groups[0]
-	if v, _ := g.States[0].result("SUM"); v.I != 14 {
-		t.Fatalf("plain state lost: %+v", g.States[0])
-	}
-	if v, _ := g.States[1].result("COUNT"); v.I != 2 {
-		t.Fatalf("distinct state lost: %+v", g.States[1])
-	}
-	// Distinct merge across decoded states unions correctly.
-	other := newAggState(true)
-	other.add(value.NewString("b"))
-	other.add(value.NewString("c"))
-	merged := g.States[1]
-	merged.merge(other)
-	if v, _ := merged.result("COUNT"); v.I != 3 {
+	// A decoded distinct state still knows what it has counted.
+	other := exec.NewAggState(true)
+	other.Add(value.NewString("b"))
+	other.Add(value.NewString("c"))
+	merged := got.Partial.Groups[0].States[1]
+	merged.Merge(other)
+	if v, _ := merged.Result("COUNT"); v.I != 3 {
 		t.Fatalf("distinct merge after decode: %+v", merged)
+	}
+	// Truncated payloads error instead of panicking.
+	enc := ch.Encode()
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := DecodeChunk(enc[:cut]); err == nil {
+			t.Fatalf("truncation at %d silently accepted", cut)
+		}
+	}
+}
+
+// TestDecodeChunkRejectsSeqRowMismatch: a chunk with three sequences and one
+// row used to decode, and mergeStreams then indexed rows by the sequence
+// cursor and panicked.
+func TestDecodeChunkRejectsSeqRowMismatch(t *testing.T) {
+	b := []byte{chunkWireVersion, 0, 0, 0} // shard, worker, scanned
+	b = append(b, 3, 2, 4, 6)              // three sequences: 1, 2, 3 (zig-zag)
+	b = append(b, 1)                       // one row
+	b = value.AppendRow(b, intRow(7))
+	b = append(b, 0) // no partial
+	if _, err := DecodeChunk(b); err == nil || !strings.Contains(err.Error(), "3 sequences for 1 rows") {
+		t.Fatalf("mismatched chunk decoded: %v", err)
+	}
+	// The bytes are what the codec itself writes for such a chunk, so the
+	// mismatch is the only thing wrong with them.
+	bad := &Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}
+	if !bytes.Equal(bad.Encode(), b) {
+		t.Fatalf("hand-built bytes drifted from the codec:\n%v\n%v", b, bad.Encode())
 	}
 }
 

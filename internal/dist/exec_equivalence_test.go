@@ -1,0 +1,181 @@
+package dist
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"hana/internal/exec"
+	"hana/internal/expr"
+	"hana/internal/value"
+)
+
+// equivRows is the unsharded input of TestFragmentsEqualExecOnUnshardedRows:
+// T(K, G, V) with a NULL in every column somewhere — NULL join keys, NULL
+// group keys, NULL aggregate arguments — and enough rows per shard that a
+// worker cuts more than one morsel.
+func equivRows() []value.Row {
+	const n = 3*exec.DefaultMorselSize + 123
+	rows := make([]value.Row, n)
+	for i := range rows {
+		k, g, v := value.NewInt(int64(i%97)), value.NewString(fmt.Sprintf("g%d", i%5)), value.NewInt(int64(i%13-6))
+		if i%11 == 0 {
+			k = value.Null
+		}
+		if i%7 == 0 {
+			g = value.Null
+		}
+		if i%5 == 0 {
+			v = value.Null
+		}
+		rows[i] = value.Row{k, g, v}
+	}
+	return rows
+}
+
+func equivSchema() *value.Schema {
+	return value.NewSchema(
+		value.Column{Name: "K", Kind: value.KindInt, Nullable: true},
+		value.Column{Name: "G", Kind: value.KindVarchar, Nullable: true},
+		value.Column{Name: "V", Kind: value.KindInt, Nullable: true},
+	)
+}
+
+// TestFragmentsEqualExecOnUnshardedRows pins the worker contract: an
+// aggregate or join fragment gathered over any sharding of the rows —
+// merged, and for aggregates finalised — equals exec's own operator run
+// once over the same rows unsharded, row for row and in order.
+func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
+	rows := equivRows()
+	schema := equivSchema().Qualify("T")
+
+	// Every shippable call, each with and without DISTINCT.
+	calls := []AggCall{{Func: "COUNT"}}
+	for _, fn := range []string{"COUNT", "SUM", "MIN", "MAX"} {
+		calls = append(calls, AggCall{Func: fn, Arg: "V"}, AggCall{Func: fn, Arg: "V", Distinct: true})
+	}
+	buildCols := []value.Column{{Name: "R.K", Kind: value.KindInt, Nullable: true}, {Name: "R.W", Kind: value.KindInt}}
+	var buildRows []value.Row
+	for k := int64(0); k < 40; k++ {
+		buildRows = append(buildRows, intRow(k, k), intRow(k, k+1)) // duplicate build keys
+	}
+	buildRows = append(buildRows, value.Row{value.Null, value.NewInt(1)}) // NULL build key
+	join := &JoinFragment{ProbeKeys: []string{"T.K"}, BuildKeys: []string{"R.K"}, Residual: "MOD(R.W + T.K, 3) <> 0", BuildCols: buildCols, BuildRows: buildRows}
+
+	cases := []struct {
+		name  string
+		where string
+		agg   *AggFragment
+		join  *JoinFragment
+	}{
+		{name: "grouped", agg: &AggFragment{GroupBy: []string{"T.G"}, Aggs: calls}},
+		{name: "grouped-filtered", where: "T.V > 0", agg: &AggFragment{GroupBy: []string{"T.G", "MOD(T.K, 3)"}, Aggs: calls}},
+		{name: "global", agg: &AggFragment{Aggs: calls}},
+		{name: "global-no-rows", where: "T.V > 100", agg: &AggFragment{Aggs: calls}},
+		{name: "join", join: join},
+		{name: "join-filtered", where: "T.G IS NOT NULL", join: join},
+	}
+	// Row i lives on shard i mod (shards-1): the last shard of every
+	// multi-shard fleet stays empty.
+	fleets := map[int]*Local{}
+	for _, shards := range []int{1, 2, 4} {
+		workers := make([]*Worker, shards)
+		seqs := make([][]int64, shards)
+		placed := make([][]value.Row, shards)
+		for i, row := range rows {
+			shard := i % max(1, shards-1)
+			seqs[shard], placed[shard] = append(seqs[shard], int64(i)), append(placed[shard], row)
+		}
+		for i := range workers {
+			workers[i] = NewWorker(i, 2, nil)
+			workers[i].Register("T", equivSchema())
+			if err := workers[i].LoadCommitted("T", i, seqs[i], placed[i], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fleets[shards] = NewLocal(workers)
+	}
+
+	for _, tc := range cases {
+		// The reference: filter, then one exec operator over all the rows.
+		pred, err := parsePredicate(tc.where, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := filterMorsel(pred, rows, make([]int64, len(rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []value.Row
+		var specs []exec.AggSpec
+		if tc.agg != nil {
+			groupBy, err := parseExprList(tc.agg.GroupBy, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.agg.Aggs {
+				spec := exec.AggSpec{Func: c.Func, Distinct: c.Distinct}
+				if c.Arg != "" {
+					es, err := parseExprList([]string{c.Arg}, schema)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Arg = es[0]
+				}
+				specs = append(specs, spec)
+			}
+			out, err := exec.Materialize(&exec.ParallelHashAggregate{In: exec.NewSlice(schema, kept.rows), GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = out.Data
+		} else {
+			buildSchema := &value.Schema{Cols: buildCols}
+			keys := func(sqls []string, s *value.Schema) []expr.Expr {
+				es, err := parseExprList(sqls, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return es
+			}
+			residual, err := parsePredicate(tc.join.Residual, schema.Concat(buildSchema))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = exec.HashJoinParallel(context.Background(), nil, 0, 0, nil, exec.JoinInner,
+				exec.JoinSide{Rows: kept.rows}, exec.JoinSide{Rows: buildRows},
+				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual, len(buildCols))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: reference produced nothing to compare", tc.name)
+		}
+
+		for _, shards := range []int{1, 2, 4} {
+			for _, wire := range []bool{false, true} {
+				tr := fleets[shards]
+				tr.Wire = wire
+				topo := Topology{Shards: shards, Replicas: 1}
+				res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T", Where: tc.where, Agg: tc.agg, Join: tc.join}, 0)
+				got := res.Rows
+				if tc.agg != nil {
+					var err error
+					if got, err = res.Partial.Rows(specs, len(tc.agg.GroupBy) == 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s shards=%d wire=%v: %d rows, want %d", tc.name, shards, wire, len(got), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%s shards=%d wire=%v: row %d = %v, want %v", tc.name, shards, wire, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -57,6 +57,17 @@ type AggCall struct {
 	Distinct bool
 }
 
+// DistributableAgg reports whether a shipped aggregate function is in the
+// exact-mergeable subset (the planner additionally requires SUM arguments
+// to be integer-typed).
+func DistributableAgg(fn string) bool {
+	switch fn {
+	case "COUNT", "SUM", "MIN", "MAX":
+		return true
+	}
+	return false
+}
+
 // JoinFragment broadcasts a realized build side to every shard of the probe
 // table: each worker builds the same hash table in the same row order, so
 // per-probe-row match chains come out in build-input order — exactly the

@@ -358,34 +358,45 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 		}
 	}
 
-	switch {
-	case f.Agg != nil:
-		return w.runAggregate(f, schema, outs, int64(len(rows)), sink)
-	case f.Join != nil:
-		return w.runJoin(f, schema, outs, int64(len(rows)), sink)
-	}
-	// Gather scan: one chunk per morsel, rows in columnar form.
-	for m := range outs {
-		scanned := int64(size)
-		if (m+1)*size > len(rows) {
-			scanned = int64(len(rows) - m*size)
+	if f.Agg == nil && f.Join == nil {
+		// Gather scan: one chunk per morsel.
+		for m := range outs {
+			scanned := min(size, len(rows)-m*size)
+			ch := &Chunk{Shard: f.Shard, Worker: w.id, Seqs: outs[m].seqs, Rows: outs[m].rows, Scanned: int64(scanned)}
+			if err := w.emit(ch, sink); err != nil {
+				return err
+			}
 		}
-		ch := &Chunk{
-			Shard:   f.Shard,
-			Worker:  w.id,
-			Seqs:    outs[m].seqs,
-			Batch:   value.BatchFromRows(schema, outs[m].rows),
-			Scanned: scanned,
+		if nm == 0 {
+			// Empty shard still reports its (zero) scan so streams stay uniform.
+			return w.emit(&Chunk{Shard: f.Shard, Worker: w.id}, sink)
 		}
-		if err := w.emit(ch, sink); err != nil {
-			return err
+		return nil
+	}
+	// Aggregate and join fragments hand the surviving rows, in sequence
+	// order, to the node-local executor.
+	kept, keptSeqs := rows, seqs
+	if pred != nil {
+		n := 0
+		for _, mo := range outs {
+			n += len(mo.rows)
+		}
+		kept, keptSeqs = make([]value.Row, 0, n), make([]int64, 0, n)
+		for _, mo := range outs {
+			kept = append(kept, mo.rows...)
+			keptSeqs = append(keptSeqs, mo.seqs...)
 		}
 	}
-	if nm == 0 {
-		// Empty shard still reports its (zero) scan so streams stay uniform.
-		return w.emit(&Chunk{Shard: f.Shard, Worker: w.id}, sink)
+	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(rows))}
+	if f.Agg != nil {
+		ch.Partial, err = w.runAggregate(ctx, f, schema, kept, keptSeqs)
+	} else {
+		ch.Rows, ch.Seqs, err = w.runJoin(ctx, f, schema, kept, keptSeqs)
 	}
-	return nil
+	if err != nil {
+		return err
+	}
+	return w.emit(ch, sink)
 }
 
 // filterMorsel runs the shipped predicate over one morsel's rows, keeping
@@ -459,222 +470,65 @@ func (sc *shardCopy) visibleRows(snapshot uint64) ([]value.Row, []int64) {
 	return rows, seqs
 }
 
-// runAggregate folds the filtered rows (in sequence order) into one partial
-// group table and emits it as a single chunk.
-func (w *Worker) runAggregate(f *Fragment, schema *value.Schema, outs []morselOut, scanned int64, sink func(*Chunk) error) error {
+// runAggregate runs exec's morsel-parallel aggregate over the filtered rows
+// and returns its unfinalised group table, each group's First mapped from
+// the row's ordinal to its global scan sequence.
+func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Schema, rows []value.Row, seqs []int64) (*exec.AggPartial, error) {
 	groupBy, err := parseExprList(f.Agg.GroupBy, schema)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// args[i] is nil for COUNT(*).
-	args := make([]expr.Expr, len(f.Agg.Aggs))
+	aggs := make([]exec.AggSpec, len(f.Agg.Aggs))
 	for i, a := range f.Agg.Aggs {
-		if a.Arg == "" {
+		aggs[i] = exec.AggSpec{Func: a.Func, Distinct: a.Distinct}
+		if a.Arg == "" { // COUNT(*)
 			continue
 		}
 		es, err := parseExprList([]string{a.Arg}, schema)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		args[i] = es[0]
+		aggs[i].Arg = es[0]
 	}
-	p, err := foldAggregate(f.Agg.Aggs, groupBy, args, outs)
+	agg := &exec.ParallelHashAggregate{In: exec.NewSlice(schema, rows), GroupBy: groupBy, Aggs: aggs, Pool: w.pool, Ctx: ctx, Width: f.Width}
+	p, err := agg.Partial()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return w.emit(&Chunk{Shard: f.Shard, Worker: w.id, Partial: p, Scanned: scanned}, sink)
-}
-
-// foldAggregate folds the filtered rows (in sequence order) into one
-// partial group table — the per-row aggregate loop of a shard fragment.
-func foldAggregate(aggs []AggCall, groupBy, args []expr.Expr, outs []morselOut) (*Partial, error) {
-	keyOrds := make([]int, len(groupBy))
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
-	type group struct {
-		minSeq int64
-		key    value.Row
-		states []AggState
-	}
-	table := map[uint64][]*group{}
-	order := make([]*group, 0, 64)
-	key := make(value.Row, len(groupBy))
-	for _, mo := range outs {
-		for ri, row := range mo.rows {
-			for i, g := range groupBy {
-				v, err := g.Eval(row)
-				if err != nil {
-					return nil, err
-				}
-				key[i] = v
-			}
-			hsh := key.Hash(keyOrds)
-			var grp *group
-			for _, g := range table[hsh] {
-				if key.EqualAt(g.key, keyOrds, keyOrds) {
-					grp = g
-					break
-				}
-			}
-			if grp == nil {
-				grp = &group{minSeq: mo.seqs[ri], key: key.Clone(), states: make([]AggState, 0, len(aggs))}
-				for _, a := range aggs {
-					grp.states = append(grp.states, newAggState(a.Distinct))
-				}
-				table[hsh] = append(table[hsh], grp)
-				order = append(order, grp)
-			}
-			for i, a := range aggs {
-				if a.Arg == "" { // COUNT(*)
-					grp.states[i].Count++
-					grp.states[i].HasVal = true
-					continue
-				}
-				v, err := args[i].Eval(row)
-				if err != nil {
-					return nil, err
-				}
-				grp.states[i].add(v)
-			}
-		}
-	}
-	p := &Partial{Groups: make([]PartialGroup, 0, len(order))}
-	for _, g := range order {
-		p.Groups = append(p.Groups, PartialGroup{MinSeq: g.minSeq, Key: g.key, States: g.states})
+	for _, g := range p.Groups {
+		g.First = seqs[g.First]
 	}
 	return p, nil
 }
 
-// runJoin probes the filtered shard rows against the broadcast build side,
-// replicating the serial hash join's semantics exactly: FNV-1a key hashing,
-// NULL keys never match, matches emitted in build-input order, residual
-// evaluated on the combined row. Output rows carry their probe row's
-// sequence, so the coordinator merge restores probe-input order globally.
-func (w *Worker) runJoin(f *Fragment, schema *value.Schema, outs []morselOut, scanned int64, sink func(*Chunk) error) error {
+// runJoin probes the filtered shard rows against the broadcast build side
+// with exec's parallel hash join — the serial hash join's semantics: NULL
+// keys never match, matches emitted in build-input order, residual evaluated
+// on the combined row. Output rows carry their probe row's sequence, so the
+// coordinator merge restores probe-input order globally.
+func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema, rows []value.Row, seqs []int64) ([]value.Row, []int64, error) {
 	j := f.Join
 	buildSchema := &value.Schema{Cols: j.BuildCols}
 	probeKeys, err := parseExprList(j.ProbeKeys, schema)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	buildKeys, err := parseExprList(j.BuildKeys, buildSchema)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	combined := schema.Concat(buildSchema)
-	residual, err := parsePredicate(j.Residual, combined)
+	residual, err := parsePredicate(j.Residual, schema.Concat(buildSchema))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-
-	jt, err := buildJoinTable(buildKeys, j.BuildRows)
+	out, ords, err := exec.HashJoinProbeOrdinals(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
+		exec.JoinSide{Rows: rows}, exec.JoinSide{Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	lw, rw := schema.Len(), buildSchema.Len()
-	vals := make([]value.Value, len(probeKeys))
-	for _, mo := range outs {
-		out, outSeqs, err := probeJoinMorsel(jt, probeKeys, residual, j.BuildRows, lw, rw, vals, mo)
-		if err != nil {
-			return err
-		}
-		if err := w.emit(&Chunk{Shard: f.Shard, Worker: w.id, Seqs: outSeqs, Rows: out}, sink); err != nil {
-			return err
-		}
-	}
-	// Report the scan count once (join chunks are per morsel, the scan
-	// covers the whole shard).
-	return w.emit(&Chunk{Shard: f.Shard, Worker: w.id, Scanned: scanned}, sink)
-}
-
-// joinTable is one broadcast build side hashed for probing: chains hold
-// build indices in input order (the serial chain order), vals the evaluated
-// key columns per build row (nil for rows with a NULL key).
-type joinTable struct {
-	chains map[uint64][]int
-	vals   [][]value.Value
-}
-
-// buildJoinTable hashes the broadcast rows — the per-build-row loop.
-func buildJoinTable(buildKeys []expr.Expr, buildRows []value.Row) (*joinTable, error) {
-	jt := &joinTable{chains: map[uint64][]int{}, vals: make([][]value.Value, len(buildRows))}
-	for i, row := range buildRows {
-		vals := make([]value.Value, 0, len(buildKeys))
-		var h uint64 = 1469598103934665603
-		hasNull := false
-		for _, ke := range buildKeys {
-			v, err := ke.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				hasNull = true
-				break
-			}
-			vals = append(vals, v)
-			h = h*1099511628211 ^ v.Hash()
-		}
-		if hasNull {
-			continue // NULL keys never match
-		}
-		jt.vals[i] = vals
-		jt.chains[h] = append(jt.chains[h], i)
-	}
-	return jt, nil
-}
-
-// probeJoinMorsel probes one morsel's filtered rows against the build
-// table — the per-probe-row loop. vals is the caller's reusable key
-// scratch; output rows carry their probe row's sequence.
-func probeJoinMorsel(jt *joinTable, probeKeys []expr.Expr, residual expr.Expr, buildRows []value.Row, lw, rw int, vals []value.Value, mo morselOut) ([]value.Row, []int64, error) {
-	out := make([]value.Row, 0, len(mo.rows))
-	outSeqs := make([]int64, 0, len(mo.rows))
-	for ri, l := range mo.rows {
-		var h uint64 = 1469598103934665603
-		hasNull := false
-		for k, ke := range probeKeys {
-			v, err := ke.Eval(l)
-			if err != nil {
-				return nil, nil, err
-			}
-			if v.IsNull() {
-				hasNull = true
-				break
-			}
-			vals[k] = v
-			h = h*1099511628211 ^ v.Hash()
-		}
-		if hasNull {
-			continue
-		}
-		for _, bi := range jt.chains[h] {
-			bv := jt.vals[bi]
-			eq := true
-			for k := range vals {
-				if value.Compare(vals[k], bv[k]) != 0 {
-					eq = false
-					break
-				}
-			}
-			if !eq {
-				continue
-			}
-			combinedRow := make(value.Row, lw+rw)
-			copy(combinedRow[:lw], l)
-			copy(combinedRow[lw:], buildRows[bi])
-			if residual != nil {
-				keep, err := expr.Truthy(residual, combinedRow)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			out = append(out, combinedRow)
-			outSeqs = append(outSeqs, mo.seqs[ri])
-		}
+	outSeqs := make([]int64, len(ords))
+	for i, o := range ords {
+		outSeqs[i] = seqs[o]
 	}
 	return out, outSeqs, nil
 }

@@ -52,23 +52,6 @@ func (e *Engine) initDist() {
 	}
 }
 
-// SetTopology rebuilds the worker fleet for a new topology on an
-// already-constructed engine and reseeds every shardable table onto it.
-// It must not run concurrently with statement execution: the fleet swap is
-// unsynchronized by design, matching the setter it replaces.
-//
-// Deprecated: set Config.Topology before engine.New/Open instead — the
-// Config field wires the fleet during construction, before recovery
-// reseeds it, so tables never transit an unsharded window. SetTopology
-// remains only as a bridge for callers that construct engines before
-// choosing a topology.
-func (e *Engine) SetTopology(topo dist.Topology) error {
-	e.cfg.Topology = topo
-	e.dist = nil
-	e.initDist()
-	return e.distReseedAll()
-}
-
 // Topology reports the engine's distributed topology (zero value when
 // single-node).
 func (e *Engine) Topology() dist.Topology {

@@ -199,55 +199,6 @@ func TestDistRecoveryReseeds(t *testing.T) {
 	sameRowsDist(t, "post-recovery", got, want)
 }
 
-// The deprecated SetTopology bridge must land the engine in exactly the
-// state Config.Topology produces: same shard placement, same rows.
-func TestDeprecatedSetTopologyMatchesConfigTopology(t *testing.T) {
-	topo := dist.Topology{Shards: 3}
-	load := func(e *Engine) {
-		exec1(t, e, "CREATE TABLE P (A INT PRIMARY KEY, B INT)")
-		for i := 0; i < 150; i++ {
-			exec1(t, e, fmt.Sprintf("INSERT INTO P VALUES (%d, %d)", i, i*i))
-		}
-	}
-
-	viaConfig := New(Config{Topology: topo})
-	load(viaConfig)
-
-	viaSetter := New(Config{})
-	load(viaSetter)
-	if err := viaSetter.SetTopology(topo); err != nil {
-		t.Fatal(err)
-	}
-
-	wantCounts, err := viaConfig.DistShardCounts("P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCounts, err := viaSetter.DistShardCounts("P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCounts, wantCounts) {
-		t.Fatalf("shard placement diverged: SetTopology %v, Config %v", gotCounts, wantCounts)
-	}
-
-	ctx := context.Background()
-	for _, q := range []string{
-		"SELECT A, B FROM P WHERE MOD(A, 4) = 1",
-		"SELECT COUNT(*), MIN(B), MAX(B) FROM P",
-	} {
-		want, err := viaConfig.ExecuteContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := viaSetter.ExecuteContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRowsDist(t, q, got, want)
-	}
-}
-
 // The deprecated Execute wrapper must stay byte-identical to
 // ExecuteContext on a sharded engine — migration to the topology-aware
 // entry point must never change results.

@@ -210,31 +210,14 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 	}
 
 	// Finalize the merged partials into aggregate output rows; group order
-	// is the serial first-seen order (merged groups sort by MinSeq).
-	rows := make([]value.Row, 0, len(res.Partial.Groups))
-	for _, g := range res.Partial.Groups {
-		row := make(value.Row, 0, len(g.Key)+len(calls))
-		row = append(row, g.Key...)
-		for i, c := range calls {
-			v, err := g.States[i].Result(c.Func)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
+	// is the serial first-seen order (merged groups sort by First).
+	specs := make([]exec.AggSpec, len(calls))
+	for i, c := range calls {
+		specs[i] = exec.AggSpec{Func: c.Func, Distinct: c.Distinct}
 	}
-	if len(sel.GroupBy) == 0 && len(rows) == 0 {
-		// SQL's single global group over empty input.
-		row := make(value.Row, 0, len(calls))
-		for _, c := range calls {
-			v, err := dist.EmptyAggResult(c.Func, c.Distinct)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
+	rows, err := res.Partial.Rows(specs, len(sel.GroupBy) == 0)
+	if err != nil {
+		return nil, nil, false, err
 	}
 
 	shards := p.e.dist.topo.Shards

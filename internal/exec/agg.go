@@ -16,126 +16,244 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count   int64
-	sum     float64
-	sumI    int64
-	intOnly bool
-	min     value.Value
-	max     value.Value
-	sumSq   float64
-	seen    map[value.Value]bool // DISTINCT
-	order   []value.Value        // DISTINCT values in first-seen order
-	hasVal  bool
+// AggState accumulates one aggregate for one group. The exported fields are
+// the whole state — two states with equal fields merge and finalise alike —
+// so internal/dist ships them between nodes as they are.
+type AggState struct {
+	Count   int64
+	Sum     float64
+	SumI    int64
+	IntOnly bool
+	Min     value.Value
+	Max     value.Value
+	SumSq   float64
+	HasVal  bool
+	// Distinct marks a DISTINCT aggregate; Order holds the values it has
+	// counted, in first-seen order.
+	Distinct bool
+	Order    []value.Value
+	seen     map[value.Value]bool // index of Order; rebuilt on first Add when the state was copied field by field
 }
 
-func newAggState(distinct bool) *aggState {
-	s := &aggState{intOnly: true, min: value.Null, max: value.Null}
+// NewAggState returns the empty accumulator.
+func NewAggState(distinct bool) *AggState {
+	s := &AggState{IntOnly: true, Min: value.Null, Max: value.Null, Distinct: distinct}
 	if distinct {
 		s.seen = map[value.Value]bool{}
 	}
 	return s
 }
 
-func (s *aggState) add(v value.Value) {
+// Add folds one argument value into the state (COUNT(*) has no argument:
+// its callers bump Count and set HasVal directly).
+func (s *AggState) Add(v value.Value) {
 	if v.IsNull() {
 		return
 	}
-	if s.seen != nil {
+	if s.Distinct {
+		if s.seen == nil {
+			s.seen = make(map[value.Value]bool, len(s.Order))
+			for _, o := range s.Order {
+				s.seen[o] = true
+			}
+		}
 		if s.seen[v] {
 			return
 		}
 		s.seen[v] = true
-		s.order = append(s.order, v)
+		s.Order = append(s.Order, v)
 	}
-	s.hasVal = true
-	s.count++
+	s.HasVal = true
+	s.Count++
 	switch v.K {
 	case value.KindInt:
-		s.sumI += v.I
-		s.sum += float64(v.I)
+		s.SumI += v.I
+		s.Sum += float64(v.I)
 	case value.KindDouble:
-		s.intOnly = false
-		s.sum += v.F
+		s.IntOnly = false
+		s.Sum += v.F
 	default:
-		s.intOnly = false
+		s.IntOnly = false
 	}
-	s.sumSq += v.Float() * v.Float()
-	if s.min.IsNull() || value.Compare(v, s.min) < 0 {
-		s.min = v
+	s.SumSq += v.Float() * v.Float()
+	if s.Min.IsNull() || value.Compare(v, s.Min) < 0 {
+		s.Min = v
 	}
-	if s.max.IsNull() || value.Compare(v, s.max) > 0 {
-		s.max = v
+	if s.Max.IsNull() || value.Compare(v, s.Max) > 0 {
+		s.Max = v
 	}
 }
 
-// merge folds another partial state for the same group into s. DISTINCT
+// Merge folds another partial state for the same group into s. DISTINCT
 // states replay the other side's values in their first-seen order, so a
 // chain of merges in morsel order reproduces exactly the state a serial
 // pass over the concatenated input would build. Plain states combine their
 // running sums, which is also order-independent only across morsel
 // boundaries — the per-morsel partials themselves are fixed by the morsel
 // boundaries, so the merged result is identical at any worker count.
-func (s *aggState) merge(o *aggState) {
-	if s.seen != nil {
-		for _, v := range o.order {
-			s.add(v)
+func (s *AggState) Merge(o *AggState) {
+	if s.Distinct {
+		for _, v := range o.Order {
+			s.Add(v)
 		}
 		return
 	}
-	if o.count == 0 && !o.hasVal {
+	if o.Count == 0 && !o.HasVal {
 		return
 	}
-	s.hasVal = s.hasVal || o.hasVal
-	s.count += o.count
-	s.sumI += o.sumI
-	s.sum += o.sum
-	s.sumSq += o.sumSq
-	s.intOnly = s.intOnly && o.intOnly
-	if !o.min.IsNull() && (s.min.IsNull() || value.Compare(o.min, s.min) < 0) {
-		s.min = o.min
+	s.HasVal = s.HasVal || o.HasVal
+	s.Count += o.Count
+	s.SumI += o.SumI
+	s.Sum += o.Sum
+	s.SumSq += o.SumSq
+	s.IntOnly = s.IntOnly && o.IntOnly
+	if !o.Min.IsNull() && (s.Min.IsNull() || value.Compare(o.Min, s.Min) < 0) {
+		s.Min = o.Min
 	}
-	if !o.max.IsNull() && (s.max.IsNull() || value.Compare(o.max, s.max) > 0) {
-		s.max = o.max
+	if !o.Max.IsNull() && (s.Max.IsNull() || value.Compare(o.Max, s.Max) > 0) {
+		s.Max = o.Max
 	}
 }
 
-func (s *aggState) result(fn string) (value.Value, error) {
+// Result finalises the state for one aggregate function.
+func (s *AggState) Result(fn string) (value.Value, error) {
 	switch fn {
 	case "COUNT":
-		return value.NewInt(s.count), nil
+		return value.NewInt(s.Count), nil
 	case "SUM":
-		if !s.hasVal {
+		if !s.HasVal {
 			return value.Null, nil
 		}
-		if s.intOnly {
-			return value.NewInt(s.sumI), nil
+		if s.IntOnly {
+			return value.NewInt(s.SumI), nil
 		}
-		return value.NewDouble(s.sum), nil
+		return value.NewDouble(s.Sum), nil
 	case "AVG":
-		if s.count == 0 {
+		if s.Count == 0 {
 			return value.Null, nil
 		}
-		return value.NewDouble(s.sum / float64(s.count)), nil
+		return value.NewDouble(s.Sum / float64(s.Count)), nil
 	case "MIN":
-		return s.min, nil
+		return s.Min, nil
 	case "MAX":
-		return s.max, nil
+		return s.Max, nil
 	case "VAR":
-		if s.count < 2 {
+		if s.Count < 2 {
 			return value.Null, nil
 		}
-		mean := s.sum / float64(s.count)
-		return value.NewDouble(s.sumSq/float64(s.count) - mean*mean), nil
+		mean := s.Sum / float64(s.Count)
+		return value.NewDouble(s.SumSq/float64(s.Count) - mean*mean), nil
 	case "STDDEV":
-		if s.count < 2 {
+		if s.Count < 2 {
 			return value.Null, nil
 		}
-		mean := s.sum / float64(s.count)
-		return value.NewDouble(math.Sqrt(math.Max(0, s.sumSq/float64(s.count)-mean*mean))), nil
+		mean := s.Sum / float64(s.Count)
+		return value.NewDouble(math.Sqrt(math.Max(0, s.SumSq/float64(s.Count)-mean*mean))), nil
 	}
 	return value.Null, fmt.Errorf("unknown aggregate %s", fn)
+}
+
+// AggGroup is one group of a group table: its key, one state per aggregate,
+// and First, the ordinal in the operator's input of the first row that fell
+// into the group. Merging keeps the smaller First; a caller that merges
+// partials of different inputs first rewrites First into a numbering they
+// share (a dist worker: the row's global scan sequence).
+type AggGroup struct {
+	Key    value.Row
+	States []*AggState
+	First  int64
+	hash   uint64 // of Key, set by whichever AggPartial method added the group
+}
+
+// AggPartial is one morsel's (or a merged) group table, Groups in first-seen
+// order (a holder of the merged table may re-sort them).
+type AggPartial struct {
+	Groups []*AggGroup
+	table  map[uint64][]*AggGroup
+}
+
+// NewAggPartial returns an empty group table.
+func NewAggPartial() *AggPartial { return &AggPartial{table: map[uint64][]*AggGroup{}} }
+
+// insert appends a group whose key the table does not hold yet.
+func (p *AggPartial) insert(hsh uint64, g *AggGroup) {
+	g.hash = hsh
+	p.table[hsh] = append(p.table[hsh], g)
+	p.Groups = append(p.Groups, g)
+}
+
+// Append adds a group under a key the table does not hold yet — how a wire
+// decoder rebuilds a shipped partial.
+func (p *AggPartial) Append(g *AggGroup) { p.insert(g.Key.Hash(ordinals(len(g.Key))), g) }
+
+// Merge folds o's groups into p in o's order: a key p lacks is appended (p
+// shares the group with o from then on), a key p has merges state by state.
+// Merging morsel partials in morsel order therefore leaves Groups in the
+// input's first-seen order.
+func (p *AggPartial) Merge(o *AggPartial) {
+	if len(o.Groups) == 0 {
+		return
+	}
+	ords := ordinals(len(o.Groups[0].Key))
+	for _, g := range o.Groups {
+		var dst *AggGroup
+		for _, cand := range p.table[g.hash] {
+			if cand.Key.EqualAt(g.Key, ords, ords) {
+				dst = cand
+				break
+			}
+		}
+		if dst == nil {
+			p.insert(g.hash, g)
+			continue
+		}
+		if g.First < dst.First {
+			dst.First = g.First
+		}
+		for i := range dst.States {
+			dst.States[i].Merge(g.States[i])
+		}
+	}
+}
+
+// Rows finalises the groups, in order, into [key…, aggregate results…] rows.
+// global asks for SQL's single group over empty input when there is none.
+func (p *AggPartial) Rows(aggs []AggSpec, global bool) ([]value.Row, error) {
+	groups := p.Groups
+	if len(groups) == 0 && global {
+		groups = []*AggGroup{newAggGroup(nil, aggs, 0)}
+	}
+	rows := make([]value.Row, 0, len(groups))
+	for _, g := range groups {
+		out := make(value.Row, 0, len(g.Key)+len(aggs))
+		out = append(out, g.Key...)
+		for i, a := range aggs {
+			v, err := g.States[i].Result(a.Func)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		rows = append(rows, out)
+	}
+	return rows, nil
+}
+
+// newAggGroup starts a group with empty states for the aggregates.
+func newAggGroup(key value.Row, aggs []AggSpec, first int) *AggGroup {
+	g := &AggGroup{Key: key, States: make([]*AggState, len(aggs)), First: int64(first)}
+	for i, a := range aggs {
+		g.States[i] = NewAggState(a.Distinct)
+	}
+	return g
+}
+
+func ordinals(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // HashAggregate groups by the bound GroupBy expressions and computes Aggs.
@@ -156,11 +274,6 @@ type HashAggregate struct {
 // Schema implements Iter.
 func (h *HashAggregate) Schema() *value.Schema { return h.Out }
 
-type aggGroup struct {
-	key    value.Row
-	states []*aggState
-}
-
 // Next implements Iter.
 func (h *HashAggregate) Next() (value.Row, bool, error) {
 	if !h.done {
@@ -177,16 +290,13 @@ func (h *HashAggregate) Next() (value.Row, bool, error) {
 }
 
 func (h *HashAggregate) run() error {
-	table := map[uint64][]*aggGroup{}
-	var order []*aggGroup
-	keyOrds := make([]int, len(h.GroupBy))
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
+	table := map[uint64][]*AggGroup{}
+	var order []*AggGroup
+	keyOrds := ordinals(len(h.GroupBy))
 	// Scratch key buffer, reused across rows; only Clone() on a fresh group
 	// retains the values.
 	key := make(value.Row, len(h.GroupBy))
-	for {
+	for n := 0; ; n++ {
 		row, ok, err := h.In.Next()
 		if err != nil {
 			return err
@@ -202,55 +312,34 @@ func (h *HashAggregate) run() error {
 			key[i] = v
 		}
 		hsh := key.Hash(keyOrds)
-		var grp *aggGroup
+		var grp *AggGroup
 		for _, g := range table[hsh] {
-			if key.EqualAt(g.key, keyOrds, keyOrds) {
+			if key.EqualAt(g.Key, keyOrds, keyOrds) {
 				grp = g
 				break
 			}
 		}
 		if grp == nil {
-			grp = &aggGroup{key: key.Clone()}
-			for _, a := range h.Aggs {
-				grp.states = append(grp.states, newAggState(a.Distinct))
-			}
+			grp = newAggGroup(key.Clone(), h.Aggs, n)
 			table[hsh] = append(table[hsh], grp)
 			//lint:ignore hotalloc order grows once per distinct group, not per row; the group count is unknown upfront
 			order = append(order, grp)
 		}
 		for i, a := range h.Aggs {
 			if a.Arg == nil { // COUNT(*)
-				grp.states[i].count++
-				grp.states[i].hasVal = true
+				grp.States[i].Count++
+				grp.States[i].HasVal = true
 				continue
 			}
 			v, err := a.Arg.Eval(row)
 			if err != nil {
 				return err
 			}
-			grp.states[i].add(v)
+			grp.States[i].Add(v)
 		}
 	}
-	if len(order) == 0 && len(h.GroupBy) == 0 {
-		// Global aggregate over empty input still yields one row.
-		g := &aggGroup{}
-		for _, a := range h.Aggs {
-			g.states = append(g.states, newAggState(a.Distinct))
-		}
-		order = append(order, g)
-	}
-	for _, g := range order {
-		out := make(value.Row, 0, len(g.key)+len(h.Aggs))
-		out = append(out, g.key...)
-		for i, a := range h.Aggs {
-			v, err := g.states[i].result(a.Func)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		h.groups = append(h.groups, out)
-	}
-	h.done = true
-	return nil
+	var err error
+	h.groups, err = (&AggPartial{Groups: order}).Rows(h.Aggs, len(h.GroupBy) == 0)
+	h.done = err == nil
+	return err
 }

@@ -33,7 +33,7 @@ func TestAggregateMorselSubLinearAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := aggregateMorsel(rows, groupBy, aggs, []int{0}); err != nil {
+		if _, err := aggregateMorsel(rows, 0, groupBy, aggs, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -137,7 +137,7 @@ func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
 	plan := planBatchAgg(groupBy, aggs)
 	segs := []batchSeg{{b: b, lo: 0, hi: b.Len()}}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := aggregateBatchMorsel(segs, groupBy, aggs, []int{0}, plan); err != nil {
+		if _, err := aggregateBatchMorsel(segs, 0, groupBy, aggs, []int{0}, plan); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -220,16 +220,17 @@ func planBatchAgg(groupBy []expr.Expr, aggs []AggSpec) batchAggPlan {
 	return p
 }
 
-// aggregateBatchMorsel is aggregateMorsel over columnar segments: the same
+// aggregateBatchMorsel is aggregateMorsel over columnar segments (base is
+// the input ordinal of the first segment's first row): the same
 // scratch-key buffer, hash-chain lookup, first-seen ordering and
 // accumulation sequence, with group keys and arguments boxed one value at
 // a time from the vectors instead of via materialized rows. General
 // expressions first try a compiled numeric kernel (expr.EvalKernel, whose
 // results match Eval bit for bit); only expressions no kernel covers fall
 // back to Eval on a scratch row filled at the referenced ordinals.
-func aggregateBatchMorsel(segs []batchSeg, groupBy []expr.Expr, aggs []AggSpec,
-	keyOrds []int, plan batchAggPlan) (*aggPartial, error) {
-	pt := &aggPartial{table: map[uint64][]*aggGroup{}}
+func aggregateBatchMorsel(segs []batchSeg, base int, groupBy []expr.Expr, aggs []AggSpec,
+	keyOrds []int, plan batchAggPlan) (*AggPartial, error) {
+	pt := NewAggPartial()
 	key := make(value.Row, len(groupBy))
 	var scratch value.Row
 	keyKs := make([]func(int) (value.Value, error), len(groupBy))
@@ -286,42 +287,38 @@ func aggregateBatchMorsel(segs []batchSeg, groupBy []expr.Expr, aggs []AggSpec,
 				key[gi] = v
 			}
 			hsh := key.Hash(keyOrds)
-			var grp *aggGroup
+			var grp *AggGroup
 			for _, g := range pt.table[hsh] {
-				if key.EqualAt(g.key, keyOrds, keyOrds) {
+				if key.EqualAt(g.Key, keyOrds, keyOrds) {
 					grp = g
 					break
 				}
 			}
 			if grp == nil {
-				grp = &aggGroup{key: key.Clone()}
-				for _, a := range aggs {
-					grp.states = append(grp.states, newAggState(a.Distinct))
-				}
-				pt.table[hsh] = append(pt.table[hsh], grp)
-				pt.order = append(pt.order, grp)
-				pt.hashes = append(pt.hashes, hsh)
+				grp = newAggGroup(key.Clone(), aggs, base)
+				pt.insert(hsh, grp)
 			}
+			base++
 			for ai, a := range aggs {
 				ord := plan.argCols[ai]
 				switch {
 				case ord == -2: // COUNT(*)
-					grp.states[ai].count++
-					grp.states[ai].hasVal = true
+					grp.States[ai].Count++
+					grp.States[ai].HasVal = true
 				case ord >= 0 && ord < len(b.Cols):
-					grp.states[ai].add(b.Cols[ord].Value(i))
+					grp.States[ai].Add(b.Cols[ord].Value(i))
 				case argKs[ai] != nil:
 					v, err := argKs[ai](i)
 					if err != nil {
 						return nil, err
 					}
-					grp.states[ai].add(v)
+					grp.States[ai].Add(v)
 				default:
 					v, err := a.Arg.Eval(scratch)
 					if err != nil {
 						return nil, err
 					}
-					grp.states[ai].add(v)
+					grp.States[ai].Add(v)
 				}
 			}
 		}

@@ -57,15 +57,21 @@ func (h *ParallelHashAggregate) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
-// aggPartial is one morsel's (or the merged) group table. hashes is aligned
-// with order so the merge never re-evaluates group-by expressions.
-type aggPartial struct {
-	table  map[uint64][]*aggGroup
-	order  []*aggGroup
-	hashes []uint64
+func (h *ParallelHashAggregate) run() error {
+	merged, err := h.Partial()
+	if err != nil {
+		return err
+	}
+	h.groups, err = merged.Rows(h.Aggs, len(h.GroupBy) == 0)
+	h.done = err == nil
+	return err
 }
 
-func (h *ParallelHashAggregate) run() error {
+// Partial drains the input and returns its merged, not yet finalised group
+// table: Groups in the input's first-seen order, each First the ordinal of
+// the group's first input row. A dist worker ships this as its shard's
+// aggregate state; Next finalises the same table.
+func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	ctx := h.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -86,14 +92,14 @@ func (h *ParallelHashAggregate) run() error {
 	if bi, ok := h.In.(BatchIter); ok {
 		var err error
 		if bs, err = collectBatches(bi); err != nil {
-			return err
+			return nil, err
 		}
 		offs = batchOffsets(bs)
 		bpl = planBatchAgg(h.GroupBy, h.Aggs)
 	} else {
 		var err error
 		if data, err = drainRows(h.In); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	total := len(data)
@@ -104,13 +110,10 @@ func (h *ParallelHashAggregate) run() error {
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
-	keyOrds := make([]int, len(h.GroupBy))
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
+	keyOrds := ordinals(len(h.GroupBy))
 
 	nm := (total + size - 1) / size
-	partials := make([]*aggPartial, nm)
+	partials := make([]*AggPartial, nm)
 	if nm > 0 {
 		workers, err := pool.Run(ctx, nm, h.Width, func(_ context.Context, m int) error {
 			lo := m * size
@@ -118,12 +121,12 @@ func (h *ParallelHashAggregate) run() error {
 			if hi > total {
 				hi = total
 			}
-			var pt *aggPartial
+			var pt *AggPartial
 			var err error
 			if bs != nil {
-				pt, err = aggregateBatchMorsel(batchSegments(bs, offs, lo, hi), h.GroupBy, h.Aggs, keyOrds, bpl)
+				pt, err = aggregateBatchMorsel(batchSegments(bs, offs, lo, hi), lo, h.GroupBy, h.Aggs, keyOrds, bpl)
 			} else {
-				pt, err = aggregateMorsel(data[lo:hi], h.GroupBy, h.Aggs, keyOrds)
+				pt, err = aggregateMorsel(data[lo:hi], lo, h.GroupBy, h.Aggs, keyOrds)
 			}
 			if err != nil {
 				return err
@@ -132,7 +135,7 @@ func (h *ParallelHashAggregate) run() error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		h.Stats.NoteDispatch(nm, workers)
 	}
@@ -140,62 +143,22 @@ func (h *ParallelHashAggregate) run() error {
 	// Barrier: merge partial tables in morsel order. A group's first
 	// appearance across morsels matches its first appearance in the input,
 	// so the merged order equals the serial first-seen order.
-	merged := &aggPartial{table: map[uint64][]*aggGroup{}}
+	merged := NewAggPartial()
 	for _, pt := range partials {
-		for gi, g := range pt.order {
-			hsh := pt.hashes[gi]
-			var dst *aggGroup
-			for _, cand := range merged.table[hsh] {
-				if cand.key.EqualAt(g.key, keyOrds, keyOrds) {
-					dst = cand
-					break
-				}
-			}
-			if dst == nil {
-				merged.table[hsh] = append(merged.table[hsh], g)
-				merged.order = append(merged.order, g)
-				merged.hashes = append(merged.hashes, hsh)
-				continue
-			}
-			for i := range dst.states {
-				dst.states[i].merge(g.states[i])
-			}
-		}
+		merged.Merge(pt)
 	}
-
-	order := merged.order
-	if len(order) == 0 && len(h.GroupBy) == 0 {
-		// Global aggregate over empty input still yields one row.
-		g := &aggGroup{}
-		for _, a := range h.Aggs {
-			g.states = append(g.states, newAggState(a.Distinct))
-		}
-		order = append(order, g)
-	}
-	for _, g := range order {
-		out := make(value.Row, 0, len(g.key)+len(h.Aggs))
-		out = append(out, g.key...)
-		for i, a := range h.Aggs {
-			v, err := g.states[i].result(a.Func)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		h.groups = append(h.groups, out)
-	}
-	h.done = true
-	return nil
+	return merged, nil
 }
 
 // aggregateMorsel builds one morsel's partial group table — the same
-// accumulation loop as the serial HashAggregate, restricted to a row range.
-func aggregateMorsel(rows []value.Row, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*aggPartial, error) {
-	pt := &aggPartial{table: map[uint64][]*aggGroup{}}
+// accumulation loop as the serial HashAggregate, restricted to a row range
+// that starts at input ordinal base.
+func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*AggPartial, error) {
+	pt := NewAggPartial()
 	// Scratch key buffer, reused across rows; only Clone() on a fresh group
 	// retains the values.
 	key := make(value.Row, len(groupBy))
-	for _, row := range rows {
+	for ri, row := range rows {
 		for i, g := range groupBy {
 			v, err := g.Eval(row)
 			if err != nil {
@@ -204,33 +167,28 @@ func aggregateMorsel(rows []value.Row, groupBy []expr.Expr, aggs []AggSpec, keyO
 			key[i] = v
 		}
 		hsh := key.Hash(keyOrds)
-		var grp *aggGroup
+		var grp *AggGroup
 		for _, g := range pt.table[hsh] {
-			if key.EqualAt(g.key, keyOrds, keyOrds) {
+			if key.EqualAt(g.Key, keyOrds, keyOrds) {
 				grp = g
 				break
 			}
 		}
 		if grp == nil {
-			grp = &aggGroup{key: key.Clone()}
-			for _, a := range aggs {
-				grp.states = append(grp.states, newAggState(a.Distinct))
-			}
-			pt.table[hsh] = append(pt.table[hsh], grp)
-			pt.order = append(pt.order, grp)
-			pt.hashes = append(pt.hashes, hsh)
+			grp = newAggGroup(key.Clone(), aggs, base+ri)
+			pt.insert(hsh, grp)
 		}
 		for i, a := range aggs {
 			if a.Arg == nil { // COUNT(*)
-				grp.states[i].count++
-				grp.states[i].hasVal = true
+				grp.States[i].Count++
+				grp.States[i].HasVal = true
 				continue
 			}
 			v, err := a.Arg.Eval(row)
 			if err != nil {
 				return nil, err
 			}
-			grp.states[i].add(v)
+			grp.States[i].Add(v)
 		}
 	}
 	return pt, nil
@@ -299,8 +257,19 @@ func (s JoinSide) fillRow(i int, dst value.Row, offs []int) {
 func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
 	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
 	residual expr.Expr, rightWidth int) ([]value.Row, error) {
+	rows, _, err := HashJoinProbeOrdinals(ctx, pool, width, morselSize, stats, kind, left, right, leftKeys, rightKeys, residual, rightWidth)
+	return rows, err
+}
+
+// HashJoinProbeOrdinals is HashJoinParallel that also returns, aligned with
+// the joined rows, the ordinal in the left input of the probe row each one
+// came from (ascending; repeated per match). A dist worker maps it to the
+// probe row's global scan sequence.
+func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
+	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
+	residual expr.Expr, rightWidth int) ([]value.Row, []int, error) {
 	if kind != JoinInner && kind != JoinLeftOuter {
-		return nil, fmt.Errorf("parallel hash join does not support %s joins", kind)
+		return nil, nil, fmt.Errorf("parallel hash join does not support %s joins", kind)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -413,7 +382,7 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stats.NoteDispatch(nb, workers)
 	}
@@ -425,6 +394,7 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 	// when a match (or null-extension) actually emits.
 	np := (nLeft + size - 1) / size
 	outs := make([][]value.Row, np)
+	outOrds := make([][]int, np)
 	if np > 0 {
 		workers, err := pool.Run(ctx, np, width, func(_ context.Context, m int) error {
 			lo := m * size
@@ -434,8 +404,11 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 			}
 			// Probe rows emit at least no rows and usually about one; hi-lo
 			// is the right capacity order. vals is scratch, reused per row —
-			// matches copy from the row slices, never from vals.
+			// matches copy from the row slices, never from vals. li is the
+			// ordinal of the probe row in hand.
 			out := make([]value.Row, 0, hi-lo)
+			ords := make([]int, 0, hi-lo)
+			li := lo
 			vals := make([]value.Value, len(leftKeys))
 			probeMatches := func(h uint64, hasNull bool, lw int, fillLeft func(dst value.Row)) error {
 				matched := false
@@ -467,6 +440,7 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 							}
 							matched = true
 							out = append(out, combined)
+							ords = append(ords, li)
 						}
 					}
 				}
@@ -477,6 +451,7 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 						combined[lw+i] = value.Null
 					}
 					out = append(out, combined)
+					ords = append(ords, li)
 				}
 				return nil
 			}
@@ -519,12 +494,13 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 						if err := probeMatches(h, hasNull, len(b.Cols), fillLeft); err != nil {
 							return err
 						}
+						li++
 					}
 				}
 			} else {
 				var lrow value.Row // fillLeft captures lrow, not the loop var
 				fillLeft := func(dst value.Row) { copy(dst, lrow) }
-				for li := lo; li < hi; li++ {
+				for ; li < hi; li++ {
 					l := left.Rows[li]
 					var h uint64 = 1469598103934665603
 					hasNull := false
@@ -546,11 +522,11 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 					}
 				}
 			}
-			outs[m] = out
+			outs[m], outOrds[m] = out, ords
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stats.NoteDispatch(np, workers)
 	}
@@ -560,8 +536,10 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 		n += len(o)
 	}
 	joined := make([]value.Row, 0, n)
-	for _, o := range outs {
+	ords := make([]int, 0, n)
+	for m, o := range outs {
 		joined = append(joined, o...)
+		ords = append(ords, outOrds[m]...)
 	}
-	return joined, nil
+	return joined, ords, nil
 }

@@ -76,11 +76,7 @@ func TestEscapeBaselineRoundTrip(t *testing.T) {
 // every HotRoots entry must resolve against the real module (an unmatched
 // root means an operator was renamed out from under the list).
 func TestHotSetContainsExecutorCore(t *testing.T) {
-	pkgs, err := Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := BuildProgram(pkgs)
+	prog := ModuleProgram(t)
 	if unmatched := prog.UnmatchedHotRoots(); len(unmatched) > 0 {
 		t.Errorf("unmatched hot roots: %v", unmatched)
 	}

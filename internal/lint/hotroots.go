@@ -90,20 +90,14 @@ var HotRoots = []string{
 	"hana/internal/value.Batch.MaterializeRows",
 	"hana/internal/value.Vec.Value",
 	"hana/internal/value.BatchFromRows",
-	// dist: the exchange hot path. The per-row fragment loops are split out
-	// of the parse-bearing entry points (Execute/runAggregate/runJoin parse
-	// shipped SQL once per fragment — not hot) so only code that runs per
-	// shard row is rooted: snapshot extraction, morsel filtering, partial
-	// aggregation, broadcast build/probe. Chunk and fragment encode/decode
+	// dist: the exchange hot path. Execute parses shipped SQL once per
+	// fragment — not hot — so only code that runs per shard row is rooted:
+	// snapshot extraction and morsel filtering (aggregate and join fragments
+	// then run exec's rooted operators). Chunk and fragment encode/decode
 	// run per exchange unit on the wire transport, and the coordinator
 	// merge loops run once per shipped row/group.
 	"hana/internal/dist.Worker.snapshotShard",
 	"hana/internal/dist.filterMorsel",
-	"hana/internal/dist.foldAggregate",
-	"hana/internal/dist.buildJoinTable",
-	"hana/internal/dist.probeJoinMorsel",
-	"hana/internal/dist.AggState.add",
-	"hana/internal/dist.AggState.merge",
 	"hana/internal/dist.Chunk.Encode",
 	"hana/internal/dist.DecodeChunk",
 	"hana/internal/dist.Fragment.Encode",

@@ -95,13 +95,19 @@ func Analyzers() []*Analyzer {
 // analyzer name on the diagnostic's line or the line above suppress it;
 // malformed directives are reported under the "lint" pseudo-analyzer.
 func Run(pkgs map[string]*Package, analyzers []*Analyzer) []Diagnostic {
+	return RunProgram(BuildProgram(pkgs), analyzers)
+}
+
+// RunProgram is Run over an already built Program, for callers that also
+// need the Program itself or run more than once over the same packages.
+func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
+	pkgs := prog.Pkgs
 	var raw []Diagnostic
 	paths := make([]string, 0, len(pkgs))
 	for p := range pkgs {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	prog := BuildProgram(pkgs)
 	for _, path := range paths {
 		pkg := pkgs[path]
 		for _, a := range analyzers {

@@ -120,11 +120,7 @@ func TestEveryAnalyzerFires(t *testing.T) {
 // TestRepositoryIsClean makes `go test` itself enforce a clean hanalint
 // run over the real module, mirroring `go run ./cmd/hanalint ./...`.
 func TestRepositoryIsClean(t *testing.T) {
-	pkgs, err := lint.Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range lint.Run(pkgs, lint.Analyzers()) {
+	for _, d := range lint.RunProgram(lint.ModuleProgram(t), lint.Analyzers()) {
 		t.Errorf("%s", d)
 	}
 }
@@ -181,11 +177,7 @@ func TestLockGraphDOTDeterministic(t *testing.T) {
 // call into the simulated-remote HDFS layer (the lock-order finding
 // fixed alongside this analyzer's introduction).
 func TestMetastoreLockGraphRegression(t *testing.T) {
-	pkgs, err := lint.Load(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range lint.BuildProgram(pkgs).LockGraph() {
+	for _, e := range lint.ModuleProgram(t).LockGraph() {
 		if e.From == "hive.Metastore.mu" && strings.HasPrefix(e.To, "hdfs.") {
 			t.Errorf("metastore holds %s across an HDFS call (edge to %s): critical sections must end before cluster I/O", e.From, e.To)
 		}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -890,96 +891,141 @@ func paramIndexName(fd *ast.FuncDecl, idx int) string {
 // bodies contribute their direct acquisitions through Acquires, which the
 // walker fills for closures too (a lock a closure takes is a lock running
 // f may take).
+//
+// The chain recorded for an indirect lock steps, at every function, into
+// the callee with the smallest short name among those that can take the
+// lock — the lexicographically smallest chain, and a choice that depends on
+// nothing but the call graph, so every run renders the same chains. The
+// fixpoint only records which callee each (function, lock) goes through;
+// the strings are rendered once, at the end.
 func (pr *Program) computeTransitiveLocks() {
 	infos := pr.FuncsSorted()
-	// Seed with direct acquisitions.
-	for _, info := range infos {
-		m := map[string]string{}
-		for k := range info.Acquires {
-			m[k] = ""
-		}
-		pr.transLocks[info.Ref.key()] = m
+	index := make(map[string]int, len(infos))
+	shorts := make([]string, len(infos))
+	for i, info := range infos {
+		index[info.Ref.key()] = i
+		shorts[i] = info.Ref.Short()
 	}
-	// Collect every resolved call per function (not only held ones): the
-	// summary walker records HeldCalls; for transitive locks we need all
-	// calls, so resolve again from the AST.
-	callees := map[string][]FuncRef{}
-	for _, info := range infos {
+	// Every resolved call per function (not only held ones: the summary
+	// walker records HeldCalls, transitive locks need all calls, so resolve
+	// again from the AST), ordered by (short name, key) so that the first
+	// callee holding a lock is the canonical one.
+	callees := make([][]int, len(infos))
+	for i, info := range infos {
 		if info.Decl.Body == nil {
 			continue
 		}
 		env := pr.Env(info)
-		var refs []FuncRef
-		seen := map[string]bool{}
+		seen := map[int]bool{}
 		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if ref, ok := env.resolveCall(call); ok && !seen[ref.key()] {
-				seen[ref.key()] = true
-				refs = append(refs, ref)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if ref, ok := env.resolveCall(call); ok {
+					if c, known := index[ref.key()]; known && !seen[c] {
+						seen[c] = true
+						callees[i] = append(callees[i], c)
+					}
+				}
 			}
 			return true
 		})
-		callees[info.Ref.key()] = refs
+		cs := callees[i]
+		sort.Slice(cs, func(a, b int) bool {
+			if shorts[cs[a]] != shorts[cs[b]] {
+				return shorts[cs[a]] < shorts[cs[b]]
+			}
+			return cs[a] < cs[b]
+		})
+	}
+
+	// via[f][lock] is the callee f reaches the lock through: direct for an
+	// acquisition in f's own body, pending until the chain below f is known.
+	const direct, pending = -1, -2
+	via := make([]map[string]int, len(infos))
+	for i, info := range infos {
+		via[i] = make(map[string]int, len(info.Acquires))
+		for lock := range info.Acquires {
+			via[i][lock] = direct
+		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, info := range infos {
-			key := info.Ref.key()
-			mine := pr.transLocks[key]
-			for _, callee := range callees[key] {
-				short := callee.Short()
-				for lock, via := range pr.transLocks[callee.key()] {
-					if _, ok := mine[lock]; ok {
-						continue
+		for i := range infos {
+			for _, c := range callees[i] {
+				for lock := range via[c] {
+					if _, ok := via[i][lock]; !ok {
+						via[i][lock] = pending
+						changed = true
 					}
-					chain := short
-					if via != "" {
-						chain += " → " + via
-					}
-					mine[lock] = chain
-					changed = true
 				}
 			}
 		}
 	}
-	// Deterministic via-chains: the fixpoint above iterates map entries, so
-	// two runs can record different (equally valid) chains. Canonicalize by
-	// recomputing each function's chains from sorted callee order.
-	for i := 0; i < len(infos); i++ {
-		changed := false
-		for _, info := range infos {
-			key := info.Ref.key()
-			mine := pr.transLocks[key]
-			for lock := range mine {
-				if mine[lock] == "" {
-					continue // direct acquisition, already canonical
-				}
-				best := ""
-				for _, callee := range callees[key] {
-					via, ok := pr.transLocks[callee.key()][lock]
-					if !ok {
-						continue
-					}
-					chain := callee.Short()
-					if via != "" {
-						chain += " → " + via
-					}
-					if best == "" || chain < best {
-						best = chain
-					}
-				}
-				if best != "" && best != mine[lock] {
-					mine[lock] = best
-					changed = true
-				}
+	// Settle the pending entries, lock by lock. An entry settles once its
+	// canonical callee has: chains then only ever point at settled entries
+	// and cannot loop. Mutual recursion can leave a round without progress
+	// (each function's canonical callee is the other one); the first stalled
+	// function then settles for its first already-settled callee instead.
+	firstWith := func(i int, lock string, settled bool) int {
+		for _, c := range callees[i] {
+			if v, ok := via[c][lock]; ok && (!settled || v != pending) {
+				return c
 			}
 		}
-		if !changed {
-			break
+		return pending
+	}
+	locks := map[string]bool{}
+	for i := range infos {
+		for lock := range via[i] {
+			locks[lock] = true
 		}
+	}
+	for lock := range locks {
+		var open []int
+		for i := range infos {
+			if v, ok := via[i][lock]; ok && v == pending {
+				open = append(open, i)
+			}
+		}
+		for len(open) > 0 {
+			rest := open[:0]
+			for _, i := range open {
+				if c := firstWith(i, lock, false); via[c][lock] != pending {
+					via[i][lock] = c
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			if len(rest) == len(open) {
+				// A pending lock always has a settled path below it, so
+				// some stalled function has a settled callee.
+				k := slices.IndexFunc(rest, func(i int) bool { return firstWith(i, lock, true) != pending })
+				if k < 0 {
+					break
+				}
+				via[rest[k]][lock] = firstWith(rest[k], lock, true)
+				rest = slices.Delete(rest, k, k+1)
+			}
+			open = rest
+		}
+	}
+
+	var render func(i int, lock string) string
+	render = func(i int, lock string) string {
+		c := via[i][lock]
+		if c < 0 {
+			return ""
+		}
+		if rest := render(c, lock); rest != "" {
+			return shorts[c] + " → " + rest
+		}
+		return shorts[c]
+	}
+	for i, info := range infos {
+		m := make(map[string]string, len(via[i]))
+		for lock := range via[i] {
+			m[lock] = render(i, lock)
+		}
+		pr.transLocks[info.Ref.key()] = m
 	}
 }
 
