@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke bench-alloc bench-vector check
+.PHONY: all build vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke check
 
 all: check
 
@@ -13,15 +13,10 @@ vet:
 # Project-specific static analysis (internal/lint via cmd/hanalint),
 # including the interprocedural analyzers (lockorder, ctxflow, resleak).
 # Exits non-zero on any finding; suppress deliberate violations in source
-# with //lint:ignore <analyzer> <reason>.
+# with //lint:ignore <analyzer> <reason>. Covers the whole module — the
+# analyzer sources and drivers included; the linter does not exempt itself.
 lint:
 	$(GO) run ./cmd/hanalint ./...
-
-# The linter does not exempt itself — or anything else: `lint` already
-# covers the whole module, the analyzer sources and drivers included, so
-# self-lint is the same invocation. Deliberate violations carry
-# //lint:ignore <analyzer> <reason> in source.
-lint-self: lint
 
 # Hot-path performance lint: the allocation/boxing analyzers (hotalloc,
 # boxval, stringcmp, deferhot) over the whole module, then the
@@ -95,26 +90,10 @@ chaos-recovery:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# One iteration of every benchmark (compile + run sanity, not timing), plus
-# the morsel-executor report. Speedup > 1 needs GOMAXPROCS > 1; the JSON
-# records num_cpu so single-core runners are self-explaining, and the
-# target never fails on the measured ratio.
+# One iteration of every paper-figure benchmark in the root package: compile
+# + run sanity, not timing. Timing is benchmark/run.sh (benchmark/README.md).
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
-	$(GO) run ./cmd/benchpar -sf 0.02 -workers 4 -iters 3 -out BENCH_parallel.json
-
-# Allocation profile of the scan/agg/join workloads at SF 0.02: allocs/op,
-# bytes/op, ns/op per workload. Writes the `after` section only; the
-# checked-in BENCH_hotpath.json additionally embeds the pre-optimization
-# `before` figures, captured once with -hotpath-before.
-bench-alloc:
-	$(GO) run ./cmd/benchpar -sf 0.02 -workers 4 -iters 5 -hotpath BENCH_hotpath.json
-
-# Row-vs-vectorized executor comparison at SF 0.1: the same scan/agg/join
-# workloads through the classic row path (engine.WithRowExec) and the
-# default batch path, ns/op and allocs/op per workload.
-bench-vector:
-	$(GO) run ./cmd/benchpar -sf 0.1 -workers 4 -iters 3 -vector BENCH_vector.json
 
 # Everything CI runs.
-check: build vet lint lint-self lint-hot lint-selftest race chaos chaos-recovery chaos-dist
+check: build vet lint lint-hot lint-selftest race chaos chaos-recovery chaos-dist

@@ -337,14 +337,14 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	}
 	b.Run("with-combiner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mre.Run(job(true, fmt.Sprintf("/out/c%d", i))); err != nil {
+			if _, err := mre.RunCtx(context.Background(), job(true, fmt.Sprintf("/out/c%d", i))); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("without-combiner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mre.Run(job(false, fmt.Sprintf("/out/n%d", i))); err != nil {
+			if _, err := mre.RunCtx(context.Background(), job(false, fmt.Sprintf("/out/n%d", i))); err != nil {
 				b.Fatal(err)
 			}
 		}

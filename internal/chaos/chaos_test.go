@@ -208,7 +208,7 @@ func TestChaosFederatedWorkloadSurvivesFaultSchedule(t *testing.T) {
 					t.Errorf("insert %d: %v", id, err)
 					return
 				}
-				err := s.e.CommitTx(tx)
+				err := s.e.CommitTxContext(context.Background(), tx)
 				if err != nil && !faults.IsClassified(err) {
 					t.Errorf("commit %d failed with unclassified error: %v", id, err)
 				}

@@ -235,7 +235,7 @@ func TestDistTwoPhaseCommitUnderChaos(t *testing.T) {
 
 	// Rolled-back work must leave no trace on any shard replica.
 	tx := s.e.Begin()
-	if _, err := s.e.ExecuteTx(tx, "INSERT INTO dist_txn VALUES (100, 1000)"); err != nil {
+	if _, err := s.e.ExecuteContext(context.Background(), "INSERT INTO dist_txn VALUES (100, 1000)", engine.WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.e.Rollback(tx); err != nil {
@@ -247,10 +247,10 @@ func TestDistTwoPhaseCommitUnderChaos(t *testing.T) {
 	// through the distributed read path afterwards.
 	s.inj.FailN("dist.worker.2.prepare", 1)
 	tx2 := s.e.Begin()
-	if _, err := s.e.ExecuteTx(tx2, "INSERT INTO dist_txn VALUES (101, 1010)"); err != nil {
+	if _, err := s.e.ExecuteContext(context.Background(), "INSERT INTO dist_txn VALUES (101, 1010)", engine.WithTx(tx2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.e.CommitTx(tx2); err != nil {
+	if err := s.e.CommitTxContext(context.Background(), tx2); err != nil {
 		t.Fatalf("commit with transient prepare fault: %v", err)
 	}
 

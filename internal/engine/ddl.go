@@ -375,13 +375,6 @@ func (e *Engine) Analyze(table string) error {
 	return nil
 }
 
-// RunAging runs the aging pass with a background context.
-//
-// Deprecated: use RunAgingContext.
-func (e *Engine) RunAging(table string) (int64, error) {
-	return e.RunAgingContext(context.Background(), table)
-}
-
 // RunAgingContext implements the hybrid-table aging mechanism of §3.1: rows
 // in hot partitions whose aging-flag column is true move to the first cold
 // partition that accepts them. The move runs as one distributed

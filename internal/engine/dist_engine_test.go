@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"hana/internal/dist"
@@ -118,11 +117,11 @@ func TestDistWithShardsFanout(t *testing.T) {
 func TestDistExplicitTxnReadsStayLocal(t *testing.T) {
 	e := newDistEngine(t, 3, 50)
 	tx := e.Begin()
-	if _, err := e.ExecuteTx(tx, "INSERT INTO T VALUES (1000, 1, 'own')"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "INSERT INTO T VALUES (1000, 1, 'own')", WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Metrics.DistQueries.Load()
-	res, err := e.ExecuteTx(tx, "SELECT COUNT(*) FROM T WHERE A = 1000")
+	res, err := e.ExecuteContext(context.Background(), "SELECT COUNT(*) FROM T WHERE A = 1000", WithTx(tx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,24 +196,4 @@ func TestDistRecoveryReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRowsDist(t, "post-recovery", got, want)
-}
-
-// The deprecated Execute wrapper must stay byte-identical to
-// ExecuteContext on a sharded engine — migration to the topology-aware
-// entry point must never change results.
-func TestDeprecatedExecuteOnShardedEngine(t *testing.T) {
-	e := newDistEngine(t, 3, 80)
-	const q = "SELECT C, COUNT(*) FROM T GROUP BY C ORDER BY C"
-	want, err := e.ExecuteContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRowsDist(t, "Execute on sharded engine", got, want)
-	if !reflect.DeepEqual(got.Schema, want.Schema) {
-		t.Fatalf("schema diverged: %v vs %v", got.Schema, want.Schema)
-	}
 }

@@ -314,28 +314,6 @@ func (e *Engine) clock() func() time.Time {
 	return e.now
 }
 
-// TableProvider supplies dynamic rows for a locally registered table
-// function — the mechanism behind the "HANA join" stream integration
-// (§3.2 use case 3): "a native HANA query may refer to the current state
-// of an ESP window and use the content of this window as join partner".
-type TableProvider func() (*value.Rows, error)
-
-// RegisterTableProvider publishes a local table function; queries call it
-// as name(). The provider's schema is only known at fill time, so the view
-// appears as dynamic in M_VIEWS().
-//
-// Deprecated: use RegisterView with a declared schema.
-func (e *Engine) RegisterTableProvider(name string, p TableProvider) {
-	e.views.RegisterDynamic(name, p)
-}
-
-// UnregisterTableProvider removes a local table function.
-//
-// Deprecated: use Views().Unregister.
-func (e *Engine) UnregisterTableProvider(name string) {
-	e.views.Unregister(name)
-}
-
 // Catalog exposes the metadata registry.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
@@ -419,38 +397,8 @@ type Result struct {
 	Trace    *obs.QueryTrace // EXPLAIN TRACE: the recorded span timeline
 }
 
-// Execute parses and runs one statement in an autonomous transaction
-// (DDL/queries) — the common path for clients.
-//
-// Deprecated: use ExecuteContext.
-func (e *Engine) Execute(sql string) (*Result, error) {
-	return e.ExecuteContext(context.Background(), sql)
-}
-
-// ExecuteScript runs a semicolon-separated script, returning the last
-// result.
-//
-// Deprecated: use ExecuteContext with WithScript.
-func (e *Engine) ExecuteScript(sql string) (*Result, error) {
-	return e.ExecuteContext(context.Background(), sql, WithScript())
-}
-
-// ExecuteStmt runs one parsed statement autonomously.
-//
-// Deprecated: use ExecuteStmtContext.
-func (e *Engine) ExecuteStmt(st sqlparse.Statement) (*Result, error) {
-	return e.ExecuteStmtContext(context.Background(), st)
-}
-
-// ExecuteStmtContext runs one parsed statement autonomously under the
-// caller's context.
-func (e *Engine) ExecuteStmtContext(ctx context.Context, st sqlparse.Statement) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.execStmt(ctx, st, 0)
-}
-
+// execStmt runs one parsed statement autonomously: DML gets its own
+// transaction, committed on success.
 func (e *Engine) execStmt(ctx context.Context, st sqlparse.Statement, width int) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparse.SelectStmt:
@@ -487,17 +435,10 @@ func (e *Engine) execStmt(ctx context.Context, st sqlparse.Statement, width int)
 // Begin starts an explicit transaction.
 func (e *Engine) Begin() *txn.Txn { return e.mgr.Begin() }
 
-// CommitTx commits the transaction, stamping MVCC versions after the
-// two-phase commit succeeds.
-//
-// Deprecated: use CommitTxContext.
-func (e *Engine) CommitTx(tx *txn.Txn) error {
-	return e.CommitTxContext(context.Background(), tx)
-}
-
-// CommitTxContext commits the transaction under the caller's context, so
-// 2PC phases land in the query trace and a canceled caller aborts the
-// retry backoff of slow participants.
+// CommitTxContext commits the transaction, stamping MVCC versions after the
+// two-phase commit succeeds. It runs under the caller's context, so 2PC
+// phases land in the query trace and a canceled caller aborts the retry
+// backoff of slow participants.
 func (e *Engine) CommitTxContext(ctx context.Context, tx *txn.Txn) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -505,8 +446,8 @@ func (e *Engine) CommitTxContext(ctx context.Context, tx *txn.Txn) error {
 	return e.commitTxCtx(ctx, tx)
 }
 
-// commitTxCtx is CommitTx under the statement's trace context, so 2PC
-// phases land in the query trace. The whole decide-and-stamp region runs
+// commitTxCtx commits under the statement's trace context, so 2PC phases
+// land in the query trace. The whole decide-and-stamp region runs
 // under the shared savepoint barrier: a savepoint that observes the commit
 // record also observes its version stamps.
 func (e *Engine) commitTxCtx(ctx context.Context, tx *txn.Txn) error {
@@ -529,29 +470,7 @@ func (e *Engine) Rollback(tx *txn.Txn) error {
 	return e.mgr.Abort(tx)
 }
 
-// ExecuteTx parses and runs a statement inside an explicit transaction.
-//
-// Deprecated: use ExecuteContext with WithTx.
-func (e *Engine) ExecuteTx(tx *txn.Txn, sql string) (*Result, error) {
-	return e.ExecuteContext(context.Background(), sql, WithTx(tx))
-}
-
-// ExecuteStmtTx runs a parsed DML/SELECT statement inside a transaction.
-//
-// Deprecated: use ExecuteStmtTxContext.
-func (e *Engine) ExecuteStmtTx(tx *txn.Txn, st sqlparse.Statement) (*Result, error) {
-	return e.ExecuteStmtTxContext(context.Background(), tx, st)
-}
-
-// ExecuteStmtTxContext runs a parsed DML/SELECT statement inside a
-// transaction under the caller's context.
-func (e *Engine) ExecuteStmtTxContext(ctx context.Context, tx *txn.Txn, st sqlparse.Statement) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.execStmtTx(ctx, tx, st, 0)
-}
-
+// execStmtTx runs a parsed DML/SELECT statement inside a transaction.
 func (e *Engine) execStmtTx(ctx context.Context, tx *txn.Txn, st sqlparse.Statement, width int) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparse.SelectStmt:

@@ -95,7 +95,7 @@ func TestSnapshotIsolationAcrossTransactions(t *testing.T) {
 	if err != nil || res.Rows[0][0].Int() != 1 {
 		t.Fatalf("reader view: %v %v", res, err)
 	}
-	if err := e.CommitTx(writer); err != nil {
+	if err := e.CommitTxContext(context.Background(), writer); err != nil {
 		t.Fatal(err)
 	}
 	// Reader's snapshot still excludes the commit.
@@ -103,7 +103,7 @@ func TestSnapshotIsolationAcrossTransactions(t *testing.T) {
 	if res.Rows[0][0].Int() != 1 {
 		t.Fatal("snapshot must be stable")
 	}
-	_ = e.CommitTx(reader)
+	_ = e.CommitTxContext(context.Background(), reader)
 	// New statement sees everything.
 	res = exec1(t, e, `SELECT COUNT(*) FROM t`)
 	if res.Rows[0][0].Int() != 2 {
@@ -140,7 +140,7 @@ func TestWriteWriteConflict(t *testing.T) {
 		t.Fatal("second deleter must conflict")
 	}
 	_ = e.Rollback(t2)
-	if err := e.CommitTx(t1); err != nil {
+	if err := e.CommitTxContext(context.Background(), t1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,7 +339,7 @@ func TestHybridTableAndAging(t *testing.T) {
 	}
 
 	// Aging moves the flagged row (id 3) to cold storage.
-	moved, err := e.RunAging("sales")
+	moved, err := e.RunAgingContext(context.Background(), "sales")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,37 +177,33 @@ func TestMViewsEnumeratesRegisteredViews(t *testing.T) {
 	}
 }
 
-// TestRegisterTableProviderCompat pins the deprecated stringly API: legacy
-// providers still execute and are enumerated as dynamic views.
-func TestRegisterTableProviderCompat(t *testing.T) {
+// TestRegisterViewResolvesAsTableFunction: a caller-registered view (the
+// mechanism behind the "HANA join" stream integration, §3.2 use case 3) is
+// queryable as name(), listed in M_VIEWS() with its declared columns, and
+// stops resolving once unregistered.
+func TestRegisterViewResolvesAsTableFunction(t *testing.T) {
 	e := newTestEngine(t)
-	e.RegisterTableProvider("LEGACY_VIEW", func() (*value.Rows, error) {
-		out := value.NewRows(value.NewSchema(value.Column{Name: "x", Kind: value.KindInt}))
-		out.Append(value.Row{value.NewInt(7)})
-		return out, nil
-	})
-	res := exec1(t, e, `SELECT x FROM LEGACY_VIEW()`)
+	if err := e.RegisterView(obs.ViewDef{
+		Name:    "USER_VIEW",
+		Columns: []value.Column{{Name: "x", Kind: value.KindInt}},
+		Fill: func(out *value.Rows) error {
+			out.Append(value.Row{value.NewInt(7)})
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res := exec1(t, e, `SELECT x FROM USER_VIEW()`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	views := exec1(t, e, `SELECT * FROM M_VIEWS()`)
-	nameCol := views.Schema.MustFind("view_name")
-	dynCol := views.Schema.MustFind("dynamic")
-	found := false
-	for _, row := range views.Rows {
-		if row[nameCol].String() == "LEGACY_VIEW" {
-			found = true
-			if !row[dynCol].Bool() {
-				t.Fatal("legacy provider must be listed as dynamic")
-			}
-		}
+	views := exec1(t, e, `SELECT column_name FROM M_VIEWS() WHERE view_name = 'USER_VIEW'`)
+	if len(views.Rows) != 1 || views.Rows[0][0].String() != "x" {
+		t.Fatalf("M_VIEWS rows for USER_VIEW = %v", views.Rows)
 	}
-	if !found {
-		t.Fatal("M_VIEWS must list the legacy provider")
-	}
-	e.UnregisterTableProvider("LEGACY_VIEW")
-	if _, err := e.ExecuteContext(context.Background(), `SELECT x FROM LEGACY_VIEW()`); err == nil {
-		t.Fatal("unregistered provider must not resolve")
+	e.Views().Unregister("USER_VIEW")
+	if _, err := e.ExecuteContext(context.Background(), `SELECT x FROM USER_VIEW()`); err == nil {
+		t.Fatal("unregistered view must not resolve")
 	}
 }
 

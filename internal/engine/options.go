@@ -110,8 +110,7 @@ type PartitionCount struct {
 
 // ExecuteContext is the engine's core entry point: it parses and runs sql
 // with the given options, under a context that cancels morsel workers,
-// retry backoffs and remote fetches. All other Execute* variants are
-// wrappers over it.
+// retry backoffs and remote fetches.
 //
 // Every call gets a structured QueryTrace: parse, per-statement execution,
 // planning, morsel dispatch, remote calls and 2PC phases record spans into

@@ -231,7 +231,7 @@ func TestResolveAllInDoubtDrainsWithRetries(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), `INSERT INTO psa VALUES (1)`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CommitTx(tx); err != nil {
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	iv := exec1(t, e, `SELECT transaction_id, decision, resolution_attempts FROM M_INDOUBT_TRANSACTIONS()`)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -354,21 +353,10 @@ func (e *Engine) mTransactions(out *value.Rows) error {
 	return nil
 }
 
-// mViews enumerates every registered view: one row per declared column,
-// and a single all-NULL column row for dynamic (legacy provider) views
-// whose schema is only known when they run.
+// mViews enumerates every registered view, one row per declared column.
+// Every view declares its schema, so the dynamic column is always false.
 func (e *Engine) mViews(out *value.Rows) error {
 	for _, meta := range e.views.List() {
-		if meta.Dynamic {
-			out.Append(value.Row{
-				value.NewString(meta.Name),
-				value.Null,
-				value.Null,
-				value.Null,
-				value.NewBool(true),
-			})
-			continue
-		}
 		for i, col := range meta.Columns {
 			out.Append(value.Row{
 				value.NewString(meta.Name),
@@ -425,14 +413,6 @@ func (e *Engine) mMetrics(out *value.Rows) error {
 		out.Append(value.Row{value.NewString(h.Name), value.NewString("histogram"), value.NewInt(h.Count), value.NewString(detail)})
 	}
 	return nil
-}
-
-// ExecuteParams parses and runs a statement with positional ? parameters
-// bound to the given values.
-//
-// Deprecated: use ExecuteContext with WithParams.
-func (e *Engine) ExecuteParams(sql string, params ...value.Value) (*Result, error) {
-	return e.ExecuteContext(context.Background(), sql, WithParams(params...))
 }
 
 // substituteStmtParams replaces parameter placeholders across the

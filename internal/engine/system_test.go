@@ -103,7 +103,7 @@ func TestResolveInDoubtThroughEngine(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), `INSERT INTO psa VALUES (1)`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CommitTx(tx); err != nil {
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	ind := e.TxnManager().InDoubt()
@@ -151,7 +151,7 @@ func TestResolveRetryAfterCommitStorageFailure(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), `DELETE FROM psb WHERE id = 1`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CommitTx(tx); err != nil {
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	if ind := e.TxnManager().InDoubt(); len(ind) != 1 {
@@ -191,7 +191,7 @@ func TestAbortBestEffortOnStorageFailure(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), `INSERT INTO psc VALUES (2), (3)`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CommitTx(tx); err != nil {
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	unblock := blockManifest(t, dir, "psc")

@@ -8,11 +8,10 @@ import (
 	"hana/internal/value"
 )
 
-// The Deprecated row operators are pinned against their replacements: Filter
-// and FilterIter (resp. Project and ProjectIter) must stay byte-identical on
-// the same input, whether the replacement picks the vectorized batch operator
-// or falls back to the row one. These tests are what lets depapi outlaw new
-// internal call sites without risking silent behavior drift in the wrappers.
+// Batch-vs-row equivalence: the row operators Filter and Project are the
+// reference; FilterIter and ProjectIter must stay byte-identical to them on
+// the same input, whether they pick the vectorized batch operator (batch
+// producers) or the row one (row producers).
 
 func mixedSchema() *value.Schema {
 	return value.NewSchema(
@@ -46,7 +45,7 @@ func batchInput(s *value.Schema, rows []value.Row) Iter {
 	return &Batches{In: NewSlice(s, rows), Size: 5}
 }
 
-func TestDeprecatedFilterPinsFilterIter(t *testing.T) {
+func TestFilterIterMatchesRowFilter(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
 	preds := []expr.Expr{
@@ -78,7 +77,7 @@ func TestDeprecatedFilterPinsFilterIter(t *testing.T) {
 	}
 }
 
-func TestDeprecatedProjectPinsProjectIter(t *testing.T) {
+func TestProjectIterMatchesRowProject(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
 	exprs := []expr.Expr{

@@ -73,10 +73,10 @@ func (s *Slice) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
-// Filter keeps rows satisfying a bound predicate.
-//
-// Deprecated: use FilterIter, which picks the vectorized BatchFilter when
-// the input produces batches and this row-at-a-time operator otherwise.
+// Filter keeps rows satisfying a bound predicate, one row at a time. Build
+// it through FilterIter, which picks the vectorized BatchFilter when the
+// input produces batches and this operator for row producers (cold and
+// remote relations).
 type Filter struct {
 	In   Iter
 	Pred expr.Expr
@@ -102,10 +102,10 @@ func (f *Filter) Next() (value.Row, bool, error) {
 	}
 }
 
-// Project evaluates bound expressions producing a new schema.
-//
-// Deprecated: use ProjectIter, which picks the vectorized BatchProject when
-// the input produces batches and this row-at-a-time operator otherwise.
+// Project evaluates bound expressions producing a new schema, one row at a
+// time. Build it through ProjectIter, which picks the vectorized
+// BatchProject when the input produces batches and this operator for row
+// producers.
 type Project struct {
 	In    Iter
 	Exprs []expr.Expr

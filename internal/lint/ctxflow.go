@@ -21,8 +21,8 @@ import (
 //     has a context parameter in scope (the caller's ctx must flow
 //     through), and also when it does not — below the API boundary the
 //     fix is to accept one. Exempt: the nil-guard shape
-//     `if v == nil { v = context.Background() }`, Deprecated
-//     compatibility wrappers, and the bench/tpch/chaos harness packages.
+//     `if v == nil { v = context.Background() }` and the
+//     bench/tpch/chaos harness packages.
 //
 //  3. with a ctx parameter in scope, a call to a summarized function or
 //     method X that has a sibling XCtx/XContext (same package and
@@ -71,7 +71,7 @@ func runCtxFlow(pass *Pass) {
 				continue
 			}
 			cw := &ctxWalker{pass: pass, prog: pass.Prog, info: info, imports: imports}
-			cw.checkBody(fd.Body, info.CtxParam, info.Deprecated)
+			cw.checkBody(fd.Body, info.CtxParam)
 		}
 	}
 }
@@ -85,9 +85,8 @@ type ctxWalker struct {
 }
 
 // checkBody walks one body with the given ctx identifier in scope (""
-// when none). deprecated marks Deprecated compatibility wrappers, whose
-// context.Background() roots are the documented bridge to the old API.
-func (cw *ctxWalker) checkBody(body *ast.BlockStmt, ctxName string, deprecated bool) {
+// when none).
+func (cw *ctxWalker) checkBody(body *ast.BlockStmt, ctxName string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
@@ -95,7 +94,7 @@ func (cw *ctxWalker) checkBody(body *ast.BlockStmt, ctxName string, deprecated b
 			if lit := ctxParamOf(cw.imports, x.Type); lit != "" {
 				inner = lit
 			}
-			cw.checkBody(x.Body, inner, deprecated)
+			cw.checkBody(x.Body, inner)
 			return false
 		case *ast.IfStmt:
 			// Nil-guard exemption: `if v == nil { v = context.Background() }`
@@ -103,13 +102,13 @@ func (cw *ctxWalker) checkBody(body *ast.BlockStmt, ctxName string, deprecated b
 			if guarded := nilGuardedIdent(x); guarded != "" {
 				for _, s := range x.Body.List {
 					if isBackgroundAssign(cw.imports, s, guarded) {
-						cw.walkStmtSkippingGuard(x, guarded, ctxName, deprecated)
+						cw.walkStmtSkippingGuard(x, guarded, ctxName)
 						return false
 					}
 				}
 			}
 		case *ast.CallExpr:
-			cw.checkCall(x, ctxName, deprecated)
+			cw.checkCall(x, ctxName)
 		}
 		return true
 	})
@@ -117,14 +116,14 @@ func (cw *ctxWalker) checkBody(body *ast.BlockStmt, ctxName string, deprecated b
 
 // walkStmtSkippingGuard re-walks a nil-guard if statement, skipping only
 // the exempted `v = context.Background()` assignments inside it.
-func (cw *ctxWalker) walkStmtSkippingGuard(ifst *ast.IfStmt, guarded, ctxName string, deprecated bool) {
+func (cw *ctxWalker) walkStmtSkippingGuard(ifst *ast.IfStmt, guarded, ctxName string) {
 	for _, s := range ifst.Body.List {
 		if isBackgroundAssign(cw.imports, s, guarded) {
 			continue
 		}
 		ast.Inspect(s, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				cw.checkCall(call, ctxName, deprecated)
+				cw.checkCall(call, ctxName)
 			}
 			return true
 		})
@@ -132,14 +131,14 @@ func (cw *ctxWalker) walkStmtSkippingGuard(ifst *ast.IfStmt, guarded, ctxName st
 	if ifst.Else != nil {
 		ast.Inspect(ifst.Else, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				cw.checkCall(call, ctxName, deprecated)
+				cw.checkCall(call, ctxName)
 			}
 			return true
 		})
 	}
 }
 
-func (cw *ctxWalker) checkCall(call *ast.CallExpr, ctxName string, deprecated bool) {
+func (cw *ctxWalker) checkCall(call *ast.CallExpr, ctxName string) {
 	// Rule 1: raw time.Sleep.
 	if cw.isPkgCall(call, "time", "Sleep") {
 		cw.pass.Reportf(call.Pos(), "time.Sleep cannot observe cancellation; select on ctx.Done() and a time.Timer instead")
@@ -147,9 +146,6 @@ func (cw *ctxWalker) checkCall(call *ast.CallExpr, ctxName string, deprecated bo
 	}
 	// Rule 2: context.Background / context.TODO.
 	if cw.isPkgCall(call, "context", "Background") || cw.isPkgCall(call, "context", "TODO") {
-		if deprecated {
-			return
-		}
 		if ctxName != "" {
 			cw.pass.Reportf(call.Pos(), "context.%s() discards the caller's %s; pass %s through",
 				callName(call), ctxName, ctxName)

@@ -79,7 +79,6 @@ func Analyzers() []*Analyzer {
 		LockOrder,
 		CtxFlow,
 		ResLeak,
-		DepAPI,
 		HotAlloc,
 		BoxVal,
 		StringCmp,

@@ -195,8 +195,7 @@ func TestFilterPatterns(t *testing.T) {
 	}
 	sort.Strings(paths)
 	want := []string{
-		"hana/internal/ctxflow", "hana/internal/depapi",
-		"hana/internal/depapi/api", "hana/internal/diskstore",
+		"hana/internal/ctxflow", "hana/internal/diskstore",
 		"hana/internal/dist", "hana/internal/engine",
 		"hana/internal/faults", "hana/internal/fed",
 		"hana/internal/guardwire", "hana/internal/remote",

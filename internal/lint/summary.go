@@ -88,8 +88,7 @@ type FuncInfo struct {
 	Pkg  *Package
 	File *ast.File
 
-	TestFile   bool
-	Deprecated bool // doc comment carries a "Deprecated:" marker
+	TestFile bool
 
 	// CtxParam is the name of the context.Context parameter ("" when the
 	// function does not receive one, or receives it as _).
@@ -267,14 +266,6 @@ func (pr *Program) indexFunc(pkg *Package, file *ast.File, imports map[string]st
 		paramTypes:     map[string]TypeRef{},
 	}
 	info.TestFile = strings.HasSuffix(pkg.Fset.Position(fd.Pos()).Filename, "_test.go")
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if strings.Contains(c.Text, "Deprecated:") {
-				info.Deprecated = true
-				break
-			}
-		}
-	}
 	ref := FuncRef{Pkg: pkg.Path, Name: fd.Name.Name}
 	if fd.Recv != nil && len(fd.Recv.List) == 1 {
 		rt := pr.namedType(pkg, imports, fd.Recv.List[0].Type)

@@ -35,13 +35,6 @@ func nilGuard(ctx context.Context) error {
 	return pullCtx(ctx, 3)
 }
 
-// pullCompat bridges old callers onto the ctx-aware path.
-//
-// Deprecated: use pullCtx.
-func pullCompat(n int) error {
-	return pullCtx(context.Background(), n)
-}
-
 // ownScope declares its own context parameter; the literal does not
 // inherit the enclosing (empty) scope.
 func ownScope() func(ctx context.Context) error {

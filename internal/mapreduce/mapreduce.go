@@ -158,14 +158,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Run executes the job synchronously and returns its result.
-//
-// Deprecated: use RunCtx — it aborts startup delays, task scheduling, and
-// retry backoff when the caller cancels.
-func (e *Engine) Run(job *Job) (*JobResult, error) {
-	return e.RunCtx(context.Background(), job)
-}
-
 // RunCtx executes the job synchronously under the caller's context and
 // returns its result. Cancellation interrupts the job- and task-startup
 // delays, stops retry backoff between attempts (RetryPolicy.DoCtx), and
@@ -380,17 +372,10 @@ func (e *Engine) publishObs(d time.Duration) {
 	obs.Default.Gauge("mapreduce.task_retries").Set(e.Counters.TaskRetries.Load())
 }
 
-// RunChain executes a DAG expressed as an ordered job list (each job's
-// inputs may be previous outputs).
-//
-// Deprecated: use RunChainCtx — it stops the chain (and interrupts the
-// running job) when the caller cancels.
-func (e *Engine) RunChain(jobs []*Job) ([]*JobResult, error) {
-	return e.RunChainCtx(context.Background(), jobs)
-}
-
-// RunChainCtx executes the chain under the caller's context; completed
-// results are returned alongside the first error.
+// RunChainCtx executes a DAG expressed as an ordered job list (each job's
+// inputs may be previous outputs) under the caller's context: cancellation
+// interrupts the running job and stops the chain. Completed results are
+// returned alongside the first error.
 func (e *Engine) RunChainCtx(ctx context.Context, jobs []*Job) ([]*JobResult, error) {
 	var out []*JobResult
 	for _, j := range jobs {

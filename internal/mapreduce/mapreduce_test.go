@@ -60,7 +60,7 @@ func TestWordCount(t *testing.T) {
 			emit(key, strconv.Itoa(sum))
 		},
 	}
-	res, err := e.Run(job)
+	res, err := e.RunCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		Combine: sum,
 		Reduce:  sum,
 	}
-	if _, err := e.Run(job); err != nil {
+	if _, err := e.RunCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	lines := readOutput(t, c, "/out/comb")
@@ -136,7 +136,7 @@ func TestMapOnlyJob(t *testing.T) {
 			}
 		},
 	}
-	res, err := e.Run(job)
+	res, err := e.RunCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDirectoryInputAndMultiBlockSplits(t *testing.T) {
 		},
 		NumReducers: 1,
 	}
-	res, err := e.Run(job)
+	res, err := e.RunCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestChainOfJobs(t *testing.T) {
 		},
 		NumReducers: 1,
 	}
-	results, err := e.RunChain([]*Job{j1, j2})
+	results, err := e.RunChainCtx(context.Background(), []*Job{j1, j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestMissingInputFails(t *testing.T) {
 	e, _ := newTestEngine(t)
 	job := &Job{Name: "x", Inputs: []string{"/nope"}, Output: "/out",
 		Map: func(string, func(k, v string)) {}}
-	if _, err := e.Run(job); err == nil {
+	if _, err := e.RunCtx(context.Background(), job); err == nil {
 		t.Fatal("missing input must fail")
 	}
 }
@@ -246,7 +246,7 @@ func TestCountersAccumulate(t *testing.T) {
 		Reduce:      func(k string, vs []string, emit func(k, v string)) { emit(k, "1") },
 		NumReducers: 1,
 	}
-	if _, err := e.Run(job); err != nil {
+	if _, err := e.RunCtx(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if e.Counters.MapInputRecords.Load() != 3 || e.Counters.ReduceInputGroups.Load() != 3 {
@@ -281,7 +281,7 @@ func TestJobSurvivesDatanodeLossViaReplicas(t *testing.T) {
 	// Replication factor is 2, so losing any single datanode leaves one
 	// live replica of every input block.
 	c.KillNode(0)
-	res, err := e.Run(wordCountJob("failover", "/in/big.txt", "/out/failover"))
+	res, err := e.RunCtx(context.Background(), wordCountJob("failover", "/in/big.txt", "/out/failover"))
 	if err != nil {
 		t.Fatalf("job must fall back to surviving replicas: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestAllReplicasDeadIsClassifiedTransient(t *testing.T) {
 	for i := 0; i < c.NumNodes(); i++ {
 		c.KillNode(i)
 	}
-	_, err := e.Run(wordCountJob("dead", "/in/doc.txt", "/out/dead"))
+	_, err := e.RunCtx(context.Background(), wordCountJob("dead", "/in/doc.txt", "/out/dead"))
 	if err == nil {
 		t.Fatal("job over dead cluster must fail")
 	}
@@ -319,7 +319,7 @@ func TestAllReplicasDeadIsClassifiedTransient(t *testing.T) {
 	for i := 0; i < c.NumNodes(); i++ {
 		c.ReviveNode(i)
 	}
-	if _, err := e.Run(wordCountJob("dead2", "/in/doc.txt", "/out/dead2")); err != nil {
+	if _, err := e.RunCtx(context.Background(), wordCountJob("dead2", "/in/doc.txt", "/out/dead2")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -334,7 +334,7 @@ func TestMapTaskRetriesDoNotDoubleCount(t *testing.T) {
 	_ = c.WriteFile("/in/doc.txt", []byte("x\ny\nz"))
 	// Two injected map failures are absorbed by the three attempts.
 	inj.FailN("mapreduce.map", 2)
-	if _, err := e.Run(wordCountJob("retry", "/in/doc.txt", "/out/retry")); err != nil {
+	if _, err := e.RunCtx(context.Background(), wordCountJob("retry", "/in/doc.txt", "/out/retry")); err != nil {
 		t.Fatalf("transient map failures must be re-scheduled: %v", err)
 	}
 	if got := e.Counters.TaskRetries.Load(); got != 2 {

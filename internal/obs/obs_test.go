@@ -292,7 +292,7 @@ func TestViewRegistryTyped(t *testing.T) {
 		t.Fatalf("rows = %d x %d", rows.Len(), rows.Schema.Len())
 	}
 	metas := vr.List()
-	if len(metas) != 1 || metas[0].Name != "M_DEMO" || metas[0].Dynamic {
+	if len(metas) != 1 || metas[0].Name != "M_DEMO" {
 		t.Fatalf("list = %+v", metas)
 	}
 	if len(metas[0].Columns) != 2 || metas[0].Columns[0].Name != "NAME" {
@@ -343,22 +343,5 @@ func TestViewRegistryValidation(t *testing.T) {
 	// Missing views report !ok without error.
 	if _, ok, err := vr.Rows("NOPE"); ok || err != nil {
 		t.Fatalf("missing view: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestViewRegistryDynamic(t *testing.T) {
-	vr := NewViewRegistry()
-	vr.RegisterDynamic("legacy", func() (*value.Rows, error) {
-		rows := value.NewRows(value.NewSchema(value.Column{Name: "X", Kind: value.KindInt}))
-		rows.Append(value.Row{value.NewInt(7)})
-		return rows, nil
-	})
-	rows, ok, err := vr.Rows("LEGACY")
-	if err != nil || !ok || rows.Len() != 1 {
-		t.Fatalf("dynamic rows: ok=%v err=%v", ok, err)
-	}
-	metas := vr.List()
-	if len(metas) != 1 || !metas[0].Dynamic || len(metas[0].Columns) != 0 {
-		t.Fatalf("dynamic meta = %+v", metas)
 	}
 }

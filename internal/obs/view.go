@@ -11,8 +11,7 @@ import (
 
 // ViewDef declares one system view: a name, the schema it serves (declared
 // once, here, instead of implicitly inside the provider), and a Fill
-// function that appends the current rows. This replaces the stringly
-// RegisterTableProvider(name, func) surface: M_VIEWS() can enumerate every
+// function that appends the current rows. M_VIEWS() enumerates every
 // registered view with its column metadata, and fills are arity-checked
 // against the declared schema.
 type ViewDef struct {
@@ -21,20 +20,16 @@ type ViewDef struct {
 	Fill    func(*value.Rows) error
 }
 
-// ViewMeta describes one registered view for enumeration. Dynamic marks
-// legacy providers registered through the deprecated untyped API, whose
-// schema is only known at fill time.
+// ViewMeta describes one registered view for enumeration.
 type ViewMeta struct {
 	Name    string
 	Columns []value.Column
-	Dynamic bool
 }
 
 type viewEntry struct {
 	name    string // upper-cased registration name
 	columns []value.Column
 	fill    func(*value.Rows) error
-	dynamic func() (*value.Rows, error)
 }
 
 // ViewRegistry is the typed system-view registry. Names are
@@ -70,15 +65,6 @@ func (vr *ViewRegistry) Register(def ViewDef) error {
 	return nil
 }
 
-// RegisterDynamic adds a legacy untyped provider whose schema is produced
-// at fill time. New views should use Register with a declared schema.
-func (vr *ViewRegistry) RegisterDynamic(name string, fill func() (*value.Rows, error)) {
-	up := strings.ToUpper(name)
-	vr.mu.Lock()
-	defer vr.mu.Unlock()
-	vr.views[up] = &viewEntry{name: up, dynamic: fill}
-}
-
 // Unregister removes a view.
 func (vr *ViewRegistry) Unregister(name string) {
 	vr.mu.Lock()
@@ -95,17 +81,13 @@ func (vr *ViewRegistry) Has(name string) bool {
 }
 
 // Rows evaluates the named view. The second result reports whether the
-// view exists; typed fills are arity-checked against the declared schema.
+// view exists; fills are arity-checked against the declared schema.
 func (vr *ViewRegistry) Rows(name string) (*value.Rows, bool, error) {
 	vr.mu.RLock()
 	e, ok := vr.views[strings.ToUpper(name)]
 	vr.mu.RUnlock()
 	if !ok {
 		return nil, false, nil
-	}
-	if e.dynamic != nil {
-		rows, err := e.dynamic()
-		return rows, true, err
 	}
 	out := value.NewRows(value.NewSchema(e.columns...))
 	if err := e.fill(out); err != nil {
@@ -128,7 +110,6 @@ func (vr *ViewRegistry) List() []ViewMeta {
 		out = append(out, ViewMeta{
 			Name:    e.name,
 			Columns: append([]value.Column(nil), e.columns...),
-			Dynamic: e.dynamic != nil,
 		})
 	}
 	vr.mu.RUnlock()

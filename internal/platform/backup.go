@@ -38,15 +38,9 @@ type backupTable struct {
 	Rows        int64                   `json:"rows"`
 }
 
-// Backup exports every table of the tier under one snapshot into dir.
-//
-// Deprecated: use BackupCtx.
-func (p *Platform) Backup(tier Tier, dir string) error {
-	return p.BackupCtx(context.Background(), tier, dir)
-}
-
-// BackupCtx is Backup under the caller's context: every per-table snapshot
-// SELECT threads it, so a canceled backup stops between tables.
+// BackupCtx exports every table of the tier under one snapshot into dir.
+// Every per-table snapshot SELECT threads ctx, so a canceled backup stops
+// between tables.
 func (p *Platform) BackupCtx(ctx context.Context, tier Tier, dir string) error {
 	sys, err := p.System(tier)
 	if err != nil {
@@ -98,17 +92,10 @@ func (p *Platform) BackupCtx(ctx context.Context, tier Tier, dir string) error {
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644)
 }
 
-// Restore loads a backup into a tier, recreating every table (including
+// RestoreCtx loads a backup into a tier, recreating every table (including
 // its placement: extended-storage tables go back to the extended store,
-// hybrid partitioning and aging columns are preserved).
-//
-// Deprecated: use RestoreCtx.
-func (p *Platform) Restore(tier Tier, dir string) error {
-	return p.RestoreCtx(context.Background(), tier, dir)
-}
-
-// RestoreCtx is Restore under the caller's context: every recreated
-// table's DDL threads it, so a canceled restore stops between tables.
+// hybrid partitioning and aging columns are preserved). Every recreated
+// table's DDL threads ctx, so a canceled restore stops between tables.
 func (p *Platform) RestoreCtx(ctx context.Context, tier Tier, dir string) error {
 	sys, err := p.System(tier)
 	if err != nil {

@@ -146,19 +146,12 @@ func (p *Platform) Artifacts() []*Artifact {
 	return out
 }
 
-// Deploy applies a set of artifacts to a tier atomically: if any artifact
-// fails, previously-applied DDL of this deployment is rolled back by
-// dropping the objects it created (compensation), and the deployment
-// records are not updated.
-//
-// Deprecated: use DeployCtx.
-func (p *Platform) Deploy(tier Tier, names ...string) error {
-	return p.DeployCtx(context.Background(), tier, names...)
-}
-
-// DeployCtx is Deploy under the caller's context: the context threads
-// through every artifact's DDL execution, so a canceled deployment stops
-// between statements and its compensation still runs.
+// DeployCtx applies a set of artifacts to a tier atomically: if any
+// artifact fails, previously-applied DDL of this deployment is rolled back
+// by dropping the objects it created (compensation), and the deployment
+// records are not updated. ctx threads through every artifact's DDL
+// execution, so a canceled deployment stops between statements and its
+// compensation still runs.
 func (p *Platform) DeployCtx(ctx context.Context, tier Tier, names ...string) error {
 	sys, err := p.System(tier)
 	if err != nil {
@@ -263,16 +256,9 @@ func (p *Platform) DeployedVersion(tier Tier, name string) int {
 	return sys.deployed[strings.ToUpper(name)]
 }
 
-// Transport promotes every artifact deployed on from (at its deployed
+// TransportCtx promotes every artifact deployed on from (at its deployed
 // version) to the to tier — "transported from development via test to a
 // production system".
-//
-// Deprecated: use TransportCtx.
-func (p *Platform) Transport(from, to Tier) error {
-	return p.TransportCtx(context.Background(), from, to)
-}
-
-// TransportCtx is Transport under the caller's context.
 func (p *Platform) TransportCtx(ctx context.Context, from, to Tier) error {
 	p.mu.Lock()
 	src, ok := p.systems[from]
@@ -380,13 +366,6 @@ func (p *Platform) Login(tier Tier, user, password string) (*Session, error) {
 		return nil, err
 	}
 	return &Session{user: user, sys: sys, p: p}, nil
-}
-
-// Query runs SQL on the tier's engine under the session's credentials.
-//
-// Deprecated: use QueryCtx.
-func (s *Session) Query(sql string) (*engine.Result, error) {
-	return s.QueryCtx(context.Background(), sql)
 }
 
 // QueryCtx runs SQL on the tier's engine under the session's credentials

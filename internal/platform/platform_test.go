@@ -38,7 +38,7 @@ func TestDeployAndTransportLifecycle(t *testing.T) {
 		CREATE TABLE readings (equip VARCHAR(10), v DOUBLE);
 		CREATE TABLE alerts (msg VARCHAR(100))`)
 	p.SaveArtifact("seed", ArtifactScript, `INSERT INTO readings VALUES ('EQ1', 1.5)`)
-	if err := p.Deploy(TierDev, "schema", "seed"); err != nil {
+	if err := p.DeployCtx(context.Background(), TierDev, "schema", "seed"); err != nil {
 		t.Fatal(err)
 	}
 	dev, _ := p.System(TierDev)
@@ -54,14 +54,14 @@ func TestDeployAndTransportLifecycle(t *testing.T) {
 	if _, err := test.Engine.ExecuteContext(context.Background(), `SELECT * FROM readings`); err == nil {
 		t.Fatal("test tier must not have the table yet")
 	}
-	if err := p.Transport(TierDev, TierTest); err != nil {
+	if err := p.TransportCtx(context.Background(), TierDev, TierTest); err != nil {
 		t.Fatal(err)
 	}
 	res, err = test.Engine.ExecuteContext(context.Background(), `SELECT COUNT(*) FROM readings`)
 	if err != nil || res.Rows[0][0].Int() != 1 {
 		t.Fatalf("transport: %v %v", res, err)
 	}
-	if err := p.Transport(TierProd, TierTest); err == nil {
+	if err := p.TransportCtx(context.Background(), TierProd, TierTest); err == nil {
 		t.Fatal("transport from empty tier must error")
 	}
 }
@@ -70,7 +70,7 @@ func TestDeployAtomicCompensation(t *testing.T) {
 	p := newPlatform(t)
 	p.SaveArtifact("good", ArtifactDDL, `CREATE TABLE ok1 (a BIGINT)`)
 	p.SaveArtifact("bad", ArtifactDDL, `CREATE TABLE ok2 (a BIGINT); CREATE BROKEN SYNTAX`)
-	if err := p.Deploy(TierDev, "good", "bad"); err == nil {
+	if err := p.DeployCtx(context.Background(), TierDev, "good", "bad"); err == nil {
 		t.Fatal("broken deploy must fail")
 	}
 	dev, _ := p.System(TierDev)
@@ -84,7 +84,7 @@ func TestDeployAtomicCompensation(t *testing.T) {
 	if p.DeployedVersion(TierDev, "good") != 0 {
 		t.Fatal("failed deploy must not record versions")
 	}
-	if err := p.Deploy(TierDev, "missing"); err == nil {
+	if err := p.DeployCtx(context.Background(), TierDev, "missing"); err == nil {
 		t.Fatal("unknown artifact must error")
 	}
 }
@@ -101,14 +101,14 @@ func TestCCLArtifactDeployment(t *testing.T) {
 	}
 	p.SaveArtifact("monitoring", ArtifactCCL,
 		"WINDOW health AS SELECT cell, AVG(sig) FROM events GROUP BY cell KEEP 5 MINUTES")
-	if err := p.Deploy(TierDev, "monitoring"); err != nil {
+	if err := p.DeployCtx(context.Background(), TierDev, "monitoring"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := dev.ESP.Window("health"); !ok {
 		t.Fatal("window not deployed")
 	}
 	p.SaveArtifact("badccl", ArtifactCCL, "NOT A WINDOW LINE")
-	if err := p.Deploy(TierDev, "badccl"); err == nil {
+	if err := p.DeployCtx(context.Background(), TierDev, "badccl"); err == nil {
 		t.Fatal("bad CCL must error")
 	}
 }
@@ -139,7 +139,7 @@ func TestUnifiedCredentials(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Analyst: can query engine and windows, cannot publish.
-	if _, err := ana.Query(`SELECT COUNT(*) FROM t`); err != nil {
+	if _, err := ana.QueryCtx(context.Background(), `SELECT COUNT(*) FROM t`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ana.WindowRows("w", time.Now()); err != nil {
@@ -154,12 +154,12 @@ func TestUnifiedCredentials(t *testing.T) {
 	if err := ing.PublishEvent("s", value.Row{value.NewInt(1)}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing.Query(`SELECT 1`); err == nil {
+	if _, err := ing.QueryCtx(context.Background(), `SELECT 1`); err == nil {
 		t.Fatal("ingestor must not query")
 	}
 	// Admin can do everything.
 	root, _ := p.Login(TierDev, "root", "pw3")
-	if _, err := root.Query(`SELECT 1`); err != nil {
+	if _, err := root.QueryCtx(context.Background(), `SELECT 1`); err != nil {
 		t.Fatal(err)
 	}
 	if err := root.PublishEvent("s", value.Row{value.NewInt(2)}, time.Now()); err != nil {
@@ -186,11 +186,11 @@ func TestSynchronizedBackupRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := p.Backup(TierDev, dir); err != nil {
+	if err := p.BackupCtx(context.Background(), TierDev, dir); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a fresh tier.
-	if err := p.Restore(TierTest, dir); err != nil {
+	if err := p.RestoreCtx(context.Background(), TierTest, dir); err != nil {
 		t.Fatal(err)
 	}
 	test, _ := p.System(TierTest)
@@ -224,7 +224,7 @@ func TestSynchronizedBackupRestore(t *testing.T) {
 	if _, err := test.Engine.ExecuteContext(context.Background(), `UPDATE sales SET cold = TRUE WHERE id = 2`); err != nil {
 		t.Fatal(err)
 	}
-	moved, err := test.Engine.RunAging("sales")
+	moved, err := test.Engine.RunAgingContext(context.Background(), "sales")
 	if err != nil || moved != 1 {
 		t.Fatalf("aging after restore: %d %v", moved, err)
 	}
@@ -240,14 +240,14 @@ func TestBackupIsSnapshotConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := p.Backup(TierDev, dir); err != nil {
+	if err := p.BackupCtx(context.Background(), TierDev, dir); err != nil {
 		t.Fatal(err)
 	}
 	// Post-backup writes must not appear in the restore.
 	if _, err := dev.Engine.ExecuteContext(context.Background(), `INSERT INTO t VALUES (2)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restore(TierProd, dir); err != nil {
+	if err := p.RestoreCtx(context.Background(), TierProd, dir); err != nil {
 		t.Fatal(err)
 	}
 	prod, _ := p.System(TierProd)

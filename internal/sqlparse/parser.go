@@ -982,6 +982,9 @@ func (p *parser) typeName() (string, error) {
 	if p.matchPunct("(") {
 		base += "("
 		for !p.matchPunct(")") {
+			if p.atEOF() {
+				return "", p.errorf("unterminated type parameter list %q", base)
+			}
 			base += p.next().text
 		}
 		base += ")"

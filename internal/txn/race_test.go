@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func TestConcurrentCommitAbort(t *testing.T) {
 				tx := m.Begin()
 				tx.Enlist(p)
 				if (g+i)%2 == 0 {
-					cid, err := m.Commit(tx)
+					cid, err := m.CommitCtx(context.Background(), tx)
 					if err != nil {
 						t.Error(err)
 						return

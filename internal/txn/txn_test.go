@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -52,11 +53,11 @@ func TestCommitAssignsMonotonicCIDs(t *testing.T) {
 	m := NewManager(nil)
 	t1 := m.Begin()
 	t2 := m.Begin()
-	c1, err := m.Commit(t1)
+	c1, err := m.CommitCtx(context.Background(), t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := m.Commit(t2)
+	c2, err := m.CommitCtx(context.Background(), t2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSnapshotIsolationOrdering(t *testing.T) {
 	m := NewManager(nil)
 	t1 := m.Begin()
 	snap1 := t1.Snapshot
-	cid, _ := m.Commit(t1)
+	cid, _ := m.CommitCtx(context.Background(), t1)
 	t2 := m.Begin()
 	if t2.Snapshot < cid {
 		t.Fatal("later txn must see earlier commit")
@@ -88,7 +89,7 @@ func TestTwoPhaseCommitHappyPath(t *testing.T) {
 	tx := m.Begin()
 	tx.Enlist(p)
 	tx.Enlist(p) // duplicate enlist is a no-op
-	cid, err := m.Commit(tx)
+	cid, err := m.CommitCtx(context.Background(), tx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPrepareFailureAbortsAll(t *testing.T) {
 	tx.Enlist(bad)
 	undone := false
 	tx.OnAbort(func() { undone = true })
-	if _, err := m.Commit(tx); err == nil {
+	if _, err := m.CommitCtx(context.Background(), tx); err == nil {
 		t.Fatal("commit must fail")
 	}
 	if tx.State() != StateAborted || !undone {
@@ -128,7 +129,7 @@ func TestCommitPhaseFailureLeavesInDoubt(t *testing.T) {
 	p := &fakePart{name: "extstore", commitErr: errors.New("network down")}
 	tx := m.Begin()
 	tx.Enlist(p)
-	cid, err := m.Commit(tx)
+	cid, err := m.CommitCtx(context.Background(), tx)
 	if err != nil {
 		t.Fatalf("decision was commit; coordinator must not fail: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestAbortRunsUndoInReverseOrder(t *testing.T) {
 	if err := m.Abort(tx); err == nil {
 		t.Fatal("double abort must error")
 	}
-	if _, err := m.Commit(tx); err == nil {
+	if _, err := m.CommitCtx(context.Background(), tx); err == nil {
 		t.Fatal("commit after abort must error")
 	}
 }
@@ -179,13 +180,13 @@ func TestInjectedFailures(t *testing.T) {
 	inj.FailN("txn.prepare.ext", 1)
 	tx := m.Begin()
 	tx.Enlist(p)
-	if _, err := m.Commit(tx); err == nil {
+	if _, err := m.CommitCtx(context.Background(), tx); err == nil {
 		t.Fatal("injected prepare failure must abort")
 	}
 	inj.FailN("txn.commit.ext", 1)
 	tx2 := m.Begin()
 	tx2.Enlist(p)
-	if _, err := m.Commit(tx2); err != nil {
+	if _, err := m.CommitCtx(context.Background(), tx2); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InDoubt()) != 1 {
@@ -204,7 +205,7 @@ func TestInjectedFailures(t *testing.T) {
 	inj.FailN("txn.commit.ext", 1)
 	tx3 := m.Begin()
 	tx3.Enlist(p)
-	if _, err := m.Commit(tx3); err != nil {
+	if _, err := m.CommitCtx(context.Background(), tx3); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InDoubt()) != 1 {
@@ -236,13 +237,13 @@ func TestWALReplayAndRecovery(t *testing.T) {
 	}
 	m := NewManager(log)
 	t1 := m.Begin()
-	cid1, _ := m.Commit(t1)
+	cid1, _ := m.CommitCtx(context.Background(), t1)
 	t2 := m.Begin()
 	_ = m.Abort(t2)
 	p := &fakePart{name: "ext", commitErr: errors.New("down")}
 	t3 := m.Begin()
 	t3.Enlist(p)
-	_, _ = m.Commit(t3) // leaves t3 in-doubt
+	_, _ = m.CommitCtx(context.Background(), t3) // leaves t3 in-doubt
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

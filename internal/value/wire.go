@@ -71,7 +71,8 @@ func DecodeValue(b []byte) (Value, int, error) {
 		return Value{K: KindDouble, F: math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))}, 9, nil
 	case KindVarchar:
 		l, w := binary.Uvarint(b[1:])
-		if w <= 0 || uint64(len(b)) < 1+uint64(w)+l {
+		// Compare against the remaining length: 1+w+l wraps for a hostile l.
+		if w <= 0 || l > uint64(len(b)-1-w) {
 			return Null, 0, fmt.Errorf("value decode: short VARCHAR")
 		}
 		start := 1 + w

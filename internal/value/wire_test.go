@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -77,4 +78,44 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	if _, _, err := DecodeValue([]byte{0xEE}); err == nil {
 		t.Fatal("unknown kind not detected")
 	}
+	if _, _, err := DecodeValue(hugeVarchar()); err == nil {
+		t.Fatal("VARCHAR length near 2^64 not detected")
+	}
+}
+
+// hugeVarchar is a VARCHAR whose declared length makes 1+w+l wrap around
+// uint64, which used to pass the bound check and panic in the slice.
+func hugeVarchar() []byte {
+	b := binary.AppendUvarint([]byte{byte(KindVarchar)}, ^uint64(0)-10)
+	return append(b, "12345678"...)
+}
+
+// FuzzDecodeRow: arbitrary bytes give an error or a row that survives
+// re-encoding — never a panic. The seeds (one row per kind, plus the
+// overflowing VARCHAR length) run as ordinary subtests under `go test`.
+func FuzzDecodeRow(f *testing.F) {
+	for _, v := range []Value{
+		Null, NewBool(true), NewInt(math.MinInt64), NewDouble(-3.25),
+		NewString("héllo"), NewDate(19000), NewTimestamp(1_700_000_000_000_000),
+	} {
+		f.Add(AppendRow(nil, Row{v, v}))
+	}
+	f.Add(append([]byte{1}, hugeVarchar()...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		row, n, err := DecodeRow(b)
+		if err != nil {
+			return
+		}
+		if n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		enc := AppendRow(nil, row)
+		again, m, err := DecodeRow(enc)
+		if err != nil || m != len(enc) {
+			t.Fatalf("re-encoded row does not decode: %v (n=%d/%d)", err, m, len(enc))
+		}
+		if !bytes.Equal(AppendRow(nil, again), enc) {
+			t.Fatalf("re-encoding is not stable: %v vs %v", row, again)
+		}
+	})
 }
