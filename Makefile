@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist bench bench-smoke check
+.PHONY: all build vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
 
 all: check
 
@@ -86,6 +86,18 @@ chaos-dist:
 # that CI uploads as an artifact.
 chaos-recovery:
 	CHAOS_RECOVERY_REPORT=$(CURDIR)/CHAOS_recovery.json $(GO) test -race -count=1 -run 'TestCrashpoint' ./internal/chaos
+
+# Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
+# parser, the value row codec and the two dist wire decoders must return a
+# value or an error on any input. `go test -fuzz` takes one package and one
+# target per run; minimization is capped so a large interesting input does
+# not eat the window. A crasher lands under the package's testdata/fuzz/.
+FUZZTIME ?= 20s
+fuzz-smoke:
+	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/value -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -19,6 +19,10 @@ type distRel struct {
 	name    string
 	binding string
 	conjs   []expr.Expr
+	// coord are covered conjuncts that stay off the wire — subquery key
+	// sets longer than SemiJoinThreshold — and filter the gathered rows at
+	// the coordinator instead.
+	coord []expr.Expr
 }
 
 // renderConjs renders pushed conjuncts as one shippable predicate ("" =
@@ -29,6 +33,14 @@ func renderConjs(conjs []expr.Expr) string {
 		return ""
 	}
 	return expr.And(cloneAll(conjs)...).SQL()
+}
+
+// shippedFilter is the plan child naming the predicate a fragment carries.
+func shippedFilter(conjs []expr.Expr) []*planNode {
+	if len(conjs) == 0 {
+		return nil
+	}
+	return []*planNode{node("shipped filter: " + planSQL(expr.And(conjs...)))}
 }
 
 // distGather fans a fragment template out through the coordinator and folds
@@ -69,9 +81,16 @@ func (p *planner) realizeDist(r *relation) error {
 	}
 	shards := p.e.dist.topo.Shards
 	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", dr.name, len(res.Rows), shards)
-	r.node = node(label)
-	if f.Where != "" {
-		r.node.children = append(r.node.children, node("shipped filter: "+f.Where))
+	r.node = node(label, shippedFilter(dr.conjs)...)
+	if len(dr.coord) > 0 {
+		pred, err := bindToSchema(expr.And(dr.coord...), r.schema)
+		if err != nil {
+			return err
+		}
+		if res.Rows, err = keepTruthy(res.Rows, pred); err != nil {
+			return err
+		}
+		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), len(res.Rows))))
 	}
 	r.rows = res.Rows
 	r.local = true
@@ -222,10 +241,7 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 
 	shards := p.e.dist.topo.Shards
 	root := node(fmt.Sprintf("Dist Hash Aggregate [%s] (%d group cols, %d groups, %d shards)",
-		dr.name, len(sel.GroupBy), len(rows), shards))
-	if f.Where != "" {
-		root.children = append(root.children, node("shipped filter: "+f.Where))
-	}
+		dr.name, len(sel.GroupBy), len(rows), shards), shippedFilter(dr.conjs)...)
 
 	// Rewrite items/having/order over the aggregate output, exactly as the
 	// serial aggregate does, then share its finishing stages.
@@ -275,6 +291,10 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 		return nil, nil
 	}
 	dr := l.dst
+	if len(dr.coord) > 0 {
+		// The probe side's coordinator filter runs on gathered rows.
+		return nil, nil
+	}
 	probeSQLs := make([]string, len(leftKeys))
 	for i, k := range leftKeys {
 		probeSQLs[i] = k.SQL()
@@ -303,10 +323,7 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	out.est = float64(len(out.rows))
 	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
 		keySQL(leftKeys, rightKeys), len(out.rows), p.e.dist.topo.Shards)
-	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", dr.name))
-	if f.Where != "" {
-		probeNode.children = append(probeNode.children, node("shipped filter: "+f.Where))
-	}
+	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", dr.name), shippedFilter(dr.conjs)...)
 	out.node = node(label, probeNode, r.node)
 	return out, nil
 }

@@ -203,7 +203,9 @@ func (p *planner) realizeRemote(r *relation) error {
 	if res.FromFallback {
 		label += " [fallback cache]"
 	}
-	r.node = node(label, node("shipped: "+sql))
+	shown := *sel
+	shown.Where = elideLists(sel.Where)
+	r.node = node(label, node("shipped: "+sqlparse.RenderSelect(&shown)))
 	if err := conformRows(res.Rows, r.schema); err != nil {
 		return fmt.Errorf("remote source %s returned incompatible rows: %w", rr.source, err)
 	}
@@ -318,7 +320,7 @@ func (p *planner) realizeExt(r *relation) error {
 		r.node = node(fmt.Sprintf("Column Scan [%s] (%d rows)", t.meta.Name, hotRows))
 	}
 	if pred != nil {
-		r.node.children = append(r.node.children, node("pushed filter: "+pred.SQL()))
+		r.node.children = append(r.node.children, node("pushed filter: "+planSQL(pred)))
 	}
 	r.rows = out
 	r.local = true

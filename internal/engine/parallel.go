@@ -67,17 +67,9 @@ func (p *planner) scanParts(parts []*partition, ranges map[int]diskstore.Range, 
 			visible[i] = len(rows)
 			p.stats.NoteScanned(len(rows))
 			if pred != nil {
-				kept := rows[:0]
-				for _, r := range rows {
-					ok, err := expr.Truthy(pred, r)
-					if err != nil {
-						return err
-					}
-					if ok {
-						kept = append(kept, r)
-					}
+				if rows, err = keepTruthy(rows, pred); err != nil {
+					return err
 				}
-				rows = kept
 			}
 			outs[i] = rows
 			return nil
@@ -99,4 +91,19 @@ func (p *planner) scanParts(parts []*partition, ranges map[int]diskstore.Range, 
 		out = append(out, o...)
 	}
 	return out, perPart, nil
+}
+
+// keepTruthy filters rows in place to those pred holds for.
+func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
+	kept := rows[:0]
+	for _, r := range rows {
+		ok, err := expr.Truthy(pred, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, r)
+		}
+	}
+	return kept, nil
 }

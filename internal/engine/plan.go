@@ -41,6 +41,10 @@ type planner struct {
 	// fanout caps concurrent shard fragments (WithShards, 0 = all).
 	localOnly bool
 	fanout    int
+
+	// keySets maps each subquery key-set conjunct placeSubqueries put into
+	// a pool to its number of keys.
+	keySets map[expr.Expr]int
 }
 
 func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.SelectStmt, width int) *planner {
@@ -172,7 +176,8 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		return it, n, nil
 	}
 
-	// Split WHERE into plain conjuncts and subquery transforms.
+	// Split WHERE into plain conjuncts and subquery predicates; the latter
+	// are evaluated first and join the pool behind the plain conjuncts.
 	var pool []expr.Expr
 	var transforms []subqueryTransform
 	for _, c := range expr.SplitConjuncts(sel.Where) {
@@ -186,6 +191,10 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		}
 		pool = append(pool, c2)
 	}
+	transforms, subNodes, err := p.placeSubqueries(sel, transforms, &pool)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	rel, err := p.planFromExpr(sel.From, &pool)
 	if err != nil {
@@ -193,10 +202,11 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 	}
 	// Single distributed leaf with nothing left in the pool: try shipping
 	// the aggregation itself so only per-group partials cross the exchange.
-	if rel.dst != nil && len(pool) == 0 && len(transforms) == 0 {
+	if rel.dst != nil && len(rel.dst.coord) == 0 && len(pool) == 0 && len(transforms) == 0 {
 		if it, root, ok, err := p.tryDistAggregate(sel, rel); err != nil {
 			return nil, nil, err
 		} else if ok {
+			root.children = append(root.children, subNodes...)
 			return it, root, nil
 		}
 	}
@@ -217,10 +227,11 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 			return nil, nil, err
 		}
 		it = exec.FilterIter(it, pred)
-		root = node("Filter: "+pred.SQL(), root)
+		root = node("Filter: "+planSQL(pred), root)
 	}
 
-	// Apply EXISTS / IN subquery transforms as semi/anti joins.
+	// The subquery predicates placeSubqueries left alone become semi/anti
+	// joins on top.
 	for _, tf := range transforms {
 		var err error
 		it, root, err = p.applyTransform(it, root, tf)
@@ -229,7 +240,12 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		}
 	}
 
-	return p.finishBlock(sel, it, root)
+	it, root, err = p.finishBlock(sel, it, root)
+	if err != nil {
+		return nil, nil, err
+	}
+	root.children = append(root.children, subNodes...)
+	return it, root, nil
 }
 
 // planFromExpr plans a FROM tree. Inner/cross joins are flattened with the
@@ -355,6 +371,14 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 		rel := &relation{schema: schema, dst: &distRel{t: st, name: name, binding: binding}}
 		conjs := takeCovered(rel, pool)
 		for _, c := range conjs {
+			// A subquery key set ships inside the fragment up to the bound
+			// the broadcast join uses; a longer one filters the gathered
+			// rows at the coordinator.
+			if n := p.keySets[c]; int64(n) > p.e.semiJoinThreshold() {
+				rel.dst.coord = append(rel.dst.coord, c)
+				p.plan.Note("dist: key set of %d > threshold %d, filtering %s at the coordinator", n, p.e.semiJoinThreshold(), name)
+				continue
+			}
 			rel.addConj(c)
 		}
 		rel.est = estimateLeaf(meta, approxRowCount(st), conjs)
@@ -382,7 +406,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 		kept := rel.batchRowCount()
 		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
 		if pred != nil {
-			rel.node.children = append(rel.node.children, node("filter: "+pred.SQL()))
+			rel.node.children = append(rel.node.children, node("filter: "+planSQL(pred)))
 		}
 		rel.est = float64(kept)
 		return rel, nil
@@ -393,7 +417,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	}
 	if pred != nil {
 		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)),
-			node("filter: "+pred.SQL()))
+			node("filter: "+planSQL(pred)))
 	} else {
 		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)))
 	}
@@ -666,28 +690,20 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 		if err != nil {
 			return err
 		}
-		seen := map[value.Value]bool{}
-		var list []expr.Expr
-		for _, row := range small.rowsOf() {
-			v, err := key.Eval(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() || seen[v] {
-				continue
-			}
-			seen[v] = true
-			list = append(list, expr.Lit(v))
+		vals, _, err := keyValues(small.rowsOf(), key)
+		if err != nil {
+			return err
 		}
-		if len(list) == 0 {
+		if len(vals) == 0 {
 			// Empty build side: the join is empty; an impossible filter
 			// short-circuits the remote scan.
-			list = append(list, expr.Lit(value.Null))
+			vals = append(vals, value.Null)
 		}
-		big.addConj(&expr.In{E: expr.Clone(bigKeys[i]), List: list})
+		in := expr.NewIn(expr.Clone(bigKeys[i]), vals, false)
+		big.addConj(in)
 		if big.remote != nil {
 			p.e.Metrics.SemiJoinsChosen.Inc()
-			p.plan.Note("chose semijoin: shipped %d key values to %s", len(list), big.remote.source)
+			p.plan.Note("chose semijoin: shipped %d key values to %s", len(in.List), big.remote.source)
 		}
 	}
 	return nil

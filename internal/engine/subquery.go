@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"hana/internal/exec"
 	"hana/internal/expr"
@@ -9,8 +10,10 @@ import (
 	"hana/internal/value"
 )
 
-// subqueryTransform is a WHERE-clause subquery waiting to be converted to a
-// semi/anti join after the FROM tree is planned.
+// subqueryTransform is a WHERE-clause [NOT] IN (SELECT …) or [NOT] EXISTS
+// predicate. placeSubqueries evaluates it ahead of the FROM tree and turns
+// it into a pool conjunct; the cases it leaves alone become a semi/anti
+// join on top of the joined block (applyTransform).
 type subqueryTransform struct {
 	anti      bool
 	nullAware bool                 // NOT IN semantics
@@ -39,8 +42,275 @@ func asSubqueryTransform(c expr.Expr) (subqueryTransform, bool) {
 	return subqueryTransform{}, false
 }
 
-// applyTransform converts one subquery transform into a semi/anti hash
-// join on top of the current iterator.
+// fromLeaf is one leaf of a block's FROM tree as placeSubqueries sees it
+// before anything is planned: its qualified schema, and whether a conjunct
+// over it is evaluated by this engine's own scan (in-memory and sharded
+// tables, derived tables) rather than shipped to a remote source or the
+// extended store, or left on top of a table function.
+type fromLeaf struct {
+	schema    *value.Schema
+	placeable bool
+}
+
+func (p *planner) fromLeaves(te sqlparse.TableExpr) ([]fromLeaf, error) {
+	if te == nil {
+		return nil, nil
+	}
+	if j, ok := te.(*sqlparse.JoinExpr); ok {
+		l, err := p.fromLeaves(j.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.fromLeaves(j.R)
+		return append(l, r...), err
+	}
+	schema, err := p.fromSchemaPreview(te)
+	if err != nil {
+		return nil, err
+	}
+	leaf := fromLeaf{schema: schema, placeable: true}
+	switch t := te.(type) {
+	case *sqlparse.TableRef:
+		if _, virtual := p.e.cat.VirtualTable(t.Name()); virtual {
+			leaf.placeable = false
+		} else if st, err := p.e.table(t.Name()); err == nil && hasColdParts(st) {
+			leaf.placeable = false
+		}
+	case *sqlparse.TableFuncRef:
+		leaf.placeable = false
+	}
+	return []fromLeaf{leaf}, nil
+}
+
+// placeable reports whether every column of e (at least one) belongs to a
+// placeable leaf.
+func placeable(e expr.Expr, leaves []fromLeaf) bool {
+	cols := expr.Columns(e)
+	for _, c := range cols {
+		found := false
+		for _, l := range leaves {
+			if l.schema.Find(c) >= 0 {
+				if !l.placeable {
+					return false
+				}
+				found = true
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return len(cols) > 0
+}
+
+// blockEquiConjuncts collects the equality conjuncts that hold on every
+// output row of the block's FROM tree: those of the WHERE pool plus the ON
+// conjuncts of inner joins not nested under the null-supplying side of a
+// LEFT OUTER JOIN.
+func blockEquiConjuncts(te sqlparse.TableExpr, pool []expr.Expr) []*expr.BinOp {
+	var out []*expr.BinOp
+	add := func(cs []expr.Expr) {
+		for _, c := range cs {
+			if b, ok := c.(*expr.BinOp); ok && b.Op == expr.OpEq {
+				out = append(out, b)
+			}
+		}
+	}
+	add(pool)
+	var walk func(te sqlparse.TableExpr)
+	walk = func(te sqlparse.TableExpr) {
+		j, ok := te.(*sqlparse.JoinExpr)
+		if !ok {
+			return
+		}
+		walk(j.L)
+		if j.Type != sqlparse.JoinLeft {
+			add(expr.SplitConjuncts(j.On))
+			walk(j.R)
+		}
+	}
+	walk(te)
+	return out
+}
+
+// keyValues evaluates key over rows and returns the non-NULL values, and
+// whether a NULL was seen.
+func keyValues(rows []value.Row, key expr.Expr) (vals []value.Value, sawNull bool, err error) {
+	vals = make([]value.Value, 0, len(rows))
+	for _, row := range rows {
+		v, err := key.Eval(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if v.IsNull() {
+			sawNull = true
+			continue
+		}
+		vals = append(vals, v)
+	}
+	return vals, sawNull, nil
+}
+
+// placeSubqueries plans the block's subquery predicates first. Each
+// uncorrelated [NOT] IN (SELECT …) and each [NOT] EXISTS with exactly one
+// correlation equality is evaluated now, and its distinct keys become one
+// IN conjunct over the outer expression, appended to the pool — so it is
+// placed like any other conjunct: in the scan of the one leaf that covers
+// it, as a join residual when it spans two relations, in the final Filter
+// when it names the null-supplying side of a LEFT OUTER JOIN (that side is
+// planned with an empty pool). A semi (not anti) key set also filters every
+// placeable leaf expression that a block-level equality conjunct equates
+// with the outer expression (o_orderkey = l_orderkey: lineitem is cut to
+// the matching orders before it is hashed); both sides must have the same
+// kind, where Compare-equality is transitive.
+//
+// Returned transforms keep the post-join semi/anti join: outer expressions
+// over a virtual table, an extended/hybrid table or a table function (what
+// ships to a remote source or the cold tier stays as it was), EXISTS with
+// several correlation keys, and uncorrelated EXISTS (a constant, not a
+// join). nodes are the evaluated subqueries' plans.
+func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransform, pool *[]expr.Expr) (rest []subqueryTransform, nodes []*planNode, err error) {
+	if len(tfs) == 0 {
+		return nil, nil, nil
+	}
+	leaves, err := p.fromLeaves(sel.From)
+	if err != nil {
+		// A FROM tree with no schema before it runs (a table provider) —
+		// or none at all, which planFromExpr reports in its own words.
+		return tfs, nil, nil
+	}
+	outer := value.NewSchema()
+	for _, l := range leaves {
+		outer = outer.Concat(l.schema)
+	}
+	equis := blockEquiConjuncts(sel.From, *pool)
+	for _, tf := range tfs {
+		key, sub := tf.outerExpr, tf.sel
+		if key == nil {
+			outerKeys, innerKeys, remaining, err := p.decorrelate(tf.sel, outer)
+			if err != nil {
+				return nil, nil, err
+			}
+			if len(outerKeys) != 1 {
+				rest = append(rest, tf)
+				continue
+			}
+			key = outerKeys[0]
+			sub = &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: expr.Clone(innerKeys[0])}},
+				From: tf.sel.From, Where: expr.And(remaining...), Limit: -1}
+		}
+		if !placeable(key, leaves) {
+			rest = append(rest, tf)
+			continue
+		}
+		rows, subNode, err := p.blockRows(sub)
+		if err != nil {
+			return nil, nil, err
+		}
+		if rows.Schema.Len() != 1 {
+			return nil, nil, fmt.Errorf("IN subquery must return one column, got %d", rows.Schema.Len())
+		}
+		vals, sawNull, err := keyValues(rows.Data, &expr.ColRef{Ord: 0})
+		if err != nil {
+			return nil, nil, err
+		}
+		var conj expr.Expr
+		var in *expr.In
+		switch {
+		case !tf.anti:
+			// IN / EXISTS: NULL keys match nothing; an empty set is the
+			// impossible filter maybeSemiJoin uses.
+			if len(vals) == 0 {
+				vals = append(vals, value.Null)
+			}
+			in = expr.NewIn(key, vals, false)
+			conj = in
+		case len(vals) == 0 && !(tf.nullAware && sawNull):
+			// NOT IN / NOT EXISTS over nothing holds for every row, NULL
+			// outer keys included: no conjunct.
+			nodes = append(nodes, node("Subquery Key Set (empty, predicate holds for every row)", subNode))
+			continue
+		case tf.nullAware:
+			// NOT IN: a NULL in the list makes every non-match unknown.
+			if sawNull {
+				vals = append(vals, value.Null)
+			}
+			in = expr.NewIn(key, vals, true)
+			conj = in
+		default:
+			// NOT EXISTS: a NULL outer key matches no inner row.
+			in = expr.NewIn(expr.Clone(key), vals, true)
+			conj = expr.Bin(expr.OpOr, &expr.IsNull{E: key}, in)
+		}
+		p.addKeySet(pool, conj, len(in.List))
+		nodes = append(nodes, node("Subquery Key Set: "+planSQL(conj), subNode))
+		if tf.anti {
+			continue
+		}
+		keySQL, keyKind := key.SQL(), inferKind(key, outer)
+		for _, eq := range equis {
+			other := eq.R
+			if strings.EqualFold(eq.R.SQL(), keySQL) {
+				other = eq.L
+			} else if !strings.EqualFold(eq.L.SQL(), keySQL) {
+				continue
+			}
+			if placeable(other, leaves) && inferKind(other, outer) == keyKind {
+				derived := expr.Clone(in).(*expr.In)
+				derived.E = expr.Clone(other)
+				p.addKeySet(pool, derived, len(in.List))
+			}
+		}
+	}
+	return rest, nodes, nil
+}
+
+// addKeySet appends a conjunct over n subquery keys to the pool, recording n
+// for the sharded leaf's ship-or-filter choice.
+func (p *planner) addKeySet(pool *[]expr.Expr, conj expr.Expr, n int) {
+	if p.keySets == nil {
+		p.keySets = map[expr.Expr]int{}
+	}
+	p.keySets[conj] = n
+	*pool = append(*pool, conj)
+	p.plan.Note("subquery key set: %d keys, placed as %s", n, planSQL(conj))
+}
+
+// decorrelate splits an EXISTS subquery's WHERE into the equalities between
+// an outer and an inner expression (the join keys) and the rest.
+func (p *planner) decorrelate(sel *sqlparse.SelectStmt, outer *value.Schema) (outerKeys, innerKeys, remaining []expr.Expr, err error) {
+	inner, err := p.fromSchemaPreview(sel.From)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, c := range expr.SplitConjuncts(sel.Where) {
+		if ok, ik := correlationPair(c, outer, inner); ok != nil {
+			outerKeys = append(outerKeys, ok)
+			innerKeys = append(innerKeys, ik)
+			continue
+		}
+		remaining = append(remaining, c)
+	}
+	return outerKeys, innerKeys, remaining, nil
+}
+
+// planSQL renders a predicate for EXPLAIN and plan notes: a literal list of
+// more than 8 elements prints as its size.
+func planSQL(e expr.Expr) string { return elideLists(e).SQL() }
+
+func elideLists(e expr.Expr) expr.Expr {
+	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
+		in, ok := n.(*expr.In)
+		if !ok || len(in.List) <= 8 {
+			return nil
+		}
+		size := expr.Col(fmt.Sprintf("<%d values>", len(in.List)))
+		return &expr.In{E: in.E, List: []expr.Expr{size}, Negate: in.Negate}
+	})
+}
+
+// applyTransform converts one subquery transform placeSubqueries left alone
+// into a semi/anti hash join on top of the current iterator.
 func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransform) (exec.Iter, *planNode, error) {
 	kind := exec.JoinSemi
 	label := "Semi Join (IN/EXISTS subquery)"
@@ -78,20 +348,10 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransf
 
 	// EXISTS: decorrelate equality predicates between outer and inner
 	// columns into join keys.
-	innerSchema, err := p.fromSchemaPreview(tf.sel.From)
+	outerSchema := it.Schema()
+	outerKeys, innerKeys, remaining, err := p.decorrelate(tf.sel, outerSchema)
 	if err != nil {
 		return nil, nil, err
-	}
-	outerSchema := it.Schema()
-	var outerKeys, innerKeys []expr.Expr
-	var remaining []expr.Expr
-	for _, c := range expr.SplitConjuncts(tf.sel.Where) {
-		if ok, ok2 := correlationPair(c, outerSchema, innerSchema); ok != nil {
-			outerKeys = append(outerKeys, ok)
-			innerKeys = append(innerKeys, ok2)
-			continue
-		}
-		remaining = append(remaining, c)
 	}
 	if len(outerKeys) == 0 {
 		// Uncorrelated EXISTS: evaluate once.

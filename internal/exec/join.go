@@ -31,8 +31,9 @@ type HashJoin struct {
 	RightKeys []expr.Expr // bound to Right schema
 	Residual  expr.Expr   // bound to Concat(Left, Right) schema
 
-	// NullAwareAnti makes the anti join NULL-aware: if the build side
-	// contains a NULL key, no rows are emitted (SQL NOT IN semantics).
+	// NullAwareAnti makes the anti join NULL-aware (SQL NOT IN semantics):
+	// a NULL key on the build side emits no rows, and a NULL probe key is
+	// emitted only when the build side is empty.
 	NullAwareAnti bool
 
 	out       *value.Schema
@@ -200,12 +201,14 @@ func (j *HashJoin) Next() (value.Row, bool, error) {
 				continue // any NULL on build side ⇒ NOT IN yields unknown
 			}
 			if len(m) == 0 {
-				// NULL probe key under NULL-aware anti join is unknown too.
+				// A NULL probe key is unknown against any build row; here
+				// no build key is NULL, so the table is empty only when the
+				// build side is, and NOT IN over nothing is true.
 				_, hasNull, err := hashKeys(j.LeftKeys, left)
 				if err != nil {
 					return nil, false, err
 				}
-				if j.NullAwareAnti && hasNull {
+				if j.NullAwareAnti && hasNull && len(j.table) > 0 {
 					continue
 				}
 				return left, true, nil

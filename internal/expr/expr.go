@@ -8,6 +8,8 @@ package expr
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strings"
 
 	"hana/internal/value"
@@ -330,43 +332,126 @@ func (b *Between) SQL() string {
 	return "(" + b.E.SQL() + " " + not + "BETWEEN " + b.Lo.SQL() + " AND " + b.Hi.SQL() + ")"
 }
 
-// In is e IN (list). Subqueries are decorrelated by the planner into joins
-// or materialized into the List before execution.
+// In is e IN (list). The planner evaluates IN/EXISTS subqueries ahead of
+// the FROM tree and materializes their key sets into the List.
 type In struct {
 	E      Expr
 	List   []Expr
 	Negate bool
 
-	// strs is the all-VARCHAR-literal fast path prepared by Bind: Eval
-	// probes this set instead of re-evaluating the list per row. Built
-	// during binding (never lazily) so the bound tree stays immutable
-	// under parallel morsel execution. strNull records a literal NULL in
-	// the list.
-	strs    map[string]bool
-	strNull bool
+	// set is the all-literal fast path prepared by Bind: Eval probes it
+	// instead of re-evaluating the list per row. Built during binding (never
+	// lazily) so the bound tree stays immutable under parallel morsel
+	// execution.
+	set *litSet
 }
 
-// prepare builds the literal-set fast path when every list element is a
-// VARCHAR (or NULL) literal. Mixed-kind lists keep the per-row Compare
-// path, which equates values across numeric kinds.
+// litSet indexes an all-literal IN list: its distinct non-NULL values,
+// chained by a hash that, like Value.Hash, is equal for values Compare
+// equates (1 and 1.0, a DATE and the TIMESTAMP of the same encoding), every
+// probe confirmed with Compare — so membership equals a linear Compare scan
+// of the list.
+type litSet struct {
+	vals    []value.Value    // distinct members, first-seen order
+	next    []int32          // next[i]: 1+index of the next member with vals[i]'s hash, 0 = none
+	heads   map[uint64]int32 // hash → 1+index of the newest member with it
+	seed    maphash.Seed
+	hasNull bool // the list holds a NULL literal
+}
+
+func newLitSet(n int) *litSet {
+	return &litSet{heads: make(map[uint64]int32, n), seed: maphash.MakeSeed()}
+}
+
+// isNaN reports a DOUBLE NaN, which Compare equates with every number and
+// which therefore cannot be found by hash.
+func isNaN(v value.Value) bool { return v.K == value.KindDouble && v.F != v.F }
+
+// hash needs no mixing (heads hashes its keys) and no kind tag (a chain
+// holding values of two incomparable kinds is told apart by Compare).
+func (s *litSet) hash(v value.Value) uint64 {
+	switch v.K {
+	case value.KindVarchar:
+		return maphash.String(s.seed, v.S)
+	case value.KindInt, value.KindDouble:
+		f := v.Float()
+		if f == 0 {
+			f = 0 // -0.0, which Compare equates with 0.0
+		}
+		return math.Float64bits(f)
+	}
+	return uint64(v.I)
+}
+
+// find returns the 1+index of the member equal to v under hash h, or 0.
+func (s *litSet) find(v value.Value, h uint64) int32 {
+	k := s.heads[h]
+	for k != 0 && value.Compare(v, s.vals[k-1]) != 0 {
+		k = s.next[k-1]
+	}
+	return k
+}
+
+func (s *litSet) contains(v value.Value) bool { return s.find(v, s.hash(v)) != 0 }
+
+// add inserts a literal's value unless it is NULL or equal to a member.
+func (s *litSet) add(v value.Value) {
+	if v.IsNull() {
+		s.hasNull = true
+		return
+	}
+	h := s.hash(v)
+	if s.find(v, h) == 0 {
+		s.vals = append(s.vals, v)
+		s.next = append(s.next, s.heads[h])
+		s.heads[h] = int32(len(s.vals))
+	}
+}
+
+// NewIn builds e [NOT] IN (vals…) from evaluated values, a subquery's key
+// column for one: values equal to an earlier one are dropped, the list keeps
+// first-seen order with a NULL, if any, last, and the literal set is
+// prepared here, once — Clone shares it with the literals, so binding the
+// node for every leaf that takes it does not rebuild the set.
+func NewIn(e Expr, vals []value.Value, negate bool) *In {
+	in := &In{E: e, Negate: negate, set: newLitSet(0)}
+	for _, v := range vals {
+		if isNaN(v) {
+			in.set = nil // no set can find a NaN: keep the list as given
+			break
+		}
+		in.set.add(v)
+	}
+	if in.set != nil {
+		vals = in.set.vals
+		if in.set.hasNull {
+			vals = append(vals[:len(vals):len(vals)], value.Null)
+		}
+	}
+	lits := make([]Literal, len(vals))
+	in.List = make([]Expr, len(vals))
+	for i, v := range vals {
+		lits[i].Val = v
+		in.List[i] = &lits[i]
+	}
+	return in
+}
+
+// prepare builds the literal set when every list element is a literal.
+// Lists with a non-literal element, or a NaN, keep the per-row Compare path.
 func (i *In) prepare() {
-	strs := make(map[string]bool, len(i.List))
-	sawNull := false
+	if i.set != nil {
+		return
+	}
+	set := newLitSet(len(i.List))
 	for _, el := range i.List {
 		lit, ok := el.(*Literal)
-		if !ok {
+		if !ok || isNaN(lit.Val) {
 			return
 		}
-		if lit.Val.IsNull() {
-			sawNull = true
-			continue
-		}
-		if lit.Val.K != value.KindVarchar {
-			return
-		}
-		strs[lit.Val.S] = true
+		set.add(lit.Val)
 	}
-	i.strs, i.strNull = strs, sawNull
+	i.set = set
 }
 
 // Eval applies the membership test.
@@ -375,17 +460,17 @@ func (i *In) Eval(row value.Row) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	if v.IsNull() {
+	if i.set != nil {
+		switch inVerdict(i, v) {
+		case triTrue:
+			return value.NewBool(true), nil
+		case triFalse:
+			return value.NewBool(false), nil
+		}
 		return value.Null, nil
 	}
-	if i.strs != nil && v.K == value.KindVarchar {
-		if i.strs[v.S] {
-			return value.NewBool(!i.Negate), nil
-		}
-		if i.strNull {
-			return value.Null, nil
-		}
-		return value.NewBool(i.Negate), nil
+	if v.IsNull() {
+		return value.Null, nil
 	}
 	sawNull := false
 	for _, el := range i.List {

@@ -577,16 +577,18 @@ func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 	return nil, false
 }
 
-// inVerdict mirrors In.Eval for an all-literal list (which cannot fail).
+// inVerdict is the membership verdict of an all-literal list (which cannot
+// fail) for one value: a probe of the set Bind prepared, or, for an unbound
+// node or a NaN on either side, the linear Compare scan the set stands for.
 func inVerdict(n *In, v value.Value) int8 {
 	if v.IsNull() {
 		return triNull
 	}
-	if n.strs != nil && v.K == value.KindVarchar {
-		if n.strs[v.S] {
+	if n.set != nil && !isNaN(v) {
+		switch {
+		case n.set.contains(v):
 			return triBool(!n.Negate)
-		}
-		if n.strNull {
+		case n.set.hasNull:
 			return triNull
 		}
 		return triBool(n.Negate)

@@ -71,6 +71,11 @@ func Clone(e Expr) Expr {
 	case *Between:
 		return &Between{E: Clone(n.E), Lo: Clone(n.Lo), Hi: Clone(n.Hi), Negate: n.Negate}
 	case *In:
+		if n.set != nil {
+			// Prepared: the list is all literals, which nothing mutates;
+			// share them and the set built from them.
+			return &In{E: Clone(n.E), List: n.List, Negate: n.Negate, set: n.set}
+		}
 		list := make([]Expr, len(n.List))
 		for i, el := range n.List {
 			list[i] = Clone(el)
