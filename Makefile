@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
+.PHONY: all build fmt vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails when gofmt would rewrite a file (the lint fixtures under testdata
+# are deliberately left alone).
+fmt:
+	@out="$$(gofmt -l . | grep -v /testdata/)"; if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -88,14 +93,16 @@ chaos-recovery:
 	CHAOS_RECOVERY_REPORT=$(CURDIR)/CHAOS_recovery.json $(GO) test -race -count=1 -run 'TestCrashpoint' ./internal/chaos
 
 # Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
-# parser, the value row codec and the two dist wire decoders must return a
-# value or an error on any input. `go test -fuzz` takes one package and one
-# target per run; minimization is capped so a large interesting input does
-# not eat the window. A crasher lands under the package's testdata/fuzz/.
+# parser, the value row codec, the extended store's chunk codec and the two
+# dist wire decoders must return a value or an error on any input. `go test
+# -fuzz` takes one package and one target per run; minimization is capped so
+# a large interesting input does not eat the window. A crasher lands under
+# the package's testdata/fuzz/.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/value -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/diskstore -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
@@ -108,4 +115,4 @@ bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
 
 # Everything CI runs.
-check: build vet lint lint-hot lint-selftest race chaos chaos-recovery chaos-dist
+check: build fmt vet lint lint-hot lint-selftest race chaos chaos-recovery chaos-dist

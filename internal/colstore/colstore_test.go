@@ -335,3 +335,42 @@ func TestTruncate(t *testing.T) {
 		t.Fatal("truncate")
 	}
 }
+
+// A batch read of a row range may start anywhere in the delta fragment, also
+// beyond its first rows, or straddle the main/delta boundary: every NULL of
+// the range must land at its offset from the range start. (A range starting
+// inside the delta used to index the validity bitmap from the fragment's
+// start and panic.)
+func TestReadBatchNullsAtAnyOffset(t *testing.T) {
+	schema := value.NewSchema(
+		value.Column{Name: "a", Kind: value.KindInt},
+		value.Column{Name: "s", Kind: value.KindVarchar},
+		value.Column{Name: "f", Kind: value.KindDouble},
+	)
+	tbl := NewTable(schema)
+	tbl.AutoMergeThreshold = 0
+	const n = 300
+	for i := 0; i < n; i++ {
+		row := value.Row{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("s%d", i%4)), value.NewDouble(float64(i))}
+		if i%7 == 0 {
+			row[i%3] = value.Null
+		}
+		if _, err := tbl.Append(row); err != nil {
+			t.Fatal(err)
+		}
+		if i == 99 {
+			tbl.Merge() // rows 0..99 in main, the rest stay in the delta
+		}
+	}
+	for _, rg := range [][2]int{{0, 100}, {64, 200}, {100, 300}, {130, 190}, {250, 300}} {
+		b := tbl.ReadBatch(rg[0], rg[1], nil)
+		for i := rg[0]; i < rg[1]; i++ {
+			want, _ := tbl.Get(i)
+			for c := range want {
+				if got := b.Cols[c].Value(i - rg[0]); got != want[c] {
+					t.Fatalf("rows [%d, %d): row %d column %d = %v, want %v", rg[0], rg[1], i, c, got, want[c])
+				}
+			}
+		}
+	}
+}

@@ -140,32 +140,6 @@ func (t *Table) Scan(fn func(id int, row value.Row) bool) {
 	}
 }
 
-// ScanRange is Scan restricted to row ids in [lo, hi) — the unit handed to
-// one morsel worker. Concurrent ScanRange calls are safe: each holds the
-// read lock and column reads are pure.
-func (t *Table) ScanRange(lo, hi int, fn func(id int, row value.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.cols) == 0 {
-		return
-	}
-	if n := t.cols[0].Len(); hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	row := make(value.Row, len(t.cols))
-	for i := lo; i < hi; i++ {
-		for j, c := range t.cols {
-			row[j] = c.Get(i)
-		}
-		if !fn(i, row) {
-			return
-		}
-	}
-}
-
 // ScanColumns is Scan restricted to a projection of column ordinals,
 // avoiding materialization of unused columns — the core benefit of columnar
 // layout for OLAP scans.

@@ -51,7 +51,11 @@ func (c *Column) fillNulls(lo, hi int, v *value.Vec) {
 			v.SetNull(i - lo)
 		}
 	}
-	for i := mainHi; i < hi; i++ {
+	deltaLo := lo
+	if deltaLo < c.mainN {
+		deltaLo = c.mainN
+	}
+	for i := deltaLo; i < hi; i++ {
 		if c.deltaNulls.get(i - c.mainN) {
 			v.EnsureNulls(n)
 			v.SetNull(i - lo)

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"hana/internal/value"
@@ -123,7 +124,10 @@ func encodeIntChunk(buf *bytes.Buffer, vals []value.Value) {
 	writePacked(buf, codes, rng)
 }
 
-// decodeChunk is the inverse of encodeChunk.
+// decodeChunk is the inverse of encodeChunk. The bytes come from disk, so
+// nothing in them is trusted: every count is bounded by the bytes that
+// remain before anything is allocated for it, every read is a full read,
+// and a dictionary code must name a dictionary entry.
 func decodeChunk(data []byte) ([]value.Value, error) {
 	r := bytes.NewReader(data)
 	kindB, err := r.ReadByte()
@@ -135,14 +139,14 @@ func decodeChunk(data []byte) ([]value.Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunk count: %w", err)
 	}
+	// Every row owns one bit of the null bitmap that follows.
+	if n64 > 8*uint64(r.Len()) {
+		return nil, fmt.Errorf("chunk count %d exceeds the %d bytes that remain", n64, r.Len())
+	}
 	n := int(n64)
-	nullWords := make([]uint64, (n+63)/64)
-	for i := range nullWords {
-		var b [8]byte
-		if _, err := r.Read(b[:]); err != nil {
-			return nil, fmt.Errorf("null bitmap: %w", err)
-		}
-		nullWords[i] = binary.LittleEndian.Uint64(b[:])
+	nullWords, err := readWords(r, (n+63)/64)
+	if err != nil {
+		return nil, fmt.Errorf("null bitmap: %w", err)
 	}
 	isNull := func(i int) bool { return nullWords[i/64]&(1<<(i%64)) != 0 }
 	enc, err := r.ReadByte()
@@ -154,7 +158,11 @@ func decodeChunk(data []byte) ([]value.Value, error) {
 	case kind == value.KindVarchar && enc == encDict:
 		dn, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dictionary count: %w", err)
+		}
+		// Every entry owns at least its length byte.
+		if dn > uint64(r.Len()) {
+			return nil, fmt.Errorf("dictionary count %d exceeds the %d bytes that remain", dn, r.Len())
 		}
 		dict := make([]string, dn)
 		// Scratch read buffer shared across dictionary entries; the string
@@ -163,49 +171,54 @@ func decodeChunk(data []byte) ([]value.Value, error) {
 		for i := range dict {
 			sl, err := binary.ReadUvarint(r)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("dictionary entry %d: %w", i, err)
+			}
+			if sl > uint64(r.Len()) {
+				return nil, fmt.Errorf("dictionary entry %d: length %d exceeds the %d bytes that remain", i, sl, r.Len())
 			}
 			if uint64(len(sb)) < sl {
 				//lint:ignore hotalloc scratch grows to the high-water entry length once, not per entry
 				sb = make([]byte, sl)
 			}
 			buf := sb[:sl]
-			if _, err := r.Read(buf); err != nil {
-				return nil, err
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return nil, fmt.Errorf("dictionary entry %d: %w", i, err)
 			}
 			dict[i] = string(buf)
 		}
-		codes, err := readPacked(r, n, dn-1)
+		codes, err := readPacked(r, n)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			if isNull(i) {
+			switch {
+			case isNull(i):
 				vals[i] = value.Null
-			} else {
+			case codes[i] >= dn:
+				return nil, fmt.Errorf("row %d: dictionary code %d out of range (%d entries)", i, codes[i], dn)
+			default:
 				vals[i] = value.NewString(dict[codes[i]])
 			}
 		}
 	case kind == value.KindDouble && enc == encRaw:
+		bits, err := readWords(r, n)
+		if err != nil {
+			return nil, fmt.Errorf("double payload: %w", err)
+		}
 		for i := 0; i < n; i++ {
-			var b [8]byte
-			if _, err := r.Read(b[:]); err != nil {
-				return nil, err
-			}
 			if isNull(i) {
 				vals[i] = value.Null
 			} else {
-				vals[i] = value.NewDouble(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
+				vals[i] = value.NewDouble(math.Float64frombits(bits[i]))
 			}
 		}
-	case enc == encFOR:
-		var b [8]byte
-		if _, err := r.Read(b[:]); err != nil {
-			return nil, err
+	case enc == encFOR && (kind == value.KindBool || kind == value.KindInt || kind == value.KindDate || kind == value.KindTimestamp):
+		frame, err := readWords(r, 1)
+		if err != nil {
+			return nil, fmt.Errorf("frame of reference: %w", err)
 		}
-		base := int64(binary.LittleEndian.Uint64(b[:]))
-		// Range is implied by stored width; pass a max that recovers it.
-		codes, err := readPackedWidth(r, n)
+		base := int64(frame[0])
+		codes, err := readPacked(r, n)
 		if err != nil {
 			return nil, err
 		}
@@ -220,6 +233,23 @@ func decodeChunk(data []byte) ([]value.Value, error) {
 		return nil, fmt.Errorf("unknown chunk encoding kind=%d enc=%d", kind, enc)
 	}
 	return vals, nil
+}
+
+// readWords reads n little-endian 64-bit words, refusing a count the
+// remaining bytes cannot hold before it allocates for it.
+func readWords(r *bytes.Reader, n int) ([]uint64, error) {
+	if n > r.Len()/8 {
+		return nil, fmt.Errorf("%d words exceed the %d bytes that remain: %w", n, r.Len(), io.ErrUnexpectedEOF)
+	}
+	words := make([]uint64, n)
+	var b [8]byte
+	for i := range words {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return nil, err
+		}
+		words[i] = binary.LittleEndian.Uint64(b[:])
+	}
+	return words, nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -254,27 +284,24 @@ func writePacked(buf *bytes.Buffer, codes []uint64, maxCode uint64) {
 	}
 }
 
-func readPacked(r *bytes.Reader, n int, _ uint64) ([]uint64, error) {
-	return readPackedWidth(r, n)
-}
-
-func readPackedWidth(r *bytes.Reader, n int) ([]uint64, error) {
+// readPacked reads what writePacked wrote: a width byte, then n codes of
+// that many bits each.
+func readPacked(r *bytes.Reader, n int) ([]uint64, error) {
 	widthB, err := r.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("packed width: %w", err)
 	}
 	width := int(widthB)
+	if width > 64 {
+		return nil, fmt.Errorf("packed width %d exceeds 64 bits", width)
+	}
 	codes := make([]uint64, n)
 	if width == 0 {
 		return codes, nil
 	}
-	words := make([]uint64, (n*width+63)/64)
-	for i := range words {
-		var b [8]byte
-		if _, err := r.Read(b[:]); err != nil {
-			return nil, err
-		}
-		words[i] = binary.LittleEndian.Uint64(b[:])
+	words, err := readWords(r, (n*width+63)/64)
+	if err != nil {
+		return nil, fmt.Errorf("packed codes: %w", err)
 	}
 	mask := uint64(1)<<width - 1
 	if width == 64 {

@@ -1,0 +1,151 @@
+package diskstore
+
+import (
+	"encoding/binary"
+	"os"
+	"strings"
+	"testing"
+
+	"hana/internal/value"
+)
+
+// Chunk files are bytes from disk: on arbitrary input decodeChunk returns an
+// error or exactly as many values as the header declares, it never panics,
+// and it never allocates for a count the remaining bytes cannot back.
+
+// hostileChunks are inputs the decoder used to mishandle.
+func hostileChunks(t testing.TB) map[string][]byte {
+	enc := func(kind value.Kind, vals ...value.Value) []byte {
+		data, err := encodeChunk(kind, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// A row count of 2^62: makeslice panicked.
+	huge := append([]byte{byte(value.KindInt)}, binary.AppendUvarint(nil, 1<<62)...)
+	// Two rows, a dictionary of one entry, the second row's code is 1: index
+	// out of range. The chunk ends in its one word of packed codes.
+	code := enc(value.KindVarchar, value.NewString("a"), value.NewString("a"))
+	code[len(code)-8] = 0b10 // one bit per code: 0, then 1
+	// A DOUBLE payload and a FOR payload cut mid-value: the short read was
+	// ignored and the chunk decoded without error.
+	doubles := enc(value.KindDouble, value.NewDouble(1.5), value.NewDouble(2.5), value.NewDouble(3.5))
+	ints := enc(value.KindInt, value.NewInt(1), value.NewInt(1<<40), value.NewInt(7))
+	return map[string][]byte{
+		"count 2^62":               huge,
+		"dictionary code ≥ size":   code,
+		"double cut mid-value":     doubles[:len(doubles)-3],
+		"packed ints cut mid-word": ints[:len(ints)-3],
+		"frame of reference cut":   ints[:14],
+		"dictionary count 2^40":    append(enc(value.KindVarchar)[:3], binary.AppendUvarint(nil, 1<<40)...),
+		"packed width 200":         append(enc(value.KindInt, value.NewInt(5))[:19], 200),
+	}
+}
+
+func TestDecodeChunkRejectsHostileInput(t *testing.T) {
+	for name, data := range hostileChunks(t) {
+		if vals, err := decodeChunk(data); err == nil {
+			t.Errorf("%s: decoded %d values without error", name, len(vals))
+		}
+	}
+}
+
+// The manifest says how many rows of which kind a chunk file holds; a file
+// that decodes cleanly to something else must not reach a reader, which
+// indexes the column by the manifest's count.
+func TestReadChunkChecksFileAgainstManifest(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := s.CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 100)
+	for i := range rows {
+		rows[i] = mkRow(i)
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	short, _ := encodeChunk(value.KindInt, []value.Value{value.NewInt(1), value.NewInt(2)})
+	wrongKind, _ := encodeChunk(value.KindDate, make([]value.Value, 100))
+	for name, data := range map[string][]byte{"2 rows for 100": short, "DATE for BIGINT": wrongKind} {
+		if err := os.WriteFile(tbl.chunkFile(0, 0), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := tbl.ReadBatch(0, 100, nil)
+		if err == nil || !strings.Contains(err.Error(), "manifest says") {
+			t.Errorf("%s: ReadBatch error = %v, want the manifest mismatch", name, err)
+		}
+		if err := tbl.Scan(nil, nil, func(int64, value.Row) bool { return true }); err == nil {
+			t.Errorf("%s: Scan read the chunk without error", name)
+		}
+	}
+}
+
+func FuzzDecodeChunk(f *testing.F) {
+	null := value.Null
+	for _, seed := range []struct {
+		kind value.Kind
+		vals []value.Value
+	}{
+		{value.KindInt, []value.Value{value.NewInt(-5), null, value.NewInt(1 << 50), value.NewInt(3)}},
+		{value.KindVarchar, []value.Value{value.NewString("a"), null, value.NewString(""), value.NewString("a"), value.NewString("bcd")}},
+		{value.KindDouble, []value.Value{value.NewDouble(1.25), null, value.NewDouble(-0.0)}},
+		{value.KindDate, []value.Value{value.NewDate(15000), value.NewDate(15001), null}},
+		{value.KindTimestamp, []value.Value{value.NewTimestamp(1 << 40), null}},
+		{value.KindBool, []value.Value{value.NewBool(true), value.NewBool(false), null}},
+		{value.KindInt, nil},
+		{value.KindVarchar, nil},
+		{value.KindDouble, nil},
+		{value.KindInt, []value.Value{value.NewInt(42)}},
+		{value.KindVarchar, []value.Value{value.NewString("only")}},
+		{value.KindDouble, []value.Value{null}},
+		{value.KindInt, make([]value.Value, 200)}, // 200 NULLs in 4 bitmap words
+	} {
+		data, err := encodeChunk(seed.kind, seed.vals)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, data := range hostileChunks(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals, err := decodeChunk(data)
+		if err != nil {
+			return
+		}
+		declared, n := binary.Uvarint(data[1:])
+		if n <= 0 || uint64(len(vals)) != declared {
+			t.Fatalf("decoded %d values, the header declares %d", len(vals), declared)
+		}
+		// Every row owns a bit of the null bitmap, so a byte backs 8 at most.
+		if len(vals) > 8*len(data) {
+			t.Fatalf("%d values decoded from %d bytes", len(vals), len(data))
+		}
+		kind := value.Kind(data[0])
+		for i, v := range vals {
+			if !v.IsNull() && v.K != kind {
+				t.Fatalf("value %d has kind %v in a %v chunk", i, v.K, kind)
+			}
+		}
+		again, err := encodeChunk(kind, vals)
+		if err != nil {
+			t.Fatalf("decoded chunk does not re-encode: %v", err)
+		}
+		back, err := decodeChunk(again)
+		if err != nil || len(back) != len(vals) {
+			t.Fatalf("re-encoded chunk decodes to %d values, %v", len(back), err)
+		}
+		for i := range vals {
+			if back[i] != vals[i] && !(vals[i].K == value.KindDouble && vals[i].F != vals[i].F) {
+				t.Fatalf("value %d is %v after a re-encode, was %v", i, back[i], vals[i])
+			}
+		}
+	})
+}

@@ -357,68 +357,146 @@ func (r Range) skippable(z zone) bool {
 	return false
 }
 
+// skipped reports whether the chunk's zone maps prove no row can satisfy
+// ranges.
+func (t *Table) skipped(chunk int, ranges map[int]Range) bool {
+	for col, r := range ranges {
+		if r.skippable(t.zones[chunk][col]) {
+			return true
+		}
+	}
+	return false
+}
+
+// Span is a run of consecutive row ids [Lo, Hi) that ReadBatch serves in
+// one piece: one flushed chunk, or the unflushed tail.
+type Span struct{ Lo, Hi int64 }
+
+// Spans lists, in row-id order, what a scan restricted by ranges (zone-map
+// pruning, keyed by column ordinal) has to read: one span per chunk the
+// zone maps cannot rule out — the ruled-out ones count as skipped — and one
+// for the unflushed tail. Chunks are immutable and row ids stable, so a span
+// stays readable whatever is appended or flushed after the call.
+func (t *Table) Spans(ranges map[int]Range) []Span {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.spansLocked(ranges)
+}
+
+func (t *Table) spansLocked(ranges map[int]Range) []Span {
+	out := make([]Span, 0, len(t.chunkRows)+1)
+	var base int64
+	for chunk, n := range t.chunkRows {
+		hi := base + int64(n)
+		if t.skipped(chunk, ranges) {
+			t.store.Stats.ChunksSkipped.Add(1)
+		} else {
+			out = append(out, Span{base, hi})
+		}
+		base = hi
+	}
+	if len(t.buf) > 0 {
+		out = append(out, Span{base, base + int64(len(t.buf))})
+	}
+	return out
+}
+
+// ReadBatch returns rows [lo, hi) — a span, or a part of one — as a
+// columnar batch. needed marks the column ordinals to read (nil = all); the
+// others become pruned vectors that read no chunk. Chunk columns come from
+// the buffer cache as boxed vectors sharing the cached arrays, which nobody
+// may write to; the selection leaves out tombstoned rows, so the row id of
+// live row k is lo + RowIndex(k).
+func (t *Table) ReadBatch(lo, hi int64, needed []bool) (*value.Batch, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.readBatchLocked(lo, hi, needed)
+}
+
+func (t *Table) readBatchLocked(lo, hi int64, needed []bool) (*value.Batch, error) {
+	chunk, base := 0, int64(0)
+	for chunk < len(t.chunkRows) && base+int64(t.chunkRows[chunk]) <= lo {
+		base += int64(t.chunkRows[chunk])
+		chunk++
+	}
+	end := base + int64(len(t.buf))
+	if chunk < len(t.chunkRows) {
+		end = base + int64(t.chunkRows[chunk])
+	}
+	if lo < 0 || lo > hi || hi > end {
+		return nil, fmt.Errorf("rows [%d, %d) of %s are not within one chunk", lo, hi, t.name)
+	}
+	n := int(hi - lo)
+	b := &value.Batch{Schema: t.schema, Cols: make([]value.Vec, t.schema.Len()), N: n}
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		v.Kind = t.schema.Cols[c].Kind
+		switch {
+		case needed != nil && (c >= len(needed) || !needed[c]):
+			v.Pruned = true
+		case chunk < len(t.chunkRows):
+			vals, err := t.readChunk(chunk, c)
+			if err != nil {
+				return nil, err
+			}
+			v.Vals = vals[lo-base : hi-base : hi-base]
+		default:
+			v.Vals = make([]value.Value, n)
+			for i := range v.Vals {
+				v.Vals[i] = t.buf[int(lo-base)+i][c]
+			}
+		}
+	}
+	if len(t.deleted) > 0 {
+		sel := make([]int32, 0, n)
+		for i := 0; i < n; i++ {
+			if !t.deleted[lo+int64(i)] {
+				sel = append(sel, int32(i))
+			}
+		}
+		if len(sel) < n {
+			b.Sel = sel
+		}
+	}
+	return b, nil
+}
+
 // Scan iterates live rows projecting the given column ordinals (nil = all
 // columns). ranges optionally prunes chunks via zone maps (keyed by column
 // ordinal). fn returning false stops the scan. The row slice is reused.
 func (t *Table) Scan(ords []int, ranges map[int]Range, fn func(id int64, row value.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.scanLocked(ords, ranges, fn)
+}
+
+func (t *Table) scanLocked(ords []int, ranges map[int]Range, fn func(id int64, row value.Row) bool) error {
+	var needed []bool
 	if ords == nil {
 		ords = make([]int, t.schema.Len())
 		for i := range ords {
 			ords[i] = i
 		}
+	} else {
+		needed = make([]bool, t.schema.Len())
+		for _, o := range ords {
+			needed[o] = true
+		}
 	}
 	row := make(value.Row, len(ords))
-	// Column-vector pointers, reused across chunks; readChunk owns the
-	// backing arrays.
-	cols := make([][]value.Value, len(ords))
-	var base int64
-	for chunk, n := range t.chunkRows {
-		skip := false
-		for col, r := range ranges {
-			if r.skippable(t.zones[chunk][col]) {
-				skip = true
-				break
-			}
+	for _, sp := range t.spansLocked(ranges) {
+		b, err := t.readBatchLocked(sp.Lo, sp.Hi, needed)
+		if err != nil {
+			return err
 		}
-		if skip {
-			t.store.Stats.ChunksSkipped.Add(1)
-			base += int64(n)
-			continue
-		}
-		for j, o := range ords {
-			vals, err := t.readChunk(chunk, o)
-			if err != nil {
-				return err
+		for k := 0; k < b.Len(); k++ {
+			i := b.RowIndex(k)
+			for j, o := range ords {
+				row[j] = b.Cols[o].Vals[i]
 			}
-			cols[j] = vals
-		}
-		for i := 0; i < n; i++ {
-			id := base + int64(i)
-			if t.deleted[id] {
-				continue
-			}
-			for j := range ords {
-				row[j] = cols[j][i]
-			}
-			if !fn(id, row) {
+			if !fn(sp.Lo+int64(i), row) {
 				return nil
 			}
-		}
-		base += int64(n)
-	}
-	// Buffered, unflushed rows.
-	for i, r := range t.buf {
-		id := base + int64(i)
-		if t.deleted[id] {
-			continue
-		}
-		for j, o := range ords {
-			row[j] = r[o]
-		}
-		if !fn(id, row) {
-			return nil
 		}
 	}
 	return nil
@@ -459,6 +537,11 @@ func (t *Table) readChunk(chunk, col int) ([]value.Value, error) {
 	t.store.Stats.ChunksRead.Add(1)
 	t.store.Stats.BytesRead.Add(int64(len(data)))
 	vals, err := decodeChunk(data)
+	// The manifest says what the file must hold; a reader indexes the column
+	// by the manifest's row count, so a shorter one must not get out.
+	if err == nil && (len(vals) != t.chunkRows[chunk] || value.Kind(data[0]) != t.schema.Cols[col].Kind) {
+		err = fmt.Errorf("holds %d %s values, manifest says %d %s", len(vals), value.Kind(data[0]), t.chunkRows[chunk], t.schema.Cols[col].Kind)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d col %d of %s: %w", chunk, col, t.name, err)
 	}
@@ -516,33 +599,12 @@ func (t *Table) Compact() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var rows []value.Row
-	// Read everything (bypassing the public Scan which takes RLock).
-	var base int64
-	for chunk, n := range t.chunkRows {
-		cols := make([][]value.Value, t.schema.Len())
-		for c := range cols {
-			vals, err := t.readChunk(chunk, c)
-			if err != nil {
-				return err
-			}
-			cols[c] = vals
-		}
-		for i := 0; i < n; i++ {
-			if t.deleted[base+int64(i)] {
-				continue
-			}
-			r := make(value.Row, t.schema.Len())
-			for c := range cols {
-				r[c] = cols[c][i]
-			}
-			rows = append(rows, r)
-		}
-		base += int64(n)
-	}
-	for i, r := range t.buf {
-		if !t.deleted[base+int64(i)] {
-			rows = append(rows, r)
-		}
+	err := t.scanLocked(nil, nil, func(_ int64, row value.Row) bool {
+		rows = append(rows, row.Clone())
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	// Remove old chunk files.
 	for chunk := range t.chunkRows {

@@ -351,23 +351,24 @@ func (e *Engine) Analyze(table string) error {
 	if err != nil {
 		return err
 	}
-	snapshot := e.mgr.LastCID()
-	var rows []value.Row
-	for _, p := range t.parts {
-		pr, err := p.visibleRows(snapshot, 0, nil)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, pr...)
+	sc, err := e.newPlanner(nil, nil, nil, 0).scan(t, t.parts, t.meta.Schema, nil, nil)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for _, b := range sc.batches {
+		n += b.Len()
 	}
 	stats := catalog.TableStats{
-		RowCount:   int64(len(rows)),
+		RowCount:   int64(n),
 		Histograms: map[string]*catalog.Histogram{},
 	}
-	for i, col := range t.meta.Schema.Cols {
-		vals := make([]value.Value, len(rows))
-		for j, r := range rows {
-			vals[j] = r[i]
+	for c, col := range t.meta.Schema.Cols {
+		vals := make([]value.Value, 0, n)
+		for _, b := range sc.batches {
+			for k := 0; k < b.Len(); k++ {
+				vals = append(vals, b.Cols[c].Value(b.RowIndex(k)))
+			}
 		}
 		stats.Histograms[strings.ToUpper(col.Name)] = catalog.BuildHistogram(vals, 2, 64)
 	}
@@ -388,41 +389,41 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 	if t.meta.AgingColumn == "" {
 		return 0, fmt.Errorf("table %s has no aging column", table)
 	}
-	flagOrd := t.meta.Schema.Find(t.meta.AgingColumn)
 	cold := t.coldParts()
 	if len(cold) == 0 {
 		return 0, fmt.Errorf("table %s has no cold partition", table)
 	}
-	tx := e.Begin()
-	var moved int64
+	var hot []*partition
 	for _, p := range t.parts {
-		if p.cold || p.hot == nil {
-			continue
+		if !p.cold && p.hot != nil {
+			hot = append(hot, p)
 		}
-		type victim struct {
-			id  int
-			row value.Row
-		}
-		var victims []victim
-		p.hot.Scan(func(id int, row value.Row) bool {
-			if p.vers.Visible(id, tx.Snapshot, tx.TID) && row[flagOrd].K == value.KindBool && row[flagOrd].Bool() {
-				victims = append(victims, victim{id: id, row: row.Clone()})
-			}
-			return true
-		})
-		for _, v := range victims {
-			if err := t.deleteRow(tx, p, v.id); err != nil {
+	}
+	flagged, err := bindToSchema(expr.Eq(expr.Col(t.meta.AgingColumn), expr.Lit(value.NewBool(true))), t.meta.Schema)
+	if err != nil {
+		return 0, err
+	}
+	tx := e.Begin()
+	sc, err := e.newPlanner(ctx, tx, nil, 0).scan(t, hot, t.meta.Schema, flagged, nil)
+	if err != nil {
+		_ = e.Rollback(tx)
+		return 0, err
+	}
+	var moved int64
+	for i, b := range sc.batches {
+		for k, row := range b.MaterializeRows() {
+			if err := t.deleteRow(tx, sc.parts[i], sc.bases[i]+b.RowIndex(k)); err != nil {
 				_ = e.Rollback(tx)
 				return 0, err
 			}
 			target := cold[0]
 			// Respect range routing when the cold partitions are ranged.
 			if len(t.parts) > 1 && t.meta.PartitionBy != "" {
-				if routed, err := t.partitionFor(v.row); err == nil && routed.cold {
+				if routed, err := t.partitionFor(row); err == nil && routed.cold {
 					target = routed
 				}
 			}
-			t.part2pc.bufferInsert(tx.TID, target, v.row)
+			t.part2pc.bufferInsert(tx.TID, target, row)
 			tx.Enlist(t.part2pc)
 			moved++
 		}

@@ -99,6 +99,21 @@ func (p *planner) realizeDist(r *relation) error {
 	return nil
 }
 
+// keepTruthy filters rows in place to those pred holds for.
+func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
+	kept := rows[:0]
+	for _, r := range rows {
+		ok, err := expr.Truthy(pred, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, r)
+		}
+	}
+	return kept, nil
+}
+
 // tryDistAggregate plans a single-table aggregate block as a distributed
 // aggregation: each shard folds its rows into mergeable per-group partials,
 // the coordinator unions them, and only the finishing stages run locally.

@@ -141,59 +141,55 @@ type target struct {
 	row value.Row
 }
 
-func (e *Engine) collectTargets(tx *txn.Txn, t *storedTable, st sqlparse.Statement) ([]target, error) {
-	where := extractWhere(st)
+// collectTargets scans t for the rows visible to tx that where holds for.
+// A DELETE needs their ids only, so it reads just the columns where names;
+// an UPDATE (withRows) reads every column and gets each survivor's row.
+func (e *Engine) collectTargets(ctx context.Context, tx *txn.Txn, t *storedTable, where expr.Expr, width int, withRows bool) ([]target, error) {
+	schema := t.meta.Schema
 	var bound expr.Expr
 	if where != nil {
 		var err error
-		bound, err = bindToSchema(where, t.meta.Schema)
-		if err != nil {
+		if bound, err = bindToSchema(where, schema); err != nil {
 			return nil, err
 		}
 	}
-	var out []target
-	for _, p := range t.parts {
-		var scanErr error
-		collect := func(id int, row value.Row) bool {
-			if !p.vers.Visible(id, tx.Snapshot, tx.TID) {
-				return true
+	var needed []bool
+	if !withRows {
+		needed = make([]bool, schema.Len())
+		expr.Walk(bound, func(n expr.Expr) bool {
+			if c, ok := n.(*expr.ColRef); ok {
+				needed[c.Ord] = true
 			}
-			if bound != nil {
-				keep, err := expr.Truthy(bound, row)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !keep {
-					return true
-				}
-			}
-			out = append(out, target{p: p, id: id, row: row.Clone()})
 			return true
+		})
+	}
+	sc, err := e.newPlanner(ctx, tx, nil, width).scan(t, t.parts, schema, bound, needed)
+	if err != nil {
+		return nil, err
+	}
+	var out []target
+	for i, b := range sc.batches {
+		var rows []value.Row
+		if withRows {
+			rows = b.MaterializeRows()
 		}
-		switch {
-		case p.hot != nil:
-			p.hot.Scan(collect)
-		case p.row != nil:
-			p.row.Scan(collect)
-		case p.ext != nil:
-			_ = p.ext.Scan(nil, nil, func(id int64, row value.Row) bool {
-				return collect(int(id), row)
-			})
-		}
-		if scanErr != nil {
-			return nil, scanErr
+		for k := 0; k < b.Len(); k++ {
+			tg := target{p: sc.parts[i], id: sc.bases[i] + b.RowIndex(k)}
+			if withRows {
+				tg.row = rows[k]
+			}
+			out = append(out, tg)
 		}
 	}
 	return out, nil
 }
 
-func (e *Engine) delete(tx *txn.Txn, st *sqlparse.DeleteStmt) (*Result, error) {
+func (e *Engine) delete(ctx context.Context, tx *txn.Txn, st *sqlparse.DeleteStmt, width int) (*Result, error) {
 	t, err := e.table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := e.collectTargets(tx, t, st)
+	targets, err := e.collectTargets(ctx, tx, t, st.Where, width, false)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +203,7 @@ func (e *Engine) delete(tx *txn.Txn, st *sqlparse.DeleteStmt) (*Result, error) {
 
 // update is MVCC delete + insert of the modified row (column-store
 // semantics; row-store tables share the path for uniformity).
-func (e *Engine) update(tx *txn.Txn, st *sqlparse.UpdateStmt) (*Result, error) {
+func (e *Engine) update(ctx context.Context, tx *txn.Txn, st *sqlparse.UpdateStmt, width int) (*Result, error) {
 	t, err := e.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -236,7 +232,7 @@ func (e *Engine) update(tx *txn.Txn, st *sqlparse.UpdateStmt) (*Result, error) {
 			return value.Cast(v, kind)
 		}})
 	}
-	targets, err := e.collectTargets(tx, t, st)
+	targets, err := e.collectTargets(ctx, tx, t, st.Where, width, true)
 	if err != nil {
 		return nil, err
 	}
@@ -257,17 +253,6 @@ func (e *Engine) update(tx *txn.Txn, st *sqlparse.UpdateStmt) (*Result, error) {
 		}
 	}
 	return &Result{Affected: int64(len(targets)), Message: fmt.Sprintf("%d row(s) updated", len(targets))}, nil
-}
-
-// extractWhere pulls the WHERE clause out of a DML statement.
-func extractWhere(st sqlparse.Statement) expr.Expr {
-	switch s := st.(type) {
-	case *sqlparse.DeleteStmt:
-		return s.Where
-	case *sqlparse.UpdateStmt:
-		return s.Where
-	}
-	return nil
 }
 
 // BulkLoad loads rows directly into a table outside transactional DML —
@@ -345,37 +330,29 @@ func (e *Engine) BulkLoad(table string, rows []value.Row) error {
 
 // TableRowCount returns the number of visible rows (current snapshot).
 func (e *Engine) TableRowCount(table string) (int64, error) {
-	t, err := e.table(table)
-	if err != nil {
-		return 0, err
-	}
-	snapshot := e.mgr.LastCID()
+	parts, err := e.PartitionRowCounts(table)
 	var n int64
-	for _, p := range t.parts {
-		rows, err := p.visibleRows(snapshot, 0, nil)
-		if err != nil {
-			return 0, err
-		}
-		n += int64(len(rows))
+	for _, p := range parts {
+		n += p.Rows
 	}
-	return n, nil
+	return n, err
 }
 
 // PartitionRowCounts reports visible rows per partition, flagging cold
-// partitions — used by examples and the aging bench.
+// partitions — used by examples and the aging bench. Counting needs
+// visibility only, so the scan decodes no column.
 func (e *Engine) PartitionRowCounts(table string) ([]PartitionCount, error) {
 	t, err := e.table(table)
 	if err != nil {
 		return nil, err
 	}
-	snapshot := e.mgr.LastCID()
-	var out []PartitionCount
-	for _, p := range t.parts {
-		rows, err := p.visibleRows(snapshot, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PartitionCount{Cold: p.cold, Rows: int64(len(rows))})
+	sc, err := e.newPlanner(nil, nil, nil, 0).scan(t, t.parts, t.meta.Schema, nil, make([]bool, t.meta.Schema.Len()))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PartitionCount, len(t.parts))
+	for i, p := range t.parts {
+		out[i] = PartitionCount{Cold: p.cold, Rows: int64(sc.visible[i])}
 	}
 	return out, nil
 }

@@ -101,10 +101,10 @@ type Metrics struct {
 	// Distributed-execution counters live under "dist.*" registry names and
 	// are deliberately not part of fedMetricNames: M_FEDERATION_STATISTICS
 	// keeps its pinned row set.
-	DistQueries   *obs.Counter // fragment fan-outs executed
-	DistFragments *obs.Counter // worker fragment attempts (incl. failover)
-	DistRetries   *obs.Counter // guarded-call retries against workers
-	DistFailovers *obs.Counter // replica switch-overs after a worker failed
+	DistQueries    *obs.Counter // fragment fan-outs executed
+	DistFragments  *obs.Counter // worker fragment attempts (incl. failover)
+	DistRetries    *obs.Counter // guarded-call retries against workers
+	DistFailovers  *obs.Counter // replica switch-overs after a worker failed
 	DistRowsMerged *obs.Counter // rows streamed through the exchange merge
 }
 
@@ -478,9 +478,9 @@ func (e *Engine) execStmtTx(ctx context.Context, tx *txn.Txn, st sqlparse.Statem
 	case *sqlparse.InsertStmt:
 		return e.insert(ctx, tx, s, width)
 	case *sqlparse.UpdateStmt:
-		return e.update(tx, s)
+		return e.update(ctx, tx, s, width)
 	case *sqlparse.DeleteStmt:
-		return e.delete(tx, s)
+		return e.delete(ctx, tx, s, width)
 	}
 	return nil, fmt.Errorf("statement %T not allowed in a transaction", st)
 }

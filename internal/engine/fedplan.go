@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hana/internal/catalog"
-	"hana/internal/diskstore"
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/fed"
@@ -243,56 +241,42 @@ func conformRows(rows *value.Rows, want *value.Schema) error {
 	return nil
 }
 
-// realizeExt executes the pending extended-storage scan: predicates are
-// pushed into the scan (zone-map ranges on cold chunks), hot and cold
-// fragments are combined with a union ("Union Plan"), and hot-only or
-// cold-only access is pruned via the partition bounds.
+// realizeExt executes the pending scan of an extended or hybrid table. The
+// pushed conjuncts go to the scan, which prunes partitions by their bounds
+// and cold chunks by their zone maps; what it read decides the label: hot
+// and cold fragments combined are a "Union Plan", cold alone a remote scan
+// or — when IN-list values were shipped — a semijoin.
 func (p *planner) realizeExt(r *relation) error {
-	er := r.ext
-	t := er.t
+	t := r.ext.t
 	// Bind pushed conjuncts against the (qualified) leaf schema.
 	var bound []expr.Expr
-	for _, c := range er.conjs {
+	inCount := 0
+	for _, c := range r.ext.conjs {
 		bc, err := bindToSchema(c, r.schema)
 		if err != nil {
 			return err
 		}
 		bound = append(bound, bc)
+		if in, ok := bc.(*expr.In); ok && literalIn(in) != nil {
+			inCount += len(in.List)
+		}
 	}
 	pred := expr.And(bound...)
-	ranges, inCount := extractRanges(bound, t.meta.Schema)
-
-	// Hot and cold fragments scan in parallel: in-memory partitions as
-	// row-range morsels, extended partitions as whole-partition morsels,
-	// all dispatched through the shared pool and reassembled in partition
-	// order (identical to the serial scan order).
-	partOrd := -1
-	if t.meta.PartitionBy != "" {
-		partOrd = t.meta.Schema.Find(t.meta.PartitionBy)
-	}
-	var survived []*partition
-	var usedCold, usedHot bool
-	for _, part := range t.parts {
-		if partOrd >= 0 && prunePartition(part, t, partOrd, ranges) {
-			continue
-		}
-		survived = append(survived, part)
-		if part.cold {
-			usedCold = true
-		} else {
-			usedHot = true
-		}
-	}
-	out, perPart, err := p.scanParts(survived, ranges, pred)
+	sc, err := p.scan(t, t.parts, r.schema, pred, neededOrds(p.needed, t.meta.Schema))
 	if err != nil {
 		return err
 	}
+	var usedCold, usedHot bool
 	var hotRows, coldRows int
-	for i, part := range survived {
-		if part.cold {
-			coldRows += perPart[i]
-		} else {
-			hotRows += perPart[i]
+	for i, part := range t.parts {
+		switch {
+		case sc.pruned[i]:
+		case part.cold:
+			usedCold = true
+			coldRows += sc.visible[i]
+		default:
+			usedHot = true
+			hotRows += sc.visible[i]
 		}
 	}
 	// Plan labeling + strategy metrics.
@@ -322,134 +306,11 @@ func (p *planner) realizeExt(r *relation) error {
 	if pred != nil {
 		r.node.children = append(r.node.children, node("pushed filter: "+planSQL(pred)))
 	}
-	r.rows = out
+	r.batches = sc.batches
 	r.local = true
 	r.ext = nil
-	r.est = float64(len(out))
+	r.est = float64(r.batchRowCount())
 	return nil
-}
-
-// prunePartition reports whether the partition's value range provably
-// misses the pushed ranges on the partitioning column.
-func prunePartition(part *partition, t *storedTable, partOrd int, ranges map[int]diskstore.Range) bool {
-	rg, ok := ranges[partOrd]
-	if !ok {
-		return false
-	}
-	// Determine the partition's [lower, upper) window from the ordered
-	// bound list.
-	var lower, upper *value.Value
-	var prev *value.Value
-	for i := range t.meta.Partitions {
-		pm := &t.meta.Partitions[i]
-		if pm.Others {
-			continue
-		}
-		b := pm.UpperBound
-		if t.parts[i] == part {
-			lower, upper = prev, &b
-		}
-		prev = &b
-	}
-	if part.meta.Others {
-		lower, upper = prev, nil
-	}
-	if upper != nil && rg.Lo != nil && value.Compare(*upper, *rg.Lo) <= 0 {
-		return true
-	}
-	if lower != nil && rg.Hi != nil && value.Compare(*lower, *rg.Hi) > 0 {
-		return true
-	}
-	return false
-}
-
-// extractRanges derives zone-map ranges per column ordinal from bound
-// conjuncts (col CMP literal, BETWEEN, IN-lists). It also reports how many
-// IN-list values were pushed (the semijoin strategy's shipped values).
-func extractRanges(conjs []expr.Expr, schema *value.Schema) (map[int]diskstore.Range, int) {
-	ranges := map[int]diskstore.Range{}
-	inCount := 0
-	setLo := func(ord int, v value.Value) {
-		r := ranges[ord]
-		if r.Lo == nil || value.Compare(v, *r.Lo) > 0 {
-			r.Lo = &v
-		}
-		ranges[ord] = r
-	}
-	setHi := func(ord int, v value.Value) {
-		r := ranges[ord]
-		if r.Hi == nil || value.Compare(v, *r.Hi) < 0 {
-			r.Hi = &v
-		}
-		ranges[ord] = r
-	}
-	for _, c := range conjs {
-		switch n := c.(type) {
-		case *expr.BinOp:
-			col, lit, op := colOpLiteral(n)
-			if col == nil {
-				continue
-			}
-			ord := schema.Find(col.Name)
-			if ord < 0 {
-				continue
-			}
-			switch op {
-			case expr.OpEq:
-				setLo(ord, lit)
-				setHi(ord, lit)
-			case expr.OpGt, expr.OpGe:
-				setLo(ord, lit)
-			case expr.OpLt, expr.OpLe:
-				setHi(ord, lit)
-			}
-		case *expr.Between:
-			col, ok := n.E.(*expr.ColRef)
-			if !ok || n.Negate {
-				continue
-			}
-			ord := schema.Find(col.Name)
-			if ord < 0 {
-				continue
-			}
-			if lo, ok := n.Lo.(*expr.Literal); ok {
-				setLo(ord, lo.Val)
-			}
-			if hi, ok := n.Hi.(*expr.Literal); ok {
-				setHi(ord, hi.Val)
-			}
-		case *expr.In:
-			if n.Negate {
-				continue
-			}
-			col, ok := n.E.(*expr.ColRef)
-			if !ok {
-				continue
-			}
-			ord := schema.Find(col.Name)
-			if ord < 0 {
-				continue
-			}
-			var vals []value.Value
-			allLit := true
-			for _, el := range n.List {
-				if l, ok := el.(*expr.Literal); ok {
-					vals = append(vals, l.Val)
-				} else {
-					allLit = false
-					break
-				}
-			}
-			if !allLit || len(vals) == 0 {
-				continue
-			}
-			inCount += len(vals)
-			sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
-			setLo(ord, vals[0])
-			setHi(ord, vals[len(vals)-1])
-		}
-	}
-	return ranges, inCount
 }
 
 // colOpLiteral decomposes col OP literal (or literal OP col, flipped).

@@ -20,14 +20,9 @@ type execOpts struct {
 	tx        *txn.Txn
 	width     int
 	script    bool
-	rowExec   bool
 	localOnly bool
 	shards    int
 }
-
-// rowExecKey marks a statement context as row-at-a-time: the planner skips
-// the vectorized scan path when the key is present.
-type rowExecKey struct{}
 
 // distOptKey carries the per-statement distributed-execution override; the
 // planner reads it in newPlanner.
@@ -65,14 +60,6 @@ func WithParallelism(n int) ExecOption {
 // statement and returning the last result.
 func WithScript() ExecOption {
 	return func(o *execOpts) { o.script = true }
-}
-
-// WithRowExec forces the classic row-at-a-time executor instead of the
-// vectorized batch path. Both produce byte-identical results; the option
-// exists for equivalence testing and as the before-side of the vectorized
-// benchmarks.
-func WithRowExec() ExecOption {
-	return func(o *execOpts) { o.rowExec = true }
 }
 
 // WithShards caps how many shard fragments of this statement are in flight
@@ -176,9 +163,6 @@ func (e *Engine) execParsed(ctx context.Context, st sqlparse.Statement, o *execO
 		if st, err = substituteStmtParams(st, o.params); err != nil {
 			return nil, err
 		}
-	}
-	if o.rowExec {
-		ctx = context.WithValue(ctx, rowExecKey{}, true)
 	}
 	if o.localOnly || o.shards > 0 {
 		ctx = context.WithValue(ctx, distOptKey{}, distOpt{localOnly: o.localOnly, fanout: o.shards})

@@ -31,10 +31,8 @@ type planner struct {
 	stats *exec.Counters
 	plan  *obs.Span
 
-	// vector enables batch execution for in-memory scans (default on;
-	// WithRowExec turns it off). needed is the statement-wide referenced
-	// column-name set driving late materialization (nil = all columns).
-	vector bool
+	// needed is the statement-wide referenced column-name set driving late
+	// materialization (nil = all columns).
 	needed map[string]bool
 
 	// localOnly pins the statement to the engine node (WithLocalOnly);
@@ -47,12 +45,15 @@ type planner struct {
 	keySets map[expr.Expr]int
 }
 
+// newPlanner sets up the reader a statement runs as: tx's snapshot and
+// writes (nil = the last committed state), ctx and width for its morsel
+// dispatches. Readers that only scan — DML target collection, aging,
+// statistics — pass no SELECT.
 func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.SelectStmt, width int) *planner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p := &planner{e: e, ctx: ctx, width: width, stats: &exec.Counters{}}
-	p.vector = ctx.Value(rowExecKey{}) == nil
 	if o, ok := ctx.Value(distOptKey{}).(distOpt); ok {
 		p.localOnly = o.localOnly
 		p.fanout = o.fanout
@@ -397,32 +398,17 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 			return nil, err
 		}
 	}
-	if p.vector && vectorizable(st.parts) {
-		batches, _, err := p.scanPartsVec(st.parts, pred, neededOrds(p.needed, meta.Schema), schema)
-		if err != nil {
-			return nil, err
-		}
-		rel.batches = batches
-		kept := rel.batchRowCount()
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
-		if pred != nil {
-			rel.node.children = append(rel.node.children, node("filter: "+planSQL(pred)))
-		}
-		rel.est = float64(kept)
-		return rel, nil
-	}
-	rows, _, err := p.scanParts(st.parts, nil, pred)
+	sc, err := p.scan(st, st.parts, schema, pred, neededOrds(p.needed, meta.Schema))
 	if err != nil {
 		return nil, err
 	}
+	rel.batches = sc.batches
+	kept := rel.batchRowCount()
+	rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
 	if pred != nil {
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)),
-			node("filter: "+planSQL(pred)))
-	} else {
-		rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows)", storeLabel(st), name, len(rows)))
+		rel.node.children = append(rel.node.children, node("filter: "+planSQL(pred)))
 	}
-	rel.rows = rows
-	rel.est = float64(len(rows))
+	rel.est = float64(kept)
 	return rel, nil
 }
 

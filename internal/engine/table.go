@@ -411,83 +411,3 @@ func (x *extParticipant) Abort(tid uint64) error {
 	x.mu.Unlock()
 	return nil
 }
-
-// slabRows is how many rows' worth of values a rowSlab allocates per refill.
-const slabRows = 256
-
-// rowSlab clones rows into chunked backing arrays: one allocation per
-// slabRows rows instead of one Row allocation per visible row. The carved
-// slices never overlap, so the clones are as shareable as individual ones.
-type rowSlab struct {
-	buf []value.Value
-}
-
-func (s *rowSlab) clone(row value.Row) value.Row {
-	w := len(row)
-	if len(s.buf) < w {
-		s.buf = make([]value.Value, slabRows*w)
-	}
-	dst := s.buf[:w:w]
-	s.buf = s.buf[w:]
-	copy(dst, row)
-	return value.Row(dst)
-}
-
-// visibleRowsRange materializes the visible rows of an in-memory partition
-// whose ids fall in [lo, hi) — the unit one scan morsel covers. Extended
-// partitions don't support id ranges; callers hand them to visibleRows as
-// a whole. The returned rows are clones, safe to share across goroutines.
-func (p *partition) visibleRowsRange(snapshot, tid uint64, lo, hi int) ([]value.Row, error) {
-	out := make([]value.Row, 0, hi-lo)
-	var slab rowSlab
-	collect := func(id int, row value.Row) bool {
-		if p.vers.Visible(id, snapshot, tid) {
-			out = append(out, slab.clone(row))
-		}
-		return true
-	}
-	switch {
-	case p.hot != nil:
-		p.hot.ScanRange(lo, hi, collect)
-	case p.row != nil:
-		p.row.ScanRange(lo, hi, collect)
-	case p.ext != nil:
-		return nil, fmt.Errorf("range scan unsupported on extended partition")
-	}
-	return out, nil
-}
-
-// visibleRows materializes the rows of a partition visible at the snapshot,
-// optionally restricted by pushdown ranges (extended partitions use zone
-// maps). The returned rows are clones.
-func (p *partition) visibleRows(snapshot, tid uint64, ranges map[int]diskstore.Range) ([]value.Row, error) {
-	out := make([]value.Row, 0, p.numRows())
-	var slab rowSlab
-	switch {
-	case p.hot != nil:
-		p.hot.Scan(func(id int, row value.Row) bool {
-			if p.vers.Visible(id, snapshot, tid) {
-				out = append(out, slab.clone(row))
-			}
-			return true
-		})
-	case p.row != nil:
-		p.row.Scan(func(id int, row value.Row) bool {
-			if p.vers.Visible(id, snapshot, tid) {
-				out = append(out, slab.clone(row))
-			}
-			return true
-		})
-	case p.ext != nil:
-		err := p.ext.Scan(nil, ranges, func(id int64, row value.Row) bool {
-			if p.vers.Visible(int(id), snapshot, tid) {
-				out = append(out, slab.clone(row))
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -38,8 +38,8 @@ type HDFSArchiveSink struct {
 	written int64
 	// hana:guardedby mu
 	spills int64
-	retry    faults.RetryPolicy
-	inj      *faults.Injector
+	retry  faults.RetryPolicy
+	inj    *faults.Injector
 }
 
 // NewHDFSArchiveSink creates a sink writing under dir, rotating files

@@ -84,7 +84,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	for _, key := range []string{
 		"hana/internal/exec.HashAggregate.run",
 		"hana/internal/exec.HashJoin.matches",
-		"hana/internal/engine.partition.visibleRows",
+		"hana/internal/engine.planner.scan",
 		"hana/internal/colstore.Column.MinMax",
 		"hana/internal/expr.In.Eval",
 		"hana/internal/value.Value.Hash",

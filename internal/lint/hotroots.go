@@ -43,17 +43,15 @@ var HotRoots = []string{
 	"hana/internal/exec.BatchProject.NextBatch",
 	"hana/internal/exec.batchRows.next",
 	"hana/internal/exec.drainBatchRows",
-	// engine: the morsel scan loop and MVCC row materialization.
-	"hana/internal/engine.planner.scanParts",
-	"hana/internal/engine.planner.scanPartsVec",
-	"hana/internal/engine.partition.visibleRows",
-	"hana/internal/engine.partition.visibleRowsRange",
+	// engine: the one table scan — morsel cutting, batch decode, MVCC
+	// selection — and the extended-storage batch reader under it.
+	"hana/internal/engine.planner.scan",
+	"hana/internal/diskstore.Table.ReadBatch",
 	// colstore: column scans and the stats loops the planner runs per query.
 	"hana/internal/colstore.Column.Scan",
 	"hana/internal/colstore.Column.DistinctCount",
 	"hana/internal/colstore.Column.MinMax",
 	"hana/internal/colstore.Table.Scan",
-	"hana/internal/colstore.Table.ScanRange",
 	"hana/internal/colstore.Table.ScanColumns",
 	// colstore: vector decode — FillVec dispatches to the per-encoding fill
 	// loops, which run once per row of every scanned morsel.
