@@ -401,12 +401,13 @@ func (t *Table) spansLocked(ranges map[int]Range) []Span {
 	return out
 }
 
-// ReadBatch returns rows [lo, hi) — a span, or a part of one — as a
-// columnar batch. needed marks the column ordinals to read (nil = all); the
-// others become pruned vectors that read no chunk. Chunk columns come from
-// the buffer cache as boxed vectors sharing the cached arrays, which nobody
-// may write to; the selection leaves out tombstoned rows, so the row id of
-// live row k is lo + RowIndex(k).
+// ReadBatch returns rows [lo, hi) as a columnar batch. [lo, hi) must be a
+// span Spans returned; it stays valid when a later flush has folded the tail
+// it named into a larger chunk. needed marks the column ordinals to read
+// (nil = all); the others become pruned vectors that read no chunk. Chunk
+// columns come from the buffer cache as boxed vectors sharing the cached
+// arrays, which nobody may write to; the selection leaves out tombstoned
+// rows, so the row id of live row k is lo + RowIndex(k).
 func (t *Table) ReadBatch(lo, hi int64, needed []bool) (*value.Batch, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

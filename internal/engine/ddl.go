@@ -389,8 +389,8 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 	if t.meta.AgingColumn == "" {
 		return 0, fmt.Errorf("table %s has no aging column", table)
 	}
-	cold := t.coldParts()
-	if len(cold) == 0 {
+	cold := t.firstCold()
+	if cold == nil {
 		return 0, fmt.Errorf("table %s has no cold partition", table)
 	}
 	var hot []*partition
@@ -416,7 +416,7 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 				_ = e.Rollback(tx)
 				return 0, err
 			}
-			target := cold[0]
+			target := cold
 			// Respect range routing when the cold partitions are ranged.
 			if len(t.parts) > 1 && t.meta.PartitionBy != "" {
 				if routed, err := t.partitionFor(row); err == nil && routed.cold {

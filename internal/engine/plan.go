@@ -353,7 +353,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 
 	// Extended / hybrid tables stay unrealized so the planner can choose a
 	// federated strategy (remote scan, semijoin, union plan).
-	if hasColdParts(st) {
+	if st.firstCold() != nil {
 		rel := &relation{schema: schema, ext: &extRel{t: st}}
 		conjs := takeCovered(rel, pool)
 		for _, c := range conjs {
@@ -417,15 +417,6 @@ func storeLabel(st *storedTable) string {
 		return "Row"
 	}
 	return "Column"
-}
-
-func hasColdParts(st *storedTable) bool {
-	for _, p := range st.parts {
-		if p.cold {
-			return true
-		}
-	}
-	return false
 }
 
 func approxRowCount(st *storedTable) int64 {

@@ -53,7 +53,7 @@ func (p *planner) scan(t *storedTable, parts []*partition, schema *value.Schema,
 	// Ranges serve partition bounds and zone maps; a plain in-memory table
 	// has neither, and its key-set IN-lists are long.
 	var ranges map[int]diskstore.Range
-	if pred != nil && (partOrd >= 0 || hasColdParts(t)) {
+	if pred != nil && (partOrd >= 0 || t.firstCold() != nil) {
 		ranges = extractRanges(expr.SplitConjuncts(pred))
 	}
 
@@ -144,10 +144,12 @@ func (p *planner) scan(t *storedTable, parts []*partition, schema *value.Schema,
 }
 
 // prunePartition reports whether the partition's value range provably
-// misses the pushed ranges on the partitioning column.
+// misses the pushed ranges on the partitioning column. The partition aging
+// fills is never pruned: rows arrive there by their flag, whatever their key,
+// so its bounds do not describe what it holds — its zone maps do.
 func prunePartition(part *partition, t *storedTable, partOrd int, ranges map[int]diskstore.Range) bool {
 	rg, ok := ranges[partOrd]
-	if !ok {
+	if !ok || (t.meta.AgingColumn != "" && part == t.firstCold()) {
 		return false
 	}
 	// Determine the partition's [lower, upper) window from the ordered

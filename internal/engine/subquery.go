@@ -73,7 +73,7 @@ func (p *planner) fromLeaves(te sqlparse.TableExpr) ([]fromLeaf, error) {
 	case *sqlparse.TableRef:
 		if _, virtual := p.e.cat.VirtualTable(t.Name()); virtual {
 			leaf.placeable = false
-		} else if st, err := p.e.table(t.Name()); err == nil && hasColdParts(st) {
+		} else if st, err := p.e.table(t.Name()); err == nil && st.firstCold() != nil {
 			leaf.placeable = false
 		}
 	case *sqlparse.TableFuncRef:

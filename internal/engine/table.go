@@ -56,15 +56,15 @@ type storedTable struct {
 	part2pc *extParticipant // shared 2PC participant for the cold partitions
 }
 
-// hotParts / coldParts filter the partitions.
-func (t *storedTable) coldParts() []*partition {
-	var out []*partition
+// firstCold returns the table's first extended-storage partition, nil when
+// it has none. It is where aging puts flagged rows whatever their key.
+func (t *storedTable) firstCold() *partition {
 	for _, p := range t.parts {
 		if p.cold {
-			out = append(out, p)
+			return p
 		}
 	}
-	return out
+	return nil
 }
 
 // partitionFor routes a row to its partition by the range-partitioning
