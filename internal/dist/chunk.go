@@ -20,8 +20,8 @@ type Chunk struct {
 	// Seqs holds the global scan sequence of every row, ascending. For
 	// join chunks the sequence is the probe row's, repeated per match.
 	Seqs []int64
-	// Rows carries scan or join output, aligned with Seqs. Scan rows are
-	// the shard copy's own: immutable, shared with every other reader.
+	// Rows carries scan or join output, aligned with Seqs, boxed from the
+	// replica's column vectors for this chunk.
 	Rows []value.Row
 	// Partial carries an aggregate fragment's group table (no rows ship):
 	// exec's accumulator as it stands, each group's First rewritten to the

@@ -298,7 +298,7 @@ func TestGuardedCallerBreaker(t *testing.T) {
 func TestFragmentWireRoundTrip(t *testing.T) {
 	f := &Fragment{
 		Query: 7, Shard: 2, Snapshot: 99, Width: 4,
-		Table: "LINEITEM", Binding: "L", Where: "L.L_QUANTITY < 24",
+		Table: "LINEITEM", Binding: "L", Where: "L.L_QUANTITY < 24", Needed: []bool{true, false, true},
 		Agg: &AggFragment{
 			GroupBy: []string{"L.L_RETURNFLAG", "L.L_LINESTATUS"},
 			Aggs:    []AggCall{{Func: "COUNT"}, {Func: "SUM", Arg: "L.L_QUANTITY"}, {Func: "COUNT", Arg: "L.L_ORDERKEY", Distinct: true}},
@@ -334,6 +334,17 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 		if _, err := DecodeFragment(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
 		}
+	}
+	// A needed mask the payload does not back is a decode error; one longer
+	// than the table is a classified error at the worker.
+	if _, err := DecodeFragment([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0, 5, 1}); err == nil {
+		t.Fatal("needed mask of 5 columns over 1 byte silently accepted")
+	}
+	w := NewWorker(0, 1, nil)
+	w.Register("T", testSchema())
+	err = w.Execute(context.Background(), &Fragment{Table: "T", Binding: "T", Needed: []bool{true, true, true}}, func(*Chunk) error { return nil })
+	if !faults.IsFatal(err) {
+		t.Fatalf("needed mask of 3 columns on a 2-column table: %v", err)
 	}
 }
 
@@ -488,6 +499,36 @@ func TestLoadCommittedIdempotent(t *testing.T) {
 	}
 	if got := w.ShardRowCount("T", 0, 1); got != 1 {
 		t.Fatalf("idempotent load broken: %d rows", got)
+	}
+
+	// Two transactions commit in the reverse of their sequence order, a
+	// third deletes, and the whole history is delivered once more: at every
+	// snapshot the stream is the serial scan, ascending.
+	w.BufferInsert(1, "T", 0, 7, intRow(7, 70))
+	w.BufferInsert(2, "T", 0, 9, intRow(9, 90))
+	w.BufferDelete(3, "T", 0, 7)
+	for _, c := range [][2]uint64{{2, 2}, {1, 3}, {3, 4}} {
+		if err := w.Commit(c[0], c[1]); err != nil {
+			t.Fatalf("commit of tid %d: %v", c[0], err)
+		}
+	}
+	if err := w.LoadCommitted("T", 0, []int64{5, 7, 9}, []value.Row{intRow(5, 50), intRow(7, 70), intRow(9, 90)}, 9); err != nil {
+		t.Fatalf("re-delivery: %v", err)
+	}
+	for snap, want := range map[uint64][]int64{1: {5}, 2: {5, 9}, 3: {5, 7, 9}, 4: {5, 9}, 9: {5, 9}} {
+		var got []int64
+		err := w.Execute(context.Background(), &Fragment{Snapshot: snap, Table: "T", Binding: "T"}, func(ch *Chunk) error {
+			for i, seq := range ch.Seqs {
+				if !reflect.DeepEqual(ch.Rows[i], intRow(seq, seq*10)) {
+					t.Fatalf("snapshot %d: sequence %d carries %v", snap, seq, ch.Rows[i])
+				}
+			}
+			got = append(got, ch.Seqs...)
+			return nil
+		})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %d: sequences %v (%v), want %v", snap, got, err, want)
+		}
 	}
 }
 

@@ -42,10 +42,13 @@ func equivSchema() *value.Schema {
 	)
 }
 
-// TestFragmentsEqualExecOnUnshardedRows pins the worker contract: an
+// TestFragmentsEqualExecOnUnshardedRows pins the worker contract: a scan,
 // aggregate or join fragment gathered over any sharding of the rows —
-// merged, and for aggregates finalised — equals exec's own operator run
-// once over the same rows unsharded, row for row and in order.
+// merged, and for aggregates finalised — equals the rows filtered one at a
+// time and, for the latter two, exec's own operator run once over them
+// unsharded, row for row and in order. Shards that hold more than
+// mergeAfter rows were delta-merged there, so their morsels read main
+// (sorted dictionary codes), delta, and one range straddling the two.
 func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 	rows := equivRows()
 	schema := equivSchema().Qualify("T")
@@ -63,11 +66,13 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 	buildRows = append(buildRows, value.Row{value.Null, value.NewInt(1)}) // NULL build key
 	join := &JoinFragment{ProbeKeys: []string{"T.K"}, BuildKeys: []string{"R.K"}, Residual: "MOD(R.W + T.K, 3) <> 0", BuildCols: buildCols, BuildRows: buildRows}
 
+	const mergeAfter = exec.DefaultMorselSize + 904
 	cases := []struct {
-		name  string
-		where string
-		agg   *AggFragment
-		join  *JoinFragment
+		name   string
+		where  string
+		needed []bool // nil = all; a false column reads NULL
+		agg    *AggFragment
+		join   *JoinFragment
 	}{
 		{name: "grouped", agg: &AggFragment{GroupBy: []string{"T.G"}, Aggs: calls}},
 		{name: "grouped-filtered", where: "T.V > 0", agg: &AggFragment{GroupBy: []string{"T.G", "MOD(T.K, 3)"}, Aggs: calls}},
@@ -75,6 +80,9 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 		{name: "global-no-rows", where: "T.V > 100", agg: &AggFragment{Aggs: calls}},
 		{name: "join", join: join},
 		{name: "join-filtered", where: "T.G IS NOT NULL", join: join},
+		{name: "scan-varchar-eq", where: "T.G = 'g1'", needed: []bool{true, true, false}},
+		{name: "grouped-varchar-in", where: "T.G IN ('g1', 'g3')", needed: []bool{false, true, true}, agg: &AggFragment{GroupBy: []string{"T.G"}, Aggs: calls}},
+		{name: "join-varchar-range", where: "T.G >= 'g2' AND T.G < 'g4'", needed: []bool{true, true, false}, join: join},
 	}
 	// Row i lives on shard i mod (shards-1): the last shard of every
 	// multi-shard fleet stays empty.
@@ -90,47 +98,65 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 		for i := range workers {
 			workers[i] = NewWorker(i, 2, nil)
 			workers[i].Register("T", equivSchema())
-			if err := workers[i].LoadCommitted("T", i, seqs[i], placed[i], 1); err != nil {
+			head := min(mergeAfter, len(placed[i]))
+			if err := workers[i].LoadCommitted("T", i, seqs[i][:head], placed[i][:head], 1); err != nil {
 				t.Fatal(err)
+			}
+			if head < len(placed[i]) {
+				workers[i].tables["T"].shards[i].tab.Merge()
+				if err := workers[i].LoadCommitted("T", i, seqs[i][head:], placed[i][head:], 1); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		fleets[shards] = NewLocal(workers)
 	}
 
 	for _, tc := range cases {
-		// The reference: filter, then one exec operator over all the rows.
-		pred, err := parsePredicate(tc.where, schema)
+		// The reference: filter row by row, blank the columns the fragment
+		// does not mark, then one exec operator over all the rows.
+		pred, err := parseExpr(tc.where, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, err := filterMorsel(pred, rows, make([]int64, len(rows)))
-		if err != nil {
-			t.Fatal(err)
+		var kept []value.Row
+		for _, row := range rows {
+			if pred != nil {
+				if ok, err := expr.Truthy(pred, row); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					continue
+				}
+			}
+			row = row.Clone()
+			for c := range row {
+				if tc.needed != nil && !tc.needed[c] {
+					row[c] = value.Null
+				}
+			}
+			kept = append(kept, row)
 		}
-		var want []value.Row
+		want := kept
 		var specs []exec.AggSpec
-		if tc.agg != nil {
+		switch {
+		case tc.agg != nil:
 			groupBy, err := parseExprList(tc.agg.GroupBy, schema)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range tc.agg.Aggs {
-				spec := exec.AggSpec{Func: c.Func, Distinct: c.Distinct}
-				if c.Arg != "" {
-					es, err := parseExprList([]string{c.Arg}, schema)
-					if err != nil {
-						t.Fatal(err)
-					}
-					spec.Arg = es[0]
+				arg, err := parseExpr(c.Arg, schema)
+				if err != nil {
+					t.Fatal(err)
 				}
-				specs = append(specs, spec)
+				specs = append(specs, exec.AggSpec{Func: c.Func, Arg: arg, Distinct: c.Distinct})
 			}
-			out, err := exec.Materialize(&exec.ParallelHashAggregate{In: exec.NewSlice(schema, kept.rows), GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()})
+			out, err := exec.Materialize(&exec.ParallelHashAggregate{In: exec.NewSlice(schema, kept), GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = out.Data
-		} else {
+		case tc.join != nil:
 			buildSchema := &value.Schema{Cols: buildCols}
 			keys := func(sqls []string, s *value.Schema) []expr.Expr {
 				es, err := parseExprList(sqls, s)
@@ -139,12 +165,12 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				}
 				return es
 			}
-			residual, err := parsePredicate(tc.join.Residual, schema.Concat(buildSchema))
+			residual, err := parseExpr(tc.join.Residual, schema.Concat(buildSchema))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, err = exec.HashJoinParallel(context.Background(), nil, 0, 0, nil, exec.JoinInner,
-				exec.JoinSide{Rows: kept.rows}, exec.JoinSide{Rows: buildRows},
+				exec.JoinSide{Rows: kept}, exec.JoinSide{Rows: buildRows},
 				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual, len(buildCols))
 			if err != nil {
 				t.Fatal(err)
@@ -159,7 +185,7 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				tr := fleets[shards]
 				tr.Wire = wire
 				topo := Topology{Shards: shards, Replicas: 1}
-				res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T", Where: tc.where, Agg: tc.agg, Join: tc.join}, 0)
+				res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T", Where: tc.where, Needed: tc.needed, Agg: tc.agg, Join: tc.join}, 0)
 				got := res.Rows
 				if tc.agg != nil {
 					var err error

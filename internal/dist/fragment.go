@@ -33,6 +33,10 @@ type Fragment struct {
 	// Where is the rendered conjunction pushed into the shard scan ("" =
 	// none).
 	Where string
+	// Needed marks the column ordinals the statement references (nil = all):
+	// the worker decodes those and reads the others as NULL, as the local
+	// scan of the same leaf would.
+	Needed []bool
 
 	// At most one of Agg/Join is set; nil means a plain gather scan.
 	Agg  *AggFragment
@@ -80,7 +84,7 @@ type JoinFragment struct {
 	BuildRows []value.Row
 }
 
-const fragmentWireVersion = 1
+const fragmentWireVersion = 2
 
 // Encode renders the fragment in the platform's wire format (uvarint
 // framing over the value codec). Encoding is deterministic: equal fragments
@@ -94,6 +98,10 @@ func (f *Fragment) Encode() []byte {
 	buf = appendString(buf, f.Table)
 	buf = appendString(buf, f.Binding)
 	buf = appendString(buf, f.Where)
+	buf = binary.AppendUvarint(buf, uint64(len(f.Needed)))
+	for _, n := range f.Needed {
+		buf = appendBool(buf, n)
+	}
 	if f.Agg != nil {
 		buf = append(buf, 1)
 		buf = appendStrings(buf, f.Agg.GroupBy)
@@ -141,6 +149,14 @@ func DecodeFragment(b []byte) (*Fragment, error) {
 	f.Table = d.string()
 	f.Binding = d.string()
 	f.Where = d.string()
+	// One byte per marked column, length-checked against the payload like
+	// any string.
+	if mask := d.string(); mask != "" {
+		f.Needed = make([]bool, len(mask))
+		for i := range mask {
+			f.Needed[i] = mask[i] != 0
+		}
+	}
 	if d.bool() {
 		agg := &AggFragment{GroupBy: d.strings()}
 		n := int(d.uvarint())

@@ -56,20 +56,21 @@ func FuzzDecodeFragment(f *testing.F) {
 	}
 	f.Add((&Fragment{Query: 9, Shard: 1, Snapshot: 42, Width: 4, Table: "ORDERS", Binding: "o",
 		Where: "(o_orderkey IN (" + strings.Join(keys, ", ") + "))"}).Encode())
-	f.Add((&Fragment{Table: "T", Agg: &AggFragment{GroupBy: []string{"g"}, Aggs: []AggCall{{Func: "COUNT"}, {Func: "SUM", Arg: "a", Distinct: true}}}}).Encode())
+	f.Add((&Fragment{Table: "T", Needed: []bool{true, false}, Agg: &AggFragment{GroupBy: []string{"g"}, Aggs: []AggCall{{Func: "COUNT"}, {Func: "SUM", Arg: "a", Distinct: true}}}}).Encode())
 	f.Add((&Fragment{Table: "T", Where: "(a > 1)", Join: &JoinFragment{
 		ProbeKeys: []string{"a"}, BuildKeys: []string{"k"}, Residual: "(a <> v)",
 		BuildCols: []value.Column{{Name: "k", Kind: value.KindInt}, {Name: "v", Kind: value.KindVarchar, Nullable: true}},
 		BuildRows: []value.Row{{value.NewInt(1), value.NewString("x")}, {value.NewInt(2), value.Null}},
 	}}).Encode())
 	f.Add([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a 4 GiB Where, none present
+	f.Add([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0, 5, 1})                      // a needed mask of 5 columns, 1 present
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFragment(b)
 		if err != nil {
 			return
 		}
-		if len(fr.Table)+len(fr.Binding)+len(fr.Where) > len(b) {
-			t.Fatalf("%d string bytes decoded from %d bytes", len(fr.Table)+len(fr.Binding)+len(fr.Where), len(b))
+		if n := len(fr.Table) + len(fr.Binding) + len(fr.Where) + len(fr.Needed); n > len(b) {
+			t.Fatalf("%d string and mask bytes decoded from %d bytes", n, len(b))
 		}
 		if a := fr.Agg; a != nil && len(a.GroupBy)+len(a.Aggs) > len(b) {
 			t.Fatalf("%d aggregate elements decoded from %d bytes", len(a.GroupBy)+len(a.Aggs), len(b))

@@ -3,10 +3,12 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"hana/internal/colstore"
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/faults"
@@ -35,31 +37,25 @@ type Worker struct {
 	txOps map[uint64][]txOp
 }
 
-// workerTable is one table's shard copies plus the schema fragments bind
+// workerTable is one table's shard replicas plus the schema fragments bind
 // against.
 type workerTable struct {
 	schema *value.Schema
-	shards map[int]*shardCopy
+	shards map[int]*replica
 }
 
-// shardCopy is the replica of one shard: rows ascending by global scan
-// sequence, each stamped with the commit IDs that inserted and (possibly)
-// deleted it — the worker-side mirror of the engine's MVCC visibility.
-type shardCopy struct {
-	rows []shardRow
-}
-
-type shardRow struct {
-	seq int64
-	ins uint64 // inserting commit ID
-	del uint64 // deleting commit ID (0 = live)
-	row value.Row
-}
-
-// morselOut is one scan morsel's surviving rows with their sequences.
-type morselOut struct {
-	rows []value.Row
+// replica is a worker's copy of one shard: a column-store table — delta,
+// main and auto-merge, what an engine hot partition is — and, aligned with
+// its row positions, each row's global scan sequence (ascending) and the
+// commit IDs that inserted and (0 = live) deleted it. Workers hold committed
+// state only, so visibility is two comparisons against a snapshot. The
+// vectors only grow, except that del is stamped in place: readers work on a
+// copy of the struct taken under the worker's lock and read del under it.
+type replica struct {
+	tab  *colstore.Table
 	seqs []int64
+	ins  []uint64
+	del  []uint64
 }
 
 // txOp is one buffered replicated write awaiting two-phase commit.
@@ -83,9 +79,6 @@ func NewWorker(id, parallelism int, inj *faults.Injector) *Worker {
 		txOps:  map[uint64][]txOp{},
 	}
 }
-
-// ID returns the worker's index in the topology.
-func (w *Worker) ID() int { return w.id }
 
 // site builds the worker's fault-injection site name for an operation.
 func (w *Worker) site(op string) string {
@@ -125,7 +118,7 @@ func (w *Worker) downErr() error {
 func (w *Worker) Register(table string, schema *value.Schema) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.tables[strings.ToUpper(table)] = &workerTable{schema: schema, shards: map[int]*shardCopy{}}
+	w.tables[strings.ToUpper(table)] = &workerTable{schema: schema, shards: map[int]*replica{}}
 }
 
 // Drop removes a table's shard copies.
@@ -153,61 +146,86 @@ func (w *Worker) ShardRowCount(table string, shard int, snapshot uint64) int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	wt := w.tables[strings.ToUpper(table)]
-	if wt == nil {
+	if wt == nil || wt.shards[shard] == nil {
 		return 0
 	}
-	sc := wt.shards[shard]
-	if sc == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range sc.rows {
-		if r.visible(snapshot) {
-			n++
+	r := wt.shards[shard]
+	return len(r.visible(0, len(r.seqs), snapshot))
+}
+
+// visible selects, as offsets from lo, the positions in [lo, hi) whose rows
+// are committed and not deleted at the snapshot. Caller holds the worker's
+// lock.
+func (r *replica) visible(lo, hi int, snapshot uint64) []int32 {
+	sel := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if r.ins[i] <= snapshot && (r.del[i] == 0 || r.del[i] > snapshot) {
+			sel = append(sel, int32(i-lo))
 		}
 	}
-	return n
+	return sel
 }
 
-func (r *shardRow) visible(snapshot uint64) bool {
-	return r.ins <= snapshot && (r.del == 0 || r.del > snapshot)
-}
-
-// getShard resolves a table's shard copy, creating it on first write.
-func (w *Worker) getShardLocked(table string, shard int) (*shardCopy, error) {
+// getShardLocked resolves a table's shard replica, creating it on first
+// write.
+func (w *Worker) getShardLocked(table string, shard int) (*replica, error) {
 	wt := w.tables[strings.ToUpper(table)]
 	if wt == nil {
 		return nil, faults.Fatal(fmt.Errorf("worker %d: table %s not registered", w.id, table))
 	}
-	sc := wt.shards[shard]
-	if sc == nil {
-		sc = &shardCopy{}
-		wt.shards[shard] = sc
+	r := wt.shards[shard]
+	if r == nil {
+		r = &replica{tab: colstore.NewTable(wt.schema)}
+		wt.shards[shard] = r
 	}
-	return sc, nil
+	return r, nil
 }
 
-// applyInsert lands a committed row at its sequence position. Out-of-order
-// commits (two transactions committing in the reverse of their sequence
-// order) insert in the middle, keeping the copy sorted.
-func (sc *shardCopy) applyInsert(seq int64, cid uint64, row value.Row) {
-	i := sort.Search(len(sc.rows), func(i int) bool { return sc.rows[i].seq >= seq })
-	if i < len(sc.rows) && sc.rows[i].seq == seq {
-		// Idempotent re-delivery (2PC retry): keep the first apply.
-		return
+// applyInsert lands a committed row. Sequences almost always arrive
+// ascending and append; a sequence already present is a re-delivery (2PC
+// retry) and keeps the first apply. One below the last — two transactions
+// committing in the reverse of their sequence order — rebuilds the replica
+// with the row in place, because a column store has no middle insert.
+// Readers keep the table and vectors they copied.
+func (r *replica) applyInsert(seq int64, cid uint64, row value.Row) error {
+	at, found := slices.BinarySearch(r.seqs, seq)
+	switch {
+	case found:
+		return nil
+	case at == len(r.seqs):
+		if _, err := r.tab.Append(row); err != nil {
+			return err
+		}
+	default:
+		tab := colstore.NewTable(r.tab.Schema())
+		var err error
+		r.tab.Scan(func(id int, old value.Row) bool {
+			if id == at {
+				_, err = tab.Append(row)
+			}
+			if err == nil {
+				_, err = tab.Append(old)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+		r.tab, r.seqs, r.ins, r.del = tab, slices.Clone(r.seqs), slices.Clone(r.ins), slices.Clone(r.del)
 	}
-	sc.rows = append(sc.rows, shardRow{})
-	copy(sc.rows[i+1:], sc.rows[i:])
-	sc.rows[i] = shardRow{seq: seq, ins: cid, row: row}
+	r.seqs = slices.Insert(r.seqs, at, seq)
+	r.ins = slices.Insert(r.ins, at, cid)
+	r.del = slices.Insert(r.del, at, 0)
+	return nil
 }
 
-func (sc *shardCopy) applyDelete(seq int64, cid uint64) error {
-	i := sort.Search(len(sc.rows), func(i int) bool { return sc.rows[i].seq >= seq })
-	if i >= len(sc.rows) || sc.rows[i].seq != seq {
+func (r *replica) applyDelete(seq int64, cid uint64) error {
+	i, found := slices.BinarySearch(r.seqs, seq)
+	if !found {
 		return fmt.Errorf("delete of unknown sequence %d", seq)
 	}
-	if sc.rows[i].del == 0 {
-		sc.rows[i].del = cid
+	if r.del[i] == 0 {
+		r.del[i] = cid
 	}
 	return nil
 }
@@ -220,12 +238,14 @@ func (w *Worker) LoadCommitted(table string, shard int, seqs []int64, rows []val
 	if w.dead {
 		return w.downErr()
 	}
-	sc, err := w.getShardLocked(table, shard)
+	r, err := w.getShardLocked(table, shard)
 	if err != nil {
 		return err
 	}
-	for i, r := range rows {
-		sc.applyInsert(seqs[i], cid, r)
+	for i, row := range rows {
+		if err := r.applyInsert(seqs[i], cid, row); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -289,16 +309,17 @@ func (w *Worker) Commit(tid, cid uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, op := range ops {
-		sc, err := w.getShardLocked(op.table, op.shard)
+		r, err := w.getShardLocked(op.table, op.shard)
 		if err != nil {
 			return err
 		}
 		if op.del {
-			if err := sc.applyDelete(op.seq, cid); err != nil {
-				return fmt.Errorf("worker %d table %s shard %d: %w", w.id, op.table, op.shard, err)
-			}
+			err = r.applyDelete(op.seq, cid)
 		} else {
-			sc.applyInsert(op.seq, cid, op.row)
+			err = r.applyInsert(op.seq, cid, op.row)
+		}
+		if err != nil {
+			return fmt.Errorf("worker %d table %s shard %d: %w", w.id, op.table, op.shard, err)
 		}
 	}
 	return nil
@@ -324,100 +345,109 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 	if err := w.inj.Check(w.site("exec")); err != nil {
 		return err
 	}
-	rows, seqs, schema, err := w.snapshotShard(f)
-	if err != nil {
-		return err
+	// The scan works on a copy of the replica — the table pointer and the
+	// three vectors as they stand. Later commits append past the copy or, on
+	// a rebuild, leave it behind; neither is visible at a snapshot already
+	// taken.
+	w.mu.RLock()
+	wt := w.tables[strings.ToUpper(f.Table)]
+	var rep replica
+	if wt != nil && wt.shards[f.Shard] != nil {
+		rep = *wt.shards[f.Shard]
 	}
-	pred, err := parsePredicate(f.Where, schema)
+	w.mu.RUnlock()
+	if wt == nil {
+		return faults.Fatal(fmt.Errorf("worker %d: table %s not registered", w.id, f.Table))
+	}
+	schema := wt.schema.Qualify(f.Binding)
+	if len(f.Needed) > schema.Len() {
+		return faults.Fatal(fmt.Errorf("worker %d: fragment marks %d columns, table %s has %d", w.id, len(f.Needed), f.Table, schema.Len()))
+	}
+	pred, err := parseExpr(f.Where, schema)
 	if err != nil {
 		return err
 	}
 
-	// Morsel-parallel filter: boundaries depend only on the row count, and
-	// kept rows reassemble in morsel order, so the surviving sequence
-	// stream is identical at any pool width.
+	// The scan: position ranges of one morsel each, whose boundaries depend
+	// only on the replica's length, so the surviving sequence stream is
+	// identical at any pool width. A gather fragment boxes its survivors
+	// inside the morsel; aggregates and joins keep the batches.
+	gatherScan := f.Agg == nil && f.Join == nil
 	size := exec.DefaultMorselSize
-	nm := (len(rows) + size - 1) / size
-	outs := make([]morselOut, nm)
-	if nm > 0 {
-		_, err = w.pool.Run(ctx, nm, f.Width, func(_ context.Context, m int) error {
-			lo := m * size
-			hi := lo + size
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			mo, err := filterMorsel(pred, rows[lo:hi], seqs[lo:hi])
-			if err != nil {
-				return err
-			}
-			outs[m] = mo
-			return nil
-		})
+	n := len(rep.seqs)
+	nm := (n + size - 1) / size
+	chunks := make([]*Chunk, nm)
+	batches := make([]*value.Batch, nm)
+	_, err = w.pool.Run(ctx, nm, f.Width, func(_ context.Context, m int) error {
+		b, ch, err := w.scanMorsel(&rep, f, schema, pred, m*size, min(m*size+size, n))
 		if err != nil {
 			return err
 		}
-	}
-
-	if f.Agg == nil && f.Join == nil {
-		// Gather scan: one chunk per morsel.
-		for m := range outs {
-			scanned := min(size, len(rows)-m*size)
-			ch := &Chunk{Shard: f.Shard, Worker: w.id, Seqs: outs[m].seqs, Rows: outs[m].rows, Scanned: int64(scanned)}
-			if err := w.emit(ch, sink); err != nil {
-				return err
-			}
+		if gatherScan {
+			ch.Rows = b.MaterializeRows()
 		}
-		if nm == 0 {
-			// Empty shard still reports its (zero) scan so streams stay uniform.
-			return w.emit(&Chunk{Shard: f.Shard, Worker: w.id}, sink)
-		}
+		chunks[m], batches[m] = ch, b
 		return nil
-	}
-	// Aggregate and join fragments hand the surviving rows, in sequence
-	// order, to the node-local executor.
-	kept, keptSeqs := rows, seqs
-	if pred != nil {
-		n := 0
-		for _, mo := range outs {
-			n += len(mo.rows)
-		}
-		kept, keptSeqs = make([]value.Row, 0, n), make([]int64, 0, n)
-		for _, mo := range outs {
-			kept = append(kept, mo.rows...)
-			keptSeqs = append(keptSeqs, mo.seqs...)
-		}
-	}
-	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(rows))}
-	if f.Agg != nil {
-		ch.Partial, err = w.runAggregate(ctx, f, schema, kept, keptSeqs)
-	} else {
-		ch.Rows, ch.Seqs, err = w.runJoin(ctx, f, schema, kept, keptSeqs)
-	}
+	})
 	if err != nil {
 		return err
 	}
-	return w.emit(ch, sink)
+
+	switch {
+	case !gatherScan:
+		// Aggregate and join fragments hand the surviving batches, in
+		// sequence order, to the node-local executor; seqs maps an ordinal in
+		// that live-row stream back to the row's sequence.
+		out := &Chunk{Shard: f.Shard, Worker: w.id}
+		var seqs []int64
+		kept := batches[:0]
+		for m, ch := range chunks {
+			out.Scanned += ch.Scanned
+			if len(ch.Seqs) > 0 {
+				seqs = append(seqs, ch.Seqs...)
+				kept = append(kept, batches[m])
+			}
+		}
+		if f.Agg != nil {
+			out.Partial, err = w.runAggregate(ctx, f, schema, kept, seqs)
+		} else {
+			out.Rows, out.Seqs, err = w.runJoin(ctx, f, schema, kept, seqs)
+		}
+		if err != nil {
+			return err
+		}
+		chunks = []*Chunk{out}
+	case nm == 0:
+		// Empty shard still reports its (zero) scan so streams stay uniform.
+		chunks = []*Chunk{{Shard: f.Shard, Worker: w.id}}
+	}
+	for _, ch := range chunks {
+		if err := w.emit(ch, sink); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// filterMorsel runs the shipped predicate over one morsel's rows, keeping
-// survivors in order. A nil predicate keeps the whole slice without copying.
-func filterMorsel(pred expr.Expr, rows []value.Row, seqs []int64) (morselOut, error) {
-	if pred == nil {
-		return morselOut{rows: rows, seqs: seqs}, nil
+// scanMorsel is the engine's table scan on a replica: decode positions
+// [lo, hi) into a batch, select the rows committed at the fragment's
+// snapshot, refine the selection with the shipped predicate's kernels. The
+// chunk it returns carries the survivors' sequences and the visible count.
+func (w *Worker) scanMorsel(rep *replica, f *Fragment, schema *value.Schema, pred expr.Expr, lo, hi int) (*value.Batch, *Chunk, error) {
+	b := rep.tab.ReadBatch(lo, hi, f.Needed)
+	b.Schema = schema
+	w.mu.RLock()
+	b.Sel = rep.visible(lo, hi, f.Snapshot)
+	w.mu.RUnlock()
+	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(b.Sel))}
+	if err := expr.SelectBatch(pred, b); err != nil {
+		return nil, nil, err
 	}
-	kept := make([]value.Row, 0, len(rows))
-	keptSeqs := make([]int64, 0, len(rows))
-	for i := range rows {
-		ok, err := expr.Truthy(pred, rows[i])
-		if err != nil {
-			return morselOut{}, err
-		}
-		if ok {
-			kept = append(kept, rows[i])
-			keptSeqs = append(keptSeqs, seqs[i])
-		}
+	ch.Seqs = make([]int64, b.Len())
+	for k := range ch.Seqs {
+		ch.Seqs[k] = rep.seqs[lo+b.RowIndex(k)]
 	}
-	return morselOut{rows: kept, seqs: keptSeqs}, nil
+	return b, ch, nil
 }
 
 // emit checks the mid-stream fault site and worker liveness before handing
@@ -432,65 +462,23 @@ func (w *Worker) emit(ch *Chunk, sink func(*Chunk) error) error {
 	return sink(ch)
 }
 
-// snapshotShard extracts the fragment's snapshot-visible rows in sequence
-// order under the read lock. Row values are immutable once applied, so the
-// extracted slices are safe outside the lock.
-func (w *Worker) snapshotShard(f *Fragment) ([]value.Row, []int64, *value.Schema, error) {
-	w.mu.RLock()
-	wt := w.tables[strings.ToUpper(f.Table)]
-	var (
-		schema *value.Schema
-		rows   []value.Row
-		seqs   []int64
-	)
-	if wt != nil {
-		schema = wt.schema.Qualify(f.Binding)
-		if sc := wt.shards[f.Shard]; sc != nil {
-			rows, seqs = sc.visibleRows(f.Snapshot)
-		}
-	}
-	w.mu.RUnlock()
-	if wt == nil {
-		return nil, nil, nil, faults.Fatal(fmt.Errorf("worker %d: table %s not registered", w.id, f.Table))
-	}
-	return rows, seqs, schema, nil
-}
-
-// visibleRows extracts the shard copy's snapshot-visible rows in sequence
-// order. Caller holds the worker's read lock.
-func (sc *shardCopy) visibleRows(snapshot uint64) ([]value.Row, []int64) {
-	rows := make([]value.Row, 0, len(sc.rows))
-	seqs := make([]int64, 0, len(sc.rows))
-	for i := range sc.rows {
-		if sc.rows[i].visible(snapshot) {
-			rows = append(rows, sc.rows[i].row)
-			seqs = append(seqs, sc.rows[i].seq)
-		}
-	}
-	return rows, seqs
-}
-
-// runAggregate runs exec's morsel-parallel aggregate over the filtered rows
-// and returns its unfinalised group table, each group's First mapped from
-// the row's ordinal to its global scan sequence.
-func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Schema, rows []value.Row, seqs []int64) (*exec.AggPartial, error) {
+// runAggregate runs exec's morsel-parallel aggregate over the surviving
+// batches and returns its unfinalised group table, each group's First
+// mapped from the row's ordinal to its global scan sequence.
+func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Schema, batches []*value.Batch, seqs []int64) (*exec.AggPartial, error) {
 	groupBy, err := parseExprList(f.Agg.GroupBy, schema)
 	if err != nil {
 		return nil, err
 	}
 	aggs := make([]exec.AggSpec, len(f.Agg.Aggs))
 	for i, a := range f.Agg.Aggs {
-		aggs[i] = exec.AggSpec{Func: a.Func, Distinct: a.Distinct}
-		if a.Arg == "" { // COUNT(*)
-			continue
-		}
-		es, err := parseExprList([]string{a.Arg}, schema)
+		arg, err := parseExpr(a.Arg, schema) // "" = COUNT(*)
 		if err != nil {
 			return nil, err
 		}
-		aggs[i].Arg = es[0]
+		aggs[i] = exec.AggSpec{Func: a.Func, Arg: arg, Distinct: a.Distinct}
 	}
-	agg := &exec.ParallelHashAggregate{In: exec.NewSlice(schema, rows), GroupBy: groupBy, Aggs: aggs, Pool: w.pool, Ctx: ctx, Width: f.Width}
+	agg := &exec.ParallelHashAggregate{In: exec.NewBatchSlice(schema, batches), GroupBy: groupBy, Aggs: aggs, Pool: w.pool, Ctx: ctx, Width: f.Width}
 	p, err := agg.Partial()
 	if err != nil {
 		return nil, err
@@ -501,12 +489,13 @@ func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Sc
 	return p, nil
 }
 
-// runJoin probes the filtered shard rows against the broadcast build side
+// runJoin probes the surviving shard rows against the broadcast build side
 // with exec's parallel hash join — the serial hash join's semantics: NULL
 // keys never match, matches emitted in build-input order, residual evaluated
-// on the combined row. Output rows carry their probe row's sequence, so the
-// coordinator merge restores probe-input order globally.
-func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema, rows []value.Row, seqs []int64) ([]value.Row, []int64, error) {
+// on the combined row. Only probe rows that reach the output are boxed;
+// each carries its probe row's sequence, so the coordinator merge restores
+// probe-input order globally.
+func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema, batches []*value.Batch, seqs []int64) ([]value.Row, []int64, error) {
 	j := f.Join
 	buildSchema := &value.Schema{Cols: j.BuildCols}
 	probeKeys, err := parseExprList(j.ProbeKeys, schema)
@@ -517,12 +506,12 @@ func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema,
 	if err != nil {
 		return nil, nil, err
 	}
-	residual, err := parsePredicate(j.Residual, schema.Concat(buildSchema))
+	residual, err := parseExpr(j.Residual, schema.Concat(buildSchema))
 	if err != nil {
 		return nil, nil, err
 	}
 	out, ords, err := exec.HashJoinProbeOrdinals(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
-		exec.JoinSide{Rows: rows}, exec.JoinSide{Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
+		exec.JoinSide{Batches: batches}, exec.JoinSide{Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -533,25 +522,18 @@ func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema,
 	return out, outSeqs, nil
 }
 
-// parsePredicate round-trips a rendered predicate back into a bound
-// expression ("" = none) — the same SQL-text seam shipped federated
-// statements use.
-func parsePredicate(sql string, schema *value.Schema) (expr.Expr, error) {
+// parseExpr round-trips one rendered expression — a predicate, an aggregate
+// argument — back into a bound expression ("" = none): the same SQL-text
+// seam shipped federated statements use.
+func parseExpr(sql string, schema *value.Schema) (expr.Expr, error) {
 	if sql == "" {
 		return nil, nil
 	}
-	st, err := sqlparse.Parse("SELECT 1 WHERE " + sql)
+	es, err := parseExprList([]string{sql}, schema)
 	if err != nil {
-		return nil, faults.Fatal(fmt.Errorf("fragment predicate %q: %w", sql, err))
+		return nil, err
 	}
-	sel, ok := st.(*sqlparse.SelectStmt)
-	if !ok || sel.Where == nil {
-		return nil, faults.Fatal(fmt.Errorf("fragment predicate %q did not parse", sql))
-	}
-	if err := expr.Bind(sel.Where, schema); err != nil {
-		return nil, faults.Fatal(fmt.Errorf("fragment predicate %q: %w", sql, err))
-	}
-	return sel.Where, nil
+	return es[0], nil
 }
 
 // parseExprList round-trips rendered expressions into bound expressions.

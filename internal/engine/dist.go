@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"hana/internal/catalog"
 	"hana/internal/dist"
@@ -142,27 +145,18 @@ func (e *Engine) distReseed(t *storedTable) error {
 
 // distReseedLocked is distReseed with t.mu already held (ALTER TABLE path).
 func (e *Engine) distReseedLocked(t *storedTable) error {
-	d := e.distFor(t)
-	if d == nil {
+	if e.distFor(t) == nil {
 		return nil
 	}
 	e.distRegister(t)
 	p := t.parts[0]
 	last := e.mgr.LastCID()
-	ord := shardOrdOf(t.meta)
-	perShard := map[int]*shardBuf{}
+	var ids []int
+	var rows []value.Row
 	collect := func(id int, row value.Row) bool {
-		if !p.vers.Visible(id, last, 0) {
-			return true
+		if p.vers.Visible(id, last, 0) {
+			ids, rows = append(ids, id), append(rows, row.Clone())
 		}
-		s := dist.ShardOf(row[ord], d.topo.Shards)
-		b := perShard[s]
-		if b == nil {
-			b = &shardBuf{}
-			perShard[s] = b
-		}
-		b.seqs = append(b.seqs, int64(id))
-		b.rows = append(b.rows, row.Clone())
 		return true
 	}
 	switch {
@@ -171,19 +165,7 @@ func (e *Engine) distReseedLocked(t *storedTable) error {
 	case p.row != nil:
 		p.row.Scan(collect)
 	}
-	for s, b := range perShard {
-		for _, owner := range d.topo.Owners(s) {
-			if err := d.transport.Worker(owner).LoadCommitted(distKey(t.meta.Name), s, b.seqs, b.rows, last); err != nil {
-				return fmt.Errorf("reseeding %s shard %d on worker %d: %w", t.meta.Name, s, owner, err)
-			}
-		}
-	}
-	return nil
-}
-
-type shardBuf struct {
-	seqs []int64
-	rows []value.Row
+	return e.distMirrorLoad(t, ids, rows, last)
 }
 
 // distReseedAll reseeds every shardable table — the post-recovery hook.
@@ -254,33 +236,42 @@ func (e *Engine) distMirrorDelete(tx *txn.Txn, t *storedTable, p *partition, id 
 	}
 }
 
-// distMirrorLoad mirrors a BulkLoad batch: rows are already committed at
-// cid, so they apply to the replicas directly. Called under t.mu.
+// distMirrorLoad applies rows already committed at cid — a BulkLoad batch,
+// a reseed — to the replicas directly: it routes each row to its shard (ids
+// are the rows' global scan sequences) and loads every owner, the workers
+// side by side. Workers copy the values into their column stores, so owners
+// share the rows. Called under t.mu.
 func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, cid uint64) error {
 	d := e.distFor(t)
 	if d == nil {
 		return nil
 	}
 	ord := shardOrdOf(t.meta)
-	perShard := map[int]*shardBuf{}
+	seqs := make([][]int64, d.topo.Shards)
+	placed := make([][]value.Row, d.topo.Shards)
 	for i, row := range rows {
 		s := dist.ShardOf(row[ord], d.topo.Shards)
-		b := perShard[s]
-		if b == nil {
-			b = &shardBuf{}
-			perShard[s] = b
-		}
-		b.seqs = append(b.seqs, int64(ids[i]))
-		b.rows = append(b.rows, row.Clone())
+		seqs[s], placed[s] = append(seqs[s], int64(ids[i])), append(placed[s], row)
 	}
-	for s, b := range perShard {
-		for _, owner := range d.topo.Owners(s) {
-			if err := d.transport.Worker(owner).LoadCommitted(distKey(t.meta.Name), s, b.seqs, b.rows, cid); err != nil {
-				return fmt.Errorf("mirroring bulk load of %s to worker %d: %w", t.meta.Name, owner, err)
+	errs := make([]error, d.transport.Workers())
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := range placed {
+				if len(placed[s]) == 0 || !slices.Contains(d.topo.Owners(s), w) {
+					continue
+				}
+				if err := d.transport.Worker(w).LoadCommitted(distKey(t.meta.Name), s, seqs[s], placed[s], cid); err != nil {
+					errs[w] = fmt.Errorf("loading %s shard %d on worker %d: %w", t.meta.Name, s, w, err)
+					return
+				}
 			}
-		}
+		}(w)
 	}
-	return nil
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // DistShardCounts reports, per worker, the live row count held for a table

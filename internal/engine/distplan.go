@@ -43,9 +43,14 @@ func shippedFilter(conjs []expr.Expr) []*planNode {
 	return []*planNode{node("shipped filter: " + planSQL(expr.And(conjs...)))}
 }
 
-// distGather fans a fragment template out through the coordinator and folds
-// the run's statistics into the statement counters.
-func (p *planner) distGather(tmpl *dist.Fragment) (*dist.GatherResult, error) {
+// distGather points a fragment template (its Agg or Join, if any) at the
+// pending shard scan, fans it out through the coordinator and folds the
+// run's statistics into the statement counters.
+func (p *planner) distGather(dr *distRel, tmpl *dist.Fragment) (*dist.GatherResult, error) {
+	tmpl.Table = distKey(dr.t.meta.Name)
+	tmpl.Binding = dr.binding
+	tmpl.Where = renderConjs(dr.conjs)
+	tmpl.Needed = neededOrds(p.needed, dr.t.meta.Schema)
 	tmpl.Snapshot = p.snapshot
 	tmpl.Width = p.width
 	res, err := p.e.dist.coord.Gather(p.ctx, tmpl, p.fanout)
@@ -70,12 +75,7 @@ func (p *planner) distGather(tmpl *dist.Fragment) (*dist.GatherResult, error) {
 // byte-identical to the single-node partition scan.
 func (p *planner) realizeDist(r *relation) error {
 	dr := r.dst
-	f := &dist.Fragment{
-		Table:   distKey(dr.t.meta.Name),
-		Binding: dr.binding,
-		Where:   renderConjs(dr.conjs),
-	}
-	res, err := p.distGather(f)
+	res, err := p.distGather(dr, &dist.Fragment{})
 	if err != nil {
 		return err
 	}
@@ -232,13 +232,7 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 		return nil, nil, false, nil
 	}
 
-	f := &dist.Fragment{
-		Table:   distKey(dr.t.meta.Name),
-		Binding: dr.binding,
-		Where:   renderConjs(dr.conjs),
-		Agg:     &dist.AggFragment{GroupBy: groupSQLs, Aggs: calls},
-	}
-	res, err := p.distGather(f)
+	res, err := p.distGather(dr, &dist.Fragment{Agg: &dist.AggFragment{GroupBy: groupSQLs, Aggs: calls}})
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -318,19 +312,13 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	for i, k := range rightKeys {
 		buildSQLs[i] = k.SQL()
 	}
-	f := &dist.Fragment{
-		Table:   distKey(dr.t.meta.Name),
-		Binding: dr.binding,
-		Where:   renderConjs(dr.conjs),
-		Join: &dist.JoinFragment{
-			ProbeKeys: probeSQLs,
-			BuildKeys: buildSQLs,
-			Residual:  renderConjs(residual),
-			BuildCols: r.schema.Cols,
-			BuildRows: r.rowsOf(),
-		},
-	}
-	res, err := p.distGather(f)
+	res, err := p.distGather(dr, &dist.Fragment{Join: &dist.JoinFragment{
+		ProbeKeys: probeSQLs,
+		BuildKeys: buildSQLs,
+		Residual:  renderConjs(residual),
+		BuildCols: r.schema.Cols,
+		BuildRows: r.rowsOf(),
+	}})
 	if err != nil {
 		return nil, err
 	}

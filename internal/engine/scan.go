@@ -111,15 +111,9 @@ func (p *planner) scan(t *storedTable, parts []*partition, schema *value.Schema,
 			}
 		}
 		b.Schema = schema
-		sel := make([]int32, 0, b.Len())
-		for k, n := 0, b.Len(); k < n; k++ {
-			if r := b.RowIndex(k); part.vers.Visible(m.lo+r, p.snapshot, p.tid) {
-				sel = append(sel, int32(r))
-			}
-		}
-		b.Sel = sel
-		visible[i] = len(sel)
-		p.stats.NoteScanned(len(sel))
+		b.Sel = part.vers.VisibleIn(m.lo, b.N, b.Sel, p.snapshot, p.tid)
+		visible[i] = len(b.Sel)
+		p.stats.NoteScanned(len(b.Sel))
 		if err := expr.SelectBatch(pred, b); err != nil {
 			return err
 		}

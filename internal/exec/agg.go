@@ -289,57 +289,18 @@ func (h *HashAggregate) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
+// run aggregates the whole input as one morsel, so groups come out in
+// first-seen order and floats sum in input order.
 func (h *HashAggregate) run() error {
-	table := map[uint64][]*AggGroup{}
-	var order []*AggGroup
-	keyOrds := ordinals(len(h.GroupBy))
-	// Scratch key buffer, reused across rows; only Clone() on a fresh group
-	// retains the values.
-	key := make(value.Row, len(h.GroupBy))
-	for n := 0; ; n++ {
-		row, ok, err := h.In.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for i, g := range h.GroupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		hsh := key.Hash(keyOrds)
-		var grp *AggGroup
-		for _, g := range table[hsh] {
-			if key.EqualAt(g.Key, keyOrds, keyOrds) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = newAggGroup(key.Clone(), h.Aggs, n)
-			table[hsh] = append(table[hsh], grp)
-			//lint:ignore hotalloc order grows once per distinct group, not per row; the group count is unknown upfront
-			order = append(order, grp)
-		}
-		for i, a := range h.Aggs {
-			if a.Arg == nil { // COUNT(*)
-				grp.States[i].Count++
-				grp.States[i].HasVal = true
-				continue
-			}
-			v, err := a.Arg.Eval(row)
-			if err != nil {
-				return err
-			}
-			grp.States[i].Add(v)
-		}
+	rows, err := drainRows(h.In)
+	if err != nil {
+		return err
 	}
-	var err error
-	h.groups, err = (&AggPartial{Groups: order}).Rows(h.Aggs, len(h.GroupBy) == 0)
+	pt, err := aggregateMorsel(rows, 0, h.GroupBy, h.Aggs, ordinals(len(h.GroupBy)))
+	if err != nil {
+		return err
+	}
+	h.groups, err = pt.Rows(h.Aggs, len(h.GroupBy) == 0)
 	h.done = err == nil
 	return err
 }

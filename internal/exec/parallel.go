@@ -150,9 +150,9 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	return merged, nil
 }
 
-// aggregateMorsel builds one morsel's partial group table — the same
-// accumulation loop as the serial HashAggregate, restricted to a row range
-// that starts at input ordinal base.
+// aggregateMorsel builds one morsel's partial group table: the accumulation
+// loop over a row range that starts at input ordinal base. The serial
+// HashAggregate runs it once over its whole input.
 func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*AggPartial, error) {
 	pt := NewAggPartial()
 	// Scratch key buffer, reused across rows; only Clone() on a fresh group

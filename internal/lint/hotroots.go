@@ -90,12 +90,11 @@ var HotRoots = []string{
 	"hana/internal/value.BatchFromRows",
 	// dist: the exchange hot path. Execute parses shipped SQL once per
 	// fragment — not hot — so only code that runs per shard row is rooted:
-	// snapshot extraction and morsel filtering (aggregate and join fragments
-	// then run exec's rooted operators). Chunk and fragment encode/decode
-	// run per exchange unit on the wire transport, and the coordinator
-	// merge loops run once per shipped row/group.
-	"hana/internal/dist.Worker.snapshotShard",
-	"hana/internal/dist.filterMorsel",
+	// the scan's morsel body (aggregate and join fragments then run exec's
+	// rooted operators). Chunk and fragment encode/decode run per exchange
+	// unit on the wire transport, and the coordinator merge loops run once
+	// per shipped row/group.
+	"hana/internal/dist.Worker.scanMorsel",
 	"hana/internal/dist.Chunk.Encode",
 	"hana/internal/dist.DecodeChunk",
 	"hana/internal/dist.Fragment.Encode",

@@ -46,6 +46,16 @@ var LockRanks = map[string]int{
 	"txn.RowVersions.mu": 240,
 	"txn.Log.mu":         260,
 
+	// dist workers sit below the engine/txn layers: the engine mirrors
+	// writes into workers while holding storedTable.mu (insert/delete path)
+	// and registers tables under Engine.mu (DDL path), and 2PC phase
+	// delivery reaches Worker.mu from the commit machinery. Workers never
+	// call back up into the engine. They sit above the storage layer: a
+	// shard replica is a colstore table, appended to under Worker.mu. txMu
+	// (write buffers) nests inside mu on the commit path, so it ranks above.
+	"dist.Worker.mu":   280,
+	"dist.Worker.txMu": 290,
+
 	// ---- storage layer ----
 	"diskstore.Store.mu":      300,
 	"diskstore.Table.mu":      320,
@@ -56,15 +66,7 @@ var LockRanks = map[string]int{
 
 	// ---- streaming / federation ----
 	"esp.HDFSArchiveSink.mu": 440,
-	// dist workers sit below the engine/txn layers: the engine mirrors
-	// writes into workers while holding storedTable.mu (insert/delete path)
-	// and registers tables under Engine.mu (DDL path), and 2PC phase
-	// delivery reaches Worker.mu from the commit machinery. Workers never
-	// call back up into the engine. txMu (write buffers) nests inside mu
-	// on the commit path, so it ranks above.
-	"dist.Worker.mu":   450,
-	"dist.Worker.txMu": 460,
-	"fed.Health.mu":    480,
+	"fed.Health.mu":          480,
 
 	// ---- big-data side (remote round trips) ----
 	"hive.Metastore.mu": 490,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -370,5 +371,22 @@ func TestLiveCount(t *testing.T) {
 	}
 	if got := v.LiveCount(5); got != 5 {
 		t.Fatalf("live at 5 = %d", got)
+	}
+	// The range form answers as the point lookups do: over a whole range,
+	// over a selection, past the tracked rows, and for a writer's own rows.
+	v.Insert(10, 7)
+	_ = v.Delete(4, 7)
+	for _, tid := range []uint64{0, 7} {
+		for _, sel := range [][]int32{nil, {0, 1, 2, 5, 8, 9}} {
+			var want []int32
+			for r := int32(0); r < 10; r++ {
+				if (sel == nil || slices.Contains(sel, r)) && v.Visible(2+int(r), 20, tid) {
+					want = append(want, r)
+				}
+			}
+			if got := v.VisibleIn(2, 10, sel, 20, tid); !slices.Equal(got, want) {
+				t.Fatalf("VisibleIn(tid %d, sel %v) = %v, want %v", tid, sel, got, want)
+			}
+		}
 	}
 }

@@ -113,10 +113,37 @@ func (v *RowVersions) AbortTID(tid uint64) {
 }
 
 // Visible reports whether rowID is visible to a reader with the given
-// snapshot CID and own transaction ID (0 for autonomous statements).
+// snapshot CID and own transaction ID (0 for autonomous statements) — the
+// point lookup; scans use VisibleIn.
 func (v *RowVersions) Visible(rowID int, snapshot, tid uint64) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	return v.visibleLocked(rowID, snapshot, tid)
+}
+
+// VisibleIn refines a batch's selection under one read lock. The batch holds
+// the n rows whose ids start at base; sel lists the offsets still live (nil
+// = all n). It returns, ascending, the offsets whose rows the reader sees.
+func (v *RowVersions) VisibleIn(base, n int, sel []int32, snapshot, tid uint64) []int32 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	if sel != nil {
+		n = len(sel)
+	}
+	out := make([]int32, 0, n)
+	for k := 0; k < n; k++ {
+		r := int32(k)
+		if sel != nil {
+			r = sel[k]
+		}
+		if v.visibleLocked(base+int(r), snapshot, tid) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func (v *RowVersions) visibleLocked(rowID int, snapshot, tid uint64) bool {
 	if rowID >= len(v.insCID) {
 		return false
 	}
@@ -194,11 +221,10 @@ func (v *RowVersions) PendingTIDs() []uint64 {
 // LiveCount counts rows visible at the snapshot (tid 0).
 func (v *RowVersions) LiveCount(snapshot uint64) int {
 	v.mu.RLock()
-	n := len(v.insCID)
-	v.mu.RUnlock()
+	defer v.mu.RUnlock()
 	count := 0
-	for i := 0; i < n; i++ {
-		if v.Visible(i, snapshot, 0) {
+	for i := range v.insCID {
+		if v.visibleLocked(i, snapshot, 0) {
 			count++
 		}
 	}

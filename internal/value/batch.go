@@ -150,15 +150,25 @@ func (b *Batch) FillRow(i int, dst Row) {
 // MaterializeRows decodes every live row into freshly allocated Rows backed
 // by a single Value slab (two allocations per batch, none per row). This is
 // the late-materialization boundary: it runs only after predicates have
-// shrunk the selection.
+// shrunk the selection. Pruned columns are not written: the fresh slab's zero
+// Values are already the NULLs they read as.
 func (b *Batch) MaterializeRows() []Row {
 	n := b.Len()
 	w := len(b.Cols)
 	rows := make([]Row, n)
 	slab := make([]Value, n*w)
+	live := make([]int, 0, w)
+	for c := range b.Cols {
+		if !b.Cols[c].Pruned {
+			live = append(live, c)
+		}
+	}
 	for k := 0; k < n; k++ {
 		r := slab[k*w : (k+1)*w : (k+1)*w]
-		b.FillRow(b.RowIndex(k), r)
+		i := b.RowIndex(k)
+		for _, c := range live {
+			r[c] = b.Cols[c].Value(i)
+		}
 		rows[k] = r
 	}
 	return rows
