@@ -336,15 +336,17 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 		}
 	}
 	// A needed mask the payload does not back is a decode error; one longer
-	// than the table is a classified error at the worker.
+	// or shorter than the table is a classified error at the worker.
 	if _, err := DecodeFragment([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0, 5, 1}); err == nil {
 		t.Fatal("needed mask of 5 columns over 1 byte silently accepted")
 	}
 	w := NewWorker(0, 1, nil)
 	w.Register("T", testSchema())
-	err = w.Execute(context.Background(), &Fragment{Table: "T", Binding: "T", Needed: []bool{true, true, true}}, func(*Chunk) error { return nil })
-	if !faults.IsFatal(err) {
-		t.Fatalf("needed mask of 3 columns on a 2-column table: %v", err)
+	for _, mask := range [][]bool{{true, true, true}, {true}} {
+		err = w.Execute(context.Background(), &Fragment{Table: "T", Binding: "T", Where: "T.B > 0", Needed: mask}, func(*Chunk) error { return nil })
+		if !faults.IsFatal(err) {
+			t.Fatalf("needed mask of %d columns on a 2-column table: %v", len(mask), err)
+		}
 	}
 }
 

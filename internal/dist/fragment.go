@@ -33,9 +33,9 @@ type Fragment struct {
 	// Where is the rendered conjunction pushed into the shard scan ("" =
 	// none).
 	Where string
-	// Needed marks the column ordinals the statement references (nil = all):
-	// the worker decodes those and reads the others as NULL, as the local
-	// scan of the same leaf would.
+	// Needed marks the column ordinals the statement references (nil = all,
+	// else one entry per table column): the worker decodes those and reads
+	// the others as NULL, as the local scan of the same leaf would.
 	Needed []bool
 
 	// At most one of Agg/Join is set; nil means a plain gather scan.

@@ -100,14 +100,16 @@ func TestWorkerStressKillReviveReseed(t *testing.T) {
 		}
 	}()
 	// 2PC loop against worker 2 (never killed): inserts commit at cids
-	// above the query snapshot, aborts roll back cleanly.
+	// above the query snapshot, every other one below the shard's last
+	// sequence (the late run, appended to under the scans); aborts roll back
+	// cleanly.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		w := tr.Worker(2)
 		for i := 0; i < iters; i++ {
 			tid := uint64(1000 + i)
-			seq := int64(1_000_000 + i)
+			seq := int64(1_000_000 + (i ^ 2))
 			w.BufferInsert(tid, "T", 2, seq, intRow(seq, 0))
 			if err := w.Prepare(tid); err != nil {
 				t.Errorf("prepare %d: %v", tid, err)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -44,19 +45,34 @@ type workerTable struct {
 	shards map[int]*replica
 }
 
-// replica is a worker's copy of one shard: a column-store table — delta,
-// main and auto-merge, what an engine hot partition is — and, aligned with
-// its row positions, each row's global scan sequence (ascending) and the
-// commit IDs that inserted and (0 = live) deleted it. Workers hold committed
-// state only, so visibility is two comparisons against a snapshot. The
-// vectors only grow, except that del is stamped in place: readers work on a
-// copy of the struct taken under the worker's lock and read del under it.
-type replica struct {
+// run is a column-store table — delta, main and auto-merge, what an engine
+// hot partition is — and, aligned with its row positions, each row's global
+// scan sequence and the commit IDs that inserted and (0 = live) deleted it.
+// Workers hold committed state only, so visibility is two comparisons
+// against a snapshot. The vectors only grow, except that del is stamped in
+// place: readers work on a copy of the struct taken under the worker's lock
+// and read del under it.
+type run struct {
 	tab  *colstore.Table
 	seqs []int64
 	ins  []uint64
 	del  []uint64
 }
+
+// replica is a worker's copy of one shard: a run in sequence order that
+// commits append to, and — a column store has no middle insert — a late run
+// of the rows that committed below its last sequence at the time (two
+// transactions finishing in the reverse of their sequence order), in commit
+// order. The scan reads the late rows in between (spans); past lateCap of
+// them the two runs are folded into one.
+type replica struct {
+	run
+	late run
+}
+
+// lateCap bounds what a scan pays for out-of-order commits (up to two extra
+// morsels a row) against how often a fold copies the shard.
+const lateCap = 512
 
 // txOp is one buffered replicated write awaiting two-phase commit.
 type txOp struct {
@@ -150,13 +166,13 @@ func (w *Worker) ShardRowCount(table string, shard int, snapshot uint64) int {
 		return 0
 	}
 	r := wt.shards[shard]
-	return len(r.visible(0, len(r.seqs), snapshot))
+	return len(r.visible(0, len(r.seqs), snapshot)) + len(r.late.visible(0, len(r.late.seqs), snapshot))
 }
 
 // visible selects, as offsets from lo, the positions in [lo, hi) whose rows
 // are committed and not deleted at the snapshot. Caller holds the worker's
 // lock.
-func (r *replica) visible(lo, hi int, snapshot uint64) []int32 {
+func (r *run) visible(lo, hi int, snapshot uint64) []int32 {
 	sel := make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if r.ins[i] <= snapshot && (r.del[i] == 0 || r.del[i] > snapshot) {
@@ -175,57 +191,77 @@ func (w *Worker) getShardLocked(table string, shard int) (*replica, error) {
 	}
 	r := wt.shards[shard]
 	if r == nil {
-		r = &replica{tab: colstore.NewTable(wt.schema)}
+		r = &replica{run: run{tab: colstore.NewTable(wt.schema)}}
 		wt.shards[shard] = r
 	}
 	return r, nil
 }
 
-// applyInsert lands a committed row. Sequences almost always arrive
-// ascending and append; a sequence already present is a re-delivery (2PC
-// retry) and keeps the first apply. One below the last — two transactions
-// committing in the reverse of their sequence order — rebuilds the replica
-// with the row in place, because a column store has no middle insert.
-// Readers keep the table and vectors they copied.
-func (r *replica) applyInsert(seq int64, cid uint64, row value.Row) error {
-	at, found := slices.BinarySearch(r.seqs, seq)
-	switch {
-	case found:
-		return nil
-	case at == len(r.seqs):
-		if _, err := r.tab.Append(row); err != nil {
-			return err
-		}
-	default:
-		tab := colstore.NewTable(r.tab.Schema())
-		var err error
-		r.tab.Scan(func(id int, old value.Row) bool {
-			if id == at {
-				_, err = tab.Append(row)
-			}
-			if err == nil {
-				_, err = tab.Append(old)
-			}
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
-		r.tab, r.seqs, r.ins, r.del = tab, slices.Clone(r.seqs), slices.Clone(r.ins), slices.Clone(r.del)
+// find locates a sequence in the replica: the run holding it and its
+// position there.
+func (r *replica) find(seq int64) (*run, int, bool) {
+	if at, ok := slices.BinarySearch(r.seqs, seq); ok {
+		return &r.run, at, true
 	}
-	r.seqs = slices.Insert(r.seqs, at, seq)
-	r.ins = slices.Insert(r.ins, at, cid)
-	r.del = slices.Insert(r.del, at, 0)
+	at := slices.Index(r.late.seqs, seq)
+	return &r.late, at, at >= 0
+}
+
+// append lands a row at the end of the run.
+func (r *run) append(seq int64, ins, del uint64, row value.Row) error {
+	if _, err := r.tab.Append(row); err != nil {
+		return err
+	}
+	r.seqs, r.ins, r.del = append(r.seqs, seq), append(r.ins, ins), append(r.del, del)
 	return nil
 }
 
+// fold rebuilds the main run with the late rows merged in. Readers keep the
+// tables and vectors they copied.
+func (r *replica) fold() error {
+	out := run{tab: colstore.NewTable(r.tab.Schema())}
+	for _, sp := range r.spans(len(r.seqs)) {
+		for at := sp.lo; at < sp.hi; at++ {
+			row, err := sp.in.tab.Get(at)
+			if err == nil {
+				err = out.append(sp.in.seqs[at], sp.in.ins[at], sp.in.del[at], row)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	r.run, r.late = out, run{}
+	return nil
+}
+
+// applyInsert lands a committed row. Sequences almost always arrive
+// ascending and append; a sequence already present is a re-delivery (2PC
+// retry) and keeps the first apply; one below the last joins the late run.
+func (r *replica) applyInsert(seq int64, cid uint64, row value.Row) error {
+	if n := len(r.seqs); n == 0 || seq > r.seqs[n-1] {
+		return r.append(seq, cid, 0, row)
+	}
+	if _, _, found := r.find(seq); found {
+		return nil
+	}
+	if r.late.tab == nil {
+		r.late.tab = colstore.NewTable(r.tab.Schema())
+	}
+	err := r.late.append(seq, cid, 0, row)
+	if err == nil && len(r.late.seqs) > lateCap {
+		err = r.fold()
+	}
+	return err
+}
+
 func (r *replica) applyDelete(seq int64, cid uint64) error {
-	i, found := slices.BinarySearch(r.seqs, seq)
+	in, i, found := r.find(seq)
 	if !found {
 		return fmt.Errorf("delete of unknown sequence %d", seq)
 	}
-	if r.del[i] == 0 {
-		r.del[i] = cid
+	if in.del[i] == 0 {
+		in.del[i] = cid
 	}
 	return nil
 }
@@ -345,9 +381,9 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 	if err := w.inj.Check(w.site("exec")); err != nil {
 		return err
 	}
-	// The scan works on a copy of the replica — the table pointer and the
-	// three vectors as they stand. Later commits append past the copy or, on
-	// a rebuild, leave it behind; neither is visible at a snapshot already
+	// The scan works on a copy of the replica — the table pointers and the
+	// vectors as they stand. Later commits append past the copy or, on a
+	// rebuild, leave it behind; neither is visible at a snapshot already
 	// taken.
 	w.mu.RLock()
 	wt := w.tables[strings.ToUpper(f.Table)]
@@ -360,7 +396,7 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 		return faults.Fatal(fmt.Errorf("worker %d: table %s not registered", w.id, f.Table))
 	}
 	schema := wt.schema.Qualify(f.Binding)
-	if len(f.Needed) > schema.Len() {
+	if len(f.Needed) != 0 && len(f.Needed) != schema.Len() {
 		return faults.Fatal(fmt.Errorf("worker %d: fragment marks %d columns, table %s has %d", w.id, len(f.Needed), f.Table, schema.Len()))
 	}
 	pred, err := parseExpr(f.Where, schema)
@@ -368,25 +404,26 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 		return err
 	}
 
-	// The scan: position ranges of one morsel each, whose boundaries depend
-	// only on the replica's length, so the surviving sequence stream is
-	// identical at any pool width. A gather fragment boxes its survivors
-	// inside the morsel; aggregates and joins keep the batches.
+	// The scan: one morsel per span, whose boundaries depend only on the
+	// replica's contents, so the surviving sequence stream is identical at any
+	// pool width. A gather fragment boxes its survivors inside the morsel;
+	// aggregates and joins keep the batches.
 	gatherScan := f.Agg == nil && f.Join == nil
-	size := exec.DefaultMorselSize
-	n := len(rep.seqs)
-	nm := (n + size - 1) / size
+	spans := rep.spans(exec.DefaultMorselSize)
+	nm := len(spans)
 	chunks := make([]*Chunk, nm)
 	batches := make([]*value.Batch, nm)
 	_, err = w.pool.Run(ctx, nm, f.Width, func(_ context.Context, m int) error {
-		b, ch, err := w.scanMorsel(&rep, f, schema, pred, m*size, min(m*size+size, n))
+		b, ch, err := w.scanMorsel(spans[m], f, schema, pred)
 		if err != nil {
 			return err
 		}
 		if gatherScan {
 			ch.Rows = b.MaterializeRows()
+		} else {
+			batches[m] = b
 		}
-		chunks[m], batches[m] = ch, b
+		chunks[m] = ch
 		return nil
 	})
 	if err != nil {
@@ -429,15 +466,53 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 	return nil
 }
 
-// scanMorsel is the engine's table scan on a replica: decode positions
-// [lo, hi) into a batch, select the rows committed at the fragment's
+// span is one morsel of a replica's scan: positions [lo, hi) of one of its
+// runs.
+type span struct {
+	in     *run
+	lo, hi int
+}
+
+// spans cuts the replica into morsels in sequence order: ranges of up to
+// size positions of the main run, ended early wherever late rows — every one
+// below the main run's last sequence — fall in between; late rows adjacent
+// in both sequence and position share a morsel.
+func (r *replica) spans(size int) []span {
+	var out []span
+	late := make([]int, len(r.late.seqs)) // its positions, by sequence
+	for i := range late {
+		late[i] = i
+	}
+	slices.SortFunc(late, func(a, b int) int { return cmp.Compare(r.late.seqs[a], r.late.seqs[b]) })
+	for lo := 0; lo < len(r.seqs); {
+		for len(late) > 0 && r.late.seqs[late[0]] < r.seqs[lo] {
+			k := 1
+			for k < len(late) && late[k] == late[0]+k && r.late.seqs[late[k]] < r.seqs[lo] {
+				k++
+			}
+			out = append(out, span{&r.late, late[0], late[0] + k})
+			late = late[k:]
+		}
+		hi := min(lo+size, len(r.seqs))
+		if len(late) > 0 {
+			at, _ := slices.BinarySearch(r.seqs[lo:hi], r.late.seqs[late[0]])
+			hi = lo + at
+		}
+		out = append(out, span{&r.run, lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// scanMorsel is the engine's table scan on a replica: decode the span's
+// positions into a batch, select the rows committed at the fragment's
 // snapshot, refine the selection with the shipped predicate's kernels. The
 // chunk it returns carries the survivors' sequences and the visible count.
-func (w *Worker) scanMorsel(rep *replica, f *Fragment, schema *value.Schema, pred expr.Expr, lo, hi int) (*value.Batch, *Chunk, error) {
-	b := rep.tab.ReadBatch(lo, hi, f.Needed)
+func (w *Worker) scanMorsel(sp span, f *Fragment, schema *value.Schema, pred expr.Expr) (*value.Batch, *Chunk, error) {
+	b := sp.in.tab.ReadBatch(sp.lo, sp.hi, f.Needed)
 	b.Schema = schema
 	w.mu.RLock()
-	b.Sel = rep.visible(lo, hi, f.Snapshot)
+	b.Sel = sp.in.visible(sp.lo, sp.hi, f.Snapshot)
 	w.mu.RUnlock()
 	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(b.Sel))}
 	if err := expr.SelectBatch(pred, b); err != nil {
@@ -445,7 +520,7 @@ func (w *Worker) scanMorsel(rep *replica, f *Fragment, schema *value.Schema, pre
 	}
 	ch.Seqs = make([]int64, b.Len())
 	for k := range ch.Seqs {
-		ch.Seqs[k] = rep.seqs[lo+b.RowIndex(k)]
+		ch.Seqs[k] = sp.in.seqs[sp.lo+b.RowIndex(k)]
 	}
 	return b, ch, nil
 }

@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"hana/internal/catalog"
 	"hana/internal/dist"
@@ -238,9 +235,9 @@ func (e *Engine) distMirrorDelete(tx *txn.Txn, t *storedTable, p *partition, id 
 
 // distMirrorLoad applies rows already committed at cid — a BulkLoad batch,
 // a reseed — to the replicas directly: it routes each row to its shard (ids
-// are the rows' global scan sequences) and loads every owner, the workers
-// side by side. Workers copy the values into their column stores, so owners
-// share the rows. Called under t.mu.
+// are the rows' global scan sequences) and loads every owner. Workers copy
+// the values into their column stores, so owners share the rows. Called
+// under t.mu.
 func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, cid uint64) error {
 	d := e.distFor(t)
 	if d == nil {
@@ -253,25 +250,17 @@ func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, cid
 		s := dist.ShardOf(row[ord], d.topo.Shards)
 		seqs[s], placed[s] = append(seqs[s], int64(ids[i])), append(placed[s], row)
 	}
-	errs := make([]error, d.transport.Workers())
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := range placed {
-				if len(placed[s]) == 0 || !slices.Contains(d.topo.Owners(s), w) {
-					continue
-				}
-				if err := d.transport.Worker(w).LoadCommitted(distKey(t.meta.Name), s, seqs[s], placed[s], cid); err != nil {
-					errs[w] = fmt.Errorf("loading %s shard %d on worker %d: %w", t.meta.Name, s, w, err)
-					return
-				}
+	for s := range placed {
+		if len(placed[s]) == 0 {
+			continue
+		}
+		for _, owner := range d.topo.Owners(s) {
+			if err := d.transport.Worker(owner).LoadCommitted(distKey(t.meta.Name), s, seqs[s], placed[s], cid); err != nil {
+				return fmt.Errorf("loading %s shard %d on worker %d: %w", t.meta.Name, s, owner, err)
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return nil
 }
 
 // DistShardCounts reports, per worker, the live row count held for a table

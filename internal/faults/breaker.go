@@ -135,9 +135,14 @@ func (b *Breaker) Allow() error {
 }
 
 // Success records a successful call: the circuit closes and failure
-// bookkeeping resets.
+// bookkeeping resets. A call admitted before the circuit tripped that
+// succeeds after it did is not the probe, and leaves the circuit open.
 func (b *Breaker) Success() {
 	b.mu.Lock()
+	if b.state == BreakerOpen {
+		b.mu.Unlock()
+		return
+	}
 	b.state = BreakerClosed
 	b.consecFails = 0
 	b.probing = false

@@ -270,6 +270,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker must reject with ErrCircuitOpen, got %v", err)
 	}
+	// The call admitted at the top succeeds only now: it is not the probe.
+	b.Success()
+	if b.State() != BreakerOpen {
+		t.Fatalf("a success admitted before the trip must not close the circuit, state=%v", b.State())
+	}
 	// Cooldown elapses: exactly one probe admitted.
 	now = now.Add(100 * time.Millisecond)
 	if err := b.Allow(); err != nil {
