@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
+.PHONY: all build loc fmt vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per internal package and for the module: the count every
+# CHANGES.md entry quotes (fixtures under testdata included, as always).
+loc:
+	@for d in internal/*/; do printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-24s %6d\n' module $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # Fails when gofmt would rewrite a file (the lint fixtures under testdata
 # are deliberately left alone).

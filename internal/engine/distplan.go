@@ -116,177 +116,53 @@ func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
 
 // tryDistAggregate plans a single-table aggregate block as a distributed
 // aggregation: each shard folds its rows into mergeable per-group partials,
-// the coordinator unions them, and only the finishing stages run locally.
-// Only the exactly-mergeable subset ships — COUNT, MIN, MAX, and SUM over
-// integer arguments (each with optional DISTINCT). Anything else returns
+// the coordinator unions them, and only the block's finishing stages run
+// locally. Only the exactly-mergeable subset ships — COUNT, MIN, MAX, and SUM
+// over integer arguments (each with optional DISTINCT). Anything else returns
 // ok=false and the block falls back to gather-then-aggregate, which is
 // byte-identical anyway.
 func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Iter, *planNode, bool, error) {
 	dr := rel.dst
-	inSchema := rel.schema
-	items, err := expandStars(sel.Items, inSchema)
-	if err != nil {
+	blk, err := exec.AnalyzeBlock(sel, rel.schema)
+	if err != nil || !blk.Aggregates() {
 		return nil, nil, false, err
 	}
-	needAgg := len(sel.GroupBy) > 0
-	if !needAgg {
-		for _, item := range items {
-			if expr.HasAggregate(item.Expr) {
-				needAgg = true
-				break
-			}
+	groups := len(blk.GroupBy)
+	frag := &dist.AggFragment{GroupBy: make([]string, groups), Aggs: make([]dist.AggCall, len(blk.Aggs))}
+	for i, g := range blk.GroupBy {
+		frag.GroupBy[i] = g.SQL()
+	}
+	for i, a := range blk.Aggs {
+		call := dist.AggCall{Func: a.Func, Distinct: a.Distinct}
+		mergeable := dist.DistributableAgg(a.Func)
+		if a.Arg == nil {
+			mergeable = mergeable && a.Func == "COUNT"
+		} else {
+			call.Arg = a.Arg.SQL()
+			// Float SUM is order-sensitive; keep it on the serial path so
+			// summation order stays identical to single-node execution.
+			mergeable = mergeable && (a.Func != "SUM" || blk.AggSchema.Cols[groups+i].Kind == value.KindInt)
 		}
-		if sel.Having != nil && expr.HasAggregate(sel.Having) {
-			needAgg = true
-		}
-	}
-	if !needAgg {
-		return nil, nil, false, nil
-	}
-
-	having := sel.Having
-	orderExprs := make([]expr.Expr, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		orderExprs[i] = o.Expr
-	}
-
-	// Group keys: names and kinds exactly as the serial aggregate derives
-	// them, rendered SQL for the worker side.
-	groupNames := make([]string, len(sel.GroupBy))
-	groupSQLs := make([]string, len(sel.GroupBy))
-	outSchema := &value.Schema{}
-	for i, g := range sel.GroupBy {
-		if _, err := bindToSchema(g, inSchema); err != nil {
-			// The serial path would fail identically; let it produce the error.
+		if !mergeable {
+			p.plan.Note("dist: aggregate outside mergeable subset, gathering rows instead")
 			return nil, nil, false, nil
 		}
-		groupNames[i] = exprName(g)
-		groupSQLs[i] = g.SQL()
-		outSchema.Cols = append(outSchema.Cols, value.Column{
-			Name: groupNames[i], Kind: inferKind(g, inSchema), Nullable: true,
-		})
+		frag.Aggs[i] = call
 	}
 
-	// Collect distinct aggregate calls across items, having and order by,
-	// rejecting the block if any falls outside the mergeable subset.
-	var calls []dist.AggCall
-	aggCols := map[string]string{}
-	shippable := true
-	collect := func(e expr.Expr) {
-		if e == nil || !shippable {
-			return
-		}
-		expr.Walk(e, func(n expr.Expr) bool {
-			f, ok := n.(*expr.Func)
-			if !ok || !f.IsAggregate() {
-				return true
-			}
-			key := f.SQL()
-			if _, seen := aggCols[key]; seen {
-				return false
-			}
-			if !dist.DistributableAgg(f.Name) {
-				shippable = false
-				return false
-			}
-			call := dist.AggCall{Func: f.Name, Distinct: f.Distinct}
-			if f.Star {
-				if f.Name != "COUNT" {
-					shippable = false
-					return false
-				}
-			} else {
-				if len(f.Args) != 1 {
-					shippable = false
-					return false
-				}
-				// Float SUM is order-sensitive; keep it on the serial path so
-				// summation order stays identical to single-node execution.
-				if f.Name == "SUM" && inferKind(f.Args[0], inSchema) != value.KindInt {
-					shippable = false
-					return false
-				}
-				if _, err := bindToSchema(f.Args[0], inSchema); err != nil {
-					shippable = false
-					return false
-				}
-				call.Arg = f.Args[0].SQL()
-			}
-			aggCols[key] = key
-			calls = append(calls, call)
-			outSchema.Cols = append(outSchema.Cols, value.Column{
-				Name: key, Kind: inferKind(f, inSchema), Nullable: true,
-			})
-			return false
-		})
-	}
-	for _, item := range items {
-		collect(item.Expr)
-	}
-	collect(having)
-	for _, oe := range orderExprs {
-		collect(oe)
-	}
-	if !shippable {
-		p.plan.Note("dist: aggregate outside mergeable subset, gathering rows instead")
-		return nil, nil, false, nil
-	}
-
-	res, err := p.distGather(dr, &dist.Fragment{Agg: &dist.AggFragment{GroupBy: groupSQLs, Aggs: calls}})
+	res, err := p.distGather(dr, &dist.Fragment{Agg: frag})
 	if err != nil {
 		return nil, nil, false, err
 	}
-
 	// Finalize the merged partials into aggregate output rows; group order
 	// is the serial first-seen order (merged groups sort by First).
-	specs := make([]exec.AggSpec, len(calls))
-	for i, c := range calls {
-		specs[i] = exec.AggSpec{Func: c.Func, Distinct: c.Distinct}
-	}
-	rows, err := res.Partial.Rows(specs, len(sel.GroupBy) == 0)
+	rows, err := res.Partial.Rows(blk.Aggs, groups == 0)
 	if err != nil {
 		return nil, nil, false, err
 	}
-
-	shards := p.e.dist.topo.Shards
 	root := node(fmt.Sprintf("Dist Hash Aggregate [%s] (%d group cols, %d groups, %d shards)",
-		dr.name, len(sel.GroupBy), len(rows), shards), shippedFilter(dr.conjs)...)
-
-	// Rewrite items/having/order over the aggregate output, exactly as the
-	// serial aggregate does, then share its finishing stages.
-	groupSQL := map[string]string{}
-	for i, g := range sel.GroupBy {
-		groupSQL[g.SQL()] = groupNames[i]
-	}
-	rewrite := func(e expr.Expr) expr.Expr {
-		if e == nil {
-			return nil
-		}
-		return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-			if f, ok := n.(*expr.Func); ok && f.IsAggregate() {
-				return expr.Col(aggCols[f.SQL()])
-			}
-			if name, ok := groupSQL[n.SQL()]; ok {
-				return expr.Col(name)
-			}
-			return nil
-		})
-	}
-	outItems := make([]sqlparse.SelectItem, len(items))
-	for i, item := range items {
-		outItems[i] = sqlparse.SelectItem{Expr: rewrite(item.Expr), Alias: item.Alias}
-	}
-	outOrder := make([]expr.Expr, len(orderExprs))
-	for i, oe := range orderExprs {
-		outOrder[i] = rewrite(oe)
-	}
-
-	it := exec.NewSlice(outSchema, rows)
-	fit, froot, err := p.finishAfterAgg(sel, it, root, outItems, rewrite(having), outOrder)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return fit, froot, true, nil
+		dr.name, groups, len(rows), p.e.dist.topo.Shards), shippedFilter(dr.conjs)...)
+	return blk.Finish(exec.NewSlice(blk.AggSchema, rows)), finishNodes(sel, blk, root), true, nil
 }
 
 // distBroadcastJoin executes probe-side-sharded ⋈ broadcast-build-side on

@@ -227,7 +227,7 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		if err != nil {
 			return nil, nil, err
 		}
-		it = exec.FilterIter(it, pred)
+		it = &exec.BatchFilter{In: exec.AsBatches(it, nil), Pred: pred}
 		root = node("Filter: "+planSQL(pred), root)
 	}
 
@@ -241,12 +241,44 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		}
 	}
 
-	it, root, err = p.finishBlock(sel, it, root)
+	blk, err := exec.AnalyzeBlock(sel, it.Schema())
 	if err != nil {
 		return nil, nil, err
 	}
+	if blk.Aggregates() {
+		it = &exec.ParallelHashAggregate{
+			In: it, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema,
+			Pool: p.e.pool, Ctx: p.ctx, Width: p.width, Stats: p.stats,
+		}
+		root = node(fmt.Sprintf("Hash Aggregate (%d group cols, groups)", len(blk.GroupBy)), root)
+	}
+	root = finishNodes(sel, blk, root)
 	root.children = append(root.children, subNodes...)
-	return it, root, nil
+	return blk.Finish(it), root, nil
+}
+
+// finishNodes names the stages Block.Finish runs, above root.
+func finishNodes(sel *sqlparse.SelectStmt, blk *exec.Block, root *planNode) *planNode {
+	if blk.Having != nil {
+		root = node("Having: "+blk.Having.SQL(), root)
+	}
+	root = node("Project: "+strings.Join(blk.Out.Names(), ", "), root)
+	if sel.Distinct {
+		root = node("Distinct", root)
+	}
+	return orderLimitNodes(sel, root)
+}
+
+// orderLimitNodes names the ORDER BY and LIMIT stages of Block.Finish, the
+// only ones a statement shipped whole leaves to it.
+func orderLimitNodes(sel *sqlparse.SelectStmt, root *planNode) *planNode {
+	if len(sel.OrderBy) > 0 {
+		root = node("Sort", root)
+	}
+	if sel.Limit >= 0 {
+		root = node(fmt.Sprintf("Limit %d", sel.Limit), root)
+	}
+	return root
 }
 
 // planFromExpr plans a FROM tree. Inner/cross joins are flattened with the

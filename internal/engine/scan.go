@@ -103,7 +103,7 @@ func (p *planner) scan(t *storedTable, parts []*partition, schema *value.Schema,
 				rows = append(rows, r)
 				return true
 			})
-			b = value.BatchFromRows(schema, rows)
+			b = value.BatchFromRows(schema, rows, nil)
 		default:
 			var err error
 			if b, err = part.ext.ReadBatch(int64(m.lo), int64(m.hi), needed); err != nil {

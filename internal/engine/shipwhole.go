@@ -64,17 +64,6 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, 
 	}
 	p.plan.Note("chose ship-whole to %s: %d tables in one shipped query", info.source, info.tableCount)
 
-	// Name the result columns after the local select items.
-	schema := res.Rows.Schema
-	if len(sel.Items) == schema.Len() {
-		named := schema.Clone()
-		for i, item := range sel.Items {
-			if !item.Star {
-				named.Cols[i].Name = outName(item)
-			}
-		}
-		schema = named
-	}
 	label := fmt.Sprintf("Remote Query [%s] (%d rows)", info.source, res.Rows.Len())
 	if res.FromCache {
 		label += " [remote cache hit]"
@@ -82,14 +71,12 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, 
 	if res.FromFallback {
 		label += " [fallback cache]"
 	}
-	root := node(label, node("shipped: "+sql))
-	it := exec.Iter(exec.Rename(exec.NewSlice(res.Rows.Schema, res.Rows.Data), schema))
-
-	it, root, err = p.applyOrderLimit(sel, sel.Items, orderExprsOf(sel), it, root)
+	blk, err := exec.AnalyzeProjected(sel, res.Rows.Schema)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return it, root, true, nil
+	root := orderLimitNodes(sel, node(label, node("shipped: "+sql)))
+	return blk.Finish(exec.NewSlice(res.Rows.Schema, res.Rows.Data)), root, true, nil
 }
 
 // hasAnyPredicate reports whether the statement carries a predicate in any
@@ -118,14 +105,6 @@ func hasAnyPredicate(sel *sqlparse.SelectStmt) bool {
 		return false
 	}
 	return fromHas(sel.From)
-}
-
-func orderExprsOf(sel *sqlparse.SelectStmt) []expr.Expr {
-	out := make([]expr.Expr, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		out[i] = o.Expr
-	}
-	return out
 }
 
 type shipInfo struct {

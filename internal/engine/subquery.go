@@ -247,7 +247,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 		if tf.anti {
 			continue
 		}
-		keySQL, keyKind := key.SQL(), inferKind(key, outer)
+		keySQL, keyKind := key.SQL(), exec.ExprKind(key, outer)
 		for _, eq := range equis {
 			other := eq.R
 			if strings.EqualFold(eq.R.SQL(), keySQL) {
@@ -255,7 +255,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 			} else if !strings.EqualFold(eq.L.SQL(), keySQL) {
 				continue
 			}
-			if placeable(other, leaves) && inferKind(other, outer) == keyKind {
+			if placeable(other, leaves) && exec.ExprKind(other, outer) == keyKind {
 				derived := expr.Clone(in).(*expr.In)
 				derived.E = expr.Clone(other)
 				p.addKeySet(pool, derived, len(in.List))
@@ -504,17 +504,11 @@ func (p *planner) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, error
 		if err != nil {
 			return nil, err
 		}
-		items, err := expandStars(t.Sel.Items, inner)
+		blk, err := exec.AnalyzeBlock(t.Sel, inner)
 		if err != nil {
 			return nil, err
 		}
-		out := &value.Schema{}
-		for _, item := range items {
-			out.Cols = append(out.Cols, value.Column{
-				Name: outName(item), Kind: inferKind(item.Expr, inner), Nullable: true,
-			})
-		}
-		return out.Qualify(t.Alias), nil
+		return blk.Out.Qualify(t.Alias), nil
 	}
 	return nil, fmt.Errorf("unsupported FROM element %T", te)
 }

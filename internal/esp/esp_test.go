@@ -236,6 +236,9 @@ func TestPublishErrors(t *testing.T) {
 	if _, err := p.CreateWindow("w", `SELECT * FROM nostream KEEP 1 ROWS`); err == nil {
 		t.Fatal("unknown source stream")
 	}
+	if _, err := p.CreateWindow("w", `SELECT cell_id, MAX(nosuch) FROM s GROUP BY cell_id KEEP 1 ROWS`); err == nil {
+		t.Fatal("a column the stream lacks must fail at creation")
+	}
 }
 
 func TestHDFSArchiveSink(t *testing.T) {

@@ -18,11 +18,13 @@ import (
 // current state.
 type Window struct {
 	name   string
-	sel    *sqlparse.SelectStmt
 	source *Stream
 	keep   *sqlparse.KeepClause
 
 	where expr.Expr
+	// blk is the query's back end over the stream's rows, bound once here so
+	// a column the stream lacks is an error at creation.
+	blk *exec.Block
 
 	mu sync.Mutex
 	// buf retains raw events in arrival order; live region is buf[start:].
@@ -61,7 +63,10 @@ func (p *Project) CreateWindow(name, ccl string) (*Window, error) {
 	if !ok {
 		return nil, fmt.Errorf("esp: stream %s not found", ref.Name())
 	}
-	w := &Window{name: name, sel: sel, source: src, keep: sel.Keep}
+	w := &Window{name: name, source: src, keep: sel.Keep}
+	if w.blk, err = exec.AnalyzeBlock(sel, src.schema.Qualify(ref.Binding())); err != nil {
+		return nil, fmt.Errorf("esp: %w", err)
+	}
 	if sel.Where != nil {
 		pred := expr.Clone(sel.Where)
 		if err := expr.Bind(pred, src.schema); err != nil {
@@ -135,7 +140,8 @@ func (w *Window) RawCount() int {
 }
 
 // Rows computes the current window content at the given time: time-based
-// retention is applied, then the projection/aggregation of the CCL query.
+// retention is applied, then the CCL query's back end — its aggregate on the
+// shared hash aggregate, then exec.Block.Finish.
 // This is the surface the HANA-join integration reads (use case 3).
 func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 	w.mu.Lock()
@@ -148,107 +154,10 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 	w.mu.Unlock()
 
 	in := exec.Iter(exec.NewSlice(w.source.schema, raw))
-	sel := w.sel
-
-	// Aggregation.
-	needAgg := len(sel.GroupBy) > 0
-	for _, it := range sel.Items {
-		if it.Expr != nil && expr.HasAggregate(it.Expr) {
-			needAgg = true
-		}
+	if w.blk.Aggregates() {
+		in = &exec.ParallelHashAggregate{In: in, GroupBy: w.blk.GroupBy, Aggs: w.blk.Aggs, Out: w.blk.AggSchema}
 	}
-	items := sel.Items
-	if needAgg {
-		var groups []expr.Expr
-		outSchema := &value.Schema{}
-		groupNames := make([]string, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			bg := expr.Clone(g)
-			if err := expr.Bind(bg, w.source.schema); err != nil {
-				return nil, err
-			}
-			groups = append(groups, bg)
-			name := g.SQL()
-			if c, ok := g.(*expr.ColRef); ok {
-				name = c.Name
-			}
-			groupNames[i] = name
-			outSchema.Cols = append(outSchema.Cols, value.Column{Name: name, Kind: value.KindVarchar, Nullable: true})
-		}
-		// Collect aggregates.
-		var specs []exec.AggSpec
-		aggNames := map[string]bool{}
-		for _, it := range sel.Items {
-			expr.Walk(it.Expr, func(n expr.Expr) bool {
-				f, ok := n.(*expr.Func)
-				if !ok || !f.IsAggregate() || aggNames[f.SQL()] {
-					return true
-				}
-				aggNames[f.SQL()] = true
-				spec := exec.AggSpec{Func: f.Name, Distinct: f.Distinct}
-				if !f.Star {
-					arg := expr.Clone(f.Args[0])
-					if err := expr.Bind(arg, w.source.schema); err == nil {
-						spec.Arg = arg
-					}
-				}
-				specs = append(specs, spec)
-				outSchema.Cols = append(outSchema.Cols, value.Column{Name: f.SQL(), Kind: value.KindDouble, Nullable: true})
-				return false
-			})
-		}
-		in = &exec.HashAggregate{In: in, GroupBy: groups, Aggs: specs, Out: outSchema}
-		// Rewrite items over the aggregate output.
-		groupSQL := map[string]string{}
-		for i, g := range sel.GroupBy {
-			groupSQL[g.SQL()] = groupNames[i]
-		}
-		newItems := make([]sqlparse.SelectItem, len(items))
-		for i, it := range items {
-			e := expr.Rewrite(it.Expr, func(n expr.Expr) expr.Expr {
-				if f, ok := n.(*expr.Func); ok && f.IsAggregate() {
-					return expr.Col(f.SQL())
-				}
-				if name, ok := groupSQL[n.SQL()]; ok {
-					return expr.Col(name)
-				}
-				return nil
-			})
-			newItems[i] = sqlparse.SelectItem{Expr: e, Alias: it.Alias, Star: it.Star, Qual: it.Qual}
-		}
-		items = newItems
-	}
-
-	// Projection (star = all source columns pre-aggregation).
-	inSchema := in.Schema()
-	out := &value.Schema{}
-	var exprs []expr.Expr
-	for _, it := range items {
-		if it.Star {
-			for i, c := range inSchema.Cols {
-				cr := expr.Col(c.Name)
-				cr.Ord = i
-				exprs = append(exprs, cr)
-				out.Cols = append(out.Cols, c)
-			}
-			continue
-		}
-		be := expr.Clone(it.Expr)
-		if err := expr.Bind(be, inSchema); err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, be)
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*expr.ColRef); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.SQL()
-			}
-		}
-		out.Cols = append(out.Cols, value.Column{Name: name, Kind: value.KindDouble, Nullable: true})
-	}
-	return exec.Materialize(exec.ProjectIter(in, exprs, out))
+	return exec.Materialize(w.blk.Finish(in))
 }
 
 // Forward pushes the current window content into a sink (use case 1 for

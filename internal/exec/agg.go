@@ -255,52 +255,3 @@ func ordinals(n int) []int {
 	}
 	return out
 }
-
-// HashAggregate groups by the bound GroupBy expressions and computes Aggs.
-// The output schema is [group cols…, agg results…] with the provided
-// column names. With no group-by expressions it produces the single global
-// group (even for empty input, per SQL).
-type HashAggregate struct {
-	In      Iter
-	GroupBy []expr.Expr
-	Aggs    []AggSpec
-	Out     *value.Schema
-
-	done   bool
-	groups []value.Row
-	i      int
-}
-
-// Schema implements Iter.
-func (h *HashAggregate) Schema() *value.Schema { return h.Out }
-
-// Next implements Iter.
-func (h *HashAggregate) Next() (value.Row, bool, error) {
-	if !h.done {
-		if err := h.run(); err != nil {
-			return nil, false, err
-		}
-	}
-	if h.i >= len(h.groups) {
-		return nil, false, nil
-	}
-	r := h.groups[h.i]
-	h.i++
-	return r, true, nil
-}
-
-// run aggregates the whole input as one morsel, so groups come out in
-// first-seen order and floats sum in input order.
-func (h *HashAggregate) run() error {
-	rows, err := drainRows(h.In)
-	if err != nil {
-		return err
-	}
-	pt, err := aggregateMorsel(rows, 0, h.GroupBy, h.Aggs, ordinals(len(h.GroupBy)))
-	if err != nil {
-		return err
-	}
-	h.groups, err = pt.Rows(h.Aggs, len(h.GroupBy) == 0)
-	h.done = err == nil
-	return err
-}

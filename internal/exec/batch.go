@@ -5,16 +5,16 @@ import (
 	"hana/internal/value"
 )
 
-// Batch-at-a-time execution (ROADMAP item 2). BatchIter is the primary
-// operator interface: operators exchange value.Batch columnar batches —
-// typed vectors plus a selection vector — and only materialize value.Row
-// slices at the edges (aggregation/join barriers, final result sets). Every
-// batch operator also implements the legacy row Iter, materializing its
-// batches lazily, so row-oriented operators compose with batch producers
-// unchanged. Batches are morsel-sized and flow in morsel order, which keeps
-// the byte-identical-at-any-width determinism contract: the rows a batch
-// pipeline materializes are exactly the rows the row pipeline produces, in
-// the same order.
+// Batch-at-a-time execution. BatchIter is the primary operator interface:
+// operators exchange value.Batch columnar batches — typed vectors plus a
+// selection vector — and only materialize value.Row slices at the edges
+// (aggregation/join barriers, final result sets). Every batch operator also
+// implements the row Iter, materializing its batches lazily, so the
+// row-consuming operators (Sort, Distinct, Limit, the joins) compose with
+// batch producers unchanged. Batches are morsel-sized and flow in morsel
+// order, which keeps the byte-identical-at-any-width determinism contract:
+// the rows a batch pipeline materializes are exactly the rows evaluating
+// the same expressions row by row produces, in the same order.
 type BatchIter interface {
 	// Schema describes the rows the batches decode to.
 	Schema() *value.Schema
@@ -81,14 +81,27 @@ func (s *BatchSlice) NextBatch() (*value.Batch, error) {
 // Next implements Iter by materializing batches lazily.
 func (s *BatchSlice) Next() (value.Row, bool, error) { return s.br.next(s) }
 
+// materialized is a row producer whose remaining rows already exist and are
+// never overwritten — a Slice's rows, an aggregate's groups — so a consumer
+// may keep them instead of copying what Next returns. rest hands them over
+// and leaves the producer exhausted.
+type materialized interface {
+	rest() ([]value.Row, error)
+}
+
 // Batches adapts a row iterator into a batch producer, accumulating
 // DefaultMorselSize rows per batch. Because Iter may reuse its row slice,
-// values are copied into a per-batch slab as they arrive.
+// values are copied into a per-batch slab as they arrive; the rows of a
+// materialized producer are cut into batches where they lie.
 type Batches struct {
 	In Iter
+	// Needed, when non-nil, marks the column ordinals the consumer reads;
+	// the others come out pruned (value.BatchFromRows).
+	Needed []bool
 	// Size overrides DefaultMorselSize (tests); 0 = default.
 	Size int
 	done bool
+	rows []value.Row // what is left of a materialized In, once taken
 	br   batchRows
 }
 
@@ -105,6 +118,22 @@ func (a *Batches) NextBatch() (*value.Batch, error) {
 		size = DefaultMorselSize
 	}
 	s := a.In.Schema()
+	if m, ok := a.In.(materialized); ok {
+		if a.rows == nil {
+			var err error
+			if a.rows, err = m.rest(); err != nil {
+				return nil, err
+			}
+		}
+		n := min(size, len(a.rows))
+		if n == 0 {
+			a.done = true
+			return nil, nil
+		}
+		b := value.BatchFromRows(s, a.rows[:n], a.Needed)
+		a.rows = a.rows[n:]
+		return b, nil
+	}
 	w := s.Len()
 	slab := make([]value.Value, 0, size*w)
 	n := 0
@@ -127,15 +156,25 @@ func (a *Batches) NextBatch() (*value.Batch, error) {
 	for k := 0; k < n; k++ {
 		rows[k] = slab[k*w : (k+1)*w : (k+1)*w]
 	}
-	return value.BatchFromRows(s, rows), nil
+	return value.BatchFromRows(s, rows, a.Needed), nil
 }
 
 // Next implements Iter.
 func (a *Batches) Next() (value.Row, bool, error) { return a.br.next(a) }
 
+// AsBatches is in as a batch producer: in itself when it already produces
+// batches, otherwise its rows cut into batches of the needed columns (nil =
+// all).
+func AsBatches(in Iter, needed []bool) BatchIter {
+	if b, ok := in.(BatchIter); ok {
+		return b
+	}
+	return &Batches{In: in, Needed: needed}
+}
+
 // BatchFilter refines each batch's selection vector through the vectorized
 // predicate path; batches whose selection empties out are skipped. It is
-// the batch counterpart of Filter.
+// the platform's only filter operator: a row producer enters through Batches.
 type BatchFilter struct {
 	In   BatchIter
 	Pred expr.Expr
@@ -166,7 +205,7 @@ func (f *BatchFilter) Next() (value.Row, bool, error) { return f.br.next(f) }
 
 // BatchProject evaluates projection expressions per batch, sharing column
 // vectors for bare column references and falling back to the row-exact Eval
-// path otherwise. It is the batch counterpart of Project.
+// path otherwise.
 type BatchProject struct {
 	In    BatchIter
 	Exprs []expr.Expr
@@ -196,26 +235,6 @@ func (p *BatchProject) NextBatch() (*value.Batch, error) {
 
 // Next implements Iter.
 func (p *BatchProject) Next() (value.Row, bool, error) { return p.br.next(p) }
-
-// FilterIter builds the preferred filter operator for an input: the
-// vectorized BatchFilter when the input produces batches, the row Filter
-// otherwise. Both keep exactly the rows for which pred is genuinely true,
-// in input order.
-func FilterIter(in Iter, pred expr.Expr) Iter {
-	if b, ok := in.(BatchIter); ok {
-		return &BatchFilter{In: b, Pred: pred}
-	}
-	return &Filter{In: in, Pred: pred}
-}
-
-// ProjectIter builds the preferred projection operator for an input, batch
-// or row depending on what the input produces.
-func ProjectIter(in Iter, exprs []expr.Expr, out *value.Schema) Iter {
-	if b, ok := in.(BatchIter); ok {
-		return &BatchProject{In: b, Exprs: exprs, Out: out}
-	}
-	return &Project{In: in, Exprs: exprs, Out: out}
-}
 
 // drainBatchRows materializes every remaining batch of a producer into one
 // row slice (used by the barrier operators: aggregation and join inputs).

@@ -8,10 +8,9 @@ import (
 	"hana/internal/value"
 )
 
-// Batch-vs-row equivalence: the row operators Filter and Project are the
-// reference; FilterIter and ProjectIter must stay byte-identical to them on
-// the same input, whether they pick the vectorized batch operator (batch
-// producers) or the row one (row producers).
+// Batch-vs-row equivalence: BatchFilter and BatchProject must keep and
+// compute exactly what expr.Truthy and Expr.Eval give row by row, on a batch
+// producer and on a row producer entering through Batches.
 
 func mixedSchema() *value.Schema {
 	return value.NewSchema(
@@ -40,12 +39,14 @@ func mixedRows() []value.Row {
 }
 
 // batchInput produces the rows through the batch path, cut into small
-// batches so operator behavior at batch boundaries is exercised.
-func batchInput(s *value.Schema, rows []value.Row) Iter {
-	return &Batches{In: NewSlice(s, rows), Size: 5}
+// batches so operator behavior at batch boundaries is exercised. Rename
+// hides the Slice, so Batches copies the rows as it must for a producer
+// that may reuse them; the tests' "row producer" input is the Slice itself.
+func batchInput(s *value.Schema, rows []value.Row) *Batches {
+	return &Batches{In: Rename(NewSlice(s, rows), s), Size: 5}
 }
 
-func TestFilterIterMatchesRowFilter(t *testing.T) {
+func TestBatchFilterMatchesTruthyPerRow(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
 	preds := []expr.Expr{
@@ -57,27 +58,29 @@ func TestFilterIterMatchesRowFilter(t *testing.T) {
 	}
 	for i, p := range preds {
 		bind(t, p, s)
-		want := drain(t, &Filter{In: NewSlice(s, rows), Pred: p})
-
-		viaBatch := FilterIter(batchInput(s, rows), p)
-		if _, ok := viaBatch.(*BatchFilter); !ok {
-			t.Fatalf("pred %d: FilterIter on a batch producer built %T, want *BatchFilter", i, viaBatch)
+		var want []value.Row
+		for _, r := range rows {
+			ok, err := expr.Truthy(p, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				want = append(want, r)
+			}
 		}
-		if got := drain(t, viaBatch); !reflect.DeepEqual(got, want) {
-			t.Errorf("pred %d: BatchFilter diverged from Filter:\nbatch: %v\nrow:   %v", i, got, want)
+		inputs := map[string]BatchIter{
+			"small batches": batchInput(s, rows),
+			"row producer":  &Batches{In: NewSlice(s, rows)},
 		}
-
-		viaRow := FilterIter(NewSlice(s, rows), p)
-		if _, ok := viaRow.(*Filter); !ok {
-			t.Fatalf("pred %d: FilterIter on a row producer built %T, want *Filter", i, viaRow)
-		}
-		if got := drain(t, viaRow); !reflect.DeepEqual(got, want) {
-			t.Errorf("pred %d: FilterIter row fallback diverged from Filter", i)
+		for name, in := range inputs {
+			if got := drain(t, &BatchFilter{In: in, Pred: p}); !reflect.DeepEqual(got, want) {
+				t.Errorf("pred %d, %s: BatchFilter diverged from Truthy per row:\nbatch: %v\nrow:   %v", i, name, got, want)
+			}
 		}
 	}
 }
 
-func TestProjectIterMatchesRowProject(t *testing.T) {
+func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
 	exprs := []expr.Expr{
@@ -93,23 +96,44 @@ func TestProjectIterMatchesRowProject(t *testing.T) {
 		value.Column{Name: "g2", Kind: value.KindInt},
 		value.Column{Name: "v2", Kind: value.KindDouble},
 	)
-
-	want := drain(t, &Project{In: NewSlice(s, rows), Exprs: exprs, Out: out})
-
-	viaBatch := ProjectIter(batchInput(s, rows), exprs, out)
-	if _, ok := viaBatch.(*BatchProject); !ok {
-		t.Fatalf("ProjectIter on a batch producer built %T, want *BatchProject", viaBatch)
+	want := make([]value.Row, len(rows))
+	for i, r := range rows {
+		want[i] = make(value.Row, len(exprs))
+		for j, e := range exprs {
+			v, err := e.Eval(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][j] = v
+		}
 	}
-	if got := drain(t, viaBatch); !reflect.DeepEqual(got, want) {
-		t.Errorf("BatchProject diverged from Project:\nbatch: %v\nrow:   %v", got, want)
+	inputs := map[string]BatchIter{
+		"small batches": batchInput(s, rows),
+		"row producer":  &Batches{In: NewSlice(s, rows)},
 	}
+	for name, in := range inputs {
+		if got := drain(t, &BatchProject{In: in, Exprs: exprs, Out: out}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BatchProject diverged from Eval per row:\nbatch: %v\nrow:   %v", name, got, want)
+		}
+	}
+}
 
-	viaRow := ProjectIter(NewSlice(s, rows), exprs, out)
-	if _, ok := viaRow.(*Project); !ok {
-		t.Fatalf("ProjectIter on a row producer built %T, want *Project", viaRow)
+// A consumer that names the columns it reads gets only those as vectors; the
+// others are pruned and read as NULL, as from a store's ReadBatch.
+func TestBatchesTransposeOnlyNeededColumns(t *testing.T) {
+	s := mixedSchema()
+	rows := mixedRows()
+	b, err := (&Batches{In: NewSlice(s, rows), Needed: []bool{false, true, false}}).NextBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := drain(t, viaRow); !reflect.DeepEqual(got, want) {
-		t.Errorf("ProjectIter row fallback diverged from Project")
+	if b.Len() != len(rows) || !b.Cols[0].Pruned || b.Cols[1].Pruned || !b.Cols[2].Pruned {
+		t.Fatalf("batch of %d rows, pruned = %v %v %v", b.Len(), b.Cols[0].Pruned, b.Cols[1].Pruned, b.Cols[2].Pruned)
+	}
+	for i, r := range b.MaterializeRows() {
+		if want := (value.Row{value.Null, rows[i][1], value.Null}); !reflect.DeepEqual(r, want) {
+			t.Fatalf("row %d = %v, want %v", i, r, want)
+		}
 	}
 }
 
@@ -121,7 +145,7 @@ func TestProjectIterMatchesRowProject(t *testing.T) {
 func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
 	const n = 4096
 	s := intSchema("g", "v")
-	b := value.BatchFromRows(s, modRows(n))
+	b := value.BatchFromRows(s, modRows(n), nil)
 	groupBy := []expr.Expr{expr.Col("g")}
 	aggs := []AggSpec{
 		{Func: "SUM", Arg: expr.Col("v")},
@@ -154,7 +178,7 @@ func TestBatchFilterSubLinearAllocs(t *testing.T) {
 	const n = 4096
 	s := intSchema("g", "v")
 	rows := modRows(n)
-	b := value.BatchFromRows(s, rows)
+	b := value.BatchFromRows(s, rows, nil)
 	pred := expr.Bin(expr.OpAnd,
 		expr.Bin(expr.OpGe, expr.Col("g"), expr.Int(1)),
 		expr.Bin(expr.OpLt, expr.Col("v"), expr.Int(int64(n/2))))

@@ -1,8 +1,10 @@
 // Package exec provides the physical query operators shared by the
-// platform's query processors: the core engine's executor, the extended
-// storage's (IQ-side) local query processor, and the reduce-side of the
-// Hive compiler. Operators pull rows from Iter inputs; expressions must be
-// bound to the input schema before construction.
+// platform's query processors — the core engine, its scale-out workers, the
+// driver side of the Hive compiler and ESP windows — and Block, the one
+// analysis and execution of a SELECT block's back end (aggregate calls,
+// HAVING, projection, DISTINCT, ORDER BY, LIMIT) that all four call. Operators
+// pull rows from Iter inputs or batches from BatchIter inputs; expressions
+// must be bound to the input schema before construction.
 package exec
 
 import (
@@ -73,66 +75,11 @@ func (s *Slice) Next() (value.Row, bool, error) {
 	return r, true, nil
 }
 
-// Filter keeps rows satisfying a bound predicate, one row at a time. Build
-// it through FilterIter, which picks the vectorized BatchFilter when the
-// input produces batches and this operator for row producers (cold and
-// remote relations).
-type Filter struct {
-	In   Iter
-	Pred expr.Expr
-}
-
-// Schema implements Iter.
-func (f *Filter) Schema() *value.Schema { return f.In.Schema() }
-
-// Next implements Iter.
-func (f *Filter) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := expr.Truthy(f.Pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return row, true, nil
-		}
-	}
-}
-
-// Project evaluates bound expressions producing a new schema, one row at a
-// time. Build it through ProjectIter, which picks the vectorized
-// BatchProject when the input produces batches and this operator for row
-// producers.
-type Project struct {
-	In    Iter
-	Exprs []expr.Expr
-	Out   *value.Schema
-	buf   value.Row
-}
-
-// Schema implements Iter.
-func (p *Project) Schema() *value.Schema { return p.Out }
-
-// Next implements Iter.
-func (p *Project) Next() (value.Row, bool, error) {
-	row, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if p.buf == nil {
-		p.buf = make(value.Row, len(p.Exprs))
-	}
-	for i, e := range p.Exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		p.buf[i] = v
-	}
-	return p.buf, true, nil
+// rest implements materialized.
+func (s *Slice) rest() ([]value.Row, error) {
+	rows := s.Rows[s.i:]
+	s.i = len(s.Rows)
+	return rows, nil
 }
 
 // Limit stops after N rows (N < 0 = unlimited) with optional offset.
@@ -239,6 +186,7 @@ func (s *Sort) Next() (value.Row, bool, error) {
 type Distinct struct {
 	In   Iter
 	seen map[uint64][]value.Row
+	ords []int // every column ordinal, built with seen
 }
 
 // Schema implements Iter.
@@ -248,20 +196,17 @@ func (d *Distinct) Schema() *value.Schema { return d.In.Schema() }
 func (d *Distinct) Next() (value.Row, bool, error) {
 	if d.seen == nil {
 		d.seen = map[uint64][]value.Row{}
-	}
-	allOrds := make([]int, d.In.Schema().Len())
-	for i := range allOrds {
-		allOrds[i] = i
+		d.ords = ordinals(d.In.Schema().Len())
 	}
 	for {
 		row, ok, err := d.In.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		h := row.Hash(allOrds)
+		h := row.Hash(d.ords)
 		dup := false
 		for _, prev := range d.seen[h] {
-			if row.EqualAt(prev, allOrds, allOrds) {
+			if row.EqualAt(prev, d.ords, d.ords) {
 				dup = true
 				break
 			}

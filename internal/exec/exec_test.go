@@ -48,8 +48,8 @@ func drain(t *testing.T, it Iter) []value.Row {
 func TestFilterProjectLimit(t *testing.T) {
 	s := intSchema("a", "b")
 	in := NewSlice(s, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40}))
-	f := &Filter{In: in, Pred: bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s)}
-	proj := &Project{
+	f := &BatchFilter{In: &Batches{In: in}, Pred: bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s)}
+	proj := &BatchProject{
 		In:    f,
 		Exprs: []expr.Expr{bind(t, expr.Bin(expr.OpAdd, expr.Col("a"), expr.Col("b")), s)},
 		Out:   intSchema("sum"),
@@ -262,7 +262,7 @@ func TestHashAggregateGroups(t *testing.T) {
 	s := intSchema("g", "v")
 	in := NewSlice(s, rowsOf(
 		[]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{1, 2}))
-	agg := &HashAggregate{
+	agg := &ParallelHashAggregate{
 		In:      in,
 		GroupBy: []expr.Expr{bind(t, expr.Col("g"), s)},
 		Aggs: []AggSpec{
@@ -290,7 +290,7 @@ func TestHashAggregateGroups(t *testing.T) {
 
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	s := intSchema("v")
-	agg := &HashAggregate{
+	agg := &ParallelHashAggregate{
 		In:   NewSlice(s, nil),
 		Aggs: []AggSpec{{Func: "COUNT"}, {Func: "SUM", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("c", "s"),
@@ -305,7 +305,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 	s := intSchema("v")
 	rows := rowsOf([]int64{1}, []int64{1}, []int64{2})
 	rows = append(rows, value.Row{value.Null})
-	agg := &HashAggregate{
+	agg := &ParallelHashAggregate{
 		In: NewSlice(s, rows),
 		Aggs: []AggSpec{
 			{Func: "COUNT", Arg: bind(t, expr.Col("v"), s), Distinct: true},
@@ -329,7 +329,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 func TestAggregateStddev(t *testing.T) {
 	s := intSchema("v")
 	in := NewSlice(s, rowsOf([]int64{2}, []int64{4}, []int64{4}, []int64{4}, []int64{5}, []int64{5}, []int64{7}, []int64{9}))
-	agg := &HashAggregate{
+	agg := &ParallelHashAggregate{
 		In:   in,
 		Aggs: []AggSpec{{Func: "STDDEV", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("sd"),
@@ -342,7 +342,7 @@ func TestAggregateStddev(t *testing.T) {
 
 func TestErrorIterPropagates(t *testing.T) {
 	e := errors.New("boom")
-	f := &Filter{In: Error(e), Pred: nil}
+	f := &BatchFilter{In: &Batches{In: Error(e)}}
 	_, _, err := f.Next()
 	if !errors.Is(err, e) {
 		t.Fatalf("err = %v", err)
@@ -363,7 +363,7 @@ func TestRename(t *testing.T) {
 
 func TestSumIntegerStaysInteger(t *testing.T) {
 	s := intSchema("v")
-	agg := &HashAggregate{
+	agg := &ParallelHashAggregate{
 		In:   NewSlice(s, rowsOf([]int64{1}, []int64{2})),
 		Aggs: []AggSpec{{Func: "SUM", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("s"),

@@ -8,8 +8,8 @@ import (
 	"hana/internal/value"
 )
 
-// This file holds the morsel-parallel counterparts of HashAggregate and
-// HashJoin. Both are deterministic by construction: the input is cut into
+// This file holds the morsel-parallel hash aggregate and hash join. Both are
+// deterministic by construction: the input is cut into
 // fixed-size morsels whose boundaries depend only on the input length, every
 // morsel produces a partial result on some worker, and the partials are
 // combined in morsel-index order. The worker count only decides which
@@ -17,10 +17,13 @@ import (
 // lands in the merge — so parallelism 1 and parallelism N produce
 // byte-identical output.
 
-// ParallelHashAggregate is the morsel-driven variant of HashAggregate: the
-// input is materialized, split into morsels, aggregated into per-morsel
-// partial group tables on the pool's workers, and merged at a barrier in
-// morsel order. Group output order equals the serial first-seen order.
+// ParallelHashAggregate groups by the bound GroupBy expressions and computes
+// Aggs: the input is materialized, split into morsels, aggregated into
+// per-morsel partial group tables on the pool's workers, and merged at a
+// barrier in morsel order, so groups come out in the input's first-seen
+// order. Out names the [group cols…, agg results…] output. With no group-by
+// expressions it produces the single global group (even for empty input, per
+// SQL). A nil Pool runs the morsels on one worker.
 type ParallelHashAggregate struct {
 	In      Iter
 	GroupBy []expr.Expr
@@ -55,6 +58,19 @@ func (h *ParallelHashAggregate) Next() (value.Row, bool, error) {
 	r := h.groups[h.i]
 	h.i++
 	return r, true, nil
+}
+
+// rest implements materialized: the group rows are built once and owned by
+// nobody else.
+func (h *ParallelHashAggregate) rest() ([]value.Row, error) {
+	if !h.done {
+		if err := h.run(); err != nil {
+			return nil, err
+		}
+	}
+	rows := h.groups[h.i:]
+	h.i = len(h.groups)
+	return rows, nil
 }
 
 func (h *ParallelHashAggregate) run() error {
@@ -151,8 +167,7 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 }
 
 // aggregateMorsel builds one morsel's partial group table: the accumulation
-// loop over a row range that starts at input ordinal base. The serial
-// HashAggregate runs it once over its whole input.
+// loop over a row range that starts at input ordinal base.
 func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*AggPartial, error) {
 	pt := NewAggPartial()
 	// Scratch key buffer, reused across rows; only Clone() on a fresh group
@@ -194,12 +209,12 @@ func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []Agg
 	return pt, nil
 }
 
-// drainRows materializes an iterator's rows. A fresh Slice's backing rows
+// drainRows materializes an iterator's rows. A materialized producer's rows
 // are used directly (they are stable, and aggregation/joins only read
 // them); anything else goes through the cloning Materialize path.
 func drainRows(in Iter) ([]value.Row, error) {
-	if s, ok := in.(*Slice); ok && s.i == 0 {
-		return s.Rows, nil
+	if m, ok := in.(materialized); ok {
+		return m.rest()
 	}
 	if b, ok := in.(BatchIter); ok {
 		return drainBatchRows(b)
@@ -249,8 +264,8 @@ func (s JoinSide) fillRow(i int, dst value.Row, offs []int) {
 // partials in morsel order, so a probe row's matches come out in
 // build-input order — exactly the serial HashJoin's chain order — and
 // probe outputs concatenate in probe-input order. residual is evaluated on
-// the combined row: for inner joins it filters matches (the serial plan's
-// post-join Filter), for left-outer joins it decides whether a build row
+// the combined row: for inner joins it filters matches (a filter on the
+// join's output), for left-outer joins it decides whether a build row
 // counts as a match before null-extension. Row- and batch-backed sides
 // produce byte-identical output: global row ordinals, key values, hashes
 // and emission order are the same either way.

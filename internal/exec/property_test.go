@@ -102,7 +102,8 @@ func bound(t *testing.T, name string, s *value.Schema) expr.Expr {
 	return c
 }
 
-// TestAggregateMatchesReference cross-checks HashAggregate against a naive
+// TestAggregateMatchesReference cross-checks the hash aggregate (nil Pool: one
+// worker) against a naive
 // reference implementation on random groups.
 func TestAggregateMatchesReference(t *testing.T) {
 	s := intSchema("g", "v")
@@ -120,7 +121,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 			refSum[g] += v
 			refCount[g]++
 		}
-		agg := &HashAggregate{
+		agg := &ParallelHashAggregate{
 			In:      NewSlice(s, rows),
 			GroupBy: []expr.Expr{bound(t, "g", s)},
 			Aggs: []AggSpec{

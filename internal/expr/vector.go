@@ -51,7 +51,7 @@ type triKernel func(i int) int8
 
 // SelectBatch filters b in place: after the call, b's selection vector
 // lists exactly the physical rows for which pred is genuinely true, in
-// ascending order — the same rows the row-at-a-time exec.Filter would keep.
+// ascending order — the same rows Truthy keeps when called row by row.
 // A nil predicate keeps everything. Errors from non-compiled conjuncts are
 // propagated (first surviving row in batch order wins).
 func SelectBatch(pred Expr, b *value.Batch) error {

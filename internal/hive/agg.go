@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -14,92 +15,38 @@ import (
 	"hana/internal/value"
 )
 
-// finish applies aggregation (as an MR job with combiners), HAVING,
-// projection, DISTINCT, ORDER BY and LIMIT. Post-aggregation stages run in
-// the driver, as Hive's final single-reducer stages do.
+// finish runs the block's back end. The aggregate is this processor's own —
+// a map-reduce job with combiners, or, for DISTINCT aggregates, whose
+// partials cannot merge, the shared hash aggregate over the materialized
+// relation — and the stages after it are exec.Block.Finish in the driver, as
+// Hive's final single-reducer stages are.
 func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows, error) {
-	items := sel.Items
-	needAgg := len(sel.GroupBy) > 0
-	for _, it := range items {
-		if it.Expr != nil && expr.HasAggregate(it.Expr) {
-			needAgg = true
-		}
+	blk, err := exec.AnalyzeBlock(sel, rel.schema)
+	if err != nil {
+		return nil, fmt.Errorf("hive: %w", err)
 	}
-	if sel.Having != nil && expr.HasAggregate(sel.Having) {
-		needAgg = true
+	inDriver := !blk.Aggregates()
+	for _, a := range blk.Aggs {
+		inDriver = inDriver || a.Distinct
 	}
-
-	var rows *value.Rows
-	var err error
-	having := sel.Having
-	if needAgg {
-		if hasDistinctAgg(sel) {
-			// DISTINCT aggregates cannot merge partials; aggregate in the
-			// driver over the materialized relation.
-			rows, items, having, err = x.driverAggregate(sel, rel)
-		} else {
-			rows, items, having, err = x.mrAggregate(sel, rel)
-		}
+	var in exec.Iter
+	if inDriver {
+		rows, err := x.materialize(rel)
 		if err != nil {
 			return nil, err
+		}
+		in = exec.NewSlice(rows.Schema, rows.Data)
+		if blk.Aggregates() {
+			in = &exec.ParallelHashAggregate{In: in, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema}
 		}
 	} else {
-		rows, err = x.materialize(rel)
+		rows, err := x.mrAggregate(blk, rel)
 		if err != nil {
 			return nil, err
 		}
+		in = exec.NewSlice(blk.AggSchema, rows)
 	}
-
-	// Expand stars.
-	items, err = expandItems(items, rows.Schema)
-	if err != nil {
-		return nil, err
-	}
-
-	it := exec.Iter(exec.NewSlice(rows.Schema, rows.Data))
-	if having != nil {
-		pred, err := bindClone(having, rows.Schema)
-		if err != nil {
-			return nil, err
-		}
-		it = exec.FilterIter(it, pred)
-	}
-	out := &value.Schema{}
-	var exprs []expr.Expr
-	for _, item := range items {
-		be, err := bindClone(item.Expr, rows.Schema)
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, be)
-		out.Cols = append(out.Cols, value.Column{Name: itemName(item), Kind: kindOf(item.Expr, rows.Schema), Nullable: true})
-	}
-	it = exec.ProjectIter(it, exprs, out)
-	if sel.Distinct {
-		it = &exec.Distinct{In: it}
-	}
-	if len(sel.OrderBy) > 0 {
-		keys := make([]exec.SortKey, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			oe := o.Expr
-			for _, item := range items {
-				if item.Expr != nil && item.Expr.SQL() == oe.SQL() {
-					oe = expr.Col(itemName(item))
-					break
-				}
-			}
-			be, err := bindClone(oe, out)
-			if err != nil {
-				return nil, fmt.Errorf("hive: ORDER BY: %w", err)
-			}
-			keys[i] = exec.SortKey{E: be, Desc: o.Desc}
-		}
-		it = &exec.Sort{In: it, Keys: keys}
-	}
-	if sel.Limit >= 0 {
-		it = &exec.Limit{In: it, N: sel.Limit}
-	}
-	return exec.Materialize(it)
+	return exec.Materialize(blk.Finish(in))
 }
 
 // materialize reads the relation applying pending filters driver-side.
@@ -129,170 +76,15 @@ func (x *Executor) materialize(rel *interRel) (*value.Rows, error) {
 	return rows, nil
 }
 
-func hasDistinctAgg(sel *sqlparse.SelectStmt) bool {
-	found := false
-	check := func(e expr.Expr) {
-		expr.Walk(e, func(n expr.Expr) bool {
-			if f, ok := n.(*expr.Func); ok && f.IsAggregate() && f.Distinct {
-				found = true
-			}
-			return true
-		})
-	}
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			check(it.Expr)
-		}
-	}
-	if sel.Having != nil {
-		check(sel.Having)
-	}
-	return found
-}
-
-// collectAggs finds the distinct aggregate calls across the statement.
-func collectAggs(sel *sqlparse.SelectStmt) []*expr.Func {
-	var out []*expr.Func
-	seen := map[string]bool{}
-	add := func(e expr.Expr) {
-		expr.Walk(e, func(n expr.Expr) bool {
-			if f, ok := n.(*expr.Func); ok && f.IsAggregate() {
-				if !seen[f.SQL()] {
-					seen[f.SQL()] = true
-					out = append(out, f)
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			add(it.Expr)
-		}
-	}
-	if sel.Having != nil {
-		add(sel.Having)
-	}
-	for _, o := range sel.OrderBy {
-		add(o.Expr)
-	}
-	return out
-}
-
-// aggRewrite replaces aggregate calls and group expressions with column
-// references into the aggregate output schema.
-func aggRewrite(sel *sqlparse.SelectStmt, groupNames []string) (items []sqlparse.SelectItem, having expr.Expr) {
-	groupSQL := map[string]string{}
-	for i, g := range sel.GroupBy {
-		groupSQL[g.SQL()] = groupNames[i]
-	}
-	rw := func(e expr.Expr) expr.Expr {
-		if e == nil {
-			return nil
-		}
-		return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-			if f, ok := n.(*expr.Func); ok && f.IsAggregate() {
-				return expr.Col(f.SQL())
-			}
-			if name, ok := groupSQL[n.SQL()]; ok {
-				return expr.Col(name)
-			}
-			return nil
-		})
-	}
-	items = make([]sqlparse.SelectItem, len(sel.Items))
-	for i, it := range sel.Items {
-		items[i] = sqlparse.SelectItem{Expr: rw(it.Expr), Alias: it.Alias, Star: it.Star, Qual: it.Qual}
-	}
-	return items, rw(sel.Having)
-}
-
-// aggOutSchema builds the [groups…, aggs…] schema.
-func aggOutSchema(sel *sqlparse.SelectStmt, aggs []*expr.Func, in *value.Schema) (*value.Schema, []string) {
-	out := &value.Schema{}
-	groupNames := make([]string, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		name := g.SQL()
-		if c, ok := g.(*expr.ColRef); ok {
-			name = c.Name
-		}
-		groupNames[i] = name
-		out.Cols = append(out.Cols, value.Column{Name: name, Kind: kindOf(g, in), Nullable: true})
-	}
-	for _, f := range aggs {
-		out.Cols = append(out.Cols, value.Column{Name: f.SQL(), Kind: kindOf(f, in), Nullable: true})
-	}
-	return out, groupNames
-}
-
-// driverAggregate aggregates in the driver (DISTINCT aggregates).
-func (x *Executor) driverAggregate(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows, []sqlparse.SelectItem, expr.Expr, error) {
-	rows, err := x.materialize(rel)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	aggs := collectAggs(sel)
-	outSchema, groupNames := aggOutSchema(sel, aggs, rows.Schema)
-	groups := make([]expr.Expr, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		if groups[i], err = bindClone(g, rows.Schema); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	specs := make([]exec.AggSpec, len(aggs))
-	for i, f := range aggs {
-		specs[i] = exec.AggSpec{Func: f.Name, Distinct: f.Distinct}
-		if !f.Star {
-			arg, err := bindClone(f.Args[0], rows.Schema)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			specs[i].Arg = arg
-		}
-	}
-	agg := &exec.HashAggregate{In: exec.NewSlice(rows.Schema, rows.Data), GroupBy: groups, Aggs: specs, Out: outSchema}
-	out, err := exec.Materialize(agg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	items, having := aggRewrite(sel, groupNames)
-	return out, items, having, nil
-}
-
-// mrAggregate runs the aggregation as a map-reduce job with a combiner.
-func (x *Executor) mrAggregate(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows, []sqlparse.SelectItem, expr.Expr, error) {
-	aggs := collectAggs(sel)
-	outSchema, groupNames := aggOutSchema(sel, aggs, rel.schema)
-
-	boundGroups := make([]expr.Expr, len(sel.GroupBy))
-	var err error
-	for i, g := range sel.GroupBy {
-		if boundGroups[i], err = bindClone(g, rel.schema); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	type aggArg struct {
-		fn  string
-		arg expr.Expr // nil for COUNT(*)
-	}
-	args := make([]aggArg, len(aggs))
-	for i, f := range aggs {
-		args[i] = aggArg{fn: f.Name}
-		if !f.Star {
-			if len(f.Args) != 1 {
-				return nil, nil, nil, fmt.Errorf("hive: aggregate %s expects one argument", f.Name)
-			}
-			if args[i].arg, err = bindClone(f.Args[0], rel.schema); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-
+// mrAggregate runs the block's aggregate as a map-reduce job with a combiner
+// and decodes the reducer output into [groups…, aggs…] rows.
+func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, error) {
+	groupBy, aggs := blk.GroupBy, blk.Aggs
 	var pending expr.Expr
 	if len(rel.pending) > 0 {
+		var err error
 		if pending, err = bindClone(expr.And(cloneAll(rel.pending)...), rel.schema); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		rel.pending = nil
 	}
@@ -309,49 +101,52 @@ func (x *Executor) mrAggregate(sel *sqlparse.SelectStmt, rel *interRel) (*value.
 				return
 			}
 		}
-		keyVals := make([]value.Value, len(boundGroups))
-		for i, g := range boundGroups {
+		keyVals := make([]value.Value, len(groupBy))
+		for i, g := range groupBy {
 			v, err := g.Eval(row)
 			if err != nil {
 				return
 			}
 			keyVals[i] = v
 		}
-		partials := make([]string, len(args))
-		for i, a := range args {
-			var p partial
-			if a.arg == nil {
-				p.count = 1
-				p.hasVal = true
+		partials := make([]string, len(aggs))
+		for i, a := range aggs {
+			st := exec.NewAggState(false)
+			if a.Arg == nil { // COUNT(*)
+				st.Count = 1
+				st.HasVal = true
 			} else {
-				v, err := a.arg.Eval(row)
+				v, err := a.Arg.Eval(row)
 				if err != nil {
 					return
 				}
-				p.add(v)
+				st.Add(v)
 			}
-			partials[i] = p.encode()
+			partials[i] = encodePartial(st)
 		}
 		emit(EncodeKey(keyVals), strings.Join(partials, "\x02"))
 	}
 	merge := func(key string, values []string, emit func(k, v string)) {
-		acc := make([]partial, len(args))
+		acc := make([]*exec.AggState, len(aggs))
+		for i := range acc {
+			acc[i] = exec.NewAggState(false)
+		}
 		for _, v := range values {
 			parts := strings.Split(v, "\x02")
-			if len(parts) != len(args) {
+			if len(parts) != len(aggs) {
 				continue
 			}
 			for i, ps := range parts {
-				p, err := decodePartial(ps)
+				st, err := decodePartial(ps)
 				if err != nil {
 					continue
 				}
-				acc[i].merge(p)
+				acc[i].Merge(&st)
 			}
 		}
-		out := make([]string, len(args))
-		for i := range acc {
-			out[i] = acc[i].encode()
+		out := make([]string, len(aggs))
+		for i, st := range acc {
+			out[i] = encodePartial(st)
 		}
 		emit(key, strings.Join(out, "\x02"))
 	}
@@ -367,27 +162,22 @@ func (x *Executor) mrAggregate(sel *sqlparse.SelectStmt, rel *interRel) (*value.
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
 	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	defer func() { _ = x.ms.cluster.Remove(out) }()
 
-	// Decode the reducer output into [groups…, aggs…] rows.
-	rows := value.NewRows(outSchema)
-	groupKinds := make([]value.Kind, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		groupKinds[i] = kindOf(g, rel.schema)
-	}
+	var rows []value.Row
 	for _, fi := range x.ms.cluster.List(out) {
 		data, err := x.ms.cluster.ReadFile(fi.Path)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 			if line == "" {
 				continue
 			}
 			var keyPart, valPart string
-			if len(boundGroups) > 0 {
+			if len(groupBy) > 0 {
 				i := strings.IndexByte(line, '\t')
 				if i < 0 {
 					continue
@@ -397,172 +187,95 @@ func (x *Executor) mrAggregate(sel *sqlparse.SelectStmt, rel *interRel) (*value.
 				// Global aggregate: reducer key is the empty group.
 				valPart = strings.TrimPrefix(line, "\t")
 			}
-			row := make(value.Row, 0, outSchema.Len())
-			if len(boundGroups) > 0 {
+			row := make(value.Row, 0, blk.AggSchema.Len())
+			if len(groupBy) > 0 {
 				for i, part := range strings.Split(keyPart, "\x01") {
 					s, isNull := decodeField(part)
 					if isNull {
 						row = append(row, value.Null)
 						continue
 					}
-					v, err := parseTyped(s, groupKinds[i])
+					v, err := parseTyped(s, blk.AggSchema.Cols[i].Kind)
 					if err != nil {
-						return nil, nil, nil, err
+						return nil, err
 					}
 					row = append(row, v)
 				}
 			}
 			for i, ps := range strings.Split(valPart, "\x02") {
-				p, err := decodePartial(ps)
+				st, err := decodePartial(ps)
 				if err != nil {
-					return nil, nil, nil, err
+					return nil, err
 				}
-				row = append(row, p.result(args[i].fn))
+				v, err := st.Result(aggs[i].Func)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, v)
 			}
-			rows.Append(row)
+			rows = append(rows, row)
 		}
 	}
 	// A global aggregate over empty input still yields one row.
-	if len(boundGroups) == 0 && rows.Len() == 0 {
-		row := make(value.Row, len(args))
-		for i, a := range args {
-			row[i] = (&partial{}).result(a.fn)
-		}
-		rows.Append(row)
+	if len(groupBy) == 0 && len(rows) == 0 {
+		return exec.NewAggPartial().Rows(aggs, true)
 	}
-	items, having := aggRewrite(sel, groupNames)
-	return rows, items, having, nil
+	return rows, nil
 }
 
-// partial is a mergeable aggregate state, text-serializable for the
-// shuffle.
-type partial struct {
-	count   int64
-	sum     float64
-	sumI    int64
-	intOnly bool
-	hasVal  bool
-	min     value.Value
-	max     value.Value
-}
-
-func (p *partial) add(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !p.hasVal {
-		p.intOnly = true
-	}
-	p.hasVal = true
-	p.count++
-	switch v.K {
-	case value.KindInt:
-		p.sumI += v.I
-		p.sum += float64(v.I)
-	case value.KindDouble:
-		p.intOnly = false
-		p.sum += v.F
-	default:
-		p.intOnly = false
-	}
-	if p.min.IsNull() || value.Compare(v, p.min) < 0 {
-		p.min = v
-	}
-	if p.max.IsNull() || value.Compare(v, p.max) > 0 {
-		p.max = v
-	}
-}
-
-func (p *partial) merge(o partial) {
-	if !o.hasVal {
-		return
-	}
-	if !p.hasVal {
-		*p = o
-		return
-	}
-	p.count += o.count
-	p.sum += o.sum
-	p.sumI += o.sumI
-	p.intOnly = p.intOnly && o.intOnly
-	if p.min.IsNull() || (!o.min.IsNull() && value.Compare(o.min, p.min) < 0) {
-		p.min = o.min
-	}
-	if p.max.IsNull() || (!o.max.IsNull() && value.Compare(o.max, p.max) > 0) {
-		p.max = o.max
-	}
-}
-
-func (p *partial) result(fn string) value.Value {
-	switch fn {
-	case "COUNT":
-		return value.NewInt(p.count)
-	case "SUM":
-		if !p.hasVal {
-			return value.Null
-		}
-		if p.intOnly {
-			return value.NewInt(p.sumI)
-		}
-		return value.NewDouble(p.sum)
-	case "AVG":
-		if p.count == 0 {
-			return value.Null
-		}
-		return value.NewDouble(p.sum / float64(p.count))
-	case "MIN":
-		return p.min
-	case "MAX":
-		return p.max
-	}
-	return value.Null
-}
-
-func (p *partial) encode() string {
-	intOnly := "0"
-	if p.intOnly {
-		intOnly = "1"
-	}
-	hasVal := "0"
-	if p.hasVal {
-		hasVal = "1"
-	}
+// encodePartial is the shuffle text form of an aggregate state: every field
+// a non-DISTINCT state has (DISTINCT aggregates never shuffle). The running
+// float sums travel as their IEEE bits in hex — exact, and a fraction of the
+// cost of a shortest-decimal round trip per row and aggregate.
+func encodePartial(st *exec.AggState) string {
 	return strings.Join([]string{
-		strconv.FormatInt(p.count, 10),
-		strconv.FormatFloat(p.sum, 'g', -1, 64),
-		strconv.FormatInt(p.sumI, 10),
-		intOnly,
-		hasVal,
-		encodeTyped(p.min),
-		encodeTyped(p.max),
+		strconv.FormatInt(st.Count, 10),
+		strconv.FormatUint(math.Float64bits(st.Sum), 16),
+		strconv.FormatInt(st.SumI, 10),
+		strconv.FormatBool(st.IntOnly),
+		strconv.FormatBool(st.HasVal),
+		encodeTyped(st.Min),
+		encodeTyped(st.Max),
+		strconv.FormatUint(math.Float64bits(st.SumSq), 16),
 	}, "\x03")
 }
 
-func decodePartial(s string) (partial, error) {
+func decodePartial(s string) (exec.AggState, error) {
 	parts := strings.Split(s, "\x03")
-	if len(parts) != 7 {
-		return partial{}, fmt.Errorf("hive: bad partial %q", s)
+	if len(parts) != 8 {
+		return exec.AggState{}, fmt.Errorf("hive: bad partial %q", s)
 	}
-	var p partial
+	var st exec.AggState
 	var err error
-	if p.count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
-		return p, err
+	if st.Count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
+		return st, err
 	}
-	if p.sum, err = strconv.ParseFloat(parts[1], 64); err != nil {
-		return p, err
+	sum, err := strconv.ParseUint(parts[1], 16, 64)
+	if err != nil {
+		return st, err
 	}
-	if p.sumI, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
-		return p, err
+	st.Sum = math.Float64frombits(sum)
+	if st.SumI, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
+		return st, err
 	}
-	p.intOnly = parts[3] == "1"
-	p.hasVal = parts[4] == "1"
-	if p.min, err = decodeTyped(parts[5]); err != nil {
-		return p, err
+	if st.IntOnly, err = strconv.ParseBool(parts[3]); err != nil {
+		return st, err
 	}
-	if p.max, err = decodeTyped(parts[6]); err != nil {
-		return p, err
+	if st.HasVal, err = strconv.ParseBool(parts[4]); err != nil {
+		return st, err
 	}
-	return p, nil
+	if st.Min, err = decodeTyped(parts[5]); err != nil {
+		return st, err
+	}
+	if st.Max, err = decodeTyped(parts[6]); err != nil {
+		return st, err
+	}
+	sumSq, err := strconv.ParseUint(parts[7], 16, 64)
+	if err != nil {
+		return st, err
+	}
+	st.SumSq = math.Float64frombits(sumSq)
+	return st, nil
 }
 
 // encodeTyped serializes a value with its kind tag so MIN/MAX round-trip.
@@ -574,7 +287,7 @@ func encodeTyped(v value.Value) string {
 	case value.KindInt:
 		return "i" + strconv.FormatInt(v.I, 10)
 	case value.KindDouble:
-		return "d" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return "d" + strconv.FormatUint(math.Float64bits(v.F), 16)
 	case value.KindDate:
 		return "D" + strconv.FormatInt(v.I, 10)
 	case value.KindTimestamp:
@@ -596,8 +309,8 @@ func decodeTyped(s string) (value.Value, error) {
 		i, err := strconv.ParseInt(body, 10, 64)
 		return value.NewInt(i), err
 	case 'd':
-		f, err := strconv.ParseFloat(body, 64)
-		return value.NewDouble(f), err
+		bits, err := strconv.ParseUint(body, 16, 64)
+		return value.NewDouble(math.Float64frombits(bits)), err
 	case 'D':
 		i, err := strconv.ParseInt(body, 10, 64)
 		return value.NewDate(i), err
@@ -611,90 +324,4 @@ func decodeTyped(s string) (value.Value, error) {
 		return value.NewString(body), nil
 	}
 	return value.Null, fmt.Errorf("hive: bad typed value %q", s)
-}
-
-// expandItems expands * and t.* select items.
-func expandItems(items []sqlparse.SelectItem, s *value.Schema) ([]sqlparse.SelectItem, error) {
-	var out []sqlparse.SelectItem
-	for _, item := range items {
-		if !item.Star {
-			out = append(out, item)
-			continue
-		}
-		matched := false
-		for _, col := range s.Cols {
-			if item.Qual != "" {
-				prefix := strings.ToUpper(item.Qual) + "."
-				if !strings.HasPrefix(strings.ToUpper(col.Name), prefix) {
-					continue
-				}
-			}
-			out = append(out, sqlparse.SelectItem{Expr: expr.Col(col.Name)})
-			matched = true
-		}
-		if !matched {
-			return nil, fmt.Errorf("hive: star expansion found no columns for %q", item.Qual)
-		}
-	}
-	return out, nil
-}
-
-func itemName(item sqlparse.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if c, ok := item.Expr.(*expr.ColRef); ok {
-		if dot := strings.LastIndexByte(c.Name, '.'); dot >= 0 {
-			return c.Name[dot+1:]
-		}
-		return c.Name
-	}
-	return item.Expr.SQL()
-}
-
-// kindOf guesses an expression's result kind.
-func kindOf(e expr.Expr, s *value.Schema) value.Kind {
-	switch n := e.(type) {
-	case *expr.ColRef:
-		if i := s.Find(n.Name); i >= 0 {
-			return s.Cols[i].Kind
-		}
-	case *expr.Literal:
-		return n.Val.K
-	case *expr.Cast:
-		return n.To
-	case *expr.Func:
-		switch n.Name {
-		case "COUNT":
-			return value.KindInt
-		case "AVG", "STDDEV", "VAR":
-			return value.KindDouble
-		case "SUM", "MIN", "MAX":
-			if len(n.Args) == 1 {
-				return kindOf(n.Args[0], s)
-			}
-		case "YEAR", "MONTH", "DAY", "LENGTH":
-			return value.KindInt
-		case "UPPER", "LOWER", "SUBSTR", "SUBSTRING", "CONCAT":
-			return value.KindVarchar
-		}
-		return value.KindDouble
-	case *expr.BinOp:
-		if n.Op.Comparison() || n.Op == expr.OpAnd || n.Op == expr.OpOr {
-			return value.KindBool
-		}
-		lk, rk := kindOf(n.L, s), kindOf(n.R, s)
-		if lk == value.KindInt && rk == value.KindInt && n.Op != expr.OpDiv {
-			return value.KindInt
-		}
-		if lk == value.KindDate {
-			return lk
-		}
-		return value.KindDouble
-	case *expr.CaseWhen:
-		if len(n.Whens) > 0 {
-			return kindOf(n.Whens[0].Then, s)
-		}
-	}
-	return value.KindDouble
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/mapreduce"
 	"hana/internal/sqlparse"
@@ -514,6 +515,16 @@ func (x *Executor) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, erro
 			return nil, err
 		}
 		return l.Concat(r), nil
+	case *sqlparse.SubqueryTable:
+		inner, err := x.fromSchemaPreview(t.Sel.From)
+		if err != nil {
+			return nil, err
+		}
+		blk, err := exec.AnalyzeBlock(t.Sel, inner)
+		if err != nil {
+			return nil, fmt.Errorf("hive: %w", err)
+		}
+		return blk.Out.Qualify(t.Alias), nil
 	}
 	return nil, fmt.Errorf("hive: unsupported FROM element %T", te)
 }

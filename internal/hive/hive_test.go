@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hana/internal/exec"
 	"hana/internal/fed"
 	"hana/internal/hdfs"
 	"hana/internal/mapreduce"
@@ -262,6 +263,38 @@ func TestCorrelatedExists(t *testing.T) {
 	}
 	if rows.Data[0][0].Int() != 27 {
 		t.Fatalf("NOT EXISTS count = %v", rows.Data)
+	}
+	// The inner FROM may be a derived table: its schema comes from the same
+	// block analysis that will run it.
+	rows, err = s.Exec.Query(`SELECT COUNT(*) FROM customer WHERE EXISTS
+		(SELECT * FROM (SELECT o_custkey AS ck, o_total FROM orders) big WHERE big.ck = c_custkey AND big.o_total > 970)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Data[0][0].Int() != 3 {
+		t.Fatalf("EXISTS over a derived table = %v", rows.Data)
+	}
+}
+
+func TestPartialCodec(t *testing.T) {
+	st := exec.NewAggState(false)
+	for _, v := range []value.Value{value.NewDouble(1.5), value.NewInt(4), value.Null} {
+		st.Add(v)
+	}
+	got, err := decodePartial(encodePartial(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "STDDEV"} {
+		want, _ := st.Result(fn)
+		if have, _ := got.Result(fn); have != want {
+			t.Errorf("%s after the shuffle = %v, want %v", fn, have, want)
+		}
+	}
+	// The pre-SumSq seven-field form must not decode as a state without it.
+	old := strings.Join(strings.Split(encodePartial(st), "\x03")[:7], "\x03")
+	if _, err := decodePartial(old); err == nil {
+		t.Fatal("a 7-field partial must be a decode error")
 	}
 }
 

@@ -82,7 +82,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	}
 	hot := prog.HotFuncs()
 	for _, key := range []string{
-		"hana/internal/exec.HashAggregate.run",
+		"hana/internal/exec.ParallelHashAggregate.run",
 		"hana/internal/exec.HashJoin.matches",
 		"hana/internal/engine.planner.scan",
 		"hana/internal/colstore.Column.MinMax",

@@ -14,16 +14,16 @@ package lint
 // closure can opt in with a `//hana:hotpath` directive on the declaration's
 // doc comment.
 var HotRoots = []string{
-	// exec: operator loops driven once per row or per morsel.
-	"hana/internal/exec.Filter.Next",
-	"hana/internal/exec.Project.Next",
+	// exec: operator loops driven once per row or per morsel. Block.Finish,
+	// the tail every processor's result drains through, runs once per block
+	// and only chains operators rooted here (BatchFilter, BatchProject,
+	// Distinct, Sort, Limit), so it is not itself a root.
 	"hana/internal/exec.Limit.Next",
 	"hana/internal/exec.Sort.Next",
 	"hana/internal/exec.Distinct.Next",
 	"hana/internal/exec.UnionAll.Next",
 	"hana/internal/exec.Slice.Next",
 	"hana/internal/exec.Materialize",
-	"hana/internal/exec.HashAggregate.run",
 	"hana/internal/exec.ParallelHashAggregate.run",
 	"hana/internal/exec.aggregateMorsel",
 	"hana/internal/exec.drainRows",

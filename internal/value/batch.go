@@ -179,12 +179,19 @@ func (b *Batch) MaterializeRows() []Row {
 // dictionary). Row stores and remote sources use it to enter the vectorized
 // path. NULLs set validity bits. A column whose values do not all carry the
 // declared kind switches to the boxed Vals form so nothing is re-coerced.
-func BatchFromRows(schema *Schema, rows []Row) *Batch {
+// needed, when non-nil, marks the column ordinals the consumer reads, as it
+// does for the stores' ReadBatch: the others are not transposed and become
+// pruned vectors that read as NULL.
+func BatchFromRows(schema *Schema, rows []Row, needed []bool) *Batch {
 	n := len(rows)
 	b := &Batch{Schema: schema, Cols: make([]Vec, len(schema.Cols)), N: n}
 	for c := range schema.Cols {
 		v := &b.Cols[c]
 		v.Kind = schema.Cols[c].Kind
+		if needed != nil && (c >= len(needed) || !needed[c]) {
+			v.Pruned = true
+			continue
+		}
 		switch v.Kind {
 		case KindDouble:
 			v.Floats = make([]float64, n)
