@@ -359,6 +359,56 @@ func TestRowVersionsAbort(t *testing.T) {
 	}
 }
 
+// Commit and abort visit the rows a transaction stamped, not the fragment:
+// the stamps of an imported snapshot, of a row another writer re-stamped and
+// of interleaved writers must resolve exactly as a full sweep would.
+func TestRowVersionsCommitVisitsOnlyOwnRows(t *testing.T) {
+	v := NewRowVersions()
+	for i := 0; i < 6; i++ {
+		v.InsertCommitted(i, 1)
+	}
+	v.Insert(6, 10)
+	v.Insert(7, 11)
+	_ = v.Delete(0, 10)
+	_ = v.Delete(1, 11)
+	_ = v.Delete(2, 12)
+
+	// A recovered fragment starts from an imported snapshot.
+	r := NewRowVersions()
+	r.Import(v.Export())
+	if got := r.PendingTIDs(); len(got) != 3 || got[0] != 10 || got[2] != 12 {
+		t.Fatalf("pending after import = %v", got)
+	}
+	r.CommitTID(10, 5)
+	r.AbortTID(11)
+	if !r.Visible(6, 5, 0) || r.Visible(0, 5, 0) {
+		t.Fatal("commit of an imported writer must stamp its insert and its delete")
+	}
+	if r.Visible(7, 9, 0) || !r.Visible(1, 9, 0) {
+		t.Fatal("abort of an imported writer must hide its insert and restore its delete")
+	}
+	if got := r.PendingTIDs(); len(got) != 1 || got[0] != 12 {
+		t.Fatalf("pending after outcomes = %v", got)
+	}
+
+	// Row 8 is stamped by 20, then again by 21: 20's outcome leaves it alone.
+	v.Insert(8, 20)
+	v.Insert(8, 21)
+	v.CommitTID(20, 6)
+	if v.Visible(8, 9, 0) || !v.Visible(8, 9, 21) {
+		t.Fatal("a re-stamped row belongs to its last writer")
+	}
+	v.CommitTID(21, 7)
+	if !v.Visible(8, 7, 0) {
+		t.Fatal("last writer's commit must stamp the row")
+	}
+	// Committing the same transaction twice is a no-op.
+	v.CommitTID(21, 8)
+	if !v.Visible(8, 7, 0) {
+		t.Fatal("second commit must not move the stamp")
+	}
+}
+
 func TestLiveCount(t *testing.T) {
 	v := NewRowVersions()
 	for i := 0; i < 10; i++ {

@@ -24,6 +24,11 @@ type RowVersions struct {
 	delCID []uint64
 	// hana:guardedby mu
 	delTID []uint64
+	// pending lists, per in-flight transaction, the row ids it stamped, so
+	// that commit and abort visit those rows and not the whole fragment. An
+	// entry may be stale (the row since re-stamped); insTID/delTID decide.
+	// hana:guardedby mu
+	pending map[uint64][]int
 }
 
 // NewRowVersions creates an empty version store.
@@ -48,6 +53,18 @@ func (v *RowVersions) Insert(rowID int, tid uint64) {
 		v.delTID = append(v.delTID, 0)
 	}
 	v.insTID[rowID] = tid
+	v.noteLocked(rowID, tid)
+}
+
+// noteLocked records that in-flight tid stamped rowID.
+func (v *RowVersions) noteLocked(rowID int, tid uint64) {
+	if tid == 0 {
+		return
+	}
+	if v.pending == nil {
+		v.pending = map[uint64][]int{}
+	}
+	v.pending[tid] = append(v.pending[tid], rowID)
 }
 
 // InsertCommitted registers a row that is immediately visible (bulk loads
@@ -76,7 +93,10 @@ func (v *RowVersions) Delete(rowID int, tid uint64) error {
 	if v.delTID[rowID] != 0 && v.delTID[rowID] != tid {
 		return ErrConflict
 	}
-	v.delTID[rowID] = tid
+	if v.delTID[rowID] != tid {
+		v.delTID[rowID] = tid
+		v.noteLocked(rowID, tid)
+	}
 	return nil
 }
 
@@ -84,7 +104,7 @@ func (v *RowVersions) Delete(rowID int, tid uint64) error {
 func (v *RowVersions) CommitTID(tid, cid uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i := range v.insTID {
+	for _, i := range v.pending[tid] {
 		if v.insTID[i] == tid {
 			v.insTID[i] = 0
 			v.insCID[i] = cid
@@ -94,6 +114,7 @@ func (v *RowVersions) CommitTID(tid, cid uint64) {
 			v.delCID[i] = cid
 		}
 	}
+	delete(v.pending, tid)
 }
 
 // AbortTID reverts every change of tid. Aborted inserts become permanently
@@ -101,7 +122,7 @@ func (v *RowVersions) CommitTID(tid, cid uint64) {
 func (v *RowVersions) AbortTID(tid uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i := range v.insTID {
+	for _, i := range v.pending[tid] {
 		if v.insTID[i] == tid {
 			v.insTID[i] = 0
 			v.insCID[i] = ^uint64(0) // never visible
@@ -110,6 +131,7 @@ func (v *RowVersions) AbortTID(tid uint64) {
 			v.delTID[i] = 0
 		}
 	}
+	delete(v.pending, tid)
 }
 
 // Visible reports whether rowID is visible to a reader with the given
@@ -192,6 +214,13 @@ func (v *RowVersions) Import(s VersionSnapshot) {
 	v.insTID = append([]uint64(nil), s.InsTID...)
 	v.delCID = append([]uint64(nil), s.DelCID...)
 	v.delTID = append([]uint64(nil), s.DelTID...)
+	v.pending = nil
+	for i := range v.insTID {
+		v.noteLocked(i, v.insTID[i])
+		if v.delTID[i] != v.insTID[i] {
+			v.noteLocked(i, v.delTID[i])
+		}
+	}
 }
 
 // PendingTIDs lists the distinct transaction IDs that still hold
