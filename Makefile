@@ -29,14 +29,14 @@ vet:
 lint:
 	$(GO) run ./cmd/hanalint ./...
 
-# Hot-path performance lint: the allocation/boxing analyzers (hotalloc,
-# boxval, stringcmp, deferhot) over the whole module, then the
-# compiler-assisted escape gate — `go build -gcflags=-m` heap escapes inside
-# hot functions diffed against internal/lint/escapes_baseline.txt. A new
-# escape fails; refresh deliberate changes with
-# `go run ./cmd/hanalint -write-escapes .`.
+# Hot-path escape gate: `go build -gcflags=-m` heap escapes inside hot
+# functions (`hanalint -hot`) diffed against internal/lint/escapes_baseline.txt.
+# A new escape fails, and so does a baseline entry the compiler no longer
+# reports; refresh deliberate changes with
+# `go run ./cmd/hanalint -write-escapes .` or `-prune-escapes .`. Per-row
+# allocations the compiler cannot see are pinned by the ZeroAllocs /
+# SubLinearAllocs tests.
 lint-hot:
-	$(GO) run ./cmd/hanalint -analyzers hotalloc,boxval,stringcmp,deferhot ./...
 	$(GO) run ./cmd/hanalint -escapes .
 
 # Dump the global lock-acquisition graph (Graphviz DOT on stdout), derived
@@ -57,10 +57,11 @@ lint-selftest:
 		echo "hanalint correctly rejects the fixture corpus"; \
 	fi
 
-# Everything static in one gate: the full analyzer suite (guardedby,
-# atomicmix and guardcall included — the fault-site coverage check runs as
-# part of guardcall), the hot-path escape diff (stale baseline entries
-# fail; fix with -prune-escapes), and the fixture self-test.
+# Everything static in one gate: the seven analyzers (the fault-site
+# coverage check runs as part of guardcall), the hot-path escape diff (stale
+# baseline entries fail; fix with -prune-escapes), and the fixture
+# self-test. `make vet` is the other static gate: its copylocks check is
+# what catches a copied sync/atomic value.
 lint-all: lint lint-hot lint-selftest
 
 # Machine-readable findings for the CI artifact. Always exits 0 here: the
@@ -99,11 +100,11 @@ chaos-recovery:
 	CHAOS_RECOVERY_REPORT=$(CURDIR)/CHAOS_recovery.json $(GO) test -race -count=1 -run 'TestCrashpoint' ./internal/chaos
 
 # Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
-# parser, the value row codec, the extended store's chunk codec and the two
-# dist wire decoders must return a value or an error on any input. `go test
-# -fuzz` takes one package and one target per run; minimization is capped so
-# a large interesting input does not eat the window. A crasher lands under
-# the package's testdata/fuzz/.
+# parser, the value row codec, the extended store's chunk codec, the two
+# dist wire decoders and the WAL frame scanner must return a value or an
+# error on any input. `go test -fuzz` takes one package and one target per
+# run; minimization is capped so a large interesting input does not eat the
+# window. A crasher lands under the package's testdata/fuzz/.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test ./internal/diskstore -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzScanRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -8,7 +8,6 @@
 //	go run ./cmd/hanalint ./internal/esp   # one package
 //	go run ./cmd/hanalint -list            # list analyzers
 //	go run ./cmd/hanalint -lockgraph       # lock-order graph as DOT
-//	go run ./cmd/hanalint -analyzers hotalloc,deferhot ./...
 //	go run ./cmd/hanalint -hot             # hot-function set + call chains
 //	go run ./cmd/hanalint -escapes         # diff hot-path heap escapes vs baseline
 //	go run ./cmd/hanalint -write-escapes   # regenerate the escape baseline
@@ -18,7 +17,8 @@
 //
 // Deliberate violations are suppressed in source with
 // //lint:ignore <analyzer> <reason> on the offending line or the line
-// above. The suite is stdlib-only: go/ast, go/parser, go/token (the
+// above; a directive naming an analyzer -list does not print is itself a
+// finding. The suite is stdlib-only: go/ast, go/parser, go/token (the
 // -escapes mode additionally shells out to the Go compiler for -m output).
 package main
 
@@ -38,7 +38,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	root := flag.String("root", "", "module root (default: nearest dir with go.mod)")
 	lockgraph := flag.Bool("lockgraph", false, "dump the global lock-order graph as DOT and exit")
-	only := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
 	hot := flag.Bool("hot", false, "print the derived hot-function set with call chains and exit")
 	escapes := flag.Bool("escapes", false, "diff hot-path heap escapes against internal/lint/escapes_baseline.txt")
 	writeEscapes := flag.Bool("write-escapes", false, "regenerate the escape baseline from the current tree")
@@ -46,34 +45,16 @@ func main() {
 	suggestGuards := flag.Bool("suggest-guards", false, "print advisory // hana:guardedby candidates for unannotated shared fields")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hanalint [-list] [-lockgraph] [-hot] [-escapes] [-write-escapes] [-prune-escapes] [-suggest-guards] [-json] [-analyzers a,b] [-root dir] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: hanalint [-list] [-lockgraph] [-hot] [-escapes] [-write-escapes] [-prune-escapes] [-suggest-guards] [-json] [-root dir] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	analyzers := lint.Analyzers()
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *only != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		var subset []*lint.Analyzer
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a := byName[name]
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "hanalint: unknown analyzer %q (see -list)\n", name)
-				os.Exit(2)
-			}
-			subset = append(subset, a)
-		}
-		analyzers = subset
 	}
 
 	dir := *root
@@ -127,7 +108,7 @@ func main() {
 
 	// Analyzers always see the full repo for cross-package facts; only the
 	// reporting set is filtered.
-	diags := lint.Run(pkgs, analyzers)
+	diags := lint.Run(pkgs, lint.Analyzers())
 	var out []lint.Diagnostic
 	for _, d := range diags {
 		if _, ok := selected[pkgOf(pkgs, d.Pos.Filename)]; !ok && len(flag.Args()) > 0 {

@@ -183,6 +183,20 @@ func TestChaosFederatedWorkloadSurvivesFaultSchedule(t *testing.T) {
 		committed = map[int64]bool{}
 		aborted   = map[int64]bool{}
 	)
+
+	// The outage hits in call order, not spread over the concurrent
+	// workers (where six failures need not exhaust any one statement's
+	// retries): each federated statement alone burns one three-attempt
+	// round and falls back to the cache, so the second opens the breaker
+	// before the concurrent phase starts.
+	for _, q := range chaosQueries {
+		if _, err := s.e.ExecuteContext(context.Background(), q); err != nil {
+			queryErrs = append(queryErrs, err)
+		}
+	}
+	if got := s.inj.Injected("fed.query.hive1"); got != 6 {
+		t.Fatalf("fed.query faults injected = %d, want all 6 consumed by the outage statements", got)
+	}
 	for w := 0; w < queryWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {

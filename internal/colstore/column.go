@@ -278,7 +278,6 @@ func (c *Column) Merge() {
 func (c *Column) Scan(fn func(i int, v value.Value) bool) {
 	n := c.Len()
 	for i := 0; i < n; i++ {
-		//lint:ignore boxval row-at-a-time API boundary: callers consume value.Value; a vectorized scan path is a ROADMAP item
 		if !fn(i, c.Get(i)) {
 			return
 		}

@@ -177,7 +177,6 @@ func decodeChunk(data []byte) ([]value.Value, error) {
 				return nil, fmt.Errorf("dictionary entry %d: length %d exceeds the %d bytes that remain", i, sl, r.Len())
 			}
 			if uint64(len(sb)) < sl {
-				//lint:ignore hotalloc scratch grows to the high-water entry length once, not per entry
 				sb = make([]byte, sl)
 			}
 			buf := sb[:sl]

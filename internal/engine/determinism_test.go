@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// These tests pin down what the mapdeterminism analyzer enforces
-// statically: with fixed inputs, plan text and catalog listings must be
-// byte-identical run after run, never a function of Go's randomized map
-// iteration order. Each check repeats 50 times — enough iterations that a
-// map-order dependence (which reshuffles per range statement) would
-// virtually always surface.
+// With fixed inputs, plan text and catalog listings must be byte-identical
+// run after run, never a function of Go's randomized map iteration order.
+// These tests are the only guard of that (there is no static check): each
+// repeats 50 times — enough iterations that a map-order dependence (which
+// reshuffles per range statement) would virtually always surface.
 
 const determinismRuns = 50
 

@@ -273,7 +273,6 @@ func (x *extParticipant) Prepare(tid uint64) error {
 	// Each partition's rows, version stamps and prepared-ID list are keyed
 	// by that partition alone, so cross-partition iteration order cannot
 	// change any observable state.
-	//lint:ignore mapdeterminism per-partition state is independent; scans read t.parts in slice order
 	for p, rows := range o.inserts {
 		for _, r := range rows {
 			id := p.numRows()
@@ -307,14 +306,12 @@ func (x *extParticipant) restoreOps(tid uint64, ins, del map[*partition][]int) {
 	o := x.get(tid)
 	// Each key's copied slice lands under that key alone — no cross-key
 	// state, so iteration order is unobservable.
-	//lint:ignore mapdeterminism per-partition slices are keyed independently
 	for p, ids := range ins {
 		o.preparedIDs[p] = append([]int(nil), ids...)
 		if _, ok := o.inserts[p]; !ok {
 			o.inserts[p] = nil // Commit/Abort iterate insert keys for stamping
 		}
 	}
-	//lint:ignore mapdeterminism per-partition slices are keyed independently
 	for p, ids := range del {
 		o.deletes[p] = append([]int(nil), ids...)
 	}
@@ -333,11 +330,9 @@ func (x *extParticipant) exportOps(tid uint64) (ins, del map[int][]int, ok bool)
 	ins = map[int][]int{}
 	del = map[int][]int{}
 	// Map-to-map copy keyed by partition index: order cannot surface.
-	//lint:ignore mapdeterminism per-partition slices are keyed independently
 	for p, ids := range o.preparedIDs {
 		ins[p.idx] = append([]int(nil), ids...)
 	}
-	//lint:ignore mapdeterminism per-partition slices are keyed independently
 	for p, ids := range o.deletes {
 		del[p.idx] = append([]int(nil), ids...)
 	}

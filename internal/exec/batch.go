@@ -248,7 +248,6 @@ func drainBatchRows(in BatchIter) ([]value.Row, error) {
 		if b == nil {
 			return out, nil
 		}
-		//lint:ignore hotalloc out grows once per batch, not per row; the producer's batch count is unknown upfront
 		out = append(out, b.MaterializeRows()...)
 	}
 }

@@ -39,7 +39,6 @@ func collectBatches(in BatchIter) ([]*value.Batch, error) {
 			return bs, nil
 		}
 		if b.Len() > 0 {
-			//lint:ignore hotalloc bs grows once per batch, not per row; the producer's batch count is unknown upfront
 			bs = append(bs, b)
 		}
 	}
@@ -261,7 +260,6 @@ func aggregateBatchMorsel(segs []batchSeg, base int, groupBy []expr.Expr, aggs [
 			}
 		}
 		if segNeedRow && len(scratch) < len(b.Cols) {
-			//lint:ignore hotalloc guarded by the length check: every batch shares the schema, so this allocates once per morsel, not per segment
 			scratch = make(value.Row, len(b.Cols))
 		}
 		for k := seg.lo; k < seg.hi; k++ {

@@ -332,7 +332,6 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 				for _, seg := range batchSegments(right.Batches, rOffs, lo, hi) {
 					b := seg.b
 					if rkp.needRow && len(scratch) < len(b.Cols) {
-						//lint:ignore hotalloc guarded by the length check: every batch shares the schema, so this allocates once per morsel, not per segment
 						scratch = make(value.Row, len(b.Cols))
 					}
 					for k := seg.lo; k < seg.hi; k++ {
@@ -478,7 +477,6 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 				for _, seg := range batchSegments(left.Batches, lOffs, lo, hi) {
 					b := seg.b
 					if lkp.needRow && len(scratch) < len(b.Cols) {
-						//lint:ignore hotalloc guarded by the length check: every batch shares the schema, so this allocates once per morsel, not per segment
 						scratch = make(value.Row, len(b.Cols))
 					}
 					for k := seg.lo; k < seg.hi; k++ {

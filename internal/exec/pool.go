@@ -134,9 +134,7 @@ spawn:
 	sp.SetAttrInt("workers", int64(workers))
 	if sp != nil {
 		for id := 0; id < workers; id++ {
-			//lint:ignore hotalloc per-worker trace attribute, bounded by worker width and emitted once per dispatch
 			key := fmt.Sprintf("w%d", id)
-			//lint:ignore hotalloc per-worker trace attribute, bounded by worker width and emitted once per dispatch
 			sp.SetAttr(key, fmt.Sprintf("%d morsels in %s", perMorsels[id], perBusy[id].Round(time.Microsecond)))
 		}
 	}

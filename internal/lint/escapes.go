@@ -15,8 +15,8 @@ import (
 // `go build -gcflags=-m ./...`, keeps the heap-escape diagnostics that land
 // inside hot functions, and diffs them against a checked-in baseline
 // (internal/lint/escapes_baseline.txt). A new escape on a hot path fails
-// the gate; an entry the compiler no longer reports is only noted (delete
-// it from the baseline when the improvement is deliberate).
+// the gate, and so does an entry the compiler no longer reports (drop it
+// with -prune-escapes when the improvement is deliberate).
 //
 // Baseline entries are normalized without line numbers —
 // "file<TAB>function<TAB>message" — so unrelated edits that shift lines do

@@ -35,8 +35,8 @@ var GuardedBy = &Analyzer{
 }
 
 // guardedDirective introduces a field guard annotation; ownedDirective
-// exempts a whole function from guardedby (and atomicmix plain-access)
-// checking. Both accept a space after // ("// hana:guardedby mu").
+// exempts a whole function from guardedby checking. Both accept a space
+// after // ("// hana:guardedby mu").
 const (
 	guardedDirective = "hana:guardedby"
 	ownedDirective   = "hana:owned"
@@ -500,7 +500,23 @@ func (w *guardWalker) trackVarOwnership(vs *ast.ValueSpec) {
 // goroutine can reference yet: composite literals, new(T), and calls to
 // New*/Open*-named constructors.
 func (w *guardWalker) freshValue(e ast.Expr) bool {
-	return freshValueExpr(w.env, e)
+	switch x := e.(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			_, lit := x.X.(*ast.CompositeLit)
+			return lit
+		}
+	case *ast.CallExpr:
+		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "new" {
+			return true
+		}
+		if ref, ok := w.env.resolveCall(x); ok {
+			return strings.HasPrefix(ref.Name, "New") || strings.HasPrefix(ref.Name, "Open")
+		}
+	}
+	return false
 }
 
 func (w *guardWalker) scanExpr(e ast.Expr) {
@@ -617,7 +633,22 @@ func (w *guardWalker) access(sel *ast.SelectorExpr, write bool) {
 // ownedBase reports whether the base-most identifier of a selector chain is
 // an owned (freshly constructed, unpublished) local.
 func (w *guardWalker) ownedBase(e ast.Expr) bool {
-	return w.owned[baseIdentName(e)]
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.Ident:
+			return w.owned[x.Name]
+		default:
+			return false
+		}
+	}
 }
 
 // sharedStat feeds SuggestGuards: unannotated field accesses classified by

@@ -11,8 +11,7 @@ import (
 // syntactic resolver can type. Interface dispatch contributes no edges —
 // that is why the root list names each Iter.Next / Expr.Eval implementation
 // explicitly — so the closure under-approximates rather than guesses. The
-// four hot-path analyzers (hotalloc, boxval, stringcmp, deferhot) and the
-// -escapes baseline all gate on this set.
+// -escapes baseline gates on this set.
 
 // hotDirective marks a function as a hot root from its doc comment.
 const hotDirective = "//hana:hotpath"
@@ -87,16 +86,6 @@ func (pr *Program) HotFuncs() map[string]string {
 	return hot
 }
 
-// HotChain reports whether the function is hot and, if so, the call chain
-// from a hot root ("" when the function is itself a root).
-func (pr *Program) HotChain(info *FuncInfo) (string, bool) {
-	if info == nil {
-		return "", false
-	}
-	chain, ok := pr.HotFuncs()[info.Ref.key()]
-	return chain, ok
-}
-
 // UnmatchedHotRoots returns the HotRoots entries that resolve to no loaded
 // function — the audit signal `hanalint -hot` prints when operators are
 // renamed out from under the seed list.
@@ -132,144 +121,4 @@ func (pr *Program) calleesOf(info *FuncInfo) []FuncRef {
 		return true
 	})
 	return refs
-}
-
-// ---- loop-context walker shared by the hot-path analyzers ----
-
-// hotCtx carries per-iteration context during a hot-function walk.
-//
-// Alloc counts enclosing per-iteration allocation scopes: for/range loop
-// bodies plus row-callback function literals (a func(..., value.Row) bool
-// or func(..., value.Value) bool passed into a columnar Scan runs once per
-// row — the callback body IS the loop body). Other function literals reset
-// it: code inside an ordinary closure does not run per iteration of the
-// loop that builds the closure.
-//
-// Defer counts enclosing syntactic loop bodies only, and resets inside
-// every function literal: a defer accumulates until its *enclosing
-// function* returns, so a defer in a row callback releases per row and is
-// fine, while a defer in a plain loop body piles up until function exit.
-type hotCtx struct {
-	Alloc int
-	Defer int
-}
-
-// isRowCallback matches the columnar scan callback convention: a function
-// literal returning bool with a value.Row or value.Value parameter.
-func isRowCallback(pkgPath string, imports map[string]string, fl *ast.FuncLit) bool {
-	ft := fl.Type
-	if ft.Results == nil || len(ft.Results.List) != 1 {
-		return false
-	}
-	if id, ok := ft.Results.List[0].Type.(*ast.Ident); !ok || id.Name != "bool" {
-		return false
-	}
-	if ft.Params == nil {
-		return false
-	}
-	for _, fl := range ft.Params.List {
-		if isValueType(pkgPath, imports, fl.Type) {
-			return true
-		}
-	}
-	return false
-}
-
-// isValueType matches value.Row / value.Value (or Row / Value inside the
-// value package itself).
-func isValueType(pkgPath string, imports map[string]string, e ast.Expr) bool {
-	switch t := e.(type) {
-	case *ast.SelectorExpr:
-		id, ok := t.X.(*ast.Ident)
-		return ok && imports[id.Name] == "hana/internal/value" &&
-			(t.Sel.Name == "Row" || t.Sel.Name == "Value")
-	case *ast.Ident:
-		return strings.HasSuffix(pkgPath, "/value") && (t.Name == "Row" || t.Name == "Value")
-	}
-	return false
-}
-
-// forEachHotNode walks the function body calling visit for every node with
-// its loop context and ancestor stack (innermost last, body excluded).
-func forEachHotNode(pkgPath string, imports map[string]string, fd *ast.FuncDecl,
-	visit func(n ast.Node, ctx hotCtx, stack []ast.Node)) {
-	if fd.Body == nil {
-		return
-	}
-	var nodes []ast.Node
-	var ctxs []hotCtx
-	top := func() hotCtx {
-		if len(ctxs) == 0 {
-			return hotCtx{}
-		}
-		return ctxs[len(ctxs)-1]
-	}
-	parent := func() ast.Node {
-		if len(nodes) == 0 {
-			return nil
-		}
-		return nodes[len(nodes)-1]
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			nodes = nodes[:len(nodes)-1]
-			ctxs = ctxs[:len(ctxs)-1]
-			return true
-		}
-		ctx := top()
-		switch p := parent().(type) {
-		case *ast.ForStmt:
-			if n == p.Body {
-				ctx.Alloc++
-				ctx.Defer++
-			}
-		case *ast.RangeStmt:
-			if n == p.Body {
-				ctx.Alloc++
-				ctx.Defer++
-			}
-		}
-		// The literal node itself is visited with the enclosing context (the
-		// closure value is allocated where it appears); only its body runs
-		// under the adjusted context.
-		visitCtx := ctx
-		if fl, ok := n.(*ast.FuncLit); ok {
-			if isRowCallback(pkgPath, imports, fl) {
-				ctx.Alloc++
-				ctx.Defer = 0
-			} else {
-				ctx = hotCtx{}
-			}
-		}
-		visit(n, visitCtx, nodes)
-		nodes = append(nodes, n)
-		ctxs = append(ctxs, ctx)
-		return true
-	})
-}
-
-// hotFuncsOf yields the production (non-test) hot functions declared in the
-// pass's package, in file/declaration order, with the file's import map.
-func hotFuncsOf(pass *Pass, fn func(info *FuncInfo, file *ast.File, imports map[string]string, chain string)) {
-	for _, file := range pass.Pkg.Files {
-		var imports map[string]string
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			info := pass.Prog.InfoFor(fd)
-			if info == nil || info.TestFile {
-				continue
-			}
-			chain, hot := pass.Prog.HotChain(info)
-			if !hot {
-				continue
-			}
-			if imports == nil {
-				imports = importMap(file)
-			}
-			fn(info, file, imports, chain)
-		}
-	}
 }

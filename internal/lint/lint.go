@@ -1,16 +1,18 @@
 // Package lint is hanalint's analysis framework: a stdlib-only (go/ast,
 // go/parser, go/token) static-analysis driver with a suite of analyzers
-// tuned to this codebase's invariants — lock discipline around 2PC commit
-// and ESP window flushing, deterministic plan choice, error propagation on
-// storage paths, goroutine hygiene, and copy-on-read of shared value
-// buffers.
+// tuned to this codebase's concurrency and fault-boundary invariants — lock
+// discipline and lock order around 2PC commit and ESP window flushing,
+// guarded fields, guarded calls across remote and extended-storage
+// boundaries, error propagation on storage paths, context flow, and resource
+// release.
 //
 // Deliberate violations are suppressed in source with a directive on the
 // same line or the line directly above the diagnostic:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// A directive without a reason is itself reported.
+// A directive without a reason, or naming no analyzer of the suite, is
+// itself reported.
 package lint
 
 import (
@@ -72,19 +74,11 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockSafe,
-		MapDeterminism,
 		ErrDrop,
-		NakedGoroutine,
-		ValueClone,
 		LockOrder,
 		CtxFlow,
 		ResLeak,
-		HotAlloc,
-		BoxVal,
-		StringCmp,
-		DeferHot,
 		GuardedBy,
-		AtomicMix,
 		GuardCall,
 	}
 }
@@ -92,7 +86,8 @@ func Analyzers() []*Analyzer {
 // Run executes the analyzers over every package and returns the surviving
 // diagnostics sorted by position. //lint:ignore directives with a matching
 // analyzer name on the diagnostic's line or the line above suppress it;
-// malformed directives are reported under the "lint" pseudo-analyzer.
+// malformed, stale and unknown-analyzer directives are reported under the
+// "lint" pseudo-analyzer.
 func Run(pkgs map[string]*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunProgram(BuildProgram(pkgs), analyzers)
 }
@@ -178,25 +173,33 @@ func (s directiveSet) suppresses(d Diagnostic) bool {
 // silenced is gone, so the suppression (and its rationale) is rot. Only
 // directives naming an analyzer in the current run set are judged — a
 // partial run cannot know whether an un-run analyzer would have fired —
-// and wildcard ("*") directives are never judged for the same reason.
+// and wildcard ("*") directives are never judged for the same reason. A
+// directive naming no analyzer at all (a typo, or one left behind by a
+// deleted analyzer) can never suppress anything and is always reported.
 func (s directiveSet) stale(analyzers []*Analyzer) []Diagnostic {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
+	known := map[string]bool{"*": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, lines := range s {
 		for _, dirs := range lines {
 			for _, dir := range dirs {
-				if dir.used || dir.analyzer == "*" || !ran[dir.analyzer] {
+				var msg string
+				switch {
+				case !known[dir.analyzer]:
+					msg = fmt.Sprintf("unknown analyzer %q in //lint:ignore directive (see hanalint -list)", dir.analyzer)
+				case dir.used || dir.analyzer == "*" || !ran[dir.analyzer]:
 					continue
+				default:
+					msg = fmt.Sprintf("stale //lint:ignore %s directive: no %s finding here to suppress",
+						dir.analyzer, dir.analyzer)
 				}
-				out = append(out, Diagnostic{
-					Pos:      dir.pos,
-					Analyzer: "lint",
-					Message: fmt.Sprintf("stale //lint:ignore %s directive: no %s finding here to suppress",
-						dir.analyzer, dir.analyzer),
-				})
+				out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "lint", Message: msg})
 			}
 		}
 	}

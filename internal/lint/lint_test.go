@@ -133,9 +133,7 @@ func TestRepositoryIsClean(t *testing.T) {
 func TestNewAnalyzersDeterministic(t *testing.T) {
 	pkgs := loadFixtures(t)
 	for _, a := range []*lint.Analyzer{
-		lint.LockOrder, lint.CtxFlow, lint.ResLeak,
-		lint.HotAlloc, lint.BoxVal, lint.StringCmp, lint.DeferHot,
-		lint.GuardedBy, lint.AtomicMix, lint.GuardCall,
+		lint.LockOrder, lint.CtxFlow, lint.ResLeak, lint.GuardedBy, lint.GuardCall,
 	} {
 		var first string
 		for i := 0; i < 50; i++ {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -107,15 +106,4 @@ func modulePath(root string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("no module directive in %s/go.mod", root)
-}
-
-// ParseFixture parses a single fixture file into a one-file Package with
-// the given synthetic import path — the test harness entry point.
-func ParseFixture(path, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: importPath, Fset: fset, Files: []*ast.File{file}}, nil
 }

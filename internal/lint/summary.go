@@ -142,9 +142,8 @@ type Program struct {
 	lockGraph []LockEdge        // cached by LockGraph
 	hotFuncs  map[string]string // cached by HotFuncs: key → chain from root
 
-	guards  *guardFacts     // cached by guardFactsOf (guardedby + SuggestGuards)
-	atomics *atomicFacts    // cached by atomicFactsOf (atomicmix)
-	seams   *guardcallFacts // cached by guardcallFactsOf (guardcall + fault-site gate)
+	guards *guardFacts     // cached by guardFactsOf (guardedby + SuggestGuards)
+	seams  *guardcallFacts // cached by guardcallFactsOf (guardcall + fault-site gate)
 }
 
 // FuncsSorted returns every summary in deterministic (key) order.

@@ -1,7 +1,7 @@
 // Fixture: discarded errors on storage paths — bare calls, deferred Close,
 // blank assignment, and a cross-package drop of a monitored function. Also
 // exercises the //lint:ignore directive: a reasoned directive suppresses,
-// a reasonless one is itself a finding.
+// a reasonless one or one naming no analyzer is itself a finding.
 package diskstore
 
 import (
@@ -52,4 +52,13 @@ func (w *wal) dropMalformed() {
 	// want +1 lint
 	//lint:ignore errdrop
 	_ = w.flush() // want errdrop
+}
+
+// flushMisspelled carries a directive naming an analyzer that does not
+// exist: a typo (or a leftover from a deleted analyzer) is reported under
+// "lint" even though the line beneath it is clean.
+func (w *wal) flushMisspelled() error {
+	// want +1 lint
+	//lint:ignore errdorp fixture: a misspelled analyzer name
+	return w.flush()
 }
