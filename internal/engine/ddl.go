@@ -399,7 +399,7 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 			hot = append(hot, p)
 		}
 	}
-	flagged, err := bindToSchema(expr.Eq(expr.Col(t.meta.AgingColumn), expr.Lit(value.NewBool(true))), t.meta.Schema)
+	flagged, err := expr.BindClone(expr.Eq(expr.Col(t.meta.AgingColumn), expr.Lit(value.NewBool(true))), t.meta.Schema)
 	if err != nil {
 		return 0, err
 	}
@@ -432,13 +432,4 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 		return 0, err
 	}
 	return moved, nil
-}
-
-// bindToSchema clones and binds an expression against a schema.
-func bindToSchema(ex expr.Expr, s *value.Schema) (expr.Expr, error) {
-	c := expr.Clone(ex)
-	if err := expr.Bind(c, s); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -32,7 +32,7 @@ func renderConjs(conjs []expr.Expr) string {
 	if len(conjs) == 0 {
 		return ""
 	}
-	return expr.And(cloneAll(conjs)...).SQL()
+	return expr.And(expr.CloneAll(conjs)...).SQL()
 }
 
 // shippedFilter is the plan child naming the predicate a fragment carries.
@@ -83,7 +83,7 @@ func (p *planner) realizeDist(r *relation) error {
 	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", dr.name, len(res.Rows), shards)
 	r.node = node(label, shippedFilter(dr.conjs)...)
 	if len(dr.coord) > 0 {
-		pred, err := bindToSchema(expr.And(dr.coord...), r.schema)
+		pred, err := expr.BindClone(expr.And(dr.coord...), r.schema)
 		if err != nil {
 			return err
 		}

@@ -149,7 +149,7 @@ func (e *Engine) collectTargets(ctx context.Context, tx *txn.Txn, t *storedTable
 	var bound expr.Expr
 	if where != nil {
 		var err error
-		if bound, err = bindToSchema(where, schema); err != nil {
+		if bound, err = expr.BindClone(where, schema); err != nil {
 			return nil, err
 		}
 	}
@@ -219,7 +219,7 @@ func (e *Engine) update(ctx context.Context, tx *txn.Txn, st *sqlparse.UpdateStm
 		if ord < 0 {
 			return nil, fmt.Errorf("column %s not in table %s", s.Col, st.Table)
 		}
-		bex, err := bindToSchema(s.E, schema)
+		bex, err := expr.BindClone(s.E, schema)
 		if err != nil {
 			return nil, err
 		}

@@ -181,7 +181,7 @@ func (p *planner) realizeRemote(r *relation) error {
 		}
 	}
 	sel.From = from
-	sel.Where = expr.And(cloneAll(rr.conjs)...)
+	sel.Where = expr.And(expr.CloneAll(rr.conjs)...)
 	sql := sqlparse.RenderSelect(sel)
 
 	opts := p.remoteOpts(sel.Where != nil)
@@ -252,7 +252,7 @@ func (p *planner) realizeExt(r *relation) error {
 	var bound []expr.Expr
 	inCount := 0
 	for _, c := range r.ext.conjs {
-		bc, err := bindToSchema(c, r.schema)
+		bc, err := expr.BindClone(c, r.schema)
 		if err != nil {
 			return err
 		}
@@ -334,14 +334,6 @@ func colOpLiteral(b *expr.BinOp) (*expr.ColRef, value.Value, expr.Op) {
 		}
 	}
 	return nil, value.Null, expr.OpInvalid
-}
-
-func cloneAll(es []expr.Expr) []expr.Expr {
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = expr.Clone(e)
-	}
-	return out
 }
 
 // iterOf exposes a realized relation as an executor input: a BatchSlice

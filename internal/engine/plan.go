@@ -180,9 +180,9 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 	// Split WHERE into plain conjuncts and subquery predicates; the latter
 	// are evaluated first and join the pool behind the plain conjuncts.
 	var pool []expr.Expr
-	var transforms []subqueryTransform
+	var transforms []sqlparse.SubqueryPredicate
 	for _, c := range expr.SplitConjuncts(sel.Where) {
-		if tf, ok := asSubqueryTransform(c); ok {
+		if tf, ok := sqlparse.AsSubqueryPredicate(c); ok {
 			transforms = append(transforms, tf)
 			continue
 		}
@@ -223,7 +223,7 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 	// Residual conjuncts that never found a single home (cross-relation
 	// non-equi predicates).
 	if len(pool) > 0 {
-		pred, err := bindToSchema(expr.And(cloneAll(pool)...), it.Schema())
+		pred, err := expr.BindClone(expr.And(expr.CloneAll(pool)...), it.Schema())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -425,7 +425,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	var pred expr.Expr
 	if len(conjs) > 0 {
 		var err error
-		pred, err = bindToSchema(expr.And(cloneAll(conjs)...), schema)
+		pred, err = expr.BindClone(expr.And(expr.CloneAll(conjs)...), schema)
 		if err != nil {
 			return nil, err
 		}
@@ -557,7 +557,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 			rightKeys = append(rightKeys, rk)
 			continue
 		}
-		if coversSchema(combined, c) {
+		if expr.Covers(combined, c) {
 			residual = append(residual, c)
 			continue
 		}
@@ -616,7 +616,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		}
 		var res expr.Expr
 		if len(residual) > 0 {
-			if res, err = bindToSchema(expr.And(cloneAll(residual)...), combined); err != nil {
+			if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
 				return nil, err
 			}
 		}
@@ -631,7 +631,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		var on expr.Expr
 		if len(residual) > 0 {
 			var err error
-			on, err = bindToSchema(expr.And(cloneAll(residual)...), combined)
+			on, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined)
 			if err != nil {
 				return nil, err
 			}
@@ -695,7 +695,7 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 		return nil
 	}
 	for i := range smallKeys {
-		key, err := bindToSchema(smallKeys[i], small.schema)
+		key, err := expr.BindClone(smallKeys[i], small.schema)
 		if err != nil {
 			return err
 		}
@@ -739,24 +739,15 @@ func isLiteral(e expr.Expr) bool {
 	return ok
 }
 
-func coversSchema(s *value.Schema, e expr.Expr) bool {
-	for _, c := range expr.Columns(e) {
-		if s.Find(c) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func bindKeys(lk []expr.Expr, ls *value.Schema, rk []expr.Expr, rs *value.Schema) ([]expr.Expr, []expr.Expr, error) {
 	bl := make([]expr.Expr, len(lk))
 	br := make([]expr.Expr, len(rk))
 	for i := range lk {
 		var err error
-		if bl[i], err = bindToSchema(lk[i], ls); err != nil {
+		if bl[i], err = expr.BindClone(lk[i], ls); err != nil {
 			return nil, nil, err
 		}
-		if br[i], err = bindToSchema(rk[i], rs); err != nil {
+		if br[i], err = expr.BindClone(rk[i], rs); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -795,7 +786,7 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 		}
 		var res expr.Expr
 		if len(residual) > 0 {
-			if res, err = bindToSchema(expr.And(cloneAll(residual)...), combined); err != nil {
+			if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
 				return nil, err
 			}
 		}
@@ -805,7 +796,7 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 			return nil, err
 		}
 	} else {
-		bon, err := bindToSchema(on, combined)
+		bon, err := expr.BindClone(on, combined)
 		if err != nil {
 			return nil, err
 		}

@@ -161,7 +161,7 @@ func TestScanMatchesNaiveLoop(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if pred, err = bindToSchema(stmt.(*sqlparse.SelectStmt).Where, schema); err != nil {
+					if pred, err = expr.BindClone(stmt.(*sqlparse.SelectStmt).Where, schema); err != nil {
 						t.Fatal(err)
 					}
 					expr.Walk(pred, func(n expr.Expr) bool {

@@ -10,38 +10,6 @@ import (
 	"hana/internal/value"
 )
 
-// subqueryTransform is a WHERE-clause [NOT] IN (SELECT …) or [NOT] EXISTS
-// predicate. placeSubqueries evaluates it ahead of the FROM tree and turns
-// it into a pool conjunct; the cases it leaves alone become a semi/anti
-// join on top of the joined block (applyTransform).
-type subqueryTransform struct {
-	anti      bool
-	nullAware bool                 // NOT IN semantics
-	outerExpr expr.Expr            // IN-subquery comparison expression (nil for EXISTS)
-	sel       *sqlparse.SelectStmt // the subquery block
-}
-
-// asSubqueryTransform recognizes [NOT] IN (SELECT …), [NOT] EXISTS (…) —
-// including NOT applied via the parser's generic negation node.
-func asSubqueryTransform(c expr.Expr) (subqueryTransform, bool) {
-	switch n := c.(type) {
-	case *sqlparse.InSubqueryExpr:
-		return subqueryTransform{anti: n.Negate, nullAware: n.Negate, outerExpr: n.E, sel: n.Sel}, true
-	case *sqlparse.ExistsExpr:
-		return subqueryTransform{anti: n.Negate, sel: n.Sel}, true
-	case *expr.UnOp:
-		if n.Op != expr.OpNot {
-			return subqueryTransform{}, false
-		}
-		if tf, ok := asSubqueryTransform(n.E); ok {
-			tf.anti = !tf.anti
-			tf.nullAware = tf.anti && tf.outerExpr != nil
-			return tf, true
-		}
-	}
-	return subqueryTransform{}, false
-}
-
 // fromLeaf is one leaf of a block's FROM tree as placeSubqueries sees it
 // before anything is planned: its qualified schema, and whether a conjunct
 // over it is evaluated by this engine's own scan (in-memory and sharded
@@ -169,7 +137,7 @@ func keyValues(rows []value.Row, key expr.Expr) (vals []value.Value, sawNull boo
 // ships to a remote source or the cold tier stays as it was), EXISTS with
 // several correlation keys, and uncorrelated EXISTS (a constant, not a
 // join). nodes are the evaluated subqueries' plans.
-func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransform, pool *[]expr.Expr) (rest []subqueryTransform, nodes []*planNode, err error) {
+func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.SubqueryPredicate, pool *[]expr.Expr) (rest []sqlparse.SubqueryPredicate, nodes []*planNode, err error) {
 	if len(tfs) == 0 {
 		return nil, nil, nil
 	}
@@ -185,9 +153,9 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 	}
 	equis := blockEquiConjuncts(sel.From, *pool)
 	for _, tf := range tfs {
-		key, sub := tf.outerExpr, tf.sel
+		key, sub := tf.Outer, tf.Sel
 		if key == nil {
-			outerKeys, innerKeys, remaining, err := p.decorrelate(tf.sel, outer)
+			outerKeys, innerKeys, remaining, err := p.decorrelate(tf.Sel, outer)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -197,7 +165,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 			}
 			key = outerKeys[0]
 			sub = &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: expr.Clone(innerKeys[0])}},
-				From: tf.sel.From, Where: expr.And(remaining...), Limit: -1}
+				From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
 		}
 		if !placeable(key, leaves) {
 			rest = append(rest, tf)
@@ -217,7 +185,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 		var conj expr.Expr
 		var in *expr.In
 		switch {
-		case !tf.anti:
+		case !tf.Anti:
 			// IN / EXISTS: NULL keys match nothing; an empty set is the
 			// impossible filter maybeSemiJoin uses.
 			if len(vals) == 0 {
@@ -225,12 +193,12 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 			}
 			in = expr.NewIn(key, vals, false)
 			conj = in
-		case len(vals) == 0 && !(tf.nullAware && sawNull):
+		case len(vals) == 0 && !(tf.NullAware() && sawNull):
 			// NOT IN / NOT EXISTS over nothing holds for every row, NULL
 			// outer keys included: no conjunct.
 			nodes = append(nodes, node("Subquery Key Set (empty, predicate holds for every row)", subNode))
 			continue
-		case tf.nullAware:
+		case tf.NullAware():
 			// NOT IN: a NULL in the list makes every non-match unknown.
 			if sawNull {
 				vals = append(vals, value.Null)
@@ -244,7 +212,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []subqueryTransf
 		}
 		p.addKeySet(pool, conj, len(in.List))
 		nodes = append(nodes, node("Subquery Key Set: "+planSQL(conj), subNode))
-		if tf.anti {
+		if tf.Anti {
 			continue
 		}
 		keySQL, keyKind := key.SQL(), exec.ExprKind(key, outer)
@@ -309,91 +277,79 @@ func elideLists(e expr.Expr) expr.Expr {
 	})
 }
 
-// applyTransform converts one subquery transform placeSubqueries left alone
-// into a semi/anti hash join on top of the current iterator.
-func (p *planner) applyTransform(it exec.Iter, root *planNode, tf subqueryTransform) (exec.Iter, *planNode, error) {
+// applyTransform runs one subquery predicate placeSubqueries left alone as
+// a semi/anti hash join on top of the current iterator: the block's rows
+// (batches stay batches) probe the subquery's rows.
+func (p *planner) applyTransform(it exec.Iter, root *planNode, tf sqlparse.SubqueryPredicate) (exec.Iter, *planNode, error) {
 	kind := exec.JoinSemi
 	label := "Semi Join (IN/EXISTS subquery)"
-	if tf.anti {
+	if tf.Anti {
 		kind = exec.JoinAnti
 		label = "Anti Join (NOT IN/NOT EXISTS subquery)"
 	}
+	if tf.NullAware() {
+		kind = exec.JoinAntiNullAware
+	}
 
-	if tf.outerExpr != nil {
-		// IN (SELECT …): uncorrelated; the subquery's single output column
-		// is the build key.
-		sub, subNode, err := p.blockRows(tf.sel)
+	// IN (SELECT …) is uncorrelated: the subquery's single output column is
+	// the build key.
+	outerKeys, subSel := []expr.Expr{tf.Outer}, tf.Sel
+	if tf.Outer == nil {
+		// EXISTS: decorrelate equality predicates between outer and inner
+		// columns into join keys.
+		var innerKeys, remaining []expr.Expr
+		var err error
+		outerKeys, innerKeys, remaining, err = p.decorrelate(tf.Sel, it.Schema())
 		if err != nil {
 			return nil, nil, err
 		}
-		if sub.Schema.Len() != 1 {
-			return nil, nil, fmt.Errorf("IN subquery must return one column, got %d", sub.Schema.Len())
+		if len(outerKeys) == 0 {
+			// Uncorrelated EXISTS: evaluate once.
+			probe := &sqlparse.SelectStmt{Items: tf.Sel.Items, From: tf.Sel.From,
+				Where: expr.And(remaining...), GroupBy: tf.Sel.GroupBy, Having: tf.Sel.Having, Limit: 1}
+			rows, _, err := p.blockRows(probe)
+			if err != nil {
+				return nil, nil, err
+			}
+			exists := rows.Len() > 0
+			if exists != tf.Anti {
+				return it, node("Exists(const true)", root), nil
+			}
+			return exec.NewSlice(it.Schema(), nil), node("Exists(const false)", root), nil
 		}
-		leftKey, err := bindToSchema(tf.outerExpr, it.Schema())
-		if err != nil {
-			return nil, nil, err
+		// Plan the inner block projecting the correlation keys.
+		items := make([]sqlparse.SelectItem, len(innerKeys))
+		for i, k := range innerKeys {
+			items[i] = sqlparse.SelectItem{Expr: expr.Clone(k)}
 		}
-		rightKey := expr.Col(sub.Schema.Cols[0].Name)
-		if err := expr.Bind(rightKey, sub.Schema); err != nil {
-			return nil, nil, err
-		}
-		join := &exec.HashJoin{
-			Kind: kind, Left: it, Right: exec.NewSlice(sub.Schema, sub.Data),
-			LeftKeys:      []expr.Expr{leftKey},
-			RightKeys:     []expr.Expr{rightKey},
-			NullAwareAnti: tf.nullAware,
-		}
-		return join, node(label, root, subNode), nil
+		subSel = &sqlparse.SelectStmt{Items: items, From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
+		label += " (decorrelated)"
 	}
-
-	// EXISTS: decorrelate equality predicates between outer and inner
-	// columns into join keys.
-	outerSchema := it.Schema()
-	outerKeys, innerKeys, remaining, err := p.decorrelate(tf.sel, outerSchema)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(outerKeys) == 0 {
-		// Uncorrelated EXISTS: evaluate once.
-		probe := &sqlparse.SelectStmt{Items: tf.sel.Items, From: tf.sel.From,
-			Where: expr.And(remaining...), GroupBy: tf.sel.GroupBy, Having: tf.sel.Having, Limit: 1}
-		rows, _, err := p.blockRows(probe)
-		if err != nil {
-			return nil, nil, err
-		}
-		exists := rows.Len() > 0
-		if exists != tf.anti {
-			return it, node("Exists(const true)", root), nil
-		}
-		return exec.NewSlice(it.Schema(), nil), node("Exists(const false)", root), nil
-	}
-
-	// Plan the inner block projecting the correlation keys.
-	items := make([]sqlparse.SelectItem, len(innerKeys))
-	for i, k := range innerKeys {
-		items[i] = sqlparse.SelectItem{Expr: expr.Clone(k)}
-	}
-	subSel := &sqlparse.SelectStmt{Items: items, From: tf.sel.From, Where: expr.And(remaining...), Limit: -1}
 	sub, subNode, err := p.blockRows(subSel)
 	if err != nil {
 		return nil, nil, err
 	}
-	boundOuter := make([]expr.Expr, len(outerKeys))
-	boundInner := make([]expr.Expr, len(innerKeys))
-	for i := range outerKeys {
-		if boundOuter[i], err = bindToSchema(outerKeys[i], outerSchema); err != nil {
+	if tf.Outer != nil && sub.Schema.Len() != 1 {
+		return nil, nil, fmt.Errorf("IN subquery must return one column, got %d", sub.Schema.Len())
+	}
+	leftKeys := make([]expr.Expr, len(outerKeys))
+	rightKeys := make([]expr.Expr, len(outerKeys))
+	for i, k := range outerKeys {
+		if leftKeys[i], err = expr.BindClone(k, it.Schema()); err != nil {
 			return nil, nil, err
 		}
-		boundInner[i] = expr.Col(sub.Schema.Cols[i].Name)
-		if err := expr.Bind(boundInner[i], sub.Schema); err != nil {
-			return nil, nil, err
-		}
+		rightKeys[i] = &expr.ColRef{Name: sub.Schema.Cols[i].Name, Ord: i}
 	}
-	join := &exec.HashJoin{
-		Kind: kind, Left: it, Right: exec.NewSlice(sub.Schema, sub.Data),
-		LeftKeys: boundOuter, RightKeys: boundInner,
+	left, err := exec.DrainSide(it)
+	if err != nil {
+		return nil, nil, err
 	}
-	return join, node(label+" (decorrelated)", root, subNode), nil
+	rows, err := exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats, kind,
+		left, exec.JoinSide{Rows: sub.Data}, leftKeys, rightKeys, nil, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec.NewSlice(it.Schema(), rows), node(label, root, subNode), nil
 }
 
 // correlationPair decomposes an equality between an outer column and an

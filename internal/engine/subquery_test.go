@@ -81,34 +81,38 @@ func TestSubqueryKeySetPlanText(t *testing.T) {
 }
 
 // subqueryReference evaluates `base WHERE key <kind> (sub)` the slow way:
-// run the block without the subquery predicate (base selects the outer key
-// as an extra last column), run the subquery on its own, and decide each
-// row by a linear three-valued scan of the keys. An empty sub means base is
-// the whole statement with the key list written out by hand.
+// run the block without the subquery predicate (base selects the outer keys
+// as extra last columns, one per column of sub), run the subquery on its
+// own, and decide each row by a linear three-valued scan of the keys. An
+// empty sub means base is the whole statement with the key list written out
+// by hand.
 func subqueryReference(t *testing.T, e *Engine, kind, base, sub string, opts ...ExecOption) []value.Row {
 	t.Helper()
-	run := func(sql string) []value.Row {
+	run := func(sql string) *Result {
 		res, err := e.ExecuteContext(context.Background(), sql, append(opts, WithParallelism(1))...)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		return res.Rows
+		return res
 	}
 	if sub == "" {
-		return run(base)
+		return run(base).Rows
 	}
 	keys := run(sub)
+	nk := keys.Schema.Len()
 	var out []value.Row
-	for _, row := range run(base) {
-		k := row[len(row)-1]
+	for _, row := range run(base).Rows {
+		k := row[len(row)-nk:]
 		matched, sawNull := false, false
-		for _, kr := range keys {
-			switch {
-			case kr[0].IsNull():
-				sawNull = true
-			case !k.IsNull() && value.Compare(k, kr[0]) == 0:
-				matched = true
+		for _, kr := range keys.Rows {
+			eq := true
+			for i := range kr {
+				if kr[i].IsNull() {
+					sawNull = true
+				}
+				eq = eq && !kr[i].IsNull() && !k[i].IsNull() && value.Compare(k[i], kr[i]) == 0
 			}
+			matched = matched || eq
 		}
 		var keep bool
 		switch kind {
@@ -117,10 +121,10 @@ func subqueryReference(t *testing.T, e *Engine, kind, base, sub string, opts ...
 		case "NOT EXISTS":
 			keep = !matched
 		case "NOT IN":
-			keep = len(keys) == 0 || (!k.IsNull() && !matched && !sawNull)
+			keep = len(keys.Rows) == 0 || (!k[0].IsNull() && !matched && !sawNull)
 		}
 		if keep {
-			out = append(out, row[:len(row)-1])
+			out = append(out, row[:len(row)-nk])
 		}
 	}
 	return out
@@ -133,6 +137,7 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 		e := New(Config{ExtendedStorageDir: t.TempDir(), Parallelism: 4, SemiJoinThreshold: 8,
 			Topology: dist.Topology{Shards: shards}})
 		exec1(t, e, `CREATE TABLE a (n BIGINT, x BIGINT, g VARCHAR(8))`)
+		exec1(t, e, `CREATE TABLE ax (n BIGINT, x BIGINT, g VARCHAR(8)) USING EXTENDED STORAGE`)
 		exec1(t, e, `CREATE TABLE b (y DOUBLE, z BIGINT)`)
 		exec1(t, e, `CREATE TABLE c (n BIGINT, w BIGINT)`)
 		var a, b, c []value.Row
@@ -156,7 +161,7 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 			}
 			b = append(b, value.Row{y, value.NewInt(int64(i * 3 % 60))})
 		}
-		for name, rows := range map[string][]value.Row{"a": a, "b": b, "c": c} {
+		for name, rows := range map[string][]value.Row{"a": a, "ax": a, "b": b, "c": c} {
 			if err := e.BulkLoad(name, rows); err != nil {
 				t.Fatal(err)
 			}
@@ -166,54 +171,93 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 	shards := []int{0, 2}
 	engines := []*Engine{load(0), load(2)}
 
-	cases := []struct{ name, kind, sql, base, sub string }{
+	// plan, when set, is the node the statement's plan must show: the
+	// post-join semi/anti join, which an extended-storage outer table, two
+	// correlation keys or an uncorrelated EXISTS keep.
+	cases := []struct{ name, kind, sql, base, sub, plan string }{
 		{"IN, mixed kinds, large set", "IN",
 			`SELECT n, g FROM a WHERE g <> 'g1' AND x IN (SELECT y FROM b)`,
-			`SELECT n, g, x FROM a WHERE g <> 'g1'`, `SELECT y FROM b`},
+			`SELECT n, g, x FROM a WHERE g <> 'g1'`, `SELECT y FROM b`, ""},
 		{"IN, small set", "IN",
 			`SELECT n FROM a WHERE x IN (SELECT y FROM b WHERE y < 5)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y < 5`},
+			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y < 5`, ""},
 		{"IN, empty set", "IN",
 			`SELECT n FROM a WHERE x IN (SELECT y FROM b WHERE y > 1000)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 1000`},
+			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 1000`, ""},
 		{"IN under a shippable aggregate, expanded by hand", "",
 			`SELECT g, COUNT(*) FROM a WHERE x IN (SELECT y FROM b WHERE y < 5) GROUP BY g`,
-			`SELECT g, COUNT(*) FROM a WHERE x IN (0, 1.5, 2, 3, 4) GROUP BY g`, ""},
+			`SELECT g, COUNT(*) FROM a WHERE x IN (0, 1.5, 2, 3, 4) GROUP BY g`, "", ""},
 		{"NOT IN, NULL in the subquery result", "NOT IN",
 			`SELECT n FROM a WHERE x NOT IN (SELECT y FROM b)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b`},
+			`SELECT n, x FROM a`, `SELECT y FROM b`, ""},
 		{"NOT IN, NULL outer keys", "NOT IN",
 			`SELECT n FROM a WHERE x NOT IN (SELECT y FROM b WHERE y IS NOT NULL)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y IS NOT NULL`},
+			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y IS NOT NULL`, ""},
 		{"NOT IN, empty set", "NOT IN",
 			`SELECT n FROM a WHERE x NOT IN (SELECT y FROM b WHERE y > 1000)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 1000`},
+			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 1000`, ""},
 		{"EXISTS", "EXISTS",
 			`SELECT n FROM a WHERE EXISTS (SELECT * FROM b WHERE z = x AND y > 2)`,
-			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 2`},
+			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 2`, ""},
 		{"NOT EXISTS", "NOT EXISTS",
 			`SELECT n FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE z = x AND y > 2)`,
-			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 2`},
+			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 2`, ""},
 		{"NOT EXISTS, empty set", "NOT EXISTS",
 			`SELECT n FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE z = x AND y > 1000)`,
-			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 1000`},
+			`SELECT n, x FROM a`, `SELECT z FROM b WHERE y > 1000`, ""},
 		{"IN, filter derived through the join key", "IN",
 			`SELECT a.n, w FROM a, c WHERE a.n = c.n AND a.n IN (SELECT z FROM b)`,
-			`SELECT a.n, w, a.n FROM a, c WHERE a.n = c.n`, `SELECT z FROM b`},
+			`SELECT a.n, w, a.n FROM a, c WHERE a.n = c.n`, `SELECT z FROM b`, ""},
 		{"IN, expression key spanning two relations", "IN",
 			`SELECT a.n FROM a, c WHERE a.n = c.n AND x + w IN (SELECT y FROM b)`,
-			`SELECT a.n, x + w FROM a, c WHERE a.n = c.n`, `SELECT y FROM b`},
+			`SELECT a.n, x + w FROM a, c WHERE a.n = c.n`, `SELECT y FROM b`, ""},
 		{"IN on the null-supplying side of a LEFT OUTER JOIN", "IN",
 			`SELECT a.n, w FROM a LEFT OUTER JOIN c ON a.n = c.n WHERE w IN (SELECT y FROM b)`,
-			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b`},
+			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b`, ""},
 		{"NOT IN over nothing on the null-supplying side", "NOT IN",
 			`SELECT a.n, w FROM a LEFT OUTER JOIN c ON a.n = c.n WHERE w NOT IN (SELECT y FROM b WHERE y > 1000)`,
-			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b WHERE y > 1000`},
+			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b WHERE y > 1000`, ""},
 		{"NOT EXISTS on the null-supplying side", "NOT EXISTS",
 			`SELECT a.n, w FROM a LEFT OUTER JOIN c ON a.n = c.n WHERE NOT EXISTS (SELECT * FROM b WHERE y = w)`,
-			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b`},
+			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b`, ""},
+		{"post-join: extended outer, IN, NULL in the set", "IN",
+			`SELECT n FROM ax WHERE x IN (SELECT y FROM b)`,
+			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Semi Join (IN/EXISTS subquery)\n"},
+		{"post-join: extended outer, IN, empty set", "IN",
+			`SELECT n FROM ax WHERE x IN (SELECT y FROM b WHERE y > 1000)`,
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Semi Join (IN/EXISTS subquery)\n"},
+		{"post-join: extended outer, NOT IN, NULL in the set", "NOT IN",
+			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b)`,
+			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+		{"post-join: extended outer, NOT IN, NULL outer keys", "NOT IN",
+			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b WHERE y IS NOT NULL)`,
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y IS NOT NULL`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+		{"post-join: extended outer, NOT IN, empty set", "NOT IN",
+			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b WHERE y > 1000)`,
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+		{"post-join: extended outer, EXISTS", "EXISTS",
+			`SELECT n FROM ax WHERE EXISTS (SELECT * FROM b WHERE z = x AND y > 2)`,
+			`SELECT n, x FROM ax`, `SELECT z FROM b WHERE y > 2`, "Semi Join (IN/EXISTS subquery) (decorrelated)"},
+		{"post-join: extended outer, NOT EXISTS, NULL outer keys", "NOT EXISTS",
+			`SELECT n FROM ax WHERE NOT EXISTS (SELECT * FROM b WHERE z = x AND y > 2)`,
+			`SELECT n, x FROM ax`, `SELECT z FROM b WHERE y > 2`, "Anti Join (NOT IN/NOT EXISTS subquery) (decorrelated)"},
+		{"post-join: extended outer, NOT EXISTS, empty set", "NOT EXISTS",
+			`SELECT n FROM ax WHERE NOT EXISTS (SELECT * FROM b WHERE z = x AND y > 1000)`,
+			`SELECT n, x FROM ax`, `SELECT z FROM b WHERE y > 1000`, "Anti Join (NOT IN/NOT EXISTS subquery) (decorrelated)"},
+		{"post-join: EXISTS with two correlation keys", "EXISTS",
+			`SELECT a.n FROM a WHERE EXISTS (SELECT * FROM c WHERE c.n = a.n AND w = x)`,
+			`SELECT n, n, x FROM a`, `SELECT n, w FROM c`, "Semi Join (IN/EXISTS subquery) (decorrelated)"},
+		{"post-join: NOT EXISTS with two correlation keys", "NOT EXISTS",
+			`SELECT a.n FROM a WHERE NOT EXISTS (SELECT * FROM c WHERE c.n = a.n AND w = x)`,
+			`SELECT n, n, x FROM a`, `SELECT n, w FROM c`, "Anti Join (NOT IN/NOT EXISTS subquery) (decorrelated)"},
+		{"post-join: uncorrelated EXISTS, true", "",
+			`SELECT n FROM a WHERE EXISTS (SELECT * FROM b WHERE y > 2)`,
+			`SELECT n FROM a`, "", "Exists(const true)"},
+		{"post-join: uncorrelated EXISTS, false", "",
+			`SELECT n FROM a WHERE EXISTS (SELECT * FROM b WHERE y > 1000)`,
+			`SELECT n FROM a WHERE n < 0`, "", "Exists(const false)"},
 	}
-	check := func(t *testing.T, kind, sql, base, sub string, optsFor func(*Engine) []ExecOption) []value.Row {
+	check := func(t *testing.T, kind, sql, base, sub, plan string, optsFor func(*Engine) []ExecOption) []value.Row {
 		t.Helper()
 		want := fmt.Sprint(subqueryReference(t, engines[0], kind, base, sub, optsFor(engines[0])...))
 		var rows []value.Row
@@ -226,6 +270,9 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 				if got := fmt.Sprint(res.Rows); got != want {
 					t.Fatalf("shards %d width %d:\ngot  %s\nwant %s\n%s", shards[i], width, got, want, res.Plan)
 				}
+				if !strings.Contains(res.Plan, plan) {
+					t.Fatalf("shards %d width %d: plan lacks %q:\n%s", shards[i], width, plan, res.Plan)
+				}
 				rows = res.Rows
 			}
 		}
@@ -233,7 +280,7 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			check(t, tc.kind, tc.sql, tc.base, tc.sub, func(*Engine) []ExecOption { return nil })
+			check(t, tc.kind, tc.sql, tc.base, tc.sub, tc.plan, func(*Engine) []ExecOption { return nil })
 		})
 	}
 
@@ -251,7 +298,7 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 			}
 		}
 		rows := check(t, "IN", `SELECT n FROM a WHERE x IN (SELECT y FROM b WHERE y > 100)`,
-			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 100`, func(e *Engine) []ExecOption { return txs[e] })
+			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y > 100`, "", func(e *Engine) []ExecOption { return txs[e] })
 		if fmt.Sprint(rows) != "[[1000]]" {
 			t.Fatalf("rows = %v, want the transaction's own row 1000", rows)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"hana/internal/expr"
@@ -8,8 +9,8 @@ import (
 )
 
 // Aggregation and join inner loops must allocate per group / per output
-// row, never per input row: the group-key buffer and the match scratch are
-// reused across rows. These tests pin allocation counts well below the row
+// row, never per input row: the group-key buffer and the probe key scratch
+// are reused across rows. These tests pin allocation counts well below the row
 // count, so reintroducing a per-row make shows up as an order-of-magnitude
 // jump.
 
@@ -46,40 +47,22 @@ func TestAggregateMorselSubLinearAllocs(t *testing.T) {
 func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 	const n = 1000
 	left := modRows(n)
-	build := rowsOf([]int64{0, 100}, []int64{1, 101})
+	build := rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})
 	s := intSchema("g", "v")
-	key := func() expr.Expr {
-		e := expr.Col("g")
-		if err := expr.Bind(e, s); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	j := &HashJoin{
-		Kind:      JoinInner,
-		Left:      NewSlice(s, left),
-		Right:     NewSlice(s, build),
-		LeftKeys:  []expr.Expr{key()},
-		RightKeys: []expr.Expr{key()},
-	}
-	out := 0
-	if err := j.build(); err != nil {
+	key := []expr.Expr{expr.Col("g")}
+	if err := expr.Bind(key[0], s); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(1, func() {
-		for _, l := range left {
-			m, err := j.matches(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out += len(m)
+	allocs := testing.AllocsPerRun(5, func() {
+		out, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinAnti,
+			JoinSide{Rows: left}, JoinSide{Rows: build}, key, key, nil, 0)
+		if err != nil || len(out) != 0 {
+			t.Fatalf("anti join = %d rows, %v", len(out), err)
 		}
 	})
-	// The match buffer is reused: probing n rows must not allocate n slices.
+	// Every probe row matches, so nothing is emitted: probing n rows must
+	// allocate per morsel, never per row.
 	if allocs > n/4 {
-		t.Errorf("probing %d rows allocates %.0f times; the matches scratch must be reused", n, allocs)
-	}
-	if out == 0 {
-		t.Fatal("join produced no matches")
+		t.Errorf("probing %d rows allocates %.0f times; the probe loop must not allocate per row", n, allocs)
 	}
 }

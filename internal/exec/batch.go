@@ -25,10 +25,6 @@ type BatchIter interface {
 	NextBatch() (*value.Batch, error)
 }
 
-// RowsOf materializes a batch's live rows — the adapter row-oriented
-// operators use to consume batch producers.
-func RowsOf(b *value.Batch) []value.Row { return b.MaterializeRows() }
-
 // batchRows adapts NextBatch streams to row-at-a-time Next calls.
 type batchRows struct {
 	rows []value.Row

@@ -80,14 +80,14 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	}
 
 	if having != nil {
-		if b.Having, err = bindClone(having, pre); err != nil {
+		if b.Having, err = expr.BindClone(having, pre); err != nil {
 			return nil, err
 		}
 	}
 	b.Out = &value.Schema{}
 	b.exprs = make([]expr.Expr, 0, len(items))
 	for _, item := range items {
-		be, err := bindClone(item.Expr, pre)
+		be, err := expr.BindClone(item.Expr, pre)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	for i, o := range sel.OrderBy {
 		key, err := outputKey(order[i], items, b.Out)
 		if err != nil {
-			be, err := bindClone(order[i], pre)
+			be, err := expr.BindClone(order[i], pre)
 			if err != nil {
 				return nil, fmt.Errorf("ORDER BY: %w", err)
 			}
@@ -202,7 +202,7 @@ func (b *Block) analyzeAggregate(groupBy []expr.Expr, in *value.Schema, items []
 	b.GroupBy = make([]expr.Expr, len(groupBy))
 	groups := map[string]bool{} // a group column is named by its expression's SQL
 	for i, g := range groupBy {
-		bg, err := bindClone(g, in)
+		bg, err := expr.BindClone(g, in)
 		if err != nil {
 			return nil, fmt.Errorf("GROUP BY: %w", err)
 		}
@@ -228,7 +228,7 @@ func (b *Block) analyzeAggregate(groupBy []expr.Expr, in *value.Schema, items []
 					err = fmt.Errorf("aggregate %s expects one argument", f.Name)
 					return false
 				}
-				if spec.Arg, err = bindClone(f.Args[0], in); err != nil {
+				if spec.Arg, err = expr.BindClone(f.Args[0], in); err != nil {
 					return false
 				}
 			}
@@ -272,15 +272,7 @@ func outputKey(oe expr.Expr, items []sqlparse.SelectItem, out *value.Schema) (ex
 			break
 		}
 	}
-	return bindClone(oe, out)
-}
-
-func bindClone(e expr.Expr, s *value.Schema) (expr.Expr, error) {
-	c := expr.Clone(e)
-	if err := expr.Bind(c, s); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return expr.BindClone(oe, out)
 }
 
 // expandStars replaces * and t.* items with explicit column references.

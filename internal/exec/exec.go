@@ -2,7 +2,10 @@
 // platform's query processors — the core engine, its scale-out workers, the
 // driver side of the Hive compiler and ESP windows — and Block, the one
 // analysis and execution of a SELECT block's back end (aggregate calls,
-// HAVING, projection, DISTINCT, ORDER BY, LIMIT) that all four call. Operators
+// HAVING, projection, DISTINCT, ORDER BY, LIMIT) that all four call. There is
+// one hash aggregate, ParallelHashAggregate, and one hash join,
+// HashJoinParallel, which runs every equi-join kind: inner, left outer, and
+// the semi, anti and null-aware anti joins of IN/EXISTS subqueries. Operators
 // pull rows from Iter inputs or batches from BatchIter inputs; expressions
 // must be bound to the input schema before construction.
 package exec
@@ -218,32 +221,6 @@ func (d *Distinct) Next() (value.Row, bool, error) {
 		d.seen[h] = append(d.seen[h], c)
 		return c, true, nil
 	}
-}
-
-// UnionAll concatenates same-arity inputs. The paper's Union Plan strategy
-// for hybrid tables combines hot-partition and cold-partition subplans with
-// this operator.
-type UnionAll struct {
-	Ins []Iter
-	i   int
-}
-
-// Schema implements Iter.
-func (u *UnionAll) Schema() *value.Schema { return u.Ins[0].Schema() }
-
-// Next implements Iter.
-func (u *UnionAll) Next() (value.Row, bool, error) {
-	for u.i < len(u.Ins) {
-		row, ok, err := u.Ins[u.i].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-		u.i++
-	}
-	return nil, false, nil
 }
 
 // errIter reports a deferred error.

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"hana/internal/expr"
@@ -95,117 +97,84 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	s := intSchema("a")
-	u := &UnionAll{Ins: []Iter{
-		NewSlice(s, rowsOf([]int64{1}, []int64{2})),
-		NewSlice(s, nil),
-		NewSlice(s, rowsOf([]int64{3})),
-	}}
-	got := drain(t, u)
-	if len(got) != 3 || got[2][0].Int() != 3 {
-		t.Fatalf("union = %v", got)
-	}
-}
-
 func TestHashJoinInner(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
-	left := NewSlice(ls, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
-	right := NewSlice(rs, rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500}))
-	j := &HashJoin{
-		Kind: JoinInner, Left: left, Right: right,
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
+	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
+		JoinSide{Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
+		JoinSide{Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
+		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := drain(t, j)
-	if len(got) != 3 {
-		t.Fatalf("inner join rows = %d: %v", len(got), got)
-	}
-	// probe row 3 matches two build rows
-	found := 0
-	for _, r := range got {
-		if r[0].Int() == 3 {
-			found++
-		}
-	}
-	if found != 2 {
-		t.Fatalf("multi-match = %d", found)
+	// Probe row 3 matches two build rows, in build order.
+	if fmt.Sprint(got) != "[[2, 20, 2, 200] [3, 30, 3, 300] [3, 30, 3, 301]]" {
+		t.Fatalf("inner join = %v", got)
 	}
 }
 
 func TestHashJoinLeftOuter(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k", "r.v")
-	j := &HashJoin{
-		Kind:      JoinLeftOuter,
-		Left:      NewSlice(ls, rowsOf([]int64{1}, []int64{2})),
-		Right:     NewSlice(rs, rowsOf([]int64{2, 20})),
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
+	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinLeftOuter,
+		JoinSide{Rows: rowsOf([]int64{1}, []int64{2})}, JoinSide{Rows: rowsOf([]int64{2, 20})},
+		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := drain(t, j)
-	if len(got) != 2 {
-		t.Fatalf("left join rows = %d", len(got))
-	}
-	if !got[0][1].IsNull() || !got[0][2].IsNull() {
-		t.Fatalf("unmatched left row must null-extend: %v", got[0])
-	}
-	if got[1][2].Int() != 20 {
-		t.Fatalf("matched row: %v", got[1])
+	// The unmatched probe row null-extends.
+	if fmt.Sprint(got) != "[[1, NULL, NULL] [2, 2, 20]]" {
+		t.Fatalf("left join = %v", got)
 	}
 }
 
+// The left-only kinds on one probe side against build sides with repeated
+// keys, a NULL key and no rows: semi emits a probe row once, anti keeps
+// NULL probe keys, and null-aware anti (NOT IN) follows SQL's three-valued
+// logic.
 func TestHashJoinSemiAnti(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k")
-	mk := func(kind JoinKind, nullAware bool, rightRows []value.Row) []value.Row {
-		j := &HashJoin{
-			Kind:          kind,
-			Left:          NewSlice(ls, rowsOf([]int64{1}, []int64{2}, []int64{3})),
-			Right:         NewSlice(rs, rightRows),
-			LeftKeys:      []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-			RightKeys:     []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-			NullAwareAnti: nullAware,
+	probe := append(rowsOf([]int64{1}, []int64{2}, []int64{3}), value.Row{value.Null})
+	lk, rk := []expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}
+	for _, tc := range []struct {
+		build             []value.Row
+		semi, anti, notIn string
+	}{
+		{rowsOf([]int64{2}, []int64{2}, []int64{3}), "[[2] [3]]", "[[1] [NULL]]", "[[1]]"},
+		{append(rowsOf([]int64{2}), value.Row{value.Null}), "[[2]]", "[[1] [3] [NULL]]", "[]"},
+		{nil, "[]", "[[1] [2] [3] [NULL]]", "[[1] [2] [3] [NULL]]"},
+	} {
+		for kind, want := range map[JoinKind]string{JoinSemi: tc.semi, JoinAnti: tc.anti, JoinAntiNullAware: tc.notIn} {
+			// rightWidth is ignored: the output has the probe side's columns.
+			got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, kind,
+				JoinSide{Rows: probe}, JoinSide{Rows: tc.build}, lk, rk, nil, rs.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != want {
+				t.Errorf("%s join against %v = %v, want %s", kind, tc.build, got, want)
+			}
 		}
-		return drain(t, j)
 	}
-	semi := mk(JoinSemi, false, rowsOf([]int64{2}, []int64{2}, []int64{3}))
-	if len(semi) != 2 {
-		t.Fatalf("semi = %v", semi)
-	}
-	anti := mk(JoinAnti, false, rowsOf([]int64{2}))
-	if len(anti) != 2 {
-		t.Fatalf("anti = %v", anti)
-	}
-	// NULL-aware NOT IN: NULL on build side → empty result.
-	nullRows := rowsOf([]int64{2})
-	nullRows = append(nullRows, value.Row{value.Null})
-	nullAnti := mk(JoinAnti, true, nullRows)
-	if len(nullAnti) != 0 {
-		t.Fatalf("null-aware anti must be empty, got %v", nullAnti)
-	}
-	// Plain anti join ignores the NULL.
-	plainAnti := mk(JoinAnti, false, nullRows)
-	if len(plainAnti) != 2 {
-		t.Fatalf("plain anti = %v", plainAnti)
+	residual := bind(t, expr.Bin(expr.OpLt, expr.Col("l.k"), expr.Col("r.k")), ls.Concat(rs))
+	if _, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinSemi,
+		JoinSide{Rows: probe}, JoinSide{Rows: probe}, lk, rk, residual, rs.Len()); err == nil {
+		t.Error("a semi join with a residual must be rejected")
 	}
 }
 
 func TestHashJoinResidual(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
-	concat := ls.Concat(rs)
-	j := &HashJoin{
-		Kind:      JoinInner,
-		Left:      NewSlice(ls, rowsOf([]int64{1, 5}, []int64{1, 50})),
-		Right:     NewSlice(rs, rowsOf([]int64{1, 10})),
-		LeftKeys:  []expr.Expr{bind(t, expr.Col("l.k"), ls)},
-		RightKeys: []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-		Residual:  bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), concat),
+	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
+		JoinSide{Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, JoinSide{Rows: rowsOf([]int64{1, 10})},
+		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)},
+		bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), ls.Concat(rs)), rs.Len())
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := drain(t, j)
-	if len(got) != 1 || got[0][1].Int() != 5 {
+	if fmt.Sprint(got) != "[[1, 5, 1, 10]]" {
 		t.Fatalf("residual join = %v", got)
 	}
 }
@@ -244,17 +213,6 @@ func TestNestedLoopJoinKinds(t *testing.T) {
 	og := drain(t, outer)
 	if len(og) != 1 || !og[0][1].IsNull() {
 		t.Fatalf("nl outer = %v", og)
-	}
-	// Anti join.
-	anti := &NestedLoopJoin{
-		Kind:  JoinAnti,
-		Left:  NewSlice(ls, rowsOf([]int64{1}, []int64{9})),
-		Right: NewSlice(rs, rowsOf([]int64{5})),
-		On:    bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), concat),
-	}
-	ag := drain(t, anti)
-	if len(ag) != 1 || ag[0][0].Int() != 9 {
-		t.Fatalf("nl anti = %v", ag)
 	}
 }
 

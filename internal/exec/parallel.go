@@ -258,17 +258,29 @@ func (s JoinSide) fillRow(i int, dst value.Row, offs []int) {
 	copy(dst, s.Rows[i])
 }
 
-// HashJoinParallel executes an inner or left-outer hash join with
+// DrainSide drains an iterator into a hash-join input: a batch producer's
+// batches stay batches, anything else yields its rows.
+func DrainSide(in Iter) (JoinSide, error) {
+	if b, ok := in.(BatchIter); ok {
+		bs, err := collectBatches(b)
+		return JoinSide{Batches: bs}, err
+	}
+	rows, err := drainRows(in)
+	return JoinSide{Rows: rows}, err
+}
+
+// HashJoinParallel executes a hash join of any JoinKind with
 // morsel-parallel build and probe phases. The build side is hashed into
 // per-morsel partial tables holding row indices; probe morsels scan the
 // partials in morsel order, so a probe row's matches come out in
-// build-input order — exactly the serial HashJoin's chain order — and
-// probe outputs concatenate in probe-input order. residual is evaluated on
-// the combined row: for inner joins it filters matches (a filter on the
-// join's output), for left-outer joins it decides whether a build row
-// counts as a match before null-extension. Row- and batch-backed sides
-// produce byte-identical output: global row ordinals, key values, hashes
-// and emission order are the same either way.
+// build-input order and probe outputs concatenate in probe-input order.
+// residual is evaluated on the combined row: for inner joins it filters
+// matches (a filter on the join's output), for left-outer joins it decides
+// whether a build row counts as a match before null-extension. Semi and
+// anti kinds emit left-schema rows, ignore rightWidth and take no
+// residual. Row- and batch-backed sides produce byte-identical output:
+// global row ordinals, key values, hashes and emission order are the same
+// either way.
 func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
 	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
 	residual expr.Expr, rightWidth int) ([]value.Row, error) {
@@ -283,7 +295,15 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
 	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
 	residual expr.Expr, rightWidth int) ([]value.Row, []int, error) {
-	if kind != JoinInner && kind != JoinLeftOuter {
+	leftOnly := false
+	switch kind {
+	case JoinInner, JoinLeftOuter:
+	case JoinSemi, JoinAnti, JoinAntiNullAware:
+		if residual != nil {
+			return nil, nil, fmt.Errorf("parallel hash join takes no residual on %s joins", kind)
+		}
+		leftOnly, rightWidth = true, 0
+	default:
 		return nil, nil, fmt.Errorf("parallel hash join does not support %s joins", kind)
 	}
 	if ctx == nil {
@@ -308,9 +328,11 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 	nLeft, nRight := left.length(), right.length()
 
 	// Build phase: per-morsel hash tables of row indices plus the evaluated
-	// key values (evaluated once, reused by every probe comparison).
+	// key values (evaluated once, reused by every probe comparison), and
+	// whether the morsel held a NULL key (NOT IN needs to know).
 	type buildPartial struct {
-		table map[uint64][]int
+		table   map[uint64][]int
+		sawNull bool
 	}
 	rightVals := make([][]value.Value, nRight)
 	nb := (nRight + size - 1) / size
@@ -360,7 +382,9 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 							vals[ki] = v
 							h = h*1099511628211 ^ v.Hash()
 						}
-						if !hasNull { // NULL keys never match
+						if hasNull { // NULL keys never match
+							bp.sawNull = true
+						} else {
 							rightVals[i] = vals
 							bp.table[h] = append(bp.table[h], i)
 						}
@@ -386,7 +410,8 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 						h = h*1099511628211 ^ v.Hash()
 					}
 					if hasNull {
-						continue // NULL keys never match
+						bp.sawNull = true // NULL keys never match
+						continue
 					}
 					rightVals[i] = vals
 					bp.table[h] = append(bp.table[h], i)
@@ -400,12 +425,16 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 		}
 		stats.NoteDispatch(nb, workers)
 	}
+	buildNull := false
+	for _, bp := range buildParts {
+		buildNull = buildNull || bp.sawNull
+	}
 
 	// Probe phase: each morsel emits its combined rows independently;
 	// outputs concatenate in morsel order. probeMatches runs the shared
 	// match-emit sequence once the probe row's hash and key values are
-	// known; fillLeft boxes the probe row into a combined output row only
-	// when a match (or null-extension) actually emits.
+	// known; fillLeft boxes the probe row into an output row only when a
+	// match, a null-extension or a semi/anti verdict actually emits.
 	np := (nLeft + size - 1) / size
 	outs := make([][]value.Row, np)
 	outOrds := make([][]int, np)
@@ -427,6 +456,7 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 			probeMatches := func(h uint64, hasNull bool, lw int, fillLeft func(dst value.Row)) error {
 				matched := false
 				if !hasNull {
+				scan:
 					for _, bp := range buildParts {
 						for _, ri := range bp.table[h] {
 							rv := rightVals[ri]
@@ -439,6 +469,10 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 							}
 							if !eq {
 								continue
+							}
+							if leftOnly { // one match decides a semi/anti join
+								matched = true
+								break scan
 							}
 							combined := make(value.Row, lw+rightWidth)
 							fillLeft(combined[:lw])
@@ -458,11 +492,22 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 						}
 					}
 				}
-				if kind == JoinLeftOuter && !matched {
+				emit := false
+				switch kind {
+				case JoinLeftOuter, JoinAnti:
+					emit = !matched
+				case JoinSemi:
+					emit = matched
+				case JoinAntiNullAware:
+					// NOT IN: a NULL build key leaves every non-match unknown,
+					// and so does a NULL probe key unless the build side is empty.
+					emit = !matched && !buildNull && (!hasNull || nRight == 0)
+				}
+				if emit {
 					combined := make(value.Row, lw+rightWidth)
 					fillLeft(combined[:lw])
-					for i := 0; i < rightWidth; i++ {
-						combined[lw+i] = value.Null
+					for i := lw; i < len(combined); i++ {
+						combined[i] = value.Null
 					}
 					out = append(out, combined)
 					ords = append(ords, li)

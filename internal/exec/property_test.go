@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,82 +11,102 @@ import (
 	"hana/internal/value"
 )
 
-// TestHashJoinEquivalentToNestedLoop checks on random inputs that the hash
-// join and the nested-loop join (with the equality as a general predicate)
-// produce the same multiset of rows, for inner, left-outer, semi and anti
-// kinds.
+// TestHashJoinEquivalentToNestedLoop checks HashJoinParallel on random
+// inputs with NULL keys on both sides, and on empty build and probe sides,
+// for every kind at morsel size 3, widths 1 and 4, with row- and
+// batch-backed sides. Its output must equal, row for row and in order,
+// NestedLoopJoin with the equality as a general predicate (inner, left
+// outer) or a naive three-valued loop (semi, anti, null-aware anti).
 func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
 	concat := ls.Concat(rs)
+	on := expr.Eq(bound(t, "l.k", concat), bound(t, "r.k", concat))
+	lk, rk := []expr.Expr{bound(t, "l.k", ls)}, []expr.Expr{bound(t, "r.k", rs)}
+	pools := []*Pool{NewPool(1), NewPool(4)}
 
 	mkRows := func(keys []uint8, seed int64) []value.Row {
+		if len(keys) > 40 {
+			keys = keys[:40]
+		}
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]value.Row, len(keys))
 		for i, k := range keys {
-			out[i] = value.Row{value.NewInt(int64(k % 8)), value.NewInt(rng.Int63n(100))}
+			kv := value.NewInt(int64(k % 8))
+			if k%9 == 0 {
+				kv = value.Null
+			}
+			out[i] = value.Row{kv, value.NewInt(rng.Int63n(100))}
 		}
 		return out
 	}
-	canon := func(rows []value.Row) []string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = r.String()
+	// side cuts rows into 5-row batches, so morsels straddle batches.
+	side := func(s *value.Schema, rows []value.Row, batched bool) JoinSide {
+		if !batched {
+			return JoinSide{Rows: rows}
 		}
-		sort.Strings(out)
-		return out
+		bs := []*value.Batch{}
+		for lo := 0; lo < len(rows); lo += 5 {
+			bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+5, len(rows))], nil))
+		}
+		return JoinSide{Batches: bs}
 	}
-	equal := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
+	reference := func(kind JoinKind, left, right []value.Row) ([]value.Row, error) {
+		if kind == JoinInner || kind == JoinLeftOuter {
+			rows, err := Materialize(&NestedLoopJoin{Kind: kind, Left: NewSlice(ls, left), Right: NewSlice(rs, right), On: on})
+			if err != nil {
+				return nil, err
+			}
+			return rows.Data, nil
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+		rightNull := false
+		for _, r := range right {
+			rightNull = rightNull || r[0].IsNull()
+		}
+		var out []value.Row
+		for _, l := range left {
+			matched := false
+			for _, r := range right {
+				matched = matched || !l[0].IsNull() && !r[0].IsNull() && value.Compare(l[0], r[0]) == 0
+			}
+			keep := !matched
+			switch kind {
+			case JoinSemi:
+				keep = matched
+			case JoinAntiNullAware: // l NOT IN (right keys) is TRUE
+				keep = len(right) == 0 || !l[0].IsNull() && !matched && !rightNull
+			}
+			if keep {
+				out = append(out, l)
 			}
 		}
-		return true
+		return out, nil
 	}
 
-	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinSemi, JoinAnti} {
-		kind := kind
-		f := func(lk, rk []uint8) bool {
-			if len(lk) > 40 {
-				lk = lk[:40]
-			}
-			if len(rk) > 40 {
-				rk = rk[:40]
-			}
-			left := mkRows(lk, 1)
-			right := mkRows(rk, 2)
-
-			hj := &HashJoin{
-				Kind:      kind,
-				Left:      NewSlice(ls, left),
-				Right:     NewSlice(rs, right),
-				LeftKeys:  []expr.Expr{bound(t, "l.k", ls)},
-				RightKeys: []expr.Expr{bound(t, "r.k", rs)},
-			}
-			hr, err := Materialize(hj)
+	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinSemi, JoinAnti, JoinAntiNullAware} {
+		f := func(lkeys, rkeys []uint8) bool {
+			left, right := mkRows(lkeys, 1), mkRows(rkeys, 2)
+			want, err := reference(kind, left, right)
 			if err != nil {
+				t.Log(err)
 				return false
 			}
-
-			on := expr.Eq(expr.Col("l.k"), expr.Col("r.k"))
-			if err := expr.Bind(on, concat); err != nil {
-				return false
+			for _, pool := range pools {
+				for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+					got, err := HashJoinParallel(context.Background(), pool, 0, 3, nil, kind,
+						side(ls, left, form[0]), side(rs, right, form[1]), lk, rk, nil, rs.Len())
+					if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Logf("width %d, batched %v: got %v, %v\nwant %v", pool.Size(), form, got, err, want)
+						return false
+					}
+				}
 			}
-			nl := &NestedLoopJoin{
-				Kind:  kind,
-				Left:  NewSlice(ls, left),
-				Right: NewSlice(rs, right),
-				On:    on,
+			return true
+		}
+		for _, c := range [][2][]uint8{{nil, nil}, {nil, {1, 9, 2}}, {{1, 9, 2, 3}, nil}} {
+			if !f(c[0], c[1]) {
+				t.Errorf("%v: empty side case %v failed", kind, c)
 			}
-			nr, err := Materialize(nl)
-			if err != nil {
-				return false
-			}
-			return equal(canon(hr.Data), canon(nr.Data))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 			t.Errorf("%v: %v", kind, err)

@@ -108,6 +108,15 @@ func Clone(e Expr) Expr {
 	return e
 }
 
+// CloneAll clones each expression of a list.
+func CloneAll(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Clone(e)
+	}
+	return out
+}
+
 // Bind resolves every ColRef in the tree against the schema, returning an
 // error listing unresolved columns. Bind mutates the tree; callers that
 // reuse plan fragments should Clone first.
@@ -130,6 +139,25 @@ func Bind(e Expr, s *value.Schema) error {
 		return fmt.Errorf("unresolved column(s) %s in schema %s", strings.Join(missing, ", "), s)
 	}
 	return nil
+}
+
+// BindClone binds a clone of e to s, leaving e untouched for reuse.
+func BindClone(e Expr, s *value.Schema) (Expr, error) {
+	c := Clone(e)
+	if err := Bind(c, s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Covers reports whether s has every column e references.
+func Covers(s *value.Schema, e Expr) bool {
+	for _, c := range Columns(e) {
+		if s.Find(c) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Columns returns the distinct column names referenced by the tree, in

@@ -58,7 +58,7 @@ func (x *Executor) materialize(rel *interRel) (*value.Rows, error) {
 	if len(rel.pending) == 0 {
 		return rows, nil
 	}
-	pred, err := bindClone(expr.And(cloneAll(rel.pending)...), rel.schema)
+	pred, err := expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	var pending expr.Expr
 	if len(rel.pending) > 0 {
 		var err error
-		if pending, err = bindClone(expr.And(cloneAll(rel.pending)...), rel.schema); err != nil {
+		if pending, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema); err != nil {
 			return nil, err
 		}
 		rel.pending = nil

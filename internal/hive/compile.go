@@ -76,36 +76,15 @@ func (x *Executor) cleanup(rel *interRel) {
 	}
 }
 
-type hiveTransform struct {
-	anti      bool
-	outerExpr expr.Expr
-	sel       *sqlparse.SelectStmt
-}
-
 // buildRel plans FROM and WHERE into an intermediate relation plus pending
 // subquery transforms.
-func (x *Executor) buildRel(sel *sqlparse.SelectStmt) (*interRel, []hiveTransform, error) {
+func (x *Executor) buildRel(sel *sqlparse.SelectStmt) (*interRel, []sqlparse.SubqueryPredicate, error) {
 	var pool []expr.Expr
-	var transforms []hiveTransform
+	var transforms []sqlparse.SubqueryPredicate
 	for _, c := range expr.SplitConjuncts(sel.Where) {
-		switch n := c.(type) {
-		case *sqlparse.InSubqueryExpr:
-			transforms = append(transforms, hiveTransform{anti: n.Negate, outerExpr: n.E, sel: n.Sel})
+		if tf, ok := sqlparse.AsSubqueryPredicate(c); ok {
+			transforms = append(transforms, tf)
 			continue
-		case *sqlparse.ExistsExpr:
-			transforms = append(transforms, hiveTransform{anti: n.Negate, sel: n.Sel})
-			continue
-		case *expr.UnOp:
-			if n.Op == expr.OpNot {
-				if ex, ok := n.E.(*sqlparse.ExistsExpr); ok {
-					transforms = append(transforms, hiveTransform{anti: !ex.Negate, sel: ex.Sel})
-					continue
-				}
-				if in, ok := n.E.(*sqlparse.InSubqueryExpr); ok {
-					transforms = append(transforms, hiveTransform{anti: !in.Negate, outerExpr: in.E, sel: in.Sel})
-					continue
-				}
-			}
 		}
 		pool = append(pool, c)
 	}
@@ -178,7 +157,7 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel,
 	var covered []expr.Expr
 	rest := (*pool)[:0:0]
 	for _, c := range *pool {
-		if coversSchema(schema, c) {
+		if expr.Covers(schema, c) {
 			covered = append(covered, c)
 		} else {
 			rest = append(rest, c)
@@ -189,7 +168,7 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel,
 		return rel, nil
 	}
 	// Map-only filter scan.
-	pred, err := bindClone(expr.And(cloneAll(covered)...), schema)
+	pred, err := expr.BindClone(expr.And(expr.CloneAll(covered)...), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +214,13 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 				rightKeys = append(rightKeys, rk)
 				continue
 			}
-			if coversSchema(r.schema, c) && outer {
+			if expr.Covers(r.schema, c) && outer {
 				// Right-side-only ON conjuncts of an outer join filter the
 				// right input before the join.
 				r.pending = append(r.pending, c)
 				continue
 			}
-			if coversSchema(combined, c) {
+			if expr.Covers(combined, c) {
 				residual = append(residual, c)
 				continue
 			}
@@ -268,7 +247,7 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 	}
 	var res expr.Expr
 	if len(residual) > 0 {
-		if res, err = bindClone(expr.And(cloneAll(residual)...), combined); err != nil {
+		if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +276,7 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 	var pred expr.Expr
 	if len(rel.pending) > 0 {
 		var err error
-		pred, err = bindClone(expr.And(cloneAll(rel.pending)...), rel.schema)
+		pred, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +284,7 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 	}
 	bound := make([]expr.Expr, len(keys))
 	for i, k := range keys {
-		bk, err := bindClone(k, rel.schema)
+		bk, err := expr.BindClone(k, rel.schema)
 		if err != nil {
 			return nil, err
 		}
@@ -386,21 +365,21 @@ func joinReduce(ls, rs *value.Schema, rightWidth int, outer bool, residual expr.
 }
 
 // applyTransform runs a semi/anti join MR job for an IN/EXISTS subquery.
-func (x *Executor) applyTransform(rel *interRel, tf hiveTransform) (*interRel, error) {
+func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) (*interRel, error) {
 	var outerKeys, innerKeys []expr.Expr
-	innerSel := tf.sel
+	innerSel := tf.Sel
 
-	if tf.outerExpr != nil {
+	if tf.Outer != nil {
 		// IN subquery: inner block as written must yield one column.
-		outerKeys = []expr.Expr{tf.outerExpr}
+		outerKeys = []expr.Expr{tf.Outer}
 	} else {
 		// Correlated EXISTS: extract equality correlation.
-		innerSchema, err := x.fromSchemaPreview(tf.sel.From)
+		innerSchema, err := x.fromSchemaPreview(tf.Sel.From)
 		if err != nil {
 			return nil, err
 		}
 		var remaining []expr.Expr
-		for _, c := range expr.SplitConjuncts(tf.sel.Where) {
+		for _, c := range expr.SplitConjuncts(tf.Sel.Where) {
 			if o, in := corrPair(c, rel.schema, innerSchema); o != nil {
 				outerKeys = append(outerKeys, o)
 				innerKeys = append(innerKeys, in)
@@ -415,7 +394,7 @@ func (x *Executor) applyTransform(rel *interRel, tf hiveTransform) (*interRel, e
 		for i, k := range innerKeys {
 			items[i] = sqlparse.SelectItem{Expr: expr.Clone(k)}
 		}
-		innerSel = &sqlparse.SelectStmt{Items: items, From: tf.sel.From, Where: expr.And(remaining...), Limit: -1}
+		innerSel = &sqlparse.SelectStmt{Items: items, From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
 	}
 
 	innerRows, err := x.Select(innerSel)
@@ -433,7 +412,7 @@ func (x *Executor) applyTransform(rel *interRel, tf hiveTransform) (*interRel, e
 		k.Ord = i
 		innerKeyExprs[i] = k
 	}
-	if tf.outerExpr != nil && innerSchema.Len() != 1 {
+	if tf.Outer != nil && innerSchema.Len() != 1 {
 		return nil, fmt.Errorf("hive: IN subquery must return one column")
 	}
 
@@ -446,8 +425,14 @@ func (x *Executor) applyTransform(rel *interRel, tf hiveTransform) (*interRel, e
 	if err != nil {
 		return nil, err
 	}
+	// NOT IN: a NULL among the inner keys leaves every row unknown, and a
+	// NULL outer key is unknown against any inner key.
+	anti, nullAware, innerNull := tf.Anti, tf.NullAware(), false
+	for _, r := range innerRows.Data {
+		innerNull = innerNull || r[0].IsNull()
+	}
+	innerEmpty := len(innerRows.Data) == 0
 	out := x.tmpDir()
-	anti := tf.anti
 	job := &mapreduce.Job{
 		Name:   "semijoin",
 		Output: out,
@@ -468,6 +453,9 @@ func (x *Executor) applyTransform(rel *interRel, tf hiveTransform) (*interRel, e
 				} else {
 					hasRight = true
 				}
+			}
+			if nullAware && (innerNull || keyHasNull(key) && !innerEmpty) {
+				return
 			}
 			if keyHasNull(key) {
 				hasRight = false
@@ -531,31 +519,6 @@ func (x *Executor) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, erro
 
 // helpers
 
-func cloneAll(es []expr.Expr) []expr.Expr {
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = expr.Clone(e)
-	}
-	return out
-}
-
-func bindClone(e expr.Expr, s *value.Schema) (expr.Expr, error) {
-	c := expr.Clone(e)
-	if err := expr.Bind(c, s); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func coversSchema(s *value.Schema, e expr.Expr) bool {
-	for _, c := range expr.Columns(e) {
-		if s.Find(c) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func equiPair(c expr.Expr, ls, rs *value.Schema) (lk, rk expr.Expr, ok bool) {
 	b, isBin := c.(*expr.BinOp)
 	if !isBin || b.Op != expr.OpEq {
@@ -567,10 +530,10 @@ func equiPair(c expr.Expr, ls, rs *value.Schema) (lk, rk expr.Expr, ok bool) {
 	if _, lit := b.R.(*expr.Literal); lit {
 		return nil, nil, false
 	}
-	if coversSchema(ls, b.L) && coversSchema(rs, b.R) {
+	if expr.Covers(ls, b.L) && expr.Covers(rs, b.R) {
 		return b.L, b.R, true
 	}
-	if coversSchema(ls, b.R) && coversSchema(rs, b.L) {
+	if expr.Covers(ls, b.R) && expr.Covers(rs, b.L) {
 		return b.R, b.L, true
 	}
 	return nil, nil, false

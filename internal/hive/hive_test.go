@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +242,46 @@ func TestInSubquery(t *testing.T) {
 	// orders 98,99,100 → custkeys 9,10,11.
 	if rows.Len() != 3 {
 		t.Fatalf("IN subquery rows = %d", rows.Len())
+	}
+}
+
+// NOT IN is null-aware, as in the engine: a NULL inner key leaves no row
+// true, and a NULL outer key survives only an empty inner set.
+func TestNotInSubqueryIsNullAware(t *testing.T) {
+	s := newTestServer(t)
+	for name, vals := range map[string][]value.Value{
+		"ta": {value.NewInt(1), value.NewInt(2), value.Null},
+		"tb": {value.NewInt(1), value.Null},
+	} {
+		col := strings.TrimPrefix(name, "t")
+		if _, err := s.MS.CreateTable(name, value.NewSchema(value.Column{Name: col, Kind: value.KindInt}), false); err != nil {
+			t.Fatal(err)
+		}
+		var rows []value.Row
+		for _, v := range vals {
+			rows = append(rows, value.Row{v})
+		}
+		if err := s.MS.LoadRows(name, rows, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ sub, want string }{
+		{`SELECT b FROM tb`, "[]"},
+		{`SELECT b FROM tb WHERE b IS NOT NULL`, "[2]"},
+		{`SELECT b FROM tb WHERE b > 100`, "[1 2 NULL]"},
+	} {
+		rows, err := s.Exec.Query(`SELECT a FROM ta WHERE a NOT IN (` + tc.sub + `)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []string{}
+		for _, r := range rows.Data {
+			got = append(got, r[0].String())
+		}
+		sort.Strings(got)
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("NOT IN (%s) = %v, want %s", tc.sub, got, tc.want)
+		}
 	}
 }
 

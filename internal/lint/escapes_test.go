@@ -83,7 +83,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	hot := prog.HotFuncs()
 	for _, key := range []string{
 		"hana/internal/exec.ParallelHashAggregate.run",
-		"hana/internal/exec.HashJoin.matches",
+		"hana/internal/exec.HashJoinProbeOrdinals",
 		"hana/internal/engine.planner.scan",
 		"hana/internal/colstore.Column.MinMax",
 		"hana/internal/expr.In.Eval",

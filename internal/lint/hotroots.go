@@ -21,18 +21,13 @@ var HotRoots = []string{
 	"hana/internal/exec.Limit.Next",
 	"hana/internal/exec.Sort.Next",
 	"hana/internal/exec.Distinct.Next",
-	"hana/internal/exec.UnionAll.Next",
 	"hana/internal/exec.Slice.Next",
 	"hana/internal/exec.Materialize",
 	"hana/internal/exec.ParallelHashAggregate.run",
 	"hana/internal/exec.aggregateMorsel",
 	"hana/internal/exec.drainRows",
-	"hana/internal/exec.HashJoin.build",
-	"hana/internal/exec.HashJoin.matches",
-	"hana/internal/exec.HashJoin.Next",
 	"hana/internal/exec.HashJoinParallel",
 	"hana/internal/exec.NestedLoopJoin.Next",
-	"hana/internal/exec.hashKeys",
 	"hana/internal/exec.Pool.Run",
 	// exec: batch operators — NextBatch runs once per morsel, but the loops
 	// inside touch every row, and batchRows.next is the row-compat shim that

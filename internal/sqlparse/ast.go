@@ -226,6 +226,35 @@ func (e *InSubqueryExpr) SQL() string {
 	return "(" + e.E.SQL() + " " + n + "IN (" + RenderSelect(e.Sel) + "))"
 }
 
+// SubqueryPredicate is a WHERE conjunct [NOT] IN (SELECT …) or
+// [NOT] EXISTS (…) as a planner sees it, with every NOT folded into Anti.
+type SubqueryPredicate struct {
+	Anti  bool
+	Outer expr.Expr // the IN comparison expression; nil for EXISTS
+	Sel   *SelectStmt
+}
+
+// NullAware reports SQL NOT IN semantics: a NULL among the subquery's keys
+// leaves the predicate unknown for every row it does not match.
+func (p SubqueryPredicate) NullAware() bool { return p.Anti && p.Outer != nil }
+
+// AsSubqueryPredicate recognizes a subquery predicate, including NOT applied
+// through expr's generic negation node.
+func AsSubqueryPredicate(c expr.Expr) (SubqueryPredicate, bool) {
+	switch n := c.(type) {
+	case *InSubqueryExpr:
+		return SubqueryPredicate{Anti: n.Negate, Outer: n.E, Sel: n.Sel}, true
+	case *ExistsExpr:
+		return SubqueryPredicate{Anti: n.Negate, Sel: n.Sel}, true
+	case *expr.UnOp:
+		if p, ok := AsSubqueryPredicate(n.E); ok && n.Op == expr.OpNot {
+			p.Anti = !p.Anti
+			return p, true
+		}
+	}
+	return SubqueryPredicate{}, false
+}
+
 type unplannedErr string
 
 func (u unplannedErr) Error() string { return string(u) }
