@@ -101,8 +101,8 @@ chaos-recovery:
 
 # Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
 # parser, the value row codec, the extended store's chunk codec, the two
-# dist wire decoders and the WAL frame scanner must return a value or an
-# error on any input. `go test -fuzz` takes one package and one target per
+# dist wire decoders, the WAL frame scanner and Hive's shuffle partial codec
+# must return a value or an error on any input. `go test -fuzz` takes one package and one target per
 # run; minimization is capped so a large interesting input does not eat the
 # window. A crasher lands under the package's testdata/fuzz/.
 FUZZTIME ?= 20s
@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzScanRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/hive -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench=. -benchmem

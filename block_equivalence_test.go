@@ -135,6 +135,11 @@ func TestBlockBackEndAgreesAcrossProcessors(t *testing.T) {
 		{"global STDDEV", "SELECT STDDEV(x), AVG(x) FROM t", false, false, 1},
 		{"global aggregate over empty input", "SELECT COUNT(*), SUM(x), MAX(s) FROM t WHERE k < 0", false, false, 1},
 		{"unknown aggregate argument", "SELECT SUM(nosuch) FROM t", false, true, -1},
+		{"ORDER BY, LIMIT 0", "SELECT k FROM t ORDER BY k LIMIT 0", true, false, 0},
+		{"DISTINCT, ORDER BY two keys, LIMIT", "SELECT DISTINCT g, s FROM t ORDER BY s DESC, g LIMIT 7", true, false, 7},
+		{"hidden sort column dropped after LIMIT", "SELECT s FROM t WHERE k < 20 ORDER BY k DESC LIMIT 3", true, false, 3},
+		{"HAVING keeps no group", "SELECT g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 100", false, false, 0},
+		{"ORDER BY a non-projected aggregate and a group, LIMIT", "SELECT g FROM t GROUP BY g ORDER BY SUM(x) DESC, g LIMIT 2", true, false, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

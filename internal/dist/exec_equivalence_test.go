@@ -177,11 +177,11 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				}
 				specs = append(specs, exec.AggSpec{Func: c.Func, Arg: arg, Distinct: c.Distinct})
 			}
-			out, err := exec.Materialize(&exec.ParallelHashAggregate{In: exec.NewSlice(schema, kept), GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()})
+			out, err := (&exec.ParallelHashAggregate{In: exec.Rel{Schema: schema, Rows: kept}, GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()}).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = out.Data
+			want = out.Rows
 		case tc.join != nil:
 			buildSchema := &value.Schema{Cols: buildCols}
 			keys := func(sqls []string, s *value.Schema) []expr.Expr {
@@ -196,7 +196,7 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err = exec.HashJoinParallel(context.Background(), nil, 0, 0, nil, exec.JoinInner,
-				exec.JoinSide{Rows: kept}, exec.JoinSide{Rows: buildRows},
+				exec.Rel{Rows: kept}, exec.Rel{Rows: buildRows},
 				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual, len(buildCols))
 			if err != nil {
 				t.Fatal(err)

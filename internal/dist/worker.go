@@ -553,7 +553,7 @@ func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Sc
 		}
 		aggs[i] = exec.AggSpec{Func: a.Func, Arg: arg, Distinct: a.Distinct}
 	}
-	agg := &exec.ParallelHashAggregate{In: exec.NewBatchSlice(schema, batches), GroupBy: groupBy, Aggs: aggs, Pool: w.pool, Ctx: ctx, Width: f.Width}
+	agg := &exec.ParallelHashAggregate{In: exec.Rel{Schema: schema, Batches: batches}, GroupBy: groupBy, Aggs: aggs, Pool: w.pool, Ctx: ctx, Width: f.Width}
 	p, err := agg.Partial()
 	if err != nil {
 		return nil, err
@@ -586,7 +586,7 @@ func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema,
 		return nil, nil, err
 	}
 	out, ords, err := exec.HashJoinProbeOrdinals(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
-		exec.JoinSide{Batches: batches}, exec.JoinSide{Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
+		exec.Rel{Schema: schema, Batches: batches}, exec.Rel{Schema: buildSchema, Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -83,7 +83,7 @@ func (p *planner) realizeDist(r *relation) error {
 	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", dr.name, len(res.Rows), shards)
 	r.node = node(label, shippedFilter(dr.conjs)...)
 	if len(dr.coord) > 0 {
-		pred, err := expr.BindClone(expr.And(dr.coord...), r.schema)
+		pred, err := expr.BindClone(expr.And(dr.coord...), r.Schema)
 		if err != nil {
 			return err
 		}
@@ -92,10 +92,10 @@ func (p *planner) realizeDist(r *relation) error {
 		}
 		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), len(res.Rows))))
 	}
-	r.rows = res.Rows
+	r.Rows = res.Rows
 	r.local = true
 	r.dst = nil
-	r.est = float64(len(r.rows))
+	r.est = float64(len(r.Rows))
 	return nil
 }
 
@@ -117,15 +117,16 @@ func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
 // tryDistAggregate plans a single-table aggregate block as a distributed
 // aggregation: each shard folds its rows into mergeable per-group partials,
 // the coordinator unions them, and only the block's finishing stages run
-// locally. Only the exactly-mergeable subset ships — COUNT, MIN, MAX, and SUM
-// over integer arguments (each with optional DISTINCT). Anything else returns
-// ok=false and the block falls back to gather-then-aggregate, which is
+// locally: the returned Block's Finish over the returned aggregate output.
+// Only the exactly-mergeable subset ships — COUNT, MIN, MAX, and SUM over
+// integer arguments (each with optional DISTINCT). Anything else returns a
+// nil Block and the block falls back to gather-then-aggregate, which is
 // byte-identical anyway.
-func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Iter, *planNode, bool, error) {
+func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Rel, *exec.Block, *planNode, error) {
 	dr := rel.dst
-	blk, err := exec.AnalyzeBlock(sel, rel.schema)
+	blk, err := exec.AnalyzeBlock(sel, rel.Schema)
 	if err != nil || !blk.Aggregates() {
-		return nil, nil, false, err
+		return exec.Rel{}, nil, nil, err
 	}
 	groups := len(blk.GroupBy)
 	frag := &dist.AggFragment{GroupBy: make([]string, groups), Aggs: make([]dist.AggCall, len(blk.Aggs))}
@@ -145,24 +146,24 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 		}
 		if !mergeable {
 			p.plan.Note("dist: aggregate outside mergeable subset, gathering rows instead")
-			return nil, nil, false, nil
+			return exec.Rel{}, nil, nil, nil
 		}
 		frag.Aggs[i] = call
 	}
 
 	res, err := p.distGather(dr, &dist.Fragment{Agg: frag})
 	if err != nil {
-		return nil, nil, false, err
+		return exec.Rel{}, nil, nil, err
 	}
 	// Finalize the merged partials into aggregate output rows; group order
 	// is the serial first-seen order (merged groups sort by First).
 	rows, err := res.Partial.Rows(blk.Aggs, groups == 0)
 	if err != nil {
-		return nil, nil, false, err
+		return exec.Rel{}, nil, nil, err
 	}
 	root := node(fmt.Sprintf("Dist Hash Aggregate [%s] (%d group cols, %d groups, %d shards)",
 		dr.name, groups, len(rows), p.e.dist.topo.Shards), shippedFilter(dr.conjs)...)
-	return blk.Finish(exec.NewSlice(blk.AggSchema, rows)), finishNodes(sel, blk, root), true, nil
+	return exec.Rel{Schema: blk.AggSchema, Rows: rows}, blk, finishNodes(sel, blk, root), nil
 }
 
 // distBroadcastJoin executes probe-side-sharded ⋈ broadcast-build-side on
@@ -171,8 +172,8 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 // probe-input order — the serial hash join's exact emission order. Returns
 // nil (no error) when the join should fall back to gather + local join.
 func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residual []expr.Expr, combined *value.Schema) (*relation, error) {
-	if float64(r.rowCount()) > float64(p.e.semiJoinThreshold()) {
-		p.plan.Note("dist: build side %d rows > threshold %d, gathering probe side", r.rowCount(), p.e.semiJoinThreshold())
+	if float64(r.Len()) > float64(p.e.semiJoinThreshold()) {
+		p.plan.Note("dist: build side %d rows > threshold %d, gathering probe side", r.Len(), p.e.semiJoinThreshold())
 		return nil, nil
 	}
 	dr := l.dst
@@ -192,16 +193,16 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 		ProbeKeys: probeSQLs,
 		BuildKeys: buildSQLs,
 		Residual:  renderConjs(residual),
-		BuildCols: r.schema.Cols,
-		BuildRows: r.rowsOf(),
+		BuildCols: r.Schema.Cols,
+		BuildRows: r.AllRows(),
 	}})
 	if err != nil {
 		return nil, err
 	}
-	out := &relation{schema: combined, local: true, rows: res.Rows}
-	out.est = float64(len(out.rows))
+	out := &relation{Rel: exec.Rel{Schema: combined, Rows: res.Rows}, local: true}
+	out.est = float64(len(out.Rows))
 	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
-		keySQL(leftKeys, rightKeys), len(out.rows), p.e.dist.topo.Shards)
+		keySQL(leftKeys, rightKeys), len(out.Rows), p.e.dist.topo.Shards)
 	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", dr.name), shippedFilter(dr.conjs)...)
 	out.node = node(label, probeNode, r.node)
 	return out, nil

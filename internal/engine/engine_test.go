@@ -264,6 +264,29 @@ func TestDistinctAndCountDistinct(t *testing.T) {
 	}
 }
 
+// −0.0 equals 0.0 under Compare, so every operator that hashes a key — the
+// hash aggregate, DISTINCT, the hash join, the IN key set, the outer join —
+// must agree with the nested loop, which compares.
+func TestNegativeZeroEqualsZero(t *testing.T) {
+	e := newTestEngine(t)
+	exec1(t, e, `CREATE TABLE a (x DOUBLE)`)
+	exec1(t, e, `CREATE TABLE b (y DOUBLE)`)
+	exec1(t, e, `INSERT INTO a VALUES (0.0), (0.0 * -1.0)`)
+	exec1(t, e, `INSERT INTO b VALUES (0.0 * -1.0)`)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT COUNT(*) FROM a GROUP BY x`, "[[2]]"},
+		{`SELECT COUNT(*) FROM (SELECT DISTINCT x FROM a) d`, "[[1]]"},
+		{`SELECT COUNT(*) FROM a, b WHERE x = y`, "[[2]]"},
+		{`SELECT COUNT(*) FROM a, b WHERE x <= y AND x >= y`, "[[2]]"},
+		{`SELECT COUNT(*) FROM a WHERE x IN (SELECT y FROM b)`, "[[2]]"},
+		{`SELECT COUNT(*) FROM a LEFT JOIN b ON x = y WHERE y IS NULL`, "[[0]]"},
+	} {
+		if got := fmt.Sprint(exec1(t, e, c.sql).Rows); got != c.want {
+			t.Errorf("%s = %s, want %s", c.sql, got, c.want)
+		}
+	}
+}
+
 func TestExtendedStorageTable(t *testing.T) {
 	e := newTestEngine(t)
 	exec1(t, e, `CREATE TABLE psa (id BIGINT, payload VARCHAR(40)) USING EXTENDED STORAGE`)

@@ -40,18 +40,15 @@ func (n *planNode) String() string {
 	return b.String()
 }
 
-// relation is the planner's intermediate: either already-materialized local
-// rows, a shippable remote query under construction, or an extended-storage
-// scan under construction. Conjuncts attach to unrealized relations so the
-// chosen federated strategy can push them down.
+// relation is the planner's intermediate: either a realized local relation —
+// the embedded exec.Rel, whose Schema every relation has and whose rows or
+// vectorized scan batches a local one holds — or a shippable remote query
+// under construction, or an extended-storage or sharded scan under
+// construction. Conjuncts attach to unrealized relations so the chosen
+// federated strategy can push them down.
 type relation struct {
-	schema *value.Schema
-	rows   []value.Row // local, materialized (nil unless local)
-	// batches holds a vectorized local scan's output still in columnar
-	// form; rowsOf materializes it on demand. At most one of rows/batches
-	// is set for a local relation.
-	batches []*value.Batch
-	local   bool
+	exec.Rel
+	local bool
 
 	remote *remoteRel
 	ext    *extRel
@@ -59,47 +56,6 @@ type relation struct {
 
 	est  float64
 	node *planNode
-}
-
-// rowsOf returns the relation's materialized rows, decoding batches on
-// first use. Batch payloads decode in batch order with ascending selection
-// vectors, so the result is byte-identical to the row-path scan.
-func (r *relation) rowsOf() []value.Row {
-	if r.batches != nil {
-		rows := make([]value.Row, 0, r.batchRowCount())
-		for _, b := range r.batches {
-			rows = append(rows, b.MaterializeRows()...)
-		}
-		r.rows, r.batches = rows, nil
-	}
-	return r.rows
-}
-
-func (r *relation) batchRowCount() int {
-	n := 0
-	for _, b := range r.batches {
-		n += b.Len()
-	}
-	return n
-}
-
-// joinSideOf hands a realized local relation to the parallel hash join
-// without forcing batch materialization: columnar scans stay columnar and
-// the join boxes only the rows it emits.
-func joinSideOf(r *relation) exec.JoinSide {
-	if r.batches != nil {
-		return exec.JoinSide{Batches: r.batches}
-	}
-	return exec.JoinSide{Rows: r.rowsOf()}
-}
-
-// rowCount returns the realized relation's row count without forcing batch
-// materialization.
-func (r *relation) rowCount() int {
-	if r.batches != nil {
-		return r.batchRowCount()
-	}
-	return len(r.rows)
 }
 
 // remoteRel is a query being assembled for one SDA remote source.
@@ -140,7 +96,7 @@ func (r *relation) addConj(c expr.Expr) {
 // relation's schema.
 func (r *relation) covers(e expr.Expr) bool {
 	for _, c := range expr.Columns(e) {
-		if r.schema.Find(c) < 0 {
+		if r.Schema.Find(c) < 0 {
 			return false
 		}
 	}
@@ -168,7 +124,7 @@ func (p *planner) realize(r *relation) error {
 func (p *planner) realizeRemote(r *relation) error {
 	rr := r.remote
 	sel := &sqlparse.SelectStmt{Limit: -1}
-	for _, col := range r.schema.Cols {
+	for _, col := range r.Schema.Cols {
 		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: expr.Col(col.Name)})
 	}
 	var from sqlparse.TableExpr
@@ -204,13 +160,13 @@ func (p *planner) realizeRemote(r *relation) error {
 	shown := *sel
 	shown.Where = elideLists(sel.Where)
 	r.node = node(label, node("shipped: "+sqlparse.RenderSelect(&shown)))
-	if err := conformRows(res.Rows, r.schema); err != nil {
+	if err := conformRows(res.Rows, r.Schema); err != nil {
 		return fmt.Errorf("remote source %s returned incompatible rows: %w", rr.source, err)
 	}
-	r.rows = res.Rows.Data
+	r.Rows = res.Rows.Data
 	r.local = true
 	r.remote = nil
-	r.est = float64(len(r.rows))
+	r.est = float64(len(r.Rows))
 	return nil
 }
 
@@ -252,7 +208,7 @@ func (p *planner) realizeExt(r *relation) error {
 	var bound []expr.Expr
 	inCount := 0
 	for _, c := range r.ext.conjs {
-		bc, err := expr.BindClone(c, r.schema)
+		bc, err := expr.BindClone(c, r.Schema)
 		if err != nil {
 			return err
 		}
@@ -262,7 +218,7 @@ func (p *planner) realizeExt(r *relation) error {
 		}
 	}
 	pred := expr.And(bound...)
-	sc, err := p.scan(t, t.parts, r.schema, pred, neededOrds(p.needed, t.meta.Schema))
+	sc, err := p.scan(t, t.parts, r.Schema, pred, neededOrds(p.needed, t.meta.Schema))
 	if err != nil {
 		return err
 	}
@@ -306,10 +262,10 @@ func (p *planner) realizeExt(r *relation) error {
 	if pred != nil {
 		r.node.children = append(r.node.children, node("pushed filter: "+planSQL(pred)))
 	}
-	r.batches = sc.batches
+	r.Batches = sc.batches
 	r.local = true
 	r.ext = nil
-	r.est = float64(r.batchRowCount())
+	r.est = float64(r.Len())
 	return nil
 }
 
@@ -334,15 +290,6 @@ func colOpLiteral(b *expr.BinOp) (*expr.ColRef, value.Value, expr.Op) {
 		}
 	}
 	return nil, value.Null, expr.OpInvalid
-}
-
-// iterOf exposes a realized relation as an executor input: a BatchSlice
-// (batch-capable) for vectorized scans, a row Slice otherwise.
-func iterOf(r *relation) exec.Iter {
-	if r.batches != nil {
-		return exec.NewBatchSlice(r.schema, r.batches)
-	}
-	return exec.NewSlice(r.schema, r.rows)
 }
 
 // estimateLeaf computes the expected row count of a leaf after its pushed

@@ -82,23 +82,22 @@ func (p *planner) execStats() ExecStats {
 
 // runBlock plans and executes one top-level SELECT under plan/exec trace
 // spans: "plan" covers planning and the eager realization work it performs
-// (remote fetches, scans — this planner materializes during planning) and
-// records the strategy decisions; "exec" covers the final drain and carries
-// the executor counters.
+// (remote fetches, scans, joins, the aggregate — this planner materializes
+// during planning) and records the strategy decisions; "exec" covers the
+// block's back end, Block.Finish, and carries the executor counters.
 func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*value.Rows, *planNode, error) {
 	parent := obs.SpanFrom(ctx)
 	pl := parent.StartSpan("plan")
 	p.plan = pl
 	p.ctx = obs.ContextWithSpan(p.ctx, pl)
-	it, root, err := p.planQueryBlock(sel)
+	in, blk, root, err := p.planQueryBlock(sel)
 	pl.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	ex := parent.StartSpan("exec")
 	defer ex.End()
-	p.ctx = obs.ContextWithSpan(ctx, ex)
-	rows, err := exec.Materialize(it)
+	rows, err := blk.Finish(in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,12 +168,11 @@ func traceSpanRows(tr *obs.QueryTrace) *value.Rows {
 // planQueryBlock plans one SELECT block: whole-statement shipping when
 // every referenced table lives in one remote source (§4.2 "It is even
 // possible that complete queries are processed via Hive and Hadoop"),
-// otherwise local planning with per-leaf pushdown.
-func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, error) {
-	if it, n, ok, err := p.tryShipWhole(sel); err != nil {
-		return nil, nil, err
-	} else if ok {
-		return it, n, nil
+// otherwise local planning with per-leaf pushdown. It runs everything up to
+// the block's back end and returns the relation blk.Finish takes.
+func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block, *planNode, error) {
+	if in, blk, n, err := p.tryShipWhole(sel); err != nil || blk != nil {
+		return in, blk, n, err
 	}
 
 	// Split WHERE into plain conjuncts and subquery predicates; the latter
@@ -188,33 +186,33 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 		}
 		c2, err := p.inlineScalarSubqueries(c)
 		if err != nil {
-			return nil, nil, err
+			return exec.Rel{}, nil, nil, err
 		}
 		pool = append(pool, c2)
 	}
 	transforms, subNodes, err := p.placeSubqueries(sel, transforms, &pool)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, nil, err
 	}
 
 	rel, err := p.planFromExpr(sel.From, &pool)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, nil, err
 	}
 	// Single distributed leaf with nothing left in the pool: try shipping
 	// the aggregation itself so only per-group partials cross the exchange.
 	if rel.dst != nil && len(rel.dst.coord) == 0 && len(pool) == 0 && len(transforms) == 0 {
-		if it, root, ok, err := p.tryDistAggregate(sel, rel); err != nil {
-			return nil, nil, err
-		} else if ok {
+		if in, blk, root, err := p.tryDistAggregate(sel, rel); err != nil {
+			return exec.Rel{}, nil, nil, err
+		} else if blk != nil {
 			root.children = append(root.children, subNodes...)
-			return it, root, nil
+			return in, blk, root, nil
 		}
 	}
 	if err := p.realize(rel); err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, nil, err
 	}
-	it := exec.Iter(iterOf(rel))
+	in := rel.Rel
 	root := rel.node
 	if root == nil {
 		root = node("Row Source")
@@ -223,11 +221,13 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 	// Residual conjuncts that never found a single home (cross-relation
 	// non-equi predicates).
 	if len(pool) > 0 {
-		pred, err := expr.BindClone(expr.And(expr.CloneAll(pool)...), it.Schema())
+		pred, err := expr.BindClone(expr.And(expr.CloneAll(pool)...), in.Schema)
 		if err != nil {
-			return nil, nil, err
+			return exec.Rel{}, nil, nil, err
 		}
-		it = &exec.BatchFilter{In: exec.AsBatches(it, nil), Pred: pred}
+		if in, err = exec.Filter(in, pred); err != nil {
+			return exec.Rel{}, nil, nil, err
+		}
 		root = node("Filter: "+planSQL(pred), root)
 	}
 
@@ -235,26 +235,29 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Iter, *planNode
 	// joins on top.
 	for _, tf := range transforms {
 		var err error
-		it, root, err = p.applyTransform(it, root, tf)
+		in, root, err = p.applyTransform(in, root, tf)
 		if err != nil {
-			return nil, nil, err
+			return exec.Rel{}, nil, nil, err
 		}
 	}
 
-	blk, err := exec.AnalyzeBlock(sel, it.Schema())
+	blk, err := exec.AnalyzeBlock(sel, in.Schema)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, nil, err
 	}
 	if blk.Aggregates() {
-		it = &exec.ParallelHashAggregate{
-			In: it, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema,
+		agg := &exec.ParallelHashAggregate{
+			In: in, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema,
 			Pool: p.e.pool, Ctx: p.ctx, Width: p.width, Stats: p.stats,
+		}
+		if in, err = agg.Run(); err != nil {
+			return exec.Rel{}, nil, nil, err
 		}
 		root = node(fmt.Sprintf("Hash Aggregate (%d group cols, groups)", len(blk.GroupBy)), root)
 	}
 	root = finishNodes(sel, blk, root)
 	root.children = append(root.children, subNodes...)
-	return blk.Finish(it), root, nil
+	return in, blk, root, nil
 }
 
 // finishNodes names the stages Block.Finish runs, above root.
@@ -288,11 +291,10 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 	if te == nil {
 		// SELECT without FROM: one empty row.
 		return &relation{
-			schema: value.NewSchema(),
-			rows:   []value.Row{{}},
-			local:  true,
-			est:    1,
-			node:   node("Single Row"),
+			Rel:   exec.Rel{Schema: value.NewSchema(), Rows: []value.Row{{}}},
+			local: true,
+			est:   1,
+			node:  node("Single Row"),
 		}, nil
 	}
 	switch t := te.(type) {
@@ -334,7 +336,7 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 		}
 		schema := res.Schema.Qualify(t.Alias)
 		return &relation{
-			schema: schema, rows: res.Data, local: true,
+			Rel: exec.Rel{Schema: schema, Rows: res.Data}, local: true,
 			est:  float64(len(res.Data)),
 			node: node(fmt.Sprintf("Derived Table %s (%d rows)", t.Alias, len(res.Data))),
 		}, nil
@@ -357,7 +359,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 		}
 		schema := vt.Schema.Qualify(binding)
 		rel := &relation{
-			schema: schema,
+			Rel: exec.Rel{Schema: schema},
 			remote: &remoteRel{
 				source:  vt.Source,
 				adapter: a,
@@ -386,7 +388,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	// Extended / hybrid tables stay unrealized so the planner can choose a
 	// federated strategy (remote scan, semijoin, union plan).
 	if st.firstCold() != nil {
-		rel := &relation{schema: schema, ext: &extRel{t: st}}
+		rel := &relation{Rel: exec.Rel{Schema: schema}, ext: &extRel{t: st}}
 		conjs := takeCovered(rel, pool)
 		for _, c := range conjs {
 			rel.addConj(c)
@@ -401,7 +403,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	// local — workers only hold committed state, and the local path sees
 	// the transaction's own uncommitted rows.
 	if p.tid == 0 && !p.localOnly && p.e.distFor(st) != nil {
-		rel := &relation{schema: schema, dst: &distRel{t: st, name: name, binding: binding}}
+		rel := &relation{Rel: exec.Rel{Schema: schema}, dst: &distRel{t: st, name: name, binding: binding}}
 		conjs := takeCovered(rel, pool)
 		for _, c := range conjs {
 			// A subquery key set ships inside the fragment up to the bound
@@ -420,7 +422,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 
 	// Pure in-memory leaf: morsel-parallel scan over the partitions' row
 	// ranges, with covered conjuncts filtered inside each morsel.
-	rel := &relation{schema: schema, local: true}
+	rel := &relation{Rel: exec.Rel{Schema: schema}, local: true}
 	conjs := takeCovered(rel, pool)
 	var pred expr.Expr
 	if len(conjs) > 0 {
@@ -434,8 +436,8 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	if err != nil {
 		return nil, err
 	}
-	rel.batches = sc.batches
-	kept := rel.batchRowCount()
+	rel.Batches = sc.batches
+	kept := rel.Len()
 	rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
 	if pred != nil {
 		rel.node.children = append(rel.node.children, node("filter: "+planSQL(pred)))
@@ -471,7 +473,7 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 		}
 		schema := rows.Schema.Qualify(t.Binding())
 		return &relation{
-			schema: schema, rows: rows.Data, local: true,
+			Rel: exec.Rel{Schema: schema, Rows: rows.Data}, local: true,
 			est:  float64(rows.Len()),
 			node: node(fmt.Sprintf("Table Provider %s (%d rows)", t.Name, rows.Len())),
 		}, nil
@@ -499,7 +501,7 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 	p.e.Metrics.RemoteQueries.Inc()
 	p.e.Metrics.RemoteRowsFetched.Add(int64(rows.Len()))
 	return &relation{
-		schema: schema, rows: rows.Data, local: true,
+		Rel: exec.Rel{Schema: schema, Rows: rows.Data}, local: true,
 		est:  float64(rows.Len()),
 		node: node(fmt.Sprintf("Virtual Function %s [%s] (%d rows)", t.Name, vf.Source, rows.Len())),
 	}, nil
@@ -525,14 +527,14 @@ func takeCovered(rel *relation, pool *[]expr.Expr) []expr.Expr {
 // strategies: merge into one shipped remote query, semijoin (IN-list
 // pushdown), table relocation, or local hash join.
 func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, error) {
-	combined := l.schema.Concat(r.schema)
+	combined := l.Schema.Concat(r.Schema)
 
 	// Strategy: merge same-source remote relations into one shipped query.
 	if l.remote != nil && r.remote != nil &&
 		strings.EqualFold(l.remote.source, r.remote.source) &&
 		l.remote.adapter.Capabilities().Joins {
 		merged := &relation{
-			schema: combined,
+			Rel: exec.Rel{Schema: combined},
 			remote: &remoteRel{
 				source:  l.remote.source,
 				adapter: l.remote.adapter,
@@ -607,10 +609,10 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		return nil, err
 	}
 
-	out := &relation{schema: combined, local: true}
+	out := &relation{Rel: exec.Rel{Schema: combined}, local: true}
 	var label string
 	if len(leftKeys) > 0 {
-		blk, brk, err := bindKeys(leftKeys, l.schema, rightKeys, r.schema)
+		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -620,14 +622,13 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 				return nil, err
 			}
 		}
-		out.rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinInner, joinSideOf(l), joinSideOf(r), blk, brk, res, r.schema.Len())
+		out.Rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
+			exec.JoinInner, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
 		if err != nil {
 			return nil, err
 		}
 		label = "Hash Join (INNER) on " + keySQL(leftKeys, rightKeys)
 	} else {
-		var it exec.Iter
 		var on expr.Expr
 		if len(residual) > 0 {
 			var err error
@@ -640,18 +641,16 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		} else {
 			label = "Nested Loop Join (cross)"
 		}
-		it = &exec.NestedLoopJoin{Kind: exec.JoinInner, Left: iterOf(l), Right: iterOf(r), On: on}
-		rows, err := exec.Materialize(it)
-		if err != nil {
+		var err error
+		if out.Rows, err = exec.NestedLoopJoin(exec.JoinInner, l.Rel, r.Rel, on); err != nil {
 			return nil, err
 		}
-		out.rows = rows.Data
 	}
 	if relocated {
 		label = "Table Relocation → Extended Storage: " + label
 	}
-	out.est = float64(len(out.rows))
-	out.node = node(fmt.Sprintf("%s (%d rows)", label, len(out.rows)), l.node, r.node)
+	out.est = float64(len(out.Rows))
+	out.node = node(fmt.Sprintf("%s (%d rows)", label, len(out.Rows)), l.node, r.node)
 	return out, nil
 }
 
@@ -690,16 +689,17 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 	if err := p.realize(small); err != nil {
 		return err
 	}
-	if float64(small.rowCount()) > threshold {
-		p.plan.Note("rejected semijoin: build side %d rows > threshold %.0f", small.rowCount(), threshold)
+	if float64(small.Len()) > threshold {
+		p.plan.Note("rejected semijoin: build side %d rows > threshold %.0f", small.Len(), threshold)
 		return nil
 	}
+	rows := small.AllRows()
 	for i := range smallKeys {
-		key, err := expr.BindClone(smallKeys[i], small.schema)
+		key, err := expr.BindClone(smallKeys[i], small.Schema)
 		if err != nil {
 			return err
 		}
-		vals, _, err := keyValues(small.rowsOf(), key)
+		vals, _, err := keyValues(rows, key)
 		if err != nil {
 			return err
 		}
@@ -767,7 +767,7 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 	if err := p.realizeBoth(l, r); err != nil {
 		return nil, err
 	}
-	combined := l.schema.Concat(r.schema)
+	combined := l.Schema.Concat(r.Schema)
 	var leftKeys, rightKeys []expr.Expr
 	var residual []expr.Expr
 	for _, c := range expr.SplitConjuncts(on) {
@@ -778,9 +778,9 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 			residual = append(residual, c)
 		}
 	}
-	out := &relation{schema: combined, local: true}
+	out := &relation{Rel: exec.Rel{Schema: combined}, local: true}
 	if len(leftKeys) > 0 {
-		blk, brk, err := bindKeys(leftKeys, l.schema, rightKeys, r.schema)
+		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -790,8 +790,8 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 				return nil, err
 			}
 		}
-		out.rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinLeftOuter, joinSideOf(l), joinSideOf(r), blk, brk, res, r.schema.Len())
+		out.Rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
+			exec.JoinLeftOuter, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
 		if err != nil {
 			return nil, err
 		}
@@ -800,15 +800,12 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 		if err != nil {
 			return nil, err
 		}
-		it := exec.Iter(&exec.NestedLoopJoin{Kind: exec.JoinLeftOuter, Left: iterOf(l), Right: iterOf(r), On: bon})
-		rows, err := exec.Materialize(it)
-		if err != nil {
+		if out.Rows, err = exec.NestedLoopJoin(exec.JoinLeftOuter, l.Rel, r.Rel, bon); err != nil {
 			return nil, err
 		}
-		out.rows = rows.Data
 	}
-	out.est = float64(len(out.rows))
-	out.node = node(fmt.Sprintf("Hash Join (LEFT OUTER) (%d rows)", len(out.rows)), l.node, r.node)
+	out.est = float64(len(out.Rows))
+	out.node = node(fmt.Sprintf("Hash Join (LEFT OUTER) (%d rows)", len(out.Rows)), l.node, r.node)
 	return out, nil
 }
 
@@ -821,11 +818,11 @@ func maxf(a, b float64) float64 {
 
 // blockRows plans and materializes a nested query block.
 func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *planNode, error) {
-	it, n, err := p.planQueryBlock(sel)
+	in, blk, n, err := p.planQueryBlock(sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := exec.Materialize(it)
+	rows, err := blk.Finish(in)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,11 +18,13 @@ import (
 // capabilities cover the constructs used. On success the statement is
 // rewritten against the remote object names, shipped, and only ORDER
 // BY/LIMIT are applied locally (§4.2: "It is even possible that complete
-// queries are processed via Hive and Hadoop").
-func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, bool, error) {
+// queries are processed via Hive and Hadoop"): the returned Block's Finish
+// over the returned relation. A nil Block means the statement does not ship
+// whole.
+func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block, *planNode, error) {
 	info := &shipInfo{}
 	if !p.shippableBlock(sel, info) || info.source == "" {
-		return nil, nil, false, nil
+		return exec.Rel{}, nil, nil, nil
 	}
 	caps := info.adapter.Capabilities()
 	switch {
@@ -32,7 +34,7 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, 
 		info.hasAgg && !caps.GroupBy,
 		info.hasSubquery && !caps.Subqueries:
 		p.plan.Note("rejected ship-whole: %s lacks capability for the statement", info.source)
-		return nil, nil, false, nil
+		return exec.Rel{}, nil, nil, nil
 	}
 
 	shipped := p.rewriteForShip(sel)
@@ -53,9 +55,9 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, 
 			// strategies (which may hit leaf-level fallback entries).
 			p.e.Metrics.PlannerFallbacks.Inc()
 			p.plan.Note("rejected ship-whole: %s breaker open, falling back to per-leaf strategies", info.source)
-			return nil, nil, false, nil
+			return exec.Rel{}, nil, nil, nil
 		}
-		return nil, nil, false, fmt.Errorf("remote source %s: %w", info.source, err)
+		return exec.Rel{}, nil, nil, fmt.Errorf("remote source %s: %w", info.source, err)
 	}
 	p.e.Metrics.RemoteQueries.Inc()
 	p.e.Metrics.RemoteRowsFetched.Add(int64(res.Rows.Len()))
@@ -73,10 +75,10 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Iter, *planNode, 
 	}
 	blk, err := exec.AnalyzeProjected(sel, res.Rows.Schema)
 	if err != nil {
-		return nil, nil, false, err
+		return exec.Rel{}, nil, nil, err
 	}
 	root := orderLimitNodes(sel, node(label, node("shipped: "+sql)))
-	return blk.Finish(exec.NewSlice(res.Rows.Schema, res.Rows.Data)), root, true, nil
+	return exec.Rel{Schema: res.Rows.Schema, Rows: res.Rows.Data}, blk, root, nil
 }
 
 // hasAnyPredicate reports whether the statement carries a predicate in any

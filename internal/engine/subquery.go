@@ -278,9 +278,9 @@ func elideLists(e expr.Expr) expr.Expr {
 }
 
 // applyTransform runs one subquery predicate placeSubqueries left alone as
-// a semi/anti hash join on top of the current iterator: the block's rows
-// (batches stay batches) probe the subquery's rows.
-func (p *planner) applyTransform(it exec.Iter, root *planNode, tf sqlparse.SubqueryPredicate) (exec.Iter, *planNode, error) {
+// a semi/anti hash join on top of the block's relation: its rows (batches
+// stay batches) probe the subquery's rows.
+func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.SubqueryPredicate) (exec.Rel, *planNode, error) {
 	kind := exec.JoinSemi
 	label := "Semi Join (IN/EXISTS subquery)"
 	if tf.Anti {
@@ -299,9 +299,9 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf sqlparse.Subqu
 		// columns into join keys.
 		var innerKeys, remaining []expr.Expr
 		var err error
-		outerKeys, innerKeys, remaining, err = p.decorrelate(tf.Sel, it.Schema())
+		outerKeys, innerKeys, remaining, err = p.decorrelate(tf.Sel, in.Schema)
 		if err != nil {
-			return nil, nil, err
+			return exec.Rel{}, nil, err
 		}
 		if len(outerKeys) == 0 {
 			// Uncorrelated EXISTS: evaluate once.
@@ -309,13 +309,13 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf sqlparse.Subqu
 				Where: expr.And(remaining...), GroupBy: tf.Sel.GroupBy, Having: tf.Sel.Having, Limit: 1}
 			rows, _, err := p.blockRows(probe)
 			if err != nil {
-				return nil, nil, err
+				return exec.Rel{}, nil, err
 			}
 			exists := rows.Len() > 0
 			if exists != tf.Anti {
-				return it, node("Exists(const true)", root), nil
+				return in, node("Exists(const true)", root), nil
 			}
-			return exec.NewSlice(it.Schema(), nil), node("Exists(const false)", root), nil
+			return exec.Rel{Schema: in.Schema}, node("Exists(const false)", root), nil
 		}
 		// Plan the inner block projecting the correlation keys.
 		items := make([]sqlparse.SelectItem, len(innerKeys))
@@ -327,29 +327,25 @@ func (p *planner) applyTransform(it exec.Iter, root *planNode, tf sqlparse.Subqu
 	}
 	sub, subNode, err := p.blockRows(subSel)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
 	if tf.Outer != nil && sub.Schema.Len() != 1 {
-		return nil, nil, fmt.Errorf("IN subquery must return one column, got %d", sub.Schema.Len())
+		return exec.Rel{}, nil, fmt.Errorf("IN subquery must return one column, got %d", sub.Schema.Len())
 	}
 	leftKeys := make([]expr.Expr, len(outerKeys))
 	rightKeys := make([]expr.Expr, len(outerKeys))
 	for i, k := range outerKeys {
-		if leftKeys[i], err = expr.BindClone(k, it.Schema()); err != nil {
-			return nil, nil, err
+		if leftKeys[i], err = expr.BindClone(k, in.Schema); err != nil {
+			return exec.Rel{}, nil, err
 		}
 		rightKeys[i] = &expr.ColRef{Name: sub.Schema.Cols[i].Name, Ord: i}
 	}
-	left, err := exec.DrainSide(it)
-	if err != nil {
-		return nil, nil, err
-	}
 	rows, err := exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats, kind,
-		left, exec.JoinSide{Rows: sub.Data}, leftKeys, rightKeys, nil, 0)
+		in, exec.Rel{Schema: sub.Schema, Rows: sub.Data}, leftKeys, rightKeys, nil, 0)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
-	return exec.NewSlice(it.Schema(), rows), node(label, root, subNode), nil
+	return exec.Rel{Schema: in.Schema, Rows: rows}, node(label, root, subNode), nil
 }
 
 // correlationPair decomposes an equality between an outer column and an

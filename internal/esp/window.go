@@ -153,11 +153,15 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 	}
 	w.mu.Unlock()
 
-	in := exec.Iter(exec.NewSlice(w.source.schema, raw))
+	in := exec.Rel{Schema: w.source.schema, Rows: raw}
 	if w.blk.Aggregates() {
-		in = &exec.ParallelHashAggregate{In: in, GroupBy: w.blk.GroupBy, Aggs: w.blk.Aggs, Out: w.blk.AggSchema}
+		agg := &exec.ParallelHashAggregate{In: in, GroupBy: w.blk.GroupBy, Aggs: w.blk.Aggs, Out: w.blk.AggSchema}
+		var err error
+		if in, err = agg.Run(); err != nil {
+			return nil, err
+		}
 	}
-	return exec.Materialize(w.blk.Finish(in))
+	return w.blk.Finish(in)
 }
 
 // Forward pushes the current window content into a sink (use case 1 for

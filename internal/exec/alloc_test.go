@@ -55,7 +55,7 @@ func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		out, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinAnti,
-			JoinSide{Rows: left}, JoinSide{Rows: build}, key, key, nil, 0)
+			Rel{Rows: left}, Rel{Rows: build}, key, key, nil, 0)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("anti join = %d rows, %v", len(out), err)
 		}

@@ -8,9 +8,9 @@ import (
 	"hana/internal/value"
 )
 
-// Batch-vs-row equivalence: BatchFilter and BatchProject must keep and
-// compute exactly what expr.Truthy and Expr.Eval give row by row, on a batch
-// producer and on a row producer entering through Batches.
+// Batch-vs-row equivalence: Filter and project must keep and compute exactly
+// what expr.Truthy and Expr.Eval give row by row, on a batch-backed and on a
+// row-backed relation.
 
 func mixedSchema() *value.Schema {
 	return value.NewSchema(
@@ -38,12 +38,18 @@ func mixedRows() []value.Row {
 	return rows
 }
 
-// batchInput produces the rows through the batch path, cut into small
-// batches so operator behavior at batch boundaries is exercised. Rename
-// hides the Slice, so Batches copies the rows as it must for a producer
-// that may reuse them; the tests' "row producer" input is the Slice itself.
-func batchInput(s *value.Schema, rows []value.Row) *Batches {
-	return &Batches{In: Rename(NewSlice(s, rows), s), Size: 5}
+// inputs are rows as a batch-backed relation cut into 5-row batches, so
+// operator behavior at batch boundaries is exercised, and as a row-backed
+// one.
+func inputs(s *value.Schema, rows []value.Row) map[string]Rel {
+	var bs []*value.Batch
+	for lo := 0; lo < len(rows); lo += 5 {
+		bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+5, len(rows))], nil))
+	}
+	return map[string]Rel{
+		"small batches": {Schema: s, Batches: bs},
+		"row-backed":    {Schema: s, Rows: rows},
+	}
 }
 
 func TestBatchFilterMatchesTruthyPerRow(t *testing.T) {
@@ -68,13 +74,13 @@ func TestBatchFilterMatchesTruthyPerRow(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		inputs := map[string]BatchIter{
-			"small batches": batchInput(s, rows),
-			"row producer":  &Batches{In: NewSlice(s, rows)},
-		}
-		for name, in := range inputs {
-			if got := drain(t, &BatchFilter{In: in, Pred: p}); !reflect.DeepEqual(got, want) {
-				t.Errorf("pred %d, %s: BatchFilter diverged from Truthy per row:\nbatch: %v\nrow:   %v", i, name, got, want)
+		for name, in := range inputs(s, rows) {
+			out, err := Filter(in, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.AllRows(); !reflect.DeepEqual(got, want) {
+				t.Errorf("pred %d, %s: Filter diverged from Truthy per row:\nbatch: %v\nrow:   %v", i, name, got, want)
 			}
 		}
 	}
@@ -107,26 +113,28 @@ func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 			want[i][j] = v
 		}
 	}
-	inputs := map[string]BatchIter{
-		"small batches": batchInput(s, rows),
-		"row producer":  &Batches{In: NewSlice(s, rows)},
-	}
-	for name, in := range inputs {
-		if got := drain(t, &BatchProject{In: in, Exprs: exprs, Out: out}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: BatchProject diverged from Eval per row:\nbatch: %v\nrow:   %v", name, got, want)
+	for name, in := range inputs(s, rows) {
+		var got []value.Row
+		for i := 0; in.batch(i, nil) != nil; i++ {
+			pb, err := project(in.batch(i, nil), exprs, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, pb.MaterializeRows()...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: project diverged from Eval per row:\nbatch: %v\nrow:   %v", name, got, want)
 		}
 	}
 }
 
-// A consumer that names the columns it reads gets only those as vectors; the
-// others are pruned and read as NULL, as from a store's ReadBatch.
+// A consumer that names the columns it reads gets only those of a
+// row-backed relation as vectors; the others are pruned and read as NULL, as
+// from a store's ReadBatch.
 func TestBatchesTransposeOnlyNeededColumns(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
-	b, err := (&Batches{In: NewSlice(s, rows), Needed: []bool{false, true, false}}).NextBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Rel{Schema: s, Rows: rows}.batch(0, []bool{false, true, false})
 	if b.Len() != len(rows) || !b.Cols[0].Pruned || b.Cols[1].Pruned || !b.Cols[2].Pruned {
 		t.Fatalf("batch of %d rows, pruned = %v %v %v", b.Len(), b.Cols[0].Pruned, b.Cols[1].Pruned, b.Cols[2].Pruned)
 	}
@@ -171,9 +179,9 @@ func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
 	}
 }
 
-// The batch filter must not fall back to per-row work for compilable
-// predicates: one NextBatch pass over a morsel allocates a bounded number of
-// times (kernel closures, the selection vector) regardless of row count.
+// Filter must not fall back to per-row work for compilable predicates: one
+// pass over a morsel allocates a bounded number of times (kernel closures,
+// the selection vector) regardless of row count.
 func TestBatchFilterSubLinearAllocs(t *testing.T) {
 	const n = 4096
 	s := intSchema("g", "v")
@@ -188,8 +196,7 @@ func TestBatchFilterSubLinearAllocs(t *testing.T) {
 	kept := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		b.Sel = nil
-		f := &BatchFilter{In: NewBatchSlice(s, []*value.Batch{b}), Pred: pred}
-		out, err := f.NextBatch()
+		out, err := Filter(Rel{Schema: s, Batches: []*value.Batch{b}}, pred)
 		if err != nil {
 			t.Fatal(err)
 		}

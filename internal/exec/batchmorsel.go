@@ -25,25 +25,6 @@ type batchSeg struct {
 	lo, hi int
 }
 
-// collectBatches drains a batch producer without materializing rows.
-// Batches with no live rows are dropped: they contribute nothing to the
-// live-row stream the morsels are cut from.
-func collectBatches(in BatchIter) ([]*value.Batch, error) {
-	var bs []*value.Batch
-	for {
-		b, err := in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return bs, nil
-		}
-		if b.Len() > 0 {
-			bs = append(bs, b)
-		}
-	}
-}
-
 // batchOffsets returns prefix sums of live-row counts: offs[i] is the
 // global live ordinal of batch i's first row, offs[len(bs)] the total.
 func batchOffsets(bs []*value.Batch) []int {

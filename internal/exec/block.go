@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"hana/internal/expr"
@@ -34,7 +35,8 @@ type Block struct {
 	exprs []expr.Expr
 	proj  *value.Schema
 	// needed marks the columns of Finish's input that Having and exprs read
-	// (nil = all): a row producer's other columns are not turned into vectors.
+	// (nil = all): a row-backed input's other columns are not turned into
+	// vectors.
 	needed   []bool
 	distinct bool
 	keys     []SortKey // bound to proj
@@ -160,37 +162,120 @@ func (b *Block) Aggregates() bool { return b.AggSchema != nil }
 
 // Finish applies HAVING, the projection, DISTINCT, ORDER BY and LIMIT to the
 // aggregate's output (the block's input relation when it does not
-// aggregate) and drops the hidden sort columns.
-func (b *Block) Finish(in Iter) Iter {
-	it := in
-	if b.exprs != nil {
-		bi := AsBatches(in, b.needed)
-		if b.Having != nil {
-			bi = &BatchFilter{In: bi, Pred: b.Having}
+// aggregate) and drops the hidden sort columns. HAVING, the projection and
+// boxing run one input batch at a time; with neither DISTINCT nor ORDER BY
+// no batch is read once LIMIT rows are out.
+func (b *Block) Finish(in Rel) (*value.Rows, error) {
+	var rows []value.Row
+	if b.exprs == nil {
+		rows = in.AllRows()
+	} else {
+		early := !b.distinct && len(b.keys) == 0 && b.limit >= 0
+		for i := 0; !early || int64(len(rows)) < b.limit; i++ {
+			bt := in.batch(i, b.needed)
+			if bt == nil {
+				break
+			}
+			if b.Having != nil {
+				if err := expr.SelectBatch(b.Having, bt); err != nil {
+					return nil, err
+				}
+			}
+			if bt.Len() == 0 {
+				continue
+			}
+			pb, err := project(bt, b.exprs, b.proj)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, pb.MaterializeRows()...)
 		}
-		it = &BatchProject{In: bi, Exprs: b.exprs, Out: b.proj}
-	} else if b.proj != in.Schema() {
-		it = Rename(in, b.proj)
 	}
 	if b.distinct {
-		it = &Distinct{In: it}
+		rows = distinctRows(rows, b.proj.Len())
 	}
 	if len(b.keys) > 0 {
-		it = &Sort{In: it, Keys: b.keys}
-	}
-	if b.limit >= 0 {
-		it = &Limit{In: it, N: b.limit}
-	}
-	if b.proj != b.Out {
-		cols := make([]expr.Expr, b.Out.Len())
-		for i := range cols {
-			c := expr.Col(b.Out.Cols[i].Name)
-			c.Ord = i
-			cols[i] = c
+		if err := sortRows(rows, b.keys); err != nil {
+			return nil, err
 		}
-		it = &BatchProject{In: AsBatches(it, nil), Exprs: cols, Out: b.Out}
 	}
-	return it
+	if b.limit >= 0 && int64(len(rows)) > b.limit {
+		// A copy: the result must not keep the rows past the limit alive.
+		rows = append([]value.Row(nil), rows[:b.limit]...)
+	}
+	if w := b.Out.Len(); b.proj != b.Out {
+		for i, r := range rows {
+			rows[i] = r[:w:w]
+		}
+	}
+	return &value.Rows{Schema: b.Out, Data: rows}, nil
+}
+
+// SortKey is one ORDER BY key over a bound expression.
+type SortKey struct {
+	E    expr.Expr
+	Desc bool
+}
+
+// sortRows stably sorts rows in place by keys.
+func sortRows(rows []value.Row, keys []SortKey) error {
+	type keyed struct {
+		row  value.Row
+		keys []value.Value
+	}
+	ks := make([]keyed, len(rows))
+	slab := make([]value.Value, len(rows)*len(keys))
+	for i, r := range rows {
+		kv := slab[i*len(keys) : (i+1)*len(keys)]
+		for j, k := range keys {
+			v, err := k.E.Eval(r)
+			if err != nil {
+				return err
+			}
+			kv[j] = v
+		}
+		ks[i] = keyed{row: r, keys: kv}
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		for j, k := range keys {
+			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	for i, k := range ks {
+		rows[i] = k.row
+	}
+	return nil
+}
+
+// distinctRows drops repeated rows of the given width in place (full-row
+// comparison), keeping each first occurrence in order.
+func distinctRows(rows []value.Row, width int) []value.Row {
+	ords := ordinals(width)
+	seen := map[uint64][]value.Row{}
+	kept := rows[:0]
+	for _, r := range rows {
+		h := r.Hash(ords)
+		dup := false
+		for _, prev := range seen[h] {
+			if r.EqualAt(prev, ords, ords) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			seen[h] = append(seen[h], r)
+			kept = append(kept, r)
+		}
+	}
+	return kept
 }
 
 // analyzeAggregate fills GroupBy, Aggs and AggSchema from the group keys and

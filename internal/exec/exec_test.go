@@ -2,11 +2,11 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
 	"hana/internal/expr"
+	"hana/internal/sqlparse"
 	"hana/internal/value"
 )
 
@@ -38,48 +38,71 @@ func bind(t *testing.T, e expr.Expr, s *value.Schema) expr.Expr {
 	return e
 }
 
-func drain(t *testing.T, it Iter) []value.Row {
+// finish runs blk's back end over in.
+func finish(t *testing.T, blk *Block, in Rel) []value.Row {
 	t.Helper()
-	rs, err := Materialize(it)
+	rs, err := blk.Finish(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rs.Data
 }
 
+// aggregate runs agg and returns its groups.
+func aggregate(t *testing.T, agg *ParallelHashAggregate) []value.Row {
+	t.Helper()
+	out, err := agg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Rows
+}
+
 func TestFilterProjectLimit(t *testing.T) {
 	s := intSchema("a", "b")
-	in := NewSlice(s, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40}))
-	f := &BatchFilter{In: &Batches{In: in}, Pred: bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s)}
-	proj := &BatchProject{
-		In:    f,
-		Exprs: []expr.Expr{bind(t, expr.Bin(expr.OpAdd, expr.Col("a"), expr.Col("b")), s)},
-		Out:   intSchema("sum"),
+	in := Rel{Schema: s, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40})}
+	f, err := Filter(in, bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	lim := &Limit{In: proj, N: 2}
-	got := drain(t, lim)
+	out := intSchema("sum")
+	blk := &Block{Out: out, proj: out, limit: 2,
+		exprs: []expr.Expr{bind(t, expr.Bin(expr.OpAdd, expr.Col("a"), expr.Col("b")), s)}}
+	got := finish(t, blk, f)
 	if len(got) != 2 || got[0][0].Int() != 22 || got[1][0].Int() != 33 {
 		t.Fatalf("got %v", got)
 	}
 }
 
-func TestLimitOffset(t *testing.T) {
+// With neither DISTINCT nor ORDER BY, Finish reads no batch once LIMIT rows
+// are out: the division by zero in the second batch is never evaluated.
+func TestFinishStopsAtLimit(t *testing.T) {
 	s := intSchema("a")
-	in := NewSlice(s, rowsOf([]int64{1}, []int64{2}, []int64{3}, []int64{4}))
-	got := drain(t, &Limit{In: in, N: 2, Offset: 1})
-	if len(got) != 2 || got[0][0].Int() != 2 {
+	in := Rel{Schema: s, Batches: []*value.Batch{
+		value.BatchFromRows(s, rowsOf([]int64{1}, []int64{2}), nil),
+		value.BatchFromRows(s, rowsOf([]int64{0}), nil),
+	}}
+	out := intSchema("q")
+	blk := &Block{Out: out, proj: out, limit: 2,
+		exprs: []expr.Expr{bind(t, expr.Bin(expr.OpDiv, expr.Int(10), expr.Col("a")), s)}}
+	if got := finish(t, blk, in); fmt.Sprint(got) != "[[10] [5]]" {
 		t.Fatalf("got %v", got)
+	}
+	blk.limit = 3
+	if _, err := blk.Finish(in); err == nil {
+		t.Fatal("LIMIT 3 reads the second batch, which divides by zero")
 	}
 }
 
 func TestSortMultiKey(t *testing.T) {
 	s := intSchema("a", "b")
-	in := NewSlice(s, rowsOf([]int64{1, 2}, []int64{2, 1}, []int64{1, 1}, []int64{2, 2}))
-	srt := &Sort{In: in, Keys: []SortKey{
+	got := rowsOf([]int64{1, 2}, []int64{2, 1}, []int64{1, 1}, []int64{2, 2})
+	if err := sortRows(got, []SortKey{
 		{E: bind(t, expr.Col("a"), s)},
 		{E: bind(t, expr.Col("b"), s), Desc: true},
-	}}
-	got := drain(t, srt)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := [][2]int64{{1, 2}, {1, 1}, {2, 2}, {2, 1}}
 	for i, w := range want {
 		if got[i][0].Int() != w[0] || got[i][1].Int() != w[1] {
@@ -89,10 +112,8 @@ func TestSortMultiKey(t *testing.T) {
 }
 
 func TestDistinct(t *testing.T) {
-	s := intSchema("a")
-	in := NewSlice(s, rowsOf([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}))
-	got := drain(t, &Distinct{In: in})
-	if len(got) != 3 {
+	got := distinctRows(rowsOf([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}), 1)
+	if fmt.Sprint(got) != "[[1] [2] [3]]" {
 		t.Fatalf("distinct = %v", got)
 	}
 }
@@ -101,8 +122,8 @@ func TestHashJoinInner(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
 	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
-		JoinSide{Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
-		JoinSide{Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
+		Rel{Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
+		Rel{Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +138,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k", "r.v")
 	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinLeftOuter,
-		JoinSide{Rows: rowsOf([]int64{1}, []int64{2})}, JoinSide{Rows: rowsOf([]int64{2, 20})},
+		Rel{Rows: rowsOf([]int64{1}, []int64{2})}, Rel{Rows: rowsOf([]int64{2, 20})},
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +169,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		for kind, want := range map[JoinKind]string{JoinSemi: tc.semi, JoinAnti: tc.anti, JoinAntiNullAware: tc.notIn} {
 			// rightWidth is ignored: the output has the probe side's columns.
 			got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, kind,
-				JoinSide{Rows: probe}, JoinSide{Rows: tc.build}, lk, rk, nil, rs.Len())
+				Rel{Rows: probe}, Rel{Rows: tc.build}, lk, rk, nil, rs.Len())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +180,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	}
 	residual := bind(t, expr.Bin(expr.OpLt, expr.Col("l.k"), expr.Col("r.k")), ls.Concat(rs))
 	if _, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinSemi,
-		JoinSide{Rows: probe}, JoinSide{Rows: probe}, lk, rk, residual, rs.Len()); err == nil {
+		Rel{Rows: probe}, Rel{Rows: probe}, lk, rk, residual, rs.Len()); err == nil {
 		t.Error("a semi join with a residual must be rejected")
 	}
 }
@@ -168,7 +189,7 @@ func TestHashJoinResidual(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
 	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
-		JoinSide{Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, JoinSide{Rows: rowsOf([]int64{1, 10})},
+		Rel{Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, Rel{Rows: rowsOf([]int64{1, 10})},
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)},
 		bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), ls.Concat(rs)), rs.Len())
 	if err != nil {
@@ -182,46 +203,32 @@ func TestHashJoinResidual(t *testing.T) {
 func TestNestedLoopJoinKinds(t *testing.T) {
 	ls := intSchema("l.a")
 	rs := intSchema("r.b")
-	concat := ls.Concat(rs)
-	on := bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), concat)
-	nl := &NestedLoopJoin{
-		Kind:  JoinInner,
-		Left:  NewSlice(ls, rowsOf([]int64{1}, []int64{5})),
-		Right: NewSlice(rs, rowsOf([]int64{2}, []int64{6})),
-		On:    on,
+	on := bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), ls.Concat(rs))
+	join := func(kind JoinKind, left, right []value.Row, on expr.Expr) []value.Row {
+		t.Helper()
+		rows, err := NestedLoopJoin(kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	got := drain(t, nl)
-	if len(got) != 3 { // 1<2, 1<6, 5<6
+	if got := join(JoinInner, rowsOf([]int64{1}, []int64{5}), rowsOf([]int64{2}, []int64{6}), on); fmt.Sprint(got) != "[[1, 2] [1, 6] [5, 6]]" {
 		t.Fatalf("nl inner = %v", got)
 	}
 	// Cross join (nil predicate).
-	cross := &NestedLoopJoin{
-		Kind:  JoinInner,
-		Left:  NewSlice(ls, rowsOf([]int64{1}, []int64{2})),
-		Right: NewSlice(rs, rowsOf([]int64{3}, []int64{4})),
-	}
-	if len(drain(t, cross)) != 4 {
-		t.Fatal("cross join")
+	if got := join(JoinInner, rowsOf([]int64{1}, []int64{2}), rowsOf([]int64{3}, []int64{4}), nil); len(got) != 4 {
+		t.Fatalf("cross join = %v", got)
 	}
 	// Left outer with no matches null-extends.
-	outer := &NestedLoopJoin{
-		Kind:  JoinLeftOuter,
-		Left:  NewSlice(ls, rowsOf([]int64{9})),
-		Right: NewSlice(rs, rowsOf([]int64{2})),
-		On:    bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), concat),
-	}
-	og := drain(t, outer)
-	if len(og) != 1 || !og[0][1].IsNull() {
-		t.Fatalf("nl outer = %v", og)
+	if got := join(JoinLeftOuter, rowsOf([]int64{9}), rowsOf([]int64{2}), on); fmt.Sprint(got) != "[[9, NULL]]" {
+		t.Fatalf("nl outer = %v", got)
 	}
 }
 
 func TestHashAggregateGroups(t *testing.T) {
 	s := intSchema("g", "v")
-	in := NewSlice(s, rowsOf(
-		[]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{1, 2}))
 	agg := &ParallelHashAggregate{
-		In:      in,
+		In:      Rel{Schema: s, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{1, 2})},
 		GroupBy: []expr.Expr{bind(t, expr.Col("g"), s)},
 		Aggs: []AggSpec{
 			{Func: "COUNT"},
@@ -232,7 +239,7 @@ func TestHashAggregateGroups(t *testing.T) {
 		},
 		Out: intSchema("g", "c", "s", "mn", "mx", "av"),
 	}
-	got := drain(t, agg)
+	got := aggregate(t, agg)
 	if len(got) != 2 {
 		t.Fatalf("groups = %d", len(got))
 	}
@@ -249,11 +256,11 @@ func TestHashAggregateGroups(t *testing.T) {
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	s := intSchema("v")
 	agg := &ParallelHashAggregate{
-		In:   NewSlice(s, nil),
+		In:   Rel{Schema: s},
 		Aggs: []AggSpec{{Func: "COUNT"}, {Func: "SUM", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("c", "s"),
 	}
-	got := drain(t, agg)
+	got := aggregate(t, agg)
 	if len(got) != 1 || got[0][0].Int() != 0 || !got[0][1].IsNull() {
 		t.Fatalf("global empty agg = %v", got)
 	}
@@ -264,7 +271,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 	rows := rowsOf([]int64{1}, []int64{1}, []int64{2})
 	rows = append(rows, value.Row{value.Null})
 	agg := &ParallelHashAggregate{
-		In: NewSlice(s, rows),
+		In: Rel{Schema: s, Rows: rows},
 		Aggs: []AggSpec{
 			{Func: "COUNT", Arg: bind(t, expr.Col("v"), s), Distinct: true},
 			{Func: "COUNT", Arg: bind(t, expr.Col("v"), s)},
@@ -272,7 +279,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 		},
 		Out: intSchema("cd", "c", "cs"),
 	}
-	got := drain(t, agg)
+	got := aggregate(t, agg)
 	if got[0][0].Int() != 2 { // COUNT(DISTINCT v) skips NULL
 		t.Fatalf("count distinct = %v", got[0][0])
 	}
@@ -286,47 +293,42 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 
 func TestAggregateStddev(t *testing.T) {
 	s := intSchema("v")
-	in := NewSlice(s, rowsOf([]int64{2}, []int64{4}, []int64{4}, []int64{4}, []int64{5}, []int64{5}, []int64{7}, []int64{9}))
 	agg := &ParallelHashAggregate{
-		In:   in,
+		In:   Rel{Schema: s, Rows: rowsOf([]int64{2}, []int64{4}, []int64{4}, []int64{4}, []int64{5}, []int64{5}, []int64{7}, []int64{9})},
 		Aggs: []AggSpec{{Func: "STDDEV", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("sd"),
 	}
-	got := drain(t, agg)
+	got := aggregate(t, agg)
 	if sd := got[0][0].Float(); sd < 1.99 || sd > 2.01 {
 		t.Fatalf("stddev = %v", sd)
 	}
 }
 
-func TestErrorIterPropagates(t *testing.T) {
-	e := errors.New("boom")
-	f := &BatchFilter{In: &Batches{In: Error(e)}}
-	_, _, err := f.Next()
-	if !errors.Is(err, e) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
+// A statement shipped whole comes back under the source's column names;
+// AnalyzeProjected relabels them after the select list by setting the schema.
 func TestRename(t *testing.T) {
-	s := intSchema("a")
-	r := Rename(NewSlice(s, rowsOf([]int64{1})), intSchema("x.a"))
-	if r.Schema().Cols[0].Name != "x.a" {
-		t.Fatal("rename schema")
+	sel := &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: expr.Col("a"), Alias: "x"}}, Limit: -1}
+	blk, err := AnalyzeProjected(sel, intSchema("t.a"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := Rename(NewSlice(s, nil), intSchema("a", "b"))
-	if _, _, err := bad.Next(); err == nil {
-		t.Fatal("arity mismatch must error")
+	got, err := blk.Finish(Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Schema.Cols[0].Name != "x" || fmt.Sprint(got.Data) != "[[1]]" {
+		t.Fatalf("relabelled %v: %v", got.Schema.Names(), got.Data)
 	}
 }
 
 func TestSumIntegerStaysInteger(t *testing.T) {
 	s := intSchema("v")
 	agg := &ParallelHashAggregate{
-		In:   NewSlice(s, rowsOf([]int64{1}, []int64{2})),
+		In:   Rel{Schema: s, Rows: rowsOf([]int64{1}, []int64{2})},
 		Aggs: []AggSpec{{Func: "SUM", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("s"),
 	}
-	got := drain(t, agg)
+	got := aggregate(t, agg)
 	if got[0][0].K != value.KindInt || got[0][0].Int() != 3 {
 		t.Fatalf("integer sum = %v", got[0][0])
 	}

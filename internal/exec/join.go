@@ -25,91 +25,42 @@ const (
 )
 
 // NestedLoopJoin joins without equality keys (general predicates, cross
-// joins). The right side is materialized once.
-type NestedLoopJoin struct {
-	Kind  JoinKind // JoinInner or JoinLeftOuter
-	Left  Iter
-	Right Iter
-	On    expr.Expr // bound to concatenated schema; nil = cross product
-
-	out        *value.Schema
-	right      []value.Row
-	built      bool
-	cur        value.Row
-	ri         int
-	curMatched bool
-	buf        value.Row
-}
-
-// Schema implements Iter.
-func (n *NestedLoopJoin) Schema() *value.Schema {
-	if n.out == nil {
-		n.out = n.Left.Schema().Concat(n.Right.Schema())
-	}
-	return n.out
-}
-
-// Next implements Iter.
-func (n *NestedLoopJoin) Next() (value.Row, bool, error) {
-	if !n.built {
-		rows, err := Materialize(n.Right)
-		if err != nil {
-			return nil, false, err
-		}
-		n.right = rows.Data
-		n.built = true
-		n.buf = make(value.Row, n.Left.Schema().Len()+n.Right.Schema().Len())
-		n.ri = len(n.right) // force fetch of first left row
-	}
-	for {
-		if n.ri >= len(n.right) {
-			// advance to next left row
-			if n.cur != nil && n.Kind == JoinLeftOuter && !n.curMatched {
-				row := n.combineNullRight(n.cur)
-				n.cur = nil
-				return row, true, nil
+// joins) and returns the combined rows: each left row meets every right row
+// in order, and under JoinLeftOuter a left row that matched none comes out
+// once, null-extended. kind is JoinInner or JoinLeftOuter; on is bound to
+// the concatenated schema, nil for a cross product.
+func NestedLoopJoin(kind JoinKind, left, right Rel, on expr.Expr) ([]value.Row, error) {
+	lw, rw := left.Schema.Len(), right.Schema.Len()
+	rrows := right.AllRows()
+	buf := make(value.Row, lw+rw)
+	var out []value.Row
+	for _, l := range left.AllRows() {
+		copy(buf, l)
+		matched := false
+		for _, r := range rrows {
+			copy(buf[lw:], r)
+			if on != nil {
+				ok, err := expr.Truthy(on, buf)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue
+				}
 			}
-			left, ok, err := n.Left.Next()
-			if err != nil || !ok {
-				return nil, false, err
+			matched = true
+			out = append(out, buf.Clone())
+		}
+		if kind == JoinLeftOuter && !matched {
+			row := make(value.Row, lw+rw)
+			copy(row, l)
+			for i := lw; i < len(row); i++ {
+				row[i] = value.Null
 			}
-			n.cur = left.Clone()
-			n.ri = 0
-			n.curMatched = false
-			continue
+			out = append(out, row)
 		}
-		right := n.right[n.ri]
-		n.ri++
-		combined := n.combine(n.cur, right)
-		match := true
-		if n.On != nil {
-			var err error
-			match, err = expr.Truthy(n.On, combined)
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		if !match {
-			continue
-		}
-		n.curMatched = true
-		return combined, true, nil
 	}
-}
-
-func (n *NestedLoopJoin) combine(left, right value.Row) value.Row {
-	copy(n.buf, left)
-	copy(n.buf[len(left):], right)
-	return n.buf[:len(left)+len(right)]
-}
-
-func (n *NestedLoopJoin) combineNullRight(left value.Row) value.Row {
-	copy(n.buf, left)
-	w := n.Right.Schema().Len()
-	for i := 0; i < w; i++ {
-		n.buf[len(left)+i] = value.Null
-	}
-	return n.buf[:len(left)+w]
+	return out, nil
 }
 
 // String names a join kind for plan display.

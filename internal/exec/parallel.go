@@ -18,14 +18,15 @@ import (
 // byte-identical output.
 
 // ParallelHashAggregate groups by the bound GroupBy expressions and computes
-// Aggs: the input is materialized, split into morsels, aggregated into
-// per-morsel partial group tables on the pool's workers, and merged at a
-// barrier in morsel order, so groups come out in the input's first-seen
-// order. Out names the [group cols…, agg results…] output. With no group-by
-// expressions it produces the single global group (even for empty input, per
-// SQL). A nil Pool runs the morsels on one worker.
+// Aggs: the input is split into morsels, aggregated into per-morsel partial
+// group tables on the pool's workers, and merged at a barrier in morsel
+// order, so groups come out in the input's first-seen order. Out names the
+// [group cols…, agg results…] output. With no group-by expressions it
+// produces the single global group (even for empty input, per SQL). A nil
+// Pool runs the morsels on one worker. benchmark/probes.go builds it from
+// In, GroupBy, Aggs, Pool, Ctx and Width.
 type ParallelHashAggregate struct {
-	In      Iter
+	In      Rel
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
 	Out     *value.Schema
@@ -37,56 +38,40 @@ type ParallelHashAggregate struct {
 	MorselSize int
 	Stats      *Counters
 
-	done   bool
-	groups []value.Row
-	i      int
+	groups []value.Row // Next's state: Run's rows (never nil) once it ran
+	next   int
 }
 
-// Schema implements Iter.
-func (h *ParallelHashAggregate) Schema() *value.Schema { return h.Out }
-
-// Next implements Iter.
-func (h *ParallelHashAggregate) Next() (value.Row, bool, error) {
-	if !h.done {
-		if err := h.run(); err != nil {
-			return nil, false, err
-		}
-	}
-	if h.i >= len(h.groups) {
-		return nil, false, nil
-	}
-	r := h.groups[h.i]
-	h.i++
-	return r, true, nil
-}
-
-// rest implements materialized: the group rows are built once and owned by
-// nobody else.
-func (h *ParallelHashAggregate) rest() ([]value.Row, error) {
-	if !h.done {
-		if err := h.run(); err != nil {
-			return nil, err
-		}
-	}
-	rows := h.groups[h.i:]
-	h.i = len(h.groups)
-	return rows, nil
-}
-
-func (h *ParallelHashAggregate) run() error {
+// Run aggregates In and returns the finalised groups over Out.
+func (h *ParallelHashAggregate) Run() (Rel, error) {
 	merged, err := h.Partial()
 	if err != nil {
-		return err
+		return Rel{}, err
 	}
-	h.groups, err = merged.Rows(h.Aggs, len(h.GroupBy) == 0)
-	h.done = err == nil
-	return err
+	rows, err := merged.Rows(h.Aggs, len(h.GroupBy) == 0)
+	return Rel{Schema: h.Out, Rows: rows}, err
 }
 
-// Partial drains the input and returns its merged, not yet finalised group
+// Next returns Run's groups one at a time; benchmark/probes.go calls it.
+func (h *ParallelHashAggregate) Next() (value.Row, bool, error) {
+	if h.groups == nil {
+		out, err := h.Run()
+		if err != nil {
+			return nil, false, err
+		}
+		h.groups = out.Rows
+	}
+	if h.next >= len(h.groups) {
+		return nil, false, nil
+	}
+	h.next++
+	return h.groups[h.next-1], true, nil
+}
+
+// Partial aggregates In and returns its merged, not yet finalised group
 // table: Groups in the input's first-seen order, each First the ordinal of
 // the group's first input row. A dist worker ships this as its shard's
-// aggregate state; Next finalises the same table.
+// aggregate state; Run finalises the same table.
 func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	ctx := h.Ctx
 	if ctx == nil {
@@ -96,30 +81,18 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	if pool == nil {
 		pool = NewPool(1)
 	}
-	// Batch producers keep their columnar form: the morsels below read keys
-	// and arguments straight from the vectors. Anything else materializes
-	// rows as before.
+	// A batch-backed input keeps its columnar form: the morsels below read
+	// keys and arguments straight from the vectors.
 	var (
-		data []value.Row
-		bs   []*value.Batch
+		data = h.In.Rows
+		bs   = h.In.Batches
 		offs []int
 		bpl  batchAggPlan
 	)
-	if bi, ok := h.In.(BatchIter); ok {
-		var err error
-		if bs, err = collectBatches(bi); err != nil {
-			return nil, err
-		}
-		offs = batchOffsets(bs)
-		bpl = planBatchAgg(h.GroupBy, h.Aggs)
-	} else {
-		var err error
-		if data, err = drainRows(h.In); err != nil {
-			return nil, err
-		}
-	}
 	total := len(data)
 	if bs != nil {
+		offs = batchOffsets(bs)
+		bpl = planBatchAgg(h.GroupBy, h.Aggs)
 		total = offs[len(bs)]
 	}
 	size := h.MorselSize
@@ -209,68 +182,10 @@ func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []Agg
 	return pt, nil
 }
 
-// drainRows materializes an iterator's rows. A materialized producer's rows
-// are used directly (they are stable, and aggregation/joins only read
-// them); anything else goes through the cloning Materialize path.
-func drainRows(in Iter) ([]value.Row, error) {
-	if m, ok := in.(materialized); ok {
-		return m.rest()
-	}
-	if b, ok := in.(BatchIter); ok {
-		return drainBatchRows(b)
-	}
-	rows, err := Materialize(in)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Data, nil
-}
-
-// JoinSide is one hash-join input: either materialized rows or columnar
-// batches straight from a vectorized scan. A batch-backed side keeps late
-// materialization through the join — keys are read from the vectors and
-// only rows that actually reach the output are boxed.
-type JoinSide struct {
-	Rows    []value.Row
-	Batches []*value.Batch // when non-nil, Rows is ignored
-}
-
-// length returns the side's live row count.
-func (s JoinSide) length() int {
-	if s.Batches != nil {
-		n := 0
-		for _, b := range s.Batches {
-			n += b.Len()
-		}
-		return n
-	}
-	return len(s.Rows)
-}
-
-// fillRow boxes global live row i into dst, which must have the side's
-// column width. offs is the side's batchOffsets (ignored for rows).
-func (s JoinSide) fillRow(i int, dst value.Row, offs []int) {
-	if s.Batches != nil {
-		b, phys := batchRowAt(s.Batches, offs, i)
-		b.FillRow(phys, dst)
-		return
-	}
-	copy(dst, s.Rows[i])
-}
-
-// DrainSide drains an iterator into a hash-join input: a batch producer's
-// batches stay batches, anything else yields its rows.
-func DrainSide(in Iter) (JoinSide, error) {
-	if b, ok := in.(BatchIter); ok {
-		bs, err := collectBatches(b)
-		return JoinSide{Batches: bs}, err
-	}
-	rows, err := drainRows(in)
-	return JoinSide{Rows: rows}, err
-}
-
 // HashJoinParallel executes a hash join of any JoinKind with
-// morsel-parallel build and probe phases. The build side is hashed into
+// morsel-parallel build and probe phases. A batch-backed side keeps late
+// materialization through the join: keys are read from the vectors and only
+// rows that reach the output are boxed. The build side is hashed into
 // per-morsel partial tables holding row indices; probe morsels scan the
 // partials in morsel order, so a probe row's matches come out in
 // build-input order and probe outputs concatenate in probe-input order.
@@ -280,9 +195,9 @@ func DrainSide(in Iter) (JoinSide, error) {
 // anti kinds emit left-schema rows, ignore rightWidth and take no
 // residual. Row- and batch-backed sides produce byte-identical output:
 // global row ordinals, key values, hashes and emission order are the same
-// either way.
+// either way. benchmark/probes.go calls it with this signature.
 func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
-	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
+	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr,
 	residual expr.Expr, rightWidth int) ([]value.Row, error) {
 	rows, _, err := HashJoinProbeOrdinals(ctx, pool, width, morselSize, stats, kind, left, right, leftKeys, rightKeys, residual, rightWidth)
 	return rows, err
@@ -293,7 +208,7 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 // came from (ascending; repeated per match). A dist worker maps it to the
 // probe row's global scan sequence.
 func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
-	kind JoinKind, left, right JoinSide, leftKeys, rightKeys []expr.Expr,
+	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr,
 	residual expr.Expr, rightWidth int) ([]value.Row, []int, error) {
 	leftOnly := false
 	switch kind {
@@ -325,7 +240,7 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 		rOffs = batchOffsets(right.Batches)
 	}
 	lkp, rkp := planKeys(leftKeys), planKeys(rightKeys)
-	nLeft, nRight := left.length(), right.length()
+	nLeft, nRight := left.Len(), right.Len()
 
 	// Build phase: per-morsel hash tables of row indices plus the evaluated
 	// key values (evaluated once, reused by every probe comparison), and

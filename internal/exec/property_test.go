@@ -41,23 +41,19 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 		return out
 	}
 	// side cuts rows into 5-row batches, so morsels straddle batches.
-	side := func(s *value.Schema, rows []value.Row, batched bool) JoinSide {
+	side := func(s *value.Schema, rows []value.Row, batched bool) Rel {
 		if !batched {
-			return JoinSide{Rows: rows}
+			return Rel{Rows: rows}
 		}
 		bs := []*value.Batch{}
 		for lo := 0; lo < len(rows); lo += 5 {
 			bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+5, len(rows))], nil))
 		}
-		return JoinSide{Batches: bs}
+		return Rel{Batches: bs}
 	}
 	reference := func(kind JoinKind, left, right []value.Row) ([]value.Row, error) {
 		if kind == JoinInner || kind == JoinLeftOuter {
-			rows, err := Materialize(&NestedLoopJoin{Kind: kind, Left: NewSlice(ls, left), Right: NewSlice(rs, right), On: on})
-			if err != nil {
-				return nil, err
-			}
-			return rows.Data, nil
+			return NestedLoopJoin(kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
 		}
 		rightNull := false
 		for _, r := range right {
@@ -143,7 +139,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 			refCount[g]++
 		}
 		agg := &ParallelHashAggregate{
-			In:      NewSlice(s, rows),
+			In:      Rel{Schema: s, Rows: rows},
 			GroupBy: []expr.Expr{bound(t, "g", s)},
 			Aggs: []AggSpec{
 				{Func: "SUM", Arg: bound(t, "v", s)},
@@ -151,14 +147,14 @@ func TestAggregateMatchesReference(t *testing.T) {
 			},
 			Out: intSchema("g", "s", "c"),
 		}
-		got, err := Materialize(agg)
+		got, err := agg.Run()
 		if err != nil {
 			return false
 		}
 		if got.Len() != len(refSum) {
 			return false
 		}
-		for _, r := range got.Data {
+		for _, r := range got.Rows {
 			g := r[0].Int()
 			if r[1].Int() != refSum[g] || r[2].Int() != refCount[g] {
 				return false
@@ -184,17 +180,15 @@ func TestSortStableAndTotal(t *testing.T) {
 			}
 			rows[i] = value.Row{kv, value.NewInt(int64(i))}
 		}
-		srt := &Sort{In: NewSlice(s, rows), Keys: []SortKey{{E: bound(t, "a", s)}}}
-		got, err := Materialize(srt)
-		if err != nil || got.Len() != len(rows) {
+		if err := sortRows(rows, []SortKey{{E: bound(t, "a", s)}}); err != nil {
 			return false
 		}
-		for i := 1; i < got.Len(); i++ {
-			c := value.Compare(got.Data[i-1][0], got.Data[i][0])
+		for i := 1; i < len(rows); i++ {
+			c := value.Compare(rows[i-1][0], rows[i][0])
 			if c > 0 {
 				return false
 			}
-			if c == 0 && got.Data[i-1][1].Int() > got.Data[i][1].Int() {
+			if c == 0 && rows[i-1][1].Int() > rows[i][1].Int() {
 				return false // stability: original order preserved within ties
 			}
 		}

@@ -29,24 +29,27 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	for _, a := range blk.Aggs {
 		inDriver = inDriver || a.Distinct
 	}
-	var in exec.Iter
+	var in exec.Rel
 	if inDriver {
 		rows, err := x.materialize(rel)
 		if err != nil {
 			return nil, err
 		}
-		in = exec.NewSlice(rows.Schema, rows.Data)
+		in = exec.Rel{Schema: rows.Schema, Rows: rows.Data}
 		if blk.Aggregates() {
-			in = &exec.ParallelHashAggregate{In: in, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema}
+			agg := &exec.ParallelHashAggregate{In: in, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema}
+			if in, err = agg.Run(); err != nil {
+				return nil, err
+			}
 		}
 	} else {
 		rows, err := x.mrAggregate(blk, rel)
 		if err != nil {
 			return nil, err
 		}
-		in = exec.NewSlice(blk.AggSchema, rows)
+		in = exec.Rel{Schema: blk.AggSchema, Rows: rows}
 	}
-	return exec.Materialize(blk.Finish(in))
+	return blk.Finish(in)
 }
 
 // materialize reads the relation applying pending filters driver-side.

@@ -9,7 +9,7 @@ import (
 // Hot-path derivation: the hot-function set is everything reachable from
 // the HotRoots seed list (plus //hana:hotpath opt-ins) through calls the
 // syntactic resolver can type. Interface dispatch contributes no edges —
-// that is why the root list names each Iter.Next / Expr.Eval implementation
+// that is why the root list names each Expr.Eval implementation
 // explicitly — so the closure under-approximates rather than guesses. The
 // -escapes baseline gates on this set.
 

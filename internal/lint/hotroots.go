@@ -2,9 +2,9 @@ package lint
 
 // HotRoots seeds the hot-function set: the morsel/operator inner loops the
 // executor drives per row or per morsel, plus the per-row leaf helpers that
-// interface dispatch hides from the syntactic call resolver (Iter.Next and
-// Expr.Eval are interface calls, so each implementation must be rooted
-// explicitly — reachability only grows the set downward from here).
+// interface dispatch hides from the syntactic call resolver (Expr.Eval is an
+// interface call, so each implementation must be rooted explicitly —
+// reachability only grows the set downward from here).
 //
 // Keys use FuncRef.key() form: "importpath.Func" or
 // "importpath.Recv.Method". An entry that matches nothing is inert (the
@@ -14,30 +14,17 @@ package lint
 // closure can opt in with a `//hana:hotpath` directive on the declaration's
 // doc comment.
 var HotRoots = []string{
-	// exec: operator loops driven once per row or per morsel. Block.Finish,
-	// the tail every processor's result drains through, runs once per block
-	// and only chains operators rooted here (BatchFilter, BatchProject,
-	// Distinct, Sort, Limit), so it is not itself a root.
-	"hana/internal/exec.Limit.Next",
-	"hana/internal/exec.Sort.Next",
-	"hana/internal/exec.Distinct.Next",
-	"hana/internal/exec.Slice.Next",
-	"hana/internal/exec.Materialize",
-	"hana/internal/exec.ParallelHashAggregate.run",
+	// exec: the operators, each one call whose loops touch every input row:
+	// Block.Finish (HAVING, projection, DISTINCT, ORDER BY, LIMIT, one batch
+	// at a time), Filter, the two joins and the aggregate with its morsel
+	// body.
+	"hana/internal/exec.Block.Finish",
+	"hana/internal/exec.Filter",
+	"hana/internal/exec.NestedLoopJoin",
+	"hana/internal/exec.ParallelHashAggregate.Run",
 	"hana/internal/exec.aggregateMorsel",
-	"hana/internal/exec.drainRows",
 	"hana/internal/exec.HashJoinParallel",
-	"hana/internal/exec.NestedLoopJoin.Next",
 	"hana/internal/exec.Pool.Run",
-	// exec: batch operators — NextBatch runs once per morsel, but the loops
-	// inside touch every row, and batchRows.next is the row-compat shim that
-	// runs per row when a row consumer drains a batch producer.
-	"hana/internal/exec.BatchSlice.NextBatch",
-	"hana/internal/exec.Batches.NextBatch",
-	"hana/internal/exec.BatchFilter.NextBatch",
-	"hana/internal/exec.BatchProject.NextBatch",
-	"hana/internal/exec.batchRows.next",
-	"hana/internal/exec.drainBatchRows",
 	// engine: the one table scan — morsel cutting, batch decode, MVCC
 	// selection — and the extended-storage batch reader under it.
 	"hana/internal/engine.planner.scan",

@@ -17,16 +17,16 @@ func (s *span) Note(msg string)             {}
 
 func root() *span { return &span{} }
 
-// Iter is the scan-iterator stand-in (pins chunks until closed).
-type Iter struct{}
+// Scan is the scan-iterator stand-in (pins chunks until closed).
+type Scan struct{}
 
-func (it *Iter) Next() bool { return false }
-func (it *Iter) Close()     {}
+func (it *Scan) Next() bool { return false }
+func (it *Scan) Close()     {}
 
 // Table hands out scan iterators.
 type Table struct{}
 
-func (t *Table) OpenScan() *Iter { return &Iter{} }
+func (t *Table) OpenScan() *Scan { return &Scan{} }
 
 // Breaker is the circuit-breaker stand-in for the probe protocol.
 type Breaker struct{}
@@ -141,7 +141,7 @@ func walClosed(path string) error {
 }
 
 // cursor keeps the iterator alive past this function on purpose.
-type cursor struct{ it *Iter }
+type cursor struct{ it *Scan }
 
 // keepIter stores the iterator in a longer-lived struct; ownership moved.
 func keepIter(t *Table) *cursor {

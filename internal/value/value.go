@@ -270,7 +270,8 @@ func fnvUint64(h uint64, x uint64) uint64 {
 
 // Hash returns a 64-bit hash suitable for hash joins and aggregation.
 // Values that compare equal hash equally (numerics hash by float image when
-// either side may be a double; we always hash the float image of numerics).
+// either side may be a double; we always hash the float image of numerics,
+// and −0.0 as +0.0, which Compare equates with it).
 // The result is exactly FNV-1a over a kind tag plus the little-endian
 // payload bytes, allocation-free.
 func (v Value) Hash() uint64 {
@@ -281,7 +282,11 @@ func (v Value) Hash() uint64 {
 	case KindBool:
 		h = fnvByte(fnvByte(h, 1), byte(v.I))
 	case KindInt, KindDouble:
-		h = fnvUint64(fnvByte(h, 2), math.Float64bits(v.Float()))
+		f := v.Float()
+		if f == 0 {
+			f = 0
+		}
+		h = fnvUint64(fnvByte(h, 2), math.Float64bits(f))
 	case KindDate, KindTimestamp:
 		h = fnvUint64(fnvByte(h, 3), uint64(v.I))
 	case KindVarchar:

@@ -174,6 +174,25 @@ func TestHashConsistentWithCompare(t *testing.T) {
 	}
 }
 
+// Compare equates −0.0 with 0.0 and with integer 0, so hash joins, GROUP BY,
+// DISTINCT and shard placement must put them in one bucket.
+func TestHashAgreesWithCompareOnSignedZero(t *testing.T) {
+	negZero := NewDouble(math.Copysign(0, -1))
+	for _, p := range [][2]Value{
+		{NewDouble(0), negZero},
+		{NewInt(0), negZero},
+		{NewInt(0), NewDouble(0)},
+		{NewInt(3), NewDouble(3.0)},
+	} {
+		if Compare(p[0], p[1]) != 0 {
+			t.Fatalf("Compare(%v, %v) = %d, want 0", p[0], p[1], Compare(p[0], p[1]))
+		}
+		if p[0].Hash() != p[1].Hash() {
+			t.Errorf("%v (%v) and %v (%v) compare equal but hash differently", p[0], p[0].K, p[1], p[1].K)
+		}
+	}
+}
+
 func TestCompareTotalOrderProperty(t *testing.T) {
 	// Antisymmetry: Compare(a,b) == -Compare(b,a) for arbitrary ints/doubles.
 	f := func(a, b int64, x, y float64) bool {
