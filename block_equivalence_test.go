@@ -21,9 +21,9 @@ import (
 // aggregate analysis, HAVING, projection, DISTINCT, ORDER BY, LIMIT — is
 // exec.Block wherever it runs, so the same block over the same rows must give
 // the same rows and the same schema (names and kinds) through the engine, the
-// engine over two shards, the Hive executor and an ESP window. Sums are over
-// multiples of 0.25, exact in any order, so the processors' different
-// summation orders cannot show.
+// engine over two shards, the Hive executor and an ESP window. Every
+// processor sums with exec.ExactSum, so their different summation orders
+// cannot show.
 func TestBlockBackEndAgreesAcrossProcessors(t *testing.T) {
 	schema := value.NewSchema(
 		value.Column{Name: "k", Kind: value.KindInt},

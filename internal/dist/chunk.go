@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hana/internal/exec"
 	"hana/internal/value"
@@ -33,7 +34,8 @@ type Chunk struct {
 	Scanned int64
 }
 
-const chunkWireVersion = 2
+// chunkWireVersion 3: an aggregate state's sums are partial lists.
+const chunkWireVersion = 3
 
 // Encode renders the chunk in the wire format.
 func (c *Chunk) Encode() []byte {
@@ -60,12 +62,12 @@ func (c *Chunk) Encode() []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(g.States)))
 		for _, st := range g.States {
 			buf = binary.AppendVarint(buf, st.Count)
-			buf = value.AppendValue(buf, value.NewDouble(st.Sum))
+			buf = appendSum(buf, &st.Sum)
 			buf = binary.AppendVarint(buf, st.SumI)
 			buf = appendBool(buf, st.IntOnly)
 			buf = value.AppendValue(buf, st.Min)
 			buf = value.AppendValue(buf, st.Max)
-			buf = value.AppendValue(buf, value.NewDouble(st.SumSq))
+			buf = appendSum(buf, &st.SumSq)
 			buf = appendBool(buf, st.HasVal)
 			buf = appendBool(buf, st.Distinct)
 			buf = binary.AppendUvarint(buf, uint64(len(st.Order)))
@@ -102,17 +104,15 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 			g := &exec.AggGroup{First: d.varint(), Key: d.row()}
 			nst := int(d.uvarint())
 			for j := 0; j < nst && d.err == nil; j++ {
-				st := &exec.AggState{
-					Count:    d.varint(),
-					Sum:      d.value().F,
-					SumI:     d.varint(),
-					IntOnly:  d.bool(),
-					Min:      d.value(),
-					Max:      d.value(),
-					SumSq:    d.value().F,
-					HasVal:   d.bool(),
-					Distinct: d.bool(),
-				}
+				st := &exec.AggState{Count: d.varint()}
+				d.sum(&st.Sum)
+				st.SumI = d.varint()
+				st.IntOnly = d.bool()
+				st.Min = d.value()
+				st.Max = d.value()
+				d.sum(&st.SumSq)
+				st.HasVal = d.bool()
+				st.Distinct = d.bool()
 				nd := int(d.uvarint())
 				for k := 0; k < nd && d.err == nil; k++ {
 					st.Order = append(st.Order, d.value())
@@ -131,4 +131,31 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("chunk decode: %d sequences for %d rows", len(c.Seqs), len(c.Rows))
 	}
 	return c, nil
+}
+
+// appendSum writes an exact sum as its partial list: a count, then each
+// partial's IEEE bits.
+func appendSum(buf []byte, s *exec.ExactSum) []byte {
+	var arr [4]float64
+	ps := s.AppendPartials(arr[:0])
+	buf = binary.AppendUvarint(buf, uint64(len(ps)))
+	for _, p := range ps {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+	}
+	return buf
+}
+
+var errTooManyPartials = fmt.Errorf("a sum of more than %d partials", exec.MaxPartials)
+
+// sum rebuilds an exact sum by adding each listed partial, so a list another
+// node did not write in normal form is renormalized, not trusted.
+func (d *wireReader) sum(s *exec.ExactSum) {
+	n := d.uvarint()
+	if n > exec.MaxPartials && d.err == nil {
+		d.err = errTooManyPartials
+		return
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		s.Add(math.Float64frombits(d.uint64()))
+	}
 }

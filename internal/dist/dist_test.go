@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -351,8 +352,9 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 }
 
 func TestChunkWireRoundTrip(t *testing.T) {
-	// Every accumulator field set to a value its zero would not reproduce.
-	plain := &exec.AggState{Count: 2, Sum: 14.5, SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: 115.25, HasVal: true}
+	// Every accumulator field set to a value its zero would not reproduce;
+	// the sums hold two partials each.
+	plain := &exec.AggState{Count: 2, Sum: exactSum(1e16, 14.5), SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: exactSum(115.25, 1e-300), HasVal: true}
 	distinct := &exec.AggState{Count: 2, Min: value.NewString("a"), Max: value.NewString("b"), HasVal: true,
 		Distinct: true, Order: []value.Value{value.NewString("a"), value.NewString("b")}}
 	p := exec.NewAggPartial()
@@ -371,7 +373,7 @@ func TestChunkWireRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ch)
 	}
 	// A decoded distinct state still knows what it has counted.
-	other := exec.NewAggState(true)
+	other := exec.NewAggState("COUNT", true)
 	other.Add(value.NewString("b"))
 	other.Add(value.NewString("c"))
 	merged := got.Partial.Groups[0].States[1]
@@ -385,6 +387,14 @@ func TestChunkWireRoundTrip(t *testing.T) {
 		if _, err := DecodeChunk(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
 		}
+	}
+	// A sum has at most one partial per bit position of a float64, however
+	// many bytes follow the count.
+	long := []byte{chunkWireVersion, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2}
+	long = binary.AppendUvarint(long, exec.MaxPartials+1)
+	long = append(long, make([]byte, 8*(exec.MaxPartials+1)+64)...)
+	if _, err := DecodeChunk(long); err == nil || !strings.Contains(err.Error(), "partials") {
+		t.Fatalf("a sum of %d partials: %v", exec.MaxPartials+1, err)
 	}
 }
 

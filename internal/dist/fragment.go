@@ -44,10 +44,9 @@ type Fragment struct {
 }
 
 // AggFragment asks the worker for per-group aggregate partials instead of
-// rows. Only exact-mergeable aggregates are ever shipped (COUNT, MIN, MAX,
-// and SUM over integer arguments, each with optional DISTINCT) — everything
-// else gathers rows and aggregates at the coordinator, keeping float
-// summation order identical to single-node execution.
+// rows. Every aggregate DistributableAgg admits merges exactly — counts,
+// bounds, DISTINCT value lists and exact sums — so the coordinator's merge
+// of the shards' partials finalises to the single-node result.
 type AggFragment struct {
 	GroupBy []string // rendered group-key expressions
 	Aggs    []AggCall
@@ -61,12 +60,12 @@ type AggCall struct {
 	Distinct bool
 }
 
-// DistributableAgg reports whether a shipped aggregate function is in the
-// exact-mergeable subset (the planner additionally requires SUM arguments
-// to be integer-typed).
+// DistributableAgg reports whether an aggregate function ships as a
+// fragment: its exec.AggState merges exactly, whatever the numeric kind of
+// the argument.
 func DistributableAgg(fn string) bool {
 	switch fn {
-	case "COUNT", "SUM", "MIN", "MAX":
+	case "COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "STDDEV":
 		return true
 	}
 	return false
@@ -234,6 +233,17 @@ func (d *wireReader) byte() byte {
 }
 
 func (d *wireReader) bool() bool { return d.byte() != 0 }
+
+// uint64 reads eight little-endian bytes.
+func (d *wireReader) uint64() uint64 {
+	if d.err != nil || len(d.b)-d.off < 8 {
+		d.fail("uint64")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return v
+}
 
 func (d *wireReader) uvarint() uint64 {
 	if d.err != nil {

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -16,17 +17,30 @@ import (
 // element-count bounds below check (every element costs at least one byte).
 // What decodes must re-encode to bytes that decode to the same encoding.
 
+// exactSum adds xs, in order, into an exact sum.
+func exactSum(xs ...float64) (s exec.ExactSum) {
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
 func FuzzDecodeChunk(f *testing.F) {
 	p := exec.NewAggPartial()
 	p.Append(&exec.AggGroup{First: 3, Key: value.Row{value.NewString("g"), value.Null}, States: []*exec.AggState{
-		{Count: 2, Sum: 14.5, SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: 115.25, HasVal: true},
+		{Count: 2, Sum: exactSum(14.5), SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: exactSum(115.25), HasVal: true},
 		{Count: 1, HasVal: true, Distinct: true, Order: []value.Value{value.NewString("a")}},
+		// Six partials (past the inline four), and non-finite totals.
+		{Count: 6, Sum: exactSum(0x1p-1000, 0x1p-800, 0x1p-600, 0x1p-400, 0x1p-200, 1), SumSq: exactSum(math.Inf(1), 3), HasVal: true},
+		{Count: 2, Sum: exactSum(math.Inf(1), math.Inf(-1)), HasVal: true},
 	}})
 	f.Add((&Chunk{Shard: 1, Worker: 2, Scanned: 77, Seqs: []int64{3, 9}, Rows: []value.Row{intRow(1, 2), intRow(3, 4)}, Partial: p}).Encode())
 	f.Add((&Chunk{}).Encode())
 	// Three sequences for one row: decoded once, and mergeStreams panicked.
 	f.Add((&Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}).Encode())
 	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32-1 sequences, none present
+	// One group whose sum claims 2^32-1 partials, none present.
+	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := DecodeChunk(b)
 		if err != nil {

@@ -20,8 +20,9 @@ type distRel struct {
 	binding string
 	conjs   []expr.Expr
 	// coord are covered conjuncts that stay off the wire — subquery key
-	// sets longer than SemiJoinThreshold — and filter the gathered rows at
-	// the coordinator instead.
+	// sets with more keys than the rows the leaf is estimated to return
+	// without them — and filter the gathered rows at the coordinator
+	// instead.
 	coord []expr.Expr
 }
 
@@ -115,13 +116,12 @@ func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
 }
 
 // tryDistAggregate plans a single-table aggregate block as a distributed
-// aggregation: each shard folds its rows into mergeable per-group partials,
-// the coordinator unions them, and only the block's finishing stages run
+// aggregation: each shard folds its rows into per-group partials, the
+// coordinator merges them, and only the block's finishing stages run
 // locally: the returned Block's Finish over the returned aggregate output.
-// Only the exactly-mergeable subset ships — COUNT, MIN, MAX, and SUM over
-// integer arguments (each with optional DISTINCT). Anything else returns a
-// nil Block and the block falls back to gather-then-aggregate, which is
-// byte-identical anyway.
+// Partial states merge exactly (exact sums included), so the result is the
+// single-node one. An aggregate dist.DistributableAgg does not admit
+// returns a nil Block and the block falls back to gather-then-aggregate.
 func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Rel, *exec.Block, *planNode, error) {
 	dr := rel.dst
 	blk, err := exec.AnalyzeBlock(sel, rel.Schema)
@@ -140,12 +140,9 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 			mergeable = mergeable && a.Func == "COUNT"
 		} else {
 			call.Arg = a.Arg.SQL()
-			// Float SUM is order-sensitive; keep it on the serial path so
-			// summation order stays identical to single-node execution.
-			mergeable = mergeable && (a.Func != "SUM" || blk.AggSchema.Cols[groups+i].Kind == value.KindInt)
 		}
 		if !mergeable {
-			p.plan.Note("dist: aggregate outside mergeable subset, gathering rows instead")
+			p.plan.Note("dist: aggregate %s does not ship, gathering rows instead", a.Func)
 			return exec.Rel{}, nil, nil, nil
 		}
 		frag.Aggs[i] = call

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -261,6 +262,31 @@ func TestDistinctAndCountDistinct(t *testing.T) {
 	res = exec1(t, e, `SELECT COUNT(DISTINCT b) FROM t`)
 	if res.Rows[0][0].Int() != 3 {
 		t.Fatalf("count distinct = %v", res.Rows)
+	}
+}
+
+// Float aggregates sum exactly and round once: values far from zero with a
+// small spread keep their variance (n·Σx² − (Σx)² no longer cancels to 0),
+// and a large value cancelled by its negation leaves what was added between.
+func TestFloatAggregatesRoundOnce(t *testing.T) {
+	e := newTestEngine(t)
+	exec1(t, e, `CREATE TABLE spread (x DOUBLE)`)
+	exec1(t, e, `INSERT INTO spread VALUES (1000000001), (1000000002), (1000000003)`)
+	exec1(t, e, `CREATE TABLE cancel (x DOUBLE)`)
+	exec1(t, e, `INSERT INTO cancel VALUES (1e16), (1.0), (-1e16)`)
+	for _, c := range []struct {
+		sql  string
+		want []float64
+	}{
+		{`SELECT STDDEV(x), VAR(x) FROM spread`, []float64{math.Sqrt(2.0 / 3), 2.0 / 3}},
+		{`SELECT SUM(x), AVG(x) FROM cancel`, []float64{1, 1.0 / 3}},
+	} {
+		row := exec1(t, e, c.sql).Rows[0]
+		for i, want := range c.want {
+			if got := row[i].Float(); got != want {
+				t.Errorf("%s: column %d = %v, want %v", c.sql, i, got, want)
+			}
+		}
 	}
 }
 

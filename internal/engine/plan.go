@@ -405,18 +405,22 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	if p.tid == 0 && !p.localOnly && p.e.distFor(st) != nil {
 		rel := &relation{Rel: exec.Rel{Schema: schema}, dst: &distRel{t: st, name: name, binding: binding}}
 		conjs := takeCovered(rel, pool)
-		for _, c := range conjs {
-			// A subquery key set ships inside the fragment up to the bound
-			// the broadcast join uses; a longer one filters the gathered
-			// rows at the coordinator.
-			if n := p.keySets[c]; int64(n) > p.e.semiJoinThreshold() {
-				rel.dst.coord = append(rel.dst.coord, c)
-				p.plan.Note("dist: key set of %d > threshold %d, filtering %s at the coordinator", n, p.e.semiJoinThreshold(), name)
-				continue
+		base := approxRowCount(st)
+		for i, c := range conjs {
+			// A subquery key set ships inside the fragment unless it has
+			// more keys than the rows the leaf's other conjuncts are
+			// estimated to leave: then gathering those rows and filtering
+			// them at the coordinator moves less.
+			if n, ok := p.keySets[c]; ok {
+				if est := estimateLeaf(meta, base, append(conjs[:i:i], conjs[i+1:]...)); float64(n) > est {
+					rel.dst.coord = append(rel.dst.coord, c)
+					p.plan.Note("dist: key set of %d > %.0f rows estimated without it, filtering %s at the coordinator", n, est, name)
+					continue
+				}
 			}
 			rel.addConj(c)
 		}
-		rel.est = estimateLeaf(meta, approxRowCount(st), conjs)
+		rel.est = estimateLeaf(meta, base, conjs)
 		return rel, nil
 	}
 

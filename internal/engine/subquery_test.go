@@ -49,12 +49,11 @@ func TestSubqueryOverTableProviderKeepsSemiJoin(t *testing.T) {
 	}
 }
 
-// Q18's IN-subquery filters orders and, through o_orderkey = l_orderkey,
-// lineitem inside their scans; the plan names the key set by its size.
-func TestSubqueryKeySetPlanText(t *testing.T) {
-	e := newTestEngine(t)
-	data := tpch.Generate(0.002, 2015)
-	for name, rows := range data.Tables {
+// loadTPCH creates and bulk-loads the TPC-H tables at scale factor sf, with
+// their statistics.
+func loadTPCH(t *testing.T, e *Engine, sf float64) {
+	t.Helper()
+	for name, rows := range tpch.Generate(sf, 2015).Tables {
 		var cols []string
 		for _, c := range tpch.Schemas()[name].Cols {
 			cols = append(cols, c.Name+" "+c.Kind.String())
@@ -63,7 +62,17 @@ func TestSubqueryKeySetPlanText(t *testing.T) {
 		if err := e.BulkLoad(name, rows); err != nil {
 			t.Fatal(err)
 		}
+		if err := e.Analyze(name); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// Q18's IN-subquery filters orders and, through o_orderkey = l_orderkey,
+// lineitem inside their scans; the plan names the key set by its size.
+func TestSubqueryKeySetPlanText(t *testing.T) {
+	e := newTestEngine(t)
+	loadTPCH(t, e, 0.002)
 	q18 := strings.Replace(tpch.Queries()[18].SQL, "> 212", "> 150", 1)
 	res := exec1(t, e, q18)
 	for _, want := range []string{
@@ -77,6 +86,43 @@ func TestSubqueryKeySetPlanText(t *testing.T) {
 	}
 	if strings.Contains(res.Plan, "Semi Join") {
 		t.Errorf("Q18 still runs a post-join semi join:\n%s", res.Plan)
+	}
+}
+
+// At two shards, an aggregate over one sharded table ships as an aggregate
+// fragment, float SUM and AVG included (their partial sums merge exactly).
+// A subquery key set ships inside the fragment unless it has more keys than
+// the rows the scan is estimated to return without it: Q18's set cuts all of
+// orders and lineitem and ships; Q4's is larger than the orders of one
+// quarter and filters the gathered rows at the coordinator.
+func TestDistPlansShipAggregatesAndSmallKeySets(t *testing.T) {
+	e := New(Config{ExtendedStorageDir: t.TempDir(), Topology: dist.Topology{Shards: 2}})
+	loadTPCH(t, e, 0.005)
+	for _, c := range []struct {
+		id        int
+		want, not []string
+	}{
+		{1, []string{`Dist Hash Aggregate [lineitem]`}, nil},
+		{6, []string{`Dist Hash Aggregate [lineitem]`}, nil},
+		{18, []string{
+			`Subquery Key Set: (o_orderkey IN (<`,
+			`Dist Hash Aggregate [lineitem] (1 group cols`,
+			`shipped filter: (o_orderkey IN (<`,
+			`shipped filter: (l_orderkey IN (<`,
+		}, []string{"coordinator filter"}},
+		{4, []string{`coordinator filter: (o_orderkey IN (<`}, nil},
+	} {
+		plan := exec1(t, e, "EXPLAIN "+tpch.Queries()[c.id].SQL).Plan
+		for _, w := range c.want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("Q%d: plan lacks %q:\n%s", c.id, w, plan)
+			}
+		}
+		for _, n := range c.not {
+			if strings.Contains(plan, n) {
+				t.Errorf("Q%d: plan has %q:\n%s", c.id, n, plan)
+			}
+		}
 	}
 }
 
@@ -131,8 +177,10 @@ func subqueryReference(t *testing.T, e *Engine, kind, base, sub string, opts ...
 }
 
 func TestSubqueryPlacementEquivalence(t *testing.T) {
-	// A threshold of 8 puts the small key sets inside shipped fragments and
-	// the large ones in the coordinator's filter.
+	// On two shards a key set ships inside the fragment unless it has more
+	// keys than the rows its leaf is estimated to return without it; the
+	// "larger than the estimate" case filters at the coordinator. A
+	// threshold of 8 keeps most joins off the broadcast path.
 	load := func(shards int) *Engine {
 		e := New(Config{ExtendedStorageDir: t.TempDir(), Parallelism: 4, SemiJoinThreshold: 8,
 			Topology: dist.Topology{Shards: shards}})
@@ -178,6 +226,9 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 		{"IN, mixed kinds, large set", "IN",
 			`SELECT n, g FROM a WHERE g <> 'g1' AND x IN (SELECT y FROM b)`,
 			`SELECT n, g, x FROM a WHERE g <> 'g1'`, `SELECT y FROM b`, ""},
+		{"IN, set larger than the estimate", "IN",
+			`SELECT n FROM a WHERE n < 300 AND g = 'g1' AND x IN (SELECT y FROM b)`,
+			`SELECT n, x FROM a WHERE n < 300 AND g = 'g1'`, `SELECT y FROM b`, ""},
 		{"IN, small set", "IN",
 			`SELECT n FROM a WHERE x IN (SELECT y FROM b WHERE y < 5)`,
 			`SELECT n, x FROM a`, `SELECT y FROM b WHERE y < 5`, ""},
@@ -282,6 +333,10 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			check(t, tc.kind, tc.sql, tc.base, tc.sub, tc.plan, func(*Engine) []ExecOption { return nil })
 		})
+	}
+	// 37 keys against 400 × 0.33 × 0.05 ≈ 7 estimated rows.
+	if plan := exec1(t, engines[1], "EXPLAIN "+cases[1].sql).Plan; !strings.Contains(plan, "coordinator filter: (x IN (<") {
+		t.Errorf("%s: the key set should filter at the coordinator:\n%s", cases[1].name, plan)
 	}
 
 	// A read inside an explicit transaction sees the transaction's own

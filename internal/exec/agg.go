@@ -18,26 +18,61 @@ type AggSpec struct {
 
 // AggState accumulates one aggregate for one group. The exported fields are
 // the whole state — two states with equal fields merge and finalise alike —
-// so internal/dist ships them between nodes as they are.
+// so internal/dist and Hive ship them between nodes as they are. Every sum
+// is exact (ExactSum, rounded once in Result), so partial states merge to
+// the same result in any grouping and order.
 type AggState struct {
-	Count   int64
-	Sum     float64
+	Count int64
+	// Sum is the exact total of the values added, INTEGERs as DOUBLEs, and
+	// SumSq (VAR and STDDEV only) that of their exact squares. SumI is the
+	// INTEGER total SUM reports while IntOnly holds.
+	Sum     ExactSum
 	SumI    int64
 	IntOnly bool
 	Min     value.Value
 	Max     value.Value
-	SumSq   float64
+	SumSq   ExactSum
 	HasVal  bool
 	// Distinct marks a DISTINCT aggregate; Order holds the values it has
-	// counted, in first-seen order.
+	// counted, in first-seen order, and Result aggregates them.
 	Distinct bool
 	Order    []value.Value
 	seen     map[value.Value]bool // index of Order; rebuilt on first Add when the state was copied field by field
+	// op selects what Add updates: only what Result reads for the function
+	// NewAggState was given. A state decoded field by field has op 0; it is
+	// only merged into and finalised, and a DISTINCT state's Add, which
+	// Merge calls, only collects values.
+	op aggOp
 }
 
-// NewAggState returns the empty accumulator.
-func NewAggState(distinct bool) *AggState {
-	s := &AggState{IntOnly: true, Min: value.Null, Max: value.Null, Distinct: distinct}
+// aggOp is the part of an aggregate state a function reads.
+type aggOp uint8
+
+const (
+	opCount aggOp = iota // COUNT: Count alone
+	opSum                // SUM, AVG: Sum, SumI, IntOnly
+	opMin
+	opMax
+	opVar // VAR, STDDEV: Sum and SumSq
+)
+
+func aggOpOf(fn string) aggOp {
+	switch fn {
+	case "SUM", "AVG":
+		return opSum
+	case "MIN":
+		return opMin
+	case "MAX":
+		return opMax
+	case "VAR", "STDDEV":
+		return opVar
+	}
+	return opCount
+}
+
+// NewAggState returns the empty accumulator for aggregate function fn.
+func NewAggState(fn string, distinct bool) *AggState {
+	s := &AggState{IntOnly: true, Min: value.Null, Max: value.Null, Distinct: distinct, op: aggOpOf(fn)}
 	if distinct {
 		s.seen = map[value.Value]bool{}
 	}
@@ -50,6 +85,7 @@ func (s *AggState) Add(v value.Value) {
 	if v.IsNull() {
 		return
 	}
+	s.HasVal = true
 	if s.Distinct {
 		if s.seen == nil {
 			s.seen = make(map[value.Value]bool, len(s.Order))
@@ -62,25 +98,39 @@ func (s *AggState) Add(v value.Value) {
 		}
 		s.seen[v] = true
 		s.Order = append(s.Order, v)
+		s.Count++
+		return
 	}
-	s.HasVal = true
 	s.Count++
-	switch v.K {
-	case value.KindInt:
-		s.SumI += v.I
-		s.Sum += float64(v.I)
-	case value.KindDouble:
-		s.IntOnly = false
-		s.Sum += v.F
-	default:
-		s.IntOnly = false
-	}
-	s.SumSq += v.Float() * v.Float()
-	if s.Min.IsNull() || value.Compare(v, s.Min) < 0 {
-		s.Min = v
-	}
-	if s.Max.IsNull() || value.Compare(v, s.Max) > 0 {
-		s.Max = v
+	switch s.op {
+	case opSum:
+		switch v.K {
+		case value.KindInt:
+			s.SumI += v.I
+			s.Sum.Add(float64(v.I))
+		case value.KindDouble:
+			s.IntOnly = false
+			s.Sum.Add(v.F)
+		default:
+			s.IntOnly = false
+		}
+	case opMin:
+		if s.Min.IsNull() || value.Compare(v, s.Min) < 0 {
+			s.Min = v
+		}
+	case opMax:
+		if s.Max.IsNull() || value.Compare(v, s.Max) > 0 {
+			s.Max = v
+		}
+	case opVar:
+		x := v.Float()
+		s.Sum.Add(x)
+		// x² exactly: the rounded product plus its rounding error.
+		p := x * x
+		s.SumSq.Add(p)
+		if p-p == 0 {
+			s.SumSq.Add(math.FMA(x, x, -p))
+		}
 	}
 }
 
@@ -88,9 +138,8 @@ func (s *AggState) Add(v value.Value) {
 // states replay the other side's values in their first-seen order, so a
 // chain of merges in morsel order reproduces exactly the state a serial
 // pass over the concatenated input would build. Plain states combine their
-// running sums, which is also order-independent only across morsel
-// boundaries — the per-morsel partials themselves are fixed by the morsel
-// boundaries, so the merged result is identical at any worker count.
+// counts, exact sums and bounds, so any split of the input merged in any
+// order finalises to the serial pass's result.
 func (s *AggState) Merge(o *AggState) {
 	if s.Distinct {
 		for _, v := range o.Order {
@@ -104,8 +153,8 @@ func (s *AggState) Merge(o *AggState) {
 	s.HasVal = s.HasVal || o.HasVal
 	s.Count += o.Count
 	s.SumI += o.SumI
-	s.Sum += o.Sum
-	s.SumSq += o.SumSq
+	s.Sum.Merge(&o.Sum)
+	s.SumSq.Merge(&o.SumSq)
 	s.IntOnly = s.IntOnly && o.IntOnly
 	if !o.Min.IsNull() && (s.Min.IsNull() || value.Compare(o.Min, s.Min) < 0) {
 		s.Min = o.Min
@@ -117,6 +166,13 @@ func (s *AggState) Merge(o *AggState) {
 
 // Result finalises the state for one aggregate function.
 func (s *AggState) Result(fn string) (value.Value, error) {
+	if s.Distinct && fn != "COUNT" {
+		plain := NewAggState(fn, false)
+		for _, v := range s.Order {
+			plain.Add(v)
+		}
+		s = plain
+	}
 	switch fn {
 	case "COUNT":
 		return value.NewInt(s.Count), nil
@@ -127,12 +183,12 @@ func (s *AggState) Result(fn string) (value.Value, error) {
 		if s.IntOnly {
 			return value.NewInt(s.SumI), nil
 		}
-		return value.NewDouble(s.Sum), nil
+		return value.NewDouble(s.Sum.Float()), nil
 	case "AVG":
 		if s.Count == 0 {
 			return value.Null, nil
 		}
-		return value.NewDouble(s.Sum / float64(s.Count)), nil
+		return value.NewDouble(s.Sum.Float() / float64(s.Count)), nil
 	case "MIN":
 		return s.Min, nil
 	case "MAX":
@@ -141,16 +197,43 @@ func (s *AggState) Result(fn string) (value.Value, error) {
 		if s.Count < 2 {
 			return value.Null, nil
 		}
-		mean := s.Sum / float64(s.Count)
-		return value.NewDouble(s.SumSq/float64(s.Count) - mean*mean), nil
+		return value.NewDouble(s.variance()), nil
 	case "STDDEV":
 		if s.Count < 2 {
 			return value.Null, nil
 		}
-		mean := s.Sum / float64(s.Count)
-		return value.NewDouble(math.Sqrt(math.Max(0, s.SumSq/float64(s.Count)-mean*mean))), nil
+		return value.NewDouble(math.Sqrt(s.variance())), nil
 	}
 	return value.Null, fmt.Errorf("unknown aggregate %s", fn)
+}
+
+// variance is the population variance (n·Σx² − (Σx)²) / n², with the
+// numerator computed exactly — every product split into its rounded value
+// and error by FMA — and rounded once, so values far from zero with a small
+// spread do not cancel to 0.
+func (s *AggState) variance() float64 {
+	if s.Sum.special != 0 || s.SumSq.special != 0 {
+		return math.NaN()
+	}
+	n := float64(s.Count)
+	var num ExactSum
+	addProduct := func(a, b float64) {
+		p := a * b
+		num.Add(p)
+		if p-p == 0 {
+			num.Add(math.FMA(a, b, -p))
+		}
+	}
+	for _, q := range s.SumSq.parts() {
+		addProduct(n, q)
+	}
+	xs := s.Sum.parts()
+	for _, a := range xs {
+		for _, b := range xs {
+			addProduct(-a, b)
+		}
+	}
+	return math.Max(0, num.Float()) / (n * n)
 }
 
 // AggGroup is one group of a group table: its key, one state per aggregate,
@@ -243,7 +326,7 @@ func (p *AggPartial) Rows(aggs []AggSpec, global bool) ([]value.Row, error) {
 func newAggGroup(key value.Row, aggs []AggSpec, first int) *AggGroup {
 	g := &AggGroup{Key: key, States: make([]*AggState, len(aggs)), First: int64(first)}
 	for i, a := range aggs {
-		g.States[i] = NewAggState(a.Distinct)
+		g.States[i] = NewAggState(a.Func, a.Distinct)
 	}
 	return g
 }

@@ -114,7 +114,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		}
 		partials := make([]string, len(aggs))
 		for i, a := range aggs {
-			st := exec.NewAggState(false)
+			st := exec.NewAggState(a.Func, false)
 			if a.Arg == nil { // COUNT(*)
 				st.Count = 1
 				st.HasVal = true
@@ -131,8 +131,8 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	}
 	merge := func(key string, values []string, emit func(k, v string)) {
 		acc := make([]*exec.AggState, len(aggs))
-		for i := range acc {
-			acc[i] = exec.NewAggState(false)
+		for i, a := range aggs {
+			acc[i] = exec.NewAggState(a.Func, false)
 		}
 		for _, v := range values {
 			parts := strings.Split(v, "\x02")
@@ -227,20 +227,53 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 }
 
 // encodePartial is the shuffle text form of an aggregate state: every field
-// a non-DISTINCT state has (DISTINCT aggregates never shuffle). The running
-// float sums travel as their IEEE bits in hex — exact, and a fraction of the
-// cost of a shortest-decimal round trip per row and aggregate.
+// a non-DISTINCT state has (DISTINCT aggregates never shuffle). The exact
+// sums travel as their partials' IEEE bits in hex, comma-separated — exact,
+// and a fraction of the cost of a shortest-decimal round trip per row and
+// aggregate.
 func encodePartial(st *exec.AggState) string {
 	return strings.Join([]string{
 		strconv.FormatInt(st.Count, 10),
-		strconv.FormatUint(math.Float64bits(st.Sum), 16),
+		encodeSum(&st.Sum),
 		strconv.FormatInt(st.SumI, 10),
 		strconv.FormatBool(st.IntOnly),
 		strconv.FormatBool(st.HasVal),
 		encodeTyped(st.Min),
 		encodeTyped(st.Max),
-		strconv.FormatUint(math.Float64bits(st.SumSq), 16),
+		encodeSum(&st.SumSq),
 	}, "\x03")
+}
+
+func encodeSum(s *exec.ExactSum) string {
+	var ps [4]float64
+	var buf [4 * 17]byte
+	out := buf[:0]
+	for i, p := range s.AppendPartials(ps[:0]) {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendUint(out, math.Float64bits(p), 16)
+	}
+	return string(out)
+}
+
+// decodeSum rebuilds an exact sum by adding each listed partial, so a list
+// a task did not write in normal form is renormalized, not trusted.
+func decodeSum(field string, s *exec.ExactSum) error {
+	if field == "" {
+		return nil
+	}
+	if n := strings.Count(field, ",") + 1; n > exec.MaxPartials {
+		return fmt.Errorf("hive: %d partials in one sum, at most %d", n, exec.MaxPartials)
+	}
+	for _, h := range strings.Split(field, ",") {
+		bits, err := strconv.ParseUint(h, 16, 64)
+		if err != nil {
+			return err
+		}
+		s.Add(math.Float64frombits(bits))
+	}
+	return nil
 }
 
 func decodePartial(s string) (exec.AggState, error) {
@@ -253,11 +286,9 @@ func decodePartial(s string) (exec.AggState, error) {
 	if st.Count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
 		return st, err
 	}
-	sum, err := strconv.ParseUint(parts[1], 16, 64)
-	if err != nil {
+	if err = decodeSum(parts[1], &st.Sum); err != nil {
 		return st, err
 	}
-	st.Sum = math.Float64frombits(sum)
 	if st.SumI, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
 		return st, err
 	}
@@ -273,12 +304,8 @@ func decodePartial(s string) (exec.AggState, error) {
 	if st.Max, err = decodeTyped(parts[6]); err != nil {
 		return st, err
 	}
-	sumSq, err := strconv.ParseUint(parts[7], 16, 64)
-	if err != nil {
-		return st, err
-	}
-	st.SumSq = math.Float64frombits(sumSq)
-	return st, nil
+	err = decodeSum(parts[7], &st.SumSq)
+	return st, err
 }
 
 // encodeTyped serializes a value with its kind tag so MIN/MAX round-trip.

@@ -1,12 +1,14 @@
 package hive
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"hana/internal/engine"
 	"hana/internal/exec"
 	"hana/internal/fed"
 	"hana/internal/hdfs"
@@ -318,24 +320,84 @@ func TestCorrelatedExists(t *testing.T) {
 }
 
 func TestPartialCodec(t *testing.T) {
-	st := exec.NewAggState(false)
-	for _, v := range []value.Value{value.NewDouble(1.5), value.NewInt(4), value.Null} {
-		st.Add(v)
-	}
-	got, err := decodePartial(encodePartial(st))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var enc string
 	for _, fn := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "STDDEV"} {
+		st := exec.NewAggState(fn, false)
+		for _, v := range []value.Value{value.NewDouble(1e16), value.NewDouble(1.5), value.NewInt(4), value.Null, value.NewDouble(-1e16)} {
+			st.Add(v)
+		}
+		enc = encodePartial(st)
+		got, err := decodePartial(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, _ := st.Result(fn)
 		if have, _ := got.Result(fn); have != want {
 			t.Errorf("%s after the shuffle = %v, want %v", fn, have, want)
 		}
 	}
 	// The pre-SumSq seven-field form must not decode as a state without it.
-	old := strings.Join(strings.Split(encodePartial(st), "\x03")[:7], "\x03")
+	old := strings.Join(strings.Split(enc, "\x03")[:7], "\x03")
 	if _, err := decodePartial(old); err == nil {
 		t.Fatal("a 7-field partial must be a decode error")
+	}
+	// A sum has at most one partial per bit position of a float64.
+	long := strings.TrimSuffix(strings.Repeat("3ff0000000000000,", exec.MaxPartials+1), ",")
+	if _, err := decodePartial(strings.Join([]string{"1", long, "0", "false", "true", "n", "n", ""}, "\x03")); err == nil {
+		t.Fatalf("a sum of %d partials must be a decode error", exec.MaxPartials+1)
+	}
+}
+
+// Map tasks ship exact partial sums, so a SUM whose terms cancel (1e16, 1,
+// -1e16, spread over several part files and so several map tasks and
+// combiners) comes out as the engine computes it, not as the order the
+// partials met in left it.
+func TestMapReduceFloatSumIsExact(t *testing.T) {
+	s := newTestServer(t)
+	schema := value.NewSchema(
+		value.Column{Name: "g", Kind: value.KindInt},
+		value.Column{Name: "x", Kind: value.KindDouble},
+	)
+	if _, err := s.MS.CreateTable("cancel", schema, false); err != nil {
+		t.Fatal(err)
+	}
+	var rows []value.Row
+	for i := 0; i < 300; i++ {
+		rows = append(rows, value.Row{value.NewInt(int64(i % 2)), value.NewDouble([]float64{1e16, 1, -1e16}[i%3])})
+	}
+	if err := s.MS.LoadRows("cancel", rows, 6); err != nil {
+		t.Fatal(err)
+	}
+	if files := s.MS.Cluster().List("/warehouse/cancel"); len(files) < 6 {
+		t.Fatalf("rows landed in %d files, want 6", len(files))
+	}
+
+	e := engine.New(engine.Config{ExtendedStorageDir: t.TempDir()})
+	ctx := context.Background()
+	if _, err := e.ExecuteContext(ctx, "CREATE TABLE cancel (g INTEGER, x DOUBLE)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BulkLoad("cancel", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT g, SUM(x), AVG(x) FROM cancel GROUP BY g ORDER BY g",
+		"SELECT SUM(x), AVG(x) FROM cancel",
+	} {
+		got, err := s.Exec.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.ExecuteContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Data) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s: map-reduce gives %v, the engine %v", q, got.Data, want.Rows)
+		}
+	}
+	if got, err := s.Exec.Query("SELECT SUM(x), AVG(x) FROM cancel"); err != nil || got.Data[0][0].Float() != 100 || got.Data[0][1].Float() != 1.0/3 {
+		t.Fatalf("SUM, AVG over 100 × (1e16, 1, -1e16) = %v (%v), want 100, 1/3", got, err)
 	}
 }
 

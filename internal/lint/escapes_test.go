@@ -84,6 +84,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	for _, key := range []string{
 		"hana/internal/exec.ParallelHashAggregate.Run",
 		"hana/internal/exec.HashJoinProbeOrdinals",
+		"hana/internal/exec.ExactSum.Add",
 		"hana/internal/engine.planner.scan",
 		"hana/internal/colstore.Column.MinMax",
 		"hana/internal/expr.In.Eval",

@@ -79,20 +79,24 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 // engine had until its scans were unified (its row-execution option at width 1,
 // taken at commit 9225680 on tpch.Generate(0.005, 2015)): row count plus an
 // FNV-1a hash over the rendered rows in result order, the benchmark's digest
-// shape. That executor is gone; its answers stay the reference.
+// shape. That executor is gone; its answers stay the reference — except that
+// float SUM/AVG are now exact sums rounded once, where it added in scan
+// order, so the five queries whose float aggregates differ in the last bits
+// (Q1, Q3, Q6, Q10, Q14) were pinned again when the sums became exact. Row
+// counts, row order and every other column are that executor's.
 var tpchRowSerialDigests = map[int]struct {
 	rows int
 	hash uint64
 }{
-	1:  {4, 0x8be8978df8869e21},
-	3:  {65, 0x629477b6831c5a86},
+	1:  {4, 0x8fd6db47668c2d9d},
+	3:  {65, 0xfd607751fbea0249},
 	4:  {5, 0xf83bbc27bb118317},
 	5:  {5, 0xdec628b5e618d5ac},
-	6:  {1, 0x1a6c0896ae6d073c},
-	10: {20, 0xfa1fc634c51f7c25},
+	6:  {1, 0x25c477f078868e88},
+	10: {20, 0x0ae835fe0cf7b4d7},
 	12: {2, 0xe8b9f42dacf47088},
 	13: {20, 0x7f79966ee9d0f235},
-	14: {1, 0x23457a64c8975d8f},
+	14: {1, 0x5fc5d764ead26dd6},
 	16: {145, 0xf72957b5ae5502d6},
 	18: {255, 0xbf12eb7ba75bc2b1},
 	19: {1, 0x6c9dc8a76604e06d},
@@ -117,7 +121,9 @@ func digestRows(rows []value.Row) (int, uint64) {
 // rows, in the same order, at any width — and the rows the row-at-a-time
 // executor gave. The hybrid tables are partitioned on their order key, which
 // ascends in load order: cold partition first, then hot, is then the load
-// order, so the float sums add up in the same sequence as everywhere else.
+// order, so groups are first seen, and unsorted rows come out, in the same
+// order as everywhere else. Float sums need no such care: they are exact, so
+// any scan order rounds to the same bits.
 func TestPlacementsAgreeOnTPCH(t *testing.T) {
 	data := tpch.Generate(0.005, 2015)
 	schemas := tpch.Schemas()
