@@ -100,9 +100,9 @@ chaos-recovery:
 	CHAOS_RECOVERY_REPORT=$(CURDIR)/CHAOS_recovery.json $(GO) test -race -count=1 -run 'TestCrashpoint' ./internal/chaos
 
 # Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
-# parser, the value row codec, the extended store's chunk codec, the two
-# dist wire decoders, the WAL frame scanner and Hive's shuffle partial codec
-# must return a value or an error on any input. `go test -fuzz` takes one package and one target per
+# parser, the value row codec, the extended store's chunk codec and table
+# manifest, the two dist wire decoders, the WAL frame scanner and Hive's
+# shuffle partial codec must return a value or an error on any input. `go test -fuzz` takes one package and one target per
 # run; minimization is capped so a large interesting input does not eat the
 # window. A crasher lands under the package's testdata/fuzz/.
 FUZZTIME ?= 20s
@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/value -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/diskstore -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/diskstore -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzScanRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

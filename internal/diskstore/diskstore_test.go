@@ -304,6 +304,23 @@ func TestUnflushedRowsVisible(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("unflushed rows not visible: %d", count)
 	}
+	// A tombstone for a buffered row is written out with the row, so the
+	// store reopens with the row stored and deleted; a row that was never
+	// stored cannot be tombstoned.
+	if _, err := tbl.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Delete(5); err == nil {
+		t.Fatal("tombstoned row 5 of 5")
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl2, _ := s2.Table("t")
+	if tbl2.TotalRows() != 5 || tbl2.NumRows() != 4 {
+		t.Fatalf("after reopen: %d rows stored, %d live; want 5 and 4", tbl2.TotalRows(), tbl2.NumRows())
+	}
 }
 
 func TestCompressionOnDisk(t *testing.T) {

@@ -2,7 +2,10 @@ package diskstore
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -146,6 +149,123 @@ func FuzzDecodeChunk(f *testing.F) {
 			if back[i] != vals[i] && !(vals[i].K == value.KindDouble && vals[i].F != vals[i].F) {
 				t.Fatalf("value %d is %v after a re-encode, was %v", i, back[i], vals[i])
 			}
+		}
+	})
+}
+
+// A manifest is bytes from disk too: Open rejects one that readers could not
+// index by, and a table Open accepts serves every zone-pruned span with rows
+// or an error.
+
+// manifestStore builds a store holding table t: two chunks (4096 and 4
+// rows), one tombstone. It returns the directory and t's manifest.
+func manifestStore(t testing.TB) (string, manifest) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := s.CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 4100)
+	for i := range rows {
+		rows[i] = mkRow(i)
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Delete(5); err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	data, err := os.ReadFile(filepath.Join(dir, "t", "manifest.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, m
+}
+
+// hostileManifests are edits of a valid manifest that Open must reject.
+func hostileManifests(m manifest) map[string]manifest {
+	edit := func(f func(m *manifest)) manifest {
+		c := m
+		c.ChunkRows = append([]int(nil), m.ChunkRows...)
+		c.Zones = append([][]zone(nil), m.Zones...)
+		f(&c)
+		return c
+	}
+	return map[string]manifest{
+		// Spans indexed zones[0] of an empty list: index out of range.
+		"chunk without zones":  edit(func(m *manifest) { m.ChunkRows, m.Zones = []int{3}, [][]zone{} }),
+		"zone row too narrow":  edit(func(m *manifest) { m.Zones[1] = m.Zones[1][:2] }),
+		"negative chunk rows":  edit(func(m *manifest) { m.ChunkRows[1] = -4 }),
+		"negative chunk size":  edit(func(m *manifest) { m.ChunkSize = -1 }),
+		"tombstone past end":   edit(func(m *manifest) { m.Deleted = []int64{4100} }),
+		"negative tombstone":   edit(func(m *manifest) { m.Deleted = []int64{-1} }),
+		"no columns":           edit(func(m *manifest) { m.Cols, m.Zones = nil, [][]zone{{}, {}} }),
+		"row count overflows":  edit(func(m *manifest) { m.ChunkRows = []int{math.MaxInt64, 1} }),
+		"more zones than rows": edit(func(m *manifest) { m.Zones = append(m.Zones, m.Zones[0]) }),
+	}
+}
+
+func TestOpenRejectsHostileManifests(t *testing.T) {
+	dir, m := manifestStore(t)
+	path := filepath.Join(dir, "t", "manifest.json")
+	for name, hm := range hostileManifests(m) {
+		data, err := json.Marshal(&hm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Errorf("%s: Open accepted the manifest", name)
+		}
+	}
+}
+
+func FuzzLoadManifest(f *testing.F) {
+	dir, m := manifestStore(f)
+	seeds := hostileManifests(m)
+	seeds["valid"] = m
+	// Well-formed, but the second chunk's files hold 4 rows, not 400.
+	long := m
+	long.ChunkRows = []int{m.ChunkRows[0], 400}
+	seeds["chunk longer than its files"] = long
+	for _, sm := range seeds {
+		data, err := json.Marshal(&sm)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	path := filepath.Join(dir, "t", "manifest.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			return
+		}
+		tbl, ok := s.Table("t")
+		if !ok {
+			t.Fatal("Open loaded the store without table t")
+		}
+		// A NULL lower bound skips no chunk but reads every zone.
+		null := value.Null
+		ranges := map[int]Range{}
+		for i := range tbl.Schema().Cols {
+			ranges[i] = Range{Lo: &null}
+		}
+		for _, sp := range tbl.Spans(ranges) {
+			_, _ = tbl.ReadBatch(sp.Lo, sp.Hi, nil)
 		}
 	})
 }

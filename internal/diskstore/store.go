@@ -3,6 +3,7 @@ package diskstore
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -163,6 +164,9 @@ func loadTable(s *Store, dirName string) (*Table, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, err
 	}
+	if err := m.check(); err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
+	}
 	t.name = m.Name
 	t.schema = &value.Schema{Cols: m.Cols}
 	t.chunkRows = m.ChunkRows
@@ -175,6 +179,39 @@ func loadTable(s *Store, dirName string) (*Table, error) {
 		t.deleted[id] = true
 	}
 	return t, nil
+}
+
+// check rejects a manifest readers could not index by: every chunk needs a
+// zone per column and a row count that is not negative, the row counts must
+// sum without overflow, and every tombstone must name a stored row. A table
+// has at least one column, so every chunk row is backed by a chunk file
+// whose decoded length readChunk checks.
+func (m *manifest) check() error {
+	if len(m.Cols) == 0 {
+		return fmt.Errorf("no columns")
+	}
+	if m.ChunkSize < 0 {
+		return fmt.Errorf("chunk_size %d", m.ChunkSize)
+	}
+	if len(m.Zones) != len(m.ChunkRows) {
+		return fmt.Errorf("%d zone rows for %d chunks", len(m.Zones), len(m.ChunkRows))
+	}
+	var total int64
+	for i, n := range m.ChunkRows {
+		if n < 0 || int64(n) > math.MaxInt64-total {
+			return fmt.Errorf("chunk %d: %d rows after %d", i, n, total)
+		}
+		if len(m.Zones[i]) != len(m.Cols) {
+			return fmt.Errorf("chunk %d: %d zones for %d columns", i, len(m.Zones[i]), len(m.Cols))
+		}
+		total += int64(n)
+	}
+	for _, id := range m.Deleted {
+		if id < 0 || id >= total {
+			return fmt.Errorf("deleted row %d outside the %d stored rows", id, total)
+		}
+	}
+	return nil
 }
 
 func (t *Table) path() string { return filepath.Join(t.store.dir, t.name) }
@@ -217,11 +254,7 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) NumRows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var n int64
-	for _, c := range t.chunkRows {
-		n += int64(c)
-	}
-	return n + int64(len(t.buf)) - int64(len(t.deleted))
+	return t.flushedLocked() + int64(len(t.buf)) - int64(len(t.deleted))
 }
 
 // TotalRows counts all stored rows including tombstoned ones — the next
@@ -229,11 +262,16 @@ func (t *Table) NumRows() int64 {
 func (t *Table) TotalRows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.flushedLocked() + int64(len(t.buf))
+}
+
+// flushedLocked counts the rows written to chunks.
+func (t *Table) flushedLocked() int64 {
 	var n int64
 	for _, c := range t.chunkRows {
 		n += int64(c)
 	}
-	return n + int64(len(t.buf))
+	return n
 }
 
 // Append buffers one row; call Flush to persist. Buffered rows are visible
@@ -322,15 +360,25 @@ func (t *Table) flushLocked() error {
 
 // Delete tombstones a row by global id and returns whether it was live.
 // The manifest persists the tombstone; losing that write would resurrect
-// the row after a restart, so the error propagates.
+// the row after a restart, so the error propagates. A manifest names only
+// flushed rows (loadTable rejects any other tombstone), so tombstoning a
+// buffered row flushes the buffer with it.
 func (t *Table) Delete(id int64) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	flushed := t.flushedLocked()
+	if id < 0 || id >= flushed+int64(len(t.buf)) {
+		return false, fmt.Errorf("delete row %d of %s: no such row", id, t.name)
+	}
 	if t.deleted[id] {
 		return false, nil
 	}
 	t.deleted[id] = true
-	if err := t.saveManifest(); err != nil {
+	save := t.saveManifest
+	if id >= flushed {
+		save = t.flushLocked
+	}
+	if err := save(); err != nil {
 		delete(t.deleted, id)
 		return false, err
 	}

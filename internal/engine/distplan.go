@@ -10,22 +10,6 @@ import (
 	"hana/internal/value"
 )
 
-// distRel is a pending scan over the worker fleet's shard replicas of one
-// hot table. Conjuncts attach unrealized so they ship inside the fragment;
-// realization fans the fragment out to every shard and merges the streams
-// back into the exact serial row order.
-type distRel struct {
-	t       *storedTable
-	name    string
-	binding string
-	conjs   []expr.Expr
-	// coord are covered conjuncts that stay off the wire — subquery key
-	// sets with more keys than the rows the leaf is estimated to return
-	// without them — and filter the gathered rows at the coordinator
-	// instead.
-	coord []expr.Expr
-}
-
 // renderConjs renders pushed conjuncts as one shippable predicate ("" =
 // none). The worker re-parses and re-binds it against the same qualified
 // schema, the round-trip the federation layer already uses.
@@ -44,14 +28,16 @@ func shippedFilter(conjs []expr.Expr) []*planNode {
 	return []*planNode{node("shipped filter: " + planSQL(expr.And(conjs...)))}
 }
 
-// distGather points a fragment template (its Agg or Join, if any) at the
-// pending shard scan, fans it out through the coordinator and folds the
-// run's statistics into the statement counters.
-func (p *planner) distGather(dr *distRel, tmpl *dist.Fragment) (*dist.GatherResult, error) {
-	tmpl.Table = distKey(dr.t.meta.Name)
-	tmpl.Binding = dr.binding
-	tmpl.Where = renderConjs(dr.conjs)
-	tmpl.Needed = neededOrds(p.needed, dr.t.meta.Schema)
+// distGather points a fragment template (its Agg or Join, if any) at a
+// pending sharded scan, fans it out through the coordinator and folds the
+// run's statistics into the statement counters. Its conjuncts ship inside
+// the fragment.
+func (p *planner) distGather(ps *pendingScan, tmpl *dist.Fragment) (*dist.GatherResult, error) {
+	l := ps.leaves[0]
+	tmpl.Table = distKey(l.t.meta.Name)
+	tmpl.Binding = l.binding
+	tmpl.Where = renderConjs(ps.conjs)
+	tmpl.Needed = neededOrds(p.needed, l.t.meta.Schema)
 	tmpl.Snapshot = p.snapshot
 	tmpl.Width = p.width
 	res, err := p.e.dist.coord.Gather(p.ctx, tmpl, p.fanout)
@@ -75,16 +61,15 @@ func (p *planner) distGather(dr *distRel, tmpl *dist.Fragment) (*dist.GatherResu
 // coordinator merge restores ascending order, so the result is
 // byte-identical to the single-node partition scan.
 func (p *planner) realizeDist(r *relation) error {
-	dr := r.dst
-	res, err := p.distGather(dr, &dist.Fragment{})
+	ps := r.pend
+	res, err := p.distGather(ps, &dist.Fragment{})
 	if err != nil {
 		return err
 	}
-	shards := p.e.dist.topo.Shards
-	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", dr.name, len(res.Rows), shards)
-	r.node = node(label, shippedFilter(dr.conjs)...)
-	if len(dr.coord) > 0 {
-		pred, err := expr.BindClone(expr.And(dr.coord...), r.Schema)
+	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", ps.leaves[0].name, len(res.Rows), p.e.dist.topo.Shards)
+	r.node = node(label, shippedFilter(ps.conjs)...)
+	if len(ps.coord) > 0 {
+		pred, err := expr.BindClone(expr.And(ps.coord...), r.Schema)
 		if err != nil {
 			return err
 		}
@@ -94,9 +79,6 @@ func (p *planner) realizeDist(r *relation) error {
 		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), len(res.Rows))))
 	}
 	r.Rows = res.Rows
-	r.local = true
-	r.dst = nil
-	r.est = float64(len(r.Rows))
 	return nil
 }
 
@@ -123,7 +105,7 @@ func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
 // single-node one. An aggregate dist.DistributableAgg does not admit
 // returns a nil Block and the block falls back to gather-then-aggregate.
 func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Rel, *exec.Block, *planNode, error) {
-	dr := rel.dst
+	ps := rel.pend
 	blk, err := exec.AnalyzeBlock(sel, rel.Schema)
 	if err != nil || !blk.Aggregates() {
 		return exec.Rel{}, nil, nil, err
@@ -148,7 +130,7 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 		frag.Aggs[i] = call
 	}
 
-	res, err := p.distGather(dr, &dist.Fragment{Agg: frag})
+	res, err := p.distGather(ps, &dist.Fragment{Agg: frag})
 	if err != nil {
 		return exec.Rel{}, nil, nil, err
 	}
@@ -159,7 +141,7 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 		return exec.Rel{}, nil, nil, err
 	}
 	root := node(fmt.Sprintf("Dist Hash Aggregate [%s] (%d group cols, %d groups, %d shards)",
-		dr.name, groups, len(rows), p.e.dist.topo.Shards), shippedFilter(dr.conjs)...)
+		ps.leaves[0].name, groups, len(rows), p.e.dist.topo.Shards), shippedFilter(ps.conjs)...)
 	return exec.Rel{Schema: blk.AggSchema, Rows: rows}, blk, finishNodes(sel, blk, root), nil
 }
 
@@ -173,8 +155,8 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 		p.plan.Note("dist: build side %d rows > threshold %d, gathering probe side", r.Len(), p.e.semiJoinThreshold())
 		return nil, nil
 	}
-	dr := l.dst
-	if len(dr.coord) > 0 {
+	ps := l.pend
+	if len(ps.coord) > 0 {
 		// The probe side's coordinator filter runs on gathered rows.
 		return nil, nil
 	}
@@ -186,7 +168,7 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	for i, k := range rightKeys {
 		buildSQLs[i] = k.SQL()
 	}
-	res, err := p.distGather(dr, &dist.Fragment{Join: &dist.JoinFragment{
+	res, err := p.distGather(ps, &dist.Fragment{Join: &dist.JoinFragment{
 		ProbeKeys: probeSQLs,
 		BuildKeys: buildSQLs,
 		Residual:  renderConjs(residual),
@@ -196,11 +178,10 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	if err != nil {
 		return nil, err
 	}
-	out := &relation{Rel: exec.Rel{Schema: combined, Rows: res.Rows}, local: true}
-	out.est = float64(len(out.Rows))
+	out := &relation{Rel: exec.Rel{Schema: combined, Rows: res.Rows}, est: float64(len(res.Rows))}
 	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
 		keySQL(leftKeys, rightKeys), len(out.Rows), p.e.dist.topo.Shards)
-	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", dr.name), shippedFilter(dr.conjs)...)
+	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", ps.leaves[0].name), shippedFilter(ps.conjs)...)
 	out.node = node(label, probeNode, r.node)
 	return out, nil
 }

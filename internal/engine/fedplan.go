@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hana/internal/catalog"
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/fed"
@@ -40,56 +39,38 @@ func (n *planNode) String() string {
 	return b.String()
 }
 
-// relation is the planner's intermediate: either a realized local relation —
-// the embedded exec.Rel, whose Schema every relation has and whose rows or
-// vectorized scan batches a local one holds — or a shippable remote query
-// under construction, or an extended-storage or sharded scan under
-// construction. Conjuncts attach to unrealized relations so the chosen
-// federated strategy can push them down.
+// relation is the planner's intermediate: the embedded exec.Rel, whose
+// Schema every relation has and whose rows or vectorized scan batches a
+// realized one holds, or, while pend is set, a scan not yet run. Conjuncts
+// attach to a pending scan so the chosen strategy can push them down.
 type relation struct {
 	exec.Rel
-	local bool
-
-	remote *remoteRel
-	ext    *extRel
-	dst    *distRel
+	pend *pendingScan // nil = realized
 
 	est  float64
 	node *planNode
 }
 
-// remoteRel is a query being assembled for one SDA remote source.
-type remoteRel struct {
-	source  string
-	adapter fed.Adapter
-	// tables are the remote objects with their local bindings.
-	tables []remoteTable
+// pendingScan is a scan of FROM tables at one placement that has not run:
+// a sharded fragment, a cold table's scan or a remote query. leaves has more
+// than one entry only when same-source virtual tables merged into one
+// shipped statement. conjs are pushed into the scan. coord, on a sharded
+// scan, are covered conjuncts that stay off the wire (subquery key sets with
+// more keys than the rows the leaf is estimated to return without them) and
+// filter the gathered rows at the coordinator instead.
+type pendingScan struct {
+	place  placement
+	leaves []*leaf
 	conjs  []expr.Expr
+	coord  []expr.Expr
 }
 
-type remoteTable struct {
-	path    []string
-	binding string
-	schema  *value.Schema // qualified by binding
-}
-
-// extRel is a pending scan over extended-storage (cold) partitions plus the
-// hot fragments of the same hybrid table.
-type extRel struct {
-	t     *storedTable
-	conjs []expr.Expr
-}
-
-// addConj pushes a predicate into the unrealized relation.
-func (r *relation) addConj(c expr.Expr) {
-	switch {
-	case r.remote != nil:
-		r.remote.conjs = append(r.remote.conjs, c)
-	case r.ext != nil:
-		r.ext.conjs = append(r.ext.conjs, c)
-	case r.dst != nil:
-		r.dst.conjs = append(r.dst.conjs, c)
+// pendingAt returns the relation's pending scan when it is one at place.
+func (r *relation) pendingAt(place placement) *pendingScan {
+	if r.pend != nil && r.pend.place == place {
+		return r.pend
 	}
+	return nil
 }
 
 // covers reports whether every column in the expression resolves in the
@@ -103,80 +84,86 @@ func (r *relation) covers(e expr.Expr) bool {
 	return true
 }
 
-// realize turns the relation into materialized local rows.
+// realize runs the relation's pending scan, if any, into materialized local
+// rows.
 func (p *planner) realize(r *relation) error {
-	switch {
-	case r.local:
+	if r.pend == nil {
 		return nil
-	case r.remote != nil:
-		return p.realizeRemote(r)
-	case r.ext != nil:
-		return p.realizeExt(r)
-	case r.dst != nil:
-		return p.realizeDist(r)
 	}
-	return fmt.Errorf("empty relation")
+	var err error
+	switch r.pend.place {
+	case placeRemote:
+		err = p.realizeRemote(r)
+	case placeSharded:
+		err = p.realizeDist(r)
+	default:
+		err = p.realizeScan(r)
+	}
+	if err != nil {
+		return err
+	}
+	r.pend = nil
+	r.est = float64(r.Len())
+	return nil
 }
 
 // realizeRemote ships the assembled query to the remote source ("Remote
 // Scan" in SDA terms) and materializes the result as a transient virtual
 // table.
 func (p *planner) realizeRemote(r *relation) error {
-	rr := r.remote
+	ps := r.pend
+	src := ps.leaves[0]
 	sel := &sqlparse.SelectStmt{Limit: -1}
 	for _, col := range r.Schema.Cols {
 		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: expr.Col(col.Name)})
 	}
-	var from sqlparse.TableExpr
-	for _, t := range rr.tables {
-		ref := &sqlparse.TableRef{Parts: t.path, Alias: t.binding}
-		if from == nil {
-			from = ref
+	for _, l := range ps.leaves {
+		ref := &sqlparse.TableRef{Parts: l.path, Alias: l.binding}
+		if sel.From == nil {
+			sel.From = ref
 		} else {
-			from = &sqlparse.JoinExpr{Type: sqlparse.JoinCross, L: from, R: ref}
+			sel.From = &sqlparse.JoinExpr{Type: sqlparse.JoinCross, L: sel.From, R: ref}
 		}
 	}
-	sel.From = from
-	sel.Where = expr.And(expr.CloneAll(rr.conjs)...)
-	sql := sqlparse.RenderSelect(sel)
-
-	opts := p.remoteOpts(sel.Where != nil)
-	res, err := p.e.remoteQuery(p.ctx, rr.source, rr.adapter, sql, opts)
+	sel.Where = expr.And(expr.CloneAll(ps.conjs)...)
+	res, label, err := p.fetchRemote(src.source, src.adapter, sqlparse.RenderSelect(sel), sel.Where != nil, "Remote Row Scan")
 	if err != nil {
-		return fmt.Errorf("remote source %s: %w", rr.source, err)
-	}
-	p.e.Metrics.RemoteQueries.Inc()
-	p.e.Metrics.RemoteRowsFetched.Add(int64(res.Rows.Len()))
-	if res.FromCache {
-		p.e.Metrics.RemoteCacheHits.Inc()
-	}
-	label := fmt.Sprintf("Remote Row Scan [%s] (%d rows)", rr.source, res.Rows.Len())
-	if res.FromCache {
-		label += " [remote cache hit]"
-	}
-	if res.FromFallback {
-		label += " [fallback cache]"
+		return err
 	}
 	shown := *sel
 	shown.Where = elideLists(sel.Where)
 	r.node = node(label, node("shipped: "+sqlparse.RenderSelect(&shown)))
 	if err := conformRows(res.Rows, r.Schema); err != nil {
-		return fmt.Errorf("remote source %s returned incompatible rows: %w", rr.source, err)
+		return fmt.Errorf("remote source %s returned incompatible rows: %w", src.source, err)
 	}
 	r.Rows = res.Rows.Data
-	r.local = true
-	r.remote = nil
-	r.est = float64(len(r.Rows))
 	return nil
 }
 
-// remoteOpts derives QueryOptions from the session hint and engine config
-// (§4.4: hint + enable_remote_cache + predicate-only rule; the adapter
-// enforces remote_cache_validity).
-func (p *planner) remoteOpts(hasPredicates bool) fed.QueryOptions {
+// fetchRemote ships one statement to a remote source under the §4.4 cache
+// rule (the session hint, enable_remote_cache, and only statements with
+// predicates; the adapter enforces remote_cache_validity), counts it, and
+// returns the plan label: kind, source and rows, marked when the rows came
+// from the remote cache or the fallback cache.
+func (p *planner) fetchRemote(source string, a fed.Adapter, sql string, hasPredicates bool, kind string) (*fed.QueryResult, string, error) {
 	enabled, validity := p.e.remoteCacheCfg()
-	use := p.useCache && enabled && hasPredicates
-	return fed.QueryOptions{UseCache: use, Validity: validity}
+	opts := fed.QueryOptions{UseCache: p.useCache && enabled && hasPredicates, Validity: validity}
+	res, err := p.e.remoteQuery(p.ctx, source, a, sql, opts)
+	if err != nil {
+		return nil, "", fmt.Errorf("remote source %s: %w", source, err)
+	}
+	m := &p.e.Metrics
+	m.RemoteQueries.Inc()
+	m.RemoteRowsFetched.Add(int64(res.Rows.Len()))
+	label := fmt.Sprintf("%s [%s] (%d rows)", kind, source, res.Rows.Len())
+	if res.FromCache {
+		m.RemoteCacheHits.Inc()
+		label += " [remote cache hit]"
+	}
+	if res.FromFallback {
+		label += " [fallback cache]"
+	}
+	return res, label, nil
 }
 
 // conformRows casts remote result rows to the expected schema (SDA
@@ -197,30 +184,56 @@ func conformRows(rows *value.Rows, want *value.Schema) error {
 	return nil
 }
 
-// realizeExt executes the pending scan of an extended or hybrid table. The
-// pushed conjuncts go to the scan, which prunes partitions by their bounds
-// and cold chunks by their zone maps; what it read decides the label: hot
-// and cold fragments combined are a "Union Plan", cold alone a remote scan
-// or — when IN-list values were shipped — a semijoin.
-func (p *planner) realizeExt(r *relation) error {
-	t := r.ext.t
-	// Bind pushed conjuncts against the (qualified) leaf schema.
-	var bound []expr.Expr
-	inCount := 0
-	for _, c := range r.ext.conjs {
-		bc, err := expr.BindClone(c, r.Schema)
-		if err != nil {
+// realizeScan runs the scan of a local or cold table. The pushed conjuncts
+// go to planner.scan, which prunes partitions by their bounds and cold
+// chunks by their zone maps. A local scan is labeled by its store; a cold
+// one by what it read (coldLabel).
+func (p *planner) realizeScan(r *relation) error {
+	ps := r.pend
+	l := ps.leaves[0]
+	t := l.t
+	var pred expr.Expr
+	if len(ps.conjs) > 0 {
+		var err error
+		if pred, err = expr.BindClone(expr.And(expr.CloneAll(ps.conjs)...), r.Schema); err != nil {
 			return err
 		}
-		bound = append(bound, bc)
-		if in, ok := bc.(*expr.In); ok && literalIn(in) != nil {
-			inCount += len(in.List)
-		}
 	}
-	pred := expr.And(bound...)
 	sc, err := p.scan(t, t.parts, r.Schema, pred, neededOrds(p.needed, t.meta.Schema))
 	if err != nil {
 		return err
+	}
+	r.Batches = sc.batches
+	filter := "pushed filter: "
+	if ps.place == placeLocal {
+		r.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(t), l.name, r.Len()))
+		filter = "filter: "
+	} else {
+		r.node = node(p.coldLabel(t, sc, ps.conjs))
+	}
+	if pred != nil {
+		r.node.children = append(r.node.children, node(filter+planSQL(pred)))
+	}
+	return nil
+}
+
+func storeLabel(st *storedTable) string {
+	if len(st.parts) > 0 && st.parts[0].row != nil {
+		return "Row"
+	}
+	return "Column"
+}
+
+// coldLabel names the scan of an extended or hybrid table by what it read,
+// and counts the strategy that amounts to: hot and cold fragments combined
+// are a "Union Plan", cold alone a remote scan or, when IN-list values were
+// shipped, a semijoin.
+func (p *planner) coldLabel(t *storedTable, sc *tableScan, conjs []expr.Expr) string {
+	inCount := 0
+	for _, c := range conjs {
+		if in, ok := c.(*expr.In); ok && literalIn(in) != nil {
+			inCount += len(in.List)
+		}
 	}
 	var usedCold, usedHot bool
 	var hotRows, coldRows int
@@ -235,38 +248,27 @@ func (p *planner) realizeExt(r *relation) error {
 			hotRows += sc.visible[i]
 		}
 	}
-	// Plan labeling + strategy metrics.
+	name := t.meta.Name
 	switch {
 	case usedHot && usedCold:
-		label := fmt.Sprintf("Union Plan [%s] (hot %d ∪ cold %d rows scanned)", t.meta.Name, hotRows, coldRows)
+		label := fmt.Sprintf("Union Plan [%s] (hot %d ∪ cold %d rows scanned)", name, hotRows, coldRows)
+		p.e.Metrics.UnionPlansChosen.Inc()
+		p.plan.Note("chose union plan for %s: hot %d ∪ cold %d rows", name, hotRows, coldRows)
 		if inCount > 0 {
 			label += fmt.Sprintf(" + Semijoin (%d values shipped)", inCount)
-		}
-		r.node = node(label)
-		p.e.Metrics.UnionPlansChosen.Inc()
-		p.plan.Note("chose union plan for %s: hot %d ∪ cold %d rows", t.meta.Name, hotRows, coldRows)
-		if inCount > 0 {
 			p.e.Metrics.SemiJoinsChosen.Inc()
 		}
+		return label
 	case usedCold && inCount > 0:
-		r.node = node(fmt.Sprintf("Semijoin → Extended Storage [%s] (%d values shipped, %d rows scanned)", t.meta.Name, inCount, coldRows))
 		p.e.Metrics.SemiJoinsChosen.Inc()
-		p.plan.Note("chose semijoin → extended storage for %s: %d values shipped", t.meta.Name, inCount)
+		p.plan.Note("chose semijoin → extended storage for %s: %d values shipped", name, inCount)
+		return fmt.Sprintf("Semijoin → Extended Storage [%s] (%d values shipped, %d rows scanned)", name, inCount, coldRows)
 	case usedCold:
-		r.node = node(fmt.Sprintf("Remote Scan → Extended Storage [%s] (%d rows scanned)", t.meta.Name, coldRows))
 		p.e.Metrics.RemoteScansChosen.Inc()
-		p.plan.Note("chose remote scan → extended storage for %s: %d rows", t.meta.Name, coldRows)
-	default:
-		r.node = node(fmt.Sprintf("Column Scan [%s] (%d rows)", t.meta.Name, hotRows))
+		p.plan.Note("chose remote scan → extended storage for %s: %d rows", name, coldRows)
+		return fmt.Sprintf("Remote Scan → Extended Storage [%s] (%d rows scanned)", name, coldRows)
 	}
-	if pred != nil {
-		r.node.children = append(r.node.children, node("pushed filter: "+planSQL(pred)))
-	}
-	r.Batches = sc.batches
-	r.local = true
-	r.ext = nil
-	r.est = float64(r.Len())
-	return nil
+	return fmt.Sprintf("Column Scan [%s] (%d rows)", name, hotRows)
 }
 
 // colOpLiteral decomposes col OP literal (or literal OP col, flipped).
@@ -290,49 +292,4 @@ func colOpLiteral(b *expr.BinOp) (*expr.ColRef, value.Value, expr.Op) {
 		}
 	}
 	return nil, value.Null, expr.OpInvalid
-}
-
-// estimateLeaf computes the expected row count of a leaf after its pushed
-// predicates, using q-error histograms when available and textbook default
-// selectivities otherwise.
-func estimateLeaf(meta *catalog.TableMeta, baseRows int64, conjs []expr.Expr) float64 {
-	est := float64(baseRows)
-	for _, c := range conjs {
-		sel := 0.25
-		switch n := c.(type) {
-		case *expr.BinOp:
-			col, lit, op := colOpLiteral(n)
-			if col != nil && meta != nil {
-				if h := meta.Histogram(col.Name); h != nil && h.Total > 0 {
-					switch op {
-					case expr.OpEq:
-						sel = h.Selectivity(h.EstimateEq(lit))
-					case expr.OpGt, expr.OpGe:
-						sel = h.Selectivity(h.EstimateRange(&lit, nil))
-					case expr.OpLt, expr.OpLe:
-						sel = h.Selectivity(h.EstimateRange(nil, &lit))
-					default:
-						sel = 0.5
-					}
-					break
-				}
-			}
-			if op == expr.OpEq {
-				sel = 0.05
-			} else {
-				sel = 0.33
-			}
-		case *expr.Between:
-			sel = 0.25
-		case *expr.In:
-			sel = 0.1
-		case *expr.Like:
-			sel = 0.25
-		}
-		est *= sel
-	}
-	if est < 1 {
-		est = 1
-	}
-	return est
 }

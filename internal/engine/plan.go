@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hana/internal/catalog"
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/fed"
@@ -43,6 +44,9 @@ type planner struct {
 	// keySets maps each subquery key-set conjunct placeSubqueries put into
 	// a pool to its number of keys.
 	keySets map[expr.Expr]int
+
+	// leaves memoizes leafOf.
+	leaves map[*sqlparse.TableRef]*leaf
 }
 
 // newPlanner sets up the reader a statement runs as: tx's snapshot and
@@ -53,7 +57,7 @@ func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.Sele
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := &planner{e: e, ctx: ctx, width: width, stats: &exec.Counters{}}
+	p := &planner{e: e, ctx: ctx, width: width, stats: &exec.Counters{}, leaves: map[*sqlparse.TableRef]*leaf{}}
 	if o, ok := ctx.Value(distOptKey{}).(distOpt); ok {
 		p.localOnly = o.localOnly
 		p.fanout = o.fanout
@@ -201,7 +205,7 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Bloc
 	}
 	// Single distributed leaf with nothing left in the pool: try shipping
 	// the aggregation itself so only per-group partials cross the exchange.
-	if rel.dst != nil && len(rel.dst.coord) == 0 && len(pool) == 0 && len(transforms) == 0 {
+	if ps := rel.pendingAt(placeSharded); ps != nil && len(ps.coord) == 0 && len(pool) == 0 && len(transforms) == 0 {
 		if in, blk, root, err := p.tryDistAggregate(sel, rel); err != nil {
 			return exec.Rel{}, nil, nil, err
 		} else if blk != nil {
@@ -291,10 +295,9 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 	if te == nil {
 		// SELECT without FROM: one empty row.
 		return &relation{
-			Rel:   exec.Rel{Schema: value.NewSchema(), Rows: []value.Row{{}}},
-			local: true,
-			est:   1,
-			node:  node("Single Row"),
+			Rel:  exec.Rel{Schema: value.NewSchema(), Rows: []value.Row{{}}},
+			est:  1,
+			node: node("Single Row"),
 		}, nil
 	}
 	switch t := te.(type) {
@@ -336,7 +339,7 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 		}
 		schema := res.Schema.Qualify(t.Alias)
 		return &relation{
-			Rel: exec.Rel{Schema: schema, Rows: res.Data}, local: true,
+			Rel:  exec.Rel{Schema: schema, Rows: res.Data},
 			est:  float64(len(res.Data)),
 			node: node(fmt.Sprintf("Derived Table %s (%d rows)", t.Alias, len(res.Data))),
 		}, nil
@@ -346,126 +349,164 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 	return nil, fmt.Errorf("unsupported FROM element %T", te)
 }
 
-// planTableLeaf builds a relation for a stored or virtual table, attaching
-// pool conjuncts the leaf alone can evaluate.
-func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relation, error) {
-	name := t.Name()
-	binding := t.Binding()
+// placement is where a FROM table's rows are read.
+type placement uint8
 
-	if vt, ok := p.e.cat.VirtualTable(name); ok {
+const (
+	placeLocal   placement = iota // in-memory partitions, scanned on this node
+	placeSharded                  // hash-sharded replicas on the worker fleet
+	placeCold                     // extended storage, alone or beside hot partitions (hybrid)
+	placeRemote                   // an SDA virtual table at a remote source
+)
+
+// leaf is one FROM table as the planner resolved it: every planner function
+// that asks what a table is or where it lives reads this.
+type leaf struct {
+	name    string        // as written
+	binding string        // the alias, or the name
+	schema  *value.Schema // qualified by binding
+	place   placement
+
+	t *storedTable // every placement but remote
+
+	source  string // remote: the SDA source, its adapter and the remote object
+	adapter fed.Adapter
+	path    []string
+
+	base int64 // the row count the estimate starts from
+}
+
+// leafOf resolves a FROM table once per planner. A shardable table is read
+// on this node by an explicit transaction, whose own writes the workers do
+// not hold, and under WithLocalOnly.
+func (p *planner) leafOf(ref *sqlparse.TableRef) (*leaf, error) {
+	if l, ok := p.leaves[ref]; ok {
+		return l, nil
+	}
+	l := &leaf{name: ref.Name(), binding: ref.Binding()}
+	if vt, ok := p.e.cat.VirtualTable(l.name); ok {
 		a, err := p.e.adapter(vt.Source)
 		if err != nil {
 			return nil, err
 		}
-		schema := vt.Schema.Qualify(binding)
-		rel := &relation{
-			Rel: exec.Rel{Schema: schema},
-			remote: &remoteRel{
-				source:  vt.Source,
-				adapter: a,
-				tables:  []remoteTable{{path: vt.Remote, binding: binding, schema: schema}},
-			},
-		}
-		base := int64(100000)
+		l.place, l.source, l.adapter, l.path = placeRemote, vt.Source, a, vt.Remote
+		l.schema = vt.Schema.Qualify(l.binding)
+		l.base = 100000
 		if st, ok := a.TableStats(vt.Remote); ok {
-			base = st.RowCount
+			l.base = st.RowCount
 		}
-		conjs := takeCovered(rel, pool)
-		for _, c := range conjs {
-			rel.addConj(c)
-		}
-		rel.est = estimateLeaf(nil, base, conjs)
-		return rel, nil
-	}
-
-	st, err := p.e.table(name)
-	if err != nil {
-		return nil, err
-	}
-	meta := st.meta
-	schema := meta.Schema.Qualify(binding)
-
-	// Extended / hybrid tables stay unrealized so the planner can choose a
-	// federated strategy (remote scan, semijoin, union plan).
-	if st.firstCold() != nil {
-		rel := &relation{Rel: exec.Rel{Schema: schema}, ext: &extRel{t: st}}
-		conjs := takeCovered(rel, pool)
-		for _, c := range conjs {
-			rel.addConj(c)
-		}
-		rel.est = estimateLeaf(meta, approxRowCount(st), conjs)
-		return rel, nil
-	}
-
-	// Distributed leaf: the table is mirrored hash-sharded on the worker
-	// fleet, so the scan (and any aggregate or broadcast join above it)
-	// can execute as shipped fragments. Explicit-transaction reads stay
-	// local — workers only hold committed state, and the local path sees
-	// the transaction's own uncommitted rows.
-	if p.tid == 0 && !p.localOnly && p.e.distFor(st) != nil {
-		rel := &relation{Rel: exec.Rel{Schema: schema}, dst: &distRel{t: st, name: name, binding: binding}}
-		conjs := takeCovered(rel, pool)
-		base := approxRowCount(st)
-		for i, c := range conjs {
-			// A subquery key set ships inside the fragment unless it has
-			// more keys than the rows the leaf's other conjuncts are
-			// estimated to leave: then gathering those rows and filtering
-			// them at the coordinator moves less.
-			if n, ok := p.keySets[c]; ok {
-				if est := estimateLeaf(meta, base, append(conjs[:i:i], conjs[i+1:]...)); float64(n) > est {
-					rel.dst.coord = append(rel.dst.coord, c)
-					p.plan.Note("dist: key set of %d > %.0f rows estimated without it, filtering %s at the coordinator", n, est, name)
-					continue
-				}
-			}
-			rel.addConj(c)
-		}
-		rel.est = estimateLeaf(meta, base, conjs)
-		return rel, nil
-	}
-
-	// Pure in-memory leaf: morsel-parallel scan over the partitions' row
-	// ranges, with covered conjuncts filtered inside each morsel.
-	rel := &relation{Rel: exec.Rel{Schema: schema}, local: true}
-	conjs := takeCovered(rel, pool)
-	var pred expr.Expr
-	if len(conjs) > 0 {
-		var err error
-		pred, err = expr.BindClone(expr.And(expr.CloneAll(conjs)...), schema)
+	} else {
+		st, err := p.e.table(l.name)
 		if err != nil {
 			return nil, err
 		}
+		l.t = st
+		l.schema = st.meta.Schema.Qualify(l.binding)
+		switch {
+		case st.firstCold() != nil:
+			l.place = placeCold
+		case p.tid == 0 && !p.localOnly && p.e.distFor(st) != nil:
+			l.place = placeSharded
+		}
+		if l.base = st.meta.Stats.RowCount; l.base == 0 {
+			for _, part := range st.parts {
+				l.base += int64(part.numRows())
+			}
+		}
 	}
-	sc, err := p.scan(st, st.parts, schema, pred, neededOrds(p.needed, meta.Schema))
+	p.leaves[ref] = l
+	return l, nil
+}
+
+// estimate is the leaf's expected row count after conjs, from q-error
+// histograms where ANALYZE collected them and textbook default
+// selectivities otherwise.
+func (l *leaf) estimate(conjs []expr.Expr) float64 {
+	est := float64(l.base)
+	for _, c := range conjs {
+		sel := 0.25
+		switch n := c.(type) {
+		case *expr.BinOp:
+			col, lit, op := colOpLiteral(n)
+			if h := l.histogram(col); h != nil {
+				switch op {
+				case expr.OpEq:
+					sel = h.Selectivity(h.EstimateEq(lit))
+				case expr.OpGt, expr.OpGe:
+					sel = h.Selectivity(h.EstimateRange(&lit, nil))
+				case expr.OpLt, expr.OpLe:
+					sel = h.Selectivity(h.EstimateRange(nil, &lit))
+				default:
+					sel = 0.5
+				}
+				break
+			}
+			if op == expr.OpEq {
+				sel = 0.05
+			} else {
+				sel = 0.33
+			}
+		case *expr.Between:
+			sel = 0.25
+		case *expr.In:
+			sel = 0.1
+		case *expr.Like:
+			sel = 0.25
+		}
+		est *= sel
+	}
+	if est < 1 {
+		est = 1
+	}
+	return est
+}
+
+// histogram returns the collected histogram of one of the leaf's columns,
+// nil when there is none. The column may be written qualified (t.a, x.a):
+// stored column names are not.
+func (l *leaf) histogram(col *expr.ColRef) *catalog.Histogram {
+	if col == nil || l.t == nil {
+		return nil
+	}
+	if h := l.t.meta.Histogram(col.Name[strings.LastIndexByte(col.Name, '.')+1:]); h != nil && h.Total > 0 {
+		return h
+	}
+	return nil
+}
+
+// planTableLeaf plans a stored or virtual table as a pending scan at its
+// placement, with the pool conjuncts the table alone can evaluate pushed
+// into it. A local table is scanned at once: relocation and the semijoin
+// check read its actual row count.
+func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relation, error) {
+	l, err := p.leafOf(t)
 	if err != nil {
 		return nil, err
 	}
-	rel.Batches = sc.batches
-	kept := rel.Len()
-	rel.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(st), name, kept))
-	if pred != nil {
-		rel.node.children = append(rel.node.children, node("filter: "+planSQL(pred)))
+	ps := &pendingScan{place: l.place, leaves: []*leaf{l}}
+	rel := &relation{Rel: exec.Rel{Schema: l.schema}, pend: ps}
+	conjs := takeCovered(rel, pool)
+	for i, c := range conjs {
+		// A subquery key set ships inside a sharded fragment unless it has
+		// more keys than the rows the leaf's other conjuncts are estimated
+		// to leave: then gathering those rows and filtering them at the
+		// coordinator moves less.
+		if n, ok := p.keySets[c]; ok && l.place == placeSharded {
+			if est := l.estimate(append(conjs[:i:i], conjs[i+1:]...)); float64(n) > est {
+				ps.coord = append(ps.coord, c)
+				p.plan.Note("dist: key set of %d > %.0f rows estimated without it, filtering %s at the coordinator", n, est, l.name)
+				continue
+			}
+		}
+		ps.conjs = append(ps.conjs, c)
 	}
-	rel.est = float64(kept)
+	rel.est = l.estimate(conjs)
+	if l.place == placeLocal {
+		if err := p.realize(rel); err != nil {
+			return nil, err
+		}
+	}
 	return rel, nil
-}
-
-func storeLabel(st *storedTable) string {
-	if len(st.parts) > 0 && st.parts[0].row != nil {
-		return "Row"
-	}
-	return "Column"
-}
-
-func approxRowCount(st *storedTable) int64 {
-	if st.meta.Stats.RowCount > 0 {
-		return st.meta.Stats.RowCount
-	}
-	var n int64
-	for _, p := range st.parts {
-		n += int64(p.numRows())
-	}
-	return n
 }
 
 // planTableFunc invokes a local table provider (HANA join over ESP window
@@ -477,7 +518,7 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 		}
 		schema := rows.Schema.Qualify(t.Binding())
 		return &relation{
-			Rel: exec.Rel{Schema: schema, Rows: rows.Data}, local: true,
+			Rel:  exec.Rel{Schema: schema, Rows: rows.Data},
 			est:  float64(rows.Len()),
 			node: node(fmt.Sprintf("Table Provider %s (%d rows)", t.Name, rows.Len())),
 		}, nil
@@ -505,7 +546,7 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 	p.e.Metrics.RemoteQueries.Inc()
 	p.e.Metrics.RemoteRowsFetched.Add(int64(rows.Len()))
 	return &relation{
-		Rel: exec.Rel{Schema: schema, Rows: rows.Data}, local: true,
+		Rel:  exec.Rel{Schema: schema, Rows: rows.Data},
 		est:  float64(rows.Len()),
 		node: node(fmt.Sprintf("Virtual Function %s [%s] (%d rows)", t.Name, vf.Source, rows.Len())),
 	}, nil
@@ -534,22 +575,19 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 	combined := l.Schema.Concat(r.Schema)
 
 	// Strategy: merge same-source remote relations into one shipped query.
-	if l.remote != nil && r.remote != nil &&
-		strings.EqualFold(l.remote.source, r.remote.source) &&
-		l.remote.adapter.Capabilities().Joins {
+	if lp, rp := l.pendingAt(placeRemote), r.pendingAt(placeRemote); lp != nil && rp != nil &&
+		strings.EqualFold(lp.leaves[0].source, rp.leaves[0].source) &&
+		lp.leaves[0].adapter.Capabilities().Joins {
 		merged := &relation{
 			Rel: exec.Rel{Schema: combined},
-			remote: &remoteRel{
-				source:  l.remote.source,
-				adapter: l.remote.adapter,
-				tables:  append(append([]remoteTable{}, l.remote.tables...), r.remote.tables...),
-				conjs:   append(append([]expr.Expr{}, l.remote.conjs...), r.remote.conjs...),
+			pend: &pendingScan{
+				place:  placeRemote,
+				leaves: append(append([]*leaf{}, lp.leaves...), rp.leaves...),
+				conjs:  append(append([]expr.Expr{}, lp.conjs...), rp.conjs...),
 			},
-			est: maxf(l.est, r.est),
+			est: max(l.est, r.est),
 		}
-		for _, c := range takeCovered(merged, pool) {
-			merged.remote.conjs = append(merged.remote.conjs, c)
-		}
+		merged.pend.conjs = append(merged.pend.conjs, takeCovered(merged, pool)...)
 		return merged, nil
 	}
 
@@ -586,7 +624,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 	// worker fleet and the realized build side is small enough to ship to
 	// every worker. Matches stream back tagged with their probe sequence,
 	// so the merged output is the serial hash join's exact row order.
-	if l.dst != nil && len(leftKeys) > 0 {
+	if l.pendingAt(placeSharded) != nil && len(leftKeys) > 0 {
 		if err := p.realize(r); err != nil {
 			return nil, err
 		}
@@ -603,7 +641,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 	// too-large local table, execute the join at the extended store (local
 	// build side shipped there).
 	relocated := false
-	if r.ext != nil && l.local && l.est > float64(p.e.semiJoinThreshold()) {
+	if r.pendingAt(placeCold) != nil && l.pend == nil && l.est > float64(p.e.semiJoinThreshold()) {
 		relocated = true
 		p.e.Metrics.RelocationsChosen.Inc()
 		p.plan.Note("chose relocation: build side est %.0f > threshold %d", l.est, p.e.semiJoinThreshold())
@@ -613,7 +651,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		return nil, err
 	}
 
-	out := &relation{Rel: exec.Rel{Schema: combined}, local: true}
+	out := &relation{Rel: exec.Rel{Schema: combined}}
 	var label string
 	if len(leftKeys) > 0 {
 		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
@@ -662,7 +700,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 // (remote / extended) leaves concurrently through the worker pool. Errors
 // prefer the left side, matching the serial left-then-right order.
 func (p *planner) realizeBoth(l, r *relation) error {
-	if l.local || r.local {
+	if l.pend == nil || r.pend == nil {
 		// At most one side does real work — realizing serially avoids
 		// goroutine churn for the common local-join case.
 		if err := p.realize(l); err != nil {
@@ -682,7 +720,8 @@ func (p *planner) realizeBoth(l, r *relation) error {
 // is passed from SAP HANA to the extended storage where it is used for
 // filtering … in an IN-clause").
 func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.Expr) error {
-	if big.remote == nil && big.ext == nil {
+	ps := big.pend
+	if ps == nil || (ps.place != placeRemote && ps.place != placeCold) {
 		return nil
 	}
 	threshold := float64(p.e.semiJoinThreshold())
@@ -713,10 +752,10 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 			vals = append(vals, value.Null)
 		}
 		in := expr.NewIn(expr.Clone(bigKeys[i]), vals, false)
-		big.addConj(in)
-		if big.remote != nil {
+		ps.conjs = append(ps.conjs, in)
+		if ps.place == placeRemote {
 			p.e.Metrics.SemiJoinsChosen.Inc()
-			p.plan.Note("chose semijoin: shipped %d key values to %s", len(in.List), big.remote.source)
+			p.plan.Note("chose semijoin: shipped %d key values to %s", len(in.List), ps.leaves[0].source)
 		}
 	}
 	return nil
@@ -782,7 +821,7 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 			residual = append(residual, c)
 		}
 	}
-	out := &relation{Rel: exec.Rel{Schema: combined}, local: true}
+	out := &relation{Rel: exec.Rel{Schema: combined}}
 	if len(leftKeys) > 0 {
 		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
 		if err != nil {
@@ -811,13 +850,6 @@ func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error)
 	out.est = float64(len(out.Rows))
 	out.node = node(fmt.Sprintf("Hash Join (LEFT OUTER) (%d rows)", len(out.Rows)), l.node, r.node)
 	return out, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // blockRows plans and materializes a nested query block.

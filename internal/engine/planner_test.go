@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"hana/internal/expr"
+	"hana/internal/sqlparse"
 	"hana/internal/value"
 )
 
@@ -41,6 +43,47 @@ func TestTableRelocationStrategy(t *testing.T) {
 	}
 	if !strings.Contains(res.Plan, "Table Relocation") {
 		t.Fatalf("plan must label relocation:\n%s", res.Plan)
+	}
+}
+
+// A leaf's estimate reads the column's histogram however the column is
+// written: bare, qualified by the table name or by an alias.
+func TestLeafEstimateUsesHistogramsOfQualifiedColumns(t *testing.T) {
+	e := newTestEngine(t)
+	exec1(t, e, `CREATE TABLE t (a BIGINT)`)
+	rows := make([]value.Row, 1000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i % 100))}
+	}
+	if err := e.BulkLoad("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Analyze("t"); err != nil {
+		t.Fatal(err)
+	}
+	p := e.newPlanner(context.Background(), nil, nil, 1)
+	for _, c := range []struct {
+		alias, conj string
+		want        string // the default selectivities give 50 and 330
+	}{
+		{"", "a = 5", "10"},
+		{"", "t.a = 5", "10"},
+		{"x", "x.a = 5", "10"},
+		{"", "a < 10", "101"},
+		{"", "t.a < 10", "101"},
+		{"x", "x.a < 10", "101"},
+	} {
+		l, err := p.leafOf(&sqlparse.TableRef{Parts: []string{"t"}, Alias: c.alias})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conj, err := sqlparse.ParseExpr(c.conj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.0f", l.estimate([]expr.Expr{conj})); got != c.want {
+			t.Errorf("FROM t %s WHERE %s: estimate %s rows, want %s", c.alias, c.conj, got, c.want)
+		}
 	}
 }
 

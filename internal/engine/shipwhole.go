@@ -2,13 +2,11 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/faults"
-	"hana/internal/fed"
 	"hana/internal/sqlparse"
 )
 
@@ -23,17 +21,17 @@ import (
 // whole.
 func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block, *planNode, error) {
 	info := &shipInfo{}
-	if !p.shippableBlock(sel, info) || info.source == "" {
+	if !p.shippableBlock(sel, info) || info.src == nil {
 		return exec.Rel{}, nil, nil, nil
 	}
-	caps := info.adapter.Capabilities()
+	caps := info.src.adapter.Capabilities()
 	switch {
 	case !caps.Select,
 		info.tableCount > 1 && !caps.Joins,
 		info.hasOuter && !caps.JoinsOuter,
 		info.hasAgg && !caps.GroupBy,
 		info.hasSubquery && !caps.Subqueries:
-		p.plan.Note("rejected ship-whole: %s lacks capability for the statement", info.source)
+		p.plan.Note("rejected ship-whole: %s lacks capability for the statement", info.src.source)
 		return exec.Rel{}, nil, nil, nil
 	}
 
@@ -46,33 +44,20 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block,
 	shipped.Hints = nil
 	sql := sqlparse.RenderSelect(shipped)
 
-	opts := p.remoteOpts(hasAnyPredicate(sel))
-	res, err := p.e.remoteQuery(p.ctx, info.source, info.adapter, sql, opts)
+	res, label, err := p.fetchRemote(info.src.source, info.src.adapter, sql, hasAnyPredicate(sel), "Remote Query")
 	if err != nil {
 		if errors.Is(err, faults.ErrCircuitOpen) {
 			// The source's breaker is open and no fallback materialization
 			// is valid: decline ship-whole so the planner can try per-leaf
 			// strategies (which may hit leaf-level fallback entries).
 			p.e.Metrics.PlannerFallbacks.Inc()
-			p.plan.Note("rejected ship-whole: %s breaker open, falling back to per-leaf strategies", info.source)
+			p.plan.Note("rejected ship-whole: %s breaker open, falling back to per-leaf strategies", info.src.source)
 			return exec.Rel{}, nil, nil, nil
 		}
-		return exec.Rel{}, nil, nil, fmt.Errorf("remote source %s: %w", info.source, err)
+		return exec.Rel{}, nil, nil, err
 	}
-	p.e.Metrics.RemoteQueries.Inc()
-	p.e.Metrics.RemoteRowsFetched.Add(int64(res.Rows.Len()))
-	if res.FromCache {
-		p.e.Metrics.RemoteCacheHits.Inc()
-	}
-	p.plan.Note("chose ship-whole to %s: %d tables in one shipped query", info.source, info.tableCount)
+	p.plan.Note("chose ship-whole to %s: %d tables in one shipped query", info.src.source, info.tableCount)
 
-	label := fmt.Sprintf("Remote Query [%s] (%d rows)", info.source, res.Rows.Len())
-	if res.FromCache {
-		label += " [remote cache hit]"
-	}
-	if res.FromFallback {
-		label += " [fallback cache]"
-	}
 	blk, err := exec.AnalyzeProjected(sel, res.Rows.Schema)
 	if err != nil {
 		return exec.Rel{}, nil, nil, err
@@ -110,8 +95,7 @@ func hasAnyPredicate(sel *sqlparse.SelectStmt) bool {
 }
 
 type shipInfo struct {
-	source      string
-	adapter     fed.Adapter
+	src         *leaf // the first table; every other shares its source
 	tableCount  int
 	hasOuter    bool
 	hasAgg      bool
@@ -166,18 +150,13 @@ func (p *planner) shippableBlock(sel *sqlparse.SelectStmt, info *shipInfo) bool 
 func (p *planner) shippableFrom(te sqlparse.TableExpr, info *shipInfo) bool {
 	switch t := te.(type) {
 	case *sqlparse.TableRef:
-		vt, ok := p.e.cat.VirtualTable(t.Name())
-		if !ok {
+		l, err := p.leafOf(t)
+		if err != nil || l.place != placeRemote {
 			return false
 		}
-		if info.source == "" {
-			info.source = vt.Source
-			a, err := p.e.adapter(vt.Source)
-			if err != nil {
-				return false
-			}
-			info.adapter = a
-		} else if !equalFold(info.source, vt.Source) {
+		if info.src == nil {
+			info.src = l
+		} else if !strings.EqualFold(info.src.source, l.source) {
 			return false
 		}
 		info.tableCount++
@@ -207,8 +186,8 @@ func (p *planner) rewriteForShip(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt 
 func (p *planner) rewriteFromForShip(te sqlparse.TableExpr) sqlparse.TableExpr {
 	switch t := te.(type) {
 	case *sqlparse.TableRef:
-		if vt, ok := p.e.cat.VirtualTable(t.Name()); ok {
-			return &sqlparse.TableRef{Parts: vt.Remote, Alias: t.Binding()}
+		if l, err := p.leafOf(t); err == nil && l.place == placeRemote {
+			return &sqlparse.TableRef{Parts: l.path, Alias: l.binding}
 		}
 		return t
 	case *sqlparse.JoinExpr:
@@ -235,5 +214,3 @@ func (p *planner) rewriteExprForShip(e expr.Expr) expr.Expr {
 		return nil
 	})
 }
-
-func equalFold(a, b string) bool { return strings.EqualFold(a, b) }

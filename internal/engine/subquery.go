@@ -32,22 +32,19 @@ func (p *planner) fromLeaves(te sqlparse.TableExpr) ([]fromLeaf, error) {
 		r, err := p.fromLeaves(j.R)
 		return append(l, r...), err
 	}
+	if t, ok := te.(*sqlparse.TableRef); ok {
+		l, err := p.leafOf(t)
+		if err != nil {
+			return nil, err
+		}
+		return []fromLeaf{{schema: l.schema, placeable: l.place == placeLocal || l.place == placeSharded}}, nil
+	}
 	schema, err := p.fromSchemaPreview(te)
 	if err != nil {
 		return nil, err
 	}
-	leaf := fromLeaf{schema: schema, placeable: true}
-	switch t := te.(type) {
-	case *sqlparse.TableRef:
-		if _, virtual := p.e.cat.VirtualTable(t.Name()); virtual {
-			leaf.placeable = false
-		} else if st, err := p.e.table(t.Name()); err == nil && st.firstCold() != nil {
-			leaf.placeable = false
-		}
-	case *sqlparse.TableFuncRef:
-		leaf.placeable = false
-	}
-	return []fromLeaf{leaf}, nil
+	_, fn := te.(*sqlparse.TableFuncRef)
+	return []fromLeaf{{schema: schema, placeable: !fn}}, nil
 }
 
 // placeable reports whether every column of e (at least one) belongs to a
@@ -428,14 +425,11 @@ func (p *planner) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, error
 	case nil:
 		return value.NewSchema(), nil
 	case *sqlparse.TableRef:
-		name, binding := t.Name(), t.Binding()
-		if vt, ok := p.e.cat.VirtualTable(name); ok {
-			return vt.Schema.Qualify(binding), nil
+		l, err := p.leafOf(t)
+		if err != nil {
+			return nil, err
 		}
-		if st, err := p.e.table(name); err == nil {
-			return st.meta.Schema.Qualify(binding), nil
-		}
-		return nil, fmt.Errorf("table %s not found", name)
+		return l.schema, nil
 	case *sqlparse.JoinExpr:
 		l, err := p.fromSchemaPreview(t.L)
 		if err != nil {

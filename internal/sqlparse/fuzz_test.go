@@ -5,8 +5,9 @@ import "testing"
 // FuzzParse: every entry point must return — a statement or an error —
 // on arbitrary input, never panic and never spin. The seeds run as
 // ordinary subtests under `go test`: one statement per statement kind,
-// the truncated inputs that have tripped the parser before, and the two
-// unterminated type lists that used to hang typeName at EOF.
+// the truncated inputs that have tripped the parser before, the two
+// unterminated type lists that used to hang typeName at EOF, and the lexer's
+// comment and quote edges.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		`SELECT c_custkey, COUNT(*) AS n FROM customer JOIN orders ON c_custkey = o_custkey WHERE c_mktsegment = 'HOUSEHOLD' GROUP BY c_custkey HAVING COUNT(*) > 2 ORDER BY n DESC LIMIT 10`,
@@ -41,6 +42,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT CAST(a AS VARCHAR(",
 	} {
 		f.Add(s)
+	}
+	for _, c := range lexEdgeCases {
+		f.Add(c.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = Parse(src)

@@ -32,7 +32,8 @@ type token struct {
 }
 
 // lexer splits SQL text into tokens. Comments (-- … and /* … */) are
-// skipped.
+// skipped; a block comment left open is an error, as an open string
+// literal is, so it cannot silently swallow the rest of a statement.
 type lexer struct {
 	src  string
 	pos  int
@@ -42,7 +43,9 @@ type lexer struct {
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for {
-		l.skipSpace()
+		if err := l.skipSpace(); err != nil {
+			return nil, err
+		}
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
 			return l.toks, nil
@@ -76,7 +79,7 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-func (l *lexer) skipSpace() {
+func (l *lexer) skipSpace() error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -89,14 +92,14 @@ func (l *lexer) skipSpace() {
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
 			end := strings.Index(l.src[l.pos+2:], "*/")
 			if end < 0 {
-				l.pos = len(l.src)
-			} else {
-				l.pos += 2 + end + 2
+				return fmt.Errorf("unterminated block comment at offset %d", l.pos)
 			}
+			l.pos += 2 + end + 2
 		default:
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 func (l *lexer) lexString() (string, error) {
