@@ -319,15 +319,16 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	}
 	_ = cluster.WriteFile("/in/data", lines)
 	_ = ms // metastore unused beyond warehouse setup
-	sum := func(key string, values []string, emit func(k, v string)) {
+	sum := func(key string, values []string, emit func(k, v string)) error {
 		emit(key, fmt.Sprintf("%d", len(values)))
+		return nil
 	}
 	job := func(withCombiner bool, out string) *mapreduce.Job {
 		j := &mapreduce.Job{
 			Name:   "count",
 			Inputs: []string{"/in/data"},
 			Output: out,
-			Map:    func(line string, emit func(k, v string)) { emit(line, "1") },
+			Map:    func(_, line string, emit func(k, v string)) error { emit(line, "1"); return nil },
 			Reduce: sum,
 		}
 		if withCombiner {

@@ -165,7 +165,7 @@ func main() {
 		Name:   "drop-rate-by-cell",
 		Inputs: []string{"/archive/network"},
 		Output: "/analytics/drop-rate",
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			f := strings.Split(line, "\t")
 			if len(f) == 3 {
 				drop := "0"
@@ -174,8 +174,9 @@ func main() {
 				}
 				emit(f[0], drop)
 			}
+			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			total, drops := 0, 0
 			for _, v := range values {
 				total++
@@ -184,6 +185,7 @@ func main() {
 				}
 			}
 			emit(key, fmt.Sprintf("%.3f", float64(drops)/float64(total)))
+			return nil
 		},
 		NumReducers: 2,
 	}
@@ -191,8 +193,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("offline map-reduce drop rates per cell:")
-	ms := hive.NewMetastore(cluster, "/warehouse")
-	out, err := ms.ReadDir("/analytics/drop-rate", value.NewSchema(
+	out, err := hive.ReadText(cluster, "/analytics/drop-rate", value.NewSchema(
 		value.Column{Name: "cell", Kind: value.KindInt},
 		value.Column{Name: "rate", Kind: value.KindDouble},
 	))

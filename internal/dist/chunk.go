@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"hana/internal/exec"
 	"hana/internal/value"
@@ -61,19 +60,7 @@ func (c *Chunk) Encode() []byte {
 		buf = value.AppendRow(buf, g.Key)
 		buf = binary.AppendUvarint(buf, uint64(len(g.States)))
 		for _, st := range g.States {
-			buf = binary.AppendVarint(buf, st.Count)
-			buf = appendSum(buf, &st.Sum)
-			buf = binary.AppendVarint(buf, st.SumI)
-			buf = appendBool(buf, st.IntOnly)
-			buf = value.AppendValue(buf, st.Min)
-			buf = value.AppendValue(buf, st.Max)
-			buf = appendSum(buf, &st.SumSq)
-			buf = appendBool(buf, st.HasVal)
-			buf = appendBool(buf, st.Distinct)
-			buf = binary.AppendUvarint(buf, uint64(len(st.Order)))
-			for _, v := range st.Order {
-				buf = value.AppendValue(buf, v)
-			}
+			buf = exec.AppendAggState(buf, st)
 		}
 	}
 	return buf
@@ -104,20 +91,7 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 			g := &exec.AggGroup{First: d.varint(), Key: d.row()}
 			nst := int(d.uvarint())
 			for j := 0; j < nst && d.err == nil; j++ {
-				st := &exec.AggState{Count: d.varint()}
-				d.sum(&st.Sum)
-				st.SumI = d.varint()
-				st.IntOnly = d.bool()
-				st.Min = d.value()
-				st.Max = d.value()
-				d.sum(&st.SumSq)
-				st.HasVal = d.bool()
-				st.Distinct = d.bool()
-				nd := int(d.uvarint())
-				for k := 0; k < nd && d.err == nil; k++ {
-					st.Order = append(st.Order, d.value())
-				}
-				g.States = append(g.States, st)
+				g.States = append(g.States, d.aggState())
 			}
 			c.Partial.Append(g)
 		}
@@ -133,29 +107,15 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 	return c, nil
 }
 
-// appendSum writes an exact sum as its partial list: a count, then each
-// partial's IEEE bits.
-func appendSum(buf []byte, s *exec.ExactSum) []byte {
-	var arr [4]float64
-	ps := s.AppendPartials(arr[:0])
-	buf = binary.AppendUvarint(buf, uint64(len(ps)))
-	for _, p := range ps {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+func (d *wireReader) aggState() *exec.AggState {
+	if d.err != nil {
+		return nil
 	}
-	return buf
-}
-
-var errTooManyPartials = fmt.Errorf("a sum of more than %d partials", exec.MaxPartials)
-
-// sum rebuilds an exact sum by adding each listed partial, so a list another
-// node did not write in normal form is renormalized, not trusted.
-func (d *wireReader) sum(s *exec.ExactSum) {
-	n := d.uvarint()
-	if n > exec.MaxPartials && d.err == nil {
-		d.err = errTooManyPartials
-		return
+	st, n, err := exec.DecodeAggState(d.b[d.off:])
+	if err != nil {
+		d.err = err
+		return nil
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		s.Add(math.Float64frombits(d.uint64()))
-	}
+	d.off += n
+	return &st
 }

@@ -234,17 +234,6 @@ func (d *wireReader) byte() byte {
 
 func (d *wireReader) bool() bool { return d.byte() != 0 }
 
-// uint64 reads eight little-endian bytes.
-func (d *wireReader) uint64() uint64 {
-	if d.err != nil || len(d.b)-d.off < 8 {
-		d.fail("uint64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
 func (d *wireReader) uvarint() uint64 {
 	if d.err != nil {
 		return 0

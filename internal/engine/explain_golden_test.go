@@ -241,10 +241,11 @@ func goldenFederated(t *testing.T, g *goldenLog) {
 			Name:   "golden-sensor",
 			Inputs: []string{"/golden/readings.log"},
 			Output: "/tmp/golden-out",
-			Map: func(line string, emit func(k, v string)) {
+			Map: func(_, line string, emit func(k, v string)) error {
 				if f := strings.Fields(line); len(f) == 2 {
 					emit("", f[0]+"\t"+f[1])
 				}
+				return nil
 			},
 		}, nil
 	})

@@ -183,11 +183,12 @@ func TestVirtualFunctionEndToEnd(t *testing.T) {
 			Name:   "sensor-extract",
 			Inputs: []string{"/plant100/readings.log"},
 			Output: "/tmp/vf-out",
-			Map: func(line string, emit func(k, v string)) {
+			Map: func(_, line string, emit func(k, v string)) error {
 				f := strings.Fields(line)
 				if len(f) == 2 {
 					emit("", f[0]+"\t"+f[1])
 				}
+				return nil
 			},
 		}, nil
 	})

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -337,4 +338,145 @@ func ordinals(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// AppendAggState appends the binary form of a state, the one dist ships in an
+// aggregate chunk and Hive in its shuffle: Count, Sum, SumI, IntOnly, Min,
+// Max, SumSq, HasVal, Distinct, then Order. A sum is its partial count and
+// each partial's IEEE bits; a value is value.AppendValue.
+func AppendAggState(buf []byte, st *AggState) []byte {
+	buf = binary.AppendVarint(buf, st.Count)
+	buf = appendSum(buf, &st.Sum)
+	buf = binary.AppendVarint(buf, st.SumI)
+	buf = appendBool(buf, st.IntOnly)
+	buf = value.AppendValue(buf, st.Min)
+	buf = value.AppendValue(buf, st.Max)
+	buf = appendSum(buf, &st.SumSq)
+	buf = appendBool(buf, st.HasVal)
+	buf = appendBool(buf, st.Distinct)
+	buf = binary.AppendUvarint(buf, uint64(len(st.Order)))
+	for _, v := range st.Order {
+		buf = value.AppendValue(buf, v)
+	}
+	return buf
+}
+
+func appendSum(buf []byte, s *ExactSum) []byte {
+	var arr [4]float64
+	ps := s.AppendPartials(arr[:0])
+	buf = binary.AppendUvarint(buf, uint64(len(ps)))
+	for _, p := range ps {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+	}
+	return buf
+}
+
+func appendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// DecodeAggState reads one state written by AppendAggState and returns it
+// with the bytes it took. A sum is rebuilt by adding each listed partial, so
+// a list another node did not write in normal form is renormalized, not
+// trusted; a list longer than MaxPartials is an error.
+func DecodeAggState(b []byte) (AggState, int, error) {
+	d := stateReader{b: b}
+	st := AggState{Count: d.varint()}
+	d.sum(&st.Sum)
+	st.SumI = d.varint()
+	st.IntOnly = d.bool()
+	st.Min = d.value()
+	st.Max = d.value()
+	d.sum(&st.SumSq)
+	st.HasVal = d.bool()
+	st.Distinct = d.bool()
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		st.Order = append(st.Order, d.value())
+	}
+	if d.err != nil {
+		return AggState{}, 0, fmt.Errorf("aggregate state: %w", d.err)
+	}
+	return st, d.off, nil
+}
+
+// stateReader is DecodeAggState's cursor: the first malformed field latches
+// err and every later read returns a zero value.
+type stateReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (d *stateReader) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("truncated %s at offset %d", what, d.off)
+	}
+}
+
+func (d *stateReader) bool() bool {
+	if d.err != nil || d.off >= len(d.b) {
+		d.fail("byte")
+		return false
+	}
+	d.off++
+	return d.b[d.off-1] != 0
+}
+
+func (d *stateReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("uvarint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *stateReader) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("varint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *stateReader) value() value.Value {
+	if d.err != nil {
+		return value.Null
+	}
+	v, n, err := value.DecodeValue(d.b[d.off:])
+	if err != nil {
+		d.err = err
+		return value.Null
+	}
+	d.off += n
+	return v
+}
+
+func (d *stateReader) sum(s *ExactSum) {
+	n := d.uvarint()
+	if n > MaxPartials && d.err == nil {
+		d.err = fmt.Errorf("a sum of more than %d partials", MaxPartials)
+		return
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		if len(d.b)-d.off < 8 {
+			d.fail("uint64")
+			return
+		}
+		s.Add(math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:])))
+		d.off += 8
+	}
 }

@@ -263,7 +263,8 @@ func (h *HadoopAdapter) Query(sql string, _ fed.QueryOptions) (*fed.QueryResult,
 }
 
 // CallFunction implements fed.FunctionAdapter: run the configured
-// map-reduce driver and decode its output under the declared schema.
+// map-reduce driver and decode its output as text rows under the declared
+// schema (ReadText).
 func (h *HadoopAdapter) CallFunction(config map[string]string, schema *value.Schema) (*value.Rows, error) {
 	class := config["hana.mapred.driver.class"]
 	if class == "" {
@@ -284,5 +285,5 @@ func (h *HadoopAdapter) CallFunction(config map[string]string, schema *value.Sch
 		return nil, err
 	}
 	defer func() { _ = h.server.MS.Cluster().Remove(job.Output) }()
-	return h.server.MS.ReadDir(job.Output, schema)
+	return ReadText(h.server.MS.Cluster(), job.Output, schema)
 }

@@ -2,11 +2,7 @@ package hive
 
 import (
 	"context"
-
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"hana/internal/exec"
 	"hana/internal/expr"
@@ -31,11 +27,9 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	}
 	var in exec.Rel
 	if inDriver {
-		rows, err := x.materialize(rel)
-		if err != nil {
+		if in, err = x.materialize(rel); err != nil {
 			return nil, err
 		}
-		in = exec.Rel{Schema: rows.Schema, Rows: rows.Data}
 		if blk.Aggregates() {
 			agg := &exec.ParallelHashAggregate{In: in, GroupBy: blk.GroupBy, Aggs: blk.Aggs, Out: blk.AggSchema}
 			if in, err = agg.Run(); err != nil {
@@ -53,30 +47,20 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 }
 
 // materialize reads the relation applying pending filters driver-side.
-func (x *Executor) materialize(rel *interRel) (*value.Rows, error) {
+func (x *Executor) materialize(rel *interRel) (exec.Rel, error) {
 	rows, err := x.ms.ReadDir(rel.dir, rel.schema)
 	if err != nil {
-		return nil, err
+		return exec.Rel{}, err
 	}
+	in := exec.Rel{Schema: rows.Schema, Rows: rows.Data}
 	if len(rel.pending) == 0 {
-		return rows, nil
+		return in, nil
 	}
 	pred, err := expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema)
 	if err != nil {
-		return nil, err
+		return exec.Rel{}, err
 	}
-	kept := rows.Data[:0]
-	for _, r := range rows.Data {
-		ok, err := expr.Truthy(pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, r)
-		}
-	}
-	rows.Data = kept
-	return rows, nil
+	return exec.Filter(in, pred)
 }
 
 // mrAggregate runs the block's aggregate as a map-reduce job with a combiner
@@ -92,66 +76,56 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		rel.pending = nil
 	}
 
-	schema := rel.schema
-	mapper := func(line string, emit func(k, v string)) {
-		row, err := DecodeRow(line, schema)
+	dec := &rowPool{schema: rel.schema}
+	mapper := func(_, rec string, emit func(k, v string)) error {
+		r, err := dec.decode(rec)
 		if err != nil {
-			return
+			return err
 		}
+		defer dec.release(r)
+		row := *r
 		if pending != nil {
-			ok, err := expr.Truthy(pending, row)
-			if err != nil || !ok {
-				return
+			if ok, err := expr.Truthy(pending, row); err != nil || !ok {
+				return nil
 			}
 		}
-		keyVals := make([]value.Value, len(groupBy))
-		for i, g := range groupBy {
+		var keyArr [8]value.Value
+		keyVals := keyArr[:0]
+		for _, g := range groupBy {
 			v, err := g.Eval(row)
 			if err != nil {
-				return
+				return nil
 			}
-			keyVals[i] = v
+			keyVals = append(keyVals, v)
 		}
-		partials := make([]string, len(aggs))
-		for i, a := range aggs {
-			st := exec.NewAggState(a.Func, false)
+		var valArr [256]byte
+		val := valArr[:0]
+		for _, a := range aggs {
+			st := *exec.NewAggState(a.Func, false)
 			if a.Arg == nil { // COUNT(*)
 				st.Count = 1
 				st.HasVal = true
 			} else {
 				v, err := a.Arg.Eval(row)
 				if err != nil {
-					return
+					return nil
 				}
 				st.Add(v)
 			}
-			partials[i] = encodePartial(st)
+			val = exec.AppendAggState(val, &st)
 		}
-		emit(EncodeKey(keyVals), strings.Join(partials, "\x02"))
+		emit(EncodeKey(keyVals), string(val))
+		return nil
 	}
-	merge := func(key string, values []string, emit func(k, v string)) {
-		acc := make([]*exec.AggState, len(aggs))
-		for i, a := range aggs {
-			acc[i] = exec.NewAggState(a.Func, false)
-		}
+	merge := func(key string, values []string, emit func(k, v string)) error {
+		acc := newStates(aggs)
 		for _, v := range values {
-			parts := strings.Split(v, "\x02")
-			if len(parts) != len(aggs) {
-				continue
-			}
-			for i, ps := range parts {
-				st, err := decodePartial(ps)
-				if err != nil {
-					continue
-				}
-				acc[i].Merge(&st)
+			if err := foldStates(acc, v); err != nil {
+				return err
 			}
 		}
-		out := make([]string, len(aggs))
-		for i, st := range acc {
-			out[i] = encodePartial(st)
-		}
-		emit(key, strings.Join(out, "\x02"))
+		emit(key, string(appendStates(nil, acc)))
+		return nil
 	}
 
 	out := x.tmpDir()
@@ -170,54 +144,28 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	defer func() { _ = x.ms.cluster.Remove(out) }()
 
 	var rows []value.Row
-	for _, fi := range x.ms.cluster.List(out) {
-		data, err := x.ms.cluster.ReadFile(fi.Path)
+	keyCols := blk.AggSchema.Cols[:len(groupBy)]
+	err := mapreduce.ReadDir(x.ms.cluster, out, func(key, v string) error {
+		row, err := decodeKey(key, keyCols)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			var keyPart, valPart string
-			if len(groupBy) > 0 {
-				i := strings.IndexByte(line, '\t')
-				if i < 0 {
-					continue
-				}
-				keyPart, valPart = line[:i], line[i+1:]
-			} else {
-				// Global aggregate: reducer key is the empty group.
-				valPart = strings.TrimPrefix(line, "\t")
-			}
-			row := make(value.Row, 0, blk.AggSchema.Len())
-			if len(groupBy) > 0 {
-				for i, part := range strings.Split(keyPart, "\x01") {
-					s, isNull := decodeField(part)
-					if isNull {
-						row = append(row, value.Null)
-						continue
-					}
-					v, err := parseTyped(s, blk.AggSchema.Cols[i].Kind)
-					if err != nil {
-						return nil, err
-					}
-					row = append(row, v)
-				}
-			}
-			for i, ps := range strings.Split(valPart, "\x02") {
-				st, err := decodePartial(ps)
-				if err != nil {
-					return nil, err
-				}
-				v, err := st.Result(aggs[i].Func)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-			rows = append(rows, row)
+		acc := newStates(aggs)
+		if err := foldStates(acc, v); err != nil {
+			return err
 		}
+		for i, st := range acc {
+			r, err := st.Result(aggs[i].Func)
+			if err != nil {
+				return err
+			}
+			row = append(row, r)
+		}
+		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// A global aggregate over empty input still yields one row.
 	if len(groupBy) == 0 && len(rows) == 0 {
@@ -226,132 +174,37 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	return rows, nil
 }
 
-// encodePartial is the shuffle text form of an aggregate state: every field
-// a non-DISTINCT state has (DISTINCT aggregates never shuffle). The exact
-// sums travel as their partials' IEEE bits in hex, comma-separated — exact,
-// and a fraction of the cost of a shortest-decimal round trip per row and
+func newStates(aggs []exec.AggSpec) []*exec.AggState {
+	acc := make([]*exec.AggState, len(aggs))
+	for i, a := range aggs {
+		acc[i] = exec.NewAggState(a.Func, false)
+	}
+	return acc
+}
+
+// appendStates appends an aggregate job's shuffle value: one
+// exec.AppendAggState per aggregate.
+func appendStates(buf []byte, states []*exec.AggState) []byte {
+	for _, st := range states {
+		buf = exec.AppendAggState(buf, st)
+	}
+	return buf
+}
+
+// foldStates merges the states of a shuffle value into acc, one per
 // aggregate.
-func encodePartial(st *exec.AggState) string {
-	return strings.Join([]string{
-		strconv.FormatInt(st.Count, 10),
-		encodeSum(&st.Sum),
-		strconv.FormatInt(st.SumI, 10),
-		strconv.FormatBool(st.IntOnly),
-		strconv.FormatBool(st.HasVal),
-		encodeTyped(st.Min),
-		encodeTyped(st.Max),
-		encodeSum(&st.SumSq),
-	}, "\x03")
-}
-
-func encodeSum(s *exec.ExactSum) string {
-	var ps [4]float64
-	var buf [4 * 17]byte
-	out := buf[:0]
-	for i, p := range s.AppendPartials(ps[:0]) {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendUint(out, math.Float64bits(p), 16)
-	}
-	return string(out)
-}
-
-// decodeSum rebuilds an exact sum by adding each listed partial, so a list
-// a task did not write in normal form is renormalized, not trusted.
-func decodeSum(field string, s *exec.ExactSum) error {
-	if field == "" {
-		return nil
-	}
-	if n := strings.Count(field, ",") + 1; n > exec.MaxPartials {
-		return fmt.Errorf("hive: %d partials in one sum, at most %d", n, exec.MaxPartials)
-	}
-	for _, h := range strings.Split(field, ",") {
-		bits, err := strconv.ParseUint(h, 16, 64)
+func foldStates(acc []*exec.AggState, v string) error {
+	b := []byte(v)
+	for _, a := range acc {
+		st, n, err := exec.DecodeAggState(b)
 		if err != nil {
-			return err
+			return fmt.Errorf("hive: partial: %w", err)
 		}
-		s.Add(math.Float64frombits(bits))
+		a.Merge(&st)
+		b = b[n:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("hive: partial: %d trailing bytes", len(b))
 	}
 	return nil
-}
-
-func decodePartial(s string) (exec.AggState, error) {
-	parts := strings.Split(s, "\x03")
-	if len(parts) != 8 {
-		return exec.AggState{}, fmt.Errorf("hive: bad partial %q", s)
-	}
-	var st exec.AggState
-	var err error
-	if st.Count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
-		return st, err
-	}
-	if err = decodeSum(parts[1], &st.Sum); err != nil {
-		return st, err
-	}
-	if st.SumI, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
-		return st, err
-	}
-	if st.IntOnly, err = strconv.ParseBool(parts[3]); err != nil {
-		return st, err
-	}
-	if st.HasVal, err = strconv.ParseBool(parts[4]); err != nil {
-		return st, err
-	}
-	if st.Min, err = decodeTyped(parts[5]); err != nil {
-		return st, err
-	}
-	if st.Max, err = decodeTyped(parts[6]); err != nil {
-		return st, err
-	}
-	err = decodeSum(parts[7], &st.SumSq)
-	return st, err
-}
-
-// encodeTyped serializes a value with its kind tag so MIN/MAX round-trip.
-func encodeTyped(v value.Value) string {
-	if v.IsNull() {
-		return "n"
-	}
-	switch v.K {
-	case value.KindInt:
-		return "i" + strconv.FormatInt(v.I, 10)
-	case value.KindDouble:
-		return "d" + strconv.FormatUint(math.Float64bits(v.F), 16)
-	case value.KindDate:
-		return "D" + strconv.FormatInt(v.I, 10)
-	case value.KindTimestamp:
-		return "T" + strconv.FormatInt(v.I, 10)
-	case value.KindBool:
-		return "b" + strconv.FormatInt(v.I, 10)
-	default:
-		return "s" + v.S
-	}
-}
-
-func decodeTyped(s string) (value.Value, error) {
-	if s == "" || s == "n" {
-		return value.Null, nil
-	}
-	body := s[1:]
-	switch s[0] {
-	case 'i':
-		i, err := strconv.ParseInt(body, 10, 64)
-		return value.NewInt(i), err
-	case 'd':
-		bits, err := strconv.ParseUint(body, 16, 64)
-		return value.NewDouble(math.Float64frombits(bits)), err
-	case 'D':
-		i, err := strconv.ParseInt(body, 10, 64)
-		return value.NewDate(i), err
-	case 'T':
-		i, err := strconv.ParseInt(body, 10, 64)
-		return value.NewTimestamp(i), err
-	case 'b':
-		i, err := strconv.ParseInt(body, 10, 64)
-		return value.NewBool(i != 0), err
-	case 's':
-		return value.NewString(body), nil
-	}
-	return value.Null, fmt.Errorf("hive: bad typed value %q", s)
 }

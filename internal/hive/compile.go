@@ -2,9 +2,8 @@ package hive
 
 import (
 	"context"
-
+	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"hana/internal/exec"
@@ -187,16 +186,17 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel,
 }
 
 func filterMap(schema *value.Schema, pred expr.Expr) mapreduce.MapFunc {
-	return func(line string, emit func(k, v string)) {
-		row, err := DecodeRow(line, schema)
+	dec := &rowPool{schema: schema}
+	return func(_, rec string, emit func(k, v string)) error {
+		row, err := dec.decode(rec)
 		if err != nil {
-			return
+			return err
 		}
-		ok, err := expr.Truthy(pred, row)
-		if err != nil || !ok {
-			return
+		defer dec.release(row)
+		if ok, err := expr.Truthy(pred, *row); err == nil && ok {
+			emit("", rec)
 		}
-		emit("", line)
+		return nil
 	}
 }
 
@@ -237,11 +237,11 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 		return nil, fmt.Errorf("hive: join without equality keys is not supported")
 	}
 
-	lMap, err := x.sideMapper("L", l, leftKeys)
+	lMap, err := x.sideMapper(tagLeft, l, leftKeys)
 	if err != nil {
 		return nil, err
 	}
-	rMap, err := x.sideMapper("R", r, rightKeys)
+	rMap, err := x.sideMapper(tagRight, r, rightKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +252,6 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 		}
 	}
 	out := x.tmpDir()
-	rightWidth := r.schema.Len()
 	job := &mapreduce.Job{
 		Name:   "join",
 		Output: out,
@@ -260,7 +259,7 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 			{Paths: []string{l.dir}, Map: lMap},
 			{Paths: []string{r.dir}, Map: rMap},
 		},
-		Reduce: joinReduce(l.schema, r.schema, rightWidth, outer, res),
+		Reduce: joinReduce(l.schema, r.schema, outer, res),
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
 	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
@@ -269,6 +268,12 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 	temps := append(append([]string{}, l.temps...), r.temps...)
 	return &interRel{dir: out, schema: combined, temps: append(temps, out)}, nil
 }
+
+// Join inputs tag each shuffle value with its side: the tag, then the row.
+const (
+	tagLeft  = "L"
+	tagRight = "R"
+)
 
 // sideMapper tags and keys one join input, applying the side's pending
 // filters.
@@ -290,78 +295,106 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 		}
 		bound[i] = bk
 	}
-	schema := rel.schema
-	return func(line string, emit func(k, v string)) {
-		row, err := DecodeRow(line, schema)
+	dec := &rowPool{schema: rel.schema}
+	return func(_, rec string, emit func(k, v string)) error {
+		row, err := dec.decode(rec)
 		if err != nil {
-			return
+			return err
 		}
+		defer dec.release(row)
 		if pred != nil {
-			ok, err := expr.Truthy(pred, row)
-			if err != nil || !ok {
-				return
+			if ok, err := expr.Truthy(pred, *row); err != nil || !ok {
+				return nil
 			}
 		}
-		vals := make([]value.Value, len(bound))
-		for i, k := range bound {
-			v, err := k.Eval(row)
+		var valArr [8]value.Value
+		vals := valArr[:0]
+		for _, k := range bound {
+			v, err := k.Eval(*row)
 			if err != nil {
-				return
+				return nil
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
-		emit(EncodeKey(vals), tag+"\x00"+line)
+		emit(EncodeKey(vals), tag+rec)
+		return nil
 	}, nil
 }
 
-func joinReduce(ls, rs *value.Schema, rightWidth int, outer bool, residual expr.Expr) mapreduce.ReduceFunc {
-	return func(key string, values []string, emit func(k, v string)) {
-		nullKey := keyHasNull(key)
-		var lefts, rights []string
-		for _, v := range values {
-			i := strings.IndexByte(v, 0)
-			if i < 0 {
-				continue
-			}
-			if v[:i] == "L" {
-				lefts = append(lefts, v[i+1:])
-			} else {
-				rights = append(rights, v[i+1:])
-			}
+// splitSides separates a join key group's tagged values into left and right
+// rows, each still encoded.
+func splitSides(values []string) (lefts, rights []string) {
+	for _, v := range values {
+		if v[:1] == tagLeft {
+			lefts = append(lefts, v[1:])
+		} else {
+			rights = append(rights, v[1:])
 		}
-		if nullKey {
+	}
+	return lefts, rights
+}
+
+// joinReduce joins one key group. Each row is decoded once: in full when a
+// residual predicate reads the combined row, else only checked. An output
+// record is its two input records' fields under one column count, not a
+// re-encoded row.
+func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.ReduceFunc {
+	decode := func(rec string, s *value.Schema) (value.Row, error) {
+		if residual == nil {
+			return nil, decodeInto(nil, rec, s)
+		}
+		return DecodeRow(rec, s)
+	}
+	width := ls.Len() + rs.Len()
+	nulls := EncodeRow(make(value.Row, rs.Len()))
+	return func(key string, values []string, emit func(k, v string)) error {
+		lefts, rights := splitSides(values)
+		if keyHasNull(key) {
 			rights = nil // NULL keys never match
 		}
-		for _, ll := range lefts {
-			lrow, err := DecodeRow(ll, ls)
+		rrows := make([]value.Row, len(rights))
+		for i, rec := range rights {
+			row, err := decode(rec, rs)
 			if err != nil {
-				continue
+				return err
+			}
+			rrows[i] = row
+		}
+		var combined value.Row
+		var buf []byte
+		for _, lrec := range lefts {
+			lrow, err := decode(lrec, ls)
+			if err != nil {
+				return err
 			}
 			matched := false
-			for _, rl := range rights {
-				rrow, err := DecodeRow(rl, rs)
-				if err != nil {
-					continue
-				}
-				combined := append(append(value.Row{}, lrow...), rrow...)
+			for i, rrow := range rrows {
 				if residual != nil {
-					ok, err := expr.Truthy(residual, combined)
-					if err != nil || !ok {
+					combined = append(append(combined[:0], lrow...), rrow...)
+					if ok, err := expr.Truthy(residual, combined); err != nil || !ok {
 						continue
 					}
 				}
 				matched = true
-				emit("", EncodeRow(combined))
+				buf = joinRecords(buf[:0], width, lrec, rights[i])
+				emit("", string(buf))
 			}
 			if outer && !matched {
-				nulls := make(value.Row, rightWidth)
-				for i := range nulls {
-					nulls[i] = value.Null
-				}
-				emit("", EncodeRow(append(append(value.Row{}, lrow...), nulls...)))
+				buf = joinRecords(buf[:0], width, lrec, nulls)
+				emit("", string(buf))
 			}
 		}
+		return nil
 	}
+}
+
+// joinRecords writes the record of the row a ‖ b, given the two rows'
+// checked records: the column count, then each record's fields.
+func joinRecords(buf []byte, width int, a, b string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(width))
+	_, wa := value.Uvarint(a)
+	_, wb := value.Uvarint(b)
+	return append(append(buf, a[wa:]...), b[wb:]...)
 }
 
 // applyTransform runs a semi/anti join MR job for an IN/EXISTS subquery.
@@ -416,12 +449,12 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 		return nil, fmt.Errorf("hive: IN subquery must return one column")
 	}
 
-	lMap, err := x.sideMapper("L", rel, outerKeys)
+	lMap, err := x.sideMapper(tagLeft, rel, outerKeys)
 	if err != nil {
 		return nil, err
 	}
 	innerRel := &interRel{dir: innerDir, schema: innerSchema}
-	rMap, err := x.sideMapper("R", innerRel, innerKeyExprs)
+	rMap, err := x.sideMapper(tagRight, innerRel, innerKeyExprs)
 	if err != nil {
 		return nil, err
 	}
@@ -440,31 +473,17 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 			{Paths: []string{rel.dir}, Map: lMap},
 			{Paths: []string{innerDir}, Map: rMap},
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
-			hasRight := false
-			var lefts []string
-			for _, v := range values {
-				i := strings.IndexByte(v, 0)
-				if i < 0 {
-					continue
-				}
-				if v[:i] == "L" {
-					lefts = append(lefts, v[i+1:])
-				} else {
-					hasRight = true
-				}
-			}
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
+			lefts, rights := splitSides(values)
 			if nullAware && (innerNull || keyHasNull(key) && !innerEmpty) {
-				return
+				return nil
 			}
-			if keyHasNull(key) {
-				hasRight = false
-			}
-			if hasRight != anti {
+			if hasRight := len(rights) > 0 && !keyHasNull(key); hasRight != anti {
 				for _, l := range lefts {
 					emit("", l)
 				}
 			}
+			return nil
 		},
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
@@ -476,12 +495,7 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 }
 
 func (x *Executor) writeRows(dir string, rows []value.Row) error {
-	var b strings.Builder
-	for _, r := range rows {
-		b.WriteString(EncodeRow(r))
-		b.WriteByte('\n')
-	}
-	return x.ms.cluster.WriteFile(dir+"/part-00000", []byte(b.String()))
+	return x.ms.cluster.WriteFile(dir+"/part-00000", appendRows([]byte(mapreduce.RecordHeader), rows))
 }
 
 // fromSchemaPreview resolves the schema a FROM tree produces.

@@ -1,26 +1,45 @@
 package hive
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
-	"strings"
 	"testing"
 
 	"hana/internal/exec"
+	"hana/internal/mapreduce"
 	"hana/internal/value"
 )
 
-// The shuffle codec reads what map and combine tasks wrote to HDFS: on
-// arbitrary input decodePartial returns a state or an error, never panics,
-// and a state it accepts re-encodes to text that decodes to the same
-// encoding. Encodings are compared as strings, so a NaN sum or bound
+// FuzzReadRecords feeds bytes through the pair reader every Hive file goes
+// through, then reads each pair as what it may be: a row of a fixed schema
+// (DecodeRow), a group key of that schema's kinds (decodeKey) and an
+// aggregate partial (exec.DecodeAggState). Each returns a value or an error,
+// never panics, and a value it accepts re-encodes to bytes that decode and
+// encode again to the same bytes. Encodings compare as bytes, so a NaN
 // compares by its bit pattern.
-func FuzzDecodePartial(f *testing.F) {
+func FuzzReadRecords(f *testing.F) {
+	schema := value.NewSchema(
+		value.Column{Name: "i", Kind: value.KindInt},
+		value.Column{Name: "d", Kind: value.KindDouble},
+		value.Column{Name: "s", Kind: value.KindVarchar},
+		value.Column{Name: "t", Kind: value.KindDate},
+		value.Column{Name: "b", Kind: value.KindBool},
+	)
+	file := func(pairs ...string) []byte {
+		buf := []byte(mapreduce.RecordHeader)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			buf = mapreduce.AppendRecord(buf, pairs[i], pairs[i+1])
+		}
+		return buf
+	}
 	sum := func(xs ...float64) (s exec.ExactSum) {
 		for _, x := range xs {
 			s.Add(x)
 		}
 		return s
 	}
+	key := EncodeKey(value.Row{value.NewInt(7), value.NewDouble(-0.5), value.NewString("k\x01"), value.NewDate(16517), value.Null})
 	for _, st := range []*exec.AggState{
 		{Count: 2, Sum: sum(14.5), SumI: 14, IntOnly: true, HasVal: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: sum(115.25)},
 		{Count: 1, Sum: sum(math.NaN()), HasVal: true, Min: value.NewDate(16517), Max: value.NewTimestamp(1427068800000000)},
@@ -29,24 +48,39 @@ func FuzzDecodePartial(f *testing.F) {
 		// Six partials (past the inline four) and cancelling ones.
 		{Count: 6, Sum: sum(0x1p-1000, 0x1p-800, 0x1p-600, 0x1p-400, 0x1p-200, 1), SumSq: sum(1e16, 1, -1e16, 0.5), HasVal: true},
 	} {
-		f.Add(encodePartial(st))
+		f.Add(file(key, string(exec.AppendAggState(nil, st))))
 	}
-	f.Add(strings.Join([]string{"1", "0", "1", "true", "true", "i1", "i1"}, "\x03"))    // seven fields
-	f.Add(strings.Join([]string{"0", "0", "0", "true", "false", "", "n", "0"}, "\x03")) // an empty typed field
-	// A list no encoder writes: overlapping, unordered, with an infinity after finite partials.
-	f.Add(strings.Join([]string{"3", "3ff0000000000000,3ff0000000000000,4340000000000000", "0", "false", "true", "n", "n", "3ff0000000000000,7ff0000000000000,3ff0000000000000"}, "\x03"))
-	f.Fuzz(func(t *testing.T, s string) {
-		st, err := decodePartial(s)
-		if err != nil {
-			return
-		}
-		enc := encodePartial(&st)
-		again, err := decodePartial(enc)
-		if err != nil {
-			t.Fatalf("re-encoded partial %q does not decode: %v", enc, err)
-		}
-		if got := encodePartial(&again); got != enc {
-			t.Fatalf("re-encoding is not stable:\n%q\n%q", enc, got)
-		}
+	f.Add(file("", EncodeRow(value.Row{value.NewInt(-3), value.NewInt(2), value.NewString("a\tb"), value.Null, value.NewBool(true)})))
+	f.Add([]byte(mapreduce.RecordHeader))
+	f.Add([]byte("1\t2.5\tx\t2015-03-23\ttrue\n\\N\t\\N\t\\N\t\\N\t\\N\n"))
+	f.Add(append([]byte(mapreduce.RecordHeader), 0x80))           // a truncated varint
+	f.Add(append([]byte(mapreduce.RecordHeader), 0, 9, 'a', 'b')) // a value longer than the bytes left
+	long := binary.AppendUvarint(binary.AppendVarint(nil, 1), exec.MaxPartials+1)
+	f.Add(file("", string(append(long, make([]byte, 8*(exec.MaxPartials+1))...))))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = mapreduce.ScanPairs(string(data), func(k, v string) error {
+			if row, err := DecodeRow(v, schema); err == nil {
+				enc := EncodeRow(row)
+				again, err := DecodeRow(enc, schema)
+				if err != nil || EncodeRow(again) != enc {
+					t.Fatalf("row %q re-encodes unstably: %v", enc, err)
+				}
+			}
+			if vals, err := decodeKey(k, schema.Cols); err == nil {
+				enc := EncodeKey(vals)
+				again, err := decodeKey(enc, schema.Cols)
+				if err != nil || EncodeKey(again) != enc {
+					t.Fatalf("key %q re-encodes unstably: %v", enc, err)
+				}
+			}
+			if st, _, err := exec.DecodeAggState([]byte(v)); err == nil {
+				enc := exec.AppendAggState(nil, &st)
+				again, n, err := exec.DecodeAggState(enc)
+				if err != nil || n != len(enc) || !bytes.Equal(exec.AppendAggState(nil, &again), enc) {
+					t.Fatalf("state %x re-encodes unstably: %v", enc, err)
+				}
+			}
+			return nil
+		})
 	})
 }

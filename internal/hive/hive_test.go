@@ -2,7 +2,9 @@ package hive
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"hana/internal/engine"
 	"hana/internal/exec"
+	"hana/internal/faults"
 	"hana/internal/fed"
 	"hana/internal/hdfs"
 	"hana/internal/mapreduce"
@@ -95,6 +98,17 @@ func TestRowCodecRoundTrip(t *testing.T) {
 				t.Fatalf("value mismatch at %d: %v vs %v", i, r[i], got[i])
 			}
 		}
+	}
+	// The decoder checks the column count and each value's kind against
+	// the schema; an INTEGER widens into a DOUBLE column.
+	for _, bad := range []value.Row{rows[0][:3], {value.NewString("1"), value.Null, value.Null, value.Null}} {
+		if got, err := DecodeRow(EncodeRow(bad), schema); err == nil {
+			t.Fatalf("%v decoded under %v as %v", bad, schema.Cols, got)
+		}
+	}
+	got, err := DecodeRow(EncodeRow(value.Row{value.Null, value.Null, value.NewInt(3), value.Null}), schema)
+	if err != nil || got[2] != value.NewDouble(3) {
+		t.Fatalf("an INTEGER in a DOUBLE column = %v, %v; want 3 as a DOUBLE", got, err)
 	}
 }
 
@@ -320,31 +334,40 @@ func TestCorrelatedExists(t *testing.T) {
 }
 
 func TestPartialCodec(t *testing.T) {
-	var enc string
+	var aggs []exec.AggSpec
+	var states []*exec.AggState
 	for _, fn := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "STDDEV"} {
 		st := exec.NewAggState(fn, false)
 		for _, v := range []value.Value{value.NewDouble(1e16), value.NewDouble(1.5), value.NewInt(4), value.Null, value.NewDouble(-1e16)} {
 			st.Add(v)
 		}
-		enc = encodePartial(st)
-		got, err := decodePartial(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := st.Result(fn)
-		if have, _ := got.Result(fn); have != want {
-			t.Errorf("%s after the shuffle = %v, want %v", fn, have, want)
+		aggs = append(aggs, exec.AggSpec{Func: fn})
+		states = append(states, st)
+	}
+	enc := string(appendStates(nil, states))
+	got := newStates(aggs)
+	if err := foldStates(got, enc); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range aggs {
+		want, _ := states[i].Result(a.Func)
+		if have, _ := got[i].Result(a.Func); have != want {
+			t.Errorf("%s after the shuffle = %v, want %v", a.Func, have, want)
 		}
 	}
-	// The pre-SumSq seven-field form must not decode as a state without it.
-	old := strings.Join(strings.Split(enc, "\x03")[:7], "\x03")
-	if _, err := decodePartial(old); err == nil {
-		t.Fatal("a 7-field partial must be a decode error")
+	// A value with fewer states than aggregates, or bytes after the last,
+	// is a decode error.
+	if err := foldStates(newStates(aggs), enc[:len(enc)-1]); err == nil {
+		t.Fatal("a truncated partial must be a decode error")
+	}
+	if err := foldStates(newStates(aggs[:6]), enc); err == nil {
+		t.Fatal("a partial with a state too many must be a decode error")
 	}
 	// A sum has at most one partial per bit position of a float64.
-	long := strings.TrimSuffix(strings.Repeat("3ff0000000000000,", exec.MaxPartials+1), ",")
-	if _, err := decodePartial(strings.Join([]string{"1", long, "0", "false", "true", "n", "n", ""}, "\x03")); err == nil {
-		t.Fatalf("a sum of %d partials must be a decode error", exec.MaxPartials+1)
+	long := binary.AppendUvarint(binary.AppendVarint(nil, 1), exec.MaxPartials+1)
+	long = append(long, make([]byte, 8*(exec.MaxPartials+1)+64)...)
+	if err := foldStates(newStates(aggs[:1]), string(long)); err == nil || !strings.Contains(err.Error(), "partials") {
+		t.Fatalf("a sum of %d partials: %v", exec.MaxPartials+1, err)
 	}
 }
 
@@ -530,11 +553,12 @@ func TestHadoopVirtualFunctionDriver(t *testing.T) {
 			Name:   "sensor-extract",
 			Inputs: []string{"/plant100/sensors.log"},
 			Output: "/tmp/sensor-out",
-			Map: func(line string, emit func(k, v string)) {
+			Map: func(_, line string, emit func(k, v string)) error {
 				f := strings.Fields(line)
 				if len(f) == 2 {
 					emit("", f[0]+"\t"+f[1])
 				}
+				return nil
 			},
 		}, nil
 	})
@@ -663,5 +687,121 @@ func TestDateFiltersThroughMapReduce(t *testing.T) {
 	}
 	if got.Data[0][0].Int() != 28 {
 		t.Fatalf("feb count = %v", got.Data[0][0])
+	}
+}
+
+// Hive's shuffle keys and partials give the engine's answer where its old
+// text forms did not: −0.0 and 0.0 are one key, and a VARCHAR holding the
+// text forms' separators (\x01 between key values, \x02/\x03 inside a
+// partial) stays one value.
+func TestKeysAndPartialsAgreeWithEngine(t *testing.T) {
+	dbl := func(f float64) value.Row { return value.Row{value.NewDouble(f)} }
+	strs := func(a, b string) value.Row { return value.Row{value.NewString(a), value.NewString(b)} }
+	col := func(name string, k value.Kind) value.Column { return value.Column{Name: name, Kind: k} }
+	tables := []struct {
+		name string
+		cols []value.Column
+		rows []value.Row
+	}{
+		{"dz", []value.Column{col("k", value.KindDouble)}, []value.Row{dbl(math.Copysign(0, -1)), dbl(0)}},
+		{"dz2", []value.Column{col("k2", value.KindDouble)}, []value.Row{dbl(0)}},
+		{"sa", []value.Column{col("s", value.KindVarchar), col("s2", value.KindVarchar)}, []value.Row{strs("x\x01y", "z")}},
+		{"sb", []value.Column{col("s", value.KindVarchar), col("s2", value.KindVarchar)}, []value.Row{strs("x\x01y", "z"), strs("x", "y\x01z")}},
+		{"sep", []value.Column{col("g", value.KindInt), col("s", value.KindVarchar)}, []value.Row{
+			{value.NewInt(1), value.NewString("r\x02s")}, {value.NewInt(1), value.NewString("a\x03b")}}},
+	}
+	s := newTestServer(t)
+	e := engine.New(engine.Config{ExtendedStorageDir: t.TempDir()})
+	ctx := context.Background()
+	for _, tb := range tables {
+		if _, err := s.MS.CreateTable(tb.name, value.NewSchema(tb.cols...), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.MS.LoadRows(tb.name, tb.rows, 2); err != nil {
+			t.Fatal(err)
+		}
+		var defs []string
+		for _, c := range tb.cols {
+			defs = append(defs, c.Name+" "+c.Kind.String())
+		}
+		if _, err := e.ExecuteContext(ctx, "CREATE TABLE "+tb.name+" ("+strings.Join(defs, ", ")+")"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BulkLoad(tb.name, tb.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT k, COUNT(*) FROM dz GROUP BY k",
+		"SELECT a.k, b.k2 FROM dz a JOIN dz2 b ON a.k = b.k2",
+		"SELECT a.s, b.s2 FROM sa a JOIN sb b ON a.s = b.s AND a.s2 = b.s2",
+		"SELECT s, s2, COUNT(*) FROM sb GROUP BY s, s2 ORDER BY s",
+		"SELECT g, MAX(s), COUNT(*) FROM sep GROUP BY g",
+	} {
+		got, err := s.Exec.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		want, err := e.ExecuteContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := len(got.Data) == len(want.Rows)
+		for i := 0; same && i < len(got.Data); i++ {
+			for j, v := range got.Data[i] {
+				same = same && value.Equal(v, want.Rows[i][j])
+			}
+		}
+		if !same {
+			t.Errorf("%s: Hive gives %q, the engine %q", q, got.Data, want.Rows)
+		}
+	}
+}
+
+// A record Hive cannot read fails the query instead of dropping out of its
+// answer: a part file cut inside its last record, and a well-framed record
+// that is not a row of the table. The second fails inside a map task, with
+// an error that is not transient, so the task is not retried.
+func TestUnreadableRecordFailsTheQuery(t *testing.T) {
+	s := newTestServer(t)
+	loadCustomersOrders(t, s)
+	queries := []string{
+		`SELECT COUNT(*) FROM orders`,
+		`SELECT o_orderkey FROM orders WHERE o_total > 0`,
+		`SELECT c_name, o_total FROM customer JOIN orders ON c_custkey = o_custkey`,
+	}
+	c := s.MS.Cluster()
+	part := c.List("/warehouse/orders")[0].Path
+	data, err := c.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFile(part, data[:len(data)-1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if rows, err := s.Exec.Query(q); err == nil || !strings.Contains(err.Error(), "truncated record") {
+			t.Errorf("%s over a truncated part file = %v rows, %v; want an error", q, rows, err)
+		}
+	}
+	if err := c.WriteFile(part, data); err != nil {
+		t.Fatal(err)
+	}
+	narrow := appendRows([]byte(mapreduce.RecordHeader), []value.Row{{value.NewInt(1)}})
+	if err := c.WriteFile("/warehouse/orders/part-99999", narrow); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		_, err := s.Exec.Query(q)
+		if err == nil || !strings.Contains(err.Error(), "row has 1 fields, schema 4") {
+			t.Errorf("%s over a one-column record = %v; want the decode error", q, err)
+		}
+		if faults.IsTransient(err) {
+			t.Errorf("%s: a decode error must not be transient: %v", q, err)
+		}
+	}
+	if n := s.MR.Counters.TaskRetries.Load(); n != 0 {
+		t.Fatalf("a decode error was retried %d times", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"hana/internal/fed"
 	"hana/internal/hdfs"
+	"hana/internal/mapreduce"
 	"hana/internal/value"
 )
 
@@ -131,45 +132,31 @@ func (m *Metastore) TableNames() []string {
 	return out
 }
 
-// LoadRows writes rows into the table as numPartFiles text part files and
+// LoadRows writes rows into the table as numPartFiles record files and
 // updates the statistics. It appends to existing data.
 func (m *Metastore) LoadRows(name string, rows []value.Row, numPartFiles int) error {
 	ti, ok := m.Table(name)
 	if !ok {
 		return fmt.Errorf("hive: table %s not found", name)
 	}
-	if numPartFiles < 1 {
-		numPartFiles = 1
-	}
-	per := (len(rows) + numPartFiles - 1) / numPartFiles
-	if per == 0 {
-		per = 1
-	}
+	n := max(numPartFiles, 1)
+	per := max((len(rows)+n-1)/n, 1)
 	m.mu.Lock()
 	base := ti.Files
 	m.mu.Unlock()
-	written := 0
+	files := 0
 	var bytes int64
-	for i := 0; written < len(rows); i++ {
-		end := written + per
-		if end > len(rows) {
-			end = len(rows)
-		}
-		var b strings.Builder
-		for _, r := range rows[written:end] {
-			b.WriteString(EncodeRow(r))
-			b.WriteByte('\n')
-		}
-		path := fmt.Sprintf("%s/part-%05d", ti.Dir, base+i)
-		if err := m.cluster.WriteFile(path, []byte(b.String())); err != nil {
+	for off := 0; off < len(rows); off += per {
+		data := appendRows([]byte(mapreduce.RecordHeader), rows[off:min(off+per, len(rows))])
+		if err := m.cluster.WriteFile(fmt.Sprintf("%s/part-%05d", ti.Dir, base+files), data); err != nil {
 			return err
 		}
-		bytes += int64(b.Len())
-		written = end
+		bytes += int64(len(data))
+		files++
 	}
 	m.mu.Lock()
 	ti.RowCount += int64(len(rows))
-	ti.Files += (len(rows) + per - 1) / per
+	ti.Files += files
 	ti.Bytes += bytes
 	invalidate := m.invalidateOnLoad && !ti.Temp
 	m.mu.Unlock()
@@ -189,24 +176,18 @@ func (m *Metastore) ReadTable(name string) (*value.Rows, error) {
 	return m.ReadDir(ti.Dir, ti.Schema)
 }
 
-// ReadDir decodes every line under an HDFS directory with the schema.
+// ReadDir decodes every row record under an HDFS directory with the schema.
 func (m *Metastore) ReadDir(dir string, schema *value.Schema) (*value.Rows, error) {
 	out := value.NewRows(schema.Clone())
-	for _, fi := range m.cluster.List(dir) {
-		data, err := m.cluster.ReadFile(fi.Path)
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			row, err := DecodeRow(line, schema)
-			if err != nil {
-				return nil, err
-			}
+	err := mapreduce.ReadDir(m.cluster, dir, func(_, rec string) error {
+		row, err := DecodeRow(rec, schema)
+		if err == nil {
 			out.Append(row)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

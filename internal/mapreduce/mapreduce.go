@@ -4,13 +4,19 @@
 // cluster ran 240 map and 120 reduce tasks), a sort-shuffle-merge phase,
 // counters, and a configurable per-job startup latency modeling the job
 // submission overhead of a real cluster.
+//
+// Every part file the engine writes is a record file: RecordHeader, then per
+// (key, value) pair `uvarint len(k) · k · uvarint len(v) · v`. Any other
+// file (an ESP archive, a user's log) is read as text lines, each the pair
+// ("", line). ScanPairs is the one reader of both.
 package mapreduce
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,13 +25,17 @@ import (
 	"hana/internal/faults"
 	"hana/internal/hdfs"
 	"hana/internal/obs"
+	"hana/internal/value"
 )
 
-// MapFunc processes one input line, emitting key/value pairs.
-type MapFunc func(line string, emit func(k, v string))
+// MapFunc processes one input record, emitting key/value pairs; a text
+// line arrives as ("", line). An error fails the task, and unless it is
+// classified transient, the job.
+type MapFunc func(k, v string, emit func(k, v string)) error
 
-// ReduceFunc processes one key group, emitting output pairs.
-type ReduceFunc func(key string, values []string, emit func(k, v string))
+// ReduceFunc processes one key group, emitting output pairs. An error fails
+// the task as MapFunc's does.
+type ReduceFunc func(key string, values []string, emit func(k, v string)) error
 
 // TaggedInput pairs a set of inputs with their own mapper — the mechanism
 // behind reduce-side joins, where each join side tags its records.
@@ -101,8 +111,6 @@ func (c *Counters) merge(s *Counters) {
 type JobResult struct {
 	MapTasks    int
 	ReduceTasks int
-	Duration    time.Duration
-	OutputFiles []string
 }
 
 // Engine executes jobs on a cluster.
@@ -133,13 +141,8 @@ func (e *Engine) retry() faults.RetryPolicy {
 	return p
 }
 
-// Cluster returns the underlying HDFS.
-func (e *Engine) Cluster() *hdfs.Cluster { return e.cluster }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-type kv struct{ k, v string }
+// Pair is one (key, value) record.
+type Pair struct{ K, V string }
 
 // sleepCtx waits for d or until the context is canceled, mirroring
 // RetryPolicy.DoCtx's backoff semantics: the simulated startup latencies
@@ -172,28 +175,22 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	}
 	e.JobsRun.Add(1)
 
+	inputs := job.TaggedInputs
+	if len(inputs) == 0 {
+		inputs = []TaggedInput{{Paths: job.Inputs, Map: job.Map}}
+	}
 	type taggedSplit struct {
-		lines []string
+		pairs []Pair
 		fn    MapFunc
 	}
 	var splits []taggedSplit
-	if len(job.TaggedInputs) > 0 {
-		for _, ti := range job.TaggedInputs {
-			ss, err := e.computeSplits(ctx, ti.Paths)
-			if err != nil {
-				return nil, fmt.Errorf("job %s: %w", job.Name, err)
-			}
-			for _, s := range ss {
-				splits = append(splits, taggedSplit{lines: s, fn: ti.Map})
-			}
-		}
-	} else {
-		ss, err := e.computeSplits(ctx, job.Inputs)
+	for _, in := range inputs {
+		ss, err := e.computeSplits(ctx, in.Paths)
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", job.Name, err)
 		}
 		for _, s := range ss {
-			splits = append(splits, taggedSplit{lines: s, fn: job.Map})
+			splits = append(splits, taggedSplit{pairs: s, fn: in.Map})
 		}
 	}
 	reducers := job.NumReducers
@@ -206,7 +203,7 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 
 	// Map phase: each task produces per-partition output.
 	type mapOut struct {
-		parts [][]kv
+		parts [][]Pair
 		err   error
 	}
 	outs := make([]mapOut, len(splits))
@@ -214,7 +211,7 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	var wg sync.WaitGroup
 	for i, split := range splits {
 		wg.Add(1)
-		go func(i int, lines []string, mapFn MapFunc) {
+		go func(i int, pairs []Pair, mapFn MapFunc) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -225,33 +222,35 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 			// Each attempt is a fresh task execution on scratch state;
 			// counters merge only once the attempt succeeds, so a
 			// re-scheduled task never double-counts.
-			var parts [][]kv
+			var parts [][]Pair
 			var scratch *Counters
 			err := e.retry().DoCtx(ctx, "mapreduce.map", func() error {
 				scratch = &Counters{}
 				if err := e.cfg.Faults.Check("mapreduce.map"); err != nil {
 					return err
 				}
-				nparts := reducers
-				if nparts == 0 {
-					nparts = 1
-				}
-				parts = make([][]kv, nparts)
+				parts = make([][]Pair, max(reducers, 1))
 				emit := func(k, v string) {
 					p := 0
 					if reducers > 0 {
 						p = int(hashKey(k) % uint64(reducers))
 					}
-					parts[p] = append(parts[p], kv{k, v})
+					parts[p] = append(parts[p], Pair{k, v})
 					scratch.MapOutputRecords.Add(1)
 				}
-				for _, line := range lines {
+				for _, p := range pairs {
 					scratch.MapInputRecords.Add(1)
-					mapFn(line, emit)
+					if err := mapFn(p.K, p.V, emit); err != nil {
+						return err
+					}
 				}
-				if job.Combine != nil && reducers > 0 {
-					for p := range parts {
-						parts[p] = combine(parts[p], job.Combine, scratch)
+				if job.Combine == nil || reducers == 0 {
+					return nil
+				}
+				for p := range parts {
+					var err error
+					if parts[p], err = runReduce(parts[p], job.Combine, nil, &scratch.CombineOutRecords); err != nil {
+						return err
 					}
 				}
 				return nil
@@ -260,7 +259,7 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 				e.Counters.merge(scratch)
 			}
 			outs[i] = mapOut{parts: parts, err: err}
-		}(i, split.lines, split.fn)
+		}(i, split.pairs, split.fn)
 	}
 	wg.Wait()
 	for i, o := range outs {
@@ -270,18 +269,14 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	}
 
 	res := &JobResult{MapTasks: len(splits), ReduceTasks: reducers}
-
 	if job.Reduce == nil {
 		// Map-only: write each task's output as a part-m file.
 		for i, o := range outs {
-			name := fmt.Sprintf("%s/part-m-%05d", job.Output, i)
-			if err := e.writePart(ctx, name, o.parts[0]); err != nil {
+			if err := e.writePart(ctx, fmt.Sprintf("%s/part-m-%05d", job.Output, i), o.parts[0]); err != nil {
 				return nil, fmt.Errorf("job %s: %w", job.Name, err)
 			}
-			res.OutputFiles = append(res.OutputFiles, name)
 		}
-		res.Duration = time.Since(start)
-		e.publishObs(res.Duration)
+		e.publishObs(time.Since(start))
 		return res, nil
 	}
 
@@ -289,7 +284,6 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	var rwg sync.WaitGroup
 	rerrs := make([]error, reducers)
 	rsem := make(chan struct{}, e.cfg.ReduceSlots)
-	partNames := make([]string, reducers)
 	for r := 0; r < reducers; r++ {
 		rwg.Add(1)
 		go func(r int) {
@@ -300,49 +294,28 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 				rerrs[r] = err
 				return
 			}
-			var all []kv
+			var all []Pair
 			for _, o := range outs {
 				all = append(all, o.parts[r]...)
 			}
-			sort.SliceStable(all, func(i, j int) bool { return all[i].k < all[j].k })
-			var out []kv
+			var out []Pair
 			var scratch *Counters
 			err := e.retry().DoCtx(ctx, "mapreduce.reduce", func() error {
 				scratch = &Counters{}
 				if err := e.cfg.Faults.Check("mapreduce.reduce"); err != nil {
 					return err
 				}
-				out = out[:0]
-				emit := func(k, v string) {
-					out = append(out, kv{k, v})
-					scratch.ReduceOutRecords.Add(1)
-				}
-				for i := 0; i < len(all); {
-					j := i
-					for j < len(all) && all[j].k == all[i].k {
-						j++
-					}
-					vals := make([]string, 0, j-i)
-					for _, p := range all[i:j] {
-						vals = append(vals, p.v)
-					}
-					scratch.ReduceInputGroups.Add(1)
-					job.Reduce(all[i].k, vals, emit)
-					i = j
-				}
-				return nil
+				var err error
+				out, err = runReduce(all, job.Reduce, &scratch.ReduceInputGroups, &scratch.ReduceOutRecords)
+				return err
 			})
+			if err == nil {
+				e.Counters.merge(scratch)
+				err = e.writePart(ctx, fmt.Sprintf("%s/part-r-%05d", job.Output, r), out)
+			}
 			if err != nil {
 				rerrs[r] = fmt.Errorf("reduce task %d: %w", r, err)
-				return
 			}
-			e.Counters.merge(scratch)
-			name := fmt.Sprintf("%s/part-r-%05d", job.Output, r)
-			if err := e.writePart(ctx, name, out); err != nil {
-				rerrs[r] = err
-				return
-			}
-			partNames[r] = name
 		}(r)
 	}
 	rwg.Wait()
@@ -351,9 +324,7 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 			return nil, err
 		}
 	}
-	res.OutputFiles = partNames
-	res.Duration = time.Since(start)
-	e.publishObs(res.Duration)
+	e.publishObs(time.Since(start))
 	return res, nil
 }
 
@@ -388,31 +359,39 @@ func (e *Engine) RunChainCtx(ctx context.Context, jobs []*Job) ([]*JobResult, er
 	return out, nil
 }
 
-func combine(in []kv, fn ReduceFunc, counters *Counters) []kv {
-	sort.SliceStable(in, func(i, j int) bool { return in[i].k < in[j].k })
-	var out []kv
+// runReduce sorts pairs by key, stably, and calls fn once per key group,
+// returning what it emits. groups, when not nil, counts the groups and
+// emitted the pairs emitted.
+func runReduce(in []Pair, fn ReduceFunc, groups, emitted *atomic.Int64) ([]Pair, error) {
+	slices.SortStableFunc(in, func(a, b Pair) int { return strings.Compare(a.K, b.K) })
+	var out []Pair
 	emit := func(k, v string) {
-		out = append(out, kv{k, v})
-		counters.CombineOutRecords.Add(1)
+		out = append(out, Pair{k, v})
+		emitted.Add(1)
 	}
 	for i := 0; i < len(in); {
 		j := i
-		for j < len(in) && in[j].k == in[i].k {
+		for j < len(in) && in[j].K == in[i].K {
 			j++
 		}
 		vals := make([]string, 0, j-i)
 		for _, p := range in[i:j] {
-			vals = append(vals, p.v)
+			vals = append(vals, p.V)
 		}
-		fn(in[i].k, vals, emit)
+		if groups != nil {
+			groups.Add(1)
+		}
+		if err := fn(in[i].K, vals, emit); err != nil {
+			return nil, err
+		}
 		i = j
 	}
-	return out
+	return out, nil
 }
 
-// computeSplits resolves inputs (files or directories) into per-block line
-// splits.
-func (e *Engine) computeSplits(ctx context.Context, inputs []string) ([][]string, error) {
+// computeSplits resolves inputs (files or directories) into per-block
+// splits, cut at record boundaries.
+func (e *Engine) computeSplits(ctx context.Context, inputs []string) ([][]Pair, error) {
 	var files []*hdfs.FileInfo
 	for _, in := range inputs {
 		fi, err := e.cluster.Stat(in)
@@ -426,29 +405,27 @@ func (e *Engine) computeSplits(ctx context.Context, inputs []string) ([][]string
 		}
 		files = append(files, fi)
 	}
-	var splits [][]string
+	var splits [][]Pair
 	for _, fi := range files {
 		data, err := e.readInput(ctx, fi)
 		if err != nil {
 			return nil, err
 		}
-		lines := splitLines(string(data))
-		if len(lines) == 0 {
+		var pairs []Pair
+		if err := ScanPairs(data, func(k, v string) error {
+			pairs = append(pairs, Pair{k, v})
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("input %s: %w", fi.Path, err)
+		}
+		if len(pairs) == 0 {
 			continue
 		}
-		nblocks := len(fi.Blocks)
-		if nblocks <= 1 {
-			splits = append(splits, lines)
-			continue
-		}
-		// One split per block, at line granularity.
-		per := (len(lines) + nblocks - 1) / nblocks
-		for off := 0; off < len(lines); off += per {
-			end := off + per
-			if end > len(lines) {
-				end = len(lines)
-			}
-			splits = append(splits, lines[off:end])
+		// One split per block, at record granularity.
+		nblocks := max(len(fi.Blocks), 1)
+		per := (len(pairs) + nblocks - 1) / nblocks
+		for off := 0; off < len(pairs); off += per {
+			splits = append(splits, pairs[off:min(off+per, len(pairs))])
 		}
 	}
 	return splits, nil
@@ -458,8 +435,9 @@ func (e *Engine) computeSplits(ctx context.Context, inputs []string) ([][]string
 // over across surviving replicas; on top of that the engine retries each
 // block (dead nodes may be revived between attempts) and contextualizes
 // the final error, preserving the cluster's "all replicas dead" cause.
-func (e *Engine) readInput(ctx context.Context, fi *hdfs.FileInfo) ([]byte, error) {
-	out := make([]byte, 0, fi.Size)
+func (e *Engine) readInput(ctx context.Context, fi *hdfs.FileInfo) (string, error) {
+	var out strings.Builder
+	out.Grow(int(fi.Size))
 	for _, b := range fi.Blocks {
 		var data []byte
 		err := e.retry().DoCtx(ctx, "hdfs.read", func() error {
@@ -471,41 +449,106 @@ func (e *Engine) readInput(ctx context.Context, fi *hdfs.FileInfo) ([]byte, erro
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("input %s block %d: %w", fi.Path, b.ID, err)
+			return "", fmt.Errorf("input %s block %d: %w", fi.Path, b.ID, err)
 		}
-		out = append(out, data...)
+		out.Write(data)
 	}
-	return out, nil
+	return out.String(), nil
 }
 
-func splitLines(s string) []string {
-	s = strings.TrimSuffix(s, "\n")
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, "\n")
-}
-
-// writePart writes one task's output file, retrying transient cluster
-// failures. WriteFile replaces the target, so a retry never duplicates.
-func (e *Engine) writePart(ctx context.Context, name string, pairs []kv) error {
-	var b strings.Builder
+// writePart writes one task's output as a record file, retrying transient
+// cluster failures. WriteFile replaces the target, so a retry never
+// duplicates.
+func (e *Engine) writePart(ctx context.Context, name string, pairs []Pair) error {
+	size := len(RecordHeader)
 	for _, p := range pairs {
-		if p.k != "" {
-			b.WriteString(p.k)
-			b.WriteByte('\t')
-		}
-		b.WriteString(p.v)
-		b.WriteByte('\n')
+		size += len(p.K) + len(p.V) + 2 // one-byte lengths; append grows past it
 	}
-	data := []byte(b.String())
+	data := append(make([]byte, 0, size), RecordHeader...)
+	for _, p := range pairs {
+		data = AppendRecord(data, p.K, p.V)
+	}
 	return e.retry().DoCtx(ctx, "hdfs.write", func() error {
 		return e.cluster.WriteFile(name, data)
 	})
 }
 
+// hashKey is FNV-1a over the key's bytes.
 func hashKey(k string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * 1099511628211
+	}
+	return h
+}
+
+// RecordHeader opens a record file. No text file starts with a NUL byte.
+const RecordHeader = "\x00REC"
+
+// AppendRecord appends one framed (key, value) pair to a record file that
+// starts with RecordHeader.
+func AppendRecord[V string | []byte](buf []byte, k string, v V) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(k)))
+	buf = append(buf, k...)
+	buf = binary.AppendUvarint(buf, uint64(len(v)))
+	return append(buf, v...)
+}
+
+var errTruncated = errors.New("mapreduce: truncated record")
+
+// ScanPairs calls fn on each pair of a file in order: a record file's
+// framed pairs, or any other file's lines as ("", line), a final newline
+// dropped. Keys and values are substrings of data. A record file that ends
+// inside a record is an error, as is the first error fn returns.
+func ScanPairs(data string, fn func(k, v string) error) error {
+	if !strings.HasPrefix(data, RecordHeader) {
+		data = strings.TrimSuffix(data, "\n")
+		for more := data != ""; more; {
+			var line string
+			line, data, more = strings.Cut(data, "\n")
+			if err := fn("", line); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	data = data[len(RecordHeader):]
+	field := func() (string, error) {
+		n, w := value.Uvarint(data)
+		if w <= 0 || n > uint64(len(data)-w) {
+			return "", errTruncated
+		}
+		f := data[w : w+int(n)]
+		data = data[w+int(n):]
+		return f, nil
+	}
+	for data != "" {
+		k, err := field()
+		if err != nil {
+			return err
+		}
+		v, err := field()
+		if err != nil {
+			return err
+		}
+		if err := fn(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadDir calls fn on every pair of every file under dir, in listing order,
+// through ScanPairs.
+func ReadDir(c *hdfs.Cluster, dir string, fn func(k, v string) error) error {
+	for _, fi := range c.List(dir) {
+		data, err := c.ReadFile(fi.Path)
+		if err != nil {
+			return err
+		}
+		if err := ScanPairs(string(data), fn); err != nil {
+			return fmt.Errorf("%s: %w", fi.Path, err)
+		}
+	}
+	return nil
 }

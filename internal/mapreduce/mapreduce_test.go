@@ -20,19 +20,19 @@ func newTestEngine(t *testing.T) (*Engine, *hdfs.Cluster) {
 	return NewEngine(c, Config{MapSlots: 8, ReduceSlots: 4, DefaultReducers: 3}), c
 }
 
+// readOutput reads a job's record files through the pair reader, each pair
+// rendered "k\tv", or "v" when the key is empty.
 func readOutput(t *testing.T, c *hdfs.Cluster, dir string) []string {
 	t.Helper()
 	var lines []string
-	for _, fi := range c.List(dir) {
-		data, err := c.ReadFile(fi.Path)
-		if err != nil {
-			t.Fatal(err)
+	if err := ReadDir(c, dir, func(k, v string) error {
+		if k != "" {
+			v = k + "\t" + v
 		}
-		for _, l := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			if l != "" {
-				lines = append(lines, l)
-			}
-		}
+		lines = append(lines, v)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(lines)
 	return lines
@@ -46,18 +46,20 @@ func TestWordCount(t *testing.T) {
 		Name:   "wordcount",
 		Inputs: []string{"/in/doc.txt"},
 		Output: "/out/wc",
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			for _, w := range strings.Fields(line) {
 				emit(w, "1")
 			}
+			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			sum := 0
 			for _, v := range values {
 				n, _ := strconv.Atoi(v)
 				sum += n
 			}
 			emit(key, strconv.Itoa(sum))
+			return nil
 		},
 	}
 	res, err := e.RunCtx(context.Background(), job)
@@ -87,20 +89,22 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		fmt.Fprintf(&b, "k%d\n", i%4)
 	}
 	_ = c.WriteFile("/in/keys.txt", []byte(b.String()))
-	sum := func(key string, values []string, emit func(k, v string)) {
+	sum := func(key string, values []string, emit func(k, v string)) error {
 		total := 0
 		for _, v := range values {
 			n, _ := strconv.Atoi(v)
 			total += n
 		}
 		emit(key, strconv.Itoa(total))
+		return nil
 	}
 	job := &Job{
 		Name:   "combined",
 		Inputs: []string{"/in/keys.txt"},
 		Output: "/out/comb",
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			emit(line, "1")
+			return nil
 		},
 		Combine: sum,
 		Reduce:  sum,
@@ -129,11 +133,12 @@ func TestMapOnlyJob(t *testing.T) {
 		Name:   "filter",
 		Inputs: []string{"/in/nums.txt"},
 		Output: "/out/filtered",
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			n, _ := strconv.Atoi(line)
 			if n%2 == 0 {
 				emit("", line)
 			}
+			return nil
 		},
 	}
 	res, err := e.RunCtx(context.Background(), job)
@@ -162,9 +167,10 @@ func TestDirectoryInputAndMultiBlockSplits(t *testing.T) {
 		Name:   "count",
 		Inputs: []string{"/warehouse/t"},
 		Output: "/out/count",
-		Map:    func(line string, emit func(k, v string)) { emit("all", "1") },
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Map:    func(_, line string, emit func(k, v string)) error { emit("all", "1"); return nil },
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			emit(key, strconv.Itoa(len(values)))
+			return nil
 		},
 		NumReducers: 1,
 	}
@@ -186,33 +192,36 @@ func TestChainOfJobs(t *testing.T) {
 	_ = c.WriteFile("/in/data", []byte("a 1\nb 2\na 3\nb 4"))
 	j1 := &Job{
 		Name: "stage1", Inputs: []string{"/in/data"}, Output: "/tmp/s1",
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			f := strings.Fields(line)
 			emit(f[0], f[1])
+			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			sum := 0
 			for _, v := range values {
 				n, _ := strconv.Atoi(v)
 				sum += n
 			}
 			emit(key, strconv.Itoa(sum))
+			return nil
 		},
 		NumReducers: 2,
 	}
 	j2 := &Job{
 		Name: "stage2", Inputs: []string{"/tmp/s1"}, Output: "/out/final",
-		Map: func(line string, emit func(k, v string)) {
-			parts := strings.SplitN(line, "\t", 2)
-			emit("total", parts[1])
+		Map: func(_, v string, emit func(k, v string)) error {
+			emit("total", v)
+			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			sum := 0
 			for _, v := range values {
 				n, _ := strconv.Atoi(v)
 				sum += n
 			}
 			emit("", strconv.Itoa(sum))
+			return nil
 		},
 		NumReducers: 1,
 	}
@@ -232,7 +241,7 @@ func TestChainOfJobs(t *testing.T) {
 func TestMissingInputFails(t *testing.T) {
 	e, _ := newTestEngine(t)
 	job := &Job{Name: "x", Inputs: []string{"/nope"}, Output: "/out",
-		Map: func(string, func(k, v string)) {}}
+		Map: func(string, string, func(k, v string)) error { return nil }}
 	if _, err := e.RunCtx(context.Background(), job); err == nil {
 		t.Fatal("missing input must fail")
 	}
@@ -242,8 +251,8 @@ func TestCountersAccumulate(t *testing.T) {
 	e, c := newTestEngine(t)
 	_ = c.WriteFile("/in/d", []byte("x\ny\nz"))
 	job := &Job{Name: "c", Inputs: []string{"/in/d"}, Output: "/out/c",
-		Map:         func(line string, emit func(k, v string)) { emit(line, "1") },
-		Reduce:      func(k string, vs []string, emit func(k, v string)) { emit(k, "1") },
+		Map:         func(_, line string, emit func(k, v string)) error { emit(line, "1"); return nil },
+		Reduce:      func(k string, vs []string, emit func(k, v string)) error { emit(k, "1"); return nil },
 		NumReducers: 1,
 	}
 	if _, err := e.RunCtx(context.Background(), job); err != nil {
@@ -259,13 +268,15 @@ func wordCountJob(name, in, out string) *Job {
 		Name:   name,
 		Inputs: []string{in},
 		Output: out,
-		Map: func(line string, emit func(k, v string)) {
+		Map: func(_, line string, emit func(k, v string)) error {
 			for _, w := range strings.Fields(line) {
 				emit(w, "1")
 			}
+			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
 			emit(key, strconv.Itoa(len(values)))
+			return nil
 		},
 		NumReducers: 1,
 	}
@@ -406,5 +417,67 @@ func TestRunChainCtxStopsOnCancel(t *testing.T) {
 	}
 	if got := e.JobsRun.Load(); got != 0 {
 		t.Fatalf("JobsRun = %d after pre-canceled chain, want 0", got)
+	}
+}
+
+func TestScanPairsReadsRecordFilesAndTextLines(t *testing.T) {
+	collect := func(data string) ([]Pair, error) {
+		var out []Pair
+		err := ScanPairs(data, func(k, v string) error {
+			out = append(out, Pair{k, v})
+			return nil
+		})
+		return out, err
+	}
+	want := []Pair{{"k\t1", "v\nwith newline"}, {"", ""}, {"\x00", strings.Repeat("x", 300)}}
+	rec := []byte(RecordHeader)
+	ends := map[int]bool{len(rec): true} // record boundaries
+	for _, p := range want {
+		rec = AppendRecord(rec, p.K, p.V)
+		ends[len(rec)] = true
+	}
+	if got, err := collect(string(rec)); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("record file = %q, %v; want %q", got, err, want)
+	}
+	if got, err := collect(RecordHeader); err != nil || len(got) != 0 {
+		t.Fatalf("header-only file = %q, %v", got, err)
+	}
+	// A headerless file is text: one pair per line, as strings.Split cuts it.
+	if got, err := collect("a\tb\n\nc\n"); err != nil || fmt.Sprint(got) != fmt.Sprint([]Pair{{"", "a\tb"}, {"", ""}, {"", "c"}}) {
+		t.Fatalf("text file = %q, %v", got, err)
+	}
+	// Cut anywhere but between records, the file is an error.
+	for cut := len(RecordHeader); cut < len(rec); cut++ {
+		if _, err := collect(string(rec[:cut])); (err == nil) != ends[cut] {
+			t.Fatalf("record file cut at %d of %d: %v", cut, len(rec), err)
+		}
+	}
+}
+
+// A record a mapper cannot read fails the job: the error is not transient,
+// so the task is not retried, and no partial output is published.
+func TestMapErrorFailsJobWithoutRetry(t *testing.T) {
+	e, c := newTestEngine(t)
+	_ = c.WriteFile("/in/d", []byte("1\nx\n3"))
+	job := &Job{Name: "strict", Inputs: []string{"/in/d"}, Output: "/out/strict",
+		Map: func(_, line string, emit func(k, v string)) error {
+			if _, err := strconv.Atoi(line); err != nil {
+				return err
+			}
+			emit(line, "1")
+			return nil
+		},
+		Reduce:      func(k string, vs []string, emit func(k, v string)) error { emit(k, "1"); return nil },
+		NumReducers: 1,
+	}
+	_, err := e.RunCtx(context.Background(), job)
+	if err == nil || !strings.Contains(err.Error(), `parsing "x"`) {
+		t.Fatalf("job over an unreadable record = %v, want the mapper's error", err)
+	}
+	if faults.IsTransient(err) || e.Counters.TaskRetries.Load() != 0 {
+		t.Fatalf("a decode error was retried (%d retries, transient %v)", e.Counters.TaskRetries.Load(), faults.IsTransient(err))
+	}
+	if len(c.List("/out/strict")) != 0 {
+		t.Fatal("a failed job published output")
 	}
 }

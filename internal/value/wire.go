@@ -44,7 +44,13 @@ func AppendValue(buf []byte, v Value) []byte {
 
 // DecodeValue decodes one value from b, returning it and the bytes
 // consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b) }
+
+// DecodeValueString is DecodeValue over a string: a VARCHAR is a substring
+// of s, not a copy.
+func DecodeValueString(s string) (Value, int, error) { return decodeValue(s) }
+
+func decodeValue[B []byte | string](b B) (Value, int, error) {
 	if len(b) == 0 {
 		return Null, 0, fmt.Errorf("value decode: empty buffer")
 	}
@@ -59,18 +65,22 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		return Value{K: KindBool, I: int64(b[1] & 1)}, 2, nil
 	case KindInt, KindDate, KindTimestamp:
-		i, w := binary.Varint(b[1:])
+		u, w := Uvarint(b[1:])
 		if w <= 0 {
 			return Null, 0, fmt.Errorf("value decode: bad varint")
 		}
-		return Value{K: k, I: i}, 1 + w, nil
+		return Value{K: k, I: int64(u>>1) ^ -int64(u&1)}, 1 + w, nil
 	case KindDouble:
 		if len(b) < 9 {
 			return Null, 0, fmt.Errorf("value decode: short DOUBLE")
 		}
-		return Value{K: KindDouble, F: math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))}, 9, nil
+		var bits uint64
+		for i := 8; i > 0; i-- {
+			bits = bits<<8 | uint64(b[i])
+		}
+		return Value{K: KindDouble, F: math.Float64frombits(bits)}, 9, nil
 	case KindVarchar:
-		l, w := binary.Uvarint(b[1:])
+		l, w := Uvarint(b[1:])
 		// Compare against the remaining length: 1+w+l wraps for a hostile l.
 		if w <= 0 || l > uint64(len(b)-1-w) {
 			return Null, 0, fmt.Errorf("value decode: short VARCHAR")
@@ -79,6 +89,26 @@ func DecodeValue(b []byte) (Value, int, error) {
 		return Value{K: KindVarchar, S: string(b[start : start+int(l)])}, start + int(l), nil
 	}
 	return Null, 0, fmt.Errorf("value decode: unknown kind %d", k)
+}
+
+// Uvarint is binary.Uvarint over bytes or a string: the value and the bytes
+// it took, 0 bytes for a truncated encoding and fewer for an overlong one.
+func Uvarint[B []byte | string](b B) (uint64, int) {
+	var x uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, -(i + 1)
+			}
+			return x | uint64(c)<<(7*i), i + 1
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	if len(b) >= binary.MaxVarintLen64 {
+		return 0, -(binary.MaxVarintLen64 + 1)
+	}
+	return 0, 0
 }
 
 // AppendRow appends the wire encoding of a row to buf.

@@ -83,6 +83,31 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// The string decoders read what the byte decoders read, and Uvarint is
+// binary.Uvarint, truncated and overlong encodings included.
+func TestWireStringDecodersMatchByteDecoders(t *testing.T) {
+	for _, b := range [][]byte{
+		{}, {0x7f}, {0x80}, {0x80, 0x01}, binary.AppendUvarint(nil, math.MaxUint64),
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		x, n := binary.Uvarint(b)
+		if y, m := Uvarint(string(b)); x != y || n != m {
+			t.Errorf("Uvarint(%x) = %d, %d; binary.Uvarint = %d, %d", b, y, m, x, n)
+		}
+	}
+	for _, v := range []Value{Null, NewBool(true), NewInt(-7), NewDouble(math.Inf(-1)), NewString("abc"), NewDate(19000)} {
+		enc := AppendValue(nil, v)
+		want, wn, _ := DecodeValue(enc)
+		if got, gn, err := DecodeValueString(string(enc)); err != nil || got != want || gn != wn {
+			t.Errorf("DecodeValueString(%x) = %v, %d, %v; DecodeValue = %v, %d", enc, got, gn, err, want, wn)
+		}
+	}
+	if _, _, err := DecodeValueString(string(hugeVarchar())); err == nil {
+		t.Fatal("VARCHAR length near 2^64 not detected")
+	}
+}
+
 // hugeVarchar is a VARCHAR whose declared length makes 1+w+l wrap around
 // uint64, which used to pass the bound check and panic in the slice.
 func hugeVarchar() []byte {
