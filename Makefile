@@ -101,9 +101,9 @@ chaos-recovery:
 
 # Every native fuzz target beyond its seed corpus, FUZZTIME each: the SQL
 # parser, the value row codec, the extended store's chunk codec and table
-# manifest, the two dist wire decoders, the WAL frame scanner and Hive's
-# record reader (map-reduce pairs, rows, keys, aggregate states) must return
-# a value or an error on any input. `go test -fuzz` takes one package and one target per
+# manifest, the two dist wire decoders, the WAL frame scanner, Hive's record
+# reader (map-reduce pairs, rows, keys, aggregate states) and the savepoint
+# manifest Open recovers from must return a value or an error on any input. `go test -fuzz` takes one package and one target per
 # run; minimization is capped so a large interesting input does not eat the
 # window. A crasher lands under the package's testdata/fuzz/.
 FUZZTIME ?= 20s
@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecodeFragment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzScanRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/hive -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadSavepoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench=. -benchmem

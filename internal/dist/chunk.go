@@ -68,36 +68,37 @@ func (c *Chunk) Encode() []byte {
 
 // DecodeChunk parses an encoded chunk.
 func DecodeChunk(b []byte) (*Chunk, error) {
-	d := &wireReader{b: b}
-	if v := d.byte(); v != chunkWireVersion {
+	d := value.NewCursor(b)
+	if v := d.Byte(); v != chunkWireVersion {
 		return nil, fmt.Errorf("chunk decode: unsupported version %d", v)
 	}
 	c := &Chunk{}
-	c.Shard = int(d.uvarint())
-	c.Worker = int(d.uvarint())
-	c.Scanned = int64(d.uvarint())
-	ns := int(d.uvarint())
-	for i := 0; i < ns && d.err == nil; i++ {
-		c.Seqs = append(c.Seqs, d.varint())
+	c.Shard = int(d.Uvarint())
+	c.Worker = int(d.Uvarint())
+	c.Scanned = int64(d.Uvarint())
+	ns := int(d.Uvarint())
+	for i := 0; i < ns && d.Err() == nil; i++ {
+		c.Seqs = append(c.Seqs, d.Varint())
 	}
-	nr := int(d.uvarint())
-	for i := 0; i < nr && d.err == nil; i++ {
-		c.Rows = append(c.Rows, d.row())
+	nr := int(d.Uvarint())
+	for i := 0; i < nr && d.Err() == nil; i++ {
+		c.Rows = append(c.Rows, d.Row())
 	}
-	if d.bool() {
+	if d.Bool() {
 		c.Partial = exec.NewAggPartial()
-		ng := int(d.uvarint())
-		for i := 0; i < ng && d.err == nil; i++ {
-			g := &exec.AggGroup{First: d.varint(), Key: d.row()}
-			nst := int(d.uvarint())
-			for j := 0; j < nst && d.err == nil; j++ {
-				g.States = append(g.States, d.aggState())
+		ng := int(d.Uvarint())
+		for i := 0; i < ng && d.Err() == nil; i++ {
+			g := &exec.AggGroup{First: d.Varint(), Key: d.Row()}
+			nst := int(d.Uvarint())
+			for j := 0; j < nst && d.Err() == nil; j++ {
+				st := exec.ReadAggState(&d)
+				g.States = append(g.States, &st)
 			}
 			c.Partial.Append(g)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("chunk decode: %w", d.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("chunk decode: %w", err)
 	}
 	// The merge walks Rows by the Seqs cursor: a chunk that disagrees with
 	// itself must not get that far.
@@ -105,17 +106,4 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("chunk decode: %d sequences for %d rows", len(c.Seqs), len(c.Rows))
 	}
 	return c, nil
-}
-
-func (d *wireReader) aggState() *exec.AggState {
-	if d.err != nil {
-		return nil
-	}
-	st, n, err := exec.DecodeAggState(d.b[d.off:])
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.off += n
-	return &st
 }

@@ -136,52 +136,52 @@ func (f *Fragment) Encode() []byte {
 
 // DecodeFragment parses an encoded fragment.
 func DecodeFragment(b []byte) (*Fragment, error) {
-	d := &wireReader{b: b}
-	if v := d.byte(); v != fragmentWireVersion {
+	d := value.NewCursor(b)
+	if v := d.Byte(); v != fragmentWireVersion {
 		return nil, fmt.Errorf("fragment decode: unsupported version %d", v)
 	}
 	f := &Fragment{}
-	f.Query = d.uvarint()
-	f.Shard = int(d.uvarint())
-	f.Snapshot = d.uvarint()
-	f.Width = int(d.uvarint())
-	f.Table = d.string()
-	f.Binding = d.string()
-	f.Where = d.string()
+	f.Query = d.Uvarint()
+	f.Shard = int(d.Uvarint())
+	f.Snapshot = d.Uvarint()
+	f.Width = int(d.Uvarint())
+	f.Table = d.Str()
+	f.Binding = d.Str()
+	f.Where = d.Str()
 	// One byte per marked column, length-checked against the payload like
 	// any string.
-	if mask := d.string(); mask != "" {
+	if mask := d.Str(); mask != "" {
 		f.Needed = make([]bool, len(mask))
 		for i := range mask {
 			f.Needed[i] = mask[i] != 0
 		}
 	}
-	if d.bool() {
-		agg := &AggFragment{GroupBy: d.strings()}
-		n := int(d.uvarint())
-		for i := 0; i < n && d.err == nil; i++ {
-			agg.Aggs = append(agg.Aggs, AggCall{Func: d.string(), Arg: d.string(), Distinct: d.bool()})
+	if d.Bool() {
+		agg := &AggFragment{GroupBy: readStrings(&d)}
+		n := int(d.Uvarint())
+		for i := 0; i < n && d.Err() == nil; i++ {
+			agg.Aggs = append(agg.Aggs, AggCall{Func: d.Str(), Arg: d.Str(), Distinct: d.Bool()})
 		}
 		f.Agg = agg
 	}
-	if d.bool() {
+	if d.Bool() {
 		j := &JoinFragment{
-			ProbeKeys: d.strings(),
-			BuildKeys: d.strings(),
-			Residual:  d.string(),
+			ProbeKeys: readStrings(&d),
+			BuildKeys: readStrings(&d),
+			Residual:  d.Str(),
 		}
-		nc := int(d.uvarint())
-		for i := 0; i < nc && d.err == nil; i++ {
-			j.BuildCols = append(j.BuildCols, value.Column{Name: d.string(), Kind: value.Kind(d.byte()), Nullable: d.bool()})
+		nc := int(d.Uvarint())
+		for i := 0; i < nc && d.Err() == nil; i++ {
+			j.BuildCols = append(j.BuildCols, value.Column{Name: d.Str(), Kind: value.Kind(d.Byte()), Nullable: d.Bool()})
 		}
-		nr := int(d.uvarint())
-		for i := 0; i < nr && d.err == nil; i++ {
-			j.BuildRows = append(j.BuildRows, d.row())
+		nr := int(d.Uvarint())
+		for i := 0; i < nr && d.Err() == nil; i++ {
+			j.BuildRows = append(j.BuildRows, d.Row())
 		}
 		f.Join = j
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("fragment decode: %w", d.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("fragment decode: %w", err)
 	}
 	return f, nil
 }
@@ -208,108 +208,17 @@ func appendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-// wireReader is a cursor over an encoded payload; the first malformed field
-// latches err and every later read returns a zero value.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *wireReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at offset %d", what, d.off)
-	}
-}
-
-func (d *wireReader) byte() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *wireReader) bool() bool { return d.byte() != 0 }
-
-func (d *wireReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireReader) string() string {
-	l := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)-d.off) < l {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(l)])
-	d.off += int(l)
-	return s
-}
-
-func (d *wireReader) strings() []string {
-	n := int(d.uvarint())
-	if n == 0 || d.err != nil {
+// readStrings reads a uvarint count and that many strings.
+func readStrings(d *value.Cursor) []string {
+	n := int(d.Uvarint())
+	if n == 0 || d.Err() != nil {
 		return nil
 	}
 	// Cap the prealloc: n is wire data, and a corrupt length must surface
 	// as a short-buffer decode error, not an oversized allocation.
 	out := make([]string, 0, min(n, 64))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.string())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, d.Str())
 	}
 	return out
-}
-
-func (d *wireReader) row() value.Row {
-	if d.err != nil {
-		return nil
-	}
-	r, n, err := value.DecodeRow(d.b[d.off:])
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.off += n
-	return r
-}
-
-func (d *wireReader) value() value.Value {
-	if d.err != nil {
-		return value.Null
-	}
-	v, n, err := value.DecodeValue(d.b[d.off:])
-	if err != nil {
-		d.err = err
-		return value.Null
-	}
-	d.off += n
-	return v
 }

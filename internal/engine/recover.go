@@ -365,6 +365,9 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 		if err := json.Unmarshal(st.Meta, meta); err != nil {
 			return fmt.Errorf("recovery: table meta: %w", err)
 		}
+		if meta.Schema == nil || meta.PrimaryKey < -1 || meta.PrimaryKey >= meta.Schema.Len() {
+			return fmt.Errorf("recovery: table %s: no schema, or primary key %d outside it", meta.Name, meta.PrimaryKey)
+		}
 		t, err := e.buildStoredTable(meta)
 		if err != nil {
 			return err
@@ -376,6 +379,9 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 		for _, sp := range st.Parts {
 			if sp.Idx < 0 || sp.Idx >= len(t.parts) {
 				return fmt.Errorf("recovery: table %s: bad partition index %d", meta.Name, sp.Idx)
+			}
+			if err := sp.check(); err != nil {
+				return fmt.Errorf("recovery: table %s partition %d: %w", meta.Name, sp.Idx, err)
 			}
 			p := t.parts[sp.Idx]
 			if sp.File != "" {

@@ -65,30 +65,18 @@ func decodeRedoNote(note string) (redoRec, error) {
 	if len(b) < 4 {
 		return redoRec{}, fmt.Errorf("redo: short note (%d bytes)", len(b))
 	}
-	r := redoRec{op: b[0]}
+	d := value.NewCursor(b)
+	r := redoRec{op: d.Byte()}
 	if r.op < redoIns || r.op > redoDDLAlter {
 		return redoRec{}, fmt.Errorf("redo: unknown op %d", r.op)
 	}
-	off := 1
-	part, w := binary.Uvarint(b[off:])
-	if w <= 0 {
-		return redoRec{}, fmt.Errorf("redo: bad partition varint")
+	r.part = int(d.Uvarint())
+	r.rowID = int(d.Uvarint())
+	r.table = d.Str()
+	if err := d.Err(); err != nil {
+		return redoRec{}, fmt.Errorf("redo: %w", err)
 	}
-	off += w
-	rowID, w := binary.Uvarint(b[off:])
-	if w <= 0 {
-		return redoRec{}, fmt.Errorf("redo: bad rowID varint")
-	}
-	off += w
-	tlen, w := binary.Uvarint(b[off:])
-	if w <= 0 || uint64(len(b)-off-w) < tlen {
-		return redoRec{}, fmt.Errorf("redo: bad table name length")
-	}
-	off += w
-	r.part = int(part)
-	r.rowID = int(rowID)
-	r.table = string(b[off : off+int(tlen)])
-	r.payload = b[off+int(tlen):]
+	r.payload = b[d.Off():]
 	return r, nil
 }
 

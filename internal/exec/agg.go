@@ -379,104 +379,44 @@ func appendBool(buf []byte, v bool) []byte {
 }
 
 // DecodeAggState reads one state written by AppendAggState and returns it
-// with the bytes it took. A sum is rebuilt by adding each listed partial, so
-// a list another node did not write in normal form is renormalized, not
-// trusted; a list longer than MaxPartials is an error.
+// with the bytes it took.
 func DecodeAggState(b []byte) (AggState, int, error) {
-	d := stateReader{b: b}
-	st := AggState{Count: d.varint()}
-	d.sum(&st.Sum)
-	st.SumI = d.varint()
-	st.IntOnly = d.bool()
-	st.Min = d.value()
-	st.Max = d.value()
-	d.sum(&st.SumSq)
-	st.HasVal = d.bool()
-	st.Distinct = d.bool()
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		st.Order = append(st.Order, d.value())
+	d := value.NewCursor(b)
+	st := ReadAggState(&d)
+	if err := d.Err(); err != nil {
+		return AggState{}, 0, fmt.Errorf("aggregate state: %w", err)
 	}
-	if d.err != nil {
-		return AggState{}, 0, fmt.Errorf("aggregate state: %w", d.err)
-	}
-	return st, d.off, nil
+	return st, d.Off(), nil
 }
 
-// stateReader is DecodeAggState's cursor: the first malformed field latches
-// err and every later read returns a zero value.
-type stateReader struct {
-	b   []byte
-	off int
-	err error
+// ReadAggState reads one state written by AppendAggState at d; a malformed
+// state latches d's error. A sum is rebuilt by adding each listed partial,
+// so a list another node did not write in normal form is renormalized, not
+// trusted; a list longer than MaxPartials is an error.
+func ReadAggState(d *value.Cursor) AggState {
+	st := AggState{Count: d.Varint()}
+	readSum(d, &st.Sum)
+	st.SumI = d.Varint()
+	st.IntOnly = d.Bool()
+	st.Min = d.Value()
+	st.Max = d.Value()
+	readSum(d, &st.SumSq)
+	st.HasVal = d.Bool()
+	st.Distinct = d.Bool()
+	n := d.Uvarint()
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		st.Order = append(st.Order, d.Value())
+	}
+	return st
 }
 
-func (d *stateReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at offset %d", what, d.off)
-	}
-}
-
-func (d *stateReader) bool() bool {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("byte")
-		return false
-	}
-	d.off++
-	return d.b[d.off-1] != 0
-}
-
-func (d *stateReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateReader) value() value.Value {
-	if d.err != nil {
-		return value.Null
-	}
-	v, n, err := value.DecodeValue(d.b[d.off:])
-	if err != nil {
-		d.err = err
-		return value.Null
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateReader) sum(s *ExactSum) {
-	n := d.uvarint()
-	if n > MaxPartials && d.err == nil {
-		d.err = fmt.Errorf("a sum of more than %d partials", MaxPartials)
+func readSum(d *value.Cursor, s *ExactSum) {
+	n := d.Uvarint()
+	if n > MaxPartials {
+		d.Fail(fmt.Errorf("a sum of more than %d partials", MaxPartials))
 		return
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		if len(d.b)-d.off < 8 {
-			d.fail("uint64")
-			return
-		}
-		s.Add(math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:])))
-		d.off += 8
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		s.Add(math.Float64frombits(d.Uint64()))
 	}
 }

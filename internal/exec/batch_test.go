@@ -93,6 +93,8 @@ func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 		expr.Col("s"),
 		expr.Bin(expr.OpAdd, expr.Col("g"), expr.Int(100)),
 		expr.Bin(expr.OpMul, expr.Col("v"), expr.Lit(value.NewDouble(2))),
+		// Only Eval computes it; it reads two of the batch's three columns.
+		expr.Bin(expr.OpConcat, expr.Col("s"), expr.Col("g")),
 	}
 	for _, e := range exprs {
 		bind(t, e, s)
@@ -101,6 +103,7 @@ func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 		value.Column{Name: "s", Kind: value.KindVarchar},
 		value.Column{Name: "g2", Kind: value.KindInt},
 		value.Column{Name: "v2", Kind: value.KindDouble},
+		value.Column{Name: "sg", Kind: value.KindVarchar},
 	)
 	want := make([]value.Row, len(rows))
 	for i, r := range rows {
@@ -142,40 +145,6 @@ func TestBatchesTransposeOnlyNeededColumns(t *testing.T) {
 		if want := (value.Row{value.Null, rows[i][1], value.Null}); !reflect.DeepEqual(r, want) {
 			t.Fatalf("row %d = %v, want %v", i, r, want)
 		}
-	}
-}
-
-// The batch-native aggregation morsel reads keys and arguments from the
-// vectors: besides the group table itself (bounded by group count), the
-// only per-call allocations are the scratch key buffer, the compiled
-// kernels and the per-group states — never one row or one boxed slab per
-// input row.
-func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
-	const n = 4096
-	s := intSchema("g", "v")
-	b := value.BatchFromRows(s, modRows(n), nil)
-	groupBy := []expr.Expr{expr.Col("g")}
-	aggs := []AggSpec{
-		{Func: "SUM", Arg: expr.Col("v")},
-		{Func: "SUM", Arg: expr.Bin(expr.OpMul, expr.Col("v"), expr.Int(3))},
-		{Func: "COUNT"},
-	}
-	for _, e := range []expr.Expr{groupBy[0], aggs[0].Arg, aggs[1].Arg} {
-		if err := expr.Bind(e, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan := planBatchAgg(groupBy, aggs)
-	segs := []batchSeg{{b: b, lo: 0, hi: b.Len()}}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := aggregateBatchMorsel(segs, 0, groupBy, aggs, []int{0}, plan); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 4 groups: a per-row scratch row or boxed slab would cost ≥ n
-	// allocations alone.
-	if allocs > n/4 {
-		t.Errorf("aggregateBatchMorsel allocates %.0f times for %d rows; reads must come from the vectors", allocs, n)
 	}
 }
 

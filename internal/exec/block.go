@@ -122,7 +122,7 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 		}
 		b.keys = append(b.keys, SortKey{E: key, Desc: o.Desc})
 	}
-	if ords := neededFillOrds(append(b.exprs[:len(b.exprs):len(b.exprs)], b.Having)); ords != nil {
+	if ords := expr.FillOrds(append(b.exprs[:len(b.exprs):len(b.exprs)], b.Having)); ords != nil {
 		b.needed = make([]bool, pre.Len())
 		for _, o := range ords {
 			b.needed[o] = true

@@ -78,7 +78,7 @@ func (r Rel) batch(i int, needed []bool) *value.Batch {
 }
 
 // fillRow boxes global live row i into dst, which must have the relation's
-// column width. offs is the relation's batchOffsets (ignored for rows).
+// column width. offs is r.offsets().
 func (r Rel) fillRow(i int, dst value.Row, offs []int) {
 	if r.Batches != nil {
 		b, phys := batchRowAt(r.Batches, offs, i)

@@ -81,20 +81,14 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	if pool == nil {
 		pool = NewPool(1)
 	}
-	// A batch-backed input keeps its columnar form: the morsels below read
-	// keys and arguments straight from the vectors.
-	var (
-		data = h.In.Rows
-		bs   = h.In.Batches
-		offs []int
-		bpl  batchAggPlan
-	)
-	total := len(data)
-	if bs != nil {
-		offs = batchOffsets(bs)
-		bpl = planBatchAgg(h.GroupBy, h.Aggs)
-		total = offs[len(bs)]
+	// The group keys, then one argument per aggregate (nil for COUNT(*)).
+	es := make([]expr.Expr, 0, len(h.GroupBy)+len(h.Aggs))
+	es = append(es, h.GroupBy...)
+	for _, a := range h.Aggs {
+		es = append(es, a.Arg)
 	}
+	offs := h.In.offsets()
+	total := h.In.Len()
 	size := h.MorselSize
 	if size <= 0 {
 		size = DefaultMorselSize
@@ -106,17 +100,8 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	if nm > 0 {
 		workers, err := pool.Run(ctx, nm, h.Width, func(_ context.Context, m int) error {
 			lo := m * size
-			hi := lo + size
-			if hi > total {
-				hi = total
-			}
-			var pt *AggPartial
-			var err error
-			if bs != nil {
-				pt, err = aggregateBatchMorsel(batchSegments(bs, offs, lo, hi), lo, h.GroupBy, h.Aggs, keyOrds, bpl)
-			} else {
-				pt, err = aggregateMorsel(data[lo:hi], lo, h.GroupBy, h.Aggs, keyOrds)
-			}
+			hi := min(lo+size, total)
+			pt, err := aggregateMorsel(h.In.segments(offs, lo, hi), lo, es, h.Aggs, keyOrds)
 			if err != nil {
 				return err
 			}
@@ -139,44 +124,53 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	return merged, nil
 }
 
-// aggregateMorsel builds one morsel's partial group table: the accumulation
-// loop over a row range that starts at input ordinal base.
-func aggregateMorsel(rows []value.Row, base int, groupBy []expr.Expr, aggs []AggSpec, keyOrds []int) (*AggPartial, error) {
+// aggregateMorsel builds one morsel's partial group table, the one
+// accumulation loop: over segments whose first row is input ordinal base,
+// with es the len(keyOrds) group keys followed by one argument per aggregate
+// (nil for COUNT(*)), read through each segment's readers.
+func aggregateMorsel(segs []segment, base int, es []expr.Expr, aggs []AggSpec, keyOrds []int) (*AggPartial, error) {
 	pt := NewAggPartial()
 	// Scratch key buffer, reused across rows; only Clone() on a fresh group
 	// retains the values.
-	key := make(value.Row, len(groupBy))
-	for ri, row := range rows {
-		for i, g := range groupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return nil, err
+	key := make(value.Row, len(keyOrds))
+	for _, seg := range segs {
+		rd := seg.readers(es)
+		keyRd, argRd := rd[:len(key)], rd[len(key):]
+		for k := seg.lo; k < seg.hi; k++ {
+			i := seg.phys(k)
+			for gi, read := range keyRd {
+				v, err := read(i)
+				if err != nil {
+					return nil, err
+				}
+				key[gi] = v
 			}
-			key[i] = v
-		}
-		hsh := key.Hash(keyOrds)
-		var grp *AggGroup
-		for _, g := range pt.table[hsh] {
-			if key.EqualAt(g.Key, keyOrds, keyOrds) {
-				grp = g
-				break
+			hsh := key.Hash(keyOrds)
+			var grp *AggGroup
+			for _, g := range pt.table[hsh] {
+				if key.EqualAt(g.Key, keyOrds, keyOrds) {
+					grp = g
+					break
+				}
 			}
-		}
-		if grp == nil {
-			grp = newAggGroup(key.Clone(), aggs, base+ri)
-			pt.insert(hsh, grp)
-		}
-		for i, a := range aggs {
-			if a.Arg == nil { // COUNT(*)
-				grp.States[i].Count++
-				grp.States[i].HasVal = true
-				continue
+			if grp == nil {
+				grp = newAggGroup(key.Clone(), aggs, base)
+				pt.insert(hsh, grp)
 			}
-			v, err := a.Arg.Eval(row)
-			if err != nil {
-				return nil, err
+			base++
+			for ai, read := range argRd {
+				st := grp.States[ai]
+				if read == nil { // COUNT(*)
+					st.Count++
+					st.HasVal = true
+					continue
+				}
+				v, err := read(i)
+				if err != nil {
+					return nil, err
+				}
+				st.Add(v)
 			}
-			grp.States[i].Add(v)
 		}
 	}
 	return pt, nil
@@ -232,14 +226,7 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 		size = DefaultMorselSize
 	}
 
-	var lOffs, rOffs []int
-	if left.Batches != nil {
-		lOffs = batchOffsets(left.Batches)
-	}
-	if right.Batches != nil {
-		rOffs = batchOffsets(right.Batches)
-	}
-	lkp, rkp := planKeys(leftKeys), planKeys(rightKeys)
+	lOffs, rOffs := left.offsets(), right.offsets()
 	nLeft, nRight := left.Len(), right.Len()
 
 	// Build phase: per-morsel hash tables of row indices plus the evaluated
@@ -255,81 +242,27 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 	if nb > 0 {
 		workers, err := pool.Run(ctx, nb, width, func(_ context.Context, m int) error {
 			lo := m * size
-			hi := lo + size
-			if hi > nRight {
-				hi = nRight
-			}
+			hi := min(lo+size, nRight)
 			bp := &buildPartial{table: map[uint64][]int{}}
 			// One slab per morsel: the retained per-row key slices are carved
 			// from it instead of allocating len(rightKeys) values per row.
 			slab := make([]value.Value, (hi-lo)*len(rightKeys))
-			if right.Batches != nil {
-				var scratch value.Row
-				i := lo
-				for _, seg := range batchSegments(right.Batches, rOffs, lo, hi) {
-					b := seg.b
-					if rkp.needRow && len(scratch) < len(b.Cols) {
-						scratch = make(value.Row, len(b.Cols))
-					}
-					for k := seg.lo; k < seg.hi; k++ {
-						phys := b.RowIndex(k)
-						if rkp.needRow {
-							fillScratch(b, phys, scratch, rkp.fill)
-						}
-						vals := slab[:len(rightKeys):len(rightKeys)]
-						slab = slab[len(rightKeys):]
-						var h uint64 = 1469598103934665603
-						hasNull := false
-						for ki, ke := range rightKeys {
-							var v value.Value
-							if ord := rkp.cols[ki]; ord >= 0 && ord < len(b.Cols) {
-								v = b.Cols[ord].Value(phys)
-							} else {
-								var err error
-								if v, err = ke.Eval(scratch); err != nil {
-									return err
-								}
-							}
-							if v.IsNull() {
-								hasNull = true
-								break
-							}
-							vals[ki] = v
-							h = h*1099511628211 ^ v.Hash()
-						}
-						if hasNull { // NULL keys never match
-							bp.sawNull = true
-						} else {
-							rightVals[i] = vals
-							bp.table[h] = append(bp.table[h], i)
-						}
-						i++
-					}
-				}
-			} else {
-				for i := lo; i < hi; i++ {
+			ri := lo
+			for _, seg := range right.segments(rOffs, lo, hi) {
+				rd := seg.readers(rightKeys)
+				for k := seg.lo; k < seg.hi; k, ri = k+1, ri+1 {
 					vals := slab[:len(rightKeys):len(rightKeys)]
 					slab = slab[len(rightKeys):]
-					var h uint64 = 1469598103934665603
-					hasNull := false
-					for k, ke := range rightKeys {
-						v, err := ke.Eval(right.Rows[i])
-						if err != nil {
-							return err
-						}
-						if v.IsNull() {
-							hasNull = true
-							break
-						}
-						vals[k] = v
-						h = h*1099511628211 ^ v.Hash()
+					h, hasNull, err := readKeys(rd, seg.phys(k), vals)
+					if err != nil {
+						return err
 					}
-					if hasNull {
-						bp.sawNull = true // NULL keys never match
+					if hasNull { // NULL keys never match
+						bp.sawNull = true
 						continue
 					}
-					rightVals[i] = vals
-					bp.table[h] = append(bp.table[h], i)
+					rightVals[ri] = vals
+					bp.table[h] = append(bp.table[h], ri)
 				}
 			}
 			buildParts[m] = bp
@@ -346,152 +279,82 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 	}
 
 	// Probe phase: each morsel emits its combined rows independently;
-	// outputs concatenate in morsel order. probeMatches runs the shared
-	// match-emit sequence once the probe row's hash and key values are
-	// known; fillLeft boxes the probe row into an output row only when a
-	// match, a null-extension or a semi/anti verdict actually emits.
+	// outputs concatenate in morsel order. A probe row is boxed into an
+	// output row only when a match, a null-extension or a semi/anti verdict
+	// actually emits.
 	np := (nLeft + size - 1) / size
 	outs := make([][]value.Row, np)
 	outOrds := make([][]int, np)
 	if np > 0 {
 		workers, err := pool.Run(ctx, np, width, func(_ context.Context, m int) error {
 			lo := m * size
-			hi := lo + size
-			if hi > nLeft {
-				hi = nLeft
-			}
+			hi := min(lo+size, nLeft)
 			// Probe rows emit at least no rows and usually about one; hi-lo
 			// is the right capacity order. vals is scratch, reused per row —
 			// matches copy from the row slices, never from vals. li is the
 			// ordinal of the probe row in hand.
 			out := make([]value.Row, 0, hi-lo)
 			ords := make([]int, 0, hi-lo)
-			li := lo
 			vals := make([]value.Value, len(leftKeys))
-			probeMatches := func(h uint64, hasNull bool, lw int, fillLeft func(dst value.Row)) error {
-				matched := false
-				if !hasNull {
-				scan:
-					for _, bp := range buildParts {
-						for _, ri := range bp.table[h] {
-							rv := rightVals[ri]
-							eq := true
-							for k := range vals {
-								if value.Compare(vals[k], rv[k]) != 0 {
-									eq = false
-									break
-								}
-							}
-							if !eq {
-								continue
-							}
-							if leftOnly { // one match decides a semi/anti join
-								matched = true
-								break scan
-							}
-							combined := make(value.Row, lw+rightWidth)
-							fillLeft(combined[:lw])
-							right.fillRow(ri, combined[lw:], rOffs)
-							if residual != nil {
-								keep, err := expr.Truthy(residual, combined)
-								if err != nil {
-									return err
-								}
-								if !keep {
+			li := lo
+			for _, seg := range left.segments(lOffs, lo, hi) {
+				rd := seg.readers(leftKeys)
+				for k := seg.lo; k < seg.hi; k, li = k+1, li+1 {
+					i := seg.phys(k)
+					h, hasNull, err := readKeys(rd, i, vals)
+					if err != nil {
+						return err
+					}
+					lw := seg.width(i)
+					matched := false
+					if !hasNull {
+					scan:
+						for _, bp := range buildParts {
+							for _, ri := range bp.table[h] {
+								if !keysEqual(vals, rightVals[ri]) {
 									continue
 								}
-							}
-							matched = true
-							out = append(out, combined)
-							ords = append(ords, li)
-						}
-					}
-				}
-				emit := false
-				switch kind {
-				case JoinLeftOuter, JoinAnti:
-					emit = !matched
-				case JoinSemi:
-					emit = matched
-				case JoinAntiNullAware:
-					// NOT IN: a NULL build key leaves every non-match unknown,
-					// and so does a NULL probe key unless the build side is empty.
-					emit = !matched && !buildNull && (!hasNull || nRight == 0)
-				}
-				if emit {
-					combined := make(value.Row, lw+rightWidth)
-					fillLeft(combined[:lw])
-					for i := lw; i < len(combined); i++ {
-						combined[i] = value.Null
-					}
-					out = append(out, combined)
-					ords = append(ords, li)
-				}
-				return nil
-			}
-			if left.Batches != nil {
-				var scratch value.Row
-				var fb *value.Batch // fillLeft captures fb/fphys, not loop vars
-				var fphys int
-				fillLeft := func(dst value.Row) { fb.FillRow(fphys, dst) }
-				for _, seg := range batchSegments(left.Batches, lOffs, lo, hi) {
-					b := seg.b
-					if lkp.needRow && len(scratch) < len(b.Cols) {
-						scratch = make(value.Row, len(b.Cols))
-					}
-					for k := seg.lo; k < seg.hi; k++ {
-						phys := b.RowIndex(k)
-						if lkp.needRow {
-							fillScratch(b, phys, scratch, lkp.fill)
-						}
-						var h uint64 = 1469598103934665603
-						hasNull := false
-						for ki, ke := range leftKeys {
-							var v value.Value
-							if ord := lkp.cols[ki]; ord >= 0 && ord < len(b.Cols) {
-								v = b.Cols[ord].Value(phys)
-							} else {
-								var err error
-								if v, err = ke.Eval(scratch); err != nil {
-									return err
+								if leftOnly { // one match decides a semi/anti join
+									matched = true
+									break scan
 								}
+								combined := make(value.Row, lw+rightWidth)
+								seg.fill(i, combined[:lw])
+								right.fillRow(ri, combined[lw:], rOffs)
+								if residual != nil {
+									keep, err := expr.Truthy(residual, combined)
+									if err != nil {
+										return err
+									}
+									if !keep {
+										continue
+									}
+								}
+								matched = true
+								out = append(out, combined)
+								ords = append(ords, li)
 							}
-							if v.IsNull() {
-								hasNull = true
-								break
-							}
-							vals[ki] = v
-							h = h*1099511628211 ^ v.Hash()
 						}
-						fb, fphys = b, phys
-						if err := probeMatches(h, hasNull, len(b.Cols), fillLeft); err != nil {
-							return err
-						}
-						li++
 					}
-				}
-			} else {
-				var lrow value.Row // fillLeft captures lrow, not the loop var
-				fillLeft := func(dst value.Row) { copy(dst, lrow) }
-				for ; li < hi; li++ {
-					l := left.Rows[li]
-					var h uint64 = 1469598103934665603
-					hasNull := false
-					for k, ke := range leftKeys {
-						v, err := ke.Eval(l)
-						if err != nil {
-							return err
-						}
-						if v.IsNull() {
-							hasNull = true
-							break
-						}
-						vals[k] = v
-						h = h*1099511628211 ^ v.Hash()
+					emit := false
+					switch kind {
+					case JoinLeftOuter, JoinAnti:
+						emit = !matched
+					case JoinSemi:
+						emit = matched
+					case JoinAntiNullAware:
+						// NOT IN: a NULL build key leaves every non-match unknown,
+						// and so does a NULL probe key unless the build side is empty.
+						emit = !matched && !buildNull && (!hasNull || nRight == 0)
 					}
-					lrow = l
-					if err := probeMatches(h, hasNull, len(l), fillLeft); err != nil {
-						return err
+					if emit {
+						combined := make(value.Row, lw+rightWidth)
+						seg.fill(i, combined[:lw])
+						for c := lw; c < len(combined); c++ {
+							combined[c] = value.Null
+						}
+						out = append(out, combined)
+						ords = append(ords, li)
 					}
 				}
 			}
@@ -515,4 +378,32 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 		ords = append(ords, outOrds[m]...)
 	}
 	return joined, ords, nil
+}
+
+// readKeys reads physical row i's join keys through rd into vals and
+// returns their hash; a NULL key stops the read, since it never matches.
+func readKeys(rd []func(int) (value.Value, error), i int, vals []value.Value) (uint64, bool, error) {
+	var h uint64 = 1469598103934665603
+	for k, read := range rd {
+		v, err := read(i)
+		if err != nil {
+			return 0, false, err
+		}
+		if v.IsNull() {
+			return 0, true, nil
+		}
+		vals[k] = v
+		h = h*1099511628211 ^ v.Hash()
+	}
+	return h, false, nil
+}
+
+// keysEqual compares a probe row's key values with a build row's.
+func keysEqual(a, b []value.Value) bool {
+	for k := range a {
+		if value.Compare(a[k], b[k]) != 0 {
+			return false
+		}
+	}
+	return true
 }

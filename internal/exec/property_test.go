@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +15,9 @@ import (
 
 // TestHashJoinEquivalentToNestedLoop checks HashJoinParallel on random
 // inputs with NULL keys on both sides, and on empty build and probe sides,
-// for every kind at morsel size 3, widths 1 and 4, with row- and
-// batch-backed sides. Its output must equal, row for row and in order,
+// for every kind at morsel size 3, widths 1 and 4, with row-backed sides and
+// selected batches, and keys read as columns, numeric kernels and CASE
+// expressions. Its output must equal, row for row and in order,
 // NestedLoopJoin with the equality as a general predicate (inner, left
 // outer) or a naive three-valued loop (semi, anti, null-aware anti).
 func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
@@ -22,7 +25,13 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	rs := intSchema("r.k", "r.v")
 	concat := ls.Concat(rs)
 	on := expr.Eq(bound(t, "l.k", concat), bound(t, "r.k", concat))
-	lk, rk := []expr.Expr{bound(t, "l.k", ls)}, []expr.Expr{bound(t, "r.k", rs)}
+	// The keys as columns, as numeric kernels and as a CASE only Eval
+	// computes: three kinds of reader, one answer.
+	keys := map[string][2]expr.Expr{
+		"column": {bound(t, "l.k", ls), bound(t, "r.k", rs)},
+		"kernel": {bind(t, expr.Bin(expr.OpAdd, expr.Col("l.k"), expr.Int(0)), ls), bind(t, expr.Bin(expr.OpAdd, expr.Col("r.k"), expr.Int(0)), rs)},
+		"eval":   {bind(t, caseOf(expr.Col("l.k")), ls), bind(t, caseOf(expr.Col("r.k")), rs)},
+	}
 	pools := []*Pool{NewPool(1), NewPool(4)}
 
 	mkRows := func(keys []uint8, seed int64) []value.Row {
@@ -40,16 +49,11 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 		}
 		return out
 	}
-	// side cuts rows into 5-row batches, so morsels straddle batches.
 	side := func(s *value.Schema, rows []value.Row, batched bool) Rel {
 		if !batched {
 			return Rel{Rows: rows}
 		}
-		bs := []*value.Batch{}
-		for lo := 0; lo < len(rows); lo += 5 {
-			bs = append(bs, value.BatchFromRows(s, rows[lo:min(lo+5, len(rows))], nil))
-		}
-		return Rel{Batches: bs}
+		return selectedBatches(s, rows, value.Row{value.Null, value.NewInt(-1)})
 	}
 	reference := func(kind JoinKind, left, right []value.Row) ([]value.Row, error) {
 		if kind == JoinInner || kind == JoinLeftOuter {
@@ -88,12 +92,14 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 				return false
 			}
 			for _, pool := range pools {
-				for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-					got, err := HashJoinParallel(context.Background(), pool, 0, 3, nil, kind,
-						side(ls, left, form[0]), side(rs, right, form[1]), lk, rk, nil, rs.Len())
-					if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Logf("width %d, batched %v: got %v, %v\nwant %v", pool.Size(), form, got, err, want)
-						return false
+				for name, k := range keys {
+					for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+						got, err := HashJoinParallel(context.Background(), pool, 0, 3, nil, kind,
+							side(ls, left, form[0]), side(rs, right, form[1]), k[:1], k[1:], nil, rs.Len())
+						if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Logf("%s keys, width %d, batched %v: got %v, %v\nwant %v", name, pool.Size(), form, got, err, want)
+							return false
+						}
 					}
 				}
 			}
@@ -119,51 +125,101 @@ func bound(t *testing.T, name string, s *value.Schema) expr.Expr {
 	return c
 }
 
-// TestAggregateMatchesReference cross-checks the hash aggregate (nil Pool: one
-// worker) against a naive
-// reference implementation on random groups.
+// selectedBatches is rows as a batch-backed relation of 5-row batches, so
+// morsels straddle batches, whose selection vectors skip a junk row before
+// each live one: an operator that read an unselected row would see junk.
+func selectedBatches(s *value.Schema, rows []value.Row, junk value.Row) Rel {
+	bs := []*value.Batch{}
+	for lo := 0; lo < len(rows); lo += 5 {
+		var phys []value.Row
+		var sel []int32
+		for _, r := range rows[lo:min(lo+5, len(rows))] {
+			phys = append(phys, junk)
+			sel = append(sel, int32(len(phys)))
+			phys = append(phys, r)
+		}
+		b := value.BatchFromRows(s, phys, nil)
+		b.Sel = sel
+		bs = append(bs, b)
+	}
+	return Rel{Schema: s, Batches: bs}
+}
+
+// caseOf is CASE WHEN e >= 0 THEN e END: an expression only Eval computes.
+func caseOf(e expr.Expr) expr.Expr {
+	c := &expr.CaseWhen{}
+	c.Whens = append(c.Whens, struct{ Cond, Then expr.Expr }{expr.Bin(expr.OpGe, e, expr.Int(0)), expr.Clone(e)})
+	return c
+}
+
+// TestAggregateMatchesReference cross-checks the hash aggregate against a
+// naive reference on random groups, row-backed and as selected batches, at
+// morsel size 3 and widths 1 and 4. The keys are a column and a CASE only
+// Eval computes; the arguments a numeric kernel (v * 3) and COUNT(*). Both
+// forms must give the reference's groups in first-seen order, and an
+// argument that divides by zero must fail both with the same error.
 func TestAggregateMatchesReference(t *testing.T) {
 	s := intSchema("g", "v")
+	groupBy := []expr.Expr{bound(t, "g", s), bind(t, caseOf(expr.Bin(expr.OpSub, expr.Col("v"), expr.Int(10))), s)}
+	aggs := []AggSpec{
+		{Func: "SUM", Arg: bind(t, expr.Bin(expr.OpMul, expr.Col("v"), expr.Int(3)), s)},
+		{Func: "COUNT"},
+	}
+	run := func(in Rel, aggs []AggSpec, pool *Pool) ([]value.Row, error) {
+		agg := &ParallelHashAggregate{In: in, GroupBy: groupBy, Aggs: aggs, Out: intSchema("g", "k", "s", "c"), Pool: pool, MorselSize: 3}
+		out, err := agg.Run()
+		return out.Rows, err
+	}
+	junk := value.Row{value.Null, value.NewInt(0)}
+	pools := []*Pool{NewPool(1), NewPool(4)}
 	f := func(pairs []uint16) bool {
 		if len(pairs) > 200 {
 			pairs = pairs[:200]
 		}
 		rows := make([]value.Row, len(pairs))
-		refSum := map[int64]int64{}
-		refCount := map[int64]int64{}
+		var want []value.Row // [g, CASE, sum, count] in first-seen order
+		index := map[string]value.Row{}
 		for i, p := range pairs {
-			g := int64(p % 7)
-			v := int64(p / 7)
-			rows[i] = value.Row{value.NewInt(g), value.NewInt(v)}
-			refSum[g] += v
-			refCount[g]++
+			g, v := value.NewInt(int64(p%7)), value.NewInt(int64(p/7))
+			rows[i] = value.Row{g, v}
+			k := value.Null
+			if v.I >= 10 {
+				k = value.NewInt(v.I - 10)
+			}
+			ref := index[fmt.Sprint(g, k)]
+			if ref == nil {
+				ref = value.Row{g, k, value.NewInt(0), value.NewInt(0)}
+				index[fmt.Sprint(g, k)] = ref
+				want = append(want, ref)
+			}
+			ref[2].I += 3 * v.I
+			ref[3].I++
 		}
-		agg := &ParallelHashAggregate{
-			In:      Rel{Schema: s, Rows: rows},
-			GroupBy: []expr.Expr{bound(t, "g", s)},
-			Aggs: []AggSpec{
-				{Func: "SUM", Arg: bound(t, "v", s)},
-				{Func: "COUNT"},
-			},
-			Out: intSchema("g", "s", "c"),
-		}
-		got, err := agg.Run()
-		if err != nil {
-			return false
-		}
-		if got.Len() != len(refSum) {
-			return false
-		}
-		for _, r := range got.Rows {
-			g := r[0].Int()
-			if r[1].Int() != refSum[g] || r[2].Int() != refCount[g] {
-				return false
+		for _, pool := range pools {
+			for name, in := range map[string]Rel{"rows": {Schema: s, Rows: rows}, "batches": selectedBatches(s, rows, junk)} {
+				got, err := run(in, aggs, pool)
+				if err != nil || len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+					t.Logf("%s, width %d: got %v, %v\nwant %v", name, pool.Size(), got, err, want)
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+
+	rows := rowsOf([]int64{1, 2}, []int64{1, 0}, []int64{2, 5})
+	div := []AggSpec{{Func: "SUM", Arg: bind(t, expr.Bin(expr.OpDiv, expr.Int(10), expr.Col("v")), s)}}
+	var errs []string
+	for _, in := range []Rel{{Schema: s, Rows: rows}, selectedBatches(s, rows, value.Row{value.NewInt(1), value.NewInt(1)})} {
+		if _, err := run(in, div, nil); err != nil {
+			errs = append(errs, err.Error())
+		}
+	}
+	if len(errs) != 2 || errs[0] != errs[1] || !strings.Contains(errs[0], "division by zero") {
+		t.Errorf("SUM(10 / v) over a zero v: errors %q, want one division by zero from both forms", errs)
 	}
 }
 

@@ -74,10 +74,9 @@ func SelectBatch(pred Expr, b *value.Batch) error {
 	if !needFallback {
 		return nil
 	}
-	// Row-major fallback: re-evaluate the full predicate on survivors. The
-	// scratch row is reused; FillRow boxes on the stack, so the pass costs
-	// one allocation per batch, none per row.
-	row := make(value.Row, len(b.Cols))
+	// Row-major fallback: re-evaluate the full predicate on survivors
+	// through its reader, which fills only the ordinals pred reads.
+	read := Readers([]Expr{pred}, b)[0]
 	n := b.Len()
 	sel := b.Sel
 	if sel == nil {
@@ -88,12 +87,11 @@ func SelectBatch(pred Expr, b *value.Batch) error {
 	}
 	out := sel[:0]
 	for _, i := range sel {
-		b.FillRow(int(i), row)
-		ok, err := Truthy(pred, row)
+		v, err := read(int(i))
 		if err != nil {
 			return err
 		}
-		if ok {
+		if v.K == value.KindBool && v.Bool() {
 			out = append(out, i)
 		}
 	}
@@ -666,9 +664,9 @@ func compileLike(n *Like, b *value.Batch) (triKernel, bool) {
 
 // EvalBatch evaluates e for every live row of b, returning a vector of
 // b.Len() results. Bound column references on an unfiltered batch share the
-// batch's vector directly; everything else evaluates row-major into a boxed
-// vector through the exact same Eval path the row executor uses, so results
-// are byte-identical by construction. The first evaluation error aborts.
+// batch's vector directly; everything else evaluates through e's reader
+// (Readers) into a boxed vector, so results equal Eval's row by row. The
+// first evaluation error aborts.
 func EvalBatch(e Expr, b *value.Batch) (value.Vec, error) {
 	if c, ok := e.(*ColRef); ok && b.Sel == nil {
 		if v, ok := colVec(c, b); ok && !v.Pruned {
@@ -677,22 +675,9 @@ func EvalBatch(e Expr, b *value.Batch) (value.Vec, error) {
 	}
 	n := b.Len()
 	out := value.Vec{Kind: value.KindNull, Vals: make([]value.Value, n)}
-	// Numeric arithmetic trees run as compiled kernels over the vectors;
-	// kernel results equal Eval's bit for bit.
-	if kern, ok := EvalKernel(e, b); ok {
-		for k := 0; k < n; k++ {
-			v, err := kern(b.RowIndex(k))
-			if err != nil {
-				return value.Vec{}, err
-			}
-			out.Vals[k] = v
-		}
-		return out, nil
-	}
-	row := make(value.Row, len(b.Cols))
+	read := Readers([]Expr{e}, b)[0]
 	for k := 0; k < n; k++ {
-		b.FillRow(b.RowIndex(k), row)
-		v, err := e.Eval(row)
+		v, err := read(b.RowIndex(k))
 		if err != nil {
 			return value.Vec{}, err
 		}

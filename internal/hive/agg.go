@@ -86,7 +86,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		row := *r
 		if pending != nil {
 			if ok, err := expr.Truthy(pending, row); err != nil || !ok {
-				return nil
+				return err
 			}
 		}
 		var keyArr [8]value.Value
@@ -94,7 +94,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		for _, g := range groupBy {
 			v, err := g.Eval(row)
 			if err != nil {
-				return nil
+				return err
 			}
 			keyVals = append(keyVals, v)
 		}
@@ -108,7 +108,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 			} else {
 				v, err := a.Arg.Eval(row)
 				if err != nil {
-					return nil
+					return err
 				}
 				st.Add(v)
 			}

@@ -193,7 +193,11 @@ func filterMap(schema *value.Schema, pred expr.Expr) mapreduce.MapFunc {
 			return err
 		}
 		defer dec.release(row)
-		if ok, err := expr.Truthy(pred, *row); err == nil && ok {
+		ok, err := expr.Truthy(pred, *row)
+		if err != nil {
+			return err
+		}
+		if ok {
 			emit("", rec)
 		}
 		return nil
@@ -304,7 +308,7 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 		defer dec.release(row)
 		if pred != nil {
 			if ok, err := expr.Truthy(pred, *row); err != nil || !ok {
-				return nil
+				return err
 			}
 		}
 		var valArr [8]value.Value
@@ -312,7 +316,7 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 		for _, k := range bound {
 			v, err := k.Eval(*row)
 			if err != nil {
-				return nil
+				return err
 			}
 			vals = append(vals, v)
 		}
@@ -371,7 +375,11 @@ func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.
 			for i, rrow := range rrows {
 				if residual != nil {
 					combined = append(append(combined[:0], lrow...), rrow...)
-					if ok, err := expr.Truthy(residual, combined); err != nil || !ok {
+					ok, err := expr.Truthy(residual, combined)
+					if err != nil {
+						return err
+					}
+					if !ok {
 						continue
 					}
 				}

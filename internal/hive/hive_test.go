@@ -759,6 +759,49 @@ func TestKeysAndPartialsAgreeWithEngine(t *testing.T) {
 	}
 }
 
+// An expression that fails on a row fails the query, at Hive as in the
+// engine, wherever Hive evaluates it: a scan filter, an aggregate argument,
+// a group key, a join side's filter or key, the join residual. Hive used to
+// drop the row instead.
+func TestExpressionErrorsFailTheQuery(t *testing.T) {
+	s := newTestServer(t)
+	e := engine.New(engine.Config{ExtendedStorageDir: t.TempDir()})
+	ctx := context.Background()
+	rows := []value.Row{
+		{value.NewInt(1), value.NewInt(2)}, {value.NewInt(1), value.NewInt(0)}, {value.NewInt(2), value.NewInt(5)},
+	}
+	for _, name := range []string{"t", "u"} {
+		schema := value.NewSchema(value.Column{Name: "g", Kind: value.KindInt}, value.Column{Name: "x", Kind: value.KindInt})
+		if _, err := s.MS.CreateTable(name, schema, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.MS.LoadRows(name, rows, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExecuteContext(ctx, "CREATE TABLE "+name+" (g BIGINT, x BIGINT)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BulkLoad(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM t WHERE 10 / x > 1",
+		"SELECT g, SUM(10 / x) FROM t GROUP BY g",
+		"SELECT g, COUNT(*) FROM t GROUP BY g, 10 / x",
+		"SELECT COUNT(*) FROM t a JOIN u b ON a.g = b.g AND 10 / a.x > 0",
+		"SELECT COUNT(*) FROM t a JOIN u b ON a.g = b.g WHERE 10 / a.x > b.x / 10",
+		"SELECT COUNT(*) FROM t a JOIN u b ON 10 / a.x = b.g",
+	} {
+		if got, err := s.Exec.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("Hive: %s = %v, %v; want a division by zero", q, got, err)
+		}
+		if _, err := e.ExecuteContext(ctx, q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("engine: %s: %v; want a division by zero", q, err)
+		}
+	}
+}
+
 // A record Hive cannot read fails the query instead of dropping out of its
 // answer: a part file cut inside its last record, and a well-framed record
 // that is not a row of the table. The second fails inside a map task, with

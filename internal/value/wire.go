@@ -141,3 +141,131 @@ func DecodeRow(b []byte) (Row, int, error) {
 	}
 	return row, off, nil
 }
+
+// Cursor reads the platform's binary encodings front to back: the values
+// and rows above, and the varints, flags, uvarint-framed strings and
+// little-endian words the exchange, aggregate-state and redo codecs frame
+// them with. The first malformed or truncated field latches an error and
+// every later read returns a zero value, so a decoder reads a whole message
+// and checks Err once.
+type Cursor struct {
+	b   []byte
+	off int
+	err error
+}
+
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+// Off returns the number of bytes read so far.
+func (c *Cursor) Off() int { return c.off }
+
+// Err returns the latched error: nil while every read has succeeded.
+func (c *Cursor) Err() error { return c.err }
+
+// Fail latches err unless an error is latched already: how a decoder
+// rejects a field it read.
+func (c *Cursor) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+func (c *Cursor) truncated(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("truncated %s at offset %d", what, c.off)
+	}
+}
+
+// Byte reads one byte.
+func (c *Cursor) Byte() byte {
+	if c.err != nil || c.off >= len(c.b) {
+		c.truncated("byte")
+		return 0
+	}
+	c.off++
+	return c.b[c.off-1]
+}
+
+// Bool reads a one-byte flag: any byte but 0 is true.
+func (c *Cursor) Bool() bool { return c.Byte() != 0 }
+
+// Uvarint reads an unsigned varint.
+func (c *Cursor) Uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.truncated("uvarint")
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// Varint reads a zigzag varint.
+func (c *Cursor) Varint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		c.truncated("varint")
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// Uint64 reads eight little-endian bytes.
+func (c *Cursor) Uint64() uint64 {
+	if c.err != nil || len(c.b)-c.off < 8 {
+		c.truncated("uint64")
+		return 0
+	}
+	c.off += 8
+	return binary.LittleEndian.Uint64(c.b[c.off-8:])
+}
+
+// Str reads a uvarint length and that many bytes as a string.
+func (c *Cursor) Str() string {
+	l := c.Uvarint()
+	if c.err != nil {
+		return ""
+	}
+	if uint64(len(c.b)-c.off) < l {
+		c.truncated("string")
+		return ""
+	}
+	c.off += int(l)
+	return string(c.b[c.off-int(l) : c.off])
+}
+
+// Value reads one value written by AppendValue.
+func (c *Cursor) Value() Value {
+	if c.err != nil {
+		return Null
+	}
+	v, n, err := DecodeValue(c.b[c.off:])
+	if err != nil {
+		c.err = err
+		return Null
+	}
+	c.off += n
+	return v
+}
+
+// Row reads one row written by AppendRow.
+func (c *Cursor) Row() Row {
+	if c.err != nil {
+		return nil
+	}
+	r, n, err := DecodeRow(c.b[c.off:])
+	if err != nil {
+		c.err = err
+		return nil
+	}
+	c.off += n
+	return r
+}
