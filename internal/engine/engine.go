@@ -212,7 +212,7 @@ type Engine struct {
 	now    func() time.Time
 
 	fbMu     sync.Mutex
-	fallback map[string]*fallbackEntry
+	fallback map[string][]*fallbackEntry
 
 	obs    *obs.Registry     // observability registry (metrics)
 	views  *obs.ViewRegistry // typed M_* system-view registry
@@ -246,7 +246,7 @@ func New(cfg Config) *Engine {
 		pool:     exec.NewPool(cfg.Parallelism),
 		health:   fed.NewHealth(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		now:      time.Now,
-		fallback: map[string]*fallbackEntry{},
+		fallback: map[string][]*fallbackEntry{},
 		obs:      reg,
 		views:    obs.NewViewRegistry(),
 		traces:   obs.NewTraceRing(cfg.TraceRingSize),

@@ -107,15 +107,32 @@ func (p *planner) realize(r *relation) error {
 	return nil
 }
 
+// remoteRowScan labels a leaf's shipped scan.
+const remoteRowScan = "Remote Row Scan"
+
 // realizeRemote ships the assembled query to the remote source ("Remote
 // Scan" in SDA terms) and materializes the result as a transient virtual
-// table.
+// table. Only the columns the statement reads are shipped (at least one, so
+// the rows still count); the fetched values land at their ordinals of the
+// relation's schema and the unread ones are NULL, as a local scan's pruned
+// vectors are.
 func (p *planner) realizeRemote(r *relation) error {
 	ps := r.pend
 	src := ps.leaves[0]
 	sel := &sqlparse.SelectStmt{Limit: -1}
-	for _, col := range r.Schema.Cols {
-		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: expr.Col(col.Name)})
+	var ords []int
+	for i, col := range r.Schema.Cols {
+		if p.needed.Has(col.Name) {
+			ords = append(ords, i)
+		}
+	}
+	if len(ords) == 0 {
+		ords = []int{0}
+	}
+	shipped := &value.Schema{Cols: make([]value.Column, len(ords))}
+	for i, o := range ords {
+		shipped.Cols[i] = r.Schema.Cols[o]
+		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: expr.Col(r.Schema.Cols[o].Name)})
 	}
 	for _, l := range ps.leaves {
 		ref := &sqlparse.TableRef{Parts: l.path, Alias: l.binding}
@@ -126,29 +143,49 @@ func (p *planner) realizeRemote(r *relation) error {
 		}
 	}
 	sel.Where = expr.And(expr.CloneAll(ps.conjs)...)
-	res, label, err := p.fetchRemote(src.source, src.adapter, sqlparse.RenderSelect(sel), sel.Where != nil, "Remote Row Scan")
+	res, label, err := p.fetchRemote(src.source, src.adapter, sel, sel.Where != nil, remoteRowScan)
 	if err != nil {
 		return err
 	}
 	shown := *sel
 	shown.Where = elideLists(sel.Where)
 	r.node = node(label, node("shipped: "+sqlparse.RenderSelect(&shown)))
-	if err := conformRows(res.Rows, r.Schema); err != nil {
+	if err := conformRows(res.Rows, shipped); err != nil {
 		return fmt.Errorf("remote source %s returned incompatible rows: %w", src.source, err)
 	}
-	r.Rows = res.Rows.Data
+	r.Rows = widenRows(res.Rows.Data, ords, r.Schema.Len())
 	return nil
+}
+
+// widenRows places each row's values at ords of rows width wide, NULL
+// elsewhere. Rows that already span the width are returned as they are.
+func widenRows(rows []value.Row, ords []int, width int) []value.Row {
+	if len(ords) == width {
+		return rows
+	}
+	slab := make(value.Row, len(rows)*width)
+	out := make([]value.Row, len(rows))
+	for i, r := range rows {
+		w := slab[i*width : (i+1)*width : (i+1)*width]
+		for j, o := range ords {
+			w[o] = r[j]
+		}
+		out[i] = w
+	}
+	return out
 }
 
 // fetchRemote ships one statement to a remote source under the §4.4 cache
 // rule (the session hint, enable_remote_cache, and only statements with
 // predicates; the adapter enforces remote_cache_validity), counts it, and
 // returns the plan label: kind, source and rows, marked when the rows came
-// from the remote cache or the fallback cache.
-func (p *planner) fetchRemote(source string, a fed.Adapter, sql string, hasPredicates bool, kind string) (*fed.QueryResult, string, error) {
+// from the remote cache or the fallback cache. A whole shipped statement
+// (kind "Remote Query") falls back only to its own last result; a leaf's
+// row scan to any that holds its columns.
+func (p *planner) fetchRemote(source string, a fed.Adapter, sel *sqlparse.SelectStmt, hasPredicates bool, kind string) (*fed.QueryResult, string, error) {
 	enabled, validity := p.e.remoteCacheCfg()
 	opts := fed.QueryOptions{UseCache: p.useCache && enabled && hasPredicates, Validity: validity}
-	res, err := p.e.remoteQuery(p.ctx, source, a, sql, opts)
+	res, err := p.e.remoteQuery(p.ctx, source, a, sel, opts, kind == remoteRowScan)
 	if err != nil {
 		return nil, "", fmt.Errorf("remote source %s: %w", source, err)
 	}

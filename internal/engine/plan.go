@@ -34,7 +34,7 @@ type planner struct {
 
 	// needed is the statement-wide referenced column-name set driving late
 	// materialization (nil = all columns).
-	needed map[string]bool
+	needed sqlparse.ColumnSet
 
 	// localOnly pins the statement to the engine node (WithLocalOnly);
 	// fanout caps concurrent shard fragments (WithShards, 0 = all).
@@ -70,7 +70,7 @@ func (e *Engine) newPlanner(ctx context.Context, tx *txn.Txn, sel *sqlparse.Sele
 	}
 	if sel != nil {
 		p.useCache = sel.HasHint("USE_REMOTE_CACHE")
-		p.needed = collectNeeded(sel)
+		p.needed = sqlparse.ReferencedColumns(sel)
 	}
 	return p
 }

@@ -8,18 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"hana/internal/expr"
 	"hana/internal/faults"
 	"hana/internal/fed"
+	"hana/internal/sqlparse"
 	"hana/internal/value"
 )
 
 // fakeAdapter returns canned (k, v) rows for every shipped query, so tests
-// can exercise the retry/breaker/fallback layer without a Hive server.
+// can exercise the retry/breaker/fallback layer without a Hive server. With
+// project set, a statement whose select list only names columns gets those
+// columns of the canned rows.
 type fakeAdapter struct {
 	mu      sync.Mutex
 	schema  *value.Schema
 	data    []value.Row
 	queries int
+	project bool
 }
 
 func (a *fakeAdapter) Name() string { return "fakeadapter" }
@@ -44,6 +49,21 @@ func (a *fakeAdapter) Query(sql string, opts fed.QueryOptions) (*fed.QueryResult
 		c := make(value.Row, len(r))
 		copy(c, r)
 		rows.Append(c)
+	}
+	if a.project {
+		st, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		var pick []int
+		for _, it := range st.(*sqlparse.SelectStmt).Items {
+			c, ok := it.Expr.(*expr.ColRef)
+			if !ok {
+				return &fed.QueryResult{Rows: rows}, nil
+			}
+			pick = append(pick, a.schema.MustFind(c.Name))
+		}
+		rows = cloneRows(rows, pick)
 	}
 	return &fed.QueryResult{Rows: rows}, nil
 }
@@ -358,5 +378,69 @@ func TestRemoteCallRetriesTransient(t *testing.T) {
 	m := e.Metrics.Snapshot()
 	if m.RemoteRetries != 2 {
 		t.Fatalf("RemoteRetries = %d, want 2", m.RemoteRetries)
+	}
+}
+
+// The fallback cache keys a statement that only names columns by its FROM
+// and WHERE: once SELECT k, v FROM V_W has succeeded and the source is
+// down, SELECT k, v answers from its own entry and a leaf that ships
+// SELECT V_W.v from that entry's v column. A statement that needs a column
+// no entry holds gets the classified error, never a NULL column.
+func TestFallbackServesCoveredColumns(t *testing.T) {
+	e, inj, _, _ := newResilientSetup(t)
+	ctx := context.Background()
+	w := &fakeAdapter{
+		project: true,
+		schema: value.NewSchema(
+			value.Column{Name: "k", Kind: value.KindInt},
+			value.Column{Name: "v", Kind: value.KindVarchar},
+			value.Column{Name: "w", Kind: value.KindInt},
+		),
+		data: []value.Row{
+			{value.NewInt(1), value.NewString("a"), value.NewInt(10)},
+			{value.NewInt(2), value.NewString("b"), value.NewInt(20)},
+			{value.NewInt(3), value.NewString("c"), value.NewInt(30)},
+		},
+	}
+	e.Registry().Register("wideadapter", func(config, credentials map[string]string) (fed.Adapter, error) {
+		return w, nil
+	})
+	exec1(t, e, `CREATE REMOTE SOURCE FAKE2 ADAPTER "wideadapter" CONFIGURATION 'DSN=wide'`)
+	exec1(t, e, `CREATE VIRTUAL TABLE V_W AT "FAKE2"."r"."r"."w"`)
+
+	exec1(t, e, `SELECT k, v FROM V_W`)
+	inj.FailN("fed.query.fake2", 1000)
+	for i := 0; i < 2; i++ {
+		if res := exec1(t, e, `SELECT k, v FROM V_W`); len(res.Rows) != 3 || !strings.Contains(res.Plan, "[fallback cache]") {
+			t.Fatalf("run %d: rows %v, plan:\n%s", i, res.Rows, res.Plan)
+		}
+	}
+	if st := e.Health().Breaker("FAKE2").State(); st != faults.BreakerOpen {
+		t.Fatalf("breaker = %v, want OPEN", st)
+	}
+
+	res := exec1(t, e, `SELECT v FROM V_W`)
+	if !strings.Contains(res.Plan, "Remote Row Scan [FAKE2] (3 rows) [fallback cache]") || !strings.Contains(res.Plan, "shipped: SELECT V_W.v FROM") {
+		t.Fatalf("SELECT v must come from the covering entry through its leaf:\n%s", res.Plan)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, r[0].String())
+	}
+	if strings.Join(got, ",") != "a,b,c" || len(res.Schema.Cols) != 1 {
+		t.Fatalf("SELECT v = %v (%v), want a,b,c", res.Rows, res.Schema)
+	}
+	if res := exec1(t, e, `SELECT k, v FROM V_W`); len(res.Rows) != 3 || res.Rows[2][0].Int() != 3 || res.Rows[2][1].String() != "c" {
+		t.Fatalf("SELECT k, v = %v", res.Rows)
+	}
+
+	for _, sql := range []string{`SELECT w FROM V_W`, `SELECT k, w FROM V_W`, `SELECT v FROM V_W WHERE w > 10`} {
+		res, err := e.ExecuteContext(ctx, sql)
+		if err == nil {
+			t.Fatalf("%s must fail while the source is down and no entry holds w, got %v", sql, res.Rows)
+		}
+		if !errors.Is(err, faults.ErrCircuitOpen) || !faults.IsClassified(err) {
+			t.Fatalf("%s: error must be the classified open circuit: %v", sql, err)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block,
 	shipped.Hints = nil
 	sql := sqlparse.RenderSelect(shipped)
 
-	res, label, err := p.fetchRemote(info.src.source, info.src.adapter, sql, hasAnyPredicate(sel), "Remote Query")
+	res, label, err := p.fetchRemote(info.src.source, info.src.adapter, shipped, hasAnyPredicate(sel), "Remote Query")
 	if err != nil {
 		if errors.Is(err, faults.ErrCircuitOpen) {
 			// The source's breaker is open and no fallback materialization

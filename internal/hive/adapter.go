@@ -162,6 +162,7 @@ func (a *Adapter) Query(sql string, opts fed.QueryOptions) (*fed.QueryResult, er
 			return nil, err
 		}
 		if err := a.server.MS.LoadRows(tmp, rows.Data, 2); err != nil {
+			_ = a.server.MS.DropTable(tmp)
 			return nil, err
 		}
 		a.server.MS.CacheStore(fed.CacheEntry{

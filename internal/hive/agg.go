@@ -27,7 +27,16 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	}
 	var in exec.Rel
 	if inDriver {
-		if in, err = x.materialize(rel); err != nil {
+		// The block's back end reads the columns its select list, GROUP BY,
+		// HAVING and ORDER BY name.
+		tail := *sel
+		tail.From, tail.Where = nil, nil
+		cols := sqlparse.ReferencedColumns(&tail)
+		need := make([]bool, rel.schema.Len())
+		for i, c := range rel.schema.Cols {
+			need[i] = cols.Has(c.Name)
+		}
+		if in, err = x.materialize(rel, need); err != nil {
 			return nil, err
 		}
 		if blk.Aggregates() {
@@ -46,19 +55,32 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	return blk.Finish(in)
 }
 
-// materialize reads the relation applying pending filters driver-side.
-func (x *Executor) materialize(rel *interRel) (exec.Rel, error) {
-	rows, err := x.ms.ReadDir(rel.dir, rel.schema)
+// materialize reads the relation into the driver, building the columns
+// need marks and those its pending filters read, and applies the filters.
+func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
+	var pred expr.Expr
+	if len(rel.pending) > 0 {
+		var err error
+		if pred, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema); err != nil {
+			return exec.Rel{}, err
+		}
+		for i, r := range reads(len(need), pred) {
+			need[i] = need[i] || r
+		}
+	}
+	rd := rel.reader(need)
+	var rows []value.Row
+	err := mapreduce.ReadDir(x.ms.cluster, rel.dir, func(_, rec string) error {
+		row := make(value.Row, rel.schema.Len())
+		rows = append(rows, row)
+		return rd.decode(row, rec)
+	})
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	in := exec.Rel{Schema: rows.Schema, Rows: rows.Data}
-	if len(rel.pending) == 0 {
+	in := exec.Rel{Schema: rel.schema, Rows: rows}
+	if pred == nil {
 		return in, nil
-	}
-	pred, err := expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema)
-	if err != nil {
-		return exec.Rel{}, err
 	}
 	return exec.Filter(in, pred)
 }
@@ -76,14 +98,18 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		rel.pending = nil
 	}
 
-	dec := &rowPool{schema: rel.schema}
+	es := append([]expr.Expr{pending}, groupBy...)
+	for _, a := range aggs {
+		es = append(es, a.Arg)
+	}
+	rd := rel.reader(reads(rel.schema.Len(), es...))
 	mapper := func(_, rec string, emit func(k, v string)) error {
-		r, err := dec.decode(rec)
-		if err != nil {
+		s := rd.borrow()
+		defer rd.release(s)
+		row := s.row
+		if err := rd.decode(row, rec); err != nil {
 			return err
 		}
-		defer dec.release(r)
-		row := *r
 		if pending != nil {
 			if ok, err := expr.Truthy(pending, row); err != nil || !ok {
 				return err

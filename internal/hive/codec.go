@@ -8,6 +8,7 @@
 package hive
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -44,35 +45,102 @@ func appendRows(buf []byte, rows []value.Row) []byte {
 // column widens to a DOUBLE, as the column declares.
 func DecodeRow(rec string, schema *value.Schema) (value.Row, error) {
 	row := make(value.Row, schema.Len())
-	if err := decodeInto(row, rec, schema); err != nil {
+	if err := newRowReader(schema, nil, nil).decode(row, rec); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// decodeInto is DecodeRow into row; with a nil row it only checks rec.
-func decodeInto(row value.Row, rec string, schema *value.Schema) error {
-	n, off := value.Uvarint(rec)
-	if off <= 0 || n != uint64(schema.Len()) {
-		return fmt.Errorf("hive: row has %d fields, schema %d", n, schema.Len())
+// rowReader is the one way Hive reads a row record: a stage's view of
+// records stored under a schema. It keeps the stored fields at keep — the
+// stage's relation, in stored order — and builds into a row of those kept
+// columns only the ones the stage's expressions read. Every field, kept,
+// built or neither, is still framed and checked against its column's kind,
+// so a record DecodeRow rejects fails whichever stage reads it. A reader is
+// immutable and shared by a job's concurrent tasks.
+type rowReader struct {
+	stored *value.Schema
+	kinds  []value.Kind // per stored field: its column's kind
+	slot   []int        // per stored field: its position in the kept row, or -1
+	build  []bool       // per stored field: decoded into the row
+	width  int          // kept columns
+	narrow bool         // width < stored fields: a kept record is a projection
+	pool   sync.Pool
+}
+
+// newRowReader reads records stored under stored. keep lists the stored
+// ordinals kept, ascending (nil keeps every field); need marks, per kept
+// column, the ones to build (nil builds every kept column).
+func newRowReader(stored *value.Schema, keep []int, need []bool) *rowReader {
+	n := stored.Len()
+	d := &rowReader{stored: stored, kinds: make([]value.Kind, n), slot: make([]int, n), build: make([]bool, n)}
+	if keep == nil {
+		keep = make([]int, n)
+		for i := range keep {
+			keep[i] = i
+		}
 	}
-	for i, c := range schema.Cols {
-		v, w, err := value.DecodeValueString(rec[off:])
-		if err == nil {
-			v, err = asKind(v, c.Kind)
+	for i, c := range stored.Cols {
+		d.kinds[i], d.slot[i] = c.Kind, -1
+	}
+	for j, o := range keep {
+		d.slot[o] = j
+		d.build[o] = need == nil || need[j]
+	}
+	d.width, d.narrow = len(keep), len(keep) < n
+	return d
+}
+
+// decode checks rec and builds the needed kept columns into row, which has
+// one slot per kept column; the other slots are left as they are.
+func (d *rowReader) decode(row value.Row, rec string) error {
+	_, err := d.read(row, rec, nil, false)
+	return err
+}
+
+// read is decode that, when project is set, also appends rec's projection —
+// the kept fields' bytes under their count, a record of the kept columns —
+// to buf.
+func (d *rowReader) read(row value.Row, rec string, buf []byte, project bool) ([]byte, error) {
+	n, off := value.Uvarint(rec)
+	if off <= 0 || n != uint64(len(d.slot)) {
+		return buf, fmt.Errorf("hive: row has %d fields, schema %d", n, len(d.slot))
+	}
+	if project {
+		buf = binary.AppendUvarint(buf, uint64(d.width))
+	}
+	for i, k := range d.kinds {
+		// A field not built is only framed and its kind checked; one that
+		// fails the check is decoded, which says why.
+		var w int
+		ok := false
+		if !d.build[i] {
+			var t value.Kind
+			t, w, ok = value.ValueWidthString(rec[off:])
+			ok = ok && (t == k || t == value.KindNull || t == value.KindInt && k == value.KindDouble)
 		}
-		if err != nil {
-			return fmt.Errorf("hive: column %s: %w", c.Name, err)
+		if !ok {
+			v, vw, err := value.DecodeValueString(rec[off:])
+			if err == nil && v.K != k && v.K != value.KindNull {
+				v, err = asKind(v, k)
+			}
+			if err != nil {
+				return buf, fmt.Errorf("hive: column %s: %w", d.stored.Cols[i].Name, err)
+			}
+			if d.build[i] {
+				row[d.slot[i]] = v
+			}
+			w = vw
 		}
-		if row != nil {
-			row[i] = v
+		if project && d.slot[i] >= 0 {
+			buf = append(buf, rec[off:off+w]...)
 		}
 		off += w
 	}
 	if off != len(rec) {
-		return fmt.Errorf("hive: row: %d trailing bytes", len(rec)-off)
+		return buf, fmt.Errorf("hive: row: %d trailing bytes", len(rec)-off)
 	}
-	return nil
+	return buf, nil
 }
 
 // asKind checks a decoded value against its column's kind: NULL fits any
@@ -87,28 +155,23 @@ func asKind(v value.Value, k value.Kind) (value.Value, error) {
 	return value.Null, fmt.Errorf("%s value in a %s column", v.K, k)
 }
 
-// rowPool lends a map function the row it decodes a record into: a map
-// function keeps no row past its call, so one row serves many records.
-type rowPool struct {
-	schema *value.Schema
-	rows   sync.Pool // of *value.Row
+// scratch is what a map function borrows per record: the kept row a record
+// is decoded into and the buffer its output record is built in. A map
+// function keeps neither past its call, so one scratch serves many records.
+type scratch struct {
+	row value.Row
+	out []byte
 }
 
-// decode returns rec's row, to be handed back with release.
-func (p *rowPool) decode(rec string) (*value.Row, error) {
-	row, _ := p.rows.Get().(*value.Row)
-	if row == nil {
-		r := make(value.Row, p.schema.Len())
-		row = &r
+// borrow lends a scratch, to be handed back with release.
+func (d *rowReader) borrow() *scratch {
+	if s, ok := d.pool.Get().(*scratch); ok {
+		return s
 	}
-	if err := decodeInto(*row, rec, p.schema); err != nil {
-		p.release(row)
-		return nil, err
-	}
-	return row, nil
+	return &scratch{row: make(value.Row, d.width)}
 }
 
-func (p *rowPool) release(row *value.Row) { p.rows.Put(row) }
+func (d *rowReader) release(s *scratch) { d.pool.Put(s) }
 
 // EncodeKey serializes join/group key values: a flag byte, 1 when any value
 // is NULL (NULL join keys never match), then each value in the value wire

@@ -27,13 +27,43 @@ func NewExecutor(ms *Metastore, mr *mapreduce.Engine) *Executor {
 	return &Executor{ms: ms, mr: mr}
 }
 
-// interRel is an intermediate relation: an HDFS directory of encoded rows
-// plus filters not yet applied.
+// interRel is an intermediate relation: an HDFS directory of row records
+// plus filters not yet applied. The records are stored under stored; the
+// relation is their fields at keep (nil = all), in schema, which is what a
+// stage's expressions bind to. A base table's records are read in place, so
+// a leaf keeps the columns its statement reads out of the table's; every
+// stage writes the kept fields only (written).
 type interRel struct {
 	dir     string
+	stored  *value.Schema
+	keep    []int
 	schema  *value.Schema
 	pending []expr.Expr
 	temps   []string // temp dirs to clean up
+}
+
+// written is the relation a stage wrote to dir: records of schema's columns.
+func written(dir string, schema *value.Schema, temps []string) *interRel {
+	return &interRel{dir: dir, stored: schema, schema: schema, temps: temps}
+}
+
+// reader reads the relation's records, building the columns need marks
+// (nil = all).
+func (r *interRel) reader(need []bool) *rowReader { return newRowReader(r.stored, r.keep, need) }
+
+// reads marks the columns of a width-wide row that the bound expressions
+// read.
+func reads(width int, es ...expr.Expr) []bool {
+	need := make([]bool, width)
+	for _, e := range es {
+		expr.Walk(e, func(n expr.Expr) bool {
+			if c, ok := n.(*expr.ColRef); ok && c.Ord >= 0 && c.Ord < width {
+				need[c.Ord] = true
+			}
+			return true
+		})
+	}
+	return need
 }
 
 func (x *Executor) tmpDir() string {
@@ -53,15 +83,22 @@ func (x *Executor) Query(sql string) (*value.Rows, error) {
 	return x.Select(sel)
 }
 
-// Select executes one query block.
+// Select executes one query block. Its leaves keep only the columns the
+// statement reads (sqlparse.ReferencedColumns), so every stage carries those
+// alone.
 func (x *Executor) Select(sel *sqlparse.SelectStmt) (*value.Rows, error) {
-	rel, transforms, err := x.buildRel(sel)
+	return x.selectBlock(sel, sqlparse.ReferencedColumns(sel))
+}
+
+// selectBlock executes a block of a statement that reads the needed columns.
+func (x *Executor) selectBlock(sel *sqlparse.SelectStmt, needed sqlparse.ColumnSet) (*value.Rows, error) {
+	rel, transforms, err := x.buildRel(sel, needed)
 	if err != nil {
 		return nil, err
 	}
 	defer x.cleanup(rel)
 	for _, tf := range transforms {
-		rel, err = x.applyTransform(rel, tf)
+		rel, err = x.applyTransform(rel, tf, needed)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +114,7 @@ func (x *Executor) cleanup(rel *interRel) {
 
 // buildRel plans FROM and WHERE into an intermediate relation plus pending
 // subquery transforms.
-func (x *Executor) buildRel(sel *sqlparse.SelectStmt) (*interRel, []sqlparse.SubqueryPredicate, error) {
+func (x *Executor) buildRel(sel *sqlparse.SelectStmt, needed sqlparse.ColumnSet) (*interRel, []sqlparse.SubqueryPredicate, error) {
 	var pool []expr.Expr
 	var transforms []sqlparse.SubqueryPredicate
 	for _, c := range expr.SplitConjuncts(sel.Where) {
@@ -87,7 +124,7 @@ func (x *Executor) buildRel(sel *sqlparse.SelectStmt) (*interRel, []sqlparse.Sub
 		}
 		pool = append(pool, c)
 	}
-	rel, err := x.planFrom(sel.From, &pool)
+	rel, err := x.planFrom(sel.From, &pool, needed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,34 +132,34 @@ func (x *Executor) buildRel(sel *sqlparse.SelectStmt) (*interRel, []sqlparse.Sub
 	return rel, transforms, nil
 }
 
-func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr) (*interRel, error) {
+func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr, needed sqlparse.ColumnSet) (*interRel, error) {
 	switch t := te.(type) {
 	case nil:
 		return nil, fmt.Errorf("hive: SELECT without FROM is not supported")
 	case *sqlparse.TableRef:
-		return x.planLeaf(t, pool)
+		return x.planLeaf(t, pool, needed)
 	case *sqlparse.JoinExpr:
 		switch t.Type {
 		case sqlparse.JoinInner, sqlparse.JoinCross:
 			if t.On != nil {
 				*pool = append(*pool, expr.SplitConjuncts(t.On)...)
 			}
-			l, err := x.planFrom(t.L, pool)
+			l, err := x.planFrom(t.L, pool, needed)
 			if err != nil {
 				return nil, err
 			}
-			r, err := x.planFrom(t.R, pool)
+			r, err := x.planFrom(t.R, pool, needed)
 			if err != nil {
 				return nil, err
 			}
 			return x.joinRels(l, r, pool, false, nil)
 		case sqlparse.JoinLeft:
-			l, err := x.planFrom(t.L, pool)
+			l, err := x.planFrom(t.L, pool, needed)
 			if err != nil {
 				return nil, err
 			}
 			var empty []expr.Expr
-			r, err := x.planFrom(t.R, &empty)
+			r, err := x.planFrom(t.R, &empty, needed)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +168,7 @@ func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr) (*interRel
 			return nil, fmt.Errorf("hive: %s JOIN is not supported", t.Type)
 		}
 	case *sqlparse.SubqueryTable:
-		rows, err := x.Select(t.Sel)
+		rows, err := x.selectBlock(t.Sel, needed)
 		if err != nil {
 			return nil, err
 		}
@@ -139,24 +176,35 @@ func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr) (*interRel
 		if err := x.writeRows(dir, rows.Data); err != nil {
 			return nil, err
 		}
-		return &interRel{dir: dir, schema: rows.Schema.Qualify(t.Alias), temps: []string{dir}}, nil
+		return written(dir, rows.Schema.Qualify(t.Alias), []string{dir}), nil
 	}
 	return nil, fmt.Errorf("hive: unsupported FROM element %T", te)
 }
 
-// planLeaf resolves a base table and pushes its covered filters into a
-// map-only scan job.
-func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel, error) {
+// planLeaf resolves a base table, keeps the needed columns of it and pushes
+// its covered filters into a map-only scan job, which writes the kept
+// columns only.
+func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr, needed sqlparse.ColumnSet) (*interRel, error) {
 	ti, ok := x.ms.Table(t.Name())
 	if !ok {
 		return nil, fmt.Errorf("hive: table %s not found in metastore", t.Name())
 	}
-	schema := ti.Schema.Qualify(t.Binding())
-	rel := &interRel{dir: ti.Dir, schema: schema}
+	rel := &interRel{dir: ti.Dir, stored: ti.Schema.Qualify(t.Binding())}
+	rel.schema = rel.stored
+	if needed != nil {
+		rel.keep = []int{}
+		rel.schema = &value.Schema{}
+		for i, c := range rel.stored.Cols {
+			if needed.Has(c.Name) {
+				rel.keep = append(rel.keep, i)
+				rel.schema.Cols = append(rel.schema.Cols, c)
+			}
+		}
+	}
 	var covered []expr.Expr
 	rest := (*pool)[:0:0]
 	for _, c := range *pool {
-		if expr.Covers(schema, c) {
+		if expr.Covers(rel.schema, c) {
 			covered = append(covered, c)
 		} else {
 			rest = append(rest, c)
@@ -167,7 +215,7 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel,
 		return rel, nil
 	}
 	// Map-only filter scan.
-	pred, err := expr.BindClone(expr.And(expr.CloneAll(covered)...), schema)
+	pred, err := expr.BindClone(expr.And(expr.CloneAll(covered)...), rel.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -176,30 +224,32 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*interRel,
 		Name:   "scan-" + ti.Name,
 		Inputs: []string{ti.Dir},
 		Output: out,
-		Map:    filterMap(schema, pred),
+		Map:    filterMap(rel.reader(reads(rel.schema.Len(), pred)), pred),
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
 	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
 		return nil, err
 	}
-	return &interRel{dir: out, schema: schema, temps: []string{out}}, nil
+	return written(out, rel.schema, []string{out}), nil
 }
 
-func filterMap(schema *value.Schema, pred expr.Expr) mapreduce.MapFunc {
-	dec := &rowPool{schema: schema}
+// filterMap emits the kept fields of each record that satisfies pred.
+func filterMap(rd *rowReader, pred expr.Expr) mapreduce.MapFunc {
 	return func(_, rec string, emit func(k, v string)) error {
-		row, err := dec.decode(rec)
-		if err != nil {
+		s := rd.borrow()
+		defer rd.release(s)
+		var err error
+		if s.out, err = rd.read(s.row, rec, s.out[:0], rd.narrow); err != nil {
 			return err
 		}
-		defer dec.release(row)
-		ok, err := expr.Truthy(pred, *row)
-		if err != nil {
+		ok, err := expr.Truthy(pred, s.row)
+		if err != nil || !ok {
 			return err
 		}
-		if ok {
-			emit("", rec)
+		if rd.narrow {
+			rec = string(s.out)
 		}
+		emit("", rec)
 		return nil
 	}
 }
@@ -241,11 +291,11 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 		return nil, fmt.Errorf("hive: join without equality keys is not supported")
 	}
 
-	lMap, err := x.sideMapper(tagLeft, l, leftKeys)
+	lMap, err := sideMapper(tagLeft, l, leftKeys)
 	if err != nil {
 		return nil, err
 	}
-	rMap, err := x.sideMapper(tagRight, r, rightKeys)
+	rMap, err := sideMapper(tagRight, r, rightKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +320,7 @@ func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on ex
 		return nil, err
 	}
 	temps := append(append([]string{}, l.temps...), r.temps...)
-	return &interRel{dir: out, schema: combined, temps: append(temps, out)}, nil
+	return written(out, combined, append(temps, out)), nil
 }
 
 // Join inputs tag each shuffle value with its side: the tag, then the row.
@@ -280,8 +330,8 @@ const (
 )
 
 // sideMapper tags and keys one join input, applying the side's pending
-// filters.
-func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapreduce.MapFunc, error) {
+// filters: each value is the tag, then the record of the side's columns.
+func sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapreduce.MapFunc, error) {
 	var pred expr.Expr
 	if len(rel.pending) > 0 {
 		var err error
@@ -299,28 +349,33 @@ func (x *Executor) sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapr
 		}
 		bound[i] = bk
 	}
-	dec := &rowPool{schema: rel.schema}
+	rd := rel.reader(reads(rel.schema.Len(), append([]expr.Expr{pred}, bound...)...))
 	return func(_, rec string, emit func(k, v string)) error {
-		row, err := dec.decode(rec)
-		if err != nil {
+		s := rd.borrow()
+		defer rd.release(s)
+		var err error
+		if s.out, err = rd.read(s.row, rec, append(s.out[:0], tag...), rd.narrow); err != nil {
 			return err
 		}
-		defer dec.release(row)
+		row := s.row
 		if pred != nil {
-			if ok, err := expr.Truthy(pred, *row); err != nil || !ok {
+			if ok, err := expr.Truthy(pred, row); err != nil || !ok {
 				return err
 			}
 		}
 		var valArr [8]value.Value
 		vals := valArr[:0]
 		for _, k := range bound {
-			v, err := k.Eval(*row)
+			v, err := k.Eval(row)
 			if err != nil {
 				return err
 			}
 			vals = append(vals, v)
 		}
-		emit(EncodeKey(vals), tag+rec)
+		if !rd.narrow {
+			s.out = append(s.out, rec...)
+		}
+		emit(EncodeKey(vals), string(s.out))
 		return nil
 	}, nil
 }
@@ -338,44 +393,47 @@ func splitSides(values []string) (lefts, rights []string) {
 	return lefts, rights
 }
 
-// joinReduce joins one key group. Each row is decoded once: in full when a
-// residual predicate reads the combined row, else only checked. An output
-// record is its two input records' fields under one column count, not a
-// re-encoded row.
+// joinReduce joins one key group. Each side's records are checked once and
+// only the columns the residual predicate reads are built. An output record
+// is its two input records' fields under one column count, not a re-encoded
+// row.
 func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.ReduceFunc {
-	decode := func(rec string, s *value.Schema) (value.Row, error) {
-		if residual == nil {
-			return nil, decodeInto(nil, rec, s)
-		}
-		return DecodeRow(rec, s)
-	}
-	width := ls.Len() + rs.Len()
-	nulls := EncodeRow(make(value.Row, rs.Len()))
+	lw, rw := ls.Len(), rs.Len()
+	need := reads(lw+rw, residual)
+	lrd := newRowReader(ls, nil, need[:lw])
+	rrd := newRowReader(rs, nil, need[lw:])
+	nulls := EncodeRow(make(value.Row, rw))
 	return func(key string, values []string, emit func(k, v string)) error {
 		lefts, rights := splitSides(values)
 		if keyHasNull(key) {
 			rights = nil // NULL keys never match
 		}
+		// Rows are built only for a residual to read; without one the
+		// readers only check the records.
+		var lrow value.Row
+		if residual != nil {
+			lrow = make(value.Row, lw)
+		}
 		rrows := make([]value.Row, len(rights))
 		for i, rec := range rights {
-			row, err := decode(rec, rs)
-			if err != nil {
+			if residual != nil {
+				rrows[i] = make(value.Row, rw)
+			}
+			if err := rrd.decode(rrows[i], rec); err != nil {
 				return err
 			}
-			rrows[i] = row
 		}
-		var combined value.Row
+		var pair value.Row
 		var buf []byte
 		for _, lrec := range lefts {
-			lrow, err := decode(lrec, ls)
-			if err != nil {
+			if err := lrd.decode(lrow, lrec); err != nil {
 				return err
 			}
 			matched := false
-			for i, rrow := range rrows {
+			for i, rrec := range rights {
 				if residual != nil {
-					combined = append(append(combined[:0], lrow...), rrow...)
-					ok, err := expr.Truthy(residual, combined)
+					pair = append(append(pair[:0], lrow...), rrows[i]...)
+					ok, err := expr.Truthy(residual, pair)
 					if err != nil {
 						return err
 					}
@@ -384,11 +442,11 @@ func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.
 					}
 				}
 				matched = true
-				buf = joinRecords(buf[:0], width, lrec, rights[i])
+				buf = joinRecords(buf[:0], lw+rw, lrec, rrec)
 				emit("", string(buf))
 			}
 			if outer && !matched {
-				buf = joinRecords(buf[:0], width, lrec, nulls)
+				buf = joinRecords(buf[:0], lw+rw, lrec, nulls)
 				emit("", string(buf))
 			}
 		}
@@ -406,7 +464,7 @@ func joinRecords(buf []byte, width int, a, b string) []byte {
 }
 
 // applyTransform runs a semi/anti join MR job for an IN/EXISTS subquery.
-func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) (*interRel, error) {
+func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, needed sqlparse.ColumnSet) (*interRel, error) {
 	var outerKeys, innerKeys []expr.Expr
 	innerSel := tf.Sel
 
@@ -438,7 +496,7 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 		innerSel = &sqlparse.SelectStmt{Items: items, From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
 	}
 
-	innerRows, err := x.Select(innerSel)
+	innerRows, err := x.selectBlock(innerSel, needed)
 	if err != nil {
 		return nil, err
 	}
@@ -457,12 +515,11 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 		return nil, fmt.Errorf("hive: IN subquery must return one column")
 	}
 
-	lMap, err := x.sideMapper(tagLeft, rel, outerKeys)
+	lMap, err := sideMapper(tagLeft, rel, outerKeys)
 	if err != nil {
 		return nil, err
 	}
-	innerRel := &interRel{dir: innerDir, schema: innerSchema}
-	rMap, err := x.sideMapper(tagRight, innerRel, innerKeyExprs)
+	rMap, err := sideMapper(tagRight, written(innerDir, innerSchema, nil), innerKeyExprs)
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +556,7 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate) 
 		return nil, err
 	}
 	temps := append(append([]string{}, rel.temps...), innerDir, out)
-	return &interRel{dir: out, schema: rel.schema, temps: temps}, nil
+	return written(out, rel.schema, temps), nil
 }
 
 func (x *Executor) writeRows(dir string, rows []value.Row) error {

@@ -18,6 +18,12 @@ import (
 // never panics, and a value it accepts re-encodes to bytes that decode and
 // encode again to the same bytes. Encodings compare as bytes, so a NaN
 // compares by its bit pattern.
+//
+// Each row is also read as a stage reads it, under keep and need masks taken
+// from the pair's key: the masked reader must accept exactly the records
+// DecodeRow accepts, build the needed columns as DecodeRow does and leave the
+// rest untouched, and its projected record must decode, under the kept
+// columns, to the kept fields of the row.
 func FuzzReadRecords(f *testing.F) {
 	schema := value.NewSchema(
 		value.Column{Name: "i", Kind: value.KindInt},
@@ -51,6 +57,8 @@ func FuzzReadRecords(f *testing.F) {
 		f.Add(file(key, string(exec.AppendAggState(nil, st))))
 	}
 	f.Add(file("", EncodeRow(value.Row{value.NewInt(-3), value.NewInt(2), value.NewString("a\tb"), value.Null, value.NewBool(true)})))
+	// A key whose first two bytes keep columns 0, 2, 4 and build 0 and 2.
+	f.Add(file("\x15\x05", EncodeRow(value.Row{value.NewInt(9), value.Null, value.NewString("kept"), value.NewDate(1), value.NewBool(false)})))
 	f.Add([]byte(mapreduce.RecordHeader))
 	f.Add([]byte("1\t2.5\tx\t2015-03-23\ttrue\n\\N\t\\N\t\\N\t\\N\t\\N\n"))
 	f.Add(append([]byte(mapreduce.RecordHeader), 0x80))           // a truncated varint
@@ -59,13 +67,15 @@ func FuzzReadRecords(f *testing.F) {
 	f.Add(file("", string(append(long, make([]byte, 8*(exec.MaxPartials+1))...))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = mapreduce.ScanPairs(string(data), func(k, v string) error {
-			if row, err := DecodeRow(v, schema); err == nil {
+			row, err := DecodeRow(v, schema)
+			if err == nil {
 				enc := EncodeRow(row)
 				again, err := DecodeRow(enc, schema)
 				if err != nil || EncodeRow(again) != enc {
 					t.Fatalf("row %q re-encodes unstably: %v", enc, err)
 				}
 			}
+			checkMaskedRead(t, schema, k, v, row, err)
 			if vals, err := decodeKey(k, schema.Cols); err == nil {
 				enc := EncodeKey(vals)
 				again, err := decodeKey(enc, schema.Cols)
@@ -83,4 +93,50 @@ func FuzzReadRecords(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// checkMaskedRead reads rec as a stage with masks drawn from mask's first
+// two bytes would, against DecodeRow's row and error for it.
+func checkMaskedRead(t *testing.T, schema *value.Schema, mask, rec string, row value.Row, rowErr error) {
+	t.Helper()
+	var keepBits, needBits byte = 0xff, 0xff
+	if len(mask) > 0 {
+		keepBits = mask[0]
+	}
+	if len(mask) > 1 {
+		needBits = mask[1]
+	}
+	keep := []int{} // nil would keep every field
+	var need []bool
+	kept := &value.Schema{}
+	for i, c := range schema.Cols {
+		if keepBits&(1<<i) != 0 {
+			keep = append(keep, i)
+			need = append(need, needBits&(1<<i) != 0)
+			kept.Cols = append(kept.Cols, c)
+		}
+	}
+	rd := newRowReader(schema, keep, need)
+	got := make(value.Row, len(keep))
+	proj, err := rd.read(got, rec, nil, true)
+	if (err == nil) != (rowErr == nil) {
+		t.Fatalf("record %q: masked read (keep %v need %v) error %v, DecodeRow error %v", rec, keep, need, err, rowErr)
+	}
+	if err != nil {
+		return
+	}
+	want := make(value.Row, len(keep))
+	for j, o := range keep {
+		want[j] = row[o]
+		if !need[j] && got[j] != (value.Value{}) {
+			t.Fatalf("record %q: masked read built unneeded column %d as %v", rec, o, got[j])
+		}
+		if need[j] && EncodeRow(value.Row{got[j]}) != EncodeRow(value.Row{row[o]}) {
+			t.Fatalf("record %q: column %d = %v, DecodeRow %v", rec, o, got[j], row[o])
+		}
+	}
+	back, err := DecodeRow(string(proj), kept)
+	if err != nil || EncodeRow(back) != EncodeRow(want) {
+		t.Fatalf("record %q: projection %q to %v decodes to %v, %v; want %v", rec, proj, keep, back, err, want)
+	}
 }

@@ -848,3 +848,92 @@ func TestUnreadableRecordFailsTheQuery(t *testing.T) {
 		t.Fatalf("a decode error was retried %d times", n)
 	}
 }
+
+// tempTables lists the metastore's remote-materialization tables, sorted.
+func tempTables(s *Server) []string {
+	var out []string
+	for _, n := range s.MS.TableNames() {
+		if strings.HasPrefix(n, "tmp_mat_") {
+			out = append(out, n)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// A cached temp table whose file is damaged is recomputed and replaced: the
+// hinted query still answers right, from a fresh materialization, and the
+// damaged table leaves the metastore and HDFS instead of leaking. A
+// materialization whose load fails leaves no table behind either.
+func TestDamagedCacheTableIsReplacedNotLeaked(t *testing.T) {
+	s := newTestServer(t)
+	loadCustomersOrders(t, s)
+	RegisterServer(s)
+	defer UnregisterServer(s.Host)
+	a, err := NewAdapterFactory()(map[string]string{"DSN": "hive1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT c_name FROM customer WHERE c_mktsegment = 'HOUSEHOLD'`
+	opts := fed.QueryOptions{UseCache: true, Validity: time.Hour}
+	first, err := a.Query(sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(rows *value.Rows) []string {
+		var out []string
+		for _, r := range rows.Data {
+			out = append(out, r[0].String())
+		}
+		sort.Strings(out)
+		return out
+	}
+	want := names(first.Rows)
+	temps := tempTables(s)
+	if len(temps) != 1 {
+		t.Fatalf("temp tables after one materialization = %v", temps)
+	}
+	ti, _ := s.MS.Table(temps[0])
+	oldDir := ti.Dir
+	c := s.MS.Cluster()
+	part := c.List(oldDir)[0].Path
+	data, err := c.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFile(part, data[:len(data)-1]); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := a.Query(sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FromCache {
+		t.Fatal("a damaged temp table must not be served")
+	}
+	if got := names(res.Rows); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("recomputed rows = %v, want %v", got, want)
+	}
+	if temps := tempTables(s); len(temps) != 1 || strings.EqualFold(temps[0], ti.Name) {
+		t.Fatalf("temp tables after the recompute = %v, want one that is not %s", temps, ti.Name)
+	}
+	if c.Exists(oldDir) {
+		t.Fatalf("the damaged table's directory %s is still in HDFS", oldDir)
+	}
+	if hit, err := a.Query(sql, opts); err != nil || !hit.FromCache || strings.Join(names(hit.Rows), ",") != strings.Join(want, ",") {
+		t.Fatalf("the replacement must serve the next query: %v, %v", hit, err)
+	}
+
+	// A load that fails drops the table it created.
+	inj := faults.New(1)
+	c.SetInjector(inj)
+	defer c.SetInjector(nil)
+	inj.FailFatal("hdfs.write", 1)
+	if _, err := a.Query(`SELECT c_name FROM customer`, opts); err == nil {
+		t.Fatal("a materialization whose load fails must fail")
+	}
+	if temps := tempTables(s); len(temps) != 1 {
+		t.Fatalf("temp tables after a failed load = %v, want the one cached table", temps)
+	}
+}

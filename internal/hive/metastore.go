@@ -179,12 +179,11 @@ func (m *Metastore) ReadTable(name string) (*value.Rows, error) {
 // ReadDir decodes every row record under an HDFS directory with the schema.
 func (m *Metastore) ReadDir(dir string, schema *value.Schema) (*value.Rows, error) {
 	out := value.NewRows(schema.Clone())
+	rd := newRowReader(schema, nil, nil)
 	err := mapreduce.ReadDir(m.cluster, dir, func(_, rec string) error {
-		row, err := DecodeRow(rec, schema)
-		if err == nil {
-			out.Append(row)
-		}
-		return err
+		row := make(value.Row, schema.Len())
+		out.Append(row)
+		return rd.decode(row, rec)
 	})
 	if err != nil {
 		return nil, err
@@ -221,11 +220,17 @@ func (m *Metastore) CacheLookup(key string, validity time.Duration, now time.Tim
 	return e, true
 }
 
-// CacheStore registers a materialization.
+// CacheStore registers a materialization. The temp table of an entry it
+// replaces — a damaged one recomputed, or one of two materializations of
+// the same key — is dropped.
 func (m *Metastore) CacheStore(e fed.CacheEntry) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	old, ok := m.cache[e.Key]
 	m.cache[e.Key] = e
+	m.mu.Unlock()
+	if ok && !strings.EqualFold(old.TempTable, e.TempTable) {
+		_ = m.DropTable(old.TempTable)
+	}
 }
 
 // CacheInvalidateAll clears the cache registry and drops the temp tables —

@@ -83,4 +83,8 @@ var HotRoots = []string{
 	"hana/internal/dist.DecodeFragment",
 	"hana/internal/dist.mergeStreams",
 	"hana/internal/dist.mergePartials",
+	// hive: the one row-record reader every map stage, the join reducer and
+	// the driver-side read run once per record.
+	"hana/internal/hive.rowReader.read",
+	"hana/internal/hive.rowReader.decode",
 }

@@ -50,6 +50,33 @@ func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b) }
 // of s, not a copy.
 func DecodeValueString(s string) (Value, int, error) { return decodeValue(s) }
 
+// ValueWidthString reports the kind and the encoded width of the value at
+// the head of s without building it: false wherever DecodeValueString fails.
+func ValueWidthString(s string) (Kind, int, bool) {
+	if len(s) == 0 {
+		return KindNull, 0, false
+	}
+	k := Kind(s[0])
+	switch k {
+	case KindNull:
+		return k, 1, true
+	case KindBool:
+		return k, 2, len(s) >= 2
+	case KindInt, KindDate, KindTimestamp:
+		_, w := Uvarint(s[1:])
+		return k, 1 + w, w > 0
+	case KindDouble:
+		return k, 9, len(s) >= 9
+	case KindVarchar:
+		l, w := Uvarint(s[1:])
+		if w <= 0 || l > uint64(len(s)-1-w) {
+			return k, 0, false
+		}
+		return k, 1 + w + int(l), true
+	}
+	return k, 0, false
+}
+
 func decodeValue[B []byte | string](b B) (Value, int, error) {
 	if len(b) == 0 {
 		return Null, 0, fmt.Errorf("value decode: empty buffer")

@@ -116,7 +116,9 @@ func hugeVarchar() []byte {
 }
 
 // FuzzDecodeRow: arbitrary bytes give an error or a row that survives
-// re-encoding — never a panic. The seeds (one row per kind, plus the
+// re-encoding — never a panic — and ValueWidthString agrees with
+// DecodeValueString on the value at their head: ok exactly when it decodes,
+// with its kind and width. The seeds (one row per kind, plus the
 // overflowing VARCHAR length) run as ordinary subtests under `go test`.
 func FuzzDecodeRow(f *testing.F) {
 	for _, v := range []Value{
@@ -127,6 +129,11 @@ func FuzzDecodeRow(f *testing.F) {
 	}
 	f.Add(append([]byte{1}, hugeVarchar()...))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		k, w, ok := ValueWidthString(string(b))
+		v, vn, verr := DecodeValueString(string(b))
+		if ok != (verr == nil) || ok && (k != v.K || w != vn) {
+			t.Fatalf("ValueWidthString(%x) = %v, %d, %v; DecodeValueString: %v, %d, %v", b, k, w, ok, v.K, vn, verr)
+		}
 		row, n, err := DecodeRow(b)
 		if err != nil {
 			return
