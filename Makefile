@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc fmt vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
+.PHONY: all build loc fmt vet lint lint-hot lint-graph lint-selftest lint-all lint-json test race equiv chaos chaos-recovery chaos-dist fuzz-smoke bench bench-smoke check
 
 all: check
 
@@ -77,6 +77,16 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The cross-path equivalence suites under the race detector: the same
+# statements answered by different processors, placements or operators must
+# agree bit for bit — federated vs all-local TPC-H, one SELECT block through
+# all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
+# float aggregates, worker fragments vs exec, hash vs nested-loop join, and
+# the vectorized scan vs a naive loop.
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop
+equiv:
+	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine
+
 # Deterministic fault-injection suite (internal/chaos): seeded fault
 # schedules against the full federated stack, run repeatedly under the
 # race detector. See DESIGN.md "Fault model" for the site names.
@@ -127,4 +137,4 @@ bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
 
 # Everything CI runs.
-check: build fmt vet lint lint-hot lint-selftest race chaos chaos-recovery chaos-dist
+check: build fmt vet lint lint-hot lint-selftest equiv race chaos chaos-recovery chaos-dist

@@ -17,7 +17,10 @@ import (
 // which columns a shipped statement and each Hive stage carry: a leaf that
 // reads no column at all, the same column name out of two relations, a left
 // join whose right side is read only through its key, and a correlated
-// EXISTS on a column the outer select list leaves out.
+// EXISTS on a column the outer select list leaves out. The last four ship
+// whole to Hive only through the front half it shares with the engine: an
+// uncorrelated EXISTS and NOT EXISTS, a scalar subquery in WHERE, and a
+// join with no equality key.
 var fedEdgeCases = []string{
 	`SELECT COUNT(*) FROM lineitem`,
 	`SELECT COUNT(*) FROM lineitem WHERE l_quantity > 10`,
@@ -30,6 +33,10 @@ var fedEdgeCases = []string{
 		WHERE c_acctbal > 0 GROUP BY c_nationkey`,
 	`SELECT c_name FROM customer WHERE c_acctbal > 0
 		AND EXISTS (SELECT o_orderkey FROM orders WHERE o_custkey = c_custkey AND o_orderpriority = '1-URGENT')`,
+	`SELECT COUNT(*) FROM customer WHERE EXISTS (SELECT o_orderkey FROM orders WHERE o_totalprice > 1000)`,
+	`SELECT COUNT(*) FROM customer WHERE NOT EXISTS (SELECT o_orderkey FROM orders WHERE o_totalprice < 0)`,
+	`SELECT COUNT(*) FROM customer WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer)`,
+	`SELECT COUNT(*) FROM part, partsupp WHERE p_partkey < ps_partkey AND ps_suppkey = 1`,
 }
 
 // TestFederatedTPCHMatchesLocal runs the twelve TPC-H queries and

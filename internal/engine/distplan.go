@@ -37,7 +37,7 @@ func (p *planner) distGather(ps *pendingScan, tmpl *dist.Fragment) (*dist.Gather
 	tmpl.Table = distKey(l.t.meta.Name)
 	tmpl.Binding = l.binding
 	tmpl.Where = renderConjs(ps.conjs)
-	tmpl.Needed = neededOrds(p.needed, l.t.meta.Schema)
+	tmpl.Needed = p.needed.Mask(l.t.meta.Schema)
 	tmpl.Snapshot = p.snapshot
 	tmpl.Width = p.width
 	res, err := p.e.dist.coord.Gather(p.ctx, tmpl, p.fanout)
@@ -150,7 +150,7 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 // row order, probes its shard's rows, and the coordinator merge restores
 // probe-input order — the serial hash join's exact emission order. Returns
 // nil (no error) when the join should fall back to gather + local join.
-func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residual []expr.Expr, combined *value.Schema) (*relation, error) {
+func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residual []expr.Expr) (*relation, error) {
 	if float64(r.Len()) > float64(p.e.semiJoinThreshold()) {
 		p.plan.Note("dist: build side %d rows > threshold %d, gathering probe side", r.Len(), p.e.semiJoinThreshold())
 		return nil, nil
@@ -178,7 +178,7 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	if err != nil {
 		return nil, err
 	}
-	out := &relation{Rel: exec.Rel{Schema: combined, Rows: res.Rows}, est: float64(len(res.Rows))}
+	out := &relation{Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema), Rows: res.Rows}, est: float64(len(res.Rows))}
 	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
 		keySQL(leftKeys, rightKeys), len(out.Rows), p.e.dist.topo.Shards)
 	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", ps.leaves[0].name), shippedFilter(ps.conjs)...)

@@ -69,9 +69,6 @@ type Config struct {
 	// views read from it); nil gives the engine a private registry so
 	// instances never share counters.
 	Obs *obs.Registry
-	// TraceRingSize bounds how many finished query traces M_QUERY_TRACES
-	// retains (0 = obs.DefaultTraceRingSize).
-	TraceRingSize int
 	// Topology enables distributed execution: with Shards > 1 the engine
 	// runs a coordinator plus that many in-process worker nodes, mirrors
 	// eligible hot tables onto them hash-sharded, and executes eligible
@@ -249,7 +246,7 @@ func New(cfg Config) *Engine {
 		fallback: map[string][]*fallbackEntry{},
 		obs:      reg,
 		views:    obs.NewViewRegistry(),
-		traces:   obs.NewTraceRing(cfg.TraceRingSize),
+		traces:   obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
 	if cfg.WAL != nil {
 		e.wal = cfg.WAL

@@ -73,17 +73,6 @@ func (r *relation) pendingAt(place placement) *pendingScan {
 	return nil
 }
 
-// covers reports whether every column in the expression resolves in the
-// relation's schema.
-func (r *relation) covers(e expr.Expr) bool {
-	for _, c := range expr.Columns(e) {
-		if r.Schema.Find(c) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // realize runs the relation's pending scan, if any, into materialized local
 // rows.
 func (p *planner) realize(r *relation) error {
@@ -121,8 +110,9 @@ func (p *planner) realizeRemote(r *relation) error {
 	src := ps.leaves[0]
 	sel := &sqlparse.SelectStmt{Limit: -1}
 	var ords []int
-	for i, col := range r.Schema.Cols {
-		if p.needed.Has(col.Name) {
+	need := p.needed.Mask(r.Schema)
+	for i := range r.Schema.Cols {
+		if need == nil || need[i] {
 			ords = append(ords, i)
 		}
 	}
@@ -236,7 +226,7 @@ func (p *planner) realizeScan(r *relation) error {
 			return err
 		}
 	}
-	sc, err := p.scan(t, t.parts, r.Schema, pred, neededOrds(p.needed, t.meta.Schema))
+	sc, err := p.scan(t, t.parts, r.Schema, pred, p.needed.Mask(t.meta.Schema))
 	if err != nil {
 		return err
 	}

@@ -181,18 +181,9 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Bloc
 
 	// Split WHERE into plain conjuncts and subquery predicates; the latter
 	// are evaluated first and join the pool behind the plain conjuncts.
-	var pool []expr.Expr
-	var transforms []sqlparse.SubqueryPredicate
-	for _, c := range expr.SplitConjuncts(sel.Where) {
-		if tf, ok := sqlparse.AsSubqueryPredicate(c); ok {
-			transforms = append(transforms, tf)
-			continue
-		}
-		c2, err := p.inlineScalarSubqueries(c)
-		if err != nil {
-			return exec.Rel{}, nil, nil, err
-		}
-		pool = append(pool, c2)
+	pool, transforms, err := exec.SplitWhere(sel.Where, p.runNested)
+	if err != nil {
+		return exec.Rel{}, nil, nil, err
 	}
 	transforms, subNodes, err := p.placeSubqueries(sel, transforms, &pool)
 	if err != nil {
@@ -485,7 +476,7 @@ func (p *planner) planTableLeaf(t *sqlparse.TableRef, pool *[]expr.Expr) (*relat
 	}
 	ps := &pendingScan{place: l.place, leaves: []*leaf{l}}
 	rel := &relation{Rel: exec.Rel{Schema: l.schema}, pend: ps}
-	conjs := takeCovered(rel, pool)
+	conjs := expr.TakeCovered(l.schema, pool)
 	for i, c := range conjs {
 		// A subquery key set ships inside a sharded fragment unless it has
 		// more keys than the rows the leaf's other conjuncts are estimated
@@ -552,34 +543,16 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 	}, nil
 }
 
-// takeCovered removes and returns pool conjuncts the relation can evaluate
-// alone.
-func takeCovered(rel *relation, pool *[]expr.Expr) []expr.Expr {
-	var taken []expr.Expr
-	rest := (*pool)[:0:0]
-	for _, c := range *pool {
-		if rel.covers(c) {
-			taken = append(taken, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	*pool = rest
-	return taken
-}
-
 // joinRelations joins two relations choosing among the federated
 // strategies: merge into one shipped remote query, semijoin (IN-list
 // pushdown), table relocation, or local hash join.
 func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, error) {
-	combined := l.Schema.Concat(r.Schema)
-
 	// Strategy: merge same-source remote relations into one shipped query.
 	if lp, rp := l.pendingAt(placeRemote), r.pendingAt(placeRemote); lp != nil && rp != nil &&
 		strings.EqualFold(lp.leaves[0].source, rp.leaves[0].source) &&
 		lp.leaves[0].adapter.Capabilities().Joins {
 		merged := &relation{
-			Rel: exec.Rel{Schema: combined},
+			Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema)},
 			pend: &pendingScan{
 				place:  placeRemote,
 				leaves: append(append([]*leaf{}, lp.leaves...), rp.leaves...),
@@ -587,26 +560,12 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 			},
 			est: max(l.est, r.est),
 		}
-		merged.pend.conjs = append(merged.pend.conjs, takeCovered(merged, pool)...)
+		merged.pend.conjs = append(merged.pend.conjs, expr.TakeCovered(merged.Schema, pool)...)
 		return merged, nil
 	}
 
 	// Identify equi-join keys from the pool.
-	var leftKeys, rightKeys []expr.Expr
-	var residual []expr.Expr
-	rest := (*pool)[:0:0]
-	for _, c := range *pool {
-		if lk, rk, ok := equiKeys(c, l, r); ok {
-			leftKeys = append(leftKeys, lk)
-			rightKeys = append(rightKeys, rk)
-			continue
-		}
-		if expr.Covers(combined, c) {
-			residual = append(residual, c)
-			continue
-		}
-		rest = append(rest, c)
-	}
+	leftKeys, rightKeys, residual, rest := expr.SplitJoin(*pool, l.Schema, r.Schema)
 	*pool = rest
 
 	// Strategy: semijoin — ship the small side's join-key values as an
@@ -628,7 +587,7 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		if err := p.realize(r); err != nil {
 			return nil, err
 		}
-		out, err := p.distBroadcastJoin(l, r, leftKeys, rightKeys, residual, combined)
+		out, err := p.distBroadcastJoin(l, r, leftKeys, rightKeys, residual)
 		if err != nil {
 			return nil, err
 		}
@@ -646,49 +605,57 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 		p.e.Metrics.RelocationsChosen.Inc()
 		p.plan.Note("chose relocation: build side est %.0f > threshold %d", l.est, p.e.semiJoinThreshold())
 	}
+	return p.localJoin(exec.JoinInner, l, r, leftKeys, rightKeys, residual, relocated)
+}
 
+// leftOuterJoin plans a structural LEFT OUTER JOIN with its ON condition.
+func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error) {
+	leftKeys, rightKeys, residual, rest := expr.SplitJoin(expr.SplitConjuncts(on), l.Schema, r.Schema)
+	return p.localJoin(exec.JoinLeftOuter, l, r, leftKeys, rightKeys, append(residual, rest...), false)
+}
+
+// localJoin realizes both inputs and joins them on this node: a morsel hash
+// join on the key pairs, with the residual checked on each match, or a
+// nested-loop join on the residual when there are no keys. relocated marks
+// an inner join the relocation strategy chose.
+func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightKeys, residual []expr.Expr, relocated bool) (*relation, error) {
 	if err := p.realizeBoth(l, r); err != nil {
 		return nil, err
 	}
-
-	out := &relation{Rel: exec.Rel{Schema: combined}}
+	out := &relation{Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema)}}
+	var res expr.Expr
+	if len(residual) > 0 {
+		var err error
+		if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), out.Schema); err != nil {
+			return nil, err
+		}
+	}
 	var label string
 	if len(leftKeys) > 0 {
 		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
 		if err != nil {
 			return nil, err
 		}
-		var res expr.Expr
-		if len(residual) > 0 {
-			if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
-				return nil, err
-			}
-		}
 		out.Rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinInner, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
+			kind, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
 		if err != nil {
 			return nil, err
 		}
 		label = "Hash Join (INNER) on " + keySQL(leftKeys, rightKeys)
 	} else {
-		var on expr.Expr
-		if len(residual) > 0 {
-			var err error
-			on, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined)
-			if err != nil {
-				return nil, err
-			}
-			residual = nil
-			label = "Nested Loop Join on " + on.SQL()
-		} else {
-			label = "Nested Loop Join (cross)"
-		}
 		var err error
-		if out.Rows, err = exec.NestedLoopJoin(exec.JoinInner, l.Rel, r.Rel, on); err != nil {
+		if out.Rows, err = exec.NestedLoopJoin(kind, l.Rel, r.Rel, res); err != nil {
 			return nil, err
 		}
+		label = "Nested Loop Join (cross)"
+		if res != nil {
+			label = "Nested Loop Join on " + res.SQL()
+		}
 	}
-	if relocated {
+	switch {
+	case kind == exec.JoinLeftOuter:
+		label = "Hash Join (LEFT OUTER)"
+	case relocated:
 		label = "Table Relocation → Extended Storage: " + label
 	}
 	out.est = float64(len(out.Rows))
@@ -761,27 +728,6 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 	return nil
 }
 
-// equiKeys decomposes an equality conjunct into left/right key expressions
-// when each side is covered by a different relation.
-func equiKeys(c expr.Expr, l, r *relation) (lk, rk expr.Expr, ok bool) {
-	b, isBin := c.(*expr.BinOp)
-	if !isBin || b.Op != expr.OpEq {
-		return nil, nil, false
-	}
-	if l.covers(b.L) && r.covers(b.R) && !isLiteral(b.L) && !isLiteral(b.R) {
-		return b.L, b.R, true
-	}
-	if l.covers(b.R) && r.covers(b.L) && !isLiteral(b.L) && !isLiteral(b.R) {
-		return b.R, b.L, true
-	}
-	return nil, nil, false
-}
-
-func isLiteral(e expr.Expr) bool {
-	_, ok := e.(*expr.Literal)
-	return ok
-}
-
 func bindKeys(lk []expr.Expr, ls *value.Schema, rk []expr.Expr, rs *value.Schema) ([]expr.Expr, []expr.Expr, error) {
 	bl := make([]expr.Expr, len(lk))
 	br := make([]expr.Expr, len(rk))
@@ -805,53 +751,6 @@ func keySQL(lk, rk []expr.Expr) string {
 	return strings.Join(parts, " AND ")
 }
 
-// leftOuterJoin plans a structural LEFT OUTER JOIN with its ON condition.
-func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error) {
-	if err := p.realizeBoth(l, r); err != nil {
-		return nil, err
-	}
-	combined := l.Schema.Concat(r.Schema)
-	var leftKeys, rightKeys []expr.Expr
-	var residual []expr.Expr
-	for _, c := range expr.SplitConjuncts(on) {
-		if lk, rk, ok := equiKeys(c, l, r); ok {
-			leftKeys = append(leftKeys, lk)
-			rightKeys = append(rightKeys, rk)
-		} else {
-			residual = append(residual, c)
-		}
-	}
-	out := &relation{Rel: exec.Rel{Schema: combined}}
-	if len(leftKeys) > 0 {
-		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
-		if err != nil {
-			return nil, err
-		}
-		var res expr.Expr
-		if len(residual) > 0 {
-			if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
-				return nil, err
-			}
-		}
-		out.Rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			exec.JoinLeftOuter, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		bon, err := expr.BindClone(on, combined)
-		if err != nil {
-			return nil, err
-		}
-		if out.Rows, err = exec.NestedLoopJoin(exec.JoinLeftOuter, l.Rel, r.Rel, bon); err != nil {
-			return nil, err
-		}
-	}
-	out.est = float64(len(out.Rows))
-	out.node = node(fmt.Sprintf("Hash Join (LEFT OUTER) (%d rows)", len(out.Rows)), l.node, r.node)
-	return out, nil
-}
-
 // blockRows plans and materializes a nested query block.
 func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *planNode, error) {
 	in, blk, n, err := p.planQueryBlock(sel)
@@ -863,4 +762,11 @@ func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *planNode, e
 		return nil, nil, err
 	}
 	return rows, n, nil
+}
+
+// runNested is the engine's exec.RunBlock: a nested block planned and run
+// here.
+func (p *planner) runNested(sel *sqlparse.SelectStmt) (*value.Rows, error) {
+	rows, _, err := p.blockRows(sel)
+	return rows, err
 }

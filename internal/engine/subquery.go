@@ -39,7 +39,7 @@ func (p *planner) fromLeaves(te sqlparse.TableExpr) ([]fromLeaf, error) {
 		}
 		return []fromLeaf{{schema: l.schema, placeable: l.place == placeLocal || l.place == placeSharded}}, nil
 	}
-	schema, err := p.fromSchemaPreview(te)
+	schema, err := exec.FromSchema(te, p.schemaOf)
 	if err != nil {
 		return nil, err
 	}
@@ -150,24 +150,15 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 	}
 	equis := blockEquiConjuncts(sel.From, *pool)
 	for _, tf := range tfs {
-		key, sub := tf.Outer, tf.Sel
-		if key == nil {
-			outerKeys, innerKeys, remaining, err := p.decorrelate(tf.Sel, outer)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(outerKeys) != 1 {
-				rest = append(rest, tf)
-				continue
-			}
-			key = outerKeys[0]
-			sub = &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Expr: expr.Clone(innerKeys[0])}},
-				From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
+		keys, sub, err := exec.Decorrelate(tf, outer, p.schemaOf)
+		if err != nil {
+			return nil, nil, err
 		}
-		if !placeable(key, leaves) {
+		if len(keys) != 1 || !placeable(keys[0], leaves) {
 			rest = append(rest, tf)
 			continue
 		}
+		key := keys[0]
 		rows, subNode, err := p.blockRows(sub)
 		if err != nil {
 			return nil, nil, err
@@ -241,24 +232,6 @@ func (p *planner) addKeySet(pool *[]expr.Expr, conj expr.Expr, n int) {
 	p.plan.Note("subquery key set: %d keys, placed as %s", n, planSQL(conj))
 }
 
-// decorrelate splits an EXISTS subquery's WHERE into the equalities between
-// an outer and an inner expression (the join keys) and the rest.
-func (p *planner) decorrelate(sel *sqlparse.SelectStmt, outer *value.Schema) (outerKeys, innerKeys, remaining []expr.Expr, err error) {
-	inner, err := p.fromSchemaPreview(sel.From)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, c := range expr.SplitConjuncts(sel.Where) {
-		if ok, ik := correlationPair(c, outer, inner); ok != nil {
-			outerKeys = append(outerKeys, ok)
-			innerKeys = append(innerKeys, ik)
-			continue
-		}
-		remaining = append(remaining, c)
-	}
-	return outerKeys, innerKeys, remaining, nil
-}
-
 // planSQL renders a predicate for EXPLAIN and plan notes: a literal list of
 // more than 8 elements prints as its size.
 func planSQL(e expr.Expr) string { return elideLists(e).SQL() }
@@ -288,38 +261,21 @@ func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.Subque
 		kind = exec.JoinAntiNullAware
 	}
 
-	// IN (SELECT …) is uncorrelated: the subquery's single output column is
-	// the build key.
-	outerKeys, subSel := []expr.Expr{tf.Outer}, tf.Sel
-	if tf.Outer == nil {
-		// EXISTS: decorrelate equality predicates between outer and inner
-		// columns into join keys.
-		var innerKeys, remaining []expr.Expr
-		var err error
-		outerKeys, innerKeys, remaining, err = p.decorrelate(tf.Sel, in.Schema)
+	outerKeys, subSel, err := exec.Decorrelate(tf, in.Schema, p.schemaOf)
+	if err != nil {
+		return exec.Rel{}, nil, err
+	}
+	if len(outerKeys) == 0 {
+		holds, err := exec.ExistsHolds(tf, subSel, p.runNested)
 		if err != nil {
 			return exec.Rel{}, nil, err
 		}
-		if len(outerKeys) == 0 {
-			// Uncorrelated EXISTS: evaluate once.
-			probe := &sqlparse.SelectStmt{Items: tf.Sel.Items, From: tf.Sel.From,
-				Where: expr.And(remaining...), GroupBy: tf.Sel.GroupBy, Having: tf.Sel.Having, Limit: 1}
-			rows, _, err := p.blockRows(probe)
-			if err != nil {
-				return exec.Rel{}, nil, err
-			}
-			exists := rows.Len() > 0
-			if exists != tf.Anti {
-				return in, node("Exists(const true)", root), nil
-			}
-			return exec.Rel{Schema: in.Schema}, node("Exists(const false)", root), nil
+		if holds {
+			return in, node("Exists(const true)", root), nil
 		}
-		// Plan the inner block projecting the correlation keys.
-		items := make([]sqlparse.SelectItem, len(innerKeys))
-		for i, k := range innerKeys {
-			items[i] = sqlparse.SelectItem{Expr: expr.Clone(k)}
-		}
-		subSel = &sqlparse.SelectStmt{Items: items, From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
+		return exec.Rel{Schema: in.Schema}, node("Exists(const false)", root), nil
+	}
+	if tf.Outer == nil {
 		label += " (decorrelated)"
 	}
 	sub, subNode, err := p.blockRows(subSel)
@@ -345,116 +301,21 @@ func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.Subque
 	return exec.Rel{Schema: in.Schema, Rows: rows}, node(label, root, subNode), nil
 }
 
-// correlationPair decomposes an equality between an outer column and an
-// inner column; returns (outerExpr, innerExpr) or nils.
-func correlationPair(c expr.Expr, outer, inner *value.Schema) (expr.Expr, expr.Expr) {
-	b, ok := c.(*expr.BinOp)
-	if !ok || b.Op != expr.OpEq {
-		return nil, nil
-	}
-	side := func(e expr.Expr) (isOuter, isInner bool) {
-		cols := expr.Columns(e)
-		if len(cols) == 0 {
-			return false, false
-		}
-		isOuter, isInner = true, true
-		for _, col := range cols {
-			if inner.Find(col) >= 0 {
-				isOuter = false
-			} else {
-				isInner = false
-			}
-			if outer.Find(col) < 0 {
-				isOuter = false
-			}
-		}
-		return isOuter, isInner
-	}
-	lOuter, lInner := side(b.L)
-	rOuter, rInner := side(b.R)
-	if lOuter && rInner {
-		return b.L, b.R
-	}
-	if rOuter && lInner {
-		return b.R, b.L
-	}
-	return nil, nil
-}
-
-// inlineScalarSubqueries replaces scalar subqueries with their computed
-// literal value.
-func (p *planner) inlineScalarSubqueries(c expr.Expr) (expr.Expr, error) {
-	var firstErr error
-	out := expr.Rewrite(c, func(n expr.Expr) expr.Expr {
-		sq, ok := n.(*sqlparse.SubqueryExpr)
-		if !ok {
-			return nil
-		}
-		rows, _, err := p.blockRows(sq.Sel)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return expr.Lit(value.Null)
-		}
-		if rows.Schema.Len() != 1 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("scalar subquery must return one column")
-			}
-			return expr.Lit(value.Null)
-		}
-		switch rows.Len() {
-		case 0:
-			return expr.Lit(value.Null)
-		case 1:
-			return expr.Lit(rows.Data[0][0])
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("scalar subquery returned %d rows", rows.Len())
-			}
-			return expr.Lit(value.Null)
-		}
-	})
-	return out, firstErr
-}
-
-// fromSchemaPreview resolves the schema a FROM tree will produce without
-// executing it — used for decorrelation analysis.
-func (p *planner) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, error) {
+// schemaOf is the engine's exec.SchemaOf: a FROM table's schema from its
+// leaf, a virtual function's from the catalog.
+func (p *planner) schemaOf(te sqlparse.TableExpr) (*value.Schema, error) {
 	switch t := te.(type) {
-	case nil:
-		return value.NewSchema(), nil
 	case *sqlparse.TableRef:
 		l, err := p.leafOf(t)
 		if err != nil {
 			return nil, err
 		}
 		return l.schema, nil
-	case *sqlparse.JoinExpr:
-		l, err := p.fromSchemaPreview(t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := p.fromSchemaPreview(t.R)
-		if err != nil {
-			return nil, err
-		}
-		return l.Concat(r), nil
 	case *sqlparse.TableFuncRef:
 		if vf, ok := p.e.cat.VirtualFunction(t.Name); ok {
 			return vf.Returns.Qualify(t.Binding()), nil
 		}
 		return nil, fmt.Errorf("table function %s not found", t.Name)
-	case *sqlparse.SubqueryTable:
-		inner, err := p.fromSchemaPreview(t.Sel.From)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := exec.AnalyzeBlock(t.Sel, inner)
-		if err != nil {
-			return nil, err
-		}
-		return blk.Out.Qualify(t.Alias), nil
 	}
 	return nil, fmt.Errorf("unsupported FROM element %T", te)
 }

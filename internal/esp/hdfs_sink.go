@@ -87,7 +87,6 @@ func (s *HDFSArchiveSink) Consume(rows []value.Row, _ *value.Schema) error {
 		s.written++
 		if s.buffered >= s.rotate {
 			if err := s.flushLocked(); err != nil {
-				//lint:ignore locksafe IsTransient only walks the error chain, it takes no locks
 				if faults.IsTransient(err) {
 					// Spill: keep the rows buffered and keep the stream
 					// moving; a later rotation or Flush retries the part.

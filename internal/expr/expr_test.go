@@ -356,3 +356,59 @@ func TestAndFolding(t *testing.T) {
 		t.Fatal("And of two splits to two")
 	}
 }
+
+func TestSplitJoinSortsConjuncts(t *testing.T) {
+	l := value.NewSchema(value.Column{Name: "a.x", Kind: value.KindInt}, value.Column{Name: "a.y", Kind: value.KindInt})
+	r := value.NewSchema(value.Column{Name: "b.x", Kind: value.KindInt})
+	conjs := []Expr{
+		Bin(OpEq, Col("a.x"), Col("b.x")),
+		Bin(OpEq, Col("b.x"), Col("a.y")),
+		Bin(OpEq, Col("a.x"), Lit(value.NewInt(1))),
+		Bin(OpLt, Col("a.y"), Col("b.x")),
+		Bin(OpEq, Col("c.z"), Col("a.x")),
+	}
+	lk, rk, residual, rest := SplitJoin(conjs, l, r)
+	sqls := func(es []Expr) string {
+		parts := make([]string, len(es))
+		for i, e := range es {
+			parts[i] = e.SQL()
+		}
+		return strings.Join(parts, "; ")
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"left keys", sqls(lk), "a.x; a.y"},
+		{"right keys", sqls(rk), "b.x; b.x"},
+		{"residual", sqls(residual), "(a.x = 1); (a.y < b.x)"},
+		{"rest", sqls(rest), "(c.z = a.x)"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %s, want %s", c.name, c.got, c.want)
+		}
+	}
+
+	pool := append([]Expr{}, conjs...)
+	if got := sqls(TakeCovered(l, &pool)); got != "(a.x = 1)" {
+		t.Errorf("TakeCovered took %s", got)
+	}
+	if len(pool) != 4 {
+		t.Errorf("TakeCovered left %d conjuncts, want 4", len(pool))
+	}
+}
+
+func TestCorrelationPair(t *testing.T) {
+	outer := value.NewSchema(value.Column{Name: "o.k", Kind: value.KindInt})
+	inner := value.NewSchema(value.Column{Name: "i.k", Kind: value.KindInt}, value.Column{Name: "i.v", Kind: value.KindInt})
+	if o, i := CorrelationPair(Bin(OpEq, Col("i.k"), Col("o.k")), outer, inner); o == nil || o.SQL() != "o.k" || i.SQL() != "i.k" {
+		t.Errorf("i.k = o.k: got %v, %v", o, i)
+	}
+	for _, c := range []Expr{
+		Bin(OpEq, Col("i.k"), Col("i.v")),                         // inner only
+		Bin(OpEq, Col("o.k"), Lit(value.NewInt(1))),               // no inner side
+		Bin(OpLt, Col("i.k"), Col("o.k")),                         // not an equality
+		Bin(OpEq, Col("i.k"), Bin(OpAdd, Col("o.k"), Col("i.v"))), // mixed side
+	} {
+		if o, _ := CorrelationPair(c, outer, inner); o != nil {
+			t.Errorf("%s: correlated on %s", c.SQL(), o.SQL())
+		}
+	}
+}

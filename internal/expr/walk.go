@@ -160,6 +160,99 @@ func Covers(s *value.Schema, e Expr) bool {
 	return true
 }
 
+// TakeCovered removes from pool, and returns, the conjuncts s covers. The
+// pool keeps the others in order, in a fresh slice.
+func TakeCovered(s *value.Schema, pool *[]Expr) []Expr {
+	var taken []Expr
+	rest := (*pool)[:0:0]
+	for _, c := range *pool {
+		if Covers(s, c) {
+			taken = append(taken, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	*pool = rest
+	return taken
+}
+
+// EquiPair decomposes an equality conjunct into a key over l and a key over
+// r — a join key pair. Neither side may be a literal.
+func EquiPair(c Expr, l, r *value.Schema) (lk, rk Expr, ok bool) {
+	b, isBin := c.(*BinOp)
+	if !isBin || b.Op != OpEq {
+		return nil, nil, false
+	}
+	if _, lit := b.L.(*Literal); lit {
+		return nil, nil, false
+	}
+	if _, lit := b.R.(*Literal); lit {
+		return nil, nil, false
+	}
+	if Covers(l, b.L) && Covers(r, b.R) {
+		return b.L, b.R, true
+	}
+	if Covers(l, b.R) && Covers(r, b.L) {
+		return b.R, b.L, true
+	}
+	return nil, nil, false
+}
+
+// SplitJoin sorts the conjuncts over a join of l and r: equalities with one
+// side over each become key pairs, the others l ‖ r covers are the
+// residual, and rest are those that need a relation outside the join.
+func SplitJoin(conjs []Expr, l, r *value.Schema) (lk, rk, residual, rest []Expr) {
+	both := l.Concat(r)
+	for _, c := range conjs {
+		if a, b, ok := EquiPair(c, l, r); ok {
+			lk, rk = append(lk, a), append(rk, b)
+		} else if Covers(both, c) {
+			residual = append(residual, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	return lk, rk, residual, rest
+}
+
+// CorrelationPair decomposes an equality between an expression over outer
+// columns only (none of them inner) and one over inner columns: the
+// correlation of a subquery over inner with its enclosing block's outer.
+// It returns nils for any other conjunct.
+func CorrelationPair(c Expr, outer, inner *value.Schema) (o, i Expr) {
+	b, ok := c.(*BinOp)
+	if !ok || b.Op != OpEq {
+		return nil, nil
+	}
+	side := func(e Expr) (isOuter, isInner bool) {
+		cols := Columns(e)
+		if len(cols) == 0 {
+			return false, false
+		}
+		isOuter, isInner = true, true
+		for _, col := range cols {
+			if inner.Find(col) >= 0 {
+				isOuter = false
+			} else {
+				isInner = false
+			}
+			if outer.Find(col) < 0 {
+				isOuter = false
+			}
+		}
+		return isOuter, isInner
+	}
+	lOuter, lInner := side(b.L)
+	rOuter, rInner := side(b.R)
+	if lOuter && rInner {
+		return b.L, b.R
+	}
+	if rOuter && lInner {
+		return b.R, b.L
+	}
+	return nil, nil
+}
+
 // Columns returns the distinct column names referenced by the tree, in
 // first-appearance order.
 func Columns(e Expr) []string {

@@ -65,7 +65,6 @@ func (h *Health) Breaker(source string) *faults.Breaker {
 	defer h.mu.Unlock()
 	b, ok := h.breakers[source]
 	if !ok {
-		//lint:ignore locksafe NewBreaker is a constructor; the new breaker's lock is unshared
 		b = faults.NewBreaker(source, h.threshold, h.cooldown, h.now)
 		if h.observer != nil {
 			b.SetObserver(h.observer)

@@ -169,7 +169,6 @@ func (c *Cluster) WriteFile(p string, data []byte) error {
 		c.nextNode = (c.nextNode + 1) % len(c.nodes)
 		if placed == 0 {
 			// Dead nodes may be revived, so placement failure is retryable.
-			//lint:ignore locksafe Transient only wraps the error, it takes no locks
 			return faults.Transient(fmt.Errorf("hdfs: no alive datanodes"))
 		}
 		fi.Blocks = append(fi.Blocks, bi)

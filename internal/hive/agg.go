@@ -31,12 +31,7 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 		// HAVING and ORDER BY name.
 		tail := *sel
 		tail.From, tail.Where = nil, nil
-		cols := sqlparse.ReferencedColumns(&tail)
-		need := make([]bool, rel.schema.Len())
-		for i, c := range rel.schema.Cols {
-			need[i] = cols.Has(c.Name)
-		}
-		if in, err = x.materialize(rel, need); err != nil {
+		if in, err = x.materialize(rel, sqlparse.ReferencedColumns(&tail).Mask(rel.schema)); err != nil {
 			return nil, err
 		}
 		if blk.Aggregates() {
@@ -56,7 +51,8 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 }
 
 // materialize reads the relation into the driver, building the columns
-// need marks and those its pending filters read, and applies the filters.
+// need marks (nil = all) and those its pending filters read, and applies the
+// filters.
 func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
 	var pred expr.Expr
 	if len(rel.pending) > 0 {

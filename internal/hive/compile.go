@@ -90,15 +90,23 @@ func (x *Executor) Select(sel *sqlparse.SelectStmt) (*value.Rows, error) {
 	return x.selectBlock(sel, sqlparse.ReferencedColumns(sel))
 }
 
-// selectBlock executes a block of a statement that reads the needed columns.
+// selectBlock executes a block of a statement that reads the needed columns:
+// FROM and WHERE, then a semi/anti join per subquery predicate, then the
+// block's back end.
 func (x *Executor) selectBlock(sel *sqlparse.SelectStmt, needed sqlparse.ColumnSet) (*value.Rows, error) {
-	rel, transforms, err := x.buildRel(sel, needed)
+	run := func(s *sqlparse.SelectStmt) (*value.Rows, error) { return x.selectBlock(s, needed) }
+	pool, transforms, err := exec.SplitWhere(sel.Where, run)
 	if err != nil {
 		return nil, err
 	}
+	rel, err := x.planFrom(sel.From, &pool, needed)
+	if err != nil {
+		return nil, err
+	}
+	rel.pending = append(rel.pending, pool...)
 	defer x.cleanup(rel)
 	for _, tf := range transforms {
-		rel, err = x.applyTransform(rel, tf, needed)
+		rel, err = x.applyTransform(rel, tf, run)
 		if err != nil {
 			return nil, err
 		}
@@ -110,26 +118,6 @@ func (x *Executor) cleanup(rel *interRel) {
 	for _, d := range rel.temps {
 		_ = x.ms.cluster.Remove(d)
 	}
-}
-
-// buildRel plans FROM and WHERE into an intermediate relation plus pending
-// subquery transforms.
-func (x *Executor) buildRel(sel *sqlparse.SelectStmt, needed sqlparse.ColumnSet) (*interRel, []sqlparse.SubqueryPredicate, error) {
-	var pool []expr.Expr
-	var transforms []sqlparse.SubqueryPredicate
-	for _, c := range expr.SplitConjuncts(sel.Where) {
-		if tf, ok := sqlparse.AsSubqueryPredicate(c); ok {
-			transforms = append(transforms, tf)
-			continue
-		}
-		pool = append(pool, c)
-	}
-	rel, err := x.planFrom(sel.From, &pool, needed)
-	if err != nil {
-		return nil, nil, err
-	}
-	rel.pending = append(rel.pending, pool...)
-	return rel, transforms, nil
 }
 
 func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr, needed sqlparse.ColumnSet) (*interRel, error) {
@@ -152,7 +140,9 @@ func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr, needed sql
 			if err != nil {
 				return nil, err
 			}
-			return x.joinRels(l, r, pool, false, nil)
+			lk, rk, residual, rest := expr.SplitJoin(*pool, l.schema, r.schema)
+			*pool = rest
+			return x.joinRels(l, r, lk, rk, residual, false)
 		case sqlparse.JoinLeft:
 			l, err := x.planFrom(t.L, pool, needed)
 			if err != nil {
@@ -163,7 +153,11 @@ func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr, needed sql
 			if err != nil {
 				return nil, err
 			}
-			return x.joinRels(l, r, nil, true, t.On)
+			lk, rk, residual, rest := expr.SplitJoin(expr.SplitConjuncts(t.On), l.schema, r.schema)
+			// Right-side-only ON conjuncts filter the right input before
+			// the join.
+			r.pending = append(r.pending, expr.TakeCovered(r.schema, &residual)...)
+			return x.joinRels(l, r, lk, rk, append(residual, rest...), true)
 		default:
 			return nil, fmt.Errorf("hive: %s JOIN is not supported", t.Type)
 		}
@@ -191,26 +185,17 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr, needed sqlp
 	}
 	rel := &interRel{dir: ti.Dir, stored: ti.Schema.Qualify(t.Binding())}
 	rel.schema = rel.stored
-	if needed != nil {
+	if need := needed.Mask(rel.stored); need != nil {
 		rel.keep = []int{}
 		rel.schema = &value.Schema{}
 		for i, c := range rel.stored.Cols {
-			if needed.Has(c.Name) {
+			if need[i] {
 				rel.keep = append(rel.keep, i)
 				rel.schema.Cols = append(rel.schema.Cols, c)
 			}
 		}
 	}
-	var covered []expr.Expr
-	rest := (*pool)[:0:0]
-	for _, c := range *pool {
-		if expr.Covers(rel.schema, c) {
-			covered = append(covered, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	*pool = rest
+	covered := expr.TakeCovered(rel.schema, pool)
 	if len(covered) == 0 {
 		return rel, nil
 	}
@@ -254,43 +239,12 @@ func filterMap(rd *rowReader, pred expr.Expr) mapreduce.MapFunc {
 	}
 }
 
-// joinRels runs a reduce-side join job.
-func (x *Executor) joinRels(l, r *interRel, pool *[]expr.Expr, outer bool, on expr.Expr) (*interRel, error) {
+// joinRels runs a reduce-side join job on the key pairs, checking the
+// residual on each match. Without keys every row shuffles under the one
+// empty key, and its reducer forms the cross product filtered by the
+// residual, as Hive's single-reducer cross join does.
+func (x *Executor) joinRels(l, r *interRel, leftKeys, rightKeys, residual []expr.Expr, outer bool) (*interRel, error) {
 	combined := l.schema.Concat(r.schema)
-
-	var leftKeys, rightKeys []expr.Expr
-	var residual []expr.Expr
-	consider := func(conjs []expr.Expr) []expr.Expr {
-		var rest []expr.Expr
-		for _, c := range conjs {
-			if lk, rk, ok := equiPair(c, l.schema, r.schema); ok {
-				leftKeys = append(leftKeys, lk)
-				rightKeys = append(rightKeys, rk)
-				continue
-			}
-			if expr.Covers(r.schema, c) && outer {
-				// Right-side-only ON conjuncts of an outer join filter the
-				// right input before the join.
-				r.pending = append(r.pending, c)
-				continue
-			}
-			if expr.Covers(combined, c) {
-				residual = append(residual, c)
-				continue
-			}
-			rest = append(rest, c)
-		}
-		return rest
-	}
-	if outer {
-		consider(expr.SplitConjuncts(on))
-	} else if pool != nil {
-		*pool = consider(*pool)
-	}
-	if len(leftKeys) == 0 {
-		return nil, fmt.Errorf("hive: join without equality keys is not supported")
-	}
-
 	lMap, err := sideMapper(tagLeft, l, leftKeys)
 	if err != nil {
 		return nil, err
@@ -463,40 +417,23 @@ func joinRecords(buf []byte, width int, a, b string) []byte {
 	return append(append(buf, a[wa:]...), b[wb:]...)
 }
 
-// applyTransform runs a semi/anti join MR job for an IN/EXISTS subquery.
-func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, needed sqlparse.ColumnSet) (*interRel, error) {
-	var outerKeys, innerKeys []expr.Expr
-	innerSel := tf.Sel
-
-	if tf.Outer != nil {
-		// IN subquery: inner block as written must yield one column.
-		outerKeys = []expr.Expr{tf.Outer}
-	} else {
-		// Correlated EXISTS: extract equality correlation.
-		innerSchema, err := x.fromSchemaPreview(tf.Sel.From)
-		if err != nil {
-			return nil, err
-		}
-		var remaining []expr.Expr
-		for _, c := range expr.SplitConjuncts(tf.Sel.Where) {
-			if o, in := corrPair(c, rel.schema, innerSchema); o != nil {
-				outerKeys = append(outerKeys, o)
-				innerKeys = append(innerKeys, in)
-				continue
-			}
-			remaining = append(remaining, c)
-		}
-		if len(outerKeys) == 0 {
-			return nil, fmt.Errorf("hive: uncorrelated EXISTS is not supported")
-		}
-		items := make([]sqlparse.SelectItem, len(innerKeys))
-		for i, k := range innerKeys {
-			items[i] = sqlparse.SelectItem{Expr: expr.Clone(k)}
-		}
-		innerSel = &sqlparse.SelectStmt{Items: items, From: tf.Sel.From, Where: expr.And(remaining...), Limit: -1}
+// applyTransform runs a semi/anti join MR job for an IN/EXISTS subquery. An
+// uncorrelated EXISTS runs its subquery once instead, and a false one
+// leaves the relation a false filter.
+func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, run exec.RunBlock) (*interRel, error) {
+	outerKeys, innerSel, err := exec.Decorrelate(tf, rel.schema, x.schemaOf)
+	if err != nil {
+		return nil, err
 	}
-
-	innerRows, err := x.selectBlock(innerSel, needed)
+	if len(outerKeys) == 0 {
+		holds, err := exec.ExistsHolds(tf, innerSel, run)
+		if err != nil || holds {
+			return rel, err
+		}
+		rel.pending = append(rel.pending, expr.Lit(value.NewBool(false)))
+		return rel, nil
+	}
+	innerRows, err := run(innerSel)
 	if err != nil {
 		return nil, err
 	}
@@ -563,95 +500,16 @@ func (x *Executor) writeRows(dir string, rows []value.Row) error {
 	return x.ms.cluster.WriteFile(dir+"/part-00000", appendRows([]byte(mapreduce.RecordHeader), rows))
 }
 
-// fromSchemaPreview resolves the schema a FROM tree produces.
-func (x *Executor) fromSchemaPreview(te sqlparse.TableExpr) (*value.Schema, error) {
-	switch t := te.(type) {
-	case *sqlparse.TableRef:
-		ti, ok := x.ms.Table(t.Name())
-		if !ok {
-			return nil, fmt.Errorf("hive: table %s not found", t.Name())
-		}
-		return ti.Schema.Qualify(t.Binding()), nil
-	case *sqlparse.JoinExpr:
-		l, err := x.fromSchemaPreview(t.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := x.fromSchemaPreview(t.R)
-		if err != nil {
-			return nil, err
-		}
-		return l.Concat(r), nil
-	case *sqlparse.SubqueryTable:
-		inner, err := x.fromSchemaPreview(t.Sel.From)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := exec.AnalyzeBlock(t.Sel, inner)
-		if err != nil {
-			return nil, fmt.Errorf("hive: %w", err)
-		}
-		return blk.Out.Qualify(t.Alias), nil
+// schemaOf is Hive's exec.SchemaOf: a base table's schema from the
+// metastore.
+func (x *Executor) schemaOf(te sqlparse.TableExpr) (*value.Schema, error) {
+	t, ok := te.(*sqlparse.TableRef)
+	if !ok {
+		return nil, fmt.Errorf("hive: unsupported FROM element %T", te)
 	}
-	return nil, fmt.Errorf("hive: unsupported FROM element %T", te)
-}
-
-// helpers
-
-func equiPair(c expr.Expr, ls, rs *value.Schema) (lk, rk expr.Expr, ok bool) {
-	b, isBin := c.(*expr.BinOp)
-	if !isBin || b.Op != expr.OpEq {
-		return nil, nil, false
+	ti, ok := x.ms.Table(t.Name())
+	if !ok {
+		return nil, fmt.Errorf("hive: table %s not found", t.Name())
 	}
-	if _, lit := b.L.(*expr.Literal); lit {
-		return nil, nil, false
-	}
-	if _, lit := b.R.(*expr.Literal); lit {
-		return nil, nil, false
-	}
-	if expr.Covers(ls, b.L) && expr.Covers(rs, b.R) {
-		return b.L, b.R, true
-	}
-	if expr.Covers(ls, b.R) && expr.Covers(rs, b.L) {
-		return b.R, b.L, true
-	}
-	return nil, nil, false
-}
-
-func corrPair(c expr.Expr, outer, inner *value.Schema) (expr.Expr, expr.Expr) {
-	b, ok := c.(*expr.BinOp)
-	if !ok || b.Op != expr.OpEq {
-		return nil, nil
-	}
-	isOuterSide := func(e expr.Expr) bool {
-		cols := expr.Columns(e)
-		if len(cols) == 0 {
-			return false
-		}
-		for _, col := range cols {
-			if inner.Find(col) >= 0 || outer.Find(col) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	isInnerSide := func(e expr.Expr) bool {
-		cols := expr.Columns(e)
-		if len(cols) == 0 {
-			return false
-		}
-		for _, col := range cols {
-			if inner.Find(col) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if isOuterSide(b.L) && isInnerSide(b.R) {
-		return b.L, b.R
-	}
-	if isOuterSide(b.R) && isInnerSide(b.L) {
-		return b.R, b.L
-	}
-	return nil, nil
+	return ti.Schema.Qualify(t.Binding()), nil
 }

@@ -333,6 +333,45 @@ func TestCorrelatedExists(t *testing.T) {
 	}
 }
 
+// The front half Hive shares with the engine: a join with no equality key
+// is a single-reducer cross product under its residual, an uncorrelated
+// EXISTS is one value for every row, and a scalar subquery in WHERE is run
+// first and inlined.
+func TestSharedFrontEndShapes(t *testing.T) {
+	s := newTestServer(t)
+	loadCustomersOrders(t, s)
+	for _, tc := range []struct {
+		sql  string
+		want int64
+	}{
+		// Orders over 900 belong to customers 2..11: Σ (30 − k) = 235.
+		{`SELECT COUNT(*) FROM customer, orders WHERE c_custkey > o_custkey AND o_total > 900`, 235},
+		// Only order 100 passes the right-side ON filter; customers 1 and 2
+		// match it, and all 30 are kept.
+		{`SELECT COUNT(*), COUNT(o_orderkey) FROM customer LEFT JOIN orders ON o_total > 990 AND c_custkey < 3`, 30},
+		{`SELECT COUNT(*) FROM customer WHERE EXISTS (SELECT o_orderkey FROM orders WHERE o_total > 990)`, 30},
+		{`SELECT COUNT(*) FROM customer WHERE EXISTS (SELECT o_orderkey FROM orders WHERE o_total > 1000)`, 0},
+		{`SELECT COUNT(*) FROM customer WHERE NOT EXISTS (SELECT o_orderkey FROM orders WHERE o_total < 0)`, 30},
+		// The average total is 505: orders 51..100.
+		{`SELECT COUNT(*) FROM orders WHERE o_total > (SELECT AVG(o_total) FROM orders)`, 50},
+	} {
+		rows, err := s.Exec.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if got := rows.Data[0][0].Int(); got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.sql, got, tc.want)
+		}
+	}
+	rows, err := s.Exec.Query(`SELECT COUNT(o_orderkey) FROM customer LEFT JOIN orders ON o_total > 990 AND c_custkey < 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Data[0][0].Int(); got != 2 {
+		t.Errorf("keyless left join matched %d rows, want 2", got)
+	}
+}
+
 func TestPartialCodec(t *testing.T) {
 	var aggs []exec.AggSpec
 	var states []*exec.AggState

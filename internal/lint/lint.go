@@ -331,8 +331,8 @@ func errorFuncs(pkg *Package) map[string]bool {
 }
 
 // importsSync reports whether any file of pkg imports "sync" — a proxy for
-// "this package takes locks", used by locksafe to decide which
-// cross-package calls are lock-ordering hazards.
+// "this package takes locks", used by locksafe for the cross-package calls
+// the interprocedural summaries do not resolve.
 func importsSync(pkg *Package) bool {
 	if pkg == nil {
 		return false

@@ -13,8 +13,9 @@ import (
 //     would wedge txn 2PC commit or esp window flushing);
 //   - a lock held across t.Fatal/FailNow (runtime.Goexit leaves the lock
 //     held and hangs every other test goroutine);
-//   - a lock held across a call into another hana/internal package that
-//     itself takes locks (lock-ordering hazard), or through a func-typed
+//   - a lock held across a call into another hana/internal package whose
+//     callee can take a lock, directly or through its own callees
+//     (Program.TransitiveLocks; lock-ordering hazard), or through a func-typed
 //     struct field (arbitrary user code, e.g. esp pattern actions);
 //   - Lock()/RLock() with no matching Unlock anywhere in the function
 //     (leaked lock on some return path).
@@ -278,7 +279,7 @@ func (ls *lockState) checkCall(call *ast.CallExpr) {
 		}
 		if path, imported := ls.imports[id.Name]; imported &&
 			strings.HasPrefix(path, "hana/internal/") && path != ls.pass.Pkg.Path &&
-			importsSync(ls.pass.All[path]) {
+			ls.takesLocks(FuncRef{Pkg: path, Name: name}) {
 			ls.violationIfHeld(call.Pos(), "call into "+path+" ("+id.Name+"."+name+"), which takes its own locks")
 			return
 		}
@@ -286,6 +287,17 @@ func (ls *lockState) checkCall(call *ast.CallExpr) {
 	if ls.fields[name] && !isMethodLike(ls.pass.Pkg, name) {
 		ls.violationIfHeld(call.Pos(), "call through func-valued field ."+name+" (runs arbitrary code)")
 	}
+}
+
+// takesLocks reports whether a call of fn can acquire a lock: by the
+// interprocedural lock sets when the call resolves to a summarized function,
+// and otherwise (a function value, a conversion, a package not loaded) when
+// fn's package imports sync.
+func (ls *lockState) takesLocks(fn FuncRef) bool {
+	if ls.pass.Prog.Lookup(fn) != nil {
+		return len(ls.pass.Prog.TransitiveLocks(fn)) > 0
+	}
+	return importsSync(ls.pass.All[fn.Pkg])
 }
 
 func (ls *lockState) violationIfHeld(pos token.Pos, what string) {

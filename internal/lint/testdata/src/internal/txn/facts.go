@@ -1,7 +1,8 @@
 // Package txn is the fixture stand-in for hana/internal/txn: it provides
-// the cross-package facts the analyzers consult — it imports sync (so
-// locksafe treats calls into it as lock-ordering hazards) and exports
-// error-returning functions (so errdrop flags discarded calls to them).
+// the cross-package facts the analyzers consult — a function that takes a
+// lock through its callee and one that takes none (so locksafe tells a
+// lock-ordering hazard from a harmless call) and exported error-returning
+// functions (so errdrop flags discarded calls to them).
 package txn
 
 import "sync"
@@ -13,7 +14,28 @@ type Coordinator struct {
 }
 
 // Save is an exported error-returning function for cross-package errdrop.
+// It takes no lock, so locksafe allows a call to it under one.
 func Save() error { return nil }
+
+// Journal's lock is unranked, so nesting it under a fixture lock is
+// locksafe's finding alone.
+type Journal struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (j *Journal) bump() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.n++
+}
+
+// Commit takes the journal's lock through bump: a call to it under another
+// lock is a lock-ordering hazard.
+func Commit(j *Journal) error {
+	j.bump()
+	return nil
+}
 
 // Tick exercises the mutex so it is not dead code.
 func (c *Coordinator) Tick() {

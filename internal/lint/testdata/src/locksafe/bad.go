@@ -56,12 +56,12 @@ func (w *worker) fatalWhileHeld(t failer) {
 	}
 }
 
-// callForeignWhileHeld calls into another internal package that takes its
-// own locks — a lock-ordering hazard.
-func (w *worker) callForeignWhileHeld() error {
+// callForeignWhileHeld calls into another internal package whose callee
+// takes a lock one call further down — a lock-ordering hazard.
+func (w *worker) callForeignWhileHeld(j *txn.Journal) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return txn.Save() // want locksafe
+	return txn.Commit(j) // want locksafe
 }
 
 // fireWhileHeld invokes a func-valued field under the lock; the callback

@@ -32,6 +32,15 @@ func (w *safeWorker) callAfterUnlock() error {
 	return txn.Save()
 }
 
+// callLockFreeWhileHeld crosses the package boundary under the lock into a
+// function that takes no lock, directly or through a callee.
+func (w *safeWorker) callLockFreeWhileHeld() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.n++
+	return txn.Save()
+}
+
 // fireAfterUnlock snapshots the callback under the lock and runs it after.
 func (w *safeWorker) fireAfterUnlock() {
 	w.mu.Lock()

@@ -322,8 +322,8 @@ type TraceRing struct {
 	full bool
 }
 
-// DefaultTraceRingSize bounds the trace history when the engine config
-// leaves it unset.
+// DefaultTraceRingSize bounds the trace history an engine keeps for
+// M_QUERY_TRACES.
 const DefaultTraceRingSize = 32
 
 // NewTraceRing creates a ring holding the last n traces (n<=0 uses

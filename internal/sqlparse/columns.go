@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"hana/internal/expr"
+	"hana/internal/value"
 )
 
 // ColumnSet is the set of column names a statement references, upper-cased
@@ -20,6 +21,19 @@ func (s ColumnSet) Has(name string) bool {
 		name = name[i+1:]
 	}
 	return s[strings.ToUpper(name)]
+}
+
+// Mask marks, by ordinal, the columns of schema the set holds. A nil set
+// gives a nil mask, which marks every column.
+func (s ColumnSet) Mask(schema *value.Schema) []bool {
+	if s == nil {
+		return nil
+	}
+	out := make([]bool, schema.Len())
+	for i, c := range schema.Cols {
+		out[i] = s.Has(c.Name)
+	}
+	return out
 }
 
 // ReferencedColumns walks a full statement — every nested subquery, derived
