@@ -81,9 +81,10 @@ race:
 # statements answered by different processors, placements or operators must
 # agree bit for bit — federated vs all-local TPC-H, one SELECT block through
 # all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
-# float aggregates, worker fragments vs exec, hash vs nested-loop join, and
-# the vectorized scan vs a naive loop.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop
+# float aggregates, worker fragments vs exec, hash vs nested-loop join, the
+# vectorized scan vs a naive loop — and concurrent increments and snapshot
+# reads, which must hold first-committer-wins on every placement.
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion
 equiv:
 	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine
 

@@ -4,7 +4,8 @@
 // into fixed-size row chunks; each column chunk is compressed (dictionary or
 // frame-of-reference encoding) and written to its own page file. Per-chunk
 // zone maps (min/max) let scans skip chunks, and a small LRU buffer cache
-// keeps hot decompressed chunks in memory. Deletes are tombstones.
+// keeps hot decompressed chunks in memory. Tables are append-only: no row is
+// ever removed, and which rows live is the engine's MVCC layer's business.
 package diskstore
 
 import (

@@ -3,6 +3,8 @@ package diskstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -237,59 +239,6 @@ func TestBufferCacheHits(t *testing.T) {
 	}
 }
 
-func TestDeleteTombstoneAndCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	tbl, _ := s.CreateTable("t", testSchema())
-	var rows []value.Row
-	for i := 0; i < 50; i++ {
-		rows = append(rows, mkRow(i))
-	}
-	_ = tbl.BulkLoad(rows)
-	first, err := tbl.Delete(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := tbl.Delete(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first || again {
-		t.Fatal("delete semantics")
-	}
-	if _, err := tbl.Delete(20); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 48 {
-		t.Fatalf("rows after delete = %d", tbl.NumRows())
-	}
-	seen := map[int64]bool{}
-	_ = tbl.Scan([]int{0}, nil, func(id int64, row value.Row) bool {
-		seen[row[0].Int()] = true
-		return true
-	})
-	if seen[10] || seen[20] || !seen[11] {
-		t.Fatal("tombstoned rows visible")
-	}
-	// Tombstones survive reopen.
-	s2, _ := Open(dir)
-	tbl2, _ := s2.Table("t")
-	if tbl2.NumRows() != 48 {
-		t.Fatalf("rows after reopen = %d", tbl2.NumRows())
-	}
-	if err := tbl2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.NumRows() != 48 {
-		t.Fatalf("rows after compact = %d", tbl2.NumRows())
-	}
-	count := 0
-	_ = tbl2.Scan(nil, nil, func(int64, value.Row) bool { count++; return true })
-	if count != 48 {
-		t.Fatalf("scan after compact = %d", count)
-	}
-}
-
 func TestUnflushedRowsVisible(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -304,22 +253,34 @@ func TestUnflushedRowsVisible(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("unflushed rows not visible: %d", count)
 	}
-	// A tombstone for a buffered row is written out with the row, so the
-	// store reopens with the row stored and deleted; a row that was never
-	// stored cannot be tombstoned.
-	if _, err := tbl.Delete(2); err != nil {
+	// Flush persists the tail; with nothing buffered it writes nothing, not
+	// even the manifest.
+	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Delete(5); err == nil {
-		t.Fatal("tombstoned row 5 of 5")
+	mf := filepath.Join(dir, "t", "manifest.json")
+	if err := os.Remove(mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(mf); !os.IsNotExist(err) {
+		t.Fatalf("an empty flush wrote the manifest: %v", err)
+	}
+	if err := tbl.Append(mkRow(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl2, _ := s2.Table("t")
-	if tbl2.TotalRows() != 5 || tbl2.NumRows() != 4 {
-		t.Fatalf("after reopen: %d rows stored, %d live; want 5 and 4", tbl2.TotalRows(), tbl2.NumRows())
+	if tbl2.NumRows() != 6 {
+		t.Fatalf("after reopen: %d rows stored, want 6", tbl2.NumRows())
 	}
 }
 

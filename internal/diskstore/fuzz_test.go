@@ -158,7 +158,7 @@ func FuzzDecodeChunk(f *testing.F) {
 // or an error.
 
 // manifestStore builds a store holding table t: two chunks (4096 and 4
-// rows), one tombstone. It returns the directory and t's manifest.
+// rows). It returns the directory and t's manifest.
 func manifestStore(t testing.TB) (string, manifest) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -174,9 +174,6 @@ func manifestStore(t testing.TB) (string, manifest) {
 		rows[i] = mkRow(i)
 	}
 	if err := tbl.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Delete(5); err != nil {
 		t.Fatal(err)
 	}
 	var m manifest
@@ -205,8 +202,6 @@ func hostileManifests(m manifest) map[string]manifest {
 		"zone row too narrow":  edit(func(m *manifest) { m.Zones[1] = m.Zones[1][:2] }),
 		"negative chunk rows":  edit(func(m *manifest) { m.ChunkRows[1] = -4 }),
 		"negative chunk size":  edit(func(m *manifest) { m.ChunkSize = -1 }),
-		"tombstone past end":   edit(func(m *manifest) { m.Deleted = []int64{4100} }),
-		"negative tombstone":   edit(func(m *manifest) { m.Deleted = []int64{-1} }),
 		"no columns":           edit(func(m *manifest) { m.Cols, m.Zones = nil, [][]zone{{}, {}} }),
 		"row count overflows":  edit(func(m *manifest) { m.ChunkRows = []int{math.MaxInt64, 1} }),
 		"more zones than rows": edit(func(m *manifest) { m.Zones = append(m.Zones, m.Zones[0]) }),

@@ -75,7 +75,6 @@ func (s *Store) CreateTable(name string, schema *value.Schema) (*Table, error) {
 		name:      name,
 		schema:    schema.Clone(),
 		chunkSize: 4096,
-		deleted:   map[int64]bool{},
 	}
 	if err := os.MkdirAll(t.path(), 0o755); err != nil {
 		return nil, err
@@ -134,12 +133,14 @@ type manifest struct {
 	Name      string         `json:"name"`
 	Cols      []value.Column `json:"cols"`
 	ChunkRows []int          `json:"chunk_rows"`
-	Zones     [][]zone       `json:"zones"`   // [chunk][col]
-	Deleted   []int64        `json:"deleted"` // tombstoned global row ids
+	Zones     [][]zone       `json:"zones"` // [chunk][col]
 	ChunkSize int            `json:"chunk_size"`
 }
 
-// Table is one disk-resident columnar table.
+// Table is one disk-resident columnar table: an append-only sequence of
+// immutable chunks and an unflushed tail. A row's id is its position, and
+// no row is ever removed; which rows a reader sees is the caller's MVCC
+// layer's business.
 type Table struct {
 	mu        sync.RWMutex
 	store     *Store
@@ -149,13 +150,12 @@ type Table struct {
 
 	chunkRows []int
 	zones     [][]zone
-	deleted   map[int64]bool
 
 	buf []value.Row // rows not yet written to a chunk
 }
 
 func loadTable(s *Store, dirName string) (*Table, error) {
-	t := &Table{store: s, name: dirName, deleted: map[int64]bool{}}
+	t := &Table{store: s, name: dirName}
 	data, err := os.ReadFile(filepath.Join(s.dir, dirName, "manifest.json"))
 	if err != nil {
 		return nil, err
@@ -175,15 +175,12 @@ func loadTable(s *Store, dirName string) (*Table, error) {
 	if t.chunkSize == 0 {
 		t.chunkSize = 4096
 	}
-	for _, id := range m.Deleted {
-		t.deleted[id] = true
-	}
 	return t, nil
 }
 
 // check rejects a manifest readers could not index by: every chunk needs a
-// zone per column and a row count that is not negative, the row counts must
-// sum without overflow, and every tombstone must name a stored row. A table
+// zone per column and a row count that is not negative, and the row counts
+// must sum without overflow. A table
 // has at least one column, so every chunk row is backed by a chunk file
 // whose decoded length readChunk checks.
 func (m *manifest) check() error {
@@ -206,11 +203,6 @@ func (m *manifest) check() error {
 		}
 		total += int64(n)
 	}
-	for _, id := range m.Deleted {
-		if id < 0 || id >= total {
-			return fmt.Errorf("deleted row %d outside the %d stored rows", id, total)
-		}
-	}
 	return nil
 }
 
@@ -228,10 +220,6 @@ func (t *Table) saveManifest() error {
 		Zones:     t.zones,
 		ChunkSize: t.chunkSize,
 	}
-	for id := range t.deleted {
-		m.Deleted = append(m.Deleted, id)
-	}
-	sort.Slice(m.Deleted, func(i, j int) bool { return m.Deleted[i] < m.Deleted[j] })
 	data, err := json.Marshal(&m)
 	if err != nil {
 		return err
@@ -249,17 +237,9 @@ func (t *Table) Schema() *value.Schema { return t.schema }
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// NumRows returns the count of live (non-tombstoned) rows, including
-// buffered unflushed rows.
+// NumRows counts the stored rows, the unflushed tail included — the next
+// row id. MVCC layers align version vectors with this.
 func (t *Table) NumRows() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.flushedLocked() + int64(len(t.buf)) - int64(len(t.deleted))
-}
-
-// TotalRows counts all stored rows including tombstoned ones — the next
-// global row id. MVCC layers align version vectors with this.
-func (t *Table) TotalRows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.flushedLocked() + int64(len(t.buf))
@@ -304,7 +284,8 @@ func (t *Table) BulkLoad(rows []value.Row) error {
 	return t.flushLocked()
 }
 
-// Flush writes buffered rows to disk chunks and persists the manifest.
+// Flush writes buffered rows to disk chunks and persists the manifest. With
+// no buffered rows it writes nothing.
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -312,6 +293,9 @@ func (t *Table) Flush() error {
 }
 
 func (t *Table) flushLocked() error {
+	if len(t.buf) == 0 {
+		return nil
+	}
 	for len(t.buf) > 0 {
 		n := len(t.buf)
 		if n > t.chunkSize {
@@ -356,33 +340,6 @@ func (t *Table) flushLocked() error {
 	}
 	t.buf = nil
 	return t.saveManifest()
-}
-
-// Delete tombstones a row by global id and returns whether it was live.
-// The manifest persists the tombstone; losing that write would resurrect
-// the row after a restart, so the error propagates. A manifest names only
-// flushed rows (loadTable rejects any other tombstone), so tombstoning a
-// buffered row flushes the buffer with it.
-func (t *Table) Delete(id int64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	flushed := t.flushedLocked()
-	if id < 0 || id >= flushed+int64(len(t.buf)) {
-		return false, fmt.Errorf("delete row %d of %s: no such row", id, t.name)
-	}
-	if t.deleted[id] {
-		return false, nil
-	}
-	t.deleted[id] = true
-	save := t.saveManifest
-	if id >= flushed {
-		save = t.flushLocked
-	}
-	if err := save(); err != nil {
-		delete(t.deleted, id)
-		return false, err
-	}
-	return true, nil
 }
 
 // Range restricts a scan on one column: Lo/Hi nil mean unbounded.
@@ -454,8 +411,8 @@ func (t *Table) spansLocked(ranges map[int]Range) []Span {
 // it named into a larger chunk. needed marks the column ordinals to read
 // (nil = all); the others become pruned vectors that read no chunk. Chunk
 // columns come from the buffer cache as boxed vectors sharing the cached
-// arrays, which nobody may write to; the selection leaves out tombstoned
-// rows, so the row id of live row k is lo + RowIndex(k).
+// arrays, which nobody may write to. The batch has no selection: row k has
+// id lo + k.
 func (t *Table) ReadBatch(lo, hi int64, needed []bool) (*value.Batch, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -496,21 +453,10 @@ func (t *Table) readBatchLocked(lo, hi int64, needed []bool) (*value.Batch, erro
 			}
 		}
 	}
-	if len(t.deleted) > 0 {
-		sel := make([]int32, 0, n)
-		for i := 0; i < n; i++ {
-			if !t.deleted[lo+int64(i)] {
-				sel = append(sel, int32(i))
-			}
-		}
-		if len(sel) < n {
-			b.Sel = sel
-		}
-	}
 	return b, nil
 }
 
-// Scan iterates live rows projecting the given column ordinals (nil = all
+// Scan iterates stored rows projecting the given column ordinals (nil = all
 // columns). ranges optionally prunes chunks via zone maps (keyed by column
 // ordinal). fn returning false stops the scan. The row slice is reused.
 func (t *Table) Scan(ords []int, ranges map[int]Range, fn func(id int64, row value.Row) bool) error {
@@ -538,8 +484,7 @@ func (t *Table) scanLocked(ords []int, ranges map[int]Range, fn func(id int64, r
 		if err != nil {
 			return err
 		}
-		for k := 0; k < b.Len(); k++ {
-			i := b.RowIndex(k)
+		for i := 0; i < b.N; i++ {
 			for j, o := range ords {
 				row[j] = b.Cols[o].Vals[i]
 			}
@@ -614,8 +559,8 @@ func (t *Table) DiskSize() (int64, error) {
 }
 
 // AddColumn extends the table schema with a new column; existing rows read
-// NULL. Row ids are stable (tombstones and chunk boundaries are
-// preserved), so MVCC version vectors stay aligned.
+// NULL. Row ids and chunk boundaries are unchanged, so MVCC version vectors
+// stay aligned.
 func (t *Table) AddColumn(col value.Column) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -640,31 +585,4 @@ func (t *Table) AddColumn(col value.Column) error {
 	t.schema.Cols = append(t.schema.Cols, col)
 	t.store.cache.dropTable(strings.ToUpper(t.name))
 	return t.saveManifest()
-}
-
-// Compact rewrites the table dropping tombstoned rows and merging partial
-// chunks into full ones.
-func (t *Table) Compact() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var rows []value.Row
-	err := t.scanLocked(nil, nil, func(_ int64, row value.Row) bool {
-		rows = append(rows, row.Clone())
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	// Remove old chunk files.
-	for chunk := range t.chunkRows {
-		for col := 0; col < t.schema.Len(); col++ {
-			_ = os.Remove(t.chunkFile(chunk, col))
-		}
-	}
-	t.store.cache.dropTable(strings.ToUpper(t.name))
-	t.chunkRows = nil
-	t.zones = nil
-	t.deleted = map[int64]bool{}
-	t.buf = rows
-	return t.flushLocked()
 }

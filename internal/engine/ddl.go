@@ -110,7 +110,8 @@ func (e *Engine) createTable(st *sqlparse.CreateTableStmt) (*Result, error) {
 // buildStoredTable allocates the physical partitions for a catalog entry.
 // Caller holds e.mu.
 func (e *Engine) buildStoredTable(meta *catalog.TableMeta) (*storedTable, error) {
-	t := &storedTable{eng: e, meta: meta, part2pc: newExtParticipant(e, meta.Name)}
+	t := &storedTable{eng: e, meta: meta}
+	t.part2pc = &extParticipant{name: "extstore:" + meta.Name, t: t}
 	mk := func(pm catalog.PartitionMeta, cold bool, suffix string) (*partition, error) {
 		p := &partition{meta: pm, cold: cold, vers: txn.NewRowVersions()}
 		switch {
@@ -121,18 +122,20 @@ func (e *Engine) buildStoredTable(meta *catalog.TableMeta) (*storedTable, error)
 			}
 			name := meta.Name + suffix
 			ext, ok := store.Table(name)
+			if ok && !e.recovering {
+				// A leftover of an earlier engine: the version vectors that
+				// said which of its rows live died with that engine, so the
+				// new table starts empty. Crash recovery adopts the rows
+				// instead; the savepoint and the WAL say which are live.
+				if err := store.DropTable(name); err != nil {
+					return nil, err
+				}
+				ok = false
+			}
 			if !ok {
 				ext, err = store.CreateTable(name, meta.Schema)
 				if err != nil {
 					return nil, err
-				}
-			} else if !e.recovering {
-				// Reopened store: existing rows are committed (tombstoned
-				// rows stay hidden by the disk store itself). Crash recovery
-				// skips this backfill — the savepoint's version snapshot and
-				// the WAL suffix are authoritative there.
-				for id := 0; id < int(ext.TotalRows()); id++ {
-					p.vers.InsertCommitted(id, 1)
 				}
 			}
 			p.ext = ext
@@ -168,6 +171,17 @@ func (e *Engine) buildStoredTable(meta *catalog.TableMeta) (*storedTable, error)
 		t.parts = append(t.parts, p)
 	}
 	return t, nil
+}
+
+// ageRow appends an aged row to the cold partition its key routes it to,
+// or to cold when the key routes it to a hot one.
+func (t *storedTable) ageRow(tx *txn.Txn, cold *partition, row value.Row) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if routed, err := t.partitionFor(row); err == nil && routed.cold {
+		cold = routed
+	}
+	return t.appendLocked(tx, cold, row)
 }
 
 // alterTable adds columns to a table: the hybrid-table concept includes
@@ -206,17 +220,9 @@ func (e *Engine) alterTable(st *sqlparse.AlterTableStmt) (*Result, error) {
 		}
 	}
 	for _, col := range added {
-		for _, p := range t.parts {
-			switch {
-			case p.hot != nil:
-				p.hot.AddColumn(col)
-			case p.ext != nil:
-				if err := p.ext.AddColumn(col); err != nil {
-					return nil, err
-				}
-			}
+		if err := t.addColumnLocked(col); err != nil {
+			return nil, err
 		}
-		t.meta.Schema.Cols = append(t.meta.Schema.Cols, col)
 	}
 	if len(added) > 0 {
 		// Schema changed: re-register drops the workers' copies, so rebuild
@@ -246,15 +252,7 @@ func (e *Engine) drop(st *sqlparse.DropStmt) (*Result, error) {
 		if err := e.logRedoDDL(redoDDLDrop, t.meta.Name, nil); err != nil {
 			return nil, fmt.Errorf("logging drop: %w", err)
 		}
-		for i, p := range t.parts {
-			if p.ext != nil {
-				suffix := ""
-				if t.meta.Placement == catalog.PlacementHybrid {
-					suffix = fmt.Sprintf("$p%d", i)
-				}
-				_ = e.ext.DropTable(t.meta.Name + suffix)
-			}
-		}
+		e.dropColdLocked(t)
 		delete(e.tables, key)
 		e.distDrop(st.Name)
 		_ = e.cat.DropTable(st.Name)
@@ -416,15 +414,10 @@ func (e *Engine) RunAgingContext(ctx context.Context, table string) (int64, erro
 				_ = e.Rollback(tx)
 				return 0, err
 			}
-			target := cold
-			// Respect range routing when the cold partitions are ranged.
-			if len(t.parts) > 1 && t.meta.PartitionBy != "" {
-				if routed, err := t.partitionFor(row); err == nil && routed.cold {
-					target = routed
-				}
+			if err := t.ageRow(tx, cold, row); err != nil {
+				_ = e.Rollback(tx)
+				return 0, err
 			}
-			t.part2pc.bufferInsert(tx.TID, target, row)
-			tx.Enlist(t.part2pc)
 			moved++
 		}
 	}

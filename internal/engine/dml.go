@@ -122,14 +122,9 @@ func (e *Engine) extendFlexible(t *storedTable, col string) (int, error) {
 			return 0, fmt.Errorf("logging flexible-schema extension: %w", err)
 		}
 	}
-	// The partition's column store extends its own schema copy; the catalog
-	// schema (shared with the meta) extends alongside.
-	for _, p := range t.parts {
-		if p.hot != nil {
-			p.hot.AddColumn(nc)
-		}
+	if err := t.addColumnLocked(nc); err != nil {
+		return 0, err
 	}
-	t.meta.Schema.Cols = append(t.meta.Schema.Cols, nc)
 	return t.meta.Schema.Len() - 1, nil
 }
 

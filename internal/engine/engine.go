@@ -198,7 +198,7 @@ type Engine struct {
 	wal        *txn.Log // redo/commit log (nil = durability off)
 	ownWAL     bool     // Open created the log; Close closes it
 	dataDir    string   // savepoint root ("" = savepoints unavailable)
-	recovering bool     // buildStoredTable: version state comes from recovery, not backfill
+	recovering bool     // buildStoredTable: adopt stored cold rows; recovery decides which live
 	recovery   RecoveryInfo
 
 	ckptStop chan struct{} // closes to stop the background checkpointer
@@ -450,20 +450,23 @@ func (e *Engine) CommitTxContext(ctx context.Context, tx *txn.Txn) error {
 func (e *Engine) commitTxCtx(ctx context.Context, tx *txn.Txn) error {
 	e.spMu.RLock()
 	defer e.spMu.RUnlock()
-	cid, err := e.mgr.CommitCtx(ctx, tx)
-	if err != nil {
-		dropStamps(tx)
-		return err
+	_, err := e.mgr.CommitCtx(ctx, tx)
+	if err != nil && tx.State() == txn.StateAborted {
+		// The coordinator aborts the participants that prepared, not the one
+		// that voted no nor those after it: revert their cold stamps too.
+		e.mu.RLock()
+		for _, t := range e.tables {
+			_ = t.part2pc.Abort(tx.TID)
+		}
+		e.mu.RUnlock()
 	}
-	commitStamps(tx, cid)
-	return nil
+	return err
 }
 
 // Rollback aborts the transaction.
 func (e *Engine) Rollback(tx *txn.Txn) error {
 	e.spMu.RLock()
 	defer e.spMu.RUnlock()
-	dropStamps(tx)
 	return e.mgr.Abort(tx)
 }
 

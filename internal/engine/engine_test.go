@@ -534,3 +534,24 @@ func TestTableAliases(t *testing.T) {
 		t.Fatalf("self join = %v", res.Rows)
 	}
 }
+
+// An extended-storage table left on disk by an earlier engine has no version
+// vector saying which of its rows live, so CREATE TABLE outside recovery
+// replaces it with an empty one.
+func TestCreateTableReplacesLeftoverColdTable(t *testing.T) {
+	dir := t.TempDir()
+	first := New(Config{ExtendedStorageDir: dir})
+	exec1(t, first, `CREATE TABLE old (id BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, first, `INSERT INTO old VALUES (1), (2), (3)`)
+	exec1(t, first, `DELETE FROM old WHERE id = 2`)
+
+	second := New(Config{ExtendedStorageDir: dir})
+	exec1(t, second, `CREATE TABLE old (id BIGINT) USING EXTENDED STORAGE`)
+	if n, err := second.TableRowCount("old"); err != nil || n != 0 {
+		t.Fatalf("the new table counts %d rows (%v), want 0", n, err)
+	}
+	exec1(t, second, `INSERT INTO old VALUES (4)`)
+	if got := renderRows(exec1(t, second, `SELECT id FROM old`).Rows); !sameRows(got, []string{"4"}) {
+		t.Fatalf("rows = %v, want [4]", got)
+	}
+}

@@ -13,27 +13,29 @@ import (
 	"hana/internal/value"
 )
 
-// Crash recovery: Open (or Recover) rebuilds an engine from its data
-// directory in four steps —
+// Crash recovery: Open (or Recover) loads the newest savepoint (physical
+// rows, version vectors, catalog metadata, coordinator watermarks, in-doubt
+// branches), replays the WAL suffix tolerantly (a torn tail is truncated at
+// the first bad record), rebuilds the coordinator from its control records
+// and then makes three passes:
 //
-//  1. load the newest savepoint: physical rows, version vectors, catalog
-//     metadata, coordinator watermarks, in-doubt branches;
-//  2. replay the WAL suffix tolerantly (a torn tail is truncated at the
-//     first bad record) and rebuild the coordinator from the control
-//     records;
-//  3. apply redo records in LSN order. Hot/row appends re-attempt the
-//     original mutation — a deterministic failure (duplicate key) is
-//     skipped exactly as it failed originally, keeping row ids aligned;
-//     extended-storage records are resolved per (partition, row id) with
-//     last-record-wins, then applied per transaction outcome;
-//  4. finalize outcomes: commit stamps in CID order, abort stamps, then
-//     abort every version stamp whose transaction is neither decided nor
-//     in-doubt (the crash cut it short).
+//  1. apply redo records in LSN order, one rule for every placement: skip a
+//     record of a table the log drops later, and a record the version
+//     vector already covers; re-attempt an append whose
+//     row id is the store's row count (a deterministic failure, duplicate
+//     key, is skipped exactly as it failed originally, keeping row ids
+//     aligned); for a cold row already on disk, only stamp it; a gap, or a
+//     vector longer than its store at the end of the pass, is an error;
+//  2. restore the savepoint's in-doubt branches the suffix did not resolve;
+//  3. finalize outcomes: commit stamps in CID order (an in-doubt branch's
+//     cold stamps wait for its resolution), abort stamps, then every stamp
+//     still pending either belongs to an in-doubt branch — re-marked with
+//     the participant of the cold partition holding it — or is aborted (the
+//     crash cut its transaction short).
 //
-// Prepared-but-undecided branches are re-marked in-doubt with their
-// participant identity and rebuilt work orders; recovery does NOT resolve
-// them — callers drive ResolveAllInDoubt (or manual ResolveInDoubt), the
-// same path used for in-flight in-doubt branches.
+// Disk rows no record names have no version and stay invisible. Recovery
+// does NOT resolve in-doubt branches — callers drive ResolveAllInDoubt (or
+// manual ResolveInDoubt), the same path used for in-flight ones.
 
 // RecoveryInfo summarizes what recovery did; exposed via the M_RECOVERY
 // system view and the crash harness.
@@ -149,18 +151,6 @@ func computeOutcomes(recs []txn.Record) walOutcomes {
 	return out
 }
 
-// extEvent is one extended-storage redo record held back for outcome-aware
-// application (see the package comment on last-record-wins).
-type extEvent struct {
-	op    byte
-	tid   uint64
-	cid   uint64 // redoInsC only
-	table string
-	part  int
-	rowID int
-	row   value.Row
-}
-
 // recoverFrom rebuilds the engine from e.dataDir. Called once from Open,
 // before the engine is shared with any other goroutine.
 func (e *Engine) recoverFrom() error {
@@ -206,10 +196,12 @@ func (e *Engine) recoverFrom() error {
 	info.Committed = len(out.committed)
 	info.Aborted = len(out.aborted)
 
-	// Pass 1: data records in LSN order. Hot/row records apply immediately;
-	// extended-storage records collect into events for outcome-aware
-	// application below.
-	var extEvents []extEvent
+	// Pass 1: data records in LSN order. A table dropped later in the log
+	// may share its name, and so its cold store, with one created after
+	// the drop; the records before its last drop are skipped, since the
+	// store no longer holds its rows.
+	var data []redoRec
+	lastDrop := map[string]uint64{}
 	for _, r := range recs {
 		if r.Type != txn.RecData {
 			continue
@@ -220,97 +212,104 @@ func (e *Engine) recoverFrom() error {
 			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
 		rec.tid, rec.cid, rec.lsn = r.TID, r.CID, r.LSN
-		switch rec.op {
-		case redoDDLCreate, redoDDLDrop, redoDDLAlter:
-			if err := e.applyRedoDDL(rec, &extEvents); err != nil {
-				return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
-			}
-		case redoIns, redoInsC, redoDel:
-			if rec.op == redoInsC && e.isExtPart(rec.table, rec.part) {
-				// Bulk loads into extended partitions replay through the
-				// outcome-aware ext pass: the disk may already hold the row
-				// (diskstore durability is independent of the savepoint), but
-				// its MVCC stamp still needs re-applying.
-				row, _, err := value.DecodeRow(rec.payload)
-				if err != nil {
-					return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
-				}
-				extEvents = append(extEvents, extEvent{op: rec.op, tid: rec.tid, cid: rec.cid,
-					table: rec.table, part: rec.part, rowID: rec.rowID, row: row})
-				continue
-			}
-			skipped, err := e.applyRedoMem(rec)
-			if err != nil {
-				return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
-			}
-			if skipped {
-				info.SkippedRecords++
-			}
-		case redoExtIns, redoExtDel:
-			ev := extEvent{op: rec.op, tid: rec.tid, cid: rec.cid, table: rec.table, part: rec.part, rowID: rec.rowID}
-			if rec.op == redoExtIns {
-				row, _, err := value.DecodeRow(rec.payload)
-				if err != nil {
-					return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
-				}
-				ev.row = row
-			}
-			extEvents = append(extEvents, ev)
+		if rec.op == redoDDLDrop {
+			lastDrop[strings.ToUpper(rec.table)] = rec.lsn
+		}
+		data = append(data, rec)
+	}
+	for _, rec := range data {
+		skipped := false
+		switch {
+		case rec.op == redoDDLCreate || rec.op == redoDDLDrop:
+			err = e.applyRedoDDL(rec)
+		case rec.lsn < lastDrop[strings.ToUpper(rec.table)]:
+			skipped = true
+		case rec.op == redoDDLAlter:
+			err = e.applyRedoDDL(rec)
+		default:
+			skipped, err = e.applyRedoRow(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("recovery: LSN %d: %w", rec.lsn, err)
+		}
+		if skipped {
+			info.SkippedRecords++
 		}
 	}
-
-	// Pass 2: extended storage, outcome-aware.
-	inDoubtSet := e.mgr.InDoubt()
-	extInfo, err := e.applyExtEvents(extEvents, out, inDoubtSet)
-	if err != nil {
-		return err
-	}
-	info.SkippedRecords += extInfo
-
-	// Pass 3: restore in-doubt branches carried by the savepoint, unless
-	// the suffix shows them resolved.
-	if manifest != nil {
-		if err := e.restoreSavepointBranches(manifest, out); err != nil {
-			return err
+	var short error
+	e.forEachPartition(func(t *storedTable, p *partition) {
+		if short == nil && p.vers.Len() > p.numRows() {
+			short = fmt.Errorf("recovery: table %s partition %d: %d versions for %d stored rows", t.meta.Name, p.idx, p.vers.Len(), p.numRows())
 		}
+	})
+	if short != nil {
+		return short
 	}
 
-	// Pass 4: outcome stamps. Commit in CID order so later commits of the
-	// same rows land last, then abort, then orphan-abort every version
-	// stamp with no decision and no in-doubt branch.
+	// Pass 2: in-doubt branches the savepoint carries. One the suffix
+	// resolved takes its decision: commit when a commit ID was allocated.
 	type commit struct{ tid, cid uint64 }
 	commits := make([]commit, 0, len(out.committed))
 	for tid, cid := range out.committed {
 		commits = append(commits, commit{tid, cid})
 	}
-	sort.Slice(commits, func(i, j int) bool { return commits[i].cid < commits[j].cid })
 	aborts := make([]uint64, 0, len(out.aborted))
 	for tid := range out.aborted {
 		aborts = append(aborts, tid)
 	}
-	sort.Slice(aborts, func(i, j int) bool { return aborts[i] < aborts[j] })
+	if manifest != nil {
+		for _, b := range manifest.Branch {
+			switch {
+			case !out.resolved[b.TID]:
+				cid := b.CID
+				if c, ok := out.committed[b.TID]; ok {
+					cid = c
+				}
+				e.mgr.MarkInDoubt(b.TID, b.Participant, cid)
+			case b.CID != 0:
+				commits = append(commits, commit{b.TID, b.CID})
+			default:
+				aborts = append(aborts, b.TID)
+			}
+		}
+	}
 
+	// Pass 3: outcome stamps. Commit in CID order so later commits of the
+	// same rows land last, then abort; what is still pending is in-doubt or
+	// orphaned. As in a running engine, an in-doubt branch's cold stamps
+	// wait for its resolution.
+	sort.Slice(commits, func(i, j int) bool { return commits[i].cid < commits[j].cid })
+	sort.Slice(aborts, func(i, j int) bool { return aborts[i] < aborts[j] })
+	inDoubt := map[uint64]uint64{} // tid -> decided cid
+	for _, b := range e.mgr.InDoubtInfo() {
+		inDoubt[b.TID] = b.CID
+	}
+	orphans := map[uint64]bool{}
 	e.forEachPartition(func(t *storedTable, p *partition) {
 		for _, c := range commits {
+			if _, ok := inDoubt[c.tid]; ok && p.ext != nil {
+				continue // only its participant stamps an in-doubt cold branch
+			}
 			p.vers.CommitTID(c.tid, c.cid)
 		}
 		for _, tid := range aborts {
 			p.vers.AbortTID(tid)
 		}
-	})
-	inDoubtNow := e.mgr.InDoubt()
-	orphans := map[uint64]bool{}
-	e.forEachPartition(func(t *storedTable, p *partition) {
 		for _, tid := range p.vers.PendingTIDs() {
-			if _, ok := inDoubtNow[tid]; ok {
-				continue
+			cid, ok := inDoubt[tid]
+			switch {
+			case !ok:
+				orphans[tid] = true
+				p.vers.AbortTID(tid)
+			case p.ext != nil:
+				// The log knows a prepared-but-undecided branch by TID
+				// alone; its cold stamps name the participant.
+				e.mgr.MarkInDoubt(tid, t.part2pc.name, cid)
 			}
-			orphans[tid] = true
-			p.vers.AbortTID(tid)
 		}
 	})
 	info.Orphaned = len(orphans)
-	info.InDoubt = len(inDoubtNow)
+	info.InDoubt = len(inDoubt)
 	e.recovery = info
 	e.publishRecoveryMetrics()
 	return nil
@@ -384,6 +383,9 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 				return fmt.Errorf("recovery: table %s partition %d: %w", meta.Name, sp.Idx, err)
 			}
 			p := t.parts[sp.Idx]
+			if sp.File != "" && p.ext != nil {
+				return fmt.Errorf("recovery: table %s partition %d: a rows file for extended storage", meta.Name, sp.Idx)
+			}
 			if sp.File != "" {
 				data, err := os.ReadFile(filepath.Join(spDir, sp.File))
 				if err != nil {
@@ -406,8 +408,6 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 					}
 				}
 			}
-			// The version snapshot is authoritative — it overwrites whatever
-			// buildStoredTable seeded for reopened extended partitions.
 			p.vers.Import(sp.Vers)
 		}
 	}
@@ -415,9 +415,8 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 }
 
 // applyRedoDDL replays a DDL record. Creates and alters are idempotent
-// against the savepoint; a drop also discards pending extended-storage
-// events of the dropped incarnation.
-func (e *Engine) applyRedoDDL(rec redoRec, extEvents *[]extEvent) error {
+// against the savepoint.
+func (e *Engine) applyRedoDDL(rec redoRec) error {
 	key := strings.ToUpper(rec.table)
 	switch rec.op {
 	case redoDDLCreate:
@@ -440,28 +439,12 @@ func (e *Engine) applyRedoDDL(rec redoRec, extEvents *[]extEvent) error {
 		e.tables[key] = t
 	case redoDDLDrop:
 		e.mu.Lock()
-		t, ok := e.tables[key]
-		if ok {
-			for i, p := range t.parts {
-				if p.ext != nil {
-					suffix := ""
-					if t.meta.Placement == catalog.PlacementHybrid {
-						suffix = fmt.Sprintf("$p%d", i)
-					}
-					_ = e.ext.DropTable(t.meta.Name + suffix)
-				}
-			}
+		defer e.mu.Unlock()
+		if t, ok := e.tables[key]; ok {
+			e.dropColdLocked(t)
 			delete(e.tables, key)
 			_ = e.cat.DropTable(rec.table)
 		}
-		e.mu.Unlock()
-		kept := (*extEvents)[:0]
-		for _, ev := range *extEvents {
-			if !strings.EqualFold(ev.table, rec.table) {
-				kept = append(kept, ev)
-			}
-		}
-		*extEvents = kept
 	case redoDDLAlter:
 		t, err := e.table(rec.table)
 		if err != nil {
@@ -477,36 +460,19 @@ func (e *Engine) applyRedoDDL(rec redoRec, extEvents *[]extEvent) error {
 			if t.meta.Schema.Find(col.Name) >= 0 {
 				continue
 			}
-			for _, p := range t.parts {
-				switch {
-				case p.hot != nil:
-					p.hot.AddColumn(col)
-				case p.ext != nil:
-					if err := p.ext.AddColumn(col); err != nil {
-						return err
-					}
-				}
+			if err := t.addColumnLocked(col); err != nil {
+				return err
 			}
-			t.meta.Schema.Cols = append(t.meta.Schema.Cols, col)
 		}
 	}
 	return nil
 }
 
-// isExtPart reports whether a redo record targets an extended partition of
-// a table that exists at this point of the replay.
-func (e *Engine) isExtPart(table string, part int) bool {
-	t, err := e.table(table)
-	if err != nil || part < 0 || part >= len(t.parts) {
-		return false
-	}
-	return t.parts[part].ext != nil
-}
-
-// applyRedoMem replays one hot/row-store record. Returns whether the record
-// was skipped (already covered by the savepoint, or the original mutation
-// failed deterministically and fails again here).
-func (e *Engine) applyRedoMem(rec redoRec) (bool, error) {
+// applyRedoRow replays one insert or delete record, whatever the placement.
+// Returns whether the record was skipped: the savepoint's version vector
+// already covers it, or the original mutation failed deterministically and
+// fails again here.
+func (e *Engine) applyRedoRow(rec redoRec) (bool, error) {
 	t, err := e.table(rec.table)
 	if err != nil {
 		return true, nil // table dropped later in the log
@@ -517,242 +483,48 @@ func (e *Engine) applyRedoMem(rec redoRec) (bool, error) {
 		return false, fmt.Errorf("table %s: bad partition %d", rec.table, rec.part)
 	}
 	p := t.parts[rec.part]
-	switch rec.op {
-	case redoIns, redoInsC:
-		if rec.rowID < p.numRows() {
-			return true, nil // savepoint already holds the row and its stamp
+	if rec.op == redoDel {
+		if err := p.vers.Delete(rec.rowID, rec.tid); err != nil {
+			return true, nil // the original delete hit the same conflict
 		}
-		if rec.rowID > p.numRows() {
-			return false, fmt.Errorf("table %s: redo gap: record row %d, store at %d", rec.table, rec.rowID, p.numRows())
-		}
+		return false, nil
+	}
+	if rec.rowID < p.vers.Len() {
+		return true, nil
+	}
+	stored := p.numRows()
+	if rec.rowID > stored {
+		return false, fmt.Errorf("table %s: redo gap: record row %d, store at %d", rec.table, rec.rowID, stored)
+	}
+	// A cold row below the store's count reached the disk before the crash
+	// and only needs its stamp; a row at the count is appended again.
+	if rec.rowID == stored {
 		row, _, err := value.DecodeRow(rec.payload)
 		if err != nil {
 			return false, err
 		}
-		var appendErr error
-		if p.hot != nil {
-			_, appendErr = p.hot.Append(row)
-		} else if p.row != nil {
-			_, appendErr = p.row.Append(row)
-		} else {
-			return false, fmt.Errorf("table %s: %s record against extended partition", rec.table, redoOpName(rec.op))
+		switch {
+		case p.hot != nil:
+			_, err = p.hot.Append(row)
+		case p.row != nil:
+			_, err = p.row.Append(row)
+		default:
+			if err := p.ext.Append(row); err != nil {
+				return false, fmt.Errorf("table %s: re-append row %d: %w", rec.table, rec.rowID, err)
+			}
 		}
-		if appendErr != nil {
+		if err != nil {
 			// The original append failed the same deterministic way (e.g.
 			// duplicate primary key) and consumed no row id.
 			return true, nil
 		}
-		if rec.op == redoInsC {
-			p.vers.InsertCommitted(rec.rowID, rec.cid)
-		} else {
-			p.vers.Insert(rec.rowID, rec.tid)
-		}
-	case redoDel:
-		if err := p.vers.Delete(rec.rowID, rec.tid); err != nil {
-			// The original delete hit the same conflict; skip.
-			return true, nil
-		}
+	}
+	if rec.op == redoInsC {
+		p.vers.InsertCommitted(rec.rowID, rec.cid)
+	} else {
+		p.vers.Insert(rec.rowID, rec.tid)
 	}
 	return false, nil
-}
-
-// applyExtEvents applies the extended-storage redo events. Insert events
-// resolve per (table, partition, rowID) with last-record-wins — an append
-// that failed after its record was logged consumed no row id, so a later
-// record at the same id supersedes it. Application depends on the owning
-// transaction's outcome: committed rows are stamped (and re-appended if the
-// disk lost them), in-doubt rows keep their TID stamps and rebuild the
-// participant work order, everything else is tombstoned if durable.
-// Returns how many events were skipped as superseded or inapplicable.
-func (e *Engine) applyExtEvents(events []extEvent, out walOutcomes, inDoubt map[uint64]string) (int, error) {
-	skipped := 0
-	// Winner resolution for insert-type events.
-	type key struct {
-		table string
-		part  int
-		rowID int
-	}
-	winner := map[key]int{} // -> index in events
-	for i, ev := range events {
-		if ev.op == redoExtIns || ev.op == redoInsC {
-			winner[key{strings.ToUpper(ev.table), ev.part, ev.rowID}] = i
-		}
-	}
-	// Rebuilt work orders for in-doubt branches.
-	insOps := map[uint64]map[*partition][]int{}
-	delOps := map[uint64]map[*partition][]int{}
-	branchTable := map[uint64]string{}
-	touched := map[*partition]bool{}
-
-	// Apply inserts in (table, part, rowID) order so disk appends extend
-	// each partition sequentially; deletes follow in log order.
-	insIdx := make([]int, 0, len(winner))
-	for i, ev := range events {
-		if ev.op != redoExtIns && ev.op != redoInsC {
-			continue
-		}
-		if winner[key{strings.ToUpper(ev.table), ev.part, ev.rowID}] != i {
-			skipped++ // superseded: the original append failed
-			continue
-		}
-		insIdx = append(insIdx, i)
-	}
-	sort.Slice(insIdx, func(a, b int) bool {
-		x, y := events[insIdx[a]], events[insIdx[b]]
-		if x.table != y.table {
-			return x.table < y.table
-		}
-		if x.part != y.part {
-			return x.part < y.part
-		}
-		return x.rowID < y.rowID
-	})
-	resolvePart := func(ev extEvent) *partition {
-		t, err := e.table(ev.table)
-		if err != nil || ev.part < 0 || ev.part >= len(t.parts) {
-			return nil
-		}
-		p := t.parts[ev.part]
-		if p.ext == nil {
-			return nil
-		}
-		return p
-	}
-	for _, i := range insIdx {
-		ev := events[i]
-		p := resolvePart(ev)
-		if p == nil {
-			skipped++
-			continue
-		}
-		total := int(p.ext.TotalRows())
-		cid, isCommitted := out.committed[ev.tid]
-		_, isInDoubt := inDoubt[ev.tid]
-		if ev.op == redoInsC {
-			isCommitted, cid = true, ev.cid
-			isInDoubt = false
-		}
-		switch {
-		case isCommitted || isInDoubt:
-			if ev.rowID > total {
-				return skipped, fmt.Errorf("recovery: table %s: ext redo gap: record row %d, store at %d", ev.table, ev.rowID, total)
-			}
-			if ev.rowID == total {
-				// The row never reached the disk (buffered append lost with
-				// the crash); the record carries it.
-				if err := p.ext.Append(ev.row); err != nil {
-					return skipped, fmt.Errorf("recovery: table %s: re-append row %d: %w", ev.table, ev.rowID, err)
-				}
-				touched[p] = true
-			}
-			if ev.op == redoInsC {
-				p.vers.InsertCommitted(ev.rowID, cid)
-			} else {
-				p.vers.Insert(ev.rowID, ev.tid)
-				if isInDoubt {
-					addOp(insOps, ev.tid, p, ev.rowID)
-					branchTable[ev.tid] = ev.table
-				}
-			}
-		default:
-			// Aborted or undecided-unprepared: tombstone what is durable.
-			if ev.rowID < total {
-				_, _ = p.ext.Delete(int64(ev.rowID))
-			} else {
-				skipped++
-			}
-		}
-	}
-	for _, ev := range events {
-		if ev.op != redoExtDel {
-			continue
-		}
-		p := resolvePart(ev)
-		if p == nil {
-			skipped++
-			continue
-		}
-		_, isCommitted := out.committed[ev.tid]
-		_, isInDoubt := inDoubt[ev.tid]
-		switch {
-		case isCommitted:
-			if ev.rowID < int(p.ext.TotalRows()) {
-				if _, err := p.ext.Delete(int64(ev.rowID)); err != nil {
-					return skipped, fmt.Errorf("recovery: table %s: tombstone row %d: %w", ev.table, ev.rowID, err)
-				}
-			}
-			_ = p.vers.Delete(ev.rowID, ev.tid)
-		case isInDoubt:
-			_ = p.vers.Delete(ev.rowID, ev.tid)
-			addOp(delOps, ev.tid, p, ev.rowID)
-			branchTable[ev.tid] = ev.table
-		default:
-			skipped++
-		}
-	}
-	for p := range touched {
-		if err := p.ext.Flush(); err != nil {
-			return skipped, fmt.Errorf("recovery: flush: %w", err)
-		}
-	}
-	// Rebuild participant work orders and attach participant identities to
-	// the branches the log only knows by TID.
-	tids := make([]uint64, 0, len(branchTable))
-	for tid := range branchTable {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		table := branchTable[tid]
-		t, err := e.table(table)
-		if err != nil {
-			continue
-		}
-		t.part2pc.restoreOps(tid, insOps[tid], delOps[tid])
-		e.mgr.MarkInDoubt(tid, t.part2pc.name, out.committed[tid])
-	}
-	return skipped, nil
-}
-
-func addOp(m map[uint64]map[*partition][]int, tid uint64, p *partition, id int) {
-	if m[tid] == nil {
-		m[tid] = map[*partition][]int{}
-	}
-	m[tid][p] = append(m[tid][p], id)
-}
-
-// restoreSavepointBranches re-registers in-doubt branches persisted by the
-// savepoint, unless the WAL suffix shows them resolved since.
-func (e *Engine) restoreSavepointBranches(m *spManifest, out walOutcomes) error {
-	for _, b := range m.Branch {
-		if out.resolved[b.TID] {
-			continue
-		}
-		cid := b.CID
-		if c, ok := out.committed[b.TID]; ok {
-			cid = c
-		}
-		if b.Table != "" {
-			t, err := e.table(b.Table)
-			if err == nil {
-				ins := map[*partition][]int{}
-				del := map[*partition][]int{}
-				for _, ei := range b.Ins {
-					if ei.Part >= 0 && ei.Part < len(t.parts) {
-						ins[t.parts[ei.Part]] = ei.IDs
-					}
-				}
-				for _, ed := range b.Del {
-					if ed.Part >= 0 && ed.Part < len(t.parts) {
-						del[t.parts[ed.Part]] = ed.IDs
-					}
-				}
-				t.part2pc.restoreOps(b.TID, ins, del)
-			}
-		}
-		e.mgr.MarkInDoubt(b.TID, b.Participant, cid)
-	}
-	return nil
 }
 
 // publishRecoveryMetrics mirrors RecoveryInfo into the registry for the

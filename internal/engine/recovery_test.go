@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -269,6 +272,9 @@ func TestRecoverInDoubtBranchAcrossRestart(t *testing.T) {
 	if len(iv.Rows) != 1 || iv.Rows[0][1].String() != "COMMIT" {
 		t.Fatalf("M_INDOUBT_TRANSACTIONS = %v", iv.Rows)
 	}
+	if rows := exec1(t, r, `SELECT id FROM psa`).Rows; len(rows) != 0 {
+		t.Fatalf("the in-doubt branch is visible before its resolution: %v", rows)
+	}
 	if err := r.ResolveAllInDoubt(); err != nil {
 		t.Fatalf("resolving recovered branch: %v", err)
 	}
@@ -355,5 +361,268 @@ func TestRecoverExtendedBulkLoadAfterSavepoint(t *testing.T) {
 	defer r.Close()
 	if n := len(exec1(t, r, `SELECT id FROM k_ext`).Rows); n != 4 {
 		t.Fatalf("lost rows after reopen: got %d, want 4", n)
+	}
+}
+
+// A savepoint taken while cold UPDATEs are in flight exports their TID
+// stamps and the rows behind them; whether each transaction commits after
+// the savepoint or dies with the crash, recovery lands on the committed
+// history.
+func TestRecoverColdUpdateAcrossSavepoint(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, Config{})
+	exec1(t, e, `CREATE TABLE c (k BIGINT, v BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, e, `INSERT INTO c VALUES (1, 0), (2, 0), (3, 0)`)
+	ctx := context.Background()
+	commits, dies := e.Begin(), e.Begin()
+	for _, u := range []struct {
+		tx  *txn.Txn
+		sql string
+	}{{commits, `UPDATE c SET v = 1 WHERE k = 1`}, {dies, `UPDATE c SET v = 1 WHERE k = 2`}} {
+		if _, err := e.ExecuteContext(ctx, u.sql, WithTx(u.tx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Savepoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CommitTxContext(ctx, commits); err != nil {
+		t.Fatal(err)
+	}
+	exec1(t, e, `UPDATE c SET v = 3 WHERE k = 3`)
+	want := []string{"1|1", "2|0", "3|3"}
+	if got := renderRows(exec1(t, e, `SELECT k, v FROM c`).Rows); !sameRows(got, want) {
+		t.Fatalf("before the crash: %v, want %v", got, want)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openDurable(t, dir, Config{})
+	defer r.Close()
+	if got := renderRows(exec1(t, r, `SELECT k, v FROM c`).Rows); !sameRows(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if info := r.RecoveryInfo(); info.Orphaned != 1 || info.SavepointLSN == 0 {
+		t.Fatalf("recovery info %+v: want the savepoint and one orphan", info)
+	}
+	exec1(t, r, `UPDATE c SET v = 2 WHERE k = 2`)
+	if got := renderRows(exec1(t, r, `SELECT v FROM c WHERE k = 2`).Rows); !sameRows(got, []string{"2"}) {
+		t.Fatalf("the orphan's row after an UPDATE: %v", got)
+	}
+}
+
+// A savepoint carries an in-doubt cold branch as its TID and decision
+// alone: its writes are the TID stamps of the exported vectors. After a
+// restart the branch stays invisible until ResolveAllInDoubt commits it.
+func TestRecoverInDoubtColdBranchFromSavepoint(t *testing.T) {
+	dir := t.TempDir()
+	inj := faults.New(1)
+	inj.SetSleep(func(time.Duration) {})
+	e := openDurable(t, dir, Config{Faults: inj, Retry: faults.RetryPolicy{MaxAttempts: 1}})
+	exec1(t, e, `CREATE TABLE psa (id BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, e, `INSERT INTO psa VALUES (1), (2)`)
+	inj.FailN("txn.commit.extstore:psa", 1)
+	ctx := context.Background()
+	tx := e.Begin()
+	for _, q := range []string{`INSERT INTO psa VALUES (3)`, `DELETE FROM psa WHERE id = 1`} {
+		if _, err := e.ExecuteContext(ctx, q, WithTx(tx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CommitTxContext(ctx, tx); err != nil {
+		t.Fatalf("decision was commit: %v", err)
+	}
+	if _, err := e.Savepoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, strings.TrimSpace(string(cur)), "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		InDoubt []map[string]json.RawMessage `json:"in_doubt"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.InDoubt) != 1 {
+		t.Fatalf("savepoint in-doubt branches = %v", raw.InDoubt)
+	}
+	for key := range raw.InDoubt[0] {
+		if key != "tid" && key != "participant" && key != "cid" {
+			t.Errorf("savepoint branch carries %q; the vectors hold its writes", key)
+		}
+	}
+
+	r := openDurable(t, dir, Config{})
+	defer r.Close()
+	if info := r.RecoveryInfo(); info.InDoubt != 1 || info.Orphaned != 0 {
+		t.Fatalf("recovery info %+v: want one in-doubt branch and no orphan", info)
+	}
+	if got := renderRows(exec1(t, r, `SELECT id FROM psa`).Rows); !sameRows(got, []string{"1", "2"}) {
+		t.Fatalf("before resolution: %v, want the branch invisible", got)
+	}
+	if err := r.ResolveAllInDoubt(); err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRows(exec1(t, r, `SELECT id FROM psa`).Rows); !sameRows(got, []string{"2", "3"}) {
+		t.Fatalf("after resolution: %v, want [2 3]", got)
+	}
+}
+
+// Rows that reached a cold partition's disk without a WAL record naming
+// them — the log's tail was lost, the chunk was not — have no version after
+// recovery and stay invisible; the next insert takes the row id after them.
+func TestRecoverIgnoresColdRowsNoRecordNames(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, Config{})
+	exec1(t, e, `CREATE TABLE c (id BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, e, `INSERT INTO c VALUES (1)`)
+	store, err := e.ExtendedStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray, _ := store.Table("c")
+	if err := stray.BulkLoad([]value.Row{{value.NewInt(98)}, {value.NewInt(99)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openDurable(t, dir, Config{})
+	if got := renderRows(exec1(t, r, `SELECT id FROM c`).Rows); !sameRows(got, []string{"1"}) {
+		t.Fatalf("recovered %v, want [1]", got)
+	}
+	exec1(t, r, `INSERT INTO c VALUES (2)`)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r = openDurable(t, dir, Config{})
+	defer r.Close()
+	if got := renderRows(exec1(t, r, `SELECT id FROM c`).Rows); !sameRows(got, []string{"1", "2"}) {
+		t.Fatalf("recovered %v, want [1 2]", got)
+	}
+}
+
+// Ops 3 and 4 once logged extended-storage writes apart; they are retired,
+// and a record carrying one is unknown rather than misapplied.
+func TestRedoRejectsRetiredOps(t *testing.T) {
+	for _, op := range []byte{3, 4} {
+		note := encodeRedoNote(op, 0, 0, "t", nil)
+		if _, err := decodeRedoNote(note); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %d: decode error %v, want unknown op", op, err)
+		}
+		if got := FormatRedoNote(note); !strings.HasPrefix(got, "<opaque") {
+			t.Errorf("op %d renders as %q", op, got)
+		}
+	}
+}
+
+// A cold table the log drops after the savepoint no longer owns its
+// directory: the drop emptied it, or a table created later under the same
+// name filled it with its own rows. Recovery skips the dropped table's
+// records and lands on the tables the log ends with.
+func TestRecoverColdDropAfterSavepoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after []string
+		want  []string // rows of c after recovery; nil = no table
+	}{
+		{"drop", []string{`DROP TABLE c`}, nil},
+		{"insert then drop", []string{`INSERT INTO c VALUES (4)`, `DROP TABLE c`}, nil},
+		{"drop and create smaller", []string{`DROP TABLE c`, `CREATE TABLE c (id BIGINT) USING EXTENDED STORAGE`, `INSERT INTO c VALUES (7)`}, []string{"7"}},
+		{"drop and create wider", []string{`INSERT INTO c VALUES (4)`, `DROP TABLE c`, `CREATE TABLE c (id BIGINT, s VARCHAR(8)) USING EXTENDED STORAGE`, `INSERT INTO c VALUES (7, 'x'), (8, 'y'), (9, 'z'), (10, 'w'), (11, 'v')`}, []string{"10|w", "11|v", "7|x", "8|y", "9|z"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := openDurable(t, dir, Config{})
+			exec1(t, e, `CREATE TABLE keep (id BIGINT) USING EXTENDED STORAGE`)
+			exec1(t, e, `INSERT INTO keep VALUES (1)`)
+			exec1(t, e, `CREATE TABLE c (id BIGINT) USING EXTENDED STORAGE`)
+			exec1(t, e, `INSERT INTO c VALUES (1), (2), (3)`)
+			if _, err := e.Savepoint(); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range tc.after {
+				exec1(t, e, q)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r := openDurable(t, dir, Config{})
+			defer r.Close()
+			if got := renderRows(exec1(t, r, `SELECT id FROM keep`).Rows); !sameRows(got, []string{"1"}) {
+				t.Fatalf("keep: %v", got)
+			}
+			res, err := r.ExecuteContext(context.Background(), `SELECT * FROM c`)
+			switch {
+			case tc.want == nil && err == nil:
+				t.Fatalf("dropped table c reads %v", renderRows(res.Rows))
+			case tc.want != nil && err != nil:
+				t.Fatal(err)
+			case tc.want != nil && !sameRows(renderRows(res.Rows), tc.want):
+				t.Fatalf("c: %v, want %v", renderRows(res.Rows), tc.want)
+			}
+		})
+	}
+}
+
+// A cold INSERT whose row reaches the tail but whose full tail cannot be
+// flushed fails, yet the row stays the transaction's: it is visible once the
+// transaction commits, before a crash as after one, because replay stamps
+// it the same way.
+func TestColdAppendWithFailedFlushMatchesReplay(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, Config{})
+	exec1(t, e, `CREATE TABLE c (id BIGINT) USING EXTENDED STORAGE`)
+	store, err := e.ExtendedStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := store.Table("c")
+	// A directory where the manifest's temporary file goes fails its write.
+	block := filepath.Join(store.Dir(), c.Name(), "manifest.json.tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(`INSERT INTO c VALUES (0)`)
+	for i := 1; i < 4096; i++ {
+		fmt.Fprintf(&b, ", (%d)", i)
+	}
+	ctx := context.Background()
+	tx := e.Begin()
+	if _, err := e.ExecuteContext(ctx, b.String(), WithTx(tx)); err == nil {
+		t.Fatal("the insert that fills the tail flushed through a blocked manifest")
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CommitTxContext(ctx, tx); err != nil {
+		t.Fatal(err)
+	}
+	before := exec1(t, e, `SELECT COUNT(*), SUM(id) FROM c`).Rows
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openDurable(t, dir, Config{})
+	defer r.Close()
+	after := exec1(t, r, `SELECT COUNT(*), SUM(id) FROM c`).Rows
+	if !sameRows(renderRows(before), renderRows(after)) {
+		t.Fatalf("before the crash %v, after recovery %v", renderRows(before), renderRows(after))
+	}
+	if got := renderRows(after); !sameRows(got, []string{"4096|8386560"}) {
+		t.Fatalf("count, sum = %v, want every row of the committed insert", got)
 	}
 }

@@ -25,11 +25,13 @@ import (
 //
 // with the payload depending on op: wire-encoded row for inserts, catalog
 // JSON for DDL, empty for deletes.
+//
+// Every placement logs the same records. Ops 3 and 4 once logged
+// extended-storage writes apart from the rest; they are retired and decode
+// as unknown.
 const (
-	redoIns       byte = 1 // hot/row-store insert; payload = wire row
-	redoDel       byte = 2 // hot/row-store MVCC delete stamp
-	redoExtIns    byte = 3 // extended-storage insert made durable at prepare
-	redoExtDel    byte = 4 // extended-storage delete tombstone
+	redoIns       byte = 1 // insert under Record.TID; payload = wire row
+	redoDel       byte = 2 // MVCC delete stamp under Record.TID
 	redoInsC      byte = 5 // bulk-loaded row, committed at Record.CID
 	redoDDLCreate byte = 6 // payload = catalog.TableMeta JSON
 	redoDDLDrop   byte = 7
@@ -67,7 +69,9 @@ func decodeRedoNote(note string) (redoRec, error) {
 	}
 	d := value.NewCursor(b)
 	r := redoRec{op: d.Byte()}
-	if r.op < redoIns || r.op > redoDDLAlter {
+	switch r.op {
+	case redoIns, redoDel, redoInsC, redoDDLCreate, redoDDLDrop, redoDDLAlter:
+	default:
 		return redoRec{}, fmt.Errorf("redo: unknown op %d", r.op)
 	}
 	r.part = int(d.Uvarint())
@@ -124,10 +128,6 @@ func redoOpName(op byte) string {
 		return "INS"
 	case redoDel:
 		return "DEL"
-	case redoExtIns:
-		return "EXTINS"
-	case redoExtDel:
-		return "EXTDEL"
 	case redoInsC:
 		return "INSC"
 	case redoDDLCreate:
@@ -151,7 +151,7 @@ func FormatRedoNote(note string) string {
 	switch r.op {
 	case redoDDLCreate, redoDDLDrop, redoDDLAlter:
 		return fmt.Sprintf("%s table=%s payload=%dB", redoOpName(r.op), r.table, len(r.payload))
-	case redoDel, redoExtDel:
+	case redoDel:
 		return fmt.Sprintf("%s table=%s part=%d row=%d", redoOpName(r.op), r.table, r.part, r.rowID)
 	default:
 		row, _, err := value.DecodeRow(r.payload)

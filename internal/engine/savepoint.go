@@ -14,11 +14,12 @@ import (
 )
 
 // Savepoints (checkpoints): a consistent snapshot of every stored table —
-// physical rows of the in-memory partitions, MVCC version vectors, catalog
-// metadata, coordinator watermarks and the in-doubt 2PC branches — written
-// as of a single WAL position S. Recovery loads the newest savepoint and
-// replays only the WAL suffix past S; after a successful install the WAL is
-// truncated behind S.
+// physical rows of the in-memory partitions, MVCC version vectors (a cold
+// partition's tail is flushed first, so its vector names stored rows only),
+// catalog metadata, coordinator watermarks and the in-doubt 2PC branches —
+// written as of a single WAL position S. Recovery loads the newest
+// savepoint and replays only the WAL suffix past S; after a successful
+// install the WAL is truncated behind S.
 //
 // On-disk layout under the engine's data directory:
 //
@@ -69,18 +70,12 @@ func (sp *spPart) check() error {
 	return nil
 }
 
+// spBranch is an in-doubt 2PC branch. Its writes need no listing: the
+// cold partitions' exported vectors carry them as TID stamps.
 type spBranch struct {
-	TID         uint64     `json:"tid"`
-	Participant string     `json:"participant"`
-	CID         uint64     `json:"cid,omitempty"` // decided commit ID; 0 = presumed abort
-	Table       string     `json:"table,omitempty"`
-	Ins         []spExtIDs `json:"ins,omitempty"` // prepared (durable) insert row ids
-	Del         []spExtIDs `json:"del,omitempty"` // buffered delete tombstones
-}
-
-type spExtIDs struct {
-	Part int   `json:"part"`
-	IDs  []int `json:"ids"`
+	TID         uint64 `json:"tid"`
+	Participant string `json:"participant"`
+	CID         uint64 `json:"cid,omitempty"` // decided commit ID; 0 = presumed abort
 }
 
 // savepointWriter writes one savepoint artifact; Close syncs the file to
@@ -167,10 +162,8 @@ func (e *Engine) captureSnapshot() (*spSnapshot, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	byName := map[string]*storedTable{}
 	for ti, k := range keys {
 		t := e.tables[k]
-		byName[t.meta.Name] = t
 		t.mu.Lock()
 		meta, err := marshalTableMeta(t.meta)
 		if err != nil {
@@ -179,6 +172,13 @@ func (e *Engine) captureSnapshot() (*spSnapshot, error) {
 		}
 		st := spTable{Meta: meta}
 		for pi, p := range t.parts {
+			if p.ext != nil {
+				// The vector may name rows only the cold tail holds yet.
+				if err := p.ext.Flush(); err != nil {
+					t.mu.Unlock()
+					return nil, err
+				}
+			}
 			sp := spPart{Idx: pi, Vers: p.vers.Export()}
 			if p.ext == nil {
 				var buf []byte
@@ -203,31 +203,10 @@ func (e *Engine) captureSnapshot() (*spSnapshot, error) {
 		snap.manifest.Tables = append(snap.manifest.Tables, st)
 	}
 
-	// In-doubt 2PC branches: persist the decided CID and the prepared row
-	// ids so recovery can rebuild the participant's work order.
 	for _, b := range e.mgr.InDoubtInfo() {
-		sb := spBranch{TID: b.TID, Participant: b.Participant, CID: b.CID}
-		if table, ok := strings.CutPrefix(b.Participant, "extstore:"); ok {
-			if t := byName[table]; t != nil {
-				if ins, del, ok := t.part2pc.exportOps(b.TID); ok {
-					sb.Table = table
-					sb.Ins = sortedExtIDs(ins)
-					sb.Del = sortedExtIDs(del)
-				}
-			}
-		}
-		snap.manifest.Branch = append(snap.manifest.Branch, sb)
+		snap.manifest.Branch = append(snap.manifest.Branch, spBranch{TID: b.TID, Participant: b.Participant, CID: b.CID})
 	}
 	return snap, nil
-}
-
-func sortedExtIDs(m map[int][]int) []spExtIDs {
-	out := make([]spExtIDs, 0, len(m))
-	for part, ids := range m {
-		out = append(out, spExtIDs{Part: part, IDs: ids})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Part < out[j].Part })
-	return out
 }
 
 // writeSavepoint persists a captured snapshot: tmp dir, synced members,

@@ -122,7 +122,7 @@ func TestScanMatchesNaiveLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Committed deletes: on a cold partition they end as tombstones.
+			// Committed deletes: version stamps on every placement.
 			exec1(t, e, "DELETE FROM t WHERE id IN (5, 4097, 8500)")
 			// An unflushed tail behind the flushed chunks of every cold partition.
 			for _, p := range st.parts {

@@ -124,8 +124,7 @@ func TestResolveInDoubtThroughEngine(t *testing.T) {
 }
 
 // blockManifest squats a directory on the table's manifest.json.tmp path so
-// the next diskstore manifest save (and hence ext.Delete) fails; the
-// returned func unblocks it.
+// the next diskstore manifest save fails; the returned func unblocks it.
 func blockManifest(t *testing.T, dir, table string) func() {
 	t.Helper()
 	block := filepath.Join(dir, table, "manifest.json.tmp")
@@ -139,15 +138,45 @@ func blockManifest(t *testing.T, dir, table string) func() {
 	}
 }
 
+// A cold DELETE is a version stamp and nothing else: with every manifest
+// save failing it still commits. A cold INSERT reaches the disk at prepare,
+// so the same failure is a no vote that aborts the transaction, and its row
+// never becomes visible.
+func TestColdDeleteWritesNoManifest(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Config{ExtendedStorageDir: dir})
+	exec1(t, e, `CREATE TABLE psb (id BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, e, `INSERT INTO psb VALUES (1), (2)`)
+	unblock := blockManifest(t, dir, "psb")
+	exec1(t, e, `DELETE FROM psb WHERE id = 1`)
+	if _, err := e.ExecuteContext(context.Background(), `INSERT INTO psb VALUES (3)`); err == nil {
+		t.Fatal("an insert whose prepare cannot reach the disk must abort")
+	}
+	if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
+		t.Fatalf("in-doubt = %v", ind)
+	}
+	unblock()
+	exec1(t, e, `INSERT INTO psb VALUES (4)`)
+	rows := renderRows(exec1(t, e, `SELECT id FROM psb`).Rows)
+	if !sameRows(rows, []string{"2", "4"}) {
+		t.Fatalf("rows = %v, want [2 4]", rows)
+	}
+}
+
+// Storage that fails every manifest save cannot hold a commit up: the cold
+// participant's Commit only stamps versions. A commit-phase failure still
+// leaves the branch in-doubt and invisible; a failed resolution keeps it so,
+// and a retry completes the commit exactly once.
 func TestResolveRetryAfterCommitStorageFailure(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{ExtendedStorageDir: dir})
 	exec1(t, e, `CREATE TABLE psb (id BIGINT) USING EXTENDED STORAGE`)
 	exec1(t, e, `INSERT INTO psb VALUES (1), (2)`)
 	unblock := blockManifest(t, dir, "psb")
+	inj := faults.New(1)
+	e.TxnManager().SetInjector(inj)
+	inj.FailN("txn.commit.extstore:psb", 2)
 	tx := e.Begin()
-	// Delete-only branch: Prepare does no disk IO, so the injected storage
-	// failure strikes inside the participant's Commit tombstone loop.
 	if _, err := e.ExecuteContext(context.Background(), `DELETE FROM psb WHERE id = 1`, WithTx(tx)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,27 +186,30 @@ func TestResolveRetryAfterCommitStorageFailure(t *testing.T) {
 	if ind := e.TxnManager().InDoubt(); len(ind) != 1 {
 		t.Fatalf("in-doubt = %v", ind)
 	}
-	// While storage still fails, resolution must fail too and keep the
-	// branch in-doubt — not "succeed" with the commit silently lost.
 	if err := e.ResolveInDoubt(tx.TID, true); err == nil {
-		t.Fatal("resolve must surface the storage error")
+		t.Fatal("resolve must surface the commit failure")
 	}
 	if ind := e.TxnManager().InDoubt(); len(ind) != 1 {
 		t.Fatalf("branch must stay in-doubt after failed resolve, got %v", ind)
 	}
-	unblock()
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psb`).Rows[0][0].Int(); n != 2 {
+		t.Fatalf("count = %d while in-doubt, want the delete invisible", n)
+	}
 	if err := e.ResolveInDoubt(tx.TID, true); err != nil {
 		t.Fatal(err)
 	}
 	if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
 		t.Fatalf("branch still in-doubt after resolve: %v", ind)
 	}
-	res := exec1(t, e, `SELECT COUNT(*) FROM psb`)
-	if res.Rows[0][0].Int() != 1 {
-		t.Fatalf("post-resolve count = %v, want 1 (commit lost on retry)", res.Rows[0][0])
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psb`).Rows[0][0].Int(); n != 1 {
+		t.Fatalf("post-resolve count = %d, want 1 (commit lost on retry)", n)
 	}
+	unblock()
 }
 
+// Aborting an in-doubt cold branch only reverts its version stamps, so it
+// succeeds while every manifest save fails, and the prepared rows never
+// become visible.
 func TestAbortBestEffortOnStorageFailure(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{ExtendedStorageDir: dir})
@@ -195,37 +227,43 @@ func TestAbortBestEffortOnStorageFailure(t *testing.T) {
 		t.Fatalf("decision was commit: %v", err)
 	}
 	unblock := blockManifest(t, dir, "psc")
-	// Abort resolution cannot tombstone the prepared rows yet, but it must
-	// still revert every version stamp so they can never become visible.
-	if err := e.ResolveInDoubt(tx.TID, false); err == nil {
-		t.Fatal("abort must surface the storage error")
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psc`).Rows[0][0].Int(); n != 1 {
+		t.Fatalf("prepared rows leaked into visibility: count = %d", n)
 	}
-	res := exec1(t, e, `SELECT COUNT(*) FROM psc`)
-	if res.Rows[0][0].Int() != 1 {
-		t.Fatalf("prepared rows leaked into visibility: count = %v", res.Rows[0][0])
-	}
-	// The participant must keep the work order so the retry can actually
-	// tombstone the prepared rows rather than no-op on a vanished entry.
-	e.mu.RLock()
-	part := e.tables["PSC"].part2pc
-	e.mu.RUnlock()
-	part.mu.Lock()
-	_, retained := part.ops[tx.TID]
-	part.mu.Unlock()
-	if !retained {
-		t.Fatal("failed abort must retain the participant's work order")
-	}
-	// The ops entry is retained on failure, so a retry completes the abort.
-	unblock()
 	if err := e.ResolveInDoubt(tx.TID, false); err != nil {
 		t.Fatal(err)
 	}
 	if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
 		t.Fatalf("branch still in-doubt after abort: %v", ind)
 	}
-	res = exec1(t, e, `SELECT COUNT(*) FROM psc`)
-	if res.Rows[0][0].Int() != 1 {
-		t.Fatalf("post-abort count = %v, want 1", res.Rows[0][0])
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psc`).Rows[0][0].Int(); n != 1 {
+		t.Fatalf("post-abort count = %d, want 1", n)
+	}
+	unblock()
+	exec1(t, e, `INSERT INTO psc VALUES (4)`)
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psc`).Rows[0][0].Int(); n != 2 {
+		t.Fatalf("count = %d after a later insert, want 2", n)
+	}
+}
+
+// A cold participant that votes no hears no abort from the coordinator,
+// yet the statement-time stamps it holds are reverted: the row its DELETE
+// stamped stays visible and deletable.
+func TestPrepareFailureRevertsColdStamps(t *testing.T) {
+	e := newTestEngine(t)
+	exec1(t, e, `CREATE TABLE psd (id BIGINT) USING EXTENDED STORAGE`)
+	exec1(t, e, `INSERT INTO psd VALUES (1)`)
+	inj := faults.New(1)
+	e.TxnManager().SetInjector(inj)
+	inj.FailN("txn.prepare.extstore:psd", 1)
+	if _, err := e.ExecuteContext(context.Background(), `UPDATE psd SET id = 2 WHERE id = 1`); err == nil {
+		t.Fatal("the prepare failure must abort the UPDATE")
+	}
+	if res := exec1(t, e, `DELETE FROM psd WHERE id = 1`); res.Affected != 1 {
+		t.Fatalf("DELETE affected %d rows after the aborted UPDATE, want 1", res.Affected)
+	}
+	if n := exec1(t, e, `SELECT COUNT(*) FROM psd`).Rows[0][0].Int(); n != 0 {
+		t.Fatalf("count = %d, want 0", n)
 	}
 }
 

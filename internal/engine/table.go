@@ -7,7 +7,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -40,8 +39,7 @@ func (p *partition) numRows() int {
 	case p.row != nil:
 		return p.row.NumRows()
 	case p.ext != nil:
-		// Include tombstoned rows: versioning handles visibility, ids are stable.
-		return int(p.ext.TotalRows())
+		return int(p.ext.NumRows())
 	}
 	return 0
 }
@@ -65,6 +63,33 @@ func (t *storedTable) firstCold() *partition {
 		}
 	}
 	return nil
+}
+
+// addColumnLocked extends every partition and the catalog schema with col;
+// stored rows read NULL in it. The caller holds t.mu.
+func (t *storedTable) addColumnLocked(col value.Column) error {
+	for _, p := range t.parts {
+		switch {
+		case p.hot != nil:
+			p.hot.AddColumn(col)
+		case p.ext != nil:
+			if err := p.ext.AddColumn(col); err != nil {
+				return err
+			}
+		}
+	}
+	t.meta.Schema.Cols = append(t.meta.Schema.Cols, col)
+	return nil
+}
+
+// dropColdLocked removes the table's cold partitions from extended storage.
+// The caller holds e.mu.
+func (e *Engine) dropColdLocked(t *storedTable) {
+	for _, p := range t.parts {
+		if p.ext != nil {
+			_ = e.ext.DropTable(p.ext.Name())
+		}
+	}
 }
 
 // partitionFor routes a row to its partition by the range-partitioning
@@ -94,9 +119,8 @@ func (t *storedTable) partitionFor(row value.Row) (*partition, error) {
 	return nil, fmt.Errorf("no partition accepts value %v for column %s", v, t.meta.PartitionBy)
 }
 
-// insertRow appends a row to the right partition under the transaction.
-// Hot/row partitions apply immediately with MVCC stamps and undo; cold
-// partitions buffer in the 2PC participant until prepare.
+// insertRow appends a row to the partition its key routes it to, under the
+// transaction.
 func (t *storedTable) insertRow(tx *txn.Txn, row value.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -104,38 +128,38 @@ func (t *storedTable) insertRow(tx *txn.Txn, row value.Row) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case p.hot != nil, p.row != nil:
-		// Write-ahead: the redo record and the store append are atomic under
-		// t.mu, so a savepoint either sees both or neither. An append that
-		// fails after the record is logged (duplicate primary key) fails
-		// identically during replay and is skipped there, keeping row ids
-		// aligned.
-		if err := t.eng.logRedoRow(tx.TID, redoIns, p.idx, p.numRows(), t.meta.Name, row); err != nil {
-			return err
-		}
-		var id int
-		if p.hot != nil {
-			id, err = p.hot.Append(row)
-		} else {
-			id, err = p.row.Append(row)
-		}
-		if err != nil {
-			return err
-		}
-		p.vers.Insert(id, tx.TID)
-		tid := tx.TID
-		vers := p.vers
-		tx.OnAbort(func() { vers.AbortTID(tid) })
-		t.stampOnCommit(tx, p)
-		t.eng.distMirrorInsert(tx, t, id, row)
-	case p.ext != nil:
-		// Extended storage participates in the distributed transaction; the
-		// redo record is logged at prepare time, when the row id is known.
-		t.part2pc.bufferInsert(tx.TID, p, row)
-		tx.Enlist(t.part2pc)
+	return t.appendLocked(tx, p, row)
+}
+
+// appendLocked appends a row to p under the transaction. Every placement
+// writes the same way: the redo record, then the store append, then an
+// insert stamp carrying the TID. The caller holds t.mu, so a savepoint sees
+// the record and the row together or neither. An append that fails after the
+// record is logged and stores nothing (duplicate primary key) fails
+// identically during replay and is skipped there, keeping row ids aligned.
+// One that stores the row and then fails (a cold tail that could not flush)
+// stamps it all the same, as replay does, and returns the error.
+func (t *storedTable) appendLocked(tx *txn.Txn, p *partition, row value.Row) error {
+	id := p.numRows()
+	if err := t.eng.logRedoRow(tx.TID, redoIns, p.idx, id, t.meta.Name, row); err != nil {
+		return err
 	}
-	return nil
+	var err error
+	switch {
+	case p.hot != nil:
+		id, err = p.hot.Append(row)
+	case p.row != nil:
+		id, err = p.row.Append(row)
+	default:
+		err = p.ext.Append(row)
+	}
+	if err != nil && (p.ext == nil || p.numRows() == id) {
+		return err
+	}
+	p.vers.Insert(id, tx.TID)
+	t.enlist(tx, p)
+	t.eng.distMirrorInsert(tx, t, id, row)
+	return err
 }
 
 // deleteRow stamps a visible row deleted under the transaction. It takes
@@ -144,265 +168,73 @@ func (t *storedTable) insertRow(tx *txn.Txn, row value.Row) error {
 func (t *storedTable) deleteRow(tx *txn.Txn, p *partition, rowID int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p.ext != nil {
-		if err := t.eng.logRedoRow(tx.TID, redoExtDel, p.idx, rowID, t.meta.Name, nil); err != nil {
-			return err
-		}
-		if err := p.vers.Delete(rowID, tx.TID); err != nil {
-			return err
-		}
-		t.part2pc.bufferDelete(tx.TID, p, rowID)
-		tx.Enlist(t.part2pc)
-		return nil
-	}
 	if err := t.eng.logRedoRow(tx.TID, redoDel, p.idx, rowID, t.meta.Name, nil); err != nil {
 		return err
 	}
 	if err := p.vers.Delete(rowID, tx.TID); err != nil {
 		return err
 	}
-	tid := tx.TID
-	vers := p.vers
-	tx.OnAbort(func() { vers.AbortTID(tid) })
-	t.stampOnCommit(tx, p)
+	t.enlist(tx, p)
 	t.eng.distMirrorDelete(tx, t, p, rowID)
 	return nil
 }
 
-// stampOnCommit arranges for the partition's version stamps to be finalized
-// at commit. The engine drives this through commit hooks collected on the
-// transaction; hot-store stamping is idempotent per (tid, partition).
-func (t *storedTable) stampOnCommit(tx *txn.Txn, p *partition) {
-	// The engine-level commit wrapper calls CommitTID for every touched
-	// partition; register it in the txn-scoped touch set. Keying by the
-	// transaction pointer keeps independent engine instances separate.
-	touchedMu.Lock()
-	defer touchedMu.Unlock()
-	set := touched[tx]
-	if set == nil {
-		set = map[*txn.RowVersions]bool{}
-		touched[tx] = set
-	}
-	set[p.vers] = true
-}
-
-// touched tracks which version stores each in-flight transaction wrote, so
-// the engine can stamp commit IDs on commit; cleaned on commit/abort.
-var (
-	touchedMu sync.Mutex
-	touched   = map[*txn.Txn]map[*txn.RowVersions]bool{}
-)
-
-func commitStamps(tx *txn.Txn, cid uint64) {
-	touchedMu.Lock()
-	set := touched[tx]
-	delete(touched, tx)
-	touchedMu.Unlock()
-	for v := range set {
-		v.CommitTID(tx.TID, cid)
+// enlist ties p's stamps to the transaction's outcome. The transaction
+// stamps a hot or row partition itself. A cold partition is stamped by the
+// table's 2PC participant alone, so an in-doubt branch stays invisible until
+// it is resolved.
+func (t *storedTable) enlist(tx *txn.Txn, p *partition) {
+	if p.ext != nil {
+		tx.Enlist(t.part2pc)
+	} else {
+		tx.Touch(p.vers)
 	}
 }
 
-func dropStamps(tx *txn.Txn) {
-	touchedMu.Lock()
-	delete(touched, tx)
-	touchedMu.Unlock()
-}
-
-// extParticipant is the two-phase-commit participant wrapping a table's
-// cold (extended storage) partitions: writes buffer until Prepare, become
-// durable at Prepare, and are stamped visible at Commit — mirroring §3.1's
-// integration of the IQ store into distributed HANA transactions.
+// extParticipant is the two-phase-commit participant of a table's cold
+// (extended storage) partitions, mirroring §3.1's integration of the IQ
+// store into distributed HANA transactions. Cold writes land at statement
+// time like hot ones, so the participant keeps no per-transaction state:
+// Prepare makes the table's cold tails durable, Commit and Abort stamp or
+// revert the transaction's version stamps. Both are idempotent, so a
+// resolution retry completes a branch whatever an earlier attempt did.
 type extParticipant struct {
-	name  string
-	eng   *Engine // redo logging at prepare time
-	table string
-	mu    sync.Mutex
-	ops   map[uint64]*extOps
-}
-
-type extOps struct {
-	inserts map[*partition][]value.Row
-	deletes map[*partition][]int
-	// prepared row ids per partition (for undo of inserts)
-	preparedIDs map[*partition][]int
-	prepared    bool
-}
-
-func newExtParticipant(e *Engine, table string) *extParticipant {
-	return &extParticipant{name: "extstore:" + table, eng: e, table: table, ops: map[uint64]*extOps{}}
+	name string
+	t    *storedTable
 }
 
 // Name implements txn.Participant.
 func (x *extParticipant) Name() string { return x.name }
 
-func (x *extParticipant) get(tid uint64) *extOps {
-	o := x.ops[tid]
-	if o == nil {
-		o = &extOps{
-			inserts:     map[*partition][]value.Row{},
-			deletes:     map[*partition][]int{},
-			preparedIDs: map[*partition][]int{},
-		}
-		x.ops[tid] = o
-	}
-	return o
-}
-
-func (x *extParticipant) bufferInsert(tid uint64, p *partition, row value.Row) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.get(tid).inserts[p] = append(x.get(tid).inserts[p], row.Clone())
-}
-
-func (x *extParticipant) bufferDelete(tid uint64, p *partition, rowID int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.get(tid).deletes[p] = append(x.get(tid).deletes[p], rowID)
-}
-
-// Prepare implements txn.Participant: writes become durable but remain
-// invisible (insert stamps carry the TID).
-func (x *extParticipant) Prepare(tid uint64) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	o, ok := x.ops[tid]
-	if !ok {
-		return nil // read-only branch
-	}
-	// Each partition's rows, version stamps and prepared-ID list are keyed
-	// by that partition alone, so cross-partition iteration order cannot
-	// change any observable state.
-	for p, rows := range o.inserts {
-		for _, r := range rows {
-			id := p.numRows()
-			// Write-ahead: the EXTINS record precedes the disk append. Replay
-			// resolves the rare record-without-row case (append failed after
-			// logging) by letting the last record per (partition, id) win.
-			if err := x.eng.logRedoRow(tid, redoExtIns, p.idx, id, x.table, r); err != nil {
+// Prepare implements txn.Participant: the cold tails reach their disk
+// chunks; the rows stay invisible behind their TID stamps.
+func (x *extParticipant) Prepare(uint64) error {
+	for _, p := range x.t.parts {
+		if p.ext != nil {
+			if err := p.ext.Flush(); err != nil {
 				return err
 			}
-			if err := p.ext.Append(r); err != nil {
-				return err
-			}
-			p.vers.Insert(id, tid)
-			o.preparedIDs[p] = append(o.preparedIDs[p], id)
-		}
-		if err := p.ext.Flush(); err != nil {
-			return err
 		}
 	}
-	o.prepared = true
 	return nil
 }
 
-// restoreOps rebuilds a prepared branch's work order during crash recovery:
-// inserted row ids (already durable on disk) and buffered delete tombstones,
-// keyed by partition. A later Resolve replays commit (tombstones + commit
-// stamps) or abort (insert tombstones + stamp reversal) against it.
-func (x *extParticipant) restoreOps(tid uint64, ins, del map[*partition][]int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	o := x.get(tid)
-	// Each key's copied slice lands under that key alone — no cross-key
-	// state, so iteration order is unobservable.
-	for p, ids := range ins {
-		o.preparedIDs[p] = append([]int(nil), ids...)
-		if _, ok := o.inserts[p]; !ok {
-			o.inserts[p] = nil // Commit/Abort iterate insert keys for stamping
-		}
-	}
-	for p, ids := range del {
-		o.deletes[p] = append([]int(nil), ids...)
-	}
-	o.prepared = true
-}
-
-// exportOps snapshots a branch's prepared ids and pending deletes per
-// partition index — the savepoint representation of an in-doubt branch.
-func (x *extParticipant) exportOps(tid uint64) (ins, del map[int][]int, ok bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	o, found := x.ops[tid]
-	if !found {
-		return nil, nil, false
-	}
-	ins = map[int][]int{}
-	del = map[int][]int{}
-	// Map-to-map copy keyed by partition index: order cannot surface.
-	for p, ids := range o.preparedIDs {
-		ins[p.idx] = append([]int(nil), ids...)
-	}
-	for p, ids := range o.deletes {
-		del[p.idx] = append([]int(nil), ids...)
-	}
-	return ins, del, true
-}
-
-// Commit implements txn.Participant: stamps versions and persists delete
-// tombstones. The ops entry is removed only after the whole work order
-// succeeds: diskstore.Delete skips already-applied tombstones and CommitTID
-// re-stamps harmlessly, so when a manifest-save error leaves the branch
-// in-doubt, a coordinator Resolve retry completes the commit instead of
-// no-opping on a vanished entry.
+// Commit implements txn.Participant.
 func (x *extParticipant) Commit(tid, cid uint64) error {
-	x.mu.Lock()
-	o, ok := x.ops[tid]
-	x.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	parts := map[*partition]bool{}
-	for p := range o.inserts {
-		parts[p] = true
-	}
-	for p, ids := range o.deletes {
-		parts[p] = true
-		for _, id := range ids {
-			if _, err := p.ext.Delete(int64(id)); err != nil {
-				return err
-			}
+	for _, p := range x.t.parts {
+		if p.ext != nil {
+			p.vers.CommitTID(tid, cid)
 		}
 	}
-	for p := range parts {
-		p.vers.CommitTID(tid, cid)
-	}
-	x.mu.Lock()
-	delete(x.ops, tid)
-	x.mu.Unlock()
 	return nil
 }
 
-// Abort implements txn.Participant: tombstones prepared inserts and clears
-// buffered state. The coordinator drops abort errors and this participant
-// has no recovery pass, so a tombstone failure must not cut the loop short:
-// every partition still gets its version stamps reverted, errors are
-// collected, and the ops entry is retained on failure so a later Abort
-// retry re-attempts the (idempotent) deletes.
+// Abort implements txn.Participant.
 func (x *extParticipant) Abort(tid uint64) error {
-	x.mu.Lock()
-	o, ok := x.ops[tid]
-	x.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	var err error
-	for p, ids := range o.preparedIDs {
-		for _, id := range ids {
-			if _, e := p.ext.Delete(int64(id)); e != nil {
-				err = errors.Join(err, e)
-			}
+	for _, p := range x.t.parts {
+		if p.ext != nil {
+			p.vers.AbortTID(tid)
 		}
-		p.vers.AbortTID(tid)
 	}
-	for p := range o.deletes {
-		p.vers.AbortTID(tid)
-	}
-	if err != nil {
-		return err
-	}
-	x.mu.Lock()
-	delete(x.ops, tid)
-	x.mu.Unlock()
 	return nil
 }

@@ -34,12 +34,10 @@ package lint
 // production rank.
 var LockRanks = map[string]int{
 	// ---- engine layer (outermost) ----
-	"engine.Engine.spMu":       90, // savepoint barrier: taken before every other engine lock
-	"engine.Engine.mu":         100,
-	"engine.storedTable.mu":    140,
-	"engine.extParticipant.mu": 160,
-	"engine.touchedMu":         170,
-	"catalog.Catalog.mu":       180,
+	"engine.Engine.spMu":    90, // savepoint barrier: taken before every other engine lock
+	"engine.Engine.mu":      100,
+	"engine.storedTable.mu": 140,
+	"catalog.Catalog.mu":    180,
 
 	// ---- transaction layer ----
 	"txn.Manager.mu":     200,

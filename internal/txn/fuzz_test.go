@@ -31,6 +31,12 @@ func FuzzScanRecords(f *testing.F) {
 	hdr := encodeRecord(2, Record{Type: RecData, TID: 7})
 	binary.LittleEndian.PutUint32(hdr[29:], maxNoteLen)
 	f.Add(append(huge, hdr...))
+	// Data records carrying the engine's retired redo ops 3 and 4: the notes
+	// are opaque here and scan like any other.
+	for _, op := range []byte{3, 4} {
+		retired := encodeRecord(2, Record{Type: RecData, TID: 7, Note: string([]byte{op, 0, 0, 1, 't'})})
+		f.Add(append(bytes.Clone(wal[:second]), retired...))
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var recs []Record

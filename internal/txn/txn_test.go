@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"hana/internal/faults"
 )
@@ -438,5 +439,60 @@ func TestLiveCount(t *testing.T) {
 				t.Fatalf("VisibleIn(tid %d, sel %v) = %v, want %v", tid, sel, got, want)
 			}
 		}
+	}
+}
+
+// blockingPart holds phase 2 until release is closed.
+type blockingPart struct {
+	entered, release chan struct{}
+}
+
+func (b *blockingPart) Name() string         { return "blocking" }
+func (b *blockingPart) Prepare(uint64) error { return nil }
+func (b *blockingPart) Abort(uint64) error   { return nil }
+func (b *blockingPart) Commit(_, _ uint64) error {
+	close(b.entered)
+	<-b.release
+	return nil
+}
+
+// A commit returns only once a snapshot reaches its commit ID, even while an
+// older commit is still in phase 2: the session's next statement sees its
+// own write.
+func TestCommitReturnsVisibleBehindOlderPhaseTwo(t *testing.T) {
+	m := NewManager(nil)
+	ctx := context.Background()
+	older, newer := m.Begin(), m.Begin()
+	b := &blockingPart{entered: make(chan struct{}), release: make(chan struct{})}
+	older.Enlist(b)
+	olderDone := make(chan error, 1)
+	go func() {
+		_, err := m.CommitCtx(ctx, older)
+		olderDone <- err
+	}()
+	<-b.entered
+	type seen struct{ cid, snap uint64 }
+	newerDone := make(chan seen, 1)
+	go func() {
+		cid, err := m.CommitCtx(ctx, newer)
+		if err != nil {
+			t.Error(err)
+		}
+		newerDone <- seen{cid, m.LastCID()}
+	}()
+	var s seen
+	select {
+	case s = <-newerDone: // returned while the older commit is held
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(b.release)
+	if s == (seen{}) {
+		s = <-newerDone
+	}
+	if s.snap < s.cid {
+		t.Fatalf("commit %d returned with snapshot %d", s.cid, s.snap)
+	}
+	if err := <-olderDone; err != nil {
+		t.Fatal(err)
 	}
 }
