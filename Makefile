@@ -79,14 +79,15 @@ race:
 
 # The cross-path equivalence suites under the race detector: the same
 # statements answered by different processors, placements or operators must
-# agree bit for bit — federated vs all-local TPC-H, one SELECT block through
-# all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
+# agree bit for bit — federated vs all-local TPC-H (and the job DAG Hive
+# compiles for it), Hive's map-side partials vs the engine, one SELECT block
+# through all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
 # float aggregates, worker fragments vs exec, hash vs nested-loop join, the
 # vectorized scan vs a naive loop — and concurrent increments and snapshot
 # reads, which must hold first-committer-wins on every placement.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion
 equiv:
-	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine
+	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive
 
 # Deterministic fault-injection suite (internal/chaos): seeded fault
 # schedules against the full federated stack, run repeatedly under the

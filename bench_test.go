@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -307,8 +308,9 @@ func BenchmarkHybridAging(b *testing.B) {
 
 // --- ablations ---
 
-// BenchmarkAblationCombiner measures the map-side combiner's effect on an
-// aggregation job (DESIGN.md ablation: "MR combiner on/off").
+// BenchmarkAblationCombiner measures the effect of map-side combining (an
+// in-mapper combiner on the cleanup hook) on an aggregation job (DESIGN.md
+// ablation: "MR combiner on/off").
 func BenchmarkAblationCombiner(b *testing.B) {
 	cluster := hdfs.NewCluster(3, hdfs.WithBlockSize(256<<10))
 	ms := hive.NewMetastore(cluster, "/warehouse")
@@ -320,7 +322,12 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	_ = cluster.WriteFile("/in/data", lines)
 	_ = ms // metastore unused beyond warehouse setup
 	sum := func(key string, values []string, emit func(k, v string)) error {
-		emit(key, fmt.Sprintf("%d", len(values)))
+		total := 0
+		for _, v := range values {
+			n, _ := strconv.Atoi(v)
+			total += n
+		}
+		emit(key, strconv.Itoa(total))
 		return nil
 	}
 	job := func(withCombiner bool, out string) *mapreduce.Job {
@@ -332,7 +339,20 @@ func BenchmarkAblationCombiner(b *testing.B) {
 			Reduce: sum,
 		}
 		if withCombiner {
-			j.Combine = sum
+			// In-mapper combining: each task counts its lines per key and
+			// emits the counts from its cleanup hook.
+			j.Map, j.NewMapper = nil, func() mapreduce.Mapper {
+				counts := map[string]int{}
+				return mapreduce.Mapper{
+					Map: func(_, line string, _ func(k, v string)) error { counts[line]++; return nil },
+					Cleanup: func(emit func(k, v string)) error {
+						for k, n := range counts {
+							emit(k, strconv.Itoa(n))
+						}
+						return nil
+					},
+				}
+			}
 		}
 		return j
 	}

@@ -123,3 +123,53 @@ func sortedRowLines(rows []value.Row) []string {
 	sort.Strings(lines)
 	return lines
 }
+
+// hiveJobsPerQuery is the map-reduce DAG Hive compiles for each TPC-H query
+// a normal run ships at seed 2015: a leaf's filters run in the map phase of
+// the join, semijoin or group-by job that reads it, and a block only the
+// driver reads (Q14, Q19, Q4's EXISTS block) runs one map-only scan.
+var hiveJobsPerQuery = map[int]int64{1: 1, 3: 3, 4: 3, 5: 2, 6: 1, 10: 2, 12: 2, 13: 3, 14: 1, 16: 1, 18: 5, 19: 1}
+
+// TestHiveJobsPerTPCHQuery pins the DAG: each query's normal run at the
+// §4.4 split starts exactly the jobs hiveJobsPerQuery lists, and a filtered
+// block whose rows only the driver reads still runs its map-only scan.
+func TestHiveJobsPerTPCHQuery(t *testing.T) {
+	ctx := context.Background()
+	fed, err := bench.SetupFederation(bench.FederationConfig{
+		SF: 0.005, Seed: 2015, MapSlots: 4, ReduceSlots: 4, ExtDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	jobs := func(run func() error) int64 {
+		t.Helper()
+		before := fed.Server.MR.JobsRun.Load()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return fed.Server.MR.JobsRun.Load() - before
+	}
+	ids := tpch.QueryIDs()
+	if len(ids) != len(hiveJobsPerQuery) {
+		t.Fatalf("%d queries, %d pinned", len(ids), len(hiveJobsPerQuery))
+	}
+	for _, id := range ids {
+		fed.Server.MS.CacheInvalidateAll()
+		got := jobs(func() error {
+			_, err := fed.Engine.ExecuteContext(ctx, tpch.UsesLocalPart(tpch.Queries()[id]))
+			return err
+		})
+		if got != hiveJobsPerQuery[id] {
+			t.Errorf("Q%d ran %d map-reduce jobs, want %d", id, got, hiveJobsPerQuery[id])
+		}
+	}
+	for sql, want := range map[string]int64{
+		`SELECT l_orderkey FROM lineitem WHERE l_quantity > 45`: 1,
+		`SELECT l_orderkey FROM lineitem`:                       0,
+	} {
+		if got := jobs(func() error { _, err := fed.Server.Exec.Query(sql); return err }); got != want {
+			t.Errorf("%s ran %d jobs at Hive, want %d", sql, got, want)
+		}
+	}
+}

@@ -12,10 +12,10 @@ import (
 )
 
 // finish runs the block's back end. The aggregate is this processor's own —
-// a map-reduce job with combiners, or, for DISTINCT aggregates, whose
+// a map-reduce job aggregating map-side, or, for DISTINCT aggregates, whose
 // partials cannot merge, the shared hash aggregate over the materialized
-// relation — and the stages after it are exec.Block.Finish in the driver, as
-// Hive's final single-reducer stages are.
+// relation, which a map-only job filters first — and the stages after it are
+// exec.Block.Finish in the driver, as Hive's final single-reducer stages are.
 func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows, error) {
 	blk, err := exec.AnalyzeBlock(sel, rel.schema)
 	if err != nil {
@@ -27,6 +27,12 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	}
 	var in exec.Rel
 	if inDriver {
+		if len(rel.pending) > 0 {
+			if rel, err = x.scan(rel); err != nil {
+				return nil, err
+			}
+			defer x.cleanup(rel)
+		}
 		// The block's back end reads the columns its select list, GROUP BY,
 		// HAVING and ORDER BY name.
 		tail := *sel
@@ -50,20 +56,9 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 	return blk.Finish(in)
 }
 
-// materialize reads the relation into the driver, building the columns
-// need marks (nil = all) and those its pending filters read, and applies the
-// filters.
+// materialize reads the relation, which has no pending filters, into the
+// driver, building the columns need marks (nil = all).
 func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
-	var pred expr.Expr
-	if len(rel.pending) > 0 {
-		var err error
-		if pred, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema); err != nil {
-			return exec.Rel{}, err
-		}
-		for i, r := range reads(len(need), pred) {
-			need[i] = need[i] || r
-		}
-	}
 	rd := rel.reader(need)
 	var rows []value.Row
 	err := mapreduce.ReadDir(x.ms.cluster, rel.dir, func(_, rec string) error {
@@ -71,93 +66,75 @@ func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
 		rows = append(rows, row)
 		return rd.decode(row, rec)
 	})
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	in := exec.Rel{Schema: rel.schema, Rows: rows}
-	if pred == nil {
-		return in, nil
-	}
-	return exec.Filter(in, pred)
+	return exec.Rel{Schema: rel.schema, Rows: rows}, err
 }
 
-// mrAggregate runs the block's aggregate as a map-reduce job with a combiner
-// and decodes the reducer output into [groups…, aggs…] rows.
+// mrAggregate runs the block's aggregate as one map-reduce job and decodes
+// the reducer output into [groups…, aggs…] rows. The map side is Hive's
+// map-side aggregation: a task keeps the rows of its split that pass the
+// relation's pending filters, folds them through exec's group table at the
+// end of the split and emits one partial per group, which the reducers
+// merge.
 func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, error) {
 	groupBy, aggs := blk.GroupBy, blk.Aggs
-	var pending expr.Expr
-	if len(rel.pending) > 0 {
-		var err error
-		if pending, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema); err != nil {
-			return nil, err
-		}
-		rel.pending = nil
+	pending, err := rel.takePending()
+	if err != nil {
+		return nil, err
 	}
-
 	es := append([]expr.Expr{pending}, groupBy...)
 	for _, a := range aggs {
 		es = append(es, a.Arg)
 	}
-	rd := rel.reader(reads(rel.schema.Len(), es...))
-	mapper := func(_, rec string, emit func(k, v string)) error {
-		s := rd.borrow()
-		defer rd.release(s)
-		row := s.row
-		if err := rd.decode(row, rec); err != nil {
-			return err
-		}
-		if pending != nil {
-			if ok, err := expr.Truthy(pending, row); err != nil || !ok {
-				return err
-			}
-		}
-		var keyArr [8]value.Value
-		keyVals := keyArr[:0]
-		for _, g := range groupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return err
-			}
-			keyVals = append(keyVals, v)
-		}
-		var valArr [256]byte
-		val := valArr[:0]
-		for _, a := range aggs {
-			st := *exec.NewAggState(a.Func, false)
-			if a.Arg == nil { // COUNT(*)
-				st.Count = 1
-				st.HasVal = true
-			} else {
-				v, err := a.Arg.Eval(row)
+	rd, w := rel.reader(reads(rel.schema.Len(), es...)), rel.schema.Len()
+	newMapper := func() mapreduce.Mapper {
+		var rows []value.Row
+		var slab value.Row // rows are cut from slabs of 256
+		return mapreduce.Mapper{
+			Map: func(_, rec string, _ func(k, v string)) error {
+				if len(slab) < w {
+					slab = make(value.Row, 256*w)
+				}
+				row := slab[:w:w]
+				if err := rd.decode(row, rec); err != nil {
+					return err
+				}
+				if pending != nil {
+					if ok, err := expr.Truthy(pending, row); err != nil || !ok {
+						return err
+					}
+				}
+				slab, rows = slab[w:], append(rows, row)
+				return nil
+			},
+			Cleanup: func(emit func(k, v string)) error {
+				agg := exec.ParallelHashAggregate{In: exec.Rel{Schema: rel.schema, Rows: rows}, GroupBy: groupBy, Aggs: aggs}
+				pt, err := agg.Partial()
 				if err != nil {
 					return err
 				}
-				st.Add(v)
-			}
-			val = exec.AppendAggState(val, &st)
+				for _, g := range pt.Groups {
+					emit(EncodeKey(g.Key), string(appendStates(nil, g.States)))
+				}
+				return nil
+			},
 		}
-		emit(EncodeKey(keyVals), string(val))
-		return nil
 	}
-	merge := func(key string, values []string, emit func(k, v string)) error {
-		acc := newStates(aggs)
-		for _, v := range values {
-			if err := foldStates(acc, v); err != nil {
-				return err
-			}
-		}
-		emit(key, string(appendStates(nil, acc)))
-		return nil
-	}
-
 	out := x.tmpDir()
 	job := &mapreduce.Job{
-		Name:    "groupby",
-		Inputs:  []string{rel.dir},
-		Output:  out,
-		Map:     mapper,
-		Combine: merge,
-		Reduce:  merge,
+		Name:      "groupby",
+		Inputs:    []string{rel.dir},
+		Output:    out,
+		NewMapper: newMapper,
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
+			acc := newStates(aggs)
+			for _, v := range values {
+				if err := foldStates(acc, v); err != nil {
+					return err
+				}
+			}
+			emit(key, string(appendStates(nil, acc)))
+			return nil
+		},
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
 	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
@@ -167,7 +144,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 
 	var rows []value.Row
 	keyCols := blk.AggSchema.Cols[:len(groupBy)]
-	err := mapreduce.ReadDir(x.ms.cluster, out, func(key, v string) error {
+	err = mapreduce.ReadDir(x.ms.cluster, out, func(key, v string) error {
 		row, err := decodeKey(key, keyCols)
 		if err != nil {
 			return err

@@ -1,8 +1,8 @@
 // Package hive implements the SQL-on-Hadoop layer the paper federates with
 // (§4): a metastore holding table schemas, warehouse directories and the
 // statistics the SDA optimizer consults; a compiler translating query
-// blocks into DAGs of map-reduce jobs (scan jobs with pushed filters,
-// reduce-side joins, aggregation jobs with combiners); the two-phase CREATE
+// blocks into DAGs of map-reduce jobs (reduce-side joins and aggregation
+// jobs whose map tasks filter and pre-aggregate); the two-phase CREATE
 // TABLE AS SELECT used for remote materialization (§4.4); and the
 // `hiveodbc` and `hadoop` SDA adapters.
 package hive

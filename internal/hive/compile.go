@@ -51,6 +51,17 @@ func written(dir string, schema *value.Schema, temps []string) *interRel {
 // (nil = all).
 func (r *interRel) reader(need []bool) *rowReader { return newRowReader(r.stored, r.keep, need) }
 
+// takePending hands the relation's pending filters, bound as one predicate
+// (nil when there are none), to the stage that applies them.
+func (r *interRel) takePending() (expr.Expr, error) {
+	if len(r.pending) == 0 {
+		return nil, nil
+	}
+	es := r.pending
+	r.pending = nil
+	return expr.BindClone(expr.And(expr.CloneAll(es)...), r.schema)
+}
+
 // reads marks the columns of a width-wide row that the bound expressions
 // read.
 func reads(width int, es ...expr.Expr) []bool {
@@ -104,12 +115,13 @@ func (x *Executor) selectBlock(sel *sqlparse.SelectStmt, needed sqlparse.ColumnS
 		return nil, err
 	}
 	rel.pending = append(rel.pending, pool...)
-	defer x.cleanup(rel)
+	defer func() { x.cleanup(rel) }() // the last relation's temps hold all before it
 	for _, tf := range transforms {
-		rel, err = x.applyTransform(rel, tf, run)
+		next, err := x.applyTransform(rel, tf, run)
 		if err != nil {
 			return nil, err
 		}
+		rel = next
 	}
 	return x.finish(sel, rel)
 }
@@ -175,9 +187,10 @@ func (x *Executor) planFrom(te sqlparse.TableExpr, pool *[]expr.Expr, needed sql
 	return nil, fmt.Errorf("hive: unsupported FROM element %T", te)
 }
 
-// planLeaf resolves a base table, keeps the needed columns of it and pushes
-// its covered filters into a map-only scan job, which writes the kept
-// columns only.
+// planLeaf resolves a base table and keeps the needed columns of it. Its
+// covered filters stay pending, so the job that reads the table applies them
+// in its map phase, as Hive's TableScan→Filter operators run in the
+// consuming task.
 func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr, needed sqlparse.ColumnSet) (*interRel, error) {
 	ti, ok := x.ms.Table(t.Name())
 	if !ok {
@@ -195,19 +208,22 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr, needed sqlp
 			}
 		}
 	}
-	covered := expr.TakeCovered(rel.schema, pool)
-	if len(covered) == 0 {
-		return rel, nil
-	}
-	// Map-only filter scan.
-	pred, err := expr.BindClone(expr.And(expr.CloneAll(covered)...), rel.schema)
+	rel.pending = expr.TakeCovered(rel.schema, pool)
+	return rel, nil
+}
+
+// scan applies the relation's pending filters in a map-only job that writes
+// the kept columns of the rows that pass: Hive's plan for a block only the
+// driver reads, as Hive 0.9 has no fetch-task conversion.
+func (x *Executor) scan(rel *interRel) (*interRel, error) {
+	pred, err := rel.takePending()
 	if err != nil {
 		return nil, err
 	}
 	out := x.tmpDir()
 	job := &mapreduce.Job{
-		Name:   "scan-" + ti.Name,
-		Inputs: []string{ti.Dir},
+		Name:   "scan",
+		Inputs: []string{rel.dir},
 		Output: out,
 		Map:    filterMap(rel.reader(reads(rel.schema.Len(), pred)), pred),
 	}
@@ -286,14 +302,9 @@ const (
 // sideMapper tags and keys one join input, applying the side's pending
 // filters: each value is the tag, then the record of the side's columns.
 func sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapreduce.MapFunc, error) {
-	var pred expr.Expr
-	if len(rel.pending) > 0 {
-		var err error
-		pred, err = expr.BindClone(expr.And(expr.CloneAll(rel.pending)...), rel.schema)
-		if err != nil {
-			return nil, err
-		}
-		rel.pending = nil
+	pred, err := rel.takePending()
+	if err != nil {
+		return nil, err
 	}
 	bound := make([]expr.Expr, len(keys))
 	for i, k := range keys {

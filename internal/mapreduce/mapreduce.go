@@ -1,9 +1,9 @@
 // Package mapreduce implements the Hadoop-style map-reduce engine that runs
-// over the simulated HDFS: jobs with map, combine and reduce functions,
-// block-granular input splits, a slot-limited task scheduler (the paper's
-// cluster ran 240 map and 120 reduce tasks), a sort-shuffle-merge phase,
-// counters, and a configurable per-job startup latency modeling the job
-// submission overhead of a real cluster.
+// over the simulated HDFS: jobs with map and reduce functions and a per-task
+// cleanup hook, block-granular input splits, a slot-limited task scheduler
+// (the paper's cluster ran 240 map and 120 reduce tasks), a
+// sort-shuffle-merge phase, counters, and a configurable per-job startup
+// latency modeling the job submission overhead of a real cluster.
 //
 // Every part file the engine writes is a record file: RecordHeader, then per
 // (key, value) pair `uvarint len(k) · k · uvarint len(v) · v`. Any other
@@ -37,6 +37,15 @@ type MapFunc func(k, v string, emit func(k, v string)) error
 // the task as MapFunc's does.
 type ReduceFunc func(key string, values []string, emit func(k, v string)) error
 
+// Mapper is one map task attempt, as Hadoop's: Map on each record of the
+// split, then Cleanup, when set, once after the last, to emit what the task
+// kept across records (an in-mapper combiner's table). What Cleanup emits
+// counts as CombineOutRecords.
+type Mapper struct {
+	Map     MapFunc
+	Cleanup func(emit func(k, v string)) error
+}
+
 // TaggedInput pairs a set of inputs with their own mapper — the mechanism
 // behind reduce-side joins, where each join side tags its records.
 type TaggedInput struct {
@@ -44,15 +53,17 @@ type TaggedInput struct {
 	Map   MapFunc
 }
 
-// Job describes one map-reduce job. Either Inputs+Map or TaggedInputs is
-// set.
+// Job describes one map-reduce job. Either Inputs and Map or NewMapper, or
+// TaggedInputs is set.
 type Job struct {
-	Name         string
-	Inputs       []string // HDFS files or directories
-	Output       string   // HDFS directory for part files
-	Map          MapFunc
+	Name   string
+	Inputs []string // HDFS files or directories
+	Output string   // HDFS directory for part files
+	Map    MapFunc
+	// NewMapper, instead of Map, builds every task attempt a fresh Mapper,
+	// so what a task keeps across records never outlives its attempt.
+	NewMapper    func() Mapper
 	TaggedInputs []TaggedInput // alternative to Inputs/Map (reduce-side joins)
-	Combine      ReduceFunc    // optional map-side pre-aggregation
 	Reduce       ReduceFunc    // nil = map-only job
 	NumReducers  int           // 0 = engine default
 }
@@ -64,9 +75,10 @@ type Config struct {
 	DefaultReducers int           // reducers per job when the job doesn't say (default 4)
 	JobStartup      time.Duration // simulated job submission overhead
 	TaskStartup     time.Duration // simulated per-task scheduling overhead
-	// Faults injects failures at "mapreduce.map", "mapreduce.reduce" (the
-	// task attempts) on top of the cluster's own "hdfs.*" sites; nil
-	// disables injection.
+	// Faults injects failures at "mapreduce.map" (a map attempt, after its
+	// records and before its Cleanup), "mapreduce.reduce" (a reduce
+	// attempt) on top of the cluster's own "hdfs.*" sites; nil disables
+	// injection.
 	Faults *faults.Injector
 	// Retry governs task re-scheduling and block re-reads; the zero value
 	// takes the faults package defaults (3 attempts).
@@ -162,9 +174,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // RunCtx executes the job synchronously under the caller's context and
-// returns its result. Cancellation interrupts the job- and task-startup
-// delays, stops retry backoff between attempts (RetryPolicy.DoCtx), and
-// fails the job with the context's error.
+// returns its result. The job leaves its output directory even when it
+// writes no part file, as Hadoop's committer does. Cancellation interrupts
+// the job- and task-startup delays, stops retry backoff between attempts
+// (RetryPolicy.DoCtx), and fails the job with the context's error.
 func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -180,8 +193,8 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 		inputs = []TaggedInput{{Paths: job.Inputs, Map: job.Map}}
 	}
 	type taggedSplit struct {
-		pairs []Pair
-		fn    MapFunc
+		pairs     []Pair
+		newMapper func() Mapper
 	}
 	var splits []taggedSplit
 	for _, in := range inputs {
@@ -189,10 +202,15 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", job.Name, err)
 		}
+		newMapper := job.NewMapper
+		if in.Map != nil {
+			newMapper = func() Mapper { return Mapper{Map: in.Map} }
+		}
 		for _, s := range ss {
-			splits = append(splits, taggedSplit{pairs: s, fn: in.Map})
+			splits = append(splits, taggedSplit{s, newMapper})
 		}
 	}
+	e.cluster.MkdirAll(job.Output)
 	reducers := job.NumReducers
 	if reducers <= 0 {
 		reducers = e.cfg.DefaultReducers
@@ -211,7 +229,7 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	var wg sync.WaitGroup
 	for i, split := range splits {
 		wg.Add(1)
-		go func(i int, pairs []Pair, mapFn MapFunc) {
+		go func(i int, pairs []Pair, newMapper func() Mapper) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -219,47 +237,41 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 				outs[i] = mapOut{err: err}
 				return
 			}
-			// Each attempt is a fresh task execution on scratch state;
-			// counters merge only once the attempt succeeds, so a
-			// re-scheduled task never double-counts.
+			// Each attempt is a fresh task execution — a new Mapper on
+			// scratch state; counters merge only once the attempt
+			// succeeds, so a re-scheduled task never double-counts.
 			var parts [][]Pair
 			var scratch *Counters
 			err := e.retry().DoCtx(ctx, "mapreduce.map", func() error {
 				scratch = &Counters{}
-				if err := e.cfg.Faults.Check("mapreduce.map"); err != nil {
-					return err
-				}
 				parts = make([][]Pair, max(reducers, 1))
+				emitted := &scratch.MapOutputRecords
 				emit := func(k, v string) {
 					p := 0
 					if reducers > 0 {
 						p = int(hashKey(k) % uint64(reducers))
 					}
 					parts[p] = append(parts[p], Pair{k, v})
-					scratch.MapOutputRecords.Add(1)
+					emitted.Add(1)
 				}
+				m := newMapper()
 				for _, p := range pairs {
 					scratch.MapInputRecords.Add(1)
-					if err := mapFn(p.K, p.V, emit); err != nil {
+					if err := m.Map(p.K, p.V, emit); err != nil {
 						return err
 					}
 				}
-				if job.Combine == nil || reducers == 0 {
-					return nil
+				if err := e.cfg.Faults.Check("mapreduce.map"); err != nil || m.Cleanup == nil {
+					return err
 				}
-				for p := range parts {
-					var err error
-					if parts[p], err = runReduce(parts[p], job.Combine, nil, &scratch.CombineOutRecords); err != nil {
-						return err
-					}
-				}
-				return nil
+				emitted = &scratch.CombineOutRecords
+				return m.Cleanup(emit)
 			})
 			if err == nil {
 				e.Counters.merge(scratch)
 			}
 			outs[i] = mapOut{parts: parts, err: err}
-		}(i, split.pairs, split.fn)
+		}(i, split.pairs, split.newMapper)
 	}
 	wg.Wait()
 	for i, o := range outs {
@@ -360,8 +372,8 @@ func (e *Engine) RunChainCtx(ctx context.Context, jobs []*Job) ([]*JobResult, er
 }
 
 // runReduce sorts pairs by key, stably, and calls fn once per key group,
-// returning what it emits. groups, when not nil, counts the groups and
-// emitted the pairs emitted.
+// returning what it emits. groups counts the groups and emitted the pairs
+// emitted.
 func runReduce(in []Pair, fn ReduceFunc, groups, emitted *atomic.Int64) ([]Pair, error) {
 	slices.SortStableFunc(in, func(a, b Pair) int { return strings.Compare(a.K, b.K) })
 	var out []Pair
@@ -378,9 +390,7 @@ func runReduce(in []Pair, fn ReduceFunc, groups, emitted *atomic.Int64) ([]Pair,
 		for _, p := range in[i:j] {
 			vals = append(vals, p.V)
 		}
-		if groups != nil {
-			groups.Add(1)
-		}
+		groups.Add(1)
 		if err := fn(in[i].K, vals, emit); err != nil {
 			return nil, err
 		}

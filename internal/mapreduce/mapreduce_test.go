@@ -82,6 +82,41 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+// inMapperSum is a job counting its input lines per line: each map task
+// keeps its counts in a table and emits them from Cleanup, an in-mapper
+// combiner.
+func inMapperSum(name, in, out string) *Job {
+	return &Job{
+		Name:   name,
+		Inputs: []string{in},
+		Output: out,
+		NewMapper: func() Mapper {
+			counts := map[string]int{}
+			return Mapper{
+				Map: func(_, line string, _ func(k, v string)) error {
+					counts[line]++
+					return nil
+				},
+				Cleanup: func(emit func(k, v string)) error {
+					for k, n := range counts {
+						emit(k, strconv.Itoa(n))
+					}
+					return nil
+				},
+			}
+		},
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
+			total := 0
+			for _, v := range values {
+				n, _ := strconv.Atoi(v)
+				total += n
+			}
+			emit(key, strconv.Itoa(total))
+			return nil
+		},
+	}
+}
+
 func TestCombinerReducesShuffleVolume(t *testing.T) {
 	e, c := newTestEngine(t)
 	var b strings.Builder
@@ -89,27 +124,8 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		fmt.Fprintf(&b, "k%d\n", i%4)
 	}
 	_ = c.WriteFile("/in/keys.txt", []byte(b.String()))
-	sum := func(key string, values []string, emit func(k, v string)) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(v)
-			total += n
-		}
-		emit(key, strconv.Itoa(total))
-		return nil
-	}
-	job := &Job{
-		Name:   "combined",
-		Inputs: []string{"/in/keys.txt"},
-		Output: "/out/comb",
-		Map: func(_, line string, emit func(k, v string)) error {
-			emit(line, "1")
-			return nil
-		},
-		Combine: sum,
-		Reduce:  sum,
-	}
-	if _, err := e.RunCtx(context.Background(), job); err != nil {
+	res, err := e.RunCtx(context.Background(), inMapperSum("combined", "/in/keys.txt", "/out/comb"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	lines := readOutput(t, c, "/out/comb")
@@ -121,8 +137,72 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 			t.Fatalf("combiner sum wrong: %s", l)
 		}
 	}
-	if e.Counters.CombineOutRecords.Load() == 0 {
-		t.Fatal("combiner did not run")
+	// Every task emits one record per key it saw, from Cleanup only.
+	if got, limit := e.Counters.CombineOutRecords.Load(), int64(4*res.MapTasks); got == 0 || got > limit {
+		t.Fatalf("CombineOutRecords = %d, want 1..%d", got, limit)
+	}
+	if got := e.Counters.MapOutputRecords.Load(); got != 0 {
+		t.Fatalf("MapOutputRecords = %d, want 0: Map emits nothing", got)
+	}
+}
+
+// A map attempt that fails after its records is re-run on a fresh Mapper:
+// the retried task's table starts empty, so neither the answer nor a counter
+// sees the failed attempt's records.
+func TestCleanupStateIsFreshPerAttempt(t *testing.T) {
+	run := func(fail int) (*Engine, []string) {
+		c := hdfs.NewCluster(3, hdfs.WithBlockSize(256), hdfs.WithReplication(2))
+		inj := faults.New(1)
+		inj.SetSleep(func(time.Duration) {})
+		inj.FailN("mapreduce.map", fail)
+		e := NewEngine(c, Config{MapSlots: 4, ReduceSlots: 2, DefaultReducers: 2, Faults: inj,
+			Retry: faults.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
+		var b strings.Builder
+		for i := 0; i < 600; i++ {
+			fmt.Fprintf(&b, "k%d\n", i%5)
+		}
+		_ = c.WriteFile("/in/keys.txt", []byte(b.String()))
+		if _, err := e.RunCtx(context.Background(), inMapperSum("fresh", "/in/keys.txt", "/out/fresh")); err != nil {
+			t.Fatal(err)
+		}
+		return e, readOutput(t, c, "/out/fresh")
+	}
+	clean, want := run(0)
+	faulty, got := run(2)
+	if faulty.Counters.TaskRetries.Load() != 2 {
+		t.Fatalf("TaskRetries = %d, want 2", faulty.Counters.TaskRetries.Load())
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("with retried map attempts: %v, fault-free: %v", got, want)
+	}
+	if g, w := faulty.Counters.MapInputRecords.Load(), clean.Counters.MapInputRecords.Load(); g != w {
+		t.Fatalf("MapInputRecords = %d with retried map attempts, %d fault-free", g, w)
+	}
+	if g, w := faulty.Counters.CombineOutRecords.Load(), clean.Counters.CombineOutRecords.Load(); g != w {
+		t.Fatalf("CombineOutRecords = %d with retried map attempts, %d fault-free", g, w)
+	}
+}
+
+// A map-only job over an input with no records runs no task and writes no
+// part file, yet leaves its output directory, so a job reading it finds an
+// empty input instead of a missing one.
+func TestEmptyJobOutputFeedsTheNextJob(t *testing.T) {
+	e, c := newTestEngine(t)
+	c.MkdirAll("/warehouse/empty")
+	filter := &Job{
+		Name: "filter", Inputs: []string{"/warehouse/empty"}, Output: "/tmp/filtered",
+		Map: func(_, line string, emit func(k, v string)) error { emit("", line); return nil },
+	}
+	count := wordCountJob("count", "/tmp/filtered", "/out/count")
+	res, err := e.RunChainCtx(context.Background(), []*Job{filter, count})
+	if err != nil {
+		t.Fatalf("chain over an empty input: %v", err)
+	}
+	if res[0].MapTasks != 0 {
+		t.Fatalf("map tasks over an empty input = %d", res[0].MapTasks)
+	}
+	if lines := readOutput(t, c, "/out/count"); len(lines) != 0 {
+		t.Fatalf("count over an empty input = %v", lines)
 	}
 }
 
