@@ -374,3 +374,49 @@ func TestReadBatchNullsAtAnyOffset(t *testing.T) {
 		}
 	}
 }
+
+// fillNulls copies validity a word at a time; the bitmap it builds must be
+// the one the per-row loop over bitmap.get built, bit for bit, for NULLs on
+// word edges, ranges starting mid-word and ranges straddling main and delta.
+func TestFillNullsMatchesPerBitLoop(t *testing.T) {
+	perBit := func(c *Column, lo, hi int) []uint64 {
+		var v value.Vec
+		for i := lo; i < hi; i++ {
+			null := false
+			if i < c.mainN {
+				null = c.mainNulls.get(i)
+			} else {
+				null = c.deltaNulls.get(i - c.mainN)
+			}
+			if null {
+				v.EnsureNulls(hi - lo)
+				v.SetNull(i - lo)
+			}
+		}
+		return v.Nulls
+	}
+	nulls := map[int]bool{0: true, 63: true, 64: true, 127: true, 128: true, 191: true, 200: true, 255: true, 256: true, 300: true, 319: true}
+	for _, mainN := range []int{0, 64, 100, 192, 320} {
+		c := NewColumn(value.KindInt)
+		for i := 0; i < 320; i++ {
+			x := value.NewInt(int64(i))
+			if nulls[i] {
+				x = value.Null
+			}
+			if err := c.Append(x); err != nil {
+				t.Fatal(err)
+			}
+			if i+1 == mainN {
+				c.Merge()
+			}
+		}
+		for _, rg := range [][2]int{{0, 320}, {0, 1}, {1, 65}, {63, 65}, {64, 128}, {5, 300}, {99, 101}, {100, 257}, {191, 320}, {250, 250}, {301, 320}} {
+			var v value.Vec
+			c.fillNulls(rg[0], rg[1], &v)
+			want := perBit(c, rg[0], rg[1])
+			if fmt.Sprint(v.Nulls) != fmt.Sprint(want) {
+				t.Fatalf("main %d, rows [%d, %d): bitmap %x, want %x", mainN, rg[0], rg[1], v.Nulls, want)
+			}
+		}
+	}
+}

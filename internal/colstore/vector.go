@@ -38,28 +38,39 @@ func (c *Column) FillVec(lo, hi int, v *value.Vec) {
 	}
 }
 
-// fillNulls copies validity for [lo, hi) into a fresh bitmap re-based at lo.
+// fillNulls copies validity for [lo, hi) into a fresh bitmap re-based at lo,
+// a word at a time: a range without NULLs allocates nothing.
 func (c *Column) fillNulls(lo, hi int, v *value.Vec) {
 	n := hi - lo
-	mainHi := hi
-	if mainHi > c.mainN {
-		mainHi = c.mainN
+	if mainHi := min(hi, c.mainN); lo < mainHi {
+		orBits(v, n, 0, c.mainNulls, lo, mainHi)
 	}
-	for i := lo; i < mainHi; i++ {
-		if c.mainNulls.get(i) {
-			v.EnsureNulls(n)
-			v.SetNull(i - lo)
+	if deltaLo := max(lo, c.mainN); deltaLo < hi {
+		orBits(v, n, deltaLo-lo, c.deltaNulls, deltaLo-c.mainN, hi-c.mainN)
+	}
+}
+
+// orBits sets the bits of v's n-row bitmap from position at on that are set
+// in src's [from, to), allocating the bitmap at the first set bit. Bits
+// past src's length read as unset, as bitmap.get has them.
+func orBits(v *value.Vec, n, at int, src *bitmap, from, to int) {
+	to = min(to, src.n, 64*len(src.words))
+	for i := from; i < to; {
+		take := min(64-(i&63), to-i)
+		w := src.words[i>>6] >> (uint(i) & 63)
+		if take < 64 {
+			w &= 1<<uint(take) - 1
 		}
-	}
-	deltaLo := lo
-	if deltaLo < c.mainN {
-		deltaLo = c.mainN
-	}
-	for i := deltaLo; i < hi; i++ {
-		if c.deltaNulls.get(i - c.mainN) {
+		if w != 0 {
 			v.EnsureNulls(n)
-			v.SetNull(i - lo)
+			d := at + i - from
+			off := uint(d) & 63
+			v.Nulls[d>>6] |= w << off
+			if off != 0 && take > 64-int(off) {
+				v.Nulls[d>>6+1] |= w >> (64 - off)
+			}
 		}
+		i += take
 	}
 }
 

@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,11 +28,13 @@ type Coordinator struct {
 
 // GatherResult is the merged output of one distributed fragment fan-out.
 type GatherResult struct {
-	// Rows and Seqs are the merged row stream in ascending global sequence
-	// order — exactly the serial scan (or probe) order. Unset for
-	// aggregate fragments.
+	// Batches is a scan fragment's merged stream: batches of up to
+	// exec.DefaultMorselSize rows in ascending global sequence order —
+	// exactly the serial scan order — holding only the shipped columns as
+	// typed vectors (the others pruned). Unset for other fragments.
+	Batches []*value.Batch
+	// Rows is a join fragment's merged output in probe-input order.
 	Rows []value.Row
-	Seqs []int64
 	// Partial is the merged aggregate state, groups sorted by First (their
 	// smallest contributing sequence: the serial first-seen group order).
 	// Set only for aggregate fragments.
@@ -41,6 +45,14 @@ type GatherResult struct {
 	// switch-overs after a primary failed.
 	Fragments int
 	Failovers int
+}
+
+// Len returns the number of rows the merge produced.
+func (r *GatherResult) Len() int {
+	if r.Batches == nil {
+		return len(r.Rows)
+	}
+	return exec.Rel{Batches: r.Batches}.Len()
 }
 
 // Gather runs the template on every shard (at most fanout shards in flight;
@@ -87,7 +99,15 @@ func (c *Coordinator) Gather(ctx context.Context, tmpl *Fragment, fanout int) (*
 		res.Partial = mergePartials(perShard)
 		return res, nil
 	}
-	res.Rows, res.Seqs = mergeStreams(perShard)
+	scan := tmpl.Join == nil
+	if err := checkStreams(perShard, scan); err != nil {
+		return nil, err
+	}
+	if scan {
+		res.Batches = newMerger(perShard).batches()
+	} else {
+		res.Rows = newMerger(perShard).rows()
+	}
 	return res, nil
 }
 
@@ -117,53 +137,231 @@ func (c *Coordinator) runShard(ctx context.Context, f *Fragment) ([]*Chunk, int,
 	return nil, len(owners) - 1, fmt.Errorf("dist: shard %d failed on all %d replicas: %w", f.Shard, len(owners), lastErr)
 }
 
-// mergeStreams k-way merges the per-shard chunk streams by global sequence.
-// Within a shard the stream is already ascending (morsel order), and one
-// sequence lives on exactly one shard, so picking the smallest head
-// sequence reproduces the serial order; equal sequences (a probe row's
-// multiple join matches) stay in their within-shard emission order.
-func mergeStreams(perShard [][]*Chunk) ([]value.Row, []int64) {
-	type cursor struct {
-		rows []value.Row
-		seqs []int64
-		i    int
-	}
-	cursors := make([]*cursor, 0, len(perShard))
-	total := 0
-	for _, chunks := range perShard {
-		cur := &cursor{}
+// checkStreams rejects chunks the merge could not index: every row must be
+// carried — by a join chunk's Rows or by a scan chunk's batch, and every
+// scan batch must have the first one's columns, kinds and pruning.
+func checkStreams(perShard [][]*Chunk, scan bool) error {
+	var proto *value.Batch
+	for s, chunks := range perShard {
 		for _, ch := range chunks {
-			cur.rows = append(cur.rows, ch.Rows...)
-			cur.seqs = append(cur.seqs, ch.Seqs...)
-		}
-		total += len(cur.rows)
-		if len(cur.rows) > 0 {
-			cursors = append(cursors, cur)
-		}
-	}
-	rows := make([]value.Row, 0, total)
-	seqs := make([]int64, 0, total)
-	for len(cursors) > 0 {
-		best := 0
-		for i := 1; i < len(cursors); i++ {
-			if cursors[i].seqs[cursors[i].i] < cursors[best].seqs[cursors[best].i] {
-				best = i
+			n, b := len(ch.Seqs), ch.Batch
+			switch {
+			case !scan:
+				if len(ch.Rows) != n {
+					return fmt.Errorf("dist: shard %d chunk has %d rows for %d sequences", s, len(ch.Rows), n)
+				}
+				continue
+			case b == nil:
+				if n > 0 {
+					return fmt.Errorf("dist: shard %d chunk has no batch for %d sequences", s, n)
+				}
+				continue
+			case proto == nil:
+				proto = b
+			}
+			if b.Len() != n || len(b.Cols) != len(proto.Cols) {
+				return fmt.Errorf("dist: shard %d batch of %d rows, %d columns for %d sequences, %d columns", s, b.Len(), len(b.Cols), n, len(proto.Cols))
+			}
+			for c := range b.Cols {
+				if b.Cols[c].Kind != proto.Cols[c].Kind || b.Cols[c].Pruned != proto.Cols[c].Pruned {
+					return fmt.Errorf("dist: shard %d batch column %d disagrees with the stream", s, c)
+				}
 			}
 		}
-		cur := cursors[best]
-		// Drain the run of equal sequences from this cursor so a probe
-		// row's matches stay contiguous and ordered.
-		seq := cur.seqs[cur.i]
-		for cur.i < len(cur.seqs) && cur.seqs[cur.i] == seq {
-			rows = append(rows, cur.rows[cur.i])
-			seqs = append(seqs, seq)
-			cur.i++
+	}
+	return nil
+}
+
+// mergeRun is a stretch of the merged stream one chunk supplies: its live
+// rows [lo, hi).
+type mergeRun struct {
+	ch     *Chunk
+	lo, hi int
+}
+
+// mergeCursor is a shard stream's read position: the next live row k of
+// the first of its remaining non-empty chunks.
+type mergeCursor struct {
+	chunks []*Chunk
+	k      int
+}
+
+func (c *mergeCursor) head() int64 { return c.chunks[0].Seqs[c.k] }
+
+// merger k-way merges the per-shard chunk streams by global sequence.
+// Within a shard the stream is already ascending (morsel order), and one
+// sequence lives on exactly one shard, so taking from the cursor with the
+// smallest head sequence reproduces the serial order; equal sequences (a
+// probe row's multiple join matches) stay in their within-shard emission
+// order. The order comes out as runs: the stretch a cursor supplies before
+// another cursor's head is smaller.
+type merger struct {
+	cursors []mergeCursor
+	total   int
+}
+
+func newMerger(perShard [][]*Chunk) *merger {
+	m := &merger{}
+	for _, chunks := range perShard {
+		var cur mergeCursor
+		for _, ch := range chunks {
+			if len(ch.Seqs) > 0 {
+				cur.chunks = append(cur.chunks, ch)
+				m.total += len(ch.Seqs)
+			}
 		}
-		if cur.i == len(cur.seqs) {
-			cursors = append(cursors[:best], cursors[best+1:]...)
+		if len(cur.chunks) > 0 {
+			m.cursors = append(m.cursors, cur)
 		}
 	}
-	return rows, seqs
+	return m
+}
+
+// next appends the runs of the next at most limit rows of the merged stream
+// to runs, and returns them with their row count (0 at the end).
+func (m *merger) next(runs []mergeRun, limit int) ([]mergeRun, int) {
+	n := 0
+	for n < limit && len(m.cursors) > 0 {
+		best, bound := 0, int64(math.MaxInt64)
+		for i := 1; i < len(m.cursors); i++ {
+			switch h := m.cursors[i].head(); {
+			case h < m.cursors[best].head():
+				bound, best = m.cursors[best].head(), i
+			case h < bound:
+				bound = h
+			}
+		}
+		cur := &m.cursors[best]
+		ch := cur.chunks[0]
+		lo, hi := cur.k, cur.k+1
+		first := ch.Seqs[lo]
+		for hi < len(ch.Seqs) && hi-lo < limit-n && (ch.Seqs[hi] < bound || ch.Seqs[hi] == first) {
+			hi++
+		}
+		runs = append(runs, mergeRun{ch, lo, hi})
+		n += hi - lo
+		if cur.k = hi; hi == len(ch.Seqs) {
+			cur.chunks, cur.k = cur.chunks[1:], 0
+			if len(cur.chunks) == 0 {
+				m.cursors = slices.Delete(m.cursors, best, best+1)
+			}
+		}
+	}
+	return runs, n
+}
+
+// rows merges join chunks: their rows in merged order.
+func (m *merger) rows() []value.Row {
+	rows := make([]value.Row, 0, m.total)
+	runs := make([]mergeRun, 0, min(m.total, exec.DefaultMorselSize))
+	for {
+		var n int
+		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
+			return rows
+		}
+		for _, r := range runs {
+			rows = append(rows, r.ch.Rows[r.lo:r.hi]...)
+		}
+	}
+}
+
+// batches merges scan chunks into batches of up to exec.DefaultMorselSize
+// rows, copying only the shipped columns. Every chunk's batch has the
+// shape of the first (checkStreams).
+func (m *merger) batches() []*value.Batch {
+	if m.total == 0 {
+		return nil
+	}
+	proto := m.cursors[0].chunks[0].Batch
+	out := make([]*value.Batch, 0, (m.total+exec.DefaultMorselSize-1)/exec.DefaultMorselSize)
+	runs := make([]mergeRun, 0, min(m.total, exec.DefaultMorselSize))
+	for {
+		var n int
+		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
+			return out
+		}
+		b := &value.Batch{Schema: proto.Schema, Cols: make([]value.Vec, len(proto.Cols)), N: n}
+		for c := range b.Cols {
+			if b.Cols[c].Kind = proto.Cols[c].Kind; proto.Cols[c].Pruned {
+				b.Cols[c].Pruned = true
+			} else {
+				gatherVec(&b.Cols[c], runs, c, n)
+			}
+		}
+		out = append(out, b)
+	}
+}
+
+// gatherVec fills dst, whose Kind is set, with column c of the runs' live
+// rows: integer kinds as Ints and DOUBLE as Floats, copied as they are;
+// VARCHAR as Strs whose headers point at the source strings (dictionary
+// entries are not copied); a column any run holds boxed stays boxed. NULLs
+// set validity bits.
+func gatherVec(dst *value.Vec, runs []mergeRun, c, n int) {
+	for _, r := range runs {
+		if r.ch.Batch.Cols[c].Vals != nil {
+			dst.Vals = make([]value.Value, n)
+			o := 0
+			for _, r := range runs {
+				src, sel := &r.ch.Batch.Cols[c], r.ch.Batch.Sel
+				for k := r.lo; k < r.hi; k++ {
+					dst.Vals[o] = src.Value(liveAt(sel, k))
+					o++
+				}
+			}
+			return
+		}
+	}
+	switch dst.Kind {
+	case value.KindDouble:
+		dst.Floats = make([]float64, n)
+		gatherPayload(dst.Floats, runs, func(v *value.Vec) []float64 { return v.Floats }, c)
+	case value.KindVarchar:
+		dst.Strs = make([]string, n)
+		o := 0
+		for _, r := range runs {
+			src, sel := &r.ch.Batch.Cols[c], r.ch.Batch.Sel
+			for k := r.lo; k < r.hi; k++ {
+				if i := liveAt(sel, k); src.Nulls == nil || !src.Null(i) {
+					dst.Strs[o] = src.Str(i)
+				}
+				o++
+			}
+		}
+	default:
+		dst.Ints = make([]int64, n)
+		gatherPayload(dst.Ints, runs, func(v *value.Vec) []int64 { return v.Ints }, c)
+	}
+	o := 0
+	for _, r := range runs {
+		if src := &r.ch.Batch.Cols[c]; src.Nulls != nil {
+			for k := r.lo; k < r.hi; k++ {
+				if src.Null(liveAt(r.ch.Batch.Sel, k)) {
+					dst.EnsureNulls(n)
+					dst.SetNull(o + k - r.lo)
+				}
+			}
+		}
+		o += r.hi - r.lo
+	}
+}
+
+// gatherPayload copies column c's payload slice (what payload picks from a
+// vector) at the runs' live rows into dst: a run without a selection is one
+// copy.
+func gatherPayload[T int64 | float64](dst []T, runs []mergeRun, payload func(*value.Vec) []T, c int) {
+	o := 0
+	for _, r := range runs {
+		src := payload(&r.ch.Batch.Cols[c])
+		if sel := r.ch.Batch.Sel; sel != nil {
+			for _, i := range sel[r.lo:r.hi] {
+				dst[o] = src[i]
+				o++
+			}
+		} else {
+			o += copy(dst[o:], src[r.lo:r.hi])
+		}
+	}
 }
 
 // mergePartials unions the shards' aggregate partials with exec's own

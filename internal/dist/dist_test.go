@@ -77,6 +77,15 @@ func gather(t *testing.T, tr *Local, topo Topology, f *Fragment, fanout int) *Ga
 	return res
 }
 
+// mergedRows boxes a gather's merged stream: a scan's batches, a join's
+// rows.
+func mergedRows(res *GatherResult) []value.Row {
+	if res.Batches == nil {
+		return res.Rows
+	}
+	return exec.Rel{Batches: res.Batches}.AllRows()
+}
+
 func TestGatherScanRestoresSerialOrder(t *testing.T) {
 	const n = 10000
 	for _, shards := range []int{2, 3, 4} {
@@ -87,14 +96,14 @@ func TestGatherScanRestoresSerialOrder(t *testing.T) {
 			for _, fanout := range []int{0, 1, 2} {
 				res := gather(t, tr, topo, f, fanout)
 				want := int64(0)
-				for i, row := range res.Rows {
-					if row[0].I != want || res.Seqs[i] != want {
-						t.Fatalf("shards=%d wire=%v fanout=%d: row %d = %v seq %d, want A=%d", shards, wire, fanout, i, row, res.Seqs[i], want)
+				for i, row := range mergedRows(res) {
+					if row[0].I != want {
+						t.Fatalf("shards=%d wire=%v fanout=%d: row %d = %v, want A=%d", shards, wire, fanout, i, row, want)
 					}
 					want += 3
 				}
-				if len(res.Rows) != (n+2)/3 {
-					t.Fatalf("shards=%d: got %d rows, want %d", shards, len(res.Rows), (n+2)/3)
+				if res.Len() != (n+2)/3 {
+					t.Fatalf("shards=%d: got %d rows, want %d", shards, res.Len(), (n+2)/3)
 				}
 				if res.Scanned != n {
 					t.Fatalf("shards=%d: scanned %d, want %d", shards, res.Scanned, n)
@@ -131,8 +140,8 @@ func TestSnapshotVisibility(t *testing.T) {
 	counts := map[uint64]int{1: 10, 5: 11, 7: 10, 9: 10}
 	for snap, want := range counts {
 		res := gather(t, tr, topo, &Fragment{Snapshot: snap, Table: "T", Binding: "T"}, 0)
-		if len(res.Rows) != want {
-			t.Fatalf("snapshot %d: got %d rows, want %d", snap, len(res.Rows), want)
+		if res.Len() != want {
+			t.Fatalf("snapshot %d: got %d rows, want %d", snap, res.Len(), want)
 		}
 	}
 	// Aborted transactions leave nothing behind.
@@ -141,8 +150,8 @@ func TestSnapshotVisibility(t *testing.T) {
 		t.Fatalf("abort: %v", err)
 	}
 	res := gather(t, tr, topo, &Fragment{Snapshot: 99, Table: "T", Binding: "T"}, 0)
-	if len(res.Rows) != 10 {
-		t.Fatalf("after abort: got %d rows, want 10", len(res.Rows))
+	if res.Len() != 10 {
+		t.Fatalf("after abort: got %d rows, want 10", res.Len())
 	}
 }
 
@@ -250,13 +259,13 @@ func TestFailoverToReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gather with dead worker: %v", err)
 	}
-	if len(res.Rows) != 300 {
-		t.Fatalf("got %d rows, want 300", len(res.Rows))
+	if res.Len() != 300 {
+		t.Fatalf("got %d rows, want 300", res.Len())
 	}
 	if res.Failovers == 0 {
 		t.Fatal("expected at least one failover")
 	}
-	for i, row := range res.Rows {
+	for i, row := range mergedRows(res) {
 		if row[0].I != int64(i) {
 			t.Fatalf("row %d out of order: %v", i, row)
 		}
@@ -269,8 +278,8 @@ func TestFailoverToReplica(t *testing.T) {
 	}
 	tr.Worker(1).Revive()
 	tr.Worker(2).Revive()
-	if res, err := c.Gather(context.Background(), &Fragment{Snapshot: 1, Table: "T", Binding: "T"}, 0); err != nil || len(res.Rows) != 300 {
-		t.Fatalf("after revive: %v, %d rows", err, len(res.Rows))
+	if res, err := c.Gather(context.Background(), &Fragment{Snapshot: 1, Table: "T", Binding: "T"}, 0); err != nil || res.Len() != 300 {
+		t.Fatalf("after revive: %v, %+v", err, res)
 	}
 }
 
@@ -399,12 +408,12 @@ func TestChunkWireRoundTrip(t *testing.T) {
 }
 
 // TestDecodeChunkRejectsSeqRowMismatch: a chunk with three sequences and one
-// row used to decode, and mergeStreams then indexed rows by the sequence
+// row used to decode, and the merge then indexed rows by the sequence
 // cursor and panicked.
 func TestDecodeChunkRejectsSeqRowMismatch(t *testing.T) {
 	b := []byte{chunkWireVersion, 0, 0, 0} // shard, worker, scanned
 	b = append(b, 3, 2, 4, 6)              // three sequences: 1, 2, 3 (zig-zag)
-	b = append(b, 1)                       // one row
+	b = append(b, bodyRows, 1)             // one row
 	b = value.AppendRow(b, intRow(7))
 	b = append(b, 0) // no partial
 	if _, err := DecodeChunk(b); err == nil || !strings.Contains(err.Error(), "3 sequences for 1 rows") {
@@ -415,6 +424,47 @@ func TestDecodeChunkRejectsSeqRowMismatch(t *testing.T) {
 	bad := &Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}
 	if !bytes.Equal(bad.Encode(), b) {
 		t.Fatalf("hand-built bytes drifted from the codec:\n%v\n%v", b, bad.Encode())
+	}
+}
+
+// A scan chunk ships its batch's live rows column by column: decoded, every
+// row boxes to what the worker's batch held, pruned columns stay pruned and
+// the dictionary shrinks to the entries the live rows use.
+func TestScanChunkWireRoundTrip(t *testing.T) {
+	b, seqs := scanSeedBatch()
+	ch := &Chunk{Shard: 1, Worker: 2, Scanned: 130, Seqs: seqs, Batch: b}
+	got, err := DecodeChunk(ch.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Seqs, seqs) || got.Scanned != 130 || got.Batch.Len() != len(seqs) {
+		t.Fatalf("decoded %d sequences, %d rows, scanned %d", len(got.Seqs), got.Batch.Len(), got.Scanned)
+	}
+	want := exec.Rel{Batches: []*value.Batch{b}}.AllRows()
+	if rows := (exec.Rel{Batches: []*value.Batch{got.Batch}}).AllRows(); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("decoded rows differ:\n got %v\nwant %v", rows, want)
+	}
+	if v := got.Batch.Cols[2]; !v.Sorted || !reflect.DeepEqual(v.Dict, []string{"AIR", "MAIL", "SHIP"}) {
+		t.Fatalf("sorted dictionary shipped as %q (sorted %v)", v.Dict, v.Sorted)
+	}
+	if !got.Batch.Cols[5].Pruned || got.Batch.Cols[6].Vals == nil {
+		t.Fatal("pruned or boxed column lost its form")
+	}
+	enc := ch.Encode()
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := DecodeChunk(enc[:cut]); err == nil {
+			t.Fatalf("truncation at %d silently accepted", cut)
+		}
+	}
+}
+
+// Batch bytes from another node are checked before the merge indexes them:
+// each rule of the layout broken alone is a decode error, not a panic.
+func TestDecodeChunkRejectsHostileBatches(t *testing.T) {
+	for _, bad := range hostileBatchChunks() {
+		if _, err := DecodeChunk(bad.bytes); err == nil || !strings.Contains(err.Error(), bad.err) {
+			t.Errorf("%s: %v, want an error naming %q", bad.name, err, bad.err)
+		}
 	}
 }
 
@@ -488,7 +538,7 @@ func TestEmptyShardStreams(t *testing.T) {
 	}
 	tr := NewLocal(workers)
 	res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T"}, 0)
-	if len(res.Rows) != 0 || res.Scanned != 0 {
+	if res.Len() != 0 || res.Batches != nil || res.Scanned != 0 {
 		t.Fatalf("empty fleet returned %+v", res)
 	}
 	// Aggregate over empty shards: zero groups (the engine's post-merge
@@ -530,9 +580,14 @@ func TestLoadCommittedIdempotent(t *testing.T) {
 	for snap, want := range map[uint64][]int64{1: {5}, 2: {5, 9}, 3: {5, 7, 9}, 4: {5, 9}, 9: {5, 9}} {
 		var got []int64
 		err := w.Execute(context.Background(), &Fragment{Snapshot: snap, Table: "T", Binding: "T"}, func(ch *Chunk) error {
+			if ch.Batch == nil {
+				return nil
+			}
 			for i, seq := range ch.Seqs {
-				if !reflect.DeepEqual(ch.Rows[i], intRow(seq, seq*10)) {
-					t.Fatalf("snapshot %d: sequence %d carries %v", snap, seq, ch.Rows[i])
+				row := make(value.Row, 2)
+				ch.Batch.FillRow(ch.Batch.RowIndex(i), row)
+				if !reflect.DeepEqual(row, intRow(seq, seq*10)) {
+					t.Fatalf("snapshot %d: sequence %d carries %v", snap, seq, row)
 				}
 			}
 			got = append(got, ch.Seqs...)
@@ -701,12 +756,52 @@ func TestRunFaultSiteRetriesSameOwner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gather through injected run fault: %v", err)
 	}
-	if len(res.Rows) != 20 {
-		t.Fatalf("rows = %d, want 20", len(res.Rows))
+	if res.Len() != 20 {
+		t.Fatalf("rows = %d, want 20", res.Len())
 	}
 	// The retry happens inside the guarded call against the same owner: no
 	// replica switch-over is recorded.
 	if res.Failovers != 0 {
 		t.Fatalf("in-call retry must not count as failover, got %d", res.Failovers)
+	}
+}
+
+// cannedTransport answers every fragment with the same chunks: what a
+// faulty or hostile worker could stream.
+type cannedTransport struct{ chunks []*Chunk }
+
+func (c cannedTransport) Workers() int { return 2 }
+
+func (c cannedTransport) Run(_ context.Context, _ int, _ *Fragment, sink ChunkSink) error {
+	for _, ch := range c.chunks {
+		if err := sink(ch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// The merge indexes every chunk's rows by its sequences: a stream that does
+// not carry them in the fragment's form is an error, not a panic.
+func TestGatherRejectsChunksTheMergeCannotIndex(t *testing.T) {
+	ints := func(seqs ...int64) *value.Batch {
+		return &value.Batch{N: len(seqs), Cols: []value.Vec{{Kind: value.KindInt, Ints: seqs}}}
+	}
+	scan := &Fragment{Snapshot: 1, Table: "T", Binding: "T"}
+	join := &Fragment{Snapshot: 1, Table: "T", Binding: "T", Join: &JoinFragment{}}
+	for _, tc := range []struct {
+		name   string
+		f      *Fragment
+		chunks []*Chunk
+	}{
+		{"scan rows without a batch", scan, []*Chunk{{Seqs: []int64{1}, Rows: []value.Row{intRow(1)}}}},
+		{"batch shorter than its sequences", scan, []*Chunk{{Seqs: []int64{1, 2}, Batch: ints(1)}}},
+		{"batches of two shapes", scan, []*Chunk{{Seqs: []int64{1}, Batch: ints(1)}, {Seqs: []int64{2}, Batch: &value.Batch{N: 1, Cols: []value.Vec{{Kind: value.KindDouble, Floats: []float64{2}}}}}}},
+		{"join chunk without rows", join, []*Chunk{{Seqs: []int64{1}, Batch: ints(1)}}},
+	} {
+		c := &Coordinator{Topo: Topology{Shards: 2, Replicas: 1}, Transport: cannedTransport{tc.chunks}, Caller: testCaller()}
+		if _, err := c.Gather(context.Background(), tc.f, 0); err == nil {
+			t.Errorf("%s: gathered", tc.name)
+		}
 	}
 }

@@ -212,7 +212,7 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				tr.Wire = wire
 				topo := Topology{Shards: shards, Replicas: 1}
 				res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T", Where: tc.where, Needed: tc.needed, Agg: tc.agg, Join: tc.join}, 0)
-				got := res.Rows
+				got := mergedRows(res)
 				if tc.agg != nil {
 					var err error
 					if got, err = res.Partial.Rows(specs, len(tc.agg.GroupBy) == 0); err != nil {

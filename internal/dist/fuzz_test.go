@@ -36,18 +36,33 @@ func FuzzDecodeChunk(f *testing.F) {
 	}})
 	f.Add((&Chunk{Shard: 1, Worker: 2, Scanned: 77, Seqs: []int64{3, 9}, Rows: []value.Row{intRow(1, 2), intRow(3, 4)}, Partial: p}).Encode())
 	f.Add((&Chunk{}).Encode())
-	// Three sequences for one row: decoded once, and mergeStreams panicked.
+	// Three sequences for one row: decoded once, and the merge panicked.
 	f.Add((&Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}).Encode())
 	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32-1 sequences, none present
 	// One group whose sum claims 2^32-1 partials, none present.
 	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// Scan chunks: every column form, NULLs on word edges, a pruned and a
+	// boxed column, through a selection; the same shape with no rows; and
+	// the hostile batches DecodeChunk must reject.
+	b, seqs := scanSeedBatch()
+	f.Add((&Chunk{Shard: 1, Worker: 1, Scanned: 130, Seqs: seqs, Batch: b}).Encode())
+	b.Sel = []int32{}
+	f.Add((&Chunk{Scanned: 130, Batch: b}).Encode())
+	for _, bad := range hostileBatchChunks() {
+		f.Add(bad.bytes)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := DecodeChunk(b)
 		if err != nil {
 			return
 		}
-		if len(c.Seqs) != len(c.Rows) || len(c.Rows) > len(b) {
-			t.Fatalf("%d sequences and %d rows decoded from %d bytes", len(c.Seqs), len(c.Rows), len(b))
+		rows := len(c.Rows)
+		if c.Batch != nil {
+			rows = c.Batch.Len()
+			checkDecodedBatch(t, c.Batch, len(c.Seqs), len(b))
+		}
+		if len(c.Seqs) != rows || rows > len(b) {
+			t.Fatalf("%d sequences and %d rows decoded from %d bytes", len(c.Seqs), rows, len(b))
 		}
 		if c.Partial != nil && len(c.Partial.Groups) > len(b) {
 			t.Fatalf("%d groups decoded from %d bytes", len(c.Partial.Groups), len(b))
@@ -61,6 +76,117 @@ func FuzzDecodeChunk(f *testing.F) {
 			t.Fatalf("re-encoding is not stable:\n%+v\n%+v", c, again)
 		}
 	})
+}
+
+// scanSeedBatch is a scan morsel's batch of 130 rows, 66 of them selected
+// (bits 0, 63, 64, 65 and 127 among them), with every column form: integers
+// with NULLs on word edges, a double, sorted-dictionary, unsorted-dictionary
+// and plain VARCHAR, a pruned column and a boxed one. It returns the batch
+// and sequences for its live rows.
+func scanSeedBatch() (*value.Batch, []int64) {
+	const n = 130
+	b := &value.Batch{N: n, Cols: []value.Vec{
+		{Kind: value.KindInt, Ints: make([]int64, n)},
+		{Kind: value.KindDouble, Floats: make([]float64, n)},
+		{Kind: value.KindVarchar, Codes: make([]uint32, n), Dict: []string{"", "AIR", "MAIL", "SHIP", "TRUCK"}, Sorted: true},
+		{Kind: value.KindVarchar, Codes: make([]uint32, n), Dict: []string{"z", "a", "m"}},
+		{Kind: value.KindVarchar, Strs: make([]string, n)},
+		{Kind: value.KindDate, Pruned: true},
+		{Kind: value.KindInt, Vals: make([]value.Value, n)},
+	}}
+	for i := 0; i < n; i++ {
+		b.Cols[0].Ints[i] = int64(i) - 64
+		b.Cols[1].Floats[i] = float64(i) / 3
+		b.Cols[2].Codes[i] = uint32(1 + i%3) // TRUCK is never used
+		b.Cols[3].Codes[i] = uint32(i % 3)
+		b.Cols[4].Strs[i] = strings.Repeat("x", i%5)
+		b.Cols[6].Vals[i] = value.NewInt(int64(i))
+		if i%4 == 0 {
+			b.Cols[6].Vals[i] = value.NewString("boxed")
+		}
+	}
+	for _, i := range []int{0, 63, 64, 127} {
+		for c := 0; c < 5; c++ {
+			b.Cols[c].EnsureNulls(n)
+			b.Cols[c].SetNull(i)
+		}
+		b.Cols[6].Vals[i] = value.Null
+	}
+	var seqs []int64
+	for i := 0; i < n; i++ {
+		if i%2 == 0 || i == 63 || i == 65 || i == 127 {
+			b.Sel = append(b.Sel, int32(i))
+			seqs = append(seqs, int64(10*i))
+		}
+	}
+	return b, seqs
+}
+
+// hostileBatch is a scan chunk DecodeChunk must reject, and the error it
+// must name.
+type hostileBatch struct {
+	name, err string
+	bytes     []byte
+}
+
+// hostileBatchChunks builds one-sequence scan chunks that each break one
+// rule of the batch layout.
+func hostileBatchChunks() []hostileBatch {
+	head := []byte{chunkWireVersion, 0, 0, 0, 1, 2, bodyBatch} // one sequence (1), then a batch
+	chunk := func(batch ...byte) []byte {
+		return append(append(append([]byte{}, head...), batch...), 0)
+	}
+	word := []byte{7, 0, 0, 0, 0, 0, 0, 0}
+	intCol := append([]byte{formInts, 1, 0}, word...)
+	return []hostileBatch{
+		{"code past its dictionary", "code 5 outside a dictionary of 1",
+			chunk(1, byte(value.KindVarchar), 1, 1, formDict, 1, 0, 1, 1, 'a', 5)},
+		{"column longer than the sequences", "2 rows for 1 sequences",
+			chunk(append([]byte{1, byte(value.KindInt), 1, 1, formInts, 2, 0}, append(word, word...)...)...)},
+		{"mask wider than the columns", "needed mask of 2 columns over 1 columns",
+			chunk(append([]byte{1, byte(value.KindInt), 2, 1, 1}, intCol...)...)},
+		{"mask narrower than the columns", "needed mask of 1 columns over 2 columns",
+			chunk(append([]byte{2, byte(value.KindInt), byte(value.KindInt), 1, 1}, intCol...)...)},
+		{"column count the payload cannot back", "columns claimed",
+			chunk(0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"string lengths the payload cannot back", "string 0 of",
+			chunk(1, byte(value.KindVarchar), 1, 1, formStrs, 1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"integers the payload cannot back", "truncated bytes",
+			chunk(1, byte(value.KindInt), 1, 1, formInts, 1, 0, 7)},
+		{"dictionary form on an integer column", "does not carry BIGINT",
+			chunk(1, byte(value.KindInt), 1, 1, formDict, 1, 0, 1, 1, 'a', 0)},
+		{"unsorted dictionary flagged sorted", "is not above",
+			chunk(1, byte(value.KindVarchar), 1, 1, formSortedDict, 1, 0, 2, 1, 1, 'b', 'a', 0)},
+	}
+}
+
+// checkDecodedBatch asserts what DecodeChunk promises of a batch: every
+// shipped column holds exactly rows entries of its kind's payload, no more
+// columns than bytes, codes inside the dictionary — so every row boxes.
+func checkDecodedBatch(t *testing.T, b *value.Batch, rows, size int) {
+	t.Helper()
+	if b.Len() != rows || len(b.Cols) > size {
+		t.Fatalf("batch of %d rows, %d columns for %d sequences from %d bytes", b.Len(), len(b.Cols), rows, size)
+	}
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		if v.Pruned {
+			continue
+		}
+		n := max(len(v.Ints), len(v.Floats), len(v.Codes), len(v.Strs), len(v.Vals))
+		if rows > 0 && n != rows {
+			t.Fatalf("column %d holds %d entries for %d rows", c, n, rows)
+		}
+		for _, code := range v.Codes {
+			if int(code) >= len(v.Dict) {
+				t.Fatalf("column %d: code %d outside a dictionary of %d", c, code, len(v.Dict))
+			}
+		}
+	}
+	row := make(value.Row, len(b.Cols))
+	for k := 0; k < b.Len(); k++ {
+		b.FillRow(b.RowIndex(k), row)
+	}
 }
 
 func FuzzDecodeFragment(f *testing.F) {

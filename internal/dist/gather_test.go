@@ -1,0 +1,219 @@
+package dist
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"hana/internal/exec"
+	"hana/internal/expr"
+	"hana/internal/value"
+)
+
+// gatherSchema is T(A BIGINT, B DOUBLE, S VARCHAR, C DATE): B and S hold
+// NULLs, some of them on bitmap word edges.
+func gatherSchema() *value.Schema {
+	return value.NewSchema(
+		value.Column{Name: "A", Kind: value.KindInt},
+		value.Column{Name: "B", Kind: value.KindDouble, Nullable: true},
+		value.Column{Name: "S", Kind: value.KindVarchar, Nullable: true},
+		value.Column{Name: "C", Kind: value.KindDate},
+	)
+}
+
+func gatherRow(i int) value.Row {
+	row := value.Row{value.NewInt(int64(i)), value.NewDouble(float64(i%1000) / 4), value.NewString(fmt.Sprintf("s%d", i%7)), value.NewDate(int64(9000 + i%365))}
+	if i%11 == 0 || i%64 == 63 {
+		row[1] = value.Null
+	}
+	if i%13 == 0 || i%64 == 0 {
+		row[2] = value.Null
+	}
+	return row
+}
+
+// TestGatherBatchesMatchNaiveScan checks the columnar gather against the
+// plainest reading of a sharded scan: the rows visible at the snapshot,
+// sorted by sequence, filtered one at a time, boxed with the unread columns
+// NULL. Sequences interleave across 2 and 4 shards; each replica reads main,
+// delta and a morsel straddling the two (it merged half way through its
+// load); the held-back rows commit last, below every replica's last
+// sequence, so they sit in the late run — under lateCap in one case, past it
+// and folded in the other. Widths 1 and 4, wire codec off and on.
+func TestGatherBatchesMatchNaiveScan(t *testing.T) {
+	const n = 9000
+	schema := gatherSchema().Qualify("T")
+	cases := []struct {
+		name     string
+		holdBack func(i int) bool // commits last, at cid 2
+		folds    bool
+	}{
+		{"late run under lateCap", func(i int) bool { return i%97 == 5 && i < n/2 }, false},
+		{"late run folded", func(i int) bool { return i%2 == 1 && i < 2*n/3 }, true},
+	}
+	scans := []struct {
+		where  string
+		needed []bool
+	}{
+		{"", nil},
+		{"T.B > 100 OR T.S = 's3'", nil},
+		{"T.S IS NULL OR T.C < DATE '1994-09-01'", []bool{true, false, true, true}},
+		{"T.B IS NULL", []bool{false, true, false, true}},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{2, 4} {
+			type load struct {
+				seqs []int64
+				rows []value.Row
+			}
+			first, held := make([]load, shards), make([]load, shards)
+			for i := 0; i < n; i++ {
+				row := gatherRow(i)
+				s := ShardOf(row[0], shards)
+				l := &first[s]
+				if tc.holdBack(i) {
+					l = &held[s]
+				}
+				l.seqs, l.rows = append(l.seqs, int64(i)), append(l.rows, row)
+			}
+			workers := make([]*Worker, shards)
+			for s := range workers {
+				w := NewWorker(s, 4, nil)
+				w.Register("T", gatherSchema())
+				half := len(first[s].rows) / 2
+				if err := w.LoadCommitted("T", s, first[s].seqs[:half], first[s].rows[:half], 1); err != nil {
+					t.Fatal(err)
+				}
+				w.tables["T"].shards[s].tab.Merge()
+				if err := w.LoadCommitted("T", s, first[s].seqs[half:], first[s].rows[half:], 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.LoadCommitted("T", s, held[s].seqs, held[s].rows, 2); err != nil {
+					t.Fatal(err)
+				}
+				rep := w.tables["T"].shards[s]
+				if folded := len(rep.seqs) > len(first[s].rows); folded != tc.folds || !folded && len(rep.late.seqs) != len(held[s].rows) {
+					t.Fatalf("%s shards=%d shard %d: %d late rows, folded %v", tc.name, shards, s, len(rep.late.seqs), folded)
+				}
+				workers[s] = w
+			}
+			tr := NewLocal(workers)
+			topo := Topology{Shards: shards, Replicas: 1}
+			for _, sc := range scans {
+				pred, err := parseExpr(sc.where, schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, snap := range []uint64{1, 2} {
+					wantRows := naiveScan(t, n, tc.holdBack, snap, pred, sc.needed)
+					for _, width := range []int{1, 4} {
+						for _, wire := range []bool{false, true} {
+							tr.Wire = wire
+							f := &Fragment{Snapshot: snap, Table: "T", Binding: "T", Where: sc.where, Needed: sc.needed, Width: width}
+							res := gather(t, tr, topo, f, 0)
+							at := fmt.Sprintf("%s shards=%d where=%q snapshot=%d width=%d wire=%v", tc.name, shards, sc.where, snap, width, wire)
+							for k, b := range res.Batches {
+								if b.Len() != exec.DefaultMorselSize && k != len(res.Batches)-1 || b.Len() == 0 {
+									t.Fatalf("%s: batch %d of %d holds %d rows", at, k, len(res.Batches), b.Len())
+								}
+								for c := range b.Cols {
+									if b.Cols[c].Pruned != (sc.needed != nil && !sc.needed[c]) {
+										t.Fatalf("%s: batch %d column %d pruned %v", at, k, c, b.Cols[c].Pruned)
+									}
+								}
+							}
+							if got := mergedRows(res); !reflect.DeepEqual(got, wantRows) {
+								for i := range got {
+									if !reflect.DeepEqual(got[i], wantRows[i]) {
+										t.Fatalf("%s: row %d = %v, want %v", at, i, got[i], wantRows[i])
+									}
+								}
+								t.Fatalf("%s: %d rows, want %d", at, len(got), len(wantRows))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// naiveScan is the reference for a gather: rows 0..n-1 visible at the
+// snapshot (held-back rows commit at 2, the rest at 1) in sequence order,
+// those pred holds for, boxed with the columns needed does not mark NULL.
+func naiveScan(t *testing.T, n int, heldBack func(int) bool, snapshot uint64, pred expr.Expr, needed []bool) []value.Row {
+	t.Helper()
+	var rows []value.Row
+	for i := 0; i < n; i++ {
+		if heldBack(i) && snapshot < 2 {
+			continue
+		}
+		row := gatherRow(i)
+		if pred != nil {
+			ok, err := expr.Truthy(pred, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				continue
+			}
+		}
+		for c := range row {
+			if needed != nil && !needed[c] {
+				row[c] = value.Null
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestDistGatherBytesScaleWithNeededColumns: a gather reading 2 of a
+// 16-column table's columns allocates for those 2 — on the worker and at
+// the coordinator — not for the table's width. Boxing every survivor as a
+// full-width row cost about 16 × 40 B = 640 B a row.
+func TestDistGatherBytesScaleWithNeededColumns(t *testing.T) {
+	const n, width = 20000, 16
+	cols := make([]value.Column, width)
+	needed := make([]bool, width)
+	for c := range cols {
+		cols[c] = value.Column{Name: fmt.Sprintf("C%d", c), Kind: value.KindInt}
+	}
+	needed[0], needed[9] = true, true
+	topo := Topology{Shards: 2, Replicas: 1}
+	workers := make([]*Worker, topo.Shards)
+	for s := range workers {
+		workers[s] = NewWorker(s, 2, nil)
+		workers[s].Register("W", value.NewSchema(cols...))
+	}
+	for i := 0; i < n; i++ {
+		row := make(value.Row, width)
+		for c := range row {
+			row[c] = value.NewInt(int64(i*width + c))
+		}
+		s := ShardOf(row[0], topo.Shards)
+		if err := workers[s].LoadCommitted("W", s, []int64{int64(i)}, []value.Row{row}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s, w := range workers {
+		w.tables["W"].shards[s].tab.Merge() // main: the scan decodes what it reads
+	}
+	tr := NewLocal(workers)
+	f := &Fragment{Snapshot: 1, Table: "W", Binding: "W", Needed: needed}
+	gather(t, tr, topo, f, 0) // warm the pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := gather(t, tr, topo, f, 0)
+	runtime.ReadMemStats(&after)
+	if res.Len() != n {
+		t.Fatalf("gathered %d rows, want %d", res.Len(), n)
+	}
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.1f B allocated per gathered row", perRow)
+	if perRow > 64 {
+		t.Fatalf("a 2-of-%d-column gather allocated %.1f B per row, want at most 64", width, perRow)
+	}
+}

@@ -64,8 +64,8 @@ func TestWorkerStressKillReviveReseed(t *testing.T) {
 					t.Errorf("gather %d: %v", i, err)
 					return
 				}
-				if len(res.Rows) != rows {
-					t.Errorf("gather %d: %d rows, want %d", i, len(res.Rows), rows)
+				if res.Len() != rows {
+					t.Errorf("gather %d: %d rows, want %d", i, res.Len(), rows)
 					return
 				}
 				atomic.AddInt64(&gathers, 1)
@@ -137,10 +137,10 @@ func TestWorkerStressKillReviveReseed(t *testing.T) {
 	// and exactly the committed half of the 2PC stream is visible above it.
 	tr.Worker(1).Revive()
 	res, err := c.Gather(context.Background(), &Fragment{Snapshot: 1, Table: "T", Binding: "T"}, 0)
-	if err != nil || len(res.Rows) != rows {
-		t.Fatalf("final gather: %v, %d rows", err, len(res.Rows))
+	if err != nil || res.Len() != rows {
+		t.Fatalf("final gather: %v, %+v", err, res)
 	}
-	for i, row := range res.Rows {
+	for i, row := range mergedRows(res) {
 		if row[0].I != int64(i) {
 			t.Fatalf("row %d out of order after stress: %v", i, row)
 		}

@@ -406,43 +406,33 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 
 	// The scan: one morsel per span, whose boundaries depend only on the
 	// replica's contents, so the surviving sequence stream is identical at any
-	// pool width. A gather fragment boxes its survivors inside the morsel;
-	// aggregates and joins keep the batches.
-	gatherScan := f.Agg == nil && f.Join == nil
+	// pool width. Each morsel's chunk carries its surviving batch: a gather
+	// fragment ships it as it is, aggregates and joins run over it here.
 	spans := rep.spans(exec.DefaultMorselSize)
 	nm := len(spans)
 	chunks := make([]*Chunk, nm)
-	batches := make([]*value.Batch, nm)
 	_, err = w.pool.Run(ctx, nm, f.Width, func(_ context.Context, m int) error {
-		b, ch, err := w.scanMorsel(spans[m], f, schema, pred)
-		if err != nil {
-			return err
-		}
-		if gatherScan {
-			ch.Rows = b.MaterializeRows()
-		} else {
-			batches[m] = b
-		}
+		ch, err := w.scanMorsel(spans[m], f, schema, pred)
 		chunks[m] = ch
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
 
 	switch {
-	case !gatherScan:
+	case f.Agg != nil || f.Join != nil:
 		// Aggregate and join fragments hand the surviving batches, in
 		// sequence order, to the node-local executor; seqs maps an ordinal in
 		// that live-row stream back to the row's sequence.
 		out := &Chunk{Shard: f.Shard, Worker: w.id}
 		var seqs []int64
-		kept := batches[:0]
-		for m, ch := range chunks {
+		kept := make([]*value.Batch, 0, nm)
+		for _, ch := range chunks {
 			out.Scanned += ch.Scanned
 			if len(ch.Seqs) > 0 {
 				seqs = append(seqs, ch.Seqs...)
-				kept = append(kept, batches[m])
+				kept = append(kept, ch.Batch)
 			}
 		}
 		if f.Agg != nil {
@@ -507,22 +497,23 @@ func (r *replica) spans(size int) []span {
 // scanMorsel is the engine's table scan on a replica: decode the span's
 // positions into a batch, select the rows committed at the fragment's
 // snapshot, refine the selection with the shipped predicate's kernels. The
-// chunk it returns carries the survivors' sequences and the visible count.
-func (w *Worker) scanMorsel(sp span, f *Fragment, schema *value.Schema, pred expr.Expr) (*value.Batch, *Chunk, error) {
+// chunk it returns carries that batch, the survivors' sequences and the
+// visible count.
+func (w *Worker) scanMorsel(sp span, f *Fragment, schema *value.Schema, pred expr.Expr) (*Chunk, error) {
 	b := sp.in.tab.ReadBatch(sp.lo, sp.hi, f.Needed)
 	b.Schema = schema
 	w.mu.RLock()
 	b.Sel = sp.in.visible(sp.lo, sp.hi, f.Snapshot)
 	w.mu.RUnlock()
-	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(b.Sel))}
+	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(b.Sel)), Batch: b}
 	if err := expr.SelectBatch(pred, b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ch.Seqs = make([]int64, b.Len())
 	for k := range ch.Seqs {
 		ch.Seqs[k] = sp.in.seqs[sp.lo+b.RowIndex(k)]
 	}
-	return b, ch, nil
+	return ch, nil
 }
 
 // emit checks the mid-stream fault site and worker liveness before handing

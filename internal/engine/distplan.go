@@ -7,7 +7,6 @@ import (
 	"hana/internal/exec"
 	"hana/internal/expr"
 	"hana/internal/sqlparse"
-	"hana/internal/value"
 )
 
 // renderConjs renders pushed conjuncts as one shippable predicate ("" =
@@ -48,7 +47,7 @@ func (p *planner) distGather(ps *pendingScan, tmpl *dist.Fragment) (*dist.Gather
 	m.DistQueries.Inc()
 	m.DistFragments.Add(int64(res.Fragments))
 	m.DistFailovers.Add(int64(res.Failovers))
-	m.DistRowsMerged.Add(int64(len(res.Rows)))
+	m.DistRowsMerged.Add(int64(res.Len()))
 	p.stats.RowsScanned.Add(res.Scanned)
 	if res.Failovers > 0 {
 		p.plan.Note("dist: %d replica failover(s)", res.Failovers)
@@ -56,45 +55,33 @@ func (p *planner) distGather(ps *pendingScan, tmpl *dist.Fragment) (*dist.Gather
 	return res, nil
 }
 
-// realizeDist executes the shard scan fragment and materializes the merged
-// stream. Rows arrive tagged with their global scan sequence and the
-// coordinator merge restores ascending order, so the result is
-// byte-identical to the single-node partition scan.
+// realizeDist executes the shard scan fragment and takes the merged stream
+// as the relation's batches. Rows arrive tagged with their global scan
+// sequence and the coordinator merge restores ascending order, so the result
+// is byte-identical to the single-node partition scan.
 func (p *planner) realizeDist(r *relation) error {
 	ps := r.pend
 	res, err := p.distGather(ps, &dist.Fragment{})
 	if err != nil {
 		return err
 	}
-	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", ps.leaves[0].name, len(res.Rows), p.e.dist.topo.Shards)
+	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", ps.leaves[0].name, res.Len(), p.e.dist.topo.Shards)
 	r.node = node(label, shippedFilter(ps.conjs)...)
+	for _, b := range res.Batches {
+		b.Schema = r.Schema
+	}
+	r.Rel = exec.Rel{Schema: r.Schema, Batches: res.Batches}
 	if len(ps.coord) > 0 {
 		pred, err := expr.BindClone(expr.And(ps.coord...), r.Schema)
 		if err != nil {
 			return err
 		}
-		if res.Rows, err = keepTruthy(res.Rows, pred); err != nil {
+		if r.Rel, err = exec.Filter(r.Rel, pred); err != nil {
 			return err
 		}
-		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), len(res.Rows))))
+		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), r.Len())))
 	}
-	r.Rows = res.Rows
 	return nil
-}
-
-// keepTruthy filters rows in place to those pred holds for.
-func keepTruthy(rows []value.Row, pred expr.Expr) ([]value.Row, error) {
-	kept := rows[:0]
-	for _, r := range rows {
-		ok, err := expr.Truthy(pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
 }
 
 // tryDistAggregate plans a single-table aggregate block as a distributed

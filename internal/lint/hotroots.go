@@ -75,13 +75,17 @@ var HotRoots = []string{
 	// the scan's morsel body (aggregate and join fragments then run exec's
 	// rooted operators). Chunk and fragment encode/decode run per exchange
 	// unit on the wire transport, and the coordinator merge loops run once
-	// per shipped row/group.
+	// per shipped run, row or group: the merge order (merger.next), the
+	// columnar gather of scan batches and the row append of join chunks.
 	"hana/internal/dist.Worker.scanMorsel",
 	"hana/internal/dist.Chunk.Encode",
 	"hana/internal/dist.DecodeChunk",
 	"hana/internal/dist.Fragment.Encode",
 	"hana/internal/dist.DecodeFragment",
-	"hana/internal/dist.mergeStreams",
+	"hana/internal/dist.merger.next",
+	"hana/internal/dist.merger.batches",
+	"hana/internal/dist.merger.rows",
+	"hana/internal/dist.gatherVec",
 	"hana/internal/dist.mergePartials",
 	// hive: the one row-record reader every map stage, the join reducer and
 	// the driver-side read run once per record.

@@ -255,6 +255,20 @@ func (c *Cursor) Uint64() uint64 {
 	return binary.LittleEndian.Uint64(c.b[c.off-8:])
 }
 
+// Left returns the number of bytes not yet read: what a decoder checks a
+// length field against before sizing anything from it.
+func (c *Cursor) Left() int { return len(c.b) - c.off }
+
+// Bytes reads n raw bytes, a slice of the cursor's buffer (not a copy).
+func (c *Cursor) Bytes(n int) []byte {
+	if c.err != nil || n < 0 || len(c.b)-c.off < n {
+		c.truncated("bytes")
+		return nil
+	}
+	c.off += n
+	return c.b[c.off-n : c.off : c.off]
+}
+
 // Str reads a uvarint length and that many bytes as a string.
 func (c *Cursor) Str() string {
 	l := c.Uvarint()
