@@ -83,10 +83,12 @@ race:
 # compiles for it), Hive's map-side partials vs the engine, one SELECT block
 # through all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
 # float aggregates, worker fragments vs exec, hash vs nested-loop join, the
-# vectorized scan and the sharded gather vs a naive loop — and concurrent
-# increments and snapshot reads, which must hold first-committer-wins on every
-# placement.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion
+# vectorized scan and the sharded gather vs a naive loop — concurrent
+# increments, key inserts and snapshot reads, which must hold
+# first-committer-wins on every placement, keyed DML, which must answer alike
+# on every placement, and a superseded version, which must stay dead across a
+# restart.
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead
 equiv:
 	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive
 

@@ -265,7 +265,7 @@ func RunFig2(points int) (*Fig2Result, error) {
 		value.Column{Name: "ts", Kind: value.KindTimestamp},
 		value.Column{Name: "val", Kind: value.KindDouble},
 	)
-	rowTbl := rowstore.NewTable(schema, -1)
+	rowTbl := rowstore.NewTable(schema)
 	colTbl := colstore.NewTable(schema.Clone())
 	series := timeseries.New(start, interval, timeseries.CompensateLinear)
 

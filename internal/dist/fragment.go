@@ -210,14 +210,15 @@ func appendBool(buf []byte, v bool) []byte {
 
 // readStrings reads a uvarint count and that many strings.
 func readStrings(d *value.Cursor) []string {
-	n := int(d.Uvarint())
+	n := d.Uvarint()
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
 	// Cap the prealloc: n is wire data, and a corrupt length must surface
-	// as a short-buffer decode error, not an oversized allocation.
+	// as a short-buffer decode error, not an oversized allocation. It stays
+	// unsigned: as an int, a count past MaxInt64 would go negative.
 	out := make([]string, 0, min(n, 64))
-	for i := 0; i < n && d.Err() == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		out = append(out, d.Str())
 	}
 	return out

@@ -204,6 +204,8 @@ func FuzzDecodeFragment(f *testing.F) {
 	}}).Encode())
 	f.Add([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a 4 GiB Where, none present
 	f.Add([]byte{fragmentWireVersion, 0, 0, 0, 0, 0, 0, 0, 5, 1})                      // a needed mask of 5 columns, 1 present
+	// A group-by count past MaxInt64, negative as an int.
+	f.Add([]byte("\x020000\x010\a0000000\x00\x000\x85\x85\x85\x85\x85\x85\xfd\xfd\xfd\x01"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFragment(b)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,20 +15,41 @@ import (
 
 // counterPlacements creates table t (k, v) holding the counter row (1, 0)
 // and one bystander row, on every placement: each entry returns a fresh
-// engine. The tables are keyless.
-var counterPlacements = []struct {
+// engine. Each placement comes keyless and, as "<name>-keyed", with k as
+// its primary key.
+var counterPlacements = func() []counterPlacement {
+	out := []counterPlacement{
+		{"column", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)`},
+		{"row", Config{}, `CREATE ROW TABLE t (k BIGINT, v BIGINT)`},
+		{"extended", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT) USING EXTENDED STORAGE`},
+		{"hybrid-hot", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)
+		PARTITION BY RANGE (k) (PARTITION VALUES < 1 USING EXTENDED STORAGE, PARTITION OTHERS)`},
+		{"hybrid-cold", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)
+		PARTITION BY RANGE (k) (PARTITION VALUES < 10 USING EXTENDED STORAGE, PARTITION OTHERS)`},
+		{"2-shard", Config{Topology: dist.Topology{Shards: 2}}, `CREATE TABLE t (k BIGINT, v BIGINT)`},
+	}
+	for _, pl := range out[:len(out):len(out)] {
+		out = append(out, counterPlacement{pl.name + "-keyed", pl.cfg, strings.Replace(pl.ddl, "k BIGINT", "k BIGINT PRIMARY KEY", 1)})
+	}
+	return out
+}()
+
+type counterPlacement struct {
 	name string
 	cfg  Config
 	ddl  string
-}{
-	{"column", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)`},
-	{"row", Config{}, `CREATE ROW TABLE t (k BIGINT, v BIGINT)`},
-	{"extended", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT) USING EXTENDED STORAGE`},
-	{"hybrid-hot", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)
-		PARTITION BY RANGE (k) (PARTITION VALUES < 1 USING EXTENDED STORAGE, PARTITION OTHERS)`},
-	{"hybrid-cold", Config{}, `CREATE TABLE t (k BIGINT, v BIGINT)
-		PARTITION BY RANGE (k) (PARTITION VALUES < 10 USING EXTENDED STORAGE, PARTITION OTHERS)`},
-	{"2-shard", Config{Topology: dist.Topology{Shards: 2}}, `CREATE TABLE t (k BIGINT, v BIGINT)`},
+}
+
+// newCounter returns a fresh engine holding pl's table t with the counter
+// row (1, 0) and the bystander (20, 0).
+func newCounter(t *testing.T, pl counterPlacement) *Engine {
+	t.Helper()
+	cfg := pl.cfg
+	cfg.ExtendedStorageDir = t.TempDir()
+	e := New(cfg)
+	exec1(t, e, pl.ddl)
+	exec1(t, e, `INSERT INTO t VALUES (1, 0), (20, 0)`)
+	return e
 }
 
 // Concurrent clients increment one row, by autocommit UPDATEs and by
@@ -40,11 +62,7 @@ func TestConcurrentIncrementsAreNotLost(t *testing.T) {
 	for _, pl := range counterPlacements {
 		for _, width := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/width=%d", pl.name, width), func(t *testing.T) {
-				cfg := pl.cfg
-				cfg.ExtendedStorageDir = t.TempDir()
-				e := New(cfg)
-				exec1(t, e, pl.ddl)
-				exec1(t, e, `INSERT INTO t VALUES (1, 0), (20, 0)`)
+				e := newCounter(t, pl)
 				ctx := context.Background()
 				par := WithParallelism(width)
 				var (
@@ -126,6 +144,64 @@ func TestConcurrentIncrementsAreNotLost(t *testing.T) {
 				}
 				if committed == 0 {
 					t.Fatal("no increment committed")
+				}
+			})
+		}
+	}
+}
+
+// Concurrent clients insert the same new key into a keyed table, each in
+// its own transaction, on every placement. Exactly one commits; every other
+// insert is refused as a duplicate of the committed row or as a conflict
+// with the one still in flight, and one row holds the key.
+func TestConcurrentKeyInsertOneWins(t *testing.T) {
+	const clients = 8
+	for _, pl := range counterPlacements {
+		if !strings.HasSuffix(pl.name, "-keyed") {
+			continue
+		}
+		for _, width := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/width=%d", pl.name, width), func(t *testing.T) {
+				e := newCounter(t, pl)
+				ctx := context.Background()
+				par := WithParallelism(width)
+				var (
+					wg, start sync.WaitGroup
+					mu        sync.Mutex
+					committed int
+				)
+				start.Add(1)
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						start.Wait()
+						tx := e.Begin()
+						_, err := e.ExecuteContext(ctx, fmt.Sprintf(`INSERT INTO t VALUES (7, %d)`, c), WithTx(tx), par)
+						if err != nil {
+							if !errors.Is(err, ErrDuplicateKey) && !errors.Is(err, txn.ErrConflict) {
+								t.Errorf("client %d: %v, want a duplicate key or a write-write conflict", c, err)
+							}
+							_ = e.Rollback(tx)
+							return
+						}
+						if err := e.CommitTxContext(ctx, tx); err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						committed++
+						mu.Unlock()
+					}(c)
+				}
+				start.Done()
+				wg.Wait()
+				if committed != 1 {
+					t.Fatalf("%d of %d inserts of one key committed", committed, clients)
+				}
+				res, err := e.ExecuteContext(ctx, `SELECT k FROM t WHERE k = 7`, par)
+				if err != nil || len(res.Rows) != 1 {
+					t.Fatalf("rows holding key 7: %v, %v", res, err)
 				}
 			})
 		}

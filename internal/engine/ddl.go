@@ -111,6 +111,9 @@ func (e *Engine) createTable(st *sqlparse.CreateTableStmt) (*Result, error) {
 // Caller holds e.mu.
 func (e *Engine) buildStoredTable(meta *catalog.TableMeta) (*storedTable, error) {
 	t := &storedTable{eng: e, meta: meta}
+	if meta.PrimaryKey >= 0 {
+		t.keys = keyIndex{}
+	}
 	t.part2pc = &extParticipant{name: "extstore:" + meta.Name, t: t}
 	mk := func(pm catalog.PartitionMeta, cold bool, suffix string) (*partition, error) {
 		p := &partition{meta: pm, cold: cold, vers: txn.NewRowVersions()}
@@ -139,8 +142,17 @@ func (e *Engine) buildStoredTable(meta *catalog.TableMeta) (*storedTable, error)
 				}
 			}
 			p.ext = ext
+			if ok && t.keys != nil {
+				// Replay stamps adopted rows without storing them again.
+				if err := ext.Scan([]int{meta.PrimaryKey}, nil, func(id int64, key value.Row) bool {
+					t.keys.add(key[0], p, int(id))
+					return true
+				}); err != nil {
+					return nil, fmt.Errorf("keys of %s: %w", name, err)
+				}
+			}
 		case meta.Placement == catalog.PlacementRow:
-			p.row = rowstore.NewTable(meta.Schema.Clone(), meta.PrimaryKey)
+			p.row = rowstore.NewTable(meta.Schema.Clone())
 		default:
 			p.hot = colstore.NewTable(meta.Schema.Clone())
 		}

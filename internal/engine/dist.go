@@ -156,11 +156,8 @@ func (e *Engine) distReseedLocked(t *storedTable) error {
 		}
 		return true
 	}
-	switch {
-	case p.hot != nil:
-		p.hot.Scan(collect)
-	case p.row != nil:
-		p.row.Scan(collect)
+	if err := p.scan(collect); err != nil {
+		return err
 	}
 	return e.distMirrorLoad(t, ids, rows, last)
 }

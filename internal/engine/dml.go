@@ -43,7 +43,24 @@ func (e *Engine) insert(ctx context.Context, tx *txn.Txn, st *sqlparse.InsertStm
 		}
 	}
 
-	buildRow := func(vals []value.Value) (value.Row, error) {
+	var in []value.Row
+	if st.Select != nil {
+		res, err := e.query(ctx, tx, st.Select, width)
+		if err != nil {
+			return nil, err
+		}
+		in = res.Rows
+	}
+	for _, exprRow := range st.Values {
+		vals := make(value.Row, len(exprRow))
+		for i, ex := range exprRow {
+			if vals[i], err = ex.Eval(nil); err != nil {
+				return nil, fmt.Errorf("INSERT values must be constant: %w", err)
+			}
+		}
+		in = append(in, vals)
+	}
+	for _, vals := range in {
 		if len(vals) != len(ords) {
 			return nil, fmt.Errorf("expected %d values, got %d", len(ords), len(vals))
 		}
@@ -52,55 +69,15 @@ func (e *Engine) insert(ctx context.Context, tx *txn.Txn, st *sqlparse.InsertStm
 			row[i] = value.Null
 		}
 		for i, o := range ords {
-			v, err := value.Cast(vals[i], schema.Cols[o].Kind)
-			if err != nil {
+			if row[o], err = value.Cast(vals[i], schema.Cols[o].Kind); err != nil {
 				return nil, fmt.Errorf("column %s: %w", schema.Cols[o].Name, err)
 			}
-			if v.IsNull() && !schema.Cols[o].Nullable {
-				return nil, fmt.Errorf("column %s is NOT NULL", schema.Cols[o].Name)
-			}
-			row[o] = v
 		}
-		return row, nil
-	}
-
-	var count int64
-	if st.Select != nil {
-		res, err := e.query(ctx, tx, st.Select, width)
-		if err != nil {
+		if err := t.insertRow(tx, row); err != nil {
 			return nil, err
 		}
-		for _, r := range res.Rows {
-			row, err := buildRow(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.insertRow(tx, row); err != nil {
-				return nil, err
-			}
-			count++
-		}
-	} else {
-		for _, exprRow := range st.Values {
-			vals := make([]value.Value, len(exprRow))
-			for i, ex := range exprRow {
-				v, err := ex.Eval(nil)
-				if err != nil {
-					return nil, fmt.Errorf("INSERT values must be constant: %w", err)
-				}
-				vals[i] = v
-			}
-			row, err := buildRow(vals)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.insertRow(tx, row); err != nil {
-				return nil, err
-			}
-			count++
-		}
 	}
-	return &Result{Affected: count, Message: fmt.Sprintf("%d row(s) inserted", count)}, nil
+	return &Result{Affected: int64(len(in)), Message: fmt.Sprintf("%d row(s) inserted", len(in))}, nil
 }
 
 // extendFlexible adds a VARCHAR column to a flexible table on the fly. The
@@ -240,6 +217,10 @@ func (e *Engine) update(ctx context.Context, tx *txn.Txn, st *sqlparse.UpdateStm
 			}
 			newRow[s.ord] = v
 		}
+		// Values are checked before the delete stamp, which the key needs.
+		if err := t.checkValues(newRow); err != nil {
+			return nil, err
+		}
 		if err := t.deleteRow(tx, tg.p, tg.id); err != nil {
 			return nil, err
 		}
@@ -252,7 +233,9 @@ func (e *Engine) update(ctx context.Context, tx *txn.Txn, st *sqlparse.UpdateStm
 
 // BulkLoad loads rows directly into a table outside transactional DML —
 // the direct-load path for extended tables and the generator path for
-// benchmarks. Rows become immediately visible.
+// benchmarks. Rows become immediately visible. Every row passes the write
+// rule before any is logged, and a key repeated within rows is a duplicate
+// too, so a refused load stores nothing.
 func (e *Engine) BulkLoad(table string, rows []value.Row) error {
 	t, err := e.table(table)
 	if err != nil {
@@ -263,9 +246,17 @@ func (e *Engine) BulkLoad(table string, rows []value.Row) error {
 	cid := e.mgr.LastCID()
 	// Group rows per partition so extended partitions get one bulk write.
 	perPart := map[*partition][]value.Row{}
+	loaded := keyIndex{} // keys of rows, when keyed
 	for _, r := range rows {
-		if len(r) != t.meta.Schema.Len() {
-			return fmt.Errorf("row arity %d does not match table %s", len(r), table)
+		if err := t.checkRowLocked(0, r); err != nil {
+			return err
+		}
+		if t.keys != nil {
+			k := r[t.meta.PrimaryKey]
+			if err := loaded.find(k, func(keyLoc) error { return duplicateKey(k) }); err != nil {
+				return err
+			}
+			loaded.add(k, nil, 0)
 		}
 		p, err := t.partitionFor(r)
 		if err != nil {
@@ -280,47 +271,47 @@ func (e *Engine) BulkLoad(table string, rows []value.Row) error {
 		if !ok {
 			continue
 		}
-		switch {
-		case p.hot != nil, p.row != nil:
-			ids := make([]int, 0, len(rs))
-			for _, r := range rs {
-				if err := e.logRedo(0, cid, redoInsC, p.idx, p.numRows(), t.meta.Name, value.AppendRow(nil, r)); err != nil {
-					return err
-				}
-				var id int
-				var err error
-				if p.hot != nil {
-					id, err = p.hot.Append(r)
-				} else {
-					id, err = p.row.Append(r)
-				}
-				if err != nil {
-					return err
-				}
-				p.vers.InsertCommitted(id, cid)
-				ids = append(ids, id)
-			}
-			if err := e.distMirrorLoad(t, ids, rs, cid); err != nil {
-				return err
-			}
-		case p.ext != nil:
-			base := p.numRows()
-			if e.wal != nil {
-				for i, r := range rs {
-					if err := e.logRedo(0, cid, redoInsC, p.idx, base+i, t.meta.Name, value.AppendRow(nil, r)); err != nil {
-						return err
-					}
-				}
-			}
-			if err := p.ext.BulkLoad(rs); err != nil {
-				return err
-			}
-			for i := range rs {
-				p.vers.InsertCommitted(base+i, cid)
-			}
+		ids, err := t.loadLocked(p, cid, rs)
+		if mErr := e.distMirrorLoad(t, ids, rs[:len(ids)], cid); err == nil {
+			err = mErr
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// loadLocked logs and stores checked rows in p, committed at cid, and
+// returns the row ids it stored. A record that cannot be written ends the
+// load with every logged row stored, so the log never leads the store; an
+// extended partition stores them in one bulk write.
+func (t *storedTable) loadLocked(p *partition, cid uint64, rs []value.Row) ([]int, error) {
+	base := p.numRows()
+	var err error
+	for i, r := range rs {
+		if err = t.eng.logRedoRow(0, cid, redoInsC, p.idx, base+i, t.meta.Name, r); err == nil && p.ext == nil {
+			err = t.storeLocked(p, base+i, r)
+		}
+		if err != nil {
+			rs = rs[:i]
+			break
+		}
+	}
+	if p.ext != nil && len(rs) > 0 {
+		if bErr := p.ext.BulkLoad(rs); err == nil {
+			err = bErr
+		}
+	}
+	ids := make([]int, p.numRows()-base)
+	for i := range ids {
+		ids[i] = base + i
+		if p.ext != nil && t.keys != nil {
+			t.keys.add(rs[i][t.meta.PrimaryKey], p, ids[i])
+		}
+		p.vers.InsertCommitted(ids[i], cid)
+	}
+	return ids, err
 }
 
 // TableRowCount returns the number of visible rows (current snapshot).

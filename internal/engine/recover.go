@@ -17,16 +17,19 @@ import (
 // rows, version vectors, catalog metadata, coordinator watermarks, in-doubt
 // branches), replays the WAL suffix tolerantly (a torn tail is truncated at
 // the first bad record), rebuilds the coordinator from its control records
-// and then makes three passes:
+// and then makes three passes. Only valid writes are logged, so replay
+// applies them and checks none again.
 //
-//  1. apply redo records in LSN order, one rule for every placement: skip a
+//  1. decide every transaction's outcome from the log and the savepoint's
+//     in-doubt branches, restoring the branches the suffix did not resolve;
+//  2. apply redo records in LSN order, one rule for every placement: skip a
 //     record of a table the log drops later, and a record the version
-//     vector already covers; re-attempt an append whose
-//     row id is the store's row count (a deterministic failure, duplicate
-//     key, is skipped exactly as it failed originally, keeping row ids
-//     aligned); for a cold row already on disk, only stamp it; a gap, or a
-//     vector longer than its store at the end of the pass, is an error;
-//  2. restore the savepoint's in-doubt branches the suffix did not resolve;
+//     vector already covers; append a row whose row id is the store's row
+//     count (its key indexed as it is stored), and for a cold row already
+//     on disk (indexed when its table was built) only stamp it; stamp a
+//     delete only for a transaction that committed or is in doubt, over
+//     any stamp the savepoint carried from one that did not. A failed
+//     re-apply, a gap, or a vector longer than its store is an error;
 //  3. finalize outcomes: commit stamps in CID order (an in-doubt branch's
 //     cold stamps wait for its resolution), abort stamps, then every stamp
 //     still pending either belongs to an in-doubt branch — re-marked with
@@ -120,35 +123,24 @@ func (e *Engine) DataDir() string { return e.dataDir }
 // RecoveryInfo reports what the last Open/Recover did.
 func (e *Engine) RecoveryInfo() RecoveryInfo { return e.recovery }
 
-// walOutcomes is the per-transaction decision state extracted from the
-// replayed control records. Last decision wins: a COMMIT followed by an
-// ABORT (the decision record never became durable and the coordinator
-// rolled back) counts as aborted.
-type walOutcomes struct {
-	committed map[uint64]uint64 // tid -> cid
-	aborted   map[uint64]bool
-	resolved  map[uint64]bool // RecResolve seen (phase 2 completed / branch resolved)
-}
-
-func computeOutcomes(recs []txn.Record) walOutcomes {
-	out := walOutcomes{
-		committed: map[uint64]uint64{},
-		aborted:   map[uint64]bool{},
-		resolved:  map[uint64]bool{},
-	}
+// outcomes returns every decision the replayed control records hold, tid ->
+// commit ID (0 = aborted), and the transactions whose branches were
+// resolved. Last decision wins: a COMMIT followed by an ABORT (the decision
+// record never became durable and the coordinator rolled back) counts as
+// aborted.
+func outcomes(recs []txn.Record) (fate map[uint64]uint64, resolved map[uint64]bool) {
+	fate, resolved = map[uint64]uint64{}, map[uint64]bool{}
 	for _, r := range recs {
 		switch r.Type {
 		case txn.RecCommit:
-			out.committed[r.TID] = r.CID
-			delete(out.aborted, r.TID)
+			fate[r.TID] = r.CID
 		case txn.RecAbort:
-			out.aborted[r.TID] = true
-			delete(out.committed, r.TID)
+			fate[r.TID] = 0
 		case txn.RecResolve:
-			out.resolved[r.TID] = true
+			resolved[r.TID] = true
 		}
 	}
-	return out
+	return fate, resolved
 }
 
 // recoverFrom rebuilds the engine from e.dataDir. Called once from Open,
@@ -192,11 +184,45 @@ func (e *Engine) recoverFrom() error {
 	}
 	e.mgr = mgr
 
-	out := computeOutcomes(recs)
-	info.Committed = len(out.committed)
-	info.Aborted = len(out.aborted)
+	// Pass 1: outcomes. A branch the savepoint carries in doubt and the
+	// suffix resolved takes its decision: commit when a commit ID was
+	// allocated.
+	fate, resolved := outcomes(recs)
+	type commit struct{ tid, cid uint64 }
+	var commits []commit
+	var aborts []uint64
+	decide := func(tid, cid uint64) {
+		if cid != 0 {
+			commits = append(commits, commit{tid, cid})
+		} else {
+			aborts = append(aborts, tid)
+		}
+	}
+	for tid, cid := range fate {
+		decide(tid, cid)
+	}
+	info.Committed, info.Aborted = len(commits), len(aborts)
+	if manifest != nil {
+		for _, b := range manifest.Branch {
+			if resolved[b.TID] {
+				fate[b.TID] = b.CID
+				decide(b.TID, b.CID)
+				continue
+			}
+			cid := b.CID
+			if c := fate[b.TID]; c != 0 {
+				cid = c
+			}
+			e.mgr.MarkInDoubt(b.TID, b.Participant, cid)
+		}
+	}
+	inDoubt := map[uint64]uint64{} // tid -> decided cid
+	for _, b := range e.mgr.InDoubtInfo() {
+		inDoubt[b.TID] = b.CID
+	}
+	orphans := map[uint64]bool{}
 
-	// Pass 1: data records in LSN order. A table dropped later in the log
+	// Pass 2: data records in LSN order. A table dropped later in the log
 	// may share its name, and so its cold store, with one created after
 	// the drop; the records before its last drop are skipped, since the
 	// store no longer holds its rows.
@@ -219,6 +245,7 @@ func (e *Engine) recoverFrom() error {
 	}
 	for _, rec := range data {
 		skipped := false
+		_, doubt := inDoubt[rec.tid]
 		switch {
 		case rec.op == redoDDLCreate || rec.op == redoDDLDrop:
 			err = e.applyRedoDDL(rec)
@@ -226,6 +253,12 @@ func (e *Engine) recoverFrom() error {
 			skipped = true
 		case rec.op == redoDDLAlter:
 			err = e.applyRedoDDL(rec)
+		case rec.op == redoDel && fate[rec.tid] == 0 && !doubt:
+			// Aborted, or cut short by the crash: pass 3 would revert the
+			// stamp, and until then it must not hold the row.
+			if _, ok := fate[rec.tid]; !ok {
+				orphans[rec.tid] = true
+			}
 		default:
 			skipped, err = e.applyRedoRow(rec)
 		}
@@ -245,46 +278,12 @@ func (e *Engine) recoverFrom() error {
 	if short != nil {
 		return short
 	}
-
-	// Pass 2: in-doubt branches the savepoint carries. One the suffix
-	// resolved takes its decision: commit when a commit ID was allocated.
-	type commit struct{ tid, cid uint64 }
-	commits := make([]commit, 0, len(out.committed))
-	for tid, cid := range out.committed {
-		commits = append(commits, commit{tid, cid})
-	}
-	aborts := make([]uint64, 0, len(out.aborted))
-	for tid := range out.aborted {
-		aborts = append(aborts, tid)
-	}
-	if manifest != nil {
-		for _, b := range manifest.Branch {
-			switch {
-			case !out.resolved[b.TID]:
-				cid := b.CID
-				if c, ok := out.committed[b.TID]; ok {
-					cid = c
-				}
-				e.mgr.MarkInDoubt(b.TID, b.Participant, cid)
-			case b.CID != 0:
-				commits = append(commits, commit{b.TID, b.CID})
-			default:
-				aborts = append(aborts, b.TID)
-			}
-		}
-	}
-
 	// Pass 3: outcome stamps. Commit in CID order so later commits of the
 	// same rows land last, then abort; what is still pending is in-doubt or
 	// orphaned. As in a running engine, an in-doubt branch's cold stamps
 	// wait for its resolution.
 	sort.Slice(commits, func(i, j int) bool { return commits[i].cid < commits[j].cid })
 	sort.Slice(aborts, func(i, j int) bool { return aborts[i] < aborts[j] })
-	inDoubt := map[uint64]uint64{} // tid -> decided cid
-	for _, b := range e.mgr.InDoubtInfo() {
-		inDoubt[b.TID] = b.CID
-	}
-	orphans := map[uint64]bool{}
 	e.forEachPartition(func(t *storedTable, p *partition) {
 		for _, c := range commits {
 			if _, ok := inDoubt[c.tid]; ok && p.ext != nil {
@@ -398,12 +397,7 @@ func (e *Engine) restoreSavepointTables(m *spManifest, spDir string) error {
 						return fmt.Errorf("recovery: rows of %s: row %d: %w", meta.Name, i, err)
 					}
 					off += n
-					if p.hot != nil {
-						_, err = p.hot.Append(row)
-					} else {
-						_, err = p.row.Append(row)
-					}
-					if err != nil {
+					if err := t.storeLocked(p, i, row); err != nil {
 						return fmt.Errorf("recovery: rows of %s: row %d: %w", meta.Name, i, err)
 					}
 				}
@@ -468,10 +462,10 @@ func (e *Engine) applyRedoDDL(rec redoRec) error {
 	return nil
 }
 
-// applyRedoRow replays one insert or delete record, whatever the placement.
-// Returns whether the record was skipped: the savepoint's version vector
-// already covers it, or the original mutation failed deterministically and
-// fails again here.
+// applyRedoRow re-applies one insert or delete record, whatever the
+// placement. Only writes the rule accepted were logged, so nothing is
+// checked again and a re-apply that fails is an error. It returns whether
+// the record was skipped because the savepoint already covers it.
 func (e *Engine) applyRedoRow(rec redoRec) (bool, error) {
 	t, err := e.table(rec.table)
 	if err != nil {
@@ -484,10 +478,10 @@ func (e *Engine) applyRedoRow(rec redoRec) (bool, error) {
 	}
 	p := t.parts[rec.part]
 	if rec.op == redoDel {
-		if err := p.vers.Delete(rec.rowID, rec.tid); err != nil {
-			return true, nil // the original delete hit the same conflict
+		if rec.rowID >= p.vers.Len() {
+			return false, fmt.Errorf("table %s: delete of row %d, which has no version", rec.table, rec.rowID)
 		}
-		return false, nil
+		return !p.vers.Delete(rec.rowID, rec.tid), nil
 	}
 	if rec.rowID < p.vers.Len() {
 		return true, nil
@@ -503,20 +497,8 @@ func (e *Engine) applyRedoRow(rec redoRec) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		switch {
-		case p.hot != nil:
-			_, err = p.hot.Append(row)
-		case p.row != nil:
-			_, err = p.row.Append(row)
-		default:
-			if err := p.ext.Append(row); err != nil {
-				return false, fmt.Errorf("table %s: re-append row %d: %w", rec.table, rec.rowID, err)
-			}
-		}
-		if err != nil {
-			// The original append failed the same deterministic way (e.g.
-			// duplicate primary key) and consumed no row id.
-			return true, nil
+		if err := t.storeLocked(p, rec.rowID, row); err != nil {
+			return false, fmt.Errorf("table %s: re-append row %d: %w", rec.table, rec.rowID, err)
 		}
 	}
 	if rec.op == redoInsC {

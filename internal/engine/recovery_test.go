@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -624,5 +625,162 @@ func TestColdAppendWithFailedFlushMatchesReplay(t *testing.T) {
 	}
 	if got := renderRows(after); !sameRows(got, []string{"4096|8386560"}) {
 		t.Fatalf("count, sum = %v, want every row of the committed insert", got)
+	}
+}
+
+// recoveryPlacements are the placements of table t (k, v) that recovery
+// rebuilds differently: in-memory columns and rows from the savepoint's row
+// files, cold rows from extended storage, and a hybrid table's cold
+// partition. keyed makes k the primary key.
+func recoveryPlacements(keyed bool) map[string]string {
+	k := "k BIGINT"
+	if keyed {
+		k += " PRIMARY KEY"
+	}
+	return map[string]string{
+		"column":      `CREATE TABLE t (` + k + `, v BIGINT)`,
+		"row":         `CREATE ROW TABLE t (` + k + `, v BIGINT)`,
+		"extended":    `CREATE TABLE t (` + k + `, v BIGINT) USING EXTENDED STORAGE`,
+		"hybrid-cold": `CREATE TABLE t (` + k + `, v BIGINT) PARTITION BY RANGE (k) (PARTITION VALUES < 10 USING EXTENDED STORAGE, PARTITION OTHERS)`,
+	}
+}
+
+// A rolled-back UPDATE or DELETE of a row, then a committed UPDATE of the
+// same row: after a restart the row has its committed version only, whether
+// a savepoint falls while the rollback's stamps are live, after the
+// rollback, or not at all. Replay stamps the rolled-back delete not at all,
+// and the committed one over the savepoint's stamp.
+func TestRecoverSupersededVersionStaysDead(t *testing.T) {
+	for name, ddl := range recoveryPlacements(false) {
+		for _, undone := range []string{`UPDATE t SET v = 9 WHERE k = 1`, `DELETE FROM t WHERE k = 1`} {
+			for _, sp := range []string{"none", "before rollback", "after rollback"} {
+				t.Run(fmt.Sprintf("%s/%s/savepoint %s", name, strings.Fields(undone)[0], sp), func(t *testing.T) {
+					dir := t.TempDir()
+					e := openDurable(t, dir, Config{})
+					exec1(t, e, ddl)
+					exec1(t, e, `INSERT INTO t VALUES (1, 0), (20, 0)`)
+					tx := e.Begin()
+					if _, err := e.ExecuteContext(context.Background(), undone, WithTx(tx)); err != nil {
+						t.Fatal(err)
+					}
+					savepoint := func(when string) {
+						if sp == when {
+							if _, err := e.Savepoint(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					savepoint("before rollback")
+					if err := e.Rollback(tx); err != nil {
+						t.Fatal(err)
+					}
+					savepoint("after rollback")
+					exec1(t, e, `UPDATE t SET v = 5 WHERE k = 1`)
+					want := []string{"1|5", "20|0"}
+					if got := renderRows(exec1(t, e, `SELECT k, v FROM t`).Rows); !sameRows(got, want) {
+						t.Fatalf("before the restart: %v, want %v", got, want)
+					}
+					if err := e.Close(); err != nil {
+						t.Fatal(err)
+					}
+					r := openDurable(t, dir, Config{})
+					defer r.Close()
+					if got := renderRows(exec1(t, r, `SELECT k, v FROM t`).Rows); !sameRows(got, want) {
+						t.Fatalf("recovered %v, want %v (%+v)", got, want, r.RecoveryInfo())
+					}
+				})
+			}
+		}
+	}
+}
+
+// A key holds across a restart, whether recovery rebuilds the table from the
+// log alone or from a savepoint and the log: a duplicate is still refused, a
+// keyed UPDATE succeeds, and a key deleted before the restart can be
+// inserted again.
+func TestRecoverKeysAcrossRestart(t *testing.T) {
+	for name, ddl := range recoveryPlacements(true) {
+		for _, withSavepoint := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/savepoint=%v", name, withSavepoint), func(t *testing.T) {
+				dir := t.TempDir()
+				e := openDurable(t, dir, Config{})
+				exec1(t, e, ddl)
+				exec1(t, e, `INSERT INTO t VALUES (1, 0), (2, 0), (20, 0)`)
+				exec1(t, e, `UPDATE t SET v = 1 WHERE k = 2`)
+				if withSavepoint {
+					if _, err := e.Savepoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				exec1(t, e, `DELETE FROM t WHERE k = 1`)
+				exec1(t, e, `UPDATE t SET v = 2 WHERE k = 20`)
+				if name == "extended" {
+					// A row on disk that no record names holds no key.
+					store, err := e.ExtendedStore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					stray, _ := store.Table("t")
+					if err := stray.BulkLoad([]value.Row{{value.NewInt(5), value.NewInt(0)}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				r := openDurable(t, dir, Config{})
+				defer r.Close()
+				ctx := context.Background()
+				for _, dup := range []string{`INSERT INTO t VALUES (2, 9)`, `INSERT INTO t VALUES (20, 9)`, `UPDATE t SET k = 20 WHERE k = 2`} {
+					if _, err := r.ExecuteContext(ctx, dup); !errors.Is(err, ErrDuplicateKey) {
+						t.Fatalf("%s after the restart: %v, want %v", dup, err, ErrDuplicateKey)
+					}
+				}
+				exec1(t, r, `UPDATE t SET v = 3 WHERE k = 2`)
+				exec1(t, r, `INSERT INTO t VALUES (1, 4), (5, 5)`)
+				want := []string{"1|4", "20|2", "2|3", "5|5"}
+				if got := renderRows(exec1(t, r, `SELECT k, v FROM t`).Rows); !sameRows(got, want) {
+					t.Fatalf("after the restart: %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// A BulkLoad whose fifth redo record cannot be written stops there with
+// every row it logged stored, so the rows it refused can be inserted later,
+// a later INSERT takes the next row id, and a restart recovers the table
+// the live engine held. On the hybrid table the cold partition loads whole
+// and the hot one is cut.
+func TestRecoverBulkLoadCutByLogFailure(t *testing.T) {
+	for name, ddl := range recoveryPlacements(true) {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faults.New(1)
+			e := openDurable(t, dir, Config{Faults: inj})
+			exec1(t, e, ddl)
+			var rows []value.Row
+			for _, k := range []int64{1, 2, 3, 21, 22, 23} {
+				rows = append(rows, value.Row{value.NewInt(k), value.NewInt(0)})
+			}
+			inj.FailAfter("wal.append", 4, 1)
+			if err := e.BulkLoad("t", rows); err == nil {
+				t.Fatal("BulkLoad succeeded past a failed redo record")
+			}
+			exec1(t, e, `INSERT INTO t VALUES (22, 9), (5, 5)`)
+			live := renderRows(exec1(t, e, `SELECT k, v FROM t`).Rows)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := openDurable(t, dir, Config{})
+			defer r.Close()
+			if got := renderRows(exec1(t, r, `SELECT k, v FROM t`).Rows); !sameRows(got, live) {
+				t.Fatalf("recovered %v, live %v (%+v)", got, live, r.RecoveryInfo())
+			}
+			if want := []string{"1|0", "21|0", "22|9", "2|0", "3|0", "5|5"}; !sameRows(live, want) {
+				t.Fatalf("the cut load and the INSERT left %v, want %v", live, want)
+			}
+		})
 	}
 }

@@ -14,10 +14,8 @@ import (
 // typed RecData record to the WAL so crash recovery can rebuild the
 // in-memory stores from the last savepoint plus the log suffix. Records are
 // written *before* the store mutation inside the same critical section that
-// applies it (write-ahead); replay re-attempts the mutation, and a mutation
-// that failed deterministically the first time (duplicate primary key,
-// arity mismatch) fails identically during replay and is skipped, keeping
-// row-id assignment aligned.
+// applies it (write-ahead), and only once the write rule accepted it: only
+// valid writes are logged, and replay applies them without checking again.
 //
 // The record note is a compact binary frame:
 //
@@ -97,7 +95,7 @@ func (e *Engine) logRedo(tid, cid uint64, op byte, part, rowID int, table string
 	})
 }
 
-func (e *Engine) logRedoRow(tid uint64, op byte, part, rowID int, table string, row value.Row) error {
+func (e *Engine) logRedoRow(tid, cid uint64, op byte, part, rowID int, table string, row value.Row) error {
 	if e.wal == nil {
 		return nil
 	}
@@ -105,7 +103,7 @@ func (e *Engine) logRedoRow(tid uint64, op byte, part, rowID int, table string, 
 	if row != nil {
 		payload = value.AppendRow(nil, row)
 	}
-	return e.logRedo(tid, 0, op, part, rowID, table, payload)
+	return e.logRedo(tid, cid, op, part, rowID, table, payload)
 }
 
 // logRedoDDL appends a DDL redo record (tid 0: DDL is autonomous).

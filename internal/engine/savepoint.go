@@ -188,10 +188,9 @@ func (e *Engine) captureSnapshot() (*spSnapshot, error) {
 					n++
 					return true
 				}
-				if p.hot != nil {
-					p.hot.Scan(collect)
-				} else {
-					p.row.Scan(collect)
+				if err := p.scan(collect); err != nil {
+					t.mu.Unlock()
+					return nil, err
 				}
 				sp.Rows = n
 				sp.File = fmt.Sprintf("t%d_p%d.rows", ti, pi)

@@ -43,15 +43,8 @@ func naiveScan(t *testing.T, parts []*partition, pred expr.Expr, snapshot, tid u
 			out = append(out, scanRow{p, id, row.Clone()})
 			return true
 		}
-		switch {
-		case p.hot != nil:
-			p.hot.Scan(visit)
-		case p.row != nil:
-			p.row.Scan(visit)
-		default:
-			if err := p.ext.Scan(nil, nil, func(id int64, row value.Row) bool { return visit(int(id), row) }); err != nil {
-				t.Fatalf("naive scan: %v", err)
-			}
+		if err := p.scan(visit); err != nil {
+			t.Fatalf("naive scan: %v", err)
 		}
 	}
 	return out

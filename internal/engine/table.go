@@ -7,6 +7,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -44,6 +45,20 @@ func (p *partition) numRows() int {
 	return 0
 }
 
+// scan visits every stored row of p, each version, in row-id order: the raw
+// reads of savepoints and shard reseeding.
+func (p *partition) scan(fn func(id int, row value.Row) bool) error {
+	switch {
+	case p.hot != nil:
+		p.hot.Scan(fn)
+	case p.row != nil:
+		p.row.ScanRange(0, p.row.NumRows(), fn)
+	default:
+		return p.ext.Scan(nil, nil, func(id int64, row value.Row) bool { return fn(int(id), row) })
+	}
+	return nil
+}
+
 // storedTable is the runtime object for one catalog table: one partition
 // for plain tables, several for hybrid tables.
 type storedTable struct {
@@ -52,6 +67,21 @@ type storedTable struct {
 	meta    *catalog.TableMeta
 	parts   []*partition
 	part2pc *extParticipant // shared 2PC participant for the cold partitions
+	keys    keyIndex        // nil when the table has no primary key
+}
+
+// ErrDuplicateKey is the write rule's refusal of a row whose primary key a
+// live version of the table already holds.
+var ErrDuplicateKey = errors.New("duplicate primary key")
+
+// keyIndex lists, per primary-key hash, every stored version of a keyed
+// table in all its partitions: derived state, never logged or saved.
+type keyIndex map[uint64][]keyLoc
+
+type keyLoc struct {
+	key value.Value
+	p   *partition
+	id  int
 }
 
 // firstCold returns the table's first extended-storage partition, nil when
@@ -131,29 +161,92 @@ func (t *storedTable) insertRow(tx *txn.Txn, row value.Row) error {
 	return t.appendLocked(tx, p, row)
 }
 
-// appendLocked appends a row to p under the transaction. Every placement
-// writes the same way: the redo record, then the store append, then an
-// insert stamp carrying the TID. The caller holds t.mu, so a savepoint sees
-// the record and the row together or neither. An append that fails after the
-// record is logged and stores nothing (duplicate primary key) fails
-// identically during replay and is skipped there, keeping row ids aligned.
-// One that stores the row and then fails (a cold tail that could not flush)
-// stamps it all the same, as replay does, and returns the error.
-func (t *storedTable) appendLocked(tx *txn.Txn, p *partition, row value.Row) error {
-	id := p.numRows()
-	if err := t.eng.logRedoRow(tx.TID, redoIns, p.idx, id, t.meta.Name, row); err != nil {
+// checkRowLocked is the write rule every row passes before its redo record,
+// whatever the statement or placement: checkValues, then the primary key,
+// checked per row as appended, like a non-deferrable unique constraint,
+// against every partition's versions (RowVersions.HoldsKey).
+func (t *storedTable) checkRowLocked(tid uint64, row value.Row) error {
+	if err := t.checkValues(row); err != nil || t.keys == nil {
 		return err
 	}
+	k := row[t.meta.PrimaryKey]
+	return t.keys.find(k, func(l keyLoc) error {
+		held, err := l.p.vers.HoldsKey(l.id, tid)
+		if err == nil && held {
+			err = duplicateKey(k)
+		}
+		return err
+	})
+}
+
+// checkValues is the part of the write rule a row's values decide alone:
+// its arity, and no NULL in a NOT NULL column (the key among them).
+func (t *storedTable) checkValues(row value.Row) error {
+	schema := t.meta.Schema
+	if len(row) != schema.Len() {
+		return fmt.Errorf("row arity %d does not match table %s", len(row), t.meta.Name)
+	}
+	for i, c := range schema.Cols {
+		if row[i].IsNull() && !c.Nullable {
+			return fmt.Errorf("column %s is NOT NULL", c.Name)
+		}
+	}
+	return nil
+}
+
+func duplicateKey(k value.Value) error { return fmt.Errorf("%w %v", ErrDuplicateKey, k) }
+
+// add indexes version id of p as holding key k.
+func (ix keyIndex) add(k value.Value, p *partition, id int) {
+	ix[k.Hash()] = append(ix[k.Hash()], keyLoc{key: k, p: p, id: id})
+}
+
+// find calls fn for each indexed version of key k until fn fails.
+func (ix keyIndex) find(k value.Value, fn func(keyLoc) error) error {
+	for _, l := range ix[k.Hash()] {
+		if value.Compare(l.key, k) == 0 {
+			if err := fn(l); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// storeLocked appends a checked or replayed row to p's store as row id and
+// indexes its key, also when a cold append stores it but fails to flush.
+func (t *storedTable) storeLocked(p *partition, id int, row value.Row) error {
 	var err error
 	switch {
 	case p.hot != nil:
-		id, err = p.hot.Append(row)
+		_, err = p.hot.Append(row)
 	case p.row != nil:
-		id, err = p.row.Append(row)
+		_, err = p.row.Append(row)
 	default:
 		err = p.ext.Append(row)
 	}
-	if err != nil && (p.ext == nil || p.numRows() == id) {
+	if t.keys != nil && (err == nil || p.numRows() > id) {
+		t.keys.add(row[t.meta.PrimaryKey], p, id)
+	}
+	return err
+}
+
+// appendLocked appends a row to p under the transaction, the same way on
+// every placement: write rule, redo record, store append, then an insert
+// stamp carrying the TID; so only valid writes are logged. The caller holds
+// t.mu, so a savepoint sees the record and the row together or neither. A
+// row stored by an append that then fails (a cold tail that could not
+// flush) is stamped all the same, as replay does.
+func (t *storedTable) appendLocked(tx *txn.Txn, p *partition, row value.Row) error {
+	if err := t.checkRowLocked(tx.TID, row); err != nil {
+		return err
+	}
+	id := p.numRows()
+	if err := t.eng.logRedoRow(tx.TID, 0, redoIns, p.idx, id, t.meta.Name, row); err != nil {
+		return err
+	}
+	err := t.storeLocked(p, id, row)
+	if err != nil && p.numRows() == id {
 		return err
 	}
 	p.vers.Insert(id, tx.TID)
@@ -162,18 +255,19 @@ func (t *storedTable) appendLocked(tx *txn.Txn, p *partition, row value.Row) err
 	return err
 }
 
-// deleteRow stamps a visible row deleted under the transaction. It takes
-// t.mu so the redo record and the version stamp are one atomic unit with
-// respect to a concurrent savepoint.
+// deleteRow stamps a visible row deleted under the transaction once the
+// conflict rule allows it, under t.mu: the check, the redo record and the
+// stamp are one unit to other writers and a concurrent savepoint.
 func (t *storedTable) deleteRow(tx *txn.Txn, p *partition, rowID int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.eng.logRedoRow(tx.TID, redoDel, p.idx, rowID, t.meta.Name, nil); err != nil {
+	if err := p.vers.Deletable(rowID, tx.TID); err != nil {
 		return err
 	}
-	if err := p.vers.Delete(rowID, tx.TID); err != nil {
+	if err := t.eng.logRedoRow(tx.TID, 0, redoDel, p.idx, rowID, t.meta.Name, nil); err != nil {
 		return err
 	}
+	p.vers.Delete(rowID, tx.TID)
 	t.enlist(tx, p)
 	t.eng.distMirrorDelete(tx, t, p, rowID)
 	return nil

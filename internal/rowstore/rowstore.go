@@ -2,7 +2,8 @@
 // high-update-frequency tables and point queries (§3.1 of the paper: "row-
 // oriented storage in main memory is used for extremely high update
 // frequencies on smaller data sets and the execution of point queries").
-// Rows are stored contiguously with an optional hash index on a key column.
+// Rows are stored contiguously in append order; keys are the engine's to
+// check.
 package rowstore
 
 import (
@@ -17,23 +18,10 @@ type Table struct {
 	mu     sync.RWMutex
 	schema *value.Schema
 	rows   []value.Row
-
-	keyOrd int // primary key ordinal, -1 if none
-	index  map[uint64][]int
 }
 
-// NewTable creates an empty row table; keyOrd < 0 disables the primary-key
-// index.
-func NewTable(schema *value.Schema, keyOrd int) *Table {
-	t := &Table{schema: schema, keyOrd: keyOrd}
-	if keyOrd >= 0 {
-		t.index = make(map[uint64][]int)
-	}
-	return t
-}
-
-// Schema returns the table schema.
-func (t *Table) Schema() *value.Schema { return t.schema }
+// NewTable creates an empty row table.
+func NewTable(schema *value.Schema) *Table { return &Table{schema: schema} }
 
 // NumRows returns the row count.
 func (t *Table) NumRows() int {
@@ -42,23 +30,12 @@ func (t *Table) NumRows() int {
 	return len(t.rows)
 }
 
-// Append adds a row and returns its row id. With a primary-key index, a
-// duplicate key is an error.
+// Append adds a row and returns its row id.
 func (t *Table) Append(row value.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(row) != t.schema.Len() {
 		return 0, fmt.Errorf("row arity %d does not match schema arity %d", len(row), t.schema.Len())
-	}
-	if t.keyOrd >= 0 {
-		k := row[t.keyOrd]
-		h := k.Hash()
-		for _, id := range t.index[h] {
-			if value.Compare(t.rows[id][t.keyOrd], k) == 0 {
-				return 0, fmt.Errorf("duplicate primary key %v", k)
-			}
-		}
-		t.index[h] = append(t.index[h], len(t.rows))
 	}
 	t.rows = append(t.rows, row.Clone())
 	return len(t.rows) - 1, nil
@@ -72,67 +49,6 @@ func (t *Table) Get(id int) (value.Row, error) {
 		return nil, fmt.Errorf("row id %d out of range", id)
 	}
 	return t.rows[id].Clone(), nil
-}
-
-// Lookup returns the row ids whose key column equals k — O(1) via the hash
-// index when present, a scan otherwise.
-func (t *Table) Lookup(k value.Value) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.keyOrd >= 0 {
-		var out []int
-		for _, id := range t.index[k.Hash()] {
-			if value.Compare(t.rows[id][t.keyOrd], k) == 0 {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	var out []int
-	for id := range t.rows {
-		if t.keyOrd >= 0 && value.Compare(t.rows[id][t.keyOrd], k) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Update overwrites the row in place (row-store tables support in-place
-// updates, unlike the append-only column store).
-func (t *Table) Update(id int, row value.Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || id >= len(t.rows) {
-		return fmt.Errorf("row id %d out of range", id)
-	}
-	if len(row) != t.schema.Len() {
-		return fmt.Errorf("row arity mismatch")
-	}
-	if t.keyOrd >= 0 && value.Compare(t.rows[id][t.keyOrd], row[t.keyOrd]) != 0 {
-		// Re-index under the new key.
-		oldH := t.rows[id][t.keyOrd].Hash()
-		ids := t.index[oldH]
-		for i, x := range ids {
-			if x == id {
-				t.index[oldH] = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-		t.index[row[t.keyOrd].Hash()] = append(t.index[row[t.keyOrd].Hash()], id)
-	}
-	t.rows[id] = row.Clone()
-	return nil
-}
-
-// Scan invokes fn for every row until it returns false.
-func (t *Table) Scan(fn func(id int, row value.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for id, r := range t.rows {
-		if !fn(id, r) {
-			return
-		}
-	}
 }
 
 // ScanRange invokes fn for rows with ids in [lo, hi) — the unit handed to
@@ -174,14 +90,4 @@ func (t *Table) MemSize() int64 {
 		}
 	}
 	return n
-}
-
-// Truncate removes all rows.
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows = nil
-	if t.keyOrd >= 0 {
-		t.index = make(map[uint64][]int)
-	}
 }

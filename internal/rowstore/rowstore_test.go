@@ -7,79 +7,48 @@ import (
 	"hana/internal/value"
 )
 
-func newTbl(keyed bool) *Table {
-	s := value.NewSchema(
+func newTbl() *Table {
+	return NewTable(value.NewSchema(
 		value.Column{Name: "id", Kind: value.KindInt},
 		value.Column{Name: "name", Kind: value.KindVarchar},
-	)
-	ord := -1
-	if keyed {
-		ord = 0
-	}
-	return NewTable(s, ord)
+	))
 }
 
-func TestAppendGetLookup(t *testing.T) {
-	tbl := newTbl(true)
+// Row ids are append positions; a duplicate key is stored like any other
+// row, since keys are the engine's to check.
+func TestAppendGet(t *testing.T) {
+	tbl := newTbl()
 	for i := 0; i < 50; i++ {
-		if _, err := tbl.Append(value.Row{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("n%d", i))}); err != nil {
-			t.Fatal(err)
+		id, err := tbl.Append(value.Row{value.NewInt(int64(i % 40)), value.NewString(fmt.Sprintf("n%d", i))})
+		if err != nil || id != i {
+			t.Fatalf("append %d: id %d, %v", i, id, err)
 		}
 	}
-	ids := tbl.Lookup(value.NewInt(33))
-	if len(ids) != 1 {
-		t.Fatalf("lookup ids = %v", ids)
-	}
-	row, err := tbl.Get(ids[0])
-	if err != nil || row[1].String() != "n33" {
+	row, err := tbl.Get(43)
+	if err != nil || row[0].Int() != 3 || row[1].String() != "n43" {
 		t.Fatalf("get: %v %v", row, err)
 	}
 }
 
-func TestDuplicateKeyRejected(t *testing.T) {
-	tbl := newTbl(true)
-	_, _ = tbl.Append(value.Row{value.NewInt(1), value.NewString("a")})
-	if _, err := tbl.Append(value.Row{value.NewInt(1), value.NewString("b")}); err == nil {
-		t.Fatal("duplicate key must error")
-	}
-}
-
-func TestUpdateInPlaceAndReindex(t *testing.T) {
-	tbl := newTbl(true)
-	id, _ := tbl.Append(value.Row{value.NewInt(1), value.NewString("a")})
-	if err := tbl.Update(id, value.Row{value.NewInt(2), value.NewString("z")}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Lookup(value.NewInt(1))) != 0 {
-		t.Fatal("old key still indexed")
-	}
-	got := tbl.Lookup(value.NewInt(2))
-	if len(got) != 1 || got[0] != id {
-		t.Fatalf("new key lookup = %v", got)
-	}
-	if err := tbl.Update(99, value.Row{value.NewInt(3), value.NewString("x")}); err == nil {
-		t.Fatal("out of range update must error")
-	}
-}
-
-func TestScanAndTruncate(t *testing.T) {
-	tbl := newTbl(false)
+func TestScan(t *testing.T) {
+	tbl := newTbl()
 	for i := 0; i < 10; i++ {
 		_, _ = tbl.Append(value.Row{value.NewInt(int64(i)), value.NewString("x")})
 	}
 	n := 0
-	tbl.Scan(func(id int, row value.Row) bool { n++; return true })
+	tbl.ScanRange(0, tbl.NumRows(), func(id int, row value.Row) bool { n++; return true })
 	if n != 10 {
 		t.Fatalf("scanned %d", n)
 	}
-	tbl.Truncate()
-	if tbl.NumRows() != 0 {
-		t.Fatal("truncate")
+	var ids []int
+	tbl.ScanRange(3, 20, func(id int, row value.Row) bool { ids = append(ids, id); return id < 5 })
+	if fmt.Sprint(ids) != "[3 4 5]" {
+		t.Fatalf("ScanRange visited %v", ids)
 	}
 }
 
 func TestAppendClonesRow(t *testing.T) {
-	tbl := newTbl(false)
+	tbl := newTbl()
 	row := value.Row{value.NewInt(1), value.NewString("a")}
 	_, _ = tbl.Append(row)
 	row[1] = value.NewString("mutated")
@@ -90,7 +59,7 @@ func TestAppendClonesRow(t *testing.T) {
 }
 
 func TestMemSizeGrowsPerRow(t *testing.T) {
-	tbl := newTbl(false)
+	tbl := newTbl()
 	_, _ = tbl.Append(value.Row{value.NewInt(1), value.NewString("abcdefgh")})
 	one := tbl.MemSize()
 	for i := 0; i < 99; i++ {
@@ -102,13 +71,9 @@ func TestMemSizeGrowsPerRow(t *testing.T) {
 }
 
 func TestArityErrors(t *testing.T) {
-	tbl := newTbl(false)
+	tbl := newTbl()
 	if _, err := tbl.Append(value.Row{value.NewInt(1)}); err == nil {
 		t.Fatal("arity mismatch append")
-	}
-	_, _ = tbl.Append(value.Row{value.NewInt(1), value.NewString("a")})
-	if err := tbl.Update(0, value.Row{value.NewInt(1)}); err == nil {
-		t.Fatal("arity mismatch update")
 	}
 	if _, err := tbl.Get(-1); err == nil {
 		t.Fatal("negative id")

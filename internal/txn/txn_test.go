@@ -314,15 +314,15 @@ func TestRowVersionsVisibility(t *testing.T) {
 func TestRowVersionsDeleteAndConflict(t *testing.T) {
 	v := NewRowVersions()
 	v.InsertCommitted(0, 1)
-	if err := v.Delete(0, 50); err != nil {
+	if err := v.Deletable(0, 50); err != nil || !v.Delete(0, 50) {
 		t.Fatal(err)
 	}
 	// Second in-flight deleter conflicts.
-	if err := v.Delete(0, 51); !errors.Is(err, ErrConflict) {
+	if err := v.Deletable(0, 51); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflict expected, got %v", err)
 	}
 	// Own re-delete is idempotent.
-	if err := v.Delete(0, 50); err != nil {
+	if err := v.Deletable(0, 50); err != nil || !v.Delete(0, 50) {
 		t.Fatal("own delete must not conflict")
 	}
 	// Deleter sees the row as gone; others still see it.
@@ -336,9 +336,62 @@ func TestRowVersionsDeleteAndConflict(t *testing.T) {
 	if v.Visible(0, 9, 0) || !v.Visible(0, 8, 0) {
 		t.Fatal("committed delete snapshot visibility")
 	}
-	// Deleting an already-deleted row conflicts.
-	if err := v.Delete(0, 60); !errors.Is(err, ErrConflict) {
+	// Deleting an already-deleted row conflicts, and stamps nothing.
+	if err := v.Deletable(0, 60); !errors.Is(err, ErrConflict) || v.Delete(0, 60) {
 		t.Fatal("delete of deleted row must conflict")
+	}
+	if err := v.Deletable(1, 60); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("delete past the tracked rows: %v", err)
+	}
+}
+
+// Delete checks no conflict: a logged delete re-applied by recovery takes
+// the row over the stamp of a transaction that did not commit, which then
+// neither commits nor reverts it.
+func TestRowVersionsDeleteTakesOverAStamp(t *testing.T) {
+	v := NewRowVersions()
+	v.InsertCommitted(0, 1)
+	v.Delete(0, 10)
+	if !v.Delete(0, 11) {
+		t.Fatal("delete over an in-flight stamp stamped nothing")
+	}
+	v.AbortTID(10)
+	v.CommitTID(11, 5)
+	if v.Visible(0, 5, 0) || !v.Visible(0, 4, 0) {
+		t.Fatal("the delete that took the row over must commit it")
+	}
+}
+
+// A version holds its key against a writer unless its insert aborted or its
+// delete committed or is the writer's own; another writer's stamp is a
+// conflict.
+func TestRowVersionsHoldsKey(t *testing.T) {
+	v := NewRowVersions()
+	v.InsertCommitted(0, 1) // live
+	v.InsertCommitted(1, 1) // deleted by 10, in flight
+	v.Delete(1, 10)
+	v.Insert(2, 10)         // inserted by 10, in flight
+	v.Insert(3, 11)         // aborted
+	v.InsertCommitted(4, 1) // deleted, committed
+	v.Delete(4, 12)
+	v.Insert(6, 0) // rows 5 and 6 have no version
+	v.AbortTID(11)
+	v.CommitTID(12, 2)
+	for _, c := range []struct {
+		row  int
+		tid  uint64
+		held bool
+		err  error
+	}{
+		{0, 20, true, nil}, {0, 0, true, nil},
+		{1, 20, false, ErrConflict}, {1, 10, false, nil},
+		{2, 20, false, ErrConflict}, {2, 10, true, nil},
+		{3, 20, false, nil}, {4, 20, false, nil}, {5, 20, false, nil}, {7, 20, false, nil},
+	} {
+		held, err := v.HoldsKey(c.row, c.tid)
+		if held != c.held || !errors.Is(err, c.err) {
+			t.Errorf("row %d against %d: held %v, %v; want %v, %v", c.row, c.tid, held, err, c.held, c.err)
+		}
 	}
 }
 
@@ -355,7 +408,7 @@ func TestRowVersionsAbort(t *testing.T) {
 		t.Fatal("aborted delete must restore row")
 	}
 	// Row can be deleted again after the abort.
-	if err := v.Delete(1, 11); err != nil {
+	if err := v.Deletable(1, 11); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -77,27 +77,48 @@ func (v *RowVersions) InsertCommitted(rowID int, cid uint64) {
 	v.mu.Unlock()
 }
 
-// Delete stamps a row as deleted by tid. It returns ErrConflict when the
-// row is already deleted (committed) or being deleted by another in-flight
-// transaction — the platform's write-write conflict rule (first writer
-// wins).
-func (v *RowVersions) Delete(rowID int, tid uint64) error {
+// Deletable is the write-write conflict rule (first writer wins) a writer
+// checks before it logs a delete: ErrConflict when the row's delete is
+// committed or another in-flight transaction holds it.
+func (v *RowVersions) Deletable(rowID int, tid uint64) error {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	switch {
+	case rowID >= len(v.insCID):
+		return ErrNotActive
+	case v.delCID[rowID] != 0, v.delTID[rowID] != 0 && v.delTID[rowID] != tid:
+		return ErrConflict
+	}
+	return nil
+}
+
+// Delete stamps rowID deleted by tid unless its delete is committed, and
+// reports whether it did. It checks no conflict (see Deletable): recovery
+// stamps over a savepoint's stamp of a transaction that did not commit.
+func (v *RowVersions) Delete(rowID int, tid uint64) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if rowID >= len(v.insCID) {
-		return ErrNotActive
-	}
 	if v.delCID[rowID] != 0 {
-		return ErrConflict
-	}
-	if v.delTID[rowID] != 0 && v.delTID[rowID] != tid {
-		return ErrConflict
+		return false
 	}
 	if v.delTID[rowID] != tid {
 		v.delTID[rowID] = tid
 		v.noteLocked(rowID, tid)
 	}
-	return nil
+	return true
+}
+
+// HoldsKey reports whether rowID's version holds its primary key against
+// writer tid. Another in-flight transaction's insert or delete stamp is
+// ErrConflict (first writer wins). Otherwise the version holds the key when
+// tid would see it in a snapshot of every commit: not aborted, not deleted.
+func (v *RowVersions) HoldsKey(rowID int, tid uint64) (bool, error) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	if rowID < len(v.insCID) && (v.insTID[rowID] != 0 && v.insTID[rowID] != tid || v.delTID[rowID] != 0 && v.delTID[rowID] != tid) {
+		return false, ErrConflict
+	}
+	return v.visibleLocked(rowID, ^uint64(0)-1, tid), nil
 }
 
 // CommitTID stamps every change of tid with the commit ID.
