@@ -88,7 +88,7 @@ race:
 # first-committer-wins on every placement, keyed DML, which must answer alike
 # on every placement, and a superseded version, which must stay dead across a
 # restart.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed
 equiv:
 	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive
 

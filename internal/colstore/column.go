@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hana/internal/value"
@@ -105,6 +106,18 @@ func (c *Column) Append(v value.Value) error {
 	// keep the null bitmap's logical length in sync
 	c.deltaNulls.grow(c.deltaLen())
 	return nil
+}
+
+// grow reserves delta room for n more values.
+func (c *Column) grow(n int) {
+	switch c.Kind {
+	case value.KindVarchar:
+		c.deltaCodes = slices.Grow(c.deltaCodes, n)
+	case value.KindDouble:
+		c.deltaFloats = slices.Grow(c.deltaFloats, n)
+	default:
+		c.deltaInts = slices.Grow(c.deltaInts, n)
+	}
 }
 
 // Get returns the i-th value.

@@ -70,6 +70,16 @@ func (t *Table) Append(row value.Row) (int, error) {
 	return id, nil
 }
 
+// Grow reserves delta room for n more rows, so a bulk append of n rows
+// leaves no growth slack behind.
+func (t *Table) Grow(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.cols {
+		c.grow(n)
+	}
+}
+
 // Get returns the row with the given id.
 func (t *Table) Get(id int) (value.Row, error) {
 	t.mu.RLock()

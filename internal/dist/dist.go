@@ -4,9 +4,13 @@
 // workers' partial streams back into exactly the single-node result.
 //
 // The design follows the paper's growth from one columnar engine into a
-// distributed infrastructure: the engine node stays authoritative (MVCC,
-// WAL, savepoints), while workers hold committed, sequence-tagged copies of
-// shardable tables. Every shipped row carries its global scan sequence, so
+// distributed infrastructure: the engine node stays authoritative (WAL,
+// savepoints), while workers hold sequence-tagged copies of shardable
+// tables. A replica is what an engine partition is — a column-store table
+// and a txn.RowVersions — written at statement time and stamped by the
+// engine's two-phase commit, so one visibility rule decides a row on the
+// engine and on every worker. Every shipped row carries its global scan
+// sequence, so
 // the coordinator's k-way merge reproduces the exact serial scan order —
 // the property that makes distributed results byte-identical to local ones
 // at any shard count, replica count and worker-pool width.

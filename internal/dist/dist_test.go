@@ -14,6 +14,7 @@ import (
 	"hana/internal/exec"
 	"hana/internal/faults"
 	"hana/internal/fed"
+	"hana/internal/txn"
 	"hana/internal/value"
 )
 
@@ -120,7 +121,7 @@ func TestSnapshotVisibility(t *testing.T) {
 	row := intRow(100, 1000)
 	shard := ShardOf(row[0], 2)
 	w := tr.Worker(topo.Owners(shard)[0])
-	w.BufferInsert(42, "T", shard, 100, row)
+	w.Insert(42, "T", shard, 100, row)
 	if err := w.Prepare(42); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestSnapshotVisibility(t *testing.T) {
 	}
 	shard0 := ShardOf(value.NewInt(0), 2)
 	w0 := tr.Worker(topo.Owners(shard0)[0])
-	w0.BufferDelete(43, "T", shard0, 0)
+	w0.Delete(43, "T", shard0, 0)
 	if err := w0.Prepare(43); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -144,8 +145,8 @@ func TestSnapshotVisibility(t *testing.T) {
 			t.Fatalf("snapshot %d: got %d rows, want %d", snap, res.Len(), want)
 		}
 	}
-	// Aborted transactions leave nothing behind.
-	w.BufferInsert(44, "T", shard, 200, intRow(200, 2000))
+	// An aborted transaction's row stays behind, invisible.
+	w.Insert(44, "T", shard, 200, intRow(200, 2000))
 	if err := w.Abort(44); err != nil {
 		t.Fatalf("abort: %v", err)
 	}
@@ -517,7 +518,7 @@ func TestWorkerFaultSites(t *testing.T) {
 func TestPrepareFailureVotesNo(t *testing.T) {
 	w := NewWorker(3, 1, nil)
 	w.Register("T", testSchema())
-	w.BufferInsert(9, "MISSING", 0, 1, intRow(1, 2))
+	w.Insert(9, "MISSING", 0, 1, intRow(1, 2))
 	if err := w.Prepare(9); err == nil {
 		t.Fatal("prepare against unregistered table must vote no")
 	}
@@ -563,16 +564,19 @@ func TestLoadCommittedIdempotent(t *testing.T) {
 		t.Fatalf("idempotent load broken: %d rows", got)
 	}
 
-	// Two transactions commit in the reverse of their sequence order, a
-	// third deletes, and the whole history is delivered once more: at every
-	// snapshot the stream is the serial scan, ascending.
-	w.BufferInsert(1, "T", 0, 7, intRow(7, 70))
-	w.BufferInsert(2, "T", 0, 9, intRow(9, 90))
-	w.BufferDelete(3, "T", 0, 7)
-	for _, c := range [][2]uint64{{2, 2}, {1, 3}, {3, 4}} {
+	// Two transactions write in sequence order and commit in the reverse of
+	// it, a third deletes, and the loaded rows are delivered once more: at
+	// every snapshot the stream is the serial scan, ascending.
+	w.Insert(1, "T", 0, 7, intRow(7, 70))
+	w.Insert(2, "T", 0, 9, intRow(9, 90))
+	for _, c := range [][2]uint64{{2, 2}, {1, 3}} {
 		if err := w.Commit(c[0], c[1]); err != nil {
 			t.Fatalf("commit of tid %d: %v", c[0], err)
 		}
+	}
+	w.Delete(3, "T", 0, 7)
+	if err := w.Commit(3, 4); err != nil {
+		t.Fatalf("commit of tid 3: %v", err)
 	}
 	if err := w.LoadCommitted("T", 0, []int64{5, 7, 9}, []value.Row{intRow(5, 50), intRow(7, 70), intRow(9, 90)}, 9); err != nil {
 		t.Fatalf("re-delivery: %v", err)
@@ -595,6 +599,59 @@ func TestLoadCommittedIdempotent(t *testing.T) {
 		})
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot %d: sequences %v (%v), want %v", snap, got, err, want)
+		}
+	}
+}
+
+// A replica only appends: a write at or below its last sequence is refused,
+// and the worker votes no on the transaction that made it. The transaction's
+// other rows stay, aborted: invisible at every snapshot and to the count.
+func TestReplicaRefusesSequenceBelowItsLast(t *testing.T) {
+	w := NewWorker(0, 1, nil)
+	w.Register("T", testSchema())
+	if err := w.LoadCommitted("T", 0, []int64{5}, []value.Row{intRow(5, 50)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	w.Insert(2, "T", 0, 8, intRow(8, 80))
+	for _, seq := range []int64{8, 6} {
+		w.Insert(2, "T", 0, seq, intRow(seq, seq*10))
+	}
+	err := w.Prepare(2)
+	if err == nil || !faults.IsFatal(err) || !strings.Contains(err.Error(), "sequence 8 is not above") {
+		t.Fatalf("prepare after a refused write: %v", err)
+	}
+	if err := w.Load("T", 0, []int64{7}, []value.Row{intRow(7, 70)}, txn.Committed(1, 1)); err == nil {
+		t.Fatal("load below the last sequence accepted")
+	}
+	if err := w.Abort(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Prepare(2); err != nil {
+		t.Fatalf("abort must forget the refusal: %v", err)
+	}
+	// A sequence is a partition row id in 32 bits.
+	w.Insert(3, "T", 0, 1<<32, intRow(1, 10))
+	if err := w.Prepare(3); err == nil || !faults.IsFatal(err) {
+		t.Fatalf("prepare after a sequence past 32 bits: %v", err)
+	}
+	if err := w.Abort(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []uint64{0, 1, 2, 1 << 62, ^uint64(0)} {
+		var got []int64
+		err := w.Execute(context.Background(), &Fragment{Snapshot: snap, Table: "T", Binding: "T"}, func(ch *Chunk) error {
+			got = append(got, ch.Seqs...)
+			return nil
+		})
+		want := []int64{5}
+		if snap == 0 {
+			want = nil
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %d: sequences %v (%v), want %v", snap, got, err, want)
+		}
+		if n := w.ShardRowCount("T", 0, snap); n != len(want) {
+			t.Fatalf("snapshot %d: ShardRowCount %d, want %d", snap, n, len(want))
 		}
 	}
 }
@@ -698,7 +755,7 @@ func TestCommitFaultSiteRetries(t *testing.T) {
 	inj := faults.New(1)
 	w := NewWorker(0, 1, inj)
 	w.Register("T", testSchema())
-	w.BufferInsert(7, "T", 0, 1, intRow(1, 10))
+	w.Insert(7, "T", 0, 1, intRow(1, 10))
 	if err := w.Prepare(7); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -707,8 +764,8 @@ func TestCommitFaultSiteRetries(t *testing.T) {
 	if err == nil || !faults.IsTransient(err) {
 		t.Fatalf("expected injected transient commit error, got %v", err)
 	}
-	// The buffered ops survive the failed delivery; re-delivering the
-	// decision applies them.
+	// The row stays stamped by the transaction through the failed delivery;
+	// re-delivering the decision commits it.
 	if err := w.Commit(7, 2); err != nil {
 		t.Fatalf("commit retry: %v", err)
 	}

@@ -50,8 +50,7 @@ func equivSchema() *value.Schema {
 // unsharded, row for row and in order. Shards that hold more than
 // mergeAfter rows were delta-merged there, so their morsels read main
 // (sorted dictionary codes), delta, and one range straddling the two; rows
-// that committed out of sequence order sit in the late run and are read in
-// between.
+// written in sequence order commit out of it.
 func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 	rows := equivRows()
 	schema := equivSchema().Qualify("T")
@@ -88,10 +87,10 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 		{name: "join-varchar-range", where: "T.G >= 'g2' AND T.G < 'g4'", needed: []bool{true, true, false}, join: join},
 	}
 	// Row i lives on shard i mod (shards-1): the last shard of every
-	// multi-shard fleet stays empty. Every holdBack-th row commits after the
-	// rest, one commit each, the first half of them ascending and the rest
-	// descending, so the scans read a late run beside the main one; the
-	// single-shard fleet holds back more than lateCap rows and folds once.
+	// multi-shard fleet stays empty. Rows are written in sequence order;
+	// every holdBack-th row is inserted by a transaction of its own, and
+	// those commit after the rest, the first half of them ascending and the
+	// rest descending.
 	type load struct {
 		seqs []int64
 		rows []value.Row
@@ -99,39 +98,20 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 	fleets := map[int]*Local{}
 	for shards, holdBack := range map[int]int{1: 17, 2: 29, 4: 29} {
 		workers := make([]*Worker, shards)
-		first, held := make([]load, shards), make([]load, shards)
+		loads := make([]load, shards)
 		for i, row := range rows {
-			l := &first[i%max(1, shards-1)]
-			if i%holdBack == 0 {
-				l = &held[i%max(1, shards-1)]
-			}
+			l := &loads[i%max(1, shards-1)]
 			l.seqs, l.rows = append(l.seqs, int64(i)), append(l.rows, row)
 		}
 		for i := range workers {
 			workers[i] = NewWorker(i, 2, nil)
 			workers[i].Register("T", equivSchema())
-			head := min(mergeAfter, len(first[i].rows))
-			if err := workers[i].LoadCommitted("T", i, first[i].seqs[:head], first[i].rows[:head], 1); err != nil {
-				t.Fatal(err)
-			}
-			if head < len(first[i].rows) {
-				workers[i].tables["T"].shards[i].tab.Merge()
-				if err := workers[i].LoadCommitted("T", i, first[i].seqs[head:], first[i].rows[head:], 1); err != nil {
+			l := loads[i]
+			tids := writeShard(t, workers[i], "T", i, l.seqs, l.rows, func(k int) bool { return l.seqs[k]%int64(holdBack) == 0 }, mergeAfter)
+			slices.Reverse(tids[len(tids)/2:])
+			for _, tid := range tids {
+				if err := workers[i].Commit(tid, 1); err != nil {
 					t.Fatal(err)
-				}
-			}
-			half := len(held[i].rows) / 2
-			slices.Reverse(held[i].seqs[half:])
-			slices.Reverse(held[i].rows[half:])
-			for k, row := range held[i].rows {
-				if err := workers[i].LoadCommitted("T", i, held[i].seqs[k:k+1], []value.Row{row}, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rep := workers[i].tables["T"].shards[i]; len(held[i].rows) > 0 {
-				late, folded := len(rep.late.seqs), len(rep.seqs)-len(first[i].rows)
-				if want := len(held[i].rows) > lateCap; late == 0 || late+folded != len(held[i].rows) || (folded > 0) != want {
-					t.Fatalf("shards=%d worker %d: %d rows held back, %d late and %d folded", shards, i, len(held[i].rows), late, folded)
 				}
 			}
 		}

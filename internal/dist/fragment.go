@@ -9,13 +9,13 @@ import (
 
 // Fragment is one unit of distributed work: scan one shard of one table,
 // filter it with the pushed predicate, and either ship the surviving rows
-// (tagged with their global scan sequence), fold them into an aggregate
+// (tagged with their global scan sequence), reduce them to an aggregate
 // partial, or probe them against a broadcast build side. Predicates and key
 // expressions travel as rendered SQL and are re-parsed and re-bound at the
 // worker — the same round-trip the federation layer uses for shipped
 // statements — so the wire format has no expression-tree encoding.
 type Fragment struct {
-	// Query tags the fragment with the statement's trace id (spans only).
+	// Query tags the fragment with the statement's trace id (tracing only).
 	Query uint64
 	// Shard selects which shard's replica the worker reads.
 	Shard int

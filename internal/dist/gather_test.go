@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"hana/internal/exec"
@@ -33,24 +35,59 @@ func gatherRow(i int) value.Row {
 	return row
 }
 
+// writeShard writes a shard's rows to a worker in sequence order, the
+// order the engine writes them in: rows loaded committed at cid 1, and rows
+// pending(k) marks inserted by one transaction each, TIDs from 1000. The
+// replica merges its delta once mergeAt committed rows are in (0 = never).
+// It returns the pending transactions, in write order, for the caller to
+// commit in another.
+func writeShard(t *testing.T, w *Worker, table string, shard int, seqs []int64, rows []value.Row, pending func(k int) bool, mergeAt int) []uint64 {
+	t.Helper()
+	var tids []uint64
+	lo, committed := 0, 0 // lo: first committed row not yet loaded
+	flush := func(hi int) {
+		if lo < hi {
+			if err := w.LoadCommitted(table, shard, seqs[lo:hi], rows[lo:hi], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k := range rows {
+		if pending(k) {
+			flush(k)
+			lo = k + 1
+			tid := uint64(1000 + len(tids))
+			w.Insert(tid, table, shard, seqs[k], rows[k])
+			tids = append(tids, tid)
+			continue
+		}
+		if committed++; committed == mergeAt {
+			flush(k + 1)
+			lo = k + 1
+			w.tables[strings.ToUpper(table)].shards[shard].tab.Merge()
+		}
+	}
+	flush(len(rows))
+	return tids
+}
+
 // TestGatherBatchesMatchNaiveScan checks the columnar gather against the
 // plainest reading of a sharded scan: the rows visible at the snapshot,
 // sorted by sequence, filtered one at a time, boxed with the unread columns
 // NULL. Sequences interleave across 2 and 4 shards; each replica reads main,
 // delta and a morsel straddling the two (it merged half way through its
-// load); the held-back rows commit last, below every replica's last
-// sequence, so they sit in the late run — under lateCap in one case, past it
-// and folded in the other. Widths 1 and 4, wire codec off and on.
+// committed rows); the held-back rows are written in sequence order beside
+// the rest and commit last, at cid 2, in the reverse of it — sparse in one
+// case, dense in the other. Widths 1 and 4, wire codec off and on.
 func TestGatherBatchesMatchNaiveScan(t *testing.T) {
 	const n = 9000
 	schema := gatherSchema().Qualify("T")
 	cases := []struct {
 		name     string
 		holdBack func(i int) bool // commits last, at cid 2
-		folds    bool
 	}{
-		{"late run under lateCap", func(i int) bool { return i%97 == 5 && i < n/2 }, false},
-		{"late run folded", func(i int) bool { return i%2 == 1 && i < 2*n/3 }, true},
+		{"sparse held-back rows", func(i int) bool { return i%97 == 5 && i < n/2 }},
+		{"dense held-back rows", func(i int) bool { return i%2 == 1 && i < 2*n/3 }},
 	}
 	scans := []struct {
 		where  string
@@ -64,37 +101,31 @@ func TestGatherBatchesMatchNaiveScan(t *testing.T) {
 	for _, tc := range cases {
 		for _, shards := range []int{2, 4} {
 			type load struct {
-				seqs []int64
-				rows []value.Row
+				seqs      []int64
+				rows      []value.Row
+				held      []bool
+				committed int
 			}
-			first, held := make([]load, shards), make([]load, shards)
+			loads := make([]load, shards)
 			for i := 0; i < n; i++ {
 				row := gatherRow(i)
-				s := ShardOf(row[0], shards)
-				l := &first[s]
-				if tc.holdBack(i) {
-					l = &held[s]
+				l := &loads[ShardOf(row[0], shards)]
+				l.seqs, l.rows, l.held = append(l.seqs, int64(i)), append(l.rows, row), append(l.held, tc.holdBack(i))
+				if !tc.holdBack(i) {
+					l.committed++
 				}
-				l.seqs, l.rows = append(l.seqs, int64(i)), append(l.rows, row)
 			}
 			workers := make([]*Worker, shards)
 			for s := range workers {
 				w := NewWorker(s, 4, nil)
 				w.Register("T", gatherSchema())
-				half := len(first[s].rows) / 2
-				if err := w.LoadCommitted("T", s, first[s].seqs[:half], first[s].rows[:half], 1); err != nil {
-					t.Fatal(err)
-				}
-				w.tables["T"].shards[s].tab.Merge()
-				if err := w.LoadCommitted("T", s, first[s].seqs[half:], first[s].rows[half:], 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.LoadCommitted("T", s, held[s].seqs, held[s].rows, 2); err != nil {
-					t.Fatal(err)
-				}
-				rep := w.tables["T"].shards[s]
-				if folded := len(rep.seqs) > len(first[s].rows); folded != tc.folds || !folded && len(rep.late.seqs) != len(held[s].rows) {
-					t.Fatalf("%s shards=%d shard %d: %d late rows, folded %v", tc.name, shards, s, len(rep.late.seqs), folded)
+				l := loads[s]
+				tids := writeShard(t, w, "T", s, l.seqs, l.rows, func(k int) bool { return l.held[k] }, l.committed/2)
+				slices.Reverse(tids)
+				for _, tid := range tids {
+					if err := w.Commit(tid, 2); err != nil {
+						t.Fatal(err)
+					}
 				}
 				workers[s] = w
 			}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestWorkerStressKillReviveReseed hammers the exact surface the guardedby
-// annotations cover: Worker.mu-guarded shard state and txMu-guarded 2PC
-// buffers, under concurrent queries, kill/revive cycles, idempotent
+// annotations cover: Worker.mu-guarded shard state and the replicas'
+// version stamps, under concurrent queries, kill/revive cycles, idempotent
 // reseeds and a live 2PC stream. Run under -race (make race) this is the
 // dynamic counterpart to the static field-discipline checks.
 func TestWorkerStressKillReviveReseed(t *testing.T) {
@@ -99,29 +99,31 @@ func TestWorkerStressKillReviveReseed(t *testing.T) {
 			reseed(i % topo.Shards)
 		}
 	}()
-	// 2PC loop against worker 2 (never killed): inserts commit at cids
-	// above the query snapshot, every other one below the shard's last
-	// sequence (the late run, appended to under the scans); aborts roll back
-	// cleanly.
+	// 2PC loop against worker 2 (never killed): two transactions at a time
+	// write ascending sequences, appended to under the scans, and resolve in
+	// the reverse order; the even ones commit at cids above the query
+	// snapshot, the odd ones abort.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		w := tr.Worker(2)
-		for i := 0; i < iters; i++ {
-			tid := uint64(1000 + i)
-			seq := int64(1_000_000 + (i ^ 2))
-			w.BufferInsert(tid, "T", 2, seq, intRow(seq, 0))
-			if err := w.Prepare(tid); err != nil {
-				t.Errorf("prepare %d: %v", tid, err)
-				return
+		for i := 0; i < iters; i += 2 {
+			for _, k := range []int{i, i + 1} {
+				seq := int64(1_000_000 + k)
+				w.Insert(uint64(1000+k), "T", 2, seq, intRow(seq, 0))
 			}
-			if i%2 == 0 {
-				if err := w.Commit(tid, uint64(2+i)); err != nil {
-					t.Errorf("commit %d: %v", tid, err)
+			for _, k := range []int{i + 1, i} {
+				tid := uint64(1000 + k)
+				if err := w.Prepare(tid); err != nil {
+					t.Errorf("prepare %d: %v", tid, err)
 					return
 				}
-			} else {
-				if err := w.Abort(tid); err != nil {
+				if k%2 == 0 {
+					if err := w.Commit(tid, uint64(2+k)); err != nil {
+						t.Errorf("commit %d: %v", tid, err)
+						return
+					}
+				} else if err := w.Abort(tid); err != nil {
 					t.Errorf("abort %d: %v", tid, err)
 					return
 				}

@@ -1,9 +1,9 @@
 package dist
 
 import (
-	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -14,13 +14,14 @@ import (
 	"hana/internal/expr"
 	"hana/internal/faults"
 	"hana/internal/sqlparse"
+	"hana/internal/txn"
 	"hana/internal/value"
 )
 
-// Worker is one shard node: it holds committed, sequence-tagged copies of
-// the shards it owns (primary or replica), executes fragments over them
-// with its own morsel pool, and participates in the engine's two-phase
-// commit so cross-shard writes land atomically on every replica.
+// Worker is one shard node: it holds sequence-tagged copies of the shards
+// it owns (primary or replica), executes fragments over them with its own
+// morsel pool, and participates in the engine's two-phase commit so
+// cross-shard writes land atomically on every replica.
 type Worker struct {
 	id   int
 	pool *exec.Pool
@@ -32,10 +33,10 @@ type Worker struct {
 	// tables is keyed by upper-case table name.
 	// hana:guardedby mu
 	tables map[string]*workerTable
-
-	txMu sync.Mutex
-	// hana:guardedby txMu
-	txOps map[uint64][]txOp
+	// refused holds, per transaction, a write a replica refused: the
+	// worker votes no on it.
+	// hana:guardedby mu
+	refused map[uint64]error
 }
 
 // workerTable is one table's shard replicas plus the schema fragments bind
@@ -45,42 +46,18 @@ type workerTable struct {
 	shards map[int]*replica
 }
 
-// run is a column-store table — delta, main and auto-merge, what an engine
-// hot partition is — and, aligned with its row positions, each row's global
-// scan sequence and the commit IDs that inserted and (0 = live) deleted it.
-// Workers hold committed state only, so visibility is two comparisons
-// against a snapshot. The vectors only grow, except that del is stamped in
-// place: readers work on a copy of the struct taken under the worker's lock
-// and read del under it.
-type run struct {
-	tab  *colstore.Table
-	seqs []int64
-	ins  []uint64
-	del  []uint64
-}
-
-// replica is a worker's copy of one shard: a run in sequence order that
-// commits append to, and — a column store has no middle insert — a late run
-// of the rows that committed below its last sequence at the time (two
-// transactions finishing in the reverse of their sequence order), in commit
-// order. The scan reads the late rows in between (spans); past lateCap of
-// them the two runs are folded into one.
+// replica is a worker's copy of one shard: a column-store table — delta,
+// main and auto-merge, what an engine hot partition is — and, aligned with
+// its row positions, each row's global scan sequence (its row id in the
+// engine's partition, in 32 bits) and its versions, stamped by the same
+// two-phase commit as the engine's partitions. Writes arrive in sequence
+// order, so the table only appends and the sequences ascend. Readers work
+// on a copy of the struct taken under the worker's lock: appends land past
+// it.
 type replica struct {
-	run
-	late run
-}
-
-// lateCap bounds what a scan pays for out-of-order commits (up to two extra
-// morsels a row) against how often a fold copies the shard.
-const lateCap = 512
-
-// txOp is one buffered replicated write awaiting two-phase commit.
-type txOp struct {
-	del   bool
-	table string
-	shard int
-	seq   int64
-	row   value.Row
+	tab  *colstore.Table
+	seqs []uint32
+	vers *txn.RowVersions
 }
 
 // NewWorker creates a worker with its own morsel pool of the given width
@@ -88,11 +65,11 @@ type txOp struct {
 // (dist.worker.<id>.exec, .chunk, .prepare, .commit); nil disables them.
 func NewWorker(id, parallelism int, inj *faults.Injector) *Worker {
 	return &Worker{
-		id:     id,
-		pool:   exec.NewPool(parallelism),
-		inj:    inj,
-		tables: map[string]*workerTable{},
-		txOps:  map[uint64][]txOp{},
+		id:      id,
+		pool:    exec.NewPool(parallelism),
+		inj:     inj,
+		tables:  map[string]*workerTable{},
+		refused: map[uint64]error{},
 	}
 }
 
@@ -165,21 +142,7 @@ func (w *Worker) ShardRowCount(table string, shard int, snapshot uint64) int {
 	if wt == nil || wt.shards[shard] == nil {
 		return 0
 	}
-	r := wt.shards[shard]
-	return len(r.visible(0, len(r.seqs), snapshot)) + len(r.late.visible(0, len(r.late.seqs), snapshot))
-}
-
-// visible selects, as offsets from lo, the positions in [lo, hi) whose rows
-// are committed and not deleted at the snapshot. Caller holds the worker's
-// lock.
-func (r *run) visible(lo, hi int, snapshot uint64) []int32 {
-	sel := make([]int32, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if r.ins[i] <= snapshot && (r.del[i] == 0 || r.del[i] > snapshot) {
-			sel = append(sel, int32(i-lo))
-		}
-	}
-	return sel
+	return wt.shards[shard].vers.LiveCount(snapshot)
 }
 
 // getShardLocked resolves a table's shard replica, creating it on first
@@ -191,84 +154,41 @@ func (w *Worker) getShardLocked(table string, shard int) (*replica, error) {
 	}
 	r := wt.shards[shard]
 	if r == nil {
-		r = &replica{run: run{tab: colstore.NewTable(wt.schema)}}
+		r = &replica{tab: colstore.NewTable(wt.schema), vers: txn.NewRowVersions()}
 		wt.shards[shard] = r
 	}
 	return r, nil
 }
 
-// find locates a sequence in the replica: the run holding it and its
-// position there.
-func (r *replica) find(seq int64) (*run, int, bool) {
-	if at, ok := slices.BinarySearch(r.seqs, seq); ok {
-		return &r.run, at, true
+// append lands a row at the end of the replica. A sequence not above the
+// last one would break the scan's sequence order: the replica refuses it.
+func (r *replica) append(seq int64, row value.Row) error {
+	if seq < 0 || seq > math.MaxUint32 {
+		return faults.Fatal(fmt.Errorf("sequence %d is outside a replica's 32 bits", seq))
 	}
-	at := slices.Index(r.late.seqs, seq)
-	return &r.late, at, at >= 0
-}
-
-// append lands a row at the end of the run.
-func (r *run) append(seq int64, ins, del uint64, row value.Row) error {
+	if n := len(r.seqs); n > 0 && uint32(seq) <= r.seqs[n-1] {
+		return faults.Fatal(fmt.Errorf("sequence %d is not above the replica's last, %d", seq, r.seqs[n-1]))
+	}
 	if _, err := r.tab.Append(row); err != nil {
-		return err
+		return faults.Fatal(err)
 	}
-	r.seqs, r.ins, r.del = append(r.seqs, seq), append(r.ins, ins), append(r.del, del)
+	r.seqs = append(r.seqs, uint32(seq))
 	return nil
 }
 
-// fold rebuilds the main run with the late rows merged in. Readers keep the
-// tables and vectors they copied.
-func (r *replica) fold() error {
-	out := run{tab: colstore.NewTable(r.tab.Schema())}
-	for _, sp := range r.spans(len(r.seqs)) {
-		for at := sp.lo; at < sp.hi; at++ {
-			row, err := sp.in.tab.Get(at)
-			if err == nil {
-				err = out.append(sp.in.seqs[at], sp.in.ins[at], sp.in.del[at], row)
-			}
-			if err != nil {
-				return err
-			}
-		}
+// find locates a sequence's position in the replica.
+func (r *replica) find(seq int64) (int, bool) {
+	if seq < 0 || seq > math.MaxUint32 {
+		return 0, false
 	}
-	r.run, r.late = out, run{}
-	return nil
+	return slices.BinarySearch(r.seqs, uint32(seq))
 }
 
-// applyInsert lands a committed row. Sequences almost always arrive
-// ascending and append; a sequence already present is a re-delivery (2PC
-// retry) and keeps the first apply; one below the last joins the late run.
-func (r *replica) applyInsert(seq int64, cid uint64, row value.Row) error {
-	if n := len(r.seqs); n == 0 || seq > r.seqs[n-1] {
-		return r.append(seq, cid, 0, row)
-	}
-	if _, _, found := r.find(seq); found {
-		return nil
-	}
-	if r.late.tab == nil {
-		r.late.tab = colstore.NewTable(r.tab.Schema())
-	}
-	err := r.late.append(seq, cid, 0, row)
-	if err == nil && len(r.late.seqs) > lateCap {
-		err = r.fold()
-	}
-	return err
-}
-
-func (r *replica) applyDelete(seq int64, cid uint64) error {
-	in, i, found := r.find(seq)
-	if !found {
-		return fmt.Errorf("delete of unknown sequence %d", seq)
-	}
-	if in.del[i] == 0 {
-		in.del[i] = cid
-	}
-	return nil
-}
-
-// LoadCommitted bulk-applies committed rows (initial seeding, BulkLoad
-// mirroring, recovery reseed). seqs and rows are parallel slices.
-func (w *Worker) LoadCommitted(table string, shard int, seqs []int64, rows []value.Row, cid uint64) error {
+// Load appends rows with their version stamps (initial seeding, BulkLoad
+// mirroring, recovery and schema-change reseeds): seqs, rows and vers are
+// parallel. Rows whose sequence the replica holds are a re-delivery and
+// keep the first.
+func (w *Worker) Load(table string, shard int, seqs []int64, rows []value.Row, vers txn.VersionSnapshot) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
@@ -278,12 +198,25 @@ func (w *Worker) LoadCommitted(table string, shard int, seqs []int64, rows []val
 	if err != nil {
 		return err
 	}
+	r.tab.Grow(len(rows))
+	r.seqs = slices.Grow(r.seqs, len(rows))
+	var add txn.VersionSnapshot
 	for i, row := range rows {
-		if err := r.applyInsert(seqs[i], cid, row); err != nil {
-			return err
+		if _, held := r.find(seqs[i]); held {
+			continue
 		}
+		if err = r.append(seqs[i], row); err != nil {
+			break
+		}
+		add.Ins, add.Del = append(add.Ins, vers.Ins[i]), append(add.Del, vers.Del[i])
 	}
-	return nil
+	r.vers.Extend(add)
+	return err
+}
+
+// LoadCommitted is Load of rows committed at cid.
+func (w *Worker) LoadCommitted(table string, shard int, seqs []int64, rows []value.Row, cid uint64) error {
+	return w.Load(table, shard, seqs, rows, txn.Committed(len(rows), cid))
 }
 
 // --- two-phase commit participant ---
@@ -291,22 +224,46 @@ func (w *Worker) LoadCommitted(table string, shard int, seqs []int64, rows []val
 // Name implements txn.Participant.
 func (w *Worker) Name() string { return fmt.Sprintf("dist:worker:%d", w.id) }
 
-// BufferInsert queues a replicated insert for the transaction.
-func (w *Worker) BufferInsert(tid uint64, table string, shard int, seq int64, row value.Row) {
-	w.txMu.Lock()
-	defer w.txMu.Unlock()
-	w.txOps[tid] = append(w.txOps[tid], txOp{table: table, shard: shard, seq: seq, row: row})
+// Insert appends a row written by transaction tid to a shard replica,
+// invisible to every snapshot until the transaction commits. A write the
+// replica refuses makes the worker vote no on tid.
+func (w *Worker) Insert(tid uint64, table string, shard int, seq int64, row value.Row) {
+	w.write(tid, table, shard, func(r *replica) error {
+		if err := r.append(seq, row); err != nil {
+			return err
+		}
+		r.vers.Insert(len(r.seqs)-1, tid)
+		return nil
+	})
 }
 
-// BufferDelete queues a replicated delete for the transaction.
-func (w *Worker) BufferDelete(tid uint64, table string, shard int, seq int64) {
-	w.txMu.Lock()
-	defer w.txMu.Unlock()
-	w.txOps[tid] = append(w.txOps[tid], txOp{del: true, table: table, shard: shard, seq: seq})
+// Delete stamps the row of a sequence deleted by transaction tid.
+func (w *Worker) Delete(tid uint64, table string, shard int, seq int64) {
+	w.write(tid, table, shard, func(r *replica) error {
+		at, ok := r.find(seq)
+		if !ok {
+			return faults.Fatal(fmt.Errorf("delete of unknown sequence %d", seq))
+		}
+		r.vers.Delete(at, tid)
+		return nil
+	})
+}
+
+// write applies one write of tid to a shard replica, noting a refusal.
+func (w *Worker) write(tid uint64, table string, shard int, apply func(*replica) error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r, err := w.getShardLocked(table, shard)
+	if err == nil {
+		err = apply(r)
+	}
+	if err != nil && w.refused[tid] == nil {
+		w.refused[tid] = fmt.Errorf("worker %d table %s shard %d: %w", w.id, table, shard, err)
+	}
 }
 
 // Prepare implements txn.Participant: the worker votes yes when it is alive
-// and every buffered write targets a registered table.
+// and its replicas took every write of the transaction.
 func (w *Worker) Prepare(tid uint64) error {
 	if !w.Alive() {
 		return w.downErr()
@@ -314,59 +271,38 @@ func (w *Worker) Prepare(tid uint64) error {
 	if err := w.inj.Check(w.site("prepare")); err != nil {
 		return err
 	}
-	w.txMu.Lock()
-	ops := w.txOps[tid]
-	w.txMu.Unlock()
 	w.mu.RLock()
-	missing := ""
-	for _, op := range ops {
-		if w.tables[strings.ToUpper(op.table)] == nil {
-			missing = op.table
-			break
-		}
-	}
-	w.mu.RUnlock()
-	if missing != "" {
-		return faults.Fatal(fmt.Errorf("worker %d: table %s not registered", w.id, missing))
-	}
-	return nil
+	defer w.mu.RUnlock()
+	return w.refused[tid]
 }
 
-// Commit implements txn.Participant: buffered writes become visible at the
-// commit ID on every shard copy this worker holds.
+// Commit implements txn.Participant: the transaction's rows become visible
+// at the commit ID on every shard copy this worker holds. It is idempotent.
 func (w *Worker) Commit(tid, cid uint64) error {
 	if err := w.inj.Check(w.site("commit")); err != nil {
 		return err
 	}
-	w.txMu.Lock()
-	ops := w.txOps[tid]
-	delete(w.txOps, tid)
-	w.txMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, op := range ops {
-		r, err := w.getShardLocked(op.table, op.shard)
-		if err != nil {
-			return err
-		}
-		if op.del {
-			err = r.applyDelete(op.seq, cid)
-		} else {
-			err = r.applyInsert(op.seq, cid, op.row)
-		}
-		if err != nil {
-			return fmt.Errorf("worker %d table %s shard %d: %w", w.id, op.table, op.shard, err)
-		}
-	}
+	w.resolve(tid, func(v *txn.RowVersions) { v.CommitTID(tid, cid) })
 	return nil
 }
 
-// Abort implements txn.Participant: buffered writes are dropped.
+// Abort implements txn.Participant: the transaction's inserts become
+// invisible for good and its deletes are reverted. It is idempotent.
 func (w *Worker) Abort(tid uint64) error {
-	w.txMu.Lock()
-	delete(w.txOps, tid)
-	w.txMu.Unlock()
+	w.resolve(tid, func(v *txn.RowVersions) { v.AbortTID(tid) })
 	return nil
+}
+
+// resolve stamps tid's outcome on every replica and forgets its refusal.
+func (w *Worker) resolve(tid uint64, stamp func(*txn.RowVersions)) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	delete(w.refused, tid)
+	for _, wt := range w.tables {
+		for _, r := range wt.shards {
+			stamp(r.vers)
+		}
+	}
 }
 
 // --- fragment execution ---
@@ -381,10 +317,9 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 	if err := w.inj.Check(w.site("exec")); err != nil {
 		return err
 	}
-	// The scan works on a copy of the replica — the table pointers and the
-	// vectors as they stand. Later commits append past the copy or, on a
-	// rebuild, leave it behind; neither is visible at a snapshot already
-	// taken.
+	// The scan works on a copy of the replica: the rows up to its length
+	// as it stands. Later writes append past it, and a rebuild leaves it
+	// behind.
 	w.mu.RLock()
 	wt := w.tables[strings.ToUpper(f.Table)]
 	var rep replica
@@ -404,15 +339,15 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 		return err
 	}
 
-	// The scan: one morsel per span, whose boundaries depend only on the
-	// replica's contents, so the surviving sequence stream is identical at any
-	// pool width. Each morsel's chunk carries its surviving batch: a gather
-	// fragment ships it as it is, aggregates and joins run over it here.
-	spans := rep.spans(exec.DefaultMorselSize)
-	nm := len(spans)
+	// The scan: fixed morsels of the replica's positions, so the surviving
+	// sequence stream is identical at any pool width. Each morsel's chunk
+	// carries its surviving batch: a gather fragment ships it as it is,
+	// aggregates and joins run over it here.
+	size := exec.DefaultMorselSize
+	nm := (len(rep.seqs) + size - 1) / size
 	chunks := make([]*Chunk, nm)
 	_, err = w.pool.Run(ctx, nm, f.Width, func(_ context.Context, m int) error {
-		ch, err := w.scanMorsel(spans[m], f, schema, pred)
+		ch, err := w.scanMorsel(&rep, m*size, min((m+1)*size, len(rep.seqs)), f, schema, pred)
 		chunks[m] = ch
 		return err
 	})
@@ -456,62 +391,22 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 	return nil
 }
 
-// span is one morsel of a replica's scan: positions [lo, hi) of one of its
-// runs.
-type span struct {
-	in     *run
-	lo, hi int
-}
-
-// spans cuts the replica into morsels in sequence order: ranges of up to
-// size positions of the main run, ended early wherever late rows — every one
-// below the main run's last sequence — fall in between; late rows adjacent
-// in both sequence and position share a morsel.
-func (r *replica) spans(size int) []span {
-	var out []span
-	late := make([]int, len(r.late.seqs)) // its positions, by sequence
-	for i := range late {
-		late[i] = i
-	}
-	slices.SortFunc(late, func(a, b int) int { return cmp.Compare(r.late.seqs[a], r.late.seqs[b]) })
-	for lo := 0; lo < len(r.seqs); {
-		for len(late) > 0 && r.late.seqs[late[0]] < r.seqs[lo] {
-			k := 1
-			for k < len(late) && late[k] == late[0]+k && r.late.seqs[late[k]] < r.seqs[lo] {
-				k++
-			}
-			out = append(out, span{&r.late, late[0], late[0] + k})
-			late = late[k:]
-		}
-		hi := min(lo+size, len(r.seqs))
-		if len(late) > 0 {
-			at, _ := slices.BinarySearch(r.seqs[lo:hi], r.late.seqs[late[0]])
-			hi = lo + at
-		}
-		out = append(out, span{&r.run, lo, hi})
-		lo = hi
-	}
-	return out
-}
-
-// scanMorsel is the engine's table scan on a replica: decode the span's
-// positions into a batch, select the rows committed at the fragment's
+// scanMorsel is the engine's table scan on a replica: decode positions
+// [lo, hi) into a batch, select the rows committed at the fragment's
 // snapshot, refine the selection with the shipped predicate's kernels. The
 // chunk it returns carries that batch, the survivors' sequences and the
 // visible count.
-func (w *Worker) scanMorsel(sp span, f *Fragment, schema *value.Schema, pred expr.Expr) (*Chunk, error) {
-	b := sp.in.tab.ReadBatch(sp.lo, sp.hi, f.Needed)
+func (w *Worker) scanMorsel(r *replica, lo, hi int, f *Fragment, schema *value.Schema, pred expr.Expr) (*Chunk, error) {
+	b := r.tab.ReadBatch(lo, hi, f.Needed)
 	b.Schema = schema
-	w.mu.RLock()
-	b.Sel = sp.in.visible(sp.lo, sp.hi, f.Snapshot)
-	w.mu.RUnlock()
+	b.Sel = r.vers.VisibleIn(lo, hi-lo, nil, f.Snapshot, 0)
 	ch := &Chunk{Shard: f.Shard, Worker: w.id, Scanned: int64(len(b.Sel)), Batch: b}
 	if err := expr.SelectBatch(pred, b); err != nil {
 		return nil, err
 	}
 	ch.Seqs = make([]int64, b.Len())
 	for k := range ch.Seqs {
-		ch.Seqs[k] = sp.in.seqs[sp.lo+b.RowIndex(k)]
+		ch.Seqs[k] = int64(r.seqs[lo+b.RowIndex(k)])
 	}
 	return ch, nil
 }

@@ -15,9 +15,9 @@ import (
 // distRuntime is the engine's scale-out attachment: the worker fleet holding
 // hash-sharded replicas of eligible hot tables, the transport to reach them,
 // and the coordinator that fans fragments out and merges the streams. The
-// engine node stays authoritative — MVCC, WAL and savepoints are untouched;
-// workers mirror committed state through the same two-phase commit the
-// extended store uses.
+// engine node stays authoritative — WAL and savepoints are untouched;
+// workers mirror every write at statement time, and the same two-phase
+// commit that stamps the engine's partitions stamps their versions.
 type distRuntime struct {
 	topo      dist.Topology
 	transport *dist.Local
@@ -126,11 +126,10 @@ func (e *Engine) distDrop(name string) {
 	}
 }
 
-// distReseed re-registers and re-loads one table's committed visible rows
-// onto the fleet — the recovery and schema-change path. Rows load with the
-// current commit ceiling as their insert stamp: every snapshot taken from
-// now on is at or above it, and no older snapshot is in flight at reseed
-// time.
+// distReseed re-registers a table on the fleet and re-loads every physical
+// row of its partition with the row's version stamps — the recovery and
+// schema-change path. A transaction in flight across the reseed keeps its
+// stamps on the workers, so it commits or aborts there as on the engine.
 func (e *Engine) distReseed(t *storedTable) error {
 	if e.distFor(t) == nil {
 		return nil
@@ -147,19 +146,21 @@ func (e *Engine) distReseedLocked(t *storedTable) error {
 	}
 	e.distRegister(t)
 	p := t.parts[0]
-	last := e.mgr.LastCID()
+	all := p.vers.Export()
 	var ids []int
 	var rows []value.Row
+	var vers txn.VersionSnapshot
 	collect := func(id int, row value.Row) bool {
-		if p.vers.Visible(id, last, 0) {
+		if id < len(all.Ins) {
 			ids, rows = append(ids, id), append(rows, row.Clone())
+			vers.Ins, vers.Del = append(vers.Ins, all.Ins[id]), append(vers.Del, all.Del[id])
 		}
 		return true
 	}
 	if err := p.scan(collect); err != nil {
 		return err
 	}
-	return e.distMirrorLoad(t, ids, rows, last)
+	return e.distMirrorLoad(t, ids, rows, vers)
 }
 
 // distReseedAll reseeds every shardable table — the post-recovery hook.
@@ -186,10 +187,11 @@ func (e *Engine) distReseedAll() error {
 	return nil
 }
 
-// distMirrorInsert buffers a transactional insert on every replica owner of
+// distMirrorInsert writes a transactional insert to every replica owner of
 // the row's shard and enlists the workers in the transaction's two-phase
 // commit, so the replicas flip visible at exactly the engine's commit ID.
-// Called under t.mu from insertRow; the row id is the global scan sequence.
+// Called under t.mu from appendLocked, so each replica receives its rows in
+// row-id order; the row id is the global scan sequence.
 func (e *Engine) distMirrorInsert(tx *txn.Txn, t *storedTable, id int, row value.Row) {
 	d := e.distFor(t)
 	if d == nil {
@@ -199,13 +201,14 @@ func (e *Engine) distMirrorInsert(tx *txn.Txn, t *storedTable, id int, row value
 	r := row.Clone()
 	for _, owner := range d.topo.Owners(shard) {
 		w := d.transport.Worker(owner)
-		w.BufferInsert(tx.TID, distKey(t.meta.Name), shard, int64(id), r)
+		w.Insert(tx.TID, distKey(t.meta.Name), shard, int64(id), r)
 		tx.Enlist(w)
 	}
 }
 
-// distMirrorDelete buffers a transactional delete. The deleted row is read
-// back by id (under t.mu) to route the delete to the shard's owners.
+// distMirrorDelete stamps a transactional delete on the replicas. The
+// deleted row is read back by id (under t.mu) to route the delete to the
+// shard's owners.
 func (e *Engine) distMirrorDelete(tx *txn.Txn, t *storedTable, p *partition, id int) {
 	d := e.distFor(t)
 	if d == nil {
@@ -225,17 +228,17 @@ func (e *Engine) distMirrorDelete(tx *txn.Txn, t *storedTable, p *partition, id 
 	shard := dist.ShardOf(row[shardOrdOf(t.meta)], d.topo.Shards)
 	for _, owner := range d.topo.Owners(shard) {
 		w := d.transport.Worker(owner)
-		w.BufferDelete(tx.TID, distKey(t.meta.Name), shard, int64(id))
+		w.Delete(tx.TID, distKey(t.meta.Name), shard, int64(id))
 		tx.Enlist(w)
 	}
 }
 
-// distMirrorLoad applies rows already committed at cid — a BulkLoad batch,
+// distMirrorLoad loads rows with their version stamps — a BulkLoad batch,
 // a reseed — to the replicas directly: it routes each row to its shard (ids
-// are the rows' global scan sequences) and loads every owner. Workers copy
-// the values into their column stores, so owners share the rows. Called
-// under t.mu.
-func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, cid uint64) error {
+// are the rows' global scan sequences, ascending) and loads every owner.
+// Workers copy the values into their column stores, so owners share the
+// rows. Called under t.mu.
+func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, vers txn.VersionSnapshot) error {
 	d := e.distFor(t)
 	if d == nil {
 		return nil
@@ -243,16 +246,18 @@ func (e *Engine) distMirrorLoad(t *storedTable, ids []int, rows []value.Row, cid
 	ord := shardOrdOf(t.meta)
 	seqs := make([][]int64, d.topo.Shards)
 	placed := make([][]value.Row, d.topo.Shards)
+	stamps := make([]txn.VersionSnapshot, d.topo.Shards)
 	for i, row := range rows {
 		s := dist.ShardOf(row[ord], d.topo.Shards)
 		seqs[s], placed[s] = append(seqs[s], int64(ids[i])), append(placed[s], row)
+		stamps[s].Ins, stamps[s].Del = append(stamps[s].Ins, vers.Ins[i]), append(stamps[s].Del, vers.Del[i])
 	}
 	for s := range placed {
 		if len(placed[s]) == 0 {
 			continue
 		}
 		for _, owner := range d.topo.Owners(s) {
-			if err := d.transport.Worker(owner).LoadCommitted(distKey(t.meta.Name), s, seqs[s], placed[s], cid); err != nil {
+			if err := d.transport.Worker(owner).Load(distKey(t.meta.Name), s, seqs[s], placed[s], stamps[s]); err != nil {
 				return fmt.Errorf("loading %s shard %d on worker %d: %w", t.meta.Name, s, owner, err)
 			}
 		}

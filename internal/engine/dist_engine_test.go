@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,64 +83,87 @@ func TestDistExecutionMatchesLocal(t *testing.T) {
 	sameRowsDist(t, "after DML", d, l)
 }
 
-// WithShards caps the fan-out without changing the answer; a width the
-// topology can't satisfy is clamped, and WithShards on a single-node
-// engine is a no-op rather than an error.
-// Concurrent transactions take row ids in one order and commit in another,
-// so their rows reach the replicas below the last sequence there (the late
-// run) while scans are reading them. Afterwards the shards still answer in
-// the engine's row order.
+// Concurrent transactions write rows in row-id order and commit, or roll
+// back, in another, while scans read the replicas; some update their own
+// rows. Afterwards the shards still answer as the engine does, in its row
+// order, at pool widths 1 and 4.
 func TestDistConcurrentInsertsMatchLocal(t *testing.T) {
-	e := newDistEngine(t, 2, 0)
-	ctx := context.Background()
-	const clients, txs, rowsPerTx = 4, 60, 3
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < txs; i++ {
-				tx := e.Begin()
-				for k := 0; k < rowsPerTx; k++ {
-					id := (c*txs+i)*rowsPerTx + k
-					if _, err := e.ExecuteContext(ctx, fmt.Sprintf("INSERT INTO T VALUES (%d, %d, 'v%d')", id, id*7, id%13), WithTx(tx)); err != nil {
-						t.Error(err)
-						return
+	for _, width := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			e := newDistEngine(t, 2, 0)
+			ctx := context.Background()
+			par := WithParallelism(width)
+			const clients, txs, rowsPerTx = 4, 60, 3
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < txs; i++ {
+						tx := e.Begin()
+						base := (c*txs + i) * rowsPerTx
+						stmts := make([]string, 0, rowsPerTx+1)
+						for k := 0; k < rowsPerTx; k++ {
+							id := base + k
+							stmts = append(stmts, fmt.Sprintf("INSERT INTO T VALUES (%d, %d, 'v%d')", id, id*7, id%13))
+						}
+						if i%3 == 0 {
+							stmts = append(stmts, fmt.Sprintf("UPDATE T SET B = B + 1, C = 'u' WHERE A = %d", base))
+						}
+						for _, q := range stmts {
+							if _, err := e.ExecuteContext(ctx, q, WithTx(tx), par); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						// Every fifth transaction rolls back: its rows stay
+						// behind, aborted, on the engine and the workers alike.
+						var err error
+						if i%5 == 4 {
+							err = e.Rollback(tx)
+						} else {
+							err = e.CommitTxContext(ctx, tx)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := e.ExecuteContext(ctx, "SELECT COUNT(*) FROM T WHERE B > 0", par); err != nil {
+							t.Error(err)
+							return
+						}
 					}
-				}
-				if err := e.CommitTxContext(ctx, tx); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := e.ExecuteContext(ctx, "SELECT COUNT(*) FROM T WHERE B > 0"); err != nil {
-					t.Error(err)
-					return
-				}
+				}(c)
 			}
-		}(c)
-	}
-	wg.Wait()
-	exec1(t, e, "DELETE FROM T WHERE MOD(A, 7) = 0")
-	for _, q := range []string{
-		"SELECT A, B, C FROM T WHERE MOD(A, 3) = 0",
-		"SELECT C, COUNT(*), SUM(B), MIN(A) FROM T GROUP BY C",
-		"SELECT t.A, u.B FROM T t JOIN T u ON t.A = u.A WHERE u.A < 100",
-	} {
-		d, err := e.ExecuteContext(ctx, q)
-		if err != nil {
-			t.Fatalf("dist %s: %v", q, err)
-		}
-		l, err := e.ExecuteContext(ctx, q, WithLocalOnly())
-		if err != nil {
-			t.Fatalf("local %s: %v", q, err)
-		}
-		if len(l.Rows) == 0 {
-			t.Fatalf("%s: nothing to compare", q)
-		}
-		sameRowsDist(t, q, d, l)
+			wg.Wait()
+			if _, err := e.ExecuteContext(ctx, "DELETE FROM T WHERE MOD(A, 7) = 0", par); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{
+				"SELECT A, B, C FROM T WHERE MOD(A, 3) = 0",
+				"SELECT C, COUNT(*), SUM(B), MIN(A) FROM T GROUP BY C",
+				"SELECT t.A, u.B FROM T t JOIN T u ON t.A = u.A WHERE u.A < 100",
+			} {
+				d, err := e.ExecuteContext(ctx, q, par)
+				if err != nil {
+					t.Fatalf("dist %s: %v", q, err)
+				}
+				l, err := e.ExecuteContext(ctx, q, WithLocalOnly(), par)
+				if err != nil {
+					t.Fatalf("local %s: %v", q, err)
+				}
+				if len(l.Rows) == 0 {
+					t.Fatalf("%s: nothing to compare", q)
+				}
+				sameRowsDist(t, q, d, l)
+			}
+		})
 	}
 }
 
+// WithShards caps the fan-out without changing the answer; a width the
+// topology can't satisfy is clamped, and WithShards on a single-node
+// engine is a no-op rather than an error.
 func TestDistWithShardsFanout(t *testing.T) {
 	e := newDistEngine(t, 4, 300)
 	ctx := context.Background()
@@ -167,8 +191,8 @@ func TestDistWithShardsFanout(t *testing.T) {
 	}
 }
 
-// Reads inside an explicit transaction must stay on the engine node: the
-// workers hold committed state only, so a snapshot that includes the
+// Reads inside an explicit transaction must stay on the engine node:
+// workers scan at a snapshot alone, so a read that must see the
 // transaction's own writes cannot be served remotely.
 func TestDistExplicitTxnReadsStayLocal(t *testing.T) {
 	e := newDistEngine(t, 3, 50)
@@ -190,7 +214,7 @@ func TestDistExplicitTxnReadsStayLocal(t *testing.T) {
 	if err := e.Rollback(tx); err != nil {
 		t.Fatal(err)
 	}
-	// After rollback the buffered mirror write must be gone fleet-wide.
+	// After rollback the mirrored write must be invisible fleet-wide.
 	res = exec1(t, e, "SELECT COUNT(*) FROM T")
 	if value.Compare(res.Rows[0][0], value.NewInt(50)) != 0 {
 		t.Fatalf("rolled-back insert leaked: %v", res.Rows)
@@ -214,6 +238,48 @@ func TestDistAlterTableReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRowsDist(t, "post-ALTER", d, l)
+}
+
+// A transaction in flight across an ALTER's reseed commits on the workers
+// as on the engine: the reseed ships its rows with their stamps, and the
+// commit leaves no branch in doubt. Distributed reads then equal local ones
+// for an INSERT, an UPDATE and a DELETE.
+func TestDistWriterInFlightAcrossReseed(t *testing.T) {
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"INSERT INTO T VALUES (1000, 7000, 'new')",
+		"UPDATE T SET B = B + 1 WHERE A = 17",
+		"DELETE FROM T WHERE A = 23",
+	} {
+		t.Run(strings.Fields(stmt)[0], func(t *testing.T) {
+			e := newDistEngine(t, 3, 60)
+			tx := e.Begin()
+			if _, err := e.ExecuteContext(ctx, stmt, WithTx(tx)); err != nil {
+				t.Fatal(err)
+			}
+			exec1(t, e, "ALTER TABLE T ADD (D INT)")
+			if err := e.CommitTxContext(ctx, tx); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
+				t.Fatalf("branches in doubt: %v", ind)
+			}
+			const q = "SELECT A, B, C, D FROM T ORDER BY A"
+			before := e.Metrics.DistQueries.Load()
+			d, err := e.ExecuteContext(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Metrics.DistQueries.Load() == before {
+				t.Fatal("the read did not run distributed")
+			}
+			l, err := e.ExecuteContext(ctx, q, WithLocalOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRowsDist(t, stmt, d, l)
+		})
+	}
 }
 
 // Crash recovery replays the WAL into the engine node and then reseeds the

@@ -272,7 +272,7 @@ func (e *Engine) BulkLoad(table string, rows []value.Row) error {
 			continue
 		}
 		ids, err := t.loadLocked(p, cid, rs)
-		if mErr := e.distMirrorLoad(t, ids, rs[:len(ids)], cid); err == nil {
+		if mErr := e.distMirrorLoad(t, ids, rs[:len(ids)], txn.Committed(len(ids), cid)); err == nil {
 			err = mErr
 		}
 		if err != nil {

@@ -53,18 +53,17 @@ type spPart struct {
 	Vers txn.VersionSnapshot `json:"vers"`
 }
 
-// check rejects an entry recovery could not restore: RowVersions.Import
-// indexes all four version vectors by InsTID's length, and a partition
-// restored from a row file has one version entry per row.
+// check rejects an entry recovery could not restore: version vectors
+// RowVersions could not have exported, or, for a partition restored from a
+// row file, other than one version entry per row.
 func (sp *spPart) check() error {
-	v := &sp.Vers
-	n := len(v.InsTID)
-	switch {
-	case sp.Rows < 0:
+	if sp.Rows < 0 {
 		return fmt.Errorf("negative row count %d", sp.Rows)
-	case len(v.InsCID) != n || len(v.DelCID) != n || len(v.DelTID) != n:
-		return fmt.Errorf("version vectors of lengths %d, %d, %d, %d", len(v.InsCID), n, len(v.DelCID), len(v.DelTID))
-	case sp.File != "" && n != sp.Rows:
+	}
+	if err := sp.Vers.Check(); err != nil {
+		return err
+	}
+	if n := len(sp.Vers.Ins); sp.File != "" && n != sp.Rows {
 		return fmt.Errorf("%d version entries for %d rows", n, sp.Rows)
 	}
 	return nil

@@ -71,7 +71,7 @@ func hostileSavepoints(t testing.TB, m spManifest) map[string]spManifest {
 		return c
 	}
 	grow := func(v *txn.VersionSnapshot, n int) {
-		for _, s := range []*[]uint64{&v.InsCID, &v.InsTID, &v.DelCID, &v.DelTID} {
+		for _, s := range []*[]uint64{&v.Ins, &v.Del} {
 			*s = append((*s)[:len(*s):len(*s)], make([]uint64, n)...)
 		}
 	}
@@ -88,9 +88,14 @@ func hostileSavepoints(t testing.TB, m spManifest) map[string]spManifest {
 		return data
 	}
 	return map[string]spManifest{
-		// RowVersions.Import indexed all four vectors by InsTID's length:
-		// index out of range.
-		"short DelTID":            edit(func(_ *spTable, p *spPart) { p.Vers.DelTID = []uint64{} }),
+		// RowVersions.Import indexes both vectors by Ins's length: index
+		// out of range.
+		"short Del": edit(func(_ *spTable, p *spPart) { p.Vers.Del = []uint64{} }),
+		// An in-flight stamp of TID 0 names no transaction that could
+		// resolve it.
+		"stamp of TID 0": edit(func(_ *spTable, p *spPart) {
+			p.Vers.Ins = append([]uint64{1 << 63}, p.Vers.Ins[1:]...)
+		}),
 		"negative rows":           edit(func(_ *spTable, p *spPart) { p.Rows = -1 }),
 		"rows beyond the file":    edit(func(_ *spTable, p *spPart) { p.Rows += 2; grow(&p.Vers, 2) }),
 		"more versions than rows": edit(func(_ *spTable, p *spPart) { grow(&p.Vers, 1) }),

@@ -40,19 +40,19 @@ var LockRanks = map[string]int{
 	"catalog.Catalog.mu":    180,
 
 	// ---- transaction layer ----
-	"txn.Manager.mu":     200,
-	"txn.RowVersions.mu": 240,
-	"txn.Log.mu":         260,
+	"txn.Manager.mu": 200,
+	"txn.Log.mu":     260,
 
 	// dist workers sit below the engine/txn layers: the engine mirrors
 	// writes into workers while holding storedTable.mu (insert/delete path)
 	// and registers tables under Engine.mu (DDL path), and 2PC phase
 	// delivery reaches Worker.mu from the commit machinery. Workers never
 	// call back up into the engine. They sit above the storage layer: a
-	// shard replica is a colstore table, appended to under Worker.mu. txMu
-	// (write buffers) nests inside mu on the commit path, so it ranks above.
-	"dist.Worker.mu":   280,
-	"dist.Worker.txMu": 290,
+	// shard replica is a colstore table, appended to under Worker.mu, and
+	// a RowVersions, stamped under it. RowVersions.mu is a leaf: it ranks
+	// inside Worker.mu, which puts it inside every lock above too.
+	"dist.Worker.mu":     280,
+	"txn.RowVersions.mu": 290,
 
 	// ---- storage layer ----
 	"diskstore.Store.mu":      300,

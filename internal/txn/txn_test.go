@@ -463,6 +463,54 @@ func TestRowVersionsCommitVisitsOnlyOwnRows(t *testing.T) {
 	}
 }
 
+// The stamp encoding's edges: commit ID 7 and TID 7 in flight are two
+// stamps, an aborted insert is invisible at every snapshot and pending for
+// no transaction, and an in-flight stamp of TID 0 is refused by Check.
+func TestRowVersionsEncodingEdges(t *testing.T) {
+	v := NewRowVersions()
+	v.InsertCommitted(0, 7)
+	v.Insert(1, 7)
+	v.Insert(2, 8)
+	v.AbortTID(8)
+	for _, c := range []struct {
+		row       int
+		snap, tid uint64
+		want      bool
+	}{
+		{0, 7, 0, true}, {0, 6, 0, false}, {0, 6, 7, false},
+		{1, 7, 0, false}, {1, ^uint64(0), 0, false}, {1, 0, 7, true},
+		{2, 8, 0, false}, {2, 1<<63 - 1, 0, false}, {2, ^uint64(0), 0, false}, {2, ^uint64(0), 8, false},
+	} {
+		if got := v.Visible(c.row, c.snap, c.tid); got != c.want {
+			t.Errorf("row %d at snapshot %d for tid %d: visible %v", c.row, c.snap, c.tid, got)
+		}
+	}
+	if held, err := v.HoldsKey(2, 9); held || err != nil {
+		t.Errorf("aborted row holds its key: %v, %v", held, err)
+	}
+	s := v.Export()
+	if want := []uint64{7, 1<<63 | 7, 1<<64 - 1}; !slices.Equal(s.Ins, want) || !slices.Equal(s.Del, []uint64{0, 0, 0}) {
+		t.Fatalf("exported %x / %x, want %x / 0", s.Ins, s.Del, want)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRowVersions()
+	r.Import(s)
+	if got := r.PendingTIDs(); !slices.Equal(got, []uint64{7}) {
+		t.Fatalf("pending after import = %v", got)
+	}
+	for name, bad := range map[string]VersionSnapshot{
+		"TID 0 inserting": {Ins: []uint64{1 << 63}, Del: []uint64{0}},
+		"TID 0 deleting":  {Ins: []uint64{7}, Del: []uint64{1 << 63}},
+		"short Del":       {Ins: []uint64{7}},
+	} {
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, bad)
+		}
+	}
+}
+
 func TestLiveCount(t *testing.T) {
 	v := NewRowVersions()
 	for i := 0; i < 10; i++ {
