@@ -16,7 +16,8 @@ type cacheKey struct {
 
 // chunkCache is a small LRU cache of decoded column chunks — the extended
 // store's buffer cache. Capacity is in chunks, not bytes, which is accurate
-// enough for fixed chunk sizes.
+// enough for fixed chunk sizes. A cached vector is shared by every batch
+// that reads its chunk, and nobody writes to it.
 type chunkCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -25,15 +26,15 @@ type chunkCache struct {
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	vals []value.Value
+	key cacheKey
+	vec *value.Vec
 }
 
 func newChunkCache(capacity int) *chunkCache {
 	return &chunkCache{cap: capacity, ll: list.New(), items: map[cacheKey]*list.Element{}}
 }
 
-func (c *chunkCache) get(k cacheKey) ([]value.Value, bool) {
+func (c *chunkCache) get(k cacheKey) (*value.Vec, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -41,18 +42,18 @@ func (c *chunkCache) get(k cacheKey) ([]value.Value, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).vals, true
+	return el.Value.(*cacheEntry).vec, true
 }
 
-func (c *chunkCache) put(k cacheKey, vals []value.Value) {
+func (c *chunkCache) put(k cacheKey, vec *value.Vec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).vals = vals
+		el.Value.(*cacheEntry).vec = vec
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: k, vals: vals})
+	el := c.ll.PushFront(&cacheEntry{key: k, vec: vec})
 	c.items[k] = el
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()

@@ -3,9 +3,12 @@
 // integrates as "extended storage" (§3.1 of the paper). Tables are split
 // into fixed-size row chunks; each column chunk is compressed (dictionary or
 // frame-of-reference encoding) and written to its own page file. Per-chunk
-// zone maps (min/max) let scans skip chunks, and a small LRU buffer cache
-// keeps hot decompressed chunks in memory. Tables are append-only: no row is
-// ever removed, and which rows live is the engine's MVCC layer's business.
+// zone maps (min/max) let scans skip chunks. A chunk decodes once into the
+// typed vector the column store hands up (integers, floats, or dictionary
+// codes), which a small LRU buffer cache keeps, and a scan's batches slice
+// those vectors, so cold predicates run the same kernels as hot ones. Tables
+// are append-only: no row is ever removed, and which rows live is the
+// engine's MVCC layer's business.
 package diskstore
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"hana/internal/value"
 )
@@ -125,115 +129,121 @@ func encodeIntChunk(buf *bytes.Buffer, vals []value.Value) {
 	writePacked(buf, codes, rng)
 }
 
-// decodeChunk is the inverse of encodeChunk. The bytes come from disk, so
-// nothing in them is trusted: every count is bounded by the bytes that
-// remain before anything is allocated for it, every read is a full read,
-// and a dictionary code must name a dictionary entry.
-func decodeChunk(data []byte) ([]value.Value, error) {
+// decodeChunk is the inverse of encodeChunk. It returns the chunk as the
+// typed vector the column store hands up, and its row count: a FOR chunk as
+// Ints, a raw DOUBLE chunk as Floats (bits kept), a dictionary VARCHAR chunk
+// as Codes against the chunk's own dictionary, which is not sorted. The null
+// bitmap becomes Nulls, nil when no row is NULL, and a NULL row's code is 0.
+// The bytes come from disk, so nothing in them is trusted: every count is
+// bounded by the bytes that remain before anything is allocated for it,
+// every read is a full read, and a dictionary code must name a dictionary
+// entry.
+func decodeChunk(data []byte) (*value.Vec, int, error) {
 	r := bytes.NewReader(data)
 	kindB, err := r.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("chunk header: %w", err)
+		return nil, 0, fmt.Errorf("chunk header: %w", err)
 	}
-	kind := value.Kind(kindB)
+	v := &value.Vec{Kind: value.Kind(kindB)}
 	n64, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("chunk count: %w", err)
+		return nil, 0, fmt.Errorf("chunk count: %w", err)
 	}
 	// Every row owns one bit of the null bitmap that follows.
 	if n64 > 8*uint64(r.Len()) {
-		return nil, fmt.Errorf("chunk count %d exceeds the %d bytes that remain", n64, r.Len())
+		return nil, 0, fmt.Errorf("chunk count %d exceeds the %d bytes that remain", n64, r.Len())
 	}
 	n := int(n64)
-	nullWords, err := readWords(r, (n+63)/64)
+	nulls, err := readWords(r, (n+63)/64)
 	if err != nil {
-		return nil, fmt.Errorf("null bitmap: %w", err)
+		return nil, 0, fmt.Errorf("null bitmap: %w", err)
 	}
-	isNull := func(i int) bool { return nullWords[i/64]&(1<<(i%64)) != 0 }
+	if slices.ContainsFunc(nulls, func(w uint64) bool { return w != 0 }) {
+		v.Nulls = nulls
+	}
 	enc, err := r.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("chunk encoding: %w", err)
+		return nil, 0, fmt.Errorf("chunk encoding: %w", err)
 	}
-	vals := make([]value.Value, n)
 	switch {
-	case kind == value.KindVarchar && enc == encDict:
+	case v.Kind == value.KindVarchar && enc == encDict:
 		dn, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("dictionary count: %w", err)
+			return nil, 0, fmt.Errorf("dictionary count: %w", err)
 		}
 		// Every entry owns at least its length byte.
 		if dn > uint64(r.Len()) {
-			return nil, fmt.Errorf("dictionary count %d exceeds the %d bytes that remain", dn, r.Len())
+			return nil, 0, fmt.Errorf("dictionary count %d exceeds the %d bytes that remain", dn, r.Len())
 		}
-		dict := make([]string, dn)
+		v.Dict = make([]string, dn)
 		// Scratch read buffer shared across dictionary entries; the string
 		// conversion copies, so reuse is safe.
 		var sb []byte
-		for i := range dict {
+		for i := range v.Dict {
 			sl, err := binary.ReadUvarint(r)
 			if err != nil {
-				return nil, fmt.Errorf("dictionary entry %d: %w", i, err)
+				return nil, 0, fmt.Errorf("dictionary entry %d: %w", i, err)
 			}
 			if sl > uint64(r.Len()) {
-				return nil, fmt.Errorf("dictionary entry %d: length %d exceeds the %d bytes that remain", i, sl, r.Len())
+				return nil, 0, fmt.Errorf("dictionary entry %d: length %d exceeds the %d bytes that remain", i, sl, r.Len())
 			}
 			if uint64(len(sb)) < sl {
 				sb = make([]byte, sl)
 			}
 			buf := sb[:sl]
 			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, fmt.Errorf("dictionary entry %d: %w", i, err)
+				return nil, 0, fmt.Errorf("dictionary entry %d: %w", i, err)
 			}
-			dict[i] = string(buf)
+			v.Dict[i] = string(buf)
 		}
 		codes, err := readPacked(r, n)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		for i := 0; i < n; i++ {
+		v.Codes = make([]uint32, n)
+		for i, c := range codes {
 			switch {
-			case isNull(i):
-				vals[i] = value.Null
-			case codes[i] >= dn:
-				return nil, fmt.Errorf("row %d: dictionary code %d out of range (%d entries)", i, codes[i], dn)
+			case v.Null(i):
+			case c >= dn:
+				return nil, 0, fmt.Errorf("row %d: dictionary code %d out of range (%d entries)", i, c, dn)
 			default:
-				vals[i] = value.NewString(dict[codes[i]])
+				v.Codes[i] = uint32(c)
 			}
 		}
-	case kind == value.KindDouble && enc == encRaw:
+		if dn == 0 && n > 0 { // every row is NULL: give code 0 an entry
+			v.Dict = nullDict
+		}
+	case v.Kind == value.KindDouble && enc == encRaw:
 		bits, err := readWords(r, n)
 		if err != nil {
-			return nil, fmt.Errorf("double payload: %w", err)
+			return nil, 0, fmt.Errorf("double payload: %w", err)
 		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				vals[i] = value.Null
-			} else {
-				vals[i] = value.NewDouble(math.Float64frombits(bits[i]))
-			}
+		v.Floats = make([]float64, n)
+		for i, b := range bits {
+			v.Floats[i] = math.Float64frombits(b)
 		}
-	case enc == encFOR && (kind == value.KindBool || kind == value.KindInt || kind == value.KindDate || kind == value.KindTimestamp):
+	case enc == encFOR && (v.Kind == value.KindBool || v.Kind == value.KindInt || v.Kind == value.KindDate || v.Kind == value.KindTimestamp):
 		frame, err := readWords(r, 1)
 		if err != nil {
-			return nil, fmt.Errorf("frame of reference: %w", err)
+			return nil, 0, fmt.Errorf("frame of reference: %w", err)
 		}
-		base := int64(frame[0])
 		codes, err := readPacked(r, n)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				vals[i] = value.Null
-			} else {
-				vals[i] = value.Value{K: kind, I: base + int64(codes[i])}
-			}
+		v.Ints = make([]int64, n)
+		for i, c := range codes {
+			v.Ints[i] = int64(frame[0]) + int64(c)
 		}
 	default:
-		return nil, fmt.Errorf("unknown chunk encoding kind=%d enc=%d", kind, enc)
+		return nil, 0, fmt.Errorf("unknown chunk encoding kind=%d enc=%d", v.Kind, enc)
 	}
-	return vals, nil
+	return v, n, nil
 }
+
+// nullDict is the dictionary of a VARCHAR chunk whose rows are all NULL:
+// shared by every such chunk, and never written.
+var nullDict = []string{""}
 
 // readWords reads n little-endian 64-bit words, refusing a count the
 // remaining bytes cannot hold before it allocates for it.
@@ -241,13 +251,13 @@ func readWords(r *bytes.Reader, n int) ([]uint64, error) {
 	if n > r.Len()/8 {
 		return nil, fmt.Errorf("%d words exceed the %d bytes that remain: %w", n, r.Len(), io.ErrUnexpectedEOF)
 	}
+	buf := make([]byte, 8*n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
 	words := make([]uint64, n)
-	var b [8]byte
 	for i := range words {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return nil, err
-		}
-		words[i] = binary.LittleEndian.Uint64(b[:])
+		words[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
 	return words, nil
 }

@@ -55,7 +55,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeChunk(data)
+		got, err := decodeBoxed(data)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -83,7 +83,7 @@ func TestChunkCodecIntProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeChunk(data)
+		got, err := decodeBoxed(data)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -109,7 +109,7 @@ func TestChunkCodecStringProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeChunk(data)
+		got, err := decodeBoxed(data)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -182,9 +182,9 @@ func TestStoreReopenPersists(t *testing.T) {
 	if tbl2.NumRows() != 100 {
 		t.Fatalf("reloaded rows = %d", tbl2.NumRows())
 	}
-	row, err := tbl2.Get(42)
-	if err != nil || row[0].Int() != 42 || row[1].String() != "name-0" {
-		t.Fatalf("get after reload: %v %v", row, err)
+	b, err := tbl2.ReadBatch(42, 43, nil)
+	if err != nil || b.Cols[0].Value(0).Int() != 42 || b.Cols[1].Value(0).String() != "name-0" {
+		t.Fatalf("row 42 after reload: %v %v", b, err)
 	}
 	if tbl2.Schema().Len() != 4 {
 		t.Fatal("schema not persisted")
@@ -333,13 +333,13 @@ func TestDuplicateCreate(t *testing.T) {
 
 func TestLRUCacheEviction(t *testing.T) {
 	c := newChunkCache(2)
-	c.put(cacheKey{"A", 0, 0}, []value.Value{value.NewInt(1)})
-	c.put(cacheKey{"A", 1, 0}, []value.Value{value.NewInt(2)})
-	c.put(cacheKey{"A", 2, 0}, []value.Value{value.NewInt(3)}) // evicts chunk 0
+	c.put(cacheKey{"A", 0, 0}, &value.Vec{Kind: value.KindInt, Ints: []int64{1}})
+	c.put(cacheKey{"A", 1, 0}, &value.Vec{Kind: value.KindInt, Ints: []int64{2}})
+	c.put(cacheKey{"A", 2, 0}, &value.Vec{Kind: value.KindInt, Ints: []int64{3}}) // evicts chunk 0
 	if _, ok := c.get(cacheKey{"A", 0, 0}); ok {
 		t.Fatal("LRU eviction failed")
 	}
-	if _, ok := c.get(cacheKey{"A", 2, 0}); !ok {
+	if v, ok := c.get(cacheKey{"A", 2, 0}); !ok || v.Ints[0] != 3 {
 		t.Fatal("recent entry evicted")
 	}
 	c.dropTable("a")

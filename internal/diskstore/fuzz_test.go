@@ -13,8 +13,10 @@ import (
 )
 
 // Chunk files are bytes from disk: on arbitrary input decodeChunk returns an
-// error or exactly as many values as the header declares, it never panics,
-// and it never allocates for a count the remaining bytes cannot back.
+// error or a vector of exactly as many rows as the header declares, whose
+// payload and null bitmap cover those rows and whose codes name dictionary
+// entries; it never panics, and it never allocates for a count the remaining
+// bytes cannot back.
 
 // hostileChunks are inputs the decoder used to mishandle.
 func hostileChunks(t testing.TB) map[string][]byte {
@@ -48,8 +50,8 @@ func hostileChunks(t testing.TB) map[string][]byte {
 
 func TestDecodeChunkRejectsHostileInput(t *testing.T) {
 	for name, data := range hostileChunks(t) {
-		if vals, err := decodeChunk(data); err == nil {
-			t.Errorf("%s: decoded %d values without error", name, len(vals))
+		if _, n, err := decodeChunk(data); err == nil {
+			t.Errorf("%s: decoded %d values without error", name, n)
 		}
 	}
 }
@@ -119,35 +121,50 @@ func FuzzDecodeChunk(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := decodeChunk(data)
+		v, n, err := decodeChunk(data)
 		if err != nil {
 			return
 		}
-		declared, n := binary.Uvarint(data[1:])
-		if n <= 0 || uint64(len(vals)) != declared {
-			t.Fatalf("decoded %d values, the header declares %d", len(vals), declared)
+		declared, w := binary.Uvarint(data[1:])
+		if w <= 0 || uint64(n) != declared {
+			t.Fatalf("decoded %d values, the header declares %d", n, declared)
 		}
 		// Every row owns a bit of the null bitmap, so a byte backs 8 at most.
-		if len(vals) > 8*len(data) {
-			t.Fatalf("%d values decoded from %d bytes", len(vals), len(data))
+		if n > 8*len(data) {
+			t.Fatalf("%d values decoded from %d bytes", n, len(data))
 		}
 		kind := value.Kind(data[0])
-		for i, v := range vals {
-			if !v.IsNull() && v.K != kind {
-				t.Fatalf("value %d has kind %v in a %v chunk", i, v.K, kind)
+		if v.Kind != kind || v.Vals != nil || v.Strs != nil || v.Sorted {
+			t.Fatalf("a %v chunk decoded to %+v", kind, v)
+		}
+		if payload := len(v.Ints) + len(v.Floats) + len(v.Codes); payload != n {
+			t.Fatalf("payload of %d rows for %d values", payload, n)
+		}
+		if v.Nulls != nil && len(v.Nulls) != (n+63)/64 {
+			t.Fatalf("null bitmap of %d words for %d values", len(v.Nulls), n)
+		}
+		for i, c := range v.Codes {
+			if int(c) >= len(v.Dict) {
+				t.Fatalf("row %d: code %d outside a dictionary of %d", i, c, len(v.Dict))
+			}
+		}
+		vals := make([]value.Value, n)
+		for i := range vals {
+			if vals[i] = v.Value(i); !vals[i].IsNull() && vals[i].K != kind {
+				t.Fatalf("value %d has kind %v in a %v chunk", i, vals[i].K, kind)
 			}
 		}
 		again, err := encodeChunk(kind, vals)
 		if err != nil {
 			t.Fatalf("decoded chunk does not re-encode: %v", err)
 		}
-		back, err := decodeChunk(again)
-		if err != nil || len(back) != len(vals) {
-			t.Fatalf("re-encoded chunk decodes to %d values, %v", len(back), err)
+		back, m, err := decodeChunk(again)
+		if err != nil || m != n {
+			t.Fatalf("re-encoded chunk decodes to %d values, %v", m, err)
 		}
 		for i := range vals {
-			if back[i] != vals[i] && !(vals[i].K == value.KindDouble && vals[i].F != vals[i].F) {
-				t.Fatalf("value %d is %v after a re-encode, was %v", i, back[i], vals[i])
+			if got := back.Value(i); !sameBits(got, vals[i]) {
+				t.Fatalf("value %d is %v after a re-encode, was %v", i, got, vals[i])
 			}
 		}
 	})

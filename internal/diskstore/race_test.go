@@ -23,11 +23,11 @@ func TestConcurrentCacheAccess(t *testing.T) {
 				key := cacheKey{table, i % 8, g % 3}
 				switch i % 5 {
 				case 0:
-					c.put(key, []value.Value{value.NewInt(int64(i))})
+					c.put(key, &value.Vec{Kind: value.KindInt, Ints: []int64{int64(i)}})
 				case 4:
 					c.dropTable(table)
 				default:
-					if vals, ok := c.get(key); ok && len(vals) == 0 {
+					if v, ok := c.get(key); ok && len(v.Ints) == 0 {
 						t.Error("cache returned empty chunk")
 						return
 					}

@@ -409,10 +409,10 @@ func (t *Table) spansLocked(ranges map[int]Range) []Span {
 // ReadBatch returns rows [lo, hi) as a columnar batch. [lo, hi) must be a
 // span Spans returned; it stays valid when a later flush has folded the tail
 // it named into a larger chunk. needed marks the column ordinals to read
-// (nil = all); the others become pruned vectors that read no chunk. Chunk
-// columns come from the buffer cache as boxed vectors sharing the cached
-// arrays, which nobody may write to. The batch has no selection: row k has
-// id lo + k.
+// (nil = all); the others become pruned vectors that read no chunk. A chunk
+// column is the cached typed vector, its payload sliced and not copied, so
+// nobody may write to it; the unflushed tail is transposed as the row
+// store's rows are. The batch has no selection: row k has id lo + k.
 func (t *Table) ReadBatch(lo, hi int64, needed []bool) (*value.Batch, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -432,28 +432,53 @@ func (t *Table) readBatchLocked(lo, hi int64, needed []bool) (*value.Batch, erro
 	if lo < 0 || lo > hi || hi > end {
 		return nil, fmt.Errorf("rows [%d, %d) of %s are not within one chunk", lo, hi, t.name)
 	}
-	n := int(hi - lo)
-	b := &value.Batch{Schema: t.schema, Cols: make([]value.Vec, t.schema.Len()), N: n}
+	if chunk == len(t.chunkRows) {
+		return value.BatchFromRows(t.schema, t.buf[lo-base:hi-base], needed), nil
+	}
+	b := &value.Batch{Schema: t.schema, Cols: make([]value.Vec, t.schema.Len()), N: int(hi - lo)}
 	for c := range b.Cols {
-		v := &b.Cols[c]
-		v.Kind = t.schema.Cols[c].Kind
-		switch {
-		case needed != nil && (c >= len(needed) || !needed[c]):
-			v.Pruned = true
-		case chunk < len(t.chunkRows):
-			vals, err := t.readChunk(chunk, c)
-			if err != nil {
-				return nil, err
-			}
-			v.Vals = vals[lo-base : hi-base : hi-base]
-		default:
-			v.Vals = make([]value.Value, n)
-			for i := range v.Vals {
-				v.Vals[i] = t.buf[int(lo-base)+i][c]
-			}
+		if needed != nil && (c >= len(needed) || !needed[c]) {
+			b.Cols[c] = value.Vec{Kind: t.schema.Cols[c].Kind, Pruned: true}
+			continue
 		}
+		cv, err := t.readChunk(chunk, c)
+		if err != nil {
+			return nil, err
+		}
+		b.Cols[c] = sliceVec(cv, int(lo-base), int(hi-base))
 	}
 	return b, nil
+}
+
+// sliceVec returns rows [lo, hi) of a cached chunk vector: the payload is
+// shared, and the null bitmap is too when lo starts one of its words;
+// otherwise the bitmap is copied, shifted to start at lo.
+func sliceVec(cv *value.Vec, lo, hi int) value.Vec {
+	v := value.Vec{Kind: cv.Kind, Dict: cv.Dict}
+	switch cv.Kind {
+	case value.KindDouble:
+		v.Floats = cv.Floats[lo:hi:hi]
+	case value.KindVarchar:
+		v.Codes = cv.Codes[lo:hi:hi]
+	default:
+		v.Ints = cv.Ints[lo:hi:hi]
+	}
+	if cv.Nulls == nil || lo == hi {
+		return v
+	}
+	w, at, sh := (hi-lo+63)/64, lo/64, uint(lo%64)
+	if sh == 0 {
+		v.Nulls = cv.Nulls[at : at+w : at+w]
+		return v
+	}
+	v.Nulls = make([]uint64, w)
+	for k := range v.Nulls {
+		v.Nulls[k] = cv.Nulls[at+k] >> sh
+		if at+k+1 < len(cv.Nulls) {
+			v.Nulls[k] |= cv.Nulls[at+k+1] << (64 - sh)
+		}
+	}
+	return v
 }
 
 // Scan iterates stored rows projecting the given column ordinals (nil = all
@@ -486,7 +511,7 @@ func (t *Table) scanLocked(ords []int, ranges map[int]Range, fn func(id int64, r
 		}
 		for i := 0; i < b.N; i++ {
 			for j, o := range ords {
-				row[j] = b.Cols[o].Vals[i]
+				row[j] = b.Cols[o].Value(i)
 			}
 			if !fn(sp.Lo+int64(i), row) {
 				return nil
@@ -496,33 +521,12 @@ func (t *Table) scanLocked(ords []int, ranges map[int]Range, fn func(id int64, r
 	return nil
 }
 
-// Get returns a single row by global id.
-func (t *Table) Get(id int64) (value.Row, error) {
-	var out value.Row
-	found := false
-	err := t.Scan(nil, nil, func(rid int64, row value.Row) bool {
-		if rid == id {
-			out = row.Clone()
-			found = true
-			return false
-		}
-		return rid < id
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, fmt.Errorf("row %d not found", id)
-	}
-	return out, nil
-}
-
 // readChunk returns a decoded column chunk, via the buffer cache.
-func (t *Table) readChunk(chunk, col int) ([]value.Value, error) {
+func (t *Table) readChunk(chunk, col int) (*value.Vec, error) {
 	key := cacheKey{table: strings.ToUpper(t.name), chunk: chunk, col: col}
-	if vals, ok := t.store.cache.get(key); ok {
+	if v, ok := t.store.cache.get(key); ok {
 		t.store.Stats.CacheHits.Add(1)
-		return vals, nil
+		return v, nil
 	}
 	data, err := os.ReadFile(t.chunkFile(chunk, col))
 	if err != nil {
@@ -530,17 +534,17 @@ func (t *Table) readChunk(chunk, col int) ([]value.Value, error) {
 	}
 	t.store.Stats.ChunksRead.Add(1)
 	t.store.Stats.BytesRead.Add(int64(len(data)))
-	vals, err := decodeChunk(data)
+	v, n, err := decodeChunk(data)
 	// The manifest says what the file must hold; a reader indexes the column
 	// by the manifest's row count, so a shorter one must not get out.
-	if err == nil && (len(vals) != t.chunkRows[chunk] || value.Kind(data[0]) != t.schema.Cols[col].Kind) {
-		err = fmt.Errorf("holds %d %s values, manifest says %d %s", len(vals), value.Kind(data[0]), t.chunkRows[chunk], t.schema.Cols[col].Kind)
+	if err == nil && (n != t.chunkRows[chunk] || v.Kind != t.schema.Cols[col].Kind) {
+		err = fmt.Errorf("holds %d %s values, manifest says %d %s", n, v.Kind, t.chunkRows[chunk], t.schema.Cols[col].Kind)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d col %d of %s: %w", chunk, col, t.name, err)
 	}
-	t.store.cache.put(key, vals)
-	return vals, nil
+	t.store.cache.put(key, v)
+	return v, nil
 }
 
 // DiskSize reports the bytes the table occupies on disk.

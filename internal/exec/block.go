@@ -63,7 +63,7 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	for _, item := range items {
 		needAgg = needAgg || expr.HasAggregate(item.Expr)
 	}
-	pre := in
+	pre, named := in, items // named: the select list as written, for ORDER BY
 	if needAgg {
 		rewrite, err := b.analyzeAggregate(sel.GroupBy, in, items, having, order)
 		if err != nil {
@@ -98,12 +98,16 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	}
 	b.proj = b.Out
 
-	// An ORDER BY key names an output column (by alias, or by repeating the
-	// item's text); one that does not is evaluated over the projection's
-	// input into a hidden column, which Finish drops after the sort.
+	// An ORDER BY key binds to the output column it names (outputKey); one
+	// that names none is evaluated over the projection's input into a hidden
+	// column, which Finish drops after the sort.
 	for i, o := range sel.OrderBy {
-		key, err := outputKey(order[i], items, b.Out)
+		ord, err := outputKey(o.Expr, named, b.Out)
 		if err != nil {
+			return nil, err
+		}
+		key := &expr.ColRef{Ord: ord}
+		if ord < 0 {
 			be, err := expr.BindClone(order[i], pre)
 			if err != nil {
 				return nil, fmt.Errorf("ORDER BY: %w", err)
@@ -114,12 +118,11 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 			if b.proj == b.Out {
 				b.proj = b.Out.Clone()
 			}
-			hidden := expr.Col(fmt.Sprintf("$sort%d", i))
-			hidden.Ord = len(b.exprs)
+			key.Ord = len(b.exprs)
 			b.exprs = append(b.exprs, be)
-			b.proj.Cols = append(b.proj.Cols, value.Column{Name: hidden.Name, Kind: ExprKind(order[i], pre), Nullable: true})
-			key = hidden
+			b.proj.Cols = append(b.proj.Cols, value.Column{Name: fmt.Sprintf("$sort%d", i), Kind: ExprKind(order[i], pre), Nullable: true})
 		}
+		key.Name = b.proj.Cols[key.Ord].Name
 		b.keys = append(b.keys, SortKey{E: key, Desc: o.Desc})
 	}
 	if ords := expr.FillOrds(append(b.exprs[:len(b.exprs):len(b.exprs)], b.Having)); ords != nil {
@@ -137,8 +140,9 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 // and LIMIT, which are not shipped, resolve against them.
 func AnalyzeProjected(sel *sqlparse.SelectStmt, result *value.Schema) (*Block, error) {
 	b := &Block{Out: result, limit: sel.Limit}
+	var items []sqlparse.SelectItem // nil when a star's columns shift the items' positions
 	if len(sel.Items) == result.Len() {
-		b.Out = result.Clone()
+		b.Out, items = result.Clone(), sel.Items
 		for i, item := range sel.Items {
 			if !item.Star {
 				b.Out.Cols[i].Name = itemName(item)
@@ -147,8 +151,16 @@ func AnalyzeProjected(sel *sqlparse.SelectStmt, result *value.Schema) (*Block, e
 	}
 	b.proj = b.Out
 	for _, o := range sel.OrderBy {
-		key, err := outputKey(o.Expr, sel.Items, b.Out)
+		ord, err := outputKey(o.Expr, items, b.Out)
 		if err != nil {
+			return nil, err
+		}
+		// No hidden input here: a key that names no output column is an
+		// expression over the output columns.
+		var key expr.Expr
+		if ord >= 0 {
+			key = &expr.ColRef{Name: b.Out.Cols[ord].Name, Ord: ord}
+		} else if key, err = expr.BindClone(o.Expr, b.Out); err != nil {
 			return nil, fmt.Errorf("ORDER BY: %w", err)
 		}
 		b.keys = append(b.keys, SortKey{E: key, Desc: o.Desc})
@@ -347,17 +359,39 @@ func (b *Block) analyzeAggregate(groupBy []expr.Expr, in *value.Schema, items []
 	}, nil
 }
 
-// outputKey binds an ORDER BY expression to the projection's output: the
-// text of a select item stands for that item's column (ORDER BY SUM(x) when
-// SUM(x) is also projected), anything else must bind by name.
-func outputKey(oe expr.Expr, items []sqlparse.SelectItem, out *value.Schema) (expr.Expr, error) {
-	for _, item := range items {
-		if item.Expr != nil && item.Expr.SQL() == oe.SQL() {
-			oe = expr.Col(itemName(item))
-			break
+// outputKey resolves an ORDER BY key to the ordinal of the output column
+// it names, or -1 when it names none: an integer literal is a 1-based
+// position, a bare name is the one output column of that name or alias, and
+// an expression is the select item whose text it repeats.
+func outputKey(oe expr.Expr, items []sqlparse.SelectItem, out *value.Schema) (int, error) {
+	switch n := oe.(type) {
+	case *expr.Literal:
+		if n.Val.K == value.KindInt {
+			if n.Val.I < 1 || n.Val.I > int64(out.Len()) {
+				return -1, fmt.Errorf("ORDER BY position %d is not in the select list of %d columns", n.Val.I, out.Len())
+			}
+			return int(n.Val.I) - 1, nil
+		}
+	case *expr.ColRef:
+		ord := -1
+		for i, c := range out.Cols {
+			if !strings.Contains(n.Name, ".") && strings.EqualFold(c.Name, n.Name) {
+				if ord >= 0 {
+					return -1, fmt.Errorf("ORDER BY %s is ambiguous: output columns %d and %d have that name", n.Name, ord+1, i+1)
+				}
+				ord = i
+			}
+		}
+		if ord >= 0 {
+			return ord, nil
 		}
 	}
-	return expr.BindClone(oe, out)
+	for i, item := range items {
+		if item.Expr != nil && item.Expr.SQL() == oe.SQL() {
+			return i, nil
+		}
+	}
+	return -1, nil
 }
 
 // expandStars replaces * and t.* items with explicit column references.

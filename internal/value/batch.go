@@ -16,10 +16,13 @@ package value
 //   - KindBool, KindInt, KindDate, KindTimestamp: Ints (the Value.I payload)
 //   - KindDouble: Floats
 //   - KindVarchar: either Strs (materialized), or Codes+Dict (dictionary
-//     encoded, the compressed form handed up by the column store)
-//   - any kind: Vals, the boxed escape hatch for columns whose stored values
-//     do not all match the declared kind; kernels treat such vectors like
-//     rows, so nothing is re-coerced and results stay byte-identical
+//     encoded, the compressed form handed up by the column store and by
+//     extended storage, whose chunk dictionaries are not Sorted)
+//   - any kind: Vals, the boxed escape hatch for a mixed-kind column, whose
+//     values do not all match the declared kind (BatchFromRows), and for an
+//     evaluated expression's results (expr.EvalBatch); no columnar store
+//     hands it up. Kernels treat such vectors like rows, so nothing is
+//     re-coerced and results stay byte-identical
 //
 // Nulls is a validity bitmap (bit i set = row i is NULL); nil means no row
 // is NULL. Dict slices are shared with the owning store and must be treated
