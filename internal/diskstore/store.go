@@ -120,12 +120,35 @@ func (s *Store) DropTable(name string) error {
 	return os.RemoveAll(t.path())
 }
 
-// zone is a per-chunk, per-column min/max summary used to skip chunks.
+// zone is a per-chunk, per-column min/max summary used to skip chunks: Min
+// and Max order the chunk's non-NULL values by value.Compare. Compare
+// equates a NaN with every number, so a NaN has no place in that order and
+// a NaN row may meet any range: a chunk holding one sets NaN and is never
+// skipped, and its NaNs are left out of Min and Max. A DOUBLE bound keeps
+// its IEEE bits in I and F stays 0 (packBound), as manifest.json holds it:
+// JSON has no NaN or ±Inf.
 type zone struct {
 	Min     value.Value `json:"min"`
 	Max     value.Value `json:"max"`
 	HasNull bool        `json:"has_null"`
 	AllNull bool        `json:"all_null"`
+	NaN     bool        `json:"nan,omitempty"`
+}
+
+// packBound is v as a zone keeps it; unpackBound undoes it, and keeps F
+// when I is 0, as manifests written before the bits were kept hold it.
+func packBound(v value.Value) value.Value {
+	if v.K == value.KindDouble {
+		return value.Value{K: v.K, I: int64(math.Float64bits(v.F))}
+	}
+	return v
+}
+
+func unpackBound(v value.Value) value.Value {
+	if v.K == value.KindDouble && v.I != 0 {
+		return value.Value{K: v.K, F: math.Float64frombits(uint64(v.I))}
+	}
+	return v
 }
 
 // manifest is the persisted table metadata.
@@ -307,24 +330,26 @@ func (t *Table) flushLocked() error {
 		for col := 0; col < t.schema.Len(); col++ {
 			vals := make([]value.Value, n)
 			z := zone{AllNull: true}
+			var lo, hi value.Value
 			for i, r := range rows {
 				vals[i] = r[col]
-				if r[col].IsNull() {
+				v := r[col]
+				switch {
+				case v.IsNull():
 					z.HasNull = true
 					continue
+				case v.K == value.KindDouble && math.IsNaN(v.F):
+					z.NaN = true
+				case lo.IsNull():
+					lo, hi = v, v
+				case value.Compare(v, lo) < 0:
+					lo = v
+				case value.Compare(v, hi) > 0:
+					hi = v
 				}
-				if z.AllNull {
-					z.Min, z.Max = r[col], r[col]
-					z.AllNull = false
-				} else {
-					if value.Compare(r[col], z.Min) < 0 {
-						z.Min = r[col]
-					}
-					if value.Compare(r[col], z.Max) > 0 {
-						z.Max = r[col]
-					}
-				}
+				z.AllNull = false
 			}
+			z.Min, z.Max = packBound(lo), packBound(hi)
 			zs[col] = z
 			data, err := encodeChunk(t.schema.Cols[col].Kind, vals)
 			if err != nil {
@@ -350,13 +375,14 @@ type Range struct {
 // skippable reports whether a chunk zone proves no row can satisfy the
 // range.
 func (r Range) skippable(z zone) bool {
-	if z.AllNull {
+	switch {
+	case z.NaN:
+		return false
+	case z.AllNull:
 		return true
-	}
-	if r.Lo != nil && value.Compare(z.Max, *r.Lo) < 0 {
+	case r.Lo != nil && value.Compare(unpackBound(z.Max), *r.Lo) < 0:
 		return true
-	}
-	if r.Hi != nil && value.Compare(z.Min, *r.Hi) > 0 {
+	case r.Hi != nil && value.Compare(unpackBound(z.Min), *r.Hi) > 0:
 		return true
 	}
 	return false

@@ -41,14 +41,13 @@ func typedSchema() *value.Schema {
 }
 
 // typedRow is row i of the typed-decode table: NULL in every column at rows
-// 0, 63, 64 and last, and doubles that only compare equal by their bits. A
-// table holds finite doubles only: a zone map bound is JSON in the manifest,
-// which has no NaN or ±Inf (ROADMAP), so those meet the codec alone below.
+// 0, 63, 64 and last, and doubles that only compare equal by their bits,
+// NaN and ±Inf among them (a zone bound keeps a double's bits).
 func typedRow(i, last int) value.Row {
 	if i == 0 || i == 63 || i == 64 || i == last {
 		return value.Row{value.Null, value.Null, value.Null, value.Null, value.Null, value.Null}
 	}
-	doubles := []float64{math.Copysign(0, -1), 0, 5e-324, -2.5, 1e300}
+	doubles := []float64{math.Copysign(0, -1), 0, 5e-324, -2.5, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
 	strs := []string{"", "b", "a", "", "zz"}
 	s := value.NewString(strs[i%len(strs)])
 	if i%11 == 5 {

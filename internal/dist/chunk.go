@@ -11,23 +11,22 @@ import (
 )
 
 // Chunk is one exchange unit streamed from a worker back to the
-// coordinator: the surviving rows of one scan morsel with their global scan
-// sequences, a slice of a join fragment's output, or a whole fragment's
-// aggregate partial. Chunks arrive in local sequence order within a worker's
-// stream; the coordinator's k-way merge across shard streams restores the
-// exact single-node order.
+// coordinator: the surviving rows of one scan morsel or one probe morsel's
+// join output, as a batch with the rows' global scan sequences, or a whole
+// fragment's aggregate partial. Chunks arrive in local sequence order
+// within a worker's stream; the coordinator's k-way merge across shard
+// streams restores the exact single-node order.
 type Chunk struct {
 	Shard  int
 	Worker int
 	// Seqs holds the global scan sequence of every row, ascending. For
 	// join chunks the sequence is the probe row's, repeated per match.
 	Seqs []int64
-	// Batch carries a scan morsel's survivors as the replica's column
-	// vectors: its live rows (Batch.Len, through its selection) align with
-	// Seqs, and the columns the fragment does not read stay pruned.
+	// Batch carries the rows as column vectors: a scan morsel's survivors
+	// as the replica's vectors, a join's output as exec.HashJoin gathered
+	// it. Its live rows (Batch.Len, through its selection) align with Seqs,
+	// and the columns the fragment does not read stay pruned.
 	Batch *value.Batch
-	// Rows carries a join fragment's output, aligned with Seqs.
-	Rows []value.Row
 	// Partial carries an aggregate fragment's group table (no rows ship):
 	// exec's accumulator as it stands, each group's First rewritten to the
 	// smallest global scan sequence that contributed, so merged groups sort
@@ -38,15 +37,9 @@ type Chunk struct {
 	Scanned int64
 }
 
-// chunkWireVersion 4: a scan chunk's survivors ship column by column.
-const chunkWireVersion = 4
-
-// What follows a chunk's sequences.
-const (
-	bodyNone  = 0
-	bodyRows  = 1
-	bodyBatch = 2
-)
+// chunkWireVersion 5: every chunk's rows ship column by column, a join's
+// too.
+const chunkWireVersion = 5
 
 // The payload form of one shipped batch column.
 const (
@@ -60,10 +53,10 @@ const (
 
 // Encode renders the chunk in the wire format:
 //
-//	[version][shard][worker][scanned][n seqs][varint seq]…[body][partial]
+//	[version][shard][worker][scanned][n seqs][varint seq]…[batch][partial]
 //
-// The body is nothing, the join rows, or a scan batch (appendBatch); the
-// partial is a flag and, when set, the aggregate group table.
+// The batch and the partial are each a flag and, when set, the batch
+// (appendBatch) or the aggregate group table.
 func (c *Chunk) Encode() []byte {
 	buf := []byte{chunkWireVersion}
 	buf = binary.AppendUvarint(buf, uint64(c.Shard))
@@ -73,17 +66,8 @@ func (c *Chunk) Encode() []byte {
 	for _, s := range c.Seqs {
 		buf = binary.AppendVarint(buf, s)
 	}
-	switch {
-	case c.Batch != nil:
-		buf = appendBatch(append(buf, bodyBatch), c.Batch)
-	case len(c.Rows) > 0:
-		buf = append(buf, bodyRows)
-		buf = binary.AppendUvarint(buf, uint64(len(c.Rows)))
-		for _, r := range c.Rows {
-			buf = value.AppendRow(buf, r)
-		}
-	default:
-		buf = append(buf, bodyNone)
+	if buf = appendBool(buf, c.Batch != nil); c.Batch != nil {
+		buf = appendBatch(buf, c.Batch)
 	}
 	if c.Partial == nil {
 		return append(buf, 0)
@@ -269,19 +253,9 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 		}
 	}
 	rows := 0
-	switch body := d.Byte(); body {
-	case bodyNone:
-	case bodyRows:
-		nr := readCount(&d, 1, "rows")
-		for i := 0; i < nr && d.Err() == nil; i++ {
-			c.Rows = append(c.Rows, d.Row())
-		}
-		rows = len(c.Rows)
-	case bodyBatch:
+	if d.Bool() {
 		c.Batch = readBatch(&d, ns)
 		rows = ns
-	default:
-		d.Fail(fmt.Errorf("unknown chunk body %d", body))
 	}
 	if d.Bool() {
 		c.Partial = exec.NewAggPartial()

@@ -28,13 +28,12 @@ type Coordinator struct {
 
 // GatherResult is the merged output of one distributed fragment fan-out.
 type GatherResult struct {
-	// Batches is a scan fragment's merged stream: batches of up to
+	// Batches is a scan or join fragment's merged stream: batches of up to
 	// exec.DefaultMorselSize rows in ascending global sequence order —
-	// exactly the serial scan order — holding only the shipped columns as
-	// typed vectors (the others pruned). Unset for other fragments.
+	// exactly the serial scan order, a join's matches in probe-input order —
+	// holding only the shipped columns as typed vectors (the others
+	// pruned). Unset for aggregate fragments.
 	Batches []*value.Batch
-	// Rows is a join fragment's merged output in probe-input order.
-	Rows []value.Row
 	// Partial is the merged aggregate state, groups sorted by First (their
 	// smallest contributing sequence: the serial first-seen group order).
 	// Set only for aggregate fragments.
@@ -48,12 +47,7 @@ type GatherResult struct {
 }
 
 // Len returns the number of rows the merge produced.
-func (r *GatherResult) Len() int {
-	if r.Batches == nil {
-		return len(r.Rows)
-	}
-	return exec.Rel{Batches: r.Batches}.Len()
-}
+func (r *GatherResult) Len() int { return exec.Rel{Batches: r.Batches}.Len() }
 
 // Gather runs the template on every shard (at most fanout shards in flight;
 // 0 = all) and merges the streams. The template's Shard field is assigned
@@ -99,15 +93,10 @@ func (c *Coordinator) Gather(ctx context.Context, tmpl *Fragment, fanout int) (*
 		res.Partial = mergePartials(perShard)
 		return res, nil
 	}
-	scan := tmpl.Join == nil
-	if err := checkStreams(perShard, scan); err != nil {
+	if err := checkStreams(perShard); err != nil {
 		return nil, err
 	}
-	if scan {
-		res.Batches = newMerger(perShard).batches()
-	} else {
-		res.Rows = newMerger(perShard).rows()
-	}
+	res.Batches = newMerger(perShard).batches()
 	return res, nil
 }
 
@@ -138,19 +127,14 @@ func (c *Coordinator) runShard(ctx context.Context, f *Fragment) ([]*Chunk, int,
 }
 
 // checkStreams rejects chunks the merge could not index: every row must be
-// carried — by a join chunk's Rows or by a scan chunk's batch, and every
-// scan batch must have the first one's columns, kinds and pruning.
-func checkStreams(perShard [][]*Chunk, scan bool) error {
+// carried by a chunk's batch, and every batch must have the first one's
+// columns, kinds and pruning.
+func checkStreams(perShard [][]*Chunk) error {
 	var proto *value.Batch
 	for s, chunks := range perShard {
 		for _, ch := range chunks {
 			n, b := len(ch.Seqs), ch.Batch
 			switch {
-			case !scan:
-				if len(ch.Rows) != n {
-					return fmt.Errorf("dist: shard %d chunk has %d rows for %d sequences", s, len(ch.Rows), n)
-				}
-				continue
 			case b == nil:
 				if n > 0 {
 					return fmt.Errorf("dist: shard %d chunk has no batch for %d sequences", s, n)
@@ -172,13 +156,6 @@ func checkStreams(perShard [][]*Chunk, scan bool) error {
 	return nil
 }
 
-// mergeRun is a stretch of the merged stream one chunk supplies: its live
-// rows [lo, hi).
-type mergeRun struct {
-	ch     *Chunk
-	lo, hi int
-}
-
 // mergeCursor is a shard stream's read position: the next live row k of
 // the first of its remaining non-empty chunks.
 type mergeCursor struct {
@@ -193,8 +170,9 @@ func (c *mergeCursor) head() int64 { return c.chunks[0].Seqs[c.k] }
 // sequence lives on exactly one shard, so taking from the cursor with the
 // smallest head sequence reproduces the serial order; equal sequences (a
 // probe row's multiple join matches) stay in their within-shard emission
-// order. The order comes out as runs: the stretch a cursor supplies before
-// another cursor's head is smaller.
+// order. The order comes out as runs (value.Run over a chunk's batch): the
+// stretch of live rows a cursor supplies before another cursor's head is
+// smaller.
 type merger struct {
 	cursors []mergeCursor
 	total   int
@@ -219,7 +197,7 @@ func newMerger(perShard [][]*Chunk) *merger {
 
 // next appends the runs of the next at most limit rows of the merged stream
 // to runs, and returns them with their row count (0 at the end).
-func (m *merger) next(runs []mergeRun, limit int) ([]mergeRun, int) {
+func (m *merger) next(runs []value.Run, limit int) ([]value.Run, int) {
 	n := 0
 	for n < limit && len(m.cursors) > 0 {
 		best, bound := 0, int64(math.MaxInt64)
@@ -238,7 +216,7 @@ func (m *merger) next(runs []mergeRun, limit int) ([]mergeRun, int) {
 		for hi < len(ch.Seqs) && hi-lo < limit-n && (ch.Seqs[hi] < bound || ch.Seqs[hi] == first) {
 			hi++
 		}
-		runs = append(runs, mergeRun{ch, lo, hi})
+		runs = append(runs, ch.Batch.Run(lo, hi))
 		n += hi - lo
 		if cur.k = hi; hi == len(ch.Seqs) {
 			cur.chunks, cur.k = cur.chunks[1:], 0
@@ -250,31 +228,16 @@ func (m *merger) next(runs []mergeRun, limit int) ([]mergeRun, int) {
 	return runs, n
 }
 
-// rows merges join chunks: their rows in merged order.
-func (m *merger) rows() []value.Row {
-	rows := make([]value.Row, 0, m.total)
-	runs := make([]mergeRun, 0, min(m.total, exec.DefaultMorselSize))
-	for {
-		var n int
-		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
-			return rows
-		}
-		for _, r := range runs {
-			rows = append(rows, r.ch.Rows[r.lo:r.hi]...)
-		}
-	}
-}
-
-// batches merges scan chunks into batches of up to exec.DefaultMorselSize
-// rows, copying only the shipped columns. Every chunk's batch has the
-// shape of the first (checkStreams).
+// batches merges the chunks into batches of up to exec.DefaultMorselSize
+// rows, gathering only the shipped columns (value.Gather). Every chunk's
+// batch has the shape of the first (checkStreams).
 func (m *merger) batches() []*value.Batch {
 	if m.total == 0 {
 		return nil
 	}
 	proto := m.cursors[0].chunks[0].Batch
 	out := make([]*value.Batch, 0, (m.total+exec.DefaultMorselSize-1)/exec.DefaultMorselSize)
-	runs := make([]mergeRun, 0, min(m.total, exec.DefaultMorselSize))
+	runs := make([]value.Run, 0, min(m.total, exec.DefaultMorselSize))
 	for {
 		var n int
 		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
@@ -282,85 +245,10 @@ func (m *merger) batches() []*value.Batch {
 		}
 		b := &value.Batch{Schema: proto.Schema, Cols: make([]value.Vec, len(proto.Cols)), N: n}
 		for c := range b.Cols {
-			if b.Cols[c].Kind = proto.Cols[c].Kind; proto.Cols[c].Pruned {
-				b.Cols[c].Pruned = true
-			} else {
-				gatherVec(&b.Cols[c], runs, c, n)
-			}
+			b.Cols[c].Kind = proto.Cols[c].Kind
+			value.Gather(&b.Cols[c], runs, c, n)
 		}
 		out = append(out, b)
-	}
-}
-
-// gatherVec fills dst, whose Kind is set, with column c of the runs' live
-// rows: integer kinds as Ints and DOUBLE as Floats, copied as they are;
-// VARCHAR as Strs whose headers point at the source strings (dictionary
-// entries are not copied); a column any run holds boxed stays boxed. NULLs
-// set validity bits.
-func gatherVec(dst *value.Vec, runs []mergeRun, c, n int) {
-	for _, r := range runs {
-		if r.ch.Batch.Cols[c].Vals != nil {
-			dst.Vals = make([]value.Value, n)
-			o := 0
-			for _, r := range runs {
-				src, sel := &r.ch.Batch.Cols[c], r.ch.Batch.Sel
-				for k := r.lo; k < r.hi; k++ {
-					dst.Vals[o] = src.Value(liveAt(sel, k))
-					o++
-				}
-			}
-			return
-		}
-	}
-	switch dst.Kind {
-	case value.KindDouble:
-		dst.Floats = make([]float64, n)
-		gatherPayload(dst.Floats, runs, func(v *value.Vec) []float64 { return v.Floats }, c)
-	case value.KindVarchar:
-		dst.Strs = make([]string, n)
-		o := 0
-		for _, r := range runs {
-			src, sel := &r.ch.Batch.Cols[c], r.ch.Batch.Sel
-			for k := r.lo; k < r.hi; k++ {
-				if i := liveAt(sel, k); src.Nulls == nil || !src.Null(i) {
-					dst.Strs[o] = src.Str(i)
-				}
-				o++
-			}
-		}
-	default:
-		dst.Ints = make([]int64, n)
-		gatherPayload(dst.Ints, runs, func(v *value.Vec) []int64 { return v.Ints }, c)
-	}
-	o := 0
-	for _, r := range runs {
-		if src := &r.ch.Batch.Cols[c]; src.Nulls != nil {
-			for k := r.lo; k < r.hi; k++ {
-				if src.Null(liveAt(r.ch.Batch.Sel, k)) {
-					dst.EnsureNulls(n)
-					dst.SetNull(o + k - r.lo)
-				}
-			}
-		}
-		o += r.hi - r.lo
-	}
-}
-
-// gatherPayload copies column c's payload slice (what payload picks from a
-// vector) at the runs' live rows into dst: a run without a selection is one
-// copy.
-func gatherPayload[T int64 | float64](dst []T, runs []mergeRun, payload func(*value.Vec) []T, c int) {
-	o := 0
-	for _, r := range runs {
-		src := payload(&r.ch.Batch.Cols[c])
-		if sel := r.ch.Batch.Sel; sel != nil {
-			for _, i := range sel[r.lo:r.hi] {
-				dst[o] = src[i]
-				o++
-			}
-		} else {
-			o += copy(dst[o:], src[r.lo:r.hi])
-		}
 	}
 }
 

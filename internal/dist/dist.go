@@ -9,8 +9,8 @@
 // tables. A replica is what an engine partition is — a column-store table
 // and a txn.RowVersions — written at statement time and stamped by the
 // engine's two-phase commit, so one visibility rule decides a row on the
-// engine and on every worker. Every shipped row carries its global scan
-// sequence, so
+// engine and on every worker. Rows ship as typed batches, a scan's and a
+// broadcast join's alike, each row tagged with its global scan sequence, so
 // the coordinator's k-way merge reproduces the exact serial scan order —
 // the property that makes distributed results byte-identical to local ones
 // at any shard count, replica count and worker-pool width.

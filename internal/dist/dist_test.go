@@ -78,12 +78,8 @@ func gather(t *testing.T, tr *Local, topo Topology, f *Fragment, fanout int) *Ga
 	return res
 }
 
-// mergedRows boxes a gather's merged stream: a scan's batches, a join's
-// rows.
+// mergedRows boxes a gather's merged stream of batches.
 func mergedRows(res *GatherResult) []value.Row {
-	if res.Batches == nil {
-		return res.Rows
-	}
 	return exec.Rel{Batches: res.Batches}.AllRows()
 }
 
@@ -241,12 +237,13 @@ func TestGatherBroadcastJoin(t *testing.T) {
 		}
 		want = append(want, intRow(k, k*10, k, v))
 	}
-	if len(res.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), len(want))
+	got := mergedRows(res)
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(res.Rows[i], want[i]) {
-			t.Fatalf("row %d: got %v, want %v", i, res.Rows[i], want[i])
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("row %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -371,8 +368,11 @@ func TestChunkWireRoundTrip(t *testing.T) {
 	p.Append(&exec.AggGroup{First: 3, Key: value.Row{value.NewString("g"), value.Null}, States: []*exec.AggState{plain, distinct}})
 	ch := &Chunk{
 		Shard: 1, Worker: 2, Scanned: 77,
-		Seqs:    []int64{3, 9},
-		Rows:    []value.Row{intRow(1, 2), intRow(3, 4)},
+		Seqs: []int64{3, 9},
+		Batch: &value.Batch{N: 2, Cols: []value.Vec{
+			{Kind: value.KindInt, Ints: []int64{1, 3}},
+			{Kind: value.KindInt, Ints: []int64{2, 4}},
+		}},
 		Partial: p,
 	}
 	got, err := DecodeChunk(ch.Encode())
@@ -409,20 +409,20 @@ func TestChunkWireRoundTrip(t *testing.T) {
 }
 
 // TestDecodeChunkRejectsSeqRowMismatch: a chunk with three sequences and one
-// row used to decode, and the merge then indexed rows by the sequence
-// cursor and panicked.
+// row must not decode, or the merge would index rows by the sequence cursor
+// past the batch.
 func TestDecodeChunkRejectsSeqRowMismatch(t *testing.T) {
-	b := []byte{chunkWireVersion, 0, 0, 0} // shard, worker, scanned
-	b = append(b, 3, 2, 4, 6)              // three sequences: 1, 2, 3 (zig-zag)
-	b = append(b, bodyRows, 1)             // one row
-	b = value.AppendRow(b, intRow(7))
-	b = append(b, 0) // no partial
-	if _, err := DecodeChunk(b); err == nil || !strings.Contains(err.Error(), "3 sequences for 1 rows") {
+	b := []byte{chunkWireVersion, 0, 0, 0}                // shard, worker, scanned
+	b = append(b, 3, 2, 4, 6)                             // three sequences: 1, 2, 3 (zig-zag)
+	b = append(b, 1, 1, byte(value.KindInt), 1, 1)        // a batch of one shipped INT column
+	b = append(b, formInts, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0) // one row, no NULLs: 7
+	b = append(b, 0)                                      // no partial
+	if _, err := DecodeChunk(b); err == nil || !strings.Contains(err.Error(), "1 rows for 3 sequences") {
 		t.Fatalf("mismatched chunk decoded: %v", err)
 	}
 	// The bytes are what the codec itself writes for such a chunk, so the
 	// mismatch is the only thing wrong with them.
-	bad := &Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}
+	bad := &Chunk{Seqs: []int64{1, 2, 3}, Batch: &value.Batch{N: 1, Cols: []value.Vec{{Kind: value.KindInt, Ints: []int64{7}}}}}
 	if !bytes.Equal(bad.Encode(), b) {
 		t.Fatalf("hand-built bytes drifted from the codec:\n%v\n%v", b, bad.Encode())
 	}
@@ -839,7 +839,7 @@ func (c cannedTransport) Run(_ context.Context, _ int, _ *Fragment, sink ChunkSi
 }
 
 // The merge indexes every chunk's rows by its sequences: a stream that does
-// not carry them in the fragment's form is an error, not a panic.
+// not carry them in one batch shape is an error, not a panic.
 func TestGatherRejectsChunksTheMergeCannotIndex(t *testing.T) {
 	ints := func(seqs ...int64) *value.Batch {
 		return &value.Batch{N: len(seqs), Cols: []value.Vec{{Kind: value.KindInt, Ints: seqs}}}
@@ -851,10 +851,10 @@ func TestGatherRejectsChunksTheMergeCannotIndex(t *testing.T) {
 		f      *Fragment
 		chunks []*Chunk
 	}{
-		{"scan rows without a batch", scan, []*Chunk{{Seqs: []int64{1}, Rows: []value.Row{intRow(1)}}}},
+		{"scan sequences without a batch", scan, []*Chunk{{Seqs: []int64{1}}}},
 		{"batch shorter than its sequences", scan, []*Chunk{{Seqs: []int64{1, 2}, Batch: ints(1)}}},
 		{"batches of two shapes", scan, []*Chunk{{Seqs: []int64{1}, Batch: ints(1)}, {Seqs: []int64{2}, Batch: &value.Batch{N: 1, Cols: []value.Vec{{Kind: value.KindDouble, Floats: []float64{2}}}}}}},
-		{"join chunk without rows", join, []*Chunk{{Seqs: []int64{1}, Batch: ints(1)}}},
+		{"join sequences without a batch", join, []*Chunk{{Seqs: []int64{1}, Batch: ints(1)}, {Seqs: []int64{2}}}},
 	} {
 		c := &Coordinator{Topo: Topology{Shards: 2, Replicas: 1}, Transport: cannedTransport{tc.chunks}, Caller: testCaller()}
 		if _, err := c.Gather(context.Background(), tc.f, 0); err == nil {

@@ -175,12 +175,13 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err = exec.HashJoinParallel(context.Background(), nil, 0, 0, nil, exec.JoinInner,
-				exec.Rel{Rows: kept}, exec.Rel{Rows: buildRows},
-				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual, len(buildCols))
+			out, _, err := exec.HashJoin(context.Background(), nil, 0, 0, nil, exec.JoinInner,
+				exec.Rel{Schema: schema, Rows: kept}, exec.Rel{Schema: buildSchema, Rows: buildRows},
+				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want = out.AllRows()
 		}
 		if len(want) == 0 {
 			t.Fatalf("%s: reference produced nothing to compare", tc.name)

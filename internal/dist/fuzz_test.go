@@ -34,10 +34,14 @@ func FuzzDecodeChunk(f *testing.F) {
 		{Count: 6, Sum: exactSum(0x1p-1000, 0x1p-800, 0x1p-600, 0x1p-400, 0x1p-200, 1), SumSq: exactSum(math.Inf(1), 3), HasVal: true},
 		{Count: 2, Sum: exactSum(math.Inf(1), math.Inf(-1)), HasVal: true},
 	}})
-	f.Add((&Chunk{Shard: 1, Worker: 2, Scanned: 77, Seqs: []int64{3, 9}, Rows: []value.Row{intRow(1, 2), intRow(3, 4)}, Partial: p}).Encode())
+	// A join chunk: a probe row's two matches share its sequence, and a
+	// null-extended build column.
+	ints := value.NewSchema(value.Column{Name: "L.K", Kind: value.KindInt}, value.Column{Name: "R.V", Kind: value.KindInt})
+	join := value.BatchFromRows(ints, []value.Row{intRow(1, 2), intRow(1, 4), {value.NewInt(3), value.Null}}, nil)
+	f.Add((&Chunk{Shard: 1, Worker: 2, Scanned: 77, Seqs: []int64{3, 3, 9}, Batch: join, Partial: p}).Encode())
 	f.Add((&Chunk{}).Encode())
-	// Three sequences for one row: decoded once, and the merge panicked.
-	f.Add((&Chunk{Seqs: []int64{1, 2, 3}, Rows: []value.Row{intRow(7)}}).Encode())
+	// Three sequences for a batch of one row: the merge would index past it.
+	f.Add((&Chunk{Seqs: []int64{1, 2, 3}, Batch: value.BatchFromRows(ints, []value.Row{intRow(7, 8)}, nil)}).Encode())
 	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32-1 sequences, none present
 	// One group whose sum claims 2^32-1 partials, none present.
 	f.Add([]byte{chunkWireVersion, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -56,7 +60,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rows := len(c.Rows)
+		rows := 0
 		if c.Batch != nil {
 			rows = c.Batch.Len()
 			checkDecodedBatch(t, c.Batch, len(c.Seqs), len(b))
@@ -132,7 +136,7 @@ type hostileBatch struct {
 // hostileBatchChunks builds one-sequence scan chunks that each break one
 // rule of the batch layout.
 func hostileBatchChunks() []hostileBatch {
-	head := []byte{chunkWireVersion, 0, 0, 0, 1, 2, bodyBatch} // one sequence (1), then a batch
+	head := []byte{chunkWireVersion, 0, 0, 0, 1, 2, 1} // one sequence (1), then a batch
 	chunk := func(batch ...byte) []byte {
 		return append(append(append([]byte{}, head...), batch...), 0)
 	}

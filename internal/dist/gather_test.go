@@ -100,36 +100,7 @@ func TestGatherBatchesMatchNaiveScan(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, shards := range []int{2, 4} {
-			type load struct {
-				seqs      []int64
-				rows      []value.Row
-				held      []bool
-				committed int
-			}
-			loads := make([]load, shards)
-			for i := 0; i < n; i++ {
-				row := gatherRow(i)
-				l := &loads[ShardOf(row[0], shards)]
-				l.seqs, l.rows, l.held = append(l.seqs, int64(i)), append(l.rows, row), append(l.held, tc.holdBack(i))
-				if !tc.holdBack(i) {
-					l.committed++
-				}
-			}
-			workers := make([]*Worker, shards)
-			for s := range workers {
-				w := NewWorker(s, 4, nil)
-				w.Register("T", gatherSchema())
-				l := loads[s]
-				tids := writeShard(t, w, "T", s, l.seqs, l.rows, func(k int) bool { return l.held[k] }, l.committed/2)
-				slices.Reverse(tids)
-				for _, tid := range tids {
-					if err := w.Commit(tid, 2); err != nil {
-						t.Fatal(err)
-					}
-				}
-				workers[s] = w
-			}
-			tr := NewLocal(workers)
+			tr := gatherFleet(t, n, shards, tc.holdBack)
 			topo := Topology{Shards: shards, Replicas: 1}
 			for _, sc := range scans {
 				pred, err := parseExpr(sc.where, schema)
@@ -163,6 +134,122 @@ func TestGatherBatchesMatchNaiveScan(t *testing.T) {
 								t.Fatalf("%s: %d rows, want %d", at, len(got), len(wantRows))
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// gatherFleet writes rows 0..n-1 (gatherRow) across shards workers as
+// TestGatherBatchesMatchNaiveScan describes: each replica merges half way
+// through its committed rows, and the held-back rows, written in sequence
+// order beside the rest, commit last at cid 2 in the reverse of it.
+func gatherFleet(t *testing.T, n, shards int, holdBack func(int) bool) *Local {
+	t.Helper()
+	type load struct {
+		seqs      []int64
+		rows      []value.Row
+		held      []bool
+		committed int
+	}
+	loads := make([]load, shards)
+	for i := 0; i < n; i++ {
+		row := gatherRow(i)
+		l := &loads[ShardOf(row[0], shards)]
+		l.seqs, l.rows, l.held = append(l.seqs, int64(i)), append(l.rows, row), append(l.held, holdBack(i))
+		if !holdBack(i) {
+			l.committed++
+		}
+	}
+	workers := make([]*Worker, shards)
+	for s := range workers {
+		w := NewWorker(s, 4, nil)
+		w.Register("T", gatherSchema())
+		l := loads[s]
+		tids := writeShard(t, w, "T", s, l.seqs, l.rows, func(k int) bool { return l.held[k] }, l.committed/2)
+		slices.Reverse(tids)
+		for _, tid := range tids {
+			if err := w.Commit(tid, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		workers[s] = w
+	}
+	return NewLocal(workers)
+}
+
+// TestGatherJoinChunksMatchNaiveJoin checks broadcast-join chunks through
+// the merge against the plainest reading of the join: the probe rows a
+// naive scan returns, each meeting every build row in build order, kept
+// when the keys are equal and not NULL and the residual holds, the build
+// row appended. The build side repeats keys (two matches for one probe
+// row), holds a NULL key and VARCHAR values; the probe side's S column is
+// pruned. 2 and 4 shards, both snapshots, widths 1 and 4, wire off and on.
+func TestGatherJoinChunksMatchNaiveJoin(t *testing.T) {
+	const n = 9000
+	schema := gatherSchema().Qualify("T")
+	buildSchema := value.NewSchema(value.Column{Name: "R.K", Kind: value.KindInt}, value.Column{Name: "R.V", Kind: value.KindVarchar})
+	var build []value.Row
+	for k := int64(0); k < 40; k++ {
+		build = append(build, value.Row{value.NewInt(k), value.NewString(fmt.Sprint("v", k))})
+		if k%3 == 0 {
+			build = append(build, value.Row{value.NewInt(k), value.NewString(fmt.Sprint("w", k))})
+		}
+	}
+	build = append(build, value.Row{value.Null, value.NewString("null key")})
+	join := &JoinFragment{
+		ProbeKeys: []string{"MOD(T.A, 50)"},
+		BuildKeys: []string{"R.K"},
+		Residual:  "T.B IS NULL OR T.B > R.K",
+		BuildCols: buildSchema.Cols,
+		BuildRows: build,
+	}
+	needed := []bool{true, true, false, true}
+	probeKey, err := parseExpr(join.ProbeKeys[0], schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	residual, err := parseExpr(join.Residual, schema.Concat(buildSchema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdBack := func(i int) bool { return i%2 == 1 && i < 2*n/3 }
+	for _, shards := range []int{2, 4} {
+		tr := gatherFleet(t, n, shards, holdBack)
+		topo := Topology{Shards: shards, Replicas: 1}
+		for _, snap := range []uint64{1, 2} {
+			var want []value.Row
+			for _, p := range naiveScan(t, n, holdBack, snap, nil, needed) {
+				pk, err := probeKey.Eval(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range build {
+					row := append(p.Clone(), b...)
+					if keep, err := expr.Truthy(residual, row); err != nil || !keep || b[0].IsNull() || value.Compare(pk, b[0]) != 0 {
+						continue
+					}
+					want = append(want, row)
+				}
+			}
+			for _, width := range []int{1, 4} {
+				for _, wire := range []bool{false, true} {
+					tr.Wire = wire
+					res := gather(t, tr, topo, &Fragment{Snapshot: snap, Table: "T", Binding: "T", Needed: needed, Width: width, Join: join}, 0)
+					at := fmt.Sprintf("shards=%d snapshot=%d width=%d wire=%v", shards, snap, width, wire)
+					for k, b := range res.Batches {
+						if !b.Cols[2].Pruned || b.Len() == 0 || b.Len() > exec.DefaultMorselSize {
+							t.Fatalf("%s: batch %d of %d rows, S pruned %v", at, k, b.Len(), b.Cols[2].Pruned)
+						}
+					}
+					if got := mergedRows(res); !reflect.DeepEqual(got, want) {
+						for i := range got {
+							if i >= len(want) || !reflect.DeepEqual(got[i], want[i]) {
+								t.Fatalf("%s: row %d = %v, want %d rows", at, i, got[i], len(want))
+							}
+						}
+						t.Fatalf("%s: %d rows, want %d", at, len(got), len(want))
 					}
 				}
 			}

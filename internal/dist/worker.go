@@ -370,15 +370,15 @@ func (w *Worker) Execute(ctx context.Context, f *Fragment, sink func(*Chunk) err
 				kept = append(kept, ch.Batch)
 			}
 		}
+		chunks = []*Chunk{out}
 		if f.Agg != nil {
 			out.Partial, err = w.runAggregate(ctx, f, schema, kept, seqs)
 		} else {
-			out.Rows, out.Seqs, err = w.runJoin(ctx, f, schema, kept, seqs)
+			chunks, err = w.runJoin(ctx, f, schema, kept, seqs, chunks)
 		}
 		if err != nil {
 			return err
 		}
-		chunks = []*Chunk{out}
 	case nm == 0:
 		// Empty shard still reports its (zero) scan so streams stay uniform.
 		chunks = []*Chunk{{Shard: f.Shard, Worker: w.id}}
@@ -451,36 +451,40 @@ func (w *Worker) runAggregate(ctx context.Context, f *Fragment, schema *value.Sc
 }
 
 // runJoin probes the surviving shard rows against the broadcast build side
-// with exec's parallel hash join — the serial hash join's semantics: NULL
-// keys never match, matches emitted in build-input order, residual evaluated
-// on the combined row. Only probe rows that reach the output are boxed;
-// each carries its probe row's sequence, so the coordinator merge restores
-// probe-input order globally.
-func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema, batches []*value.Batch, seqs []int64) ([]value.Row, []int64, error) {
+// with exec's hash join — the serial hash join's semantics: NULL keys never
+// match, matches emitted in build-input order, residual evaluated per
+// match. Each output batch (one per probe morsel) ships as a chunk with its
+// probe rows' sequences, appended to chunks, so the coordinator's merge
+// restores probe-input order globally.
+func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema, batches []*value.Batch, seqs []int64, chunks []*Chunk) ([]*Chunk, error) {
 	j := f.Join
 	buildSchema := &value.Schema{Cols: j.BuildCols}
 	probeKeys, err := parseExprList(j.ProbeKeys, schema)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	buildKeys, err := parseExprList(j.BuildKeys, buildSchema)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	residual, err := parseExpr(j.Residual, schema.Concat(buildSchema))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out, ords, err := exec.HashJoinProbeOrdinals(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
-		exec.Rel{Schema: schema, Batches: batches}, exec.Rel{Schema: buildSchema, Rows: j.BuildRows}, probeKeys, buildKeys, residual, buildSchema.Len())
+	out, ords, err := exec.HashJoin(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
+		exec.Rel{Schema: schema, Batches: batches}, exec.Rel{Schema: buildSchema, Rows: j.BuildRows}, probeKeys, buildKeys, residual)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	outSeqs := make([]int64, len(ords))
-	for i, o := range ords {
-		outSeqs[i] = seqs[o]
+	for _, b := range out.Batches {
+		ch := &Chunk{Shard: f.Shard, Worker: w.id, Batch: b, Seqs: make([]int64, b.N)}
+		for k, o := range ords[:b.N] {
+			ch.Seqs[k] = seqs[o]
+		}
+		ords = ords[b.N:]
+		chunks = append(chunks, ch)
 	}
-	return out, outSeqs, nil
+	return chunks, nil
 }
 
 // parseExpr round-trips one rendered expression — a predicate, an aggregate

@@ -165,9 +165,12 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	if err != nil {
 		return nil, err
 	}
-	out := &relation{Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema), Rows: res.Rows}, est: float64(len(res.Rows))}
+	out := &relation{Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema), Batches: res.Batches}, est: float64(res.Len())}
+	for _, b := range res.Batches {
+		b.Schema = out.Schema
+	}
 	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
-		keySQL(leftKeys, rightKeys), len(out.Rows), p.e.dist.topo.Shards)
+		keySQL(leftKeys, rightKeys), res.Len(), p.e.dist.topo.Shards)
 	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", ps.leaves[0].name), shippedFilter(ps.conjs)...)
 	out.node = node(label, probeNode, r.node)
 	return out, nil

@@ -101,7 +101,7 @@ func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*valu
 	}
 	ex := parent.StartSpan("exec")
 	defer ex.End()
-	rows, err := blk.Finish(in)
+	rows, err := blk.Finish(p.ctx, in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,12 +312,16 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 			if err != nil {
 				return nil, err
 			}
-			var empty []expr.Expr
-			r, err := p.planFromExpr(t.R, &empty)
+			// The right side takes the ON conjuncts that read only its
+			// columns, as a filter before the build: a right row failing one
+			// matches no left row. The rest stay with the join, where a left
+			// row that fails them still comes out null-extended.
+			on := expr.SplitConjuncts(t.On)
+			r, err := p.planFromExpr(t.R, &on)
 			if err != nil {
 				return nil, err
 			}
-			return p.leftOuterJoin(l, r, t.On)
+			return p.leftOuterJoin(l, r, on)
 		default:
 			return nil, fmt.Errorf("%s JOIN is not supported", t.Type)
 		}
@@ -608,9 +612,10 @@ func (p *planner) joinRelations(l, r *relation, pool *[]expr.Expr) (*relation, e
 	return p.localJoin(exec.JoinInner, l, r, leftKeys, rightKeys, residual, relocated)
 }
 
-// leftOuterJoin plans a structural LEFT OUTER JOIN with its ON condition.
-func (p *planner) leftOuterJoin(l, r *relation, on expr.Expr) (*relation, error) {
-	leftKeys, rightKeys, residual, rest := expr.SplitJoin(expr.SplitConjuncts(on), l.Schema, r.Schema)
+// leftOuterJoin plans a structural LEFT OUTER JOIN with what is left of its
+// ON conjuncts.
+func (p *planner) leftOuterJoin(l, r *relation, on []expr.Expr) (*relation, error) {
+	leftKeys, rightKeys, residual, rest := expr.SplitJoin(on, l.Schema, r.Schema)
 	return p.localJoin(exec.JoinLeftOuter, l, r, leftKeys, rightKeys, append(residual, rest...), false)
 }
 
@@ -636,15 +641,15 @@ func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightK
 		if err != nil {
 			return nil, err
 		}
-		out.Rows, err = exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats,
-			kind, l.Rel, r.Rel, blk, brk, res, r.Schema.Len())
+		out.Rel, _, err = exec.HashJoin(p.ctx, p.e.pool, p.width, 0, p.stats,
+			kind, l.Rel, r.Rel, blk, brk, res)
 		if err != nil {
 			return nil, err
 		}
 		label = "Hash Join (INNER) on " + keySQL(leftKeys, rightKeys)
 	} else {
 		var err error
-		if out.Rows, err = exec.NestedLoopJoin(kind, l.Rel, r.Rel, res); err != nil {
+		if out.Rows, err = exec.NestedLoopJoin(p.ctx, kind, l.Rel, r.Rel, res); err != nil {
 			return nil, err
 		}
 		label = "Nested Loop Join (cross)"
@@ -658,8 +663,8 @@ func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightK
 	case relocated:
 		label = "Table Relocation → Extended Storage: " + label
 	}
-	out.est = float64(len(out.Rows))
-	out.node = node(fmt.Sprintf("%s (%d rows)", label, len(out.Rows)), l.node, r.node)
+	out.est = float64(out.Len())
+	out.node = node(fmt.Sprintf("%s (%d rows)", label, out.Len()), l.node, r.node)
 	return out, nil
 }
 
@@ -757,7 +762,7 @@ func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *planNode, e
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := blk.Finish(in)
+	rows, err := blk.Finish(p.ctx, in)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -293,12 +293,12 @@ func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.Subque
 		}
 		rightKeys[i] = &expr.ColRef{Name: sub.Schema.Cols[i].Name, Ord: i}
 	}
-	rows, err := exec.HashJoinParallel(p.ctx, p.e.pool, p.width, 0, p.stats, kind,
-		in, exec.Rel{Schema: sub.Schema, Rows: sub.Data}, leftKeys, rightKeys, nil, 0)
+	out, _, err := exec.HashJoin(p.ctx, p.e.pool, p.width, 0, p.stats, kind,
+		in, exec.Rel{Schema: sub.Schema, Rows: sub.Data}, leftKeys, rightKeys, nil)
 	if err != nil {
 		return exec.Rel{}, nil, err
 	}
-	return exec.Rel{Schema: in.Schema, Rows: rows}, node(label, root, subNode), nil
+	return out, node(label, root, subNode), nil
 }
 
 // schemaOf is the engine's exec.SchemaOf: a FROM table's schema from its

@@ -161,7 +161,7 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 			return nil, err
 		}
 	}
-	return w.blk.Finish(in)
+	return w.blk.Finish(nil, in)
 }
 
 // Forward pushes the current window content into a sink (use case 1 for

@@ -64,23 +64,49 @@ func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
 
 func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 	const n = 1000
-	left := modRows(n)
-	build := rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})
 	s := intSchema("g", "v")
+	left := Rel{Schema: s, Rows: modRows(n)}
+	build := Rel{Schema: s, Rows: rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})}
 	key := []expr.Expr{expr.Col("g")}
 	if err := expr.Bind(key[0], s); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		out, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinAnti,
-			Rel{Rows: left}, Rel{Rows: build}, key, key, nil, 0)
-		if err != nil || len(out) != 0 {
-			t.Fatalf("anti join = %d rows, %v", len(out), err)
+		out, _, err := HashJoin(context.Background(), nil, 0, 0, nil, JoinAnti, left, build, key, key, nil)
+		if err != nil || out.Len() != 0 {
+			t.Fatalf("anti join = %d rows, %v", out.Len(), err)
 		}
 	})
 	// Every probe row matches, so nothing is emitted: probing n rows must
 	// allocate per morsel, never per row.
 	if allocs > n/4 {
 		t.Errorf("probing %d rows allocates %.0f times; the probe loop must not allocate per row", n, allocs)
+	}
+}
+
+// A probe morsel gathers its output once per column: joining a 4,096-row
+// probe batch whose every row matches one build row allocates what joining
+// a 64-row batch does — the pairs, one vector per output column and the
+// batch — never a row per match.
+func TestHashJoinGatherAllocatesPerColumn(t *testing.T) {
+	s := intSchema("g", "v")
+	build := Rel{Schema: s, Rows: rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})}
+	key := []expr.Expr{expr.Col("g")}
+	if err := expr.Bind(key[0], s); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		probe := Rel{Schema: s, Batches: []*value.Batch{value.BatchFromRows(s, modRows(n), nil)}}
+		return testing.AllocsPerRun(5, func() {
+			out, _, err := HashJoin(context.Background(), nil, 0, 0, nil, JoinInner, probe, build, key, key, nil)
+			if err != nil || out.Len() != n || len(out.Batches) != 1 {
+				t.Fatalf("inner join of %d rows = %d rows in %d batches, %v", n, out.Len(), len(out.Batches), err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(DefaultMorselSize)
+	t.Logf("%d-row probe morsel: %.0f allocations; 64 rows: %.0f", DefaultMorselSize, large, small)
+	if large > small {
+		t.Errorf("a %d-row probe morsel allocates %.0f times, a 64-row one %.0f: the probe allocates per row", DefaultMorselSize, large, small)
 	}
 }

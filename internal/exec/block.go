@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -176,14 +178,22 @@ func (b *Block) Aggregates() bool { return b.AggSchema != nil }
 // aggregate's output (the block's input relation when it does not
 // aggregate) and drops the hidden sort columns. HAVING, the projection and
 // boxing run one input batch at a time; with neither DISTINCT nor ORDER BY
-// no batch is read once LIMIT rows are out.
-func (b *Block) Finish(in Rel) (*value.Rows, error) {
+// no batch is read once LIMIT rows are out. It checks ctx (nil = none) every
+// batch and every morsel of rows DISTINCT and ORDER BY read, and returns its
+// error once it is done.
+func (b *Block) Finish(ctx context.Context, in Rel) (*value.Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var rows []value.Row
 	if b.exprs == nil {
 		rows = in.AllRows()
 	} else {
 		early := !b.distinct && len(b.keys) == 0 && b.limit >= 0
 		for i := 0; !early || int64(len(rows)) < b.limit; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			bt := in.batch(i, b.needed)
 			if bt == nil {
 				break
@@ -203,13 +213,15 @@ func (b *Block) Finish(in Rel) (*value.Rows, error) {
 			rows = append(rows, pb.MaterializeRows()...)
 		}
 	}
+	var err error
 	if b.distinct {
-		rows = distinctRows(rows, b.proj.Len())
+		rows, err = distinctRows(ctx, rows, b.proj.Len())
 	}
-	if len(b.keys) > 0 {
-		if err := sortRows(rows, b.keys); err != nil {
-			return nil, err
-		}
+	if err == nil && len(b.keys) > 0 {
+		err = sortRows(ctx, rows, b.keys)
+	}
+	if err = cmp.Or(err, ctx.Err()); err != nil {
+		return nil, err
 	}
 	if b.limit >= 0 && int64(len(rows)) > b.limit {
 		// A copy: the result must not keep the rows past the limit alive.
@@ -229,8 +241,9 @@ type SortKey struct {
 	Desc bool
 }
 
-// sortRows stably sorts rows in place by keys.
-func sortRows(rows []value.Row, keys []SortKey) error {
+// sortRows stably sorts rows in place by keys, checking ctx every morsel of
+// rows whose keys it evaluates.
+func sortRows(ctx context.Context, rows []value.Row, keys []SortKey) error {
 	type keyed struct {
 		row  value.Row
 		keys []value.Value
@@ -238,6 +251,9 @@ func sortRows(rows []value.Row, keys []SortKey) error {
 	ks := make([]keyed, len(rows))
 	slab := make([]value.Value, len(rows)*len(keys))
 	for i, r := range rows {
+		if i%DefaultMorselSize == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
 		kv := slab[i*len(keys) : (i+1)*len(keys)]
 		for j, k := range keys {
 			v, err := k.E.Eval(r)
@@ -268,12 +284,16 @@ func sortRows(rows []value.Row, keys []SortKey) error {
 }
 
 // distinctRows drops repeated rows of the given width in place (full-row
-// comparison), keeping each first occurrence in order.
-func distinctRows(rows []value.Row, width int) []value.Row {
+// comparison), keeping each first occurrence in order, and checks ctx every
+// morsel of rows.
+func distinctRows(ctx context.Context, rows []value.Row, width int) ([]value.Row, error) {
 	ords := ordinals(width)
 	seen := map[uint64][]value.Row{}
 	kept := rows[:0]
-	for _, r := range rows {
+	for i, r := range rows {
+		if i%DefaultMorselSize == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		h := r.Hash(ords)
 		dup := false
 		for _, prev := range seen[h] {
@@ -287,7 +307,7 @@ func distinctRows(rows []value.Row, width int) []value.Row {
 			kept = append(kept, r)
 		}
 	}
-	return kept
+	return kept, nil
 }
 
 // analyzeAggregate fills GroupBy, Aggs and AggSchema from the group keys and

@@ -3,11 +3,11 @@
 // driver side of the Hive compiler and ESP windows — and Block, the one
 // analysis and execution of a SELECT block's back end (aggregate calls,
 // HAVING, projection, DISTINCT, ORDER BY, LIMIT) that all four call. There is
-// one hash aggregate, ParallelHashAggregate, and one hash join,
-// HashJoinParallel, which runs every equi-join kind: inner, left outer, and
-// the semi, anti and null-aware anti joins of IN/EXISTS subqueries. Every
-// operator is one call that takes materialized relations (Rel) and returns
-// one; expressions must be bound to the input schema before the call.
+// one hash aggregate, ParallelHashAggregate, and one hash join, HashJoin,
+// which runs every equi-join kind (inner, left outer, and the semi, anti and
+// null-aware anti joins of IN/EXISTS subqueries) and emits typed batches.
+// Every operator is one call that takes materialized relations (Rel) and
+// returns one; expressions must be bound to the input schema before it.
 package exec
 
 import (
@@ -77,15 +77,25 @@ func (r Rel) batch(i int, needed []bool) *value.Batch {
 	return value.BatchFromRows(r.Schema, r.Rows[lo:min(lo+DefaultMorselSize, len(r.Rows))], needed)
 }
 
-// fillRow boxes global live row i into dst, which must have the relation's
-// column width. offs is r.offsets().
-func (r Rel) fillRow(i int, dst value.Row, offs []int) {
-	if r.Batches != nil {
-		b, phys := batchRowAt(r.Batches, offs, i)
-		b.FillRow(phys, dst)
-		return
+// whole returns the relation as one batch: its only batch as it is, else
+// its rows or its batches' live rows gathered into one.
+func (r Rel) whole() *value.Batch {
+	if len(r.Batches) == 1 {
+		return r.Batches[0]
 	}
-	copy(dst, r.Rows[i])
+	if r.Batches == nil {
+		return value.BatchFromRows(r.Schema, r.Rows, nil)
+	}
+	b := &value.Batch{Schema: r.Schema, Cols: make([]value.Vec, r.Schema.Len()), N: r.Len()}
+	runs := make([]value.Run, len(r.Batches))
+	for i, src := range r.Batches {
+		runs[i] = src.Run(0, src.Len())
+	}
+	for c := range b.Cols {
+		b.Cols[c].Kind = r.Schema.Cols[c].Kind
+		value.Gather(&b.Cols[c], runs, c, b.N)
+	}
+	return b
 }
 
 // Filter keeps the rows pred holds for through the vectorized predicate path

@@ -41,7 +41,7 @@ func bind(t *testing.T, e expr.Expr, s *value.Schema) expr.Expr {
 // finish runs blk's back end over in.
 func finish(t *testing.T, blk *Block, in Rel) []value.Row {
 	t.Helper()
-	rs, err := blk.Finish(in)
+	rs, err := blk.Finish(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFinishStopsAtLimit(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	blk.limit = 3
-	if _, err := blk.Finish(in); err == nil {
+	if _, err := blk.Finish(context.Background(), in); err == nil {
 		t.Fatal("LIMIT 3 reads the second batch, which divides by zero")
 	}
 }
@@ -97,7 +97,7 @@ func TestFinishStopsAtLimit(t *testing.T) {
 func TestSortMultiKey(t *testing.T) {
 	s := intSchema("a", "b")
 	got := rowsOf([]int64{1, 2}, []int64{2, 1}, []int64{1, 1}, []int64{2, 2})
-	if err := sortRows(got, []SortKey{
+	if err := sortRows(context.Background(), got, []SortKey{
 		{E: bind(t, expr.Col("a"), s)},
 		{E: bind(t, expr.Col("b"), s), Desc: true},
 	}); err != nil {
@@ -112,19 +112,25 @@ func TestSortMultiKey(t *testing.T) {
 }
 
 func TestDistinct(t *testing.T) {
-	got := distinctRows(rowsOf([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}), 1)
-	if fmt.Sprint(got) != "[[1] [2] [3]]" {
+	got, err := distinctRows(context.Background(), rowsOf([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}), 1)
+	if err != nil || fmt.Sprint(got) != "[[1] [2] [3]]" {
 		t.Fatalf("distinct = %v", got)
 	}
+}
+
+// joinRows is HashJoin on one worker with its output boxed.
+func joinRows(kind JoinKind, left, right Rel, lk, rk []expr.Expr, residual expr.Expr) ([]value.Row, error) {
+	out, _, err := HashJoin(context.Background(), nil, 0, 0, nil, kind, left, right, lk, rk, residual)
+	return out.AllRows(), err
 }
 
 func TestHashJoinInner(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
-	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
-		Rel{Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
-		Rel{Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
-		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
+	got, err := joinRows(JoinInner,
+		Rel{Schema: ls, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
+		Rel{Schema: rs, Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
+		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +143,9 @@ func TestHashJoinInner(t *testing.T) {
 func TestHashJoinLeftOuter(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k", "r.v")
-	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinLeftOuter,
-		Rel{Rows: rowsOf([]int64{1}, []int64{2})}, Rel{Rows: rowsOf([]int64{2, 20})},
-		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil, rs.Len())
+	got, err := joinRows(JoinLeftOuter,
+		Rel{Schema: ls, Rows: rowsOf([]int64{1}, []int64{2})}, Rel{Schema: rs, Rows: rowsOf([]int64{2, 20})},
+		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +173,8 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		{nil, "[]", "[[1] [2] [3] [NULL]]", "[[1] [2] [3] [NULL]]"},
 	} {
 		for kind, want := range map[JoinKind]string{JoinSemi: tc.semi, JoinAnti: tc.anti, JoinAntiNullAware: tc.notIn} {
-			// rightWidth is ignored: the output has the probe side's columns.
-			got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, kind,
-				Rel{Rows: probe}, Rel{Rows: tc.build}, lk, rk, nil, rs.Len())
+			// The output has the probe side's columns.
+			got, err := joinRows(kind, Rel{Schema: ls, Rows: probe}, Rel{Schema: rs, Rows: tc.build}, lk, rk, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,8 +184,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		}
 	}
 	residual := bind(t, expr.Bin(expr.OpLt, expr.Col("l.k"), expr.Col("r.k")), ls.Concat(rs))
-	if _, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinSemi,
-		Rel{Rows: probe}, Rel{Rows: probe}, lk, rk, residual, rs.Len()); err == nil {
+	if _, err := joinRows(JoinSemi, Rel{Schema: ls, Rows: probe}, Rel{Schema: rs, Rows: probe}, lk, rk, residual); err == nil {
 		t.Error("a semi join with a residual must be rejected")
 	}
 }
@@ -188,10 +192,10 @@ func TestHashJoinSemiAnti(t *testing.T) {
 func TestHashJoinResidual(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
-	got, err := HashJoinParallel(context.Background(), nil, 0, 0, nil, JoinInner,
-		Rel{Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, Rel{Rows: rowsOf([]int64{1, 10})},
+	got, err := joinRows(JoinInner,
+		Rel{Schema: ls, Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, Rel{Schema: rs, Rows: rowsOf([]int64{1, 10})},
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)},
-		bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), ls.Concat(rs)), rs.Len())
+		bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), ls.Concat(rs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestNestedLoopJoinKinds(t *testing.T) {
 	on := bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), ls.Concat(rs))
 	join := func(kind JoinKind, left, right []value.Row, on expr.Expr) []value.Row {
 		t.Helper()
-		rows, err := NestedLoopJoin(kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
+		rows, err := NestedLoopJoin(context.Background(), kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +316,7 @@ func TestRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := blk.Finish(Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})})
+	got, err := blk.Finish(context.Background(), Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"hana/internal/expr"
@@ -28,13 +29,21 @@ const (
 // joins) and returns the combined rows: each left row meets every right row
 // in order, and under JoinLeftOuter a left row that matched none comes out
 // once, null-extended. kind is JoinInner or JoinLeftOuter; on is bound to
-// the concatenated schema, nil for a cross product.
-func NestedLoopJoin(kind JoinKind, left, right Rel, on expr.Expr) ([]value.Row, error) {
+// the concatenated schema, nil for a cross product. It checks ctx every
+// morsel-sized step of pairs and returns its error once it is done.
+func NestedLoopJoin(ctx context.Context, kind JoinKind, left, right Rel, on expr.Expr) ([]value.Row, error) {
 	lw, rw := left.Schema.Len(), right.Schema.Len()
 	rrows := right.AllRows()
 	buf := make(value.Row, lw+rw)
 	var out []value.Row
+	step := 0
 	for _, l := range left.AllRows() {
+		if step += len(rrows) + 1; step >= DefaultMorselSize {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			step = 0
+		}
 		copy(buf, l)
 		matched := false
 		for _, r := range rrows {

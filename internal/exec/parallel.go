@@ -176,47 +176,32 @@ func aggregateMorsel(segs []segment, base int, es []expr.Expr, aggs []AggSpec, k
 	return pt, nil
 }
 
-// HashJoinParallel executes a hash join of any JoinKind with
-// morsel-parallel build and probe phases. A batch-backed side keeps late
-// materialization through the join: keys are read from the vectors and only
-// rows that reach the output are boxed. The build side is hashed into
-// per-morsel partial tables holding row indices; probe morsels scan the
-// partials in morsel order, so a probe row's matches come out in
-// build-input order and probe outputs concatenate in probe-input order.
-// residual is evaluated on the combined row: for inner joins it filters
-// matches (a filter on the join's output), for left-outer joins it decides
-// whether a build row counts as a match before null-extension. Semi and
-// anti kinds emit left-schema rows, ignore rightWidth and take no
-// residual. Row- and batch-backed sides produce byte-identical output:
-// global row ordinals, key values, hashes and emission order are the same
-// either way. benchmark/probes.go calls it with this signature.
-func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
-	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr,
-	residual expr.Expr, rightWidth int) ([]value.Row, error) {
-	rows, _, err := HashJoinProbeOrdinals(ctx, pool, width, morselSize, stats, kind, left, right, leftKeys, rightKeys, residual, rightWidth)
-	return rows, err
-}
-
-// HashJoinProbeOrdinals is HashJoinParallel that also returns, aligned with
-// the joined rows, the ordinal in the left input of the probe row each one
-// came from (ascending; repeated per match). A dist worker maps it to the
-// probe row's global scan sequence.
-func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
-	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr,
-	residual expr.Expr, rightWidth int) ([]value.Row, []int, error) {
-	leftOnly := false
+// HashJoin executes a hash join of any JoinKind with morsel-parallel build
+// and probe phases. It returns a relation over left's columns and right's
+// (left's alone for the semi and anti kinds), one batch per probe morsel
+// that emits, and, aligned with its rows, the ordinal in left of each one's
+// probe row, which a dist worker maps to the row's scan sequence. One table
+// chains each hash's build rows in build-input order, so a probe row's
+// matches come out in that order. A probe morsel records (probe row, build
+// row) pairs, then gathers each output column once into a typed vector
+// (value.Gather): a column pruned on its input stays pruned, and a
+// null-extended row reads NULL on the right. residual, checked per match on
+// one scratch row per morsel filled where it reads, filters an inner join's
+// matches and decides a left-outer join's; the semi and anti kinds take
+// none. A row-backed side is transposed into one batch first. The output
+// does not depend on a side's form or the pool's width.
+func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
+	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr, residual expr.Expr) (Rel, []int, error) {
+	out, leftOnly := left.Schema, true
 	switch kind {
 	case JoinInner, JoinLeftOuter:
+		out, leftOnly = left.Schema.Concat(right.Schema), false
 	case JoinSemi, JoinAnti, JoinAntiNullAware:
 		if residual != nil {
-			return nil, nil, fmt.Errorf("parallel hash join takes no residual on %s joins", kind)
+			return Rel{}, nil, fmt.Errorf("parallel hash join takes no residual on %s joins", kind)
 		}
-		leftOnly, rightWidth = true, 0
 	default:
-		return nil, nil, fmt.Errorf("parallel hash join does not support %s joins", kind)
-	}
-	if ctx == nil {
-		ctx = context.Background()
+		return Rel{}, nil, fmt.Errorf("parallel hash join does not support %s joins", kind)
 	}
 	if pool == nil {
 		pool = NewPool(1)
@@ -225,79 +210,87 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
+	if left.Batches == nil {
+		left = Rel{Schema: left.Schema, Batches: []*value.Batch{left.whole()}}
+	}
+	build := right.whole()
+	right = Rel{Schema: right.Schema, Batches: []*value.Batch{build}}
+	lw := left.Schema.Len()
 
 	lOffs, rOffs := left.offsets(), right.offsets()
 	nLeft, nRight := left.Len(), right.Len()
 
-	// Build phase: per-morsel hash tables of row indices plus the evaluated
-	// key values (evaluated once, reused by every probe comparison), and
-	// whether the morsel held a NULL key (NOT IN needs to know).
-	type buildPartial struct {
-		table   map[uint64][]int
-		sawNull bool
-	}
-	rightVals := make([][]value.Value, nRight)
+	// Build phase: morsels read each row's keys once (reused by every probe
+	// comparison) and hash; a NULL key, which never matches, marks its row -1
+	// in next. heads then maps a hash to its first build ordinal + 1, next[ri]
+	// to the one after ri + 1 (0 ends the chain).
+	nk := len(rightKeys)
+	keys := make([]value.Value, nRight*nk)
+	hashes, next := make([]uint64, nRight), make([]int32, nRight)
 	nb := (nRight + size - 1) / size
-	buildParts := make([]*buildPartial, nb)
 	if nb > 0 {
 		workers, err := pool.Run(ctx, nb, width, func(_ context.Context, m int) error {
 			lo := m * size
 			hi := min(lo+size, nRight)
-			bp := &buildPartial{table: map[uint64][]int{}}
-			// One slab per morsel: the retained per-row key slices are carved
-			// from it instead of allocating len(rightKeys) values per row.
-			slab := make([]value.Value, (hi-lo)*len(rightKeys))
 			ri := lo
 			for _, seg := range right.segments(rOffs, lo, hi) {
 				rd := seg.readers(rightKeys)
 				for k := seg.lo; k < seg.hi; k, ri = k+1, ri+1 {
-					vals := slab[:len(rightKeys):len(rightKeys)]
-					slab = slab[len(rightKeys):]
-					h, hasNull, err := readKeys(rd, seg.phys(k), vals)
+					h, hasNull, err := readKeys(rd, seg.phys(k), keys[ri*nk:(ri+1)*nk])
 					if err != nil {
 						return err
 					}
-					if hasNull { // NULL keys never match
-						bp.sawNull = true
-						continue
+					if hashes[ri] = h; hasNull {
+						next[ri] = -1
 					}
-					rightVals[ri] = vals
-					bp.table[h] = append(bp.table[h], ri)
 				}
 			}
-			buildParts[m] = bp
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return Rel{}, nil, err
 		}
 		stats.NoteDispatch(nb, workers)
 	}
+	heads := make(map[uint64]int32, nRight)
 	buildNull := false
-	for _, bp := range buildParts {
-		buildNull = buildNull || bp.sawNull
+	for ri := nRight - 1; ri >= 0; ri-- {
+		if next[ri] < 0 {
+			buildNull = true
+			continue
+		}
+		next[ri] = heads[hashes[ri]]
+		heads[hashes[ri]] = int32(ri + 1)
 	}
 
-	// Probe phase: each morsel emits its combined rows independently;
-	// outputs concatenate in morsel order. A probe row is boxed into an
-	// output row only when a match, a null-extension or a semi/anti verdict
-	// actually emits.
+	// The residual's scratch row is filled only where it reads.
+	fill := expr.FillOrds([]expr.Expr{residual})
+	if fill == nil {
+		fill = ordinals(out.Len())
+	}
+
+	// Probe phase: each morsel records its pairs and gathers its batch;
+	// outputs concatenate in morsel order.
 	np := (nLeft + size - 1) / size
-	outs := make([][]value.Row, np)
+	outs := make([]*value.Batch, np)
 	outOrds := make([][]int, np)
 	if np > 0 {
 		workers, err := pool.Run(ctx, np, width, func(_ context.Context, m int) error {
 			lo := m * size
 			hi := min(lo+size, nLeft)
-			// Probe rows emit at least no rows and usually about one; hi-lo
-			// is the right capacity order. vals is scratch, reused per row —
-			// matches copy from the row slices, never from vals. li is the
-			// ordinal of the probe row in hand.
-			out := make([]value.Row, 0, hi-lo)
-			ords := make([]int, 0, hi-lo)
+			segs := left.segments(lOffs, lo, hi)
+			// probe and bld are the pairs' physical rows (bld -1 =
+			// null-extended), about one per probe row; ends[s] ends segment
+			// s's pairs; li is the ordinal of the probe row in hand.
+			probe, bld := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+			ords, ends := make([]int, 0, hi-lo), make([]int, len(segs))
 			vals := make([]value.Value, len(leftKeys))
+			var scratch value.Row
+			if residual != nil {
+				scratch = make(value.Row, out.Len())
+			}
 			li := lo
-			for _, seg := range left.segments(lOffs, lo, hi) {
+			for s, seg := range segs {
 				rd := seg.readers(leftKeys)
 				for k := seg.lo; k < seg.hi; k, li = k+1, li+1 {
 					i := seg.phys(k)
@@ -305,35 +298,35 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 					if err != nil {
 						return err
 					}
-					lw := seg.width(i)
 					matched := false
 					if !hasNull {
-					scan:
-						for _, bp := range buildParts {
-							for _, ri := range bp.table[h] {
-								if !keysEqual(vals, rightVals[ri]) {
+						for ri := int(heads[h]) - 1; ri >= 0; ri = int(next[ri]) - 1 {
+							if !keysEqual(vals, keys[ri*nk:(ri+1)*nk]) {
+								continue
+							}
+							if leftOnly { // one match decides a semi/anti join
+								matched = true
+								break
+							}
+							j := build.RowIndex(ri)
+							if residual != nil {
+								for _, o := range fill {
+									if o < lw {
+										scratch[o] = seg.b.Cols[o].Value(i)
+									} else if o < len(scratch) {
+										scratch[o] = build.Cols[o-lw].Value(j)
+									}
+								}
+								keep, err := expr.Truthy(residual, scratch)
+								if err != nil {
+									return err
+								}
+								if !keep {
 									continue
 								}
-								if leftOnly { // one match decides a semi/anti join
-									matched = true
-									break scan
-								}
-								combined := make(value.Row, lw+rightWidth)
-								seg.fill(i, combined[:lw])
-								right.fillRow(ri, combined[lw:], rOffs)
-								if residual != nil {
-									keep, err := expr.Truthy(residual, combined)
-									if err != nil {
-										return err
-									}
-									if !keep {
-										continue
-									}
-								}
-								matched = true
-								out = append(out, combined)
-								ords = append(ords, li)
 							}
+							matched = true
+							probe, bld, ords = append(probe, int32(i)), append(bld, int32(j)), append(ords, li)
 						}
 					}
 					emit := false
@@ -348,36 +341,68 @@ func HashJoinProbeOrdinals(ctx context.Context, pool *Pool, width, morselSize in
 						emit = !matched && !buildNull && (!hasNull || nRight == 0)
 					}
 					if emit {
-						combined := make(value.Row, lw+rightWidth)
-						seg.fill(i, combined[:lw])
-						for c := lw; c < len(combined); c++ {
-							combined[c] = value.Null
-						}
-						out = append(out, combined)
-						ords = append(ords, li)
+						probe, bld, ords = append(probe, int32(i)), append(bld, -1), append(ords, li)
 					}
 				}
+				ends[s] = len(probe)
 			}
-			outs[m], outOrds[m] = out, ords
+			if len(probe) == 0 {
+				return nil
+			}
+			// Gather the output: the left columns from the segments' batches
+			// at the probe rows, the right ones from build at the bld rows.
+			b := &value.Batch{Schema: out, Cols: make([]value.Vec, out.Len()), N: len(probe)}
+			runs, from := make([]value.Run, len(segs)), 0
+			for s, seg := range segs {
+				runs[s], from = value.Run{B: seg.b, Rows: probe[from:ends[s]]}, ends[s]
+			}
+			for c := range b.Cols {
+				b.Cols[c].Kind = out.Cols[c].Kind
+				if c < lw {
+					value.Gather(&b.Cols[c], runs, c, b.N)
+				} else {
+					value.Gather(&b.Cols[c], []value.Run{{B: build, Rows: bld}}, c-lw, b.N)
+				}
+			}
+			outs[m], outOrds[m] = b, ords
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return Rel{}, nil, err
 		}
 		stats.NoteDispatch(np, workers)
 	}
 
-	n := 0
-	for _, o := range outs {
-		n += len(o)
-	}
-	joined := make([]value.Row, 0, n)
-	ords := make([]int, 0, n)
-	for m, o := range outs {
-		joined = append(joined, o...)
-		ords = append(ords, outOrds[m]...)
+	joined := Rel{Schema: out, Batches: make([]*value.Batch, 0, np)}
+	var ords []int
+	for m, b := range outs {
+		if b != nil {
+			joined.Batches = append(joined.Batches, b)
+			ords = append(ords, outOrds[m]...)
+		}
 	}
 	return joined, ords, nil
+}
+
+// HashJoinParallel is HashJoin with its output boxed into rows. It is kept
+// only for benchmark/probes.go, whose sides carry no Schema (widths and
+// kinds are taken from their batches) and which passes rightWidth;
+// ROADMAP item 13(d) deletes it.
+func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
+	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr,
+	residual expr.Expr, _ int) ([]value.Row, error) {
+	for _, r := range []*Rel{&left, &right} {
+		if r.Schema == nil {
+			r.Schema = &value.Schema{}
+			if len(r.Batches) > 0 {
+				for _, v := range r.Batches[0].Cols {
+					r.Schema.Cols = append(r.Schema.Cols, value.Column{Kind: v.Kind})
+				}
+			}
+		}
+	}
+	out, _, err := HashJoin(ctx, pool, width, morselSize, stats, kind, left, right, leftKeys, rightKeys, residual)
+	return out.AllRows(), err
 }
 
 // readKeys reads physical row i's join keys through rd into vals and

@@ -13,18 +13,24 @@ import (
 	"hana/internal/value"
 )
 
-// TestHashJoinEquivalentToNestedLoop checks HashJoinParallel on random
-// inputs with NULL keys on both sides, and on empty build and probe sides,
-// for every kind at morsel size 3, widths 1 and 4, with row-backed sides and
-// selected batches, and keys read as columns, numeric kernels and CASE
-// expressions. Its output must equal, row for row and in order,
-// NestedLoopJoin with the equality as a general predicate (inner, left
-// outer) or a naive three-valued loop (semi, anti, null-aware anti).
+// TestHashJoinEquivalentToNestedLoop checks HashJoin on random inputs with
+// NULL keys on both sides, and on empty build and probe sides, for every
+// kind at morsel size 3, widths 1 and 4, with row-backed sides and selected
+// batches, keys read as columns, numeric kernels and CASE expressions, and
+// with and without a residual on the inner and left-outer kinds. The probe
+// side's second column mixes BIGINT and VARCHAR values (a boxed vector once
+// batched), and each side's third column is pruned in its batches. Boxed,
+// the output must equal, row for row and in order, NestedLoopJoin with the
+// equality as a general predicate (inner, left outer) or a naive
+// three-valued loop (semi, anti, null-aware anti); a pruned input column
+// must stay pruned in the output batches, and the probe ordinals must name
+// each output row's probe row.
 func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
-	ls := intSchema("l.k", "l.v")
-	rs := intSchema("r.k", "r.v")
+	ls := intSchema("l.k", "l.v", "l.p")
+	rs := intSchema("r.k", "r.v", "r.p")
 	concat := ls.Concat(rs)
 	on := expr.Eq(bound(t, "l.k", concat), bound(t, "r.k", concat))
+	residual := bind(t, expr.Bin(expr.OpGt, expr.Col("r.v"), expr.Bin(expr.OpMul, expr.Col("l.k"), expr.Int(10))), concat)
 	// The keys as columns, as numeric kernels and as a CASE only Eval
 	// computes: three kinds of reader, one answer.
 	keys := map[string][2]expr.Expr{
@@ -34,7 +40,7 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	}
 	pools := []*Pool{NewPool(1), NewPool(4)}
 
-	mkRows := func(keys []uint8, seed int64) []value.Row {
+	mkRows := func(keys []uint8, seed int64, mixed bool) []value.Row {
 		if len(keys) > 40 {
 			keys = keys[:40]
 		}
@@ -45,19 +51,31 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 			if k%9 == 0 {
 				kv = value.Null
 			}
-			out[i] = value.Row{kv, value.NewInt(rng.Int63n(100))}
+			v := value.NewInt(rng.Int63n(100))
+			if mixed && v.I%5 == 0 {
+				v = value.NewString(fmt.Sprint("s", v.I))
+			}
+			out[i] = value.Row{kv, v, value.Null}
 		}
 		return out
 	}
 	side := func(s *value.Schema, rows []value.Row, batched bool) Rel {
 		if !batched {
-			return Rel{Rows: rows}
+			return Rel{Schema: s, Rows: rows}
 		}
-		return selectedBatches(s, rows, value.Row{value.Null, value.NewInt(-1)})
+		r := selectedBatches(s, rows, value.Row{value.Null, value.NewInt(-1), value.NewInt(-1)})
+		for _, b := range r.Batches {
+			b.Cols[2] = value.Vec{Kind: value.KindInt, Pruned: true}
+		}
+		return r
 	}
-	reference := func(kind JoinKind, left, right []value.Row) ([]value.Row, error) {
+	reference := func(kind JoinKind, left, right []value.Row, res expr.Expr) ([]value.Row, error) {
 		if kind == JoinInner || kind == JoinLeftOuter {
-			return NestedLoopJoin(kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
+			cond := expr.Expr(on)
+			if res != nil {
+				cond = expr.And(on, res)
+			}
+			return NestedLoopJoin(context.Background(), kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, cond)
 		}
 		rightNull := false
 		for _, r := range right {
@@ -84,21 +102,44 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	}
 
 	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinSemi, JoinAnti, JoinAntiNullAware} {
+		residuals := []expr.Expr{nil}
+		if kind == JoinInner || kind == JoinLeftOuter {
+			residuals = append(residuals, residual)
+		}
 		f := func(lkeys, rkeys []uint8) bool {
-			left, right := mkRows(lkeys, 1), mkRows(rkeys, 2)
-			want, err := reference(kind, left, right)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			for _, pool := range pools {
-				for name, k := range keys {
-					for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-						got, err := HashJoinParallel(context.Background(), pool, 0, 3, nil, kind,
-							side(ls, left, form[0]), side(rs, right, form[1]), k[:1], k[1:], nil, rs.Len())
-						if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Logf("%s keys, width %d, batched %v: got %v, %v\nwant %v", name, pool.Size(), form, got, err, want)
-							return false
+			left, right := mkRows(lkeys, 1, true), mkRows(rkeys, 2, false)
+			for _, res := range residuals {
+				want, err := reference(kind, left, right, res)
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				for _, pool := range pools {
+					for name, k := range keys {
+						for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+							out, ords, err := HashJoin(context.Background(), pool, 0, 3, nil, kind,
+								side(ls, left, form[0]), side(rs, right, form[1]), k[:1], k[1:], res)
+							got := out.AllRows()
+							if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Logf("%s keys, residual %v, width %d, batched %v: got %v, %v\nwant %v", name, res != nil, pool.Size(), form, got, err, want)
+								return false
+							}
+							if len(ords) != len(got) {
+								t.Logf("%d probe ordinals for %d rows", len(ords), len(got))
+								return false
+							}
+							for i, o := range ords {
+								if fmt.Sprint(got[i][:2]) != fmt.Sprint(left[o][:2]) {
+									t.Logf("row %d %v names probe row %d %v", i, got[i], o, left[o])
+									return false
+								}
+							}
+							for _, b := range out.Batches {
+								if form[0] && !b.Cols[2].Pruned || form[1] && len(b.Cols) > 3 && !b.Cols[5].Pruned {
+									t.Logf("batched %v: a pruned input column was gathered", form)
+									return false
+								}
+							}
 						}
 					}
 				}
@@ -236,7 +277,7 @@ func TestSortStableAndTotal(t *testing.T) {
 			}
 			rows[i] = value.Row{kv, value.NewInt(int64(i))}
 		}
-		if err := sortRows(rows, []SortKey{{E: bound(t, "a", s)}}); err != nil {
+		if err := sortRows(context.Background(), rows, []SortKey{{E: bound(t, "a", s)}}); err != nil {
 			return false
 		}
 		for i := 1; i < len(rows); i++ {

@@ -10,13 +10,12 @@ import (
 // segments: live rows [lo, hi) of one batch of a batch-backed relation, or
 // rows [lo, hi) of a row-backed one, whose physical index is the ordinal. A
 // segment compiles the operator's key and argument expressions once into
-// readers (expr.Readers for a batch, Eval for rows), so each operator has one
-// loop over both input forms. A batch is read off its vectors and never
-// boxed row by row; rows stay rows — transposing them into batches was
-// measured slower (DESIGN.md "Executor"). Either way a read yields exactly
-// the Value Eval gives on the materialized row, so morsel boundaries, group
-// order and emission order, and with them the output, are the same for both
-// forms at every worker width.
+// readers (expr.Readers for a batch, Eval for rows), so the aggregate has one
+// loop over both input forms; the join, which gathers its output from
+// vectors, transposes a row-backed side first (DESIGN.md "Executor"). A read
+// yields exactly the Value Eval gives on the materialized row, so morsel
+// boundaries, group order and emission order, and with them the output, are
+// the same for both forms at every worker width.
 type segment struct {
 	b      *value.Batch
 	rows   []value.Row
@@ -47,23 +46,6 @@ func (s segment) readers(es []expr.Expr) []func(int) (value.Value, error) {
 	return rs
 }
 
-// fill boxes physical row i into dst, which must have the row's width.
-func (s segment) fill(i int, dst value.Row) {
-	if s.b != nil {
-		s.b.FillRow(i, dst)
-		return
-	}
-	copy(dst, s.rows[i])
-}
-
-// width is the column count of physical row i.
-func (s segment) width(i int) int {
-	if s.b != nil {
-		return len(s.b.Cols)
-	}
-	return len(s.rows[i])
-}
-
 // segments covers live ordinals [lo, hi) of r in stream order: one segment
 // of a row-backed relation, else one per batch the range touches. offs is
 // r.offsets(). Scan batches hold at most one morsel's worth of rows, so a
@@ -90,7 +72,7 @@ func (r Rel) segments(offs []int, lo, hi int) []segment {
 
 // offsets returns prefix sums of the batches' live-row counts: offs[i] is
 // the live ordinal of batch i's first row, the last entry the total. A
-// row-backed relation gets [0], which segments and fillRow ignore.
+// row-backed relation gets [0], which segments ignores.
 func (r Rel) offsets() []int {
 	offs := make([]int, len(r.Batches)+1)
 	for i, b := range r.Batches {
@@ -100,8 +82,8 @@ func (r Rel) offsets() []int {
 }
 
 // batchIndexOf binary-searches offs for the batch holding global live
-// ordinal i (a hand-rolled sort.Search: this runs once per emitted join
-// row, and the closure sort.Search takes would allocate per call).
+// ordinal i (a hand-rolled sort.Search: the closure sort.Search takes would
+// allocate per call).
 func batchIndexOf(offs []int, i int) int {
 	lo, hi := 0, len(offs)-1
 	for lo < hi {
@@ -113,11 +95,4 @@ func batchIndexOf(offs []int, i int) int {
 		}
 	}
 	return lo
-}
-
-// batchRowAt resolves a global live ordinal to its batch and physical row.
-func batchRowAt(bs []*value.Batch, offs []int, i int) (*value.Batch, int) {
-	bi := batchIndexOf(offs, i)
-	b := bs[bi]
-	return b, b.RowIndex(i - offs[bi])
 }

@@ -639,16 +639,19 @@ func compileLike(n *Like, b *value.Batch) (triKernel, bool) {
 			return nil, false
 		}
 		if v.Codes != nil {
+			// An entry is matched the first time a row uses it (verdicts
+			// holds verdict + 1, 0 = not yet): a dictionary larger than the
+			// batch, a comment column's, is not matched whole per batch.
 			verdicts := make([]int8, len(v.Dict))
-			for c, s := range v.Dict {
-				verdicts[c] = triBool(likeMatch(s, pat) != neg)
-			}
 			codes := v.Codes
 			return func(i int) int8 {
 				if v.Null(i) {
 					return triNull
 				}
-				return verdicts[codes[i]]
+				if c := codes[i]; verdicts[c] == 0 {
+					verdicts[c] = triBool(likeMatch(v.Dict[c], pat) != neg) + 1
+				}
+				return verdicts[codes[i]] - 1
 			}, true
 		}
 		strs := v.Strs

@@ -53,7 +53,7 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 		}
 		in = exec.Rel{Schema: blk.AggSchema, Rows: rows}
 	}
-	return blk.Finish(in)
+	return blk.Finish(nil, in)
 }
 
 // materialize reads the relation, which has no pending filters, into the

@@ -83,7 +83,7 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	hot := prog.HotFuncs()
 	for _, key := range []string{
 		"hana/internal/exec.ParallelHashAggregate.Run",
-		"hana/internal/exec.HashJoinProbeOrdinals",
+		"hana/internal/exec.HashJoin",
 		"hana/internal/exec.ExactSum.Add",
 		"hana/internal/engine.planner.scan",
 		"hana/internal/colstore.Column.MinMax",

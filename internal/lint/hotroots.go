@@ -23,7 +23,7 @@ var HotRoots = []string{
 	"hana/internal/exec.NestedLoopJoin",
 	"hana/internal/exec.ParallelHashAggregate.Run",
 	"hana/internal/exec.aggregateMorsel",
-	"hana/internal/exec.HashJoinParallel",
+	"hana/internal/exec.HashJoin",
 	"hana/internal/exec.Pool.Run",
 	// engine: the one table scan — morsel cutting, batch decode, MVCC
 	// selection — and the extended-storage batch reader under it.
@@ -65,18 +65,20 @@ var HotRoots = []string{
 	"hana/internal/value.Row.Hash",
 	"hana/internal/value.Row.EqualAt",
 	// value: batch access leaves — FillRow/Value run once per row whenever a
-	// batch crosses back into the row world.
+	// batch crosses back into the row world — and the one typed gather the
+	// join's output and the coordinator's merge copy through.
 	"hana/internal/value.Batch.FillRow",
 	"hana/internal/value.Batch.MaterializeRows",
 	"hana/internal/value.Vec.Value",
 	"hana/internal/value.BatchFromRows",
+	"hana/internal/value.Gather",
 	// dist: the exchange hot path. Execute parses shipped SQL once per
 	// fragment — not hot — so only code that runs per shard row is rooted:
 	// the scan's morsel body (aggregate and join fragments then run exec's
 	// rooted operators). Chunk and fragment encode/decode run per exchange
 	// unit on the wire transport, and the coordinator merge loops run once
-	// per shipped run, row or group: the merge order (merger.next), the
-	// columnar gather of scan batches and the row append of join chunks.
+	// per shipped run or group: the merge order (merger.next) and the
+	// batches it gathers (value.Gather, rooted above).
 	"hana/internal/dist.Worker.scanMorsel",
 	"hana/internal/dist.Chunk.Encode",
 	"hana/internal/dist.DecodeChunk",
@@ -84,8 +86,6 @@ var HotRoots = []string{
 	"hana/internal/dist.DecodeFragment",
 	"hana/internal/dist.merger.next",
 	"hana/internal/dist.merger.batches",
-	"hana/internal/dist.merger.rows",
-	"hana/internal/dist.gatherVec",
 	"hana/internal/dist.mergePartials",
 	// hive: the one row-record reader every map stage, the join reducer and
 	// the driver-side read run once per record.

@@ -236,3 +236,97 @@ func boxColumn(v *Vec, rows []Row, c, n int) {
 		v.Vals[i] = rows[i][c]
 	}
 }
+
+// Run is one stretch of a gather's input: rows of batch B in order — the
+// physical rows Rows lists, a negative entry reading NULL, or, when Rows is
+// nil, physical rows [Lo, Hi).
+type Run struct {
+	B      *Batch
+	Rows   []int32
+	Lo, Hi int
+}
+
+// Run is the gather run of the batch's live rows [lo, hi).
+func (b *Batch) Run(lo, hi int) Run {
+	if b.Sel != nil {
+		return Run{B: b, Rows: b.Sel[lo:hi]}
+	}
+	return Run{B: b, Lo: lo, Hi: hi}
+}
+
+// Len is the run's row count.
+func (r Run) Len() int {
+	if r.Rows != nil {
+		return len(r.Rows)
+	}
+	return r.Hi - r.Lo
+}
+
+func (r Run) at(k int) int {
+	if r.Rows != nil {
+		return int(r.Rows[k])
+	}
+	return r.Lo + k
+}
+
+// Gather fills dst, whose Kind is set, with column c of the runs' n rows in
+// order: the one typed copy out of vectors, which the hash join's output and
+// the coordinator's merge share. Integer kinds land in Ints and DOUBLE in
+// Floats as they are; VARCHAR in Strs whose headers point at the source
+// strings (a dictionary's entries are not copied). A column any run holds
+// boxed, or of another kind, comes out boxed, so nothing is re-coerced. A
+// pruned source reads NULL, and when every source is pruned dst stays
+// pruned and nothing is copied. NULLs set validity bits.
+func Gather(dst *Vec, runs []Run, c, n int) {
+	pruned, boxed := true, false
+	for _, r := range runs {
+		src := &r.B.Cols[c]
+		pruned = pruned && src.Pruned
+		boxed = boxed || !src.Pruned && (src.Vals != nil || src.Kind != dst.Kind)
+	}
+	switch {
+	case pruned:
+		dst.Pruned = true
+	case boxed:
+		dst.Vals = make([]Value, n)
+		gatherPayload(dst, dst.Vals, runs, c, n, func(v *Vec) []Value { return v.Vals }, (*Vec).Value)
+		dst.Nulls = nil // a boxed NULL is its Value
+	case dst.Kind == KindDouble:
+		dst.Floats = make([]float64, n)
+		gatherPayload(dst, dst.Floats, runs, c, n, func(v *Vec) []float64 { return v.Floats }, nil)
+	case dst.Kind == KindVarchar:
+		dst.Strs = make([]string, n)
+		gatherPayload(dst, dst.Strs, runs, c, n, func(v *Vec) []string { return v.Strs }, (*Vec).Str)
+	default:
+		dst.Ints = make([]int64, n)
+		gatherPayload(dst, dst.Ints, runs, c, n, func(v *Vec) []int64 { return v.Ints }, nil)
+	}
+}
+
+// gatherPayload copies column c of the runs' rows out of the payload slice
+// each source holds into out, through get where a source holds none (a
+// dictionary, another kind), and sets dst's validity bit for each NULL: a
+// run without listed rows over a source without NULLs is one copy.
+func gatherPayload[T int64 | float64 | string | Value](dst *Vec, out []T, runs []Run, c, n int, payload func(*Vec) []T, get func(*Vec, int) T) {
+	o := 0
+	for _, r := range runs {
+		src, m := &r.B.Cols[c], r.Len()
+		data := payload(src)
+		if r.Rows == nil && data != nil && src.Nulls == nil {
+			o += copy(out[o:o+m], data[r.Lo:r.Hi])
+			continue
+		}
+		nulls := src.Nulls != nil || src.Pruned
+		for k := 0; k < m; k, o = k+1, o+1 {
+			switch i := r.at(k); {
+			case i < 0 || nulls && src.Null(i):
+				dst.EnsureNulls(n)
+				dst.SetNull(o)
+			case data != nil:
+				out[o] = data[i]
+			default:
+				out[o] = get(src, i)
+			}
+		}
+	}
+}
