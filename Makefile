@@ -82,7 +82,8 @@ race:
 # agree bit for bit — federated vs all-local TPC-H (and the job DAG Hive
 # compiles for it), Hive's map-side partials vs the engine, one SELECT block
 # through all four back ends, hot/cold/hybrid/sharded placements, serial vs sharded
-# float aggregates, worker fragments vs exec, hash vs nested-loop join, the
+# float aggregates, worker fragments vs exec, the typed hash aggregate vs a
+# row-at-a-time reference, hash vs nested-loop join, the
 # vectorized scan, the sharded gather and a broadcast join's gathered
 # chunks vs a naive loop — concurrent
 # increments, key inserts and snapshot reads, which must hold
@@ -90,7 +91,7 @@ race:
 # on every placement, a superseded version, which must stay dead across a
 # restart, and ORDER BY, which must sort by the output column each key names
 # on every placement and through Hive.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestAggregateMatchesReference|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns
 equiv:
 	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive
 

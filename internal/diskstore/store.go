@@ -121,10 +121,11 @@ func (s *Store) DropTable(name string) error {
 }
 
 // zone is a per-chunk, per-column min/max summary used to skip chunks: Min
-// and Max order the chunk's non-NULL values by value.Compare. Compare
-// equates a NaN with every number, so a NaN has no place in that order and
-// a NaN row may meet any range: a chunk holding one sets NaN and is never
-// skipped, and its NaNs are left out of Min and Max. A DOUBLE bound keeps
+// and Max order the chunk's non-NULL values by value.Compare, NaNs left
+// out: a chunk holding one sets NaN instead and is never skipped. Compare
+// puts a NaN above every number, so a range with no upper bound always
+// meets such a chunk; manifests already on disk keep NaNs out of their
+// bounds, so the flag stays what marks them. A DOUBLE bound keeps
 // its IEEE bits in I and F stays 0 (packBound), as manifest.json holds it:
 // JSON has no NaN or ±Inf.
 type zone struct {

@@ -198,7 +198,9 @@ func caseOf(e expr.Expr) expr.Expr {
 // morsel size 3 and widths 1 and 4. The keys are a column and a CASE only
 // Eval computes; the arguments a numeric kernel (v * 3) and COUNT(*). Both
 // forms must give the reference's groups in first-seen order, and an
-// argument that divides by zero must fail both with the same error.
+// argument that divides by zero must fail both with the same error. Then
+// the case list of checkAggregateCases (groupby_test.go) runs: every key and
+// argument form, NULL, NaN and −0.0 keys, and which error comes first.
 func TestAggregateMatchesReference(t *testing.T) {
 	s := intSchema("g", "v")
 	groupBy := []expr.Expr{bound(t, "g", s), bind(t, caseOf(expr.Bin(expr.OpSub, expr.Col("v"), expr.Int(10))), s)}
@@ -262,6 +264,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 	if len(errs) != 2 || errs[0] != errs[1] || !strings.Contains(errs[0], "division by zero") {
 		t.Errorf("SUM(10 / v) over a zero v: errors %q, want one division by zero from both forms", errs)
 	}
+	checkAggregateCases(t)
 }
 
 // TestSortStableAndTotal verifies sorting against sort.SliceStable on

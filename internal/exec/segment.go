@@ -1,59 +1,42 @@
 package exec
 
-import (
-	"hana/internal/expr"
-	"hana/internal/value"
-)
+import "hana/internal/value"
 
 // Morsel segments. The aggregate and the hash join cut their input into
 // fixed-size morsels of live-row ordinals and read each morsel as a few
-// segments: live rows [lo, hi) of one batch of a batch-backed relation, or
-// rows [lo, hi) of a row-backed one, whose physical index is the ordinal. A
-// segment compiles the operator's key and argument expressions once into
-// readers (expr.Readers for a batch, Eval for rows), so the aggregate has one
-// loop over both input forms; the join, which gathers its output from
-// vectors, transposes a row-backed side first (DESIGN.md "Executor"). A read
-// yields exactly the Value Eval gives on the materialized row, so morsel
-// boundaries, group order and emission order, and with them the output, are
-// the same for both forms at every worker width.
+// segments: live rows [lo, hi) of one batch of a batch-backed relation. A
+// row-backed input is transposed first (value.BatchFromRows: the join's
+// sides whole, the aggregate's a morsel at a time), so each operator has
+// one loop over one input form (DESIGN.md "Executor"). Batches yield
+// exactly the Values Eval gives on the materialized rows, so morsel
+// boundaries, group order and emission order, and with them the output, do
+// not depend on the input's form or the worker width.
 type segment struct {
 	b      *value.Batch
-	rows   []value.Row
 	lo, hi int
 }
 
 // phys is the physical row index of the segment's k-th live row.
-func (s segment) phys(k int) int {
-	if s.b != nil {
-		return s.b.RowIndex(k)
+func (s segment) phys(k int) int { return s.b.RowIndex(k) }
+
+// physRows returns the physical row indices of the segment's live rows, in
+// order: the batch's selection, or [lo, hi) written into buf.
+func (s segment) physRows(buf []int32) []int32 {
+	if s.b.Sel != nil {
+		return s.b.Sel[s.lo:s.hi]
 	}
-	return k
+	buf = buf[:s.hi-s.lo]
+	for k := range buf {
+		buf[k] = int32(s.lo + k)
+	}
+	return buf
 }
 
-// readers compiles es over the segment: one reader of physical row indices
-// per expression, nil for a nil expression (COUNT(*)).
-func (s segment) readers(es []expr.Expr) []func(int) (value.Value, error) {
-	if s.b != nil {
-		return expr.Readers(es, s.b)
-	}
-	rows := s.rows
-	rs := make([]func(int) (value.Value, error), len(es))
-	for j, e := range es {
-		if e != nil {
-			rs[j] = func(i int) (value.Value, error) { return e.Eval(rows[i]) }
-		}
-	}
-	return rs
-}
-
-// segments covers live ordinals [lo, hi) of r in stream order: one segment
-// of a row-backed relation, else one per batch the range touches. offs is
+// segments covers live ordinals [lo, hi) of r, which is batch-backed, in
+// stream order: one segment per batch the range touches. offs is
 // r.offsets(). Scan batches hold at most one morsel's worth of rows, so a
 // morsel rarely spans more than two.
 func (r Rel) segments(offs []int, lo, hi int) []segment {
-	if r.Batches == nil {
-		return []segment{{rows: r.Rows, lo: lo, hi: hi}}
-	}
 	bs := r.Batches
 	i := batchIndexOf(offs, lo)
 	segs := make([]segment, 0, 2)
@@ -72,7 +55,7 @@ func (r Rel) segments(offs []int, lo, hi int) []segment {
 
 // offsets returns prefix sums of the batches' live-row counts: offs[i] is
 // the live ordinal of batch i's first row, the last entry the total. A
-// row-backed relation gets [0], which segments ignores.
+// row-backed relation gets [0].
 func (r Rel) offsets() []int {
 	offs := make([]int, len(r.Batches)+1)
 	for i, b := range r.Batches {

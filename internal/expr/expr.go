@@ -9,7 +9,6 @@ package expr
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"strings"
 
 	"hana/internal/value"
@@ -363,10 +362,6 @@ func newLitSet(n int) *litSet {
 	return &litSet{heads: make(map[uint64]int32, n), seed: maphash.MakeSeed()}
 }
 
-// isNaN reports a DOUBLE NaN, which Compare equates with every number and
-// which therefore cannot be found by hash.
-func isNaN(v value.Value) bool { return v.K == value.KindDouble && v.F != v.F }
-
 // hash needs no mixing (heads hashes its keys) and no kind tag (a chain
 // holding values of two incomparable kinds is told apart by Compare).
 func (s *litSet) hash(v value.Value) uint64 {
@@ -374,11 +369,7 @@ func (s *litSet) hash(v value.Value) uint64 {
 	case value.KindVarchar:
 		return maphash.String(s.seed, v.S)
 	case value.KindInt, value.KindDouble:
-		f := v.Float()
-		if f == 0 {
-			f = 0 // -0.0, which Compare equates with 0.0
-		}
-		return math.Float64bits(f)
+		return value.FloatBits(v.Float())
 	}
 	return uint64(v.I)
 }
@@ -416,17 +407,11 @@ func (s *litSet) add(v value.Value) {
 func NewIn(e Expr, vals []value.Value, negate bool) *In {
 	in := &In{E: e, Negate: negate, set: newLitSet(0)}
 	for _, v := range vals {
-		if isNaN(v) {
-			in.set = nil // no set can find a NaN: keep the list as given
-			break
-		}
 		in.set.add(v)
 	}
-	if in.set != nil {
-		vals = in.set.vals
-		if in.set.hasNull {
-			vals = append(vals[:len(vals):len(vals)], value.Null)
-		}
+	vals = in.set.vals
+	if in.set.hasNull {
+		vals = append(vals[:len(vals):len(vals)], value.Null)
 	}
 	lits := make([]Literal, len(vals))
 	in.List = make([]Expr, len(vals))
@@ -438,7 +423,7 @@ func NewIn(e Expr, vals []value.Value, negate bool) *In {
 }
 
 // prepare builds the literal set when every list element is a literal.
-// Lists with a non-literal element, or a NaN, keep the per-row Compare path.
+// Lists with a non-literal element keep the per-row Compare path.
 func (i *In) prepare() {
 	if i.set != nil {
 		return
@@ -446,7 +431,7 @@ func (i *In) prepare() {
 	set := newLitSet(len(i.List))
 	for _, el := range i.List {
 		lit, ok := el.(*Literal)
-		if !ok || isNaN(lit.Val) {
+		if !ok {
 			return
 		}
 		set.add(lit.Val)

@@ -16,37 +16,39 @@ import (
 // error messages — so a kernel's result is the Value Eval would produce on
 // a materialized row, bit for bit.
 
-// numFn is a compiled numeric subtree. kind is the static result kind;
-// exactly one of f (KindDouble) and n (KindInt) is set. The bool result
-// reports SQL NULL.
-type numFn struct {
-	kind value.Kind
-	f    func(i int) (float64, bool, error)
-	n    func(i int) (int64, bool, error)
+// NumFn is a compiled numeric subtree, a function of a physical row index.
+// Kind is the static result kind; exactly one of F (KindDouble) and N
+// (KindInt) is set. The bool result reports SQL NULL.
+type NumFn struct {
+	Kind value.Kind
+	F    func(i int) (float64, bool, error)
+	N    func(i int) (int64, bool, error)
 }
 
 // floatFn returns the subtree as a float evaluator, promoting integer
 // results exactly as Value.Float does.
-func (k numFn) floatFn() func(i int) (float64, bool, error) {
-	if k.f != nil {
-		return k.f
+func (k NumFn) floatFn() func(i int) (float64, bool, error) {
+	if k.F != nil {
+		return k.F
 	}
-	n := k.n
+	n := k.N
 	return func(i int) (float64, bool, error) {
 		v, null, err := n(i)
 		return float64(v), null, err
 	}
 }
 
-func constNullNum() numFn {
-	return numFn{kind: value.KindInt, n: func(int) (int64, bool, error) { return 0, true, nil }}
+func constNullNum() NumFn {
+	return NumFn{Kind: value.KindInt, N: func(int) (int64, bool, error) { return 0, true, nil }}
 }
 
-// compileNum compiles a numeric subtree. ok=false means some node falls
-// outside the supported set (non-numeric kinds, boxed vectors, operators
-// with non-arithmetic semantics such as DATE+INT) and the caller must keep
-// the row-major Eval path.
-func compileNum(e Expr, b *value.Batch) (numFn, bool) {
+// CompileNum compiles a numeric subtree over b's vectors: its result is the
+// Value Eval gives on the materialized row, unboxed. ok=false means some
+// node falls outside the supported set (non-numeric kinds, boxed vectors,
+// operators with non-arithmetic semantics such as DATE+INT) and the caller
+// must keep the row-major Eval path. The hash aggregate folds a kernel's
+// result into its states as it comes.
+func CompileNum(e Expr, b *value.Batch) (NumFn, bool) {
 	switch n := e.(type) {
 	case *Literal:
 		v := n.Val
@@ -55,16 +57,16 @@ func compileNum(e Expr, b *value.Batch) (numFn, bool) {
 			return constNullNum(), true
 		case value.KindInt:
 			c := v.I
-			return numFn{kind: value.KindInt, n: func(int) (int64, bool, error) { return c, false, nil }}, true
+			return NumFn{Kind: value.KindInt, N: func(int) (int64, bool, error) { return c, false, nil }}, true
 		case value.KindDouble:
 			c := v.F
-			return numFn{kind: value.KindDouble, f: func(int) (float64, bool, error) { return c, false, nil }}, true
+			return NumFn{Kind: value.KindDouble, F: func(int) (float64, bool, error) { return c, false, nil }}, true
 		}
-		return numFn{}, false
+		return NumFn{}, false
 	case *ColRef:
 		v, ok := colVec(n, b)
 		if !ok || v.Vals != nil {
-			return numFn{}, false
+			return NumFn{}, false
 		}
 		if v.Pruned { // pruned columns read as NULL everywhere
 			return constNullNum(), true
@@ -72,7 +74,7 @@ func compileNum(e Expr, b *value.Batch) (numFn, bool) {
 		switch v.Kind {
 		case value.KindInt:
 			ints := v.Ints
-			return numFn{kind: value.KindInt, n: func(i int) (int64, bool, error) {
+			return NumFn{Kind: value.KindInt, N: func(i int) (int64, bool, error) {
 				if v.Null(i) {
 					return 0, true, nil
 				}
@@ -80,35 +82,35 @@ func compileNum(e Expr, b *value.Batch) (numFn, bool) {
 			}}, true
 		case value.KindDouble:
 			fs := v.Floats
-			return numFn{kind: value.KindDouble, f: func(i int) (float64, bool, error) {
+			return NumFn{Kind: value.KindDouble, F: func(i int) (float64, bool, error) {
 				if v.Null(i) {
 					return 0, true, nil
 				}
 				return fs[i], false, nil
 			}}, true
 		}
-		return numFn{}, false
+		return NumFn{}, false
 	case *BinOp:
 		switch n.Op {
 		case OpAdd, OpSub, OpMul, OpDiv:
 		default:
-			return numFn{}, false
+			return NumFn{}, false
 		}
-		l, ok := compileNum(n.L, b)
+		l, ok := CompileNum(n.L, b)
 		if !ok {
-			return numFn{}, false
+			return NumFn{}, false
 		}
-		r, ok := compileNum(n.R, b)
+		r, ok := CompileNum(n.R, b)
 		if !ok {
-			return numFn{}, false
+			return NumFn{}, false
 		}
 		// INT op INT stays INT for +,-,* (Go int64 ops wrap exactly like
 		// value arithmetic's); everything else — including all divisions —
 		// promotes both operands to float64.
-		if n.Op != OpDiv && l.kind == value.KindInt && r.kind == value.KindInt {
-			ln, rn := l.n, r.n
+		if n.Op != OpDiv && l.Kind == value.KindInt && r.Kind == value.KindInt {
+			ln, rn := l.N, r.N
 			op := n.Op
-			return numFn{kind: value.KindInt, n: func(i int) (int64, bool, error) {
+			return NumFn{Kind: value.KindInt, N: func(i int) (int64, bool, error) {
 				a, anull, err := ln(i)
 				if err != nil {
 					return 0, false, err
@@ -132,7 +134,7 @@ func compileNum(e Expr, b *value.Batch) (numFn, bool) {
 		}
 		lf, rf := l.floatFn(), r.floatFn()
 		op := n.Op
-		return numFn{kind: value.KindDouble, f: func(i int) (float64, bool, error) {
+		return NumFn{Kind: value.KindDouble, F: func(i int) (float64, bool, error) {
 			x, xnull, err := lf(i)
 			if err != nil {
 				return 0, false, err
@@ -159,7 +161,7 @@ func compileNum(e Expr, b *value.Batch) (numFn, bool) {
 			}
 		}}, true
 	}
-	return numFn{}, false
+	return NumFn{}, false
 }
 
 // EvalKernel compiles e into a per-physical-row evaluator over b's vectors.
@@ -174,12 +176,12 @@ func EvalKernel(e Expr, b *value.Batch) (func(i int) (value.Value, error), bool)
 	case *ColRef, *Literal:
 		return nil, false
 	}
-	k, ok := compileNum(e, b)
+	k, ok := CompileNum(e, b)
 	if !ok {
 		return nil, false
 	}
-	if k.f != nil {
-		f := k.f
+	if k.F != nil {
+		f := k.F
 		return func(i int) (value.Value, error) {
 			v, null, err := f(i)
 			if err != nil || null {
@@ -188,7 +190,7 @@ func EvalKernel(e Expr, b *value.Batch) (func(i int) (value.Value, error), bool)
 			return value.NewDouble(v), nil
 		}, true
 	}
-	n := k.n
+	n := k.N
 	return func(i int) (value.Value, error) {
 		v, null, err := n(i)
 		if err != nil || null {

@@ -365,7 +365,7 @@ func compileCmpVecLit(op Op, v *value.Vec, lit value.Value, flip bool) (triKerne
 				if v.Null(i) {
 					return triNull
 				}
-				return cmpVerdict(op, sign*cmpF64(fs[i], litF))
+				return cmpVerdict(op, sign*value.CompareFloats(fs[i], litF))
 			}
 		}
 		ints := v.Ints
@@ -373,7 +373,7 @@ func compileCmpVecLit(op Op, v *value.Vec, lit value.Value, flip bool) (triKerne
 			if v.Null(i) {
 				return triNull
 			}
-			return cmpVerdict(op, sign*cmpF64(float64(ints[i]), litF))
+			return cmpVerdict(op, sign*value.CompareFloats(float64(ints[i]), litF))
 		}
 	}
 	switch {
@@ -474,7 +474,7 @@ func compileCmpVecVec(op Op, a, bv *value.Vec) (triKernel, bool) {
 			if nulls(i) {
 				return triNull
 			}
-			return cmpVerdict(op, cmpF64(af(i), bf(i)))
+			return cmpVerdict(op, value.CompareFloats(af(i), bf(i)))
 		}, true
 	case ak != bk:
 		if temporalVecKind(ak) && temporalVecKind(bk) {
@@ -493,7 +493,7 @@ func compileCmpVecVec(op Op, a, bv *value.Vec) (triKernel, bool) {
 			if nulls(i) {
 				return triNull
 			}
-			return cmpVerdict(op, cmpF64(af[i], bf[i]))
+			return cmpVerdict(op, value.CompareFloats(af[i], bf[i]))
 		}, true
 	case ak == value.KindVarchar:
 		return nil, false
@@ -515,17 +515,6 @@ func numericVecKind(k value.Kind) bool  { return k == value.KindInt || k == valu
 func temporalVecKind(k value.Kind) bool { return k == value.KindDate || k == value.KindTimestamp }
 
 func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpF64(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
@@ -577,12 +566,12 @@ func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 
 // inVerdict is the membership verdict of an all-literal list (which cannot
 // fail) for one value: a probe of the set Bind prepared, or, for an unbound
-// node or a NaN on either side, the linear Compare scan the set stands for.
+// node, the linear Compare scan the set stands for.
 func inVerdict(n *In, v value.Value) int8 {
 	if v.IsNull() {
 		return triNull
 	}
-	if n.set != nil && !isNaN(v) {
+	if n.set != nil {
 		switch {
 		case n.set.contains(v):
 			return triBool(!n.Negate)

@@ -23,6 +23,21 @@ var HotRoots = []string{
 	"hana/internal/exec.NestedLoopJoin",
 	"hana/internal/exec.ParallelHashAggregate.Run",
 	"hana/internal/exec.aggregateMorsel",
+	// exec: the typed aggregate's morsel body (groupby.go) — its key and
+	// argument phases, the partial's index and slab — and the calls the
+	// syntactic resolver cannot follow through a field or an element: the
+	// dictionary memo, a key's boxing, the state folds and Merge.
+	"hana/internal/exec.groupBy.keyPhase",
+	"hana/internal/exec.groupBy.argPhase",
+	"hana/internal/exec.groupBy.lookup",
+	"hana/internal/exec.keyCol.value",
+	"hana/internal/exec.dictMemo.use",
+	"hana/internal/exec.AggPartial.newGroup",
+	"hana/internal/exec.AggPartial.Merge",
+	"hana/internal/exec.AggState.Add",
+	"hana/internal/exec.AggState.foldInt",
+	"hana/internal/exec.AggState.foldFloat",
+	"hana/internal/expr.CompileNum",
 	"hana/internal/exec.HashJoin",
 	"hana/internal/exec.Pool.Run",
 	// engine: the one table scan — morsel cutting, batch decode, MVCC

@@ -180,9 +180,10 @@ func (v Value) Time() time.Time {
 func numericKind(k Kind) bool { return k == KindInt || k == KindDouble }
 
 // Compare orders two values: -1, 0, +1. NULL sorts before every non-NULL
-// value. Numeric kinds compare by promoted value; temporal kinds compare by
-// their integer encodings; mixed incomparable kinds compare by kind tag so
-// that sorting is still total.
+// value. Numeric kinds compare by promoted value (CompareFloats: a NaN
+// equals a NaN and sorts above every number, as in PostgreSQL); temporal
+// kinds compare by their integer encodings; mixed incomparable kinds compare
+// by kind tag so that sorting is still total.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -198,7 +199,7 @@ func Compare(a, b Value) int {
 		if a.K == KindInt && b.K == KindInt {
 			return cmpInt(a.I, b.I)
 		}
-		return cmpFloat(a.Float(), b.Float())
+		return CompareFloats(a.Float(), b.Float())
 	}
 	if a.K != b.K {
 		// Temporal kinds are mutually comparable by encoding.
@@ -211,7 +212,7 @@ func Compare(a, b Value) int {
 	case KindBool, KindInt, KindDate, KindTimestamp:
 		return cmpInt(a.I, b.I)
 	case KindDouble:
-		return cmpFloat(a.F, b.F)
+		return CompareFloats(a.F, b.F)
 	case KindVarchar:
 		return strings.Compare(a.S, b.S)
 	}
@@ -231,14 +232,25 @@ func cmpInt(a, b int64) int {
 	}
 }
 
-func cmpFloat(a, b float64) int {
+// CompareFloats orders two doubles totally: by value, −0.0 equal to 0.0,
+// and a NaN equal to any NaN and above every number, +Inf included.
+func CompareFloats(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
+	}
+	// At least one side is NaN.
+	switch an, bn := a != a, b != b; {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	default:
+		return -1
 	}
 }
 
@@ -271,7 +283,7 @@ func fnvUint64(h uint64, x uint64) uint64 {
 // Hash returns a 64-bit hash suitable for hash joins and aggregation.
 // Values that compare equal hash equally (numerics hash by float image when
 // either side may be a double; we always hash the float image of numerics,
-// and −0.0 as +0.0, which Compare equates with it).
+// −0.0 as +0.0 and every NaN as one NaN, as Compare equates them).
 // The result is exactly FNV-1a over a kind tag plus the little-endian
 // payload bytes, allocation-free.
 func (v Value) Hash() uint64 {
@@ -282,11 +294,7 @@ func (v Value) Hash() uint64 {
 	case KindBool:
 		h = fnvByte(fnvByte(h, 1), byte(v.I))
 	case KindInt, KindDouble:
-		f := v.Float()
-		if f == 0 {
-			f = 0
-		}
-		h = fnvUint64(fnvByte(h, 2), math.Float64bits(f))
+		h = fnvUint64(fnvByte(h, 2), FloatBits(v.Float()))
 	case KindDate, KindTimestamp:
 		h = fnvUint64(fnvByte(h, 3), uint64(v.I))
 	case KindVarchar:
@@ -296,6 +304,18 @@ func (v Value) Hash() uint64 {
 		}
 	}
 	return h
+}
+
+// FloatBits is the IEEE image Hash takes of a number: −0.0 as +0.0 and
+// every NaN as math.NaN(), so doubles Compare equates share it.
+func FloatBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }
 
 // String renders the value for display and for remote SQL generation of

@@ -193,6 +193,23 @@ func TestHashAgreesWithCompareOnSignedZero(t *testing.T) {
 	}
 }
 
+// A NaN equals any NaN, whatever its payload, and sorts above every number
+// (+Inf and the largest BIGINT included), so every NaN hashes alike.
+func TestNaNEqualsNaNAboveEveryNumber(t *testing.T) {
+	nan, other := NewDouble(math.NaN()), NewDouble(math.Float64frombits(0xfff8000000000abc))
+	if Compare(nan, other) != 0 || !Equal(nan, other) || nan.Hash() != other.Hash() {
+		t.Errorf("two NaN payloads: Compare %d, Equal %v, hashes %x %x", Compare(nan, other), Equal(nan, other), nan.Hash(), other.Hash())
+	}
+	for _, v := range []Value{NewDouble(math.Inf(1)), NewDouble(math.Inf(-1)), NewDouble(0), NewInt(math.MaxInt64), NewInt(math.MinInt64)} {
+		if Compare(nan, v) != 1 || Compare(v, nan) != -1 {
+			t.Errorf("Compare(NaN, %v) = %d, Compare(%v, NaN) = %d; want NaN above", v, Compare(nan, v), v, Compare(v, nan))
+		}
+	}
+	if Compare(Null, nan) != -1 {
+		t.Errorf("NULL must still sort before NaN")
+	}
+}
+
 func TestCompareTotalOrderProperty(t *testing.T) {
 	// Antisymmetry: Compare(a,b) == -Compare(b,a) for arbitrary ints/doubles.
 	f := func(a, b int64, x, y float64) bool {
