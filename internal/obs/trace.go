@@ -85,6 +85,9 @@ func (s *Span) SetAttr(key, val string) {
 
 // SetAttrInt sets an integer attribute.
 func (s *Span) SetAttrInt(key string, v int64) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(key, fmt.Sprintf("%d", v))
 }
 
