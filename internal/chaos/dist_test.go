@@ -273,3 +273,64 @@ func TestDistTwoPhaseCommitUnderChaos(t *testing.T) {
 		t.Fatal("distributed and local counts diverged after chaos txns")
 	}
 }
+
+// A worker whose phase-2 delivery fails leaves its branch in doubt with a
+// commit decision. Resolution delivers the decision to every participant,
+// workers included, so the branch drains and the shards answer exactly as
+// the engine does — also when the engine restarts before resolving and
+// rebuilds its workers from the recovered tables.
+func TestDistInDoubtWorkerBranchResolves(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
+			inj := faults.New(406)
+			inj.SetSleep(noSleep)
+			cfg := engine.Config{
+				DataDir:  t.TempDir(),
+				Topology: dist.Topology{Shards: 2},
+				Faults:   inj,
+				Retry:    faults.RetryPolicy{MaxAttempts: 3, Sleep: noSleep},
+			}
+			e, err := engine.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			mustExec(t, e, "CREATE TABLE dist_doubt (id INT PRIMARY KEY, v INT)")
+			inj.FailN("txn.commit.dist:worker:0", 1)
+			mustExec(t, e, "INSERT INTO dist_doubt VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+			if ind := e.TxnManager().InDoubt(); len(ind) != 1 {
+				t.Fatalf("in-doubt = %v, want the worker's branch", ind)
+			}
+			if restart {
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if e, err = engine.Open(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.ResolveAllInDoubt(); err != nil {
+				t.Fatalf("resolve: %v", err)
+			}
+			if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
+				t.Fatalf("in-doubt after resolve = %v", ind)
+			}
+			const q = "SELECT COUNT(*), SUM(v) FROM dist_doubt"
+			before := e.Metrics.DistQueries.Load()
+			res := mustExec(t, e, q)
+			if e.Metrics.DistQueries.Load() <= before {
+				t.Fatal("the count did not run distributed")
+			}
+			local, err := e.ExecuteContext(context.Background(), q, engine.WithLocalOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rows, local.Rows) {
+				t.Fatalf("distributed %v, local %v", res.Rows, local.Rows)
+			}
+			if got := local.Rows[0][0]; value.Compare(got, value.NewInt(4)) != 0 {
+				t.Fatalf("count = %v, want 4", got)
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hana/internal/catalog"
@@ -169,15 +168,7 @@ func (e *Engine) distReseedAll() error {
 		return nil
 	}
 	e.mu.RLock()
-	names := make([]string, 0, len(e.tables))
-	for name := range e.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tables := make([]*storedTable, 0, len(names))
-	for _, name := range names {
-		tables = append(tables, e.tables[name])
-	}
+	tables := e.sortedTables()
 	e.mu.RUnlock()
 	for _, t := range tables {
 		if err := e.distReseed(t); err != nil {

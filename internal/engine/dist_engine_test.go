@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hana/internal/dist"
+	"hana/internal/faults"
 	"hana/internal/value"
 )
 
@@ -318,4 +320,54 @@ func TestDistRecoveryReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRowsDist(t, "post-recovery", got, want)
+}
+
+// One transaction writes an extended table and a 2-shard table, and phase 2
+// fails at the cold participant and at both workers. The branch is one TID
+// in doubt, whichever participants failed: resolution delivers the commit
+// to all of them, so the cold rows and both shards' rows become visible.
+func TestInDoubtBranchOfManyParticipantsResolves(t *testing.T) {
+	inj := faults.New(1)
+	inj.SetSleep(func(time.Duration) {})
+	e := New(Config{
+		ExtendedStorageDir: t.TempDir(),
+		Topology:           dist.Topology{Shards: 2},
+		Faults:             inj,
+		Retry:              faults.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+	})
+	exec1(t, e, "CREATE TABLE c (id BIGINT) USING EXTENDED STORAGE")
+	exec1(t, e, "CREATE TABLE h (id INT PRIMARY KEY, v INT)")
+	for _, site := range []string{"extstore:c", "dist:worker:0", "dist:worker:1"} {
+		inj.FailN("txn.commit."+site, 1)
+	}
+	tx := e.Begin()
+	for _, sql := range []string{"INSERT INTO c VALUES (1), (2)", "INSERT INTO h VALUES (1, 10), (2, 20), (3, 30), (4, 40)"} {
+		if _, err := e.ExecuteContext(context.Background(), sql, WithTx(tx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CommitTxContext(context.Background(), tx); err != nil {
+		t.Fatalf("decision was commit: %v", err)
+	}
+	if ind := e.TxnManager().InDoubt(); len(ind) != 1 {
+		t.Fatalf("in-doubt = %v, want one branch", ind)
+	}
+	if err := e.ResolveAllInDoubt(); err != nil {
+		t.Errorf("resolve: %v", err)
+	}
+	if ind := e.TxnManager().InDoubt(); len(ind) != 0 {
+		t.Errorf("in-doubt after resolve = %v", ind)
+	}
+	if n := exec1(t, e, "SELECT COUNT(*) FROM c").Rows[0][0].Int(); n != 2 {
+		t.Errorf("cold count = %d, want 2", n)
+	}
+	const q = "SELECT COUNT(*), SUM(v) FROM h"
+	l, err := e.ExecuteContext(context.Background(), q, WithLocalOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRowsDist(t, q, exec1(t, e, q), l)
+	if n := l.Rows[0][0].Int(); n != 4 {
+		t.Errorf("count = %d, want 4", n)
+	}
 }

@@ -454,15 +454,8 @@ func (e *Engine) commitTxCtx(ctx context.Context, tx *txn.Txn) error {
 	if err != nil && tx.State() == txn.StateAborted {
 		// The coordinator aborts the participants that prepared, not the one
 		// that voted no nor those after it: revert their stamps too.
-		e.mu.RLock()
-		for _, t := range e.tables {
-			_ = t.part2pc.Abort(tx.TID)
-		}
-		e.mu.RUnlock()
-		if e.dist != nil {
-			for i := 0; i < e.dist.transport.Workers(); i++ {
-				_ = e.dist.transport.Worker(i).Abort(tx.TID)
-			}
+		for _, p := range e.participants() {
+			_ = p.Abort(tx.TID)
 		}
 	}
 	return err

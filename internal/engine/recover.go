@@ -32,9 +32,10 @@ import (
 //     re-apply, a gap, or a vector longer than its store is an error;
 //  3. finalize outcomes: commit stamps in CID order (an in-doubt branch's
 //     cold stamps wait for its resolution), abort stamps, then every stamp
-//     still pending either belongs to an in-doubt branch — re-marked with
-//     the participant of the cold partition holding it — or is aborted (the
-//     crash cut its transaction short).
+//     still pending is aborted, unless it is an in-doubt branch's on a cold
+//     partition, which its participant stamps at resolution. A hot stamp
+//     still pending is an undecided branch's or one the crash cut short,
+//     and presumed abort is the coordinator's own decision.
 //
 // Disk rows no record names have no version and stay invisible. Recovery
 // does NOT resolve in-doubt branches — callers drive ResolveAllInDoubt (or
@@ -216,9 +217,9 @@ func (e *Engine) recoverFrom() error {
 			e.mgr.MarkInDoubt(b.TID, b.Participant, cid)
 		}
 	}
-	inDoubt := map[uint64]uint64{} // tid -> decided cid
+	inDoubt := map[uint64]bool{}
 	for _, b := range e.mgr.InDoubtInfo() {
-		inDoubt[b.TID] = b.CID
+		inDoubt[b.TID] = true
 	}
 	orphans := map[uint64]bool{}
 
@@ -245,7 +246,7 @@ func (e *Engine) recoverFrom() error {
 	}
 	for _, rec := range data {
 		skipped := false
-		_, doubt := inDoubt[rec.tid]
+		doubt := inDoubt[rec.tid]
 		switch {
 		case rec.op == redoDDLCreate || rec.op == redoDDLDrop:
 			err = e.applyRedoDDL(rec)
@@ -281,12 +282,14 @@ func (e *Engine) recoverFrom() error {
 	// Pass 3: outcome stamps. Commit in CID order so later commits of the
 	// same rows land last, then abort; what is still pending is in-doubt or
 	// orphaned. As in a running engine, an in-doubt branch's cold stamps
-	// wait for its resolution.
+	// wait for its participant. A hot stamp still pending belongs to an
+	// undecided branch (a decided one's were stamped at its commit), and
+	// presumed abort is the coordinator's own decision, taken here.
 	sort.Slice(commits, func(i, j int) bool { return commits[i].cid < commits[j].cid })
 	sort.Slice(aborts, func(i, j int) bool { return aborts[i] < aborts[j] })
-	e.forEachPartition(func(t *storedTable, p *partition) {
+	e.forEachPartition(func(_ *storedTable, p *partition) {
 		for _, c := range commits {
-			if _, ok := inDoubt[c.tid]; ok && p.ext != nil {
+			if inDoubt[c.tid] && p.ext != nil {
 				continue // only its participant stamps an in-doubt cold branch
 			}
 			p.vers.CommitTID(c.tid, c.cid)
@@ -295,15 +298,12 @@ func (e *Engine) recoverFrom() error {
 			p.vers.AbortTID(tid)
 		}
 		for _, tid := range p.vers.PendingTIDs() {
-			cid, ok := inDoubt[tid]
-			switch {
-			case !ok:
+			doubt := inDoubt[tid]
+			if !doubt {
 				orphans[tid] = true
+			}
+			if !doubt || p.ext == nil {
 				p.vers.AbortTID(tid)
-			case p.ext != nil:
-				// The log knows a prepared-but-undecided branch by TID
-				// alone; its cold stamps name the participant.
-				e.mgr.MarkInDoubt(tid, t.part2pc.name, cid)
 			}
 		}
 	})
@@ -317,17 +317,26 @@ func (e *Engine) recoverFrom() error {
 // forEachPartition visits every partition of every table in sorted table
 // order.
 func (e *Engine) forEachPartition(fn func(t *storedTable, p *partition)) {
+	for _, t := range e.sortedTables() {
+		for _, p := range t.parts {
+			fn(t, p)
+		}
+	}
+}
+
+// sortedTables returns the tables in name order. The caller holds e.mu, or
+// runs before the engine is shared.
+func (e *Engine) sortedTables() []*storedTable {
 	keys := make([]string, 0, len(e.tables))
 	for k := range e.tables {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		t := e.tables[k]
-		for _, p := range t.parts {
-			fn(t, p)
-		}
+	out := make([]*storedTable, len(keys))
+	for i, k := range keys {
+		out[i] = e.tables[k]
 	}
+	return out
 }
 
 // loadSavepointManifest reads CURRENT and the manifest it points to.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hana/internal/dist"
 	"hana/internal/faults"
 	"hana/internal/txn"
 	"hana/internal/value"
@@ -835,5 +836,56 @@ func TestExtendedDoubleKeepsNonFiniteValues(t *testing.T) {
 	hot := renderRows(exec1(t, r, `SELECT k FROM h WHERE d >= 100`).Rows)
 	if cold := renderRows(exec1(t, r, `SELECT k FROM c WHERE d >= 100`).Rows); !sameRows(cold, hot) {
 		t.Errorf("WHERE d >= 100: %v cold, %v hot", cold, hot)
+	}
+}
+
+// A crash after PREPARE and before the decision, in a transaction that
+// wrote only a 2-shard table, leaves one undecided branch. Recovery takes
+// the presumed abort on the engine's own stamps, so the key is free again,
+// and resolution drains the branch through every participant.
+func TestRecoverUndecidedShardedBranchReleasesKey(t *testing.T) {
+	dir := t.TempDir()
+	inj := faults.New(1)
+	inj.SetSleep(func(time.Duration) {})
+	cfg := Config{Topology: dist.Topology{Shards: 2}, Faults: inj, Retry: faults.RetryPolicy{MaxAttempts: 1}}
+	e := openDurable(t, dir, cfg)
+	exec1(t, e, "CREATE TABLE h (id INT PRIMARY KEY, v INT)")
+	exec1(t, e, "INSERT INTO h VALUES (1, 10)")
+	tx := e.Begin()
+	if _, err := e.ExecuteContext(context.Background(), "INSERT INTO h VALUES (3, 30)", WithTx(tx)); err != nil {
+		t.Fatal(err)
+	}
+	// PREPARE reaches the log; the COMMIT and ABORT records after it do not.
+	inj.FailAfter("wal.append", 1, 1<<30)
+	if err := e.CommitTxContext(context.Background(), tx); err == nil {
+		t.Fatal("a commit whose decision cannot be logged must fail")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Faults = nil
+	r := openDurable(t, dir, cfg)
+	defer r.Close()
+	if info := r.RecoveryInfo(); info.InDoubt != 1 || info.Orphaned != 0 {
+		t.Fatalf("recovery = %+v, want InDoubt 1, Orphaned 0", info)
+	}
+	if err := r.ResolveAllInDoubt(); err != nil {
+		t.Errorf("resolve: %v", err)
+	}
+	if ind := r.TxnManager().InDoubt(); len(ind) != 0 {
+		t.Errorf("in-doubt after resolve = %v", ind)
+	}
+	if _, err := r.ExecuteContext(context.Background(), "INSERT INTO h VALUES (3, 30)"); err != nil {
+		t.Fatalf("re-insert of the undecided key: %v", err)
+	}
+	const q = "SELECT id, v FROM h ORDER BY id"
+	l, err := r.ExecuteContext(context.Background(), q, WithLocalOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRowsDist(t, q, exec1(t, r, q), l)
+	if rows := renderRows(l.Rows); !sameRows(rows, []string{"1|10", "3|30"}) {
+		t.Fatalf("rows = %v", rows)
 	}
 }

@@ -206,23 +206,28 @@ func cloneRows(rows *value.Rows, pick []int) *value.Rows {
 	return out
 }
 
-// findParticipant resolves a 2PC participant name to the stored table's
-// extended-storage branch.
-func (e *Engine) findParticipant(name string) txn.Participant {
+// participants lists every 2PC participant of the engine: each table's
+// extended-storage participant in table order, then each worker. It is
+// derived on each call, so nothing has to follow CREATE, DROP or a reseed.
+func (e *Engine) participants() []txn.Participant {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for _, t := range e.tables {
-		if t.part2pc != nil && t.part2pc.Name() == name {
-			return t.part2pc
+	var out []txn.Participant
+	for _, t := range e.sortedTables() {
+		out = append(out, t.part2pc)
+	}
+	if e.dist != nil {
+		for i := 0; i < e.dist.transport.Workers(); i++ {
+			out = append(out, e.dist.transport.Worker(i))
 		}
 	}
-	return nil
+	return out
 }
 
-// ResolveAllInDoubt is the engine-level in-doubt resolver: it re-delivers
-// the logged decision for every in-doubt branch, retrying each with the
-// configured backoff, until the branches drain or a branch stays
-// unresolvable. The decision is commit when a commit ID was durably
+// ResolveAllInDoubt is the engine-level in-doubt resolver: it delivers the
+// logged decision of every in-doubt branch to every participant, retrying
+// each with the configured backoff, until the branches drain or a branch
+// stays unresolvable. The decision is commit when a commit ID was durably
 // allocated, and presumed abort otherwise (branches surfaced by crash
 // recovery before the decision point).
 func (e *Engine) ResolveAllInDoubt() error {
@@ -230,17 +235,13 @@ func (e *Engine) ResolveAllInDoubt() error {
 	// inside the savepoint barrier for the same reason commits do.
 	e.spMu.RLock()
 	defer e.spMu.RUnlock()
+	parts := e.participants()
 	var errs []error
 	for _, b := range e.mgr.InDoubtInfo() {
-		part := e.findParticipant(b.Participant)
-		if part == nil {
-			errs = append(errs, fmt.Errorf("transaction %d: participant %s not found", b.TID, b.Participant))
-			continue
-		}
 		commit := b.CID != 0
 		tid := b.TID
 		err := e.cfg.Retry.Do(fmt.Sprintf("txn.resolve.%d", tid), func() error {
-			return e.mgr.Resolve(tid, part, commit)
+			return e.mgr.Resolve(tid, commit, parts)
 		})
 		if err != nil {
 			errs = append(errs, fmt.Errorf("transaction %d: %w", tid, err))

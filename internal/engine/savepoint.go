@@ -156,13 +156,7 @@ func (e *Engine) captureSnapshot() (*spSnapshot, error) {
 	snap.manifest.NextTID = e.mgr.NextTID()
 	snap.manifest.LastCID = e.mgr.LastCID()
 
-	keys := make([]string, 0, len(e.tables))
-	for k := range e.tables {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for ti, k := range keys {
-		t := e.tables[k]
+	for ti, t := range e.sortedTables() {
 		t.mu.Lock()
 		meta, err := marshalTableMeta(t.meta)
 		if err != nil {

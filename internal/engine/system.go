@@ -488,22 +488,14 @@ func substituteStmtParams(st sqlparse.Statement, params []value.Value) (sqlparse
 	return st, nil
 }
 
-// ResolveInDoubt exposes manual resolution of an in-doubt extended-storage
-// transaction branch (§3.1: "Clients will have the ability to manually
-// abort these 'in-doubt' transactions").
+// ResolveInDoubt exposes manual resolution of an in-doubt transaction
+// branch, whichever participants it touched — extended storage, workers or
+// both (§3.1: "Clients will have the ability to manually abort these
+// 'in-doubt' transactions").
 func (e *Engine) ResolveInDoubt(tid uint64, commit bool) error {
 	// Resolution stamps version vectors outside commitTxCtx, so it must sit
 	// inside the savepoint barrier for the same reason commits do.
 	e.spMu.RLock()
 	defer e.spMu.RUnlock()
-	ind := e.mgr.InDoubt()
-	name, ok := ind[tid]
-	if !ok {
-		return fmt.Errorf("transaction %d is not in-doubt", tid)
-	}
-	part := e.findParticipant(name)
-	if part == nil {
-		return fmt.Errorf("participant %s for transaction %d not found", name, tid)
-	}
-	return e.mgr.Resolve(tid, part, commit)
+	return e.mgr.Resolve(tid, commit, e.participants())
 }

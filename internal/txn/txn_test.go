@@ -143,13 +143,13 @@ func TestCommitPhaseFailureLeavesInDoubt(t *testing.T) {
 		t.Fatalf("in-doubt = %v", ind)
 	}
 	// Manual resolution re-delivers the commit.
-	if err := m.Resolve(tx.TID, p, true); err != nil {
+	if err := m.Resolve(tx.TID, true, []Participant{p}); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InDoubt()) != 0 || len(p.committed) != 1 {
 		t.Fatal("resolution failed")
 	}
-	if err := m.Resolve(tx.TID, p, true); err == nil {
+	if err := m.Resolve(tx.TID, true, []Participant{p}); err == nil {
 		t.Fatal("resolving a resolved txn must error")
 	}
 }
@@ -195,7 +195,7 @@ func TestInjectedFailures(t *testing.T) {
 		t.Fatal("injected commit failure must leave in-doubt")
 	}
 	// The injected schedule is drained: resolution re-delivers the commit.
-	if err := m.Resolve(tx2.TID, p, true); err != nil {
+	if err := m.Resolve(tx2.TID, true, []Participant{p}); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InDoubt()) != 0 {
@@ -214,13 +214,13 @@ func TestInjectedFailures(t *testing.T) {
 		t.Fatal("injected commit failure must leave in-doubt")
 	}
 	inj.FailN("txn.abort.ext", 1)
-	if err := m.Resolve(tx3.TID, p, false); err == nil {
+	if err := m.Resolve(tx3.TID, false, []Participant{p}); err == nil {
 		t.Fatal("injected abort failure must surface")
 	}
 	if len(m.InDoubt()) != 1 {
 		t.Fatal("failed abort delivery must keep the branch in-doubt")
 	}
-	if err := m.Resolve(tx3.TID, p, false); err != nil {
+	if err := m.Resolve(tx3.TID, false, []Participant{p}); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.InDoubt()) != 0 {
@@ -262,7 +262,7 @@ func TestWALReplayAndRecovery(t *testing.T) {
 	if m2.LastCID() < cid1 {
 		t.Fatalf("recovered lastCID %d < %d", m2.LastCID(), cid1)
 	}
-	if got := m2.InDoubtTIDs(); len(got) != 1 || got[0] != t3.TID {
+	if got := m2.InDoubtInfo(); len(got) != 1 || got[0].TID != t3.TID || got[0].Participant != "ext" {
 		t.Fatalf("recovered in-doubt = %v", got)
 	}
 	// New TIDs must not collide.
