@@ -89,11 +89,13 @@ race:
 # increments, key inserts and snapshot reads, which must hold
 # first-committer-wins on every placement, keyed DML, which must answer alike
 # on every placement, a superseded version, which must stay dead across a
-# restart, and ORDER BY, which must sort by the output column each key names
-# on every placement and through Hive.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestAggregateMatchesReference|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns
+# restart, ORDER BY, which must sort by the output column each key names
+# on every placement and through Hive, DISTINCT aggregates, which must equate
+# what SELECT DISTINCT and GROUP BY equate, and the one hash index vs a
+# linear Compare scan.
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestAggregateMatchesReference|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns|TestDistinctAggregateEquatesComparedValues|TestIndexLookupMatchesLinearScan|TestIndexKeepsInsertionOrder
 equiv:
-	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive
+	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive ./internal/value
 
 # Deterministic fault-injection suite (internal/chaos): seeded fault
 # schedules against the full federated stack, run repeatedly under the

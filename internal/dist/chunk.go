@@ -258,7 +258,7 @@ func DecodeChunk(b []byte) (*Chunk, error) {
 		rows = ns
 	}
 	if d.Bool() {
-		c.Partial = exec.NewAggPartial()
+		c.Partial = &exec.AggPartial{}
 		ng := int(d.Uvarint())
 		for i := 0; i < ng && d.Err() == nil; i++ {
 			g := &exec.AggGroup{First: d.Varint(), Key: d.Row()}

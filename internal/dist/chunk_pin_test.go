@@ -22,7 +22,7 @@ func TestAggregateChunkBytesArePinned(t *testing.T) {
 		{Count: 2, IntOnly: true, Min: value.NewDate(9000), Max: value.NewDate(9500), HasVal: true},
 		{Count: 2, HasVal: true, Distinct: true, Order: []value.Value{value.NewString("a"), value.NewInt(7)}},
 	}
-	p := exec.NewAggPartial()
+	p := &exec.AggPartial{}
 	p.Append(&exec.AggGroup{First: 5, Key: value.Row{value.NewInt(42), value.NewString("k")}, States: states})
 	ch := &Chunk{Shard: 1, Scanned: 12, Partial: p}
 	// Captured before the state codec moved out of this package; versions 4

@@ -93,10 +93,13 @@ func (c *Coordinator) Gather(ctx context.Context, tmpl *Fragment, fanout int) (*
 		res.Partial = mergePartials(perShard)
 		return res, nil
 	}
-	if err := checkStreams(perShard); err != nil {
+	err := checkStreams(perShard)
+	if err == nil {
+		res.Batches, err = newMerger(perShard).batches(ctx)
+	}
+	if err != nil {
 		return nil, err
 	}
-	res.Batches = newMerger(perShard).batches()
 	return res, nil
 }
 
@@ -230,18 +233,22 @@ func (m *merger) next(runs []value.Run, limit int) ([]value.Run, int) {
 
 // batches merges the chunks into batches of up to exec.DefaultMorselSize
 // rows, gathering only the shipped columns (value.Gather). Every chunk's
-// batch has the shape of the first (checkStreams).
-func (m *merger) batches() []*value.Batch {
+// batch has the shape of the first (checkStreams). Once ctx ends it returns
+// ctx's error and no batches.
+func (m *merger) batches(ctx context.Context) ([]*value.Batch, error) {
 	if m.total == 0 {
-		return nil
+		return nil, nil
 	}
 	proto := m.cursors[0].chunks[0].Batch
 	out := make([]*value.Batch, 0, (m.total+exec.DefaultMorselSize-1)/exec.DefaultMorselSize)
 	runs := make([]value.Run, 0, min(m.total, exec.DefaultMorselSize))
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var n int
 		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
-			return out
+			return out, nil
 		}
 		b := &value.Batch{Schema: proto.Schema, Cols: make([]value.Vec, len(proto.Cols)), N: n}
 		for c := range b.Cols {
@@ -257,7 +264,7 @@ func (m *merger) batches() []*value.Batch {
 // by their minimum contributing sequence — the order the serial aggregate
 // would have first seen each group.
 func mergePartials(perShard [][]*Chunk) *exec.AggPartial {
-	merged := exec.NewAggPartial()
+	merged := &exec.AggPartial{}
 	for _, chunks := range perShard {
 		for _, ch := range chunks {
 			if ch.Partial != nil {

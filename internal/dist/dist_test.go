@@ -364,7 +364,7 @@ func TestChunkWireRoundTrip(t *testing.T) {
 	plain := &exec.AggState{Count: 2, Sum: exactSum(1e16, 14.5), SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: exactSum(115.25, 1e-300), HasVal: true}
 	distinct := &exec.AggState{Count: 2, Min: value.NewString("a"), Max: value.NewString("b"), HasVal: true,
 		Distinct: true, Order: []value.Value{value.NewString("a"), value.NewString("b")}}
-	p := exec.NewAggPartial()
+	p := &exec.AggPartial{}
 	p.Append(&exec.AggGroup{First: 3, Key: value.Row{value.NewString("g"), value.Null}, States: []*exec.AggState{plain, distinct}})
 	ch := &Chunk{
 		Shard: 1, Worker: 2, Scanned: 77,

@@ -26,7 +26,7 @@ func exactSum(xs ...float64) (s exec.ExactSum) {
 }
 
 func FuzzDecodeChunk(f *testing.F) {
-	p := exec.NewAggPartial()
+	p := &exec.AggPartial{}
 	p.Append(&exec.AggGroup{First: 3, Key: value.Row{value.NewString("g"), value.Null}, States: []*exec.AggState{
 		{Count: 2, Sum: exactSum(14.5), SumI: 14, IntOnly: true, Min: value.NewInt(5), Max: value.NewDouble(9.5), SumSq: exactSum(115.25), HasVal: true},
 		{Count: 1, HasVal: true, Distinct: true, Order: []value.Value{value.NewString("a")}},

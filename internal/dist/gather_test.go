@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hana/internal/exec"
@@ -333,5 +336,39 @@ func TestDistGatherBytesScaleWithNeededColumns(t *testing.T) {
 	t.Logf("%.1f B allocated per gathered row", perRow)
 	if perRow > 64 {
 		t.Fatalf("a 2-of-%d-column gather allocated %.1f B per row, want at most 64", width, perRow)
+	}
+}
+
+// cancelAfterShards is a transport that cancels the query's context once
+// every shard's fragment has returned.
+type cancelAfterShards struct {
+	Transport
+	left   atomic.Int32
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterShards) Run(ctx context.Context, worker int, f *Fragment, sink ChunkSink) error {
+	err := c.Transport.Run(ctx, worker, f, sink)
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return err
+}
+
+// A gather whose context ends after the shards have returned their chunks
+// gets the context's error from the merge, and no batches.
+func TestGatherMergeStopsOnCancel(t *testing.T) {
+	topo := Topology{Shards: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := &cancelAfterShards{Transport: seedFleet(t, topo, 3000, false), cancel: cancel}
+	tr.left.Store(int32(topo.Shards))
+	c := &Coordinator{Topo: topo, Transport: tr, Caller: testCaller()}
+	res, err := c.Gather(ctx, &Fragment{Snapshot: 1, Table: "T", Binding: "T"}, 0)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("gather after cancel = %v, %v; want no result and context.Canceled", res, err)
+	}
+	if tr.left.Load() != 0 {
+		t.Fatalf("%d shards never returned", tr.left.Load())
 	}
 }

@@ -96,19 +96,20 @@ type refTable struct {
 	keyOrd int
 	mu     sync.RWMutex
 	// hana:guardedby mu
-	index map[uint64][]value.Row
+	snap struct {
+		keys  []value.Value // the distinct key values, under index
+		index value.Index
+		rows  [][]value.Row // rows[e]: the rows with keys[e], in load order
+	}
 }
 
 func (r *refTable) lookup(v value.Value) []value.Row {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []value.Row
-	for _, row := range r.index[v.Hash()] {
-		if value.Compare(row[r.keyOrd], v) == 0 {
-			out = append(out, row)
-		}
+	if e, _ := r.snap.index.Find(r.snap.keys, v); e >= 0 {
+		return r.snap.rows[e]
 	}
-	return out
+	return nil
 }
 
 // Project is one ESP deployment unit holding streams, windows, reference
@@ -168,10 +169,15 @@ func (p *Project) LoadReferenceTable(name string, schema *value.Schema, rows []v
 	if keyOrd < 0 {
 		return fmt.Errorf("esp: key column %s not in reference schema", keyCol)
 	}
-	rt := &refTable{name: name, schema: schema.Clone(), keyOrd: keyOrd, index: map[uint64][]value.Row{}}
+	rt := &refTable{name: name, schema: schema.Clone(), keyOrd: keyOrd}
 	for _, r := range rows {
-		h := r[keyOrd].Hash()
-		rt.index[h] = append(rt.index[h], r.Clone())
+		s, k := &rt.snap, r[keyOrd]
+		e, p := s.index.Find(s.keys, k)
+		if e < 0 {
+			e = s.index.Insert(p)
+			s.keys, s.rows = append(s.keys, k), append(s.rows, nil)
+		}
+		s.rows[e] = append(s.rows[e], r.Clone())
 	}
 	p.mu.Lock()
 	p.refs[strings.ToUpper(name)] = rt

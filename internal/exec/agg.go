@@ -38,7 +38,7 @@ type AggState struct {
 	// counted, in first-seen order, and Result aggregates them.
 	Distinct bool
 	Order    []value.Value
-	seen     map[value.Value]bool // index of Order by seenKey, built on the first Add
+	index    value.Index // over Order; Add indexes values decoded into Order first
 	// op selects what Add updates: only what Result reads for the function
 	// NewAggState was given. A state decoded field by field has op 0; it is
 	// only merged into and finalised, and a DISTINCT state's Add, which
@@ -89,19 +89,14 @@ func (s *AggState) Add(v value.Value) {
 	}
 	if s.Distinct {
 		s.HasVal = true
-		if s.seen == nil {
-			s.seen = make(map[value.Value]bool, len(s.Order))
-			for _, o := range s.Order {
-				s.seen[seenKey(o)] = true
-			}
+		for o := s.index.Len(); o < len(s.Order); o++ {
+			s.index.Add(value.KeyHash(s.Order[o : o+1]))
 		}
-		k := seenKey(v)
-		if s.seen[k] {
-			return
+		if o, p := s.index.Find(s.Order, v); o < 0 {
+			s.index.Insert(p)
+			s.Order = append(s.Order, v)
+			s.Count++
 		}
-		s.seen[k] = true
-		s.Order = append(s.Order, v)
-		s.Count++
 		return
 	}
 	switch {
@@ -131,16 +126,6 @@ func (s *AggState) Add(v value.Value) {
 			s.addSquare(v.Float())
 		}
 	}
-}
-
-// seenKey is v as a DISTINCT state's index holds it: a NaN, which no Go map
-// finds again, becomes a DOUBLE no number boxes to (I set), so every NaN
-// is one value, as Compare has it.
-func seenKey(v value.Value) value.Value {
-	if v.K == value.KindDouble && v.F != v.F {
-		return value.Value{K: value.KindDouble, I: 1}
-	}
-	return v
 }
 
 // foldInt is Add of the BIGINT x to a plain COUNT, SUM, AVG, VAR or STDDEV
@@ -293,18 +278,17 @@ type AggGroup struct {
 	Key    value.Row
 	States []*AggState
 	First  int64
-	hash   uint64 // of Key, set by whichever AggPartial method added the group
 }
 
 // AggPartial is one morsel's (or a merged) group table, Groups in first-seen
-// order. One open-addressed index over the group ordinals finds a key: the
-// morsel's key phase probes it with typed key comparisons, Merge and Append
-// with value.Compare. A holder that re-sorts Groups merges nothing into the
-// table afterwards (the index names ordinals). The groups a morsel starts
-// take their key and states from the partial's slab.
+// order. A value.Index over the group ordinals finds a key: the morsel's key
+// phase probes it with typed key comparisons, Merge with value.Compare. A
+// holder that re-sorts Groups neither merges into the table nor merges it
+// into another afterwards (the index names ordinals). The groups a morsel
+// starts take their key and states from the partial's slab.
 type AggPartial struct {
 	Groups []*AggGroup
-	index  []int32 // 1 + ordinal in Groups per slot, 0 empty; a power of two long, at most half full
+	index  value.Index
 	slab   aggSlab
 }
 
@@ -324,65 +308,6 @@ const (
 	minSlabGroups = 8
 	maxSlabGroups = 256
 )
-
-// NewAggPartial returns an empty group table.
-func NewAggPartial() *AggPartial { return &AggPartial{index: make([]int32, 16)} }
-
-// keyHash is Row.Hash over every column of key.
-func keyHash(key []value.Value) uint64 {
-	h := value.KeyHashSeed
-	for _, v := range key {
-		h = value.KeyHashStep(h, v.Hash())
-	}
-	return h
-}
-
-// slot is where a probe for hash h starts; probes walk the index linearly.
-// The hash is mixed first: FNV's low bits, which the mask keeps, are weak.
-func (p *AggPartial) slot(h uint64) int {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h & uint64(len(p.index)-1))
-}
-
-// find returns the ordinal of the group whose key Compare-equals key under
-// hash h, or -1 and the empty slot a group with that key would take.
-func (p *AggPartial) find(h uint64, key []value.Value) (int, int) {
-	mask := len(p.index) - 1
-	for s := p.slot(h); ; s = (s + 1) & mask {
-		o := p.index[s]
-		if o == 0 {
-			return -1, s
-		}
-		if g := p.Groups[o-1]; g.hash == h && keysEqual(g.Key, key) {
-			return int(o - 1), -1
-		}
-	}
-}
-
-// add appends g, whose key hashes to h, at the empty index slot s.
-func (p *AggPartial) add(s int, h uint64, g *AggGroup) {
-	g.hash = h
-	p.Groups = append(p.Groups, g)
-	p.index[s] = int32(len(p.Groups))
-	if 2*len(p.Groups) > len(p.index) {
-		p.index = make([]int32, 2*len(p.index))
-		for o, g := range p.Groups {
-			p.index[p.emptySlot(g.hash)] = int32(o + 1)
-		}
-	}
-}
-
-// emptySlot returns the first empty index slot on hash h's probe walk.
-func (p *AggPartial) emptySlot(h uint64) int {
-	mask := len(p.index) - 1
-	s := p.slot(h)
-	for p.index[s] != 0 {
-		s = (s + 1) & mask
-	}
-	return s
-}
 
 // newGroup starts a group at input ordinal first with nk zero key values,
 // for the caller to fill, and a copy of each of empty's states, all from
@@ -420,8 +345,8 @@ func emptyStates(aggs []AggSpec) []AggState {
 // decoder rebuilds a shipped partial. A key it does hold is not looked for:
 // the group is appended all the same.
 func (p *AggPartial) Append(g *AggGroup) {
-	h := keyHash(g.Key)
-	p.add(p.emptySlot(h), h, g)
+	p.index.Add(value.KeyHash(g.Key))
+	p.Groups = append(p.Groups, g)
 }
 
 // Merge folds o's groups into p in o's order: a key p lacks is appended (p
@@ -429,10 +354,15 @@ func (p *AggPartial) Append(g *AggGroup) {
 // Merging morsel partials in morsel order therefore leaves Groups in the
 // input's first-seen order.
 func (p *AggPartial) Merge(o *AggPartial) {
-	for _, g := range o.Groups {
-		at, s := p.find(g.hash, g.Key)
+	for og, g := range o.Groups {
+		w := p.index.Probe(o.index.Hash(og))
+		at := p.index.Next(&w)
+		for at >= 0 && !value.KeysEqual(p.Groups[at].Key, g.Key) {
+			at = p.index.Next(&w)
+		}
 		if at < 0 {
-			p.add(s, g.hash, g)
+			p.index.Insert(w)
+			p.Groups = append(p.Groups, g)
 			continue
 		}
 		dst := p.Groups[at]
@@ -466,14 +396,6 @@ func (p *AggPartial) Rows(aggs []AggSpec, global bool) ([]value.Row, error) {
 		rows = append(rows, out)
 	}
 	return rows, nil
-}
-
-func ordinals(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // AppendAggState appends the binary form of a state, the one dist ships in an

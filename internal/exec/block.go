@@ -287,23 +287,19 @@ func sortRows(ctx context.Context, rows []value.Row, keys []SortKey) error {
 // comparison), keeping each first occurrence in order, and checks ctx every
 // morsel of rows.
 func distinctRows(ctx context.Context, rows []value.Row, width int) ([]value.Row, error) {
-	ords := ordinals(width)
-	seen := map[uint64][]value.Row{}
+	var index value.Index // over kept
 	kept := rows[:0]
 	for i, r := range rows {
 		if i%DefaultMorselSize == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		h := r.Hash(ords)
-		dup := false
-		for _, prev := range seen[h] {
-			if r.EqualAt(prev, ords, ords) {
-				dup = true
-				break
-			}
+		w := index.Probe(value.KeyHash(r[:width]))
+		o := index.Next(&w)
+		for o >= 0 && !value.KeysEqual(r[:width], kept[o][:width]) {
+			o = index.Next(&w)
 		}
-		if !dup {
-			seen[h] = append(seen[h], r)
+		if o < 0 {
+			index.Insert(w)
 			kept = append(kept, r)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // The hash aggregate's morsel body. A segment runs in two phases. The key
 // phase gives every live row a group ordinal in the morsel's partial
 // straight from the key vectors: each key column folds its hash into the
-// rows' key hashes (Row.Hash, column by column), then each row probes the
+// rows' key hashes (value.KeyHash, column by column), then each row probes the
 // partial's index, comparing a candidate's boxed key with the row's payload
 // in place, and a row whose key is new starts a group. A lone dictionary
 // key skips the hash: a code → group array, kept while the batches share
@@ -97,7 +97,7 @@ func aggregateMorsel(segs []segment, base int, es []expr.Expr, aggs []AggSpec, n
 		total += seg.hi - seg.lo
 	}
 	g := &groupBy{
-		pt: NewAggPartial(), es: es, empty: emptyStates(aggs), first: base, total: total,
+		pt: &AggPartial{}, es: es, empty: emptyStates(aggs), first: base, total: total,
 		keys: make([]keyCol, nk), args: make([]argCol, len(aggs)), need: make([]expr.Expr, len(es)),
 		rows: make([]int32, n), hs: make([]uint64, n), gid: make([]int32, n),
 	}
@@ -328,21 +328,19 @@ func (g *groupBy) keyPhase(rows []int32) (int, error) {
 // whose key hashes to h, starting the group if it is new.
 func (g *groupBy) lookup(h uint64, k, i int) int32 {
 	p := g.pt
-	mask := len(p.index) - 1
-	for s := p.slot(h); ; s = (s + 1) & mask {
-		o := p.index[s]
-		if o == 0 {
-			grp := p.newGroup(len(g.keys), g.empty, int64(g.first+k))
-			for c := range g.keys {
-				grp.Key[c] = g.keys[c].value(k, i)
-			}
-			p.add(s, h, grp)
-			return int32(len(p.Groups) - 1)
-		}
-		if grp := p.Groups[o-1]; grp.hash == h && g.keyEqual(grp.Key, k, i) {
-			return o - 1
+	w := p.index.Probe(h)
+	for o := p.index.Next(&w); o >= 0; o = p.index.Next(&w) {
+		if g.keyEqual(p.Groups[o].Key, k, i) {
+			return int32(o)
 		}
 	}
+	grp := p.newGroup(len(g.keys), g.empty, int64(g.first+k))
+	for c := range g.keys {
+		grp.Key[c] = g.keys[c].value(k, i)
+	}
+	p.index.Insert(w)
+	p.Groups = append(p.Groups, grp)
+	return int32(len(p.Groups) - 1)
 }
 
 // value boxes the key of live row k, physical row i: what its reader gives.

@@ -99,7 +99,7 @@ func referenceAggregate(rows []value.Row, keys []expr.Expr, aggs []AggSpec, glob
 		}
 		var g *group
 		for _, cand := range groups {
-			if keysEqual(cand.key, key) {
+			if value.KeysEqual(cand.key, key) {
 				g = cand
 				break
 			}

@@ -136,7 +136,7 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 	// Barrier: merge partial tables in morsel order. A group's first
 	// appearance across morsels matches its first appearance in the input,
 	// so the merged order equals the serial first-seen order.
-	merged := NewAggPartial()
+	merged := &AggPartial{}
 	for _, pt := range partials {
 		merged.Merge(pt)
 	}
@@ -187,10 +187,9 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 	lOffs, rOffs := left.offsets(), right.offsets()
 	nLeft, nRight := left.Len(), right.Len()
 
-	// Build phase: morsels read each row's keys once (reused by every probe
-	// comparison) and hash; a NULL key, which never matches, marks its row -1
-	// in next. heads then maps a hash to its first build ordinal + 1, next[ri]
-	// to the one after ri + 1 (0 ends the chain).
+	// Build phase: morsels read each row's keys once and hash; a NULL key,
+	// which never matches, marks its row -1 in next. linkBuild then indexes
+	// the distinct keys and chains their rows in build order.
 	nk := len(rightKeys)
 	keys := make([]value.Value, nRight*nk)
 	hashes, next := make([]uint64, nRight), make([]int32, nRight)
@@ -219,21 +218,15 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 		}
 		stats.NoteDispatch(nb, workers)
 	}
-	heads := make(map[uint64]int32, nRight)
-	buildNull := false
-	for ri := nRight - 1; ri >= 0; ri-- {
-		if next[ri] < 0 {
-			buildNull = true
-			continue
-		}
-		next[ri] = heads[hashes[ri]]
-		heads[hashes[ri]] = int32(ri + 1)
-	}
+	index, first, buildNull := linkBuild(keys, hashes, next, nk)
 
 	// The residual's scratch row is filled only where it reads.
 	fill := expr.FillOrds([]expr.Expr{residual})
 	if fill == nil {
-		fill = ordinals(out.Len())
+		fill = make([]int, out.Len())
+		for i := range fill {
+			fill[i] = i
+		}
 	}
 
 	// Probe phase: each morsel records its pairs and gathers its batch;
@@ -266,11 +259,12 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 						return err
 					}
 					matched := false
+					e := -1
 					if !hasNull {
-						for ri := int(heads[h]) - 1; ri >= 0; ri = int(next[ri]) - 1 {
-							if !keysEqual(vals, keys[ri*nk:(ri+1)*nk]) {
-								continue
-							}
+						e, _ = findKey(index, h, vals, keys, first)
+					}
+					if e >= 0 {
+						for ri := int(first[e]); ri >= 0; ri = int(next[ri]) - 1 {
 							if leftOnly { // one match decides a semi/anti join
 								matched = true
 								break
@@ -390,12 +384,36 @@ func readKeys(rd []func(int) (value.Value, error), i int, vals []value.Value) (u
 	return h, false, nil
 }
 
-// keysEqual compares a probe row's key values with a build row's.
-func keysEqual(a, b []value.Value) bool {
-	for k := range a {
-		if value.Compare(a[k], b[k]) != 0 {
-			return false
+// linkBuild indexes the distinct keys of the build rows (nk values of keys
+// and one of hashes a row) but those whose next is -1, a NULL key, which
+// buildNull reports: first[e] is the first row with entry e's key and
+// next[ri] becomes the next row with ri's key + 1 (0 ends the chain).
+func linkBuild(keys []value.Value, hashes []uint64, next []int32, nk int) (index value.Index, first []int32, buildNull bool) {
+	index, first = value.NewIndex(len(next)), make([]int32, 0, len(next))
+	for ri := len(next) - 1; ri >= 0; ri-- {
+		if next[ri] < 0 {
+			buildNull = true
+			continue
+		}
+		e, w := findKey(index, hashes[ri], keys[ri*nk:(ri+1)*nk], keys, first)
+		if e < 0 {
+			e = index.Insert(w)
+			first = append(first, -1)
+		}
+		next[ri], first[e] = first[e]+1, int32(ri)
+	}
+	return index, first, buildNull
+}
+
+// findKey returns the entry whose key, build row first[e]'s, equals key
+// under hash h, or -1 and the walk Insert takes.
+func findKey(index value.Index, h uint64, key, keys []value.Value, first []int32) (int, value.Probe) {
+	nk := len(key)
+	w := index.Probe(h)
+	for e := index.Next(&w); e >= 0; e = index.Next(&w) {
+		if r := int(first[e]) * nk; value.KeysEqual(key, keys[r:r+nk]) {
+			return e, w
 		}
 	}
-	return true
+	return -1, w
 }

@@ -8,7 +8,6 @@ package expr
 
 import (
 	"fmt"
-	"hash/maphash"
 	"strings"
 
 	"hana/internal/value"
@@ -342,60 +341,30 @@ type In struct {
 	// instead of re-evaluating the list per row. Built during binding (never
 	// lazily) so the bound tree stays immutable under parallel morsel
 	// execution.
-	set *litSet
+	set *inSet
 }
 
-// litSet indexes an all-literal IN list: its distinct non-NULL values,
-// chained by a hash that, like Value.Hash, is equal for values Compare
-// equates (1 and 1.0, a DATE and the TIMESTAMP of the same encoding), every
-// probe confirmed with Compare — so membership equals a linear Compare scan
-// of the list.
-type litSet struct {
-	vals    []value.Value    // distinct members, first-seen order
-	next    []int32          // next[i]: 1+index of the next member with vals[i]'s hash, 0 = none
-	heads   map[uint64]int32 // hash → 1+index of the newest member with it
-	seed    maphash.Seed
-	hasNull bool // the list holds a NULL literal
+// inSet is an all-literal IN list's distinct non-NULL values under the one
+// hash index: membership equals a linear Compare scan of the list.
+type inSet struct {
+	vals    []value.Value // distinct members, first-seen order
+	index   value.Index   // over vals
+	hasNull bool          // the list holds a NULL literal
 }
 
-func newLitSet(n int) *litSet {
-	return &litSet{heads: make(map[uint64]int32, n), seed: maphash.MakeSeed()}
+func newInSet(n int) *inSet {
+	return &inSet{vals: make([]value.Value, 0, n), index: value.NewIndex(n)}
 }
-
-// hash needs no mixing (heads hashes its keys) and no kind tag (a chain
-// holding values of two incomparable kinds is told apart by Compare).
-func (s *litSet) hash(v value.Value) uint64 {
-	switch v.K {
-	case value.KindVarchar:
-		return maphash.String(s.seed, v.S)
-	case value.KindInt, value.KindDouble:
-		return value.FloatBits(v.Float())
-	}
-	return uint64(v.I)
-}
-
-// find returns the 1+index of the member equal to v under hash h, or 0.
-func (s *litSet) find(v value.Value, h uint64) int32 {
-	k := s.heads[h]
-	for k != 0 && value.Compare(v, s.vals[k-1]) != 0 {
-		k = s.next[k-1]
-	}
-	return k
-}
-
-func (s *litSet) contains(v value.Value) bool { return s.find(v, s.hash(v)) != 0 }
 
 // add inserts a literal's value unless it is NULL or equal to a member.
-func (s *litSet) add(v value.Value) {
+func (s *inSet) add(v value.Value) {
 	if v.IsNull() {
 		s.hasNull = true
 		return
 	}
-	h := s.hash(v)
-	if s.find(v, h) == 0 {
+	if o, p := s.index.Find(s.vals, v); o < 0 {
+		s.index.Insert(p)
 		s.vals = append(s.vals, v)
-		s.next = append(s.next, s.heads[h])
-		s.heads[h] = int32(len(s.vals))
 	}
 }
 
@@ -405,7 +374,7 @@ func (s *litSet) add(v value.Value) {
 // prepared here, once — Clone shares it with the literals, so binding the
 // node for every leaf that takes it does not rebuild the set.
 func NewIn(e Expr, vals []value.Value, negate bool) *In {
-	in := &In{E: e, Negate: negate, set: newLitSet(0)}
+	in := &In{E: e, Negate: negate, set: newInSet(len(vals))}
 	for _, v := range vals {
 		in.set.add(v)
 	}
@@ -428,7 +397,7 @@ func (i *In) prepare() {
 	if i.set != nil {
 		return
 	}
-	set := newLitSet(len(i.List))
+	set := newInSet(len(i.List))
 	for _, el := range i.List {
 		lit, ok := el.(*Literal)
 		if !ok {

@@ -525,15 +525,13 @@ func cmpInt64(a, b int64) int {
 	}
 }
 
-// compileIn compiles `E [NOT] IN (literals…)`. Dictionary-encoded VARCHAR
-// vectors get a verdict per dictionary entry (one set probe per distinct
-// value instead of one per row); other vectors re-run the exact membership
-// logic per row on an unboxed value.
+// compileIn compiles `E [NOT] IN (literals…)` once Bind has prepared its
+// set. Dictionary-encoded VARCHAR vectors get a verdict per dictionary entry
+// (one set probe per distinct value instead of one per row); other vectors
+// probe the set per row with an unboxed value.
 func compileIn(n *In, b *value.Batch) (triKernel, bool) {
-	for _, el := range n.List {
-		if _, ok := el.(*Literal); !ok {
-			return nil, false
-		}
+	if n.set == nil {
+		return nil, false
 	}
 	switch e := n.E.(type) {
 	case *Literal:
@@ -565,33 +563,14 @@ func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 }
 
 // inVerdict is the membership verdict of an all-literal list (which cannot
-// fail) for one value: a probe of the set Bind prepared, or, for an unbound
-// node, the linear Compare scan the set stands for.
+// fail) for one value: a probe of the set Bind prepared.
 func inVerdict(n *In, v value.Value) int8 {
-	if v.IsNull() {
+	switch o, _ := n.set.index.Find(n.set.vals, v); {
+	case v.IsNull():
 		return triNull
-	}
-	if n.set != nil {
-		switch {
-		case n.set.contains(v):
-			return triBool(!n.Negate)
-		case n.set.hasNull:
-			return triNull
-		}
-		return triBool(n.Negate)
-	}
-	sawNull := false
-	for _, el := range n.List {
-		lv := el.(*Literal).Val
-		if lv.IsNull() {
-			sawNull = true
-			continue
-		}
-		if value.Compare(v, lv) == 0 {
-			return triBool(!n.Negate)
-		}
-	}
-	if sawNull {
+	case o >= 0:
+		return triBool(!n.Negate)
+	case n.set.hasNull:
 		return triNull
 	}
 	return triBool(n.Negate)

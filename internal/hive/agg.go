@@ -168,7 +168,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	}
 	// A global aggregate over empty input still yields one row.
 	if len(groupBy) == 0 && len(rows) == 0 {
-		return exec.NewAggPartial().Rows(aggs, true)
+		return (&exec.AggPartial{}).Rows(aggs, true)
 	}
 	return rows, nil
 }

@@ -175,7 +175,7 @@ func (d *rowReader) release(s *scratch) { d.pool.Put(s) }
 
 // EncodeKey serializes join/group key values: a flag byte, 1 when any value
 // is NULL (NULL join keys never match), then each value in the value wire
-// codec, canonical so that values value.Equal and Value.Hash treat as equal
+// codec, canonical so that values value.Compare and Value.Hash treat as equal
 // get equal bytes: a DOUBLE with an integral value in range is written as
 // that BIGINT (1 = 1.0, −0.0 = 0.0), every NaN as one NaN, and a TIMESTAMP
 // as the DATE of the same integer (temporal kinds compare by it).

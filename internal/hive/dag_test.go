@@ -183,8 +183,8 @@ func TestMapSidePartialsAgreeWithEngine(t *testing.T) {
 
 // sameGroups reports whether two aggregate results hold the same groups,
 // in any order: rows pair up by their first nkeys columns' canonical key
-// bytes, and every pair of values must be NULL together or value.Equal, of
-// one kind.
+// bytes, and every pair of values must be NULL together or Compare equal,
+// of one kind.
 func sameGroups(a, b []value.Row, nkeys int) bool {
 	if len(a) != len(b) {
 		return false
@@ -201,7 +201,7 @@ func sameGroups(a, b []value.Row, nkeys int) bool {
 		}
 		for j, v := range a[i] {
 			w := b[i][j]
-			if v.IsNull() != w.IsNull() || !v.IsNull() && (v.K != w.K || !value.Equal(v, w)) {
+			if v.K != w.K || value.Compare(v, w) != 0 {
 				return false
 			}
 		}

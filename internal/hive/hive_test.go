@@ -789,7 +789,7 @@ func TestKeysAndPartialsAgreeWithEngine(t *testing.T) {
 		same := len(got.Data) == len(want.Rows)
 		for i := 0; same && i < len(got.Data); i++ {
 			for j, v := range got.Data[i] {
-				same = same && value.Equal(v, want.Rows[i][j])
+				same = same && value.Compare(v, want.Rows[i][j]) == 0
 			}
 		}
 		if !same {

@@ -73,12 +73,13 @@ var HotRoots = []string{
 	"hana/internal/expr.EvalBatch",
 	"hana/internal/expr.applyKernels",
 	"hana/internal/expr.compileTri",
-	// value: per-row comparison and hashing leaves.
+	// value: per-row comparison and hashing leaves, the hash index's included.
+	"hana/internal/value.Index.Next",
+	"hana/internal/value.Index.Insert",
 	"hana/internal/value.Compare",
 	"hana/internal/value.Value.Hash",
-	"hana/internal/value.Equal",
-	"hana/internal/value.Row.Hash",
-	"hana/internal/value.Row.EqualAt",
+	"hana/internal/value.KeyHash",
+	"hana/internal/value.KeysEqual",
 	// value: batch access leaves — FillRow/Value run once per row whenever a
 	// batch crosses back into the row world — and the one typed gather the
 	// join's output and the coordinator's merge copy through.

@@ -125,37 +125,6 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Hash hashes the projection of the row at the given ordinals; used for
-// hash joins and grouping.
-func (r Row) Hash(ordinals []int) uint64 {
-	h := KeyHashSeed
-	for _, o := range ordinals {
-		h = KeyHashStep(h, r[o].Hash())
-	}
-	return h
-}
-
-// KeyHashSeed is a key tuple's hash before its first column. Row.Hash and
-// the executor's hash operators start from it and fold each column's
-// Value.Hash in with KeyHashStep, so a key read column by column hashes as
-// the row holding it does.
-const KeyHashSeed uint64 = 1469598103934665603
-
-// KeyHashStep folds vh, one more key column's Value.Hash, into h.
-func KeyHashStep(h, vh uint64) uint64 { return h*fnvPrime64 ^ vh }
-
-// EqualAt reports whether two rows agree (by Compare==0, so NULL==NULL here,
-// matching GROUP BY and join-key semantics used by the executor's hash
-// operators which treat NULL groups as equal) on the given ordinals.
-func (r Row) EqualAt(o Row, a, b []int) bool {
-	for i := range a {
-		if Compare(r[a[i]], o[b[i]]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the row for debugging: "[1, foo, 2.5]".
 func (r Row) String() string {
 	parts := make([]string, len(r))

@@ -254,15 +254,6 @@ func CompareFloats(a, b float64) int {
 	}
 }
 
-// Equal reports SQL equality (NULL is not equal to anything, including NULL;
-// use Compare for ordering semantics).
-func Equal(a, b Value) bool {
-	if a.K == KindNull || b.K == KindNull {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
 // FNV-1a constants; Hash inlines the arithmetic instead of allocating an
 // fnv.New64a state per call — this runs once per value per row in every
 // hash join and aggregation.
@@ -294,7 +285,13 @@ func (v Value) Hash() uint64 {
 	case KindBool:
 		h = fnvByte(fnvByte(h, 1), byte(v.I))
 	case KindInt, KindDouble:
-		h = fnvUint64(fnvByte(h, 2), FloatBits(v.Float()))
+		f := v.Float()
+		if f == 0 {
+			f = 0 // −0.0 as +0.0
+		} else if f != f {
+			f = math.NaN() // every NaN as one
+		}
+		h = fnvUint64(fnvByte(h, 2), math.Float64bits(f))
 	case KindDate, KindTimestamp:
 		h = fnvUint64(fnvByte(h, 3), uint64(v.I))
 	case KindVarchar:
@@ -304,18 +301,6 @@ func (v Value) Hash() uint64 {
 		}
 	}
 	return h
-}
-
-// FloatBits is the IEEE image Hash takes of a number: −0.0 as +0.0 and
-// every NaN as math.NaN(), so doubles Compare equates share it.
-func FloatBits(f float64) uint64 {
-	switch {
-	case f == 0:
-		f = 0
-	case f != f:
-		f = math.NaN()
-	}
-	return math.Float64bits(f)
 }
 
 // String renders the value for display and for remote SQL generation of

@@ -55,18 +55,6 @@ func TestCompareNullsFirst(t *testing.T) {
 	}
 }
 
-func TestEqualNullSemantics(t *testing.T) {
-	if Equal(Null, Null) {
-		t.Error("NULL = NULL must be false under SQL equality")
-	}
-	if Equal(Null, NewInt(0)) {
-		t.Error("NULL = 0 must be false")
-	}
-	if !Equal(NewString("a"), NewString("a")) {
-		t.Error("'a' = 'a'")
-	}
-}
-
 func TestDateParsingAndArithmetic(t *testing.T) {
 	d, err := ParseDate("1994-01-01")
 	if err != nil {
@@ -197,8 +185,8 @@ func TestHashAgreesWithCompareOnSignedZero(t *testing.T) {
 // (+Inf and the largest BIGINT included), so every NaN hashes alike.
 func TestNaNEqualsNaNAboveEveryNumber(t *testing.T) {
 	nan, other := NewDouble(math.NaN()), NewDouble(math.Float64frombits(0xfff8000000000abc))
-	if Compare(nan, other) != 0 || !Equal(nan, other) || nan.Hash() != other.Hash() {
-		t.Errorf("two NaN payloads: Compare %d, Equal %v, hashes %x %x", Compare(nan, other), Equal(nan, other), nan.Hash(), other.Hash())
+	if Compare(nan, other) != 0 || nan.Hash() != other.Hash() {
+		t.Errorf("two NaN payloads: Compare %d, hashes %x %x", Compare(nan, other), nan.Hash(), other.Hash())
 	}
 	for _, v := range []Value{NewDouble(math.Inf(1)), NewDouble(math.Inf(-1)), NewDouble(0), NewInt(math.MaxInt64), NewInt(math.MinInt64)} {
 		if Compare(nan, v) != 1 || Compare(v, nan) != -1 {
@@ -289,23 +277,21 @@ func TestSchemaQualifyConcat(t *testing.T) {
 }
 
 func TestRowHashGrouping(t *testing.T) {
-	r1 := Row{NewInt(1), NewString("a"), NewDouble(2)}
-	r2 := Row{NewInt(1), NewString("b"), NewDouble(2)}
-	if r1.Hash([]int{0, 2}) != r2.Hash([]int{0, 2}) {
-		t.Error("rows equal on key ordinals must hash equal")
+	k1 := Row{NewInt(1), NewDouble(2)}
+	k2 := Row{NewDouble(1), NewInt(2)}
+	if KeyHash(k1) != KeyHash(k2) {
+		t.Error("keys equal under Compare must hash equal")
 	}
-	if !r1.EqualAt(r2, []int{0, 2}, []int{0, 2}) {
-		t.Error("EqualAt on matching ordinals")
+	if !KeysEqual(k1, k2) {
+		t.Error("KeysEqual on matching keys")
 	}
-	if r1.EqualAt(r2, []int{1}, []int{1}) {
-		t.Error("EqualAt must detect mismatch")
+	if KeysEqual(Row{NewString("a")}, Row{NewString("b")}) {
+		t.Error("KeysEqual must detect mismatch")
 	}
 }
 
 func TestRowEqualAtNulls(t *testing.T) {
-	r1 := Row{Null}
-	r2 := Row{Null}
-	if !r1.EqualAt(r2, []int{0}, []int{0}) {
+	if !KeysEqual(Row{Null}, Row{Null}) {
 		t.Error("grouping treats NULL keys as equal")
 	}
 }
