@@ -33,7 +33,7 @@ lint:
 # functions (`hanalint -hot`) diffed against internal/lint/escapes_baseline.txt.
 # A new escape fails, and so does a baseline entry the compiler no longer
 # reports; refresh deliberate changes with
-# `go run ./cmd/hanalint -write-escapes .` or `-prune-escapes .`. Per-row
+# `go run ./cmd/hanalint -write-escapes .` (comments kept). Per-row
 # allocations the compiler cannot see are pinned by the ZeroAllocs /
 # SubLinearAllocs tests.
 lint-hot:
@@ -59,7 +59,7 @@ lint-selftest:
 
 # Everything static in one gate: the seven analyzers (the fault-site
 # coverage check runs as part of guardcall), the hot-path escape diff (stale
-# baseline entries fail; fix with -prune-escapes), and the fixture
+# baseline entries fail; fix with -write-escapes), and the fixture
 # self-test. `make vet` is the other static gate: its copylocks check is
 # what catches a copied sync/atomic value.
 lint-all: lint lint-hot lint-selftest

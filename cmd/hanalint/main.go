@@ -10,8 +10,7 @@
 //	go run ./cmd/hanalint -lockgraph       # lock-order graph as DOT
 //	go run ./cmd/hanalint -hot             # hot-function set + call chains
 //	go run ./cmd/hanalint -escapes         # diff hot-path heap escapes vs baseline
-//	go run ./cmd/hanalint -write-escapes   # regenerate the escape baseline
-//	go run ./cmd/hanalint -prune-escapes   # drop stale baseline entries, keep the rest
+//	go run ./cmd/hanalint -write-escapes   # update the escape baseline, comments kept
 //	go run ./cmd/hanalint -suggest-guards  # advisory // hana:guardedby candidates
 //	go run ./cmd/hanalint -json ./...      # findings as a JSON array (CI artifact)
 //
@@ -40,12 +39,11 @@ func main() {
 	lockgraph := flag.Bool("lockgraph", false, "dump the global lock-order graph as DOT and exit")
 	hot := flag.Bool("hot", false, "print the derived hot-function set with call chains and exit")
 	escapes := flag.Bool("escapes", false, "diff hot-path heap escapes against internal/lint/escapes_baseline.txt")
-	writeEscapes := flag.Bool("write-escapes", false, "regenerate the escape baseline from the current tree")
-	pruneEscapes := flag.Bool("prune-escapes", false, "remove stale entries from the escape baseline, keeping live ones")
+	writeEscapes := flag.Bool("write-escapes", false, "update the escape baseline: drop stale entries, append new ones, keep comments")
 	suggestGuards := flag.Bool("suggest-guards", false, "print advisory // hana:guardedby candidates for unannotated shared fields")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hanalint [-list] [-lockgraph] [-hot] [-escapes] [-write-escapes] [-prune-escapes] [-suggest-guards] [-json] [-root dir] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: hanalint [-list] [-lockgraph] [-hot] [-escapes] [-write-escapes] [-suggest-guards] [-json] [-root dir] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,8 +78,8 @@ func main() {
 		printHotSet(lint.BuildProgram(pkgs))
 		return
 	}
-	if *escapes || *writeEscapes || *pruneEscapes {
-		os.Exit(runEscapes(dir, lint.BuildProgram(pkgs), *writeEscapes, *pruneEscapes))
+	if *escapes || *writeEscapes {
+		os.Exit(runEscapes(dir, lint.BuildProgram(pkgs), *writeEscapes))
 	}
 	if *suggestGuards {
 		prog := lint.BuildProgram(pkgs)
@@ -176,11 +174,11 @@ func printHotSet(prog *lint.Program) {
 	}
 }
 
-// runEscapes implements -escapes / -write-escapes / -prune-escapes and
+// runEscapes implements -escapes / -write-escapes and
 // returns the exit code. The gate fails on new hot-path escapes AND on
 // stale baseline entries: a dead entry means the baseline over-claims, and
 // would silently re-admit that escape if it came back.
-func runEscapes(dir string, prog *lint.Program, write, prune bool) int {
+func runEscapes(dir string, prog *lint.Program, write bool) int {
 	sites, err := lint.EscapeSites(dir, prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hanalint:", err)
@@ -188,23 +186,13 @@ func runEscapes(dir string, prog *lint.Program, write, prune bool) int {
 	}
 	baselinePath := filepath.Join(dir, "internal", "lint", "escapes_baseline.txt")
 	if write {
-		if err := lint.WriteEscapeBaseline(baselinePath, sites); err != nil {
-			fmt.Fprintln(os.Stderr, "hanalint:", err)
-			return 2
-		}
-		fmt.Printf("hanalint: wrote %d hot-path escape site(s) to %s\n", len(sites), baselinePath)
-		return 0
-	}
-	if prune {
-		removed, err := lint.PruneEscapeBaseline(baselinePath, sites)
+		removed, added, err := lint.UpdateEscapeBaseline(baselinePath, sites)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hanalint:", err)
 			return 2
 		}
-		for _, s := range removed {
-			fmt.Printf("hanalint: pruned stale escape baseline entry: %s\n", s)
-		}
-		fmt.Printf("hanalint: pruned %d stale entr(ies) from %s\n", len(removed), baselinePath)
+		fmt.Printf("hanalint: %s: %d stale entr(ies) dropped, %d new appended, %d hot-path escape site(s)\n",
+			baselinePath, len(removed), len(added), len(sites))
 		return 0
 	}
 	baseline, err := lint.ReadEscapeBaseline(baselinePath)
@@ -225,7 +213,7 @@ func runEscapes(dir string, prog *lint.Program, write, prune bool) int {
 		return 1
 	}
 	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "hanalint: %d stale baseline entr(ies); run -prune-escapes to drop them\n", len(stale))
+		fmt.Fprintf(os.Stderr, "hanalint: %d stale baseline entr(ies); run -write-escapes to drop them\n", len(stale))
 		return 1
 	}
 	fmt.Printf("hanalint: %d hot-path escape site(s), all baselined\n", len(sites))

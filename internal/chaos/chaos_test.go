@@ -297,7 +297,7 @@ func TestChaosFederatedWorkloadSurvivesFaultSchedule(t *testing.T) {
 	// the schedule are absorbed by the map-reduce retry layer on the way.
 	*s.now = s.now.Add(2 * time.Second)
 	probe := mustExec(t, s.e, chaosQueries[0])
-	if strings.Contains(probe.Plan, "[fallback cache]") {
+	if strings.Contains(probe.Plan, "fallback cache)") {
 		t.Fatalf("post-cooldown query must run live:\n%s", probe.Plan)
 	}
 	if hb := breakerStats(t, s, "HIVE1"); hb.State != faults.BreakerClosed {

@@ -19,13 +19,26 @@ func renderConjs(conjs []expr.Expr) string {
 	return expr.And(expr.CloneAll(conjs)...).SQL()
 }
 
-// shippedFilter is the plan child naming the predicate a fragment carries.
-func shippedFilter(conjs []expr.Expr) []*planNode {
+// sqlOf renders each expression as a fragment ships it.
+func sqlOf(es []expr.Expr) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.SQL()
+	}
+	return out
+}
+
+// shippedFilter is the plan attribute naming the predicate a fragment
+// carries.
+func shippedFilter(conjs []expr.Expr) []string {
 	if len(conjs) == 0 {
 		return nil
 	}
-	return []*planNode{node("shipped filter: " + planSQL(expr.And(conjs...)))}
+	return []string{"shipped filter: " + planSQL(expr.And(conjs...))}
 }
+
+// shards notes the fleet a sharded node ran on.
+func (p *planner) shards() string { return fmt.Sprintf("%d shards", p.e.dist.topo.Shards) }
 
 // distGather points a fragment template (its Agg or Join, if any) at a
 // pending sharded scan, fans it out through the coordinator and folds the
@@ -65,8 +78,7 @@ func (p *planner) realizeDist(r *relation) error {
 	if err != nil {
 		return err
 	}
-	label := fmt.Sprintf("Dist Scan [%s] (%d rows, %d shards)", ps.leaves[0].name, res.Len(), p.e.dist.topo.Shards)
-	r.node = node(label, shippedFilter(ps.conjs)...)
+	r.node = &exec.PlanNode{Op: "Dist Scan", Object: ps.leaves[0].name, Rows: res.Len(), Notes: []string{p.shards()}, Attrs: shippedFilter(ps.conjs)}
 	for _, b := range res.Batches {
 		b.Schema = r.Schema
 	}
@@ -79,7 +91,7 @@ func (p *planner) realizeDist(r *relation) error {
 		if r.Rel, err = exec.Filter(r.Rel, pred); err != nil {
 			return err
 		}
-		r.node.children = append(r.node.children, node(fmt.Sprintf("coordinator filter: %s (%d rows)", planSQL(pred), r.Len())))
+		r.node.Children = []*exec.PlanNode{exec.Node("coordinator filter:", planSQL(pred), r.Len())}
 	}
 	return nil
 }
@@ -87,21 +99,18 @@ func (p *planner) realizeDist(r *relation) error {
 // tryDistAggregate plans a single-table aggregate block as a distributed
 // aggregation: each shard folds its rows into per-group partials, the
 // coordinator merges them, and only the block's finishing stages run
-// locally: the returned Block's Finish over the returned aggregate output.
-// Partial states merge exactly (exact sums included), so the result is the
-// single-node one. An aggregate dist.DistributableAgg does not admit
-// returns a nil Block and the block falls back to gather-then-aggregate.
-func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exec.Rel, *exec.Block, *planNode, error) {
+// locally: the returned block's, over the merged aggregate output. Partial
+// states merge exactly (exact sums included), so the result is the
+// single-node one; subs are the plans of the block's subqueries. An
+// aggregate dist.DistributableAgg does not admit returns no block and the
+// block falls back to gather-then-aggregate.
+func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation, subs []*exec.PlanNode) (*block, error) {
 	ps := rel.pend
 	blk, err := exec.AnalyzeBlock(sel, rel.Schema)
 	if err != nil || !blk.Aggregates() {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
-	groups := len(blk.GroupBy)
-	frag := &dist.AggFragment{GroupBy: make([]string, groups), Aggs: make([]dist.AggCall, len(blk.Aggs))}
-	for i, g := range blk.GroupBy {
-		frag.GroupBy[i] = g.SQL()
-	}
+	frag := &dist.AggFragment{GroupBy: sqlOf(blk.GroupBy), Aggs: make([]dist.AggCall, len(blk.Aggs))}
 	for i, a := range blk.Aggs {
 		call := dist.AggCall{Func: a.Func, Distinct: a.Distinct}
 		mergeable := dist.DistributableAgg(a.Func)
@@ -112,24 +121,24 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation) (exe
 		}
 		if !mergeable {
 			p.plan.Note("dist: aggregate %s does not ship, gathering rows instead", a.Func)
-			return exec.Rel{}, nil, nil, nil
+			return nil, nil
 		}
 		frag.Aggs[i] = call
 	}
 
 	res, err := p.distGather(ps, &dist.Fragment{Agg: frag})
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
 	// Finalize the merged partials into aggregate output rows; group order
 	// is the serial first-seen order (merged groups sort by First).
-	rows, err := res.Partial.Rows(blk.Aggs, groups == 0)
+	rows, err := res.Partial.Rows(blk.Aggs, len(blk.GroupBy) == 0)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
-	root := node(fmt.Sprintf("Dist Hash Aggregate [%s] (%d group cols, %d groups, %d shards)",
-		ps.leaves[0].name, groups, len(rows), p.e.dist.topo.Shards), shippedFilter(ps.conjs)...)
-	return exec.Rel{Schema: blk.AggSchema, Rows: rows}, blk, finishNodes(sel, blk, root), nil
+	n := &exec.PlanNode{Op: "Dist Hash Aggregate", Object: ps.leaves[0].name, Rows: len(rows),
+		Notes: []string{fmt.Sprintf("%d group cols", len(blk.GroupBy)), p.shards()}, Attrs: shippedFilter(ps.conjs)}
+	return &block{in: exec.Rel{Schema: blk.AggSchema, Rows: rows}, blk: blk, node: n, subs: subs}, nil
 }
 
 // distBroadcastJoin executes probe-side-sharded ⋈ broadcast-build-side on
@@ -147,17 +156,9 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 		// The probe side's coordinator filter runs on gathered rows.
 		return nil, nil
 	}
-	probeSQLs := make([]string, len(leftKeys))
-	for i, k := range leftKeys {
-		probeSQLs[i] = k.SQL()
-	}
-	buildSQLs := make([]string, len(rightKeys))
-	for i, k := range rightKeys {
-		buildSQLs[i] = k.SQL()
-	}
 	res, err := p.distGather(ps, &dist.Fragment{Join: &dist.JoinFragment{
-		ProbeKeys: probeSQLs,
-		BuildKeys: buildSQLs,
+		ProbeKeys: sqlOf(leftKeys),
+		BuildKeys: sqlOf(rightKeys),
 		Residual:  renderConjs(residual),
 		BuildCols: r.Schema.Cols,
 		BuildRows: r.AllRows(),
@@ -169,9 +170,8 @@ func (p *planner) distBroadcastJoin(l, r *relation, leftKeys, rightKeys, residua
 	for _, b := range res.Batches {
 		b.Schema = out.Schema
 	}
-	label := fmt.Sprintf("Dist Broadcast Hash Join (INNER) on %s (%d rows, %d shards)",
-		keySQL(leftKeys, rightKeys), res.Len(), p.e.dist.topo.Shards)
-	probeNode := node(fmt.Sprintf("Dist Scan [%s] (probe, sharded)", ps.leaves[0].name), shippedFilter(ps.conjs)...)
-	out.node = node(label, probeNode, r.node)
+	probe := &exec.PlanNode{Op: "Dist Scan", Object: ps.leaves[0].name, Rows: -1, Notes: []string{"probe", "sharded"}, Attrs: shippedFilter(ps.conjs)}
+	out.node = exec.Node("Dist Broadcast Hash Join", "(INNER) on "+keySQL(leftKeys, rightKeys), res.Len(), probe, r.node)
+	out.node.Notes = []string{p.shards()}
 	return out, nil
 }

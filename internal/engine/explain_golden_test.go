@@ -20,11 +20,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explain_golden.txt from the current planner")
 
-// goldenLog records, per statement, the plan and what the statement moved:
-// rows scanned and the delta of every engine metric counter.
+// goldenLog records, per statement run at width, the plan and what the
+// statement moved: rows scanned and the delta of every engine metric
+// counter.
 type goldenLog struct {
-	t *testing.T
-	b strings.Builder
+	t     *testing.T
+	width int
+	b     strings.Builder
 }
 
 func (g *goldenLog) section(name string) { fmt.Fprintf(&g.b, "### %s\n\n", name) }
@@ -32,7 +34,7 @@ func (g *goldenLog) section(name string) { fmt.Fprintf(&g.b, "### %s\n\n", name)
 func (g *goldenLog) query(e *Engine, sql string, opts ...ExecOption) {
 	g.t.Helper()
 	before := metricValues(e)
-	res, err := e.ExecuteContext(context.Background(), sql, opts...)
+	res, err := e.ExecuteContext(context.Background(), sql, append(opts, WithParallelism(g.width))...)
 	if err != nil {
 		g.t.Fatalf("%s: %v", sql, err)
 	}
@@ -62,38 +64,44 @@ func metricValues(e *Engine) []int64 {
 // prints every leaf and strategy label the planner has: local column and row
 // scans, sharded scans, aggregates and broadcast joins, the extended-storage
 // strategies, table relocation, remote scans (merged, cached, fallback),
-// ship-whole, table functions, derived tables and subquery placement. A
-// planner change that must not change plans leaves the file byte-identical;
-// regenerate it with `go test ./internal/engine -run TestExplainGolden -update`.
+// ship-whole, table functions, derived tables, semi joins and subquery
+// placement. Every line is one exec.PlanNode as its renderer prints it,
+// with the rows the node emitted: Block.Finish's stage nodes (Having,
+// Project, Distinct, Sort, Limit) included. Row counts do not depend on the
+// statement's width, so the corpus runs at widths 1 and 4 against the one
+// file. A planner change that must not change plans leaves the file
+// byte-identical; regenerate it with
+// `go test ./internal/engine -run TestExplainGolden -update`.
 func TestExplainGolden(t *testing.T) {
-	g := &goldenLog{t: t}
-	goldenLocal(t, g)
-	goldenDist(t, g)
-	goldenFederated(t, g)
-	goldenFallback(t, g)
-
 	path := filepath.Join("testdata", "explain_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(g.b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.b.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+	for _, width := range []int{1, 4} {
+		g := &goldenLog{t: t, width: width}
+		goldenLocal(t, g)
+		goldenDist(t, g)
+		goldenFederated(t, g)
+		goldenFallback(t, g)
+
+		if *updateGolden && width == 1 {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(g.b.String()), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Fatalf("%s differs in length: got %d lines, want %d", path, len(gl), len(wl))
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.b.String(); got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("width %d: %s differs at line %d:\n got: %s\nwant: %s", width, path, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("width %d: %s differs in length: got %d lines, want %d", width, path, len(gl), len(wl))
+		}
 	}
 }
 
@@ -163,6 +171,8 @@ func goldenLocal(t *testing.T, g *goldenLog) {
 		`SELECT COUNT(*) FROM t, small WHERE t.a < small.id`,
 		`SELECT COUNT(*) FROM t LEFT JOIN small ON t.a = small.id`,
 		`SELECT COUNT(*) FROM (SELECT a FROM t WHERE a > 10) d`,
+		`SELECT d.b, d.n FROM (SELECT b, COUNT(*) n FROM t GROUP BY b) d, small WHERE d.n > small.id`,
+		`SELECT t.a, big_local.v FROM t, big_local WHERE t.a = big_local.k LIMIT 4`,
 		`SELECT x FROM GOLDEN_VIEW() WHERE x > 7`,
 		`SELECT a FROM t WHERE a IN (SELECT id FROM small)`,
 		`SELECT COUNT(*) FROM t, big_local WHERE t.a = big_local.k AND t.a IN (SELECT id FROM small)`,
@@ -205,6 +215,7 @@ func goldenDist(t *testing.T, g *goldenLog) {
 		`SELECT x.A, y.B FROM T x JOIN T y ON x.A = y.A WHERE y.A < 30`,
 		`SELECT T.A, U.W FROM T, U WHERE T.A = U.K`,
 		`SELECT COUNT(*) FROM T x, T y WHERE x.A = y.B AND x.A < y.B`,
+		`SELECT A, B FROM T WHERE EXISTS (SELECT 1 FROM U WHERE U.K = T.A AND U.W = T.B + 3)`,
 		`SELECT COUNT(*) FROM T, U WHERE T.A = U.K AND T.B = 7 AND T.A IN (SELECT A FROM T WHERE A < 100)`,
 	} {
 		g.query(e, q)

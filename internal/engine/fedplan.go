@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"hana/internal/exec"
 	"hana/internal/expr"
@@ -10,34 +9,6 @@ import (
 	"hana/internal/sqlparse"
 	"hana/internal/value"
 )
-
-// planNode is one node of the EXPLAIN tree.
-type planNode struct {
-	label    string
-	children []*planNode
-}
-
-func node(label string, children ...*planNode) *planNode {
-	return &planNode{label: label, children: children}
-}
-
-func (n *planNode) render(b *strings.Builder, indent int) {
-	for i := 0; i < indent; i++ {
-		b.WriteString("  ")
-	}
-	b.WriteString(n.label)
-	b.WriteByte('\n')
-	for _, c := range n.children {
-		c.render(b, indent+1)
-	}
-}
-
-// String renders the plan tree.
-func (n *planNode) String() string {
-	var b strings.Builder
-	n.render(&b, 0)
-	return b.String()
-}
 
 // relation is the planner's intermediate: the embedded exec.Rel, whose
 // Schema every relation has and whose rows or vectorized scan batches a
@@ -48,7 +19,7 @@ type relation struct {
 	pend *pendingScan // nil = realized
 
 	est  float64
-	node *planNode
+	node *exec.PlanNode
 }
 
 // pendingScan is a scan of FROM tables at one placement that has not run:
@@ -133,13 +104,14 @@ func (p *planner) realizeRemote(r *relation) error {
 		}
 	}
 	sel.Where = expr.And(expr.CloneAll(ps.conjs)...)
-	res, label, err := p.fetchRemote(src.source, src.adapter, sel, sel.Where != nil, remoteRowScan)
+	res, n, err := p.fetchRemote(src.source, src.adapter, sel, sel.Where != nil, remoteRowScan)
 	if err != nil {
 		return err
 	}
 	shown := *sel
 	shown.Where = elideLists(sel.Where)
-	r.node = node(label, node("shipped: "+sqlparse.RenderSelect(&shown)))
+	n.Attrs = []string{"shipped: " + sqlparse.RenderSelect(&shown)}
+	r.node = n
 	if err := conformRows(res.Rows, shipped); err != nil {
 		return fmt.Errorf("remote source %s returned incompatible rows: %w", src.source, err)
 	}
@@ -168,29 +140,29 @@ func widenRows(rows []value.Row, ords []int, width int) []value.Row {
 // fetchRemote ships one statement to a remote source under the §4.4 cache
 // rule (the session hint, enable_remote_cache, and only statements with
 // predicates; the adapter enforces remote_cache_validity), counts it, and
-// returns the plan label: kind, source and rows, marked when the rows came
+// returns its plan node: kind, source and rows, noted when the rows came
 // from the remote cache or the fallback cache. A whole shipped statement
 // (kind "Remote Query") falls back only to its own last result; a leaf's
 // row scan to any that holds its columns.
-func (p *planner) fetchRemote(source string, a fed.Adapter, sel *sqlparse.SelectStmt, hasPredicates bool, kind string) (*fed.QueryResult, string, error) {
+func (p *planner) fetchRemote(source string, a fed.Adapter, sel *sqlparse.SelectStmt, hasPredicates bool, kind string) (*fed.QueryResult, *exec.PlanNode, error) {
 	enabled, validity := p.e.remoteCacheCfg()
 	opts := fed.QueryOptions{UseCache: p.useCache && enabled && hasPredicates, Validity: validity}
 	res, err := p.e.remoteQuery(p.ctx, source, a, sel, opts, kind == remoteRowScan)
 	if err != nil {
-		return nil, "", fmt.Errorf("remote source %s: %w", source, err)
+		return nil, nil, fmt.Errorf("remote source %s: %w", source, err)
 	}
 	m := &p.e.Metrics
 	m.RemoteQueries.Inc()
 	m.RemoteRowsFetched.Add(int64(res.Rows.Len()))
-	label := fmt.Sprintf("%s [%s] (%d rows)", kind, source, res.Rows.Len())
+	n := &exec.PlanNode{Op: kind, Object: source, Rows: res.Rows.Len()}
 	if res.FromCache {
 		m.RemoteCacheHits.Inc()
-		label += " [remote cache hit]"
+		n.Notes = append(n.Notes, "remote cache hit")
 	}
 	if res.FromFallback {
-		label += " [fallback cache]"
+		n.Notes = append(n.Notes, "fallback cache")
 	}
-	return res, label, nil
+	return res, n, nil
 }
 
 // conformRows casts remote result rows to the expected schema (SDA
@@ -213,8 +185,8 @@ func conformRows(rows *value.Rows, want *value.Schema) error {
 
 // realizeScan runs the scan of a local or cold table. The pushed conjuncts
 // go to planner.scan, which prunes partitions by their bounds and cold
-// chunks by their zone maps. A local scan is labeled by its store; a cold
-// one by what it read (coldLabel).
+// chunks by their zone maps. A scan is named by its store, or by the
+// strategy a cold read amounts to (coldStrategy).
 func (p *planner) realizeScan(r *relation) error {
 	ps := r.pend
 	l := ps.leaves[0]
@@ -231,31 +203,27 @@ func (p *planner) realizeScan(r *relation) error {
 		return err
 	}
 	r.Batches = sc.batches
-	filter := "pushed filter: "
-	if ps.place == placeLocal {
-		r.node = node(fmt.Sprintf("%s Scan [%s] (%d rows, vectorized)", storeLabel(t), l.name, r.Len()))
-		filter = "filter: "
-	} else {
-		r.node = node(p.coldLabel(t, sc, ps.conjs))
+	r.node = &exec.PlanNode{Op: "Column Scan", Object: l.name, Rows: r.Len(), Notes: []string{"vectorized"}}
+	if len(t.parts) > 0 && t.parts[0].row != nil {
+		r.node.Op = "Row Scan"
+	}
+	filter := "filter: "
+	if ps.place != placeLocal {
+		p.coldStrategy(r.node, t, sc, ps.conjs)
+		filter = "pushed filter: "
 	}
 	if pred != nil {
-		r.node.children = append(r.node.children, node(filter+planSQL(pred)))
+		r.node.Attrs = []string{filter + planSQL(pred)}
 	}
 	return nil
 }
 
-func storeLabel(st *storedTable) string {
-	if len(st.parts) > 0 && st.parts[0].row != nil {
-		return "Row"
-	}
-	return "Column"
-}
-
-// coldLabel names the scan of an extended or hybrid table by what it read,
-// and counts the strategy that amounts to: hot and cold fragments combined
-// are a "Union Plan", cold alone a remote scan or, when IN-list values were
-// shipped, a semijoin.
-func (p *planner) coldLabel(t *storedTable, sc *tableScan, conjs []expr.Expr) string {
+// coldStrategy names the scan n of an extended or hybrid table by what it
+// read, and counts the strategy that amounts to: hot and cold fragments
+// combined are a "Union Plan", cold alone a remote scan or, when IN-list
+// values were shipped, a semijoin. A scan that read hot partitions only
+// stays a column scan.
+func (p *planner) coldStrategy(n *exec.PlanNode, t *storedTable, sc *tableScan, conjs []expr.Expr) {
 	inCount := 0
 	for _, c := range conjs {
 		if in, ok := c.(*expr.In); ok && literalIn(in) != nil {
@@ -276,26 +244,26 @@ func (p *planner) coldLabel(t *storedTable, sc *tableScan, conjs []expr.Expr) st
 		}
 	}
 	name := t.meta.Name
+	shipped := fmt.Sprintf("%d values shipped", inCount)
+	scanned := fmt.Sprintf("%d rows scanned", coldRows)
 	switch {
 	case usedHot && usedCold:
-		label := fmt.Sprintf("Union Plan [%s] (hot %d ∪ cold %d rows scanned)", name, hotRows, coldRows)
+		n.Op, n.Notes = "Union Plan", []string{fmt.Sprintf("hot %d ∪ cold %d rows scanned", hotRows, coldRows)}
 		p.e.Metrics.UnionPlansChosen.Inc()
 		p.plan.Note("chose union plan for %s: hot %d ∪ cold %d rows", name, hotRows, coldRows)
 		if inCount > 0 {
-			label += fmt.Sprintf(" + Semijoin (%d values shipped)", inCount)
+			n.Notes = append(n.Notes, "Semijoin: "+shipped)
 			p.e.Metrics.SemiJoinsChosen.Inc()
 		}
-		return label
 	case usedCold && inCount > 0:
+		n.Op, n.Notes = "Semijoin → Extended Storage", []string{shipped, scanned}
 		p.e.Metrics.SemiJoinsChosen.Inc()
 		p.plan.Note("chose semijoin → extended storage for %s: %d values shipped", name, inCount)
-		return fmt.Sprintf("Semijoin → Extended Storage [%s] (%d values shipped, %d rows scanned)", name, inCount, coldRows)
 	case usedCold:
+		n.Op, n.Notes = "Remote Scan → Extended Storage", []string{scanned}
 		p.e.Metrics.RemoteScansChosen.Inc()
 		p.plan.Note("chose remote scan → extended storage for %s: %d rows", name, coldRows)
-		return fmt.Sprintf("Remote Scan → Extended Storage [%s] (%d rows scanned)", name, coldRows)
 	}
-	return fmt.Sprintf("Column Scan [%s] (%d rows)", name, hotRows)
 }
 
 // colOpLiteral decomposes col OP literal (or literal OP col, flipped).

@@ -89,19 +89,19 @@ func (p *planner) execStats() ExecStats {
 // (remote fetches, scans, joins, the aggregate — this planner materializes
 // during planning) and records the strategy decisions; "exec" covers the
 // block's back end, Block.Finish, and carries the executor counters.
-func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*value.Rows, *planNode, error) {
+func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*value.Rows, *exec.PlanNode, error) {
 	parent := obs.SpanFrom(ctx)
 	pl := parent.StartSpan("plan")
 	p.plan = pl
 	p.ctx = obs.ContextWithSpan(p.ctx, pl)
-	in, blk, root, err := p.planQueryBlock(sel)
+	b, err := p.planQueryBlock(sel)
 	pl.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	ex := parent.StartSpan("exec")
 	defer ex.End()
-	rows, err := blk.Finish(p.ctx, in)
+	rows, root, err := p.finish(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,24 +127,17 @@ func (e *Engine) query(ctx context.Context, tx *txn.Txn, sel *sqlparse.SelectStm
 // recorded span timeline as rows, one per span in preorder.
 func (e *Engine) explain(ctx context.Context, ex *sqlparse.ExplainStmt, width int) (*Result, error) {
 	p := e.newPlanner(ctx, nil, ex.Sel, width)
-	// Drain to complete lazy plan annotations.
 	_, root, err := p.runBlock(ctx, ex.Sel)
 	if err != nil {
 		return nil, err
 	}
-	if !ex.Trace {
-		return &Result{Plan: root.String(), Message: "explained", Stats: p.execStats()}, nil
+	res := &Result{Plan: root.String(), Message: "explained", Stats: p.execStats()}
+	if ex.Trace {
+		tr := obs.TraceFrom(ctx)
+		rows := traceSpanRows(tr)
+		res.Schema, res.Rows, res.Message, res.Trace = rows.Schema, rows.Data, "traced", tr
 	}
-	tr := obs.TraceFrom(ctx)
-	rows := traceSpanRows(tr)
-	return &Result{
-		Schema:  rows.Schema,
-		Rows:    rows.Data,
-		Plan:    root.String(),
-		Message: "traced",
-		Stats:   p.execStats(),
-		Trace:   tr,
-	}, nil
+	return res, nil
 }
 
 // traceSpanRows renders a trace's span tree as rows: one per span in
@@ -169,61 +162,74 @@ func traceSpanRows(tr *obs.QueryTrace) *value.Rows {
 	return out
 }
 
+// block is a query block planned and run up to its back end: blk.Finish
+// over in, whose plan is node. subs are the plans of the subqueries run
+// ahead of it, shown under the block's top node.
+type block struct {
+	in   exec.Rel
+	blk  *exec.Block
+	node *exec.PlanNode
+	subs []*exec.PlanNode
+}
+
+// finish runs the block's back end and returns its rows and whole plan.
+func (p *planner) finish(b *block) (*value.Rows, *exec.PlanNode, error) {
+	rows, root, err := b.blk.Finish(p.ctx, b.in, b.node)
+	if err != nil {
+		return nil, nil, err
+	}
+	root.Children = append(root.Children, b.subs...)
+	return rows, root, nil
+}
+
 // planQueryBlock plans one SELECT block: whole-statement shipping when
 // every referenced table lives in one remote source (§4.2 "It is even
 // possible that complete queries are processed via Hive and Hadoop"),
 // otherwise local planning with per-leaf pushdown. It runs everything up to
-// the block's back end and returns the relation blk.Finish takes.
-func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block, *planNode, error) {
-	if in, blk, n, err := p.tryShipWhole(sel); err != nil || blk != nil {
-		return in, blk, n, err
+// the block's back end.
+func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (*block, error) {
+	if b, err := p.tryShipWhole(sel); err != nil || b != nil {
+		return b, err
 	}
 
 	// Split WHERE into plain conjuncts and subquery predicates; the latter
 	// are evaluated first and join the pool behind the plain conjuncts.
 	pool, transforms, err := exec.SplitWhere(sel.Where, p.runNested)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
-	transforms, subNodes, err := p.placeSubqueries(sel, transforms, &pool)
+	transforms, subs, err := p.placeSubqueries(sel, transforms, &pool)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
 
 	rel, err := p.planFromExpr(sel.From, &pool)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
 	// Single distributed leaf with nothing left in the pool: try shipping
 	// the aggregation itself so only per-group partials cross the exchange.
 	if ps := rel.pendingAt(placeSharded); ps != nil && len(ps.coord) == 0 && len(pool) == 0 && len(transforms) == 0 {
-		if in, blk, root, err := p.tryDistAggregate(sel, rel); err != nil {
-			return exec.Rel{}, nil, nil, err
-		} else if blk != nil {
-			root.children = append(root.children, subNodes...)
-			return in, blk, root, nil
+		if b, err := p.tryDistAggregate(sel, rel, subs); err != nil || b != nil {
+			return b, err
 		}
 	}
 	if err := p.realize(rel); err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
-	in := rel.Rel
-	root := rel.node
-	if root == nil {
-		root = node("Row Source")
-	}
+	in, root := rel.Rel, rel.node
 
 	// Residual conjuncts that never found a single home (cross-relation
 	// non-equi predicates).
 	if len(pool) > 0 {
 		pred, err := expr.BindClone(expr.And(expr.CloneAll(pool)...), in.Schema)
 		if err != nil {
-			return exec.Rel{}, nil, nil, err
+			return nil, err
 		}
 		if in, err = exec.Filter(in, pred); err != nil {
-			return exec.Rel{}, nil, nil, err
+			return nil, err
 		}
-		root = node("Filter: "+planSQL(pred), root)
+		root = exec.Node("Filter:", planSQL(pred), in.Len(), root)
 	}
 
 	// The subquery predicates placeSubqueries left alone become semi/anti
@@ -232,13 +238,13 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Bloc
 		var err error
 		in, root, err = p.applyTransform(in, root, tf)
 		if err != nil {
-			return exec.Rel{}, nil, nil, err
+			return nil, err
 		}
 	}
 
 	blk, err := exec.AnalyzeBlock(sel, in.Schema)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
 	if blk.Aggregates() {
 		agg := &exec.ParallelHashAggregate{
@@ -246,37 +252,11 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Bloc
 			Pool: p.e.pool, Ctx: p.ctx, Width: p.width, Stats: p.stats,
 		}
 		if in, err = agg.Run(); err != nil {
-			return exec.Rel{}, nil, nil, err
+			return nil, err
 		}
-		root = node(fmt.Sprintf("Hash Aggregate (%d group cols, groups)", len(blk.GroupBy)), root)
+		root = &exec.PlanNode{Op: "Hash Aggregate", Rows: in.Len(), Notes: []string{fmt.Sprintf("%d group cols", len(blk.GroupBy))}, Children: []*exec.PlanNode{root}}
 	}
-	root = finishNodes(sel, blk, root)
-	root.children = append(root.children, subNodes...)
-	return in, blk, root, nil
-}
-
-// finishNodes names the stages Block.Finish runs, above root.
-func finishNodes(sel *sqlparse.SelectStmt, blk *exec.Block, root *planNode) *planNode {
-	if blk.Having != nil {
-		root = node("Having: "+blk.Having.SQL(), root)
-	}
-	root = node("Project: "+strings.Join(blk.Out.Names(), ", "), root)
-	if sel.Distinct {
-		root = node("Distinct", root)
-	}
-	return orderLimitNodes(sel, root)
-}
-
-// orderLimitNodes names the ORDER BY and LIMIT stages of Block.Finish, the
-// only ones a statement shipped whole leaves to it.
-func orderLimitNodes(sel *sqlparse.SelectStmt, root *planNode) *planNode {
-	if len(sel.OrderBy) > 0 {
-		root = node("Sort", root)
-	}
-	if sel.Limit >= 0 {
-		root = node(fmt.Sprintf("Limit %d", sel.Limit), root)
-	}
-	return root
+	return &block{in: in, blk: blk, node: root, subs: subs}, nil
 }
 
 // planFromExpr plans a FROM tree. Inner/cross joins are flattened with the
@@ -285,11 +265,7 @@ func orderLimitNodes(sel *sqlparse.SelectStmt, root *planNode) *planNode {
 func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relation, error) {
 	if te == nil {
 		// SELECT without FROM: one empty row.
-		return &relation{
-			Rel:  exec.Rel{Schema: value.NewSchema(), Rows: []value.Row{{}}},
-			est:  1,
-			node: node("Single Row"),
-		}, nil
+		return rowsRelation(value.NewSchema(), []value.Row{{}}, exec.Node("Single Row", "", 1)), nil
 	}
 	switch t := te.(type) {
 	case *sqlparse.JoinExpr:
@@ -328,16 +304,11 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 	case *sqlparse.TableRef:
 		return p.planTableLeaf(t, pool)
 	case *sqlparse.SubqueryTable:
-		res, _, err := p.blockRows(t.Sel)
+		res, sub, err := p.blockRows(t.Sel)
 		if err != nil {
 			return nil, err
 		}
-		schema := res.Schema.Qualify(t.Alias)
-		return &relation{
-			Rel:  exec.Rel{Schema: schema, Rows: res.Data},
-			est:  float64(len(res.Data)),
-			node: node(fmt.Sprintf("Derived Table %s (%d rows)", t.Alias, len(res.Data))),
-		}, nil
+		return rowsRelation(res.Schema.Qualify(t.Alias), res.Data, exec.Node("Derived Table", t.Alias, len(res.Data), sub)), nil
 	case *sqlparse.TableFuncRef:
 		return p.planTableFunc(t)
 	}
@@ -511,12 +482,7 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table provider %s: %w", t.Name, err)
 		}
-		schema := rows.Schema.Qualify(t.Binding())
-		return &relation{
-			Rel:  exec.Rel{Schema: schema, Rows: rows.Data},
-			est:  float64(rows.Len()),
-			node: node(fmt.Sprintf("Table Provider %s (%d rows)", t.Name, rows.Len())),
-		}, nil
+		return rowsRelation(rows.Schema.Qualify(t.Binding()), rows.Data, exec.Node("Table Provider", t.Name, rows.Len())), nil
 	}
 	vf, ok := p.e.cat.VirtualFunction(t.Name)
 	if !ok {
@@ -540,11 +506,12 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 	}
 	p.e.Metrics.RemoteQueries.Inc()
 	p.e.Metrics.RemoteRowsFetched.Add(int64(rows.Len()))
-	return &relation{
-		Rel:  exec.Rel{Schema: schema, Rows: rows.Data},
-		est:  float64(rows.Len()),
-		node: node(fmt.Sprintf("Virtual Function %s [%s] (%d rows)", t.Name, vf.Source, rows.Len())),
-	}, nil
+	return rowsRelation(schema, rows.Data, &exec.PlanNode{Op: "Virtual Function", Object: vf.Source, Detail: t.Name, Rows: rows.Len()}), nil
+}
+
+// rowsRelation is a realized relation over rows, whose plan is n.
+func rowsRelation(schema *value.Schema, rows []value.Row, n *exec.PlanNode) *relation {
+	return &relation{Rel: exec.Rel{Schema: schema, Rows: rows}, est: float64(len(rows)), node: n}
 }
 
 // joinRelations joins two relations choosing among the federated
@@ -635,7 +602,10 @@ func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightK
 			return nil, err
 		}
 	}
-	var label string
+	op, detail := "Hash Join", "(INNER)"
+	if kind == exec.JoinLeftOuter {
+		detail = "(LEFT OUTER)"
+	}
 	if len(leftKeys) > 0 {
 		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
 		if err != nil {
@@ -646,25 +616,27 @@ func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightK
 		if err != nil {
 			return nil, err
 		}
-		label = "Hash Join (INNER) on " + keySQL(leftKeys, rightKeys)
+		detail += " on " + keySQL(leftKeys, rightKeys)
 	} else {
 		var err error
 		if out.Rows, err = exec.NestedLoopJoin(p.ctx, kind, l.Rel, r.Rel, res); err != nil {
 			return nil, err
 		}
-		label = "Nested Loop Join (cross)"
-		if res != nil {
-			label = "Nested Loop Join on " + res.SQL()
+		op = "Nested Loop Join"
+		switch {
+		case res == nil && kind == exec.JoinInner:
+			detail = "(cross)"
+		case res != nil && kind == exec.JoinInner:
+			detail = "on " + res.SQL()
+		case res != nil:
+			detail += " on " + res.SQL()
 		}
 	}
-	switch {
-	case kind == exec.JoinLeftOuter:
-		label = "Hash Join (LEFT OUTER)"
-	case relocated:
-		label = "Table Relocation → Extended Storage: " + label
+	if relocated {
+		op = "Table Relocation → Extended Storage: " + op
 	}
 	out.est = float64(out.Len())
-	out.node = node(fmt.Sprintf("%s (%d rows)", label, out.Len()), l.node, r.node)
+	out.node = exec.Node(op, detail, out.Len(), l.node, r.node)
 	return out, nil
 }
 
@@ -757,16 +729,12 @@ func keySQL(lk, rk []expr.Expr) string {
 }
 
 // blockRows plans and materializes a nested query block.
-func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *planNode, error) {
-	in, blk, n, err := p.planQueryBlock(sel)
+func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *exec.PlanNode, error) {
+	b, err := p.planQueryBlock(sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := blk.Finish(p.ctx, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, n, nil
+	return p.finish(b)
 }
 
 // runNested is the engine's exec.RunBlock: a nested block planned and run

@@ -144,7 +144,7 @@ func TestBreakerOpensServesFallbackAndRecovers(t *testing.T) {
 		if len(res.Rows) != 3 {
 			t.Fatalf("run %d rows = %v", i, res.Rows)
 		}
-		if !strings.Contains(res.Plan, "[fallback cache]") {
+		if !strings.Contains(res.Plan, "fallback cache)") {
 			t.Fatalf("run %d plan must mark the fallback:\n%s", i, res.Plan)
 		}
 	}
@@ -168,7 +168,7 @@ func TestBreakerOpensServesFallbackAndRecovers(t *testing.T) {
 	inj.Reset()
 	*now = now.Add(2 * time.Second)
 	res = exec1(t, e, `SELECT k, v FROM V_T`)
-	if strings.Contains(res.Plan, "[fallback cache]") {
+	if strings.Contains(res.Plan, "fallback cache)") {
 		t.Fatalf("recovered source must serve live rows:\n%s", res.Plan)
 	}
 	if st := e.Health().Breaker("FAKE1").State(); st != faults.BreakerClosed {
@@ -223,7 +223,7 @@ func TestShipWholeDeclinesOnOpenBreaker(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if !strings.Contains(res.Plan, "[fallback cache]") {
+	if !strings.Contains(res.Plan, "fallback cache)") {
 		t.Fatalf("leaf fallback must be marked:\n%s", res.Plan)
 	}
 	if after := e.Metrics.Snapshot().PlannerFallbacks; after != before+1 {
@@ -411,7 +411,7 @@ func TestFallbackServesCoveredColumns(t *testing.T) {
 	exec1(t, e, `SELECT k, v FROM V_W`)
 	inj.FailN("fed.query.fake2", 1000)
 	for i := 0; i < 2; i++ {
-		if res := exec1(t, e, `SELECT k, v FROM V_W`); len(res.Rows) != 3 || !strings.Contains(res.Plan, "[fallback cache]") {
+		if res := exec1(t, e, `SELECT k, v FROM V_W`); len(res.Rows) != 3 || !strings.Contains(res.Plan, "fallback cache)") {
 			t.Fatalf("run %d: rows %v, plan:\n%s", i, res.Rows, res.Plan)
 		}
 	}
@@ -420,7 +420,7 @@ func TestFallbackServesCoveredColumns(t *testing.T) {
 	}
 
 	res := exec1(t, e, `SELECT v FROM V_W`)
-	if !strings.Contains(res.Plan, "Remote Row Scan [FAKE2] (3 rows) [fallback cache]") || !strings.Contains(res.Plan, "shipped: SELECT V_W.v FROM") {
+	if !strings.Contains(res.Plan, "Remote Row Scan [FAKE2] (3 rows, fallback cache)") || !strings.Contains(res.Plan, "shipped: SELECT V_W.v FROM") {
 		t.Fatalf("SELECT v must come from the covering entry through its leaf:\n%s", res.Plan)
 	}
 	var got []string

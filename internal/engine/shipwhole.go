@@ -16,13 +16,12 @@ import (
 // capabilities cover the constructs used. On success the statement is
 // rewritten against the remote object names, shipped, and only ORDER
 // BY/LIMIT are applied locally (§4.2: "It is even possible that complete
-// queries are processed via Hive and Hadoop"): the returned Block's Finish
-// over the returned relation. A nil Block means the statement does not ship
-// whole.
-func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block, *planNode, error) {
+// queries are processed via Hive and Hadoop"): the returned block's Finish.
+// No block means the statement does not ship whole.
+func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (*block, error) {
 	info := &shipInfo{}
 	if !p.shippableBlock(sel, info) || info.src == nil {
-		return exec.Rel{}, nil, nil, nil
+		return nil, nil
 	}
 	caps := info.src.adapter.Capabilities()
 	switch {
@@ -32,7 +31,7 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block,
 		info.hasAgg && !caps.GroupBy,
 		info.hasSubquery && !caps.Subqueries:
 		p.plan.Note("rejected ship-whole: %s lacks capability for the statement", info.src.source)
-		return exec.Rel{}, nil, nil, nil
+		return nil, nil
 	}
 
 	shipped := p.rewriteForShip(sel)
@@ -44,7 +43,7 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block,
 	shipped.Hints = nil
 	sql := sqlparse.RenderSelect(shipped)
 
-	res, label, err := p.fetchRemote(info.src.source, info.src.adapter, shipped, hasAnyPredicate(sel), "Remote Query")
+	res, n, err := p.fetchRemote(info.src.source, info.src.adapter, shipped, hasAnyPredicate(sel), "Remote Query")
 	if err != nil {
 		if errors.Is(err, faults.ErrCircuitOpen) {
 			// The source's breaker is open and no fallback materialization
@@ -52,18 +51,18 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (exec.Rel, *exec.Block,
 			// strategies (which may hit leaf-level fallback entries).
 			p.e.Metrics.PlannerFallbacks.Inc()
 			p.plan.Note("rejected ship-whole: %s breaker open, falling back to per-leaf strategies", info.src.source)
-			return exec.Rel{}, nil, nil, nil
+			return nil, nil
 		}
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
 	p.plan.Note("chose ship-whole to %s: %d tables in one shipped query", info.src.source, info.tableCount)
 
 	blk, err := exec.AnalyzeProjected(sel, res.Rows.Schema)
 	if err != nil {
-		return exec.Rel{}, nil, nil, err
+		return nil, err
 	}
-	root := orderLimitNodes(sel, node(label, node("shipped: "+sql)))
-	return exec.Rel{Schema: res.Rows.Schema, Rows: res.Rows.Data}, blk, root, nil
+	n.Attrs = []string{"shipped: " + sql}
+	return &block{in: exec.Rel{Schema: res.Rows.Schema, Rows: res.Rows.Data}, blk: blk, node: n}, nil
 }
 
 // hasAnyPredicate reports whether the statement carries a predicate in any
@@ -119,30 +118,9 @@ func (p *planner) shippableBlock(sel *sqlparse.SelectStmt, info *shipInfo) bool 
 		return false
 	}
 	ok := true
-	for _, c := range expr.SplitConjuncts(sel.Where) {
-		expr.Walk(c, func(n expr.Expr) bool {
-			switch sq := n.(type) {
-			case *sqlparse.InSubqueryExpr:
-				info.hasSubquery = true
-				if !p.shippableBlock(sq.Sel, info) {
-					ok = false
-				}
-				return false
-			case *sqlparse.ExistsExpr:
-				info.hasSubquery = true
-				if !p.shippableBlock(sq.Sel, info) {
-					ok = false
-				}
-				return false
-			case *sqlparse.SubqueryExpr:
-				info.hasSubquery = true
-				if !p.shippableBlock(sq.Sel, info) {
-					ok = false
-				}
-				return false
-			}
-			return true
-		})
+	for _, sub := range sqlparse.Subqueries(sel.Where) {
+		info.hasSubquery = true
+		ok = p.shippableBlock(sub, info) && ok
 	}
 	return ok
 }

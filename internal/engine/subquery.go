@@ -133,8 +133,8 @@ func keyValues(rows []value.Row, key expr.Expr) (vals []value.Value, sawNull boo
 // over a virtual table, an extended/hybrid table or a table function (what
 // ships to a remote source or the cold tier stays as it was), EXISTS with
 // several correlation keys, and uncorrelated EXISTS (a constant, not a
-// join). nodes are the evaluated subqueries' plans.
-func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.SubqueryPredicate, pool *[]expr.Expr) (rest []sqlparse.SubqueryPredicate, nodes []*planNode, err error) {
+// join). nodes are the evaluated subqueries' plans, each under its key set.
+func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.SubqueryPredicate, pool *[]expr.Expr) (rest []sqlparse.SubqueryPredicate, nodes []*exec.PlanNode, err error) {
 	if len(tfs) == 0 {
 		return nil, nil, nil
 	}
@@ -184,7 +184,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 		case len(vals) == 0 && !(tf.NullAware() && sawNull):
 			// NOT IN / NOT EXISTS over nothing holds for every row, NULL
 			// outer keys included: no conjunct.
-			nodes = append(nodes, node("Subquery Key Set (empty, predicate holds for every row)", subNode))
+			nodes = append(nodes, &exec.PlanNode{Op: "Subquery Key Set", Notes: []string{"predicate holds for every row"}, Children: []*exec.PlanNode{subNode}})
 			continue
 		case tf.NullAware():
 			// NOT IN: a NULL in the list makes every non-match unknown.
@@ -199,7 +199,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 			conj = expr.Bin(expr.OpOr, &expr.IsNull{E: key}, in)
 		}
 		p.addKeySet(pool, conj, len(in.List))
-		nodes = append(nodes, node("Subquery Key Set: "+planSQL(conj), subNode))
+		nodes = append(nodes, exec.Node("Subquery Key Set:", planSQL(conj), len(in.List), subNode))
 		if tf.Anti {
 			continue
 		}
@@ -250,12 +250,10 @@ func elideLists(e expr.Expr) expr.Expr {
 // applyTransform runs one subquery predicate placeSubqueries left alone as
 // a semi/anti hash join on top of the block's relation: its rows (batches
 // stay batches) probe the subquery's rows.
-func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.SubqueryPredicate) (exec.Rel, *planNode, error) {
-	kind := exec.JoinSemi
-	label := "Semi Join (IN/EXISTS subquery)"
+func (p *planner) applyTransform(in exec.Rel, root *exec.PlanNode, tf sqlparse.SubqueryPredicate) (exec.Rel, *exec.PlanNode, error) {
+	kind, op, detail := exec.JoinSemi, "Semi Join", "(IN/EXISTS subquery)"
 	if tf.Anti {
-		kind = exec.JoinAnti
-		label = "Anti Join (NOT IN/NOT EXISTS subquery)"
+		kind, op, detail = exec.JoinAnti, "Anti Join", "(NOT IN/NOT EXISTS subquery)"
 	}
 	if tf.NullAware() {
 		kind = exec.JoinAntiNullAware
@@ -271,12 +269,9 @@ func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.Subque
 			return exec.Rel{}, nil, err
 		}
 		if holds {
-			return in, node("Exists(const true)", root), nil
+			return in, exec.Node("Exists(const true)", "", in.Len(), root), nil
 		}
-		return exec.Rel{Schema: in.Schema}, node("Exists(const false)", root), nil
-	}
-	if tf.Outer == nil {
-		label += " (decorrelated)"
+		return exec.Rel{Schema: in.Schema}, exec.Node("Exists(const false)", "", 0, root), nil
 	}
 	sub, subNode, err := p.blockRows(subSel)
 	if err != nil {
@@ -298,7 +293,10 @@ func (p *planner) applyTransform(in exec.Rel, root *planNode, tf sqlparse.Subque
 	if err != nil {
 		return exec.Rel{}, nil, err
 	}
-	return out, node(label, root, subNode), nil
+	if tf.Outer == nil {
+		detail += " (decorrelated)"
+	}
+	return out, exec.Node(op, detail, out.Len(), root, subNode), nil
 }
 
 // schemaOf is the engine's exec.SchemaOf: a FROM table's schema from its

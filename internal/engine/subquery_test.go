@@ -78,7 +78,7 @@ func TestSubqueryKeySetPlanText(t *testing.T) {
 	for _, want := range []string{
 		`Column Scan \[orders\] \(\d+ rows, vectorized\)\n\s+filter: \(o_orderkey IN \(<\d+ values>\)\)\n`,
 		`Column Scan \[lineitem\] \(\d+ rows, vectorized\)\n\s+filter: \(l_orderkey IN \(<\d+ values>\)\)\n`,
-		`\n  Subquery Key Set: \(o_orderkey IN \(<\d+ values>\)\)\n`,
+		`\n  Subquery Key Set: \(o_orderkey IN \(<\d+ values>\)\) \(\d+ rows\)\n`,
 	} {
 		if !regexp.MustCompile(want).MatchString(res.Plan) {
 			t.Errorf("plan lacks %s:\n%s", want, res.Plan)
@@ -106,7 +106,7 @@ func TestDistPlansShipAggregatesAndSmallKeySets(t *testing.T) {
 		{6, []string{`Dist Hash Aggregate [lineitem]`}, nil},
 		{18, []string{
 			`Subquery Key Set: (o_orderkey IN (<`,
-			`Dist Hash Aggregate [lineitem] (1 group cols`,
+			`Dist Hash Aggregate [lineitem] (7500 rows, 1 group cols, 2 shards)`,
 			`shipped filter: (o_orderkey IN (<`,
 			`shipped filter: (l_orderkey IN (<`,
 		}, []string{"coordinator filter"}},
@@ -273,19 +273,19 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 			`SELECT a.n, w, w FROM a LEFT OUTER JOIN c ON a.n = c.n`, `SELECT y FROM b`, ""},
 		{"post-join: extended outer, IN, NULL in the set", "IN",
 			`SELECT n FROM ax WHERE x IN (SELECT y FROM b)`,
-			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Semi Join (IN/EXISTS subquery)\n"},
+			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Semi Join (IN/EXISTS subquery) (203 rows)\n"},
 		{"post-join: extended outer, IN, empty set", "IN",
 			`SELECT n FROM ax WHERE x IN (SELECT y FROM b WHERE y > 1000)`,
-			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Semi Join (IN/EXISTS subquery)\n"},
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Semi Join (IN/EXISTS subquery) (0 rows)\n"},
 		{"post-join: extended outer, NOT IN, NULL in the set", "NOT IN",
 			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b)`,
-			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+			`SELECT n, x FROM ax`, `SELECT y FROM b`, "Anti Join (NOT IN/NOT EXISTS subquery) (0 rows)\n"},
 		{"post-join: extended outer, NOT IN, NULL outer keys", "NOT IN",
 			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b WHERE y IS NOT NULL)`,
-			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y IS NOT NULL`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y IS NOT NULL`, "Anti Join (NOT IN/NOT EXISTS subquery) (160 rows)\n"},
 		{"post-join: extended outer, NOT IN, empty set", "NOT IN",
 			`SELECT n FROM ax WHERE x NOT IN (SELECT y FROM b WHERE y > 1000)`,
-			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Anti Join (NOT IN/NOT EXISTS subquery)\n"},
+			`SELECT n, x FROM ax`, `SELECT y FROM b WHERE y > 1000`, "Anti Join (NOT IN/NOT EXISTS subquery) (400 rows)\n"},
 		{"post-join: extended outer, EXISTS", "EXISTS",
 			`SELECT n FROM ax WHERE EXISTS (SELECT * FROM b WHERE z = x AND y > 2)`,
 			`SELECT n, x FROM ax`, `SELECT z FROM b WHERE y > 2`, "Semi Join (IN/EXISTS subquery) (decorrelated)"},
@@ -358,4 +358,34 @@ func TestSubqueryPlacementEquivalence(t *testing.T) {
 			t.Fatalf("rows = %v, want the transaction's own row 1000", rows)
 		}
 	})
+}
+
+// A subquery in the select list, HAVING or ORDER BY is refused when the
+// block is analysed, with a classified "not supported" error on every
+// placement, rather than failing in evaluation with an internal one.
+func TestSubqueryOutsideWhereIsUnsupported(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ddl  string
+	}{
+		{"column", Config{}, `CREATE TABLE t (a BIGINT, b BIGINT)`},
+		{"row", Config{}, `CREATE ROW TABLE t (a BIGINT, b BIGINT)`},
+		{"2 shards", Config{Topology: dist.Topology{Shards: 2}}, `CREATE TABLE t (a BIGINT, b BIGINT)`},
+	} {
+		e := New(c.cfg)
+		exec1(t, e, c.ddl)
+		exec1(t, e, `INSERT INTO t VALUES (1, 10), (2, 20)`)
+		for _, q := range []string{
+			`SELECT a, (SELECT MAX(b) FROM t) FROM t`,
+			`SELECT a IN (SELECT b FROM t) FROM t`,
+			`SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) < (SELECT MAX(b) FROM t)`,
+			`SELECT MAX(a) FROM t HAVING MAX(a) < (SELECT MAX(b) FROM t)`,
+			`SELECT a FROM t ORDER BY (SELECT MAX(b) FROM t)`,
+		} {
+			if _, err := e.ExecuteContext(context.Background(), q); err == nil || !strings.Contains(err.Error(), "is not supported") {
+				t.Errorf("%s: %s: err = %v, want a not-supported error", c.name, q, err)
+			}
+		}
+	}
 }

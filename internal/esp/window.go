@@ -161,7 +161,8 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 			return nil, err
 		}
 	}
-	return w.blk.Finish(nil, in)
+	rows, _, err := w.blk.Finish(nil, in, nil)
+	return rows, err
 }
 
 // Forward pushes the current window content into a sink (use case 1 for

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hana/internal/expr"
@@ -58,6 +59,16 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	order := make([]expr.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
 		order[i] = o.Expr
+	}
+	clauses := append([]expr.Expr{having}, order...)
+	for _, item := range items {
+		clauses = append(clauses, item.Expr)
+	}
+	for _, c := range clauses {
+		if len(sqlparse.Subqueries(c)) > 0 {
+			// The planner runs only the subqueries WHERE holds.
+			return nil, fmt.Errorf("a subquery in the select list, HAVING or ORDER BY is not supported")
+		}
 	}
 	b := &Block{distinct: sel.Distinct, limit: sel.Limit}
 
@@ -180,8 +191,10 @@ func (b *Block) Aggregates() bool { return b.AggSchema != nil }
 // boxing run one input batch at a time; with neither DISTINCT nor ORDER BY
 // no batch is read once LIMIT rows are out. It checks ctx (nil = none) every
 // batch and every morsel of rows DISTINCT and ORDER BY read, and returns its
-// error once it is done.
-func (b *Block) Finish(ctx context.Context, in Rel) (*value.Rows, error) {
+// error once it is done. plan is the plan of in; Finish returns it below a
+// node for each stage it ran (Having, Project, Distinct, Sort, Limit), with
+// the rows that stage emitted, or nil when plan is nil.
+func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (*value.Rows, *PlanNode, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -189,10 +202,11 @@ func (b *Block) Finish(ctx context.Context, in Rel) (*value.Rows, error) {
 	if b.exprs == nil {
 		rows = in.AllRows()
 	} else {
+		having := 0
 		early := !b.distinct && len(b.keys) == 0 && b.limit >= 0
 		for i := 0; !early || int64(len(rows)) < b.limit; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			bt := in.batch(i, b.needed)
 			if bt == nil {
@@ -200,39 +214,52 @@ func (b *Block) Finish(ctx context.Context, in Rel) (*value.Rows, error) {
 			}
 			if b.Having != nil {
 				if err := expr.SelectBatch(b.Having, bt); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
-			if bt.Len() == 0 {
+			if having += bt.Len(); bt.Len() == 0 {
 				continue
 			}
 			pb, err := project(bt, b.exprs, b.proj)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rows = append(rows, pb.MaterializeRows()...)
+		}
+		if plan != nil && b.Having != nil {
+			plan = Node("Having:", b.Having.SQL(), having, plan)
+		}
+		if plan != nil {
+			plan = Node("Project:", strings.Join(b.Out.Names(), ", "), len(rows), plan)
 		}
 	}
 	var err error
 	if b.distinct {
-		rows, err = distinctRows(ctx, rows, b.proj.Len())
+		if rows, err = distinctRows(ctx, rows, b.proj.Len()); plan != nil {
+			plan = Node("Distinct", "", len(rows), plan)
+		}
 	}
 	if err == nil && len(b.keys) > 0 {
-		err = sortRows(ctx, rows, b.keys)
+		if err = sortRows(ctx, rows, b.keys); plan != nil {
+			plan = Node("Sort", "", len(rows), plan)
+		}
 	}
 	if err = cmp.Or(err, ctx.Err()); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if b.limit >= 0 && int64(len(rows)) > b.limit {
 		// A copy: the result must not keep the rows past the limit alive.
 		rows = append([]value.Row(nil), rows[:b.limit]...)
+	}
+	if plan != nil && b.limit >= 0 {
+		plan = Node("Limit", strconv.FormatInt(b.limit, 10), len(rows), plan)
 	}
 	if w := b.Out.Len(); b.proj != b.Out {
 		for i, r := range rows {
 			rows[i] = r[:w:w]
 		}
 	}
-	return &value.Rows{Schema: b.Out, Data: rows}, nil
+	return &value.Rows{Schema: b.Out, Data: rows}, plan, nil
 }
 
 // SortKey is one ORDER BY key over a bound expression.

@@ -41,7 +41,7 @@ func bind(t *testing.T, e expr.Expr, s *value.Schema) expr.Expr {
 // finish runs blk's back end over in.
 func finish(t *testing.T, blk *Block, in Rel) []value.Row {
 	t.Helper()
-	rs, err := blk.Finish(context.Background(), in)
+	rs, _, err := blk.Finish(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFinishStopsAtLimit(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	blk.limit = 3
-	if _, err := blk.Finish(context.Background(), in); err == nil {
+	if _, _, err := blk.Finish(context.Background(), in, nil); err == nil {
 		t.Fatal("LIMIT 3 reads the second batch, which divides by zero")
 	}
 }
@@ -316,7 +316,7 @@ func TestRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := blk.Finish(context.Background(), Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})})
+	got, _, err := blk.Finish(context.Background(), Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // JoinKind enumerates the join flavors the executor supports. The semi and
-// anti kinds, which only HashJoinParallel runs, implement IN/EXISTS
-// subqueries.
+// anti kinds, which HashJoin runs (NestedLoopJoin does not), implement
+// IN/EXISTS subqueries.
 type JoinKind int
 
 // Join kinds.

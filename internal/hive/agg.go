@@ -53,7 +53,8 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 		}
 		in = exec.Rel{Schema: blk.AggSchema, Rows: rows}
 	}
-	return blk.Finish(nil, in)
+	rows, _, err := blk.Finish(nil, in, nil)
+	return rows, err
 }
 
 // materialize reads the relation, which has no pending filters, into the

@@ -16,7 +16,7 @@ import (
 // inside hot functions, and diffs them against a checked-in baseline
 // (internal/lint/escapes_baseline.txt). A new escape on a hot path fails
 // the gate, and so does an entry the compiler no longer reports (drop it
-// with -prune-escapes when the improvement is deliberate).
+// with -write-escapes when the improvement is deliberate).
 //
 // Baseline entries are normalized without line numbers —
 // "file<TAB>function<TAB>message" — so unrelated edits that shift lines do
@@ -143,19 +143,6 @@ func ReadEscapeBaseline(path string) (map[string]bool, error) {
 	return out, nil
 }
 
-// WriteEscapeBaseline rewrites the baseline from the given sites.
-func WriteEscapeBaseline(path string, sites []EscapeSite) error {
-	var b strings.Builder
-	b.WriteString("# Heap-escape sites in hot functions, from `go build -gcflags=-m`.\n")
-	b.WriteString("# Maintained by `hanalint -write-escapes`; `hanalint -escapes` fails on\n")
-	b.WriteString("# any site not listed here. Entries omit line numbers on purpose.\n")
-	for _, s := range sites {
-		b.WriteString(s.String())
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
 // DiffEscapes splits current sites into new (not in baseline) and lists
 // stale baseline entries no longer reported.
 func DiffEscapes(sites []EscapeSite, baseline map[string]bool) (newSites []EscapeSite, stale []string) {
@@ -176,33 +163,43 @@ func DiffEscapes(sites []EscapeSite, baseline map[string]bool) (newSites []Escap
 	return newSites, stale
 }
 
-// PruneEscapeBaseline rewrites the baseline keeping only entries the
-// current tree still reports, preserving comments and order. It returns
-// the removed (stale) entries. The gate treats stale entries as failures:
-// a baseline that over-claims hides the moment an escape genuinely comes
-// back.
-func PruneEscapeBaseline(path string, sites []EscapeSite) ([]string, error) {
+// UpdateEscapeBaseline rewrites the baseline to the current sites: comment
+// and blank lines and the entries the tree still reports stay where they
+// are, stale and repeated entries go, and new sites are appended in order. A missing
+// file starts empty. It returns the removed and the appended entries. The
+// gate treats stale entries as failures: a baseline that over-claims hides
+// the moment an escape genuinely comes back.
+func UpdateEscapeBaseline(path string, sites []EscapeSite) (removed, added []string, err error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
 	}
-	current := map[string]bool{}
+	unwritten := map[string]bool{}
 	for _, s := range sites {
-		current[s.String()] = true
+		unwritten[s.String()] = true
 	}
 	var b strings.Builder
-	var removed []string
-	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-		trimmed := strings.TrimSpace(strings.TrimRight(line, "\r"))
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") || current[strings.TrimRight(line, "\r")] {
-			b.WriteString(strings.TrimRight(line, "\r"))
-			b.WriteByte('\n')
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" { // after the last newline
 			continue
 		}
-		removed = append(removed, strings.TrimRight(line, "\r"))
+		line = strings.TrimRight(line, "\r\n")
+		if trimmed := strings.TrimSpace(line); trimmed == "" || strings.HasPrefix(trimmed, "#") || unwritten[line] {
+			b.WriteString(line + "\n")
+			delete(unwritten, line)
+		} else {
+			removed = append(removed, line)
+		}
 	}
-	if len(removed) == 0 {
-		return nil, nil
+	for _, s := range sites {
+		if key := s.String(); unwritten[key] {
+			b.WriteString(key + "\n")
+			delete(unwritten, key)
+			added = append(added, key)
+		}
 	}
-	return removed, os.WriteFile(path, []byte(b.String()), 0o644)
+	if removed == nil && added == nil {
+		return nil, nil, nil
+	}
+	return removed, added, os.WriteFile(path, []byte(b.String()), 0o644)
 }

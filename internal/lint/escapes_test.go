@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -49,7 +50,7 @@ func TestEscapeBaselineRoundTrip(t *testing.T) {
 		{File: "a.go", Func: "p.f", Msg: "x escapes to heap"},
 		{File: "b.go", Func: "p.g", Msg: "y escapes to heap"},
 	}
-	if err := WriteEscapeBaseline(path, sites); err != nil {
+	if _, _, err := UpdateEscapeBaseline(path, sites); err != nil {
 		t.Fatal(err)
 	}
 	baseline, err := ReadEscapeBaseline(path)
@@ -100,32 +101,37 @@ func TestHotSetContainsExecutorCore(t *testing.T) {
 	}
 }
 
+// -write-escapes updates the baseline in place: comments and live entries
+// stay where they are, stale entries go, new sites are appended.
 func TestPruneEscapeBaseline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "escapes_baseline.txt")
 	a := EscapeSite{File: "a.go", Func: "p.f", Msg: "x escapes to heap"}
 	b := EscapeSite{File: "b.go", Func: "p.g", Msg: "y escapes to heap"}
-	if err := WriteEscapeBaseline(path, []EscapeSite{a, b}); err != nil {
+	c := EscapeSite{File: "c.go", Func: "p.h", Msg: "z escapes to heap"}
+	head := "# header\n" + a.String() + "\n\n# why b\n" + b.String() + "\n"
+	if err := os.WriteFile(path, []byte(head), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// b vanished from the tree: prune drops exactly it, keeps comments + a.
-	removed, err := PruneEscapeBaseline(path, []EscapeSite{a})
+	// b vanished from the tree and c appeared: b goes, c is appended, the
+	// comments and a stay.
+	removed, added, err := UpdateEscapeBaseline(path, []EscapeSite{c, a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 1 || removed[0] != b.String() {
-		t.Fatalf("removed = %v, want [%q]", removed, b.String())
+	if len(removed) != 1 || removed[0] != b.String() || len(added) != 1 || added[0] != c.String() {
+		t.Fatalf("removed = %v, added = %v, want [%q], [%q]", removed, added, b.String(), c.String())
 	}
-	baseline, err := ReadEscapeBaseline(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(baseline) != 1 || !baseline[a.String()] {
-		t.Fatalf("pruned baseline = %v, want only %q", baseline, a.String())
+	if want := "# header\n" + a.String() + "\n\n# why b\n" + c.String() + "\n"; string(data) != want {
+		t.Fatalf("updated baseline =\n%s\nwant\n%s", data, want)
 	}
-	// Already-clean baseline: prune is a no-op and reports nothing.
-	removed, err = PruneEscapeBaseline(path, []EscapeSite{a})
-	if err != nil || removed != nil {
-		t.Fatalf("no-op prune: removed=%v err=%v", removed, err)
+	// Already current: nothing to do, nothing reported.
+	removed, added, err = UpdateEscapeBaseline(path, []EscapeSite{a, c})
+	if err != nil || removed != nil || added != nil {
+		t.Fatalf("no-op update: removed=%v added=%v err=%v", removed, added, err)
 	}
 }

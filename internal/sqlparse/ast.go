@@ -255,6 +255,22 @@ func AsSubqueryPredicate(c expr.Expr) (SubqueryPredicate, bool) {
 	return SubqueryPredicate{}, false
 }
 
+// Subqueries returns the blocks of the scalar, [NOT] IN and [NOT] EXISTS
+// subqueries in e, in walk order, leaving out those nested inside them.
+func Subqueries(e expr.Expr) (out []*SelectStmt) {
+	expr.Walk(e, func(n expr.Expr) bool {
+		if sq, ok := n.(*SubqueryExpr); ok {
+			out = append(out, sq.Sel)
+		} else if p, ok := AsSubqueryPredicate(n); ok {
+			out = append(out, p.Sel)
+		} else {
+			return true
+		}
+		return false
+	})
+	return out
+}
+
 type unplannedErr string
 
 func (u unplannedErr) Error() string { return string(u) }
