@@ -91,9 +91,10 @@ race:
 # on every placement, a superseded version, which must stay dead across a
 # restart, ORDER BY, which must sort by the output column each key names
 # on every placement and through Hive, DISTINCT aggregates, which must equate
-# what SELECT DISTINCT and GROUP BY equate, and the one hash index vs a
-# linear Compare scan.
-EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestAggregateMatchesReference|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns|TestDistinctAggregateEquatesComparedValues|TestIndexLookupMatchesLinearScan|TestIndexKeepsInsertionOrder
+# what SELECT DISTINCT and GROUP BY equate, the one hash index vs a
+# linear Compare scan, and subquery key sets vs the same keys written as a
+# literal list.
+EQUIV_TESTS = TestFederatedTPCHMatchesLocal|TestAggregateMatchesReference|TestHiveJobsPerTPCHQuery|TestMapSidePartialsAgreeWithEngine|TestBlockBackEndAgreesAcrossProcessors|TestPlacementsAgreeOnTPCH|TestDistributedFloatAggregatesMatchSerial|TestFragmentsEqualExecOnUnshardedRows|TestHashJoinEquivalentToNestedLoop|TestScanMatchesNaiveLoop|TestGatherBatchesMatchNaiveScan|TestGatherJoinChunksMatchNaiveJoin|TestConcurrentIncrementsAreNotLost|TestColdSnapshotSeesOneVersion|TestConcurrentKeyInsertOneWins|TestPlacementsAgreeOnKeyedDML|TestRecoverSupersededVersionStaysDead|TestDistWriterInFlightAcrossReseed|TestOrderByBindsOutputColumns|TestDistinctAggregateEquatesComparedValues|TestIndexLookupMatchesLinearScan|TestIndexKeepsInsertionOrder|TestKeySetMatchesLiteralList
 equiv:
 	$(GO) test -race -count=1 -run '^($(EQUIV_TESTS))$$' . ./internal/exec ./internal/dist ./internal/engine ./internal/hive ./internal/value
 

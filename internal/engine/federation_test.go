@@ -221,6 +221,20 @@ func TestDropRemoteSourceCascades(t *testing.T) {
 	}
 }
 
+// A subquery in the select list runs on neither side: the statement must
+// fail with the engine's own error before anything reaches the source, not
+// ship whole and come back refused by Hive.
+func TestSelectListSubqueryIsRefusedBeforeShipping(t *testing.T) {
+	e, srv := newFederatedSetup(t)
+	_, err := e.ExecuteContext(context.Background(), `SELECT c_name, (SELECT MAX(o_total) FROM V_ORDERS) FROM V_CUSTOMER`)
+	if err == nil || err.Error() != "a subquery in the select list, HAVING or ORDER BY is not supported" {
+		t.Fatalf("err = %v, want the engine's own refusal", err)
+	}
+	if srv.QueriesRun != 0 {
+		t.Fatalf("the source received %d queries, want none", srv.QueriesRun)
+	}
+}
+
 func TestCapabilityGatedShipping(t *testing.T) {
 	e, _ := newFederatedSetup(t)
 	// Register a crippled adapter: no joins. Joins between its virtual

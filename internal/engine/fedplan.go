@@ -227,7 +227,7 @@ func (p *planner) coldStrategy(n *exec.PlanNode, t *storedTable, sc *tableScan, 
 	inCount := 0
 	for _, c := range conjs {
 		if in, ok := c.(*expr.In); ok && literalIn(in) != nil {
-			inCount += len(in.List)
+			inCount += in.Len()
 		}
 	}
 	var usedCold, usedHot bool

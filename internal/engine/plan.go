@@ -89,7 +89,7 @@ func (p *planner) execStats() ExecStats {
 // (remote fetches, scans, joins, the aggregate — this planner materializes
 // during planning) and records the strategy decisions; "exec" covers the
 // block's back end, Block.Finish, and carries the executor counters.
-func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*value.Rows, *exec.PlanNode, error) {
+func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (exec.Rel, *exec.PlanNode, error) {
 	parent := obs.SpanFrom(ctx)
 	pl := parent.StartSpan("plan")
 	p.plan = pl
@@ -97,13 +97,13 @@ func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*valu
 	b, err := p.planQueryBlock(sel)
 	pl.End()
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
 	ex := parent.StartSpan("exec")
 	defer ex.End()
 	rows, root, err := p.finish(b)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
 	st := p.execStats()
 	ex.SetAttrInt("rows_scanned", st.RowsScanned)
@@ -115,11 +115,11 @@ func (p *planner) runBlock(ctx context.Context, sel *sqlparse.SelectStmt) (*valu
 // query plans, executes and materializes a SELECT.
 func (e *Engine) query(ctx context.Context, tx *txn.Txn, sel *sqlparse.SelectStmt, width int) (*Result, error) {
 	p := e.newPlanner(ctx, tx, sel, width)
-	rows, root, err := p.runBlock(ctx, sel)
+	out, root, err := p.runBlock(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schema: rows.Schema, Rows: rows.Data, Plan: root.String(), Stats: p.execStats()}, nil
+	return &Result{Schema: out.Schema, Rows: out.AllRows(), Plan: root.String(), Stats: p.execStats()}, nil
 }
 
 // explain plans (and for federated parts executes the shipping decision)
@@ -172,14 +172,14 @@ type block struct {
 	subs []*exec.PlanNode
 }
 
-// finish runs the block's back end and returns its rows and whole plan.
-func (p *planner) finish(b *block) (*value.Rows, *exec.PlanNode, error) {
-	rows, root, err := b.blk.Finish(p.ctx, b.in, b.node)
+// finish runs the block's back end and returns its relation and whole plan.
+func (p *planner) finish(b *block) (exec.Rel, *exec.PlanNode, error) {
+	out, root, err := b.blk.Finish(p.ctx, b.in, b.node)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
 	root.Children = append(root.Children, b.subs...)
-	return rows, root, nil
+	return out, root, nil
 }
 
 // planQueryBlock plans one SELECT block: whole-statement shipping when
@@ -188,6 +188,9 @@ func (p *planner) finish(b *block) (*value.Rows, *exec.PlanNode, error) {
 // otherwise local planning with per-leaf pushdown. It runs everything up to
 // the block's back end.
 func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (*block, error) {
+	if err := exec.CheckSubqueries(sel); err != nil {
+		return nil, err
+	}
 	if b, err := p.tryShipWhole(sel); err != nil || b != nil {
 		return b, err
 	}
@@ -304,11 +307,12 @@ func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relat
 	case *sqlparse.TableRef:
 		return p.planTableLeaf(t, pool)
 	case *sqlparse.SubqueryTable:
-		res, sub, err := p.blockRows(t.Sel)
+		res, sub, err := p.blockRel(t.Sel)
 		if err != nil {
 			return nil, err
 		}
-		return rowsRelation(res.Schema.Qualify(t.Alias), res.Data, exec.Node("Derived Table", t.Alias, len(res.Data), sub)), nil
+		res.Schema = res.Schema.Qualify(t.Alias)
+		return &relation{Rel: res, est: float64(res.Len()), node: exec.Node("Derived Table", t.Alias, res.Len(), sub)}, nil
 	case *sqlparse.TableFuncRef:
 		return p.planTableFunc(t)
 	}
@@ -680,26 +684,23 @@ func (p *planner) maybeSemiJoin(small, big *relation, smallKeys, bigKeys []expr.
 		p.plan.Note("rejected semijoin: build side %d rows > threshold %.0f", small.Len(), threshold)
 		return nil
 	}
-	rows := small.AllRows()
 	for i := range smallKeys {
 		key, err := expr.BindClone(smallKeys[i], small.Schema)
 		if err != nil {
 			return err
 		}
-		vals, _, err := keyValues(rows, key)
+		set, err := exec.KeySet(small.Rel, key)
 		if err != nil {
 			return err
 		}
-		if len(vals) == 0 {
-			// Empty build side: the join is empty; an impossible filter
-			// short-circuits the remote scan.
-			vals = append(vals, value.Null)
-		}
-		in := expr.NewIn(expr.Clone(bigKeys[i]), vals, false)
+		// NULL keys match nothing. An empty build side makes the join empty:
+		// the impossible filter IN (NULL) short-circuits the remote scan.
+		set.HasNull = set.Len() == 0
+		in := expr.NewIn(expr.Clone(bigKeys[i]), set, false)
 		ps.conjs = append(ps.conjs, in)
 		if ps.place == placeRemote {
 			p.e.Metrics.SemiJoinsChosen.Inc()
-			p.plan.Note("chose semijoin: shipped %d key values to %s", len(in.List), ps.leaves[0].source)
+			p.plan.Note("chose semijoin: shipped %d key values to %s", in.Len(), ps.leaves[0].source)
 		}
 	}
 	return nil
@@ -728,18 +729,21 @@ func keySQL(lk, rk []expr.Expr) string {
 	return strings.Join(parts, " AND ")
 }
 
-// blockRows plans and materializes a nested query block.
-func (p *planner) blockRows(sel *sqlparse.SelectStmt) (*value.Rows, *exec.PlanNode, error) {
+// blockRel plans and runs a nested query block.
+func (p *planner) blockRel(sel *sqlparse.SelectStmt) (exec.Rel, *exec.PlanNode, error) {
 	b, err := p.planQueryBlock(sel)
 	if err != nil {
-		return nil, nil, err
+		return exec.Rel{}, nil, err
 	}
 	return p.finish(b)
 }
 
 // runNested is the engine's exec.RunBlock: a nested block planned and run
-// here.
+// here, its rows boxed.
 func (p *planner) runNested(sel *sqlparse.SelectStmt) (*value.Rows, error) {
-	rows, _, err := p.blockRows(sel)
-	return rows, err
+	out, _, err := p.blockRel(sel)
+	if err != nil {
+		return nil, err
+	}
+	return &value.Rows{Schema: out.Schema, Data: out.AllRows()}, nil
 }

@@ -224,16 +224,11 @@ func extractRanges(conjs []expr.Expr) map[int]diskstore.Range {
 			if col == nil || col.Ord < 0 {
 				continue
 			}
-			lo := n.List[0].(*expr.Literal).Val
-			hi := lo
-			for _, el := range n.List[1:] {
-				v := el.(*expr.Literal).Val
-				if value.Compare(v, lo) < 0 {
-					lo = v
-				}
-				if value.Compare(v, hi) > 0 {
-					hi = v
-				}
+			// The list's bounds under Compare, where NULL sorts first.
+			set := n.Set()
+			lo, hi := set.Min, set.Max
+			if set.HasNull {
+				lo = value.Null
 			}
 			setLo(col.Ord, lo)
 			setHi(col.Ord, hi)
@@ -242,18 +237,13 @@ func extractRanges(conjs []expr.Expr) map[int]diskstore.Range {
 	return ranges
 }
 
-// literalIn returns the column of col IN (literal, …), or nil when the node
-// is negated, its list empty or not all literals — the IN-lists the planner
+// literalIn returns the column of col IN (keys…), or nil when the node is
+// negated, its list empty or not all literals — the IN-lists the planner
 // ships as semijoin filters.
 func literalIn(n *expr.In) *expr.ColRef {
 	col, ok := n.E.(*expr.ColRef)
-	if !ok || n.Negate || len(n.List) == 0 {
+	if !ok || n.Negate || n.Set() == nil || n.Len() == 0 {
 		return nil
-	}
-	for _, el := range n.List {
-		if _, ok := el.(*expr.Literal); !ok {
-			return nil
-		}
 	}
 	return col
 }

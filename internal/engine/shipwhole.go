@@ -114,7 +114,9 @@ func (p *planner) shippableBlock(sel *sqlparse.SelectStmt, info *shipInfo) bool 
 			info.hasAgg = true
 		}
 	}
-	if !p.shippableFrom(sel.From, info) {
+	if !p.shippableFrom(sel.From, info) || exec.CheckSubqueries(sel) != nil {
+		// A subquery outside WHERE is one neither side runs: planned here,
+		// the block fails with the engine's own error before any fetch.
 		return false
 	}
 	ok := true

@@ -98,28 +98,11 @@ func blockEquiConjuncts(te sqlparse.TableExpr, pool []expr.Expr) []*expr.BinOp {
 	return out
 }
 
-// keyValues evaluates key over rows and returns the non-NULL values, and
-// whether a NULL was seen.
-func keyValues(rows []value.Row, key expr.Expr) (vals []value.Value, sawNull bool, err error) {
-	vals = make([]value.Value, 0, len(rows))
-	for _, row := range rows {
-		v, err := key.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			sawNull = true
-			continue
-		}
-		vals = append(vals, v)
-	}
-	return vals, sawNull, nil
-}
-
 // placeSubqueries plans the block's subquery predicates first. Each
 // uncorrelated [NOT] IN (SELECT …) and each [NOT] EXISTS with exactly one
-// correlation equality is evaluated now, and its distinct keys become one
-// IN conjunct over the outer expression, appended to the pool — so it is
+// correlation equality is evaluated now; its key set is built from the
+// subquery's key column batch by batch (exec.KeySet), unboxed, and becomes
+// one IN conjunct over the outer expression, appended to the pool — so it is
 // placed like any other conjunct: in the scan of the one leaf that covers
 // it, as a join residual when it spans two relations, in the final Filter
 // when it names the null-supplying side of a LEFT OUTER JOIN (that side is
@@ -159,14 +142,14 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 			continue
 		}
 		key := keys[0]
-		rows, subNode, err := p.blockRows(sub)
+		rows, subNode, err := p.blockRel(sub)
 		if err != nil {
 			return nil, nil, err
 		}
 		if rows.Schema.Len() != 1 {
 			return nil, nil, fmt.Errorf("IN subquery must return one column, got %d", rows.Schema.Len())
 		}
-		vals, sawNull, err := keyValues(rows.Data, &expr.ColRef{Ord: 0})
+		set, err := exec.KeySet(rows, &expr.ColRef{Ord: 0})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -175,31 +158,27 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 		switch {
 		case !tf.Anti:
 			// IN / EXISTS: NULL keys match nothing; an empty set is the
-			// impossible filter maybeSemiJoin uses.
-			if len(vals) == 0 {
-				vals = append(vals, value.Null)
-			}
-			in = expr.NewIn(key, vals, false)
+			// impossible filter IN (NULL) maybeSemiJoin uses.
+			set.HasNull = set.Len() == 0
+			in = expr.NewIn(key, set, false)
 			conj = in
-		case len(vals) == 0 && !(tf.NullAware() && sawNull):
+		case set.Len() == 0 && !(tf.NullAware() && set.HasNull):
 			// NOT IN / NOT EXISTS over nothing holds for every row, NULL
 			// outer keys included: no conjunct.
 			nodes = append(nodes, &exec.PlanNode{Op: "Subquery Key Set", Notes: []string{"predicate holds for every row"}, Children: []*exec.PlanNode{subNode}})
 			continue
 		case tf.NullAware():
-			// NOT IN: a NULL in the list makes every non-match unknown.
-			if sawNull {
-				vals = append(vals, value.Null)
-			}
-			in = expr.NewIn(key, vals, true)
+			// NOT IN: a NULL in the set makes every non-match unknown.
+			in = expr.NewIn(key, set, true)
 			conj = in
 		default:
 			// NOT EXISTS: a NULL outer key matches no inner row.
-			in = expr.NewIn(expr.Clone(key), vals, true)
+			set.HasNull = false
+			in = expr.NewIn(expr.Clone(key), set, true)
 			conj = expr.Bin(expr.OpOr, &expr.IsNull{E: key}, in)
 		}
-		p.addKeySet(pool, conj, len(in.List))
-		nodes = append(nodes, exec.Node("Subquery Key Set:", planSQL(conj), len(in.List), subNode))
+		p.addKeySet(pool, conj, in.Len())
+		nodes = append(nodes, exec.Node("Subquery Key Set:", planSQL(conj), in.Len(), subNode))
 		if tf.Anti {
 			continue
 		}
@@ -214,7 +193,7 @@ func (p *planner) placeSubqueries(sel *sqlparse.SelectStmt, tfs []sqlparse.Subqu
 			if placeable(other, leaves) && exec.ExprKind(other, outer) == keyKind {
 				derived := expr.Clone(in).(*expr.In)
 				derived.E = expr.Clone(other)
-				p.addKeySet(pool, derived, len(in.List))
+				p.addKeySet(pool, derived, in.Len())
 			}
 		}
 	}
@@ -232,17 +211,17 @@ func (p *planner) addKeySet(pool *[]expr.Expr, conj expr.Expr, n int) {
 	p.plan.Note("subquery key set: %d keys, placed as %s", n, planSQL(conj))
 }
 
-// planSQL renders a predicate for EXPLAIN and plan notes: a literal list of
-// more than 8 elements prints as its size.
+// planSQL renders a predicate for EXPLAIN and plan notes: a list or key set
+// of more than 8 elements prints as its size.
 func planSQL(e expr.Expr) string { return elideLists(e).SQL() }
 
 func elideLists(e expr.Expr) expr.Expr {
 	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
 		in, ok := n.(*expr.In)
-		if !ok || len(in.List) <= 8 {
+		if !ok || in.Len() <= 8 {
 			return nil
 		}
-		size := expr.Col(fmt.Sprintf("<%d values>", len(in.List)))
+		size := expr.Col(fmt.Sprintf("<%d values>", in.Len()))
 		return &expr.In{E: in.E, List: []expr.Expr{size}, Negate: in.Negate}
 	})
 }
@@ -273,7 +252,7 @@ func (p *planner) applyTransform(in exec.Rel, root *exec.PlanNode, tf sqlparse.S
 		}
 		return exec.Rel{Schema: in.Schema}, exec.Node("Exists(const false)", "", 0, root), nil
 	}
-	sub, subNode, err := p.blockRows(subSel)
+	sub, subNode, err := p.blockRel(subSel)
 	if err != nil {
 		return exec.Rel{}, nil, err
 	}
@@ -289,7 +268,7 @@ func (p *planner) applyTransform(in exec.Rel, root *exec.PlanNode, tf sqlparse.S
 		rightKeys[i] = &expr.ColRef{Name: sub.Schema.Cols[i].Name, Ord: i}
 	}
 	out, _, err := exec.HashJoin(p.ctx, p.e.pool, p.width, 0, p.stats, kind,
-		in, exec.Rel{Schema: sub.Schema, Rows: sub.Data}, leftKeys, rightKeys, nil)
+		in, sub, leftKeys, rightKeys, nil)
 	if err != nil {
 		return exec.Rel{}, nil, err
 	}

@@ -161,8 +161,11 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 			return nil, err
 		}
 	}
-	rows, _, err := w.blk.Finish(nil, in, nil)
-	return rows, err
+	out, _, err := w.blk.Finish(nil, in, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &value.Rows{Schema: out.Schema, Data: out.AllRows()}, nil
 }
 
 // Forward pushes the current window content into a sink (use case 1 for

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -166,4 +168,58 @@ func TestAggregateMorselAllocatesPerSlab(t *testing.T) {
 	if distinct >= 512 {
 		t.Errorf("%d distinct groups allocate %.0f times, want fewer than 512: groups must come from slabs", DefaultMorselSize, distinct)
 	}
+}
+
+// The build side is indexed as (batch, row) of its own batches: an 8-batch
+// side is neither copied into one batch nor boxed into key values, so what
+// the build allocates grows with its keys and rows, not with the columns it
+// carries. Widening each build row from 2 columns to 16 must not add a byte
+// per row.
+func TestHashJoinBuildAllocatesPerKey(t *testing.T) {
+	const batches, n = 8, DefaultMorselSize
+	key := []expr.Expr{&expr.ColRef{Name: "c0", Ord: 0}}
+	probeSchema := intSchema("c0")
+	probe := Rel{Schema: probeSchema, Batches: []*value.Batch{value.BatchFromRows(probeSchema, []value.Row{{value.NewInt(3)}}, nil)}}
+	bytes := func(width int) float64 {
+		names := make([]string, width)
+		for c := range names {
+			names[c] = fmt.Sprintf("c%d", c)
+		}
+		s := intSchema(names...)
+		build := Rel{Schema: s}
+		for b := 0; b < batches; b++ {
+			rows := make([]value.Row, n)
+			for i := range rows {
+				rows[i] = make(value.Row, width)
+				for c := range rows[i] {
+					rows[i][c] = value.NewInt(int64(b*n + i + c))
+				}
+			}
+			build.Batches = append(build.Batches, value.BatchFromRows(s, rows, nil))
+		}
+		return bytesPerRun(3, func() {
+			out, _, err := HashJoin(context.Background(), nil, 0, 0, nil, JoinInner, probe, build, key, key, nil)
+			if err != nil || out.Len() != 1 {
+				t.Fatalf("join = %d rows, %v; want 1", out.Len(), err)
+			}
+		}) / (batches * n)
+	}
+	narrow, wide := bytes(2), bytes(16)
+	t.Logf("%d-batch build side: %.1f B per build row at 2 columns, %.1f at 16", batches, narrow, wide)
+	if wide > narrow+1 {
+		t.Errorf("16 build columns cost %.1f B per build row, 2 cost %.1f: the build side is copied", wide, narrow)
+	}
+}
+
+// bytesPerRun is the heap bytes f allocates per call, the collector paused.
+func bytesPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -55,20 +54,13 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := CheckSubqueries(sel); err != nil {
+		return nil, err
+	}
 	having := sel.Having
 	order := make([]expr.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
 		order[i] = o.Expr
-	}
-	clauses := append([]expr.Expr{having}, order...)
-	for _, item := range items {
-		clauses = append(clauses, item.Expr)
-	}
-	for _, c := range clauses {
-		if len(sqlparse.Subqueries(c)) > 0 {
-			// The planner runs only the subqueries WHERE holds.
-			return nil, fmt.Errorf("a subquery in the select list, HAVING or ORDER BY is not supported")
-		}
 	}
 	b := &Block{distinct: sel.Distinct, limit: sel.Limit}
 
@@ -147,6 +139,24 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 	return b, nil
 }
 
+// CheckSubqueries returns the error of a subquery in sel's select list,
+// HAVING or ORDER BY: a processor runs only the subqueries WHERE holds.
+func CheckSubqueries(sel *sqlparse.SelectStmt) error {
+	clauses := []expr.Expr{sel.Having}
+	for _, o := range sel.OrderBy {
+		clauses = append(clauses, o.Expr)
+	}
+	for _, item := range sel.Items {
+		clauses = append(clauses, item.Expr)
+	}
+	for _, c := range clauses {
+		if c != nil && len(sqlparse.Subqueries(c)) > 0 {
+			return fmt.Errorf("a subquery in the select list, HAVING or ORDER BY is not supported")
+		}
+	}
+	return nil
+}
+
 // AnalyzeProjected analyses what is left of sel when another processor has
 // already produced its projection (a statement shipped whole to a remote
 // source): the result's columns are named after the select list, and ORDER BY
@@ -187,26 +197,27 @@ func (b *Block) Aggregates() bool { return b.AggSchema != nil }
 
 // Finish applies HAVING, the projection, DISTINCT, ORDER BY and LIMIT to the
 // aggregate's output (the block's input relation when it does not
-// aggregate) and drops the hidden sort columns. HAVING, the projection and
-// boxing run one input batch at a time; with neither DISTINCT nor ORDER BY
-// no batch is read once LIMIT rows are out. It checks ctx (nil = none) every
-// batch and every morsel of rows DISTINCT and ORDER BY read, and returns its
-// error once it is done. plan is the plan of in; Finish returns it below a
-// node for each stage it ran (Having, Project, Distinct, Sort, Limit), with
-// the rows that stage emitted, or nil when plan is nil.
-func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (*value.Rows, *PlanNode, error) {
+// aggregate) and drops the hidden sort columns. HAVING and the projection
+// run one input batch at a time and their result stays batches; with
+// neither DISTINCT nor ORDER BY, LIMIT cuts the batch that crosses it before
+// the projection and no batch is read once LIMIT rows are out. DISTINCT and
+// ORDER BY box the projected rows. It checks ctx (nil = none) every batch
+// and every morsel of rows DISTINCT and ORDER BY read, and returns its error
+// once it is done. plan is the plan of in; Finish returns it below a node
+// for each stage it ran (Having, Project, Distinct, Sort, Limit), with the
+// rows that stage emitted, or nil when plan is nil.
+func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (Rel, *PlanNode, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var rows []value.Row
-	if b.exprs == nil {
-		rows = in.AllRows()
-	} else {
-		having := 0
+	out := Rel{Schema: b.proj, Rows: in.Rows, Batches: in.Batches}
+	if b.exprs != nil {
+		out.Rows, out.Batches = nil, []*value.Batch{}
 		early := !b.distinct && len(b.keys) == 0 && b.limit >= 0
-		for i := 0; !early || int64(len(rows)) < b.limit; i++ {
+		having, n := 0, 0
+		for i := 0; !early || int64(n) < b.limit; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return Rel{}, nil, err
 			}
 			bt := in.batch(i, b.needed)
 			if bt == nil {
@@ -214,52 +225,78 @@ func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (*value.Rows
 			}
 			if b.Having != nil {
 				if err := expr.SelectBatch(b.Having, bt); err != nil {
-					return nil, nil, err
+					return Rel{}, nil, err
 				}
 			}
 			if having += bt.Len(); bt.Len() == 0 {
 				continue
 			}
+			if early {
+				cut(bt, int(b.limit)-n)
+			}
 			pb, err := project(bt, b.exprs, b.proj)
 			if err != nil {
-				return nil, nil, err
+				return Rel{}, nil, err
 			}
-			rows = append(rows, pb.MaterializeRows()...)
+			n += pb.Len()
+			out.Batches = append(out.Batches, pb)
 		}
 		if plan != nil && b.Having != nil {
 			plan = Node("Having:", b.Having.SQL(), having, plan)
 		}
 		if plan != nil {
-			plan = Node("Project:", strings.Join(b.Out.Names(), ", "), len(rows), plan)
+			plan = Node("Project:", strings.Join(b.Out.Names(), ", "), n, plan)
 		}
 	}
-	var err error
-	if b.distinct {
-		if rows, err = distinctRows(ctx, rows, b.proj.Len()); plan != nil {
-			plan = Node("Distinct", "", len(rows), plan)
+	if b.distinct || len(b.keys) > 0 {
+		rows := out.AllRows()
+		var err error
+		if b.distinct {
+			if rows, err = distinctRows(ctx, rows, b.proj.Len()); plan != nil {
+				plan = Node("Distinct", "", len(rows), plan)
+			}
 		}
-	}
-	if err == nil && len(b.keys) > 0 {
-		if err = sortRows(ctx, rows, b.keys); plan != nil {
-			plan = Node("Sort", "", len(rows), plan)
+		if err == nil && len(b.keys) > 0 {
+			if err = sortRows(ctx, rows, b.keys); plan != nil {
+				plan = Node("Sort", "", len(rows), plan)
+			}
 		}
+		if err != nil {
+			return Rel{}, nil, err
+		}
+		if w := b.Out.Len(); b.proj != b.Out {
+			for i, r := range rows {
+				rows[i] = r[:w:w]
+			}
+		}
+		out = Rel{Schema: b.Out, Rows: rows}
 	}
-	if err = cmp.Or(err, ctx.Err()); err != nil {
-		return nil, nil, err
+	if err := ctx.Err(); err != nil {
+		return Rel{}, nil, err
 	}
-	if b.limit >= 0 && int64(len(rows)) > b.limit {
-		// A copy: the result must not keep the rows past the limit alive.
-		rows = append([]value.Row(nil), rows[:b.limit]...)
+	if b.limit >= 0 && int64(out.Len()) > b.limit {
+		// Rows the projection did not cut. A copy: the result must not keep
+		// the rows past the limit alive.
+		out = Rel{Schema: out.Schema, Rows: append([]value.Row(nil), out.AllRows()[:b.limit]...)}
 	}
 	if plan != nil && b.limit >= 0 {
-		plan = Node("Limit", strconv.FormatInt(b.limit, 10), len(rows), plan)
+		plan = Node("Limit", strconv.FormatInt(b.limit, 10), out.Len(), plan)
 	}
-	if w := b.Out.Len(); b.proj != b.Out {
-		for i, r := range rows {
-			rows[i] = r[:w:w]
+	return out, plan, nil
+}
+
+// cut narrows bt's selection to its first n live rows.
+func cut(bt *value.Batch, n int) {
+	switch {
+	case bt.Len() <= n:
+	case bt.Sel != nil:
+		bt.Sel = bt.Sel[:n]
+	default:
+		bt.Sel = make([]int32, n)
+		for k := range bt.Sel {
+			bt.Sel[k] = int32(k)
 		}
 	}
-	return &value.Rows{Schema: b.Out, Data: rows}, plan, nil
 }
 
 // SortKey is one ORDER BY key over a bound expression.

@@ -77,25 +77,45 @@ func (r Rel) batch(i int, needed []bool) *value.Batch {
 	return value.BatchFromRows(r.Schema, r.Rows[lo:min(lo+DefaultMorselSize, len(r.Rows))], needed)
 }
 
-// whole returns the relation as one batch: its only batch as it is, else
-// its rows or its batches' live rows gathered into one.
-func (r Rel) whole() *value.Batch {
-	if len(r.Batches) == 1 {
-		return r.Batches[0]
+// KeySet builds the set of key's values, key bound to r's schema, over r's
+// live rows one batch at a time: a bare column's vector is read in place,
+// any other key is evaluated over the batch first. This is how a subquery's
+// or a semijoin's key set is built.
+func KeySet(r Rel, key expr.Expr) (*value.KeySet, error) {
+	set := &value.KeySet{}
+	var needed []bool
+	if ords := expr.FillOrds([]expr.Expr{key}); r.Batches == nil && ords != nil {
+		needed = make([]bool, r.Schema.Len())
+		for _, o := range ords {
+			needed[o] = true
+		}
 	}
-	if r.Batches == nil {
-		return value.BatchFromRows(r.Schema, r.Rows, nil)
+	var buf []int32
+	for i := 0; ; i++ {
+		b := r.batch(i, needed)
+		if b == nil {
+			return set, nil
+		}
+		if cap(buf) < b.Len() {
+			buf = make([]int32, b.Len())
+		}
+		rows := buf[:b.Len()]
+		if v := bareCol(key, b); v != nil {
+			for k := range rows {
+				rows[k] = int32(b.RowIndex(k))
+			}
+			set.AddVec(v, rows)
+			continue
+		}
+		v, err := expr.EvalBatch(key, b)
+		if err != nil {
+			return nil, err
+		}
+		for k := range rows {
+			rows[k] = int32(k)
+		}
+		set.AddVec(&v, rows)
 	}
-	b := &value.Batch{Schema: r.Schema, Cols: make([]value.Vec, r.Schema.Len()), N: r.Len()}
-	runs := make([]value.Run, len(r.Batches))
-	for i, src := range r.Batches {
-		runs[i] = src.Run(0, src.Len())
-	}
-	for c := range b.Cols {
-		b.Cols[c].Kind = r.Schema.Cols[c].Kind
-		value.Gather(&b.Cols[c], runs, c, b.N)
-	}
-	return b
 }
 
 // Filter keeps the rows pred holds for through the vectorized predicate path

@@ -45,7 +45,7 @@ func finish(t *testing.T, blk *Block, in Rel) []value.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs.Data
+	return rs.AllRows()
 }
 
 // aggregate runs agg and returns its groups.
@@ -320,8 +320,8 @@ func TestRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema.Cols[0].Name != "x" || fmt.Sprint(got.Data) != "[[1]]" {
-		t.Fatalf("relabelled %v: %v", got.Schema.Names(), got.Data)
+	if got.Schema.Cols[0].Name != "x" || fmt.Sprint(got.AllRows()) != "[[1]]" {
+		t.Fatalf("relabelled %v: %v", got.Schema.Names(), got.AllRows())
 	}
 }
 

@@ -8,37 +8,26 @@ import (
 // The hash aggregate's morsel body. A segment runs in two phases. The key
 // phase gives every live row a group ordinal in the morsel's partial
 // straight from the key vectors: each key column folds its hash into the
-// rows' key hashes (value.KeyHash, column by column), then each row probes the
-// partial's index, comparing a candidate's boxed key with the row's payload
-// in place, and a row whose key is new starts a group. A lone dictionary
-// key skips the hash: a code → group array, kept while the batches share
-// the Dict, finds the group of a code seen before. The argument phase then
-// folds each aggregate's argument into the states, in row order, by group
-// ordinal: a BIGINT or DOUBLE vector is read in place, a numeric kernel
-// (expr.CompileNum) is evaluated unboxed, and MIN, MAX, DISTINCT and every
-// other argument read a Value and call AggState.Add. Keys and arguments that
-// are not a bare typed column — a boxed (Vals) or pruned vector, a computed
-// expression — are read through the segment's readers, one more case of
-// the same loops.
+// rows' key hashes (value.HashVec, column by column), then each row probes
+// the partial's index, comparing a candidate's boxed key with the row's
+// payload in place (value.Vec.Equals), and a row whose key is new starts a
+// group. A lone dictionary key skips the hash: a code → group array, kept
+// while the batches share the Dict, finds the group of a code seen before.
+// The argument phase then folds each aggregate's argument into the states,
+// in row order, by group ordinal: a BIGINT or DOUBLE vector is read in
+// place, a numeric kernel (expr.CompileNum) is evaluated unboxed, and MIN,
+// MAX, DISTINCT and every other argument read a Value and call AggState.Add.
+// Keys and arguments that are not a bare typed column — a boxed (Vals) or
+// pruned vector, a computed expression — are read through the segment's
+// readers, one more case of the same loops.
 
-// keyForm is how the key phase reads a key column of a segment.
-type keyForm uint8
-
-const (
-	keyRead   keyForm = iota // through the segment's reader; values kept in vals
-	keyInts                  // Ints of an integer-like kind
-	keyFloats                // Floats
-	keyStrs                  // Strs
-	keyCodes                 // Codes into Dict
-)
-
-// keyCol is one group key over the segment in hand.
+// keyCol is one group key over the segment in hand: v, a typed column read
+// in place, or, when v is nil, read, whose values keyPhase keeps in vals.
 type keyCol struct {
-	form keyForm
 	v    *value.Vec
 	read func(int) (value.Value, error)
-	vals []value.Value // keyRead: the values read, by live ordinal
-	memo dictMemo      // keyCodes
+	vals []value.Value // read: the values read, by live ordinal
+	memo dictMemo      // a dictionary-coded v
 }
 
 // dictMemo caches, for the Dict a key column's batches share, each entry's
@@ -137,25 +126,16 @@ func (g *groupBy) prepare(seg segment) bool {
 	for c := range g.keys {
 		kc := &g.keys[c]
 		e := g.es[c]
-		kc.form, kc.v, kc.read, g.need[c] = keyRead, nil, nil, nil
-		v := typedCol(e, seg.b)
-		switch {
+		kc.v, kc.read, g.need[c] = typedCol(e, seg.b), nil, nil
+		switch v := kc.v; {
 		case v == nil:
 			g.need[c], reads = e, true
 			if kc.vals == nil {
 				kc.vals = make([]value.Value, len(g.rows))
 			}
-		case v.Kind == value.KindDouble:
-			kc.form = keyFloats
-		case v.Kind != value.KindVarchar:
-			kc.form = keyInts
-		case v.Dict == nil:
-			kc.form = keyStrs
-		default:
-			kc.form = keyCodes
+		case v.Dict != nil:
 			kc.memo.use(v.Dict, len(g.keys) == 1, g.total)
 		}
-		kc.v = v
 	}
 	for j := range g.args {
 		a := &g.args[j]
@@ -237,55 +217,23 @@ func (g *groupBy) keyPhase(rows []int32) (int, error) {
 	for k := range hs {
 		hs[k] = value.KeyHashSeed
 	}
-	lone := len(g.keys) == 1 && g.keys[0].form == keyCodes && g.keys[0].memo.group != nil
+	var k0 *keyCol
+	if len(g.keys) == 1 && g.keys[0].v != nil && g.keys[0].v.Dict != nil && g.keys[0].memo.group != nil {
+		k0 = &g.keys[0] // a lone dictionary key: codes map to groups
+	}
+	lone := k0 != nil
 	for c := range g.keys {
 		kc := &g.keys[c]
-		v := kc.v
-		switch kc.form {
-		case keyInts:
-			ints, kind := v.Ints, v.Kind
-			for k, i := range rows[:lim] {
-				h := nullHash
-				if !v.Null(int(i)) {
-					h = value.Value{K: kind, I: ints[i]}.Hash()
-				}
-				hs[k] = value.KeyHashStep(hs[k], h)
+		switch {
+		case lone:
+			// the probe below hashes a code only when the memo lacks it
+		case kc.v != nil:
+			var memo []uint64
+			if kc.v.Dict != nil {
+				memo = kc.memo.hash
 			}
-		case keyFloats:
-			fs := v.Floats
-			for k, i := range rows[:lim] {
-				h := nullHash
-				if !v.Null(int(i)) {
-					h = value.Value{K: value.KindDouble, F: fs[i]}.Hash()
-				}
-				hs[k] = value.KeyHashStep(hs[k], h)
-			}
-		case keyStrs:
-			strs := v.Strs
-			for k, i := range rows[:lim] {
-				h := nullHash
-				if !v.Null(int(i)) {
-					h = value.Value{K: value.KindVarchar, S: strs[i]}.Hash()
-				}
-				hs[k] = value.KeyHashStep(hs[k], h)
-			}
-		case keyCodes:
-			if lone {
-				break // the probe below hashes a code only when the memo lacks it
-			}
-			codes, memo := v.Codes, kc.memo.hash
-			for k, i := range rows[:lim] {
-				h := nullHash
-				switch {
-				case v.Null(int(i)):
-				case memo != nil:
-					h = memo[codes[i]]
-				default:
-					h = value.Value{K: value.KindVarchar, S: v.Dict[codes[i]]}.Hash()
-				}
-				hs[k] = value.KeyHashStep(hs[k], h)
-			}
-		case keyRead:
+			value.HashVec(hs, kc.v, rows[:lim], memo)
+		default:
 			vals := kc.vals
 			for k, i := range rows[:lim] {
 				x, err := kc.read(int(i))
@@ -301,8 +249,7 @@ func (g *groupBy) keyPhase(rows []int32) (int, error) {
 
 	gid := g.gid[:lim]
 	if lone {
-		kc := &g.keys[0]
-		v, groups := kc.v, kc.memo.group
+		v, groups := k0.v, k0.memo.group
 		for k, i := range rows[:lim] {
 			if v.Null(int(i)) {
 				gid[k] = g.lookup(value.KeyHashStep(value.KeyHashSeed, nullHash), k, int(i))
@@ -313,7 +260,7 @@ func (g *groupBy) keyPhase(rows []int32) (int, error) {
 				gid[k] = o - 1
 				continue
 			}
-			gid[k] = g.lookup(value.KeyHashStep(value.KeyHashSeed, kc.memo.hash[code]), k, int(i))
+			gid[k] = g.lookup(value.KeyHashStep(value.KeyHashSeed, k0.memo.hash[code]), k, int(i))
 			groups[code] = gid[k] + 1
 		}
 		return lim, keyErr
@@ -345,64 +292,23 @@ func (g *groupBy) lookup(h uint64, k, i int) int32 {
 
 // value boxes the key of live row k, physical row i: what its reader gives.
 func (kc *keyCol) value(k, i int) value.Value {
-	v := kc.v
-	switch {
-	case kc.form == keyRead:
+	if kc.v == nil {
 		return kc.vals[k]
-	case v.Null(i):
-		return value.Null
 	}
-	switch kc.form {
-	case keyInts:
-		return value.Value{K: v.Kind, I: v.Ints[i]}
-	case keyFloats:
-		return value.Value{K: value.KindDouble, F: v.Floats[i]}
-	default:
-		return value.Value{K: value.KindVarchar, S: v.Str(i)}
-	}
+	return kc.v.Value(i)
 }
 
 // keyEqual reports whether key, a group's, equals live row k's (physical
-// row i) as value.Compare has it, comparing a typed payload in place where
-// the group's value has the column's kind.
+// row i) as value.Compare has it, comparing a typed payload in place.
 func (g *groupBy) keyEqual(key value.Row, k, i int) bool {
 	for c := range g.keys {
 		kc := &g.keys[c]
-		gk := key[c]
-		v := kc.v
-		switch {
-		case kc.form == keyRead:
-			if value.Compare(kc.vals[k], gk) != 0 {
+		if kc.v == nil {
+			if value.Compare(kc.vals[k], key[c]) != 0 {
 				return false
 			}
-			continue
-		case v.Null(i):
-			if gk.K != value.KindNull {
-				return false
-			}
-			continue
-		}
-		switch kc.form {
-		case keyInts:
-			if gk.K == v.Kind {
-				if gk.I != v.Ints[i] {
-					return false
-				}
-			} else if value.Compare(value.Value{K: v.Kind, I: v.Ints[i]}, gk) != 0 {
-				return false
-			}
-		case keyFloats:
-			if gk.K == value.KindDouble {
-				if value.CompareFloats(v.Floats[i], gk.F) != 0 {
-					return false
-				}
-			} else if value.Compare(value.Value{K: value.KindDouble, F: v.Floats[i]}, gk) != 0 {
-				return false
-			}
-		default: // a VARCHAR equals only a VARCHAR
-			if gk.K != value.KindVarchar || gk.S != v.Str(i) {
-				return false
-			}
+		} else if !kc.v.Equals(i, key[c]) {
+			return false
 		}
 	}
 	return true

@@ -149,14 +149,19 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 // that emits, and, aligned with its rows, the ordinal in left of each one's
 // probe row, which a dist worker maps to the row's scan sequence. One table
 // chains each hash's build rows in build-input order, so a probe row's
-// matches come out in that order. A probe morsel records (probe row, build
-// row) pairs, then gathers each output column once into a typed vector
-// (value.Gather): a column pruned on its input stays pruned, and a
-// null-extended row reads NULL on the right. residual, checked per match on
-// one scratch row per morsel filled where it reads, filters an inner join's
-// matches and decides a left-outer join's; the semi and anti kinds take
-// none. A row-backed side is transposed into one batch first. The output
-// does not depend on a side's form or the pool's width.
+// matches come out in that order. Build rows are indexed as (batch, row) of
+// right's batches, which are not copied. Both phases hash a segment's keys
+// column by column from their vectors (value.HashVec) and confirm a
+// candidate by comparing the two rows' keys in place (value.VecEqual); a
+// key that is not a bare column is read through its reader into a boxed
+// vector first. A probe morsel records (probe row, build row) pairs, then
+// gathers each output column once into a typed vector: a column pruned on
+// its input stays pruned, and a null-extended row reads NULL on the right.
+// residual, checked per match on one scratch row per morsel filled where it
+// reads, filters an inner join's matches and decides a left-outer join's;
+// the semi and anti kinds take none. A row-backed side is cut into
+// morsel-sized batches first. The output does not depend on a side's form
+// or the pool's width.
 func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
 	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr, residual expr.Expr) (Rel, []int, error) {
 	out, leftOnly := left.Schema, true
@@ -177,39 +182,38 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
-	if left.Batches == nil {
-		left = Rel{Schema: left.Schema, Batches: []*value.Batch{left.whole()}}
-	}
-	build := right.whole()
-	right = Rel{Schema: right.Schema, Batches: []*value.Batch{build}}
+	left, right = left.batched(), right.batched()
 	lw := left.Schema.Len()
 
 	lOffs, rOffs := left.offsets(), right.offsets()
 	nLeft, nRight := left.Len(), right.Len()
 
-	// Build phase: morsels read each row's keys once and hash; a NULL key,
-	// which never matches, marks its row -1 in next. linkBuild then indexes
-	// the distinct keys and chains their rows in build order.
-	nk := len(rightKeys)
-	keys := make([]value.Value, nRight*nk)
+	// Build phase: morsels hash each row's keys and record where it lives;
+	// a NULL key, which never matches, marks its row -1 in next. link then
+	// indexes the distinct keys and chains their rows in build order.
+	bld := &buildSide{batches: right.Batches, keys: make([][]*value.Vec, len(right.Batches)),
+		bat: make([]int32, nRight), row: make([]int32, nRight)}
+	for bi, b := range right.Batches {
+		bld.keys[bi] = keyVecs(rightKeys, b)
+	}
 	hashes, next := make([]uint64, nRight), make([]int32, nRight)
 	nb := (nRight + size - 1) / size
 	if nb > 0 {
 		workers, err := pool.Run(ctx, nb, width, func(_ context.Context, m int) error {
 			lo := m * size
 			hi := min(lo+size, nRight)
-			ri := lo
+			ri, buf := lo, make([]int32, hi-lo)
 			for _, seg := range right.segments(rOffs, lo, hi) {
-				rd := expr.Readers(rightKeys, seg.b)
-				for k := seg.lo; k < seg.hi; k, ri = k+1, ri+1 {
-					h, hasNull, err := readKeys(rd, seg.phys(k), keys[ri*nk:(ri+1)*nk])
-					if err != nil {
-						return err
-					}
-					if hashes[ri] = h; hasNull {
-						next[ri] = -1
-					}
+				bi := batchIndexOf(rOffs, ri)
+				rows := seg.physRows(buf)
+				n := len(rows)
+				if err := hashKeys(rightKeys, seg.b, bld.keys[bi], rows, hashes[ri:ri+n], next[ri:ri+n]); err != nil {
+					return err
 				}
+				for k, i := range rows {
+					bld.bat[ri+k], bld.row[ri+k] = int32(bi), i
+				}
+				ri += n
 			}
 			return nil
 		})
@@ -218,7 +222,7 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 		}
 		stats.NoteDispatch(nb, workers)
 	}
-	index, first, buildNull := linkBuild(keys, hashes, next, nk)
+	buildNull := bld.link(hashes, next)
 
 	// The residual's scratch row is filled only where it reads.
 	fill := expr.FillOrds([]expr.Expr{residual})
@@ -239,43 +243,43 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 			lo := m * size
 			hi := min(lo+size, nLeft)
 			segs := left.segments(lOffs, lo, hi)
-			// probe and bld are the pairs' physical rows (bld -1 =
-			// null-extended), about one per probe row; ends[s] ends segment
-			// s's pairs; li is the ordinal of the probe row in hand.
-			probe, bld := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+			// probe, bat and row are the pairs' probe rows and build rows
+			// (row -1 = null-extended), about one per probe row; ends[s] ends
+			// segment s's pairs; li is the ordinal of the probe row in hand.
+			probe, bat, row := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
 			ords, ends := make([]int, 0, hi-lo), make([]int, len(segs))
-			vals := make([]value.Value, len(leftKeys))
+			buf, hs, nul := make([]int32, hi-lo), make([]uint64, hi-lo), make([]int32, hi-lo)
 			var scratch value.Row
 			if residual != nil {
 				scratch = make(value.Row, out.Len())
 			}
 			li := lo
 			for s, seg := range segs {
-				rd := expr.Readers(leftKeys, seg.b)
-				for k := seg.lo; k < seg.hi; k, li = k+1, li+1 {
-					i := seg.phys(k)
-					h, hasNull, err := readKeys(rd, i, vals)
-					if err != nil {
-						return err
-					}
+				rows := seg.physRows(buf)
+				vecs := keyVecs(leftKeys, seg.b)
+				if err := hashKeys(leftKeys, seg.b, vecs, rows, hs, nul); err != nil {
+					return err
+				}
+				for k, i := range rows {
+					hasNull := nul[k] < 0
 					matched := false
 					e := -1
 					if !hasNull {
-						e, _ = findKey(index, h, vals, keys, first)
+						e = bld.find(hs[k], vecs, int(i))
 					}
 					if e >= 0 {
-						for ri := int(first[e]); ri >= 0; ri = int(next[ri]) - 1 {
+						for ri := int(bld.first[e]); ri >= 0; ri = int(next[ri]) - 1 {
 							if leftOnly { // one match decides a semi/anti join
 								matched = true
 								break
 							}
-							j := build.RowIndex(ri)
+							bi, j := bld.bat[ri], bld.row[ri]
 							if residual != nil {
 								for _, o := range fill {
 									if o < lw {
-										scratch[o] = seg.b.Cols[o].Value(i)
+										scratch[o] = seg.b.Cols[o].Value(int(i))
 									} else if o < len(scratch) {
-										scratch[o] = build.Cols[o-lw].Value(j)
+										scratch[o] = bld.batches[bi].Cols[o-lw].Value(int(j))
 									}
 								}
 								keep, err := expr.Truthy(residual, scratch)
@@ -287,7 +291,7 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 								}
 							}
 							matched = true
-							probe, bld, ords = append(probe, int32(i)), append(bld, int32(j)), append(ords, li)
+							probe, bat, row, ords = append(probe, i), append(bat, bi), append(row, j), append(ords, li)
 						}
 					}
 					emit := false
@@ -302,8 +306,9 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 						emit = !matched && !buildNull && (!hasNull || nRight == 0)
 					}
 					if emit {
-						probe, bld, ords = append(probe, int32(i)), append(bld, -1), append(ords, li)
+						probe, bat, row, ords = append(probe, i), append(bat, 0), append(row, -1), append(ords, li)
 					}
+					li++
 				}
 				ends[s] = len(probe)
 			}
@@ -311,7 +316,7 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 				return nil
 			}
 			// Gather the output: the left columns from the segments' batches
-			// at the probe rows, the right ones from build at the bld rows.
+			// at the probe rows, the right ones from the build batches.
 			b := &value.Batch{Schema: out, Cols: make([]value.Vec, out.Len()), N: len(probe)}
 			runs, from := make([]value.Run, len(segs)), 0
 			for s, seg := range segs {
@@ -322,7 +327,7 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 				if c < lw {
 					value.Gather(&b.Cols[c], runs, c, b.N)
 				} else {
-					value.Gather(&b.Cols[c], []value.Run{{B: build, Rows: bld}}, c-lw, b.N)
+					value.GatherFrom(&b.Cols[c], bld.batches, bat, row, c-lw)
 				}
 			}
 			outs[m], outOrds[m] = b, ords
@@ -366,54 +371,155 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 	return out.AllRows(), err
 }
 
-// readKeys reads physical row i's join keys through rd into vals and
-// returns their hash; a NULL key stops the read, since it never matches.
-func readKeys(rd []func(int) (value.Value, error), i int, vals []value.Value) (uint64, bool, error) {
-	h := value.KeyHashSeed
-	for k, read := range rd {
-		v, err := read(i)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, true, nil
-		}
-		vals[k] = v
-		h = value.KeyHashStep(h, v.Hash())
+// batched returns the relation batch-backed: a row-backed one cut into
+// morsel-sized batches of all its columns, at least one.
+func (r Rel) batched() Rel {
+	if r.Batches != nil {
+		return r
 	}
-	return h, false, nil
+	var bs []*value.Batch
+	for b := r.batch(0, nil); b != nil; b = r.batch(len(bs), nil) {
+		bs = append(bs, b)
+	}
+	if bs == nil { // an empty side still gathers typed NULLs
+		bs = []*value.Batch{value.BatchFromRows(r.Schema, nil, nil)}
+	}
+	return Rel{Schema: r.Schema, Batches: bs}
 }
 
-// linkBuild indexes the distinct keys of the build rows (nk values of keys
-// and one of hashes a row) but those whose next is -1, a NULL key, which
-// buildNull reports: first[e] is the first row with entry e's key and
-// next[ri] becomes the next row with ri's key + 1 (0 ends the chain).
-func linkBuild(keys []value.Value, hashes []uint64, next []int32, nk int) (index value.Index, first []int32, buildNull bool) {
-	index, first = value.NewIndex(len(next)), make([]int32, 0, len(next))
+// keyVecs returns the vectors a side's join keys read over batch b: a bare
+// column's own vector (bareCol), or a boxed vector of b's length that
+// hashKeys fills through the key's reader.
+func keyVecs(keys []expr.Expr, b *value.Batch) []*value.Vec {
+	vecs := make([]*value.Vec, len(keys))
+	for c, e := range keys {
+		if vecs[c] = bareCol(e, b); vecs[c] == nil {
+			vecs[c] = &value.Vec{Kind: value.KindNull, Vals: make([]value.Value, b.N)}
+		}
+	}
+	return vecs
+}
+
+// bareCol returns the vector of b a bare column reference e reads in place,
+// in whatever form it holds, or nil.
+func bareCol(e expr.Expr, b *value.Batch) *value.Vec {
+	if c, ok := e.(*expr.ColRef); ok && c.Ord >= 0 && c.Ord < len(b.Cols) {
+		return &b.Cols[c.Ord]
+	}
+	return nil
+}
+
+// hashKeys hashes the join keys of rows, physical rows of b whose key
+// vectors are vecs (keyVecs), into hs column by column, and sets null[k] to
+// -1 for each row with a NULL key, which never matches, 0 otherwise. A key
+// that is not a bare column is read first, a row at a time in key order: a
+// row's reads stop at its first NULL key, and the first read that fails
+// ends the call.
+func hashKeys(keys []expr.Expr, b *value.Batch, vecs []*value.Vec, rows []int32, hs []uint64, null []int32) error {
+	hs, null = hs[:len(rows)], null[:len(rows)]
+	for k := range hs {
+		hs[k], null[k] = value.KeyHashSeed, 0
+	}
+	var need []expr.Expr
+	for c, e := range keys {
+		if bareCol(e, b) == nil {
+			if need == nil {
+				need = make([]expr.Expr, len(keys))
+			}
+			need[c] = e
+		}
+	}
+	if need != nil {
+		rd := expr.Readers(need, b)
+		for _, i := range rows {
+			for c, v := range vecs {
+				if rd[c] == nil {
+					if v.Null(int(i)) {
+						break
+					}
+					continue
+				}
+				x, err := rd[c](int(i))
+				if err != nil {
+					return err
+				}
+				if v.Vals[i] = x; x.IsNull() {
+					break
+				}
+			}
+		}
+	}
+	for _, v := range vecs {
+		value.HashVec(hs, v, rows, nil)
+		if v.Nulls != nil || v.Vals != nil || v.Pruned {
+			for k, i := range rows {
+				if v.Null(int(i)) {
+					null[k] = -1
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// buildSide is the hash join's build input: right's batches, each one's
+// key vectors, where build row ri lives (physical row row[ri] of batch
+// bat[ri]), and, once linked, the index of its distinct keys, entry e's
+// first row being first[e].
+type buildSide struct {
+	batches  []*value.Batch
+	keys     [][]*value.Vec
+	bat, row []int32
+	index    value.Index
+	first    []int32
+}
+
+// equal reports whether build row ri's keys equal physical row i of vecs.
+func (s *buildSide) equal(ri int, vecs []*value.Vec, i int) bool {
+	bk, j := s.keys[s.bat[ri]], int(s.row[ri])
+	for c, v := range vecs {
+		if !value.VecEqual(v, i, bk[c], j) {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the entry whose key equals physical row i of vecs under
+// hash h, or -1.
+func (s *buildSide) find(h uint64, vecs []*value.Vec, i int) int {
+	w := s.index.Probe(h)
+	for e := s.index.Next(&w); e >= 0; e = s.index.Next(&w) {
+		if s.equal(int(s.first[e]), vecs, i) {
+			return e
+		}
+	}
+	return -1
+}
+
+// link indexes the distinct keys of the build rows, each hashed in hashes,
+// but those whose next is -1, a NULL key, which buildNull reports: first[e]
+// is the first row with entry e's key and next[ri] becomes the next row
+// with ri's key + 1 (0 ends the chain).
+func (s *buildSide) link(hashes []uint64, next []int32) (buildNull bool) {
+	index, first := value.NewIndex(len(next)), make([]int32, 0, len(next))
 	for ri := len(next) - 1; ri >= 0; ri-- {
 		if next[ri] < 0 {
 			buildNull = true
 			continue
 		}
-		e, w := findKey(index, hashes[ri], keys[ri*nk:(ri+1)*nk], keys, first)
+		vecs := s.keys[s.bat[ri]]
+		w := index.Probe(hashes[ri])
+		e := index.Next(&w)
+		for e >= 0 && !s.equal(int(first[e]), vecs, int(s.row[ri])) {
+			e = index.Next(&w)
+		}
 		if e < 0 {
 			e = index.Insert(w)
 			first = append(first, -1)
 		}
 		next[ri], first[e] = first[e]+1, int32(ri)
 	}
-	return index, first, buildNull
-}
-
-// findKey returns the entry whose key, build row first[e]'s, equals key
-// under hash h, or -1 and the walk Insert takes.
-func findKey(index value.Index, h uint64, key, keys []value.Value, first []int32) (int, value.Probe) {
-	nk := len(key)
-	w := index.Probe(h)
-	for e := index.Next(&w); e >= 0; e = index.Next(&w) {
-		if r := int(first[e]) * nk; value.KeysEqual(key, keys[r:r+nk]) {
-			return e, w
-		}
-	}
-	return -1, w
+	s.index, s.first = index, first
+	return buildNull
 }

@@ -5,19 +5,16 @@ import "hana/internal/value"
 // Morsel segments. The aggregate and the hash join cut their input into
 // fixed-size morsels of live-row ordinals and read each morsel as a few
 // segments: live rows [lo, hi) of one batch of a batch-backed relation. A
-// row-backed input is transposed first (value.BatchFromRows: the join's
-// sides whole, the aggregate's a morsel at a time), so each operator has
-// one loop over one input form (DESIGN.md "Executor"). Batches yield
-// exactly the Values Eval gives on the materialized rows, so morsel
-// boundaries, group order and emission order, and with them the output, do
-// not depend on the input's form or the worker width.
+// row-backed input is transposed first (value.BatchFromRows, a morsel at a
+// time: the join's sides before it starts, the aggregate's as it goes), so
+// each operator has one loop over one input form (DESIGN.md "Executor").
+// Batches yield exactly the Values Eval gives on the materialized rows, so
+// morsel boundaries, group order and emission order, and with them the
+// output, do not depend on the input's form or the worker width.
 type segment struct {
 	b      *value.Batch
 	lo, hi int
 }
-
-// phys is the physical row index of the segment's k-th live row.
-func (s segment) phys(k int) int { return s.b.RowIndex(k) }
 
 // physRows returns the physical row indices of the segment's live rows, in
 // order: the batch's selection, or [lo, hi) written into buf.

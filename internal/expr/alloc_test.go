@@ -45,8 +45,8 @@ func TestEvalZeroAllocs(t *testing.T) {
 // TestInLiteralSetMatchesLinearScan pins the set Bind prepares against the
 // linear Compare scan it replaces — an unbound In over the same list — for
 // every kind the set buckets, tri-valued verdicts included, through Eval and
-// through the batch kernel (dictionary-coded for VARCHAR); NewIn over the
-// same values, cloned as the planner clones it, must agree too.
+// through the batch kernel (dictionary-coded for VARCHAR); NewIn over a key
+// set of the same values, cloned as the planner clones it, must agree too.
 func TestInLiteralSetMatchesLinearScan(t *testing.T) {
 	date := func(s string) value.Value {
 		v, err := value.ParseDate(s)
@@ -105,13 +105,17 @@ func TestInLiteralSetMatchesLinearScan(t *testing.T) {
 				if set.set == nil || linear.set != nil {
 					t.Fatalf("%s: Bind must prepare the set (and only Bind)", tc.name)
 				}
-				built := NewIn(Col("K"), vals, negate)
+				keys := value.NewKeySet(0)
+				for _, v := range vals {
+					keys.Add(v)
+				}
+				built := NewIn(Col("K"), keys, negate)
 				shared := Clone(built).(*In)
 				if err := Bind(shared, s); err != nil {
 					t.Fatal(err)
 				}
-				if shared.set != built.set || len(built.List) > len(list) {
-					t.Fatalf("%s: NewIn must dedupe, and Clone and Bind must keep its set", tc.name)
+				if shared.set != built.set || built.Len() > len(list) {
+					t.Fatalf("%s: the key set must dedupe, and Clone and Bind must keep it", tc.name)
 				}
 				probes := append([]value.Value{value.Null}, tc.probes...)
 				var want []int32

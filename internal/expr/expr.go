@@ -330,80 +330,56 @@ func (b *Between) SQL() string {
 	return "(" + b.E.SQL() + " " + not + "BETWEEN " + b.Lo.SQL() + " AND " + b.Hi.SQL() + ")"
 }
 
-// In is e IN (list). The planner evaluates IN/EXISTS subqueries ahead of
-// the FROM tree and materializes their key sets into the List.
+// In is e IN (list). A list the parser reads keeps its elements in List;
+// Bind prepares the key set of an all-literal one. A subquery's or a
+// semijoin's key set has no List: NewIn takes the set built from its key
+// column, and SQL renders the keys from it.
 type In struct {
 	E      Expr
 	List   []Expr
 	Negate bool
 
-	// set is the all-literal fast path prepared by Bind: Eval probes it
-	// instead of re-evaluating the list per row. Built during binding (never
-	// lazily) so the bound tree stays immutable under parallel morsel
-	// execution.
-	set *inSet
+	// set holds the members Eval and the batch kernel probe instead of
+	// re-evaluating the list per row. Built before execution (never lazily)
+	// so the bound tree stays immutable under parallel morsel execution.
+	set *value.KeySet
 }
 
-// inSet is an all-literal IN list's distinct non-NULL values under the one
-// hash index: membership equals a linear Compare scan of the list.
-type inSet struct {
-	vals    []value.Value // distinct members, first-seen order
-	index   value.Index   // over vals
-	hasNull bool          // the list holds a NULL literal
+// NewIn builds e [NOT] IN (keys of set). Clone shares the set, so binding
+// the node for every leaf that takes it does not rebuild it.
+func NewIn(e Expr, set *value.KeySet, negate bool) *In {
+	return &In{E: e, Negate: negate, set: set}
 }
 
-func newInSet(n int) *inSet {
-	return &inSet{vals: make([]value.Value, 0, n), index: value.NewIndex(n)}
+// Set returns the node's key set: nil when its list is not all literals,
+// or before Bind prepared it.
+func (i *In) Set() *value.KeySet { return i.set }
+
+// Len returns the number of list elements: a key set's keys, NULL counted
+// once.
+func (i *In) Len() int {
+	if i.List != nil || i.set == nil {
+		return len(i.List)
+	}
+	if i.set.HasNull {
+		return i.set.Len() + 1
+	}
+	return i.set.Len()
 }
 
-// add inserts a literal's value unless it is NULL or equal to a member.
-func (s *inSet) add(v value.Value) {
-	if v.IsNull() {
-		s.hasNull = true
-		return
-	}
-	if o, p := s.index.Find(s.vals, v); o < 0 {
-		s.index.Insert(p)
-		s.vals = append(s.vals, v)
-	}
-}
-
-// NewIn builds e [NOT] IN (vals…) from evaluated values, a subquery's key
-// column for one: values equal to an earlier one are dropped, the list keeps
-// first-seen order with a NULL, if any, last, and the literal set is
-// prepared here, once — Clone shares it with the literals, so binding the
-// node for every leaf that takes it does not rebuild the set.
-func NewIn(e Expr, vals []value.Value, negate bool) *In {
-	in := &In{E: e, Negate: negate, set: newInSet(len(vals))}
-	for _, v := range vals {
-		in.set.add(v)
-	}
-	vals = in.set.vals
-	if in.set.hasNull {
-		vals = append(vals[:len(vals):len(vals)], value.Null)
-	}
-	lits := make([]Literal, len(vals))
-	in.List = make([]Expr, len(vals))
-	for i, v := range vals {
-		lits[i].Val = v
-		in.List[i] = &lits[i]
-	}
-	return in
-}
-
-// prepare builds the literal set when every list element is a literal.
-// Lists with a non-literal element keep the per-row Compare path.
+// prepare builds the key set when every list element is a literal. Lists
+// with a non-literal element keep the per-row Compare path.
 func (i *In) prepare() {
 	if i.set != nil {
 		return
 	}
-	set := newInSet(len(i.List))
+	set := value.NewKeySet(len(i.List))
 	for _, el := range i.List {
 		lit, ok := el.(*Literal)
 		if !ok {
 			return
 		}
-		set.add(lit.Val)
+		set.Add(lit.Val)
 	}
 	i.set = set
 }
@@ -446,11 +422,23 @@ func (i *In) Eval(row value.Row) (value.Value, error) {
 	return value.NewBool(i.Negate), nil
 }
 
-// SQL renders the membership test.
+// SQL renders the membership test: a key set's keys in first-seen order,
+// NULL last.
 func (i *In) SQL() string {
-	parts := make([]string, len(i.List))
-	for j, el := range i.List {
-		parts[j] = el.SQL()
+	var parts []string
+	if i.List != nil || i.set == nil {
+		parts = make([]string, len(i.List))
+		for j, el := range i.List {
+			parts[j] = el.SQL()
+		}
+	} else {
+		parts = make([]string, i.set.Len(), i.Len())
+		for o := range parts {
+			parts[o] = i.set.Keys.Value(o).SQLLiteral()
+		}
+		if i.set.HasNull {
+			parts = append(parts, value.Null.SQLLiteral())
+		}
 	}
 	not := ""
 	if i.Negate {

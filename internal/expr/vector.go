@@ -525,10 +525,11 @@ func cmpInt64(a, b int64) int {
 	}
 }
 
-// compileIn compiles `E [NOT] IN (literals…)` once Bind has prepared its
-// set. Dictionary-encoded VARCHAR vectors get a verdict per dictionary entry
-// (one set probe per distinct value instead of one per row); other vectors
-// probe the set per row with an unboxed value.
+// compileIn compiles `E [NOT] IN (set)` once its key set is built.
+// Dictionary-encoded VARCHAR vectors get a verdict per dictionary entry
+// (one set probe per distinct value instead of one per row); a typed vector
+// of the keys' kind probes the set in place; any other pair boxes the row's
+// value and probes under Compare.
 func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 	if n.set == nil {
 		return nil, false
@@ -544,7 +545,9 @@ func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 		if v.Pruned {
 			return constKernel(triNull), true
 		}
-		if v.Vals == nil && v.Codes != nil && v.Kind == value.KindVarchar {
+		set := n.set
+		switch {
+		case v.Vals == nil && v.Codes != nil && v.Kind == value.KindVarchar:
 			verdicts := make([]int8, len(v.Dict))
 			for c, s := range v.Dict {
 				verdicts[c] = inVerdict(n, value.Value{K: value.KindVarchar, S: s})
@@ -556,21 +559,34 @@ func compileIn(n *In, b *value.Batch) (triKernel, bool) {
 				}
 				return verdicts[codes[i]]
 			}, true
+		case v.Vals == nil && set.Keys.Vals == nil && v.Kind == set.Keys.Kind:
+			return func(i int) int8 {
+				switch {
+				case v.Null(i):
+					return triNull
+				case set.Find(v, i) >= 0:
+					return triBool(!n.Negate)
+				case set.HasNull:
+					return triNull
+				}
+				return triBool(n.Negate)
+			}, true
 		}
 		return func(i int) int8 { return inVerdict(n, v.Value(i)) }, true
 	}
 	return nil, false
 }
 
-// inVerdict is the membership verdict of an all-literal list (which cannot
-// fail) for one value: a probe of the set Bind prepared.
+// inVerdict is the membership verdict of a key set (which cannot fail) for
+// one value.
 func inVerdict(n *In, v value.Value) int8 {
-	switch o, _ := n.set.index.Find(n.set.vals, v); {
-	case v.IsNull():
+	if v.IsNull() {
 		return triNull
+	}
+	switch o, _ := n.set.FindValue(v); {
 	case o >= 0:
 		return triBool(!n.Negate)
-	case n.set.hasNull:
+	case n.set.HasNull:
 		return triNull
 	}
 	return triBool(n.Negate)
@@ -634,14 +650,20 @@ func compileLike(n *Like, b *value.Batch) (triKernel, bool) {
 }
 
 // EvalBatch evaluates e for every live row of b, returning a vector of
-// b.Len() results. Bound column references on an unfiltered batch share the
-// batch's vector directly; everything else evaluates through e's reader
-// (Readers) into a boxed vector, so results equal Eval's row by row. The
-// first evaluation error aborts.
+// b.Len() results. A bound column reference shares the batch's vector
+// directly when the batch is unfiltered and gathers its live rows in their
+// own form (value.Gather) when it is filtered; everything else evaluates
+// through e's reader (Readers) into a boxed vector, so results equal Eval's
+// row by row. The first evaluation error aborts.
 func EvalBatch(e Expr, b *value.Batch) (value.Vec, error) {
-	if c, ok := e.(*ColRef); ok && b.Sel == nil {
+	if c, ok := e.(*ColRef); ok {
 		if v, ok := colVec(c, b); ok && !v.Pruned {
-			return *v, nil
+			if b.Sel == nil {
+				return *v, nil
+			}
+			out := value.Vec{Kind: v.Kind}
+			value.Gather(&out, []value.Run{b.Run(0, b.Len())}, c.Ord, b.Len())
+			return out, nil
 		}
 	}
 	n := b.Len()

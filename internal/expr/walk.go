@@ -72,7 +72,7 @@ func Clone(e Expr) Expr {
 		return &Between{E: Clone(n.E), Lo: Clone(n.Lo), Hi: Clone(n.Hi), Negate: n.Negate}
 	case *In:
 		if n.set != nil {
-			// Prepared: the list is all literals, which nothing mutates;
+			// A key set, or a list of literals, which nothing mutates:
 			// share them and the set built from them.
 			return &In{E: Clone(n.E), List: n.List, Negate: n.Negate, set: n.set}
 		}
@@ -357,6 +357,9 @@ func rewrite(e Expr, repl func(Expr) Expr) Expr {
 	case *Between:
 		return &Between{E: rewrite(n.E, repl), Lo: rewrite(n.Lo, repl), Hi: rewrite(n.Hi, repl), Negate: n.Negate}
 	case *In:
+		if n.List == nil {
+			return &In{E: rewrite(n.E, repl), Negate: n.Negate, set: n.set}
+		}
 		list := make([]Expr, len(n.List))
 		for i, el := range n.List {
 			list[i] = rewrite(el, repl)

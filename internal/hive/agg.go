@@ -53,8 +53,11 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 		}
 		in = exec.Rel{Schema: blk.AggSchema, Rows: rows}
 	}
-	rows, _, err := blk.Finish(nil, in, nil)
-	return rows, err
+	out, _, err := blk.Finish(nil, in, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &value.Rows{Schema: out.Schema, Data: out.AllRows()}, nil
 }
 
 // materialize reads the relation, which has no pending filters, into the

@@ -39,6 +39,9 @@ var HotRoots = []string{
 	"hana/internal/exec.AggState.foldFloat",
 	"hana/internal/expr.CompileNum",
 	"hana/internal/exec.HashJoin",
+	"hana/internal/exec.hashKeys",
+	"hana/internal/exec.buildSide.link",
+	"hana/internal/exec.buildSide.find",
 	"hana/internal/exec.Pool.Run",
 	// engine: the one table scan — morsel cutting, batch decode, MVCC
 	// selection — and the extended-storage batch reader under it.
@@ -80,6 +83,19 @@ var HotRoots = []string{
 	"hana/internal/value.Value.Hash",
 	"hana/internal/value.KeyHash",
 	"hana/internal/value.KeysEqual",
+	// value: the per-vector hash and equality the aggregate's key phase, the
+	// hash join and the key set share, and the key set's build and probes
+	// (exec.KeySet builds a subquery's set one batch at a time; the IN
+	// kernel probes it per row).
+	"hana/internal/value.HashVec",
+	"hana/internal/value.Vec.HashAt",
+	"hana/internal/value.VecEqual",
+	"hana/internal/value.Vec.Equals",
+	"hana/internal/value.KeySet.AddVec",
+	"hana/internal/value.KeySet.Add",
+	"hana/internal/value.KeySet.Find",
+	"hana/internal/value.KeySet.FindValue",
+	"hana/internal/exec.KeySet",
 	// value: batch access leaves — FillRow/Value run once per row whenever a
 	// batch crosses back into the row world — and the one typed gather the
 	// join's output and the coordinator's merge copy through.
@@ -88,6 +104,7 @@ var HotRoots = []string{
 	"hana/internal/value.Vec.Value",
 	"hana/internal/value.BatchFromRows",
 	"hana/internal/value.Gather",
+	"hana/internal/value.GatherFrom",
 	// dist: the exchange hot path. Execute parses shipped SQL once per
 	// fragment — not hot — so only code that runs per shard row is rooted:
 	// the scan's morsel body (aggregate and join fragments then run exec's

@@ -35,3 +35,29 @@ func TestRowOpsZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "KeysEqual", func() { _ = KeysEqual(row[:2], other[:2]) })
 	assertZeroAllocs(t, "Compare", func() { _ = Compare(row[0], other[0]) })
 }
+
+// A key set built from a typed batch hashes the column in place and appends
+// each new key to its typed vector: a 4,096-row batch of distinct BIGINT
+// keys allocates per doubling of the index and of the key vector, never per
+// key, so twice the keys cost a doubling or two more, not 2,048.
+func TestKeySetAllocatesPerDoubling(t *testing.T) {
+	allocs := func(n int) float64 {
+		v := &Vec{Kind: KindInt, Ints: make([]int64, n)}
+		rows := make([]int32, n)
+		for i := range rows {
+			v.Ints[i], rows[i] = int64(i*7), int32(i)
+		}
+		return testing.AllocsPerRun(20, func() {
+			var s KeySet
+			s.AddVec(v, rows)
+			if s.Len() != n {
+				t.Fatalf("%d keys in a set of %d distinct", s.Len(), n)
+			}
+		})
+	}
+	half, full := allocs(2048), allocs(4096)
+	t.Logf("2,048 keys: %.0f allocations; 4,096: %.0f", half, full)
+	if full > half+3 || full > 40 {
+		t.Errorf("4,096 keys allocate %.0f times, 2,048 keys %.0f: the set allocates per key", full, half)
+	}
+}

@@ -330,3 +330,60 @@ func gatherPayload[T int64 | float64 | string | Value](dst *Vec, out []T, runs [
 		}
 	}
 }
+
+// GatherFrom is Gather over rows of several batches in any order, a hash
+// join's build side: row k of dst is physical row rows[k] of bs[from[k]],
+// a negative row reading NULL. dst comes out pruned, boxed or typed as
+// Gather has it over runs of all of bs.
+func GatherFrom(dst *Vec, bs []*Batch, from, rows []int32, c int) {
+	pruned, boxed := true, false
+	for _, b := range bs {
+		src := &b.Cols[c]
+		pruned = pruned && src.Pruned
+		boxed = boxed || !src.Pruned && (src.Vals != nil || src.Kind != dst.Kind)
+	}
+	n := len(rows)
+	switch {
+	case pruned:
+		dst.Pruned = true
+	case boxed:
+		dst.Vals = make([]Value, n)
+		for k, i := range rows {
+			if i >= 0 {
+				dst.Vals[k] = bs[from[k]].Cols[c].Value(int(i))
+			}
+		}
+	case dst.Kind == KindDouble:
+		dst.Floats = make([]float64, n)
+		gatherFrom(dst, dst.Floats, bs, from, rows, c, func(v *Vec) []float64 { return v.Floats }, nil)
+	case dst.Kind == KindVarchar:
+		dst.Strs = make([]string, n)
+		gatherFrom(dst, dst.Strs, bs, from, rows, c, func(v *Vec) []string { return v.Strs }, (*Vec).Str)
+	default:
+		dst.Ints = make([]int64, n)
+		gatherFrom(dst, dst.Ints, bs, from, rows, c, func(v *Vec) []int64 { return v.Ints }, nil)
+	}
+}
+
+// gatherFrom copies GatherFrom's rows out of the payload slice each batch's
+// column holds into out, through get where it holds none (a dictionary),
+// and sets dst's validity bit for each NULL.
+func gatherFrom[T int64 | float64 | string](dst *Vec, out []T, bs []*Batch, from, rows []int32, c int, payload func(*Vec) []T, get func(*Vec, int) T) {
+	data, nulls := make([][]T, len(bs)), false
+	for b := range bs {
+		src := &bs[b].Cols[c]
+		data[b], nulls = payload(src), nulls || src.Nulls != nil || src.Pruned
+	}
+	for k, i := range rows {
+		b := from[k]
+		switch {
+		case i < 0 || nulls && bs[b].Cols[c].Null(int(i)):
+			dst.EnsureNulls(len(rows))
+			dst.SetNull(k)
+		case data[b] != nil:
+			out[k] = data[b][i]
+		default:
+			out[k] = get(&bs[b].Cols[c], int(i))
+		}
+	}
+}

@@ -278,27 +278,42 @@ func fnvUint64(h uint64, x uint64) uint64 {
 // The result is exactly FNV-1a over a kind tag plus the little-endian
 // payload bytes, allocation-free.
 func (v Value) Hash() uint64 {
-	h := uint64(fnvOffset64)
 	switch v.K {
-	case KindNull:
-		h = fnvByte(h, 0)
 	case KindBool:
-		h = fnvByte(fnvByte(h, 1), byte(v.I))
-	case KindInt, KindDouble:
-		f := v.Float()
-		if f == 0 {
-			f = 0 // −0.0 as +0.0
-		} else if f != f {
-			f = math.NaN() // every NaN as one
-		}
-		h = fnvUint64(fnvByte(h, 2), math.Float64bits(f))
+		return hashBool(v.I)
+	case KindInt:
+		return hashFloat(float64(v.I))
+	case KindDouble:
+		return hashFloat(v.F)
 	case KindDate, KindTimestamp:
-		h = fnvUint64(fnvByte(h, 3), uint64(v.I))
+		return hashTemporal(v.I)
 	case KindVarchar:
-		h = fnvByte(h, 4)
-		for i := 0; i < len(v.S); i++ {
-			h = fnvByte(h, v.S[i])
-		}
+		return hashStr(v.S)
+	}
+	return nullHash
+}
+
+// The per-kind halves of Hash, which the vector loops (HashVec) call on a
+// payload in place.
+var nullHash = fnvByte(fnvOffset64, 0)
+
+func hashBool(i int64) uint64 { return fnvByte(fnvByte(fnvOffset64, 1), byte(i)) }
+
+func hashFloat(f float64) uint64 {
+	if f == 0 {
+		f = 0 // −0.0 as +0.0
+	} else if f != f {
+		f = math.NaN() // every NaN as one
+	}
+	return fnvUint64(fnvByte(fnvOffset64, 2), math.Float64bits(f))
+}
+
+func hashTemporal(i int64) uint64 { return fnvUint64(fnvByte(fnvOffset64, 3), uint64(i)) }
+
+func hashStr(s string) uint64 {
+	h := fnvByte(fnvOffset64, 4)
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
 	}
 	return h
 }
@@ -338,6 +353,12 @@ func (v Value) SQLLiteral() string {
 		return "DATE '" + v.String() + "'"
 	case KindTimestamp:
 		return "TIMESTAMP '" + v.String() + "'"
+	case KindDouble:
+		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
+			// No literal spells these; the cast parses back to them.
+			return "CAST('" + v.String() + "' AS DOUBLE)"
+		}
+		return v.String()
 	default:
 		return v.String()
 	}
