@@ -160,10 +160,12 @@ func checkStreams(perShard [][]*Chunk) error {
 }
 
 // mergeCursor is a shard stream's read position: the next live row k of
-// the first of its remaining non-empty chunks.
+// the first of its remaining non-empty chunks, whose batch is bs[slot] of
+// the merged batch being gathered (slot -1: not listed yet).
 type mergeCursor struct {
 	chunks []*Chunk
 	k      int
+	slot   int32
 }
 
 func (c *mergeCursor) head() int64 { return c.chunks[0].Seqs[c.k] }
@@ -173,9 +175,8 @@ func (c *mergeCursor) head() int64 { return c.chunks[0].Seqs[c.k] }
 // sequence lives on exactly one shard, so taking from the cursor with the
 // smallest head sequence reproduces the serial order; equal sequences (a
 // probe row's multiple join matches) stay in their within-shard emission
-// order. The order comes out as runs (value.Run over a chunk's batch): the
-// stretch of live rows a cursor supplies before another cursor's head is
-// smaller.
+// order. The order comes out as one (chunk, row) pair per row, which
+// value.GatherFrom reads.
 type merger struct {
 	cursors []mergeCursor
 	total   int
@@ -198,11 +199,15 @@ func newMerger(perShard [][]*Chunk) *merger {
 	return m
 }
 
-// next appends the runs of the next at most limit rows of the merged stream
-// to runs, and returns them with their row count (0 at the end).
-func (m *merger) next(runs []value.Run, limit int) ([]value.Run, int) {
-	n := 0
-	for n < limit && len(m.cursors) > 0 {
+// next appends the next at most limit rows of the merged stream to from and
+// rows, and the batches of the chunks they read, in order of first use, to
+// bs: row k is physical row rows[k] of bs[from[k]]. It returns the three
+// (no rows at the end).
+func (m *merger) next(bs []*value.Batch, from, rows []int32, limit int) ([]*value.Batch, []int32, []int32) {
+	for i := range m.cursors {
+		m.cursors[i].slot = -1
+	}
+	for len(rows) < limit && len(m.cursors) > 0 {
 		best, bound := 0, int64(math.MaxInt64)
 		for i := 1; i < len(m.cursors); i++ {
 			switch h := m.cursors[i].head(); {
@@ -214,25 +219,27 @@ func (m *merger) next(runs []value.Run, limit int) ([]value.Run, int) {
 		}
 		cur := &m.cursors[best]
 		ch := cur.chunks[0]
-		lo, hi := cur.k, cur.k+1
-		first := ch.Seqs[lo]
-		for hi < len(ch.Seqs) && hi-lo < limit-n && (ch.Seqs[hi] < bound || ch.Seqs[hi] == first) {
-			hi++
+		if cur.slot < 0 {
+			cur.slot, bs = int32(len(bs)), append(bs, ch.Batch)
 		}
-		runs = append(runs, ch.Batch.Run(lo, hi))
-		n += hi - lo
-		if cur.k = hi; hi == len(ch.Seqs) {
-			cur.chunks, cur.k = cur.chunks[1:], 0
+		for first := ch.Seqs[cur.k]; ; {
+			from, rows = append(from, cur.slot), append(rows, int32(ch.Batch.RowIndex(cur.k)))
+			if cur.k++; cur.k == len(ch.Seqs) || len(rows) == limit || ch.Seqs[cur.k] >= bound && ch.Seqs[cur.k] != first {
+				break
+			}
+		}
+		if cur.k == len(ch.Seqs) {
+			cur.chunks, cur.k, cur.slot = cur.chunks[1:], 0, -1
 			if len(cur.chunks) == 0 {
 				m.cursors = slices.Delete(m.cursors, best, best+1)
 			}
 		}
 	}
-	return runs, n
+	return bs, from, rows
 }
 
 // batches merges the chunks into batches of up to exec.DefaultMorselSize
-// rows, gathering only the shipped columns (value.Gather). Every chunk's
+// rows, gathering only the shipped columns (value.GatherFrom). Every chunk's
 // batch has the shape of the first (checkStreams). Once ctx ends it returns
 // ctx's error and no batches.
 func (m *merger) batches(ctx context.Context) ([]*value.Batch, error) {
@@ -241,19 +248,19 @@ func (m *merger) batches(ctx context.Context) ([]*value.Batch, error) {
 	}
 	proto := m.cursors[0].chunks[0].Batch
 	out := make([]*value.Batch, 0, (m.total+exec.DefaultMorselSize-1)/exec.DefaultMorselSize)
-	runs := make([]value.Run, 0, min(m.total, exec.DefaultMorselSize))
+	size := min(m.total, exec.DefaultMorselSize)
+	bs, from, rows := []*value.Batch(nil), make([]int32, 0, size), make([]int32, 0, size)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var n int
-		if runs, n = m.next(runs[:0], exec.DefaultMorselSize); n == 0 {
+		if bs, from, rows = m.next(bs[:0], from[:0], rows[:0], exec.DefaultMorselSize); len(rows) == 0 {
 			return out, nil
 		}
-		b := &value.Batch{Schema: proto.Schema, Cols: make([]value.Vec, len(proto.Cols)), N: n}
+		b := &value.Batch{Schema: proto.Schema, Cols: make([]value.Vec, len(proto.Cols)), N: len(rows)}
 		for c := range b.Cols {
 			b.Cols[c].Kind = proto.Cols[c].Kind
-			value.Gather(&b.Cols[c], runs, c, n)
+			value.GatherFrom(&b.Cols[c], bs, from, rows, c)
 		}
 		out = append(out, b)
 	}

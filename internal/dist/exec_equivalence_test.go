@@ -157,11 +157,11 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				}
 				specs = append(specs, exec.AggSpec{Func: c.Func, Arg: arg, Distinct: c.Distinct})
 			}
-			out, err := (&exec.ParallelHashAggregate{In: exec.Rel{Schema: schema, Rows: kept}, GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()}).Run()
+			out, err := (&exec.ParallelHashAggregate{In: exec.RowRel(schema, kept, nil), GroupBy: groupBy, Aggs: specs, Out: value.NewSchema()}).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = out.Rows
+			want = out.AllRows()
 		case tc.join != nil:
 			buildSchema := &value.Schema{Cols: buildCols}
 			keys := func(sqls []string, s *value.Schema) []expr.Expr {
@@ -176,7 +176,7 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			out, _, err := exec.HashJoin(context.Background(), nil, 0, 0, nil, exec.JoinInner,
-				exec.Rel{Schema: schema, Rows: kept}, exec.Rel{Schema: buildSchema, Rows: buildRows},
+				exec.RowRel(schema, kept, nil), exec.RowRel(buildSchema, buildRows, nil),
 				keys(tc.join.ProbeKeys, schema), keys(tc.join.BuildKeys, buildSchema), residual)
 			if err != nil {
 				t.Fatal(err)
@@ -195,10 +195,11 @@ func TestFragmentsEqualExecOnUnshardedRows(t *testing.T) {
 				res := gather(t, tr, topo, &Fragment{Snapshot: 1, Table: "T", Binding: "T", Where: tc.where, Needed: tc.needed, Agg: tc.agg, Join: tc.join}, 0)
 				got := mergedRows(res)
 				if tc.agg != nil {
-					var err error
-					if got, err = res.Partial.Rows(specs, len(tc.agg.GroupBy) == 0); err != nil {
+					out, err := res.Partial.Finalize(value.NewSchema(), specs, len(tc.agg.GroupBy) == 0)
+					if err != nil {
 						t.Fatal(err)
 					}
+					got = out.AllRows()
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s shards=%d wire=%v: %d rows, want %d", tc.name, shards, wire, len(got), len(want))

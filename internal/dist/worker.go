@@ -472,7 +472,7 @@ func (w *Worker) runJoin(ctx context.Context, f *Fragment, schema *value.Schema,
 		return nil, err
 	}
 	out, ords, err := exec.HashJoin(ctx, w.pool, f.Width, 0, nil, exec.JoinInner,
-		exec.Rel{Schema: schema, Batches: batches}, exec.Rel{Schema: buildSchema, Rows: j.BuildRows}, probeKeys, buildKeys, residual)
+		exec.Rel{Schema: schema, Batches: batches}, exec.RowRel(buildSchema, j.BuildRows, nil), probeKeys, buildKeys, residual)
 	if err != nil {
 		return nil, err
 	}

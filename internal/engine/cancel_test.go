@@ -33,10 +33,11 @@ func TestExecuteContextCancelled(t *testing.T) {
 	}
 }
 
-// A deadline stops a statement inside its row loops — the nested-loop join
-// and the block's projection and sort — not only between pool morsels: a
-// cross join of two 3,000-row tables under a 100 ms deadline returns
-// context.DeadlineExceeded, never rows, within twice the deadline.
+// A deadline stops a statement inside its row loops — the probe of a join
+// without keys, which walks every pair of its morsel, and the block's
+// projection and sort — not only between pool morsels: a cross join of two
+// 3,000-row tables under a 100 ms deadline returns context.DeadlineExceeded,
+// never rows, within twice the deadline.
 func TestDeadlineStopsCrossJoin(t *testing.T) {
 	const n, deadline = 3000, 100 * time.Millisecond
 	e := newTestEngine(t)

@@ -130,15 +130,15 @@ func (p *planner) tryDistAggregate(sel *sqlparse.SelectStmt, rel *relation, subs
 	if err != nil {
 		return nil, err
 	}
-	// Finalize the merged partials into aggregate output rows; group order
+	// Finalize the merged partials into the aggregate's output; group order
 	// is the serial first-seen order (merged groups sort by First).
-	rows, err := res.Partial.Rows(blk.Aggs, len(blk.GroupBy) == 0)
+	in, err := res.Partial.Finalize(blk.AggSchema, blk.Aggs, len(blk.GroupBy) == 0)
 	if err != nil {
 		return nil, err
 	}
-	n := &exec.PlanNode{Op: "Dist Hash Aggregate", Object: ps.leaves[0].name, Rows: len(rows),
+	n := &exec.PlanNode{Op: "Dist Hash Aggregate", Object: ps.leaves[0].name, Rows: in.Len(),
 		Notes: []string{fmt.Sprintf("%d group cols", len(blk.GroupBy)), p.shards()}, Attrs: shippedFilter(ps.conjs)}
-	return &block{in: exec.Rel{Schema: blk.AggSchema, Rows: rows}, blk: blk, node: n, subs: subs}, nil
+	return &block{in: in, blk: blk, node: n, subs: subs}, nil
 }
 
 // distBroadcastJoin executes probe-side-sharded ⋈ broadcast-build-side on

@@ -73,9 +73,8 @@ const remoteRowScan = "Remote Row Scan"
 // realizeRemote ships the assembled query to the remote source ("Remote
 // Scan" in SDA terms) and materializes the result as a transient virtual
 // table. Only the columns the statement reads are shipped (at least one, so
-// the rows still count); the fetched values land at their ordinals of the
-// relation's schema and the unread ones are NULL, as a local scan's pruned
-// vectors are.
+// the rows still count); the fetched columns land at their ordinals of the
+// relation's schema and the unread ones are pruned, as a local scan's are.
 func (p *planner) realizeRemote(r *relation) error {
 	ps := r.pend
 	src := ps.leaves[0]
@@ -115,26 +114,18 @@ func (p *planner) realizeRemote(r *relation) error {
 	if err := conformRows(res.Rows, shipped); err != nil {
 		return fmt.Errorf("remote source %s returned incompatible rows: %w", src.source, err)
 	}
-	r.Rows = widenRows(res.Rows.Data, ords, r.Schema.Len())
-	return nil
-}
-
-// widenRows places each row's values at ords of rows width wide, NULL
-// elsewhere. Rows that already span the width are returned as they are.
-func widenRows(rows []value.Row, ords []int, width int) []value.Row {
-	if len(ords) == width {
-		return rows
-	}
-	slab := make(value.Row, len(rows)*width)
-	out := make([]value.Row, len(rows))
-	for i, r := range rows {
-		w := slab[i*width : (i+1)*width : (i+1)*width]
-		for j, o := range ords {
-			w[o] = r[j]
+	r.Batches = exec.RowRel(shipped, res.Rows.Data, nil).Batches
+	for i, b := range r.Batches {
+		wide := &value.Batch{Schema: r.Schema, Cols: make([]value.Vec, r.Schema.Len()), N: b.N}
+		for c := range wide.Cols {
+			wide.Cols[c] = value.Vec{Kind: r.Schema.Cols[c].Kind, Pruned: true}
 		}
-		out[i] = w
+		for j, o := range ords {
+			wide.Cols[o] = b.Cols[j]
+		}
+		r.Batches[i] = wide
 	}
-	return out
+	return nil
 }
 
 // fetchRemote ships one statement to a remote source under the §4.4 cache

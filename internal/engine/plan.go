@@ -268,7 +268,7 @@ func (p *planner) planQueryBlock(sel *sqlparse.SelectStmt) (*block, error) {
 func (p *planner) planFromExpr(te sqlparse.TableExpr, pool *[]expr.Expr) (*relation, error) {
 	if te == nil {
 		// SELECT without FROM: one empty row.
-		return rowsRelation(value.NewSchema(), []value.Row{{}}, exec.Node("Single Row", "", 1)), nil
+		return &relation{Rel: exec.RowRel(value.NewSchema(), []value.Row{{}}, nil), est: 1, node: exec.Node("Single Row", "", 1)}, nil
 	}
 	switch t := te.(type) {
 	case *sqlparse.JoinExpr:
@@ -486,7 +486,8 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table provider %s: %w", t.Name, err)
 		}
-		return rowsRelation(rows.Schema.Qualify(t.Binding()), rows.Data, exec.Node("Table Provider", t.Name, rows.Len())), nil
+		return &relation{Rel: exec.RowRel(rows.Schema.Qualify(t.Binding()), rows.Data, nil), est: float64(rows.Len()),
+			node: exec.Node("Table Provider", t.Name, rows.Len())}, nil
 	}
 	vf, ok := p.e.cat.VirtualFunction(t.Name)
 	if !ok {
@@ -510,12 +511,8 @@ func (p *planner) planTableFunc(t *sqlparse.TableFuncRef) (*relation, error) {
 	}
 	p.e.Metrics.RemoteQueries.Inc()
 	p.e.Metrics.RemoteRowsFetched.Add(int64(rows.Len()))
-	return rowsRelation(schema, rows.Data, &exec.PlanNode{Op: "Virtual Function", Object: vf.Source, Detail: t.Name, Rows: rows.Len()}), nil
-}
-
-// rowsRelation is a realized relation over rows, whose plan is n.
-func rowsRelation(schema *value.Schema, rows []value.Row, n *exec.PlanNode) *relation {
-	return &relation{Rel: exec.Rel{Schema: schema, Rows: rows}, est: float64(len(rows)), node: n}
+	return &relation{Rel: exec.RowRel(schema, rows.Data, nil), est: float64(rows.Len()),
+		node: &exec.PlanNode{Op: "Virtual Function", Object: vf.Source, Detail: t.Name, Rows: rows.Len()}}, nil
 }
 
 // joinRelations joins two relations choosing among the federated
@@ -591,41 +588,35 @@ func (p *planner) leftOuterJoin(l, r *relation, on []expr.Expr) (*relation, erro
 }
 
 // localJoin realizes both inputs and joins them on this node: a morsel hash
-// join on the key pairs, with the residual checked on each match, or a
-// nested-loop join on the residual when there are no keys. relocated marks
-// an inner join the relocation strategy chose.
+// join on the key pairs, with the residual checked on each match, which with
+// no keys is the nested-loop join on the residual. relocated marks an inner
+// join the relocation strategy chose.
 func (p *planner) localJoin(kind exec.JoinKind, l, r *relation, leftKeys, rightKeys, residual []expr.Expr, relocated bool) (*relation, error) {
 	if err := p.realizeBoth(l, r); err != nil {
 		return nil, err
 	}
-	out := &relation{Rel: exec.Rel{Schema: l.Schema.Concat(r.Schema)}}
 	var res expr.Expr
 	if len(residual) > 0 {
 		var err error
-		if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), out.Schema); err != nil {
+		if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), l.Schema.Concat(r.Schema)); err != nil {
 			return nil, err
 		}
+	}
+	blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
+	if err != nil {
+		return nil, err
+	}
+	out := &relation{}
+	if out.Rel, _, err = exec.HashJoin(p.ctx, p.e.pool, p.width, 0, p.stats, kind, l.Rel, r.Rel, blk, brk, res); err != nil {
+		return nil, err
 	}
 	op, detail := "Hash Join", "(INNER)"
 	if kind == exec.JoinLeftOuter {
 		detail = "(LEFT OUTER)"
 	}
 	if len(leftKeys) > 0 {
-		blk, brk, err := bindKeys(leftKeys, l.Schema, rightKeys, r.Schema)
-		if err != nil {
-			return nil, err
-		}
-		out.Rel, _, err = exec.HashJoin(p.ctx, p.e.pool, p.width, 0, p.stats,
-			kind, l.Rel, r.Rel, blk, brk, res)
-		if err != nil {
-			return nil, err
-		}
 		detail += " on " + keySQL(leftKeys, rightKeys)
 	} else {
-		var err error
-		if out.Rows, err = exec.NestedLoopJoin(p.ctx, kind, l.Rel, r.Rel, res); err != nil {
-			return nil, err
-		}
 		op = "Nested Loop Join"
 		switch {
 		case res == nil && kind == exec.JoinInner:

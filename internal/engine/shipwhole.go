@@ -62,7 +62,7 @@ func (p *planner) tryShipWhole(sel *sqlparse.SelectStmt) (*block, error) {
 		return nil, err
 	}
 	n.Attrs = []string{"shipped: " + sql}
-	return &block{in: exec.Rel{Schema: res.Rows.Schema, Rows: res.Rows.Data}, blk: blk, node: n}, nil
+	return &block{in: exec.RowRel(res.Rows.Schema, res.Rows.Data, nil), blk: blk, node: n}, nil
 }
 
 // hasAnyPredicate reports whether the statement carries a predicate in any

@@ -153,7 +153,7 @@ func (w *Window) Rows(now time.Time) (*value.Rows, error) {
 	}
 	w.mu.Unlock()
 
-	in := exec.Rel{Schema: w.source.schema, Rows: raw}
+	in := exec.RowRel(w.source.schema, raw, nil)
 	if w.blk.Aggregates() {
 		agg := &exec.ParallelHashAggregate{In: in, GroupBy: w.blk.GroupBy, Aggs: w.blk.Aggs, Out: w.blk.AggSchema}
 		var err error

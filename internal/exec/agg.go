@@ -375,27 +375,44 @@ func (p *AggPartial) Merge(o *AggPartial) {
 	}
 }
 
-// Rows finalises the groups, in order, into [key…, aggregate results…] rows.
-// global asks for SQL's single group over empty input when there is none.
-func (p *AggPartial) Rows(aggs []AggSpec, global bool) ([]value.Row, error) {
+// Finalize returns the groups, in order, as the relation over out of their
+// [key…, aggregate results…] rows, in batches of at most DefaultMorselSize:
+// each key and result is written straight into the typed vector of its
+// column's kind in out (value.Vec.Set; a column out does not declare is
+// boxed). global asks for SQL's single group over empty input when there is
+// none.
+func (p *AggPartial) Finalize(out *value.Schema, aggs []AggSpec, global bool) (Rel, error) {
 	groups := p.Groups
 	if len(groups) == 0 && global {
 		groups = []*AggGroup{p.newGroup(0, emptyStates(aggs), 0)}
 	}
-	rows := make([]value.Row, 0, len(groups))
-	for _, g := range groups {
-		out := make(value.Row, 0, len(g.Key)+len(aggs))
-		out = append(out, g.Key...)
-		for i, a := range aggs {
-			v, err := g.States[i].Result(a.Func)
-			if err != nil {
-				return nil, err
+	rel := Rel{Schema: out, Batches: make([]*value.Batch, 0, (len(groups)+DefaultMorselSize-1)/DefaultMorselSize)}
+	for lo := 0; lo < len(groups); lo += DefaultMorselSize {
+		gs := groups[lo:min(lo+DefaultMorselSize, len(groups))]
+		nk := len(gs[0].Key)
+		b := &value.Batch{Schema: out, Cols: make([]value.Vec, nk+len(aggs)), N: len(gs)}
+		for c := range b.Cols {
+			kind := value.KindNull
+			if out != nil && c < out.Len() {
+				kind = out.Cols[c].Kind
 			}
-			out = append(out, v)
+			b.Cols[c] = value.NewVec(kind, len(gs))
 		}
-		rows = append(rows, out)
+		for k, g := range gs {
+			for c, x := range g.Key {
+				b.Cols[c].Set(k, x)
+			}
+			for i, a := range aggs {
+				x, err := g.States[i].Result(a.Func)
+				if err != nil {
+					return Rel{}, err
+				}
+				b.Cols[nk+i].Set(k, x)
+			}
+		}
+		rel.Batches = append(rel.Batches, b)
 	}
-	return rows, nil
+	return rel, nil
 }
 
 // AppendAggState appends the binary form of a state, the one dist ships in an

@@ -39,8 +39,8 @@ func modRows(n int) []value.Row {
 // The one accumulation loop over either input form: besides the group table
 // itself (bounded by group count), the only per-call allocations are the
 // morsel's scratch, the segment's readers and kernels, the per-group slab
-// and, for a row-backed input, the morsel's transposed batch. A batch is
-// read off its vectors, never one boxed row per input row.
+// and, for rows, RowRel's batch. A batch is read off its vectors, never one
+// boxed row per input row.
 func checkAggregateMorselSubLinearAllocs(t *testing.T, batch bool) {
 	t.Helper()
 	const n = 4096
@@ -54,7 +54,7 @@ func checkAggregateMorselSubLinearAllocs(t *testing.T, batch bool) {
 		}
 	}
 	run := func() error {
-		_, err := (&ParallelHashAggregate{In: Rel{Schema: s, Rows: rows}, GroupBy: es[:1], Aggs: aggs}).Partial()
+		_, err := (&ParallelHashAggregate{In: RowRel(s, rows, nil), GroupBy: es[:1], Aggs: aggs}).Partial()
 		return err
 	}
 	if batch {
@@ -87,8 +87,8 @@ func TestAggregateBatchMorselSubLinearAllocs(t *testing.T) {
 func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 	const n = 1000
 	s := intSchema("g", "v")
-	left := Rel{Schema: s, Rows: modRows(n)}
-	build := Rel{Schema: s, Rows: rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})}
+	left := RowRel(s, modRows(n), nil)
+	build := RowRel(s, rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103}), nil)
 	key := []expr.Expr{expr.Col("g")}
 	if err := expr.Bind(key[0], s); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestHashJoinProbeSubLinearAllocs(t *testing.T) {
 // batch — never a row per match.
 func TestHashJoinGatherAllocatesPerColumn(t *testing.T) {
 	s := intSchema("g", "v")
-	build := Rel{Schema: s, Rows: rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103})}
+	build := RowRel(s, rowsOf([]int64{0, 100}, []int64{1, 101}, []int64{2, 102}, []int64{3, 103}), nil)
 	key := []expr.Expr{expr.Col("g")}
 	if err := expr.Bind(key[0], s); err != nil {
 		t.Fatal(err)
@@ -222,4 +222,35 @@ func bytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// ORDER BY sorts (batch, row) pairs on the key vectors and gathers each
+// output column once per output batch: sorting 8 batches of 4,096 rows
+// allocates per input batch (its projection), per output batch and column
+// (the gathered vectors) and once for the permutation, never per row.
+func TestFinishSortAllocatesPerColumn(t *testing.T) {
+	const batches = 8
+	s := intSchema("g", "v")
+	blk, err := AnalyzeBlock(parseSelect(t, "SELECT v, g FROM t ORDER BY g DESC, v"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		b := value.BatchFromRows(s, modRows(n), nil)
+		return allocsPerRun(5, func() {
+			in := Rel{Schema: s, Batches: make([]*value.Batch, batches)}
+			for i := range in.Batches {
+				in.Batches[i] = b
+			}
+			out, _, err := blk.Finish(context.Background(), in, nil)
+			if err != nil || out.Len() != batches*n {
+				t.Fatalf("ORDER BY over %d × %d rows = %d rows, %v", batches, n, out.Len(), err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(DefaultMorselSize)
+	t.Logf("%d × %d rows: %.0f allocations; %d × 64 rows: %.0f", batches, DefaultMorselSize, large, batches, small)
+	if perBatch := 16.0; large > perBatch*batches {
+		t.Errorf("ORDER BY over %d × %d rows allocates %.0f times, over %.0f per batch: the sort allocates per row", batches, DefaultMorselSize, large, perBatch)
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Batch-vs-row equivalence: Filter and project must keep and compute exactly
-// what expr.Truthy and Expr.Eval give row by row, on a batch-backed and on a
-// row-backed relation.
+// what expr.Truthy and Expr.Eval give row by row, on small batches and on
+// RowRel's.
 
 func mixedSchema() *value.Schema {
 	return value.NewSchema(
@@ -38,9 +38,8 @@ func mixedRows() []value.Row {
 	return rows
 }
 
-// inputs are rows as a batch-backed relation cut into 5-row batches, so
-// operator behavior at batch boundaries is exercised, and as a row-backed
-// one.
+// inputs are rows as a relation cut into 5-row batches, so operator
+// behavior at batch boundaries is exercised, and as RowRel cuts them.
 func inputs(s *value.Schema, rows []value.Row) map[string]Rel {
 	var bs []*value.Batch
 	for lo := 0; lo < len(rows); lo += 5 {
@@ -48,7 +47,7 @@ func inputs(s *value.Schema, rows []value.Row) map[string]Rel {
 	}
 	return map[string]Rel{
 		"small batches": {Schema: s, Batches: bs},
-		"row-backed":    {Schema: s, Rows: rows},
+		"RowRel":        RowRel(s, rows, nil),
 	}
 }
 
@@ -118,8 +117,8 @@ func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 	}
 	for name, in := range inputs(s, rows) {
 		var got []value.Row
-		for i := 0; in.batch(i, nil) != nil; i++ {
-			pb, err := project(in.batch(i, nil), exprs, out)
+		for _, b := range in.Batches {
+			pb, err := project(b, exprs, out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,13 +130,12 @@ func TestBatchProjectMatchesEvalPerRow(t *testing.T) {
 	}
 }
 
-// A consumer that names the columns it reads gets only those of a
-// row-backed relation as vectors; the others are pruned and read as NULL, as
-// from a store's ReadBatch.
+// RowRel transposes only the columns its needed mask names; the others are
+// pruned and read as NULL, as from a store's ReadBatch.
 func TestBatchesTransposeOnlyNeededColumns(t *testing.T) {
 	s := mixedSchema()
 	rows := mixedRows()
-	b := Rel{Schema: s, Rows: rows}.batch(0, []bool{false, true, false})
+	b := RowRel(s, rows, []bool{false, true, false}).Batches[0]
 	if b.Len() != len(rows) || !b.Cols[0].Pruned || b.Cols[1].Pruned || !b.Cols[2].Pruned {
 		t.Fatalf("batch of %d rows, pruned = %v %v %v", b.Len(), b.Cols[0].Pruned, b.Cols[1].Pruned, b.Cols[2].Pruned)
 	}

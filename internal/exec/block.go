@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -34,12 +34,8 @@ type Block struct {
 	// exprs project Finish's input onto proj: Out's columns followed by one
 	// hidden column per ORDER BY key that is not in the select list. nil
 	// exprs (AnalyzeProjected) only relabel the input as Out.
-	exprs []expr.Expr
-	proj  *value.Schema
-	// needed marks the columns of Finish's input that Having and exprs read
-	// (nil = all): a row-backed input's other columns are not turned into
-	// vectors.
-	needed   []bool
+	exprs    []expr.Expr
+	proj     *value.Schema
 	distinct bool
 	keys     []SortKey // bound to proj
 	limit    int64     // < 0 = none
@@ -130,12 +126,6 @@ func AnalyzeBlock(sel *sqlparse.SelectStmt, in *value.Schema) (*Block, error) {
 		key.Name = b.proj.Cols[key.Ord].Name
 		b.keys = append(b.keys, SortKey{E: key, Desc: o.Desc})
 	}
-	if ords := expr.FillOrds(append(b.exprs[:len(b.exprs):len(b.exprs)], b.Having)); ords != nil {
-		b.needed = make([]bool, pre.Len())
-		for _, o := range ords {
-			b.needed[o] = true
-		}
-	}
 	return b, nil
 }
 
@@ -197,31 +187,33 @@ func (b *Block) Aggregates() bool { return b.AggSchema != nil }
 
 // Finish applies HAVING, the projection, DISTINCT, ORDER BY and LIMIT to the
 // aggregate's output (the block's input relation when it does not
-// aggregate) and drops the hidden sort columns. HAVING and the projection
-// run one input batch at a time and their result stays batches; with
-// neither DISTINCT nor ORDER BY, LIMIT cuts the batch that crosses it before
-// the projection and no batch is read once LIMIT rows are out. DISTINCT and
-// ORDER BY box the projected rows. It checks ctx (nil = none) every batch
-// and every morsel of rows DISTINCT and ORDER BY read, and returns its error
-// once it is done. plan is the plan of in; Finish returns it below a node
-// for each stage it ran (Having, Project, Distinct, Sort, Limit), with the
-// rows that stage emitted, or nil when plan is nil.
+// aggregate), batch by batch, and returns batches. HAVING and the projection
+// run one input batch at a time; with neither DISTINCT nor ORDER BY, LIMIT
+// cuts the batch that crosses it before the projection and no batch is read
+// once LIMIT rows are out. DISTINCT narrows each projected batch's selection
+// to the rows no earlier row equals. ORDER BY stably sorts the projected
+// rows as (batch, row) pairs on their key vectors, LIMIT truncates that
+// order, and Out's columns are gathered in it, the hidden sort columns left
+// behind. Otherwise LIMIT cuts the projected batches. It checks ctx (nil =
+// none) every batch, and returns its error once it is done. plan is the
+// plan of in; Finish returns it below a node for each stage it ran (Having,
+// Project, Distinct, Sort, Limit), with the rows that stage emitted, or nil
+// when plan is nil.
 func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (Rel, *PlanNode, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := Rel{Schema: b.proj, Rows: in.Rows, Batches: in.Batches}
+	out := Rel{Schema: b.proj, Batches: in.Batches}
 	if b.exprs != nil {
-		out.Rows, out.Batches = nil, []*value.Batch{}
+		out.Batches = []*value.Batch{}
 		early := !b.distinct && len(b.keys) == 0 && b.limit >= 0
 		having, n := 0, 0
-		for i := 0; !early || int64(n) < b.limit; i++ {
+		for _, bt := range in.Batches {
+			if early && int64(n) >= b.limit {
+				break
+			}
 			if err := ctx.Err(); err != nil {
 				return Rel{}, nil, err
-			}
-			bt := in.batch(i, b.needed)
-			if bt == nil {
-				break
 			}
 			if b.Having != nil {
 				if err := expr.SelectBatch(b.Having, bt); err != nil {
@@ -248,36 +240,39 @@ func (b *Block) Finish(ctx context.Context, in Rel, plan *PlanNode) (Rel, *PlanN
 			plan = Node("Project:", strings.Join(b.Out.Names(), ", "), n, plan)
 		}
 	}
-	if b.distinct || len(b.keys) > 0 {
-		rows := out.AllRows()
-		var err error
-		if b.distinct {
-			if rows, err = distinctRows(ctx, rows, b.proj.Len()); plan != nil {
-				plan = Node("Distinct", "", len(rows), plan)
-			}
+	if b.distinct {
+		if err := distinct(ctx, out.Batches); err != nil {
+			return Rel{}, nil, err
 		}
-		if err == nil && len(b.keys) > 0 {
-			if err = sortRows(ctx, rows, b.keys); plan != nil {
-				plan = Node("Sort", "", len(rows), plan)
-			}
+		if plan != nil {
+			plan = Node("Distinct", "", out.Len(), plan)
 		}
+	}
+	if len(b.keys) > 0 {
+		order, err := sortOrder(ctx, out.Batches, b.keys)
 		if err != nil {
 			return Rel{}, nil, err
 		}
-		if w := b.Out.Len(); b.proj != b.Out {
-			for i, r := range rows {
-				rows[i] = r[:w:w]
-			}
+		if plan != nil {
+			plan = Node("Sort", "", len(order), plan)
 		}
-		out = Rel{Schema: b.Out, Rows: rows}
+		if b.limit >= 0 && int64(len(order)) > b.limit {
+			order = order[:b.limit]
+		}
+		out = gatherOrder(out.Batches, order, b.Out)
+	} else if b.limit >= 0 {
+		n := int64(0)
+		for i, bt := range out.Batches {
+			if n >= b.limit {
+				out.Batches = out.Batches[:i]
+				break
+			}
+			cut(bt, int(b.limit-n))
+			n += int64(bt.Len())
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return Rel{}, nil, err
-	}
-	if b.limit >= 0 && int64(out.Len()) > b.limit {
-		// Rows the projection did not cut. A copy: the result must not keep
-		// the rows past the limit alive.
-		out = Rel{Schema: out.Schema, Rows: append([]value.Row(nil), out.AllRows()[:b.limit]...)}
 	}
 	if plan != nil && b.limit >= 0 {
 		plan = Node("Limit", strconv.FormatInt(b.limit, 10), out.Len(), plan)
@@ -305,69 +300,119 @@ type SortKey struct {
 	Desc bool
 }
 
-// sortRows stably sorts rows in place by keys, checking ctx every morsel of
-// rows whose keys it evaluates.
-func sortRows(ctx context.Context, rows []value.Row, keys []SortKey) error {
-	type keyed struct {
-		row  value.Row
-		keys []value.Value
-	}
-	ks := make([]keyed, len(rows))
-	slab := make([]value.Value, len(rows)*len(keys))
-	for i, r := range rows {
-		if i%DefaultMorselSize == 0 && ctx.Err() != nil {
-			return ctx.Err()
+// distinct narrows each batch's selection to the rows that equal no earlier
+// row of any batch, all columns compared (value.VecEqual: NULL equals
+// NULL). One value.Index over the kept rows' hashes, folded column by
+// column (value.HashVec), finds the candidates.
+func distinct(ctx context.Context, bs []*value.Batch) error {
+	var index value.Index
+	var keptBat, keptRow []int32 // entry o is physical row keptRow[o] of bs[keptBat[o]]
+	var buf []int32
+	var hbuf []uint64
+	for bi, bt := range bs {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		kv := slab[i*len(keys) : (i+1)*len(keys)]
-		for j, k := range keys {
-			v, err := k.E.Eval(r)
-			if err != nil {
-				return err
-			}
-			kv[j] = v
+		if n := bt.Len(); cap(buf) < n {
+			buf, hbuf = make([]int32, n), make([]uint64, n)
 		}
-		ks[i] = keyed{row: r, keys: kv}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j, k := range keys {
-			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
+		rows := segment{b: bt, hi: bt.Len()}.physRows(buf)
+		hs := hbuf[:len(rows)]
+		for k := range hs {
+			hs[k] = value.KeyHashSeed
 		}
-		return false
-	})
-	for i, k := range ks {
-		rows[i] = k.row
+		for c := range bt.Cols {
+			value.HashVec(hs, &bt.Cols[c], rows, nil)
+		}
+		sel := make([]int32, 0, len(rows))
+		for k, i := range rows {
+			w := index.Probe(hs[k])
+			o := index.Next(&w)
+			for o >= 0 && !rowsEqual(bt, int(i), bs[keptBat[o]], int(keptRow[o])) {
+				o = index.Next(&w)
+			}
+			if o < 0 {
+				index.Insert(w)
+				keptBat, keptRow = append(keptBat, int32(bi)), append(keptRow, i)
+				sel = append(sel, i)
+			}
+		}
+		bt.Sel = sel
 	}
 	return nil
 }
 
-// distinctRows drops repeated rows of the given width in place (full-row
-// comparison), keeping each first occurrence in order, and checks ctx every
-// morsel of rows.
-func distinctRows(ctx context.Context, rows []value.Row, width int) ([]value.Row, error) {
-	var index value.Index // over kept
-	kept := rows[:0]
-	for i, r := range rows {
-		if i%DefaultMorselSize == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		w := index.Probe(value.KeyHash(r[:width]))
-		o := index.Next(&w)
-		for o >= 0 && !value.KeysEqual(r[:width], kept[o][:width]) {
-			o = index.Next(&w)
-		}
-		if o < 0 {
-			index.Insert(w)
-			kept = append(kept, r)
+// rowsEqual reports whether physical row i of a and row j of b are equal
+// column by column.
+func rowsEqual(a *value.Batch, i int, b *value.Batch, j int) bool {
+	for c := range a.Cols {
+		if !value.VecEqual(&a.Cols[c], i, &b.Cols[c], j) {
+			return false
 		}
 	}
-	return kept, nil
+	return true
+}
+
+// rowAt is a live row of a relation: live row k of batch b.
+type rowAt struct{ b, k int32 }
+
+// sortOrder returns the live rows of bs stably sorted by keys, bound to the
+// batches' columns: each key is evaluated over each batch into a vector
+// (expr.EvalBatch, a bare column's own when the batch is unfiltered), and
+// two rows compare key by key as value.Compare orders the boxed values
+// (value.CompareVec).
+func sortOrder(ctx context.Context, bs []*value.Batch, keys []SortKey) ([]rowAt, error) {
+	nk := len(keys)
+	vecs := make([]value.Vec, len(bs)*nk) // batch bi's key j is vecs[bi*nk+j]
+	order := make([]rowAt, 0, Rel{Batches: bs}.Len())
+	for bi, bt := range bs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for j, k := range keys {
+			v, err := expr.EvalBatch(k.E, bt)
+			if err != nil {
+				return nil, err
+			}
+			vecs[bi*nk+j] = v
+		}
+		for k := 0; k < bt.Len(); k++ {
+			order = append(order, rowAt{int32(bi), int32(k)})
+		}
+	}
+	slices.SortStableFunc(order, func(x, y rowAt) int {
+		for j, k := range keys {
+			c := value.CompareVec(&vecs[int(x.b)*nk+j], int(x.k), &vecs[int(y.b)*nk+j], int(y.k))
+			if c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+	return order, nil
+}
+
+// gatherOrder gathers out's columns, the first of bs's, at the rows of
+// order, in order, into batches of at most DefaultMorselSize rows.
+func gatherOrder(bs []*value.Batch, order []rowAt, out *value.Schema) Rel {
+	from, rows := make([]int32, len(order)), make([]int32, len(order))
+	for n, at := range order {
+		from[n], rows[n] = at.b, int32(bs[at.b].RowIndex(int(at.k)))
+	}
+	rel := Rel{Schema: out, Batches: make([]*value.Batch, 0, (len(order)+DefaultMorselSize-1)/DefaultMorselSize)}
+	for lo := 0; lo < len(order); lo += DefaultMorselSize {
+		hi := min(lo+DefaultMorselSize, len(order))
+		ob := &value.Batch{Schema: out, Cols: make([]value.Vec, out.Len()), N: hi - lo}
+		for c := range ob.Cols {
+			ob.Cols[c].Kind = out.Cols[c].Kind
+			value.GatherFrom(&ob.Cols[c], bs, from[lo:hi], rows[lo:hi], c)
+		}
+		rel.Batches = append(rel.Batches, ob)
+	}
+	return rel
 }
 
 // analyzeAggregate fills GroupBy, Aggs and AggSchema from the group keys and

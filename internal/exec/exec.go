@@ -15,30 +15,38 @@ import (
 	"hana/internal/value"
 )
 
-// Rel is a materialized relation, the one value operators take and return.
-// It is batch-backed when Batches != nil — columnar batches straight from a
-// vectorized scan, which operators read without boxing every row (Rows is
-// then ignored) — and row-backed otherwise. Batches are treated as immutable
-// except for their selection vectors, which Filter and Block.Finish refine in
-// place: a relation handed to either is consumed.
+// Rel is a materialized relation, the one value operators take and return:
+// columnar batches, straight from a vectorized scan or cut from rows by
+// RowRel, which operators read without boxing a row. Rows leave once, at
+// AllRows. Batches are treated as immutable except for their selection
+// vectors, which Filter and Block.Finish refine in place: a relation handed
+// to either is consumed.
 type Rel struct {
 	Schema  *value.Schema
-	Rows    []value.Row
 	Batches []*value.Batch
 }
 
 // JoinSide is a hash-join input; benchmark/probes.go names it.
 type JoinSide = Rel
 
-// NewBatchSlice is the batch-backed relation over bs; benchmark/probes.go
-// calls it.
+// NewBatchSlice is the relation over bs; benchmark/probes.go calls it.
 func NewBatchSlice(s *value.Schema, bs []*value.Batch) Rel { return Rel{Schema: s, Batches: bs} }
+
+// RowRel is the relation over rows, the one place rows enter the executor
+// (table providers, remote results, the ESP window, a broadcast join's
+// build rows): morsel-sized batches cut by value.BatchFromRows of the
+// columns needed marks (nil = all; the others are pruned). An empty input
+// is one empty batch, so a join against it still gathers typed NULLs.
+func RowRel(s *value.Schema, rows []value.Row, needed []bool) Rel {
+	r := Rel{Schema: s, Batches: make([]*value.Batch, 0, max(1, (len(rows)+DefaultMorselSize-1)/DefaultMorselSize))}
+	for lo := 0; lo == 0 || lo < len(rows); lo += DefaultMorselSize {
+		r.Batches = append(r.Batches, value.BatchFromRows(s, rows[lo:min(lo+DefaultMorselSize, len(rows))], needed))
+	}
+	return r
+}
 
 // Len returns the relation's live row count.
 func (r Rel) Len() int {
-	if r.Batches == nil {
-		return len(r.Rows)
-	}
 	n := 0
 	for _, b := range r.Batches {
 		n += b.Len()
@@ -46,35 +54,15 @@ func (r Rel) Len() int {
 	return n
 }
 
-// AllRows returns the relation's rows, boxing a batch-backed relation's live
-// rows in batch order.
+// AllRows boxes the relation's live rows in batch order: where rows leave
+// the executor (a statement's result, a nested block's rows, a remote
+// processor's answer).
 func (r Rel) AllRows() []value.Row {
-	if r.Batches == nil {
-		return r.Rows
-	}
 	rows := make([]value.Row, 0, r.Len())
 	for _, b := range r.Batches {
 		rows = append(rows, b.MaterializeRows()...)
 	}
 	return rows
-}
-
-// batch returns batch i of the relation, nil past the last: a batch-backed
-// relation's own, or a row-backed one's rows cut into morsel-sized batches
-// of the needed columns (nil = all; see value.BatchFromRows), cut on demand
-// so a caller that stops early never transposes the rest.
-func (r Rel) batch(i int, needed []bool) *value.Batch {
-	if r.Batches != nil {
-		if i < len(r.Batches) {
-			return r.Batches[i]
-		}
-		return nil
-	}
-	lo := i * DefaultMorselSize
-	if lo >= len(r.Rows) {
-		return nil
-	}
-	return value.BatchFromRows(r.Schema, r.Rows[lo:min(lo+DefaultMorselSize, len(r.Rows))], needed)
 }
 
 // KeySet builds the set of key's values, key bound to r's schema, over r's
@@ -83,19 +71,8 @@ func (r Rel) batch(i int, needed []bool) *value.Batch {
 // or a semijoin's key set is built.
 func KeySet(r Rel, key expr.Expr) (*value.KeySet, error) {
 	set := &value.KeySet{}
-	var needed []bool
-	if ords := expr.FillOrds([]expr.Expr{key}); r.Batches == nil && ords != nil {
-		needed = make([]bool, r.Schema.Len())
-		for _, o := range ords {
-			needed[o] = true
-		}
-	}
 	var buf []int32
-	for i := 0; ; i++ {
-		b := r.batch(i, needed)
-		if b == nil {
-			return set, nil
-		}
+	for _, b := range r.Batches {
 		if cap(buf) < b.Len() {
 			buf = make([]int32, b.Len())
 		}
@@ -116,18 +93,15 @@ func KeySet(r Rel, key expr.Expr) (*value.KeySet, error) {
 		}
 		set.AddVec(&v, rows)
 	}
+	return set, nil
 }
 
 // Filter keeps the rows pred holds for through the vectorized predicate path
-// (expr.SelectBatch) and returns them batch-backed; batches whose selection
+// (expr.SelectBatch) and returns them; batches whose selection
 // empties out are dropped. It is the platform's only filter operator.
 func Filter(in Rel, pred expr.Expr) (Rel, error) {
 	out := Rel{Schema: in.Schema, Batches: []*value.Batch{}}
-	for i := 0; ; i++ {
-		b := in.batch(i, nil)
-		if b == nil {
-			return out, nil
-		}
+	for _, b := range in.Batches {
 		if err := expr.SelectBatch(pred, b); err != nil {
 			return Rel{}, err
 		}
@@ -135,6 +109,7 @@ func Filter(in Rel, pred expr.Expr) (Rel, error) {
 			out.Batches = append(out.Batches, b)
 		}
 	}
+	return out, nil
 }
 
 // project evaluates exprs over b's live rows into a batch over out, sharing

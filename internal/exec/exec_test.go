@@ -55,12 +55,12 @@ func aggregate(t *testing.T, agg *ParallelHashAggregate) []value.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Rows
+	return out.AllRows()
 }
 
 func TestFilterProjectLimit(t *testing.T) {
 	s := intSchema("a", "b")
-	in := Rel{Schema: s, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40})}
+	in := RowRel(s, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40}), nil)
 	f, err := Filter(in, bind(t, expr.Bin(expr.OpGt, expr.Col("a"), expr.Int(1)), s))
 	if err != nil {
 		t.Fatal(err)
@@ -94,30 +94,6 @@ func TestFinishStopsAtLimit(t *testing.T) {
 	}
 }
 
-func TestSortMultiKey(t *testing.T) {
-	s := intSchema("a", "b")
-	got := rowsOf([]int64{1, 2}, []int64{2, 1}, []int64{1, 1}, []int64{2, 2})
-	if err := sortRows(context.Background(), got, []SortKey{
-		{E: bind(t, expr.Col("a"), s)},
-		{E: bind(t, expr.Col("b"), s), Desc: true},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int64{{1, 2}, {1, 1}, {2, 2}, {2, 1}}
-	for i, w := range want {
-		if got[i][0].Int() != w[0] || got[i][1].Int() != w[1] {
-			t.Fatalf("row %d = %v want %v", i, got[i], w)
-		}
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	got, err := distinctRows(context.Background(), rowsOf([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}), 1)
-	if err != nil || fmt.Sprint(got) != "[[1] [2] [3]]" {
-		t.Fatalf("distinct = %v", got)
-	}
-}
-
 // joinRows is HashJoin on one worker with its output boxed.
 func joinRows(kind JoinKind, left, right Rel, lk, rk []expr.Expr, residual expr.Expr) ([]value.Row, error) {
 	out, _, err := HashJoin(context.Background(), nil, 0, 0, nil, kind, left, right, lk, rk, residual)
@@ -128,8 +104,8 @@ func TestHashJoinInner(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
 	got, err := joinRows(JoinInner,
-		Rel{Schema: ls, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})},
-		Rel{Schema: rs, Rows: rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500})},
+		RowRel(ls, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}), nil),
+		RowRel(rs, rowsOf([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}, []int64{5, 500}), nil),
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +120,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	ls := intSchema("l.k")
 	rs := intSchema("r.k", "r.v")
 	got, err := joinRows(JoinLeftOuter,
-		Rel{Schema: ls, Rows: rowsOf([]int64{1}, []int64{2})}, Rel{Schema: rs, Rows: rowsOf([]int64{2, 20})},
+		RowRel(ls, rowsOf([]int64{1}, []int64{2}), nil), RowRel(rs, rowsOf([]int64{2, 20}), nil),
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +150,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	} {
 		for kind, want := range map[JoinKind]string{JoinSemi: tc.semi, JoinAnti: tc.anti, JoinAntiNullAware: tc.notIn} {
 			// The output has the probe side's columns.
-			got, err := joinRows(kind, Rel{Schema: ls, Rows: probe}, Rel{Schema: rs, Rows: tc.build}, lk, rk, nil)
+			got, err := joinRows(kind, RowRel(ls, probe, nil), RowRel(rs, tc.build, nil), lk, rk, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +160,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		}
 	}
 	residual := bind(t, expr.Bin(expr.OpLt, expr.Col("l.k"), expr.Col("r.k")), ls.Concat(rs))
-	if _, err := joinRows(JoinSemi, Rel{Schema: ls, Rows: probe}, Rel{Schema: rs, Rows: probe}, lk, rk, residual); err == nil {
+	if _, err := joinRows(JoinSemi, RowRel(ls, probe, nil), RowRel(rs, probe, nil), lk, rk, residual); err == nil {
 		t.Error("a semi join with a residual must be rejected")
 	}
 }
@@ -193,7 +169,7 @@ func TestHashJoinResidual(t *testing.T) {
 	ls := intSchema("l.k", "l.v")
 	rs := intSchema("r.k", "r.v")
 	got, err := joinRows(JoinInner,
-		Rel{Schema: ls, Rows: rowsOf([]int64{1, 5}, []int64{1, 50})}, Rel{Schema: rs, Rows: rowsOf([]int64{1, 10})},
+		RowRel(ls, rowsOf([]int64{1, 5}, []int64{1, 50}), nil), RowRel(rs, rowsOf([]int64{1, 10}), nil),
 		[]expr.Expr{bind(t, expr.Col("l.k"), ls)}, []expr.Expr{bind(t, expr.Col("r.k"), rs)},
 		bind(t, expr.Bin(expr.OpLt, expr.Col("l.v"), expr.Col("r.v")), ls.Concat(rs)))
 	if err != nil {
@@ -204,35 +180,42 @@ func TestHashJoinResidual(t *testing.T) {
 	}
 }
 
+// A join with no keys is the nested-loop join: HashJoin with empty key
+// lists, its matches decided by the residual alone, at widths 1 and 4.
 func TestNestedLoopJoinKinds(t *testing.T) {
 	ls := intSchema("l.a")
 	rs := intSchema("r.b")
 	on := bind(t, expr.Bin(expr.OpLt, expr.Col("l.a"), expr.Col("r.b")), ls.Concat(rs))
-	join := func(kind JoinKind, left, right []value.Row, on expr.Expr) []value.Row {
-		t.Helper()
-		rows, err := NestedLoopJoin(context.Background(), kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, on)
-		if err != nil {
-			t.Fatal(err)
+	for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
+		join := func(kind JoinKind, left, right []value.Row, on expr.Expr) string {
+			t.Helper()
+			out, _, err := HashJoin(context.Background(), pool, 0, 1, nil, kind, RowRel(ls, left, nil), RowRel(rs, right, nil), nil, nil, on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(out.AllRows())
 		}
-		return rows
-	}
-	if got := join(JoinInner, rowsOf([]int64{1}, []int64{5}), rowsOf([]int64{2}, []int64{6}), on); fmt.Sprint(got) != "[[1, 2] [1, 6] [5, 6]]" {
-		t.Fatalf("nl inner = %v", got)
-	}
-	// Cross join (nil predicate).
-	if got := join(JoinInner, rowsOf([]int64{1}, []int64{2}), rowsOf([]int64{3}, []int64{4}), nil); len(got) != 4 {
-		t.Fatalf("cross join = %v", got)
-	}
-	// Left outer with no matches null-extends.
-	if got := join(JoinLeftOuter, rowsOf([]int64{9}), rowsOf([]int64{2}), on); fmt.Sprint(got) != "[[9, NULL]]" {
-		t.Fatalf("nl outer = %v", got)
+		if got := join(JoinInner, rowsOf([]int64{1}, []int64{5}), rowsOf([]int64{2}, []int64{6}), on); got != "[[1, 2] [1, 6] [5, 6]]" {
+			t.Fatalf("nl inner = %v", got)
+		}
+		// Cross join (nil predicate).
+		if got := join(JoinInner, rowsOf([]int64{1}, []int64{2}), rowsOf([]int64{3}, []int64{4}), nil); got != "[[1, 3] [1, 4] [2, 3] [2, 4]]" {
+			t.Fatalf("cross join = %v", got)
+		}
+		// Left outer with no matches null-extends.
+		if got := join(JoinLeftOuter, rowsOf([]int64{9}), rowsOf([]int64{2}), on); got != "[[9, NULL]]" {
+			t.Fatalf("nl outer = %v", got)
+		}
+		if got := join(JoinLeftOuter, rowsOf([]int64{9}, []int64{1}), nil, nil); got != "[[9, NULL] [1, NULL]]" {
+			t.Fatalf("nl outer against no rows = %v", got)
+		}
 	}
 }
 
 func TestHashAggregateGroups(t *testing.T) {
 	s := intSchema("g", "v")
 	agg := &ParallelHashAggregate{
-		In:      Rel{Schema: s, Rows: rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{1, 2})},
+		In:      RowRel(s, rowsOf([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{1, 2}), nil),
 		GroupBy: []expr.Expr{bind(t, expr.Col("g"), s)},
 		Aggs: []AggSpec{
 			{Func: "COUNT"},
@@ -275,7 +258,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 	rows := rowsOf([]int64{1}, []int64{1}, []int64{2})
 	rows = append(rows, value.Row{value.Null})
 	agg := &ParallelHashAggregate{
-		In: Rel{Schema: s, Rows: rows},
+		In: RowRel(s, rows, nil),
 		Aggs: []AggSpec{
 			{Func: "COUNT", Arg: bind(t, expr.Col("v"), s), Distinct: true},
 			{Func: "COUNT", Arg: bind(t, expr.Col("v"), s)},
@@ -298,7 +281,7 @@ func TestAggregateDistinctAndNulls(t *testing.T) {
 func TestAggregateStddev(t *testing.T) {
 	s := intSchema("v")
 	agg := &ParallelHashAggregate{
-		In:   Rel{Schema: s, Rows: rowsOf([]int64{2}, []int64{4}, []int64{4}, []int64{4}, []int64{5}, []int64{5}, []int64{7}, []int64{9})},
+		In:   RowRel(s, rowsOf([]int64{2}, []int64{4}, []int64{4}, []int64{4}, []int64{5}, []int64{5}, []int64{7}, []int64{9}), nil),
 		Aggs: []AggSpec{{Func: "STDDEV", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("sd"),
 	}
@@ -316,7 +299,7 @@ func TestRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := blk.Finish(context.Background(), Rel{Schema: intSchema("t.a"), Rows: rowsOf([]int64{1})}, nil)
+	got, _, err := blk.Finish(context.Background(), RowRel(intSchema("t.a"), rowsOf([]int64{1}), nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +311,7 @@ func TestRename(t *testing.T) {
 func TestSumIntegerStaysInteger(t *testing.T) {
 	s := intSchema("v")
 	agg := &ParallelHashAggregate{
-		In:   Rel{Schema: s, Rows: rowsOf([]int64{1}, []int64{2})},
+		In:   RowRel(s, rowsOf([]int64{1}, []int64{2}), nil),
 		Aggs: []AggSpec{{Func: "SUM", Arg: bind(t, expr.Col("v"), s)}},
 		Out:  intSchema("s"),
 	}

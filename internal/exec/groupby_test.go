@@ -250,11 +250,11 @@ func checkAggregateCases(t *testing.T) {
 				}
 				return
 			}
-			got, err := pt.Rows(tc.aggs, global)
+			got, err := pt.Finalize(nil, tc.aggs, global)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, form, err)
 			}
-			if g := renderExact(got); g != want {
+			if g := renderExact(got.AllRows()); g != want {
 				t.Errorf("%s, %s:\n%s\nwant\n%s", tc.name, form, g, want)
 				return
 			}
@@ -268,7 +268,7 @@ func checkAggregateCases(t *testing.T) {
 		for _, in := range []struct {
 			name string
 			rel  Rel
-		}{{"batches", Rel{Schema: aggSchema, Batches: batches}}, {"rows", Rel{Schema: aggSchema, Rows: rows}}} {
+		}{{"batches", Rel{Schema: aggSchema, Batches: batches}}, {"RowRel", RowRel(aggSchema, rows, nil)}} {
 			for _, pool := range []*Pool{NewPool(1), NewPool(4)} {
 				for _, size := range []int{2, 3, 0} {
 					h := &ParallelHashAggregate{In: in.rel, GroupBy: tc.keys, Aggs: tc.aggs, Pool: pool, MorselSize: size}

@@ -1,16 +1,10 @@
 package exec
 
-import (
-	"context"
-	"fmt"
+import "fmt"
 
-	"hana/internal/expr"
-	"hana/internal/value"
-)
-
-// JoinKind enumerates the join flavors the executor supports. The semi and
-// anti kinds, which HashJoin runs (NestedLoopJoin does not), implement
-// IN/EXISTS subqueries.
+// JoinKind enumerates the join flavors HashJoin runs. The semi and anti
+// kinds implement IN/EXISTS subqueries; inner and left outer joins with no
+// keys are the nested-loop joins of general predicates and cross products.
 type JoinKind int
 
 // Join kinds.
@@ -24,53 +18,6 @@ const (
 	// empty.
 	JoinAntiNullAware
 )
-
-// NestedLoopJoin joins without equality keys (general predicates, cross
-// joins) and returns the combined rows: each left row meets every right row
-// in order, and under JoinLeftOuter a left row that matched none comes out
-// once, null-extended. kind is JoinInner or JoinLeftOuter; on is bound to
-// the concatenated schema, nil for a cross product. It checks ctx every
-// morsel-sized step of pairs and returns its error once it is done.
-func NestedLoopJoin(ctx context.Context, kind JoinKind, left, right Rel, on expr.Expr) ([]value.Row, error) {
-	lw, rw := left.Schema.Len(), right.Schema.Len()
-	rrows := right.AllRows()
-	buf := make(value.Row, lw+rw)
-	var out []value.Row
-	step := 0
-	for _, l := range left.AllRows() {
-		if step += len(rrows) + 1; step >= DefaultMorselSize {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			step = 0
-		}
-		copy(buf, l)
-		matched := false
-		for _, r := range rrows {
-			copy(buf[lw:], r)
-			if on != nil {
-				ok, err := expr.Truthy(on, buf)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			out = append(out, buf.Clone())
-		}
-		if kind == JoinLeftOuter && !matched {
-			row := make(value.Row, lw+rw)
-			copy(row, l)
-			for i := lw; i < len(row); i++ {
-				row[i] = value.Null
-			}
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
 
 // String names a join kind for plan display.
 func (k JoinKind) String() string {

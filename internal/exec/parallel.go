@@ -48,18 +48,18 @@ func (h *ParallelHashAggregate) Run() (Rel, error) {
 	if err != nil {
 		return Rel{}, err
 	}
-	rows, err := merged.Rows(h.Aggs, len(h.GroupBy) == 0)
-	return Rel{Schema: h.Out, Rows: rows}, err
+	return merged.Finalize(h.Out, h.Aggs, len(h.GroupBy) == 0)
 }
 
-// Next returns Run's groups one at a time; benchmark/probes.go calls it.
+// Next returns Run's groups one at a time, boxed; benchmark/probes.go calls
+// it.
 func (h *ParallelHashAggregate) Next() (value.Row, bool, error) {
 	if h.groups == nil {
 		out, err := h.Run()
 		if err != nil {
 			return nil, false, err
 		}
-		h.groups = out.Rows
+		h.groups = out.AllRows()
 	}
 	if h.next >= len(h.groups) {
 		return nil, false, nil
@@ -94,33 +94,13 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 		size = DefaultMorselSize
 	}
 
-	// A row-backed input is read a morsel at a time as one batch of the
-	// columns es read, so the morsel body has one input form.
-	var needed []bool
-	if h.In.Batches == nil {
-		if ords := expr.FillOrds(es); ords != nil {
-			needed = make([]bool, h.In.Schema.Len())
-			for _, o := range ords {
-				if o < len(needed) {
-					needed[o] = true
-				}
-			}
-		}
-	}
-
 	nm := (total + size - 1) / size
 	partials := make([]*AggPartial, nm)
 	if nm > 0 {
 		workers, err := pool.Run(ctx, nm, h.Width, func(_ context.Context, m int) error {
 			lo := m * size
 			hi := min(lo+size, total)
-			var segs []segment
-			if h.In.Batches == nil {
-				segs = []segment{{b: value.BatchFromRows(h.In.Schema, h.In.Rows[lo:hi], needed), lo: 0, hi: hi - lo}}
-			} else {
-				segs = h.In.segments(offs, lo, hi)
-			}
-			pt, err := aggregateMorsel(segs, lo, es, h.Aggs, len(h.GroupBy))
+			pt, err := aggregateMorsel(h.In.segments(offs, lo, hi), lo, es, h.Aggs, len(h.GroupBy))
 			if err != nil {
 				return err
 			}
@@ -154,14 +134,16 @@ func (h *ParallelHashAggregate) Partial() (*AggPartial, error) {
 // column by column from their vectors (value.HashVec) and confirm a
 // candidate by comparing the two rows' keys in place (value.VecEqual); a
 // key that is not a bare column is read through its reader into a boxed
-// vector first. A probe morsel records (probe row, build row) pairs, then
-// gathers each output column once into a typed vector: a column pruned on
+// vector first. With no keys every row hashes alike and one chain holds
+// the whole build side: the nested-loop join, its matches decided by the
+// residual alone. A probe morsel records (probe row, build row) pairs,
+// checking ctx every DefaultMorselSize pairs, then gathers each output
+// column once into a typed vector (value.GatherFrom): a column pruned on
 // its input stays pruned, and a null-extended row reads NULL on the right.
 // residual, checked per match on one scratch row per morsel filled where it
 // reads, filters an inner join's matches and decides a left-outer join's;
-// the semi and anti kinds take none. A row-backed side is cut into
-// morsel-sized batches first. The output does not depend on a side's form
-// or the pool's width.
+// the semi and anti kinds take none. The output does not depend on the
+// pool's width.
 func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Counters,
 	kind JoinKind, left, right Rel, leftKeys, rightKeys []expr.Expr, residual expr.Expr) (Rel, []int, error) {
 	out, leftOnly := left.Schema, true
@@ -182,7 +164,6 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
-	left, right = left.batched(), right.batched()
 	lw := left.Schema.Len()
 
 	lOffs, rOffs := left.offsets(), right.offsets()
@@ -239,25 +220,28 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 	outs := make([]*value.Batch, np)
 	outOrds := make([][]int, np)
 	if np > 0 {
-		workers, err := pool.Run(ctx, np, width, func(_ context.Context, m int) error {
+		workers, err := pool.Run(ctx, np, width, func(ctx context.Context, m int) error {
 			lo := m * size
 			hi := min(lo+size, nLeft)
 			segs := left.segments(lOffs, lo, hi)
-			// probe, bat and row are the pairs' probe rows and build rows
-			// (row -1 = null-extended), about one per probe row; ends[s] ends
-			// segment s's pairs; li is the ordinal of the probe row in hand.
-			probe, bat, row := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
-			ords, ends := make([]int, 0, hi-lo), make([]int, len(segs))
+			// The pairs: probe row probe of segment seg's batch, build row row
+			// of batch bat (row -1 = null-extended), about one per probe row;
+			// li is the ordinal of the probe row in hand, pairs counts toward
+			// the next ctx check.
+			seg, probe := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+			bat, row, ords := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo), make([]int, 0, hi-lo)
+			sb := make([]*value.Batch, len(segs))
 			buf, hs, nul := make([]int32, hi-lo), make([]uint64, hi-lo), make([]int32, hi-lo)
 			var scratch value.Row
 			if residual != nil {
 				scratch = make(value.Row, out.Len())
 			}
-			li := lo
-			for s, seg := range segs {
-				rows := seg.physRows(buf)
-				vecs := keyVecs(leftKeys, seg.b)
-				if err := hashKeys(leftKeys, seg.b, vecs, rows, hs, nul); err != nil {
+			li, pairs := lo, 0
+			for s, sg := range segs {
+				sb[s] = sg.b
+				rows := sg.physRows(buf)
+				vecs := keyVecs(leftKeys, sg.b)
+				if err := hashKeys(leftKeys, sg.b, vecs, rows, hs, nul); err != nil {
 					return err
 				}
 				for k, i := range rows {
@@ -273,11 +257,17 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 								matched = true
 								break
 							}
+							if pairs++; pairs == DefaultMorselSize {
+								if err := ctx.Err(); err != nil {
+									return err
+								}
+								pairs = 0
+							}
 							bi, j := bld.bat[ri], bld.row[ri]
 							if residual != nil {
 								for _, o := range fill {
 									if o < lw {
-										scratch[o] = seg.b.Cols[o].Value(int(i))
+										scratch[o] = sg.b.Cols[o].Value(int(i))
 									} else if o < len(scratch) {
 										scratch[o] = bld.batches[bi].Cols[o-lw].Value(int(j))
 									}
@@ -291,7 +281,8 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 								}
 							}
 							matched = true
-							probe, bat, row, ords = append(probe, i), append(bat, bi), append(row, j), append(ords, li)
+							seg, probe = append(seg, int32(s)), append(probe, i)
+							bat, row, ords = append(bat, bi), append(row, j), append(ords, li)
 						}
 					}
 					emit := false
@@ -306,11 +297,11 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 						emit = !matched && !buildNull && (!hasNull || nRight == 0)
 					}
 					if emit {
-						probe, bat, row, ords = append(probe, i), append(bat, 0), append(row, -1), append(ords, li)
+						seg, probe = append(seg, int32(s)), append(probe, i)
+						bat, row, ords = append(bat, 0), append(row, -1), append(ords, li)
 					}
 					li++
 				}
-				ends[s] = len(probe)
 			}
 			if len(probe) == 0 {
 				return nil
@@ -318,14 +309,10 @@ func HashJoin(ctx context.Context, pool *Pool, width, morselSize int, stats *Cou
 			// Gather the output: the left columns from the segments' batches
 			// at the probe rows, the right ones from the build batches.
 			b := &value.Batch{Schema: out, Cols: make([]value.Vec, out.Len()), N: len(probe)}
-			runs, from := make([]value.Run, len(segs)), 0
-			for s, seg := range segs {
-				runs[s], from = value.Run{B: seg.b, Rows: probe[from:ends[s]]}, ends[s]
-			}
 			for c := range b.Cols {
 				b.Cols[c].Kind = out.Cols[c].Kind
 				if c < lw {
-					value.Gather(&b.Cols[c], runs, c, b.N)
+					value.GatherFrom(&b.Cols[c], sb, seg, probe, c)
 				} else {
 					value.GatherFrom(&b.Cols[c], bld.batches, bat, row, c-lw)
 				}
@@ -369,22 +356,6 @@ func HashJoinParallel(ctx context.Context, pool *Pool, width, morselSize int, st
 	}
 	out, _, err := HashJoin(ctx, pool, width, morselSize, stats, kind, left, right, leftKeys, rightKeys, residual)
 	return out.AllRows(), err
-}
-
-// batched returns the relation batch-backed: a row-backed one cut into
-// morsel-sized batches of all its columns, at least one.
-func (r Rel) batched() Rel {
-	if r.Batches != nil {
-		return r
-	}
-	var bs []*value.Batch
-	for b := r.batch(0, nil); b != nil; b = r.batch(len(bs), nil) {
-		bs = append(bs, b)
-	}
-	if bs == nil { // an empty side still gathers typed NULLs
-		bs = []*value.Batch{value.BatchFromRows(r.Schema, nil, nil)}
-	}
-	return Rel{Schema: r.Schema, Batches: bs}
 }
 
 // keyVecs returns the vectors a side's join keys read over batch b: a bare

@@ -15,13 +15,14 @@ import (
 
 // TestHashJoinEquivalentToNestedLoop checks HashJoin on random inputs with
 // NULL keys on both sides, and on empty build and probe sides, for every
-// kind at morsel size 3, widths 1 and 4, with row-backed sides and selected
-// batches, keys read as columns, numeric kernels and CASE expressions, and
-// with and without a residual on the inner and left-outer kinds. The probe
-// side's second column mixes BIGINT and VARCHAR values (a boxed vector once
-// batched), and each side's third column is pruned in its batches. Boxed,
-// the output must equal, row for row and in order, NestedLoopJoin with the
-// equality as a general predicate (inner, left outer) or a naive
+// kind at morsel size 3, widths 1 and 4, with sides cut by RowRel and as
+// selected batches, keys read as columns, numeric kernels and CASE
+// expressions, and with and without a residual on the inner and left-outer
+// kinds, which also run with no keys. The probe side's second column mixes
+// BIGINT and VARCHAR values (a boxed vector once batched), and each side's
+// third column is pruned in its batches. Boxed, the output must equal, row
+// for row and in order, nestedLoopRows with the equality as a general
+// predicate (inner, left outer; the residual alone with no keys) or a naive
 // three-valued loop (semi, anti, null-aware anti); a pruned input column
 // must stay pruned in the output batches, and the probe ordinals must name
 // each output row's probe row.
@@ -33,10 +34,11 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	residual := bind(t, expr.Bin(expr.OpGt, expr.Col("r.v"), expr.Bin(expr.OpMul, expr.Col("l.k"), expr.Int(10))), concat)
 	// The keys as columns, as numeric kernels and as a CASE only Eval
 	// computes: three kinds of reader, one answer.
-	keys := map[string][2]expr.Expr{
-		"column": {bound(t, "l.k", ls), bound(t, "r.k", rs)},
-		"kernel": {bind(t, expr.Bin(expr.OpAdd, expr.Col("l.k"), expr.Int(0)), ls), bind(t, expr.Bin(expr.OpAdd, expr.Col("r.k"), expr.Int(0)), rs)},
-		"eval":   {bind(t, caseOf(expr.Col("l.k")), ls), bind(t, caseOf(expr.Col("r.k")), rs)},
+	keys := map[string][2][]expr.Expr{
+		"column": {{bound(t, "l.k", ls)}, {bound(t, "r.k", rs)}},
+		"kernel": {{bind(t, expr.Bin(expr.OpAdd, expr.Col("l.k"), expr.Int(0)), ls)}, {bind(t, expr.Bin(expr.OpAdd, expr.Col("r.k"), expr.Int(0)), rs)}},
+		"eval":   {{bind(t, caseOf(expr.Col("l.k")), ls)}, {bind(t, caseOf(expr.Col("r.k")), rs)}},
+		"none":   {nil, nil},
 	}
 	pools := []*Pool{NewPool(1), NewPool(4)}
 
@@ -61,7 +63,7 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	}
 	side := func(s *value.Schema, rows []value.Row, batched bool) Rel {
 		if !batched {
-			return Rel{Schema: s, Rows: rows}
+			return RowRel(s, rows, nil)
 		}
 		r := selectedBatches(s, rows, value.Row{value.Null, value.NewInt(-1), value.NewInt(-1)})
 		for _, b := range r.Batches {
@@ -75,7 +77,7 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 			if res != nil {
 				cond = expr.And(on, res)
 			}
-			return NestedLoopJoin(context.Background(), kind, Rel{Schema: ls, Rows: left}, Rel{Schema: rs, Rows: right}, cond)
+			return nestedLoopRows(kind, left, right, rs.Len(), cond)
 		}
 		rightNull := false
 		for _, r := range right {
@@ -114,11 +116,24 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 					t.Log(err)
 					return false
 				}
+				// With no keys the join is the nested loop on the residual.
+				nested, err := nestedLoopRows(kind, left, right, rs.Len(), res)
+				if err != nil {
+					t.Log(err)
+					return false
+				}
 				for _, pool := range pools {
 					for name, k := range keys {
+						if name == "none" && kind != JoinInner && kind != JoinLeftOuter {
+							continue
+						}
+						want := want
+						if name == "none" {
+							want = nested
+						}
 						for _, form := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 							out, ords, err := HashJoin(context.Background(), pool, 0, 3, nil, kind,
-								side(ls, left, form[0]), side(rs, right, form[1]), k[:1], k[1:], res)
+								side(ls, left, form[0]), side(rs, right, form[1]), k[0], k[1], res)
 							got := out.AllRows()
 							if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
 								t.Logf("%s keys, residual %v, width %d, batched %v: got %v, %v\nwant %v", name, res != nil, pool.Size(), form, got, err, want)
@@ -157,6 +172,36 @@ func TestHashJoinEquivalentToNestedLoop(t *testing.T) {
 	}
 }
 
+// nestedLoopRows is the row-at-a-time nested-loop join the hash join is
+// checked against: each left row meets every right row in order, on, bound
+// to the concatenated row (nil = a cross product), keeps a pair when it is
+// TRUE, and under JoinLeftOuter a left row that matched none comes out
+// once, null-extended by rw NULLs. kind is JoinInner or JoinLeftOuter.
+func nestedLoopRows(kind JoinKind, left, right []value.Row, rw int, on expr.Expr) ([]value.Row, error) {
+	var out []value.Row
+	for _, l := range left {
+		matched := false
+		for _, r := range right {
+			row := append(l.Clone(), r...)
+			if on != nil {
+				ok, err := expr.Truthy(on, row)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue
+				}
+			}
+			matched = true
+			out = append(out, row)
+		}
+		if kind == JoinLeftOuter && !matched {
+			out = append(out, append(l.Clone(), make(value.Row, rw)...))
+		}
+	}
+	return out, nil
+}
+
 func bound(t *testing.T, name string, s *value.Schema) expr.Expr {
 	t.Helper()
 	c := expr.Col(name)
@@ -166,7 +211,7 @@ func bound(t *testing.T, name string, s *value.Schema) expr.Expr {
 	return c
 }
 
-// selectedBatches is rows as a batch-backed relation of 5-row batches, so
+// selectedBatches is rows as a relation of 5-row batches, so
 // morsels straddle batches, whose selection vectors skip a junk row before
 // each live one: an operator that read an unselected row would see junk.
 func selectedBatches(s *value.Schema, rows []value.Row, junk value.Row) Rel {
@@ -194,7 +239,7 @@ func caseOf(e expr.Expr) expr.Expr {
 }
 
 // TestAggregateMatchesReference cross-checks the hash aggregate against a
-// naive reference on random groups, row-backed and as selected batches, at
+// naive reference on random groups, cut by RowRel and as selected batches, at
 // morsel size 3 and widths 1 and 4. The keys are a column and a CASE only
 // Eval computes; the arguments a numeric kernel (v * 3) and COUNT(*). Both
 // forms must give the reference's groups in first-seen order, and an
@@ -211,7 +256,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 	run := func(in Rel, aggs []AggSpec, pool *Pool) ([]value.Row, error) {
 		agg := &ParallelHashAggregate{In: in, GroupBy: groupBy, Aggs: aggs, Out: intSchema("g", "k", "s", "c"), Pool: pool, MorselSize: 3}
 		out, err := agg.Run()
-		return out.Rows, err
+		return out.AllRows(), err
 	}
 	junk := value.Row{value.Null, value.NewInt(0)}
 	pools := []*Pool{NewPool(1), NewPool(4)}
@@ -239,7 +284,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 			ref[3].I++
 		}
 		for _, pool := range pools {
-			for name, in := range map[string]Rel{"rows": {Schema: s, Rows: rows}, "batches": selectedBatches(s, rows, junk)} {
+			for name, in := range map[string]Rel{"RowRel": RowRel(s, rows, nil), "batches": selectedBatches(s, rows, junk)} {
 				got, err := run(in, aggs, pool)
 				if err != nil || len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
 					t.Logf("%s, width %d: got %v, %v\nwant %v", name, pool.Size(), got, err, want)
@@ -256,7 +301,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 	rows := rowsOf([]int64{1, 2}, []int64{1, 0}, []int64{2, 5})
 	div := []AggSpec{{Func: "SUM", Arg: bind(t, expr.Bin(expr.OpDiv, expr.Int(10), expr.Col("v")), s)}}
 	var errs []string
-	for _, in := range []Rel{{Schema: s, Rows: rows}, selectedBatches(s, rows, value.Row{value.NewInt(1), value.NewInt(1)})} {
+	for _, in := range []Rel{RowRel(s, rows, nil), selectedBatches(s, rows, value.Row{value.NewInt(1), value.NewInt(1)})} {
 		if _, err := run(in, div, nil); err != nil {
 			errs = append(errs, err.Error())
 		}
@@ -265,36 +310,4 @@ func TestAggregateMatchesReference(t *testing.T) {
 		t.Errorf("SUM(10 / v) over a zero v: errors %q, want one division by zero from both forms", errs)
 	}
 	checkAggregateCases(t)
-}
-
-// TestSortStableAndTotal verifies sorting against sort.SliceStable on
-// random data, including NULLs (which order first).
-func TestSortStableAndTotal(t *testing.T) {
-	s := intSchema("a", "seq")
-	f := func(keys []uint8) bool {
-		rows := make([]value.Row, len(keys))
-		for i, k := range keys {
-			kv := value.NewInt(int64(k % 5))
-			if k%11 == 0 {
-				kv = value.Null
-			}
-			rows[i] = value.Row{kv, value.NewInt(int64(i))}
-		}
-		if err := sortRows(context.Background(), rows, []SortKey{{E: bound(t, "a", s)}}); err != nil {
-			return false
-		}
-		for i := 1; i < len(rows); i++ {
-			c := value.Compare(rows[i-1][0], rows[i][0])
-			if c > 0 {
-				return false
-			}
-			if c == 0 && rows[i-1][1].Int() > rows[i][1].Int() {
-				return false // stability: original order preserved within ties
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
 }

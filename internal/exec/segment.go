@@ -4,13 +4,12 @@ import "hana/internal/value"
 
 // Morsel segments. The aggregate and the hash join cut their input into
 // fixed-size morsels of live-row ordinals and read each morsel as a few
-// segments: live rows [lo, hi) of one batch of a batch-backed relation. A
-// row-backed input is transposed first (value.BatchFromRows, a morsel at a
-// time: the join's sides before it starts, the aggregate's as it goes), so
-// each operator has one loop over one input form (DESIGN.md "Executor").
-// Batches yield exactly the Values Eval gives on the materialized rows, so
-// morsel boundaries, group order and emission order, and with them the
-// output, do not depend on the input's form or the worker width.
+// segments: live rows [lo, hi) of one batch of the relation. Rows enter as
+// batches (RowRel), so each operator has one loop over one input form
+// (DESIGN.md "Executor"). Batches yield exactly the Values Eval gives on the
+// materialized rows, so morsel boundaries, group order and emission order,
+// and with them the output, do not depend on how the batches were cut or on
+// the worker width.
 type segment struct {
 	b      *value.Batch
 	lo, hi int
@@ -29,9 +28,8 @@ func (s segment) physRows(buf []int32) []int32 {
 	return buf
 }
 
-// segments covers live ordinals [lo, hi) of r, which is batch-backed, in
-// stream order: one segment per batch the range touches. offs is
-// r.offsets(). Scan batches hold at most one morsel's worth of rows, so a
+// segments covers live ordinals [lo, hi) of r in stream order: one segment
+// per batch the range touches. offs is r.offsets(). Scan batches hold at most one morsel's worth of rows, so a
 // morsel rarely spans more than two.
 func (r Rel) segments(offs []int, lo, hi int) []segment {
 	bs := r.Batches
@@ -51,8 +49,7 @@ func (r Rel) segments(offs []int, lo, hi int) []segment {
 }
 
 // offsets returns prefix sums of the batches' live-row counts: offs[i] is
-// the live ordinal of batch i's first row, the last entry the total. A
-// row-backed relation gets [0].
+// the live ordinal of batch i's first row, the last entry the total.
 func (r Rel) offsets() []int {
 	offs := make([]int, len(r.Batches)+1)
 	for i, b := range r.Batches {

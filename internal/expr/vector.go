@@ -652,7 +652,7 @@ func compileLike(n *Like, b *value.Batch) (triKernel, bool) {
 // EvalBatch evaluates e for every live row of b, returning a vector of
 // b.Len() results. A bound column reference shares the batch's vector
 // directly when the batch is unfiltered and gathers its live rows in their
-// own form (value.Gather) when it is filtered; everything else evaluates
+// own form (value.GatherFrom) when it is filtered; everything else evaluates
 // through e's reader (Readers) into a boxed vector, so results equal Eval's
 // row by row. The first evaluation error aborts.
 func EvalBatch(e Expr, b *value.Batch) (value.Vec, error) {
@@ -662,7 +662,7 @@ func EvalBatch(e Expr, b *value.Batch) (value.Vec, error) {
 				return *v, nil
 			}
 			out := value.Vec{Kind: v.Kind}
-			value.Gather(&out, []value.Run{b.Run(0, b.Len())}, c.Ord, b.Len())
+			value.GatherFrom(&out, []*value.Batch{b}, nil, b.Sel, c.Ord)
 			return out, nil
 		}
 	}

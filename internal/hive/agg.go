@@ -46,12 +46,8 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 				return nil, err
 			}
 		}
-	} else {
-		rows, err := x.mrAggregate(blk, rel)
-		if err != nil {
-			return nil, err
-		}
-		in = exec.Rel{Schema: blk.AggSchema, Rows: rows}
+	} else if in, err = x.mrAggregate(blk, rel); err != nil {
+		return nil, err
 	}
 	out, _, err := blk.Finish(nil, in, nil)
 	if err != nil {
@@ -70,26 +66,27 @@ func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
 		rows = append(rows, row)
 		return rd.decode(row, rec)
 	})
-	return exec.Rel{Schema: rel.schema, Rows: rows}, err
+	return exec.RowRel(rel.schema, rows, need), err
 }
 
 // mrAggregate runs the block's aggregate as one map-reduce job and decodes
-// the reducer output into [groups…, aggs…] rows. The map side is Hive's
-// map-side aggregation: a task keeps the rows of its split that pass the
-// relation's pending filters, folds them through exec's group table at the
-// end of the split and emits one partial per group, which the reducers
-// merge.
-func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, error) {
+// the reducer output into the group table exec finalises over AggSchema.
+// The map side is Hive's map-side aggregation: a task keeps the rows of its
+// split that pass the relation's pending filters, folds them through exec's
+// group table at the end of the split and emits one partial per group,
+// which the reducers merge.
+func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) (exec.Rel, error) {
 	groupBy, aggs := blk.GroupBy, blk.Aggs
 	pending, err := rel.takePending()
 	if err != nil {
-		return nil, err
+		return exec.Rel{}, err
 	}
 	es := append([]expr.Expr{pending}, groupBy...)
 	for _, a := range aggs {
 		es = append(es, a.Arg)
 	}
-	rd, w := rel.reader(reads(rel.schema.Len(), es...)), rel.schema.Len()
+	w := rel.schema.Len()
+	rd, aggReads := rel.reader(reads(w, es...)), reads(w, es[1:]...)
 	newMapper := func() mapreduce.Mapper {
 		var rows []value.Row
 		var slab value.Row // rows are cut from slabs of 256
@@ -111,7 +108,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 				return nil
 			},
 			Cleanup: func(emit func(k, v string)) error {
-				agg := exec.ParallelHashAggregate{In: exec.Rel{Schema: rel.schema, Rows: rows}, GroupBy: groupBy, Aggs: aggs}
+				agg := exec.ParallelHashAggregate{In: exec.RowRel(rel.schema, rows, aggReads), GroupBy: groupBy, Aggs: aggs}
 				pt, err := agg.Partial()
 				if err != nil {
 					return err
@@ -142,11 +139,11 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 	}
 	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
 	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
-		return nil, err
+		return exec.Rel{}, err
 	}
 	defer func() { _ = x.ms.cluster.Remove(out) }()
 
-	var rows []value.Row
+	groups := &exec.AggPartial{}
 	keyCols := blk.AggSchema.Cols[:len(groupBy)]
 	err = mapreduce.ReadDir(x.ms.cluster, out, func(key, v string) error {
 		row, err := decodeKey(key, keyCols)
@@ -157,24 +154,13 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) ([]value.Row, err
 		if err := foldStates(acc, v); err != nil {
 			return err
 		}
-		for i, st := range acc {
-			r, err := st.Result(aggs[i].Func)
-			if err != nil {
-				return err
-			}
-			row = append(row, r)
-		}
-		rows = append(rows, row)
+		groups.Append(&exec.AggGroup{Key: row, States: acc})
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return exec.Rel{}, err
 	}
-	// A global aggregate over empty input still yields one row.
-	if len(groupBy) == 0 && len(rows) == 0 {
-		return (&exec.AggPartial{}).Rows(aggs, true)
-	}
-	return rows, nil
+	return groups.Finalize(blk.AggSchema, aggs, len(groupBy) == 0)
 }
 
 func newStates(aggs []exec.AggSpec) []*exec.AggState {

@@ -16,13 +16,17 @@ package lint
 var HotRoots = []string{
 	// exec: the operators, each one call whose loops touch every input row:
 	// Block.Finish (HAVING, projection, DISTINCT, ORDER BY, LIMIT, one batch
-	// at a time), Filter, the two joins and the aggregate with its morsel
-	// body.
+	// at a time) with its DISTINCT, sort and gather loops, Filter, the join
+	// and the aggregate with its morsel body and the finaliser that writes
+	// its output vectors.
 	"hana/internal/exec.Block.Finish",
+	"hana/internal/exec.distinct",
+	"hana/internal/exec.sortOrder",
+	"hana/internal/exec.gatherOrder",
 	"hana/internal/exec.Filter",
-	"hana/internal/exec.NestedLoopJoin",
 	"hana/internal/exec.ParallelHashAggregate.Run",
 	"hana/internal/exec.aggregateMorsel",
+	"hana/internal/exec.AggPartial.Finalize",
 	// exec: the typed aggregate's morsel body (groupby.go) — its key and
 	// argument phases, the partial's index and slab — and the calls the
 	// syntactic resolver cannot follow through a field or an element: the
@@ -83,13 +87,14 @@ var HotRoots = []string{
 	"hana/internal/value.Value.Hash",
 	"hana/internal/value.KeyHash",
 	"hana/internal/value.KeysEqual",
-	// value: the per-vector hash and equality the aggregate's key phase, the
-	// hash join and the key set share, and the key set's build and probes
-	// (exec.KeySet builds a subquery's set one batch at a time; the IN
-	// kernel probes it per row).
+	// value: the per-vector hash, equality and order the aggregate's key
+	// phase, the hash join, DISTINCT, ORDER BY and the key set share, and
+	// the key set's build and probes (exec.KeySet builds a subquery's set
+	// one batch at a time; the IN kernel probes it per row).
 	"hana/internal/value.HashVec",
 	"hana/internal/value.Vec.HashAt",
 	"hana/internal/value.VecEqual",
+	"hana/internal/value.CompareVec",
 	"hana/internal/value.Vec.Equals",
 	"hana/internal/value.KeySet.AddVec",
 	"hana/internal/value.KeySet.Add",
@@ -97,21 +102,23 @@ var HotRoots = []string{
 	"hana/internal/value.KeySet.FindValue",
 	"hana/internal/exec.KeySet",
 	// value: batch access leaves — FillRow/Value run once per row whenever a
-	// batch crosses back into the row world — and the one typed gather the
-	// join's output and the coordinator's merge copy through.
+	// batch crosses back into the row world — the one writer of values into
+	// typed vectors (BatchFromRows and the aggregate's output), and the one
+	// typed gather the join's output, the sort's output and the
+	// coordinator's merge copy through.
 	"hana/internal/value.Batch.FillRow",
 	"hana/internal/value.Batch.MaterializeRows",
 	"hana/internal/value.Vec.Value",
 	"hana/internal/value.BatchFromRows",
-	"hana/internal/value.Gather",
+	"hana/internal/value.Vec.Set",
 	"hana/internal/value.GatherFrom",
 	// dist: the exchange hot path. Execute parses shipped SQL once per
 	// fragment — not hot — so only code that runs per shard row is rooted:
 	// the scan's morsel body (aggregate and join fragments then run exec's
 	// rooted operators). Chunk and fragment encode/decode run per exchange
 	// unit on the wire transport, and the coordinator merge loops run once
-	// per shipped run or group: the merge order (merger.next) and the
-	// batches it gathers (value.Gather, rooted above).
+	// per merged row or group: the merge order (merger.next) and the
+	// batches it gathers (value.GatherFrom, rooted above).
 	"hana/internal/dist.Worker.scanMorsel",
 	"hana/internal/dist.Chunk.Encode",
 	"hana/internal/dist.DecodeChunk",

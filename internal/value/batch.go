@@ -177,164 +177,92 @@ func (b *Batch) MaterializeRows() []Row {
 	return rows
 }
 
-// BatchFromRows builds a fully materialized batch from rows: integer-like
-// and double kinds land in primitive arrays, VARCHAR stays as Strs (no
-// dictionary). Row stores and remote sources use it to enter the vectorized
-// path. NULLs set validity bits. A column whose values do not all carry the
-// declared kind switches to the boxed Vals form so nothing is re-coerced.
-// needed, when non-nil, marks the column ordinals the consumer reads, as it
-// does for the stores' ReadBatch: the others are not transposed and become
-// pruned vectors that read as NULL.
+// BatchFromRows builds a fully materialized batch from rows, each column
+// written by Vec.Set: integer-like and double kinds land in primitive
+// arrays, VARCHAR stays as Strs (no dictionary), NULLs set validity bits,
+// and a column whose values do not all carry the declared kind is boxed so
+// nothing is re-coerced. Row stores and exec.RowRel use it to enter the
+// vectorized path. needed, when non-nil, marks the column ordinals the
+// consumer reads, as it does for the stores' ReadBatch: the others are not
+// transposed and become pruned vectors that read as NULL.
 func BatchFromRows(schema *Schema, rows []Row, needed []bool) *Batch {
 	n := len(rows)
 	b := &Batch{Schema: schema, Cols: make([]Vec, len(schema.Cols)), N: n}
 	for c := range schema.Cols {
-		v := &b.Cols[c]
-		v.Kind = schema.Cols[c].Kind
 		if needed != nil && (c >= len(needed) || !needed[c]) {
-			v.Pruned = true
+			b.Cols[c] = Vec{Kind: schema.Cols[c].Kind, Pruned: true}
 			continue
 		}
-		switch v.Kind {
-		case KindDouble:
-			v.Floats = make([]float64, n)
-		case KindVarchar:
-			v.Strs = make([]string, n)
-		default:
-			v.Ints = make([]int64, n)
-		}
+		v := &b.Cols[c]
+		*v = NewVec(schema.Cols[c].Kind, n)
 		for i := 0; i < n; i++ {
-			x := rows[i][c]
-			if x.K == KindNull {
-				v.EnsureNulls(n)
-				v.SetNull(i)
-				continue
-			}
-			if x.K != v.Kind {
-				boxColumn(v, rows, c, n)
-				break
-			}
-			switch v.Kind {
-			case KindDouble:
-				v.Floats[i] = x.F
-			case KindVarchar:
-				v.Strs[i] = x.S
-			default:
-				v.Ints[i] = x.I
-			}
+			v.Set(i, rows[i][c])
 		}
 	}
 	return b
 }
 
-// boxColumn rewrites column c of the batch into boxed form, copying the
-// stored values verbatim.
-func boxColumn(v *Vec, rows []Row, c, n int) {
-	v.Ints, v.Floats, v.Strs, v.Nulls = nil, nil, nil, nil
-	v.Vals = make([]Value, n)
-	for i := 0; i < n; i++ {
-		v.Vals[i] = rows[i][c]
+// NewVec returns a vector of kind k with room for n rows, all zero, for
+// Set to fill: Ints, Floats or Strs by kind, and a NULL kind's boxed Vals.
+func NewVec(k Kind, n int) Vec {
+	switch k {
+	case KindNull:
+		return Vec{Kind: k, Vals: make([]Value, n)}
+	case KindDouble:
+		return Vec{Kind: k, Floats: make([]float64, n)}
+	case KindVarchar:
+		return Vec{Kind: k, Strs: make([]string, n)}
 	}
+	return Vec{Kind: k, Ints: make([]int64, n)}
 }
 
-// Run is one stretch of a gather's input: rows of batch B in order — the
-// physical rows Rows lists, a negative entry reading NULL, or, when Rows is
-// nil, physical rows [Lo, Hi).
-type Run struct {
-	B      *Batch
-	Rows   []int32
-	Lo, Hi int
-}
-
-// Run is the gather run of the batch's live rows [lo, hi).
-func (b *Batch) Run(lo, hi int) Run {
-	if b.Sel != nil {
-		return Run{B: b, Rows: b.Sel[lo:hi]}
-	}
-	return Run{B: b, Lo: lo, Hi: hi}
-}
-
-// Len is the run's row count.
-func (r Run) Len() int {
-	if r.Rows != nil {
-		return len(r.Rows)
-	}
-	return r.Hi - r.Lo
-}
-
-func (r Run) at(k int) int {
-	if r.Rows != nil {
-		return int(r.Rows[k])
-	}
-	return r.Lo + k
-}
-
-// Gather fills dst, whose Kind is set, with column c of the runs' n rows in
-// order: the one typed copy out of vectors, which the hash join's output and
-// the coordinator's merge share. Integer kinds land in Ints and DOUBLE in
-// Floats as they are; VARCHAR in Strs whose headers point at the source
-// strings (a dictionary's entries are not copied). A column any run holds
-// boxed, or of another kind, comes out boxed, so nothing is re-coerced. A
-// pruned source reads NULL, and when every source is pruned dst stays
-// pruned and nothing is copied. NULLs set validity bits.
-func Gather(dst *Vec, runs []Run, c, n int) {
-	pruned, boxed := true, false
-	for _, r := range runs {
-		src := &r.B.Cols[c]
-		pruned = pruned && src.Pruned
-		boxed = boxed || !src.Pruned && (src.Vals != nil || src.Kind != dst.Kind)
-	}
+// Set writes x at row i of a vector NewVec made: the one writer of boxed
+// values into typed vectors, shared by BatchFromRows and the aggregate's
+// output. A value of the vector's kind lands in its payload and a NULL sets
+// its validity bit; the first value of another kind boxes the vector (the
+// rows before it read back as Values), so nothing is re-coerced.
+func (v *Vec) Set(i int, x Value) {
 	switch {
-	case pruned:
-		dst.Pruned = true
-	case boxed:
-		dst.Vals = make([]Value, n)
-		gatherPayload(dst, dst.Vals, runs, c, n, func(v *Vec) []Value { return v.Vals }, (*Vec).Value)
-		dst.Nulls = nil // a boxed NULL is its Value
-	case dst.Kind == KindDouble:
-		dst.Floats = make([]float64, n)
-		gatherPayload(dst, dst.Floats, runs, c, n, func(v *Vec) []float64 { return v.Floats }, nil)
-	case dst.Kind == KindVarchar:
-		dst.Strs = make([]string, n)
-		gatherPayload(dst, dst.Strs, runs, c, n, func(v *Vec) []string { return v.Strs }, (*Vec).Str)
+	case x.K != v.Kind || v.Vals != nil:
+		v.setOther(i, x)
+	case x.K == KindDouble:
+		v.Floats[i] = x.F
+	case x.K == KindVarchar:
+		v.Strs[i] = x.S
 	default:
-		dst.Ints = make([]int64, n)
-		gatherPayload(dst, dst.Ints, runs, c, n, func(v *Vec) []int64 { return v.Ints }, nil)
+		v.Ints[i] = x.I
 	}
 }
 
-// gatherPayload copies column c of the runs' rows out of the payload slice
-// each source holds into out, through get where a source holds none (a
-// dictionary, another kind), and sets dst's validity bit for each NULL: a
-// run without listed rows over a source without NULLs is one copy.
-func gatherPayload[T int64 | float64 | string | Value](dst *Vec, out []T, runs []Run, c, n int, payload func(*Vec) []T, get func(*Vec, int) T) {
-	o := 0
-	for _, r := range runs {
-		src, m := &r.B.Cols[c], r.Len()
-		data := payload(src)
-		if r.Rows == nil && data != nil && src.Nulls == nil {
-			o += copy(out[o:o+m], data[r.Lo:r.Hi])
-			continue
+func (v *Vec) setOther(i int, x Value) {
+	n := max(len(v.Ints), len(v.Floats), len(v.Strs), len(v.Vals))
+	switch {
+	case v.Vals != nil:
+	case x.K == KindNull:
+		v.EnsureNulls(n)
+		v.SetNull(i)
+		return
+	default:
+		vals := make([]Value, n)
+		for k := 0; k < i; k++ {
+			vals[k] = v.Value(k)
 		}
-		nulls := src.Nulls != nil || src.Pruned
-		for k := 0; k < m; k, o = k+1, o+1 {
-			switch i := r.at(k); {
-			case i < 0 || nulls && src.Null(i):
-				dst.EnsureNulls(n)
-				dst.SetNull(o)
-			case data != nil:
-				out[o] = data[i]
-			default:
-				out[o] = get(src, i)
-			}
-		}
+		v.Ints, v.Floats, v.Strs, v.Nulls, v.Vals = nil, nil, nil, nil, vals
 	}
+	v.Vals[i] = x
 }
 
-// GatherFrom is Gather over rows of several batches in any order, a hash
-// join's build side: row k of dst is physical row rows[k] of bs[from[k]],
-// a negative row reading NULL. dst comes out pruned, boxed or typed as
-// Gather has it over runs of all of bs.
+// GatherFrom fills dst, whose Kind is set, with column c of rows of several
+// batches in any order: row k of dst is physical row rows[k] of
+// bs[from[k]] (of bs[0] when from is nil), a negative row reading NULL. It
+// is the one typed copy out of vectors, which the hash join's output, the
+// sort's output, a filtered column's projection and the coordinator's merge
+// share. Integer kinds land in Ints and DOUBLE in Floats as they are;
+// VARCHAR in Strs whose headers point at the source strings (a dictionary's
+// entries are not copied). A column any batch holds boxed, or of another
+// kind, comes out boxed, so nothing is re-coerced. When every batch's column
+// is pruned (or there is no batch) dst stays pruned, reading NULL, and
+// nothing is copied. NULLs set validity bits.
 func GatherFrom(dst *Vec, bs []*Batch, from, rows []int32, c int) {
 	pruned, boxed := true, false
 	for _, b := range bs {
@@ -350,7 +278,7 @@ func GatherFrom(dst *Vec, bs []*Batch, from, rows []int32, c int) {
 		dst.Vals = make([]Value, n)
 		for k, i := range rows {
 			if i >= 0 {
-				dst.Vals[k] = bs[from[k]].Cols[c].Value(int(i))
+				dst.Vals[k] = bs[batchOf(from, k)].Cols[c].Value(int(i))
 			}
 		}
 	case dst.Kind == KindDouble:
@@ -365,6 +293,14 @@ func GatherFrom(dst *Vec, bs []*Batch, from, rows []int32, c int) {
 	}
 }
 
+// batchOf is the batch GatherFrom's row k reads.
+func batchOf(from []int32, k int) int32 {
+	if from == nil {
+		return 0
+	}
+	return from[k]
+}
+
 // gatherFrom copies GatherFrom's rows out of the payload slice each batch's
 // column holds into out, through get where it holds none (a dictionary),
 // and sets dst's validity bit for each NULL.
@@ -375,8 +311,7 @@ func gatherFrom[T int64 | float64 | string](dst *Vec, out []T, bs []*Batch, from
 		data[b], nulls = payload(src), nulls || src.Nulls != nil || src.Pruned
 	}
 	for k, i := range rows {
-		b := from[k]
-		switch {
+		switch b := batchOf(from, k); {
 		case i < 0 || nulls && bs[b].Cols[c].Null(int(i)):
 			dst.EnsureNulls(len(rows))
 			dst.SetNull(k)

@@ -1,5 +1,7 @@
 package value
 
+import "strings"
+
 // Per-vector hash and equality: the key loops of the hash aggregate, the
 // hash join and the key set read a column's typed payload in place and get
 // the answers Value.Hash and Compare give on the boxed values.
@@ -75,22 +77,32 @@ func (v *Vec) HashAt(i int) uint64 {
 }
 
 // VecEqual reports whether row i of v and row j of w are equal under
-// Compare, NULL equal to NULL. Two typed payloads of one kind are compared
-// in place; any other pair is boxed and Compared.
-func VecEqual(v *Vec, i int, w *Vec, j int) bool {
+// Compare, NULL equal to NULL (CompareVec).
+func VecEqual(v *Vec, i int, w *Vec, j int) bool { return CompareVec(v, i, w, j) == 0 }
+
+// CompareVec orders row i of v against row j of w as Compare orders the
+// boxed values, NULL first. Two typed payloads of one kind are compared in
+// place; any other pair is boxed and Compared.
+func CompareVec(v *Vec, i int, w *Vec, j int) int {
 	if v.Kind != w.Kind || v.Vals != nil || w.Vals != nil || v.Pruned || w.Pruned {
-		return Compare(v.Value(i), w.Value(j)) == 0
+		return Compare(v.Value(i), w.Value(j))
 	}
 	if vn, wn := v.Null(i), w.Null(j); vn || wn {
-		return vn == wn
+		switch {
+		case vn && wn:
+			return 0
+		case vn:
+			return -1
+		}
+		return 1
 	}
 	switch v.Kind {
 	case KindDouble:
-		return CompareFloats(v.Floats[i], w.Floats[j]) == 0
+		return CompareFloats(v.Floats[i], w.Floats[j])
 	case KindVarchar:
-		return v.Str(i) == w.Str(j)
+		return strings.Compare(v.Str(i), w.Str(j))
 	}
-	return v.Ints[i] == w.Ints[j]
+	return cmpInt(v.Ints[i], w.Ints[j])
 }
 
 // Equals reports whether row i of v equals x under Compare, NULL equal to
