@@ -121,6 +121,7 @@ func (b *Breaker) Allow() error {
 		b.mu.Unlock()
 		return nil
 	default: // BreakerOpen
+		//lint:ignore locksafe the clock is set under b.mu by SetClock, and every clock is a plain time source that takes no lock
 		if b.now().Sub(b.openedAt) >= b.cooldown {
 			b.state = BreakerHalfOpen
 			b.probing = true

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -259,7 +258,7 @@ func (gc *guardcallFacts) declareSite(pattern string, pos token.Pos) {
 // tables (e.g. chaos.CrashSites) feed schedules through variables, not
 // literals, and live beside the loop that arms them.
 func collectSiteLists(pr *Program, gc *guardcallFacts, schedulingFiles map[*ast.File]bool) {
-	for _, path := range sortedPkgPaths(pr.Pkgs) {
+	for _, path := range sortedKeys(pr.Pkgs) {
 		for _, file := range pr.Pkgs[path].Files {
 			if !schedulingFiles[file] {
 				continue
@@ -299,11 +298,7 @@ func collectSiteLists(pr *Program, gc *guardcallFacts, schedulingFiles map[*ast.
 // itself always-guarded. Starting from all-false, the set only grows, so
 // recursion cycles with no guarded entry stay unguarded.
 func computeGuardedEntry(gc *guardcallFacts) {
-	keys := make([]string, 0, len(gc.callersOf))
-	for k := range gc.callersOf {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(gc.callersOf)
 	for changed := true; changed; {
 		changed = false
 		for _, f := range keys {
@@ -394,11 +389,7 @@ func runGuardCall(pass *Pass) {
 			"closure containing a call to %s is invoked directly; route it through fed.Caller.Call so the breaker, retries and fault sites apply",
 			bc.Seam)
 	}
-	patterns := make([]string, 0, len(gc.declared))
-	for p := range gc.declared {
-		patterns = append(patterns, p)
-	}
-	sort.Strings(patterns)
+	patterns := sortedKeys(gc.declared)
 	for _, p := range patterns {
 		ds := gc.declared[p]
 		if siteCovered(p, gc.exercised) {

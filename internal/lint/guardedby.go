@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"maps"
 	"strings"
 )
 
@@ -14,10 +14,10 @@ import (
 //
 // (in its doc or trailing line comment; mu must be a sibling mutex field)
 // may only be read or written while that mutex is held. Held-ness is the
-// same branch-local, interprocedurally seeded lock set summary.go threads
-// through lockorder: an access inside a LockedX helper is fine when every
-// production call site of the helper holds the guard. Writes additionally
-// require the exclusive Lock — a write under RLock is reported.
+// branch-local held-lock walk every lock analyzer shares (heldlocks.go),
+// seeded interprocedurally: an access inside a LockedX helper is fine when
+// every production call site of the helper holds the guard. Writes
+// additionally require the exclusive Lock — a write under RLock is reported.
 //
 // Ownership exemptions keep constructors honest without annotations:
 //   - accesses through a local bound to a freshly constructed value
@@ -145,7 +145,7 @@ func guardFactsOf(pr *Program) *guardFacts {
 // collectGuardAnnotations parses // hana:guardedby on struct fields and
 // validates the named guard against the struct's own fields.
 func collectGuardAnnotations(pr *Program, gf *guardFacts) {
-	for _, path := range sortedPkgPaths(pr.Pkgs) {
+	for _, path := range sortedKeys(pr.Pkgs) {
 		pkg := pr.Pkgs[path]
 		for _, file := range pkg.Files {
 			imports := importMap(file)
@@ -220,31 +220,22 @@ func fieldGuardAnnotation(fl *ast.Field) (string, token.Pos, bool) {
 	return "", token.NoPos, false
 }
 
-func sortedPkgPaths(pkgs map[string]*Package) []string {
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
+// ---- the guarded-field visitor ----
 
-// ---- held-set walker ----
-
-// guardWalker threads a lock set (class → mode) through one function body
-// in source order, mirroring summaryWalker's branch-local discipline.
-// Unlike summaryWalker, non-goroutine closures inherit the enclosing held
-// set: a closure built and invoked under a lock runs under that lock in
-// every idiom this repo uses. go-statement closures start from an empty
-// set — they run concurrently by construction.
-type guardWalker struct {
+// guardVisit runs along the held-lock walk (heldlocks.go) over one body,
+// seeded with the body's entry set. Ordinary and deferred closures inherit
+// the enclosing held set: a closure built and invoked under a lock runs
+// under that lock in every idiom this repo uses (the dominant deferred one
+// is defer func() { … mu.Unlock() }() while holding mu). go-statement
+// closures start from an empty set — they run concurrently by
+// construction.
+type guardVisit struct {
+	lockHooks
 	pr    *Program
-	env   *typeEnv
 	info  *FuncInfo
 	facts *guardFacts
-	held  map[string]string // lock class → "r" | "w"
-	owned map[string]bool   // locals bound to freshly constructed values
-	fnOwn bool              // constructor / //hana:owned exemption
+	owned map[string]bool // locals bound to freshly constructed values
+	fnOwn bool            // constructor / //hana:owned exemption
 
 	// record: final pass, collect guardAccess + shared stats. Otherwise the
 	// walk only accumulates call-site entry facts into acc/touched.
@@ -253,17 +244,9 @@ type guardWalker struct {
 	touched map[string]bool
 }
 
-func newGuardWalker(pr *Program, info *FuncInfo, gf *guardFacts) *guardWalker {
-	w := &guardWalker{
-		pr: pr, env: pr.Env(info), info: info, facts: gf,
-		held:  map[string]string{},
-		owned: map[string]bool{},
-		fnOwn: funcIsOwned(info.Decl),
-	}
-	for class, mode := range gf.entry[info.Ref.key()] {
-		w.held[class] = mode
-	}
-	return w
+func (v *guardVisit) walk() {
+	v.owned, v.fnOwn = map[string]bool{}, funcIsOwned(v.info.Decl)
+	walkHeld(v.pr.Env(v.info), v, v.facts.entry[v.info.Ref.key()], v.info.Decl.Body)
 }
 
 // modeMin returns the weaker of two held modes ("" < "r" < "w").
@@ -277,229 +260,32 @@ func modeMin(a, b string) string {
 	return "w"
 }
 
-func (w *guardWalker) snapshot() map[string]string {
-	out := make(map[string]string, len(w.held))
-	for k, v := range w.held {
-		out[k] = v
+// closure keeps the current owned set for ordinary and deferred closures;
+// a goroutine's captured locals are no longer single-owner.
+func (v *guardVisit) closure(w *lockWalk, fl *ast.FuncLit, goStmt, _ bool) {
+	inner := *v
+	inner.owned = map[string]bool{}
+	if !goStmt {
+		inner.owned = maps.Clone(v.owned)
 	}
-	return out
+	w.sub(fl, &inner, !goStmt)
 }
 
-// branch runs fn against a copy of the held set and restores it after:
-// if/else arms, switch cases and select cases are mutually exclusive.
-func (w *guardWalker) branch(fn func()) {
-	saved := w.held
-	w.held = make(map[string]string, len(saved))
-	for k, v := range saved {
-		w.held[k] = v
-	}
-	fn()
-	w.held = saved
-}
-
-func (w *guardWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
-	}
-}
-
-func (w *guardWalker) walkStmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(st)
-	case *ast.ExprStmt:
-		w.scanExpr(st.X)
-	case *ast.AssignStmt:
-		for _, l := range st.Lhs {
-			w.scanTarget(l)
-		}
-		for _, e := range st.Rhs {
-			w.scanExpr(e)
-		}
-		w.trackOwnership(st)
-	case *ast.IncDecStmt:
-		w.scanTarget(st.X)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v)
-					}
-					w.trackVarOwnership(vs)
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the rest of the body; a
-		// deferred closure inherits the current held set (the dominant idiom
-		// is defer func() { … mu.Unlock() }() while holding mu).
-		if class, kind := w.lockTransition(st.Call); class != "" && (kind == "Unlock" || kind == "RUnlock") {
-			return
-		}
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.walkClosure(fl, true)
-			return
-		}
-		for _, a := range st.Call.Args {
-			w.scanExpr(a)
-		}
-	case *ast.GoStmt:
-		for _, a := range st.Call.Args {
-			w.scanExpr(a)
-		}
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.walkClosure(fl, false)
-		} else if ref, ok := w.env.resolveCall(st.Call); ok && !w.record && !w.info.TestFile {
-			w.recordCallSite(ref, map[string]string{}) // runs concurrently: nothing held
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scanExpr(e)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		w.scanExpr(st.Cond)
-		w.branch(func() { w.walkBody(st.Body) })
-		if st.Else != nil {
-			w.branch(func() { w.walkStmt(st.Else) })
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Cond != nil {
-			w.scanExpr(st.Cond)
-		}
-		w.walkBody(st.Body)
-		if st.Post != nil {
-			w.walkStmt(st.Post)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(st.X)
-		w.walkBody(st.Body)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Tag != nil {
-			w.scanExpr(st.Tag)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.scanExpr(e)
-				}
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		w.walkStmt(st.Assign)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.SendStmt:
-		w.scanExpr(st.Chan)
-		w.scanExpr(st.Value)
-	case *ast.LabeledStmt:
-		w.walkStmt(st.Stmt)
-	}
-}
-
-// walkClosure descends into a function literal. inherit=true keeps the
-// current held and owned sets (ordinary and deferred closures); goroutine
-// closures start fresh — they run concurrently, and captured locals are no
-// longer single-owner.
-func (w *guardWalker) walkClosure(fl *ast.FuncLit, inherit bool) {
-	inner := *w
-	if inherit {
-		inner.held = w.snapshot()
-		inner.owned = make(map[string]bool, len(w.owned))
-		for k := range w.owned {
-			inner.owned[k] = true
-		}
+// bind marks locals bound to freshly constructed values as owned for the
+// rest of the function, and revokes ownership on rebinding to anything
+// else.
+func (v *guardVisit) bind(w *lockWalk, name string, value ast.Expr) {
+	if freshValue(w.env, value) {
+		v.owned[name] = true
 	} else {
-		inner.held = map[string]string{}
-		inner.owned = map[string]bool{}
-	}
-	inner.walkBody(fl.Body)
-}
-
-// scanTarget records write accesses on assignment / inc-dec targets and
-// read accesses on any index or selector prefix feeding them.
-func (w *guardWalker) scanTarget(e ast.Expr) {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		w.scanTarget(x.X)
-	case *ast.StarExpr:
-		w.scanTarget(x.X)
-	case *ast.SelectorExpr:
-		w.access(x, true)
-		w.scanExpr(x.X)
-	case *ast.IndexExpr:
-		w.scanTarget(x.X)
-		w.scanExpr(x.Index)
-	default:
-		w.scanExpr(e)
-	}
-}
-
-// trackOwnership marks locals bound to freshly constructed values as owned
-// for the rest of the function, and revokes ownership on reassignment to
-// anything else.
-func (w *guardWalker) trackOwnership(st *ast.AssignStmt) {
-	if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
-		return
-	}
-	id, ok := st.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if w.freshValue(st.Rhs[0]) {
-		w.owned[id.Name] = true
-	} else {
-		delete(w.owned, id.Name)
-	}
-}
-
-func (w *guardWalker) trackVarOwnership(vs *ast.ValueSpec) {
-	if len(vs.Names) != 1 || len(vs.Values) != 1 {
-		return
-	}
-	if vs.Names[0].Name != "_" && w.freshValue(vs.Values[0]) {
-		w.owned[vs.Names[0].Name] = true
+		delete(v.owned, name)
 	}
 }
 
 // freshValue reports whether the expression constructs a new value no other
 // goroutine can reference yet: composite literals, new(T), and calls to
 // New*/Open*-named constructors.
-func (w *guardWalker) freshValue(e ast.Expr) bool {
+func freshValue(env *typeEnv, e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.CompositeLit:
 		return true
@@ -512,93 +298,34 @@ func (w *guardWalker) freshValue(e ast.Expr) bool {
 		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "new" {
 			return true
 		}
-		if ref, ok := w.env.resolveCall(x); ok {
+		if ref, ok := env.resolveCall(x); ok {
 			return strings.HasPrefix(ref.Name, "New") || strings.HasPrefix(ref.Name, "Open")
 		}
 	}
 	return false
 }
 
-func (w *guardWalker) scanExpr(e ast.Expr) {
-	if e == nil {
+// call folds a production call site's held set into the callee's entry
+// facts while the fixpoint runs.
+func (v *guardVisit) call(w *lockWalk, call *ast.CallExpr) {
+	if v.record || v.info.TestFile {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.walkClosure(x, true)
-			return false
-		case *ast.CallExpr:
-			w.handleCall(x)
-			return false
-		case *ast.SelectorExpr:
-			w.access(x, false)
-			return true // descend: x.f.g reads x.f too
-		}
-		return true
-	})
-}
-
-func (w *guardWalker) handleCall(call *ast.CallExpr) {
-	if class, kind := w.lockTransition(call); class != "" {
-		switch kind {
-		case "Lock":
-			w.held[class] = "w"
-		case "RLock":
-			if w.held[class] != "w" {
-				w.held[class] = "r"
-			}
-		case "Unlock", "RUnlock":
-			delete(w.held, class)
-		}
-		return
+	if ref, ok := w.env.resolveCall(call); ok {
+		v.recordCallSite(ref, w.classes())
 	}
-	// delete(m, k) mutates its first operand.
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && len(call.Args) == 2 {
-		w.scanTarget(call.Args[0])
-		w.scanExpr(call.Args[1])
-		return
-	}
-	for _, a := range call.Args {
-		w.scanExpr(a)
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		w.scanExpr(sel.X)
-	}
-	if !w.record && !w.info.TestFile {
-		if ref, ok := w.env.resolveCall(call); ok {
-			w.recordCallSite(ref, w.snapshot())
-		}
-	}
-}
-
-// lockTransition mirrors summaryWalker's classification of x.mu.Lock().
-func (w *guardWalker) lockTransition(call *ast.CallExpr) (string, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	if key := exprKey(sel.X); key == "" || !looksLikeMutex(key) {
-		return "", ""
-	}
-	return w.env.lockClass(sel.X), sel.Sel.Name
 }
 
 // recordCallSite folds one production call site's held set into the
 // callee's entry intersection.
-func (w *guardWalker) recordCallSite(ref FuncRef, held map[string]string) {
+func (v *guardVisit) recordCallSite(ref FuncRef, held map[string]string) {
 	key := ref.key()
-	if !w.touched[key] {
-		w.touched[key] = true
-		w.acc[key] = held
+	if !v.touched[key] {
+		v.touched[key] = true
+		v.acc[key] = held
 		return
 	}
-	cur := w.acc[key]
+	cur := v.acc[key]
 	for class, mode := range cur {
 		m, ok := held[class]
 		if !ok {
@@ -610,29 +337,29 @@ func (w *guardWalker) recordCallSite(ref FuncRef, held map[string]string) {
 }
 
 // access records one selector access when the base is a typed owner.
-func (w *guardWalker) access(sel *ast.SelectorExpr, write bool) {
-	if !w.record {
+func (v *guardVisit) access(w *lockWalk, sel *ast.SelectorExpr, write bool) {
+	if !v.record {
 		return
 	}
 	owner := w.env.typeOf(sel.X)
 	if owner.zero() {
 		return
 	}
-	gf := w.facts.fields[owner][sel.Sel.Name]
-	ownedAccess := w.fnOwn || w.info.ResultType == owner || w.ownedBase(sel.X)
+	gf := v.facts.fields[owner][sel.Sel.Name]
+	ownedAccess := v.fnOwn || v.info.ResultType == owner || v.ownedBase(sel.X)
 	if gf == nil {
-		w.sharedStat(owner, sel, write, ownedAccess)
+		v.sharedStat(w, owner, sel, write, ownedAccess)
 		return
 	}
-	w.facts.accesses = append(w.facts.accesses, guardAccess{
-		Field: gf, Fn: w.info, Pos: sel.Sel.Pos(),
-		Write: write, Mode: w.held[gf.Class], Owned: ownedAccess,
+	v.facts.accesses = append(v.facts.accesses, guardAccess{
+		Field: gf, Fn: v.info, Pos: sel.Sel.Pos(),
+		Write: write, Mode: w.classes()[gf.Class], Owned: ownedAccess,
 	})
 }
 
 // ownedBase reports whether the base-most identifier of a selector chain is
 // an owned (freshly constructed, unpublished) local.
-func (w *guardWalker) ownedBase(e ast.Expr) bool {
+func (v *guardVisit) ownedBase(e ast.Expr) bool {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -644,7 +371,7 @@ func (w *guardWalker) ownedBase(e ast.Expr) bool {
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.Ident:
-			return w.owned[x.Name]
+			return v.owned[x.Name]
 		default:
 			return false
 		}
@@ -653,28 +380,27 @@ func (w *guardWalker) ownedBase(e ast.Expr) bool {
 
 // sharedStat feeds SuggestGuards: unannotated field accesses classified by
 // whether some lock of the owner type is held.
-func (w *guardWalker) sharedStat(owner TypeRef, sel *ast.SelectorExpr, write, owned bool) {
-	if w.info.TestFile || owned || looksLikeMutex(sel.Sel.Name) {
+func (v *guardVisit) sharedStat(w *lockWalk, owner TypeRef, sel *ast.SelectorExpr, write, owned bool) {
+	if v.info.TestFile || owned || looksLikeMutex(sel.Sel.Name) {
 		return
 	}
-	if _, known := w.pr.fields[owner]; !known {
+	if _, known := v.pr.fields[owner]; !known {
 		return
 	}
 	key := owner.Pkg + "." + owner.Name + "." + sel.Sel.Name
-	st := w.facts.shared[key]
+	st := v.facts.shared[key]
 	if st == nil {
 		st = &sharedFieldStat{Owner: owner, Field: sel.Sel.Name, Pos: sel.Sel.Pos(),
 			Guards: map[string]int{}, Funcs: map[string]bool{}}
-		w.facts.shared[key] = st
+		v.facts.shared[key] = st
 	}
-	st.Funcs[w.info.Ref.key()] = true
+	st.Funcs[v.info.Ref.key()] = true
 	prefix := shortPkg(owner.Pkg) + "." + owner.Name + "."
 	heldGuard := ""
-	for class := range w.held {
+	for _, class := range sortedKeys(w.classes()) {
 		if strings.HasPrefix(class, prefix) {
-			if heldGuard == "" || class < heldGuard {
-				heldGuard = class
-			}
+			heldGuard = class
+			break
 		}
 	}
 	if heldGuard != "" {
@@ -692,44 +418,26 @@ func (w *guardWalker) sharedStat(owner TypeRef, sel *ast.SelectorExpr, write, ow
 // computeEntryHeld iterates the whole-program walk until the per-function
 // entry lock sets stabilize: entry(f) = ⋂ over production call sites of the
 // locks held at the site (weakest mode wins). Functions with no production
-// call sites keep an empty entry. The sets only grow round over round, so
-// the least fixpoint is reached from empty seeds.
+// call sites keep an empty entry. The sets only grow round over round, over
+// a finite lattice of classes and modes, so iterating until nothing changes
+// reaches the least fixpoint from empty seeds; a call chain of depth n
+// takes n rounds.
 func computeEntryHeld(pr *Program, gf *guardFacts) {
 	infos := pr.FuncsSorted()
-	for round := 0; round < 10; round++ {
+	for {
 		acc := map[string]map[string]string{}
 		touched := map[string]bool{}
 		for _, info := range infos {
 			if info.Decl.Body == nil || info.TestFile {
 				continue
 			}
-			w := newGuardWalker(pr, info, gf)
-			w.acc, w.touched = acc, touched
-			w.walkBody(info.Decl.Body)
+			(&guardVisit{pr: pr, info: info, facts: gf, acc: acc, touched: touched}).walk()
 		}
-		if entryEqual(gf.entry, acc) {
+		if maps.EqualFunc(gf.entry, acc, maps.Equal) {
 			return
 		}
 		gf.entry = acc
 	}
-}
-
-func entryEqual(a, b map[string]map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, am := range a {
-		bm, ok := b[k]
-		if !ok || len(am) != len(bm) {
-			return false
-		}
-		for c, m := range am {
-			if bm[c] != m {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // recordGuardAccesses runs the final, recording walk with the converged
@@ -739,9 +447,7 @@ func recordGuardAccesses(pr *Program, gf *guardFacts) {
 		if info.Decl.Body == nil {
 			continue
 		}
-		w := newGuardWalker(pr, info, gf)
-		w.record = true
-		w.walkBody(info.Decl.Body)
+		(&guardVisit{pr: pr, info: info, facts: gf, record: true}).walk()
 	}
 }
 
@@ -812,7 +518,7 @@ type GuardSuggestion struct {
 func SuggestGuards(pr *Program) []GuardSuggestion {
 	gf := guardFactsOf(pr)
 	var out []GuardSuggestion
-	for _, key := range sortedStatKeys(gf.shared) {
+	for _, key := range sortedKeys(gf.shared) {
 		st := gf.shared[key]
 		if st.Locked == 0 || st.Unlocked == 0 || len(st.Funcs) < 2 {
 			continue
@@ -834,13 +540,4 @@ func SuggestGuards(pr *Program) []GuardSuggestion {
 		})
 	}
 	return out
-}
-
-func sortedStatKeys(m map[string]*sharedFieldStat) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

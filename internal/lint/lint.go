@@ -97,12 +97,7 @@ func Run(pkgs map[string]*Package, analyzers []*Analyzer) []Diagnostic {
 func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	pkgs := prog.Pkgs
 	var raw []Diagnostic
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for _, path := range sortedKeys(pkgs) {
 		pkg := pkgs[path]
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Pkg: pkg, All: pkgs, Prog: prog, diags: &raw}
@@ -264,6 +259,21 @@ func exprKey(e ast.Expr) string {
 		return exprKey(x.X)
 	}
 	return ""
+}
+
+// sortedKeys returns a map's keys in order (nil for an empty map): every
+// listing the analyzers produce walks its maps this way, so no output
+// depends on map iteration order.
+func sortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // importMap maps a file's local import names to import paths. Unnamed

@@ -133,7 +133,7 @@ func TestRepositoryIsClean(t *testing.T) {
 func TestNewAnalyzersDeterministic(t *testing.T) {
 	pkgs := loadFixtures(t)
 	for _, a := range []*lint.Analyzer{
-		lint.LockOrder, lint.CtxFlow, lint.ResLeak, lint.GuardedBy, lint.GuardCall,
+		lint.LockSafe, lint.LockOrder, lint.CtxFlow, lint.ResLeak, lint.GuardedBy, lint.GuardCall,
 	} {
 		var first string
 		for i := 0; i < 50; i++ {

@@ -110,11 +110,7 @@ func lockCycleEdges(edges []LockEdge) map[int]bool {
 		adj[e.From] = append(adj[e.From], e.To)
 		nodes[e.From], nodes[e.To] = true, true
 	}
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(nodes)
 
 	index := map[string]int{}
 	low := map[string]int{}
@@ -282,11 +278,7 @@ func LockGraphDOT(pr *Program) string {
 	for _, e := range edges {
 		nodes[e.From], nodes[e.To] = true, true
 	}
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(nodes)
 	for _, n := range names {
 		if r, ok := LockRanks[n]; ok {
 			fmt.Fprintf(&b, "  %q [label=%q];\n", n, fmt.Sprintf("%s (rank %d)", n, r))

@@ -16,15 +16,22 @@ import (
 // call or lock the resolver cannot type simply contributes no facts:
 // every consumer is designed to under-report rather than guess.
 //
-// The summaries feed three analyzers:
+// The summaries feed five analyzers:
 //
 //   - lockorder consumes Acquires / DirectEdges / HeldCalls plus the
 //     transitive-lock fixpoint to derive the global lock-acquisition graph;
+//   - locksafe consumes the transitive locks to tell whether a
+//     cross-package callee can take a lock;
+//   - guardedby and guardcall consume the typing environment and call
+//     resolution for their own whole-program fixpoints;
 //   - ctxflow consumes CtxParam and call resolution to find context-blind
 //     calls and sibling Ctx variants;
 //   - resleak consumes ClosesParams / ConsumesParams so cleanup performed
 //     by a callee (or ownership handed to one) counts across call
 //     boundaries.
+//
+// The lock facts come from the held-lock walk (heldlocks.go) that locksafe
+// and guardedby also run.
 
 // TypeRef names a declared (struct) type: import path + type name.
 type TypeRef struct {
@@ -148,13 +155,8 @@ type Program struct {
 
 // FuncsSorted returns every summary in deterministic (key) order.
 func (pr *Program) FuncsSorted() []*FuncInfo {
-	keys := make([]string, 0, len(pr.funcs))
-	for k := range pr.funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*FuncInfo, 0, len(keys))
-	for _, k := range keys {
+	out := make([]*FuncInfo, 0, len(pr.funcs))
+	for _, k := range sortedKeys(pr.funcs) {
 		out = append(out, pr.funcs[k])
 	}
 	return out
@@ -185,14 +187,8 @@ func BuildProgram(pkgs map[string]*Package) *Program {
 		pkgVars:    map[string]map[string]bool{},
 		transLocks: map[string]map[string]string{},
 	}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
 	// Phase 1: declarations — struct fields, package vars, func/method index.
-	for _, path := range paths {
+	for _, path := range sortedKeys(pkgs) {
 		pr.indexPackage(pkgs[path])
 	}
 	// Phase 2: per-function body facts.
@@ -519,252 +515,44 @@ func (pr *Program) summarizeBody(info *FuncInfo) {
 		return
 	}
 	env := pr.Env(info)
-	w := &summaryWalker{prog: pr, env: env, info: info, held: map[string]token.Pos{}}
-	w.walkBody(info.Decl.Body)
+	walkHeld(env, lockFacts{info: info}, nil, info.Decl.Body)
 	pr.summarizeParams(info, env)
 }
 
-// summaryWalker threads a held-lock set through the statement list in
-// source order (the same linear approximation locksafe uses) and records
-// lock-order facts and held calls into the summary.
-type summaryWalker struct {
-	prog *Program
-	env  *typeEnv
+// lockFacts records a body's lock facts into its summary along the
+// held-lock walk: acquisitions, same-body orderings and held calls.
+type lockFacts struct {
+	lockHooks
 	info *FuncInfo
-	held map[string]token.Pos
 }
 
-// branch runs fn against a copy of the held set and restores the entry
-// state afterwards: if/else arms, switch cases, and select cases are
-// mutually exclusive, so lock transitions inside one must not leak into
-// its siblings or past the construct (a deferred Unlock in one switch case
-// would otherwise manufacture a self-deadlock edge in the next case).
-// Acquisitions recorded into the summary itself persist — only held-ness
-// is branch-local.
-func (w *summaryWalker) branch(fn func()) {
-	saved := w.held
-	w.held = make(map[string]token.Pos, len(saved))
-	for k, v := range saved {
-		w.held[k] = v
-	}
-	fn()
-	w.held = saved
-}
-
-func (w *summaryWalker) heldSorted() []string {
-	if len(w.held) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(w.held))
-	for k := range w.held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func (w *summaryWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
-	}
-}
-
-func (w *summaryWalker) walkStmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(st)
-	case *ast.ExprStmt:
-		w.scanExpr(st.X)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.scanExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred Unlock satisfies cleanup but the lock stays held for
-		// the remainder of the body; a deferred closure is a separate
-		// execution context.
-		if key, kind := w.lockTransition(st.Call); key != "" && (kind == "Unlock" || kind == "RUnlock") {
-			return
-		}
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.walkClosure(fl)
-			return
-		}
-		for _, a := range st.Call.Args {
-			w.scanExpr(a)
-		}
-	case *ast.GoStmt:
-		for _, a := range st.Call.Args {
-			w.scanExpr(a)
-		}
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			w.walkClosure(fl)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scanExpr(e)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		w.scanExpr(st.Cond)
-		w.branch(func() { w.walkBody(st.Body) })
-		if st.Else != nil {
-			w.branch(func() { w.walkStmt(st.Else) })
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Cond != nil {
-			w.scanExpr(st.Cond)
-		}
-		w.walkBody(st.Body)
-		if st.Post != nil {
-			w.walkStmt(st.Post)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(st.X)
-		w.walkBody(st.Body)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		if st.Tag != nil {
-			w.scanExpr(st.Tag)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.scanExpr(e)
-				}
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init)
-		}
-		w.walkStmt(st.Assign)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.branch(func() {
-					for _, bs := range cc.Body {
-						w.walkStmt(bs)
-					}
-				})
-			}
-		}
-	case *ast.SendStmt:
-		w.scanExpr(st.Chan)
-		w.scanExpr(st.Value)
-	case *ast.LabeledStmt:
-		w.walkStmt(st.Stmt)
-	case *ast.IncDecStmt:
-		w.scanExpr(st.X)
-	}
-}
-
-// walkClosure records lock facts inside a function literal with a fresh
-// held set: the literal does not, in general, run at the point it is
-// written, so its acquisitions do not order against the enclosing body's
-// held locks — but orderings local to the closure are real.
-func (w *summaryWalker) walkClosure(fl *ast.FuncLit) {
-	inner := &summaryWalker{prog: w.prog, env: w.env, info: w.info, held: map[string]token.Pos{}}
-	inner.walkBody(fl.Body)
-}
-
-func (w *summaryWalker) scanExpr(e ast.Expr) {
-	if e == nil {
+func (f lockFacts) lock(w *lockWalk, call *ast.CallExpr, _ string, l heldLock) {
+	if l.class == "" {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.walkClosure(x)
-			return false
-		case *ast.CallExpr:
-			w.handleCall(x)
-			return false // handleCall scans arguments itself
-		}
-		return true
-	})
+	for _, from := range sortedKeys(w.classes()) {
+		f.info.DirectEdges = append(f.info.DirectEdges, LockEdgeFact{From: from, To: l.class, Pos: call.Pos()})
+	}
+	if _, ok := f.info.Acquires[l.class]; !ok {
+		f.info.Acquires[l.class] = call.Pos()
+	}
 }
 
-func (w *summaryWalker) handleCall(call *ast.CallExpr) {
-	if key, kind := w.lockTransition(call); key != "" {
-		switch kind {
-		case "Lock", "RLock":
-			for _, from := range w.heldSorted() {
-				w.info.DirectEdges = append(w.info.DirectEdges,
-					LockEdgeFact{From: from, To: key, Pos: call.Pos()})
-			}
-			if _, ok := w.info.Acquires[key]; !ok {
-				w.info.Acquires[key] = call.Pos()
-			}
-			w.held[key] = call.Pos()
-		case "Unlock", "RUnlock":
-			delete(w.held, key)
-		}
-		return
-	}
-	for _, a := range call.Args {
-		w.scanExpr(a)
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		w.scanExpr(sel.X)
-	}
-	if len(w.held) == 0 {
+func (f lockFacts) call(w *lockWalk, call *ast.CallExpr) {
+	held := sortedKeys(w.classes())
+	if len(held) == 0 {
 		return
 	}
 	if ref, ok := w.env.resolveCall(call); ok {
-		w.info.HeldCalls = append(w.info.HeldCalls,
-			HeldCall{Callee: ref, Held: w.heldSorted(), Pos: call.Pos()})
+		f.info.HeldCalls = append(f.info.HeldCalls, HeldCall{Callee: ref, Held: held, Pos: call.Pos()})
 	}
 }
 
-// lockTransition classifies x.mu.Lock()-shaped calls, returning the
-// normalized lock class and the method kind, or ("", "").
-func (w *summaryWalker) lockTransition(call *ast.CallExpr) (string, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	if key := exprKey(sel.X); key == "" || !looksLikeMutex(key) {
-		return "", ""
-	}
-	return w.env.lockClass(sel.X), sel.Sel.Name
-}
+// closure starts a function literal from an empty held set: the literal
+// does not, in general, run at the point it is written, so its
+// acquisitions do not order against the enclosing body's held locks — but
+// orderings local to the closure are real.
+func (f lockFacts) closure(w *lockWalk, fl *ast.FuncLit, _, _ bool) { w.sub(fl, f, false) }
 
 // cleanupMethods are the method names that release a resource; used both
 // for ClosesParams summaries and by resleak's kind table.
@@ -879,7 +667,7 @@ func paramIndexName(fd *ast.FuncDecl, idx int) string {
 // computeTransitiveLocks folds callee lock sets into callers until the
 // fixpoint: locks(f) = direct(f) ∪ ⋃ locks(resolved callee). Closure
 // bodies contribute their direct acquisitions through Acquires, which the
-// walker fills for closures too (a lock a closure takes is a lock running
+// held-lock walk fills for closures too (a lock a closure takes is a lock running
 // f may take).
 //
 // The chain recorded for an indirect lock steps, at every function, into
@@ -896,8 +684,8 @@ func (pr *Program) computeTransitiveLocks() {
 		index[info.Ref.key()] = i
 		shorts[i] = info.Ref.Short()
 	}
-	// Every resolved call per function (not only held ones: the summary
-	// walker records HeldCalls, transitive locks need all calls, so resolve
+	// Every resolved call per function (not only held ones: the held-lock
+	// walk records HeldCalls, transitive locks need all calls, so resolve
 	// again from the AST), ordered by (short name, key) so that the first
 	// callee holding a lock is the canonical one.
 	callees := make([][]int, len(infos))

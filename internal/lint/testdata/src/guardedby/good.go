@@ -78,3 +78,25 @@ func seed(l *Ledger) {
 	l.balance = 42
 	l.entries = []string{"seed"}
 }
+
+// Settle holds l.mu across a twelve-link chain of helpers reached from
+// nowhere else; the last link writes. The entry fixpoint learns one link
+// per round, so it must run until the sets stop growing.
+func (l *Ledger) Settle() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.settle1()
+}
+
+func (l *Ledger) settle1()  { l.settle2() }
+func (l *Ledger) settle2()  { l.settle3() }
+func (l *Ledger) settle3()  { l.settle4() }
+func (l *Ledger) settle4()  { l.settle5() }
+func (l *Ledger) settle5()  { l.settle6() }
+func (l *Ledger) settle6()  { l.settle7() }
+func (l *Ledger) settle7()  { l.settle8() }
+func (l *Ledger) settle8()  { l.settle9() }
+func (l *Ledger) settle9()  { l.settle10() }
+func (l *Ledger) settle10() { l.settle11() }
+func (l *Ledger) settle11() { l.settle12() }
+func (l *Ledger) settle12() { l.balance = 0 }

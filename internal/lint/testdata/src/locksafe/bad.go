@@ -77,3 +77,42 @@ func (w *worker) leak() {
 	w.mu.Lock() // want locksafe
 	w.n++
 }
+
+// sendAfterEarlyReturn unlocks only on the early-return arm: past the if
+// the lock is still held, and the send can park with it.
+func (w *worker) sendAfterEarlyReturn(done bool) {
+	w.mu.Lock()
+	if done {
+		w.mu.Unlock()
+		return
+	}
+	w.ch <- w.n // want locksafe
+	w.mu.Unlock()
+}
+
+// leakInBranch never unlocks; the finding names the first Lock, which
+// only one arm takes.
+func (w *worker) leakInBranch(up bool) {
+	if up {
+		w.mu.Lock() // want locksafe
+		w.n++
+		return
+	}
+	w.mu.Lock()
+	w.n--
+}
+
+type pair struct {
+	amu, bmu sync.Mutex
+	ch       chan int
+}
+
+// sendHoldingBoth blocks with two mutexes held; the message names both,
+// in order.
+func (p *pair) sendHoldingBoth() {
+	p.amu.Lock()
+	p.bmu.Lock()
+	p.ch <- 1 // want locksafe
+	p.bmu.Unlock()
+	p.amu.Unlock()
+}

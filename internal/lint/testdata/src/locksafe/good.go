@@ -60,6 +60,17 @@ func (w *safeWorker) deferredUnlock() int {
 	return w.n
 }
 
+// sendAfterBranchLock takes and releases the lock inside one if arm; the
+// send after the if runs with nothing held.
+func (w *safeWorker) sendAfterBranchLock(bump bool) {
+	if bump {
+		w.mu.Lock()
+		w.n++
+		w.mu.Unlock()
+	}
+	w.ch <- 1
+}
+
 // The next two comments are lookalikes where the directive prefix runs
 // into a longer word; they are not directives and must neither be reported
 // as malformed nor recorded as suppressions.
