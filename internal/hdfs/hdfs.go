@@ -30,13 +30,15 @@ type FileInfo struct {
 	Path   string
 	Size   int64
 	Blocks []BlockInfo
+	data   string // the file as written; each block is a substring of it
 }
 
-// dataNode stores block payloads.
+// dataNode stores block payloads. Blocks are never written again, so a
+// block's replicas share one immutable copy, a substring of its file's.
 type dataNode struct {
 	id     int
 	mu     sync.RWMutex
-	blocks map[BlockID][]byte
+	blocks map[BlockID]string
 	alive  bool
 }
 
@@ -94,7 +96,7 @@ func NewCluster(nodes int, opts ...Option) *Cluster {
 		dirs:      map[string]bool{"/": true},
 	}
 	for i := 0; i < nodes; i++ {
-		c.nodes = append(c.nodes, &dataNode{id: i, blocks: map[BlockID][]byte{}, alive: true})
+		c.nodes = append(c.nodes, &dataNode{id: i, blocks: map[BlockID]string{}, alive: true})
 	}
 	for _, o := range opts {
 		o(c)
@@ -142,13 +144,13 @@ func (c *Cluster) WriteFile(p string, data []byte) error {
 	if old, ok := c.files[p]; ok {
 		c.removeBlocksLocked(old)
 	}
-	fi := &FileInfo{Path: p, Size: int64(len(data))}
+	fi := &FileInfo{Path: p, Size: int64(len(data)), data: string(data)}
 	for off := 0; off < len(data) || (len(data) == 0 && off == 0); off += c.blockSize {
 		end := off + c.blockSize
 		if end > len(data) {
 			end = len(data)
 		}
-		chunk := data[off:end]
+		chunk := fi.data[off:end]
 		bi := BlockInfo{ID: c.nextBlock, Len: len(chunk)}
 		c.nextBlock++
 		// Round-robin placement with replication.
@@ -159,9 +161,7 @@ func (c *Cluster) WriteFile(p string, data []byte) error {
 				continue
 			}
 			n.mu.Lock()
-			cp := make([]byte, len(chunk))
-			copy(cp, chunk)
-			n.blocks[bi.ID] = cp
+			n.blocks[bi.ID] = chunk
 			n.mu.Unlock()
 			bi.Replicas = append(bi.Replicas, n.id)
 			placed++
@@ -202,10 +202,22 @@ func (c *Cluster) ReadFile(p string) ([]byte, error) {
 	return out, nil
 }
 
+// ReadString reads a whole file as one string without copying it: each
+// block through read (ReadBlock, or a retry around it), then the string the
+// blocks are substrings of.
+func (c *Cluster) ReadString(fi *FileInfo, read func(BlockInfo) (string, error)) (string, error) {
+	for _, b := range fi.Blocks {
+		if _, err := read(b); err != nil {
+			return "", err
+		}
+	}
+	return fi.data, nil
+}
+
 // ReadBlock reads one block from any alive replica.
-func (c *Cluster) ReadBlock(b BlockInfo) ([]byte, error) {
+func (c *Cluster) ReadBlock(b BlockInfo) (string, error) {
 	if err := c.injector().Check("hdfs.read"); err != nil {
-		return nil, err
+		return "", err
 	}
 	for _, nid := range b.Replicas {
 		n := c.nodes[nid]
@@ -222,7 +234,7 @@ func (c *Cluster) ReadBlock(b BlockInfo) ([]byte, error) {
 	}
 	// Every replica is on a dead node; reviving any of them makes the
 	// block readable again, so the failure is classified transient.
-	return nil, faults.Transient(fmt.Errorf("hdfs: block %d unavailable (all replicas dead)", b.ID))
+	return "", faults.Transient(fmt.Errorf("hdfs: block %d unavailable (all replicas dead)", b.ID))
 }
 
 // Stat returns file metadata.

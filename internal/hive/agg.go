@@ -1,7 +1,6 @@
 package hive
 
 import (
-	"context"
 	"fmt"
 
 	"hana/internal/exec"
@@ -59,22 +58,17 @@ func (x *Executor) finish(sel *sqlparse.SelectStmt, rel *interRel) (*value.Rows,
 // materialize reads the relation, which has no pending filters, into the
 // driver, building the columns need marks (nil = all).
 func (x *Executor) materialize(rel *interRel, need []bool) (exec.Rel, error) {
-	rd := rel.reader(need)
-	var rows []value.Row
-	err := mapreduce.ReadDir(x.ms.cluster, rel.dir, func(_, rec string) error {
-		row := make(value.Row, rel.schema.Len())
-		rows = append(rows, row)
-		return rd.decode(row, rec)
-	})
-	return exec.RowRel(rel.schema, rows, need), err
+	bs, err := readDir(x.ms.cluster, rel.dir, rel.reader(need))
+	return exec.Rel{Schema: rel.schema, Batches: bs}, err
 }
 
 // mrAggregate runs the block's aggregate as one map-reduce job and decodes
 // the reducer output into the group table exec finalises over AggSchema.
-// The map side is Hive's map-side aggregation: a task keeps the rows of its
-// split that pass the relation's pending filters, folds them through exec's
-// group table at the end of the split and emits one partial per group,
-// which the reducers merge.
+// The map side is Hive's map-side aggregation: a task decodes its split a
+// morsel at a time into batches of the columns the filters, keys and
+// arguments read, keeps the rows that pass the relation's pending filters,
+// folds them through exec's group table at the end of the split and emits
+// one partial per group, which the reducers merge.
 func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) (exec.Rel, error) {
 	groupBy, aggs := blk.GroupBy, blk.Aggs
 	pending, err := rel.takePending()
@@ -85,30 +79,19 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) (exec.Rel, error)
 	for _, a := range aggs {
 		es = append(es, a.Arg)
 	}
-	w := rel.schema.Len()
-	rd, aggReads := rel.reader(reads(w, es...)), reads(w, es[1:]...)
+	rd := rel.reader(reads(rel.schema.Len(), es...))
 	newMapper := func() mapreduce.Mapper {
-		var rows []value.Row
-		var slab value.Row // rows are cut from slabs of 256
+		in := exec.Rel{Schema: rel.schema}
 		return mapreduce.Mapper{
-			Map: func(_, rec string, _ func(k, v string)) error {
-				if len(slab) < w {
-					slab = make(value.Row, 256*w)
+			MapMorsel: func(recs []string, _ func(k, v []byte)) error {
+				b, err := rd.filter(recs, pending)
+				if err == nil && b.Len() > 0 {
+					in.Batches = append(in.Batches, b)
 				}
-				row := slab[:w:w]
-				if err := rd.decode(row, rec); err != nil {
-					return err
-				}
-				if pending != nil {
-					if ok, err := expr.Truthy(pending, row); err != nil || !ok {
-						return err
-					}
-				}
-				slab, rows = slab[w:], append(rows, row)
-				return nil
+				return err
 			},
 			Cleanup: func(emit func(k, v string)) error {
-				agg := exec.ParallelHashAggregate{In: exec.RowRel(rel.schema, rows, aggReads), GroupBy: groupBy, Aggs: aggs}
+				agg := exec.ParallelHashAggregate{In: in, GroupBy: groupBy, Aggs: aggs}
 				pt, err := agg.Partial()
 				if err != nil {
 					return err
@@ -137,8 +120,7 @@ func (x *Executor) mrAggregate(blk *exec.Block, rel *interRel) (exec.Rel, error)
 			return nil
 		},
 	}
-	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
-	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
+	if err := x.run(job); err != nil {
 		return exec.Rel{}, err
 	}
 	defer func() { _ = x.ms.cluster.Remove(out) }()

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
+	"hana/internal/expr"
 	"hana/internal/hdfs"
 	"hana/internal/mapreduce"
 	"hana/internal/value"
@@ -44,28 +44,27 @@ func appendRows(buf []byte, rows []value.Row) []byte {
 // value's kind must match the schema, except that an INTEGER in a DOUBLE
 // column widens to a DOUBLE, as the column declares.
 func DecodeRow(rec string, schema *value.Schema) (value.Row, error) {
-	row := make(value.Row, schema.Len())
-	if err := newRowReader(schema, nil, nil).decode(row, rec); err != nil {
+	b, err := newRowReader(schema, nil, nil).read([]string{rec})
+	if err != nil {
 		return nil, err
 	}
-	return row, nil
+	return b.MaterializeRows()[0], nil
 }
 
-// rowReader is the one way Hive reads a row record: a stage's view of
+// rowReader is the one way Hive reads row records: a stage's view of
 // records stored under a schema. It keeps the stored fields at keep — the
-// stage's relation, in stored order — and builds into a row of those kept
-// columns only the ones the stage's expressions read. Every field, kept,
-// built or neither, is still framed and checked against its column's kind,
-// so a record DecodeRow rejects fails whichever stage reads it. A reader is
+// stage's relation, in stored order — and decodes a morsel of records into
+// a batch of those kept columns, building only the ones the stage's
+// expressions read and pruning the rest. Every field, kept, built or
+// neither, is still framed and checked against its column's kind, so a
+// record DecodeRow rejects fails whichever stage reads it. A reader is
 // immutable and shared by a job's concurrent tasks.
 type rowReader struct {
 	stored *value.Schema
+	kept   *value.Schema
 	kinds  []value.Kind // per stored field: its column's kind
-	slot   []int        // per stored field: its position in the kept row, or -1
-	build  []bool       // per stored field: decoded into the row
-	width  int          // kept columns
-	narrow bool         // width < stored fields: a kept record is a projection
-	pool   sync.Pool
+	slot   []int        // per stored field: its kept column, or -1
+	build  []bool       // per stored field: decoded into the batch
 }
 
 // newRowReader reads records stored under stored. keep lists the stored
@@ -73,74 +72,131 @@ type rowReader struct {
 // column, the ones to build (nil builds every kept column).
 func newRowReader(stored *value.Schema, keep []int, need []bool) *rowReader {
 	n := stored.Len()
-	d := &rowReader{stored: stored, kinds: make([]value.Kind, n), slot: make([]int, n), build: make([]bool, n)}
 	if keep == nil {
 		keep = make([]int, n)
 		for i := range keep {
 			keep[i] = i
 		}
 	}
+	d := &rowReader{stored: stored, kept: &value.Schema{}, kinds: make([]value.Kind, n), slot: make([]int, n), build: make([]bool, n)}
 	for i, c := range stored.Cols {
 		d.kinds[i], d.slot[i] = c.Kind, -1
 	}
 	for j, o := range keep {
-		d.slot[o] = j
-		d.build[o] = need == nil || need[j]
+		d.slot[o], d.build[o] = j, need == nil || need[j]
+		d.kept.Cols = append(d.kept.Cols, stored.Cols[o])
 	}
-	d.width, d.narrow = len(keep), len(keep) < n
 	return d
 }
 
-// decode checks rec and builds the needed kept columns into row, which has
-// one slot per kept column; the other slots are left as they are.
-func (d *rowReader) decode(row value.Row, rec string) error {
-	_, err := d.read(row, rec, nil, false)
-	return err
+// read decodes recs into a batch of the kept columns, one row per record:
+// typed vectors for the built columns (a VARCHAR a substring of its
+// record), pruned ones for the rest.
+func (d *rowReader) read(recs []string) (*value.Batch, error) {
+	b := &value.Batch{Schema: d.kept, Cols: make([]value.Vec, d.kept.Len()), N: len(recs)}
+	for i, o := range d.slot {
+		if o >= 0 {
+			b.Cols[o] = value.Vec{Kind: d.kinds[i], Pruned: true}
+			if d.build[i] {
+				b.Cols[o] = value.NewVec(d.kinds[i], len(recs))
+			}
+		}
+	}
+	for r, rec := range recs {
+		if err := d.decode(b, r, rec); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
-// read is decode that, when project is set, also appends rec's projection —
-// the kept fields' bytes under their count, a record of the kept columns —
-// to buf.
-func (d *rowReader) read(row value.Row, rec string, buf []byte, project bool) ([]byte, error) {
-	n, off := value.Uvarint(rec)
-	if off <= 0 || n != uint64(len(d.slot)) {
-		return buf, fmt.Errorf("hive: row has %d fields, schema %d", n, len(d.slot))
+// filter reads recs and selects the rows that satisfy pred (nil = all).
+func (d *rowReader) filter(recs []string, pred expr.Expr) (*value.Batch, error) {
+	b, err := d.read(recs)
+	if err == nil {
+		err = expr.SelectBatch(pred, b)
 	}
-	if project {
-		buf = binary.AppendUvarint(buf, uint64(d.width))
+	return b, err
+}
+
+// decode checks rec and writes its built fields at row r of b.
+func (d *rowReader) decode(b *value.Batch, r int, rec string) error {
+	n, off := value.Uvarint(rec)
+	if off <= 0 || n != uint64(len(d.kinds)) {
+		return fmt.Errorf("hive: row has %d fields, schema %d", n, len(d.kinds))
 	}
 	for i, k := range d.kinds {
 		// A field not built is only framed and its kind checked; one that
 		// fails the check is decoded, which says why.
-		var w int
-		ok := false
 		if !d.build[i] {
-			var t value.Kind
-			t, w, ok = value.ValueWidthString(rec[off:])
-			ok = ok && (t == k || t == value.KindNull || t == value.KindInt && k == value.KindDouble)
+			t, w, ok := value.ValueWidthString(rec[off:])
+			if ok && (t == k || t == value.KindNull || t == value.KindInt && k == value.KindDouble) {
+				off += w
+				continue
+			}
 		}
-		if !ok {
-			v, vw, err := value.DecodeValueString(rec[off:])
-			if err == nil && v.K != k && v.K != value.KindNull {
-				v, err = asKind(v, k)
-			}
-			if err != nil {
-				return buf, fmt.Errorf("hive: column %s: %w", d.stored.Cols[i].Name, err)
-			}
-			if d.build[i] {
-				row[d.slot[i]] = v
-			}
-			w = vw
+		v, w, err := value.DecodeValueString(rec[off:])
+		if err == nil && v.K != k && v.K != value.KindNull {
+			v, err = asKind(v, k)
 		}
-		if project && d.slot[i] >= 0 {
+		if err != nil {
+			return fmt.Errorf("hive: column %s: %w", d.stored.Cols[i].Name, err)
+		}
+		off += w
+		if !d.build[i] {
+			continue
+		}
+		switch vec := &b.Cols[d.slot[i]]; v.K {
+		case value.KindNull:
+			vec.Set(r, v)
+		case value.KindDouble:
+			vec.Floats[r] = v.F
+		case value.KindVarchar:
+			vec.Strs[r] = v.S
+		default:
+			vec.Ints[r] = v.I
+		}
+	}
+	if off != len(rec) {
+		return fmt.Errorf("hive: row: %d trailing bytes", len(rec)-off)
+	}
+	return nil
+}
+
+// project appends the record of the kept columns of a record read accepted
+// to buf: the record itself when every field is kept, else the kept
+// fields' bytes under their count.
+func (d *rowReader) project(buf []byte, rec string) []byte {
+	if d.kept.Len() == len(d.kinds) {
+		return append(buf, rec...)
+	}
+	_, off := value.Uvarint(rec)
+	buf = binary.AppendUvarint(buf, uint64(d.kept.Len()))
+	for i := range d.kinds {
+		_, w, _ := value.ValueWidthString(rec[off:])
+		if d.slot[i] >= 0 {
 			buf = append(buf, rec[off:off+w]...)
 		}
 		off += w
 	}
-	if off != len(rec) {
-		return buf, fmt.Errorf("hive: row: %d trailing bytes", len(rec)-off)
+	return buf
+}
+
+// readDir reads the row records under dir through rd, a batch per morsel
+// of them.
+func readDir(c *hdfs.Cluster, dir string, rd *rowReader) ([]*value.Batch, error) {
+	var recs []string
+	err := mapreduce.ReadDir(c, dir, func(_, rec string) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	var bs []*value.Batch
+	for lo := 0; err == nil && lo < len(recs); lo += mapreduce.MorselSize {
+		var b *value.Batch
+		b, err = rd.read(recs[lo:min(lo+mapreduce.MorselSize, len(recs))])
+		bs = append(bs, b)
 	}
-	return buf, nil
+	return bs, err
 }
 
 // asKind checks a decoded value against its column's kind: NULL fits any
@@ -155,24 +211,6 @@ func asKind(v value.Value, k value.Kind) (value.Value, error) {
 	return value.Null, fmt.Errorf("%s value in a %s column", v.K, k)
 }
 
-// scratch is what a map function borrows per record: the kept row a record
-// is decoded into and the buffer its output record is built in. A map
-// function keeps neither past its call, so one scratch serves many records.
-type scratch struct {
-	row value.Row
-	out []byte
-}
-
-// borrow lends a scratch, to be handed back with release.
-func (d *rowReader) borrow() *scratch {
-	if s, ok := d.pool.Get().(*scratch); ok {
-		return s
-	}
-	return &scratch{row: make(value.Row, d.width)}
-}
-
-func (d *rowReader) release(s *scratch) { d.pool.Put(s) }
-
 // EncodeKey serializes join/group key values: a flag byte, 1 when any value
 // is NULL (NULL join keys never match), then each value in the value wire
 // codec, canonical so that values value.Compare and Value.Hash treat as equal
@@ -181,11 +219,17 @@ func (d *rowReader) release(s *scratch) { d.pool.Put(s) }
 // as the DATE of the same integer (temporal kinds compare by it).
 func EncodeKey(vals []value.Value) string {
 	var arr [64]byte
-	buf := append(arr[:0], 0)
+	return string(appendKey(arr[:0], vals))
+}
+
+// appendKey appends EncodeKey's bytes for vals to buf.
+func appendKey(buf []byte, vals []value.Value) []byte {
+	flag := len(buf)
+	buf = append(buf, 0)
 	for _, v := range vals {
 		switch f := v.F; {
 		case v.K == value.KindNull:
-			buf[0] = 1
+			buf[flag] = 1
 		case v.K == value.KindDouble && f >= -0x1p63 && f < 0x1p63 && f == math.Trunc(f):
 			v = value.NewInt(int64(f))
 		case v.K == value.KindDouble && f != f:
@@ -195,7 +239,7 @@ func EncodeKey(vals []value.Value) string {
 		}
 		buf = value.AppendValue(buf, v)
 	}
-	return string(buf)
+	return buf
 }
 
 // keyHasNull reports whether an encoded key holds a NULL.

@@ -216,43 +216,22 @@ func (x *Executor) planLeaf(t *sqlparse.TableRef, pool *[]expr.Expr, needed sqlp
 // the kept columns of the rows that pass: Hive's plan for a block only the
 // driver reads, as Hive 0.9 has no fetch-task conversion.
 func (x *Executor) scan(rel *interRel) (*interRel, error) {
-	pred, err := rel.takePending()
+	m, err := stageMapper("", rel, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := x.tmpDir()
-	job := &mapreduce.Job{
-		Name:   "scan",
-		Inputs: []string{rel.dir},
-		Output: out,
-		Map:    filterMap(rel.reader(reads(rel.schema.Len(), pred)), pred),
-	}
-	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
-	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
+	if err := x.run(&mapreduce.Job{Name: "scan", Output: out, TaggedInputs: []mapreduce.TaggedInput{{Paths: []string{rel.dir}, Mapper: m}}}); err != nil {
 		return nil, err
 	}
 	return written(out, rel.schema, []string{out}), nil
 }
 
-// filterMap emits the kept fields of each record that satisfies pred.
-func filterMap(rd *rowReader, pred expr.Expr) mapreduce.MapFunc {
-	return func(_, rec string, emit func(k, v string)) error {
-		s := rd.borrow()
-		defer rd.release(s)
-		var err error
-		if s.out, err = rd.read(s.row, rec, s.out[:0], rd.narrow); err != nil {
-			return err
-		}
-		ok, err := expr.Truthy(pred, s.row)
-		if err != nil || !ok {
-			return err
-		}
-		if rd.narrow {
-			rec = string(s.out)
-		}
-		emit("", rec)
-		return nil
-	}
+// run runs one job of a query's DAG.
+func (x *Executor) run(job *mapreduce.Job) error {
+	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
+	_, err := x.mr.RunCtx(context.Background(), job)
+	return err
 }
 
 // joinRels runs a reduce-side join job on the key pairs, checking the
@@ -261,36 +240,37 @@ func filterMap(rd *rowReader, pred expr.Expr) mapreduce.MapFunc {
 // residual, as Hive's single-reducer cross join does.
 func (x *Executor) joinRels(l, r *interRel, leftKeys, rightKeys, residual []expr.Expr, outer bool) (*interRel, error) {
 	combined := l.schema.Concat(r.schema)
-	lMap, err := sideMapper(tagLeft, l, leftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rMap, err := sideMapper(tagRight, r, rightKeys)
-	if err != nil {
-		return nil, err
-	}
 	var res expr.Expr
 	if len(residual) > 0 {
+		var err error
 		if res, err = expr.BindClone(expr.And(expr.CloneAll(residual)...), combined); err != nil {
 			return nil, err
 		}
 	}
-	out := x.tmpDir()
-	job := &mapreduce.Job{
-		Name:   "join",
-		Output: out,
-		TaggedInputs: []mapreduce.TaggedInput{
-			{Paths: []string{l.dir}, Map: lMap},
-			{Paths: []string{r.dir}, Map: rMap},
-		},
-		Reduce: joinReduce(l.schema, r.schema, outer, res),
-	}
-	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
-	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
+	out, err := x.shuffleJoin("join", l, r, leftKeys, rightKeys, joinReduce(l.schema, r.schema, outer, res))
+	if err != nil {
 		return nil, err
 	}
 	temps := append(append([]string{}, l.temps...), r.temps...)
 	return written(out, combined, append(temps, out)), nil
+}
+
+// shuffleJoin runs a reduce-side join job over two relations keyed on the
+// key pairs and returns its output directory.
+func (x *Executor) shuffleJoin(name string, l, r *interRel, leftKeys, rightKeys []expr.Expr, reduce mapreduce.ReduceFunc) (string, error) {
+	lMap, err := stageMapper(tagLeft, l, leftKeys)
+	if err != nil {
+		return "", err
+	}
+	rMap, err := stageMapper(tagRight, r, rightKeys)
+	if err != nil {
+		return "", err
+	}
+	out := x.tmpDir()
+	return out, x.run(&mapreduce.Job{Name: name, Output: out, Reduce: reduce, TaggedInputs: []mapreduce.TaggedInput{
+		{Paths: []string{l.dir}, Mapper: lMap},
+		{Paths: []string{r.dir}, Mapper: rMap},
+	}})
 }
 
 // Join inputs tag each shuffle value with its side: the tag, then the row.
@@ -299,68 +279,68 @@ const (
 	tagRight = "R"
 )
 
-// sideMapper tags and keys one join input, applying the side's pending
-// filters: each value is the tag, then the record of the side's columns.
-func sideMapper(tag string, rel *interRel, keys []expr.Expr) (mapreduce.MapFunc, error) {
+// stageMapper is a map stage over rel that applies its pending filters and
+// emits, for each record that passes, the tag, then the record of the
+// relation's columns. A join side (tagged) is keyed by EncodeKey of its key
+// expressions; a scan emits no key.
+func stageMapper(tag string, rel *interRel, keys []expr.Expr) (mapreduce.Mapper, error) {
 	pred, err := rel.takePending()
 	if err != nil {
-		return nil, err
+		return mapreduce.Mapper{}, err
 	}
 	bound := make([]expr.Expr, len(keys))
 	for i, k := range keys {
-		bk, err := expr.BindClone(k, rel.schema)
-		if err != nil {
-			return nil, err
+		if bound[i], err = expr.BindClone(k, rel.schema); err != nil {
+			return mapreduce.Mapper{}, err
 		}
-		bound[i] = bk
 	}
 	rd := rel.reader(reads(rel.schema.Len(), append([]expr.Expr{pred}, bound...)...))
-	return func(_, rec string, emit func(k, v string)) error {
-		s := rd.borrow()
-		defer rd.release(s)
-		var err error
-		if s.out, err = rd.read(s.row, rec, append(s.out[:0], tag...), rd.narrow); err != nil {
+	return mapreduce.Mapper{MapMorsel: func(recs []string, emit func(k, v []byte)) error {
+		b, err := rd.filter(recs, pred)
+		if err != nil {
 			return err
 		}
-		row := s.row
-		if pred != nil {
-			if ok, err := expr.Truthy(pred, row); err != nil || !ok {
+		cols := make([]value.Vec, len(bound))
+		for i, k := range bound {
+			if cols[i], err = expr.EvalBatch(k, b); err != nil {
 				return err
 			}
 		}
-		var valArr [8]value.Value
-		vals := valArr[:0]
-		for _, k := range bound {
-			v, err := k.Eval(row)
-			if err != nil {
-				return err
+		vals := make([]value.Value, len(bound))
+		var key, out []byte
+		for k := range b.Len() {
+			if tag != "" {
+				for i := range cols {
+					vals[i] = cols[i].Value(k)
+				}
+				key = appendKey(key[:0], vals)
 			}
-			vals = append(vals, v)
+			out = rd.project(append(out[:0], tag...), recs[b.RowIndex(k)])
+			emit(key, out)
 		}
-		if !rd.narrow {
-			s.out = append(s.out, rec...)
-		}
-		emit(EncodeKey(vals), string(s.out))
 		return nil
-	}, nil
+	}}, nil
 }
 
-// splitSides separates a join key group's tagged values into left and right
-// rows, each still encoded.
+// splitSides strips a join key group's tags, in place, and separates its
+// values into left and right rows, each still encoded. The shuffle keeps
+// split order, and the left input's splits come first, so every left value
+// precedes every right one.
 func splitSides(values []string) (lefts, rights []string) {
-	for _, v := range values {
+	l := 0
+	for i, v := range values {
 		if v[:1] == tagLeft {
-			lefts = append(lefts, v[1:])
-		} else {
-			rights = append(rights, v[1:])
+			l = i + 1
 		}
+		values[i] = v[1:]
 	}
-	return lefts, rights
+	return values[:l:l], values[l:]
 }
 
-// joinReduce joins one key group. Each side's records are checked once and
-// only the columns the residual predicate reads are built. An output record
-// is its two input records' fields under one column count, not a re-encoded
+// joinReduce joins one key group. Its records are the side mappers'
+// projections of records they read, so they are decoded only for a residual
+// to read, once per group and only the columns it reads. An output record is
+// its two input records' fields under one column count, not a re-encoded
 // row.
 func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.ReduceFunc {
 	lw, rw := ls.Len(), rs.Len()
@@ -373,31 +353,27 @@ func joinReduce(ls, rs *value.Schema, outer bool, residual expr.Expr) mapreduce.
 		if keyHasNull(key) {
 			rights = nil // NULL keys never match
 		}
-		// Rows are built only for a residual to read; without one the
-		// readers only check the records.
-		var lrow value.Row
-		if residual != nil {
-			lrow = make(value.Row, lw)
-		}
-		rrows := make([]value.Row, len(rights))
-		for i, rec := range rights {
-			if residual != nil {
-				rrows[i] = make(value.Row, rw)
-			}
-			if err := rrd.decode(rrows[i], rec); err != nil {
-				return err
-			}
-		}
+		var lb, rb *value.Batch
 		var pair value.Row
-		var buf []byte
-		for _, lrec := range lefts {
-			if err := lrd.decode(lrow, lrec); err != nil {
+		if residual != nil {
+			var err error
+			if rb, err = rrd.read(rights); err == nil {
+				lb, err = lrd.read(lefts)
+			}
+			if err != nil {
 				return err
+			}
+			pair = make(value.Row, lw+rw)
+		}
+		var buf []byte
+		for i, lrec := range lefts {
+			if residual != nil {
+				lb.FillRow(i, pair[:lw])
 			}
 			matched := false
-			for i, rrec := range rights {
+			for j, rrec := range rights {
 				if residual != nil {
-					pair = append(append(pair[:0], lrow...), rrows[i]...)
+					rb.FillRow(j, pair[lw:])
 					ok, err := expr.Truthy(residual, pair)
 					if err != nil {
 						return err
@@ -463,14 +439,6 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, 
 		return nil, fmt.Errorf("hive: IN subquery must return one column")
 	}
 
-	lMap, err := sideMapper(tagLeft, rel, outerKeys)
-	if err != nil {
-		return nil, err
-	}
-	rMap, err := sideMapper(tagRight, written(innerDir, innerSchema, nil), innerKeyExprs)
-	if err != nil {
-		return nil, err
-	}
 	// NOT IN: a NULL among the inner keys leaves every row unknown, and a
 	// NULL outer key is unknown against any inner key.
 	anti, nullAware, innerNull := tf.Anti, tf.NullAware(), false
@@ -478,15 +446,8 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, 
 		innerNull = innerNull || r[0].IsNull()
 	}
 	innerEmpty := len(innerRows.Data) == 0
-	out := x.tmpDir()
-	job := &mapreduce.Job{
-		Name:   "semijoin",
-		Output: out,
-		TaggedInputs: []mapreduce.TaggedInput{
-			{Paths: []string{rel.dir}, Map: lMap},
-			{Paths: []string{innerDir}, Map: rMap},
-		},
-		Reduce: func(key string, values []string, emit func(k, v string)) error {
+	out, err := x.shuffleJoin("semijoin", rel, written(innerDir, innerSchema, nil), outerKeys, innerKeyExprs,
+		func(key string, values []string, emit func(k, v string)) error {
 			lefts, rights := splitSides(values)
 			if nullAware && (innerNull || keyHasNull(key) && !innerEmpty) {
 				return nil
@@ -497,10 +458,8 @@ func (x *Executor) applyTransform(rel *interRel, tf sqlparse.SubqueryPredicate, 
 				}
 			}
 			return nil
-		},
-	}
-	//lint:ignore ctxflow the hive executor runs behind the context-free fed.Adapter.Query boundary
-	if _, err := x.mr.RunCtx(context.Background(), job); err != nil {
+		})
+	if err != nil {
 		return nil, err
 	}
 	temps := append(append([]string{}, rel.temps...), innerDir, out)

@@ -19,11 +19,15 @@ import (
 // encode again to the same bytes. Encodings compare as bytes, so a NaN
 // compares by its bit pattern.
 //
-// Each row is also read as a stage reads it, under keep and need masks taken
-// from the pair's key: the masked reader must accept exactly the records
-// DecodeRow accepts, build the needed columns as DecodeRow does and leave the
-// rest untouched, and its projected record must decode, under the kept
-// columns, to the kept fields of the row.
+// DecodeRow is held against the wire codec's own row decoder
+// (value.DecodeRow) with the schema's kind rule applied by hand. Each row is
+// also read as a stage reads it, through the batch reader under keep and
+// need masks taken from the pair's key, once on its own and once with every
+// row of the file in one batch under the first pair's masks: the reader
+// must accept exactly the records DecodeRow accepts, build the needed
+// columns as DecodeRow does and leave the rest pruned, and the projected
+// record of each row must decode, under the kept columns, to the kept
+// fields of the row.
 func FuzzReadRecords(f *testing.F) {
 	schema := value.NewSchema(
 		value.Column{Name: "i", Kind: value.KindInt},
@@ -65,7 +69,20 @@ func FuzzReadRecords(f *testing.F) {
 	f.Add(append([]byte(mapreduce.RecordHeader), 0, 9, 'a', 'b')) // a value longer than the bytes left
 	long := binary.AppendUvarint(binary.AppendVarint(nil, 1), exec.MaxPartials+1)
 	f.Add(file("", string(append(long, make([]byte, 8*(exec.MaxPartials+1))...))))
+	// Four rows read as one batch under the first key's masks (keep 0, 1,
+	// 2, 4; build 1 and 2): an INTEGER widening into the DOUBLE column, NULLs
+	// in built and unbuilt columns; then the same rows and one with a
+	// VARCHAR in the DATE column, which fails the batch.
+	good := []string{"\x17\x06", EncodeRow(value.Row{value.NewInt(1), value.NewInt(2), value.NewString("x"), value.NewDate(3), value.NewBool(true)}),
+		"", EncodeRow(value.Row{value.Null, value.NewDouble(math.Copysign(0, -1)), value.Null, value.Null, value.Null}),
+		"", EncodeRow(value.Row{value.NewInt(5), value.Null, value.NewString(""), value.NewDate(-1), value.NewBool(false)}),
+		"", EncodeRow(value.Row{value.NewInt(7), value.NewDouble(0.1), value.NewString("w"), value.NewDate(9), value.NewBool(true)})}
+	f.Add(file(good...))
+	f.Add(file(append(good, "", EncodeRow(value.Row{value.NewInt(6), value.NewDouble(1), value.NewString("y"), value.NewString("z"), value.Null}))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var masks, recs []string
+		var rows []value.Row
+		var rowsErr error
 		_ = mapreduce.ScanPairs(string(data), func(k, v string) error {
 			row, err := DecodeRow(v, schema)
 			if err == nil {
@@ -75,7 +92,12 @@ func FuzzReadRecords(f *testing.F) {
 					t.Fatalf("row %q re-encodes unstably: %v", enc, err)
 				}
 			}
-			checkMaskedRead(t, schema, k, v, row, err)
+			checkAgainstWireCodec(t, schema, v, row, err)
+			checkMaskedRead(t, schema, k, []string{v}, []value.Row{row}, err)
+			masks, recs, rows = append(masks, k), append(recs, v), append(rows, row)
+			if rowsErr == nil {
+				rowsErr = err
+			}
 			if vals, err := decodeKey(k, schema.Cols); err == nil {
 				enc := EncodeKey(vals)
 				again, err := decodeKey(enc, schema.Cols)
@@ -92,12 +114,39 @@ func FuzzReadRecords(f *testing.F) {
 			}
 			return nil
 		})
+		if len(recs) > 1 {
+			checkMaskedRead(t, schema, masks[0], recs, rows, rowsErr)
+		}
 	})
 }
 
-// checkMaskedRead reads rec as a stage with masks drawn from mask's first
-// two bytes would, against DecodeRow's row and error for it.
-func checkMaskedRead(t *testing.T, schema *value.Schema, mask, rec string, row value.Row, rowErr error) {
+// checkAgainstWireCodec holds DecodeRow's row and error for rec against
+// value.DecodeRow's, with a NULL or the column's kind required of each
+// value and an INTEGER widened into a DOUBLE column.
+func checkAgainstWireCodec(t *testing.T, schema *value.Schema, rec string, row value.Row, rowErr error) {
+	t.Helper()
+	ref, n, err := value.DecodeRow([]byte(rec))
+	ok := err == nil && n == len(rec) && len(ref) == schema.Len()
+	for i := 0; ok && i < len(ref); i++ {
+		switch k := schema.Cols[i].Kind; {
+		case ref[i].K == value.KindInt && k == value.KindDouble:
+			ref[i] = value.NewDouble(float64(ref[i].I))
+		case ref[i].K != k && ref[i].K != value.KindNull:
+			ok = false
+		}
+	}
+	if ok != (rowErr == nil) {
+		t.Fatalf("record %q: DecodeRow error %v, wire codec accepts %v", rec, rowErr, ok)
+	}
+	if ok && EncodeRow(row) != EncodeRow(ref) {
+		t.Fatalf("record %q: DecodeRow %v, wire codec %v", rec, row, ref)
+	}
+}
+
+// checkMaskedRead reads recs in one batch as a stage with masks drawn from
+// mask's first two bytes would, against DecodeRow's rows and first error
+// for them.
+func checkMaskedRead(t *testing.T, schema *value.Schema, mask string, recs []string, rows []value.Row, rowErr error) {
 	t.Helper()
 	var keepBits, needBits byte = 0xff, 0xff
 	if len(mask) > 0 {
@@ -117,26 +166,31 @@ func checkMaskedRead(t *testing.T, schema *value.Schema, mask, rec string, row v
 		}
 	}
 	rd := newRowReader(schema, keep, need)
-	got := make(value.Row, len(keep))
-	proj, err := rd.read(got, rec, nil, true)
+	b, err := rd.read(recs)
 	if (err == nil) != (rowErr == nil) {
-		t.Fatalf("record %q: masked read (keep %v need %v) error %v, DecodeRow error %v", rec, keep, need, err, rowErr)
+		t.Fatalf("records %q: batch read (keep %v need %v) error %v, DecodeRow error %v", recs, keep, need, err, rowErr)
 	}
 	if err != nil {
 		return
 	}
-	want := make(value.Row, len(keep))
-	for j, o := range keep {
-		want[j] = row[o]
-		if !need[j] && got[j] != (value.Value{}) {
-			t.Fatalf("record %q: masked read built unneeded column %d as %v", rec, o, got[j])
-		}
-		if need[j] && EncodeRow(value.Row{got[j]}) != EncodeRow(value.Row{row[o]}) {
-			t.Fatalf("record %q: column %d = %v, DecodeRow %v", rec, o, got[j], row[o])
-		}
+	if b.N != len(recs) || b.Sel != nil || len(b.Cols) != len(keep) {
+		t.Fatalf("records %q: batch of %d rows, %d columns, selection %v", recs, b.N, len(b.Cols), b.Sel)
 	}
-	back, err := DecodeRow(string(proj), kept)
-	if err != nil || EncodeRow(back) != EncodeRow(want) {
-		t.Fatalf("record %q: projection %q to %v decodes to %v, %v; want %v", rec, proj, keep, back, err, want)
+	for r, rec := range recs {
+		want := make(value.Row, len(keep))
+		for j, o := range keep {
+			want[j] = rows[r][o]
+			switch got := &b.Cols[j]; {
+			case !need[j] && !got.Pruned:
+				t.Fatalf("record %q: batch read built unneeded column %d", rec, o)
+			case need[j] && (got.Pruned || EncodeRow(value.Row{got.Value(r)}) != EncodeRow(value.Row{rows[r][o]})):
+				t.Fatalf("record %q: column %d = %v, DecodeRow %v", rec, o, got.Value(r), rows[r][o])
+			}
+		}
+		proj := rd.project(nil, rec)
+		back, err := DecodeRow(string(proj), kept)
+		if err != nil || EncodeRow(back) != EncodeRow(want) {
+			t.Fatalf("record %q: projection %q to %v decodes to %v, %v; want %v", rec, proj, keep, back, err, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"hana/internal/exec"
 	"hana/internal/fed"
 	"hana/internal/hdfs"
 	"hana/internal/mapreduce"
@@ -173,22 +174,11 @@ func (m *Metastore) ReadTable(name string) (*value.Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("hive: table %s not found", name)
 	}
-	return m.ReadDir(ti.Dir, ti.Schema)
-}
-
-// ReadDir decodes every row record under an HDFS directory with the schema.
-func (m *Metastore) ReadDir(dir string, schema *value.Schema) (*value.Rows, error) {
-	out := value.NewRows(schema.Clone())
-	rd := newRowReader(schema, nil, nil)
-	err := mapreduce.ReadDir(m.cluster, dir, func(_, rec string) error {
-		row := make(value.Row, schema.Len())
-		out.Append(row)
-		return rd.decode(row, rec)
-	})
+	bs, err := readDir(m.cluster, ti.Dir, newRowReader(ti.Schema, nil, nil))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &value.Rows{Schema: ti.Schema.Clone(), Data: exec.Rel{Batches: bs}.AllRows()}, nil
 }
 
 // NewTempTableName allocates a unique temp table name for CTAS

@@ -127,8 +127,14 @@ var HotRoots = []string{
 	"hana/internal/dist.merger.next",
 	"hana/internal/dist.merger.batches",
 	"hana/internal/dist.mergePartials",
-	// hive: the one row-record reader every map stage, the join reducer and
-	// the driver-side read run once per record.
+	// hive: the one row-record reader every map stage, the join reducer's
+	// residual and the driver-side read decode a morsel of records with
+	// (read per morsel, decode and project per record); mapreduce: the
+	// pair framing every map task, reducer and file read runs per record,
+	// and the partition append every emitted pair takes.
 	"hana/internal/hive.rowReader.read",
 	"hana/internal/hive.rowReader.decode",
+	"hana/internal/hive.rowReader.project",
+	"hana/internal/mapreduce.nextPair",
+	"hana/internal/mapreduce.add",
 }

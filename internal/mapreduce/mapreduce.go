@@ -12,6 +12,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -33,24 +34,37 @@ import (
 // classified transient, the job.
 type MapFunc func(k, v string, emit func(k, v string)) error
 
+// MorselFunc processes the values of a morsel of at most MorselSize
+// records of a split, in order, as MapFunc does one record. emit copies the
+// pair it is given, so a mapper may build pairs in buffers it reuses; vals
+// itself is reused for the next morsel.
+type MorselFunc func(vals []string, emit func(k, v []byte)) error
+
+// MorselSize bounds the records one MorselFunc call takes.
+const MorselSize = 1024
+
 // ReduceFunc processes one key group, emitting output pairs. An error fails
 // the task as MapFunc's does.
 type ReduceFunc func(key string, values []string, emit func(k, v string)) error
 
 // Mapper is one map task attempt, as Hadoop's: Map on each record of the
-// split, then Cleanup, when set, once after the last, to emit what the task
-// kept across records (an in-mapper combiner's table). What Cleanup emits
-// counts as CombineOutRecords.
+// split, or MapMorsel on each morsel of them, then Cleanup, when set, once
+// after the last, to emit what the task kept across records (an in-mapper
+// combiner's table). What Map and MapMorsel emit counts as
+// MapOutputRecords, what Cleanup emits as CombineOutRecords.
 type Mapper struct {
-	Map     MapFunc
-	Cleanup func(emit func(k, v string)) error
+	Map       MapFunc
+	MapMorsel MorselFunc
+	Cleanup   func(emit func(k, v string)) error
 }
 
 // TaggedInput pairs a set of inputs with their own mapper — the mechanism
-// behind reduce-side joins, where each join side tags its records.
+// behind reduce-side joins, where each join side tags its records. Every
+// task of the inputs shares the Mapper, which therefore keeps nothing
+// across records.
 type TaggedInput struct {
-	Paths []string
-	Map   MapFunc
+	Paths  []string
+	Mapper Mapper
 }
 
 // Job describes one map-reduce job. Either Inputs and Map or NewMapper, or
@@ -153,9 +167,6 @@ func (e *Engine) retry() faults.RetryPolicy {
 	return p
 }
 
-// Pair is one (key, value) record.
-type Pair struct{ K, V string }
-
 // sleepCtx waits for d or until the context is canceled, mirroring
 // RetryPolicy.DoCtx's backoff semantics: the simulated startup latencies
 // must abort mid-sleep when the caller gives up, not run to completion.
@@ -183,31 +194,33 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	if err := sleepCtx(ctx, e.cfg.JobStartup); err != nil {
+	err := sleepCtx(ctx, e.cfg.JobStartup)
+	var res *JobResult
+	if err == nil {
+		e.JobsRun.Add(1)
+		res, err = e.run(ctx, job)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("job %s: %w", job.Name, err)
 	}
-	e.JobsRun.Add(1)
+	e.publishObs(time.Since(start))
+	return res, nil
+}
 
+func (e *Engine) run(ctx context.Context, job *Job) (*JobResult, error) {
 	inputs := job.TaggedInputs
 	if len(inputs) == 0 {
-		inputs = []TaggedInput{{Paths: job.Inputs, Map: job.Map}}
+		inputs = []TaggedInput{{Paths: job.Inputs, Mapper: Mapper{Map: job.Map}}}
 	}
-	type taggedSplit struct {
-		pairs     []Pair
-		newMapper func() Mapper
-	}
-	var splits []taggedSplit
+	var splits []split
 	for _, in := range inputs {
-		ss, err := e.computeSplits(ctx, in.Paths)
-		if err != nil {
-			return nil, fmt.Errorf("job %s: %w", job.Name, err)
-		}
 		newMapper := job.NewMapper
-		if in.Map != nil {
-			newMapper = func() Mapper { return Mapper{Map: in.Map} }
+		if m := in.Mapper; m.Map != nil || m.MapMorsel != nil {
+			newMapper = func() Mapper { return m }
 		}
-		for _, s := range ss {
-			splits = append(splits, taggedSplit{s, newMapper})
+		var err error
+		if splits, err = e.computeSplits(ctx, splits, in.Paths, newMapper); err != nil {
+			return nil, err
 		}
 	}
 	e.cluster.MkdirAll(job.Output)
@@ -219,131 +232,133 @@ func (e *Engine) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 		reducers = 0
 	}
 
-	// Map phase: each task produces per-partition output.
-	type mapOut struct {
-		parts [][]Pair
-		err   error
+	// Map phase: each task's output, per partition.
+	outs := make([][]part, len(splits))
+	if err := e.runTasks(ctx, "map", len(splits), e.cfg.MapSlots, func(i int, c *Counters) (err error) {
+		outs[i], err = e.mapTask(splits[i], reducers, c)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	outs := make([]mapOut, len(splits))
-	sem := make(chan struct{}, e.cfg.MapSlots)
+	// Map-only, each task's output is a part-m file. Otherwise the shuffle:
+	// each reducer sorts and groups its partition of every task's output.
+	files, kind := make([][]byte, reducers), "r"
+	if reducers == 0 {
+		files, kind = make([][]byte, len(outs)), "m"
+		for i, o := range outs {
+			files[i] = o[0].data
+		}
+	}
+	err := e.runTasks(ctx, "reduce", reducers, e.cfg.ReduceSlots, func(r int, c *Counters) (err error) {
+		if err = e.cfg.Faults.Check("mapreduce.reduce"); err == nil {
+			files[r], err = runReduce(outs, r, job.Reduce, c)
+		}
+		return err
+	})
+	for i := 0; err == nil && i < len(files); i++ {
+		// WriteFile replaces the target, so a retried write never duplicates.
+		name := fmt.Sprintf("%s/part-%s-%05d", job.Output, kind, i)
+		err = e.retry().DoCtx(ctx, "hdfs.write", func() error { return e.cluster.WriteFile(name, files[i]) })
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{MapTasks: len(splits), ReduceTasks: reducers}, nil
+}
+
+// runTasks runs a phase's n tasks, at most slots at a time, each after the
+// simulated task startup, and returns the first failure in task order. An
+// attempt counts into fresh counters, merged only once it succeeds, so a
+// re-scheduled task never double-counts.
+func (e *Engine) runTasks(ctx context.Context, phase string, n, slots int, attempt func(i int, c *Counters) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, slots)
 	var wg sync.WaitGroup
-	for i, split := range splits {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, pairs []Pair, newMapper func() Mapper) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := sleepCtx(ctx, e.cfg.TaskStartup); err != nil {
-				outs[i] = mapOut{err: err}
-				return
-			}
-			// Each attempt is a fresh task execution — a new Mapper on
-			// scratch state; counters merge only once the attempt
-			// succeeds, so a re-scheduled task never double-counts.
-			var parts [][]Pair
-			var scratch *Counters
-			err := e.retry().DoCtx(ctx, "mapreduce.map", func() error {
-				scratch = &Counters{}
-				parts = make([][]Pair, max(reducers, 1))
-				emitted := &scratch.MapOutputRecords
-				emit := func(k, v string) {
-					p := 0
-					if reducers > 0 {
-						p = int(hashKey(k) % uint64(reducers))
-					}
-					parts[p] = append(parts[p], Pair{k, v})
-					emitted.Add(1)
-				}
-				m := newMapper()
-				for _, p := range pairs {
-					scratch.MapInputRecords.Add(1)
-					if err := m.Map(p.K, p.V, emit); err != nil {
-						return err
-					}
-				}
-				if err := e.cfg.Faults.Check("mapreduce.map"); err != nil || m.Cleanup == nil {
-					return err
-				}
-				emitted = &scratch.CombineOutRecords
-				return m.Cleanup(emit)
-			})
+			var c *Counters
+			err := sleepCtx(ctx, e.cfg.TaskStartup)
 			if err == nil {
-				e.Counters.merge(scratch)
+				err = e.retry().DoCtx(ctx, "mapreduce."+phase, func() error {
+					c = &Counters{}
+					return attempt(i, c)
+				})
 			}
-			outs[i] = mapOut{parts: parts, err: err}
-		}(i, split.pairs, split.newMapper)
+			if err == nil {
+				e.Counters.merge(c)
+			} else {
+				errs[i] = fmt.Errorf("%s task %d: %w", phase, i, err)
+			}
+		}()
 	}
 	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("job %s: map task %d: %w", job.Name, i, o.err)
-		}
-	}
-
-	res := &JobResult{MapTasks: len(splits), ReduceTasks: reducers}
-	if job.Reduce == nil {
-		// Map-only: write each task's output as a part-m file.
-		for i, o := range outs {
-			if err := e.writePart(ctx, fmt.Sprintf("%s/part-m-%05d", job.Output, i), o.parts[0]); err != nil {
-				return nil, fmt.Errorf("job %s: %w", job.Name, err)
-			}
-		}
-		e.publishObs(time.Since(start))
-		return res, nil
-	}
-
-	// Shuffle: merge per-partition streams, sort by key, group.
-	var rwg sync.WaitGroup
-	rerrs := make([]error, reducers)
-	rsem := make(chan struct{}, e.cfg.ReduceSlots)
-	for r := 0; r < reducers; r++ {
-		rwg.Add(1)
-		go func(r int) {
-			defer rwg.Done()
-			rsem <- struct{}{}
-			defer func() { <-rsem }()
-			if err := sleepCtx(ctx, e.cfg.TaskStartup); err != nil {
-				rerrs[r] = err
-				return
-			}
-			var all []Pair
-			for _, o := range outs {
-				all = append(all, o.parts[r]...)
-			}
-			var out []Pair
-			var scratch *Counters
-			err := e.retry().DoCtx(ctx, "mapreduce.reduce", func() error {
-				scratch = &Counters{}
-				if err := e.cfg.Faults.Check("mapreduce.reduce"); err != nil {
-					return err
-				}
-				var err error
-				out, err = runReduce(all, job.Reduce, &scratch.ReduceInputGroups, &scratch.ReduceOutRecords)
-				return err
-			})
-			if err == nil {
-				e.Counters.merge(scratch)
-				err = e.writePart(ctx, fmt.Sprintf("%s/part-r-%05d", job.Output, r), out)
-			}
-			if err != nil {
-				rerrs[r] = fmt.Errorf("reduce task %d: %w", r, err)
-			}
-		}(r)
-	}
-	rwg.Wait()
-	for _, err := range rerrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.publishObs(time.Since(start))
-	return res, nil
+	return cmp.Or(errs...)
 }
 
-// publishObs mirrors the engine's cumulative counters into the process-wide
-// metrics registry so map-reduce activity is visible alongside query
-// execution (gauges track the running totals; the histogram records per-job
-// latency).
+// split is one map task's input: whole records (or lines) of one file.
+type split struct {
+	body      string
+	text      bool
+	newMapper func() Mapper
+}
+
+// part is a map task's output for one partition: n framed pairs, under
+// RecordHeader for a map-only job, which writes it as it is.
+type part struct {
+	data []byte
+	n    int
+}
+
+// add appends a pair to the partition its key hashes to.
+func add[K, V string | []byte](parts []part, k K, v V) {
+	p := &parts[hashKey(k)%uint64(len(parts))]
+	p.data = AppendRecord(p.data, k, v)
+	p.n++
+}
+
+// mapTask runs one attempt of a map task over its split, counting into c,
+// and returns its output per partition.
+func (e *Engine) mapTask(sp split, reducers int, c *Counters) ([]part, error) {
+	parts := make([]part, max(reducers, 1))
+	if reducers == 0 {
+		parts[0].data = []byte(RecordHeader)
+	}
+	inputs, emitted := 0, &c.MapOutputRecords
+	emit := func(k, v string) { add(parts, k, v); emitted.Add(1) }
+	emitBytes := func(k, v []byte) { add(parts, k, v); emitted.Add(1) }
+	m, vals := sp.newMapper(), make([]string, 0, MorselSize)
+	err := scanBody(sp.body, sp.text, func(k, v string) error {
+		inputs++
+		if m.MapMorsel == nil {
+			return m.Map(k, v, emit)
+		}
+		if vals = append(vals, v); len(vals) < MorselSize {
+			return nil
+		}
+		err := m.MapMorsel(vals, emitBytes)
+		vals = vals[:0]
+		return err
+	})
+	if err == nil && len(vals) > 0 {
+		err = m.MapMorsel(vals, emitBytes)
+	}
+	if err == nil {
+		err = e.cfg.Faults.Check("mapreduce.map")
+	}
+	if err == nil && m.Cleanup != nil {
+		emitted = &c.CombineOutRecords
+		err = m.Cleanup(emit)
+	}
+	c.MapInputRecords.Add(int64(inputs))
+	return parts, err
+}
+
+// publishObs mirrors the engine's running totals into the process-wide
+// metrics registry as gauges, and the job's latency into a histogram.
 func (e *Engine) publishObs(d time.Duration) {
 	obs.Default.Counter("mapreduce.jobs_run").Inc()
 	obs.Default.Histogram("mapreduce.job_us", nil).Observe(d.Microseconds())
@@ -371,27 +386,56 @@ func (e *Engine) RunChainCtx(ctx context.Context, jobs []*Job) ([]*JobResult, er
 	return out, nil
 }
 
-// runReduce sorts pairs by key, stably, and calls fn once per key group,
-// returning what it emits. groups counts the groups and emitted the pairs
-// emitted.
-func runReduce(in []Pair, fn ReduceFunc, groups, emitted *atomic.Int64) ([]Pair, error) {
-	slices.SortStableFunc(in, func(a, b Pair) int { return strings.Compare(a.K, b.K) })
-	var out []Pair
-	emit := func(k, v string) {
-		out = append(out, Pair{k, v})
-		emitted.Add(1)
+// sortKey orders one reducer input pair: the first eight bytes of its key,
+// zero-padded, then the whole key, then its arrival position — the map
+// task's split index, then its emission order.
+type sortKey struct {
+	prefix uint64
+	pos    int32
+}
+
+func keyPrefix(k string) uint64 {
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// runReduce sorts reducer r's input pairs by (key, arrival position) — one
+// O(n log n) sort that keeps a key's values in split order, then emission
+// order — and calls fn once per key group. It returns what fn emits as a
+// record file, counting the groups and the pairs emitted into c.
+func runReduce(outs [][]part, r int, fn ReduceFunc, c *Counters) ([]byte, error) {
+	n := 0
+	for _, o := range outs {
+		n += o[r].n
 	}
-	for i := 0; i < len(in); {
-		j := i
-		for j < len(in) && in[j].K == in[i].K {
+	keys, vals, order := make([]string, 0, n), make([]string, 0, n), make([]sortKey, 0, n)
+	for _, o := range outs {
+		_ = scanBody(string(o[r].data), false, func(k, v string) error {
+			order = append(order, sortKey{keyPrefix(k), int32(len(keys))})
+			keys, vals = append(keys, k), append(vals, v)
+			return nil
+		})
+	}
+	slices.SortFunc(order, func(a, b sortKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return cmp.Or(strings.Compare(keys[a.pos], keys[b.pos]), cmp.Compare(a.pos, b.pos))
+	})
+	sorted := make([]string, n)
+	for i, o := range order {
+		sorted[i] = vals[o.pos]
+	}
+	out := []byte(RecordHeader)
+	emit := func(k, v string) { out = AppendRecord(out, k, v); c.ReduceOutRecords.Add(1) }
+	for i := 0; i < n; {
+		k, j := keys[order[i].pos], i+1
+		for j < n && keys[order[j].pos] == k {
 			j++
 		}
-		vals := make([]string, 0, j-i)
-		for _, p := range in[i:j] {
-			vals = append(vals, p.V)
-		}
-		groups.Add(1)
-		if err := fn(in[i].K, vals, emit); err != nil {
+		c.ReduceInputGroups.Add(1)
+		if err := fn(k, sorted[i:j:j], emit); err != nil {
 			return nil, err
 		}
 		i = j
@@ -399,92 +443,59 @@ func runReduce(in []Pair, fn ReduceFunc, groups, emitted *atomic.Int64) ([]Pair,
 	return out, nil
 }
 
-// computeSplits resolves inputs (files or directories) into per-block
-// splits, cut at record boundaries.
-func (e *Engine) computeSplits(ctx context.Context, inputs []string) ([][]Pair, error) {
-	var files []*hdfs.FileInfo
+// computeSplits resolves inputs (files or directories) and appends to
+// splits one split per block of each file, mapped by newMapper: as many
+// whole records as a block holds on average. Only a file of several blocks
+// is framed here, to count its records out; a task frames its own split.
+func (e *Engine) computeSplits(ctx context.Context, splits []split, inputs []string, newMapper func() Mapper) ([]split, error) {
 	for _, in := range inputs {
 		fi, err := e.cluster.Stat(in)
 		if err != nil {
 			return nil, err
 		}
-		if fi.Size == 0 && len(fi.Blocks) == 0 {
-			// Directory: take its files.
-			files = append(files, e.cluster.List(in)...)
-			continue
+		files := []*hdfs.FileInfo{fi}
+		if fi.Size == 0 && len(fi.Blocks) == 0 { // a directory: its files
+			files = e.cluster.List(in)
 		}
-		files = append(files, fi)
-	}
-	var splits [][]Pair
-	for _, fi := range files {
-		data, err := e.readInput(ctx, fi)
-		if err != nil {
-			return nil, err
-		}
-		var pairs []Pair
-		if err := ScanPairs(data, func(k, v string) error {
-			pairs = append(pairs, Pair{k, v})
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("input %s: %w", fi.Path, err)
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		// One split per block, at record granularity.
-		nblocks := max(len(fi.Blocks), 1)
-		per := (len(pairs) + nblocks - 1) / nblocks
-		for off := 0; off < len(pairs); off += per {
-			splits = append(splits, pairs[off:min(off+per, len(pairs))])
+		for _, fi := range files {
+			// hdfs.ReadBlock fails over across surviving replicas; on top
+			// of that each block read is retried (dead nodes may revive).
+			data, err := e.cluster.ReadString(fi, func(b hdfs.BlockInfo) (data string, err error) {
+				if err = e.retry().DoCtx(ctx, "hdfs.read", func() error {
+					data, err = e.cluster.ReadBlock(b)
+					return err
+				}); err != nil {
+					err = fmt.Errorf("input %s block %d: %w", fi.Path, b.ID, err)
+				}
+				return data, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			body, text := frame(data)
+			if len(fi.Blocks) == 1 && body != "" { // one split, framed by its task
+				splits = append(splits, split{body, text, newMapper})
+				continue
+			}
+			var offs []int // each record's offset in body, then its end
+			for rest := body; rest != ""; {
+				offs = append(offs, len(body)-len(rest))
+				if _, _, rest, err = nextPair(rest, text); err != nil {
+					return nil, fmt.Errorf("input %s: %w", fi.Path, err)
+				}
+			}
+			n, nb := len(offs), max(len(fi.Blocks), 1)
+			offs, per := append(offs, len(body)), (n+nb-1)/nb
+			for i := 0; i < n; i += per {
+				splits = append(splits, split{body[offs[i]:offs[min(i+per, n)]], text, newMapper})
+			}
 		}
 	}
 	return splits, nil
 }
 
-// readInput assembles a file block by block. hdfs.ReadBlock already fails
-// over across surviving replicas; on top of that the engine retries each
-// block (dead nodes may be revived between attempts) and contextualizes
-// the final error, preserving the cluster's "all replicas dead" cause.
-func (e *Engine) readInput(ctx context.Context, fi *hdfs.FileInfo) (string, error) {
-	var out strings.Builder
-	out.Grow(int(fi.Size))
-	for _, b := range fi.Blocks {
-		var data []byte
-		err := e.retry().DoCtx(ctx, "hdfs.read", func() error {
-			d, err := e.cluster.ReadBlock(b)
-			if err != nil {
-				return err
-			}
-			data = d
-			return nil
-		})
-		if err != nil {
-			return "", fmt.Errorf("input %s block %d: %w", fi.Path, b.ID, err)
-		}
-		out.Write(data)
-	}
-	return out.String(), nil
-}
-
-// writePart writes one task's output as a record file, retrying transient
-// cluster failures. WriteFile replaces the target, so a retry never
-// duplicates.
-func (e *Engine) writePart(ctx context.Context, name string, pairs []Pair) error {
-	size := len(RecordHeader)
-	for _, p := range pairs {
-		size += len(p.K) + len(p.V) + 2 // one-byte lengths; append grows past it
-	}
-	data := append(make([]byte, 0, size), RecordHeader...)
-	for _, p := range pairs {
-		data = AppendRecord(data, p.K, p.V)
-	}
-	return e.retry().DoCtx(ctx, "hdfs.write", func() error {
-		return e.cluster.WriteFile(name, data)
-	})
-}
-
 // hashKey is FNV-1a over the key's bytes.
-func hashKey(k string) uint64 {
+func hashKey[K string | []byte](k K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k); i++ {
 		h = (h ^ uint64(k[i])) * 1099511628211
@@ -497,7 +508,7 @@ const RecordHeader = "\x00REC"
 
 // AppendRecord appends one framed (key, value) pair to a record file that
 // starts with RecordHeader.
-func AppendRecord[V string | []byte](buf []byte, k string, v V) []byte {
+func AppendRecord[K, V string | []byte](buf []byte, k K, v V) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(k)))
 	buf = append(buf, k...)
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
@@ -511,39 +522,53 @@ var errTruncated = errors.New("mapreduce: truncated record")
 // dropped. Keys and values are substrings of data. A record file that ends
 // inside a record is an error, as is the first error fn returns.
 func ScanPairs(data string, fn func(k, v string) error) error {
-	if !strings.HasPrefix(data, RecordHeader) {
-		data = strings.TrimSuffix(data, "\n")
-		for more := data != ""; more; {
-			var line string
-			line, data, more = strings.Cut(data, "\n")
-			if err := fn("", line); err != nil {
-				return err
-			}
-		}
-		return nil
+	body, text := frame(data)
+	return scanBody(body, text, fn)
+}
+
+// frame strips a record file's header; a text file is all lines.
+func frame(data string) (body string, text bool) {
+	body, rec := strings.CutPrefix(data, RecordHeader)
+	return body, !rec
+}
+
+// nextPair cuts the first pair off a framed body: a record, or a line
+// without its newline.
+func nextPair(body string, text bool) (k, v, rest string, err error) {
+	if text {
+		v, rest, _ = strings.Cut(body, "\n")
+		return "", v, rest, nil
 	}
-	data = data[len(RecordHeader):]
-	field := func() (string, error) {
-		n, w := value.Uvarint(data)
-		if w <= 0 || n > uint64(len(data)-w) {
-			return "", errTruncated
-		}
-		f := data[w : w+int(n)]
-		data = data[w+int(n):]
-		return f, nil
+	k, rest, ok := cutField(body)
+	if ok {
+		v, rest, ok = cutField(rest)
 	}
-	for data != "" {
-		k, err := field()
+	if !ok {
+		return "", "", "", errTruncated
+	}
+	return k, v, rest, nil
+}
+
+// cutField cuts one length-prefixed field off the front of s.
+func cutField(s string) (f, rest string, ok bool) {
+	n, w := value.Uvarint(s)
+	if w <= 0 || n > uint64(len(s)-w) {
+		return "", "", false
+	}
+	return s[w : w+int(n)], s[w+int(n):], true
+}
+
+// scanBody calls fn on each pair of a framed body.
+func scanBody(body string, text bool, fn func(k, v string) error) error {
+	for body != "" {
+		k, v, rest, err := nextPair(body, text)
+		if err == nil {
+			err = fn(k, v)
+		}
 		if err != nil {
 			return err
 		}
-		v, err := field()
-		if err != nil {
-			return err
-		}
-		if err := fn(k, v); err != nil {
-			return err
-		}
+		body = rest
 	}
 	return nil
 }
@@ -552,11 +577,11 @@ func ScanPairs(data string, fn func(k, v string) error) error {
 // through ScanPairs.
 func ReadDir(c *hdfs.Cluster, dir string, fn func(k, v string) error) error {
 	for _, fi := range c.List(dir) {
-		data, err := c.ReadFile(fi.Path)
+		data, err := c.ReadString(fi, c.ReadBlock)
 		if err != nil {
 			return err
 		}
-		if err := ScanPairs(string(data), fn); err != nil {
+		if err := ScanPairs(data, fn); err != nil {
 			return fmt.Errorf("%s: %w", fi.Path, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,6 +501,9 @@ func TestRunChainCtxStopsOnCancel(t *testing.T) {
 	}
 }
 
+// Pair is one (key, value) record.
+type Pair struct{ K, V string }
+
 func TestScanPairsReadsRecordFilesAndTextLines(t *testing.T) {
 	collect := func(data string) ([]Pair, error) {
 		var out []Pair
@@ -559,5 +563,92 @@ func TestMapErrorFailsJobWithoutRetry(t *testing.T) {
 	}
 	if len(c.List("/out/strict")) != 0 {
 		t.Fatal("a failed job published output")
+	}
+}
+
+// TestReduceValuesKeepMapOrder pins the shuffle's order: a reducer sees a
+// key's values in split order, then in the order a map task emitted them.
+// Many keys collect values from several map tasks over several blocks of two
+// inputs, a text file mapped a record at a time and a record file mapped a
+// morsel at a time; each value names its input, line and emission, so the
+// order the reducer must see is the values' byte order.
+func TestReduceValuesKeepMapOrder(t *testing.T) {
+	e, c := newTestEngine(t)
+	const lines, keys, per = 600, 37, 3
+	var text strings.Builder
+	recs := []byte(RecordHeader)
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&text, "%d\n", i)
+		recs = AppendRecord(recs, "", strconv.Itoa(i))
+	}
+	_ = c.WriteFile("/in/a.txt", []byte(text.String()))
+	_ = c.WriteFile("/in/b.rec", recs)
+	emitAll := func(input, line string, emit func(k, v string)) error {
+		i, err := strconv.Atoi(line)
+		for j := 0; j < per; j++ {
+			emit(strconv.Itoa((i*7+j)%keys), fmt.Sprintf("%s%05d-%d", input, i, j))
+		}
+		return err
+	}
+	var seen atomic.Int64
+	job := &Job{
+		Name:   "order",
+		Output: "/out/order",
+		TaggedInputs: []TaggedInput{
+			{Paths: []string{"/in/a.txt"}, Mapper: Mapper{Map: func(_, line string, emit func(k, v string)) error {
+				return emitAll("a", line, emit)
+			}}},
+			{Paths: []string{"/in/b.rec"}, Mapper: Mapper{MapMorsel: func(vals []string, emit func(k, v []byte)) error {
+				for _, v := range vals {
+					if err := emitAll("b", v, func(k, v string) { emit([]byte(k), []byte(v)) }); err != nil {
+						return err
+					}
+				}
+				return nil
+			}}},
+		},
+		Reduce: func(key string, values []string, emit func(k, v string)) error {
+			if !sort.StringsAreSorted(values) {
+				return fmt.Errorf("key %s: values out of map order: %v", key, values)
+			}
+			seen.Add(int64(len(values)))
+			return nil
+		},
+	}
+	res, err := e.RunCtx(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MapTasks < 4 || res.ReduceTasks < 2 {
+		t.Fatalf("%d map tasks and %d reducers, want several of each", res.MapTasks, res.ReduceTasks)
+	}
+	if got := seen.Load(); got != 2*lines*per {
+		t.Fatalf("reducers saw %d values, want %d", got, 2*lines*per)
+	}
+}
+
+// TestMapTaskAllocatesPerTask pins a map task's framing: it cuts its
+// split's records itself and hands them on a morsel at a time, so a split
+// of 4,096 records allocates what one of 64 does.
+func TestMapTaskAllocatesPerTask(t *testing.T) {
+	e, _ := newTestEngine(t)
+	input := func(n int) split {
+		recs := []byte{}
+		for i := 0; i < n; i++ {
+			recs = AppendRecord(recs, "", fmt.Sprintf("record %d", i))
+		}
+		mapper := Mapper{MapMorsel: func([]string, func(k, v []byte)) error { return nil }}
+		return split{body: string(recs), newMapper: func() Mapper { return mapper }}
+	}
+	run := func(sp split) func() {
+		return func() {
+			if _, err := e.mapTask(sp, 3, &Counters{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small, large := testing.AllocsPerRun(20, run(input(64))), testing.AllocsPerRun(20, run(input(4096)))
+	if large > small {
+		t.Fatalf("a map task over 4,096 records allocates %.1f times, over 64 %.1f", large, small)
 	}
 }

@@ -177,14 +177,16 @@ func (b *Batch) MaterializeRows() []Row {
 	return rows
 }
 
-// BatchFromRows builds a fully materialized batch from rows, each column
-// written by Vec.Set: integer-like and double kinds land in primitive
-// arrays, VARCHAR stays as Strs (no dictionary), NULLs set validity bits,
-// and a column whose values do not all carry the declared kind is boxed so
-// nothing is re-coerced. Row stores and exec.RowRel use it to enter the
-// vectorized path. needed, when non-nil, marks the column ordinals the
-// consumer reads, as it does for the stores' ReadBatch: the others are not
-// transposed and become pruned vectors that read as NULL.
+// BatchFromRows builds a fully materialized batch from rows, a column at a
+// time: integer-like and double kinds land in primitive arrays, VARCHAR
+// stays as Strs (no dictionary), NULLs set validity bits, and a column whose
+// values do not all carry the declared kind is boxed so nothing is
+// re-coerced. A typed loop writes each column up to its first value of
+// another kind (a NULL included), and Vec.Set the rest. Row stores and
+// exec.RowRel use it to enter the vectorized path. needed, when non-nil,
+// marks the column ordinals the consumer reads, as it does for the stores'
+// ReadBatch: the others are not transposed and become pruned vectors that
+// read as NULL.
 func BatchFromRows(schema *Schema, rows []Row, needed []bool) *Batch {
 	n := len(rows)
 	b := &Batch{Schema: schema, Cols: make([]Vec, len(schema.Cols)), N: n}
@@ -195,11 +197,42 @@ func BatchFromRows(schema *Schema, rows []Row, needed []bool) *Batch {
 		}
 		v := &b.Cols[c]
 		*v = NewVec(schema.Cols[c].Kind, n)
-		for i := 0; i < n; i++ {
+		for i := v.fill(rows, c); i < n; i++ {
 			v.Set(i, rows[i][c])
 		}
 	}
 	return b
+}
+
+// fill writes column c of rows into a vector NewVec made while each value
+// has the vector's kind, and returns the index of the first that does not.
+func (v *Vec) fill(rows []Row, c int) int {
+	switch v.Kind {
+	case KindNull:
+		return 0
+	case KindDouble:
+		for i, r := range rows {
+			if r[c].K != KindDouble {
+				return i
+			}
+			v.Floats[i] = r[c].F
+		}
+	case KindVarchar:
+		for i, r := range rows {
+			if r[c].K != KindVarchar {
+				return i
+			}
+			v.Strs[i] = r[c].S
+		}
+	default:
+		for i, r := range rows {
+			if r[c].K != v.Kind {
+				return i
+			}
+			v.Ints[i] = r[c].I
+		}
+	}
+	return len(rows)
 }
 
 // NewVec returns a vector of kind k with room for n rows, all zero, for
