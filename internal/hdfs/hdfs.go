@@ -191,20 +191,18 @@ func (c *Cluster) ReadFile(p string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdfs: file %s not found", p)
 	}
-	out := make([]byte, 0, fi.Size)
-	for _, b := range fi.Blocks {
-		data, err := c.ReadBlock(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
+	s, err := c.ReadString(fi, c.ReadBlock)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return []byte(s), nil
 }
 
-// ReadString reads a whole file as one string without copying it: each
-// block through read (ReadBlock, or a retry around it), then the string the
-// blocks are substrings of.
+// ReadString reads a whole file as one string without copying it. Each
+// block goes through read (ReadBlock, or a retry around it) only for its
+// replica failover, faults and BytesRead; what read returns is dropped,
+// since the blocks are substrings of the file's one string, which is
+// returned.
 func (c *Cluster) ReadString(fi *FileInfo, read func(BlockInfo) (string, error)) (string, error) {
 	for _, b := range fi.Blocks {
 		if _, err := read(b); err != nil {

@@ -143,18 +143,8 @@ func (d *rowReader) decode(b *value.Batch, r int, rec string) error {
 			return fmt.Errorf("hive: column %s: %w", d.stored.Cols[i].Name, err)
 		}
 		off += w
-		if !d.build[i] {
-			continue
-		}
-		switch vec := &b.Cols[d.slot[i]]; v.K {
-		case value.KindNull:
-			vec.Set(r, v)
-		case value.KindDouble:
-			vec.Floats[r] = v.F
-		case value.KindVarchar:
-			vec.Strs[r] = v.S
-		default:
-			vec.Ints[r] = v.I
+		if d.build[i] {
+			b.Cols[d.slot[i]].Set(r, v)
 		}
 	}
 	if off != len(rec) {

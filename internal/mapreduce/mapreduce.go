@@ -301,6 +301,7 @@ func (e *Engine) runTasks(ctx context.Context, phase string, n, slots int, attem
 
 // split is one map task's input: whole records (or lines) of one file.
 type split struct {
+	path      string // the file it is cut from, named in its errors
 	body      string
 	text      bool
 	newMapper func() Mapper
@@ -346,7 +347,9 @@ func (e *Engine) mapTask(sp split, reducers int, c *Counters) ([]part, error) {
 	if err == nil && len(vals) > 0 {
 		err = m.MapMorsel(vals, emitBytes)
 	}
-	if err == nil {
+	if err != nil {
+		err = fmt.Errorf("input %s: %w", sp.path, err)
+	} else {
 		err = e.cfg.Faults.Check("mapreduce.map")
 	}
 	if err == nil && m.Cleanup != nil {
@@ -474,7 +477,7 @@ func (e *Engine) computeSplits(ctx context.Context, splits []split, inputs []str
 			}
 			body, text := frame(data)
 			if len(fi.Blocks) == 1 && body != "" { // one split, framed by its task
-				splits = append(splits, split{body, text, newMapper})
+				splits = append(splits, split{fi.Path, body, text, newMapper})
 				continue
 			}
 			var offs []int // each record's offset in body, then its end
@@ -487,7 +490,7 @@ func (e *Engine) computeSplits(ctx context.Context, splits []split, inputs []str
 			n, nb := len(offs), max(len(fi.Blocks), 1)
 			offs, per := append(offs, len(body)), (n+nb-1)/nb
 			for i := 0; i < n; i += per {
-				splits = append(splits, split{body[offs[i]:offs[min(i+per, n)]], text, newMapper})
+				splits = append(splits, split{fi.Path, body[offs[i]:offs[min(i+per, n)]], text, newMapper})
 			}
 		}
 	}

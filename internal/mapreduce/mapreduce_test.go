@@ -566,6 +566,36 @@ func TestMapErrorFailsJobWithoutRetry(t *testing.T) {
 	}
 }
 
+// A record file cut inside its last record fails the job with an error
+// that names the file, whether the file is one block, framed by its map
+// task, or several, framed when it is split.
+func TestTruncatedInputNamesItsFile(t *testing.T) {
+	e, c := newTestEngine(t)
+	for _, n := range []int{3, 100} {
+		data := []byte(RecordHeader)
+		for i := 0; i < n; i++ {
+			data = AppendRecord(data, "k", fmt.Sprintf("value-%03d", i))
+		}
+		in := fmt.Sprintf("/in/records-%d", n)
+		_ = c.WriteFile(in, data[:len(data)-1])
+		if fi, _ := c.Stat(in); (len(fi.Blocks) == 1) != (n == 3) {
+			t.Fatalf("%s is %d blocks", in, len(fi.Blocks))
+		}
+		job := &Job{Name: "cut", Inputs: []string{in}, Output: "/out/cut",
+			Map:         func(k, v string, emit func(k, v string)) error { emit(k, v); return nil },
+			Reduce:      func(k string, vs []string, emit func(k, v string)) error { return nil },
+			NumReducers: 1,
+		}
+		_, err := e.RunCtx(context.Background(), job)
+		if err == nil || !strings.Contains(err.Error(), "input "+in+": mapreduce: truncated record") {
+			t.Errorf("job over %s = %v, want a truncated record in that file", in, err)
+		}
+		if faults.IsTransient(err) {
+			t.Errorf("a truncated record must not be transient: %v", err)
+		}
+	}
+}
+
 // TestReduceValuesKeepMapOrder pins the shuffle's order: a reducer sees a
 // key's values in split order, then in the order a map task emitted them.
 // Many keys collect values from several map tasks over several blocks of two
